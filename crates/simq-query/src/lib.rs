@@ -10,7 +10,8 @@
 //! EXPLAIN FIND SIMILAR TO ROW 7 IN stocks USING warp(2) EPSILON 1
 //! ```
 //!
-//! Pipeline: [`token`] → [`parse()`](parse()) → [`plan`] → [`exec`]. For
+//! Pipeline: [`token`] → [`parse()`](parse()) → [`plan`] → [`exec`], over
+//! the relations the [`catalog`] holds. For
 //! workloads that re-issue the same query shapes with different constants,
 //! [`session`] adds prepared statements with `?`/`$name` placeholders, a
 //! shape-keyed plan cache, streaming [`Cursor`]s and prepared batches on
@@ -25,6 +26,7 @@
 
 pub mod ast;
 pub mod batch;
+pub mod catalog;
 pub mod error;
 pub mod exec;
 pub mod parse;
@@ -34,11 +36,11 @@ pub mod token;
 
 pub use ast::{JoinMethod, ParamRef, ParamType, Query, QuerySource, QueryTemplate, Strategy};
 pub use batch::{execute_batch, split_batch_script, BatchExecutor, BatchResult, BatchStats};
+pub use catalog::{
+    Database, InsertBatchReport, InsertReport, Parallelism, ReadView, StoredRelation, WalStatus,
+};
 pub use error::QueryError;
 pub use exec::{execute, run, run_with_plan, ExecStats, Hit, PairHit, QueryOutput, QueryResult};
 pub use parse::{parse, parse_template, ParsedTemplate};
-pub use plan::{
-    explain, plan as plan_query, AccessPath, Database, InsertBatchReport, InsertReport,
-    Parallelism, Plan, ReadView, StoredRelation, WalStatus,
-};
+pub use plan::{explain, plan as plan_query, AccessPath, Plan};
 pub use session::{Bound, Cursor, Prepared, Session, SessionStats, Slot, Value};

@@ -1,4 +1,4 @@
-//! The database catalog and the query planner.
+//! The query planner.
 //!
 //! The planner's one non-trivial decision is the access path for range and
 //! kNN queries: use the R*-tree with an on-the-fly transformation
@@ -8,1356 +8,17 @@
 //! moving average is index-accelerable over a polar index but not over a
 //! rectangular one. The plan records the reason for the choice, and
 //! `EXPLAIN` surfaces it.
+//!
+//! The catalog the planner reads lives in [`crate::catalog`]; its public
+//! names are re-exported here so `simq_query::plan::*` paths keep
+//! resolving.
 
 use crate::ast::{JoinMethod, Query, Strategy};
-use crate::error::QueryError;
-use simq_index::{RTree, RTreeConfig};
-use simq_series::error::SeriesError;
-use simq_series::features::{FeatureScheme, Representation};
-use simq_storage::durable::{
-    CheckpointReport, CheckpointSource, DurableDir, DurableError, FailingStorage, ReplayReport,
+pub use crate::catalog::{
+    Database, InsertBatchReport, InsertReport, Parallelism, ReadView, StoredRelation, WalStatus,
 };
-use simq_storage::snapshot::{self, SnapshotEntry, SnapshotError, SnapshotSource};
-use simq_storage::wal::WalRecord;
-use simq_storage::{SeriesRelation, SeriesRow, ShardedRelation};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-/// A catalog entry: a relation stored whole with an optional index, or
-/// partitioned into shards with one R*-tree per shard.
-///
-/// Execution treats the two forms identically at the row level (row
-/// lookups route through the shard layout) and fans index/scan work out
-/// per shard for the sharded form; sharded results are bitwise identical
-/// to unsharded execution (`tests/shard_equivalence.rs`).
-#[derive(Debug, Clone)]
-pub enum StoredRelation {
-    /// One store, one optional R*-tree — the default form.
-    Single {
-        /// The relation.
-        relation: SeriesRelation,
-        /// The R*-tree over the relation's feature points, if built.
-        index: Option<RTree>,
-    },
-    /// The row space hash-partitioned by row id, one R*-tree per shard.
-    Sharded {
-        /// The sharded relation (each shard owns its series store).
-        relation: ShardedRelation,
-        /// One bulk-loaded R*-tree per shard, in shard order.
-        indexes: Vec<RTree>,
-    },
-}
-
-impl StoredRelation {
-    /// Relation name.
-    pub fn name(&self) -> &str {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.name(),
-            StoredRelation::Sharded { relation, .. } => relation.name(),
-        }
-    }
-
-    /// Length every stored series must have.
-    pub fn series_len(&self) -> usize {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.series_len(),
-            StoredRelation::Sharded { relation, .. } => relation.series_len(),
-        }
-    }
-
-    /// The feature scheme rows are extracted under.
-    pub fn scheme(&self) -> &FeatureScheme {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.scheme(),
-            StoredRelation::Sharded { relation, .. } => relation.scheme(),
-        }
-    }
-
-    /// Total number of rows.
-    pub fn row_count(&self) -> usize {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.len(),
-            StoredRelation::Sharded { relation, .. } => relation.len(),
-        }
-    }
-
-    /// Row access by id (routed through the shard layout when sharded).
-    pub fn row(&self, id: u64) -> Option<&SeriesRow> {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.row(id),
-            StoredRelation::Sharded { relation, .. } => relation.row(id),
-        }
-    }
-
-    /// The quantized filter-tier signature of a row (routed through the
-    /// shard layout when sharded).
-    pub fn signature(&self, id: u64) -> Option<&[f32]> {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.signature(id),
-            StoredRelation::Sharded { relation, .. } => relation.signature(id),
-        }
-    }
-
-    /// Coefficients each filter-tier signature keeps — fixed by the
-    /// series length, so single and sharded forms always agree.
-    pub fn sig_coeffs(&self) -> usize {
-        self.series_len().min(simq_storage::SIG_COEFFS)
-    }
-
-    /// First row whose name attribute equals `name` — first in insertion
-    /// order for the single form, smallest id for the sharded one. The
-    /// two coincide for sequentially built relations (the only kind whose
-    /// insertion order differs from id order is one assembled with
-    /// out-of-order [`SeriesRelation::insert_with_id`] calls).
-    pub fn find_row_named(&self, name: &str) -> Option<&SeriesRow> {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.rows().find(|r| r.name == name),
-            StoredRelation::Sharded { relation, .. } => {
-                // One linear pass keeping the smallest-id match — same
-                // winner as scanning in id order, without materializing
-                // and sorting the whole row set.
-                let mut best: Option<&SeriesRow> = None;
-                for row in relation.rows() {
-                    if row.name == name && best.is_none_or(|b| row.id < b.id) {
-                        best = Some(row);
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// Iterates rows: insertion order for the single form, shard-major
-    /// for the sharded one. Use [`StoredRelation::rows_in_scan_order`]
-    /// when the unsharded iteration order matters.
-    pub fn rows(&self) -> Box<dyn Iterator<Item = &SeriesRow> + '_> {
-        match self {
-            StoredRelation::Single { relation, .. } => Box::new(relation.rows()),
-            StoredRelation::Sharded { relation, .. } => Box::new(relation.rows()),
-        }
-    }
-
-    /// All rows in the unsharded scan order: insertion order for the
-    /// single form, id order for the sharded one. The two coincide for
-    /// sequentially built relations; a relation assembled with
-    /// out-of-order explicit-id inserts loses its global insertion order
-    /// on sharding (rows keep only their per-shard relative order), so
-    /// for such relations the sharded↔unsharded equivalence holds
-    /// against the id-ordered scan — asymmetric pair scans may report a
-    /// different (equally valid) orientation for tied pairs.
-    pub fn rows_in_scan_order(&self) -> Vec<&SeriesRow> {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.rows().collect(),
-            StoredRelation::Sharded { relation, .. } => relation.rows_by_id(),
-        }
-    }
-
-    /// True when index-based plans are available (sharded relations
-    /// always carry per-shard trees).
-    pub fn has_index(&self) -> bool {
-        match self {
-            StoredRelation::Single { index, .. } => index.is_some(),
-            StoredRelation::Sharded { .. } => true,
-        }
-    }
-
-    /// Number of shards (1 for the single form).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            StoredRelation::Single { .. } => 1,
-            StoredRelation::Sharded { relation, .. } => relation.shard_count(),
-        }
-    }
-
-    /// Rows per shard (one entry, the row count, for the single form) —
-    /// the `\relations` listing.
-    pub fn shard_row_counts(&self) -> Vec<usize> {
-        match self {
-            StoredRelation::Single { relation, .. } => vec![relation.len()],
-            StoredRelation::Sharded { relation, .. } => relation.shard_row_counts(),
-        }
-    }
-
-    /// Inserts a series, keeping the index (or the owning shard's index)
-    /// in sync: exactly one tree receives the new point — for sharded
-    /// relations a small per-shard tree, which is the insert-locality win
-    /// sharding exists for.
-    ///
-    /// # Errors
-    /// As [`SeriesRelation::insert`].
-    pub fn insert(
-        &mut self,
-        name: impl Into<String>,
-        series: Vec<f64>,
-    ) -> Result<u64, SeriesError> {
-        let id = self.next_id();
-        self.insert_with_id(id, name, series).map(|_| id)
-    }
-
-    /// The row id the next insert will assign.
-    pub fn next_id(&self) -> u64 {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.next_id(),
-            StoredRelation::Sharded { relation, .. } => relation.next_id(),
-        }
-    }
-
-    /// Records that ids up to `id` were consumed without storing rows —
-    /// the durable write path's defense after a failed WAL append, whose
-    /// durable prefix replay may still apply (see
-    /// [`SeriesRelation::note_inserted`]).
-    pub fn note_inserted(&mut self, id: u64) {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.note_inserted(id),
-            StoredRelation::Sharded { relation, .. } => relation.note_inserted(id),
-        }
-    }
-
-    /// Inserts a series under an explicit row id, keeping the owning
-    /// shard's index in sync incrementally (no rebuild). Returns the
-    /// shard that took the row and how many tree nodes the insert
-    /// materialized (node splits and root growth; 0 for the common
-    /// no-split insert and for unindexed relations).
-    ///
-    /// # Errors
-    /// As [`SeriesRelation::insert_with_id`].
-    pub fn insert_with_id(
-        &mut self,
-        id: u64,
-        name: impl Into<String>,
-        series: Vec<f64>,
-    ) -> Result<(usize, u64), SeriesError> {
-        match self {
-            StoredRelation::Single { relation, index } => {
-                relation.insert_with_id(id, name, series)?;
-                let mut built = 0;
-                if let Some(tree) = index {
-                    let before = tree.nodes_built();
-                    let point = &relation.row(id).expect("just inserted").features.point;
-                    tree.insert_point(point, id);
-                    built = tree.nodes_built() - before;
-                }
-                Ok((0, built))
-            }
-            StoredRelation::Sharded { relation, indexes } => {
-                relation.insert_with_id(id, name, series)?;
-                let shard = relation.shard_of(id);
-                let tree = &mut indexes[shard];
-                let before = tree.nodes_built();
-                let point = &relation.row(id).expect("just inserted").features.point;
-                tree.insert_point(point, id);
-                Ok((shard, tree.nodes_built() - before))
-            }
-        }
-    }
-}
-
-/// How many threads query execution may use.
-///
-/// The default is [`Parallelism::Serial`]: exactly the single-threaded
-/// code paths, no coordination overhead. Parallel execution returns
-/// *identical* results (hit sets, distances, ordering) for every query
-/// form — the equivalence property tests pin this — so the knob is purely
-/// a throughput decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Single-threaded execution (the default).
-    #[default]
-    Serial,
-    /// Exactly this many worker threads (values < 1 behave as 1).
-    Fixed(usize),
-    /// One worker per available hardware thread.
-    Auto,
-}
-
-impl Parallelism {
-    /// The concrete thread count this setting resolves to.
-    pub fn threads(self) -> usize {
-        match self {
-            Parallelism::Serial => 1,
-            Parallelism::Fixed(n) => n.max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-}
-
-impl std::fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Parallelism::Serial => write!(f, "serial"),
-            Parallelism::Fixed(n) => write!(f, "{} threads", n.max(&1)),
-            Parallelism::Auto => write!(f, "auto ({} threads)", self.threads()),
-        }
-    }
-}
-
-/// The durable-write-path state of an attached database: the directory
-/// store plus the bookkeeping the checkpoint protocol needs.
-#[derive(Debug, Clone)]
-struct Durability {
-    store: DurableDir,
-    /// Per relation, per shard: changed since the last checkpoint. A
-    /// relation missing from the map is conservatively all-dirty.
-    dirty: BTreeMap<String, Vec<bool>>,
-    /// WAL records appended since attach/open.
-    wal_records: u64,
-    /// What replay did when this database was opened (zeroes after
-    /// [`Database::attach_wal`]).
-    replay: ReplayReport,
-    /// A failed automatic checkpoint (after DDL) poisons the write path:
-    /// no further insert is acknowledged until [`Database::checkpoint`]
-    /// succeeds, so `Ok` from an insert always means "durable".
-    pending_error: Option<String>,
-}
-
-/// What one acknowledged [`Database::insert_into`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InsertReport {
-    /// The assigned row id.
-    pub id: u64,
-    /// The shard that took the row (0 for unsharded relations).
-    pub shard: usize,
-    /// R*-tree nodes this insert materialized (splits and root growth;
-    /// usually 0 — the incremental-maintenance win over a rebuild).
-    pub nodes_built: u64,
-    /// Whether a WAL record was appended (false when no WAL is attached).
-    pub wal_appended: bool,
-}
-
-/// What one [`Database::insert_batch`] call did.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct InsertBatchReport {
-    /// Acknowledged rows as `(input index, report)`, in input order.
-    /// Every acked row's WAL group flush returned from its sync (when a
-    /// WAL is attached) **before** the in-memory apply, exactly the
-    /// [`Database::insert_into`] guarantee.
-    pub acked: Vec<(usize, InsertReport)>,
-    /// Rows that failed after validation, as `(input index, error)`.
-    /// Failure is per shard: a shard whose WAL group append fails fails
-    /// every row routed to it, while other shards still commit.
-    pub failed: Vec<(usize, String)>,
-    /// Distinct shards that took at least one acknowledged row.
-    pub shards_touched: usize,
-    /// WAL records appended (= acked rows when a WAL is attached).
-    pub wal_records: u64,
-    /// WAL syncs issued — at most one per touched shard, the group-commit
-    /// win over [`Database::insert_into`]'s one sync per row.
-    pub wal_syncs: u64,
-    /// R*-tree nodes materialized across all shards.
-    pub nodes_built: u64,
-}
-
-/// The `\wal` status line: where the durable state lives and what the
-/// write path has done so far.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalStatus {
-    /// The durable directory.
-    pub dir: PathBuf,
-    /// Epoch of the last committed checkpoint.
-    pub epoch: u64,
-    /// WAL records appended since attach/open.
-    pub wal_records: u64,
-    /// What replay did at open time.
-    pub replay: ReplayReport,
-    /// Shards changed since the last checkpoint.
-    pub dirty_shards: usize,
-    /// Total shards across all relations.
-    pub total_shards: usize,
-    /// A failed automatic checkpoint poisoning the write path, if any.
-    pub pending_error: Option<String>,
-}
-
-/// A named collection of relations.
-///
-/// Relations are held behind [`Arc`]s so a [`ReadView`] is a cheap,
-/// generation-stamped shallow copy of the catalog: writers mutate through
-/// [`Arc::make_mut`] (copy-on-write — in place when no view holds the
-/// relation, a clone when one does), so readers never block on writers and
-/// a view's answers never shift mid-query.
-#[derive(Debug, Clone, Default)]
-pub struct Database {
-    relations: BTreeMap<String, Arc<StoredRelation>>,
-    parallelism: Parallelism,
-    /// Catalog generation: bumped by every mutation that could change a
-    /// plan (relations added/replaced/mutated, parallelism changed).
-    /// Session plan caches compare generations to invalidate.
-    generation: u64,
-    /// The durable write path, when a WAL directory is attached.
-    durability: Option<Durability>,
-    /// Route single-record WAL appends through the owning shard's
-    /// [`simq_storage::WriteGroup`] so concurrent writers coalesce syncs.
-    group_commit: bool,
-    /// Inverted filter-tier switch (`false` = filter on, the default):
-    /// when on, executors consult the quantized signature tier to dismiss
-    /// candidates before full verification. Results are identical either
-    /// way — the off position exists for baselines and the equivalence
-    /// suite.
-    filter_off: bool,
-}
-
-impl Database {
-    /// An empty database.
-    pub fn new() -> Self {
-        Database::default()
-    }
-
-    /// The catalog generation counter. It increases on every mutation
-    /// that could invalidate a cached plan: adding or replacing a
-    /// relation, handing out mutable access to one, loading a snapshot,
-    /// or changing the execution parallelism. `session::Session` keys its
-    /// plan cache to this value.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Registers a relation without an index.
-    pub fn add_relation(&mut self, relation: SeriesRelation) {
-        self.generation += 1;
-        let name = relation.name().to_string();
-        self.relations.insert(
-            name.clone(),
-            Arc::new(StoredRelation::Single {
-                relation,
-                index: None,
-            }),
-        );
-        self.after_ddl(&name);
-    }
-
-    /// Registers a relation and bulk-loads an index over it.
-    pub fn add_relation_indexed(&mut self, relation: SeriesRelation) {
-        let index = relation.build_index(RTreeConfig::default());
-        self.generation += 1;
-        let name = relation.name().to_string();
-        self.relations.insert(
-            name.clone(),
-            Arc::new(StoredRelation::Single {
-                relation,
-                index: Some(index),
-            }),
-        );
-        self.after_ddl(&name);
-    }
-
-    /// Registers a relation partitioned into `shards` shards, with one
-    /// bulk-loaded R*-tree per shard (`shards` ≤ 1 registers the single
-    /// indexed form). Rows move bit-for-bit, so query answers equal the
-    /// unsharded relation's.
-    pub fn add_relation_sharded(&mut self, relation: SeriesRelation, shards: usize) {
-        if shards <= 1 {
-            self.add_relation_indexed(relation);
-            return;
-        }
-        let sharded = ShardedRelation::from_single(relation, shards);
-        let indexes = sharded.build_indexes(RTreeConfig::default());
-        self.generation += 1;
-        let name = sharded.name().to_string();
-        self.relations.insert(
-            name.clone(),
-            Arc::new(StoredRelation::Sharded {
-                relation: sharded,
-                indexes,
-            }),
-        );
-        self.after_ddl(&name);
-    }
-
-    /// Re-partitions an existing relation into `shards` shards (the CLI's
-    /// `\shard <relation> <n>`): `shards` ≥ 2 produces the sharded form
-    /// with one tree per shard; `shards` = 1 merges a sharded relation
-    /// back into a single indexed store. Rows move bit-for-bit either way
-    /// (without cloning raw series or spectra), so query answers are
-    /// unchanged, and the new per-shard trees are built through the
-    /// incremental insert path — the same code every later insert
-    /// exercises, so a relation with pending (post-bulk-load) inserts
-    /// re-shards into exactly the structures continued inserting produces.
-    ///
-    /// Asking for the shape the relation already has is a **no-op**: no
-    /// rows move, no trees rebuild, the catalog generation stays put, so
-    /// cached plans stay valid.
-    ///
-    /// # Errors
-    /// [`QueryError::UnknownRelation`] when no such relation exists;
-    /// [`QueryError::Unsupported`] for a shard count of 0.
-    pub fn shard_relation(&mut self, name: &str, shards: usize) -> Result<(), QueryError> {
-        if shards == 0 {
-            return Err(QueryError::Unsupported(
-                "shard count must be at least 1".into(),
-            ));
-        }
-        match self.relations.get(name).map(Arc::as_ref) {
-            None => return Err(QueryError::UnknownRelation(name.to_string())),
-            // Already the requested shape (a Single with an index counts
-            // as "1 shard" only if it actually has a tree — `\shard r 1`
-            // on an unindexed relation builds its index).
-            Some(StoredRelation::Sharded { relation, .. }) if relation.shard_count() == shards => {
-                return Ok(())
-            }
-            Some(StoredRelation::Single { index: Some(_), .. }) if shards == 1 => return Ok(()),
-            Some(_) => {}
-        }
-        let stored = self.relations.remove(name).expect("presence checked above");
-        self.generation += 1;
-        // A live read view may still hold this relation; take the value
-        // out of the Arc when we are the only owner, clone otherwise.
-        let stored = Arc::try_unwrap(stored).unwrap_or_else(|shared| (*shared).clone());
-        let single = match stored {
-            StoredRelation::Single { relation, .. } => relation,
-            StoredRelation::Sharded { relation, .. } => relation.into_single(),
-        };
-        let rebuilt = if shards == 1 {
-            let index = single.build_index_incremental(RTreeConfig::default());
-            StoredRelation::Single {
-                relation: single,
-                index: Some(index),
-            }
-        } else {
-            let sharded = ShardedRelation::from_single(single, shards);
-            let indexes = sharded
-                .shards()
-                .iter()
-                .map(|s| s.build_index_incremental(RTreeConfig::default()))
-                .collect();
-            StoredRelation::Sharded {
-                relation: sharded,
-                indexes,
-            }
-        };
-        self.relations.insert(name.to_string(), Arc::new(rebuilt));
-        self.after_ddl(name);
-        Ok(())
-    }
-
-    /// Looks a relation up by name.
-    pub fn relation(&self, name: &str) -> Option<&StoredRelation> {
-        self.relations.get(name).map(Arc::as_ref)
-    }
-
-    /// Mutable lookup (to build or drop indexes). When the relation
-    /// exists, this conservatively bumps the catalog
-    /// [generation](Database::generation) — the borrow may mutate the
-    /// relation or its index; a missed lookup leaves cached plans valid.
-    pub fn relation_mut(&mut self, name: &str) -> Option<&mut StoredRelation> {
-        if self.relations.contains_key(name) {
-            self.generation += 1;
-            // The borrow may change anything about the relation; with a
-            // WAL attached, conservatively mark every shard dirty so the
-            // next checkpoint rewrites it (a missing entry means
-            // all-dirty).
-            if let Some(d) = &mut self.durability {
-                d.dirty.remove(name);
-            }
-        }
-        self.relations.get_mut(name).map(Arc::make_mut)
-    }
-
-    /// Names of all relations.
-    pub fn relation_names(&self) -> Vec<&str> {
-        self.relations.keys().map(String::as_str).collect()
-    }
-
-    /// The current execution parallelism.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Sets the execution parallelism for subsequent queries. Plans
-    /// record their thread count, so this bumps the catalog generation
-    /// (cached plans must be re-made).
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.generation += 1;
-        self.parallelism = parallelism;
-    }
-
-    /// Builder-style [`Database::set_parallelism`].
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.set_parallelism(parallelism);
-        self
-    }
-
-    /// Saves every relation — and its index structure(s), when built — to
-    /// a paged binary snapshot (see [`simq_storage::snapshot`]). Sharded
-    /// relations persist their shard layout and one tree per shard, so
-    /// reopening reproduces the sharded form exactly.
-    ///
-    /// # Errors
-    /// I/O errors from the filesystem.
-    pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        let entries: Vec<SnapshotSource> = self
-            .relations
-            .values()
-            .map(|s| match s.as_ref() {
-                StoredRelation::Single { relation, index } => {
-                    SnapshotSource::Single(relation, index.as_ref())
-                }
-                StoredRelation::Sharded { relation, indexes } => {
-                    SnapshotSource::Sharded(relation, indexes)
-                }
-            })
-            .collect();
-        snapshot::save_catalog(path, &entries)
-    }
-
-    /// Opens a snapshot as a fresh database. Rows, spectra and index
-    /// points are restored bit-for-bit and indexes are *decoded*, not
-    /// re-bulk-loaded — queries against the reopened database return
-    /// exactly what the saved one did. The execution parallelism is a
-    /// runtime setting and starts at the default ([`Parallelism::Serial`]).
-    ///
-    /// # Errors
-    /// [`SnapshotError`] on I/O failure, checksum mismatch or a
-    /// structurally invalid snapshot.
-    pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        let mut db = Database::new();
-        db.load_snapshot(path)?;
-        Ok(db)
-    }
-
-    /// Merges a snapshot's relations into this database (same-named
-    /// relations are replaced). Returns how many relations were loaded.
-    ///
-    /// # Errors
-    /// [`SnapshotError`] on I/O failure, checksum mismatch or a
-    /// structurally invalid snapshot; on error the database is unchanged.
-    pub fn load_snapshot(&mut self, path: impl AsRef<Path>) -> Result<usize, SnapshotError> {
-        let loaded = snapshot::load(path)?;
-        let count = loaded.len();
-        self.generation += 1;
-        let mut names = Vec::with_capacity(count);
-        for entry in loaded {
-            let stored = match entry {
-                SnapshotEntry::Single(s) => StoredRelation::Single {
-                    relation: s.relation,
-                    index: s.index,
-                },
-                SnapshotEntry::Sharded { relation, indexes } => {
-                    StoredRelation::Sharded { relation, indexes }
-                }
-            };
-            names.push(stored.name().to_string());
-            self.relations
-                .insert(stored.name().to_string(), Arc::new(stored));
-        }
-        if let Some(d) = &mut self.durability {
-            for name in &names {
-                d.dirty.remove(name);
-            }
-            self.auto_checkpoint();
-        }
-        Ok(count)
-    }
-
-    /// Attaches a durable write path to `dir`: creates the directory,
-    /// writes a full checkpoint of the current catalog, and from then on
-    /// appends every acknowledged insert to the owning shard's WAL before
-    /// applying it. Returns what the initial checkpoint wrote.
-    ///
-    /// # Errors
-    /// [`QueryError::Unsupported`] when a WAL is already attached;
-    /// [`QueryError::Storage`] on filesystem failure.
-    pub fn attach_wal(&mut self, dir: impl Into<PathBuf>) -> Result<CheckpointReport, QueryError> {
-        if self.durability.is_some() {
-            return Err(QueryError::Unsupported(
-                "a WAL directory is already attached".into(),
-            ));
-        }
-        let store = DurableDir::create(dir.into())?;
-        self.durability = Some(Durability {
-            store,
-            dirty: BTreeMap::new(),
-            wal_records: 0,
-            replay: ReplayReport::default(),
-            pending_error: None,
-        });
-        self.checkpoint()
-    }
-
-    /// [`Database::attach_wal`] with WAL appends routed through an
-    /// injectable [`FailingStorage`] — the crash-fuzz hook. Checkpoints
-    /// still write real files; only the log tail goes to the sink.
-    ///
-    /// # Errors
-    /// As [`Database::attach_wal`].
-    pub fn attach_wal_with_sink(
-        &mut self,
-        dir: impl Into<PathBuf>,
-        sink: Arc<FailingStorage>,
-    ) -> Result<CheckpointReport, QueryError> {
-        let report = self.attach_wal(dir)?;
-        if let Some(d) = &mut self.durability {
-            d.store.set_sink(Some(sink));
-        }
-        Ok(report)
-    }
-
-    /// Opens a durable directory: loads every shard checkpoint, replays
-    /// (and repairs) the WAL tails, and attaches the write path so
-    /// subsequent inserts keep appending. The returned report says what
-    /// replay recovered; it stays queryable via [`Database::wal_status`].
-    ///
-    /// # Errors
-    /// [`QueryError::Storage`] when the directory is missing, its
-    /// manifest is invalid, or a referenced checkpoint is corrupt. WAL
-    /// corruption is *not* an error — torn tails are truncated and
-    /// counted in the report.
-    pub fn open_durable(dir: impl Into<PathBuf>) -> Result<(Self, ReplayReport), QueryError> {
-        let (store, entries, replay) = DurableDir::open(dir.into())?;
-        let mut db = Database::new();
-        db.generation = 1;
-        for entry in entries {
-            let stored = match entry {
-                SnapshotEntry::Single(s) => StoredRelation::Single {
-                    relation: s.relation,
-                    index: s.index,
-                },
-                SnapshotEntry::Sharded { relation, indexes } => {
-                    StoredRelation::Sharded { relation, indexes }
-                }
-            };
-            db.relations
-                .insert(stored.name().to_string(), Arc::new(stored));
-        }
-        // Checkpoints + logs already hold everything replay applied, so
-        // every shard starts clean.
-        let dirty = db
-            .relations
-            .values()
-            .map(|s| (s.name().to_string(), vec![false; s.shard_count()]))
-            .collect();
-        db.durability = Some(Durability {
-            store,
-            dirty,
-            wal_records: 0,
-            replay,
-            pending_error: None,
-        });
-        Ok((db, replay))
-    }
-
-    /// True when a durable write path is attached.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    /// The durable write path's status, when one is attached.
-    pub fn wal_status(&self) -> Option<WalStatus> {
-        self.durability.as_ref().map(|d| {
-            let mut dirty_shards = 0;
-            let mut total_shards = 0;
-            for s in self.relations.values() {
-                let shards = s.shard_count();
-                total_shards += shards;
-                dirty_shards += match d.dirty.get(s.name()) {
-                    Some(flags) => flags.iter().filter(|&&f| f).count(),
-                    None => shards, // missing entry = conservatively dirty
-                };
-            }
-            WalStatus {
-                dir: d.store.dir().to_path_buf(),
-                epoch: d.store.manifest().epoch,
-                wal_records: d.wal_records,
-                replay: d.replay,
-                dirty_shards,
-                total_shards,
-                pending_error: d.pending_error.clone(),
-            }
-        })
-    }
-
-    /// Inserts a series through the durable write path: the record is
-    /// appended (and synced) to the owning shard's WAL **before** the
-    /// in-memory apply, so an `Ok` means the insert survives any
-    /// subsequent crash. Without an attached WAL this is a plain
-    /// in-memory insert with incremental index maintenance.
-    ///
-    /// # Errors
-    /// [`QueryError::UnknownRelation`], domain errors
-    /// ([`QueryError::Series`] — wrong length, constant series), and
-    /// [`QueryError::Storage`] when the WAL append fails (the insert is
-    /// **not** applied, so an error also never loses the guarantee).
-    pub fn insert_into(
-        &mut self,
-        relation: &str,
-        name: impl Into<String>,
-        series: Vec<f64>,
-    ) -> Result<InsertReport, QueryError> {
-        if let Some(d) = &self.durability {
-            if let Some(e) = &d.pending_error {
-                return Err(QueryError::Storage(format!(
-                    "write path poisoned by a failed checkpoint: {e} (run a checkpoint to recover)"
-                )));
-            }
-        }
-        let stored = self
-            .relations
-            .get(relation)
-            .ok_or_else(|| QueryError::UnknownRelation(relation.to_string()))?;
-        // Validate everything the apply can reject *before* logging, so a
-        // WAL record is written only for an insert that will succeed —
-        // replay must never manufacture rows a crash-free run rejected.
-        if series.len() != stored.series_len() {
-            return Err(SeriesError::DimensionMismatch {
-                expected: stored.series_len(),
-                actual: series.len(),
-            }
-            .into());
-        }
-        stored.scheme().extract(&series)?;
-        let id = stored.next_id();
-        let shard = match stored.as_ref() {
-            StoredRelation::Single { .. } => 0,
-            StoredRelation::Sharded { relation, .. } => relation.shard_of(id),
-        };
-        let record = WalRecord {
-            id,
-            name: name.into(),
-            series,
-        };
-        let mut wal_appended = false;
-        if let Some(d) = &mut self.durability {
-            let appended = if self.group_commit {
-                // Route through the shard's write group: concurrent
-                // submitters share syncs; this still returns only after
-                // the flush covering the record has synced.
-                d.store
-                    .append_insert_grouped(relation, shard, &record)
-                    .map(|_| ())
-            } else {
-                d.store.append_insert(relation, shard, &record)
-            };
-            if let Err(e) = appended {
-                // A failed append can still have left the record durable
-                // (the sync died after the write, or it rode a torn group
-                // prefix); consume the id so no later insert collides
-                // with what replay may apply.
-                Arc::make_mut(
-                    self.relations
-                        .get_mut(relation)
-                        .expect("relation presence checked above"),
-                )
-                .note_inserted(id);
-                return Err(QueryError::from(e));
-            }
-            d.wal_records += 1;
-            wal_appended = true;
-        }
-        let WalRecord { id, name, series } = record;
-        let (shard, nodes_built) = Arc::make_mut(
-            self.relations
-                .get_mut(relation)
-                .expect("relation presence checked above"),
-        )
-        .insert_with_id(id, name, series)
-        .map_err(|e| {
-            // Unreachable by construction (pre-validated); poison the
-            // write path rather than leave a logged-but-unapplied row.
-            if let Some(d) = &mut self.durability {
-                d.pending_error = Some(format!("validated insert failed to apply: {e}"));
-            }
-            QueryError::Storage(format!("validated insert failed to apply: {e}"))
-        })?;
-        self.generation += 1;
-        if let Some(d) = &mut self.durability {
-            let shard_count = self.relations[relation].shard_count();
-            let flags = d
-                .dirty
-                .entry(relation.to_string())
-                .or_insert_with(|| vec![false; shard_count]);
-            if let Some(flag) = flags.get_mut(shard) {
-                *flag = true;
-            }
-        }
-        let m = simq_obs::metrics::registry();
-        m.insert_count
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        m.insert_nodes_built
-            .fetch_add(nodes_built, std::sync::atomic::Ordering::Relaxed);
-        Ok(InsertReport {
-            id,
-            shard,
-            nodes_built,
-            wal_appended,
-        })
-    }
-
-    /// Inserts a batch of series through the durable write path with one
-    /// WAL group append (one write + one sync) per touched shard, and —
-    /// for sharded relations under [`Parallelism`] > 1 — concurrent
-    /// per-shard writers: each shard is owned by exactly one scoped
-    /// worker thread, so inserts to distinct shards proceed in parallel
-    /// while rows within a shard apply strictly in id order.
-    ///
-    /// Ids are assigned in input order from the relation's `next_id`, so
-    /// the resulting database state is **bitwise identical** to calling
-    /// [`Database::insert_into`] once per row in order (pinned by
-    /// `tests/insert_equivalence.rs`), at a fraction of the syncs.
-    ///
-    /// The whole batch is validated before anything is logged. After
-    /// validation, failure is per shard: a shard whose group append fails
-    /// fails every row routed to it (none applied — atomically absent),
-    /// while other shards commit. The call errors only when *no* row was
-    /// acknowledged.
-    ///
-    /// # Errors
-    /// [`QueryError::UnknownRelation`], domain errors for any invalid row
-    /// (nothing logged or applied), and [`QueryError::Storage`] when
-    /// every shard's WAL append failed or the write path is poisoned.
-    pub fn insert_batch(
-        &mut self,
-        relation: &str,
-        rows: Vec<(String, Vec<f64>)>,
-    ) -> Result<InsertBatchReport, QueryError> {
-        if rows.is_empty() {
-            return Ok(InsertBatchReport::default());
-        }
-        if let Some(d) = &self.durability {
-            if let Some(e) = &d.pending_error {
-                return Err(QueryError::Storage(format!(
-                    "write path poisoned by a failed checkpoint: {e} (run a checkpoint to recover)"
-                )));
-            }
-        }
-        let stored = self
-            .relations
-            .get(relation)
-            .ok_or_else(|| QueryError::UnknownRelation(relation.to_string()))?;
-        // Validate every row before logging anything: validation failures
-        // reject the whole batch up front, so the WAL never holds a
-        // record replay would have to reject.
-        for (_, series) in &rows {
-            if series.len() != stored.series_len() {
-                return Err(SeriesError::DimensionMismatch {
-                    expected: stored.series_len(),
-                    actual: series.len(),
-                }
-                .into());
-            }
-            stored.scheme().extract(series)?;
-        }
-        let base_id = stored.next_id();
-        let shard_count = stored.shard_count();
-        let layout = match stored.as_ref() {
-            StoredRelation::Single { .. } => None,
-            StoredRelation::Sharded { relation, .. } => Some(relation.layout()),
-        };
-        let n = rows.len() as u64;
-        // Ids are assigned in input order (serial-equivalent) and routed
-        // by the shard layout; within a shard records stay id-ascending.
-        let mut per_shard: Vec<(Vec<usize>, Vec<WalRecord>)> =
-            (0..shard_count).map(|_| (Vec::new(), Vec::new())).collect();
-        for (i, (name, series)) in rows.into_iter().enumerate() {
-            let id = base_id + i as u64;
-            let shard = layout.as_ref().map_or(0, |l| l.shard_of(id));
-            per_shard[shard].0.push(i);
-            per_shard[shard].1.push(WalRecord { id, name, series });
-        }
-        let threads = self.parallelism.threads();
-        let dur = self.durability.as_ref().map(|d| &d.store);
-        let stored = Arc::make_mut(
-            self.relations
-                .get_mut(relation)
-                .expect("relation presence checked above"),
-        );
-        let mut outcomes: Vec<ShardBatchOutcome> = match stored {
-            StoredRelation::Single {
-                relation: store,
-                index,
-            } => {
-                let (idxs, records) = per_shard.pop().expect("single form has one shard");
-                let outcome =
-                    apply_shard_batch(dur, relation, 0, &idxs, records, store, index.as_mut());
-                // Mirror the sharded path below: every id in the batch is
-                // consumed, acked or not, so a later insert can never
-                // collide with a record a failed WAL prefix might replay.
-                store.note_inserted(base_id + n - 1);
-                vec![outcome]
-            }
-            StoredRelation::Sharded {
-                relation: sharded,
-                indexes,
-            } => {
-                let mut work: Vec<_> = sharded
-                    .shards_mut()
-                    .iter_mut()
-                    .zip(indexes.iter_mut())
-                    .zip(per_shard)
-                    .enumerate()
-                    .filter(|(_, (_, (idxs, _)))| !idxs.is_empty())
-                    .map(|(j, ((store, tree), (idxs, records)))| (j, idxs, records, store, tree))
-                    .collect();
-                let outcomes: Vec<ShardBatchOutcome> = if threads > 1 && work.len() > 1 {
-                    // One scoped worker per chunk of busy shards: the
-                    // `&mut` borrows are disjoint per shard, so inserts
-                    // to distinct shards proceed in parallel. Workers
-                    // join before the scope returns, so readers of the
-                    // catalog never observe a shard mid-apply.
-                    let per = work.len().div_ceil(threads.min(work.len()));
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = work
-                            .chunks_mut(per)
-                            .map(|chunk| {
-                                scope.spawn(move || {
-                                    chunk
-                                        .iter_mut()
-                                        .map(|(j, idxs, records, store, tree)| {
-                                            apply_shard_batch(
-                                                dur,
-                                                relation,
-                                                *j,
-                                                idxs,
-                                                std::mem::take(records),
-                                                store,
-                                                Some(tree),
-                                            )
-                                        })
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("shard writer panicked"))
-                            .collect()
-                    })
-                } else {
-                    work.into_iter()
-                        .map(|(j, idxs, records, store, tree)| {
-                            apply_shard_batch(dur, relation, j, &idxs, records, store, Some(tree))
-                        })
-                        .collect()
-                };
-                // Every id in the batch is consumed, acked or not, so a
-                // later insert can never collide with a record a failed
-                // shard's WAL prefix might replay.
-                sharded.note_inserted(base_id + n - 1);
-                outcomes
-            }
-        };
-        outcomes.sort_by_key(|o| o.shard);
-        let mut report = InsertBatchReport::default();
-        let mut poison: Option<String> = None;
-        let mut first_error: Option<String> = None;
-        let mut dirty: Vec<usize> = Vec::new();
-        for o in &mut outcomes {
-            if o.wal_synced {
-                report.wal_syncs += 1;
-            }
-            if let Some(e) = &o.apply_error {
-                poison.get_or_insert_with(|| e.clone());
-            }
-            let err = o.apply_error.take().or_else(|| o.wal_error.take());
-            if let Some(e) = &err {
-                first_error.get_or_insert_with(|| e.clone());
-            }
-            for idx in o.failed.drain(..) {
-                report
-                    .failed
-                    .push((idx, err.clone().unwrap_or_else(|| "insert failed".into())));
-            }
-            if !o.acked.is_empty() {
-                dirty.push(o.shard);
-                report.shards_touched += 1;
-            }
-            report.nodes_built += o.nodes_built;
-            report.acked.append(&mut o.acked);
-        }
-        report.acked.sort_by_key(|&(i, _)| i);
-        report.failed.sort_by_key(|&(i, _)| i);
-        // A post-validation apply failure is unreachable by construction;
-        // poison the write path rather than leave logged-but-unapplied
-        // rows behind (same stance as insert_into).
-        if let Some(e) = poison {
-            if let Some(d) = &mut self.durability {
-                d.pending_error = Some(e);
-            }
-        }
-        if report.acked.is_empty() {
-            return Err(QueryError::Storage(
-                first_error.unwrap_or_else(|| "batch insert failed".into()),
-            ));
-        }
-        self.generation += 1;
-        if let Some(d) = &mut self.durability {
-            report.wal_records = report.acked.len() as u64;
-            d.wal_records += report.wal_records;
-            let flags = d
-                .dirty
-                .entry(relation.to_string())
-                .or_insert_with(|| vec![false; shard_count]);
-            for &s in &dirty {
-                if let Some(flag) = flags.get_mut(s) {
-                    *flag = true;
-                }
-            }
-        }
-        let m = simq_obs::metrics::registry();
-        m.insert_count.fetch_add(
-            report.acked.len() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        m.insert_nodes_built
-            .fetch_add(report.nodes_built, std::sync::atomic::Ordering::Relaxed);
-        Ok(report)
-    }
-
-    /// Whether single-record inserts route through per-shard
-    /// [`simq_storage::WriteGroup`]s (group commit).
-    pub fn group_commit(&self) -> bool {
-        self.group_commit
-    }
-
-    /// Enables or disables group commit for [`Database::insert_into`].
-    /// With it on, concurrent inserts to the same shard share WAL syncs;
-    /// a single uncontended insert still pays exactly one sync, so the
-    /// durability guarantee is unchanged either way.
-    pub fn set_group_commit(&mut self, on: bool) {
-        self.group_commit = on;
-    }
-
-    /// Whether index-served queries consult the quantized filter tier
-    /// before full verification (on by default). The answer set is
-    /// identical either way — the tier only dismisses candidates whose
-    /// signature lower bound already exceeds the query threshold.
-    pub fn filter_enabled(&self) -> bool {
-        !self.filter_off
-    }
-
-    /// Turns the quantized filter tier on or off for subsequent queries
-    /// (off = verify every candidate, the pre-filter baseline).
-    pub fn set_filter(&mut self, on: bool) {
-        self.filter_off = !on;
-    }
-
-    /// An immutable, generation-stamped view of the catalog for readers.
-    ///
-    /// The view shallow-copies the relation map (per-relation [`Arc`]
-    /// bumps — no row data is cloned) and drops the durable write path,
-    /// so queries against it never block on writers and always see the
-    /// catalog exactly as of [`ReadView::generation`]: a writer mutating
-    /// the live database copy-on-writes any relation the view still
-    /// holds.
-    pub fn read_view(&self) -> ReadView {
-        ReadView {
-            db: Database {
-                relations: self.relations.clone(),
-                parallelism: self.parallelism,
-                generation: self.generation,
-                durability: None,
-                group_commit: false,
-                filter_off: self.filter_off,
-            },
-        }
-    }
-
-    /// Commits a checkpoint: every dirty shard's store and tree are
-    /// written to new snapshot files, the manifest flips atomically, and
-    /// absorbed WAL tails are deleted. Clean shards keep their files
-    /// untouched — the incremental-maintenance win `\save` inherits.
-    /// A successful checkpoint also clears a poisoned write path.
-    ///
-    /// # Errors
-    /// [`QueryError::Unsupported`] when no WAL is attached;
-    /// [`QueryError::Storage`] on filesystem failure (the directory still
-    /// opens to its previous state).
-    pub fn checkpoint(&mut self) -> Result<CheckpointReport, QueryError> {
-        if self.durability.is_none() {
-            return Err(QueryError::Unsupported(
-                "no WAL directory attached (use \\wal <dir>)".into(),
-            ));
-        }
-        let report = self.checkpoint_inner().map_err(QueryError::from)?;
-        if let Some(d) = &mut self.durability {
-            d.pending_error = None;
-        }
-        Ok(report)
-    }
-
-    /// The checkpoint mechanics, shared by the public entry point and the
-    /// automatic after-DDL checkpoints.
-    fn checkpoint_inner(&mut self) -> Result<CheckpointReport, DurableError> {
-        let d = self.durability.as_mut().expect("caller checked attachment");
-        let sources: Vec<CheckpointSource<'_>> = self
-            .relations
-            .values()
-            .map(|s| {
-                let flags = d.dirty.get(s.name());
-                let dirty_at = |j: usize| flags.is_none_or(|f| f.get(j).copied().unwrap_or(true));
-                match s.as_ref() {
-                    StoredRelation::Single { relation, index } => CheckpointSource {
-                        name: relation.name(),
-                        sharded: false,
-                        shards: vec![(relation, index.as_ref(), dirty_at(0))],
-                    },
-                    StoredRelation::Sharded { relation, indexes } => CheckpointSource {
-                        name: relation.name(),
-                        sharded: true,
-                        shards: relation
-                            .shards()
-                            .iter()
-                            .zip(indexes)
-                            .enumerate()
-                            .map(|(j, (shard, tree))| (shard, Some(tree), dirty_at(j)))
-                            .collect(),
-                    },
-                }
-            })
-            .collect();
-        let report = d.store.checkpoint(&sources)?;
-        d.dirty = self
-            .relations
-            .values()
-            .map(|s| (s.name().to_string(), vec![false; s.shard_count()]))
-            .collect();
-        Ok(report)
-    }
-
-    /// Runs the automatic checkpoint DDL requires (the manifest must know
-    /// every relation before its WAL can take appends). A failure poisons
-    /// the write path instead of propagating — DDL entry points predate
-    /// durability and cannot all return errors — and the next insert
-    /// surfaces it.
-    fn auto_checkpoint(&mut self) {
-        if self.durability.is_none() {
-            return;
-        }
-        if let Err(e) = self.checkpoint_inner() {
-            if let Some(d) = &mut self.durability {
-                d.pending_error = Some(e.to_string());
-            }
-        }
-    }
-
-    /// The after-DDL hook: the named relation's durable image is stale in
-    /// shape or content, so forget its dirty flags (missing = all-dirty)
-    /// and re-checkpoint.
-    fn after_ddl(&mut self, name: &str) {
-        if let Some(d) = &mut self.durability {
-            d.dirty.remove(name);
-            self.auto_checkpoint();
-        }
-    }
-}
-
-/// An immutable snapshot of a [`Database`]'s catalog, stamped with the
-/// generation it was taken at.
-///
-/// Produced by [`Database::read_view`]. Queries run against
-/// [`ReadView::database`] see exactly the relations (and rows) that
-/// existed at that generation, no matter what writers do to the live
-/// database afterwards — relations are shared via [`Arc`] and writers
-/// mutate copy-on-write. The view carries no durable write path, so it
-/// cannot write. `Send + Sync`, so views can be handed to reader threads.
-#[derive(Debug, Clone)]
-pub struct ReadView {
-    db: Database,
-}
-
-impl ReadView {
-    /// The catalog generation this view was taken at. Compare with the
-    /// live [`Database::generation`] to detect staleness.
-    pub fn generation(&self) -> u64 {
-        self.db.generation()
-    }
-
-    /// The frozen catalog, usable everywhere a `&Database` is.
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-}
-
-/// A view can stand in wherever a `&Database` holder is generic over
-/// [`Borrow`](std::borrow::Borrow) — most importantly
-/// `Session<ReadView>`, the server's per-connection session: the
-/// session owns a frozen catalog and is swapped wholesale when the
-/// live generation moves on.
-impl std::borrow::Borrow<Database> for ReadView {
-    fn borrow(&self) -> &Database {
-        &self.db
-    }
-}
-
-/// One shard's slice of a batch insert, as reported by
-/// [`apply_shard_batch`].
-struct ShardBatchOutcome {
-    shard: usize,
-    /// `(input index, report)` for each row applied, in id order.
-    acked: Vec<(usize, InsertReport)>,
-    /// Input indexes of rows that were not applied.
-    failed: Vec<usize>,
-    /// The WAL group append failed before anything was applied.
-    wal_error: Option<String>,
-    /// A pre-validated row failed to apply (poisons the write path).
-    apply_error: Option<String>,
-    /// The shard's group append issued (and returned from) its one sync.
-    wal_synced: bool,
-    nodes_built: u64,
-}
-
-/// WALs one shard's slice of a batch as a single group append (one write,
-/// one sync), then applies the rows in id order with incremental index
-/// maintenance. Runs on the caller's thread or a scoped worker — it takes
-/// only the shard's own `&mut` state plus a shared [`DurableDir`] handle.
-fn apply_shard_batch(
-    dur: Option<&DurableDir>,
-    relation: &str,
-    shard: usize,
-    idxs: &[usize],
-    records: Vec<WalRecord>,
-    store: &mut SeriesRelation,
-    mut tree: Option<&mut RTree>,
-) -> ShardBatchOutcome {
-    let mut out = ShardBatchOutcome {
-        shard,
-        acked: Vec::with_capacity(records.len()),
-        failed: Vec::new(),
-        wal_error: None,
-        apply_error: None,
-        wal_synced: false,
-        nodes_built: 0,
-    };
-    if let Some(d) = dur {
-        // WAL first: the group is durable (or rejected whole) before any
-        // row of it becomes visible. A crash mid-append leaves a prefix
-        // of the group on disk — replay applies exactly that prefix.
-        if let Err(e) = d.append_insert_group(relation, shard, &records) {
-            out.wal_error = Some(e.to_string());
-            out.failed.extend_from_slice(idxs);
-            return out;
-        }
-        out.wal_synced = true;
-    }
-    let wal_appended = dur.is_some();
-    for (k, (&idx, rec)) in idxs.iter().zip(records).enumerate() {
-        let WalRecord { id, name, series } = rec;
-        if let Err(e) = store.insert_with_id(id, name, series) {
-            out.apply_error = Some(format!("validated insert failed to apply: {e}"));
-            out.failed.extend_from_slice(&idxs[k..]);
-            break;
-        }
-        let mut nodes_built = 0;
-        if let Some(tree) = tree.as_deref_mut() {
-            let before = tree.nodes_built();
-            let point = &store.row(id).expect("just inserted").features.point;
-            tree.insert_point(point, id);
-            nodes_built = tree.nodes_built() - before;
-        }
-        out.nodes_built += nodes_built;
-        out.acked.push((
-            idx,
-            InsertReport {
-                id,
-                shard,
-                nodes_built,
-                wal_appended,
-            },
-        ));
-    }
-    out
-}
+use crate::error::QueryError;
+use simq_series::features::Representation;
 
 /// The chosen access path.
 #[derive(Debug, Clone, PartialEq, Eq)]
