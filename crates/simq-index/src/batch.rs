@@ -14,11 +14,10 @@
 //!   Each query's answer set, candidate order (serial path) and per-query
 //!   work counters are identical to its individual traversal — only the
 //!   *shared* node reads are fewer.
-//! * **Batched nearest neighbours** ([`RTree::multi_nearest_by`]) runs all
-//!   best-first searches over one work-stealing pool instead of spinning a
-//!   pool up per query: tasks are `(query, subtree)` pairs in one shared
-//!   priority queue, pruned by per-query atomic bounds on the k-th best
-//!   distance. Results equal the serial [`RTree::nearest_by`] per query.
+//!
+//! (Batched nearest neighbours need no traversal of their own: every query
+//! of a [`forest_nearest`](crate::knn::forest_nearest) call already shares
+//! one work-stealing pool.)
 //!
 //! Work accounting: [`MultiSearchStats::merged`] counts every node/entry
 //! **once per shared visit** — the batch's true cost; `per_query[i]`
@@ -27,12 +26,10 @@
 //! whenever two queries share a node (the root already is shared).
 
 use crate::geom::Rect;
-use crate::knn::Neighbor;
 use crate::rstar::{Entry, RTree};
 use crate::search::SearchStats;
 use crate::transform::SpatialTransform;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One range query of a batch: an optional on-the-fly transformation and
 /// the search rectangle (in the transformed space when a transformation is
@@ -43,18 +40,6 @@ pub struct MultiRangeQuery<'a> {
     pub transform: Option<&'a dyn SpatialTransform>,
     /// The search rectangle.
     pub rect: &'a Rect,
-}
-
-/// One nearest-neighbour query of a batch (see [`RTree::nearest_by`] for
-/// the bound contract).
-pub struct MultiKnnQuery<'a> {
-    /// Lower bound on the true distance from this query to any item in a
-    /// (transformed) rectangle; exact for degenerate leaf rectangles.
-    pub bound: &'a (dyn Fn(&Rect) -> f64 + Sync),
-    /// Transformation applied to every MBR before bounding.
-    pub transform: Option<&'a dyn SpatialTransform>,
-    /// Number of neighbours requested.
-    pub k: usize,
 }
 
 /// Work counters of one batched traversal.
@@ -124,9 +109,10 @@ impl RTree {
     /// `(subtree, active queries)` tasks is expanded on the calling
     /// thread, then workers claim tasks from a shared cursor and descend
     /// them with the same shared test. Answer sets equal the serial batch
-    /// (ids are sorted ascending per query, like
-    /// [`RTree::range_transformed_parallel`]); merged counters count each
-    /// node once because every subtree is claimed by exactly one worker.
+    /// (ids are sorted ascending per query, like the parallel
+    /// [`forest_range`](crate::search::forest_range)); merged counters
+    /// count each node once because every subtree is claimed by exactly
+    /// one worker.
     pub fn multi_range_parallel(
         &self,
         queries: &[MultiRangeQuery],
@@ -240,208 +226,9 @@ impl RTree {
         (out, stats)
     }
 
-    /// Batched [`RTree::nearest_by`]: every query's best-first search runs
-    /// over **one** shared work-stealing pool. Tasks are `(query,
-    /// subtree)` pairs in a single priority queue ordered by bound;
-    /// per-query atomic bounds on the k-th best distance prune each
-    /// query's tasks on all threads at once. With `threads == 1` the
-    /// queries run serially back to back (no pool). Either way each
-    /// query's result is exactly its serial [`RTree::nearest_by`] answer.
-    ///
-    /// Unlike the range batch, node visits are *not* shared — every task
-    /// belongs to one query — so `merged` here equals the per-query sum;
-    /// the saving is pool setup and scheduling, not node reads.
-    pub fn multi_nearest_by(
-        &self,
-        queries: &[MultiKnnQuery],
-        threads: usize,
-    ) -> (Vec<Vec<Neighbor>>, MultiSearchStats) {
-        let threads = threads.max(1);
-        let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
-        let mut stats = MultiSearchStats::with_queries(queries.len());
-        if queries.is_empty() || self.is_empty() {
-            return (out, stats);
-        }
-        if threads == 1 {
-            for (qi, q) in queries.iter().enumerate() {
-                let (found, s) = self.nearest_by(q.bound, q.transform, q.k);
-                out[qi] = found;
-                stats.per_query[qi] = s;
-                stats.merged.add(&s);
-            }
-            return (out, stats);
-        }
-
-        use crate::parallel::AtomicF64Min;
-        struct Task {
-            key: f64,
-            query: u32,
-            node: usize,
-        }
-        impl PartialEq for Task {
-            fn eq(&self, other: &Self) -> bool {
-                self.key == other.key
-            }
-        }
-        impl Eq for Task {}
-        impl PartialOrd for Task {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Task {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Reversed for a min-heap over a BinaryHeap.
-                other.key.partial_cmp(&self.key).expect("finite bounds")
-            }
-        }
-
-        let bounds: Vec<AtomicF64Min> = queries
-            .iter()
-            .map(|_| AtomicF64Min::new(f64::INFINITY))
-            .collect();
-        let pool: Mutex<std::collections::BinaryHeap<Task>> = Mutex::new(
-            queries
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| q.k > 0)
-                .map(|(qi, _)| Task {
-                    key: 0.0,
-                    query: qi as u32,
-                    node: self.root,
-                })
-                .collect(),
-        );
-        let in_flight = AtomicUsize::new(0);
-
-        type Worker = (Vec<Vec<Neighbor>>, Vec<SearchStats>);
-        let workers: Vec<Worker> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut found: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
-                        let mut stats = vec![SearchStats::default(); queries.len()];
-                        // One k-th-best tracker per query, publishing to
-                        // that query's shared bound.
-                        let mut kth: Vec<LocalKth> = queries
-                            .iter()
-                            .enumerate()
-                            .map(|(qi, q)| LocalKth::new(q.k, &bounds[qi]))
-                            .collect();
-                        let mut idle_us: u64 = 0;
-                        loop {
-                            let task = {
-                                let mut guard = pool.lock().expect("pool lock");
-                                let t = guard.pop();
-                                if t.is_some() {
-                                    in_flight.fetch_add(1, Ordering::SeqCst);
-                                }
-                                t
-                            };
-                            let Some(task) = task else {
-                                if in_flight.load(Ordering::SeqCst) == 0 {
-                                    break;
-                                }
-                                if idle_us == 0 {
-                                    std::thread::yield_now();
-                                    idle_us = 1;
-                                } else {
-                                    std::thread::sleep(std::time::Duration::from_micros(idle_us));
-                                    idle_us = (idle_us * 2).min(200);
-                                }
-                                continue;
-                            };
-                            idle_us = 0;
-                            let qi = task.query as usize;
-                            let q = &queries[qi];
-                            if task.key <= bounds[qi].get() {
-                                let node = &self.nodes[task.node];
-                                stats[qi].nodes_visited += 1;
-                                if node.level == 0 {
-                                    stats[qi].leaves_visited += 1;
-                                }
-                                let mut children: Vec<Task> = Vec::new();
-                                for e in &node.entries {
-                                    stats[qi].entries_tested += 1;
-                                    let mbr;
-                                    let rect = match q.transform {
-                                        Some(t) => {
-                                            mbr = t.apply_rect(e.mbr());
-                                            &mbr
-                                        }
-                                        None => e.mbr(),
-                                    };
-                                    let d = (q.bound)(rect);
-                                    match e {
-                                        Entry::Child { node, .. } => {
-                                            if d <= bounds[qi].get() {
-                                                children.push(Task {
-                                                    key: d,
-                                                    query: task.query,
-                                                    node: *node,
-                                                });
-                                            }
-                                        }
-                                        Entry::Item { id, .. } => {
-                                            if d <= bounds[qi].get() {
-                                                found[qi].push(Neighbor {
-                                                    id: *id,
-                                                    dist_sq: d,
-                                                });
-                                                kth[qi].offer(d);
-                                            }
-                                        }
-                                    }
-                                }
-                                if !children.is_empty() {
-                                    let mut guard = pool.lock().expect("pool lock");
-                                    for c in children {
-                                        guard.push(c);
-                                    }
-                                }
-                            }
-                            in_flight.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        (found, stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batched kNN worker panicked"))
-                .collect()
-        });
-
-        for (found, worker_stats) in workers {
-            for (acc, f) in out.iter_mut().zip(found) {
-                acc.extend(f);
-            }
-            for (qi, s) in worker_stats.iter().enumerate() {
-                stats.per_query[qi].add(s);
-                stats.merged.add(s);
-            }
-        }
-        for (qi, q) in queries.iter().enumerate() {
-            out[qi].sort_by(|a, b| {
-                a.dist_sq
-                    .partial_cmp(&b.dist_sq)
-                    .expect("finite distances")
-                    .then(a.id.cmp(&b.id))
-            });
-            out[qi].truncate(q.k);
-        }
-        (out, stats)
-    }
-
     /// The shared per-entry test of one query against an entry MBR.
     fn query_overlaps(&self, q: &MultiRangeQuery, mbr: &Rect, scratch: &mut Rect) -> bool {
-        match q.transform {
-            Some(t) => {
-                t.apply_rect_into(mbr, scratch);
-                self.space.intersects(scratch, q.rect)
-            }
-            None => self.space.intersects(mbr, q.rect),
-        }
+        self.overlaps(mbr, q.rect, q.transform, scratch)
     }
 
     /// Depth-first shared descent with an explicit active-query set; the
@@ -480,76 +267,16 @@ impl RTree {
 
     fn check_multi_dims(&self, queries: &[MultiRangeQuery]) {
         for q in queries {
-            assert_eq!(q.rect.dims(), self.dims(), "query dimensionality mismatch");
-            if let Some(t) = q.transform {
-                assert_eq!(t.dims(), self.dims(), "transform dimensionality mismatch");
-            }
+            self.check_range_dims(q.transform, q.rect);
         }
     }
 }
 
 /// One shared node visit: counted once in `merged`, once per active query.
 fn count_node(stats: &mut MultiSearchStats, active: &[u32], level: u32) {
-    stats.merged.nodes_visited += 1;
-    if level == 0 {
-        stats.merged.leaves_visited += 1;
-    }
+    stats.merged.count_node(level);
     for &qi in active {
-        let s = &mut stats.per_query[qi as usize];
-        s.nodes_visited += 1;
-        if level == 0 {
-            s.leaves_visited += 1;
-        }
-    }
-}
-
-/// Tracks the k-th smallest distance one worker has seen for one query,
-/// publishing improvements to that query's shared bound (the batched
-/// sibling of the tracker in [`crate::parallel`]).
-struct LocalKth<'a> {
-    heap: std::collections::BinaryHeap<OrdF64>,
-    k: usize,
-    shared: &'a crate::parallel::AtomicF64Min,
-}
-
-#[derive(PartialEq)]
-struct OrdF64(f64);
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("finite distances")
-    }
-}
-
-impl<'a> LocalKth<'a> {
-    fn new(k: usize, shared: &'a crate::parallel::AtomicF64Min) -> Self {
-        LocalKth {
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
-            k,
-            shared,
-        }
-    }
-
-    fn offer(&mut self, d: f64) {
-        if self.k == 0 {
-            return;
-        }
-        if self.heap.len() < self.k {
-            self.heap.push(OrdF64(d));
-        } else if d < self.heap.peek().expect("k > 0").0 {
-            self.heap.pop();
-            self.heap.push(OrdF64(d));
-        } else {
-            return;
-        }
-        if self.heap.len() == self.k {
-            self.shared.fetch_min(self.heap.peek().expect("k > 0").0);
-        }
+        stats.per_query[qi as usize].count_node(level);
     }
 }
 
@@ -661,45 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_nearest_matches_individual() {
-        let t = grid_tree(20);
-        let points = [[3.2, 7.8], [0.0, 0.0], [10.5, 10.5], [-5.0, 25.0]];
-        let ks = [1usize, 5, 8, 3];
-        type BoundFn = Box<dyn Fn(&Rect) -> f64 + Sync>;
-        let bounds: Vec<BoundFn> = points
-            .iter()
-            .map(|q| {
-                let q = *q;
-                Box::new(move |r: &Rect| r.min_dist_sq(&q)) as BoundFn
-            })
-            .collect();
-        let queries: Vec<MultiKnnQuery> = bounds
-            .iter()
-            .zip(&ks)
-            .map(|(b, &k)| MultiKnnQuery {
-                bound: b.as_ref(),
-                transform: None,
-                k,
-            })
-            .collect();
-        for threads in [1, 2, 4] {
-            let (batch, _) = t.multi_nearest_by(&queries, threads);
-            for (qi, (q, &k)) in points.iter().zip(&ks).enumerate() {
-                let (individual, _) = t.nearest(q, k);
-                assert_eq!(
-                    batch[qi].len(),
-                    individual.len(),
-                    "q {qi} threads {threads}"
-                );
-                for (a, b) in batch[qi].iter().zip(&individual) {
-                    assert_eq!(a.id, b.id, "q {qi} threads {threads}");
-                    assert_eq!(a.dist_sq.to_bits(), b.dist_sq.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_batch_and_empty_tree() {
         let t = grid_tree(5);
         let (out, stats) = t.multi_range(&[]);
@@ -713,38 +401,5 @@ mod tests {
         }]);
         assert_eq!(out.len(), 1);
         assert!(out[0].is_empty());
-        let (nn, _) = empty.multi_nearest_by(
-            &[MultiKnnQuery {
-                bound: &|r: &Rect| r.min_dist_sq(&[0.0, 0.0]),
-                transform: None,
-                k: 3,
-            }],
-            4,
-        );
-        assert!(nn[0].is_empty());
-    }
-
-    #[test]
-    fn k_zero_query_in_batch_returns_nothing() {
-        let t = grid_tree(6);
-        let b1 = |r: &Rect| r.min_dist_sq(&[1.0, 1.0]);
-        let b2 = |r: &Rect| r.min_dist_sq(&[2.0, 2.0]);
-        let queries = vec![
-            MultiKnnQuery {
-                bound: &b1,
-                transform: None,
-                k: 0,
-            },
-            MultiKnnQuery {
-                bound: &b2,
-                transform: None,
-                k: 2,
-            },
-        ];
-        for threads in [1, 3] {
-            let (out, _) = t.multi_nearest_by(&queries, threads);
-            assert!(out[0].is_empty(), "threads {threads}");
-            assert_eq!(out[1].len(), 2, "threads {threads}");
-        }
     }
 }

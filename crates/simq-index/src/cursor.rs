@@ -1,17 +1,18 @@
 //! Incremental (pull-based) range traversal.
 //!
 //! [`RangeStream`] is the streaming counterpart of
-//! [`RTree::range_transformed`](crate::RTree): an explicit-stack
-//! depth-first walk that yields matching item ids one at a time instead
-//! of materializing the candidate list. Consumers that stop early —
-//! `LIMIT`-style cursors, existence checks — simply stop pulling (or drop
-//! the stream) and the remaining index descent never happens.
+//! [`forest_range`](crate::search::forest_range): an explicit-stack
+//! depth-first walk over a forest of trees (one per relation shard; a
+//! single tree is a forest of one) that yields matching item ids one at a
+//! time instead of materializing the candidate list. Consumers that stop
+//! early — `LIMIT`-style cursors, existence checks — simply stop pulling
+//! (or drop the stream) and the remaining index descent never happens.
 //!
 //! Work accounting matches the recursive traversal exactly: a node is
 //! counted when it is first entered, an entry when it is tested, so a
-//! fully drained stream reports the same [`SearchStats`] as
-//! `range_transformed` on the same query, and a partially consumed one
-//! reports strictly less whenever unvisited subtrees remain.
+//! fully drained stream reports the same [`SearchStats`] as the
+//! materializing traversal of the same query, and a partially consumed
+//! one reports strictly less whenever unvisited subtrees remain.
 
 use crate::geom::Rect;
 use crate::rstar::{Entry, RTree};
@@ -27,23 +28,29 @@ struct Frame {
 }
 
 /// A lazy range query: an iterator over the item ids whose (optionally
-/// transformed) rectangles overlap the query rectangle, in depth-first
-/// traversal order.
+/// transformed) rectangles overlap the query rectangle, in forest-major
+/// depth-first traversal order. The trees are walked one after another; a
+/// tree's root is entered only when the previous tree's descent is
+/// exhausted, so early termination abandons both the rest of the current
+/// tree *and* every tree not yet started.
 ///
-/// Created by [`RTree::range_stream`]. The stream borrows the tree;
-/// the transformation and query rectangle are owned, so the stream can
-/// outlive the scope that built them.
+/// Created by [`RangeStream::new`] or [`RTree::range_stream`]. The stream
+/// borrows the trees; the transformation and query rectangle are owned,
+/// so the stream can outlive the scope that built them.
 pub struct RangeStream<'t> {
-    tree: &'t RTree,
+    trees: &'t [RTree],
     transform: Option<Box<dyn SpatialTransform + Send + Sync>>,
     query: Rect,
     scratch: Rect,
     stack: Vec<Frame>,
+    /// Trees entered so far; the active stack belongs to tree
+    /// `entered - 1`.
+    entered: usize,
     stats: SearchStats,
 }
 
 impl RTree {
-    /// Starts an incremental range query: like
+    /// Starts an incremental range query over this tree: like
     /// [`range_transformed`](RTree::range_transformed) (pass `None` for a
     /// plain range query), but returning a pull-based [`RangeStream`]
     /// instead of a materialized id list. Dropping the stream abandons
@@ -57,25 +64,37 @@ impl RTree {
         transform: Option<Box<dyn SpatialTransform + Send + Sync>>,
         query: Rect,
     ) -> RangeStream<'_> {
-        assert_eq!(query.dims(), self.dims(), "query dimensionality mismatch");
-        if let Some(t) = &transform {
-            assert_eq!(t.dims(), self.dims(), "transform dimensionality mismatch");
+        RangeStream::new(std::slice::from_ref(self), transform, query)
+    }
+}
+
+impl<'t> RangeStream<'t> {
+    /// Starts an incremental range query over `trees`. Pass `None` for an
+    /// untransformed query.
+    ///
+    /// # Panics
+    /// If the query or transformation dimensionality does not match any
+    /// tree's.
+    pub fn new(
+        trees: &'t [RTree],
+        transform: Option<Box<dyn SpatialTransform + Send + Sync>>,
+        query: Rect,
+    ) -> Self {
+        for tree in trees {
+            tree.check_range_dims(transform.as_deref().map(|t| t as _), &query);
         }
-        let scratch = Rect::point(&vec![0.0; self.dims()]);
-        let mut stream = RangeStream {
-            tree: self,
+        let scratch = Rect::point(&vec![0.0; query.dims()]);
+        RangeStream {
+            trees,
             transform,
             query,
             scratch,
             stack: Vec::new(),
+            entered: 0,
             stats: SearchStats::default(),
-        };
-        stream.enter(self.root);
-        stream
+        }
     }
-}
 
-impl RangeStream<'_> {
     /// Work performed so far — incremental: after a partial consumption
     /// this reflects only the nodes actually entered and entries actually
     /// tested; after draining it equals the materializing traversal's.
@@ -83,23 +102,16 @@ impl RangeStream<'_> {
         &self.stats
     }
 
-    /// True when the remaining descent has been exhausted.
+    /// True when every tree's descent has been exhausted.
     pub fn is_done(&self) -> bool {
-        self.stack.is_empty()
+        self.stack.is_empty() && self.entered >= self.trees.len()
     }
 
-    /// Pushes a node frame and counts the node visit (the recursive
-    /// traversal counts a node on function entry).
-    fn enter(&mut self, node_idx: usize) {
-        let node = &self.tree.nodes[node_idx];
-        self.stats.nodes_visited += 1;
-        if node.level == 0 {
-            self.stats.leaves_visited += 1;
-        }
-        self.stack.push(Frame {
-            node: node_idx,
-            next: 0,
-        });
+    /// Pushes a node frame of `tree` and counts the node visit (the
+    /// recursive traversal counts a node on function entry).
+    fn enter(&mut self, tree: &RTree, node: usize) {
+        self.stats.count_node(tree.nodes[node].level);
+        self.stack.push(Frame { node, next: 0 });
     }
 }
 
@@ -108,149 +120,26 @@ impl Iterator for RangeStream<'_> {
 
     fn next(&mut self) -> Option<u64> {
         loop {
-            let frame = self.stack.last_mut()?;
-            let node = &self.tree.nodes[frame.node];
-            let Some(entry) = node.entries.get(frame.next) else {
+            let Some(frame) = self.stack.last_mut() else {
+                // Current tree exhausted: move to the next one lazily.
+                let tree = self.trees.get(self.entered)?;
+                self.entered += 1;
+                self.enter(tree, tree.root);
+                continue;
+            };
+            let tree = &self.trees[self.entered - 1];
+            let Some(entry) = tree.nodes[frame.node].entries.get(frame.next) else {
                 self.stack.pop();
                 continue;
             };
             frame.next += 1;
             self.stats.entries_tested += 1;
-            let overlaps = match &self.transform {
-                Some(t) => {
-                    t.apply_rect_into(entry.mbr(), &mut self.scratch);
-                    self.tree.space.intersects(&self.scratch, &self.query)
-                }
-                None => self.tree.space.intersects(entry.mbr(), &self.query),
-            };
-            if !overlaps {
+            let transform = self.transform.as_deref().map(|t| t as _);
+            if !tree.overlaps(entry.mbr(), &self.query, transform, &mut self.scratch) {
                 continue;
             }
             match entry {
-                Entry::Child { node, .. } => {
-                    let child = *node;
-                    self.enter(child);
-                }
-                Entry::Item { id, .. } => return Some(*id),
-            }
-        }
-    }
-}
-
-/// A lazy range query over a forest of shard trees: the shards are walked
-/// one after another with the same (optionally transformed) query, each
-/// by the exact explicit-stack descent of [`RangeStream`]. A shard's root
-/// is entered only when the previous shard's descent is exhausted, so
-/// early termination abandons both the rest of the current shard *and*
-/// every shard not yet started.
-///
-/// Created by [`ShardedRangeStream::new`]. Yields matching item ids in
-/// shard-major depth-first order.
-pub struct ShardedRangeStream<'t> {
-    trees: Vec<&'t RTree>,
-    transform: Option<Box<dyn SpatialTransform + Send + Sync>>,
-    query: Rect,
-    scratch: Rect,
-    stack: Vec<Frame>,
-    /// Shard the active stack belongs to; `next_shard - 1` once started.
-    next_shard: usize,
-    stats: SearchStats,
-}
-
-impl<'t> ShardedRangeStream<'t> {
-    /// Starts an incremental range query over `trees` (one per shard).
-    /// Pass `None` for an untransformed query.
-    ///
-    /// # Panics
-    /// If the query or transformation dimensionality does not match any
-    /// tree's.
-    pub fn new(
-        trees: Vec<&'t RTree>,
-        transform: Option<Box<dyn SpatialTransform + Send + Sync>>,
-        query: Rect,
-    ) -> Self {
-        for tree in &trees {
-            assert_eq!(query.dims(), tree.dims(), "query dimensionality mismatch");
-            if let Some(t) = &transform {
-                assert_eq!(t.dims(), tree.dims(), "transform dimensionality mismatch");
-            }
-        }
-        let dims = query.dims();
-        ShardedRangeStream {
-            trees,
-            transform,
-            query,
-            scratch: Rect::point(&vec![0.0; dims]),
-            stack: Vec::new(),
-            next_shard: 0,
-            stats: SearchStats::default(),
-        }
-    }
-
-    /// Work performed so far, summed over the shards entered — see
-    /// [`RangeStream::stats`] for the incremental-accounting contract.
-    pub fn stats(&self) -> &SearchStats {
-        &self.stats
-    }
-
-    /// True when every shard's descent has been exhausted.
-    pub fn is_done(&self) -> bool {
-        self.stack.is_empty() && self.next_shard >= self.trees.len()
-    }
-
-    fn enter(&mut self, node_idx: usize) {
-        let tree = self.trees[self.next_shard - 1];
-        let node = &tree.nodes[node_idx];
-        self.stats.nodes_visited += 1;
-        if node.level == 0 {
-            self.stats.leaves_visited += 1;
-        }
-        self.stack.push(Frame {
-            node: node_idx,
-            next: 0,
-        });
-    }
-}
-
-impl Iterator for ShardedRangeStream<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        loop {
-            if self.stack.is_empty() {
-                // Current shard exhausted: move to the next one lazily.
-                if self.next_shard >= self.trees.len() {
-                    return None;
-                }
-                self.next_shard += 1;
-                let root = self.trees[self.next_shard - 1].root;
-                self.enter(root);
-                continue;
-            }
-            let tree = self.trees[self.next_shard - 1];
-            let frame = self.stack.last_mut()?;
-            let node = &tree.nodes[frame.node];
-            let Some(entry) = node.entries.get(frame.next) else {
-                self.stack.pop();
-                continue;
-            };
-            frame.next += 1;
-            self.stats.entries_tested += 1;
-            let overlaps = match &self.transform {
-                Some(t) => {
-                    t.apply_rect_into(entry.mbr(), &mut self.scratch);
-                    tree.space.intersects(&self.scratch, &self.query)
-                }
-                None => tree.space.intersects(entry.mbr(), &self.query),
-            };
-            if !overlaps {
-                continue;
-            }
-            match entry {
-                Entry::Child { node, .. } => {
-                    let child = *node;
-                    self.enter(child);
-                }
+                Entry::Child { node, .. } => self.enter(tree, *node),
                 Entry::Item { id, .. } => return Some(*id),
             }
         }
@@ -336,16 +225,15 @@ mod tests {
         }
         let query = Rect::new(vec![3.5, 2.5], vec![11.0, 9.5]);
         let (want, _) = single.range(&query);
-        let trees: Vec<&RTree> = shards.iter().collect();
-        let mut stream = ShardedRangeStream::new(trees.clone(), None, query.clone());
+        let mut stream = RangeStream::new(&shards, None, query.clone());
         let got: Vec<u64> = stream.by_ref().collect();
         assert_eq!(sorted(got), sorted(want));
         assert!(stream.is_done());
         // The drained stats equal the sum of per-shard materialized runs.
-        let full: u64 = trees.iter().map(|t| t.range(&query).1.nodes_visited).sum();
+        let full: u64 = shards.iter().map(|t| t.range(&query).1.nodes_visited).sum();
         assert_eq!(stream.stats().nodes_visited, full);
         // Partial consumption never enters shards it does not need.
-        let mut partial = ShardedRangeStream::new(trees, None, query);
+        let mut partial = RangeStream::new(&shards, None, query);
         assert!(partial.next().is_some());
         assert!(partial.stats().nodes_visited < full);
         assert!(!partial.is_done());

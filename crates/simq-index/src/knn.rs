@@ -8,17 +8,34 @@
 //! as MINDIST or MINMAXDIST …) for pruning the search."
 //!
 //! The implementation is the standard best-first traversal over a priority
-//! queue ordered by MINDIST, which visits the minimum possible number of
-//! nodes for the given tree. Distances are Euclidean over the index
-//! dimensions, so kNN is meaningful for linear feature spaces (the
-//! rectangular representation `S_rect`); the polar representation uses
-//! range queries with search rectangles instead.
+//! queue ordered by a caller-supplied lower bound, which visits the minimum
+//! possible number of nodes for the given trees. There is **one** search,
+//! [`forest_nearest`], over a forest of trees (one per relation shard; a
+//! single tree is a forest of one) and a thread budget:
+//!
+//! * `threads == 1` runs one serial loop per query: the frontier holds
+//!   subtrees of *every* tree, so one bound on the `k`-th best distance
+//!   prunes all shards at once.
+//! * `threads > 1` runs every query of the call over one work-stealing
+//!   pool: workers pop the globally most promising `(query, subtree)` task
+//!   and prune against that query's shared atomic bound on the `k`-th best
+//!   distance, published by every thread as its local top-`k` fills.
+//!
+//! Leaf bounds depend only on the item's (transformed) rectangle, so the
+//! `k` results are identical however the items are split into trees and
+//! however the work is scheduled: results are `(distance, id)`-sorted and
+//! ties around the `k`-th distance are retained until the final sort.
+//! [`RTree::nearest`], [`RTree::nearest_transformed`] and
+//! [`RTree::nearest_by`] are the single-tree, single-thread callers.
 
+use crate::geom::Rect;
 use crate::rstar::{Entry, RTree};
-use crate::search::SearchStats;
+use crate::search::{ForestStats, SearchStats};
 use crate::transform::SpatialTransform;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::Mutex;
 
 /// A nearest-neighbour hit: item id and squared Euclidean distance in the
 /// (transformed) index space.
@@ -30,52 +47,466 @@ pub struct Neighbor {
     pub dist_sq: f64,
 }
 
-enum QueueItem {
-    Node { idx: usize, min_dist_sq: f64 },
-    Item { id: u64, dist_sq: f64 },
+/// The engine's one `(distance, id)` order: ascending distance, ties
+/// broken by ascending id. `-0.0` and `+0.0` tie and fall through to the
+/// id.
+///
+/// # Panics
+/// If a distance is NaN — every distance the engine orders is a finite
+/// sum of squares (or its root).
+#[inline]
+pub fn cmp_distance_id(a: (f64, u64), b: (f64, u64)) -> Ordering {
+    cmp_finite(a.0, b.0).then(a.1.cmp(&b.1))
 }
 
-impl QueueItem {
-    fn key(&self) -> f64 {
-        match self {
-            QueueItem::Node { min_dist_sq, .. } => *min_dist_sq,
-            QueueItem::Item { dist_sq, .. } => *dist_sq,
+#[inline]
+fn cmp_finite(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).expect("finite distances")
+}
+
+/// Deterministic result order: `(distance, id)`-sorted, first `k` kept.
+fn finish(mut found: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
+    found.sort_by(|a, b| cmp_distance_id((a.dist_sq, a.id), (b.dist_sq, b.id)));
+    found.truncate(k);
+    found
+}
+
+/// One nearest-neighbour query of a [`forest_nearest`] call.
+///
+/// `bound(rect)` must return a lower bound on the caller's true distance
+/// from the query to any item whose (transformed) index rectangle is
+/// `rect`; for leaf entries (degenerate rectangles) it should return the
+/// caller's exact index-space distance. This generalizes MINDIST-based kNN
+/// to non-Euclidean feature layouts — the polar representation's
+/// magnitude/phase pairs in particular, where the true complex-plane
+/// distance to an annular sector is computable but is not the Euclidean
+/// distance of the raw coordinates.
+pub struct KnnQuery<'a> {
+    /// The lower-bound function.
+    pub bound: &'a (dyn Fn(&Rect) -> f64 + Sync),
+    /// Transformation applied to every MBR before bounding.
+    pub transform: Option<&'a dyn SpatialTransform>,
+    /// Number of neighbours requested.
+    pub k: usize,
+}
+
+/// Lock-free monotone minimum over `f64`s — the shared pruning bound of
+/// the parallel kNN search here and of the parallel kNN scan in
+/// `simq-storage`.
+pub struct AtomicF64Min(AtomicU64);
+
+impl AtomicF64Min {
+    /// A new cell holding `v` (typically `f64::INFINITY`).
+    pub fn new(v: f64) -> Self {
+        AtomicF64Min(AtomicU64::new(v.to_bits()))
+    }
+
+    /// The current minimum.
+    pub fn get(&self) -> f64 {
+        f64::from_bits(self.0.load(AtomicOrdering::Relaxed))
+    }
+
+    /// Lowers the cell to `v` if `v` is smaller.
+    pub fn fetch_min(&self, v: f64) {
+        let mut cur = self.0.load(AtomicOrdering::Relaxed);
+        while v < f64::from_bits(cur) {
+            match self.0.compare_exchange_weak(
+                cur,
+                v.to_bits(),
+                AtomicOrdering::Relaxed,
+                AtomicOrdering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(now) => cur = now,
+            }
         }
     }
 }
 
-impl PartialEq for QueueItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for QueueItem {}
-impl PartialOrd for QueueItem {
+#[derive(PartialEq)]
+struct OrdF64(f64);
+impl Eq for OrdF64 {}
+impl PartialOrd for OrdF64 {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for QueueItem {
+impl Ord for OrdF64 {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance; items before nodes at equal distance so
-        // results pop as early as possible.
-        other
-            .key()
-            .partial_cmp(&self.key())
-            .expect("distances are finite")
-            .then_with(|| match (self, other) {
-                (QueueItem::Item { .. }, QueueItem::Node { .. }) => Ordering::Greater,
-                (QueueItem::Node { .. }, QueueItem::Item { .. }) => Ordering::Less,
-                _ => Ordering::Equal,
-            })
+        cmp_finite(self.0, other.0)
     }
+}
+
+/// Tracks the `k` smallest distances one thread has seen (their maximum is
+/// an upper bound on the global `k`-th best), publishing improvements to
+/// the shared bound.
+pub struct LocalKth<'a> {
+    heap: BinaryHeap<OrdF64>, // max-heap of the k best distances
+    k: usize,
+    shared: &'a AtomicF64Min,
+}
+
+impl<'a> LocalKth<'a> {
+    /// A tracker for the `k` best distances publishing to `shared`.
+    pub fn new(k: usize, shared: &'a AtomicF64Min) -> Self {
+        LocalKth {
+            heap: BinaryHeap::new(),
+            k,
+            shared,
+        }
+    }
+
+    /// True when `d` is not provably outside this thread's top-`k` (ties
+    /// at the `k`-th distance included).
+    pub fn admits(&self, d: f64) -> bool {
+        self.heap.len() < self.k || self.heap.peek().is_some_and(|worst| d <= worst.0)
+    }
+
+    /// Records a distance.
+    pub fn offer(&mut self, d: f64) {
+        if self.heap.len() < self.k {
+            self.heap.push(OrdF64(d));
+        } else if self.heap.peek().is_some_and(|worst| d < worst.0) {
+            self.heap.pop();
+            self.heap.push(OrdF64(d));
+        } else {
+            return;
+        }
+        if self.heap.len() == self.k {
+            if let Some(worst) = self.heap.peek() {
+                self.shared.fetch_min(worst.0);
+            }
+        }
+    }
+}
+
+/// Where a frontier element of the serial search points.
+enum At {
+    Node { shard: usize, idx: usize },
+    Item(u64),
+}
+
+/// A frontier element of the serial search, ordered by ascending bound.
+struct Frontier {
+    key: f64,
+    at: At,
+}
+
+impl PartialEq for Frontier {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Frontier {}
+impl PartialOrd for Frontier {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Frontier {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Min-heap on the bound; items before nodes at equal distance so
+        // results pop as early as possible.
+        cmp_finite(other.key, self.key).then_with(|| match (&self.at, &other.at) {
+            (At::Item(_), At::Node { .. }) => Ordering::Greater,
+            (At::Node { .. }, At::Item(_)) => Ordering::Less,
+            _ => Ordering::Equal,
+        })
+    }
+}
+
+/// A `(query, subtree)` task of the work-stealing search, ordered by
+/// ascending bound.
+struct Task {
+    key: f64,
+    query: usize,
+    shard: usize,
+    idx: usize,
+}
+
+impl PartialEq for Task {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for Task {}
+impl PartialOrd for Task {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Task {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want the smallest key.
+        cmp_finite(other.key, self.key)
+    }
+}
+
+/// Reads one node: counts the visit and hands every entry with its bound
+/// to `each` (the node expansion both search loops share).
+fn expand(
+    tree: &RTree,
+    idx: usize,
+    bound: &dyn Fn(&Rect) -> f64,
+    transform: Option<&dyn SpatialTransform>,
+    stats: &mut SearchStats,
+    mut each: impl FnMut(&Entry, f64),
+) {
+    let node = &tree.nodes[idx];
+    stats.count_node(node.level);
+    for e in &node.entries {
+        stats.entries_tested += 1;
+        let d = match transform {
+            Some(t) => bound(&t.apply_rect(e.mbr())),
+            None => bound(e.mbr()),
+        };
+        each(e, d);
+    }
+}
+
+/// The serial best-first loop over a forest: the `k` items with the
+/// smallest bounds and each tree's work counters.
+fn nearest_serial(
+    trees: &[RTree],
+    bound: &dyn Fn(&Rect) -> f64,
+    transform: Option<&dyn SpatialTransform>,
+    k: usize,
+) -> (Vec<Neighbor>, Vec<SearchStats>) {
+    let mut per_shard = vec![SearchStats::default(); trees.len()];
+    let mut out: Vec<Neighbor> = Vec::new();
+    if k == 0 {
+        return (out, per_shard);
+    }
+    let mut heap = BinaryHeap::new();
+    for (shard, tree) in trees.iter().enumerate() {
+        if !tree.is_empty() {
+            heap.push(Frontier {
+                key: 0.0,
+                at: At::Node {
+                    shard,
+                    idx: tree.root,
+                },
+            });
+        }
+    }
+    // Distance of the k-th collected item; ties at exactly this distance
+    // are still collected so the final (distance, id) sort is
+    // deterministic regardless of heap pop order.
+    let mut worst = f64::INFINITY;
+    while let Some(top) = heap.pop() {
+        if out.len() >= k && top.key > worst {
+            break;
+        }
+        match top.at {
+            At::Item(id) => {
+                out.push(Neighbor {
+                    id,
+                    dist_sq: top.key,
+                });
+                if out.len() == k {
+                    worst = top.key;
+                }
+            }
+            At::Node { shard, idx } => expand(
+                &trees[shard],
+                idx,
+                bound,
+                transform,
+                &mut per_shard[shard],
+                |e, d| {
+                    heap.push(Frontier {
+                        key: d,
+                        at: match e {
+                            Entry::Child { node, .. } => At::Node { shard, idx: *node },
+                            Entry::Item { id, .. } => At::Item(*id),
+                        },
+                    })
+                },
+            ),
+        }
+    }
+    (finish(out, k), per_shard)
+}
+
+/// Best-first `k`-nearest search for every query of `queries` over a
+/// forest of trees, on up to `threads` threads (see the [module
+/// docs](self)). Returns, per query, the `k` items with the smallest
+/// bound values across the whole forest — `(distance, id)`-sorted,
+/// identical to a serial single-tree search over the union of the trees'
+/// items — and the query's work counters.
+pub fn forest_nearest(
+    trees: &[RTree],
+    queries: &[KnnQuery],
+    threads: usize,
+) -> (Vec<Vec<Neighbor>>, Vec<ForestStats>) {
+    let shards = trees.len();
+    let serial = || {
+        queries
+            .iter()
+            .map(|q| {
+                let (found, per_shard) = nearest_serial(trees, q.bound, q.transform, q.k);
+                (found, ForestStats::from_workers(shards, vec![per_shard]))
+            })
+            .unzip()
+    };
+    if threads <= 1 {
+        return serial();
+    }
+    let seeds: BinaryHeap<Task> = queries
+        .iter()
+        .enumerate()
+        .filter(|(_, q)| q.k > 0)
+        .flat_map(|(query, _)| {
+            trees
+                .iter()
+                .enumerate()
+                .filter(|(_, tree)| !tree.is_empty())
+                .map(move |(shard, tree)| Task {
+                    key: 0.0,
+                    query,
+                    shard,
+                    idx: tree.root,
+                })
+        })
+        .collect();
+    if seeds.is_empty() {
+        return serial();
+    }
+
+    let bounds: Vec<AtomicF64Min> = queries
+        .iter()
+        .map(|_| AtomicF64Min::new(f64::INFINITY))
+        .collect();
+    let pool = Mutex::new(seeds);
+    let in_flight = AtomicUsize::new(0);
+
+    // Per worker: the items kept per query, and work counters per
+    // (query, shard) cell, query-major.
+    type Worker = (Vec<Vec<Neighbor>>, Vec<SearchStats>);
+    let workers: Vec<Worker> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut found: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
+                    let mut cells = vec![SearchStats::default(); queries.len() * shards];
+                    let mut kth: Vec<LocalKth> = queries
+                        .iter()
+                        .zip(&bounds)
+                        .map(|(q, shared)| LocalKth::new(q.k, shared))
+                        .collect();
+                    // Backoff for idle polls: yield first, then sleep
+                    // with exponential growth so starved workers stop
+                    // contending on the pool mutex when one deep subtree
+                    // holds all the work.
+                    let mut idle_us: u64 = 0;
+                    loop {
+                        let task = {
+                            let mut guard = pool.lock().expect("pool lock");
+                            let t = guard.pop();
+                            if t.is_some() {
+                                // Counted before the lock drops so an
+                                // empty pool with zero in-flight tasks
+                                // really means "done".
+                                in_flight.fetch_add(1, AtomicOrdering::SeqCst);
+                            }
+                            t
+                        };
+                        let Some(task) = task else {
+                            if in_flight.load(AtomicOrdering::SeqCst) == 0 {
+                                break;
+                            }
+                            if idle_us == 0 {
+                                std::thread::yield_now();
+                                idle_us = 1;
+                            } else {
+                                std::thread::sleep(std::time::Duration::from_micros(idle_us));
+                                idle_us = (idle_us * 2).min(200);
+                            }
+                            continue;
+                        };
+                        idle_us = 0;
+                        let Task {
+                            key, query, shard, ..
+                        } = task;
+                        let q = &queries[query];
+                        let shared = &bounds[query];
+                        if key <= shared.get() {
+                            let mut children: Vec<Task> = Vec::new();
+                            expand(
+                                &trees[shard],
+                                task.idx,
+                                q.bound,
+                                q.transform,
+                                &mut cells[query * shards + shard],
+                                |e, d| {
+                                    // Kept whenever the bound does not
+                                    // exceed the shared bound at visit
+                                    // time: every candidate the serial
+                                    // search would keep, ties included.
+                                    if d > shared.get() {
+                                        return;
+                                    }
+                                    match e {
+                                        Entry::Child { node, .. } => children.push(Task {
+                                            key: d,
+                                            query,
+                                            shard,
+                                            idx: *node,
+                                        }),
+                                        Entry::Item { id, .. } => {
+                                            found[query].push(Neighbor {
+                                                id: *id,
+                                                dist_sq: d,
+                                            });
+                                            kth[query].offer(d);
+                                        }
+                                    }
+                                },
+                            );
+                            if !children.is_empty() {
+                                pool.lock().expect("pool lock").extend(children);
+                            }
+                        }
+                        in_flight.fetch_sub(1, AtomicOrdering::SeqCst);
+                    }
+                    (found, cells)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("kNN worker panicked"))
+            .collect()
+    });
+
+    let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
+    let mut stats: Vec<Vec<Vec<SearchStats>>> = vec![Vec::new(); queries.len()];
+    for (found, cells) in workers {
+        for (acc, f) in out.iter_mut().zip(found) {
+            acc.extend(f);
+        }
+        for (acc, per_shard) in stats.iter_mut().zip(cells.chunks(shards)) {
+            acc.push(per_shard.to_vec());
+        }
+    }
+    (
+        out.into_iter()
+            .zip(queries)
+            .map(|(found, q)| finish(found, q.k))
+            .collect(),
+        stats
+            .into_iter()
+            .map(|workers| ForestStats::from_workers(shards, workers))
+            .collect(),
+    )
 }
 
 impl RTree {
     /// The `k` items nearest to `q` in Euclidean distance, ascending (ties
     /// broken by id for determinism).
     pub fn nearest(&self, q: &[f64], k: usize) -> (Vec<Neighbor>, SearchStats) {
-        self.nearest_impl(q, k, None)
+        assert_eq!(q.len(), self.dims(), "query dimensionality mismatch");
+        self.nearest_by(&|r| r.min_dist_sq(q), None, k)
     }
 
     /// The `k` items whose *transformed* positions are nearest to `q`.
@@ -85,92 +516,29 @@ impl RTree {
         q: &[f64],
         k: usize,
     ) -> (Vec<Neighbor>, SearchStats) {
-        self.nearest_impl(q, k, Some(transform))
+        assert_eq!(q.len(), self.dims(), "query dimensionality mismatch");
+        self.nearest_by(&|r| r.min_dist_sq(q), Some(transform), k)
     }
 
-    fn nearest_impl(
+    /// The `k` items with the smallest `bound` values (see [`KnnQuery`]
+    /// for the bound contract), ascending (ties by id), with search
+    /// statistics — the serial search over a forest of one.
+    pub fn nearest_by(
         &self,
-        q: &[f64],
-        k: usize,
+        bound: &dyn Fn(&Rect) -> f64,
         transform: Option<&dyn SpatialTransform>,
+        k: usize,
     ) -> (Vec<Neighbor>, SearchStats) {
-        assert_eq!(q.len(), self.dims(), "query dimensionality mismatch");
-        let mut stats = SearchStats::default();
-        let mut out: Vec<Neighbor> = Vec::with_capacity(k);
-        if k == 0 || self.is_empty() {
-            return (out, stats);
-        }
-
-        let mut heap = BinaryHeap::new();
-        heap.push(QueueItem::Node {
-            idx: self.root,
-            min_dist_sq: 0.0,
-        });
-
-        // Distance of the k-th collected item; ties at exactly this
-        // distance are still collected so the final (distance, id) sort is
-        // deterministic regardless of heap pop order.
-        let mut worst = f64::INFINITY;
-        while let Some(top) = heap.pop() {
-            if out.len() >= k && top.key() > worst {
-                break;
-            }
-            match top {
-                QueueItem::Item { id, dist_sq } => {
-                    out.push(Neighbor { id, dist_sq });
-                    if out.len() == k {
-                        worst = dist_sq;
-                    }
-                }
-                QueueItem::Node { idx, min_dist_sq } => {
-                    if out.len() >= k && min_dist_sq > worst {
-                        continue;
-                    }
-                    let node = &self.nodes[idx];
-                    stats.nodes_visited += 1;
-                    if node.level == 0 {
-                        stats.leaves_visited += 1;
-                    }
-                    for e in &node.entries {
-                        stats.entries_tested += 1;
-                        let mbr;
-                        let rect = match transform {
-                            Some(t) => {
-                                mbr = t.apply_rect(e.mbr());
-                                &mbr
-                            }
-                            None => e.mbr(),
-                        };
-                        let d = rect.min_dist_sq(q);
-                        match e {
-                            Entry::Child { node, .. } => heap.push(QueueItem::Node {
-                                idx: *node,
-                                min_dist_sq: d,
-                            }),
-                            Entry::Item { id, .. } => heap.push(QueueItem::Item {
-                                id: *id,
-                                dist_sq: d,
-                            }),
-                        }
-                    }
-                }
-            }
-        }
-        // Deterministic tie order.
-        out.sort_by(|a, b| {
-            a.dist_sq
-                .partial_cmp(&b.dist_sq)
-                .expect("finite distances")
-                .then(a.id.cmp(&b.id))
-        });
-        out.truncate(k);
-        (out, stats)
+        let (found, per_shard) = nearest_serial(std::slice::from_ref(self), bound, transform, k);
+        (found, per_shard[0])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geom::Space;
+    use crate::rstar::RTreeConfig;
     use crate::transform::DiagonalAffine;
 
     fn grid_tree(n: usize) -> RTree {
@@ -186,7 +554,7 @@ mod tests {
     }
 
     fn brute_knn(n: usize, q: &[f64], k: usize) -> Vec<Neighbor> {
-        let mut all: Vec<Neighbor> = (0..n * n)
+        let all = (0..n * n)
             .map(|id| {
                 let p = [(id / n) as f64, (id % n) as f64];
                 let dist_sq: f64 = p.iter().zip(q).map(|(a, b)| (a - b) * (a - b)).sum();
@@ -196,14 +564,39 @@ mod tests {
                 }
             })
             .collect();
-        all.sort_by(|a, b| {
-            a.dist_sq
-                .partial_cmp(&b.dist_sq)
-                .unwrap()
-                .then(a.id.cmp(&b.id))
-        });
-        all.truncate(k);
-        all
+        finish(all, k)
+    }
+
+    /// A single tree plus the same items partitioned id-mod-n into shards.
+    fn tree_and_shards(n_items: usize, shards: usize) -> (RTree, Vec<RTree>) {
+        let items: Vec<(Rect, u64)> = (0..n_items as u64)
+            .map(|i| {
+                let x = ((i * 29) % 97) as f64;
+                let y = ((i * 31) % 89) as f64;
+                (Rect::point(&[x, y]), i)
+            })
+            .collect();
+        let space = Space::linear(2);
+        let single = RTree::bulk_load(space.clone(), RTreeConfig::default(), items.clone());
+        let shard_trees: Vec<RTree> = (0..shards as u64)
+            .map(|s| {
+                let part: Vec<(Rect, u64)> = items
+                    .iter()
+                    .filter(|(_, id)| id % shards as u64 == s)
+                    .cloned()
+                    .collect();
+                RTree::bulk_load(space.clone(), RTreeConfig::default(), part)
+            })
+            .collect();
+        (single, shard_trees)
+    }
+
+    fn assert_same(got: &[Neighbor], want: &[Neighbor], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.id, b.id, "{what}");
+            assert_eq!(a.dist_sq.to_bits(), b.dist_sq.to_bits(), "{what}");
+        }
     }
 
     #[test]
@@ -244,8 +637,7 @@ mod tests {
         let (via_transform, _) = t.nearest_transformed(&affine, &q, 5);
 
         // Reference: transform all points, brute force.
-        use crate::transform::SpatialTransform;
-        let mut all: Vec<Neighbor> = (0..n * n)
+        let all = (0..n * n)
             .map(|id| {
                 let p = affine.apply_point(&[(id / n) as f64, (id % n) as f64]);
                 let dist_sq: f64 = p.iter().zip(&q).map(|(a, b)| (a - b) * (a - b)).sum();
@@ -255,16 +647,10 @@ mod tests {
                 }
             })
             .collect();
-        all.sort_by(|a, b| {
-            a.dist_sq
-                .partial_cmp(&b.dist_sq)
-                .unwrap()
-                .then(a.id.cmp(&b.id))
-        });
-        all.truncate(5);
+        let want = finish(all, 5);
 
         assert_eq!(via_transform.len(), 5);
-        for (g, w) in via_transform.iter().zip(&all) {
+        for (g, w) in via_transform.iter().zip(&want) {
             assert_eq!(g.id, w.id);
             assert!((g.dist_sq - w.dist_sq).abs() < 1e-9);
         }
@@ -283,117 +669,6 @@ mod tests {
         let t = grid_tree(3);
         let (hits, _) = t.nearest(&[1.0, 1.0], 100);
         assert_eq!(hits.len(), 9);
-    }
-}
-
-/// Best-first nearest-neighbour search under a caller-supplied lower-bound
-/// function.
-///
-/// `bound(rect)` must return a lower bound on the caller's true distance
-/// from the query to any item whose (transformed) index rectangle is
-/// `rect`; for leaf entries (degenerate rectangles) it should return the
-/// caller's exact index-space distance. This generalizes MINDIST-based kNN
-/// to non-Euclidean feature layouts — the polar representation's
-/// magnitude/phase pairs in particular, where the true complex-plane
-/// distance to an annular sector is computable but is not the Euclidean
-/// distance of the raw coordinates.
-impl RTree {
-    /// Returns the `k` items with the smallest `bound` values, ascending
-    /// (ties by id), with search statistics.
-    pub fn nearest_by(
-        &self,
-        bound: &dyn Fn(&crate::geom::Rect) -> f64,
-        transform: Option<&dyn SpatialTransform>,
-        k: usize,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let mut stats = SearchStats::default();
-        let mut out: Vec<Neighbor> = Vec::with_capacity(k);
-        if k == 0 || self.is_empty() {
-            return (out, stats);
-        }
-        let mut heap = BinaryHeap::new();
-        heap.push(QueueItem::Node {
-            idx: self.root,
-            min_dist_sq: 0.0,
-        });
-        let mut worst = f64::INFINITY;
-        while let Some(top) = heap.pop() {
-            if out.len() >= k && top.key() > worst {
-                break;
-            }
-            match top {
-                QueueItem::Item { id, dist_sq } => {
-                    out.push(Neighbor { id, dist_sq });
-                    if out.len() == k {
-                        worst = dist_sq;
-                    }
-                }
-                QueueItem::Node { idx, min_dist_sq } => {
-                    if out.len() >= k && min_dist_sq > worst {
-                        continue;
-                    }
-                    let node = &self.nodes[idx];
-                    stats.nodes_visited += 1;
-                    if node.level == 0 {
-                        stats.leaves_visited += 1;
-                    }
-                    for e in &node.entries {
-                        stats.entries_tested += 1;
-                        let mbr;
-                        let rect = match transform {
-                            Some(t) => {
-                                mbr = t.apply_rect(e.mbr());
-                                &mbr
-                            }
-                            None => e.mbr(),
-                        };
-                        let d = bound(rect);
-                        match e {
-                            Entry::Child { node, .. } => heap.push(QueueItem::Node {
-                                idx: *node,
-                                min_dist_sq: d,
-                            }),
-                            Entry::Item { id, .. } => heap.push(QueueItem::Item {
-                                id: *id,
-                                dist_sq: d,
-                            }),
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| {
-            a.dist_sq
-                .partial_cmp(&b.dist_sq)
-                .expect("finite distances")
-                .then(a.id.cmp(&b.id))
-        });
-        out.truncate(k);
-        (out, stats)
-    }
-}
-
-#[cfg(test)]
-mod nearest_by_tests {
-    use super::*;
-    use crate::geom::Rect;
-
-    #[test]
-    fn nearest_by_with_euclidean_bound_matches_nearest() {
-        let mut t = RTree::with_dims(2);
-        for i in 0..300u64 {
-            let x = ((i * 29) % 97) as f64;
-            let y = ((i * 31) % 89) as f64;
-            t.insert_point(&[x, y], i);
-        }
-        let q = [40.0, 40.0];
-        let bound = |r: &Rect| r.min_dist_sq(&q);
-        let (via_by, _) = t.nearest_by(&bound, None, 7);
-        let (via_builtin, _) = t.nearest(&q, 7);
-        assert_eq!(via_by.len(), via_builtin.len());
-        for (a, b) in via_by.iter().zip(&via_builtin) {
-            assert_eq!(a.id, b.id);
-        }
     }
 
     #[test]
@@ -418,5 +693,127 @@ mod nearest_by_tests {
         };
         let (hits, _) = t.nearest_by(&l1_bound, None, 1);
         assert_eq!(hits[0].id, 1);
+    }
+
+    #[test]
+    fn comparator_ties_signed_zeros_and_falls_through_to_id() {
+        assert_eq!(cmp_distance_id((-0.0, 2), (0.0, 1)), Ordering::Greater);
+        assert_eq!(cmp_distance_id((0.0, 1), (-0.0, 1)), Ordering::Equal);
+        assert_eq!(cmp_distance_id((1.0, 9), (2.0, 0)), Ordering::Less);
+    }
+
+    #[test]
+    fn forest_search_equals_single_tree_at_any_thread_count() {
+        let (single, shard_trees) = tree_and_shards(500, 3);
+        let affine = DiagonalAffine::new(vec![-1.0, 2.0], vec![5.0, -3.0]);
+        for transform in [None, Some(&affine as &dyn SpatialTransform)] {
+            for (q, k) in [([40.0, 40.0], 7usize), ([0.0, 0.0], 1), ([96.0, 12.0], 25)] {
+                let bound = |r: &Rect| r.min_dist_sq(&q);
+                let (want, _) = single.nearest_by(&bound, transform, k);
+                for trees in [std::slice::from_ref(&single), shard_trees.as_slice()] {
+                    for threads in [1, 2, 4] {
+                        let query = KnnQuery {
+                            bound: &bound,
+                            transform,
+                            k,
+                        };
+                        let (got, stats) = forest_nearest(trees, &[query], threads);
+                        let what = format!("k {k} trees {} threads {threads}", trees.len());
+                        assert_same(&got[0], &want, &what);
+                        let s = &stats[0];
+                        assert_eq!(s.per_shard.len(), trees.len(), "{what}");
+                        for part in [&s.per_thread, &s.per_shard] {
+                            let mut sum = SearchStats::default();
+                            part.iter().for_each(|p| sum.add(p));
+                            assert_eq!(sum, s.merged, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_bound_prunes_across_shards() {
+        // A query deep inside shard 0's data: the shared bound from shard
+        // 0's items must keep the forest search from reading most of the
+        // other shards' nodes.
+        let (single, shard_trees) = tree_and_shards(600, 4);
+        let q = [29.0, 31.0];
+        let bound = |r: &Rect| r.min_dist_sq(&q);
+        let (_, single_stats) = single.nearest_by(&bound, None, 3);
+        let (_, forest) = nearest_serial(&shard_trees, &bound, None, 3);
+        let forest_nodes: u64 = forest.iter().map(|s| s.nodes_visited).sum();
+        // Best-first over the forest visits the same order of magnitude of
+        // nodes as the single tree — far less than 4 independent searches.
+        let independent: u64 = shard_trees
+            .iter()
+            .map(|t| t.nearest_by(&bound, None, 3).1.nodes_visited)
+            .sum();
+        assert!(
+            forest_nodes <= independent,
+            "forest {forest_nodes} vs independent {independent} (single {})",
+            single_stats.nodes_visited,
+        );
+    }
+
+    #[test]
+    fn batched_queries_match_individual_searches() {
+        let t = grid_tree(20);
+        let points = [[3.2, 7.8], [0.0, 0.0], [10.5, 10.5], [-5.0, 25.0]];
+        let ks = [1usize, 0, 8, 3];
+        type BoundFn = Box<dyn Fn(&Rect) -> f64 + Sync>;
+        let bounds: Vec<BoundFn> = points
+            .iter()
+            .map(|q| {
+                let q = *q;
+                Box::new(move |r: &Rect| r.min_dist_sq(&q)) as BoundFn
+            })
+            .collect();
+        let queries: Vec<KnnQuery> = bounds
+            .iter()
+            .zip(&ks)
+            .map(|(b, &k)| KnnQuery {
+                bound: b.as_ref(),
+                transform: None,
+                k,
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            let (batch, stats) = forest_nearest(std::slice::from_ref(&t), &queries, threads);
+            assert_eq!(stats.len(), queries.len());
+            for (qi, (q, &k)) in points.iter().zip(&ks).enumerate() {
+                let (individual, _) = t.nearest(q, k);
+                assert_same(
+                    &batch[qi],
+                    &individual,
+                    &format!("q {qi} threads {threads}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_degenerate_forests() {
+        let space = Space::linear(2);
+        let empty: Vec<RTree> = (0..3)
+            .map(|_| RTree::new(space.clone(), RTreeConfig::default()))
+            .collect();
+        let q = [0.0, 0.0];
+        let bound = |r: &Rect| r.min_dist_sq(&q);
+        for (trees, k) in [(empty.as_slice(), 5), (&[][..], 5), (empty.as_slice(), 0)] {
+            for threads in [1, 4] {
+                let query = KnnQuery {
+                    bound: &bound,
+                    transform: None,
+                    k,
+                };
+                let (got, stats) = forest_nearest(trees, &[query], threads);
+                assert!(got[0].is_empty());
+                assert_eq!(stats[0].merged, SearchStats::default());
+            }
+        }
+        let (none, _) = forest_nearest(&empty, &[], 4);
+        assert!(none.is_empty());
     }
 }

@@ -14,28 +14,23 @@
 //! * [`rstar`] — the tree structure: ChooseSubtree, forced reinsertion, R*
 //!   split, deletion with condense.
 //! * [`search`] — range queries, plain and transformed, with node-access
-//!   statistics.
-//! * [`knn`] — best-first nearest neighbours with MINDIST pruning, plain
-//!   and transformed.
+//!   statistics: the serial single-tree recursion, and the same query over
+//!   a forest of trees (one per relation shard) on a thread budget.
+//! * [`knn`] — best-first nearest neighbours under a caller-supplied
+//!   lower bound (MINDIST by default), plain and transformed: one search
+//!   over a forest of trees with a shared `k`-th-best bound — a serial
+//!   loop, or a work-stealing pool when given more than one thread.
 //! * [`join`] — probe-based (the paper's Table 1 methods) and synchronized
 //!   tree-tree spatial joins.
 //! * [`bulk`] — STR bulk loading.
-//! * [`parallel`] — multi-threaded read-only traversals: parallel subtree
-//!   descent for range queries, work-stealing best-first kNN with a shared
-//!   pruning bound, chunked probe joins. Results are exactly equal to the
-//!   serial traversals.
-//! * [`batch`] — batched traversals: one tree walk serving a whole batch
-//!   of range queries (per node, every active query tests every entry),
-//!   and batched best-first kNN over one shared work-stealing pool with
-//!   per-query pruning bounds. Per-query answers equal the individual
-//!   traversals; shared node reads are counted once.
+//! * [`batch`] — batched range traversal: one tree walk serving a whole
+//!   batch of range queries (per node, every active query tests every
+//!   entry). Per-query answers equal the individual traversals; shared
+//!   node reads are counted once.
 //! * [`cursor`] — incremental range traversal: an explicit-stack
-//!   [`RangeStream`] that yields matching ids one at a time, so early
-//!   termination (drop, `LIMIT`) abandons the remaining descent; the
-//!   [`ShardedRangeStream`] walks a forest of shard trees the same way.
-//! * [`shard`] — multi-shard search entry points: range queries fanned
-//!   out over one tree per shard, and best-first kNN over the whole
-//!   forest with a shared `k`-th-best bound pruning every shard at once.
+//!   [`RangeStream`] over a forest of trees that yields matching ids one
+//!   at a time, so early termination (drop, `LIMIT`) abandons the
+//!   remaining descent.
 //! * [`serial`] — binary serialization of the full tree structure (node
 //!   arena, geometry, free list), so persisted databases reopen without
 //!   re-bulk-loading and reproduce the identical tree.
@@ -48,20 +43,16 @@ pub mod cursor;
 pub mod geom;
 pub mod join;
 pub mod knn;
-pub mod parallel;
 pub mod rstar;
 pub mod search;
 pub mod serial;
-pub mod shard;
 pub mod transform;
 
-pub use batch::{MultiKnnQuery, MultiRangeQuery, MultiSearchStats};
-pub use cursor::{RangeStream, ShardedRangeStream};
+pub use batch::{MultiRangeQuery, MultiSearchStats};
+pub use cursor::RangeStream;
 pub use geom::{circular_overlap, DimSemantics, Rect, Space};
-pub use knn::Neighbor;
-pub use parallel::ParallelStats;
+pub use knn::{cmp_distance_id, forest_nearest, KnnQuery, Neighbor};
 pub use rstar::{RTree, RTreeConfig};
-pub use search::SearchStats;
+pub use search::{forest_range, ForestStats, SearchStats};
 pub use serial::SerialError;
-pub use shard::ShardSearchStats;
 pub use transform::{DiagonalAffine, IdentityTransform, SpatialTransform};

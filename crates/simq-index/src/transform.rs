@@ -17,8 +17,8 @@ use crate::geom::Rect;
 /// transformed search return a superset of the true answer (Lemma 1).
 ///
 /// `Send + Sync` is required so one transformation can be shared by the
-/// worker threads of the parallel traversals ([`crate::parallel`]);
-/// implementations are plain data, so this costs nothing.
+/// worker threads of the parallel traversals ([`crate::search`],
+/// [`crate::knn`]); implementations are plain data, so this costs nothing.
 pub trait SpatialTransform: Send + Sync {
     /// Number of dimensions the transform expects.
     fn dims(&self) -> usize;

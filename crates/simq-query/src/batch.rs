@@ -33,21 +33,23 @@
 //! node-visit count is *strictly less* than the sum of the individual
 //! executions' (they share the root at minimum).
 
-use crate::ast::{Query, StatsWindow};
+use crate::ast::Query;
+use crate::catalog::{Database, StoredRelation};
 use crate::error::QueryError;
-use crate::exec::{
-    self, exact_distance, exact_distance_sq, pad, parallel_verify, resolve_query, ExecStats, Hit,
-    QueryContext, QueryOutput, QueryResult,
+use crate::exec::{self, resolve_query, ExecStats, Hit, QueryOutput, QueryResult};
+use crate::plan::{plan, AccessPath, Plan};
+use crate::verify::{
+    knn_radius_sq, pad, shards_touched, sort_hits, verify_all, KnnVerifier, RangeVerifier,
 };
-use crate::plan::{plan, AccessPath, Database, Plan, StoredRelation};
 use simq_dsp::complex::Complex;
-use simq_index::batch::{MultiKnnQuery, MultiRangeQuery};
-use simq_index::Rect;
+use simq_index::{forest_nearest, KnnQuery, MultiRangeQuery, MultiSearchStats, Rect};
 use simq_obs::span;
+use simq_series::error::SeriesError;
 use simq_series::transform::SeriesTransform;
 use simq_storage::multi::{
-    scan_knn_multi, scan_range_multi, MultiScanKnnQuery, MultiScanRangeQuery,
+    scan_knn_multi, scan_range_multi, MultiScanKnnQuery, MultiScanRangeQuery, MultiScanStats,
 };
+use simq_storage::ScanHit;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering as AtomicOrdering;
 
@@ -402,18 +404,12 @@ impl<'a> BatchExecutor<'a> {
         slots: &mut [Option<Result<QueryResult, QueryError>>],
         batch: &mut BatchStats,
     ) {
-        let scheme = stored.scheme();
-        let n = stored.series_len();
-
         // Resolve every member; failures fill their slot and drop out.
-        struct Prepared {
+        struct Prepared<'db> {
             slot: usize,
-            window: StatsWindow,
-            eps: f64,
-            ctx: QueryContext,
+            verifier: RangeVerifier<'db>,
             rect: Rect,
             lowered: simq_index::DiagonalAffine,
-            action: simq_series::transform::NormalFormAction,
         }
         let mut prepared: Vec<Prepared> = Vec::with_capacity(members.len());
         for &i in members {
@@ -430,33 +426,18 @@ impl<'a> BatchExecutor<'a> {
             };
             let outcome = (|| {
                 let ctx = resolve_query(stored, source, transform, *on_both)?;
-                let q_point = scheme.point_from_spectrum(ctx.mean, ctx.std_dev, &ctx.spectrum)?;
-                let rect = if stats_window.is_empty() {
-                    scheme.search_rect(&q_point, pad(*eps))
-                } else {
-                    scheme.search_rect_with_stats(
-                        &q_point,
-                        pad(*eps),
-                        Some((
-                            pad(stats_window.mean.unwrap_or(f64::INFINITY)),
-                            pad(stats_window.std_dev.unwrap_or(f64::INFINITY)),
-                        )),
-                    )
-                };
-                let lowered = transform.lower(scheme, n)?;
-                let action = transform.action(n, n.saturating_sub(1))?;
-                Ok::<_, QueryError>((ctx, rect, lowered, action))
-            })();
-            match outcome {
-                Ok((ctx, rect, lowered, action)) => prepared.push(Prepared {
+                let verifier = RangeVerifier::new(stored, transform, ctx, *eps, *stats_window)?;
+                let rect = verifier.search_rect()?;
+                let lowered = transform.lower(stored.scheme(), stored.series_len())?;
+                Ok::<_, QueryError>(Prepared {
                     slot: i,
-                    window: *stats_window,
-                    eps: *eps,
-                    ctx,
+                    verifier,
                     rect,
                     lowered,
-                    action,
-                }),
+                })
+            })();
+            match outcome {
+                Ok(p) => prepared.push(p),
                 Err(e) => slots[i] = Some(Err(e)),
             }
         }
@@ -469,9 +450,7 @@ impl<'a> BatchExecutor<'a> {
             })
             .collect();
         let (candidates, search) = multi_range_over(stored, &multi, threads);
-        batch.merged.nodes_visited += search.merged.nodes_visited;
-        batch.merged.leaves_visited += search.merged.leaves_visited;
-        batch.merged.entries_tested += search.merged.entries_tested;
+        batch.merged.add_search(&search.merged);
 
         // Cross-query dedup: two members whose resolved verification
         // inputs are bitwise identical (query spectrum, transformation
@@ -481,11 +460,11 @@ impl<'a> BatchExecutor<'a> {
         // the hits out. Per-query counters still report the as-if-
         // individual cost (the batch convention); only the merged
         // counters and `deduped_verifications` record the saving.
-        let class_key = |p: &Prepared| -> Vec<u64> {
+        let class_key = |v: &RangeVerifier| -> Vec<u64> {
             let mut key =
-                Vec::with_capacity(10 + 2 * (p.ctx.spectrum.len() + p.action.multipliers.len()));
-            key.push(p.eps.to_bits());
-            for part in [p.window.mean, p.window.std_dev] {
+                Vec::with_capacity(10 + 2 * (v.ctx.spectrum.len() + v.action.multipliers.len()));
+            key.push(v.eps.to_bits());
+            for part in [v.window.mean, v.window.std_dev] {
                 match part {
                     Some(v) => {
                         key.push(1);
@@ -494,75 +473,58 @@ impl<'a> BatchExecutor<'a> {
                     None => key.push(0),
                 }
             }
-            key.push(p.ctx.mean.to_bits());
-            key.push(p.ctx.std_dev.to_bits());
-            key.push(p.action.mean_scale.to_bits());
-            key.push(p.action.mean_shift.to_bits());
-            key.push(p.action.std_scale.to_bits());
-            for c in &p.action.multipliers {
+            key.push(v.ctx.mean.to_bits());
+            key.push(v.ctx.std_dev.to_bits());
+            key.push(v.action.mean_scale.to_bits());
+            key.push(v.action.mean_shift.to_bits());
+            key.push(v.action.std_scale.to_bits());
+            for c in &v.action.multipliers {
                 key.push(c.re.to_bits());
                 key.push(c.im.to_bits());
             }
-            for c in &p.ctx.spectrum {
+            for c in &v.ctx.spectrum {
                 key.push(c.re.to_bits());
                 key.push(c.im.to_bits());
             }
             key
         };
-        let mut class_reps: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
-        let mut rep_results: BTreeMap<usize, (Vec<Hit>, u64, u64)> = BTreeMap::new();
+        // Per class: the representative's hits and verification work.
+        let mut classes: BTreeMap<Vec<u64>, (Vec<Hit>, ExecStats)> = BTreeMap::new();
 
-        for (qi, p) in prepared.iter().enumerate() {
+        for (qi, p) in prepared.into_iter().enumerate() {
             let ids = &candidates[qi];
             let mut stats = ExecStats {
-                nodes_visited: search.per_query[qi].nodes_visited,
-                leaves_visited: search.per_query[qi].leaves_visited,
-                entries_tested: search.per_query[qi].entries_tested,
                 candidates: ids.len() as u64,
                 shards_touched: shards_touched(stored),
                 ..ExecStats::default()
             };
+            stats.add_search(&search.per_query[qi]);
             batch.merged.candidates += stats.candidates;
-            let key = class_key(p);
-            let hits = match class_reps.get(&key) {
-                Some(&rep) => {
-                    let (hits, compared, filtered) =
-                        rep_results.get(&rep).expect("rep verified first");
+            let (hits, work) = match classes.entry(class_key(&p.verifier)) {
+                std::collections::btree_map::Entry::Occupied(class) => {
                     batch.deduped_verifications += ids.len() as u64;
-                    stats.coefficients_compared += *compared;
-                    stats.filtered_out += *filtered;
-                    hits.clone()
+                    class.into_mut()
                 }
-                None => {
-                    class_reps.insert(key, qi);
-                    let hits = verify_range_candidates(
-                        stored,
-                        ids,
-                        &p.ctx,
-                        &p.window,
-                        &p.action,
-                        p.eps,
-                        threads,
-                        &mut stats,
-                        self.db.filter_enabled(),
-                    );
-                    batch.merged.coefficients_compared += stats.coefficients_compared;
-                    batch.merged.filtered_out += stats.filtered_out;
-                    rep_results.insert(
-                        qi,
-                        (
-                            hits.clone(),
-                            stats.coefficients_compared,
-                            stats.filtered_out,
-                        ),
-                    );
-                    hits
+                std::collections::btree_map::Entry::Vacant(class) => {
+                    // The exact verification (and parallel-split
+                    // condition) of the single-query executor, so
+                    // distances and coefficient counts match an
+                    // individual run bitwise.
+                    let verifier = p.verifier.with_filter(self.db.filter_enabled());
+                    let (mut hits, per_worker) =
+                        verify_all(ids, threads, |id, st| verifier.verify(id, st));
+                    sort_hits(&mut hits);
+                    let mut work = ExecStats::default();
+                    per_worker.iter().for_each(|w| work.add_work(w));
+                    batch.merged.add_work(&work);
+                    class.insert((hits, work))
                 }
             };
+            stats.add_work(work);
             stats.verified = hits.len() as u64;
             stats.threads_used = threads as u64;
             slots[p.slot] = Some(Ok(QueryResult {
-                output: QueryOutput::Hits(hits),
+                output: QueryOutput::Hits(hits.clone()),
                 plan: plans[p.slot].clone().expect("grouped query has a plan"),
                 stats,
                 per_thread: Vec::new(),
@@ -583,14 +545,10 @@ impl<'a> BatchExecutor<'a> {
         slots: &mut [Option<Result<QueryResult, QueryError>>],
         merged: &mut ExecStats,
     ) {
-        let n = stored.series_len();
-        struct Prepared<'q> {
+        struct Prepared<'q, 'db> {
             slot: usize,
             transform: &'q SeriesTransform,
-            window: StatsWindow,
-            eps: f64,
-            ctx: QueryContext,
-            action: simq_series::transform::NormalFormAction,
+            verifier: RangeVerifier<'db>,
         }
         let mut prepared: Vec<Prepared> = Vec::with_capacity(members.len());
         for &i in members {
@@ -605,19 +563,13 @@ impl<'a> BatchExecutor<'a> {
             else {
                 unreachable!("scan range group holds range queries")
             };
-            let outcome = (|| {
-                let ctx = resolve_query(stored, source, transform, *on_both)?;
-                let action = transform.action(n, n.saturating_sub(1))?;
-                Ok::<_, QueryError>((ctx, action))
-            })();
+            let outcome = resolve_query(stored, source, transform, *on_both)
+                .and_then(|ctx| RangeVerifier::new(stored, transform, ctx, *eps, *stats_window));
             match outcome {
-                Ok((ctx, action)) => prepared.push(Prepared {
+                Ok(verifier) => prepared.push(Prepared {
                     slot: i,
                     transform,
-                    window: *stats_window,
-                    eps: *eps,
-                    ctx,
-                    action,
+                    verifier,
                 }),
                 Err(e) => slots[i] = Some(Err(e)),
             }
@@ -627,51 +579,42 @@ impl<'a> BatchExecutor<'a> {
             .iter()
             .map(|p| MultiScanRangeQuery {
                 transform: p.transform,
-                query_spectrum: &p.ctx.spectrum,
-                eps: p.eps,
+                query_spectrum: &p.verifier.ctx.spectrum,
+                eps: p.verifier.eps,
             })
             .collect();
-        let scanned = match scan_range_multi_over(stored, &multi, true, threads) {
+        let scanned = scan_multi_over(stored, |store| {
+            scan_range_multi(store, &multi, true, threads)
+        });
+        let (hit_lists, scan_stats) = match scanned {
             Ok(r) => r,
             Err(e) => {
-                // Per-query transform errors were already caught by
-                // `action` above; a failure here affects the whole group.
+                // Per-query transform errors were already caught when the
+                // verifiers resolved their actions; a failure here affects
+                // the whole group.
                 for p in &prepared {
                     slots[p.slot] = Some(Err(QueryError::Series(e.clone())));
                 }
                 return;
             }
         };
-        let (hit_lists, scan_stats) = scanned;
-        merged.rows_scanned += scan_stats.merged.rows_scanned;
-        merged.coefficients_compared += scan_stats.merged.coefficients_compared;
+        merged.add_scan(&scan_stats.merged);
 
         for (qi, p) in prepared.iter().enumerate() {
-            let window_ok = window_test(&p.action, &p.window, &p.ctx);
             let mut hits: Vec<Hit> = hit_lists[qi]
                 .iter()
-                .filter(|h| {
+                .filter_map(|h| {
                     let row = stored.row(h.id).expect("scan ids are valid");
-                    window_ok(row.features.mean, row.features.std_dev)
-                })
-                .map(|h| Hit {
-                    id: h.id,
-                    name: stored.row(h.id).expect("scan ids are valid").name.clone(),
-                    distance: h.distance,
+                    p.verifier.window_ok(row).then(|| Hit {
+                        id: h.id,
+                        name: row.name.clone(),
+                        distance: h.distance,
+                    })
                 })
                 .collect();
             sort_hits(&mut hits);
-            let per = &scan_stats.per_query[qi];
-            merged.candidates += per.rows_scanned;
-            let stats = ExecStats {
-                rows_scanned: per.rows_scanned,
-                coefficients_compared: per.coefficients_compared,
-                candidates: per.rows_scanned,
-                verified: hits.len() as u64,
-                threads_used: threads as u64,
-                shards_touched: shards_touched(stored),
-                ..ExecStats::default()
-            };
+            let stats = scan_slot_stats(stored, &scan_stats.per_query[qi], hits.len(), threads);
+            merged.candidates += stats.candidates;
             slots[p.slot] = Some(Ok(QueryResult {
                 output: QueryOutput::Hits(hits),
                 plan: plans[p.slot].clone().expect("grouped query has a plan"),
@@ -745,56 +688,41 @@ impl<'a> BatchExecutor<'a> {
         }
 
         // Step 1: every search shares one pool, pruned per query.
-        type BoundFn = Box<dyn Fn(&Rect) -> f64 + Sync>;
+        type BoundFn<'s> = Box<dyn Fn(&Rect) -> f64 + Sync + 's>;
         let bounds: Vec<BoundFn> = prepared
             .iter()
             .map(|p| {
-                let q_coeffs = p.q_coeffs.clone();
-                let scheme = scheme.clone();
-                Box::new(move |rect: &Rect| simq_series::spectral_mindist(&scheme, &q_coeffs, rect))
+                Box::new(|rect: &Rect| simq_series::spectral_mindist(scheme, &p.q_coeffs, rect))
                     as BoundFn
             })
             .collect();
-        let knn_queries: Vec<MultiKnnQuery> = prepared
+        let knn_queries: Vec<KnnQuery> = prepared
             .iter()
             .zip(&bounds)
-            .map(|(p, b)| MultiKnnQuery {
+            .map(|(p, b)| KnnQuery {
                 bound: b.as_ref(),
                 transform: Some(&p.lowered),
                 k: p.k,
             })
             .collect();
-        let (step1, s1) = multi_nearest_over(stored, &knn_queries, threads);
-        merged.nodes_visited += s1.merged.nodes_visited;
-        merged.leaves_visited += s1.merged.leaves_visited;
-        merged.entries_tested += s1.merged.entries_tested;
-        for (qi, p) in prepared.iter_mut().enumerate() {
-            p.stats.nodes_visited += s1.per_query[qi].nodes_visited;
-            p.stats.leaves_visited += s1.per_query[qi].leaves_visited;
-            p.stats.entries_tested += s1.per_query[qi].entries_tested;
+        let (step1, s1) = forest_nearest(stored.trees(), &knn_queries, threads);
+        drop(knn_queries);
+        drop(bounds);
+        for (p, s) in prepared.iter_mut().zip(&s1) {
+            merged.add_search(&s.merged);
+            p.stats.add_search(&s.merged);
         }
 
         // Step 2: the k-th candidate's exact distance bounds one range
         // query per member; all of them share one traversal.
         let mut radii: Vec<Option<(f64, Rect)>> = Vec::with_capacity(prepared.len());
-        for (qi, p) in prepared.iter_mut().enumerate() {
-            if step1[qi].is_empty() {
+        for (p, step1) in prepared.iter_mut().zip(&step1) {
+            if step1.is_empty() {
                 radii.push(None);
                 continue;
             }
-            let mut radius_sq = 0.0f64;
-            let mut compared = 0u64;
-            for nb in &step1[qi] {
-                let row = stored.row(nb.id).expect("index ids are valid");
-                let d_sq = exact_distance_sq(
-                    &row.features.spectrum,
-                    &p.action.multipliers,
-                    &p.spectrum,
-                    None,
-                    &mut compared,
-                );
-                radius_sq = radius_sq.max(d_sq);
-            }
+            let (radius_sq, compared) =
+                knn_radius_sq(stored, step1, &p.action.multipliers, &p.spectrum);
             p.stats.coefficients_compared += compared;
             merged.coefficients_compared += compared;
             let rect = scheme.search_rect(&p.q_point, pad(radius_sq.sqrt()));
@@ -811,70 +739,32 @@ impl<'a> BatchExecutor<'a> {
             })
             .collect();
         let (candidates, s2) = multi_range_over(stored, &multi, threads);
-        merged.nodes_visited += s2.merged.nodes_visited;
-        merged.leaves_visited += s2.merged.leaves_visited;
-        merged.entries_tested += s2.merged.entries_tested;
+        drop(multi);
+        merged.add_search(&s2.merged);
 
         let mut step2_hits: BTreeMap<usize, Vec<Hit>> = BTreeMap::new();
         for (pos, &qi) in step2_members.iter().enumerate() {
             let p = &mut prepared[qi];
             let ids = &candidates[pos];
             let radius_sq = radii[qi].as_ref().expect("present").0;
-            p.stats.nodes_visited += s2.per_query[pos].nodes_visited;
-            p.stats.leaves_visited += s2.per_query[pos].leaves_visited;
-            p.stats.entries_tested += s2.per_query[pos].entries_tested;
+            p.stats.add_search(&s2.per_query[pos]);
             p.stats.candidates = ids.len() as u64;
             merged.candidates += ids.len() as u64;
 
-            // Quantized tier against this member's step-2 radius, exactly
+            // Verification against this member's step-2 radius, exactly
             // as in the single-query kNN executor.
-            let probe = self.db.filter_enabled().then(|| {
-                simq_storage::FilterProbe::new(
-                    &p.spectrum,
-                    &p.action.multipliers,
-                    stored.sig_coeffs(),
-                )
-            });
-            let filtered = std::sync::atomic::AtomicU64::new(0);
-            let verify = |ids: &[u64], compared: &mut u64| -> Vec<Hit> {
-                ids.iter()
-                    .filter_map(|&id| {
-                        if let (Some(pr), Some(sig)) = (&probe, stored.signature(id)) {
-                            if pr.dismisses(sig, radius_sq) {
-                                filtered.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                return None;
-                            }
-                        }
-                        let row = stored.row(id).expect("index ids are valid");
-                        let d_sq = exact_distance_sq(
-                            &row.features.spectrum,
-                            &p.action.multipliers,
-                            &p.spectrum,
-                            Some(radius_sq),
-                            compared,
-                        );
-                        d_sq.is_finite().then(|| Hit {
-                            id,
-                            name: row.name.clone(),
-                            distance: d_sq.sqrt(),
-                        })
-                    })
-                    .collect()
-            };
-            let mut out: Vec<Hit> = if threads > 1 && ids.len() >= 2 * threads {
-                let (out, total, _) = parallel_verify(ids, threads, &verify);
-                p.stats.coefficients_compared += total;
-                merged.coefficients_compared += total;
-                out
-            } else {
-                let mut compared = 0u64;
-                let out = verify(ids, &mut compared);
-                p.stats.coefficients_compared += compared;
-                merged.coefficients_compared += compared;
-                out
-            };
-            p.stats.filtered_out += filtered.load(std::sync::atomic::Ordering::Relaxed);
-            merged.filtered_out += p.stats.filtered_out;
+            let verifier = KnnVerifier::new(
+                stored,
+                &p.action.multipliers,
+                &p.spectrum,
+                radius_sq,
+                self.db.filter_enabled(),
+            );
+            let (mut out, per_worker) = verify_all(ids, threads, |id, st| verifier.verify(id, st));
+            for w in &per_worker {
+                p.stats.add_work(w);
+                merged.add_work(w);
+            }
             sort_hits(&mut out);
             out.truncate(p.k);
             step2_hits.insert(qi, out);
@@ -945,7 +835,8 @@ impl<'a> BatchExecutor<'a> {
                 k: p.k,
             })
             .collect();
-        let (hit_lists, scan_stats) = match scan_knn_multi_over(stored, &multi, threads) {
+        let scanned = scan_multi_over(stored, |store| scan_knn_multi(store, &multi, threads));
+        let (hit_lists, scan_stats) = match scanned {
             Ok(r) => r,
             Err(e) => {
                 for p in &prepared {
@@ -954,29 +845,24 @@ impl<'a> BatchExecutor<'a> {
                 return;
             }
         };
-        merged.rows_scanned += scan_stats.merged.rows_scanned;
-        merged.coefficients_compared += scan_stats.merged.coefficients_compared;
+        merged.add_scan(&scan_stats.merged);
 
-        for (qi, p) in prepared.iter().enumerate() {
-            let hits: Vec<Hit> = hit_lists[qi]
-                .iter()
+        for (p, (hits, per)) in prepared
+            .iter()
+            .zip(hit_lists.into_iter().zip(&scan_stats.per_query))
+        {
+            // Per-store top-`k` lists merge by `(distance, id)` back to
+            // `k` — any global top-`k` row is in its store's top-`k`.
+            let hits: Vec<Hit> = simq_storage::scan::nearest_k(hits, p.k)
+                .into_iter()
                 .map(|h| Hit {
                     id: h.id,
                     name: stored.row(h.id).expect("scan ids are valid").name.clone(),
                     distance: h.distance,
                 })
                 .collect();
-            let per = &scan_stats.per_query[qi];
-            merged.candidates += per.rows_scanned;
-            let stats = ExecStats {
-                rows_scanned: per.rows_scanned,
-                coefficients_compared: per.coefficients_compared,
-                candidates: per.rows_scanned,
-                verified: hits.len() as u64,
-                threads_used: threads as u64,
-                shards_touched: shards_touched(stored),
-                ..ExecStats::default()
-            };
+            let stats = scan_slot_stats(stored, per, hits.len(), threads);
+            merged.candidates += stats.candidates;
             slots[p.slot] = Some(Ok(QueryResult {
                 output: QueryOutput::Hits(hits),
                 plan: plans[p.slot].clone().expect("grouped query has a plan"),
@@ -988,52 +874,39 @@ impl<'a> BatchExecutor<'a> {
     }
 }
 
-/// What a grouped query's `ExecStats::shards_touched` reports: the shard
-/// count for sharded relations, 0 for the single form — the same value
-/// individual execution stamps.
-fn shards_touched(stored: &StoredRelation) -> u64 {
-    match stored {
-        StoredRelation::Single { .. } => 0,
-        StoredRelation::Sharded { relation, .. } => relation.shard_count() as u64,
-    }
+/// A grouped scan query's as-if-individual counters.
+fn scan_slot_stats(
+    stored: &StoredRelation,
+    per: &simq_storage::ScanStats,
+    verified: usize,
+    threads: usize,
+) -> ExecStats {
+    let mut stats = ExecStats {
+        candidates: per.rows_scanned,
+        verified: verified as u64,
+        threads_used: threads as u64,
+        shards_touched: shards_touched(stored),
+        ..ExecStats::default()
+    };
+    stats.add_scan(per);
+    stats
 }
 
-/// The stored relation's trees: one for the single form, one per shard
-/// for the sharded one.
-fn stored_trees(stored: &StoredRelation) -> Vec<&simq_index::RTree> {
-    match stored {
-        StoredRelation::Single { index, .. } => {
-            vec![index.as_ref().expect("planned index exists")]
-        }
-        StoredRelation::Sharded { indexes, .. } => indexes.iter().collect(),
-    }
-}
-
-/// One shared batched range traversal per tree (one tree for the single
-/// form, one per shard for the sharded one — the batch's per-shard work
-/// units), per-query candidate lists concatenated across shards.
+/// One shared batched range traversal per tree of the relation's forest
+/// (the batch's per-shard work units), per-query candidate lists
+/// concatenated across trees.
 fn multi_range_over(
     stored: &StoredRelation,
     multi: &[MultiRangeQuery],
     threads: usize,
-) -> (Vec<Vec<u64>>, simq_index::MultiSearchStats) {
-    let trees = stored_trees(stored);
-    if trees.len() == 1 {
-        let tree = trees[0];
-        return if threads > 1 {
-            tree.multi_range_parallel(multi, threads)
-        } else {
-            tree.multi_range(multi)
-        };
-    }
+) -> (Vec<Vec<u64>>, MultiSearchStats) {
     let mut out: Vec<Vec<u64>> = vec![Vec::new(); multi.len()];
-    let mut stats = simq_index::MultiSearchStats::default();
-    for tree in trees {
-        let (cands, s) = if threads > 1 {
-            tree.multi_range_parallel(multi, threads)
-        } else {
-            tree.multi_range(multi)
-        };
+    let mut stats = MultiSearchStats {
+        per_query: vec![simq_index::SearchStats::default(); multi.len()],
+        ..MultiSearchStats::default()
+    };
+    for tree in stored.trees() {
+        let (cands, s) = tree.multi_range_parallel(multi, threads);
         for (acc, ids) in out.iter_mut().zip(cands) {
             acc.extend(ids);
         }
@@ -1042,133 +915,25 @@ fn multi_range_over(
     (out, stats)
 }
 
-/// One shared-pool batched kNN per tree; per-query candidates merged
-/// across shards by `(bound, id)` and truncated back to each query's `k`.
-/// Leaf bounds depend only on the item, so the merged per-query lists
-/// equal the single-tree ones.
-fn multi_nearest_over(
+/// One shared scan pass (`pass`) per store of the relation, per-query hit
+/// lists concatenated across stores.
+fn scan_multi_over(
     stored: &StoredRelation,
-    queries: &[MultiKnnQuery],
-    threads: usize,
-) -> (Vec<Vec<simq_index::Neighbor>>, simq_index::MultiSearchStats) {
-    let trees = stored_trees(stored);
-    if trees.len() == 1 {
-        return trees[0].multi_nearest_by(queries, threads);
-    }
-    let mut per_query: Vec<Vec<simq_index::Neighbor>> = vec![Vec::new(); queries.len()];
-    let mut stats = simq_index::MultiSearchStats::default();
-    for tree in trees {
-        let (step, s) = tree.multi_nearest_by(queries, threads);
-        for (acc, mut nbs) in per_query.iter_mut().zip(step) {
-            acc.append(&mut nbs);
+    pass: impl Fn(
+        &simq_storage::SeriesRelation,
+    ) -> Result<(Vec<Vec<ScanHit>>, MultiScanStats), SeriesError>,
+) -> Result<(Vec<Vec<ScanHit>>, MultiScanStats), SeriesError> {
+    let mut out: Vec<Vec<ScanHit>> = Vec::new();
+    let mut stats = MultiScanStats::default();
+    for store in stored.stores() {
+        let (hits, s) = pass(store)?;
+        out.resize(hits.len(), Vec::new());
+        for (acc, h) in out.iter_mut().zip(hits) {
+            acc.extend(h);
         }
         stats.add(&s);
     }
-    for (q, acc) in queries.iter().zip(per_query.iter_mut()) {
-        acc.sort_by(|a, b| {
-            a.dist_sq
-                .partial_cmp(&b.dist_sq)
-                .expect("finite distances")
-                .then(a.id.cmp(&b.id))
-        });
-        acc.truncate(q.k);
-    }
-    (per_query, stats)
-}
-
-fn add_scan_stats(acc: &mut simq_storage::ScanStats, s: &simq_storage::ScanStats) {
-    acc.rows_scanned += s.rows_scanned;
-    acc.coefficients_compared += s.coefficients_compared;
-    acc.early_abandoned += s.early_abandoned;
-}
-
-fn merge_multi_scan_stats(
-    acc: &mut simq_storage::MultiScanStats,
-    s: &simq_storage::MultiScanStats,
-) {
-    add_scan_stats(&mut acc.merged, &s.merged);
-    if acc.per_query.len() < s.per_query.len() {
-        acc.per_query
-            .resize(s.per_query.len(), simq_storage::ScanStats::default());
-    }
-    for (a, b) in acc.per_query.iter_mut().zip(&s.per_query) {
-        add_scan_stats(a, b);
-    }
-}
-
-/// One shared scan pass per store (the whole relation, or each shard),
-/// per-query hit lists concatenated across shards.
-#[allow(clippy::type_complexity)]
-fn scan_range_multi_over(
-    stored: &StoredRelation,
-    multi: &[MultiScanRangeQuery],
-    early_abandon: bool,
-    threads: usize,
-) -> Result<
-    (
-        Vec<Vec<simq_storage::ScanHit>>,
-        simq_storage::MultiScanStats,
-    ),
-    simq_series::error::SeriesError,
-> {
-    match stored {
-        StoredRelation::Single { relation, .. } => {
-            scan_range_multi(relation, multi, early_abandon, threads)
-        }
-        StoredRelation::Sharded { relation, .. } => {
-            let mut out: Vec<Vec<simq_storage::ScanHit>> = vec![Vec::new(); multi.len()];
-            let mut stats = simq_storage::MultiScanStats::default();
-            for shard in relation.shards() {
-                let (hits, s) = scan_range_multi(shard, multi, early_abandon, threads)?;
-                for (acc, h) in out.iter_mut().zip(hits) {
-                    acc.extend(h);
-                }
-                merge_multi_scan_stats(&mut stats, &s);
-            }
-            Ok((out, stats))
-        }
-    }
-}
-
-/// One shared kNN scan pass per store; per-query shard top-`k` lists
-/// merged by `(distance, id)` and truncated back to `k` — any global
-/// top-`k` row is in its shard's top-`k`, so the merge loses nothing.
-#[allow(clippy::type_complexity)]
-fn scan_knn_multi_over(
-    stored: &StoredRelation,
-    multi: &[MultiScanKnnQuery],
-    threads: usize,
-) -> Result<
-    (
-        Vec<Vec<simq_storage::ScanHit>>,
-        simq_storage::MultiScanStats,
-    ),
-    simq_series::error::SeriesError,
-> {
-    match stored {
-        StoredRelation::Single { relation, .. } => scan_knn_multi(relation, multi, threads),
-        StoredRelation::Sharded { relation, .. } => {
-            let mut out: Vec<Vec<simq_storage::ScanHit>> = vec![Vec::new(); multi.len()];
-            let mut stats = simq_storage::MultiScanStats::default();
-            for shard in relation.shards() {
-                let (hits, s) = scan_knn_multi(shard, multi, threads)?;
-                for (acc, h) in out.iter_mut().zip(hits) {
-                    acc.extend(h);
-                }
-                merge_multi_scan_stats(&mut stats, &s);
-            }
-            for (q, acc) in multi.iter().zip(out.iter_mut()) {
-                acc.sort_by(|a, b| {
-                    a.distance
-                        .partial_cmp(&b.distance)
-                        .expect("finite distances")
-                        .then(a.id.cmp(&b.id))
-                });
-                acc.truncate(q.k);
-            }
-            Ok((out, stats))
-        }
-    }
+    Ok((out, stats))
 }
 
 /// Which shared group a planned query can join, if any.
@@ -1180,103 +945,6 @@ fn group_kind(query: &Query, the_plan: &Plan) -> Option<GroupKind> {
         (Query::Knn { .. }, AccessPath::SeqScan { .. }) => Some(GroupKind::ScanKnn),
         _ => None,
     }
-}
-
-/// The GK95 window predicate on *transformed* row statistics — the exact
-/// test of the single-query executor.
-fn window_test<'a>(
-    action: &'a simq_series::transform::NormalFormAction,
-    window: &'a StatsWindow,
-    ctx: &'a QueryContext,
-) -> impl Fn(f64, f64) -> bool + 'a {
-    move |mean: f64, std_dev: f64| -> bool {
-        let t_mean = action.mean_scale * mean + action.mean_shift;
-        let t_std = action.std_scale * std_dev;
-        window
-            .mean
-            .is_none_or(|tol| (t_mean - ctx.mean).abs() <= tol)
-            && window
-                .std_dev
-                .is_none_or(|tol| (t_std - ctx.std_dev).abs() <= tol)
-    }
-}
-
-/// Per-query verification of index range candidates — the exact code (and
-/// parallel-split condition) of the single-query executor, so distances
-/// and coefficient counts match an individual run bitwise.
-#[allow(clippy::too_many_arguments)]
-fn verify_range_candidates(
-    stored: &StoredRelation,
-    ids: &[u64],
-    ctx: &QueryContext,
-    window: &StatsWindow,
-    action: &simq_series::transform::NormalFormAction,
-    eps: f64,
-    threads: usize,
-    stats: &mut ExecStats,
-    filter: bool,
-) -> Vec<Hit> {
-    let window_ok = window_test(action, window, ctx);
-    let q_spec: &[Complex] = &ctx.spectrum;
-    // Same quantized tier as the single-query executor: candidates whose
-    // signature bound exceeds ε are dismissed before their spectrum is
-    // read, with bitwise-identical surviving hits.
-    let probe = filter
-        .then(|| simq_storage::FilterProbe::new(q_spec, &action.multipliers, stored.sig_coeffs()));
-    let filtered = std::sync::atomic::AtomicU64::new(0);
-    let verify = |ids: &[u64], compared: &mut u64| -> Vec<Hit> {
-        let mut out = Vec::new();
-        for &id in ids {
-            let row = stored.row(id).expect("index ids are valid");
-            if !window_ok(row.features.mean, row.features.std_dev) {
-                continue;
-            }
-            if let (Some(p), Some(sig)) = (&probe, stored.signature(id)) {
-                if p.dismisses(sig, eps * eps) {
-                    filtered.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    continue;
-                }
-            }
-            let d = exact_distance(
-                &row.features.spectrum,
-                &action.multipliers,
-                q_spec,
-                Some(eps * eps),
-                compared,
-            );
-            if d <= eps {
-                out.push(Hit {
-                    id,
-                    name: row.name.clone(),
-                    distance: d,
-                });
-            }
-        }
-        out
-    };
-    let mut hits = if threads > 1 && ids.len() >= 2 * threads {
-        let (out, total, _) = parallel_verify(ids, threads, &verify);
-        stats.coefficients_compared += total;
-        out
-    } else {
-        let mut compared = 0u64;
-        let out = verify(ids, &mut compared);
-        stats.coefficients_compared += compared;
-        out
-    };
-    stats.filtered_out += filtered.load(std::sync::atomic::Ordering::Relaxed);
-    sort_hits(&mut hits);
-    hits
-}
-
-/// The deterministic `(distance, id)` hit order of every query form.
-fn sort_hits(hits: &mut [Hit]) {
-    hits.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite distances")
-            .then(a.id.cmp(&b.id))
-    });
 }
 
 #[cfg(test)]
@@ -1402,7 +1070,7 @@ mod tests {
 
     #[test]
     fn batch_parallel_equals_batch_serial() {
-        use crate::plan::Parallelism;
+        use crate::catalog::Parallelism;
         let mut db = make_db(120);
         let queries: Vec<String> = (0..12)
             .map(|i| {

@@ -69,12 +69,28 @@ impl StoredRelation {
         }
     }
 
+    /// The relation's series stores: one for the single form, one per
+    /// shard for the sharded one. Query execution runs over this slice —
+    /// a single store is a forest of one.
+    pub fn stores(&self) -> &[SeriesRelation] {
+        match self {
+            StoredRelation::Single { relation, .. } => std::slice::from_ref(relation),
+            StoredRelation::Sharded { relation, .. } => relation.shards(),
+        }
+    }
+
+    /// The relation's R*-trees, parallel to [`StoredRelation::stores`]
+    /// (empty for an unindexed single relation).
+    pub fn trees(&self) -> &[RTree] {
+        match self {
+            StoredRelation::Single { index, .. } => index.as_slice(),
+            StoredRelation::Sharded { indexes, .. } => indexes,
+        }
+    }
+
     /// Total number of rows.
     pub fn row_count(&self) -> usize {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.len(),
-            StoredRelation::Sharded { relation, .. } => relation.len(),
-        }
+        self.stores().iter().map(SeriesRelation::len).sum()
     }
 
     /// Row access by id (routed through the shard layout when sharded).
@@ -127,51 +143,33 @@ impl StoredRelation {
     /// for the sharded one. Use [`StoredRelation::rows_in_scan_order`]
     /// when the unsharded iteration order matters.
     pub fn rows(&self) -> Box<dyn Iterator<Item = &SeriesRow> + '_> {
-        match self {
-            StoredRelation::Single { relation, .. } => Box::new(relation.rows()),
-            StoredRelation::Sharded { relation, .. } => Box::new(relation.rows()),
-        }
+        Box::new(self.stores().iter().flat_map(SeriesRelation::rows))
     }
 
     /// All rows in the unsharded scan order: insertion order for the
-    /// single form, id order for the sharded one. The two coincide for
-    /// sequentially built relations; a relation assembled with
-    /// out-of-order explicit-id inserts loses its global insertion order
-    /// on sharding (rows keep only their per-shard relative order), so
-    /// for such relations the sharded↔unsharded equivalence holds
-    /// against the id-ordered scan — asymmetric pair scans may report a
-    /// different (equally valid) orientation for tied pairs.
+    /// single form, id order for the sharded one (see
+    /// [`simq_storage::scan::rows_in_scan_order`] for when the two
+    /// differ — asymmetric pair scans may then report a different,
+    /// equally valid, orientation for tied pairs).
     pub fn rows_in_scan_order(&self) -> Vec<&SeriesRow> {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.rows().collect(),
-            StoredRelation::Sharded { relation, .. } => relation.rows_by_id(),
-        }
+        simq_storage::scan::rows_in_scan_order(self.stores())
     }
 
     /// True when index-based plans are available (sharded relations
     /// always carry per-shard trees).
     pub fn has_index(&self) -> bool {
-        match self {
-            StoredRelation::Single { index, .. } => index.is_some(),
-            StoredRelation::Sharded { .. } => true,
-        }
+        !self.trees().is_empty()
     }
 
     /// Number of shards (1 for the single form).
     pub fn shard_count(&self) -> usize {
-        match self {
-            StoredRelation::Single { .. } => 1,
-            StoredRelation::Sharded { relation, .. } => relation.shard_count(),
-        }
+        self.stores().len()
     }
 
     /// Rows per shard (one entry, the row count, for the single form) —
     /// the `\relations` listing.
     pub fn shard_row_counts(&self) -> Vec<usize> {
-        match self {
-            StoredRelation::Single { relation, .. } => vec![relation.len()],
-            StoredRelation::Sharded { relation, .. } => relation.shard_row_counts(),
-        }
+        self.stores().iter().map(SeriesRelation::len).collect()
     }
 
     /// Inserts a series, keeping the index (or the owning shard's index)

@@ -14,12 +14,19 @@
 //! `tests/lemma1.rs` pin the end-to-end guarantee against brute force.
 
 use crate::ast::{Query, QuerySource, StatsWindow};
+use crate::catalog::{Database, StoredRelation};
 use crate::error::QueryError;
-use crate::plan::{explain, plan, AccessPath, Database, Plan, StoredRelation};
+use crate::plan::{explain, plan, AccessPath, Plan};
+use crate::verify::{
+    chunked, exact_distance_sq, knn_radius_sq, pad, sort_hits, verify_all, KnnVerifier, Ledger,
+    RangeVerifier,
+};
 use simq_dsp::complex::Complex;
+use simq_index::{forest_nearest, forest_range, KnnQuery};
 use simq_obs::span;
 use simq_series::transform::SeriesTransform;
 use simq_storage::scan;
+use std::collections::BTreeMap;
 
 /// Work counters accumulated across the whole execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,7 +91,7 @@ impl ExecStats {
         self.entries_tested += s.entries_tested;
     }
 
-    fn add_scan(&mut self, s: &scan::ScanStats) {
+    pub(crate) fn add_scan(&mut self, s: &scan::ScanStats) {
         self.rows_scanned += s.rows_scanned;
         self.coefficients_compared += s.coefficients_compared;
     }
@@ -105,107 +112,6 @@ impl ExecStats {
         self.wal_records += o.wal_records;
         self.wal_syncs += o.wal_syncs;
     }
-}
-
-/// Folds one parallel phase's per-thread work counters.
-fn fold_exec(per: &mut Vec<ExecStats>, phase: &[ExecStats]) {
-    if per.len() < phase.len() {
-        per.resize(phase.len(), ExecStats::default());
-    }
-    for (acc, s) in per.iter_mut().zip(phase) {
-        acc.add_work(s);
-    }
-}
-
-/// Folds one parallel phase's per-thread search counters into the
-/// query-level per-thread accumulators.
-fn fold_search(per: &mut Vec<ExecStats>, phase: &[simq_index::SearchStats]) {
-    if per.len() < phase.len() {
-        per.resize(phase.len(), ExecStats::default());
-    }
-    for (acc, s) in per.iter_mut().zip(phase) {
-        acc.add_search(s);
-    }
-}
-
-/// Folds one parallel phase's per-thread scan counters.
-fn fold_scan(per: &mut Vec<ExecStats>, phase: &[scan::ScanStats]) {
-    if per.len() < phase.len() {
-        per.resize(phase.len(), ExecStats::default());
-    }
-    for (acc, s) in per.iter_mut().zip(phase) {
-        acc.add_scan(s);
-    }
-}
-
-/// Folds one sharded phase's per-shard search counters into the
-/// query-level per-shard accumulators.
-fn fold_shard_search(per: &mut Vec<ExecStats>, phase: &[simq_index::SearchStats]) {
-    if per.len() < phase.len() {
-        per.resize(phase.len(), ExecStats::default());
-    }
-    for (acc, s) in per.iter_mut().zip(phase) {
-        acc.add_search(s);
-    }
-}
-
-/// Folds one sharded phase's per-shard scan counters.
-fn fold_shard_scan(per: &mut Vec<ExecStats>, phase: &[scan::ScanStats]) {
-    if per.len() < phase.len() {
-        per.resize(phase.len(), ExecStats::default());
-    }
-    for (acc, s) in per.iter_mut().zip(phase) {
-        acc.rows_scanned += s.rows_scanned;
-        acc.coefficients_compared += s.coefficients_compared;
-    }
-}
-
-/// Folds per-thread postprocessing coefficient counts.
-fn fold_coefficients(per: &mut Vec<ExecStats>, counts: &[u64]) {
-    if per.len() < counts.len() {
-        per.resize(counts.len(), ExecStats::default());
-    }
-    for (acc, c) in per.iter_mut().zip(counts) {
-        acc.coefficients_compared += c;
-    }
-}
-
-/// Runs a per-candidate exact-verification closure over contiguous chunks
-/// of `candidates` on `threads` worker threads (used by the index paths of
-/// range and kNN queries). Returns the concatenated hits, the merged
-/// coefficient-comparison count, and the per-thread counts.
-pub(crate) fn parallel_verify(
-    candidates: &[u64],
-    threads: usize,
-    verify: &(dyn Fn(&[u64], &mut u64) -> Vec<Hit> + Sync),
-) -> (Vec<Hit>, u64, Vec<u64>) {
-    let bounds = scan::chunk_bounds(candidates.len(), threads);
-    let workers: Vec<(Vec<Hit>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(lo, hi)| {
-                let ids = &candidates[lo..hi];
-                scope.spawn(move || {
-                    let mut compared = 0u64;
-                    let out = verify(ids, &mut compared);
-                    (out, compared)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("verify worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::new();
-    let mut total = 0u64;
-    let mut counts = Vec::with_capacity(workers.len());
-    for (hits, compared) in workers {
-        out.extend(hits);
-        total += compared;
-        counts.push(compared);
-    }
-    (out, total, counts)
 }
 
 /// A range/kNN hit.
@@ -371,7 +277,7 @@ pub fn run_with_plan(
             let result = range(
                 stored,
                 transform,
-                &ctx,
+                ctx,
                 *eps,
                 *stats_window,
                 &the_plan,
@@ -552,266 +458,70 @@ pub(crate) fn resolve_query(
     })
 }
 
-/// Pads a search radius by one part in 10⁹ plus one absolute ulp-scale
-/// nudge. Transformed index coordinates are computed by different
-/// floating-point routes than query coordinates (e.g. `angle + π` vs
-/// `atan2` of the negated coefficient), so an exact-boundary match can
-/// round to either side; the pad keeps such items in the candidate set,
-/// where exact verification decides. Padding never adds false dismissals —
-/// it can only widen the candidate superset of Lemma 1.
-pub(crate) fn pad(radius: f64) -> f64 {
-    radius * (1.0 + 1e-9) + 1e-9
-}
-
-/// Exact squared distance between a row's transformed spectrum and the
-/// query spectrum. With `abandon_over` (a squared bound) the accumulation
-/// stops once the partial sum provably exceeds it and `f64::INFINITY` is
-/// returned — the candidate is outside the range either way; the same
-/// early-abandoning idea the paper applies to sequential scans. Working in
-/// squared distances end to end avoids `sqrt`-roundtrip boundary errors
-/// when a bound is derived from a previously computed distance.
-pub(crate) fn exact_distance_sq(
-    row_spectrum: &[Complex],
-    multipliers: &[Complex],
-    q: &[Complex],
-    abandon_over: Option<f64>,
-    compared: &mut u64,
-) -> f64 {
-    let (d_sq, abandoned) = simq_series::kernel::transformed_distance_sq(
-        row_spectrum,
-        multipliers,
-        q,
-        abandon_over,
-        compared,
-    );
-    if abandoned {
-        f64::INFINITY
-    } else {
-        d_sq
-    }
-}
-
-/// [`exact_distance_sq`] with the square root taken for finite results.
-pub(crate) fn exact_distance(
-    row_spectrum: &[Complex],
-    multipliers: &[Complex],
-    q: &[Complex],
-    abandon_over: Option<f64>,
-    compared: &mut u64,
-) -> f64 {
-    exact_distance_sq(row_spectrum, multipliers, q, abandon_over, compared).sqrt()
-}
-
 #[allow(clippy::too_many_arguments)]
 fn range(
     stored: &StoredRelation,
     transform: &SeriesTransform,
-    ctx: &QueryContext,
+    ctx: QueryContext,
     eps: f64,
     window: StatsWindow,
     the_plan: &Plan,
     filter: bool,
 ) -> Result<QueryResult, QueryError> {
-    let n = stored.series_len();
-    let q_spec: &[Complex] = &ctx.spectrum;
     let threads = the_plan.threads.max(1);
-    let mut stats = ExecStats::default();
-    let mut per_thread: Vec<ExecStats> = Vec::new();
-    let mut per_shard: Vec<ExecStats> = Vec::new();
-    let action = transform.action(n, n.saturating_sub(1))?;
-    // GK95 window test on the *transformed* row statistics — consistent
-    // with the index traversal, which applies the lowered affine to the
-    // statistics dimensions too.
-    let window_ok = |mean: f64, std_dev: f64| -> bool {
-        let t_mean = action.mean_scale * mean + action.mean_shift;
-        let t_std = action.std_scale * std_dev;
-        window
-            .mean
-            .is_none_or(|tol| (t_mean - ctx.mean).abs() <= tol)
-            && window
-                .std_dev
-                .is_none_or(|tol| (t_std - ctx.std_dev).abs() <= tol)
-    };
+    let mut ledger = Ledger::new(stored, threads);
+    let verifier = RangeVerifier::new(stored, transform, ctx, eps, window)?;
 
     let mut hits: Vec<Hit> = match the_plan.access {
         AccessPath::IndexScan => {
-            let scheme = stored.scheme();
-            // The search rectangle is built around the features of the
-            // comparison spectrum; statistics dimensions are unbounded
-            // unless a MEAN/STD window constrains them.
-            let q_point = scheme.point_from_spectrum(ctx.mean, ctx.std_dev, q_spec)?;
-            let rect = if window.is_empty() {
-                scheme.search_rect(&q_point, pad(eps))
-            } else {
-                scheme.search_rect_with_stats(
-                    &q_point,
-                    pad(eps),
-                    Some((
-                        pad(window.mean.unwrap_or(f64::INFINITY)),
-                        pad(window.std_dev.unwrap_or(f64::INFINITY)),
-                    )),
-                )
-            };
-            let lowered = transform.lower(scheme, n)?;
+            let verifier = verifier.with_filter(filter);
+            let rect = verifier.search_rect()?;
+            let lowered = transform.lower(stored.scheme(), stored.series_len())?;
+            // One descent over the relation's forest of trees: every
+            // shard's tree serves the same lowered query.
             let descend = span::span("range.descend");
-            let candidates: Vec<u64> = match stored {
-                StoredRelation::Single { index, .. } => {
-                    let index = index.as_ref().expect("planned index exists");
-                    let (candidates, s) = if threads > 1 {
-                        let (candidates, p) =
-                            index.range_transformed_parallel(&lowered, &rect, threads);
-                        fold_search(&mut per_thread, &p.per_thread);
-                        (candidates, p.merged)
-                    } else {
-                        index.range_transformed(&lowered, &rect)
-                    };
-                    stats.nodes_visited = s.nodes_visited;
-                    stats.leaves_visited = s.leaves_visited;
-                    stats.entries_tested = s.entries_tested;
-                    candidates
-                }
-                StoredRelation::Sharded { indexes, .. } => {
-                    // Shard fan-out: each shard's tree serves the same
-                    // lowered query; shards are the parallel work units.
-                    let trees: Vec<&simq_index::RTree> = indexes.iter().collect();
-                    let (by_shard, s) = if threads > 1 {
-                        simq_index::shard::range_transformed_sharded_parallel(
-                            &trees, &lowered, &rect, threads,
-                        )
-                    } else {
-                        simq_index::shard::range_transformed_sharded(&trees, &lowered, &rect)
-                    };
-                    stats.add_search(&s.merged);
-                    stats.shards_touched = trees.len() as u64;
-                    fold_shard_search(&mut per_shard, &s.per_shard);
-                    by_shard.into_iter().flatten().collect()
-                }
-            };
-            descend.note("nodes", stats.nodes_visited);
-            descend.note("leaves", stats.leaves_visited);
-            descend.note("entries", stats.entries_tested);
-            descend.note("candidates", candidates.len() as u64);
+            let (candidates, s) = forest_range(stored.trees(), Some(&lowered), &rect, threads);
+            ledger.search(&s);
+            ledger.stats.candidates = candidates.len() as u64;
+            descend.note("nodes", ledger.stats.nodes_visited);
+            descend.note("leaves", ledger.stats.leaves_visited);
+            descend.note("entries", ledger.stats.entries_tested);
+            descend.note("candidates", ledger.stats.candidates);
             drop(descend);
-            stats.candidates = candidates.len() as u64;
 
-            // The quantized tier sits between the tree and verification:
-            // one probe per query, one flat-array lookup per candidate.
-            // Dismissal needs `lb² > ε²`, which (the bound being a true
-            // lower bound) implies the exact distance also exceeds ε —
-            // the candidate could never have become a hit.
-            let probe = filter.then(|| {
-                simq_storage::FilterProbe::new(q_spec, &action.multipliers, stored.sig_coeffs())
-            });
-            let filtered = std::sync::atomic::AtomicU64::new(0);
-            let verify = |ids: &[u64], compared: &mut u64| -> Vec<Hit> {
-                let mut out = Vec::new();
-                for &id in ids {
-                    let row = stored.row(id).expect("index ids are valid");
-                    if !window_ok(row.features.mean, row.features.std_dev) {
-                        continue;
-                    }
-                    if let (Some(p), Some(sig)) = (&probe, stored.signature(id)) {
-                        if p.dismisses(sig, eps * eps) {
-                            filtered.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            continue;
-                        }
-                    }
-                    let d = exact_distance(
-                        &row.features.spectrum,
-                        &action.multipliers,
-                        q_spec,
-                        Some(eps * eps),
-                        compared,
-                    );
-                    if d <= eps {
-                        out.push(Hit {
-                            id,
-                            name: row.name.clone(),
-                            distance: d,
-                        });
-                    }
-                }
-                out
-            };
             let verify_span = span::span("range.verify");
-            let out = if threads > 1 && candidates.len() >= 2 * threads {
-                let (out, total, counts) = parallel_verify(&candidates, threads, &verify);
-                stats.coefficients_compared += total;
-                fold_coefficients(&mut per_thread, &counts);
-                out
-            } else {
-                let mut compared = 0u64;
-                let out = verify(&candidates, &mut compared);
-                stats.coefficients_compared += compared;
-                if !per_thread.is_empty() || !per_shard.is_empty() {
-                    // Calling-thread work counts against per-thread entry
-                    // 0 (created on demand for sharded executions whose
-                    // search phase charged only per-shard entries), so
-                    // the breakdowns always sum to the merged totals.
-                    fold_coefficients(&mut per_thread, &[compared]);
-                }
-                out
-            };
-            stats.filtered_out = filtered.load(std::sync::atomic::Ordering::Relaxed);
-            verify_span.note("candidates", stats.candidates);
-            verify_span.note("filtered", stats.filtered_out);
+            let (out, work) = verify_all(&candidates, threads, |id, st| verifier.verify(id, st));
+            ledger.verified(&work);
+            verify_span.note("candidates", ledger.stats.candidates);
+            verify_span.note("filtered", ledger.stats.filtered_out);
             verify_span.note("verified", out.len() as u64);
             drop(verify_span);
             out
         }
         AccessPath::SeqScan { early_abandon } => {
             let scan_span = span::span("scan");
-            let scan_hits = match stored {
-                StoredRelation::Single { relation: rel, .. } => {
-                    let (scan_hits, merged) = if threads > 1 {
-                        let (scan_hits, p) = scan::scan_range_parallel(
-                            rel,
-                            transform,
-                            q_spec,
-                            eps,
-                            early_abandon,
-                            threads,
-                        )?;
-                        fold_scan(&mut per_thread, &p.per_thread);
-                        (scan_hits, p.merged)
-                    } else {
-                        scan::scan_range(rel, transform, q_spec, eps, early_abandon)?
-                    };
-                    stats.rows_scanned = merged.rows_scanned;
-                    stats.coefficients_compared = merged.coefficients_compared;
-                    stats.candidates = merged.rows_scanned;
-                    scan_hits
-                }
-                StoredRelation::Sharded { relation, .. } => {
-                    let (scan_hits, s) = simq_storage::shard::scan_range_sharded(
-                        relation,
-                        transform,
-                        q_spec,
-                        eps,
-                        early_abandon,
-                        threads,
-                    )?;
-                    stats.rows_scanned = s.merged.rows_scanned;
-                    stats.coefficients_compared = s.merged.coefficients_compared;
-                    stats.candidates = s.merged.rows_scanned;
-                    stats.shards_touched = relation.shard_count() as u64;
-                    fold_shard_scan(&mut per_shard, &s.per_shard);
-                    scan_hits
-                }
-            };
-            scan_span.note("rows", stats.rows_scanned);
-            scan_span.note("coefficients", stats.coefficients_compared);
+            let (scan_hits, s) = scan::scan_range_over(
+                stored.stores(),
+                transform,
+                &verifier.ctx.spectrum,
+                eps,
+                early_abandon,
+                threads,
+            )?;
+            ledger.scan(&s);
+            ledger.stats.candidates = ledger.stats.rows_scanned;
+            scan_span.note("rows", ledger.stats.rows_scanned);
+            scan_span.note("coefficients", ledger.stats.coefficients_compared);
             drop(scan_span);
             scan_hits
                 .into_iter()
-                .filter(|h| {
+                .filter_map(|h| {
                     let row = stored.row(h.id).expect("scan ids are valid");
-                    window_ok(row.features.mean, row.features.std_dev)
-                })
-                .map(|h| Hit {
-                    id: h.id,
-                    name: stored.row(h.id).expect("scan ids are valid").name.clone(),
-                    distance: h.distance,
+                    verifier.window_ok(row).then(|| Hit {
+                        id: h.id,
+                        name: row.name.clone(),
+                        distance: h.distance,
+                    })
                 })
                 .collect()
         }
@@ -819,36 +529,10 @@ fn range(
     };
 
     let merge = span::span("range.merge");
-    hits.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite distances")
-            .then(a.id.cmp(&b.id))
-    });
+    sort_hits(&mut hits);
     merge.note("hits", hits.len() as u64);
     drop(merge);
-    stats.verified = hits.len() as u64;
-    stats.threads_used = threads_used(&per_thread, &stats, threads);
-    Ok(QueryResult {
-        output: QueryOutput::Hits(hits),
-        plan: the_plan.clone(),
-        stats,
-        per_thread,
-        per_shard,
-    })
-}
-
-/// The fan-out a finished execution reports: the widest phase — the
-/// per-thread vector's width (which may include a synthetic entry 0 for
-/// calling-thread verify work) or the shard-level fan-out (capped by the
-/// configured thread count), whichever is larger; 1 when fully serial.
-fn threads_used(per_thread: &[ExecStats], stats: &ExecStats, threads: usize) -> u64 {
-    let widest = per_thread.len() as u64;
-    if stats.shards_touched > 0 && threads > 1 {
-        widest.max(stats.shards_touched.min(threads as u64)).max(1)
-    } else {
-        widest.max(1)
-    }
+    Ok(ledger.finish(QueryOutput::Hits(hits), the_plan))
 }
 
 fn knn(
@@ -861,9 +545,7 @@ fn knn(
 ) -> Result<QueryResult, QueryError> {
     let n = stored.series_len();
     let threads = the_plan.threads.max(1);
-    let mut stats = ExecStats::default();
-    let mut per_thread: Vec<ExecStats> = Vec::new();
-    let mut per_shard: Vec<ExecStats> = Vec::new();
+    let mut ledger = Ledger::new(stored, threads);
 
     let hits: Vec<Hit> = match the_plan.access {
         AccessPath::IndexScan => {
@@ -871,11 +553,11 @@ fn knn(
             // spectral MINDIST lower bound (annular-sector geometry in the
             // polar representation); (2) the k-th candidate's exact
             // distance bounds a range query that yields every possible
-            // better row; (3) exact distances decide. For sharded
-            // relations step 1 is one best-first search over the whole
-            // forest (shared k-th-best bound) and step 2 fans out per
-            // shard — leaf bounds depend only on the item, so both steps
-            // see exactly the single-tree candidate sets.
+            // better row; (3) exact distances decide. Step 1 is one
+            // best-first search over the relation's whole forest of trees
+            // (shared k-th-best bound) and step 2 one range descent over
+            // it — leaf bounds depend only on the item, so both steps see
+            // exactly the single-tree candidate sets.
             let scheme = stored.scheme();
             let q_point = scheme.point_from_spectrum(0.0, 0.0, q_spec)?;
             let q_coeffs = scheme.coefficients_of_point(&q_point);
@@ -886,164 +568,44 @@ fn knn(
                 simq_series::spectral_mindist(scheme, &q_coeffs, rect)
             };
             let step1_span = span::span("knn.step1");
-            let step1 = match stored {
-                StoredRelation::Single { index, .. } => {
-                    let index = index.as_ref().expect("planned index exists");
-                    let (step1, s1) = if threads > 1 {
-                        let (step1, p) =
-                            index.nearest_by_parallel(&bound, Some(&lowered), k, threads);
-                        fold_search(&mut per_thread, &p.per_thread);
-                        (step1, p.merged)
-                    } else {
-                        index.nearest_by(&bound, Some(&lowered), k)
-                    };
-                    stats.add_search(&s1);
-                    step1
-                }
-                StoredRelation::Sharded { indexes, relation } => {
-                    let trees: Vec<&simq_index::RTree> = indexes.iter().collect();
-                    let (step1, s1) = if threads > 1 {
-                        simq_index::shard::nearest_by_sharded_parallel(
-                            &trees,
-                            &bound,
-                            Some(&lowered),
-                            k,
-                            threads,
-                        )
-                    } else {
-                        simq_index::shard::nearest_by_sharded(&trees, &bound, Some(&lowered), k)
-                    };
-                    stats.add_search(&s1.merged);
-                    stats.shards_touched = relation.shard_count() as u64;
-                    fold_shard_search(&mut per_shard, &s1.per_shard);
-                    step1
-                }
+            let query = KnnQuery {
+                bound: &bound,
+                transform: Some(&lowered),
+                k,
             };
-            step1_span.note("nodes", stats.nodes_visited);
+            let (mut found, s1) = forest_nearest(stored.trees(), &[query], threads);
+            let step1 = found.pop().expect("one result per query");
+            ledger.search(&s1[0]);
+            step1_span.note("nodes", ledger.stats.nodes_visited);
             step1_span.note("candidates", step1.len() as u64);
             drop(step1_span);
             if step1.is_empty() {
                 Vec::new()
             } else {
                 let radius_span = span::span("knn.radius");
-                let mut radius_sq = 0.0f64;
-                let mut radius_compared = 0u64;
-                for nb in &step1 {
-                    let row = stored.row(nb.id).expect("index ids are valid");
-                    let d_sq = exact_distance_sq(
-                        &row.features.spectrum,
-                        &action.multipliers,
-                        q_spec,
-                        None,
-                        &mut radius_compared,
-                    );
-                    radius_sq = radius_sq.max(d_sq);
-                }
-                stats.coefficients_compared += radius_compared;
+                let (radius_sq, radius_compared) =
+                    knn_radius_sq(stored, &step1, &action.multipliers, q_spec);
+                ledger.workers(&[radius_compared], |acc, c| acc.coefficients_compared += c);
                 radius_span.note("coefficients", radius_compared);
                 drop(radius_span);
-                // radius_compared is folded into per_thread entry 0 *after*
-                // the verify phase below: in sharded-parallel execution the
-                // per-thread vector only becomes non-empty once
-                // parallel_verify runs, and folding early would lose the
-                // radius work from the per-thread totals.
+
                 let rect = scheme.search_rect(&q_point, pad(radius_sq.sqrt()));
                 let step2_span = span::span("knn.step2");
-                let candidates: Vec<u64> = match stored {
-                    StoredRelation::Single { index, .. } => {
-                        let index = index.as_ref().expect("planned index exists");
-                        let (candidates, s2) = if threads > 1 {
-                            let (candidates, p) =
-                                index.range_transformed_parallel(&lowered, &rect, threads);
-                            fold_search(&mut per_thread, &p.per_thread);
-                            (candidates, p.merged)
-                        } else {
-                            index.range_transformed(&lowered, &rect)
-                        };
-                        stats.add_search(&s2);
-                        candidates
-                    }
-                    StoredRelation::Sharded { indexes, .. } => {
-                        let trees: Vec<&simq_index::RTree> = indexes.iter().collect();
-                        let (by_shard, s2) = if threads > 1 {
-                            simq_index::shard::range_transformed_sharded_parallel(
-                                &trees, &lowered, &rect, threads,
-                            )
-                        } else {
-                            simq_index::shard::range_transformed_sharded(&trees, &lowered, &rect)
-                        };
-                        stats.add_search(&s2.merged);
-                        fold_shard_search(&mut per_shard, &s2.per_shard);
-                        by_shard.into_iter().flatten().collect()
-                    }
-                };
-                step2_span.note("candidates", candidates.len() as u64);
+                let (candidates, s2) = forest_range(stored.trees(), Some(&lowered), &rect, threads);
+                ledger.search(&s2);
+                ledger.stats.candidates = candidates.len() as u64;
+                step2_span.note("candidates", ledger.stats.candidates);
                 drop(step2_span);
-                stats.candidates = candidates.len() as u64;
 
-                // Quantized tier against the step-2 radius: a candidate
-                // whose signature lower bound exceeds the k-th-best
-                // distance can never enter the final top-k.
-                let probe = filter.then(|| {
-                    simq_storage::FilterProbe::new(q_spec, &action.multipliers, stored.sig_coeffs())
-                });
-                let filtered = std::sync::atomic::AtomicU64::new(0);
-                let verify = |ids: &[u64], compared: &mut u64| -> Vec<Hit> {
-                    ids.iter()
-                        .filter_map(|&id| {
-                            if let (Some(p), Some(sig)) = (&probe, stored.signature(id)) {
-                                if p.dismisses(sig, radius_sq) {
-                                    filtered.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    return None;
-                                }
-                            }
-                            let row = stored.row(id).expect("index ids are valid");
-                            let d_sq = exact_distance_sq(
-                                &row.features.spectrum,
-                                &action.multipliers,
-                                q_spec,
-                                Some(radius_sq),
-                                compared,
-                            );
-                            d_sq.is_finite().then(|| Hit {
-                                id,
-                                name: row.name.clone(),
-                                distance: d_sq.sqrt(),
-                            })
-                        })
-                        .collect()
-                };
+                let verifier =
+                    KnnVerifier::new(stored, &action.multipliers, q_spec, radius_sq, filter);
                 let verify_span = span::span("knn.verify");
-                let mut out: Vec<Hit> = if threads > 1 && candidates.len() >= 2 * threads {
-                    let (out, total, counts) = parallel_verify(&candidates, threads, &verify);
-                    stats.coefficients_compared += total;
-                    fold_coefficients(&mut per_thread, &counts);
-                    out
-                } else {
-                    let mut compared = 0u64;
-                    let out = verify(&candidates, &mut compared);
-                    stats.coefficients_compared += compared;
-                    if !per_thread.is_empty() || !per_shard.is_empty() {
-                        // Calling-thread verify charges per-thread entry
-                        // 0, created on demand for sharded executions —
-                        // see the matching branch in `range`.
-                        fold_coefficients(&mut per_thread, &[compared]);
-                    }
-                    out
-                };
-                // Deferred radius fold (see the comment at knn.radius).
-                if !per_thread.is_empty() || !per_shard.is_empty() {
-                    fold_coefficients(&mut per_thread, &[radius_compared]);
-                }
-                out.sort_by(|a, b| {
-                    a.distance
-                        .partial_cmp(&b.distance)
-                        .expect("finite distances")
-                        .then(a.id.cmp(&b.id))
-                });
+                let (mut out, work) =
+                    verify_all(&candidates, threads, |id, st| verifier.verify(id, st));
+                ledger.verified(&work);
+                sort_hits(&mut out);
                 out.truncate(k);
-                stats.filtered_out = filtered.load(std::sync::atomic::Ordering::Relaxed);
-                verify_span.note("filtered", stats.filtered_out);
+                verify_span.note("filtered", ledger.stats.filtered_out);
                 verify_span.note("verified", out.len() as u64);
                 drop(verify_span);
                 out
@@ -1051,35 +613,12 @@ fn knn(
         }
         AccessPath::SeqScan { .. } => {
             let scan_span = span::span("scan");
-            let scan_hits = match stored {
-                StoredRelation::Single { relation: rel, .. } => {
-                    let (scan_hits, merged) = if threads > 1 {
-                        let (scan_hits, p) =
-                            scan::scan_knn_parallel(rel, transform, q_spec, k, threads)?;
-                        fold_scan(&mut per_thread, &p.per_thread);
-                        (scan_hits, p.merged)
-                    } else {
-                        scan::scan_knn(rel, transform, q_spec, k)?
-                    };
-                    stats.rows_scanned = merged.rows_scanned;
-                    stats.coefficients_compared = merged.coefficients_compared;
-                    stats.candidates = merged.rows_scanned;
-                    scan_hits
-                }
-                StoredRelation::Sharded { relation, .. } => {
-                    let (scan_hits, s) = simq_storage::shard::scan_knn_sharded(
-                        relation, transform, q_spec, k, threads,
-                    )?;
-                    stats.rows_scanned = s.merged.rows_scanned;
-                    stats.coefficients_compared = s.merged.coefficients_compared;
-                    stats.candidates = s.merged.rows_scanned;
-                    stats.shards_touched = relation.shard_count() as u64;
-                    fold_shard_scan(&mut per_shard, &s.per_shard);
-                    scan_hits
-                }
-            };
-            scan_span.note("rows", stats.rows_scanned);
-            scan_span.note("coefficients", stats.coefficients_compared);
+            let (scan_hits, s) =
+                scan::scan_knn_over(stored.stores(), transform, q_spec, k, threads)?;
+            ledger.scan(&s);
+            ledger.stats.candidates = ledger.stats.rows_scanned;
+            scan_span.note("rows", ledger.stats.rows_scanned);
+            scan_span.note("coefficients", ledger.stats.coefficients_compared);
             drop(scan_span);
             scan_hits
                 .into_iter()
@@ -1092,15 +631,7 @@ fn knn(
         }
         _ => unreachable!("kNN queries plan to IndexScan or SeqScan"),
     };
-    stats.verified = hits.len() as u64;
-    stats.threads_used = threads_used(&per_thread, &stats, threads);
-    Ok(QueryResult {
-        output: QueryOutput::Hits(hits),
-        plan: the_plan.clone(),
-        stats,
-        per_thread,
-        per_shard,
-    })
+    Ok(ledger.finish(QueryOutput::Hits(hits), the_plan))
 }
 
 fn all_pairs(
@@ -1113,57 +644,25 @@ fn all_pairs(
 ) -> Result<QueryResult, QueryError> {
     let n = stored.series_len();
     let threads = the_plan.threads.max(1);
-    let mut stats = ExecStats::default();
-    let mut per_thread: Vec<ExecStats> = Vec::new();
-    let per_shard: Vec<ExecStats> = Vec::new();
+    let mut ledger = Ledger::new(stored, threads);
     let symmetric = left == right;
 
     let mut pairs: Vec<PairHit> = match the_plan.access {
         AccessPath::ScanJoin { early_abandon } => {
+            // Pair work crosses shards: the rows of every store run
+            // through one pair scan, so parallelism is row-claimed and
+            // the shares are per thread.
             let join_span = span::span("join.scan");
-            let found = match stored {
-                StoredRelation::Single { relation: rel, .. } => {
-                    let (found, merged) = if threads > 1 {
-                        let (found, p) = scan::scan_all_pairs_two_parallel(
-                            rel,
-                            left,
-                            right,
-                            eps,
-                            early_abandon,
-                            threads,
-                        )?;
-                        fold_scan(&mut per_thread, &p.per_thread);
-                        (found, p.merged)
-                    } else {
-                        scan::scan_all_pairs_two(rel, left, right, eps, early_abandon)?
-                    };
-                    stats.rows_scanned = merged.rows_scanned;
-                    stats.coefficients_compared = merged.coefficients_compared;
-                    found
-                }
-                StoredRelation::Sharded { relation, .. } => {
-                    // Pair work crosses shards: the rows run flattened in
-                    // id order through the exact unsharded machinery, so
-                    // parallelism is row-chunked and per-thread shares
-                    // are reported exactly as for the single form.
-                    let (found, p) = simq_storage::shard::scan_all_pairs_two_sharded(
-                        relation,
-                        left,
-                        right,
-                        eps,
-                        early_abandon,
-                        threads,
-                    )?;
-                    if threads > 1 {
-                        fold_scan(&mut per_thread, &p.per_thread);
-                    }
-                    stats.rows_scanned = p.merged.rows_scanned;
-                    stats.coefficients_compared = p.merged.coefficients_compared;
-                    stats.shards_touched = relation.shard_count() as u64;
-                    found
-                }
-            };
-            join_span.note("rows", stats.rows_scanned);
+            let (found, s) = scan::scan_all_pairs_over(
+                stored.stores(),
+                left,
+                right,
+                eps,
+                early_abandon,
+                threads,
+            )?;
+            ledger.workers(&s.per_thread, ExecStats::add_scan);
+            join_span.note("rows", ledger.stats.rows_scanned);
             join_span.note("pairs", found.len() as u64);
             drop(join_span);
             found
@@ -1186,29 +685,24 @@ fn all_pairs(
             let lowered = eff_right.lower(scheme, n)?;
             let action = eff_right.action(n, n.saturating_sub(1))?;
             let left_action = eff_left.action(n, n.saturating_sub(1))?;
-            // Every probe ranges over every shard's tree (one tree for the
-            // single form). The candidate union over shards equals the
-            // single-tree candidate set, and the canonical (min, max) map
-            // below is order-insensitive, so sharded output is identical.
-            let probe_trees: Vec<&simq_index::RTree> = match stored {
-                StoredRelation::Single { index, .. } => {
-                    vec![index.as_ref().expect("planned index exists")]
-                }
-                StoredRelation::Sharded { indexes, .. } => indexes.iter().collect(),
-            };
-            if let StoredRelation::Sharded { relation, .. } = stored {
-                stats.shards_touched = relation.shard_count() as u64;
-            }
-            // One probe per row; for asymmetric joins both orientations of
-            // each unordered pair are discovered (once from each probe);
-            // keep the smaller distance per canonical (min, max) key.
-            // Worker threads process contiguous row chunks and merge their
-            // maps; `min` is commutative, so the merged map is identical
-            // to the serial one.
+            // One probe per row, ranging over every tree of the forest;
+            // for asymmetric joins both orientations of each unordered
+            // pair are discovered (once from each probe); keep the
+            // smaller distance per canonical (min, max) key. The
+            // candidate union over shards equals the single-tree
+            // candidate set and `min` is commutative, so the map is the
+            // same however rows are sharded or chunked across workers.
             let rows: Vec<&simq_storage::SeriesRow> = stored.rows_in_scan_order();
+            type Found = BTreeMap<(u64, u64), f64>;
+            let keep_min = |found: &mut Found, key: (u64, u64), d: f64| {
+                let entry = found.entry(key).or_insert(d);
+                if d < *entry {
+                    *entry = d;
+                }
+            };
             let probe = |row: &simq_storage::SeriesRow,
                          probe_spec: &mut Vec<Complex>,
-                         found: &mut std::collections::BTreeMap<(u64, u64), f64>,
+                         found: &mut Found,
                          stats: &mut ExecStats|
              -> Result<(), QueryError> {
                 probe_spec.clear();
@@ -1231,17 +725,13 @@ fn all_pairs(
                         stored.sig_coeffs(),
                     )
                 });
-                for tree in &probe_trees {
+                for tree in stored.trees() {
                     let (candidates, s) = tree.range_transformed(&lowered, &rect);
                     stats.add_search(&s);
                     stats.candidates += candidates.len() as u64;
                     for id in candidates {
-                        if symmetric {
-                            // Symmetric joins need each unordered pair once.
-                            if id <= row.id {
-                                continue;
-                            }
-                        } else if id == row.id {
+                        // Symmetric joins need each unordered pair once.
+                        if id == row.id || (symmetric && id < row.id) {
                             continue;
                         }
                         if let (Some(p), Some(sig)) = (&row_probe, stored.signature(id)) {
@@ -1251,79 +741,44 @@ fn all_pairs(
                             }
                         }
                         let other = stored.row(id).expect("index ids are valid");
-                        let d = exact_distance(
+                        let d = exact_distance_sq(
                             &other.features.spectrum,
                             &action.multipliers,
                             probe_spec,
                             Some(eps * eps),
                             &mut stats.coefficients_compared,
-                        );
+                        )
+                        .sqrt();
                         if d <= eps {
-                            let key = (row.id.min(id), row.id.max(id));
-                            let entry = found.entry(key).or_insert(d);
-                            if d < *entry {
-                                *entry = d;
-                            }
+                            keep_min(found, (row.id.min(id), row.id.max(id)), d);
                         }
                     }
                 }
                 Ok(())
             };
 
-            let found: std::collections::BTreeMap<(u64, u64), f64> = if threads > 1
-                && rows.len() >= 2 * threads
-            {
-                let bounds = scan::chunk_bounds(rows.len(), threads);
-                type ProbeOut =
-                    Result<(std::collections::BTreeMap<(u64, u64), f64>, ExecStats), QueryError>;
-                let workers: Vec<ProbeOut> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = bounds
-                        .iter()
-                        .map(|&(lo, hi)| {
-                            let rows = &rows[lo..hi];
-                            let probe = &probe;
-                            scope.spawn(move || -> ProbeOut {
-                                let mut local = std::collections::BTreeMap::new();
-                                let mut local_stats = ExecStats::default();
-                                let mut probe_spec: Vec<Complex> = Vec::new();
-                                for row in rows {
-                                    probe(row, &mut probe_spec, &mut local, &mut local_stats)?;
-                                }
-                                Ok((local, local_stats))
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("probe worker panicked"))
-                        .collect()
-                });
-                let mut found = std::collections::BTreeMap::new();
-                let mut phase = Vec::with_capacity(workers.len());
-                for w in workers {
-                    let (local, local_stats) = w?;
-                    for (key, d) in local {
-                        let entry = found.entry(key).or_insert(d);
-                        if d < *entry {
-                            *entry = d;
-                        }
-                    }
-                    stats.add_work(&local_stats);
-                    phase.push(local_stats);
-                }
-                fold_exec(&mut per_thread, &phase);
-                found
-            } else {
-                let mut found = std::collections::BTreeMap::new();
+            let workers = chunked(&rows, threads, |rows| -> Result<_, QueryError> {
+                let mut local = Found::new();
+                let mut local_stats = ExecStats::default();
                 let mut probe_spec: Vec<Complex> = Vec::new();
-                for row in &rows {
-                    probe(row, &mut probe_spec, &mut found, &mut stats)?;
+                for row in rows {
+                    probe(row, &mut probe_spec, &mut local, &mut local_stats)?;
                 }
-                found
-            };
+                Ok((local, local_stats))
+            });
+            let mut found = Found::new();
+            let mut phase = Vec::with_capacity(workers.len());
+            for w in workers {
+                let (local, local_stats) = w?;
+                for (key, d) in local {
+                    keep_min(&mut found, key, d);
+                }
+                phase.push(local_stats);
+            }
+            ledger.workers(&phase, ExecStats::add_work);
             join_span.note("probes", rows.len() as u64);
-            join_span.note("candidates", stats.candidates);
-            join_span.note("filtered", stats.filtered_out);
+            join_span.note("candidates", ledger.stats.candidates);
+            join_span.note("filtered", ledger.stats.filtered_out);
             join_span.note("pairs", found.len() as u64);
             drop(join_span);
             found
@@ -1335,15 +790,7 @@ fn all_pairs(
     };
 
     pairs.sort_by_key(|x| (x.a, x.b));
-    stats.verified = pairs.len() as u64;
-    stats.threads_used = threads_used(&per_thread, &stats, threads);
-    Ok(QueryResult {
-        output: QueryOutput::Pairs(pairs),
-        plan: the_plan.clone(),
-        stats,
-        per_thread,
-        per_shard,
-    })
+    Ok(ledger.finish(QueryOutput::Pairs(pairs), the_plan))
 }
 
 #[cfg(test)]
@@ -1543,7 +990,7 @@ mod tests {
 
     #[test]
     fn parallel_execution_equals_serial_for_every_access_path() {
-        use crate::plan::Parallelism;
+        use crate::catalog::Parallelism;
         let mut db = make_db(80, true);
         let queries = [
             "FIND SIMILAR TO ROW 5 IN stocks EPSILON 3.0",
@@ -1593,7 +1040,7 @@ mod tests {
 
     #[test]
     fn parallel_execution_reports_per_thread_stats() {
-        use crate::plan::Parallelism;
+        use crate::catalog::Parallelism;
         let mut db = make_db(120, true);
         db.set_parallelism(Parallelism::Fixed(4));
         let r = execute(
@@ -1609,7 +1056,7 @@ mod tests {
 
     #[test]
     fn explain_shows_parallelism() {
-        use crate::plan::Parallelism;
+        use crate::catalog::Parallelism;
         let mut db = make_db(10, true);
         db.set_parallelism(Parallelism::Fixed(8));
         let r = execute(&db, "EXPLAIN FIND SIMILAR TO ROW 0 IN stocks EPSILON 1").unwrap();

@@ -33,6 +33,7 @@ pub mod parse;
 pub mod plan;
 pub mod session;
 pub mod token;
+mod verify;
 
 pub use ast::{JoinMethod, ParamRef, ParamType, Query, QuerySource, QueryTemplate, Strategy};
 pub use batch::{execute_batch, split_batch_script, BatchExecutor, BatchResult, BatchStats};

@@ -59,13 +59,13 @@ use crate::ast::{
     NumArg, ParamRef, ParamType, Query, QuerySource, QueryTemplate, StatsWindow, TemplateSource,
 };
 use crate::batch::{BatchExecutor, BatchResult};
+use crate::catalog::{Database, InsertBatchReport, InsertReport};
 use crate::error::QueryError;
 use crate::exec::{self, ExecStats, Hit, QueryResult};
-use crate::plan::{plan as plan_query, AccessPath, Database, Plan, StoredRelation};
-use simq_dsp::complex::Complex;
+use crate::plan::{plan as plan_query, AccessPath, Plan};
+use crate::verify::{self, RangeVerifier};
 use simq_obs::slowlog::{SlowEntry, SlowLog};
 use simq_obs::span;
-use simq_series::transform::NormalFormAction;
 #[cfg(test)]
 use simq_storage::SeriesRelation;
 use simq_storage::SeriesRow;
@@ -934,7 +934,7 @@ impl<D: Borrow<Database>> Session<D> {
         let db = self.db();
         let shards = db
             .relation(query.relation())
-            .map_or(0, StoredRelation::shard_count);
+            .map_or(0, |stored| stored.shard_count());
         let shape = &format!("{shape}|shards:{shards}");
         let generation = db.generation();
         {
@@ -1021,7 +1021,7 @@ impl Session<Database> {
         relation: &str,
         name: impl Into<String>,
         series: Vec<f64>,
-    ) -> Result<(crate::plan::InsertReport, ExecStats), QueryError> {
+    ) -> Result<(InsertReport, ExecStats), QueryError> {
         let report = self.db.insert_into(relation, name, series)?;
         let mut inner = self.inner.borrow_mut();
         inner.stats.inserts += 1;
@@ -1047,7 +1047,7 @@ impl Session<Database> {
         &mut self,
         relation: &str,
         rows: Vec<(String, Vec<f64>)>,
-    ) -> Result<(crate::plan::InsertBatchReport, ExecStats), QueryError> {
+    ) -> Result<(InsertBatchReport, ExecStats), QueryError> {
         let report = self.db.insert_batch(relation, rows)?;
         let mut inner = self.inner.borrow_mut();
         inner.stats.inserts += report.acked.len() as u64;
@@ -1100,78 +1100,18 @@ pub struct Cursor<'db> {
     state: CursorState<'db>,
 }
 
-/// Data shared by the streaming range variants.
-struct RangeVerify<'db> {
-    stored: &'db StoredRelation,
-    action: NormalFormAction,
-    window: StatsWindow,
-    q_mean: f64,
-    q_std: f64,
-    q_spec: Vec<Complex>,
-    eps: f64,
-    /// Quantized filter-tier probe (index cursors with the filter on):
-    /// dismisses candidates before their full spectrum is read, yielding
-    /// the exact hit stream either way.
-    probe: Option<simq_storage::FilterProbe>,
-}
-
-impl RangeVerify<'_> {
-    fn window_ok(&self, mean: f64, std_dev: f64) -> bool {
-        let t_mean = self.action.mean_scale * mean + self.action.mean_shift;
-        let t_std = self.action.std_scale * std_dev;
-        self.window
-            .mean
-            .is_none_or(|tol| (t_mean - self.q_mean).abs() <= tol)
-            && self
-                .window
-                .std_dev
-                .is_none_or(|tol| (t_std - self.q_std).abs() <= tol)
-    }
-
-    /// The single-query verification step on one row; `None` when the
-    /// row is filtered out.
-    fn verify(&self, id: u64, stats: &mut ExecStats) -> Option<Hit> {
-        let row = self.stored.row(id).expect("candidate ids are valid");
-        if !self.window_ok(row.features.mean, row.features.std_dev) {
-            return None;
-        }
-        if let (Some(p), Some(sig)) = (&self.probe, self.stored.signature(id)) {
-            if p.dismisses(sig, self.eps * self.eps) {
-                stats.filtered_out += 1;
-                return None;
-            }
-        }
-        let d = exec::exact_distance(
-            &row.features.spectrum,
-            &self.action.multipliers,
-            &self.q_spec,
-            Some(self.eps * self.eps),
-            &mut stats.coefficients_compared,
-        );
-        (d <= self.eps).then(|| Hit {
-            id,
-            name: row.name.clone(),
-            distance: d,
-        })
-    }
-}
-
 enum CursorState<'db> {
-    /// Streaming index descent + per-candidate verification.
+    /// Streaming descent over the relation's forest of trees (shards
+    /// entered lazily, so early termination skips whole shards) +
+    /// per-candidate verification.
     IndexRange {
         stream: simq_index::RangeStream<'db>,
-        verify: RangeVerify<'db>,
-    },
-    /// Streaming descent over a sharded relation's forest of trees
-    /// (shards entered lazily, so early termination skips whole shards).
-    IndexRangeSharded {
-        stream: simq_index::ShardedRangeStream<'db>,
-        verify: RangeVerify<'db>,
+        verify: RangeVerifier<'db>,
     },
     /// Row-at-a-time sequential scan.
     ScanRange {
         rows: std::vec::IntoIter<&'db SeriesRow>,
-        verify: RangeVerify<'db>,
+        verify: RangeVerifier<'db>,
     },
     /// Materialized-at-open results (kNN).
     Buffered(std::vec::IntoIter<Hit>),
@@ -1198,77 +1138,34 @@ impl<'db> Cursor<'db> {
                 let stored = db
                     .relation(relation)
                     .ok_or_else(|| QueryError::UnknownRelation(relation.clone()))?;
-                let n = stored.series_len();
                 let ctx = exec::resolve_query(stored, source, transform, *on_both)?;
-                let action = transform.action(n, n.saturating_sub(1))?;
-                let mut verify = RangeVerify {
-                    stored,
-                    action,
-                    window: *stats_window,
-                    q_mean: ctx.mean,
-                    q_std: ctx.std_dev,
-                    q_spec: ctx.spectrum,
-                    eps: *eps,
-                    probe: None,
-                };
+                let verify = RangeVerifier::new(stored, transform, ctx, *eps, *stats_window)?;
                 let state = match the_plan.access {
                     AccessPath::IndexScan => {
                         // Index cursors consult the quantized tier, exactly
                         // like the materialized index executor. The scan
                         // cursor stays a pure baseline.
-                        if db.filter_enabled() {
-                            verify.probe = Some(simq_storage::FilterProbe::new(
-                                &verify.q_spec,
-                                &verify.action.multipliers,
-                                stored.sig_coeffs(),
-                            ));
-                        }
-                        let scheme = stored.scheme();
-                        let q_point =
-                            scheme.point_from_spectrum(ctx.mean, ctx.std_dev, &verify.q_spec)?;
-                        let rect = if stats_window.is_empty() {
-                            scheme.search_rect(&q_point, exec::pad(*eps))
-                        } else {
-                            scheme.search_rect_with_stats(
-                                &q_point,
-                                exec::pad(*eps),
-                                Some((
-                                    exec::pad(stats_window.mean.unwrap_or(f64::INFINITY)),
-                                    exec::pad(stats_window.std_dev.unwrap_or(f64::INFINITY)),
-                                )),
-                            )
-                        };
-                        let lowered = transform.lower(scheme, n)?;
-                        match stored {
-                            StoredRelation::Single { index, .. } => {
-                                let index = index.as_ref().expect("planned index exists");
-                                let stream = index.range_stream(Some(Box::new(lowered)), rect);
-                                CursorState::IndexRange { stream, verify }
-                            }
-                            StoredRelation::Sharded { indexes, .. } => {
-                                let trees: Vec<&simq_index::RTree> = indexes.iter().collect();
-                                let stream = simq_index::ShardedRangeStream::new(
-                                    trees,
-                                    Some(Box::new(lowered)),
-                                    rect,
-                                );
-                                CursorState::IndexRangeSharded { stream, verify }
-                            }
-                        }
+                        let verify = verify.with_filter(db.filter_enabled());
+                        let rect = verify.search_rect()?;
+                        let lowered = transform.lower(stored.scheme(), stored.series_len())?;
+                        let stream = simq_index::RangeStream::new(
+                            stored.trees(),
+                            Some(Box::new(lowered)),
+                            rect,
+                        );
+                        CursorState::IndexRange { stream, verify }
                     }
-                    AccessPath::SeqScan { .. } => {
-                        let rows: Vec<&SeriesRow> = stored.rows_in_scan_order();
-                        CursorState::ScanRange {
-                            rows: rows.into_iter(),
-                            verify,
-                        }
-                    }
+                    AccessPath::SeqScan { .. } => CursorState::ScanRange {
+                        rows: stored.rows_in_scan_order().into_iter(),
+                        verify,
+                    },
                     _ => unreachable!("range queries plan to IndexScan or SeqScan"),
                 };
                 Ok(Cursor {
                     plan: the_plan,
                     stats: ExecStats {
                         threads_used: 1,
+                        shards_touched: verify::shards_touched(stored),
                         ..ExecStats::default()
                     },
                     state,
@@ -1302,10 +1199,8 @@ impl<'db> Cursor<'db> {
     /// full execution cost, known at open.
     pub fn stats(&self) -> ExecStats {
         let mut stats = self.stats;
-        match &self.state {
-            CursorState::IndexRange { stream, .. } => stats.add_search(stream.stats()),
-            CursorState::IndexRangeSharded { stream, .. } => stats.add_search(stream.stats()),
-            _ => {}
+        if let CursorState::IndexRange { stream, .. } = &self.state {
+            stats.add_search(stream.stats());
         }
         stats
     }
@@ -1315,12 +1210,7 @@ impl<'db> Cursor<'db> {
     /// this returns exactly the hits a materialized execution returns.
     pub fn drain_sorted(&mut self) -> Vec<Hit> {
         let mut hits: Vec<Hit> = self.by_ref().collect();
-        hits.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .expect("finite distances")
-                .then(a.id.cmp(&b.id))
-        });
+        verify::sort_hits(&mut hits);
         hits
     }
 }
@@ -1333,14 +1223,6 @@ impl Iterator for Cursor<'_> {
         let out = match &mut self.state {
             CursorState::Buffered(hits) => hits.next(),
             CursorState::IndexRange { stream, verify } => loop {
-                let Some(id) = stream.next() else { break None };
-                self.stats.candidates += 1;
-                if let Some(hit) = verify.verify(id, &mut self.stats) {
-                    self.stats.verified += 1;
-                    break Some(hit);
-                }
-            },
-            CursorState::IndexRangeSharded { stream, verify } => loop {
                 let Some(id) = stream.next() else { break None };
                 self.stats.candidates += 1;
                 if let Some(hit) = verify.verify(id, &mut self.stats) {

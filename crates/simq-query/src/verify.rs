@@ -1,0 +1,438 @@
+//! Verification — step 3 of Algorithm 2 — and the work ledger, shared by
+//! every execution surface.
+//!
+//! Single-query execution ([`crate::exec`]), batch groups
+//! ([`crate::batch`]) and streaming cursors ([`crate::session`]) all
+//! verify candidates through the stages here: window test → signature
+//! probe → exact distance. This module also owns the serial-or-chunked
+//! dispatch of verification work ([`chunked`]) and the one rule deciding
+//! which counter breakdown a phase is charged to ([`Ledger`]).
+
+use crate::ast::StatsWindow;
+use crate::catalog::StoredRelation;
+use crate::error::QueryError;
+use crate::exec::{ExecStats, Hit, QueryContext, QueryOutput, QueryResult};
+use crate::plan::Plan;
+use simq_dsp::complex::Complex;
+use simq_index::{cmp_distance_id, ForestStats, Neighbor, Rect};
+use simq_series::transform::{NormalFormAction, SeriesTransform};
+use simq_storage::{scan, FilterProbe, ScanFanStats, SeriesRow};
+
+/// Pads a search radius by one part in 10⁹ plus one absolute ulp-scale
+/// nudge. Transformed index coordinates are computed by different
+/// floating-point routes than query coordinates (e.g. `angle + π` vs
+/// `atan2` of the negated coefficient), so an exact-boundary match can
+/// round to either side; the pad keeps such items in the candidate set,
+/// where exact verification decides. Padding never adds false dismissals —
+/// it can only widen the candidate superset of Lemma 1.
+pub(crate) fn pad(radius: f64) -> f64 {
+    radius * (1.0 + 1e-9) + 1e-9
+}
+
+/// Exact squared distance between a row's transformed spectrum and the
+/// query spectrum. With `abandon_over` (a squared bound) the accumulation
+/// stops once the partial sum provably exceeds it and `f64::INFINITY` is
+/// returned — the candidate is outside the range either way; the same
+/// early-abandoning idea the paper applies to sequential scans. Working in
+/// squared distances end to end avoids `sqrt`-roundtrip boundary errors
+/// when a bound is derived from a previously computed distance.
+pub(crate) fn exact_distance_sq(
+    row_spectrum: &[Complex],
+    multipliers: &[Complex],
+    q: &[Complex],
+    abandon_over: Option<f64>,
+    compared: &mut u64,
+) -> f64 {
+    let (d_sq, abandoned) = simq_series::kernel::transformed_distance_sq(
+        row_spectrum,
+        multipliers,
+        q,
+        abandon_over,
+        compared,
+    );
+    if abandoned {
+        f64::INFINITY
+    } else {
+        d_sq
+    }
+}
+
+/// The deterministic `(distance, id)` hit order of every query form.
+pub(crate) fn sort_hits(hits: &mut [Hit]) {
+    hits.sort_by(|a, b| cmp_distance_id((a.distance, a.id), (b.distance, b.id)));
+}
+
+/// What `ExecStats::shards_touched` reports for a query over `stored`:
+/// the store count when the relation has more than one store, 0 otherwise.
+pub(crate) fn shards_touched(stored: &StoredRelation) -> u64 {
+    match stored.stores().len() {
+        0 | 1 => 0,
+        n => n as u64,
+    }
+}
+
+/// The quantized-tier probe of one verification stage, when the filter is
+/// on.
+fn compile_probe(
+    stored: &StoredRelation,
+    filter: bool,
+    q_spec: &[Complex],
+    multipliers: &[Complex],
+) -> Option<FilterProbe> {
+    filter.then(|| FilterProbe::new(q_spec, multipliers, stored.sig_coeffs()))
+}
+
+/// The range verifier: everything one range query needs to decide a
+/// candidate row, resolved once.
+pub(crate) struct RangeVerifier<'db> {
+    stored: &'db StoredRelation,
+    /// The transformation's action on normal-form spectra and statistics.
+    pub(crate) action: NormalFormAction,
+    /// The GK95 MEAN/STD window.
+    pub(crate) window: StatsWindow,
+    /// The comparison spectrum and the query series' statistics.
+    pub(crate) ctx: QueryContext,
+    /// The distance threshold.
+    pub(crate) eps: f64,
+    probe: Option<FilterProbe>,
+}
+
+impl<'db> RangeVerifier<'db> {
+    /// Resolves the transformation's action for `stored`'s series length.
+    pub(crate) fn new(
+        stored: &'db StoredRelation,
+        transform: &SeriesTransform,
+        ctx: QueryContext,
+        eps: f64,
+        window: StatsWindow,
+    ) -> Result<Self, QueryError> {
+        let n = stored.series_len();
+        Ok(RangeVerifier {
+            stored,
+            action: transform.action(n, n.saturating_sub(1))?,
+            window,
+            ctx,
+            eps,
+            probe: None,
+        })
+    }
+
+    /// Puts the quantized signature tier ahead of the exact distance (the
+    /// index paths, when the database's filter is on): one probe per
+    /// query, one flat-array lookup per candidate. Dismissal needs
+    /// `lb² > ε²`, which (the bound being a true lower bound) implies the
+    /// exact distance also exceeds ε — the candidate could never have
+    /// become a hit.
+    pub(crate) fn with_filter(mut self, filter: bool) -> Self {
+        self.probe = compile_probe(
+            self.stored,
+            filter,
+            &self.ctx.spectrum,
+            &self.action.multipliers,
+        );
+        self
+    }
+
+    /// The search rectangle around the features of the comparison
+    /// spectrum; statistics dimensions are unbounded unless a MEAN/STD
+    /// window constrains them.
+    pub(crate) fn search_rect(&self) -> Result<Rect, QueryError> {
+        let scheme = self.stored.scheme();
+        let q_point =
+            scheme.point_from_spectrum(self.ctx.mean, self.ctx.std_dev, &self.ctx.spectrum)?;
+        Ok(if self.window.is_empty() {
+            scheme.search_rect(&q_point, pad(self.eps))
+        } else {
+            scheme.search_rect_with_stats(
+                &q_point,
+                pad(self.eps),
+                Some((
+                    pad(self.window.mean.unwrap_or(f64::INFINITY)),
+                    pad(self.window.std_dev.unwrap_or(f64::INFINITY)),
+                )),
+            )
+        })
+    }
+
+    /// The GK95 window test on the *transformed* row statistics —
+    /// consistent with the index traversal, which applies the lowered
+    /// affine to the statistics dimensions too.
+    pub(crate) fn window_ok(&self, row: &SeriesRow) -> bool {
+        let t_mean = self.action.mean_scale * row.features.mean + self.action.mean_shift;
+        let t_std = self.action.std_scale * row.features.std_dev;
+        self.window
+            .mean
+            .is_none_or(|tol| (t_mean - self.ctx.mean).abs() <= tol)
+            && self
+                .window
+                .std_dev
+                .is_none_or(|tol| (t_std - self.ctx.std_dev).abs() <= tol)
+    }
+
+    /// Verifies one candidate: window test → signature probe → exact
+    /// distance. `None` when the row is not a hit.
+    pub(crate) fn verify(&self, id: u64, stats: &mut ExecStats) -> Option<Hit> {
+        let row = self.stored.row(id).expect("candidate ids are valid");
+        if !self.window_ok(row) {
+            return None;
+        }
+        let eps_sq = self.eps * self.eps;
+        if let (Some(p), Some(sig)) = (&self.probe, self.stored.signature(id)) {
+            if p.dismisses(sig, eps_sq) {
+                stats.filtered_out += 1;
+                return None;
+            }
+        }
+        let d = exact_distance_sq(
+            &row.features.spectrum,
+            &self.action.multipliers,
+            &self.ctx.spectrum,
+            Some(eps_sq),
+            &mut stats.coefficients_compared,
+        )
+        .sqrt();
+        (d <= self.eps).then(|| Hit {
+            id,
+            name: row.name.clone(),
+            distance: d,
+        })
+    }
+}
+
+/// Exact distances of the step-1 candidates of a two-step kNN: the
+/// largest (squared) bounds the step-2 range query that yields every
+/// possible better row. Returns it with the coefficients compared.
+pub(crate) fn knn_radius_sq(
+    stored: &StoredRelation,
+    step1: &[Neighbor],
+    multipliers: &[Complex],
+    q_spec: &[Complex],
+) -> (f64, u64) {
+    let mut radius_sq = 0.0f64;
+    let mut compared = 0u64;
+    for nb in step1 {
+        let row = stored.row(nb.id).expect("index ids are valid");
+        let d_sq = exact_distance_sq(
+            &row.features.spectrum,
+            multipliers,
+            q_spec,
+            None,
+            &mut compared,
+        );
+        radius_sq = radius_sq.max(d_sq);
+    }
+    (radius_sq, compared)
+}
+
+/// The kNN verifier: decides step-2 candidates against the step-2 radius.
+pub(crate) struct KnnVerifier<'a> {
+    stored: &'a StoredRelation,
+    multipliers: &'a [Complex],
+    q_spec: &'a [Complex],
+    radius_sq: f64,
+    probe: Option<FilterProbe>,
+}
+
+impl<'a> KnnVerifier<'a> {
+    /// A verifier against `radius_sq`; with `filter`, a candidate whose
+    /// signature lower bound exceeds the radius — and so can never enter
+    /// the final top-k — is dismissed before its spectrum is read.
+    pub(crate) fn new(
+        stored: &'a StoredRelation,
+        multipliers: &'a [Complex],
+        q_spec: &'a [Complex],
+        radius_sq: f64,
+        filter: bool,
+    ) -> Self {
+        KnnVerifier {
+            stored,
+            multipliers,
+            q_spec,
+            radius_sq,
+            probe: compile_probe(stored, filter, q_spec, multipliers),
+        }
+    }
+
+    /// Verifies one candidate: signature probe → exact distance.
+    pub(crate) fn verify(&self, id: u64, stats: &mut ExecStats) -> Option<Hit> {
+        if let (Some(p), Some(sig)) = (&self.probe, self.stored.signature(id)) {
+            if p.dismisses(sig, self.radius_sq) {
+                stats.filtered_out += 1;
+                return None;
+            }
+        }
+        let row = self.stored.row(id).expect("index ids are valid");
+        let d_sq = exact_distance_sq(
+            &row.features.spectrum,
+            self.multipliers,
+            self.q_spec,
+            Some(self.radius_sq),
+            &mut stats.coefficients_compared,
+        );
+        d_sq.is_finite().then(|| Hit {
+            id,
+            name: row.name.clone(),
+            distance: d_sq.sqrt(),
+        })
+    }
+}
+
+/// The serial-or-chunked dispatch: runs `work` over contiguous chunks of
+/// `items` on scoped worker threads when the thread budget allows and
+/// there is enough to split, otherwise once on the calling thread. Results
+/// come back in chunk order.
+pub(crate) fn chunked<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    work: impl Fn(&[T]) -> R + Sync,
+) -> Vec<R> {
+    let chunks: Vec<&[T]> = if threads <= 1 || items.len() < 2 * threads {
+        vec![items]
+    } else {
+        scan::chunk_bounds(items.len(), threads)
+            .into_iter()
+            .map(|(lo, hi)| &items[lo..hi])
+            .collect()
+    };
+    scan::fan(&chunks, |chunk| work(chunk))
+}
+
+/// Verifies `candidates` through [`chunked`]: the hits in candidate order
+/// and each worker's counters (coefficients compared, rows filtered out).
+pub(crate) fn verify_all(
+    candidates: &[u64],
+    threads: usize,
+    verify: impl Fn(u64, &mut ExecStats) -> Option<Hit> + Sync,
+) -> (Vec<Hit>, Vec<ExecStats>) {
+    let chunks = chunked(candidates, threads, |ids| {
+        let mut stats = ExecStats::default();
+        let hits: Vec<Hit> = ids
+            .iter()
+            .filter_map(|&id| verify(id, &mut stats))
+            .collect();
+        (hits, stats)
+    });
+    let mut hits = Vec::new();
+    let mut work = Vec::with_capacity(chunks.len());
+    for (chunk_hits, stats) in chunks {
+        if hits.is_empty() {
+            hits = chunk_hits;
+        } else {
+            hits.extend(chunk_hits);
+        }
+        work.push(stats);
+    }
+    (hits, work)
+}
+
+/// Folds one phase's per-unit counters into a breakdown vector.
+fn fold<T>(per: &mut Vec<ExecStats>, phase: &[T], add: impl Fn(&mut ExecStats, &T)) {
+    if per.len() < phase.len() {
+        per.resize(phase.len(), ExecStats::default());
+    }
+    for (acc, s) in per.iter_mut().zip(phase) {
+        add(acc, s);
+    }
+}
+
+/// The counters of one execution — merged totals plus the per-thread and
+/// per-shard breakdowns, which always *partition* the totals — and the one
+/// rule for which breakdown a phase is charged to:
+///
+/// * a phase over the relation's forest of stores / trees is charged
+///   **per shard** when the relation has more than one store, else **per
+///   thread** (when the plan has more than one thread; a serial unsharded
+///   execution reports no breakdowns). Single-store relations keep
+///   `shards_touched = 0` and an empty `per_shard`;
+/// * work that has no shard affinity (verification of merged candidate
+///   lists, the k-NN radius, pair work that crosses shards) is charged per
+///   thread whenever it fanned out — or on the calling thread, to entry 0,
+///   as soon as any breakdown exists, so the shares keep summing to the
+///   totals.
+pub(crate) struct Ledger {
+    /// The merged totals.
+    pub(crate) stats: ExecStats,
+    per_thread: Vec<ExecStats>,
+    per_shard: Vec<ExecStats>,
+    sharded: bool,
+    threads: usize,
+    /// The widest per-thread fan-out any phase reached.
+    widest: usize,
+}
+
+impl Ledger {
+    /// An empty ledger for a query over `stored` planned at `threads`.
+    pub(crate) fn new(stored: &StoredRelation, threads: usize) -> Self {
+        let shards_touched = shards_touched(stored);
+        Ledger {
+            stats: ExecStats {
+                shards_touched,
+                ..ExecStats::default()
+            },
+            per_thread: Vec::new(),
+            per_shard: Vec::new(),
+            sharded: shards_touched > 0,
+            threads,
+            widest: 1,
+        }
+    }
+
+    /// Charges a phase over the forest (both partitions of the same run).
+    fn forest<T>(&mut self, per_thread: &[T], per_shard: &[T], add: impl Fn(&mut ExecStats, &T)) {
+        self.widest = self.widest.max(per_thread.len());
+        if self.sharded {
+            fold(&mut self.per_shard, per_shard, add);
+        } else if self.threads > 1 {
+            fold(&mut self.per_thread, per_thread, add);
+        }
+    }
+
+    /// Charges an index traversal.
+    pub(crate) fn search(&mut self, s: &ForestStats) {
+        self.stats.add_search(&s.merged);
+        self.forest(&s.per_thread, &s.per_shard, ExecStats::add_search);
+    }
+
+    /// Charges a sequential scan.
+    pub(crate) fn scan(&mut self, s: &ScanFanStats) {
+        self.stats.add_scan(&s.merged);
+        self.forest(&s.per_thread, &s.per_shard, ExecStats::add_scan);
+    }
+
+    /// Charges work without shard affinity, one entry per worker that
+    /// carried it (one entry = the calling thread).
+    pub(crate) fn workers<T>(&mut self, per_worker: &[T], add: impl Fn(&mut ExecStats, &T)) {
+        self.widest = self.widest.max(per_worker.len());
+        for w in per_worker {
+            add(&mut self.stats, w);
+        }
+        if per_worker.len() > 1 || !self.per_thread.is_empty() || !self.per_shard.is_empty() {
+            fold(&mut self.per_thread, per_worker, add);
+        }
+    }
+
+    /// Charges a [`verify_all`] phase.
+    pub(crate) fn verified(&mut self, work: &[ExecStats]) {
+        self.stats.filtered_out += work.iter().map(|w| w.filtered_out).sum::<u64>();
+        self.workers(work, |acc, w| {
+            acc.coefficients_compared += w.coefficients_compared
+        });
+    }
+
+    /// Closes the ledger into a result.
+    pub(crate) fn finish(mut self, output: QueryOutput, plan: &Plan) -> QueryResult {
+        self.stats.verified = match &output {
+            QueryOutput::Hits(hits) => hits.len() as u64,
+            QueryOutput::Pairs(pairs) => pairs.len() as u64,
+            _ => 0,
+        };
+        self.stats.threads_used = self.widest.max(self.per_thread.len()) as u64;
+        QueryResult {
+            output,
+            plan: plan.clone(),
+            stats: self.stats,
+            per_thread: self.per_thread,
+            per_shard: self.per_shard,
+        }
+    }
+}

@@ -62,14 +62,10 @@ pub use multi::{
 };
 pub use relation::{SeriesRelation, SeriesRow};
 pub use scan::{
-    scan_all_pairs, scan_all_pairs_parallel, scan_all_pairs_two, scan_all_pairs_two_parallel,
-    scan_knn, scan_knn_parallel, scan_range, scan_range_parallel, ParallelScanStats, ScanHit,
-    ScanStats,
+    scan_all_pairs, scan_all_pairs_over, scan_all_pairs_two, scan_knn, scan_knn_over, scan_range,
+    scan_range_over, ScanFanStats, ScanHit, ScanStats,
 };
-pub use shard::{
-    scan_all_pairs_two_sharded, scan_knn_sharded, scan_range_sharded, ShardLayout, ShardedRelation,
-    ShardedScanStats,
-};
+pub use shard::{ShardLayout, ShardedRelation};
 pub use sig::{FilterProbe, SignatureArray, SIG_COEFFS};
 pub use snapshot::{SnapshotEntry, SnapshotError, SnapshotRelation, SnapshotSource};
 pub use wal::{WalRecord, WalReplay};

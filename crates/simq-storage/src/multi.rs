@@ -16,7 +16,7 @@
 //! counted.
 
 use crate::relation::SeriesRelation;
-use crate::scan::{chunk_bounds, transformed_distance_sq, ScanHit, ScanStats};
+use crate::scan::{chunk_bounds, nearest_k, transformed_distance_sq, ScanHit, ScanStats};
 use simq_dsp::complex::Complex;
 use simq_series::error::SeriesError;
 use simq_series::transform::SeriesTransform;
@@ -64,7 +64,7 @@ impl MultiScanStats {
 /// (the batched sibling of [`crate::scan::scan_range`], early-abandoning
 /// at each query's own `eps²`). With `threads > 1` the row range is split
 /// into contiguous chunks exactly like
-/// [`crate::scan::scan_range_parallel`], so hit order per query is the
+/// [`crate::scan::scan_range_over`], so hit order per query is the
 /// serial row order either way.
 ///
 /// # Errors
@@ -150,7 +150,7 @@ pub fn scan_range_multi(
         for (acc, hits) in out.iter_mut().zip(local_out) {
             acc.extend(hits);
         }
-        merge_stats(&mut stats, &local);
+        stats.add(&local);
     }
     Ok((out, stats))
 }
@@ -234,30 +234,29 @@ pub fn scan_knn_multi(
             for (acc, hits) in out.iter_mut().zip(local_out) {
                 acc.extend(hits);
             }
-            merge_stats(&mut stats, &local);
+            stats.add(&local);
         }
     }
-    for (qi, q) in queries.iter().enumerate() {
-        out[qi].sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .expect("finite distances")
-                .then(a.id.cmp(&b.id))
-        });
-        out[qi].truncate(q.k);
-    }
+    let out = out
+        .into_iter()
+        .zip(queries)
+        .map(|(hits, q)| nearest_k(hits, q.k))
+        .collect();
     Ok((out, stats))
 }
 
-fn merge_stats(acc: &mut MultiScanStats, other: &MultiScanStats) {
-    let add = |a: &mut ScanStats, b: &ScanStats| {
-        a.rows_scanned += b.rows_scanned;
-        a.coefficients_compared += b.coefficients_compared;
-        a.early_abandoned += b.early_abandoned;
-    };
-    add(&mut acc.merged, &other.merged);
-    for (a, b) in acc.per_query.iter_mut().zip(&other.per_query) {
-        add(a, b);
+impl MultiScanStats {
+    /// Accumulates another pass (component-wise; `per_query` is matched
+    /// by index).
+    pub fn add(&mut self, other: &MultiScanStats) {
+        self.merged.add(&other.merged);
+        if self.per_query.len() < other.per_query.len() {
+            self.per_query
+                .resize(other.per_query.len(), ScanStats::default());
+        }
+        for (a, b) in self.per_query.iter_mut().zip(&other.per_query) {
+            a.add(b);
+        }
     }
 }
 

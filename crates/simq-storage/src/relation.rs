@@ -248,6 +248,11 @@ impl SeriesRelation {
         self.rows.iter()
     }
 
+    /// The rows as a slice, in insertion order (what the scans chunk).
+    pub(crate) fn row_slice(&self) -> &[SeriesRow] {
+        &self.rows
+    }
+
     /// The stored normal-form spectrum of a row.
     pub fn spectrum(&self, id: u64) -> Option<&[Complex]> {
         self.row(id).map(|r| r.features.spectrum.as_slice())

@@ -14,11 +14,23 @@
 //!
 //! Both operate on stored normal-form spectra; distances equal time-domain
 //! normal-form distances by Parseval.
+//!
+//! [`scan_range`] and [`scan_knn`] are the serial single-store kernels —
+//! and the oracle every other path is tested against. The `*_over` entry
+//! points run the same per-row code over a slice of stores (one per
+//! relation shard; an unsharded relation is a slice of one) on a thread
+//! budget: the stores' rows, taken store after store, are split into
+//! contiguous spans, one per worker, so hit order is the serial row order
+//! and every distance is computed by exactly the serial code on the same
+//! operands — only the schedule differs. Work counters come back merged,
+//! per worker thread and per store.
 
-use crate::relation::SeriesRelation;
+use crate::relation::{SeriesRelation, SeriesRow};
 use simq_dsp::complex::Complex;
+use simq_index::knn::{cmp_distance_id, AtomicF64Min, LocalKth};
 use simq_series::error::SeriesError;
 use simq_series::transform::SeriesTransform;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Work counters for scans, comparable with index search statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,6 +41,54 @@ pub struct ScanStats {
     pub coefficients_compared: u64,
     /// Rows abandoned before the full distance was computed.
     pub early_abandoned: u64,
+}
+
+impl ScanStats {
+    /// Component-wise accumulation.
+    pub fn add(&mut self, other: &ScanStats) {
+        self.rows_scanned += other.rows_scanned;
+        self.coefficients_compared += other.coefficients_compared;
+        self.early_abandoned += other.early_abandoned;
+    }
+}
+
+/// Work counters of one scan over a slice of stores, partitioned two ways
+/// by the same run: per worker thread and per store. Each non-empty
+/// partition sums to `merged`.
+#[derive(Debug, Clone, Default)]
+pub struct ScanFanStats {
+    /// Totals — comparable with the serial single-store counters.
+    pub merged: ScanStats,
+    /// One entry per worker thread.
+    pub per_thread: Vec<ScanStats>,
+    /// One entry per store, in slice order (empty for the pair scans,
+    /// whose row pairs cross stores).
+    pub per_shard: Vec<ScanStats>,
+}
+
+impl ScanFanStats {
+    /// Builds both partitions from each worker's per-store counters.
+    fn from_workers(shards: usize, mut workers: Vec<Vec<ScanStats>>) -> Self {
+        let sum = |parts: &[ScanStats]| {
+            let mut total = ScanStats::default();
+            parts.iter().for_each(|s| total.add(s));
+            total
+        };
+        let per_thread: Vec<ScanStats> = workers.iter().map(|w| sum(w)).collect();
+        let mut per_shard = workers
+            .pop()
+            .unwrap_or_else(|| vec![ScanStats::default(); shards]);
+        for worker in &workers {
+            for (acc, s) in per_shard.iter_mut().zip(worker) {
+                acc.add(s);
+            }
+        }
+        ScanFanStats {
+            merged: sum(&per_thread),
+            per_thread,
+            per_shard,
+        }
+    }
 }
 
 /// Pairs produced by all-pairs scans: `(id_a, id_b, distance)` with
@@ -49,6 +109,14 @@ pub struct ScanHit {
     pub distance: f64,
 }
 
+/// The deterministic `(distance, id)` order of kNN scan results, first
+/// `k` kept — also how per-store top-`k` lists merge into a relation's.
+pub fn nearest_k(mut hits: Vec<ScanHit>, k: usize) -> Vec<ScanHit> {
+    hits.sort_by(|a, b| cmp_distance_id((a.distance, a.id), (b.distance, b.id)));
+    hits.truncate(k);
+    hits
+}
+
 /// Exact distance between a transformed spectrum and a query spectrum,
 /// given the precomputed multipliers (frequency 0 is compared untouched —
 /// normal forms have zero DC). Delegates to the shared chunked flat-slice
@@ -63,6 +131,120 @@ pub(crate) fn transformed_distance_sq(
     compared: &mut u64,
 ) -> (f64, bool) {
     simq_series::kernel::transformed_distance_sq(spectrum, multipliers, query, abandon_at, compared)
+}
+
+/// Splits `n` work items into at most `threads` contiguous, non-empty
+/// `[lo, hi)` chunks (shared by the scans here and the verification
+/// phases in `simq-query`).
+pub fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
+    let threads = threads.max(1).min(n.max(1));
+    let chunk = n.div_ceil(threads);
+    (0..threads)
+        .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
+        .filter(|(lo, hi)| lo < hi)
+        .collect()
+}
+
+/// One worker's share of a scan over several stores: `(store index, rows)`
+/// runs, contiguous in the store-after-store row order.
+type Span<'a> = Vec<(usize, &'a [SeriesRow])>;
+
+/// Splits the rows of `stores`, taken store after store, into at most
+/// `threads` contiguous spans.
+fn spans(stores: &[SeriesRelation], threads: usize) -> Vec<Span<'_>> {
+    let total = stores.iter().map(SeriesRelation::len).sum();
+    chunk_bounds(total, threads)
+        .into_iter()
+        .map(|(lo, hi)| {
+            let mut span = Vec::new();
+            let mut base = 0;
+            for (shard, store) in stores.iter().enumerate() {
+                let rows = store.row_slice();
+                let (a, b) = (lo.max(base), hi.min(base + rows.len()));
+                if a < b {
+                    span.push((shard, &rows[a - base..b - base]));
+                }
+                base += rows.len();
+            }
+            span
+        })
+        .collect()
+}
+
+/// Runs `work` once per unit — on the calling thread when there is at most
+/// one, on one scoped thread each otherwise — returning results in unit
+/// order (shared by the scans here and the verification phases in
+/// `simq-query`).
+pub fn fan<U: Sync, T: Send>(units: &[U], work: impl Fn(&U) -> T + Sync) -> Vec<T> {
+    if units.len() <= 1 {
+        return units.iter().map(work).collect();
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = units
+            .iter()
+            .map(|unit| {
+                let work = &work;
+                scope.spawn(move || work(unit))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    })
+}
+
+/// Concatenates the workers' hit lists (in worker order) and collects their
+/// per-store counters.
+fn gather(workers: Vec<(Vec<ScanHit>, Vec<ScanStats>)>) -> (Vec<ScanHit>, Vec<Vec<ScanStats>>) {
+    let mut hits = Vec::new();
+    let mut stats = Vec::with_capacity(workers.len());
+    for (worker_hits, worker_stats) in workers {
+        if hits.is_empty() {
+            hits = worker_hits;
+        } else {
+            hits.extend(worker_hits);
+        }
+        stats.push(worker_stats);
+    }
+    (hits, stats)
+}
+
+/// The series length shared by every store of a relation.
+fn series_len_of(stores: &[SeriesRelation]) -> usize {
+    stores.first().map_or(0, SeriesRelation::series_len)
+}
+
+/// The range-scan kernel: every row of `rows` within `eps` of the query.
+fn range_rows(
+    rows: &[SeriesRow],
+    multipliers: &[Complex],
+    query_spectrum: &[Complex],
+    eps: f64,
+    limit: Option<f64>,
+    hits: &mut Vec<ScanHit>,
+    stats: &mut ScanStats,
+) {
+    for row in rows {
+        stats.rows_scanned += 1;
+        let (d_sq, abandoned) = transformed_distance_sq(
+            &row.features.spectrum,
+            multipliers,
+            query_spectrum,
+            limit,
+            &mut stats.coefficients_compared,
+        );
+        if abandoned {
+            stats.early_abandoned += 1;
+            continue;
+        }
+        if d_sq.sqrt() <= eps {
+            hits.push(ScanHit {
+                id: row.id,
+                distance: d_sq.sqrt(),
+            });
+        }
+    }
 }
 
 /// Range query by sequential scan over the frequency-domain relation.
@@ -86,28 +268,68 @@ pub fn scan_range(
     let action = transform.action(n, n.saturating_sub(1))?;
     let mut hits = Vec::new();
     let mut stats = ScanStats::default();
-    let limit = early_abandon.then_some(eps * eps);
-    for row in relation.rows() {
-        stats.rows_scanned += 1;
-        let (d_sq, abandoned) = transformed_distance_sq(
-            &row.features.spectrum,
-            &action.multipliers,
-            query_spectrum,
-            limit,
-            &mut stats.coefficients_compared,
-        );
-        if abandoned {
-            stats.early_abandoned += 1;
-            continue;
-        }
-        if d_sq.sqrt() <= eps {
-            hits.push(ScanHit {
-                id: row.id,
-                distance: d_sq.sqrt(),
-            });
-        }
-    }
+    range_rows(
+        relation.row_slice(),
+        &action.multipliers,
+        query_spectrum,
+        eps,
+        early_abandon.then_some(eps * eps),
+        &mut hits,
+        &mut stats,
+    );
     Ok((hits, stats))
+}
+
+/// [`scan_range`] over a slice of stores on up to `threads` threads: hits
+/// come back in store-after-store row order, identical to scanning each
+/// store serially in turn.
+///
+/// # Errors
+/// Transformation-domain errors.
+pub fn scan_range_over(
+    stores: &[SeriesRelation],
+    transform: &SeriesTransform,
+    query_spectrum: &[Complex],
+    eps: f64,
+    early_abandon: bool,
+    threads: usize,
+) -> Result<(Vec<ScanHit>, ScanFanStats), SeriesError> {
+    let n = series_len_of(stores);
+    let action = transform.action(n, n.saturating_sub(1))?;
+    let limit = early_abandon.then_some(eps * eps);
+    let workers = fan(&spans(stores, threads), |span| {
+        let mut hits = Vec::new();
+        let mut stats = vec![ScanStats::default(); stores.len()];
+        for &(shard, rows) in span {
+            range_rows(
+                rows,
+                &action.multipliers,
+                query_spectrum,
+                eps,
+                limit,
+                &mut hits,
+                &mut stats[shard],
+            );
+        }
+        (hits, stats)
+    });
+    let (hits, stats) = gather(workers);
+    Ok((hits, ScanFanStats::from_workers(stores.len(), stats)))
+}
+
+/// The rows of a relation's stores in the unsharded scan order: a single
+/// store's insertion order, several stores' rows flattened in id order.
+/// The two coincide for sequentially built relations; a relation
+/// assembled with out-of-order explicit-id inserts loses its global
+/// insertion order on sharding (rows keep only their per-shard relative
+/// order), so for such relations the sharded↔unsharded equivalence holds
+/// against the id-ordered scan.
+pub fn rows_in_scan_order(stores: &[SeriesRelation]) -> Vec<&SeriesRow> {
+    let mut rows: Vec<&SeriesRow> = stores.iter().flat_map(SeriesRelation::rows).collect();
+    if stores.len() > 1 {
+        rows.sort_by_key(|r| r.id);
+    }
+    rows
 }
 
 /// All-pairs query by nested-loop scan: every unordered pair `(i, j)`,
@@ -141,50 +363,78 @@ pub fn scan_all_pairs_two(
     eps: f64,
     early_abandon: bool,
 ) -> Result<(PairList, ScanStats), SeriesError> {
-    let rows: Vec<_> = relation.rows().collect();
-    scan_all_pairs_rows(
-        &rows,
-        relation.series_len(),
-        left,
-        right,
-        eps,
-        early_abandon,
-    )
+    let stores = std::slice::from_ref(relation);
+    let (pairs, stats) = scan_all_pairs_over(stores, left, right, eps, early_abandon, 1)?;
+    Ok((pairs, stats.merged))
 }
 
-/// [`scan_all_pairs_two`] over an explicit row list (the sharded path
-/// hands in the shards' rows flattened in id order; the relation path
-/// hands in its insertion order). Pairs are emitted as
-/// `(rows[i].id, rows[j].id)` with `i < j` in the given order.
+/// [`scan_all_pairs_two`] over a slice of stores on up to `threads`
+/// threads. A single store scans in its insertion order; several stores
+/// scan with their rows flattened in id order — the scan order of every
+/// sequentially built relation, so sharded output is bitwise identical to
+/// unsharded. Pair work crosses stores, so threads claim outer rows from a
+/// shared cursor (the triangular inner loop makes static chunks
+/// unbalanced) and the per-row pair lists are reassembled in row order,
+/// reproducing the serial output exactly; the stats carry per-thread
+/// shares only.
 ///
 /// # Errors
 /// Transformation-domain errors.
-pub(crate) fn scan_all_pairs_rows(
-    rows: &[&crate::relation::SeriesRow],
-    series_len: usize,
+pub fn scan_all_pairs_over(
+    stores: &[SeriesRelation],
     left: &SeriesTransform,
     right: &SeriesTransform,
     eps: f64,
     early_abandon: bool,
-) -> Result<(PairList, ScanStats), SeriesError> {
-    let ctx = PairScan::prepare_rows(rows, series_len, left, right, eps, early_abandon)?;
-    let mut out = Vec::new();
-    let mut stats = ScanStats::default();
-    for i in 0..rows.len() {
-        stats.rows_scanned += 1;
-        for j in (i + 1)..rows.len() {
-            if let Some(d) = ctx.pair_distance(i, j, &mut stats) {
-                out.push((rows[i].id, rows[j].id, d));
+    threads: usize,
+) -> Result<(PairList, ScanFanStats), SeriesError> {
+    let rows = rows_in_scan_order(stores);
+    let ctx = PairScan::prepare(
+        &rows,
+        series_len_of(stores),
+        left,
+        right,
+        eps,
+        early_abandon,
+    )?;
+    let cursor = AtomicUsize::new(0);
+    let workers: Vec<usize> = (0..threads.max(1).min(rows.len().max(1))).collect();
+    let claimed: Vec<(Vec<RowPairs>, ScanStats)> = fan(&workers, |_| {
+        let mut stats = ScanStats::default();
+        let mut produced: Vec<RowPairs> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= rows.len() {
+                break;
+            }
+            stats.rows_scanned += 1;
+            let mut local = Vec::new();
+            for j in (i + 1)..rows.len() {
+                if let Some(d) = ctx.pair_distance(i, j, &mut stats) {
+                    local.push((rows[i].id, rows[j].id, d));
+                }
+            }
+            if !local.is_empty() {
+                produced.push((i, local));
             }
         }
+        (produced, stats)
+    });
+
+    let mut grouped: Vec<RowPairs> = Vec::new();
+    let mut stats = ScanFanStats::default();
+    for (produced, s) in claimed {
+        grouped.extend(produced);
+        stats.merged.add(&s);
+        stats.per_thread.push(s);
     }
+    grouped.sort_by_key(|(i, _)| *i);
+    let out: PairList = grouped.into_iter().flat_map(|(_, v)| v).collect();
     Ok((out, stats))
 }
 
-/// Shared machinery of the serial and parallel all-pairs scans: the
-/// per-side pre-transformed spectra and the per-pair predicate live in one
-/// place so the two paths cannot drift numerically (their exact equality
-/// is a documented guarantee).
+/// The per-side pre-transformed spectra and the per-pair predicate of the
+/// all-pairs scan.
 struct PairScan {
     lefts: Vec<Vec<Complex>>,
     /// Empty when the join is symmetric (`lefts` serves both sides).
@@ -199,8 +449,8 @@ impl PairScan {
     /// Computes both transformation actions and pre-transforms every
     /// stored spectrum once per side (the scan reads each row many
     /// times).
-    fn prepare_rows(
-        rows: &[&crate::relation::SeriesRow],
+    fn prepare(
+        rows: &[&SeriesRow],
         series_len: usize,
         left: &SeriesTransform,
         right: &SeriesTransform,
@@ -305,344 +555,86 @@ pub fn scan_knn(
             distance: d_sq.sqrt(),
         });
     }
-    all.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite distances")
-            .then(a.id.cmp(&b.id))
-    });
-    all.truncate(k);
-    Ok((all, stats))
+    Ok((nearest_k(all, k), stats))
 }
 
-/// Work counters of one parallel scan: merged totals plus each worker
-/// thread's share.
-#[derive(Debug, Clone, Default)]
-pub struct ParallelScanStats {
-    /// Totals across all threads — comparable with the serial counters.
-    pub merged: ScanStats,
-    /// One entry per worker thread.
-    pub per_thread: Vec<ScanStats>,
-}
-
-impl ParallelScanStats {
-    fn from_workers(workers: Vec<ScanStats>) -> Self {
-        let mut merged = ScanStats::default();
-        for w in &workers {
-            merged.rows_scanned += w.rows_scanned;
-            merged.coefficients_compared += w.coefficients_compared;
-            merged.early_abandoned += w.early_abandoned;
-        }
-        ParallelScanStats {
-            merged,
-            per_thread: workers,
-        }
-    }
-}
-
-/// Splits `n` work items into at most `threads` contiguous, non-empty
-/// `[lo, hi)` chunks (shared by the parallel scans here and the parallel
-/// verification phases in `simq-query`).
-pub fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
-    let threads = threads.max(1).min(n.max(1));
-    let chunk = n.div_ceil(threads);
-    (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect()
-}
-
-/// Parallel [`scan_range`]: contiguous row chunks are scanned by
-/// independent threads, so the concatenated hit list preserves the serial
-/// row order and every distance is computed by exactly the serial code.
+/// [`scan_knn`] over a slice of stores on up to `threads` threads.
+///
+/// On one thread each store runs the exact [`scan_knn`] and the per-store
+/// top-`k` lists merge by `(distance, id)` — any global top-`k` row is in
+/// its store's top-`k`, so the merge loses nothing. On more, every worker
+/// scans its span keeping the rows not provably outside its local top-`k`
+/// (ties included); the `k`-th best distance any worker has seen is
+/// published to a shared atomic bound, letting *every* worker abandon a
+/// row as soon as its partial sum provably exceeds the global `k`-th
+/// best. Rows abandoned this way are strictly worse than `k` already-found
+/// rows, so the merged, `(distance, id)`-sorted, truncated result equals
+/// the serial scan exactly — while comparing far fewer coefficients.
 ///
 /// # Errors
 /// Transformation-domain errors.
-pub fn scan_range_parallel(
-    relation: &SeriesRelation,
-    transform: &SeriesTransform,
-    query_spectrum: &[Complex],
-    eps: f64,
-    early_abandon: bool,
-    threads: usize,
-) -> Result<(Vec<ScanHit>, ParallelScanStats), SeriesError> {
-    let n = relation.series_len();
-    let action = transform.action(n, n.saturating_sub(1))?;
-    let rows: Vec<&crate::relation::SeriesRow> = relation.rows().collect();
-    let limit = early_abandon.then_some(eps * eps);
-    let bounds = chunk_bounds(rows.len(), threads);
-    if bounds.len() <= 1 {
-        let (hits, stats) = scan_range(relation, transform, query_spectrum, eps, early_abandon)?;
-        return Ok((hits, ParallelScanStats::from_workers(vec![stats])));
-    }
-    let workers: Vec<(Vec<ScanHit>, ScanStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(lo, hi)| {
-                let rows = &rows[lo..hi];
-                let action = &action;
-                scope.spawn(move || {
-                    let mut hits = Vec::new();
-                    let mut stats = ScanStats::default();
-                    for row in rows {
-                        stats.rows_scanned += 1;
-                        let (d_sq, abandoned) = transformed_distance_sq(
-                            &row.features.spectrum,
-                            &action.multipliers,
-                            query_spectrum,
-                            limit,
-                            &mut stats.coefficients_compared,
-                        );
-                        if abandoned {
-                            stats.early_abandoned += 1;
-                            continue;
-                        }
-                        if d_sq.sqrt() <= eps {
-                            hits.push(ScanHit {
-                                id: row.id,
-                                distance: d_sq.sqrt(),
-                            });
-                        }
-                    }
-                    (hits, stats)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    });
-    let mut hits = Vec::new();
-    let mut per_thread = Vec::with_capacity(workers.len());
-    for (h, s) in workers {
-        hits.extend(h);
-        per_thread.push(s);
-    }
-    Ok((hits, ParallelScanStats::from_workers(per_thread)))
-}
-
-/// Parallel [`scan_knn`] with a merged early-abandon bound.
-///
-/// Each thread scans a contiguous chunk keeping its local top-`k` (plus
-/// ties); the `k`-th best distance any thread has seen is published to a
-/// shared atomic bound, letting *every* thread abandon a row as soon as
-/// its partial sum provably exceeds the global `k`-th best. Rows abandoned
-/// this way are strictly worse than `k` already-found rows, so the merged,
-/// `(distance, id)`-sorted, truncated result equals the serial scan
-/// exactly — while comparing far fewer coefficients.
-///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_knn_parallel(
-    relation: &SeriesRelation,
+pub fn scan_knn_over(
+    stores: &[SeriesRelation],
     transform: &SeriesTransform,
     query_spectrum: &[Complex],
     k: usize,
     threads: usize,
-) -> Result<(Vec<ScanHit>, ParallelScanStats), SeriesError> {
-    use simq_index::parallel::AtomicF64Min;
+) -> Result<(Vec<ScanHit>, ScanFanStats), SeriesError> {
+    let spans = spans(stores, threads);
+    if spans.len() <= 1 {
+        let mut all = Vec::new();
+        let mut per_shard = Vec::with_capacity(stores.len());
+        for store in stores {
+            let (hits, stats) = scan_knn(store, transform, query_spectrum, k)?;
+            all.extend(hits);
+            per_shard.push(stats);
+        }
+        let stats = ScanFanStats::from_workers(stores.len(), vec![per_shard]);
+        return Ok((nearest_k(all, k), stats));
+    }
 
-    let n = relation.series_len();
+    let n = series_len_of(stores);
     let action = transform.action(n, n.saturating_sub(1))?;
-    let rows: Vec<&crate::relation::SeriesRow> = relation.rows().collect();
-    let bounds = chunk_bounds(rows.len(), threads);
-    if k == 0 {
-        return Ok((Vec::new(), ParallelScanStats::from_workers(Vec::new())));
-    }
-    if bounds.len() <= 1 {
-        let (hits, stats) = scan_knn(relation, transform, query_spectrum, k)?;
-        return Ok((hits, ParallelScanStats::from_workers(vec![stats])));
-    }
-
     // Shared upper bound on the k-th smallest squared distance (monotone
     // decreasing).
     let global_kth_sq = AtomicF64Min::new(f64::INFINITY);
-
-    let workers: Vec<(Vec<ScanHit>, ScanStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(lo, hi)| {
-                let rows = &rows[lo..hi];
-                let action = &action;
-                let global_kth_sq = &global_kth_sq;
-                scope.spawn(move || {
-                    let mut stats = ScanStats::default();
-                    // Candidates kept: everything not provably outside the
-                    // global top-k at visit time (superset of the answer).
-                    let mut kept: Vec<ScanHit> = Vec::new();
-                    // Local k smallest squared distances (max-heap) — the
-                    // source of published bounds.
-                    let mut local: std::collections::BinaryHeap<u64> =
-                        std::collections::BinaryHeap::with_capacity(k + 1);
-                    for row in rows {
-                        stats.rows_scanned += 1;
-                        let bound = global_kth_sq.get();
-                        let limit = bound.is_finite().then_some(bound);
-                        let (d_sq, abandoned) = transformed_distance_sq(
-                            &row.features.spectrum,
-                            &action.multipliers,
-                            query_spectrum,
-                            limit,
-                            &mut stats.coefficients_compared,
-                        );
-                        if abandoned {
-                            stats.early_abandoned += 1;
-                            continue;
-                        }
-                        kept.push(ScanHit {
-                            id: row.id,
-                            distance: d_sq.sqrt(),
-                        });
-                        if local.len() < k {
-                            local.push(d_sq.to_bits());
-                        } else if d_sq.to_bits() < *local.peek().expect("k > 0") {
-                            local.pop();
-                            local.push(d_sq.to_bits());
-                        }
-                        if local.len() == k {
-                            global_kth_sq.fetch_min(f64::from_bits(*local.peek().expect("k > 0")));
-                        }
-                    }
-                    (kept, stats)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("kNN scan worker panicked"))
-            .collect()
+    let workers = fan(&spans, |span| {
+        let mut stats = vec![ScanStats::default(); stores.len()];
+        let mut kept: Vec<ScanHit> = Vec::new();
+        let mut local = LocalKth::new(k, &global_kth_sq);
+        for &(shard, rows) in span {
+            let stats = &mut stats[shard];
+            for row in rows {
+                stats.rows_scanned += 1;
+                let bound = global_kth_sq.get();
+                let (d_sq, abandoned) = transformed_distance_sq(
+                    &row.features.spectrum,
+                    &action.multipliers,
+                    query_spectrum,
+                    bound.is_finite().then_some(bound),
+                    &mut stats.coefficients_compared,
+                );
+                if abandoned {
+                    stats.early_abandoned += 1;
+                    continue;
+                }
+                // `kept` stays O(k + improvements) instead of O(rows).
+                if local.admits(d_sq) {
+                    kept.push(ScanHit {
+                        id: row.id,
+                        distance: d_sq.sqrt(),
+                    });
+                }
+                local.offer(d_sq);
+            }
+        }
+        (kept, stats)
     });
-
-    let mut all = Vec::new();
-    let mut per_thread = Vec::with_capacity(workers.len());
-    for (kept, s) in workers {
-        all.extend(kept);
-        per_thread.push(s);
-    }
-    all.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite distances")
-            .then(a.id.cmp(&b.id))
-    });
-    all.truncate(k);
-    Ok((all, ParallelScanStats::from_workers(per_thread)))
-}
-
-/// Parallel [`scan_all_pairs_two`]: threads claim outer rows from a shared
-/// cursor (the triangular inner loop makes static chunks unbalanced) and
-/// the per-row pair lists are reassembled in row order, reproducing the
-/// serial output exactly.
-///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_all_pairs_two_parallel(
-    relation: &SeriesRelation,
-    left: &SeriesTransform,
-    right: &SeriesTransform,
-    eps: f64,
-    early_abandon: bool,
-    threads: usize,
-) -> Result<(PairList, ParallelScanStats), SeriesError> {
-    let rows: Vec<&crate::relation::SeriesRow> = relation.rows().collect();
-    scan_all_pairs_rows_parallel(
-        &rows,
-        relation.series_len(),
-        left,
-        right,
-        eps,
-        early_abandon,
-        threads,
-    )
-}
-
-/// [`scan_all_pairs_two_parallel`] over an explicit row list (see
-/// [`scan_all_pairs_rows`]).
-///
-/// # Errors
-/// Transformation-domain errors.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_all_pairs_rows_parallel(
-    rows: &[&crate::relation::SeriesRow],
-    series_len: usize,
-    left: &SeriesTransform,
-    right: &SeriesTransform,
-    eps: f64,
-    early_abandon: bool,
-    threads: usize,
-) -> Result<(PairList, ParallelScanStats), SeriesError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let threads = threads.max(1).min(rows.len().max(1));
-    if threads <= 1 {
-        let (pairs, stats) =
-            scan_all_pairs_rows(rows, series_len, left, right, eps, early_abandon)?;
-        return Ok((pairs, ParallelScanStats::from_workers(vec![stats])));
-    }
-
-    // The exact machinery the serial scan uses, shared read-only.
-    let ctx = PairScan::prepare_rows(rows, series_len, left, right, eps, early_abandon)?;
-
-    let cursor = AtomicUsize::new(0);
-    let workers: Vec<(Vec<RowPairs>, ScanStats)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let rows = &rows;
-                let ctx = &ctx;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut stats = ScanStats::default();
-                    let mut produced: Vec<RowPairs> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= rows.len() {
-                            break;
-                        }
-                        stats.rows_scanned += 1;
-                        let mut local = Vec::new();
-                        for j in (i + 1)..rows.len() {
-                            if let Some(d) = ctx.pair_distance(i, j, &mut stats) {
-                                local.push((rows[i].id, rows[j].id, d));
-                            }
-                        }
-                        if !local.is_empty() {
-                            produced.push((i, local));
-                        }
-                    }
-                    (produced, stats)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("all-pairs worker panicked"))
-            .collect()
-    });
-
-    let mut grouped: Vec<RowPairs> = Vec::new();
-    let mut per_thread = Vec::with_capacity(workers.len());
-    for (produced, s) in workers {
-        grouped.extend(produced);
-        per_thread.push(s);
-    }
-    grouped.sort_by_key(|(i, _)| *i);
-    let out: PairList = grouped.into_iter().flat_map(|(_, v)| v).collect();
-    Ok((out, ParallelScanStats::from_workers(per_thread)))
-}
-
-/// Parallel [`scan_all_pairs`] (both sides under one transformation).
-///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_all_pairs_parallel(
-    relation: &SeriesRelation,
-    transform: &SeriesTransform,
-    eps: f64,
-    early_abandon: bool,
-    threads: usize,
-) -> Result<(PairList, ParallelScanStats), SeriesError> {
-    scan_all_pairs_two_parallel(relation, transform, transform, eps, early_abandon, threads)
+    let (kept, stats) = gather(workers);
+    Ok((
+        nearest_k(kept, k),
+        ScanFanStats::from_workers(stores.len(), stats),
+    ))
 }
 
 #[cfg(test)]
@@ -768,8 +760,15 @@ mod tests {
             for abandon in [false, true] {
                 let (serial, s_stats) = scan_range(&rel, &t, &q_spec, eps, abandon).unwrap();
                 for threads in [1, 2, 4, 8] {
-                    let (par, p_stats) =
-                        scan_range_parallel(&rel, &t, &q_spec, eps, abandon, threads).unwrap();
+                    let (par, p_stats) = scan_range_over(
+                        std::slice::from_ref(&rel),
+                        &t,
+                        &q_spec,
+                        eps,
+                        abandon,
+                        threads,
+                    )
+                    .unwrap();
                     assert_eq!(par.len(), serial.len());
                     for (a, b) in par.iter().zip(&serial) {
                         assert_eq!(a.id, b.id);
@@ -789,7 +788,8 @@ mod tests {
         for k in [1, 5, 17, 120, 200] {
             let (serial, _) = scan_knn(&rel, &t, &q, k).unwrap();
             for threads in [2, 3, 8] {
-                let (par, _) = scan_knn_parallel(&rel, &t, &q, k, threads).unwrap();
+                let (par, _) =
+                    scan_knn_over(std::slice::from_ref(&rel), &t, &q, k, threads).unwrap();
                 assert_eq!(par.len(), serial.len(), "k {k} threads {threads}");
                 for (a, b) in par.iter().zip(&serial) {
                     assert_eq!(a.id, b.id, "k {k} threads {threads}");
@@ -803,7 +803,8 @@ mod tests {
     fn parallel_knn_scan_abandons_with_shared_bound() {
         let rel = relation_with(200);
         let q = rel.row(0).unwrap().features.spectrum.clone();
-        let (_, stats) = scan_knn_parallel(&rel, &SeriesTransform::Identity, &q, 3, 4).unwrap();
+        let stores = std::slice::from_ref(&rel);
+        let (_, stats) = scan_knn_over(stores, &SeriesTransform::Identity, &q, 3, 4).unwrap();
         // The shared bound lets most rows abandon early, unlike the serial
         // scan which always computes full distances.
         assert!(
@@ -820,7 +821,8 @@ mod tests {
         for (l, r) in [(&left, &left), (&left, &right)] {
             let (serial, _) = scan_all_pairs_two(&rel, l, r, 6.0, true).unwrap();
             for threads in [1, 2, 4, 9] {
-                let (par, _) = scan_all_pairs_two_parallel(&rel, l, r, 6.0, true, threads).unwrap();
+                let stores = std::slice::from_ref(&rel);
+                let (par, _) = scan_all_pairs_over(stores, l, r, 6.0, true, threads).unwrap();
                 assert_eq!(par.len(), serial.len(), "threads {threads}");
                 for (a, b) in par.iter().zip(&serial) {
                     assert_eq!((a.0, a.1), (b.0, b.1));
@@ -834,14 +836,11 @@ mod tests {
     fn parallel_stats_per_thread_sum_to_merged() {
         let rel = relation_with(50);
         let q = rel.row(2).unwrap().features.spectrum.clone();
+        let stores = std::slice::from_ref(&rel);
         let (_, stats) =
-            scan_range_parallel(&rel, &SeriesTransform::Identity, &q, 3.0, true, 4).unwrap();
+            scan_range_over(stores, &SeriesTransform::Identity, &q, 3.0, true, 4).unwrap();
         let mut sum = ScanStats::default();
-        for s in &stats.per_thread {
-            sum.rows_scanned += s.rows_scanned;
-            sum.coefficients_compared += s.coefficients_compared;
-            sum.early_abandoned += s.early_abandoned;
-        }
+        stats.per_thread.iter().for_each(|s| sum.add(s));
         assert_eq!(sum, stats.merged);
     }
 }

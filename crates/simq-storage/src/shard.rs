@@ -21,21 +21,14 @@
 //!   pair scans report the other (equally valid) orientation of a tied
 //!   pair.
 //!
-//! The sharded scan entry points here ([`scan_range_sharded`],
-//! [`scan_knn_sharded`], [`scan_all_pairs_two_sharded`]) are the scan
-//! fallbacks of query execution over sharded relations; the index-side
-//! fan-out lives in `simq_index::shard`.
+//! Queries see a sharded relation as its slice of stores
+//! ([`ShardedRelation::shards`]): the scan fan-out lives in
+//! [`crate::scan`], the index-side fan-out in `simq_index`.
 
 use crate::relation::{SeriesRelation, SeriesRow};
-use crate::scan::{
-    scan_all_pairs_rows_parallel, scan_knn, scan_range, transformed_distance_sq, PairList,
-    ParallelScanStats, ScanHit, ScanStats,
-};
-use simq_dsp::complex::Complex;
 use simq_index::{RTree, RTreeConfig};
 use simq_series::error::SeriesError;
 use simq_series::features::FeatureScheme;
-use simq_series::transform::SeriesTransform;
 
 /// How row ids map to shards.
 ///
@@ -358,20 +351,10 @@ impl ShardedRelation {
     }
 
     /// Iterates rows shard-major (shard 0's rows in insertion order, then
-    /// shard 1's, …). Use [`ShardedRelation::rows_by_id`] when id order
-    /// matters.
+    /// shard 1's, …). Use [`crate::scan::rows_in_scan_order`] when id
+    /// order matters.
     pub fn rows(&self) -> impl Iterator<Item = &SeriesRow> {
         self.shards.iter().flat_map(|s| s.rows())
-    }
-
-    /// All rows, sorted by id — the iteration order of the equivalent
-    /// unsharded relation (sequentially built relations store rows in id
-    /// order), used by the pair scans so sharded join output is
-    /// bitwise identical to unsharded.
-    pub fn rows_by_id(&self) -> Vec<&SeriesRow> {
-        let mut rows: Vec<&SeriesRow> = self.rows().collect();
-        rows.sort_by_key(|r| r.id);
-        rows
     }
 
     /// Bulk-loads one R*-tree per shard over the shard's feature points.
@@ -383,246 +366,14 @@ impl ShardedRelation {
     }
 }
 
-/// Work counters of one sharded scan: merged totals plus each shard's
-/// share (empty for the pair scans, whose row pairs cross shards).
-#[derive(Debug, Clone, Default)]
-pub struct ShardedScanStats {
-    /// Totals across all shards — comparable with the unsharded counters.
-    pub merged: ScanStats,
-    /// One entry per shard.
-    pub per_shard: Vec<ScanStats>,
-}
-
-impl ShardedScanStats {
-    fn from_shards(per_shard: Vec<ScanStats>) -> Self {
-        let mut merged = ScanStats::default();
-        for s in &per_shard {
-            merged.rows_scanned += s.rows_scanned;
-            merged.coefficients_compared += s.coefficients_compared;
-            merged.early_abandoned += s.early_abandoned;
-        }
-        ShardedScanStats { merged, per_shard }
-    }
-}
-
-/// Runs `work(shard_index)` for every shard, on up to `threads` worker
-/// threads (shard-level parallelism: each shard is one task). Results
-/// come back in shard order regardless of schedule.
-fn for_each_shard<T: Send>(
-    shard_count: usize,
-    threads: usize,
-    work: &(dyn Fn(usize) -> T + Sync),
-) -> Vec<T> {
-    let workers = threads.max(1).min(shard_count.max(1));
-    if workers <= 1 || shard_count <= 1 {
-        return (0..shard_count).map(work).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut produced: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= shard_count {
-                            break;
-                        }
-                        produced.push((i, work(i)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        let mut slots: Vec<Option<T>> = (0..shard_count).map(|_| None).collect();
-        for h in handles {
-            for (i, v) in h.join().expect("shard worker panicked") {
-                slots[i] = Some(v);
-            }
-        }
-        slots
-    });
-    out.drain(..)
-        .map(|v| v.expect("every shard produced a result"))
-        .collect()
-}
-
-/// Range query over a sharded relation: every shard is scanned by the
-/// exact serial code ([`scan_range`]) and the hit lists concatenate in
-/// shard order. With `threads > 1` shards scan in parallel (one task per
-/// shard); the result is identical either way.
-///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_range_sharded(
-    relation: &ShardedRelation,
-    transform: &SeriesTransform,
-    query_spectrum: &[Complex],
-    eps: f64,
-    early_abandon: bool,
-    threads: usize,
-) -> Result<(Vec<ScanHit>, ShardedScanStats), SeriesError> {
-    // Surface transformation errors once, before fanning out.
-    let n = relation.series_len();
-    transform.action(n, n.saturating_sub(1))?;
-    let results = for_each_shard(relation.shard_count(), threads, &|i| {
-        scan_range(
-            relation.shard(i),
-            transform,
-            query_spectrum,
-            eps,
-            early_abandon,
-        )
-    });
-    let mut hits = Vec::new();
-    let mut per_shard = Vec::with_capacity(results.len());
-    for r in results {
-        let (h, s) = r?;
-        hits.extend(h);
-        per_shard.push(s);
-    }
-    Ok((hits, ShardedScanStats::from_shards(per_shard)))
-}
-
-/// kNN query over a sharded relation.
-///
-/// Serially, each shard runs the exact [`scan_knn`] and the per-shard
-/// top-`k` lists merge by `(distance, id)` — any global top-`k` row is in
-/// its shard's top-`k`, so the merge loses nothing. With `threads > 1`
-/// the shards scan concurrently under one shared atomic bound on the
-/// `k`-th best distance (the same mechanism as
-/// [`scan_knn_parallel`](crate::scan::scan_knn_parallel)), abandoning
-/// rows that provably cannot enter the answer. Both paths return results
-/// bitwise identical to the unsharded scan.
-///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_knn_sharded(
-    relation: &ShardedRelation,
-    transform: &SeriesTransform,
-    query_spectrum: &[Complex],
-    k: usize,
-    threads: usize,
-) -> Result<(Vec<ScanHit>, ShardedScanStats), SeriesError> {
-    use simq_index::parallel::AtomicF64Min;
-
-    let n = relation.series_len();
-    let action = transform.action(n, n.saturating_sub(1))?;
-    if k == 0 {
-        return Ok((Vec::new(), ShardedScanStats::default()));
-    }
-    let workers = threads.max(1).min(relation.shard_count());
-    let results: Vec<Result<(Vec<ScanHit>, ScanStats), SeriesError>> = if workers <= 1 {
-        (0..relation.shard_count())
-            .map(|i| scan_knn(relation.shard(i), transform, query_spectrum, k))
-            .collect()
-    } else {
-        // Shared upper bound on the k-th smallest squared distance.
-        let global_kth_sq = AtomicF64Min::new(f64::INFINITY);
-        let action = &action;
-        let global = &global_kth_sq;
-        for_each_shard(relation.shard_count(), threads, &|i| {
-            let mut stats = ScanStats::default();
-            let mut kept: Vec<ScanHit> = Vec::new();
-            let mut local: std::collections::BinaryHeap<u64> =
-                std::collections::BinaryHeap::with_capacity(k + 1);
-            for row in relation.shard(i).rows() {
-                stats.rows_scanned += 1;
-                let bound = global.get();
-                let limit = bound.is_finite().then_some(bound);
-                let (d_sq, abandoned) = transformed_distance_sq(
-                    &row.features.spectrum,
-                    &action.multipliers,
-                    query_spectrum,
-                    limit,
-                    &mut stats.coefficients_compared,
-                );
-                if abandoned {
-                    stats.early_abandoned += 1;
-                    continue;
-                }
-                // Keep only rows not provably outside this shard's top-k
-                // (ties at the k-th distance included — the final
-                // (distance, id) sort may prefer them): any global top-k
-                // row is in its shard's top-k, so the merge loses
-                // nothing, and `kept` stays O(k + improvements) instead
-                // of O(rows).
-                if local.len() < k || d_sq.to_bits() <= *local.peek().expect("k > 0") {
-                    kept.push(ScanHit {
-                        id: row.id,
-                        distance: d_sq.sqrt(),
-                    });
-                }
-                if local.len() < k {
-                    local.push(d_sq.to_bits());
-                } else if d_sq.to_bits() < *local.peek().expect("k > 0") {
-                    local.pop();
-                    local.push(d_sq.to_bits());
-                }
-                if local.len() == k {
-                    global.fetch_min(f64::from_bits(*local.peek().expect("k > 0")));
-                }
-            }
-            Ok((kept, stats))
-        })
-    };
-    let mut all = Vec::new();
-    let mut per_shard = Vec::with_capacity(results.len());
-    for r in results {
-        let (kept, s) = r?;
-        all.extend(kept);
-        per_shard.push(s);
-    }
-    all.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .expect("finite distances")
-            .then(a.id.cmp(&b.id))
-    });
-    all.truncate(k);
-    Ok((all, ShardedScanStats::from_shards(per_shard)))
-}
-
-/// All-pairs scan over a sharded relation: the rows of every shard,
-/// flattened in id order (the scan order of every sequentially built
-/// relation), run through the exact pair-scan machinery — output and
-/// distances are bitwise identical to
-/// [`crate::scan::scan_all_pairs_two`] on the merged relation. Pair work
-/// crosses shards, so parallelism is row-chunked (not shard-fanned) and
-/// the stats carry per-worker-thread shares, as for the unsharded
-/// parallel scan.
-///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_all_pairs_two_sharded(
-    relation: &ShardedRelation,
-    left: &SeriesTransform,
-    right: &SeriesTransform,
-    eps: f64,
-    early_abandon: bool,
-    threads: usize,
-) -> Result<(PairList, ParallelScanStats), SeriesError> {
-    let rows = relation.rows_by_id();
-    scan_all_pairs_rows_parallel(
-        &rows,
-        relation.series_len(),
-        left,
-        right,
-        eps,
-        early_abandon,
-        threads,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scan::{
-        scan_all_pairs_two, scan_knn as scan_knn_single, scan_range as scan_range_single,
+        scan_all_pairs_over, scan_all_pairs_two, scan_knn as scan_knn_single, scan_knn_over,
+        scan_range as scan_range_single, scan_range_over,
     };
-    use simq_series::features::FeatureScheme;
+    use simq_series::transform::SeriesTransform;
 
     fn single_relation(rows: usize) -> SeriesRelation {
         let mut rel = SeriesRelation::new("r", 64, FeatureScheme::paper_default());
@@ -702,7 +453,7 @@ mod tests {
             let (mut want, want_stats) = scan_range_single(&rel, &t, &q_spec, eps, true).unwrap();
             for threads in [1, 4] {
                 let (mut got, stats) =
-                    scan_range_sharded(&sharded, &t, &q_spec, eps, true, threads).unwrap();
+                    scan_range_over(sharded.shards(), &t, &q_spec, eps, true, threads).unwrap();
                 want.sort_by_key(|h| h.id);
                 got.sort_by_key(|h| h.id);
                 assert_eq!(got.len(), want.len(), "eps {eps} threads {threads}");
@@ -710,7 +461,7 @@ mod tests {
                     assert_eq!(a.id, b.id);
                     assert_eq!(a.distance.to_bits(), b.distance.to_bits());
                 }
-                assert_eq!(stats.merged.rows_scanned, want_stats.rows_scanned);
+                assert_eq!(stats.merged, want_stats);
                 assert_eq!(stats.per_shard.len(), 4);
             }
         }
@@ -725,7 +476,8 @@ mod tests {
             let (want, _) = scan_knn_single(&rel, &SeriesTransform::Identity, &q, k).unwrap();
             for threads in [1, 4] {
                 let (got, _) =
-                    scan_knn_sharded(&sharded, &SeriesTransform::Identity, &q, k, threads).unwrap();
+                    scan_knn_over(sharded.shards(), &SeriesTransform::Identity, &q, k, threads)
+                        .unwrap();
                 assert_eq!(got.len(), want.len(), "k {k} threads {threads}");
                 for (a, b) in got.iter().zip(&want) {
                     assert_eq!(a.id, b.id, "k {k} threads {threads}");
@@ -745,7 +497,7 @@ mod tests {
             let (want, _) = scan_all_pairs_two(&rel, l, r, 6.0, true).unwrap();
             for threads in [1, 3] {
                 let (got, _) =
-                    scan_all_pairs_two_sharded(&sharded, l, r, 6.0, true, threads).unwrap();
+                    scan_all_pairs_over(sharded.shards(), l, r, 6.0, true, threads).unwrap();
                 assert_eq!(got.len(), want.len(), "threads {threads}");
                 for (a, b) in got.iter().zip(&want) {
                     assert_eq!((a.0, a.1), (b.0, b.1));

@@ -228,9 +228,19 @@ fn sharded_cursors_and_prepared_statements_match_materialized() {
             &format!("prepared row {row} eps {eps}"),
         );
 
-        // A drained cursor reproduces the materialized output bitwise.
+        // A drained cursor reproduces the materialized output bitwise and
+        // reports the same shard fan-out as materialized execution.
         let mut cursor = session.cursor(&bound).unwrap();
+        assert_eq!(cursor.stats().shards_touched, 4, "stamped at open");
         let drained = cursor.drain_sorted();
+        assert_eq!(
+            cursor.stats().shards_touched,
+            materialized.stats.shards_touched
+        );
+        assert_eq!(
+            reference.cursor(&ref_bound).unwrap().stats().shards_touched,
+            0
+        );
         let QueryOutput::Hits(want) = &materialized.output else {
             panic!("expected hits");
         };

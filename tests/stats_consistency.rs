@@ -3,9 +3,10 @@
 //! estimates. Each search/scan counter lives in exactly one breakdown —
 //! per-thread for single-relation parallel phases, per-shard for shard
 //! fan-out — so across both vectors the shares sum exactly to the merged
-//! totals. This hardens the `fold_*` helpers in `simq-query::exec`
-//! against silently dropping a phase (the bug class the deferred
-//! radius-coefficient fold in kNN exists to prevent).
+//! totals. This hardens the one charging rule (`simq-query::verify`'s
+//! `Ledger`) against silently dropping a phase — e.g. the kNN radius
+//! coefficients, computed on the calling thread between two fanned-out
+//! phases.
 //!
 //! Coefficient comparisons hold the partition property too: sharded
 //! executions that verify on the calling thread (serial, or parallel with
@@ -20,15 +21,19 @@ use proptest::prelude::*;
 use similarity_queries::prelude::*;
 use similarity_queries::query::QueryResult;
 
+/// Every query form the engine executes — the `shard_equivalence` matrix.
 fn query_matrix() -> Vec<String> {
     vec![
         "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0".into(),
         "FIND SIMILAR TO ROW 0 IN r EPSILON 25.0".into(),
         "FIND SIMILAR TO ROW 0 IN r USING mavg(5) ON BOTH EPSILON 2.0".into(),
+        "FIND SIMILAR TO ROW 0 IN r EPSILON 4.0 MEAN WITHIN 2.0".into(),
         "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0 FORCE SCAN".into(),
         "FIND 5 NEAREST TO ROW 0 IN r".into(),
         "FIND 5 NEAREST TO ROW 0 IN r USING mavg(5) ON BOTH".into(),
         "FIND 5 NEAREST TO ROW 0 IN r FORCE SCAN".into(),
+        "FIND PAIRS IN r EPSILON 4.0 METHOD b".into(),
+        "FIND PAIRS IN r USING mavg(5) EPSILON 3.0 METHOD d".into(),
     ]
 }
 
@@ -122,10 +127,11 @@ fn serial_unsharded_execution_reports_no_breakdowns() {
 
 #[test]
 fn sharded_parallel_knn_keeps_radius_coefficients_in_the_breakdown() {
-    // The regression this suite pins: in sharded-parallel kNN the
-    // per-thread vector appears only at the verify phase, so the radius
-    // coefficient work must be folded *after* it — otherwise the
-    // breakdown undercounts exactly the radius comparisons.
+    // The regression this suite pins: in sharded-parallel kNN the search
+    // phases are charged per shard, so the radius coefficient work — done
+    // on the calling thread before the verify phase fans out — must still
+    // land in a per-thread entry, or the breakdown undercounts exactly
+    // the radius comparisons.
     let series = corpus(11, 120, 64);
     let db = db_over(&series, 4, 4);
     let result = execute(&db, "FIND 10 NEAREST TO ROW 0 IN r").unwrap();
@@ -134,4 +140,32 @@ fn sharded_parallel_knn_keeps_radius_coefficients_in_the_breakdown() {
         "fixture too small: the verify phase did not fan out, so the test pins nothing"
     );
     assert_breakdowns_sum(&result, "sharded-parallel kNN");
+}
+
+/// Counter golden: every `ExecStats` field (merged, per-thread and
+/// per-shard) of the query matrix at `Parallelism::Serial`, over 1 and 4
+/// shards of one fixed corpus, equals the checked-in fixture recorded
+/// before the execution matrix was collapsed into one pipeline per query
+/// form. Serial counters are schedule-independent, so any drift here is a
+/// change in the work a plan does, not noise. (4 threads stay
+/// answer-only: work-stealing node counts depend on the schedule.)
+#[test]
+fn serial_counters_match_the_recorded_golden() {
+    let series = corpus(7, 400, 64);
+    let mut actual = String::new();
+    for shards in [1usize, 4] {
+        let db = db_over(&series, shards, 1);
+        for q in query_matrix() {
+            let r = execute(&db, &q).expect("matrix query runs");
+            actual.push_str(&format!(
+                "shards={shards} | {q}\n  stats: {:?}\n  per_thread: {:?}\n  per_shard: {:?}\n",
+                r.stats, r.per_thread, r.per_shard
+            ));
+        }
+    }
+    let golden = include_str!("fixtures/exec_stats_golden.txt");
+    for (got, want) in actual.lines().zip(golden.lines()) {
+        assert_eq!(got, want);
+    }
+    assert_eq!(actual.lines().count(), golden.lines().count());
 }
