@@ -25,14 +25,22 @@
 //! `k` results are identical however the items are split into trees and
 //! however the work is scheduled: results are `(distance, id)`-sorted and
 //! ties around the `k`-th distance are retained until the final sort.
+//!
 //! [`RTree::nearest`], [`RTree::nearest_transformed`] and
 //! [`RTree::nearest_by`] are the single-tree, single-thread callers.
+//!
+//! With an [`ItemStage`] the same descent is the *optimal multi-step*
+//! search of Seidl & Kriegel: bounds only rank, every leaf item reached
+//! is refined to its exact distance, and the search stops (or skips a
+//! task) once the next lower bound exceeds the shrinking *exact* `k`-th
+//! best — serially, no item whose bound is above the final `k`-th
+//! distance is ever refined.
 
 use crate::geom::Rect;
 use crate::rstar::{Entry, RTree};
 use crate::search::{ForestStats, SearchStats};
 use crate::transform::SpatialTransform;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
@@ -71,16 +79,32 @@ fn finish(mut found: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
     found
 }
 
+/// The item stage of a multi-step search: what the search does with a leaf
+/// item instead of taking its rectangle's bound as the item's distance.
+pub trait ItemStage: Sync {
+    /// A cheap lower bound on the exact distance of item `id` — the key
+    /// that ranks it. Replaces [`KnnQuery::bound`] on leaf entries, so it
+    /// may come from data the index does not hold.
+    fn bound(&self, id: u64) -> f64;
+
+    /// The exact distance of item `id`, or `None` once it is known to lie
+    /// beyond `kth_now` — the current exact `k`-th best distance (infinite
+    /// until `k` items are refined). Must never drop an item whose exact
+    /// distance is `<= kth_now`. Reports its own work in `stats`
+    /// ([`SearchStats::filtered`], [`SearchStats::refine_work`]).
+    fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64>;
+}
+
 /// One nearest-neighbour query of a [`forest_nearest`] call.
 ///
 /// `bound(rect)` must return a lower bound on the caller's true distance
 /// from the query to any item whose (transformed) index rectangle is
-/// `rect`; for leaf entries (degenerate rectangles) it should return the
-/// caller's exact index-space distance. This generalizes MINDIST-based kNN
-/// to non-Euclidean feature layouts — the polar representation's
-/// magnitude/phase pairs in particular, where the true complex-plane
-/// distance to an annular sector is computable but is not the Euclidean
-/// distance of the raw coordinates.
+/// `rect`. Without an item stage the bound of a leaf entry (a degenerate
+/// rectangle) *is* the item's distance; with one, `bound` serves internal
+/// entries only, in the item stage's unit. This generalizes MINDIST-based
+/// kNN to non-Euclidean feature layouts — the polar representation's
+/// magnitude/phase pairs in particular, where the complex-plane distance
+/// to an annular sector is not the Euclidean distance of raw coordinates.
 pub struct KnnQuery<'a> {
     /// The lower-bound function.
     pub bound: &'a (dyn Fn(&Rect) -> f64 + Sync),
@@ -88,6 +112,31 @@ pub struct KnnQuery<'a> {
     pub transform: Option<&'a dyn SpatialTransform>,
     /// Number of neighbours requested.
     pub k: usize,
+    /// The item stage of a multi-step search, if any.
+    pub items: Option<&'a dyn ItemStage>,
+}
+
+/// A scratch rectangle for [`expand`]'s transformed MBRs.
+fn scratch_rect(transform: Option<&dyn SpatialTransform>) -> Rect {
+    Rect::point(&vec![0.0; transform.map_or(0, |t| t.dims())])
+}
+
+/// The distance of a leaf item reached at lower bound `key` while the
+/// `k`-th best is `kth_now`, or `None` when it cannot be a result.
+fn resolve(
+    items: Option<&dyn ItemStage>,
+    id: u64,
+    key: f64,
+    kth_now: f64,
+    stats: &mut SearchStats,
+) -> Option<f64> {
+    match items {
+        Some(stage) => {
+            stats.candidates += 1;
+            stage.refine(id, kth_now, stats)
+        }
+        None => Some(key),
+    }
 }
 
 /// Lock-free monotone minimum over `f64`s — the shared pruning bound of
@@ -123,17 +172,28 @@ impl AtomicF64Min {
     }
 }
 
-#[derive(PartialEq)]
-struct OrdF64(f64);
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
+/// A heap element ordered by its `f64` key, equal keys falling through to
+/// the payload's order. `BinaryHeap` is a max-heap: the search frontiers
+/// wrap it in [`Reverse`] to pop the smallest bound first.
+struct Ranked<T> {
+    key: f64,
+    what: T,
+}
+
+impl<T: Ord> PartialEq for Ranked<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<T: Ord> Eq for Ranked<T> {}
+impl<T: Ord> PartialOrd for Ranked<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for OrdF64 {
+impl<T: Ord> Ord for Ranked<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        cmp_finite(self.0, other.0)
+        cmp_finite(self.key, other.key).then_with(|| self.what.cmp(&other.what))
     }
 }
 
@@ -141,7 +201,7 @@ impl Ord for OrdF64 {
 /// an upper bound on the global `k`-th best), publishing improvements to
 /// the shared bound.
 pub struct LocalKth<'a> {
-    heap: BinaryHeap<OrdF64>, // max-heap of the k best distances
+    heap: BinaryHeap<Ranked<()>>, // max-heap of the k best distances
     k: usize,
     shared: &'a AtomicF64Min,
 }
@@ -159,96 +219,54 @@ impl<'a> LocalKth<'a> {
     /// True when `d` is not provably outside this thread's top-`k` (ties
     /// at the `k`-th distance included).
     pub fn admits(&self, d: f64) -> bool {
-        self.heap.len() < self.k || self.heap.peek().is_some_and(|worst| d <= worst.0)
+        self.heap.len() < self.k || self.heap.peek().is_some_and(|worst| d <= worst.key)
     }
 
     /// Records a distance.
     pub fn offer(&mut self, d: f64) {
         if self.heap.len() < self.k {
-            self.heap.push(OrdF64(d));
-        } else if self.heap.peek().is_some_and(|worst| d < worst.0) {
+            self.heap.push(Ranked { key: d, what: () });
+        } else if self.heap.peek().is_some_and(|worst| d < worst.key) {
             self.heap.pop();
-            self.heap.push(OrdF64(d));
+            self.heap.push(Ranked { key: d, what: () });
         } else {
             return;
         }
         if self.heap.len() == self.k {
             if let Some(worst) = self.heap.peek() {
-                self.shared.fetch_min(worst.0);
+                self.shared.fetch_min(worst.key);
             }
         }
     }
 }
 
-/// Where a frontier element of the serial search points.
+/// Where a frontier element of the serial search points. Items order
+/// below nodes, so at equal bounds results pop as early as possible.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum At {
+    Item { shard: usize, id: u64 },
     Node { shard: usize, idx: usize },
-    Item(u64),
 }
 
-/// A frontier element of the serial search, ordered by ascending bound.
-struct Frontier {
-    key: f64,
-    at: At,
-}
-
-impl PartialEq for Frontier {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Frontier {}
-impl PartialOrd for Frontier {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Frontier {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on the bound; items before nodes at equal distance so
-        // results pop as early as possible.
-        cmp_finite(other.key, self.key).then_with(|| match (&self.at, &other.at) {
-            (At::Item(_), At::Node { .. }) => Ordering::Greater,
-            (At::Node { .. }, At::Item(_)) => Ordering::Less,
-            _ => Ordering::Equal,
-        })
-    }
-}
-
-/// A `(query, subtree)` task of the work-stealing search, ordered by
-/// ascending bound.
-struct Task {
-    key: f64,
+/// A `(query, subtree)` task of the work-stealing search.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Subtree {
     query: usize,
     shard: usize,
     idx: usize,
 }
 
-impl PartialEq for Task {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Task {}
-impl PartialOrd for Task {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Task {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest key.
-        cmp_finite(other.key, self.key)
-    }
-}
-
 /// Reads one node: counts the visit and hands every entry with its bound
-/// to `each` (the node expansion both search loops share).
+/// to `each` (the node expansion both search loops share). Transformed
+/// MBRs are written into `scratch` — no allocation per entry.
+#[allow(clippy::too_many_arguments)]
 fn expand(
     tree: &RTree,
     idx: usize,
     bound: &dyn Fn(&Rect) -> f64,
     transform: Option<&dyn SpatialTransform>,
+    items: Option<&dyn ItemStage>,
+    scratch: &mut Rect,
     stats: &mut SearchStats,
     mut each: impl FnMut(&Entry, f64),
 ) {
@@ -256,55 +274,60 @@ fn expand(
     stats.count_node(node.level);
     for e in &node.entries {
         stats.entries_tested += 1;
-        let d = match transform {
-            Some(t) => bound(&t.apply_rect(e.mbr())),
-            None => bound(e.mbr()),
+        let d = match (e, items, transform) {
+            (Entry::Item { id, .. }, Some(stage), _) => stage.bound(*id),
+            (_, _, Some(t)) => {
+                t.apply_rect_into(e.mbr(), scratch);
+                bound(scratch)
+            }
+            (_, _, None) => bound(e.mbr()),
         };
         each(e, d);
     }
 }
 
 /// The serial best-first loop over a forest: the `k` items with the
-/// smallest bounds and each tree's work counters.
+/// smallest (refined) distances and each tree's work counters.
 fn nearest_serial(
     trees: &[RTree],
     bound: &dyn Fn(&Rect) -> f64,
     transform: Option<&dyn SpatialTransform>,
     k: usize,
+    items: Option<&dyn ItemStage>,
 ) -> (Vec<Neighbor>, Vec<SearchStats>) {
     let mut per_shard = vec![SearchStats::default(); trees.len()];
     let mut out: Vec<Neighbor> = Vec::new();
     if k == 0 {
         return (out, per_shard);
     }
+    let mut scratch = scratch_rect(transform);
     let mut heap = BinaryHeap::new();
     for (shard, tree) in trees.iter().enumerate() {
         if !tree.is_empty() {
-            heap.push(Frontier {
+            heap.push(Reverse(Ranked {
                 key: 0.0,
-                at: At::Node {
+                what: At::Node {
                     shard,
                     idx: tree.root,
                 },
-            });
+            }));
         }
     }
-    // Distance of the k-th collected item; ties at exactly this distance
-    // are still collected so the final (distance, id) sort is
+    // The k-th best distance collected so far; ties at exactly this
+    // distance are still collected so the final (distance, id) sort is
     // deterministic regardless of heap pop order.
-    let mut worst = f64::INFINITY;
-    while let Some(top) = heap.pop() {
-        if out.len() >= k && top.key > worst {
+    let kth_best = AtomicF64Min::new(f64::INFINITY);
+    let mut kth = LocalKth::new(k, &kth_best);
+    while let Some(Reverse(top)) = heap.pop() {
+        let kth_now = kth_best.get();
+        if top.key > kth_now {
             break;
         }
-        match top.at {
-            At::Item(id) => {
-                out.push(Neighbor {
-                    id,
-                    dist_sq: top.key,
-                });
-                if out.len() == k {
-                    worst = top.key;
+        match top.what {
+            At::Item { shard, id } => {
+                if let Some(d) = resolve(items, id, top.key, kth_now, &mut per_shard[shard]) {
+                    out.push(Neighbor { id, dist_sq: d });
+                    kth.offer(d);
                 }
             }
             At::Node { shard, idx } => expand(
@@ -312,15 +335,19 @@ fn nearest_serial(
                 idx,
                 bound,
                 transform,
+                items,
+                &mut scratch,
                 &mut per_shard[shard],
                 |e, d| {
-                    heap.push(Frontier {
-                        key: d,
-                        at: match e {
-                            Entry::Child { node, .. } => At::Node { shard, idx: *node },
-                            Entry::Item { id, .. } => At::Item(*id),
-                        },
-                    })
+                    if d <= kth_now {
+                        heap.push(Reverse(Ranked {
+                            key: d,
+                            what: match e {
+                                Entry::Child { node, .. } => At::Node { shard, idx: *node },
+                                Entry::Item { id, .. } => At::Item { shard, id: *id },
+                            },
+                        }))
+                    }
                 },
             ),
         }
@@ -331,9 +358,10 @@ fn nearest_serial(
 /// Best-first `k`-nearest search for every query of `queries` over a
 /// forest of trees, on up to `threads` threads (see the [module
 /// docs](self)). Returns, per query, the `k` items with the smallest
-/// bound values across the whole forest — `(distance, id)`-sorted,
-/// identical to a serial single-tree search over the union of the trees'
-/// items — and the query's work counters.
+/// distances (bound values, or refined by the query's item stage) across
+/// the whole forest — `(distance, id)`-sorted, identical to a serial
+/// single-tree search over the union of the trees' items — and the
+/// query's work counters.
 pub fn forest_nearest(
     trees: &[RTree],
     queries: &[KnnQuery],
@@ -344,7 +372,7 @@ pub fn forest_nearest(
         queries
             .iter()
             .map(|q| {
-                let (found, per_shard) = nearest_serial(trees, q.bound, q.transform, q.k);
+                let (found, per_shard) = nearest_serial(trees, q.bound, q.transform, q.k, q.items);
                 (found, ForestStats::from_workers(shards, vec![per_shard]))
             })
             .unzip()
@@ -352,7 +380,7 @@ pub fn forest_nearest(
     if threads <= 1 {
         return serial();
     }
-    let seeds: BinaryHeap<Task> = queries
+    let seeds: BinaryHeap<Reverse<Ranked<Subtree>>> = queries
         .iter()
         .enumerate()
         .filter(|(_, q)| q.k > 0)
@@ -361,11 +389,15 @@ pub fn forest_nearest(
                 .iter()
                 .enumerate()
                 .filter(|(_, tree)| !tree.is_empty())
-                .map(move |(shard, tree)| Task {
-                    key: 0.0,
-                    query,
-                    shard,
-                    idx: tree.root,
+                .map(move |(shard, tree)| {
+                    Reverse(Ranked {
+                        key: 0.0,
+                        what: Subtree {
+                            query,
+                            shard,
+                            idx: tree.root,
+                        },
+                    })
                 })
         })
         .collect();
@@ -394,6 +426,9 @@ pub fn forest_nearest(
                         .zip(&bounds)
                         .map(|(q, shared)| LocalKth::new(q.k, shared))
                         .collect();
+                    let mut scratches: Vec<Rect> =
+                        queries.iter().map(|q| scratch_rect(q.transform)).collect();
+                    let mut leaf_items: Vec<(f64, u64)> = Vec::new();
                     // Backoff for idle polls: yield first, then sleep
                     // with exponential growth so starved workers stop
                     // contending on the pool mutex when one deep subtree
@@ -425,18 +460,22 @@ pub fn forest_nearest(
                             continue;
                         };
                         idle_us = 0;
-                        let Task {
-                            key, query, shard, ..
-                        } = task;
+                        let Reverse(Ranked {
+                            key,
+                            what: Subtree { query, shard, idx },
+                        }) = task;
                         let q = &queries[query];
                         let shared = &bounds[query];
                         if key <= shared.get() {
-                            let mut children: Vec<Task> = Vec::new();
+                            let mut children = Vec::new();
+                            leaf_items.clear();
                             expand(
                                 &trees[shard],
-                                task.idx,
+                                idx,
                                 q.bound,
                                 q.transform,
+                                q.items,
+                                &mut scratches[query],
                                 &mut cells[query * shards + shard],
                                 |e, d| {
                                     // Kept whenever the bound does not
@@ -447,22 +486,34 @@ pub fn forest_nearest(
                                         return;
                                     }
                                     match e {
-                                        Entry::Child { node, .. } => children.push(Task {
-                                            key: d,
-                                            query,
-                                            shard,
-                                            idx: *node,
-                                        }),
-                                        Entry::Item { id, .. } => {
-                                            found[query].push(Neighbor {
-                                                id: *id,
-                                                dist_sq: d,
-                                            });
-                                            kth[query].offer(d);
+                                        Entry::Child { node, .. } => {
+                                            children.push(Reverse(Ranked {
+                                                key: d,
+                                                what: Subtree {
+                                                    query,
+                                                    shard,
+                                                    idx: *node,
+                                                },
+                                            }))
                                         }
+                                        Entry::Item { id, .. } => leaf_items.push((d, *id)),
                                     }
                                 },
                             );
+                            // A leaf's items resolve in bound order, each
+                            // against the bound as it stands by then.
+                            leaf_items.sort_by(|a, b| cmp_distance_id(*a, *b));
+                            for &(d, id) in &leaf_items {
+                                let kth_now = shared.get();
+                                if d > kth_now {
+                                    break;
+                                }
+                                let cell = &mut cells[query * shards + shard];
+                                if let Some(dist_sq) = resolve(q.items, id, d, kth_now, cell) {
+                                    found[query].push(Neighbor { id, dist_sq });
+                                    kth[query].offer(dist_sq);
+                                }
+                            }
                             if !children.is_empty() {
                                 pool.lock().expect("pool lock").extend(children);
                             }
@@ -529,7 +580,8 @@ impl RTree {
         transform: Option<&dyn SpatialTransform>,
         k: usize,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let (found, per_shard) = nearest_serial(std::slice::from_ref(self), bound, transform, k);
+        let (found, per_shard) =
+            nearest_serial(std::slice::from_ref(self), bound, transform, k, None);
         (found, per_shard[0])
     }
 }
@@ -716,6 +768,7 @@ mod tests {
                             bound: &bound,
                             transform,
                             k,
+                            items: None,
                         };
                         let (got, stats) = forest_nearest(trees, &[query], threads);
                         let what = format!("k {k} trees {} threads {threads}", trees.len());
@@ -742,7 +795,7 @@ mod tests {
         let q = [29.0, 31.0];
         let bound = |r: &Rect| r.min_dist_sq(&q);
         let (_, single_stats) = single.nearest_by(&bound, None, 3);
-        let (_, forest) = nearest_serial(&shard_trees, &bound, None, 3);
+        let (_, forest) = nearest_serial(&shard_trees, &bound, None, 3, None);
         let forest_nodes: u64 = forest.iter().map(|s| s.nodes_visited).sum();
         // Best-first over the forest visits the same order of magnitude of
         // nodes as the single tree — far less than 4 independent searches.
@@ -777,6 +830,7 @@ mod tests {
                 bound: b.as_ref(),
                 transform: None,
                 k,
+                items: None,
             })
             .collect();
         for threads in [1, 2, 4] {
@@ -789,6 +843,67 @@ mod tests {
                     &individual,
                     &format!("q {qi} threads {threads}"),
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn refined_search_ranks_by_bound_and_answers_by_exact_distance() {
+        // The index bound sees only x; the exact distance adds a hidden
+        // per-item term, so bound order and answer order differ.
+        let (single, shard_trees) = tree_and_shards(500, 3);
+        let q = [40.0, 40.0];
+        let hidden = |id: u64| ((id * 37) % 101) as f64;
+        let exact = |id: u64| {
+            let x = ((id * 29) % 97) as f64;
+            (x - q[0]) * (x - q[0]) + hidden(id)
+        };
+        let bound = |r: &Rect| {
+            let d = (r.lo[0] - q[0]).max(q[0] - r.hi[0]).max(0.0);
+            d * d
+        };
+        struct Stage<E>(E);
+        impl<E: Fn(u64) -> (f64, f64) + Sync> ItemStage for Stage<E> {
+            fn bound(&self, id: u64) -> f64 {
+                self.0(id).0
+            }
+            fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64> {
+                stats.refine_work += 1;
+                let d = self.0(id).1;
+                (d <= kth_now).then_some(d)
+            }
+        }
+        let stage = Stage(|id: u64| (exact(id) - hidden(id), exact(id)));
+        for k in [1usize, 7, 40] {
+            let want = finish(
+                (0..500u64)
+                    .map(|id| Neighbor {
+                        id,
+                        dist_sq: exact(id),
+                    })
+                    .collect(),
+                k,
+            );
+            for trees in [std::slice::from_ref(&single), shard_trees.as_slice()] {
+                for threads in [1, 4] {
+                    let query = KnnQuery {
+                        bound: &bound,
+                        transform: None,
+                        k,
+                        items: Some(&stage),
+                    };
+                    let (got, stats) = forest_nearest(trees, &[query], threads);
+                    let what = format!("k {k} trees {} threads {threads}", trees.len());
+                    assert_same(&got[0], &want, &what);
+                    let s = stats[0].merged;
+                    // Every item is refined at most once — and serially,
+                    // none whose bound exceeds the final k-th distance.
+                    assert_eq!(s.candidates, s.refine_work, "{what}");
+                    let kth = want.last().unwrap().dist_sq;
+                    let within = (0..500u64).filter(|&id| exact(id) - hidden(id) <= kth);
+                    let most = if threads == 1 { within.count() } else { 500 };
+                    assert!(s.candidates <= most as u64, "{what}");
+                }
             }
         }
     }
@@ -807,6 +922,7 @@ mod tests {
                     bound: &bound,
                     transform: None,
                     k,
+                    items: None,
                 };
                 let (got, stats) = forest_nearest(trees, &[query], threads);
                 assert!(got[0].is_empty());

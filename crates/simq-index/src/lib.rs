@@ -51,7 +51,7 @@ pub mod transform;
 pub use batch::{MultiRangeQuery, MultiSearchStats};
 pub use cursor::RangeStream;
 pub use geom::{circular_overlap, DimSemantics, Rect, Space};
-pub use knn::{cmp_distance_id, forest_nearest, KnnQuery, Neighbor};
+pub use knn::{cmp_distance_id, forest_nearest, ItemStage, KnnQuery, Neighbor};
 pub use rstar::{RTree, RTreeConfig};
 pub use search::{forest_range, ForestStats, SearchStats};
 pub use serial::SerialError;

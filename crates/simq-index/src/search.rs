@@ -31,6 +31,14 @@ pub struct SearchStats {
     pub leaves_visited: u64,
     /// Entries tested against the query rectangle.
     pub entries_tested: u64,
+    /// Leaf items a multi-step kNN search handed to
+    /// [`crate::knn::ItemStage::refine`]; 0 for every other search.
+    pub candidates: u64,
+    /// Candidates `refine` reports dismissed before any exact work.
+    pub filtered: u64,
+    /// Exact-distance work `refine` reports, in its own unit (the query
+    /// layer counts complex coefficients compared).
+    pub refine_work: u64,
 }
 
 impl SearchStats {
@@ -39,6 +47,9 @@ impl SearchStats {
         self.nodes_visited += other.nodes_visited;
         self.leaves_visited += other.leaves_visited;
         self.entries_tested += other.entries_tested;
+        self.candidates += other.candidates;
+        self.filtered += other.filtered;
+        self.refine_work += other.refine_work;
     }
 
     /// Counts one node read at tree level `level` (0 = leaf).

@@ -17,9 +17,9 @@
 //!    * Index range groups descend the R*-tree **once**: at every node
 //!      each still-active query tests every entry under its own lowered
 //!      transformation ([`simq_index::batch`]).
-//!    * Index kNN groups run all step-1 best-first searches over one
-//!      work-stealing pool with per-query pruning bounds, then batch every
-//!      query's step-2 range into one shared traversal.
+//!    * Index kNN groups run every member's ranked descent (bound,
+//!      refine and all) over one work-stealing pool, each pruned by its
+//!      own exact k-th best.
 //!    * Scan groups make **one pass** over the relation, computing every
 //!      query's distance per row ([`simq_storage::multi`]).
 //!
@@ -39,10 +39,10 @@ use crate::error::QueryError;
 use crate::exec::{self, resolve_query, ExecStats, Hit, QueryOutput, QueryResult};
 use crate::plan::{plan, AccessPath, Plan};
 use crate::verify::{
-    knn_radius_sq, pad, shards_touched, sort_hits, verify_all, KnnVerifier, RangeVerifier,
+    knn_rank_all, shards_touched, sort_hits, verify_all, KnnRank, Ledger, RangeVerifier,
 };
 use simq_dsp::complex::Complex;
-use simq_index::{forest_nearest, KnnQuery, MultiRangeQuery, MultiSearchStats, Rect};
+use simq_index::{MultiRangeQuery, MultiSearchStats, Rect};
 use simq_obs::span;
 use simq_series::error::SeriesError;
 use simq_series::transform::SeriesTransform;
@@ -80,13 +80,12 @@ pub struct BatchStats {
 /// The *outputs* of each slot (hits, distances, ordering, errors) are
 /// bitwise identical to individual execution; the *work counters* differ
 /// by design. A grouped result's node/row/coefficient counters report
-/// what its individual execution would have counted, but `threads_used`
-/// reports the batch's configured fan-out (group phases parallelize
-/// across the whole group, so per-query attribution of thread counts is
-/// not meaningful) and `per_thread`/`per_shard` are empty — per-thread
-/// and per-shard breakdowns exist only for single-query execution.
-/// `shards_touched` is still stamped, so a grouped query over a sharded
-/// relation reports the same shard fan-out as an individual run.
+/// what its individual execution would have counted. Range and scan
+/// groups stamp `threads_used` with the batch's configured fan-out and
+/// leave `per_thread`/`per_shard` empty (their phases parallelize across
+/// the whole group); an index kNN member runs its own search on the
+/// shared pool and reports that search's counters and breakdowns, equal
+/// to an individual run's. `shards_touched` is stamped either way.
 #[derive(Debug)]
 pub struct BatchResult {
     /// One slot per input query, in input order.
@@ -229,7 +228,7 @@ impl<'a> BatchExecutor<'a> {
         for ((relation, kind), members) in &groups {
             let what = match kind {
                 GroupKind::IndexRange => "shared R*-tree range traversal",
-                GroupKind::IndexKnn => "shared-pool kNN + shared step-2 traversal",
+                GroupKind::IndexKnn => "shared-pool multi-step kNN",
                 GroupKind::ScanRange => "one shared sequential pass (range)",
                 GroupKind::ScanKnn => "one shared sequential pass (kNN)",
             };
@@ -625,9 +624,10 @@ impl<'a> BatchExecutor<'a> {
         }
     }
 
-    /// Batched two-step kNN: step 1 runs every best-first search over one
-    /// shared pool; step 2 batches all the radius range queries into one
-    /// shared traversal.
+    /// Batched multi-step kNN: every member's ranked descent — bound,
+    /// refine and all — runs over one shared work-stealing pool, each
+    /// pruned by its own exact `k`-th best. A member's counters are its
+    /// own search's, exactly what [`exec::run_with_plan`] reports for it.
     #[allow(clippy::too_many_arguments)]
     fn index_knn_group(
         &self,
@@ -639,20 +639,9 @@ impl<'a> BatchExecutor<'a> {
         slots: &mut [Option<Result<QueryResult, QueryError>>],
         merged: &mut ExecStats,
     ) {
-        let scheme = stored.scheme();
-        let n = stored.series_len();
-
-        struct Prepared {
-            slot: usize,
-            k: usize,
-            spectrum: Vec<Complex>,
-            q_point: Vec<f64>,
-            q_coeffs: Vec<Complex>,
-            lowered: simq_index::DiagonalAffine,
-            action: simq_series::transform::NormalFormAction,
-            stats: ExecStats,
-        }
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(members.len());
+        let filter = self.db.filter_enabled();
+        let mut prepared: Vec<usize> = Vec::with_capacity(members.len());
+        let mut ranks: Vec<KnnRank> = Vec::with_capacity(members.len());
         for &i in members {
             let Some(Query::Knn {
                 k,
@@ -664,125 +653,26 @@ impl<'a> BatchExecutor<'a> {
             else {
                 unreachable!("index kNN group holds kNN queries")
             };
-            let outcome = (|| {
-                let ctx = resolve_query(stored, source, transform, *on_both)?;
-                let q_point = scheme.point_from_spectrum(0.0, 0.0, &ctx.spectrum)?;
-                let q_coeffs = scheme.coefficients_of_point(&q_point);
-                let lowered = transform.lower(scheme, n)?;
-                let action = transform.action(n, n.saturating_sub(1))?;
-                Ok::<_, QueryError>((ctx.spectrum, q_point, q_coeffs, lowered, action))
-            })();
-            match outcome {
-                Ok((spectrum, q_point, q_coeffs, lowered, action)) => prepared.push(Prepared {
-                    slot: i,
-                    k: *k,
-                    spectrum,
-                    q_point,
-                    q_coeffs,
-                    lowered,
-                    action,
-                    stats: ExecStats::default(),
-                }),
+            match resolve_query(stored, source, transform, *on_both)
+                .and_then(|ctx| KnnRank::new(stored, transform, ctx.spectrum, *k, filter))
+            {
+                Ok(rank) => {
+                    prepared.push(i);
+                    ranks.push(rank);
+                }
                 Err(e) => slots[i] = Some(Err(e)),
             }
         }
 
-        // Step 1: every search shares one pool, pruned per query.
-        type BoundFn<'s> = Box<dyn Fn(&Rect) -> f64 + Sync + 's>;
-        let bounds: Vec<BoundFn> = prepared
-            .iter()
-            .map(|p| {
-                Box::new(|rect: &Rect| simq_series::spectral_mindist(scheme, &p.q_coeffs, rect))
-                    as BoundFn
-            })
-            .collect();
-        let knn_queries: Vec<KnnQuery> = prepared
-            .iter()
-            .zip(&bounds)
-            .map(|(p, b)| KnnQuery {
-                bound: b.as_ref(),
-                transform: Some(&p.lowered),
-                k: p.k,
-            })
-            .collect();
-        let (step1, s1) = forest_nearest(stored.trees(), &knn_queries, threads);
-        drop(knn_queries);
-        drop(bounds);
-        for (p, s) in prepared.iter_mut().zip(&s1) {
-            merged.add_search(&s.merged);
-            p.stats.add_search(&s.merged);
-        }
-
-        // Step 2: the k-th candidate's exact distance bounds one range
-        // query per member; all of them share one traversal.
-        let mut radii: Vec<Option<(f64, Rect)>> = Vec::with_capacity(prepared.len());
-        for (p, step1) in prepared.iter_mut().zip(&step1) {
-            if step1.is_empty() {
-                radii.push(None);
-                continue;
-            }
-            let (radius_sq, compared) =
-                knn_radius_sq(stored, step1, &p.action.multipliers, &p.spectrum);
-            p.stats.coefficients_compared += compared;
-            merged.coefficients_compared += compared;
-            let rect = scheme.search_rect(&p.q_point, pad(radius_sq.sqrt()));
-            radii.push(Some((radius_sq, rect)));
-        }
-        let step2_members: Vec<usize> = (0..prepared.len())
-            .filter(|&qi| radii[qi].is_some())
-            .collect();
-        let multi: Vec<MultiRangeQuery> = step2_members
-            .iter()
-            .map(|&qi| MultiRangeQuery {
-                transform: Some(&prepared[qi].lowered),
-                rect: &radii[qi].as_ref().expect("filtered to present").1,
-            })
-            .collect();
-        let (candidates, s2) = multi_range_over(stored, &multi, threads);
-        drop(multi);
-        merged.add_search(&s2.merged);
-
-        let mut step2_hits: BTreeMap<usize, Vec<Hit>> = BTreeMap::new();
-        for (pos, &qi) in step2_members.iter().enumerate() {
-            let p = &mut prepared[qi];
-            let ids = &candidates[pos];
-            let radius_sq = radii[qi].as_ref().expect("present").0;
-            p.stats.add_search(&s2.per_query[pos]);
-            p.stats.candidates = ids.len() as u64;
-            merged.candidates += ids.len() as u64;
-
-            // Verification against this member's step-2 radius, exactly
-            // as in the single-query kNN executor.
-            let verifier = KnnVerifier::new(
-                stored,
-                &p.action.multipliers,
-                &p.spectrum,
-                radius_sq,
-                self.db.filter_enabled(),
-            );
-            let (mut out, per_worker) = verify_all(ids, threads, |id, st| verifier.verify(id, st));
-            for w in &per_worker {
-                p.stats.add_work(w);
-                merged.add_work(w);
-            }
-            sort_hits(&mut out);
-            out.truncate(p.k);
-            step2_hits.insert(qi, out);
-        }
-
-        for (qi, p) in prepared.into_iter().enumerate() {
-            let hits = step2_hits.remove(&qi).unwrap_or_default();
-            let mut stats = p.stats;
-            stats.verified = hits.len() as u64;
-            stats.threads_used = threads as u64;
-            stats.shards_touched = shards_touched(stored);
-            slots[p.slot] = Some(Ok(QueryResult {
-                output: QueryOutput::Hits(hits),
-                plan: plans[p.slot].clone().expect("grouped query has a plan"),
-                stats,
-                per_thread: Vec::new(),
-                per_shard: Vec::new(),
-            }));
+        for (slot, (hits, search)) in prepared
+            .into_iter()
+            .zip(knn_rank_all(stored, &ranks, threads))
+        {
+            merged.add_search(&search.merged);
+            let mut ledger = Ledger::new(stored, threads);
+            ledger.search(&search);
+            let the_plan = plans[slot].as_ref().expect("grouped query has a plan");
+            slots[slot] = Some(Ok(ledger.finish(QueryOutput::Hits(hits), the_plan)));
         }
     }
 

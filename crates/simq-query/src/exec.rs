@@ -18,12 +18,12 @@ use crate::catalog::{Database, StoredRelation};
 use crate::error::QueryError;
 use crate::plan::{explain, plan, AccessPath, Plan};
 use crate::verify::{
-    chunked, exact_distance_sq, knn_radius_sq, pad, sort_hits, verify_all, KnnVerifier, Ledger,
-    RangeVerifier,
+    chunked, knn_rank_all, pad, sort_hits, verify_all, KnnRank, Ledger, RangeVerifier,
 };
 use simq_dsp::complex::Complex;
-use simq_index::{forest_nearest, forest_range, KnnQuery};
+use simq_index::forest_range;
 use simq_obs::span;
+use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::SeriesTransform;
 use simq_storage::scan;
 use std::collections::BTreeMap;
@@ -89,6 +89,10 @@ impl ExecStats {
         self.nodes_visited += s.nodes_visited;
         self.leaves_visited += s.leaves_visited;
         self.entries_tested += s.entries_tested;
+        // A multi-step kNN search refines inside the descent.
+        self.candidates += s.candidates;
+        self.filtered_out += s.filtered;
+        self.coefficients_compared += s.refine_work;
     }
 
     pub(crate) fn add_scan(&mut self, s: &scan::ScanStats) {
@@ -301,7 +305,7 @@ pub fn run_with_plan(
             let result = knn(
                 stored,
                 transform,
-                &ctx.spectrum,
+                ctx.spectrum,
                 *k,
                 &the_plan,
                 db.filter_enabled(),
@@ -538,83 +542,37 @@ fn range(
 fn knn(
     stored: &StoredRelation,
     transform: &SeriesTransform,
-    q_spec: &[Complex],
+    q_spec: Vec<Complex>,
     k: usize,
     the_plan: &Plan,
     filter: bool,
 ) -> Result<QueryResult, QueryError> {
-    let n = stored.series_len();
     let threads = the_plan.threads.max(1);
     let mut ledger = Ledger::new(stored, threads);
 
     let hits: Vec<Hit> = match the_plan.access {
         AccessPath::IndexScan => {
-            // Two-step kNN (Korn et al.): (1) k candidates ordered by the
-            // spectral MINDIST lower bound (annular-sector geometry in the
-            // polar representation); (2) the k-th candidate's exact
-            // distance bounds a range query that yields every possible
-            // better row; (3) exact distances decide. Step 1 is one
-            // best-first search over the relation's whole forest of trees
-            // (shared k-th-best bound) and step 2 one range descent over
-            // it — leaf bounds depend only on the item, so both steps see
-            // exactly the single-tree candidate sets.
-            let scheme = stored.scheme();
-            let q_point = scheme.point_from_spectrum(0.0, 0.0, q_spec)?;
-            let q_coeffs = scheme.coefficients_of_point(&q_point);
-            let lowered = transform.lower(scheme, n)?;
-            let action = transform.action(n, n.saturating_sub(1))?;
-
-            let bound = |rect: &simq_index::Rect| -> f64 {
-                simq_series::spectral_mindist(scheme, &q_coeffs, rect)
-            };
-            let step1_span = span::span("knn.step1");
-            let query = KnnQuery {
-                bound: &bound,
-                transform: Some(&lowered),
-                k,
-            };
-            let (mut found, s1) = forest_nearest(stored.trees(), &[query], threads);
-            let step1 = found.pop().expect("one result per query");
-            ledger.search(&s1[0]);
-            step1_span.note("nodes", ledger.stats.nodes_visited);
-            step1_span.note("candidates", step1.len() as u64);
-            drop(step1_span);
-            if step1.is_empty() {
-                Vec::new()
-            } else {
-                let radius_span = span::span("knn.radius");
-                let (radius_sq, radius_compared) =
-                    knn_radius_sq(stored, &step1, &action.multipliers, q_spec);
-                ledger.workers(&[radius_compared], |acc, c| acc.coefficients_compared += c);
-                radius_span.note("coefficients", radius_compared);
-                drop(radius_span);
-
-                let rect = scheme.search_rect(&q_point, pad(radius_sq.sqrt()));
-                let step2_span = span::span("knn.step2");
-                let (candidates, s2) = forest_range(stored.trees(), Some(&lowered), &rect, threads);
-                ledger.search(&s2);
-                ledger.stats.candidates = candidates.len() as u64;
-                step2_span.note("candidates", ledger.stats.candidates);
-                drop(step2_span);
-
-                let verifier =
-                    KnnVerifier::new(stored, &action.multipliers, q_spec, radius_sq, filter);
-                let verify_span = span::span("knn.verify");
-                let (mut out, work) =
-                    verify_all(&candidates, threads, |id, st| verifier.verify(id, st));
-                ledger.verified(&work);
-                sort_hits(&mut out);
-                out.truncate(k);
-                verify_span.note("filtered", ledger.stats.filtered_out);
-                verify_span.note("verified", out.len() as u64);
-                drop(verify_span);
-                out
-            }
+            // Optimal multi-step kNN (Seidl & Kriegel): one best-first
+            // descent over the relation's whole forest of trees ranks
+            // rows by lower bound and refines each as it surfaces,
+            // stopping once the next bound exceeds the exact k-th best.
+            let rank = KnnRank::new(stored, transform, q_spec, k, filter)?;
+            let rank_span = span::span("knn.rank");
+            let (hits, s) = knn_rank_all(stored, std::slice::from_ref(&rank), threads)
+                .pop()
+                .expect("one result per query");
+            ledger.search(&s);
+            rank_span.note("nodes", ledger.stats.nodes_visited);
+            rank_span.note("candidates", ledger.stats.candidates);
+            rank_span.note("filtered", ledger.stats.filtered_out);
+            rank_span.note("verified", hits.len() as u64);
+            drop(rank_span);
+            hits
         }
         AccessPath::SeqScan { .. } => {
             let scan_span = span::span("scan");
             let (scan_hits, s) =
-                scan::scan_knn_over(stored.stores(), transform, q_spec, k, threads)?;
+                scan::scan_knn_over(stored.stores(), transform, &q_spec, k, threads)?;
             ledger.scan(&s);
             ledger.stats.candidates = ledger.stats.rows_scanned;
             scan_span.note("rows", ledger.stats.rows_scanned);
@@ -741,15 +699,15 @@ fn all_pairs(
                             }
                         }
                         let other = stored.row(id).expect("index ids are valid");
-                        let d = exact_distance_sq(
+                        let (d_sq, abandoned) = transformed_distance_sq(
                             &other.features.spectrum,
                             &action.multipliers,
                             probe_spec,
                             Some(eps * eps),
                             &mut stats.coefficients_compared,
-                        )
-                        .sqrt();
-                        if d <= eps {
+                        );
+                        let d = d_sq.sqrt();
+                        if !abandoned && d <= eps {
                             keep_min(found, (row.id.min(id), row.id.max(id)), d);
                         }
                     }

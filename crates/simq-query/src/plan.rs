@@ -134,7 +134,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
             if *strategy == Strategy::ForceScan {
                 return Ok(Plan {
                     access: AccessPath::SeqScan {
-                        early_abandon: false,
+                        early_abandon: true,
                     },
                     reason: "FORCE SCAN requested".into(),
                     threads,
@@ -157,7 +157,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
                 Ok(()) => Ok(Plan {
                     access: AccessPath::IndexScan,
                     reason: format!(
-                        "two-step kNN with spectral MINDIST over the {} index",
+                        "multi-step kNN with spectral MINDIST over the {} index",
                         rep_name(scheme.rep)
                     ),
                     threads,
@@ -168,7 +168,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
                 }
                 Err(why) => Ok(Plan {
                     access: AccessPath::SeqScan {
-                        early_abandon: false,
+                        early_abandon: true,
                     },
                     reason: why,
                     threads,

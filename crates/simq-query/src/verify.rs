@@ -14,9 +14,14 @@ use crate::error::QueryError;
 use crate::exec::{ExecStats, Hit, QueryContext, QueryOutput, QueryResult};
 use crate::plan::Plan;
 use simq_dsp::complex::Complex;
-use simq_index::{cmp_distance_id, ForestStats, Neighbor, Rect};
+use simq_index::{
+    cmp_distance_id, forest_nearest, DiagonalAffine, ForestStats, ItemStage, KnnQuery, Neighbor,
+    Rect, SearchStats,
+};
+use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::{NormalFormAction, SeriesTransform};
-use simq_storage::{scan, FilterProbe, ScanFanStats, SeriesRow};
+use simq_series::SpectralMindist;
+use simq_storage::{deflate_sq, scan, FilterProbe, ScanFanStats, SeriesRow};
 
 /// Pads a search radius by one part in 10⁹ plus one absolute ulp-scale
 /// nudge. Transformed index coordinates are computed by different
@@ -27,34 +32,6 @@ use simq_storage::{scan, FilterProbe, ScanFanStats, SeriesRow};
 /// it can only widen the candidate superset of Lemma 1.
 pub(crate) fn pad(radius: f64) -> f64 {
     radius * (1.0 + 1e-9) + 1e-9
-}
-
-/// Exact squared distance between a row's transformed spectrum and the
-/// query spectrum. With `abandon_over` (a squared bound) the accumulation
-/// stops once the partial sum provably exceeds it and `f64::INFINITY` is
-/// returned — the candidate is outside the range either way; the same
-/// early-abandoning idea the paper applies to sequential scans. Working in
-/// squared distances end to end avoids `sqrt`-roundtrip boundary errors
-/// when a bound is derived from a previously computed distance.
-pub(crate) fn exact_distance_sq(
-    row_spectrum: &[Complex],
-    multipliers: &[Complex],
-    q: &[Complex],
-    abandon_over: Option<f64>,
-    compared: &mut u64,
-) -> f64 {
-    let (d_sq, abandoned) = simq_series::kernel::transformed_distance_sq(
-        row_spectrum,
-        multipliers,
-        q,
-        abandon_over,
-        compared,
-    );
-    if abandoned {
-        f64::INFINITY
-    } else {
-        d_sq
-    }
 }
 
 /// The deterministic `(distance, id)` hit order of every query form.
@@ -183,15 +160,18 @@ impl<'db> RangeVerifier<'db> {
                 return None;
             }
         }
-        let d = exact_distance_sq(
+        // Squared distances until the last step: early abandoning (the
+        // paper's sequential-scan idea, applied per candidate) compares
+        // partial sums with ε² and avoids a `sqrt` roundtrip on the bound.
+        let (d_sq, abandoned) = transformed_distance_sq(
             &row.features.spectrum,
             &self.action.multipliers,
             &self.ctx.spectrum,
             Some(eps_sq),
             &mut stats.coefficients_compared,
-        )
-        .sqrt();
-        (d <= self.eps).then(|| Hit {
+        );
+        let d = d_sq.sqrt();
+        (!abandoned && d <= self.eps).then(|| Hit {
             id,
             name: row.name.clone(),
             distance: d,
@@ -199,82 +179,130 @@ impl<'db> RangeVerifier<'db> {
     }
 }
 
-/// Exact distances of the step-1 candidates of a two-step kNN: the
-/// largest (squared) bounds the step-2 range query that yields every
-/// possible better row. Returns it with the coefficients compared.
-pub(crate) fn knn_radius_sq(
-    stored: &StoredRelation,
-    step1: &[Neighbor],
-    multipliers: &[Complex],
-    q_spec: &[Complex],
-) -> (f64, u64) {
-    let mut radius_sq = 0.0f64;
-    let mut compared = 0u64;
-    for nb in step1 {
-        let row = stored.row(nb.id).expect("index ids are valid");
-        let d_sq = exact_distance_sq(
-            &row.features.spectrum,
-            multipliers,
-            q_spec,
-            None,
-            &mut compared,
-        );
-        radius_sq = radius_sq.max(d_sq);
-    }
-    (radius_sq, compared)
-}
-
-/// The kNN verifier: decides step-2 candidates against the step-2 radius.
-pub(crate) struct KnnVerifier<'a> {
+/// One indexed kNN query resolved for the optimal multi-step search
+/// (Seidl & Kriegel): the bounds that rank subtrees and rows, and the
+/// refine step that decides a ranked row against the shrinking exact
+/// `k`-th best — signature probe → exact distance. Everything is in
+/// squared distances.
+pub(crate) struct KnnRank<'a> {
     stored: &'a StoredRelation,
-    multipliers: &'a [Complex],
-    q_spec: &'a [Complex],
-    radius_sq: f64,
+    q_spec: Vec<Complex>,
+    k: usize,
+    lowered: DiagonalAffine,
+    multipliers: Vec<Complex>,
+    mindist: SpectralMindist,
+    /// The row-level twin of `mindist`: the signature bound cut to the
+    /// index's own frequencies `0..=k`, read from the flat signature
+    /// array — no trigonometry, no rectangle.
+    leading: FilterProbe,
     probe: Option<FilterProbe>,
 }
 
-impl<'a> KnnVerifier<'a> {
-    /// A verifier against `radius_sq`; with `filter`, a candidate whose
-    /// signature lower bound exceeds the radius — and so can never enter
-    /// the final top-k — is dismissed before its spectrum is read.
+impl<'a> KnnRank<'a> {
+    /// Resolves the transformation and the query's comparison spectrum
+    /// for `stored`; with `filter`, the signature tier probes each ranked
+    /// row before its spectrum is read.
     pub(crate) fn new(
         stored: &'a StoredRelation,
-        multipliers: &'a [Complex],
-        q_spec: &'a [Complex],
-        radius_sq: f64,
+        transform: &SeriesTransform,
+        q_spec: Vec<Complex>,
+        k: usize,
         filter: bool,
-    ) -> Self {
-        KnnVerifier {
+    ) -> Result<Self, QueryError> {
+        let scheme = stored.scheme();
+        let n = stored.series_len();
+        let mindist = SpectralMindist::new(scheme, &q_spec[1..]);
+        let multipliers = transform.action(n, n.saturating_sub(1))?.multipliers;
+        let leading = (scheme.k + 1).min(stored.sig_coeffs());
+        Ok(KnnRank {
             stored,
+            k,
+            lowered: transform.lower(scheme, n)?,
+            mindist,
+            leading: FilterProbe::new(&q_spec, &multipliers, leading),
+            probe: compile_probe(stored, filter, &q_spec, &multipliers),
             multipliers,
             q_spec,
-            radius_sq,
-            probe: compile_probe(stored, filter, q_spec, multipliers),
-        }
+        })
     }
 
-    /// Verifies one candidate: signature probe → exact distance.
-    pub(crate) fn verify(&self, id: u64, stats: &mut ExecStats) -> Option<Hit> {
+    /// The ranking key of a subtree: the squared spectral MINDIST of its
+    /// transformed rectangle, deflated like the signature bound (and the
+    /// way [`pad`] widens a radius) — it reaches the coefficients by
+    /// another floating-point route than the exact distance.
+    fn subtree_bound(&self, rect: &Rect) -> f64 {
+        deflate_sq(self.mindist.dist_sq(rect))
+    }
+}
+
+impl ItemStage for KnnRank<'_> {
+    /// The ranking key of a row: the (deflated) signature bound over the
+    /// index's own frequencies.
+    fn bound(&self, id: u64) -> f64 {
+        self.stored
+            .signature(id)
+            .map_or(0.0, |sig| self.leading.lower_bound_sq(sig))
+    }
+
+    /// Decides one ranked row against the current exact `k`-th best
+    /// squared distance: its exact squared distance, or `None` when the
+    /// signature bound or the abandoned accumulation proves it farther.
+    fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64> {
         if let (Some(p), Some(sig)) = (&self.probe, self.stored.signature(id)) {
-            if p.dismisses(sig, self.radius_sq) {
-                stats.filtered_out += 1;
+            if p.dismisses(sig, kth_now) {
+                stats.filtered += 1;
                 return None;
             }
         }
         let row = self.stored.row(id).expect("index ids are valid");
-        let d_sq = exact_distance_sq(
+        let (d_sq, abandoned) = transformed_distance_sq(
             &row.features.spectrum,
-            self.multipliers,
-            self.q_spec,
-            Some(self.radius_sq),
-            &mut stats.coefficients_compared,
+            &self.multipliers,
+            &self.q_spec,
+            kth_now.is_finite().then_some(kth_now),
+            &mut stats.refine_work,
         );
-        d_sq.is_finite().then(|| Hit {
-            id,
-            name: row.name.clone(),
-            distance: d_sq.sqrt(),
-        })
+        (!abandoned).then_some(d_sq)
     }
+}
+
+/// Runs every query of `ranks` as one ranked descent over the relation's
+/// forest (a single query is a batch of one): each query's `k` nearest
+/// rows in `(distance, id)` order and the work its search did — index
+/// reads and, per worker and shard, the refine work done inside it.
+pub(crate) fn knn_rank_all(
+    stored: &StoredRelation,
+    ranks: &[KnnRank],
+    threads: usize,
+) -> Vec<(Vec<Hit>, ForestStats)> {
+    let bounds: Vec<_> = ranks
+        .iter()
+        .map(|r| move |rect: &Rect| r.subtree_bound(rect))
+        .collect();
+    let queries: Vec<KnnQuery> = ranks
+        .iter()
+        .zip(&bounds)
+        .map(|(r, bound)| KnnQuery {
+            bound,
+            transform: Some(&r.lowered),
+            k: r.k,
+            items: Some(r),
+        })
+        .collect();
+    let (found, stats) = forest_nearest(stored.trees(), &queries, threads);
+    let hits_of = |found: Vec<Neighbor>| {
+        let mut hits: Vec<Hit> = found
+            .into_iter()
+            .map(|nb| Hit {
+                id: nb.id,
+                name: stored.row(nb.id).expect("index ids are valid").name.clone(),
+                distance: nb.dist_sq.sqrt(),
+            })
+            .collect();
+        sort_hits(&mut hits);
+        hits
+    };
+    found.into_iter().map(hits_of).zip(stats).collect()
 }
 
 /// The serial-or-chunked dispatch: runs `work` over contiguous chunks of
@@ -345,7 +373,7 @@ fn fold<T>(per: &mut Vec<ExecStats>, phase: &[T], add: impl Fn(&mut ExecStats, &
 ///   execution reports no breakdowns). Single-store relations keep
 ///   `shards_touched = 0` and an empty `per_shard`;
 /// * work that has no shard affinity (verification of merged candidate
-///   lists, the k-NN radius, pair work that crosses shards) is charged per
+///   lists, pair work that crosses shards) is charged per
 ///   thread whenever it fanned out — or on the calling thread, to entry 0,
 ///   as soon as any breakdown exists, so the shares keep summing to the
 ///   totals.

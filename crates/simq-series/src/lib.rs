@@ -37,7 +37,7 @@ pub use error::SeriesError;
 pub use features::{FeaturePoint, FeatureScheme, Representation};
 pub use kernel::{distance_outcome, euclidean_sq_flat, DistOutcome};
 pub use mavg::{moving_average, plain_moving_average, weighted_moving_average};
-pub use mindist::{sector_distance, spectral_mindist};
+pub use mindist::{sector_distance, spectral_mindist, SpectralMindist};
 pub use normal::{mean, normal_form, normalize, std_dev, NormalForm};
 pub use reverse::reverse;
 pub use transform::SeriesTransform;

@@ -66,6 +66,6 @@ pub use scan::{
     scan_range_over, ScanFanStats, ScanHit, ScanStats,
 };
 pub use shard::{ShardLayout, ShardedRelation};
-pub use sig::{FilterProbe, SignatureArray, SIG_COEFFS};
+pub use sig::{deflate_sq, FilterProbe, SignatureArray, SIG_COEFFS};
 pub use snapshot::{SnapshotEntry, SnapshotError, SnapshotRelation, SnapshotSource};
 pub use wal::{WalRecord, WalReplay};

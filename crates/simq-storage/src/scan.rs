@@ -16,14 +16,16 @@
 //! normal-form distances by Parseval.
 //!
 //! [`scan_range`] and [`scan_knn`] are the serial single-store kernels —
-//! and the oracle every other path is tested against. The `*_over` entry
-//! points run the same per-row code over a slice of stores (one per
-//! relation shard; an unsharded relation is a slice of one) on a thread
-//! budget: the stores' rows, taken store after store, are split into
-//! contiguous spans, one per worker, so hit order is the serial row order
-//! and every distance is computed by exactly the serial code on the same
-//! operands — only the schedule differs. Work counters come back merged,
-//! per worker thread and per store.
+//! and the oracle every other path is tested against ([`scan_knn`]
+//! computes every full distance; the engine's kNN scan, [`scan_knn_over`],
+//! abandons against the `k`-th best). The `*_over` entry points run the
+//! same per-row code over a slice of stores (one per relation shard; an
+//! unsharded relation is a slice of one) on a thread budget: the stores'
+//! rows, taken store after store, are split into contiguous spans, one
+//! per worker, so hit order is the serial row order and every distance is
+//! computed by exactly the serial code on the same operands — only the
+//! schedule differs. Work counters come back merged, per worker thread
+//! and per store.
 
 use crate::relation::{SeriesRelation, SeriesRow};
 use simq_dsp::complex::Complex;
@@ -560,16 +562,14 @@ pub fn scan_knn(
 
 /// [`scan_knn`] over a slice of stores on up to `threads` threads.
 ///
-/// On one thread each store runs the exact [`scan_knn`] and the per-store
-/// top-`k` lists merge by `(distance, id)` — any global top-`k` row is in
-/// its store's top-`k`, so the merge loses nothing. On more, every worker
-/// scans its span keeping the rows not provably outside its local top-`k`
-/// (ties included); the `k`-th best distance any worker has seen is
-/// published to a shared atomic bound, letting *every* worker abandon a
-/// row as soon as its partial sum provably exceeds the global `k`-th
-/// best. Rows abandoned this way are strictly worse than `k` already-found
-/// rows, so the merged, `(distance, id)`-sorted, truncated result equals
-/// the serial scan exactly — while comparing far fewer coefficients.
+/// Every worker (one, on one thread) scans its span keeping the rows not
+/// provably outside its local top-`k` (ties included); the `k`-th best
+/// distance any worker has seen is published to a shared atomic bound,
+/// letting *every* worker abandon a row as soon as its partial sum
+/// provably exceeds the global `k`-th best. Rows abandoned this way are
+/// strictly worse than `k` already-found rows, so the merged,
+/// `(distance, id)`-sorted, truncated result equals the full-distance
+/// [`scan_knn`] exactly — while comparing far fewer coefficients.
 ///
 /// # Errors
 /// Transformation-domain errors.
@@ -581,18 +581,6 @@ pub fn scan_knn_over(
     threads: usize,
 ) -> Result<(Vec<ScanHit>, ScanFanStats), SeriesError> {
     let spans = spans(stores, threads);
-    if spans.len() <= 1 {
-        let mut all = Vec::new();
-        let mut per_shard = Vec::with_capacity(stores.len());
-        for store in stores {
-            let (hits, stats) = scan_knn(store, transform, query_spectrum, k)?;
-            all.extend(hits);
-            per_shard.push(stats);
-        }
-        let stats = ScanFanStats::from_workers(stores.len(), vec![per_shard]);
-        return Ok((nearest_k(all, k), stats));
-    }
-
     let n = series_len_of(stores);
     let action = transform.action(n, n.saturating_sub(1))?;
     // Shared upper bound on the k-th smallest squared distance (monotone

@@ -121,6 +121,14 @@ impl SignatureArray {
     }
 }
 
+/// Deflates a squared lower bound by one part in 10⁹ plus an absolute
+/// nudge, absorbing the `f64` rounding of the verification sum it is
+/// compared with, so it never dismisses (or out-ranks) a boundary tie.
+#[inline]
+pub fn deflate_sq(lower_bound_sq: f64) -> f64 {
+    (lower_bound_sq * (1.0 - 1e-9) - 1e-12).max(0.0)
+}
+
 /// One precomputed per-coefficient probe term: the transformed query
 /// pulled back into raw-spectrum space, plus the scale restoring the
 /// transform's contribution. Inert terms carry all zeros.
@@ -226,9 +234,7 @@ impl FilterProbe {
             acc += t.scale_sq * (dx * dx + dy * dy);
         }
         if acc.is_finite() {
-            // Final deflation absorbs the f64 accumulation rounding of the
-            // verification sum itself.
-            (acc * (1.0 - 1e-9) - 1e-12).max(0.0)
+            deflate_sq(acc)
         } else {
             0.0
         }

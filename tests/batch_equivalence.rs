@@ -34,6 +34,11 @@ fn assert_batch_equivalent(db: &mut Database, queries: &[String]) {
         assert_eq!(batch.results.len(), individual.len());
         for (i, (got, want)) in batch.results.iter().zip(&individual).enumerate() {
             assert_outcomes_equal(got, want, &format!("{} (threads {threads})", texts[i]));
+            // Serial index-kNN members carry their stand-alone counters.
+            let index_knn = texts[i].contains("NEAREST") && !texts[i].contains("FORCE SCAN");
+            if let (true, 1, Ok(got), Ok(want)) = (index_knn, threads, got, want) {
+                assert_eq!(got.stats, want.stats, "{}", texts[i]);
+            }
         }
     }
 }
@@ -155,28 +160,65 @@ fn batch_of_64_range_queries_shares_traversal() {
     );
 }
 
-/// Batched kNN (the two-step index path) shares its step-2 traversal: the
-/// merged node count of a kNN batch stays below the individual sum while
-/// every answer list is bitwise identical.
+/// Batched index kNN runs every member's own ranked descent (bound,
+/// signature probe, exact refinement) on the group's shared pool, so a
+/// member's serial counters — candidates, filtered_out, coefficients,
+/// threads_used, all of them — are exactly what `execute` reports for the
+/// same text, on one store and on four, and the batch's merged counters
+/// are their sum.
 #[test]
-fn batch_of_knn_queries_shares_step_two() {
+fn batch_knn_members_report_their_own_serial_stats() {
     let series = corpus(99, 300, 64);
-    let db = db_with(&series, FeatureScheme::paper_default());
     let queries: Vec<String> = (0..24)
-        .map(|i| format!("FIND {} NEAREST TO ROW {} IN r", 2 + i % 6, (i * 11) % 300))
+        .map(|i| {
+            let using = if i % 3 == 0 {
+                " USING mavg(5) ON BOTH"
+            } else {
+                ""
+            };
+            let (k, row) = (2 + i % 6, (i * 11) % 300);
+            format!("FIND {k} NEAREST TO ROW {row} IN r{using}")
+        })
         .collect();
     let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
-    let batch = execute_batch(&db, &texts);
-    let mut sum = 0u64;
-    for (i, q) in texts.iter().enumerate() {
-        let individual = execute(&db, q).unwrap();
-        assert_outputs_bitwise_equal(batch.results[i].as_ref().unwrap(), &individual, q);
-        sum += individual.stats.nodes_visited;
+    for shards in [1usize, 4] {
+        let mut db = db_with(&series, FeatureScheme::paper_default());
+        db.set_parallelism(Parallelism::Serial);
+        if shards > 1 {
+            db.shard_relation("r", shards).unwrap();
+        }
+        let batch = execute_batch(&db, &texts);
+        assert_eq!(batch.stats.shared_groups, 1);
+        let mut sum = similarity_queries::query::ExecStats::default();
+        for (i, q) in texts.iter().enumerate() {
+            let individual = execute(&db, q).unwrap();
+            let got = batch.results[i].as_ref().unwrap();
+            assert_outputs_bitwise_equal(got, &individual, q);
+            assert_eq!(got.stats, individual.stats, "{q} (shards {shards})");
+            assert!(
+                got.stats.candidates > 0 && got.stats.filtered_out > 0,
+                "{q}"
+            );
+            sum.nodes_visited += individual.stats.nodes_visited;
+            sum.candidates += individual.stats.candidates;
+            sum.filtered_out += individual.stats.filtered_out;
+            sum.coefficients_compared += individual.stats.coefficients_compared;
+        }
+        let merged = &batch.stats.merged;
+        assert_eq!(
+            (
+                merged.nodes_visited,
+                merged.candidates,
+                merged.filtered_out,
+                merged.coefficients_compared
+            ),
+            (
+                sum.nodes_visited,
+                sum.candidates,
+                sum.filtered_out,
+                sum.coefficients_compared
+            ),
+            "shards {shards}"
+        );
     }
-    assert!(
-        batch.stats.merged.nodes_visited < sum,
-        "merged {} vs sum {}",
-        batch.stats.merged.nodes_visited,
-        sum
-    );
 }

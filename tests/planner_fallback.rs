@@ -81,17 +81,25 @@ fn knn_planner_matrix() {
             "{rep:?} stats={stats}"
         );
     }
+    // Every kNN scan abandons against the shrinking k-th best.
+    let abandoning_scan = AccessPath::SeqScan {
+        early_abandon: true,
+    };
     let unindexed = db(Representation::Polar, true, false);
-    assert!(matches!(
+    assert_eq!(
         access(&unindexed, "FIND 3 NEAREST TO ROW 0 IN r"),
-        AccessPath::SeqScan { .. }
-    ));
+        abandoning_scan
+    );
     // Unsafe transformation on the rectangular index: scan.
     let rect = db(Representation::Rectangular, true, true);
-    assert!(matches!(
+    assert_eq!(
         access(&rect, "FIND 3 NEAREST TO ROW 0 IN r USING mavg(5)"),
-        AccessPath::SeqScan { .. }
-    ));
+        abandoning_scan
+    );
+    assert_eq!(
+        access(&rect, "FIND 3 NEAREST TO ROW 0 IN r FORCE SCAN"),
+        abandoning_scan
+    );
 }
 
 #[test]

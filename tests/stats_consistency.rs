@@ -4,9 +4,9 @@
 //! per-thread for single-relation parallel phases, per-shard for shard
 //! fan-out — so across both vectors the shares sum exactly to the merged
 //! totals. This hardens the one charging rule (`simq-query::verify`'s
-//! `Ledger`) against silently dropping a phase — e.g. the kNN radius
-//! coefficients, computed on the calling thread between two fanned-out
-//! phases.
+//! `Ledger`) against silently dropping a phase — e.g. the exact-distance
+//! work a kNN search does inside its descent, on whichever worker
+//! surfaces the row.
 //!
 //! Coefficient comparisons hold the partition property too: sharded
 //! executions that verify on the calling thread (serial, or parallel with
@@ -126,27 +126,52 @@ fn serial_unsharded_execution_reports_no_breakdowns() {
 }
 
 #[test]
-fn sharded_parallel_knn_keeps_radius_coefficients_in_the_breakdown() {
-    // The regression this suite pins: in sharded-parallel kNN the search
-    // phases are charged per shard, so the radius coefficient work — done
-    // on the calling thread before the verify phase fans out — must still
-    // land in a per-thread entry, or the breakdown undercounts exactly
-    // the radius comparisons.
+fn knn_refine_work_inside_search_workers_partitions_the_totals() {
+    // Multi-step kNN has no verification phase of its own: rows are
+    // probed and exactly refined *inside* the ranked descent, by whichever
+    // search worker surfaces them. That work must land in the same
+    // breakdown cell as the worker's node reads — per shard when sharded,
+    // per thread otherwise — or the breakdown undercounts exactly the
+    // refine work.
     let series = corpus(11, 120, 64);
-    let db = db_over(&series, 4, 4);
-    let result = execute(&db, "FIND 10 NEAREST TO ROW 0 IN r").unwrap();
-    assert!(
-        !result.per_thread.is_empty(),
-        "fixture too small: the verify phase did not fan out, so the test pins nothing"
-    );
-    assert_breakdowns_sum(&result, "sharded-parallel kNN");
+    for (shards, threads) in [(4, 4), (4, 1), (1, 4)] {
+        let db = db_over(&series, shards, threads);
+        let result = execute(&db, "FIND 10 NEAREST TO ROW 0 IN r").unwrap();
+        let label = format!("kNN, shards {shards}, threads {threads}");
+        assert!(
+            result.stats.coefficients_compared > 0 && result.stats.filtered_out > 0,
+            "{label}: fixture does no refine work, so the test pins nothing"
+        );
+        let parts = if shards > 1 {
+            assert!(result.per_thread.is_empty(), "{label}");
+            &result.per_shard
+        } else {
+            assert!(result.per_shard.is_empty(), "{label}");
+            &result.per_thread
+        };
+        assert_eq!(parts.len(), shards.max(threads), "{label}");
+        assert_breakdowns_sum(&result, &label);
+        type Field = fn(&similarity_queries::query::ExecStats) -> u64;
+        let fields: [(&str, Field); 2] = [
+            ("candidates", |s| s.candidates),
+            ("filtered_out", |s| s.filtered_out),
+        ];
+        for (what, field) in fields {
+            assert_eq!(
+                parts.iter().map(field).sum::<u64>(),
+                field(&result.stats),
+                "{label}: {what} breakdown"
+            );
+        }
+    }
 }
 
 /// Counter golden: every `ExecStats` field (merged, per-thread and
 /// per-shard) of the query matrix at `Parallelism::Serial`, over 1 and 4
 /// shards of one fixed corpus, equals the checked-in fixture recorded
 /// before the execution matrix was collapsed into one pipeline per query
-/// form. Serial counters are schedule-independent, so any drift here is a
+/// form (the six `NEAREST` rows re-recorded when kNN became one ranked
+/// multi-step descent and its scan began abandoning). Serial counters are schedule-independent, so any drift here is a
 /// change in the work a plan does, not noise. (4 threads stay
 /// answer-only: work-stealing node counts depend on the schedule.)
 #[test]
