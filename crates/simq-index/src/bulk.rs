@@ -183,7 +183,7 @@ mod tests {
         t.insert_point(&[100.0, 100.0], 999);
         assert!(t.remove(&Rect::point(&[0.0, 0.0]), 0));
         assert_eq!(t.len(), 144);
-        let (hits, _) = t.range_cube(&[100.0, 100.0], 0.1);
+        let (hits, _) = t.range(&Rect::new(vec![99.9, 99.9], vec![100.1, 100.1]));
         assert_eq!(hits, vec![999]);
     }
 
@@ -191,7 +191,10 @@ mod tests {
     fn empty_bulk_load() {
         let t = RTree::bulk_load(Space::linear(2), RTreeConfig::default(), Vec::new());
         assert!(t.is_empty());
-        assert!(t.range_cube(&[0.0, 0.0], 1.0).0.is_empty());
+        assert!(t
+            .range(&Rect::new(vec![-1.0, -1.0], vec![1.0, 1.0]))
+            .0
+            .is_empty());
     }
 
     #[test]
@@ -203,7 +206,7 @@ mod tests {
         );
         assert_eq!(t.len(), 1);
         assert_eq!(t.height(), 1);
-        assert_eq!(t.range_cube(&[3.0], 0.5).0, vec![7]);
+        assert_eq!(t.range(&Rect::new(vec![2.5], vec![3.5])).0, vec![7]);
     }
 
     #[test]

@@ -5,18 +5,13 @@
 //! that we transform all objects used in the join predicate before we
 //! compute the predicate" — e.g. `T(a_i) ∩ T(b_j) ≠ ∅`.
 //!
-//! Two strategies are provided:
-//!
-//! * [`RTree::join_via_probes`] — the strategy of the paper's join
-//!   experiment (methods *c*/*d* of Table 1): scan one side sequentially
-//!   and pose each item, expanded to a search rectangle, as a range query
-//!   against the (transformed) index.
-//! * [`RTree::sync_join`] — the synchronized two-tree traversal that prunes
-//!   pairs of subtrees whose (transformed) MBRs cannot contribute; an
-//!   extension beyond the paper's evaluation, used by the ablation benches.
+//! [`RTree::join_via_probes`] is the strategy of the paper's join
+//! experiment (methods *c*/*d* of Table 1): scan one side sequentially and
+//! pose each item, expanded to a search rectangle, as a range query against
+//! the (transformed) index.
 
 use crate::geom::Rect;
-use crate::rstar::{Entry, RTree};
+use crate::rstar::RTree;
 use crate::search::SearchStats;
 use crate::transform::SpatialTransform;
 
@@ -56,119 +51,6 @@ impl RTree {
         }
         (out, stats)
     }
-
-    /// Synchronized tree-tree join: candidate pairs `(id_a, id_b)` whose
-    /// transformed rectangles, with the left side expanded by `eps`,
-    /// intersect under the tree's dimension semantics.
-    ///
-    /// For a self-join pass the same tree on both sides; pairs are then
-    /// deduplicated to `id_a < id_b`.
-    pub fn sync_join(
-        &self,
-        other: &RTree,
-        self_transform: &dyn SpatialTransform,
-        other_transform: &dyn SpatialTransform,
-        eps: f64,
-    ) -> (Vec<(u64, u64)>, SearchStats) {
-        assert_eq!(self.dims(), other.dims(), "join dimensionality mismatch");
-        let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        if self.is_empty() || other.is_empty() {
-            return (out, stats);
-        }
-        let self_join = std::ptr::eq(self, other);
-        self.sync_join_rec(
-            self.root,
-            other,
-            other.root,
-            self_transform,
-            other_transform,
-            eps,
-            self_join,
-            &mut out,
-            &mut stats,
-        );
-        if self_join {
-            out.retain(|(a, b)| a < b);
-        }
-        (out, stats)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn sync_join_rec(
-        &self,
-        a_idx: usize,
-        other: &RTree,
-        b_idx: usize,
-        ta: &dyn SpatialTransform,
-        tb: &dyn SpatialTransform,
-        eps: f64,
-        self_join: bool,
-        out: &mut Vec<(u64, u64)>,
-        stats: &mut SearchStats,
-    ) {
-        let a = &self.nodes[a_idx];
-        let b = &other.nodes[b_idx];
-        stats.nodes_visited += 1;
-
-        // Descend the deeper tree first so both sides reach leaves together.
-        if a.level > 0 && (a.level >= b.level) {
-            for e in &a.entries {
-                if let Entry::Child { mbr, node } = e {
-                    stats.entries_tested += 1;
-                    let ea = expand(&ta.apply_rect(mbr), eps);
-                    let bm = tb.apply_rect(self_mbr(other, b_idx).as_ref());
-                    if self.space.intersects(&ea, &bm) {
-                        self.sync_join_rec(*node, other, b_idx, ta, tb, eps, self_join, out, stats);
-                    }
-                }
-            }
-            return;
-        }
-        if b.level > 0 {
-            for e in &b.entries {
-                if let Entry::Child { mbr, node } = e {
-                    stats.entries_tested += 1;
-                    let eb = tb.apply_rect(mbr);
-                    let am = expand(&ta.apply_rect(self_mbr(self, a_idx).as_ref()), eps);
-                    if self.space.intersects(&am, &eb) {
-                        self.sync_join_rec(a_idx, other, *node, ta, tb, eps, self_join, out, stats);
-                    }
-                }
-            }
-            return;
-        }
-
-        // Both leaves: test item pairs.
-        for ea in &a.entries {
-            if let Entry::Item { mbr: ma, id: ida } = ea {
-                let ra = expand(&ta.apply_rect(ma), eps);
-                for eb in &b.entries {
-                    if let Entry::Item { mbr: mb, id: idb } = eb {
-                        if self_join && ida == idb {
-                            continue;
-                        }
-                        stats.entries_tested += 1;
-                        if self.space.intersects(&ra, &tb.apply_rect(mb)) {
-                            out.push((*ida, *idb));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The MBR of a node (non-empty by construction during joins).
-fn self_mbr(tree: &RTree, idx: usize) -> Box<Rect> {
-    let node = &tree.nodes[idx];
-    let mut it = node.entries.iter();
-    let first = it
-        .next()
-        .expect("join visits non-empty nodes")
-        .mbr()
-        .clone();
-    Box::new(it.fold(first, |acc, e| acc.union(e.mbr())))
 }
 
 #[cfg(test)]
@@ -202,31 +84,25 @@ mod tests {
         out
     }
 
-    #[test]
-    fn sync_self_join_matches_brute_force() {
-        let coords: Vec<f64> = (0..200).map(|i| ((i * 37) % 100) as f64 / 3.0).collect();
-        let t = line_tree(&coords);
-        let id = IdentityTransform::new(1);
-        let (pairs, _) = t.sync_join(&t, &id, &id, 0.5);
-        assert_eq!(sorted(pairs), sorted(brute_pairs(&coords, 0.5)));
-    }
-
-    #[test]
-    fn probe_join_matches_sync_join() {
-        let coords: Vec<f64> = (0..150).map(|i| ((i * 17) % 83) as f64 / 2.0).collect();
-        let t = line_tree(&coords);
-        let id = IdentityTransform::new(1);
-        let probes: Vec<(Rect, u64)> = coords
+    /// One point probe per coordinate, ids by position.
+    fn point_probes(coords: &[f64]) -> Vec<(Rect, u64)> {
+        coords
             .iter()
             .enumerate()
             .map(|(i, &x)| (Rect::point(&[x]), i as u64))
-            .collect();
-        let (mut probe_pairs, _) = t.join_via_probes(&probes, &id, &id, 0.75);
+            .collect()
+    }
+
+    #[test]
+    fn probe_join_matches_brute_force() {
+        let coords: Vec<f64> = (0..150).map(|i| ((i * 17) % 83) as f64 / 2.0).collect();
+        let t = line_tree(&coords);
+        let id = IdentityTransform::new(1);
+        let (mut pairs, _) = t.join_via_probes(&point_probes(&coords), &id, &id, 0.75);
         // The probe join returns ordered pairs including self and both
         // directions; canonicalize.
-        probe_pairs.retain(|(a, b)| a < b);
-        let (sync_pairs, _) = t.sync_join(&t, &id, &id, 0.75);
-        assert_eq!(sorted(probe_pairs), sorted(sync_pairs));
+        pairs.retain(|(a, b)| a < b);
+        assert_eq!(sorted(pairs), sorted(brute_pairs(&coords, 0.75)));
     }
 
     #[test]
@@ -237,17 +113,17 @@ mod tests {
         let t = line_tree(&coords);
         let id = IdentityTransform::new(1);
         let neg = DiagonalAffine::new(vec![-1.0], vec![0.0]);
-        let (pairs, _) = t.sync_join(&t, &id, &neg, 1e-9);
-        // (0 ↔ 3), (1 ↔ 4), (2 ↔ 5) in both orders minus dedup.
+        let (mut pairs, _) = t.join_via_probes(&point_probes(&coords), &id, &neg, 1e-9);
+        // (0 ↔ 3), (1 ↔ 4), (2 ↔ 5), found from both sides.
+        pairs.retain(|(a, b)| a < b);
         assert_eq!(sorted(pairs), vec![(0, 3), (1, 4), (2, 5)]);
     }
 
     #[test]
-    fn join_between_distinct_trees() {
-        let a = line_tree(&[0.0, 10.0, 20.0]);
+    fn join_between_distinct_sides() {
         let b = line_tree(&[0.4, 9.0, 40.0]);
         let id = IdentityTransform::new(1);
-        let (pairs, _) = a.sync_join(&b, &id, &id, 0.5);
+        let (pairs, _) = b.join_via_probes(&point_probes(&[0.0, 10.0, 20.0]), &id, &id, 0.5);
         assert_eq!(sorted(pairs), vec![(0, 0)]);
     }
 
@@ -259,10 +135,11 @@ mod tests {
 
     #[test]
     fn empty_join_sides() {
-        let a = line_tree(&[1.0]);
         let empty = RTree::with_dims(1);
         let id = IdentityTransform::new(1);
-        let (pairs, _) = a.sync_join(&empty, &id, &id, 10.0);
+        let (pairs, _) = empty.join_via_probes(&point_probes(&[1.0]), &id, &id, 10.0);
+        assert!(pairs.is_empty());
+        let (pairs, _) = line_tree(&[1.0]).join_via_probes(&[], &id, &id, 10.0);
         assert!(pairs.is_empty());
     }
 }

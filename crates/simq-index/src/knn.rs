@@ -13,21 +13,21 @@
 //! [`forest_nearest`], over a forest of trees (one per relation shard; a
 //! single tree is a forest of one) and a thread budget:
 //!
-//! * `threads == 1` runs one serial loop per query: the frontier holds
-//!   subtrees of *every* tree, so one bound on the `k`-th best distance
-//!   prunes all shards at once.
-//! * `threads > 1` runs every query of the call over one work-stealing
-//!   pool: workers pop the globally most promising `(query, subtree)` task
-//!   and prune against that query's shared atomic bound on the `k`-th best
-//!   distance, published by every thread as its local top-`k` fills.
+//! * `threads == 1` runs one serial loop: the frontier holds subtrees of
+//!   *every* tree, so one bound on the `k`-th best distance prunes all
+//!   shards at once.
+//! * `threads > 1` runs a work-stealing pool: workers pop the globally
+//!   most promising subtree task and prune against the shared atomic
+//!   bound on the `k`-th best distance, published by every thread as its
+//!   local top-`k` fills.
 //!
 //! Leaf bounds depend only on the item's (transformed) rectangle, so the
 //! `k` results are identical however the items are split into trees and
 //! however the work is scheduled: results are `(distance, id)`-sorted and
 //! ties around the `k`-th distance are retained until the final sort.
 //!
-//! [`RTree::nearest`], [`RTree::nearest_transformed`] and
-//! [`RTree::nearest_by`] are the single-tree, single-thread callers.
+//! [`RTree::nearest`] and [`RTree::nearest_by`] are the single-tree,
+//! single-thread callers.
 //!
 //! With an [`ItemStage`] the same descent is the *optimal multi-step*
 //! search of Seidl & Kriegel: bounds only rank, every leaf item reached
@@ -95,7 +95,7 @@ pub trait ItemStage: Sync {
     fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64>;
 }
 
-/// One nearest-neighbour query of a [`forest_nearest`] call.
+/// The nearest-neighbour query of a [`forest_nearest`] call.
 ///
 /// `bound(rect)` must return a lower bound on the caller's true distance
 /// from the query to any item whose (transformed) index rectangle is
@@ -248,10 +248,9 @@ enum At {
     Node { shard: usize, idx: usize },
 }
 
-/// A `(query, subtree)` task of the work-stealing search.
+/// A subtree task of the work-stealing search.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Subtree {
-    query: usize,
     shard: usize,
     idx: usize,
 }
@@ -355,79 +354,58 @@ fn nearest_serial(
     (finish(out, k), per_shard)
 }
 
-/// Best-first `k`-nearest search for every query of `queries` over a
-/// forest of trees, on up to `threads` threads (see the [module
-/// docs](self)). Returns, per query, the `k` items with the smallest
-/// distances (bound values, or refined by the query's item stage) across
-/// the whole forest — `(distance, id)`-sorted, identical to a serial
-/// single-tree search over the union of the trees' items — and the
-/// query's work counters.
+/// Best-first `k`-nearest search over a forest of trees, on up to
+/// `threads` threads (see the [module docs](self)). Returns the `k` items
+/// with the smallest distances (bound values, or refined by the query's
+/// item stage) across the whole forest — `(distance, id)`-sorted,
+/// identical to a serial single-tree search over the union of the trees'
+/// items — and the search's work counters.
 pub fn forest_nearest(
     trees: &[RTree],
-    queries: &[KnnQuery],
+    query: &KnnQuery,
     threads: usize,
-) -> (Vec<Vec<Neighbor>>, Vec<ForestStats>) {
+) -> (Vec<Neighbor>, ForestStats) {
     let shards = trees.len();
     let serial = || {
-        queries
-            .iter()
-            .map(|q| {
-                let (found, per_shard) = nearest_serial(trees, q.bound, q.transform, q.k, q.items);
-                (found, ForestStats::from_workers(shards, vec![per_shard]))
-            })
-            .unzip()
+        let (found, per_shard) =
+            nearest_serial(trees, query.bound, query.transform, query.k, query.items);
+        (found, ForestStats::from_workers(shards, vec![per_shard]))
     };
     if threads <= 1 {
         return serial();
     }
-    let seeds: BinaryHeap<Reverse<Ranked<Subtree>>> = queries
+    let seeds: BinaryHeap<Reverse<Ranked<Subtree>>> = trees
         .iter()
         .enumerate()
-        .filter(|(_, q)| q.k > 0)
-        .flat_map(|(query, _)| {
-            trees
-                .iter()
-                .enumerate()
-                .filter(|(_, tree)| !tree.is_empty())
-                .map(move |(shard, tree)| {
-                    Reverse(Ranked {
-                        key: 0.0,
-                        what: Subtree {
-                            query,
-                            shard,
-                            idx: tree.root,
-                        },
-                    })
-                })
+        .filter(|(_, tree)| query.k > 0 && !tree.is_empty())
+        .map(|(shard, tree)| {
+            Reverse(Ranked {
+                key: 0.0,
+                what: Subtree {
+                    shard,
+                    idx: tree.root,
+                },
+            })
         })
         .collect();
     if seeds.is_empty() {
         return serial();
     }
 
-    let bounds: Vec<AtomicF64Min> = queries
-        .iter()
-        .map(|_| AtomicF64Min::new(f64::INFINITY))
-        .collect();
+    let shared = AtomicF64Min::new(f64::INFINITY);
     let pool = Mutex::new(seeds);
     let in_flight = AtomicUsize::new(0);
 
-    // Per worker: the items kept per query, and work counters per
-    // (query, shard) cell, query-major.
-    type Worker = (Vec<Vec<Neighbor>>, Vec<SearchStats>);
+    // Per worker: the items kept, and work counters per shard.
+    type Worker = (Vec<Neighbor>, Vec<SearchStats>);
     let workers: Vec<Worker> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut found: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
-                    let mut cells = vec![SearchStats::default(); queries.len() * shards];
-                    let mut kth: Vec<LocalKth> = queries
-                        .iter()
-                        .zip(&bounds)
-                        .map(|(q, shared)| LocalKth::new(q.k, shared))
-                        .collect();
-                    let mut scratches: Vec<Rect> =
-                        queries.iter().map(|q| scratch_rect(q.transform)).collect();
+                    let mut found: Vec<Neighbor> = Vec::new();
+                    let mut cells = vec![SearchStats::default(); shards];
+                    let mut kth = LocalKth::new(query.k, &shared);
+                    let mut scratch = scratch_rect(query.transform);
                     let mut leaf_items: Vec<(f64, u64)> = Vec::new();
                     // Backoff for idle polls: yield first, then sleep
                     // with exponential growth so starved workers stop
@@ -462,21 +440,19 @@ pub fn forest_nearest(
                         idle_us = 0;
                         let Reverse(Ranked {
                             key,
-                            what: Subtree { query, shard, idx },
+                            what: Subtree { shard, idx },
                         }) = task;
-                        let q = &queries[query];
-                        let shared = &bounds[query];
                         if key <= shared.get() {
                             let mut children = Vec::new();
                             leaf_items.clear();
                             expand(
                                 &trees[shard],
                                 idx,
-                                q.bound,
-                                q.transform,
-                                q.items,
-                                &mut scratches[query],
-                                &mut cells[query * shards + shard],
+                                query.bound,
+                                query.transform,
+                                query.items,
+                                &mut scratch,
+                                &mut cells[shard],
                                 |e, d| {
                                     // Kept whenever the bound does not
                                     // exceed the shared bound at visit
@@ -489,11 +465,7 @@ pub fn forest_nearest(
                                         Entry::Child { node, .. } => {
                                             children.push(Reverse(Ranked {
                                                 key: d,
-                                                what: Subtree {
-                                                    query,
-                                                    shard,
-                                                    idx: *node,
-                                                },
+                                                what: Subtree { shard, idx: *node },
                                             }))
                                         }
                                         Entry::Item { id, .. } => leaf_items.push((d, *id)),
@@ -508,10 +480,10 @@ pub fn forest_nearest(
                                 if d > kth_now {
                                     break;
                                 }
-                                let cell = &mut cells[query * shards + shard];
-                                if let Some(dist_sq) = resolve(q.items, id, d, kth_now, cell) {
-                                    found[query].push(Neighbor { id, dist_sq });
-                                    kth[query].offer(dist_sq);
+                                let cell = &mut cells[shard];
+                                if let Some(dist_sq) = resolve(query.items, id, d, kth_now, cell) {
+                                    found.push(Neighbor { id, dist_sq });
+                                    kth.offer(dist_sq);
                                 }
                             }
                             if !children.is_empty() {
@@ -530,25 +502,10 @@ pub fn forest_nearest(
             .collect()
     });
 
-    let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
-    let mut stats: Vec<Vec<Vec<SearchStats>>> = vec![Vec::new(); queries.len()];
-    for (found, cells) in workers {
-        for (acc, f) in out.iter_mut().zip(found) {
-            acc.extend(f);
-        }
-        for (acc, per_shard) in stats.iter_mut().zip(cells.chunks(shards)) {
-            acc.push(per_shard.to_vec());
-        }
-    }
+    let (found, cells): (Vec<_>, Vec<_>) = workers.into_iter().unzip();
     (
-        out.into_iter()
-            .zip(queries)
-            .map(|(found, q)| finish(found, q.k))
-            .collect(),
-        stats
-            .into_iter()
-            .map(|workers| ForestStats::from_workers(shards, workers))
-            .collect(),
+        finish(found.concat(), query.k),
+        ForestStats::from_workers(shards, cells),
     )
 }
 
@@ -558,17 +515,6 @@ impl RTree {
     pub fn nearest(&self, q: &[f64], k: usize) -> (Vec<Neighbor>, SearchStats) {
         assert_eq!(q.len(), self.dims(), "query dimensionality mismatch");
         self.nearest_by(&|r| r.min_dist_sq(q), None, k)
-    }
-
-    /// The `k` items whose *transformed* positions are nearest to `q`.
-    pub fn nearest_transformed(
-        &self,
-        transform: &dyn SpatialTransform,
-        q: &[f64],
-        k: usize,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        assert_eq!(q.len(), self.dims(), "query dimensionality mismatch");
-        self.nearest_by(&|r| r.min_dist_sq(q), Some(transform), k)
     }
 
     /// The `k` items with the smallest `bound` values (see [`KnnQuery`]
@@ -686,7 +632,7 @@ mod tests {
         let t = grid_tree(n);
         let affine = DiagonalAffine::new(vec![-1.0, 2.0], vec![5.0, -3.0]);
         let q = [2.0, 4.0];
-        let (via_transform, _) = t.nearest_transformed(&affine, &q, 5);
+        let (via_transform, _) = t.nearest_by(&|r| r.min_dist_sq(&q), Some(&affine), 5);
 
         // Reference: transform all points, brute force.
         let all = (0..n * n)
@@ -770,10 +716,9 @@ mod tests {
                             k,
                             items: None,
                         };
-                        let (got, stats) = forest_nearest(trees, &[query], threads);
+                        let (got, s) = forest_nearest(trees, &query, threads);
                         let what = format!("k {k} trees {} threads {threads}", trees.len());
-                        assert_same(&got[0], &want, &what);
-                        let s = &stats[0];
+                        assert_same(&got, &want, &what);
                         assert_eq!(s.per_shard.len(), trees.len(), "{what}");
                         for part in [&s.per_thread, &s.per_shard] {
                             let mut sum = SearchStats::default();
@@ -808,43 +753,6 @@ mod tests {
             "forest {forest_nodes} vs independent {independent} (single {})",
             single_stats.nodes_visited,
         );
-    }
-
-    #[test]
-    fn batched_queries_match_individual_searches() {
-        let t = grid_tree(20);
-        let points = [[3.2, 7.8], [0.0, 0.0], [10.5, 10.5], [-5.0, 25.0]];
-        let ks = [1usize, 0, 8, 3];
-        type BoundFn = Box<dyn Fn(&Rect) -> f64 + Sync>;
-        let bounds: Vec<BoundFn> = points
-            .iter()
-            .map(|q| {
-                let q = *q;
-                Box::new(move |r: &Rect| r.min_dist_sq(&q)) as BoundFn
-            })
-            .collect();
-        let queries: Vec<KnnQuery> = bounds
-            .iter()
-            .zip(&ks)
-            .map(|(b, &k)| KnnQuery {
-                bound: b.as_ref(),
-                transform: None,
-                k,
-                items: None,
-            })
-            .collect();
-        for threads in [1, 2, 4] {
-            let (batch, stats) = forest_nearest(std::slice::from_ref(&t), &queries, threads);
-            assert_eq!(stats.len(), queries.len());
-            for (qi, (q, &k)) in points.iter().zip(&ks).enumerate() {
-                let (individual, _) = t.nearest(q, k);
-                assert_same(
-                    &batch[qi],
-                    &individual,
-                    &format!("q {qi} threads {threads}"),
-                );
-            }
-        }
     }
 
     #[test]
@@ -892,10 +800,10 @@ mod tests {
                         k,
                         items: Some(&stage),
                     };
-                    let (got, stats) = forest_nearest(trees, &[query], threads);
+                    let (got, stats) = forest_nearest(trees, &query, threads);
                     let what = format!("k {k} trees {} threads {threads}", trees.len());
-                    assert_same(&got[0], &want, &what);
-                    let s = stats[0].merged;
+                    assert_same(&got, &want, &what);
+                    let s = stats.merged;
                     // Every item is refined at most once — and serially,
                     // none whose bound exceeds the final k-th distance.
                     assert_eq!(s.candidates, s.refine_work, "{what}");
@@ -924,12 +832,10 @@ mod tests {
                     k,
                     items: None,
                 };
-                let (got, stats) = forest_nearest(trees, &[query], threads);
-                assert!(got[0].is_empty());
-                assert_eq!(stats[0].merged, SearchStats::default());
+                let (got, stats) = forest_nearest(trees, &query, threads);
+                assert!(got.is_empty());
+                assert_eq!(stats.merged, SearchStats::default());
             }
         }
-        let (none, _) = forest_nearest(&empty, &[], 4);
-        assert!(none.is_empty());
     }
 }

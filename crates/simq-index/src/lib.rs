@@ -20,13 +20,9 @@
 //!   lower bound (MINDIST by default), plain and transformed: one search
 //!   over a forest of trees with a shared `k`-th-best bound — a serial
 //!   loop, or a work-stealing pool when given more than one thread.
-//! * [`join`] — probe-based (the paper's Table 1 methods) and synchronized
-//!   tree-tree spatial joins.
+//! * [`join`] — the probe-based spatial join (the paper's Table 1
+//!   methods).
 //! * [`bulk`] — STR bulk loading.
-//! * [`batch`] — batched range traversal: one tree walk serving a whole
-//!   batch of range queries (per node, every active query tests every
-//!   entry). Per-query answers equal the individual traversals; shared
-//!   node reads are counted once.
 //! * [`cursor`] — incremental range traversal: an explicit-stack
 //!   [`RangeStream`] over a forest of trees that yields matching ids one
 //!   at a time, so early termination (drop, `LIMIT`) abandons the
@@ -37,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod bulk;
 pub mod cursor;
 pub mod geom;
@@ -48,7 +43,6 @@ pub mod search;
 pub mod serial;
 pub mod transform;
 
-pub use batch::{MultiRangeQuery, MultiSearchStats};
 pub use cursor::RangeStream;
 pub use geom::{circular_overlap, DimSemantics, Rect, Space};
 pub use knn::{cmp_distance_id, forest_nearest, ItemStage, KnnQuery, Neighbor};

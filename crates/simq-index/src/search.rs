@@ -299,15 +299,6 @@ impl RTree {
             }
         }
     }
-
-    /// Convenience: range query around a point with an L∞ radius (a cube),
-    /// under linear semantics. Useful for tests and simple callers; domain
-    /// code builds proper search rectangles itself.
-    pub fn range_cube(&self, center: &[f64], radius: f64) -> (Vec<u64>, SearchStats) {
-        let lo = center.iter().map(|v| v - radius).collect();
-        let hi = center.iter().map(|v| v + radius).collect();
-        self.range(&Rect::new(lo, hi))
-    }
 }
 
 #[cfg(test)]
@@ -523,12 +514,5 @@ mod tests {
             assert_eq!(stats.merged, SearchStats::default());
             assert_eq!(stats.per_thread.len(), 1);
         }
-    }
-
-    #[test]
-    fn range_cube_helper() {
-        let t = grid_tree(10);
-        let (got, _) = t.range_cube(&[5.0, 5.0], 1.0);
-        assert_eq!(sorted(got).len(), 9); // 3×3 block
     }
 }

@@ -138,8 +138,6 @@ pub struct Registry {
     pub session_slow_queries: AtomicU64,
     /// `batch.batches` — batches executed.
     pub batch_batches: AtomicU64,
-    /// `batch.groups` — shared-traversal groups formed.
-    pub batch_groups: AtomicU64,
     /// `batch.queries` — queries executed through batches.
     pub batch_queries: AtomicU64,
     /// `wal.appends` — acknowledged WAL record appends.
@@ -227,7 +225,6 @@ impl Registry {
                 ("session.cursors", c(&self.session_cursors)),
                 ("session.slow_queries", c(&self.session_slow_queries)),
                 ("batch.batches", c(&self.batch_batches)),
-                ("batch.groups", c(&self.batch_groups)),
                 ("batch.queries", c(&self.batch_queries)),
                 ("wal.appends", c(&self.wal_appends)),
                 ("wal.syncs", c(&self.wal_syncs)),

@@ -18,7 +18,7 @@ use crate::catalog::{Database, StoredRelation};
 use crate::error::QueryError;
 use crate::plan::{explain, plan, AccessPath, Plan};
 use crate::verify::{
-    chunked, knn_rank_all, pad, sort_hits, verify_all, KnnRank, Ledger, RangeVerifier,
+    chunked, knn_rank, pad, sort_hits, verify_all, KnnRank, Ledger, RangeVerifier,
 };
 use simq_dsp::complex::Complex;
 use simq_index::forest_range;
@@ -462,7 +462,6 @@ pub(crate) fn resolve_query(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn range(
     stored: &StoredRelation,
     transform: &SeriesTransform,
@@ -558,9 +557,7 @@ fn knn(
             // stopping once the next bound exceeds the exact k-th best.
             let rank = KnnRank::new(stored, transform, q_spec, k, filter)?;
             let rank_span = span::span("knn.rank");
-            let (hits, s) = knn_rank_all(stored, std::slice::from_ref(&rank), threads)
-                .pop()
-                .expect("one result per query");
+            let (hits, s) = knn_rank(stored, &rank, threads);
             ledger.search(&s);
             rank_span.note("nodes", ledger.stats.nodes_visited);
             rank_span.note("candidates", ledger.stats.candidates);

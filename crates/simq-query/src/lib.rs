@@ -36,7 +36,7 @@ pub mod token;
 mod verify;
 
 pub use ast::{JoinMethod, ParamRef, ParamType, Query, QuerySource, QueryTemplate, Strategy};
-pub use batch::{execute_batch, split_batch_script, BatchExecutor, BatchResult, BatchStats};
+pub use batch::{execute_batch, split_batch_script, BatchExecutor, BatchResult};
 pub use catalog::{
     Database, InsertBatchReport, InsertReport, Parallelism, ReadView, StoredRelation, WalStatus,
 };

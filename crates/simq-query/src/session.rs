@@ -58,7 +58,7 @@
 use crate::ast::{
     NumArg, ParamRef, ParamType, Query, QuerySource, QueryTemplate, StatsWindow, TemplateSource,
 };
-use crate::batch::{BatchExecutor, BatchResult};
+use crate::batch::{BatchExecutor, BatchResult, Planner};
 use crate::catalog::{Database, InsertBatchReport, InsertReport};
 use crate::error::QueryError;
 use crate::exec::{self, ExecStats, Hit, QueryResult};
@@ -860,16 +860,14 @@ impl<D: Borrow<Database>> Session<D> {
     }
 
     /// Executes a batch of bound statements as one [`BatchExecutor`]
-    /// batch: plans come from the session cache (the result's
-    /// `stats.merged` carries the batch's hit/miss counts), and queries
-    /// that plan to the same (relation, access path) share index
-    /// traversal exactly as text batches do.
+    /// batch: plans come from the session cache (the result's `stats`
+    /// carries the batch's hit/miss counts), every slot is answered from
+    /// one catalog generation, and the thread budget is spent across
+    /// slots.
     pub fn execute_batch(&self, bounds: &[Bound]) -> BatchResult {
-        let queries: Vec<Query> = bounds.iter().map(|b| b.query.clone()).collect();
-        // One read view pins the whole batch to a single generation.
-        let view = self.db().read_view();
         self.batch_through_cache(|planner| {
-            BatchExecutor::new(view.database()).execute_with_planner(queries, planner)
+            BatchExecutor::new(self.db())
+                .execute_with_planner(bounds.iter().map(|b| &b.query), planner)
         })
     }
 
@@ -880,20 +878,16 @@ impl<D: Borrow<Database>> Session<D> {
     /// The CLI routes its batch lines here, so batched queries share the
     /// plan cache with single ones.
     pub fn execute_batch_texts(&self, inputs: &[&str]) -> BatchResult {
-        let view = self.db().read_view();
         self.batch_through_cache(|planner| {
-            BatchExecutor::new(view.database()).execute_texts_with_planner(inputs, planner)
+            BatchExecutor::new(self.db()).execute_texts_with_planner(inputs, planner)
         })
     }
 
     /// Runs one batch with plans served by [`Session::cached_plan`],
-    /// folding the hit/miss counts into the batch's merged stats and the
-    /// session counters. Slots that never reached execution (lex/parse
-    /// failures) do not count as executions.
-    fn batch_through_cache(
-        &self,
-        run: impl FnOnce(&mut dyn FnMut(&Query) -> Result<Plan, QueryError>) -> BatchResult,
-    ) -> BatchResult {
+    /// folding the hit/miss counts into the batch's stats and the session
+    /// counters. Slots that never reached execution (lex/parse failures)
+    /// do not count as executions.
+    fn batch_through_cache(&self, run: impl FnOnce(&mut Planner) -> BatchResult) -> BatchResult {
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut result = run(&mut |query: &Query| {
@@ -905,8 +899,8 @@ impl<D: Borrow<Database>> Session<D> {
             }
             Ok(plan)
         });
-        result.stats.merged.plan_cache_hits += hits;
-        result.stats.merged.plan_cache_misses += misses;
+        result.stats.plan_cache_hits += hits;
+        result.stats.plan_cache_misses += misses;
         let executed = result
             .results
             .iter()
@@ -1581,39 +1575,8 @@ mod tests {
         let batch = session.execute_batch(&bounds);
         assert_eq!(batch.results.len(), 8);
         // One shape: the prepare missed once, all batch plans hit.
-        assert_eq!(batch.stats.merged.plan_cache_hits, 8);
-        assert_eq!(batch.stats.merged.plan_cache_misses, 0);
-        assert_eq!(batch.stats.shared_groups, 1);
-        for (i, bound) in bounds.iter().enumerate() {
-            let individual = session.execute(bound).unwrap();
-            let got = batch.results[i].as_ref().unwrap();
-            let (a, b) = (hits(got), hits(&individual));
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.id, y.id);
-                assert_eq!(x.distance.to_bits(), y.distance.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn duplicate_batch_members_dedup_verification() {
-        let db = make_db(100);
-        let session = Session::new(&db);
-        let p = session
-            .prepare("FIND SIMILAR TO ROW ? IN stocks EPSILON ?")
-            .unwrap();
-        // Four bindings, two distinct: each duplicate verifies for free.
-        let bounds: Vec<Bound> = [(4u64, 3.0), (4, 3.0), (50, 2.0), (50, 2.0)]
-            .iter()
-            .map(|&(row, eps)| p.bind(&[Value::from(row), Value::from(eps)]).unwrap())
-            .collect();
-        let batch = session.execute_batch(&bounds);
-        assert!(
-            batch.stats.deduped_verifications > 0,
-            "duplicates should dedup"
-        );
-        // Outputs are still bitwise identical to individual execution.
+        assert_eq!(batch.stats.plan_cache_hits, 8);
+        assert_eq!(batch.stats.plan_cache_misses, 0);
         for (i, bound) in bounds.iter().enumerate() {
             let individual = session.execute(bound).unwrap();
             let got = batch.results[i].as_ref().unwrap();

@@ -1,9 +1,9 @@
 //! Verification — step 3 of Algorithm 2 — and the work ledger, shared by
 //! every execution surface.
 //!
-//! Single-query execution ([`crate::exec`]), batch groups
-//! ([`crate::batch`]) and streaming cursors ([`crate::session`]) all
-//! verify candidates through the stages here: window test → signature
+//! Materialized execution ([`crate::exec`] — batches run it per slot) and
+//! streaming cursors ([`crate::session`]) both verify candidates through
+//! the stages here: window test → signature
 //! probe → exact distance. This module also owns the serial-or-chunked
 //! dispatch of verification work ([`chunked`]) and the one rule deciding
 //! which counter breakdown a phase is charged to ([`Ledger`]).
@@ -15,8 +15,8 @@ use crate::exec::{ExecStats, Hit, QueryContext, QueryOutput, QueryResult};
 use crate::plan::Plan;
 use simq_dsp::complex::Complex;
 use simq_index::{
-    cmp_distance_id, forest_nearest, DiagonalAffine, ForestStats, ItemStage, KnnQuery, Neighbor,
-    Rect, SearchStats,
+    cmp_distance_id, forest_nearest, DiagonalAffine, ForestStats, ItemStage, KnnQuery, Rect,
+    SearchStats,
 };
 use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::{NormalFormAction, SeriesTransform};
@@ -64,13 +64,13 @@ fn compile_probe(
 pub(crate) struct RangeVerifier<'db> {
     stored: &'db StoredRelation,
     /// The transformation's action on normal-form spectra and statistics.
-    pub(crate) action: NormalFormAction,
+    action: NormalFormAction,
     /// The GK95 MEAN/STD window.
-    pub(crate) window: StatsWindow,
+    window: StatsWindow,
     /// The comparison spectrum and the query series' statistics.
     pub(crate) ctx: QueryContext,
     /// The distance threshold.
-    pub(crate) eps: f64,
+    eps: f64,
     probe: Option<FilterProbe>,
 }
 
@@ -266,43 +266,31 @@ impl ItemStage for KnnRank<'_> {
     }
 }
 
-/// Runs every query of `ranks` as one ranked descent over the relation's
-/// forest (a single query is a batch of one): each query's `k` nearest
-/// rows in `(distance, id)` order and the work its search did — index
-/// reads and, per worker and shard, the refine work done inside it.
-pub(crate) fn knn_rank_all(
+/// Runs `rank` as one ranked descent over the relation's forest: the `k`
+/// nearest rows in `(distance, id)` order and the work the search did —
+/// index reads and, per worker and shard, the refine work done inside it.
+pub(crate) fn knn_rank(
     stored: &StoredRelation,
-    ranks: &[KnnRank],
+    rank: &KnnRank,
     threads: usize,
-) -> Vec<(Vec<Hit>, ForestStats)> {
-    let bounds: Vec<_> = ranks
-        .iter()
-        .map(|r| move |rect: &Rect| r.subtree_bound(rect))
-        .collect();
-    let queries: Vec<KnnQuery> = ranks
-        .iter()
-        .zip(&bounds)
-        .map(|(r, bound)| KnnQuery {
-            bound,
-            transform: Some(&r.lowered),
-            k: r.k,
-            items: Some(r),
+) -> (Vec<Hit>, ForestStats) {
+    let query = KnnQuery {
+        bound: &|rect: &Rect| rank.subtree_bound(rect),
+        transform: Some(&rank.lowered),
+        k: rank.k,
+        items: Some(rank),
+    };
+    let (found, stats) = forest_nearest(stored.trees(), &query, threads);
+    let mut hits: Vec<Hit> = found
+        .into_iter()
+        .map(|nb| Hit {
+            id: nb.id,
+            name: stored.row(nb.id).expect("index ids are valid").name.clone(),
+            distance: nb.dist_sq.sqrt(),
         })
         .collect();
-    let (found, stats) = forest_nearest(stored.trees(), &queries, threads);
-    let hits_of = |found: Vec<Neighbor>| {
-        let mut hits: Vec<Hit> = found
-            .into_iter()
-            .map(|nb| Hit {
-                id: nb.id,
-                name: stored.row(nb.id).expect("index ids are valid").name.clone(),
-                distance: nb.dist_sq.sqrt(),
-            })
-            .collect();
-        sort_hits(&mut hits);
-        hits
-    };
-    found.into_iter().map(hits_of).zip(stats).collect()
+    sort_hits(&mut hits);
+    (hits, stats)
 }
 
 /// The serial-or-chunked dispatch: runs `work` over contiguous chunks of

@@ -9,9 +9,6 @@
 //!   insert, index construction (bulk-loaded or incremental).
 //! * [`scan`] — sequential-scan query evaluation with and without early
 //!   abandoning (methods *a*/*b* of the paper's Table 1).
-//! * [`multi`] — batched scans: one pass over the relation serving a whole
-//!   batch of range/kNN queries, each bitwise identical to its individual
-//!   scan.
 //! * [`persist`] — a tiny dependency-free text format with exact `f64`
 //!   round-tripping (the import/export path).
 //! * [`pages`] — the checksummed fixed-size page layer under snapshots.
@@ -42,7 +39,6 @@
 
 pub mod durable;
 pub mod group;
-pub mod multi;
 pub mod pages;
 pub mod persist;
 pub mod relation;
@@ -57,9 +53,6 @@ pub use durable::{
     ManifestEntry, ReplayReport,
 };
 pub use group::{GroupCommit, GroupSink, WriteGroup};
-pub use multi::{
-    scan_knn_multi, scan_range_multi, MultiScanKnnQuery, MultiScanRangeQuery, MultiScanStats,
-};
 pub use relation::{SeriesRelation, SeriesRow};
 pub use scan::{
     scan_all_pairs, scan_all_pairs_over, scan_all_pairs_two, scan_knn, scan_knn_over, scan_range,

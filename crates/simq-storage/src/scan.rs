@@ -113,7 +113,7 @@ pub struct ScanHit {
 
 /// The deterministic `(distance, id)` order of kNN scan results, first
 /// `k` kept — also how per-store top-`k` lists merge into a relation's.
-pub fn nearest_k(mut hits: Vec<ScanHit>, k: usize) -> Vec<ScanHit> {
+fn nearest_k(mut hits: Vec<ScanHit>, k: usize) -> Vec<ScanHit> {
     hits.sort_by(|a, b| cmp_distance_id((a.distance, a.id), (b.distance, b.id)));
     hits.truncate(k);
     hits
@@ -125,7 +125,7 @@ pub fn nearest_k(mut hits: Vec<ScanHit>, k: usize) -> Vec<ScanHit> {
 /// kernel ([`simq_series::kernel`]): completed sums are bitwise identical
 /// to the original scalar loop; early abandoning is decided at chunk
 /// granularity, so `compared` advances in chunk steps on abandoned rows.
-pub(crate) fn transformed_distance_sq(
+fn transformed_distance_sq(
     spectrum: &[Complex],
     multipliers: &[Complex],
     query: &[Complex],

@@ -35,11 +35,11 @@
 //! executes it; `\sessions` prints the session's cumulative statistics.
 //!
 //! Batched execution: a line of `;`-separated queries runs as **one
-//! batch** — parsed and planned together, with queries against the same
-//! relation sharing index traversal (see `simq-query::batch`). `\batch`
-//! begins collect mode: subsequent query lines are queued, `\batch run`
-//! executes them all as one batch, `\batch explain` previews the shared
-//! groups. Non-interactively, `--exec "<q1>; <q2>; …"` executes a batch
+//! batch** — parsed and planned together, answered from one catalog
+//! generation, with the thread budget spent across the statements (see
+//! `simq-query::batch`). `\batch` begins collect mode: subsequent query
+//! lines are queued, `\batch run` executes them all as one batch,
+//! `\batch explain` previews each statement's plan. Non-interactively, `--exec "<q1>; <q2>; …"` executes a batch
 //! script and exits (exit code 1 when any query failed).
 //!
 //! Sharding: `\shard <relation> <n>` re-partitions a relation into `n`
@@ -513,7 +513,7 @@ fn print_output(output: &QueryOutput) {
 
 /// Executes a batch of query texts through the session (plans come from
 /// the plan cache, executions count toward `\sessions`), printing
-/// per-query results and the shared-work summary. Returns true when
+/// per-query results and the summed work counters. Returns true when
 /// every query succeeded.
 fn run_batch<D: std::borrow::Borrow<Database>>(session: &Session<D>, queries: &[String]) -> bool {
     if queries.is_empty() {
@@ -536,19 +536,14 @@ fn run_batch<D: std::borrow::Borrow<Database>>(session: &Session<D>, queries: &[
         }
     }
     println!(
-        "(batch: {} queries, {} shared group{} covering {}; {:.3} ms)",
+        "(batch: {} queries; nodes={} rows={} candidates={} verified={} threads={}; {:.3} ms)",
         queries.len(),
-        stats.shared_groups,
-        if stats.shared_groups == 1 { "" } else { "s" },
-        stats.grouped_queries,
+        stats.nodes_visited,
+        stats.rows_scanned,
+        stats.candidates,
+        stats.verified,
+        stats.threads_used,
         elapsed.as_secs_f64() * 1e3,
-    );
-    println!(
-        "  shared work: nodes={} rows={} — one-at-a-time would be nodes={} rows={}",
-        stats.merged.nodes_visited,
-        stats.merged.rows_scanned,
-        stats.per_query_total.nodes_visited,
-        stats.per_query_total.rows_scanned,
     );
     ok
 }
@@ -1097,7 +1092,7 @@ fn shell_command(
         }
         Some("help") => {
             println!(
-                "queries:\n  FIND SIMILAR TO (ROW <id> | NAME <name> | [v1, v2, …]) IN <rel> \\\n      [USING <t> [THEN <t>]* [ON BOTH]] EPSILON <e> \\\n      [MEAN WITHIN <m>] [STD WITHIN <s>] [FORCE SCAN|INDEX]\n  FIND <k> NEAREST TO <source> IN <rel> [USING …]\n  FIND PAIRS IN <rel> [USING <t> [ON ONE] | MATCHING <t> AGAINST <t>] \\\n      EPSILON <e> [METHOD a|b|c|d]\n  EXPLAIN <query>\n  EXPLAIN ANALYZE <query>   (execute instrumented; per-operator timings)\ntransformations: identity, mavg(w), wmavg(w1, …), reverse, shift(c), scale(k), warp(m)\nshell: \\relations  \\rows <rel>  \\insert <rel> <name> [v1, v2, …][; …]\n       \\shard <rel> <n>  \\save [file]  \\open <file>\n       \\export <rel> <path>  \\threads <n|auto|serial>\n       \\batch [run|explain|show|cancel]  \\wal [dir|checkpoint]\n       \\prepare <name> <query>  \\exec <name> [args…]  \\prepared\n       \\connect <host:port>  \\disconnect  \\sessions\n       \\metrics [--json]  \\trace [on|off]  \\slowlog [<ms>|off]  \\quit\nprepared statements: queries may hold ? (positional) and $name (named)\n  placeholders in the source, EPSILON, k, ROW and MEAN/STD slots;\n  \\prepare parses and plans once, \\exec binds arguments (numbers,\n  [v1, v2, …] series, name=value pairs) and executes; every query in\n  the shell shares one session whose plan cache skips re-planning\n  repeated shapes (\\sessions shows hits/misses)\nbatches: a line of `;`-separated queries runs as one batch with shared\n  index traversal; \\batch collects queries line by line, \\batch run\n  executes them, \\batch explain previews the shared groups\nsharding: \\shard <rel> <n> partitions a relation into n shards, each with\n  its own R*-tree — inserts touch one small tree, and queries fan out\n  one work unit per shard (results identical to unsharded; \\shard 1\n  merges back)\npersistence: \\save writes a binary snapshot of the whole database\n  (SIMQ_DB names the default file); \\open loads one without rebuilding\n  indexes; \\export writes one relation as v2 text\ndurability: \\wal <dir> attaches a write-ahead-logged directory (SIMQ_WAL\n  attaches or reopens one at startup); \\insert appends to the owning\n  shard's log *before* applying, so acknowledged inserts survive any\n  crash; \\wal shows status; \\wal checkpoint (or bare \\save) rewrites\n  only the dirty shards and absorbs their logs; a `;`-separated\n  \\insert batch group-commits — one WAL sync per touched shard, rows\n  to distinct shards applied by concurrent writers — and\n  SIMQ_GROUP_COMMIT=1 coalesces even single-record inserts\nnetwork: simq --serve <addr> (or SIMQ_LISTEN) serves this database to\n  concurrent wire-protocol clients (docs/WIRE_PROTOCOL.md); \\connect\n  <host:port> turns this shell into a remote client — queries,\n  \\prepare/\\exec/\\prepared and \\insert run server-side with bitwise-\n  identical results; \\disconnect returns to the local database\nobservability: EXPLAIN ANALYZE prints the executed operator tree with\n  wall-clock timings (results bitwise identical to the plain query);\n  \\trace on prints a span tree after every query (SIMQ_TRACE=1 at\n  startup); \\metrics dumps the process-wide counter/histogram registry\n  (--json for machines); \\slowlog <ms> keeps the last slow queries\n  (SIMQ_SLOWLOG=<ms> at startup)"
+                "queries:\n  FIND SIMILAR TO (ROW <id> | NAME <name> | [v1, v2, …]) IN <rel> \\\n      [USING <t> [THEN <t>]* [ON BOTH]] EPSILON <e> \\\n      [MEAN WITHIN <m>] [STD WITHIN <s>] [FORCE SCAN|INDEX]\n  FIND <k> NEAREST TO <source> IN <rel> [USING …]\n  FIND PAIRS IN <rel> [USING <t> [ON ONE] | MATCHING <t> AGAINST <t>] \\\n      EPSILON <e> [METHOD a|b|c|d]\n  EXPLAIN <query>\n  EXPLAIN ANALYZE <query>   (execute instrumented; per-operator timings)\ntransformations: identity, mavg(w), wmavg(w1, …), reverse, shift(c), scale(k), warp(m)\nshell: \\relations  \\rows <rel>  \\insert <rel> <name> [v1, v2, …][; …]\n       \\shard <rel> <n>  \\save [file]  \\open <file>\n       \\export <rel> <path>  \\threads <n|auto|serial>\n       \\batch [run|explain|show|cancel]  \\wal [dir|checkpoint]\n       \\prepare <name> <query>  \\exec <name> [args…]  \\prepared\n       \\connect <host:port>  \\disconnect  \\sessions\n       \\metrics [--json]  \\trace [on|off]  \\slowlog [<ms>|off]  \\quit\nprepared statements: queries may hold ? (positional) and $name (named)\n  placeholders in the source, EPSILON, k, ROW and MEAN/STD slots;\n  \\prepare parses and plans once, \\exec binds arguments (numbers,\n  [v1, v2, …] series, name=value pairs) and executes; every query in\n  the shell shares one session whose plan cache skips re-planning\n  repeated shapes (\\sessions shows hits/misses)\nbatches: a line of `;`-separated queries runs as one batch (one parse/plan\n  pass, one catalog generation, threads spent across statements);\n  \\batch collects queries line by line, \\batch run executes them,\n  \\batch explain previews each statement's plan\nsharding: \\shard <rel> <n> partitions a relation into n shards, each with\n  its own R*-tree — inserts touch one small tree, and queries fan out\n  one work unit per shard (results identical to unsharded; \\shard 1\n  merges back)\npersistence: \\save writes a binary snapshot of the whole database\n  (SIMQ_DB names the default file); \\open loads one without rebuilding\n  indexes; \\export writes one relation as v2 text\ndurability: \\wal <dir> attaches a write-ahead-logged directory (SIMQ_WAL\n  attaches or reopens one at startup); \\insert appends to the owning\n  shard's log *before* applying, so acknowledged inserts survive any\n  crash; \\wal shows status; \\wal checkpoint (or bare \\save) rewrites\n  only the dirty shards and absorbs their logs; a `;`-separated\n  \\insert batch group-commits — one WAL sync per touched shard, rows\n  to distinct shards applied by concurrent writers — and\n  SIMQ_GROUP_COMMIT=1 coalesces even single-record inserts\nnetwork: simq --serve <addr> (or SIMQ_LISTEN) serves this database to\n  concurrent wire-protocol clients (docs/WIRE_PROTOCOL.md); \\connect\n  <host:port> turns this shell into a remote client — queries,\n  \\prepare/\\exec/\\prepared and \\insert run server-side with bitwise-\n  identical results; \\disconnect returns to the local database\nobservability: EXPLAIN ANALYZE prints the executed operator tree with\n  wall-clock timings (results bitwise identical to the plain query);\n  \\trace on prints a span tree after every query (SIMQ_TRACE=1 at\n  startup); \\metrics dumps the process-wide counter/histogram registry\n  (--json for machines); \\slowlog <ms> keeps the last slow queries\n  (SIMQ_SLOWLOG=<ms> at startup)"
             );
         }
         Some("sessions") => {

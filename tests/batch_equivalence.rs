@@ -1,50 +1,88 @@
-//! The batched-execution contract as executable properties: running any
-//! mix of queries through [`execute_batch`] returns, query for query,
-//! exactly what one-at-a-time execution returns — same hits, same names,
-//! bitwise-identical distances, same errors — at 1 and 4 threads, against
-//! the in-memory database and against a snapshot-reloaded one. The batch
-//! is allowed to differ in only one observable: **work**. The acceptance
-//! regression pins that too: a 64-query range batch's merged node-visit
-//! count is strictly less than the sum of the 64 individual executions.
+//! The batched-execution contract as executable properties: a batch is
+//! the single-query pipeline in a loop, so every slot of
+//! [`execute_batch`] is exactly what one-at-a-time execution returns —
+//! same hits, same names, bitwise-identical distances, same errors — for
+//! range, kNN, `FORCE SCAN` and warp statements alike, at 1 and 4
+//! threads, on 1 and 4 shards, with the signature tier on and off,
+//! against the in-memory database and against a snapshot-reloaded one.
+//! Under `Parallelism::Serial` a slot's `ExecStats` equal the individual
+//! execution's too, and the batch's `stats` are always the sum of its
+//! slots'.
 
 mod common;
 
-use common::{assert_outcomes_equal, assert_outputs_bitwise_equal, corpus, db_with};
+use common::{assert_outcomes_equal, corpus, db_with, relation_with};
 use proptest::prelude::*;
 use similarity_queries::prelude::*;
-use similarity_queries::query::{execute_batch, QueryError, QueryResult};
+use similarity_queries::query::{execute_batch, BatchResult, ExecStats, QueryError, QueryResult};
+
+fn set_threads(db: &mut Database, threads: usize) {
+    db.set_parallelism(if threads == 1 {
+        Parallelism::Serial
+    } else {
+        Parallelism::Fixed(threads)
+    });
+}
 
 /// Executes `texts` one at a time — the reference the batch must match.
 fn one_at_a_time(db: &Database, texts: &[&str]) -> Vec<Result<QueryResult, QueryError>> {
     texts.iter().map(|q| execute(db, q)).collect()
 }
 
-/// Asserts batch results equal individual execution, serially and at 4
-/// threads.
-fn assert_batch_equivalent(db: &mut Database, queries: &[String]) {
+/// Asserts `batch.stats` is the sum of its slots' counters, with
+/// `threads_used` the fan-out over `threads` (at least two workers and at
+/// most one per slot once two slots can run, every slot serial inside).
+fn assert_stats_are_the_slot_sum(batch: &BatchResult, threads: usize, what: &str) {
+    let slots: Vec<&ExecStats> = batch.results.iter().flatten().map(|r| &r.stats).collect();
+    let sum = |f: fn(&ExecStats) -> u64| slots.iter().map(|s| f(s)).sum::<u64>();
+    let used = batch.stats.threads_used;
+    if threads > 1 && slots.len() >= 2 {
+        let most = threads.min(slots.len()) as u64;
+        assert!((2..=most).contains(&used), "{what}: {used} workers");
+        assert!(slots.iter().all(|s| s.threads_used == 1), "{what}");
+    } else {
+        assert_eq!(used, 1, "{what}");
+    }
+    let want = ExecStats {
+        nodes_visited: sum(|s| s.nodes_visited),
+        leaves_visited: sum(|s| s.leaves_visited),
+        entries_tested: sum(|s| s.entries_tested),
+        rows_scanned: sum(|s| s.rows_scanned),
+        coefficients_compared: sum(|s| s.coefficients_compared),
+        candidates: sum(|s| s.candidates),
+        filtered_out: sum(|s| s.filtered_out),
+        verified: sum(|s| s.verified),
+        threads_used: used,
+        ..ExecStats::default()
+    };
+    assert_eq!(batch.stats, want, "{what}");
+}
+
+/// Asserts batch results equal individual execution at 1 and 4 threads —
+/// outputs always, `ExecStats` when serial.
+fn assert_batch_equivalent(db: &mut Database, queries: &[String], what: &str) {
     let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
     for threads in [1usize, 4] {
-        db.set_parallelism(if threads == 1 {
-            Parallelism::Serial
-        } else {
-            Parallelism::Fixed(threads)
-        });
+        set_threads(db, threads);
+        let what = format!("{what}, threads {threads}");
         let individual = one_at_a_time(db, &texts);
         let batch = execute_batch(db, &texts);
         assert_eq!(batch.results.len(), individual.len());
         for (i, (got, want)) in batch.results.iter().zip(&individual).enumerate() {
-            assert_outcomes_equal(got, want, &format!("{} (threads {threads})", texts[i]));
-            // Serial index-kNN members carry their stand-alone counters.
-            let index_knn = texts[i].contains("NEAREST") && !texts[i].contains("FORCE SCAN");
-            if let (true, 1, Ok(got), Ok(want)) = (index_knn, threads, got, want) {
-                assert_eq!(got.stats, want.stats, "{}", texts[i]);
+            assert_outcomes_equal(got, want, &format!("{} ({what})", texts[i]));
+            if let (1, Ok(got), Ok(want)) = (threads, got, want) {
+                assert_eq!(got.stats, want.stats, "{} ({what})", texts[i]);
+                assert_eq!(got.per_thread, want.per_thread, "{} ({what})", texts[i]);
+                assert_eq!(got.per_shard, want.per_shard, "{} ({what})", texts[i]);
             }
         }
+        assert_stats_are_the_slot_sum(&batch, threads, &what);
     }
 }
 
-/// One random query of a mix: range (either access path, optional
-/// transformation), kNN (either access path), or an all-pairs join.
+/// One random statement of a mix: range (either access path, optional
+/// transformation — warp included), kNN (either access path), or an
+/// all-pairs join.
 fn query_strategy(rows: usize) -> impl Strategy<Value = String> {
     prop_oneof![
         (
@@ -54,6 +92,7 @@ fn query_strategy(rows: usize) -> impl Strategy<Value = String> {
                 Just(""),
                 Just(" USING mavg(5) ON BOTH"),
                 Just(" USING reverse ON BOTH"),
+                Just(" USING warp(2) ON BOTH"),
             ],
             prop_oneof![Just(""), Just(" FORCE SCAN")],
         )
@@ -63,9 +102,10 @@ fn query_strategy(rows: usize) -> impl Strategy<Value = String> {
         (
             1usize..8,
             0..rows,
+            prop_oneof![Just(""), Just(" USING mavg(5) ON BOTH")],
             prop_oneof![Just(""), Just(" FORCE SCAN")]
         )
-            .prop_map(|(k, row, f)| format!("FIND {k} NEAREST TO ROW {row} IN r{f}")),
+            .prop_map(|(k, row, t, f)| format!("FIND {k} NEAREST TO ROW {row} IN r{t}{f}")),
         (0.3f64..2.0, prop_oneof![Just('b'), Just('d')])
             .prop_map(|(eps, m)| format!("FIND PAIRS IN r USING mavg(8) EPSILON {eps} METHOD {m}")),
     ]
@@ -82,7 +122,7 @@ proptest! {
     ) {
         let series = corpus(seed, 30, 64);
         let mut db = db_with(&series, FeatureScheme::paper_default());
-        assert_batch_equivalent(&mut db, &queries);
+        assert_batch_equivalent(&mut db, &queries, "in memory");
     }
 
     /// The same contract holds after a snapshot round-trip: the reopened
@@ -98,7 +138,7 @@ proptest! {
         db.save_snapshot(&path).unwrap();
         let mut reopened = Database::open_snapshot(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_batch_equivalent(&mut reopened, &queries);
+        assert_batch_equivalent(&mut reopened, &queries, "reopened");
         // Cross-check: the reopened batch matches the in-memory originals.
         let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
         db.set_parallelism(Parallelism::Serial);
@@ -111,114 +151,67 @@ proptest! {
     }
 }
 
-/// The acceptance criterion: a 64-query range batch over one relation is
-/// answer-identical to serial one-at-a-time execution, its per-query
-/// node-visit counters equal the individual executions', and the merged
-/// (shared-traversal) node-visit count is **strictly less** than the sum
-/// of the individual executions'.
+/// Every statement form — and every way a slot can fail — across threads
+/// {1, 4} × shards {1, 4} × signature tier on/off.
 #[test]
-fn batch_of_64_range_queries_shares_traversal() {
-    let series = corpus(20260727, 400, 64);
-    let db = db_with(&series, FeatureScheme::paper_default());
-    let queries: Vec<String> = (0..64)
-        .map(|i| {
-            format!(
-                "FIND SIMILAR TO ROW {} IN r EPSILON {:.2}",
-                (i * 6) % 400,
-                0.8 + (i % 9) as f64 * 0.45
-            )
-        })
-        .collect();
-    let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
-
-    let batch = execute_batch(&db, &texts);
-    assert_eq!(batch.stats.shared_groups, 1);
-    assert_eq!(batch.stats.grouped_queries, 64);
-
-    let mut individual_nodes_sum = 0u64;
-    for (i, q) in texts.iter().enumerate() {
-        let individual = execute(&db, q).unwrap();
-        let got = batch.results[i].as_ref().unwrap();
-        assert_outputs_bitwise_equal(got, &individual, q);
-        // The shared walk attributes to each query exactly the nodes its
-        // own traversal would have read.
-        assert_eq!(
-            got.stats.nodes_visited, individual.stats.nodes_visited,
-            "{q}"
-        );
-        individual_nodes_sum += individual.stats.nodes_visited;
-    }
-    assert!(
-        batch.stats.merged.nodes_visited < individual_nodes_sum,
-        "shared traversal must beat one-at-a-time: merged {} vs sum {}",
-        batch.stats.merged.nodes_visited,
-        individual_nodes_sum
-    );
-    assert_eq!(
-        batch.stats.per_query_total.nodes_visited,
-        individual_nodes_sum
-    );
-}
-
-/// Batched index kNN runs every member's own ranked descent (bound,
-/// signature probe, exact refinement) on the group's shared pool, so a
-/// member's serial counters — candidates, filtered_out, coefficients,
-/// threads_used, all of them — are exactly what `execute` reports for the
-/// same text, on one store and on four, and the batch's merged counters
-/// are their sum.
-#[test]
-fn batch_knn_members_report_their_own_serial_stats() {
-    let series = corpus(99, 300, 64);
+fn every_slot_is_its_individual_execution_across_the_matrix() {
+    let series = corpus(20260927, 300, 64);
     let queries: Vec<String> = (0..24)
         .map(|i| {
-            let using = if i % 3 == 0 {
-                " USING mavg(5) ON BOTH"
-            } else {
-                ""
-            };
-            let (k, row) = (2 + i % 6, (i * 11) % 300);
-            format!("FIND {k} NEAREST TO ROW {row} IN r{using}")
+            let row = (i * 11) % 300;
+            match i % 8 {
+                0 => format!(
+                    "FIND SIMILAR TO ROW {row} IN r EPSILON {}",
+                    2.0 + i as f64 * 0.2
+                ),
+                1 => format!("FIND SIMILAR TO ROW {row} IN r USING mavg(5) ON BOTH EPSILON 2.5"),
+                2 => format!("FIND SIMILAR TO ROW {row} IN r USING warp(2) ON BOTH EPSILON 4"),
+                3 => format!("FIND SIMILAR TO ROW {row} IN r EPSILON 3 FORCE SCAN"),
+                4 => format!("FIND {} NEAREST TO ROW {row} IN r", 2 + i % 6),
+                5 => format!("FIND 4 NEAREST TO ROW {row} IN r USING mavg(5) ON BOTH"),
+                6 => format!("FIND {} NEAREST TO ROW {row} IN r FORCE SCAN", 2 + i % 6),
+                _ => format!("FIND SIMILAR TO ROW {row} IN r EPSILON 4 MEAN WITHIN 2"),
+            }
         })
+        .chain(
+            [
+                "FIND PAIRS IN r USING mavg(8) EPSILON 1.0 METHOD d",
+                "EXPLAIN FIND 3 NEAREST TO ROW 0 IN r",
+                "FIND SIMILAR TO ROW 9999 IN r EPSILON 1",
+                "THIS IS NOT A QUERY",
+                "FIND SIMILAR TO ROW 0 IN nope EPSILON 1",
+            ]
+            .map(String::from),
+        )
         .collect();
-    let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
     for shards in [1usize, 4] {
-        let mut db = db_with(&series, FeatureScheme::paper_default());
-        db.set_parallelism(Parallelism::Serial);
-        if shards > 1 {
-            db.shard_relation("r", shards).unwrap();
+        for filter in [true, false] {
+            let rel = relation_with(&series, FeatureScheme::paper_default());
+            let mut db = Database::new();
+            if shards > 1 {
+                db.add_relation_sharded(rel, shards);
+            } else {
+                db.add_relation_indexed(rel);
+            }
+            db.set_filter(filter);
+            let what = format!("shards {shards}, filter {filter}");
+            assert_batch_equivalent(&mut db, &queries, &what);
         }
-        let batch = execute_batch(&db, &texts);
-        assert_eq!(batch.stats.shared_groups, 1);
-        let mut sum = similarity_queries::query::ExecStats::default();
-        for (i, q) in texts.iter().enumerate() {
-            let individual = execute(&db, q).unwrap();
-            let got = batch.results[i].as_ref().unwrap();
-            assert_outputs_bitwise_equal(got, &individual, q);
-            assert_eq!(got.stats, individual.stats, "{q} (shards {shards})");
-            assert!(
-                got.stats.candidates > 0 && got.stats.filtered_out > 0,
-                "{q}"
-            );
-            sum.nodes_visited += individual.stats.nodes_visited;
-            sum.candidates += individual.stats.candidates;
-            sum.filtered_out += individual.stats.filtered_out;
-            sum.coefficients_compared += individual.stats.coefficients_compared;
-        }
-        let merged = &batch.stats.merged;
-        assert_eq!(
-            (
-                merged.nodes_visited,
-                merged.candidates,
-                merged.filtered_out,
-                merged.coefficients_compared
-            ),
-            (
-                sum.nodes_visited,
-                sum.candidates,
-                sum.filtered_out,
-                sum.coefficients_compared
-            ),
-            "shards {shards}"
-        );
     }
+}
+
+/// A batch of one is an ordinary query: it keeps its plan's intra-query
+/// threads instead of spending the budget across slots.
+#[test]
+fn a_batch_of_one_keeps_intra_query_threads() {
+    let series = corpus(5, 400, 64);
+    let mut db = db_with(&series, FeatureScheme::paper_default());
+    set_threads(&mut db, 4);
+    let q = "FIND SIMILAR TO ROW 0 IN r EPSILON 3 FORCE SCAN";
+    let alone = execute(&db, q).unwrap();
+    let batch = execute_batch(&db, &[q, "garbage"]);
+    let slot = batch.results[0].as_ref().unwrap();
+    assert_eq!(slot.stats, alone.stats);
+    assert_eq!(slot.stats.threads_used, 4);
+    assert_eq!(batch.stats.threads_used, 4);
 }

@@ -101,9 +101,7 @@ fn semicolon_line_runs_as_one_batch() {
         "FIND SIMILAR TO ROW 1 IN walks EPSILON 1.0; FIND SIMILAR TO ROW 2 IN walks EPSILON 1.0\n\\quit\n",
     );
     assert_eq!(code, 0);
-    assert!(stdout.contains("batch: 2 queries"), "{stdout}");
-    assert!(stdout.contains("1 shared group"), "{stdout}");
-    assert!(stdout.contains("shared work:"), "{stdout}");
+    assert!(stdout.contains("batch: 2 queries; nodes="), "{stdout}");
 }
 
 #[test]
@@ -115,10 +113,8 @@ fn batch_collect_mode_queues_and_runs() {
     assert_eq!(code, 0);
     assert!(stdout.contains("queued (2 pending"), "{stdout}");
     assert!(stdout.contains("[1] FIND SIMILAR TO ROW 4"), "{stdout}");
-    assert!(
-        stdout.contains("shared R*-tree range traversal"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("batch: 2 statements"), "{stdout}");
+    assert!(stdout.contains("#1 · IndexScan · "), "{stdout}");
     assert!(stdout.contains("batch: 2 queries"), "{stdout}");
 }
 

@@ -177,16 +177,70 @@ fn tracing_is_inert_for_batches() {
             // The batch contains a kNN member, so its counters are only
             // schedule-independent when execution is serial.
             if threads == 1 {
-                assert_eq!(off.stats.merged, on.stats.merged, "{label}");
-                assert_eq!(
-                    off.stats.per_query_total, on.stats.per_query_total,
-                    "{label}"
-                );
+                assert_eq!(off.stats, on.stats, "{label}");
             }
             for (i, (a, b)) in off.results.iter().zip(&on.results).enumerate() {
                 let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
                 assert_outputs_bitwise_equal(a, b, &format!("{label} [{i}]"));
             }
+        }
+    }
+}
+
+/// A batch slot is an ordinary execution to the metrics registry and the
+/// tracer: N executable statements move `query.executions` by exactly N
+/// (and the shard work units by N × shards), and a traced serial batch
+/// records every statement's own stages. (Every test of this binary that
+/// executes queries holds `TRACE_LOCK`, so the deltas are exact.)
+#[test]
+fn batched_statements_count_and_trace_like_individual_ones() {
+    use std::sync::atomic::Ordering;
+    let _guard = TRACE_LOCK.lock().unwrap();
+    let texts = [
+        "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0",
+        "FIND SIMILAR TO ROW 1 IN r EPSILON 3.0",
+        "FIND 4 NEAREST TO ROW 3 IN r",
+        "FIND 4 NEAREST TO ROW 5 IN r",
+        "FIND SIMILAR TO ROW 2 IN r EPSILON 2.0 FORCE SCAN",
+        "NOT A QUERY",
+    ];
+    let m = similarity_queries::obs::metrics::registry();
+    for (shards, threads) in [(1usize, 1usize), (4, 1), (4, 4)] {
+        let db = build_db(shards, threads);
+        let label = format!("threads {threads}, shards {shards}");
+        let (executions, units, batched) = (
+            m.query_executions.load(Ordering::Relaxed),
+            m.query_shard_work_units.load(Ordering::Relaxed),
+            m.batch_queries.load(Ordering::Relaxed),
+        );
+        span::set_tracing(threads == 1);
+        let batch = execute_batch(&db, &texts);
+        let records = span::take_records();
+        span::set_tracing(false);
+        assert_eq!(batch.results.iter().filter(|r| r.is_ok()).count(), 5);
+        let moved = |now: u64, before: u64| now - before;
+        assert_eq!(
+            moved(m.query_executions.load(Ordering::Relaxed), executions),
+            5,
+            "{label}"
+        );
+        assert_eq!(
+            moved(m.batch_queries.load(Ordering::Relaxed), batched),
+            5,
+            "{label}"
+        );
+        let per_statement = if shards > 1 { shards as u64 } else { 0 };
+        assert_eq!(
+            moved(m.query_shard_work_units.load(Ordering::Relaxed), units),
+            5 * per_statement,
+            "{label}"
+        );
+        if threads == 1 {
+            let count = |name: &str| records.iter().filter(|r| r.name == name).count();
+            assert_eq!(count("range.descend"), 2, "{label}");
+            assert_eq!(count("range.verify"), 2, "{label}");
+            assert_eq!(count("knn.rank"), 2, "{label}");
+            assert_eq!(count("scan"), 1, "{label}");
         }
     }
 }

@@ -252,10 +252,10 @@ fn prepare_once_execute_many_hits_the_plan_cache() {
 }
 
 /// A prepared batch through the session: plans come from the cache and
-/// every slot equals its individual execution bitwise; duplicate
-/// bindings dedup verification without changing any output.
+/// every slot — duplicate bindings included — equals its individual
+/// execution bitwise.
 #[test]
-fn prepared_batch_equals_individual_and_dedups_duplicates() {
+fn prepared_batch_equals_individual_execution() {
     let series = corpus(7, 120, 64);
     let db = db_with(&series, FeatureScheme::paper_default());
     let session = Session::new(&db);
@@ -264,7 +264,7 @@ fn prepared_batch_equals_individual_and_dedups_duplicates() {
         .unwrap();
     let bindings: Vec<(usize, f64)> = (0..12)
         .map(|i| ((i * 11) % 120, 0.8 + (i % 5) as f64 * 0.5))
-        // Repeat the first four bindings: identical verification classes.
+        // Repeat the first four bindings: duplicates are ordinary slots.
         .chain((0..4).map(|i| ((i * 11) % 120, 0.8 + (i % 5) as f64 * 0.5)))
         .collect();
     let bounds: Vec<Bound> = bindings
@@ -277,11 +277,7 @@ fn prepared_batch_equals_individual_and_dedups_duplicates() {
         .collect();
     let batch = session.execute_batch(&bounds);
     assert_eq!(batch.results.len(), bounds.len());
-    assert!(batch.stats.merged.plan_cache_hits >= bounds.len() as u64);
-    assert!(
-        batch.stats.deduped_verifications > 0,
-        "duplicate bindings must dedup verification"
-    );
+    assert!(batch.stats.plan_cache_hits >= bounds.len() as u64);
     for (i, &(row, eps)) in bindings.iter().enumerate() {
         let individual = execute(
             &db,

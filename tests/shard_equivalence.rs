@@ -186,21 +186,13 @@ fn sharded_batches_equal_individual_execution() {
             .collect();
         let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
         let batch = execute_batch(&db, &texts);
-        assert!(batch.stats.shared_groups >= 2, "groups formed over shards");
         for (i, q) in texts.iter().enumerate() {
             let individual = execute(&db, q).unwrap();
             let got = batch.results[i].as_ref().unwrap();
             assert_outputs_bitwise_equal(got, &individual, &format!("batch slot {i}: {q}"));
-            // Grouped slots stamp the same shard fan-out as individual runs.
+            // Batch slots stamp the same shard fan-out as individual runs.
             assert_eq!(got.stats.shards_touched, 3, "batch slot {i}: {q}");
         }
-        // Shared traversal over per-shard trees still beats one-at-a-time.
-        assert!(
-            batch.stats.merged.nodes_visited < batch.stats.per_query_total.nodes_visited,
-            "merged {} < per-query {}",
-            batch.stats.merged.nodes_visited,
-            batch.stats.per_query_total.nodes_visited
-        );
     }
 }
 

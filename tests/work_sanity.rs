@@ -1,5 +1,6 @@
 //! Plans that do sane amounts of work (ROADMAP item 2's invariant): an
-//! index plan must never touch more rows than the scan it replaces.
+//! index plan must never touch more rows than the scan it replaces, and a
+//! batch must never do more work than its statements run one at a time.
 //!
 //! The equivalence suites pin *agreement between paths*; this one pins
 //! that the cheaper-looking path is not secretly a superset of the other.
@@ -10,7 +11,7 @@ mod common;
 
 use common::{corpus, relation_with};
 use similarity_queries::prelude::*;
-use similarity_queries::query::QueryResult;
+use similarity_queries::query::{execute_batch, QueryResult};
 
 /// Every index-served form of the `shard_equivalence` matrix, paired with
 /// the scan plan it replaces.
@@ -142,4 +143,100 @@ fn indexed_knn_examines_a_minority_of_a_random_walk_corpus() {
             }
         }
     }
+}
+
+/// A batch is the single-query pipeline in a loop, so it never compares
+/// more coefficients than the same statements run one at a time — in
+/// total or in any slot. (The shared one-pass kNN scan this replaced
+/// computed every full distance while the lone scan abandoned against its
+/// k-th best.)
+#[test]
+fn a_batch_compares_no_more_coefficients_than_its_statements_alone() {
+    let series = corpus(20260927, 600, 64);
+    let forms = [
+        "FIND 10 NEAREST TO ROW {} IN r FORCE SCAN",
+        "FIND 10 NEAREST TO ROW {} IN r",
+        "FIND SIMILAR TO ROW {} IN r EPSILON 3.0",
+        "FIND SIMILAR TO ROW {} IN r EPSILON 3.0 FORCE SCAN",
+        "FIND SIMILAR TO ROW {} IN r USING warp(2) ON BOTH EPSILON 4.0",
+    ];
+    for shards in [1usize, 4] {
+        let db = db_over(&series, shards, 1);
+        for form in forms {
+            let queries: Vec<String> = (0..16)
+                .map(|i| form.replace("{}", &(i * 37 % 600).to_string()))
+                .collect();
+            let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
+            let batch = execute_batch(&db, &texts);
+            let mut alone = 0u64;
+            for (q, slot) in texts.iter().zip(&batch.results) {
+                let individual = execute(&db, q).unwrap().stats.coefficients_compared;
+                let slot = slot.as_ref().unwrap().stats.coefficients_compared;
+                assert!(
+                    slot <= individual,
+                    "{q} (shards {shards}): {slot} > {individual}"
+                );
+                alone += individual;
+            }
+            assert!(
+                batch.stats.coefficients_compared <= alone,
+                "{form} (shards {shards}): batch {} > one at a time {alone}",
+                batch.stats.coefficients_compared
+            );
+        }
+    }
+}
+
+/// A batch answers every slot from one catalog generation, whatever a
+/// writer does to the live database meanwhile: each round pins a read
+/// view, lets another thread start inserting into the live database, and
+/// runs a batch — its slots spread over four workers — against the view.
+/// Every slot must see exactly the view's rows although the live
+/// database has moved on by the time the round ends.
+#[test]
+fn a_batch_under_concurrent_inserts_answers_every_slot_from_one_generation() {
+    use std::sync::{mpsc, RwLock};
+
+    let (rows, per_round, rounds) = (120usize, 10usize, 6usize);
+    let series = corpus(11, rows + per_round * rounds, 64);
+    let live = RwLock::new(db_over(&series[..rows], 4, 4));
+    let live_rows = || live.read().unwrap().relation("r").unwrap().row_count();
+    // Every row is within this radius of row 0, by either access path.
+    let texts: Vec<&str> = [
+        "FIND SIMILAR TO ROW 0 IN r EPSILON 1000000",
+        "FIND SIMILAR TO ROW 0 IN r EPSILON 1000000 FORCE SCAN",
+    ]
+    .repeat(6);
+    let hits = |r: &QueryResult| match &r.output {
+        QueryOutput::Hits(h) => h.len(),
+        other => panic!("expected hits, got {other:?}"),
+    };
+    let (go, start) = mpsc::channel::<()>();
+    let (done, finished) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        let (live, inserts) = (&live, &series[rows..]);
+        scope.spawn(move || {
+            for (round, chunk) in inserts.chunks(per_round).enumerate() {
+                start.recv().unwrap();
+                for (i, s) in chunk.iter().enumerate() {
+                    let mut db = live.write().unwrap();
+                    db.insert_into("r", format!("N{round}-{i}"), s.clone())
+                        .unwrap();
+                }
+                done.send(()).unwrap();
+            }
+        });
+        for round in 0..rounds {
+            let view = live.read().unwrap().read_view();
+            let pinned = view.database().relation("r").unwrap().row_count();
+            assert_eq!(pinned, rows + round * per_round);
+            go.send(()).unwrap();
+            let batch = Session::new(view).execute_batch_texts(&texts);
+            for (q, slot) in texts.iter().zip(&batch.results) {
+                assert_eq!(hits(slot.as_ref().unwrap()), pinned, "{q} (round {round})");
+            }
+            finished.recv().unwrap();
+            assert_eq!(live_rows(), pinned + per_round);
+        }
+    });
 }
