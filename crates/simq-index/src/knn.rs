@@ -91,7 +91,7 @@ pub trait ItemStage: Sync {
     /// beyond `kth_now` — the current exact `k`-th best distance (infinite
     /// until `k` items are refined). Must never drop an item whose exact
     /// distance is `<= kth_now`. Reports its own work in `stats`
-    /// ([`SearchStats::filtered`], [`SearchStats::refine_work`]).
+    /// ([`SearchStats::refine_work`]).
     fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64>;
 }
 

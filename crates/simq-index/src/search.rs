@@ -34,8 +34,6 @@ pub struct SearchStats {
     /// Leaf items a multi-step kNN search handed to
     /// [`crate::knn::ItemStage::refine`]; 0 for every other search.
     pub candidates: u64,
-    /// Candidates `refine` reports dismissed before any exact work.
-    pub filtered: u64,
     /// Exact-distance work `refine` reports, in its own unit (the query
     /// layer counts complex coefficients compared).
     pub refine_work: u64,
@@ -48,7 +46,6 @@ impl SearchStats {
         self.leaves_visited += other.leaves_visited;
         self.entries_tested += other.entries_tested;
         self.candidates += other.candidates;
-        self.filtered += other.filtered;
         self.refine_work += other.refine_work;
     }
 

@@ -1121,8 +1121,9 @@ impl Database {
 
     /// Turns the quantized filter tier on or off for subsequent queries
     /// (off = verify every candidate, the pre-filter baseline). The
-    /// toggle governs *dismissal*: an indexed kNN ranks rows by their
-    /// signatures' leading coefficients either way.
+    /// toggle governs *dismissal* — by range verification, the probe join
+    /// and the kNN scan: an indexed kNN ranks rows by their whole signature
+    /// bound either way.
     pub fn set_filter(&mut self, on: bool) {
         self.filter_off = !on;
     }

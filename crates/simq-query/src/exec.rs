@@ -18,7 +18,7 @@ use crate::catalog::{Database, StoredRelation};
 use crate::error::QueryError;
 use crate::plan::{explain, plan, AccessPath, Plan};
 use crate::verify::{
-    chunked, knn_rank, pad, sort_hits, verify_all, KnnRank, Ledger, RangeVerifier,
+    chunked, compile_probe, knn_rank, pad, sort_hits, verify_all, KnnRank, Ledger, RangeVerifier,
 };
 use simq_dsp::complex::Complex;
 use simq_index::forest_range;
@@ -91,7 +91,6 @@ impl ExecStats {
         self.entries_tested += s.entries_tested;
         // A multi-step kNN search refines inside the descent.
         self.candidates += s.candidates;
-        self.filtered_out += s.filtered;
         self.coefficients_compared += s.refine_work;
     }
 
@@ -555,13 +554,12 @@ fn knn(
             // descent over the relation's whole forest of trees ranks
             // rows by lower bound and refines each as it surfaces,
             // stopping once the next bound exceeds the exact k-th best.
-            let rank = KnnRank::new(stored, transform, q_spec, k, filter)?;
+            let rank = KnnRank::new(stored, transform, q_spec, k)?;
             let rank_span = span::span("knn.rank");
             let (hits, s) = knn_rank(stored, &rank, threads);
             ledger.search(&s);
             rank_span.note("nodes", ledger.stats.nodes_visited);
             rank_span.note("candidates", ledger.stats.candidates);
-            rank_span.note("filtered", ledger.stats.filtered_out);
             rank_span.note("verified", hits.len() as u64);
             drop(rank_span);
             hits
@@ -569,7 +567,7 @@ fn knn(
         AccessPath::SeqScan { .. } => {
             let scan_span = span::span("scan");
             let (scan_hits, s) =
-                scan::scan_knn_over(stored.stores(), transform, &q_spec, k, threads)?;
+                scan::scan_knn_over(stored.stores(), transform, &q_spec, k, threads, filter)?;
             ledger.scan(&s);
             ledger.stats.candidates = ledger.stats.rows_scanned;
             scan_span.note("rows", ledger.stats.rows_scanned);
@@ -655,71 +653,59 @@ fn all_pairs(
                     *entry = d;
                 }
             };
-            let probe = |row: &simq_storage::SeriesRow,
-                         probe_spec: &mut Vec<Complex>,
-                         found: &mut Found,
-                         stats: &mut ExecStats|
-             -> Result<(), QueryError> {
-                probe_spec.clear();
-                probe_spec.push(row.features.spectrum[0]);
-                probe_spec.extend(
-                    row.features.spectrum[1..]
-                        .iter()
-                        .zip(&left_action.multipliers)
-                        .map(|(x, a)| *x * *a),
-                );
-                let probe_point = scheme.point_from_spectrum(0.0, 0.0, probe_spec)?;
-                let rect = scheme.search_rect(&probe_point, pad(eps));
-                // Per-probe filter compilation: the probe spectrum is the
-                // "query" of this row's verification step, so each probe
-                // row gets its own quantized-tier bound against ε.
-                let row_probe = filter.then(|| {
-                    simq_storage::FilterProbe::new(
-                        probe_spec,
-                        &action.multipliers,
-                        stored.sig_coeffs(),
-                    )
-                });
-                for tree in stored.trees() {
-                    let (candidates, s) = tree.range_transformed(&lowered, &rect);
-                    stats.add_search(&s);
-                    stats.candidates += candidates.len() as u64;
-                    for id in candidates {
-                        // Symmetric joins need each unordered pair once.
-                        if id == row.id || (symmetric && id < row.id) {
-                            continue;
-                        }
-                        if let (Some(p), Some(sig)) = (&row_probe, stored.signature(id)) {
-                            if p.dismisses(sig, eps * eps) {
-                                stats.filtered_out += 1;
+            let workers = chunked(&rows, threads, |rows| -> Result<_, QueryError> {
+                let mut found = Found::new();
+                let mut stats = ExecStats::default();
+                // The probe spectrum is the "query" of each row's
+                // verification step, so each probe row gets its own
+                // quantized-tier bound against ε — recompiled in place.
+                let mut probe_spec = vec![Complex::ZERO; n];
+                let mut row_probe = compile_probe(stored, filter, &probe_spec, &action.multipliers);
+                for row in rows {
+                    probe_spec.clear();
+                    probe_spec.push(row.features.spectrum[0]);
+                    probe_spec.extend(
+                        row.features.spectrum[1..]
+                            .iter()
+                            .zip(&left_action.multipliers)
+                            .map(|(x, a)| *x * *a),
+                    );
+                    let probe_point = scheme.point_from_spectrum(0.0, 0.0, &probe_spec)?;
+                    let rect = scheme.search_rect(&probe_point, pad(eps));
+                    if let Some(p) = row_probe.as_mut() {
+                        p.recompile(&probe_spec);
+                    }
+                    for tree in stored.trees() {
+                        let (candidates, s) = tree.range_transformed(&lowered, &rect);
+                        stats.add_search(&s);
+                        stats.candidates += candidates.len() as u64;
+                        for id in candidates {
+                            // Symmetric joins need each unordered pair once.
+                            if id == row.id || (symmetric && id < row.id) {
                                 continue;
                             }
-                        }
-                        let other = stored.row(id).expect("index ids are valid");
-                        let (d_sq, abandoned) = transformed_distance_sq(
-                            &other.features.spectrum,
-                            &action.multipliers,
-                            probe_spec,
-                            Some(eps * eps),
-                            &mut stats.coefficients_compared,
-                        );
-                        let d = d_sq.sqrt();
-                        if !abandoned && d <= eps {
-                            keep_min(found, (row.id.min(id), row.id.max(id)), d);
+                            if let (Some(p), Some(sig)) = (&row_probe, stored.signature(id)) {
+                                if p.dismisses(sig, eps * eps) {
+                                    stats.filtered_out += 1;
+                                    continue;
+                                }
+                            }
+                            let other = stored.row(id).expect("index ids are valid");
+                            let (d_sq, abandoned) = transformed_distance_sq(
+                                &other.features.spectrum,
+                                &action.multipliers,
+                                &probe_spec,
+                                Some(eps * eps),
+                                &mut stats.coefficients_compared,
+                            );
+                            let d = d_sq.sqrt();
+                            if !abandoned && d <= eps {
+                                keep_min(&mut found, (row.id.min(id), row.id.max(id)), d);
+                            }
                         }
                     }
                 }
-                Ok(())
-            };
-
-            let workers = chunked(&rows, threads, |rows| -> Result<_, QueryError> {
-                let mut local = Found::new();
-                let mut local_stats = ExecStats::default();
-                let mut probe_spec: Vec<Complex> = Vec::new();
-                for row in rows {
-                    probe(row, &mut probe_spec, &mut local, &mut local_stats)?;
-                }
-                Ok((local, local_stats))
+                Ok((found, stats))
             });
             let mut found = Found::new();
             let mut phase = Vec::with_capacity(workers.len());
@@ -749,12 +735,12 @@ fn all_pairs(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use simq_series::features::{FeatureScheme, Representation};
     use simq_storage::SeriesRelation;
 
-    fn make_db(rows: usize, indexed: bool) -> Database {
+    pub(crate) fn make_db(rows: usize, indexed: bool) -> Database {
         let mut rel = SeriesRelation::new("stocks", 64, FeatureScheme::paper_default());
         for i in 0..rows {
             let series: Vec<f64> = (0..64)

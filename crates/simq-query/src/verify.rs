@@ -49,14 +49,16 @@ pub(crate) fn shards_touched(stored: &StoredRelation) -> u64 {
 }
 
 /// The quantized-tier probe of one verification stage, when the filter is
-/// on.
-fn compile_probe(
+/// on: the signature bound mirrored as far as the relation's measured
+/// symmetry allows.
+pub(crate) fn compile_probe(
     stored: &StoredRelation,
     filter: bool,
     q_spec: &[Complex],
     multipliers: &[Complex],
 ) -> Option<FilterProbe> {
-    filter.then(|| FilterProbe::new(q_spec, multipliers, stored.sig_coeffs()))
+    let (coeffs, slack) = (stored.sig_coeffs(), scan::mirror_slack(stored.stores()));
+    filter.then(|| FilterProbe::mirrored(q_spec, multipliers, coeffs, slack))
 }
 
 /// The range verifier: everything one range query needs to decide a
@@ -182,8 +184,7 @@ impl<'db> RangeVerifier<'db> {
 /// One indexed kNN query resolved for the optimal multi-step search
 /// (Seidl & Kriegel): the bounds that rank subtrees and rows, and the
 /// refine step that decides a ranked row against the shrinking exact
-/// `k`-th best — signature probe → exact distance. Everything is in
-/// squared distances.
+/// `k`-th best. Everything is in squared distances.
 pub(crate) struct KnnRank<'a> {
     stored: &'a StoredRelation,
     q_spec: Vec<Complex>,
@@ -191,69 +192,73 @@ pub(crate) struct KnnRank<'a> {
     lowered: DiagonalAffine,
     multipliers: Vec<Complex>,
     mindist: SpectralMindist,
-    /// The row-level twin of `mindist`: the signature bound cut to the
-    /// index's own frequencies `0..=k`, read from the flat signature
-    /// array — no trigonometry, no rectangle.
-    leading: FilterProbe,
-    probe: Option<FilterProbe>,
+    /// What the mirrored index frequencies add to a subtree's MINDIST:
+    /// the [`FilterProbe::mirror_floor`] of the signature bound cut to the
+    /// index's own frequencies `0..=k`.
+    floor: Option<(f64, f64)>,
+    /// The row-level twin of `mindist`: the whole signature bound, read
+    /// from the flat signature array — no trigonometry, no rectangle.
+    signature: FilterProbe,
 }
 
 impl<'a> KnnRank<'a> {
     /// Resolves the transformation and the query's comparison spectrum
-    /// for `stored`; with `filter`, the signature tier probes each ranked
-    /// row before its spectrum is read.
+    /// for `stored`.
     pub(crate) fn new(
         stored: &'a StoredRelation,
         transform: &SeriesTransform,
         q_spec: Vec<Complex>,
         k: usize,
-        filter: bool,
     ) -> Result<Self, QueryError> {
         let scheme = stored.scheme();
         let n = stored.series_len();
         let mindist = SpectralMindist::new(scheme, &q_spec[1..]);
         let multipliers = transform.action(n, n.saturating_sub(1))?.multipliers;
-        let leading = (scheme.k + 1).min(stored.sig_coeffs());
+        let slack = scan::mirror_slack(stored.stores());
+        let over = |coeffs| FilterProbe::mirrored(&q_spec, &multipliers, coeffs, slack);
         Ok(KnnRank {
             stored,
             k,
             lowered: transform.lower(scheme, n)?,
             mindist,
-            leading: FilterProbe::new(&q_spec, &multipliers, leading),
-            probe: compile_probe(stored, filter, &q_spec, &multipliers),
+            floor: (scheme.k < stored.sig_coeffs())
+                .then(|| over(scheme.k + 1).mirror_floor())
+                .flatten(),
+            signature: over(stored.sig_coeffs()),
             multipliers,
             q_spec,
         })
     }
 
-    /// The ranking key of a subtree: the squared spectral MINDIST of its
-    /// transformed rectangle, deflated like the signature bound (and the
-    /// way [`pad`] widens a radius) — it reaches the coefficients by
+    /// The ranking key of a subtree: the squared spectral MINDIST `D` of
+    /// its transformed rectangle over the index frequencies plus, when
+    /// every one of them mirrors, the `ρ²·(√D − a)₊²` their mirrors are
+    /// then at least away — deflated like the signature bound (and the
+    /// way [`pad`] widens a radius): it reaches the coefficients by
     /// another floating-point route than the exact distance.
     fn subtree_bound(&self, rect: &Rect) -> f64 {
-        deflate_sq(self.mindist.dist_sq(rect))
+        let d = self.mindist.dist_sq(rect);
+        let mirrored = self.floor.map_or(0.0, |(rho_sq, a)| {
+            let rest = (d.sqrt() - a).max(0.0);
+            rho_sq * rest * rest
+        });
+        deflate_sq(d + mirrored)
     }
 }
 
 impl ItemStage for KnnRank<'_> {
-    /// The ranking key of a row: the (deflated) signature bound over the
-    /// index's own frequencies.
+    /// The ranking key of a row: its whole (deflated) signature bound, so
+    /// a row that surfaces has nothing left to be dismissed by.
     fn bound(&self, id: u64) -> f64 {
         self.stored
             .signature(id)
-            .map_or(0.0, |sig| self.leading.lower_bound_sq(sig))
+            .map_or(0.0, |sig| self.signature.lower_bound_sq(sig))
     }
 
     /// Decides one ranked row against the current exact `k`-th best
     /// squared distance: its exact squared distance, or `None` when the
-    /// signature bound or the abandoned accumulation proves it farther.
+    /// abandoned accumulation proves it farther.
     fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64> {
-        if let (Some(p), Some(sig)) = (&self.probe, self.stored.signature(id)) {
-            if p.dismisses(sig, kth_now) {
-                stats.filtered += 1;
-                return None;
-            }
-        }
         let row = self.stored.row(id).expect("index ids are valid");
         let (d_sq, abandoned) = transformed_distance_sq(
             &row.features.spectrum,
@@ -450,5 +455,60 @@ impl Ledger {
             per_thread: self.per_thread,
             per_shard: self.per_shard,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simq_index::SpatialTransform;
+
+    /// A subtree's ranking key never exceeds the exact distance of a row
+    /// under it: for `cases` groups of rows per transformation, the key of
+    /// the group's bounding rectangle (moved by the lowered transformation,
+    /// as the descent moves a node's) is at most every member's
+    /// full-spectrum distance — with the mirrored half claimed.
+    fn subtree_keys_bound_their_rows(cases: u64) {
+        let (n, rows) = (64, 150u64);
+        let db = crate::exec::tests::make_db(rows as usize, true);
+        let stored = db.relation("stocks").unwrap();
+        let spectrum = |id: u64| &stored.row(id).unwrap().features.spectrum;
+        let mavg = SeriesTransform::MovingAverage { window: 5 };
+        let transforms = [
+            SeriesTransform::Identity,
+            mavg.clone(),
+            SeriesTransform::Reverse,
+            SeriesTransform::Chain(vec![SeriesTransform::Reverse, mavg]),
+        ];
+        for (t, transform) in transforms.iter().enumerate() {
+            for case in 0..cases {
+                let mut q_spec = spectrum(case * 7 % rows).clone();
+                if case % 2 == 1 {
+                    q_spec = transform.apply_spectrum(&q_spec, n).unwrap();
+                }
+                let rank = KnnRank::new(stored, transform, q_spec, 5).unwrap();
+                assert!(rank.floor.is_some(), "transformation {t} does not mirror");
+                let ids = (0..1 + case % 12).map(|i| (case * 13 + i * (1 + case % 5)) % rows);
+                let point = |id| Rect::point(&stored.row(id).unwrap().features.point);
+                let node = ids.clone().map(point).reduce(|a, b| a.union(&b)).unwrap();
+                let key = rank.subtree_bound(&rank.lowered.apply_rect(&node));
+                for id in ids {
+                    let (m, q) = (&rank.multipliers, &rank.q_spec);
+                    let (exact, _) = transformed_distance_sq(spectrum(id), m, q, None, &mut 0);
+                    assert!(key <= exact, "transformation {t}: key {key} > {exact}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn subtree_keys_never_exceed_a_rows_exact_distance() {
+        subtree_keys_bound_their_rows(100);
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn subtree_keys_never_exceed_a_rows_exact_distance_long() {
+        subtree_keys_bound_their_rows(2000);
     }
 }

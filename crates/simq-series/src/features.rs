@@ -286,7 +286,13 @@ impl FeatureScheme {
     ///
     /// The missing conjugate-symmetric upper half of the spectrum mirrors
     /// frequencies `1..=k`, so their contribution is doubled — still an
-    /// underestimate, but a tighter one (standard AFS93 refinement).
+    /// underestimate, but a tighter one (standard AFS93 refinement). This
+    /// is the untransformed, exactly symmetric special case; the query
+    /// paths claim the mirrored half through
+    /// `simq_storage::FilterProbe::mirrored` (row bounds, with measured
+    /// symmetry slack and transformation multipliers) and, for index
+    /// rectangles, its `mirror_floor` on top of
+    /// [`SpectralMindist`](crate::SpectralMindist).
     pub fn lower_bound_distance(&self, a: &[f64], b: &[f64]) -> f64 {
         let ca = self.coefficients_of_point(a);
         let cb = self.coefficients_of_point(b);

@@ -96,13 +96,12 @@ impl SeriesRelation {
                 .map(|(i, r)| (r.id, i))
                 .collect::<HashMap<u64, usize>>()
         });
-        // Signatures are derived, not persisted: recompute them here so
-        // every restore path (snapshot decode, durable open, reshard)
-        // carries a filter tier bit-identical to a freshly built one.
-        let sigs = SignatureArray::from_spectra(
-            series_len.min(crate::sig::SIG_COEFFS),
-            rows.iter().map(|r| r.features.spectrum.as_slice()),
-        );
+        // Signatures (and their mirror slack) are derived, not persisted:
+        // recompute them here so every restore path (snapshot decode,
+        // durable open, reshard) carries a filter tier bit-identical to a
+        // freshly built one.
+        let mut sigs = SignatureArray::for_series_len(series_len);
+        rows.iter().for_each(|r| sigs.push(&r.features.spectrum));
         SeriesRelation {
             name,
             series_len,

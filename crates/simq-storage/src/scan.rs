@@ -28,9 +28,11 @@
 //! and per store.
 
 use crate::relation::{SeriesRelation, SeriesRow};
+use crate::sig::{FilterProbe, SIG_COEFFS};
 use simq_dsp::complex::Complex;
 use simq_index::knn::{cmp_distance_id, AtomicF64Min, LocalKth};
 use simq_series::error::SeriesError;
+use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::SeriesTransform;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -119,22 +121,6 @@ fn nearest_k(mut hits: Vec<ScanHit>, k: usize) -> Vec<ScanHit> {
     hits
 }
 
-/// Exact distance between a transformed spectrum and a query spectrum,
-/// given the precomputed multipliers (frequency 0 is compared untouched —
-/// normal forms have zero DC). Delegates to the shared chunked flat-slice
-/// kernel ([`simq_series::kernel`]): completed sums are bitwise identical
-/// to the original scalar loop; early abandoning is decided at chunk
-/// granularity, so `compared` advances in chunk steps on abandoned rows.
-fn transformed_distance_sq(
-    spectrum: &[Complex],
-    multipliers: &[Complex],
-    query: &[Complex],
-    abandon_at: Option<f64>,
-    compared: &mut u64,
-) -> (f64, bool) {
-    simq_series::kernel::transformed_distance_sq(spectrum, multipliers, query, abandon_at, compared)
-}
-
 /// Splits `n` work items into at most `threads` contiguous, non-empty
 /// `[lo, hi)` chunks (shared by the scans here and the verification
 /// phases in `simq-query`).
@@ -147,9 +133,10 @@ pub fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// One worker's share of a scan over several stores: `(store index, rows)`
-/// runs, contiguous in the store-after-store row order.
-type Span<'a> = Vec<(usize, &'a [SeriesRow])>;
+/// One worker's share of a scan over several stores: `(store index, first
+/// row position, rows)` runs, contiguous in the store-after-store row
+/// order.
+type Span<'a> = Vec<(usize, usize, &'a [SeriesRow])>;
 
 /// Splits the rows of `stores`, taken store after store, into at most
 /// `threads` contiguous spans.
@@ -164,7 +151,7 @@ fn spans(stores: &[SeriesRelation], threads: usize) -> Vec<Span<'_>> {
                 let rows = store.row_slice();
                 let (a, b) = (lo.max(base), hi.min(base + rows.len()));
                 if a < b {
-                    span.push((shard, &rows[a - base..b - base]));
+                    span.push((shard, a - base, &rows[a - base..b - base]));
                 }
                 base += rows.len();
             }
@@ -210,6 +197,14 @@ fn gather(workers: Vec<(Vec<ScanHit>, Vec<ScanStats>)>) -> (Vec<ScanHit>, Vec<Ve
         stats.push(worker_stats);
     }
     (hits, stats)
+}
+
+/// How far the stores' spectra are from conjugate symmetry: the largest
+/// [`crate::SignatureArray::mirror_slack`] of any of them — what a probe
+/// over all of them must allow before it mirrors a term.
+pub fn mirror_slack(stores: &[SeriesRelation]) -> f64 {
+    let slacks = stores.iter().map(|s| s.signatures().mirror_slack());
+    slacks.fold(0.0, f64::max)
 }
 
 /// The series length shared by every store of a relation.
@@ -302,7 +297,7 @@ pub fn scan_range_over(
     let workers = fan(&spans(stores, threads), |span| {
         let mut hits = Vec::new();
         let mut stats = vec![ScanStats::default(); stores.len()];
-        for &(shard, rows) in span {
+        for &(shard, _, rows) in span {
             range_rows(
                 rows,
                 &action.multipliers,
@@ -566,10 +561,13 @@ pub fn scan_knn(
 /// provably outside its local top-`k` (ties included); the `k`-th best
 /// distance any worker has seen is published to a shared atomic bound,
 /// letting *every* worker abandon a row as soon as its partial sum
-/// provably exceeds the global `k`-th best. Rows abandoned this way are
-/// strictly worse than `k` already-found rows, so the merged,
-/// `(distance, id)`-sorted, truncated result equals the full-distance
-/// [`scan_knn`] exactly — while comparing far fewer coefficients.
+/// provably exceeds the global `k`-th best — with `filter`, before its
+/// spectrum is read at all, when the signature bound ([`FilterProbe`],
+/// the one the index paths rank and dismiss by) already does. Rows
+/// abandoned either way are strictly worse than `k` already-found rows, so
+/// the merged, `(distance, id)`-sorted, truncated result equals the
+/// full-distance [`scan_knn`] exactly — while comparing far fewer
+/// coefficients.
 ///
 /// # Errors
 /// Transformation-domain errors.
@@ -579,10 +577,14 @@ pub fn scan_knn_over(
     query_spectrum: &[Complex],
     k: usize,
     threads: usize,
+    filter: bool,
 ) -> Result<(Vec<ScanHit>, ScanFanStats), SeriesError> {
     let spans = spans(stores, threads);
     let n = series_len_of(stores);
     let action = transform.action(n, n.saturating_sub(1))?;
+    let (coeffs, slack) = (n.min(SIG_COEFFS), mirror_slack(stores));
+    let probe =
+        filter.then(|| FilterProbe::mirrored(query_spectrum, &action.multipliers, coeffs, slack));
     // Shared upper bound on the k-th smallest squared distance (monotone
     // decreasing).
     let global_kth_sq = AtomicF64Min::new(f64::INFINITY);
@@ -590,11 +592,18 @@ pub fn scan_knn_over(
         let mut stats = vec![ScanStats::default(); stores.len()];
         let mut kept: Vec<ScanHit> = Vec::new();
         let mut local = LocalKth::new(k, &global_kth_sq);
-        for &(shard, rows) in span {
+        for &(shard, first, rows) in span {
             let stats = &mut stats[shard];
-            for row in rows {
+            let sigs = stores[shard].signatures();
+            for (pos, row) in (first..).zip(rows) {
                 stats.rows_scanned += 1;
                 let bound = global_kth_sq.get();
+                let dismissed =
+                    |p: &FilterProbe| sigs.row(pos).is_some_and(|s| p.dismisses(s, bound));
+                if probe.as_ref().is_some_and(dismissed) {
+                    stats.early_abandoned += 1;
+                    continue;
+                }
                 let (d_sq, abandoned) = transformed_distance_sq(
                     &row.features.spectrum,
                     &action.multipliers,
@@ -777,7 +786,7 @@ mod tests {
             let (serial, _) = scan_knn(&rel, &t, &q, k).unwrap();
             for threads in [2, 3, 8] {
                 let (par, _) =
-                    scan_knn_over(std::slice::from_ref(&rel), &t, &q, k, threads).unwrap();
+                    scan_knn_over(std::slice::from_ref(&rel), &t, &q, k, threads, true).unwrap();
                 assert_eq!(par.len(), serial.len(), "k {k} threads {threads}");
                 for (a, b) in par.iter().zip(&serial) {
                     assert_eq!(a.id, b.id, "k {k} threads {threads}");
@@ -792,7 +801,8 @@ mod tests {
         let rel = relation_with(200);
         let q = rel.row(0).unwrap().features.spectrum.clone();
         let stores = std::slice::from_ref(&rel);
-        let (_, stats) = scan_knn_over(stores, &SeriesTransform::Identity, &q, 3, 4).unwrap();
+        let (_, stats) =
+            scan_knn_over(stores, &SeriesTransform::Identity, &q, 3, 4, false).unwrap();
         // The shared bound lets most rows abandon early, unlike the serial
         // scan which always computes full distances.
         assert!(

@@ -475,9 +475,8 @@ mod tests {
         for k in [1, 7, 90, 200] {
             let (want, _) = scan_knn_single(&rel, &SeriesTransform::Identity, &q, k).unwrap();
             for threads in [1, 4] {
-                let (got, _) =
-                    scan_knn_over(sharded.shards(), &SeriesTransform::Identity, &q, k, threads)
-                        .unwrap();
+                let t = SeriesTransform::Identity;
+                let (got, _) = scan_knn_over(sharded.shards(), &t, &q, k, threads, true).unwrap();
                 assert_eq!(got.len(), want.len(), "k {k} threads {threads}");
                 for (a, b) in got.iter().zip(&want) {
                     assert_eq!(a.id, b.id, "k {k} threads {threads}");

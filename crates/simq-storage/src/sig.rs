@@ -18,6 +18,15 @@
 //! transformed queries, NaN) degrades the affected term to zero — i.e. to
 //! "keep the candidate" — so exotic inputs cost performance, never
 //! correctness.
+//!
+//! **The mirrored half.** The exact distance sums all `n` stored
+//! coefficients, and a real series has `X[n−f] = conj(X[f])`: a signature
+//! term at `f ≥ 1` also bounds the term at `n−f` when the query and the
+//! multipliers are conjugate symmetric there too. Nothing is assumed — the
+//! array measures its rows' departure from symmetry
+//! ([`SignatureArray::mirror_slack`]), the probe the query's, and a term
+//! claims its mirror only with both added to its allowance
+//! ([`FilterProbe::mirrored`]).
 
 use simq_dsp::complex::Complex;
 
@@ -38,6 +47,10 @@ const REL_EPS: f64 = 1.2e-7;
 /// `≈ 1.4e-45`; anything below `1e-40` absolute is noise at `f64` scale).
 const ABS_EPS: f64 = 1e-40;
 
+/// Norm-wise rounding of one complex pull-back `q · m⁻¹`, as a multiple of
+/// the pulled-back magnitude.
+const PULL_EPS: f64 = 8.0 * f64::EPSILON;
+
 /// Contiguous reduced-precision signatures, position-parallel to a
 /// relation's row vector: row at position `p` owns the `2·coeffs` floats
 /// starting at `p · 2·coeffs` (interleaved re/im pairs).
@@ -51,6 +64,9 @@ const ABS_EPS: f64 = 1e-40;
 pub struct SignatureArray {
     coeffs: usize,
     data: Vec<f32>,
+    /// Spectrum length of the rows held (that of the first row pushed).
+    spectrum_len: usize,
+    mirror_slack: f64,
 }
 
 impl SignatureArray {
@@ -58,7 +74,7 @@ impl SignatureArray {
     pub fn new(coeffs: usize) -> Self {
         SignatureArray {
             coeffs,
-            data: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -87,10 +103,40 @@ impl SignatureArray {
         self.data.is_empty()
     }
 
+    /// The largest component of `X[n−f] − conj(X[f])` over the signature
+    /// frequencies `f ≥ 1` of every row held (a few ulps for transforms of
+    /// real series). Infinite — nothing may be mirrored — when a row is
+    /// shorter than `2·coeffs` (`n−f` would be a signature frequency
+    /// itself), rows differ in length, or a coefficient is not finite. A
+    /// maximum over rows, so derived data like the signatures: every build
+    /// path of the same rows measures the same value.
+    pub fn mirror_slack(&self) -> f64 {
+        self.mirror_slack
+    }
+
     /// Appends the signature of a row with the given full spectrum.
     /// Deterministic round-to-nearest `f64 → f32` casts keep signatures
     /// bit-identical across every build path.
     pub fn push(&mut self, spectrum: &[Complex]) {
+        let n = spectrum.len();
+        if self.data.is_empty() {
+            self.spectrum_len = n;
+        }
+        if n != self.spectrum_len || n < 2 * self.coeffs {
+            self.mirror_slack = f64::INFINITY;
+        } else {
+            for f in 1..self.coeffs {
+                let (x, y) = (spectrum[f], spectrum[n - f]);
+                let (re, im) = (y.re - x.re, y.im + x.im);
+                // `max` would drop a NaN.
+                let gap = if re.is_nan() || im.is_nan() {
+                    f64::INFINITY
+                } else {
+                    re.abs().max(im.abs())
+                };
+                self.mirror_slack = self.mirror_slack.max(gap);
+            }
+        }
         self.data.reserve(2 * self.coeffs);
         for f in 0..self.coeffs {
             let c = spectrum.get(f).copied().unwrap_or(Complex::ZERO);
@@ -105,20 +151,6 @@ impl SignatureArray {
         let start = pos.checked_mul(w)?;
         self.data.get(start..start + w)
     }
-
-    /// The whole backing array (for contiguous scans).
-    pub fn as_flat(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Rebuilds from stored spectra (the snapshot-restore path).
-    pub fn from_spectra<'a>(coeffs: usize, spectra: impl Iterator<Item = &'a [Complex]>) -> Self {
-        let mut sigs = Self::new(coeffs);
-        for s in spectra {
-            sigs.push(s);
-        }
-        sigs
-    }
 }
 
 /// Deflates a squared lower bound by one part in 10⁹ plus an absolute
@@ -130,20 +162,31 @@ pub fn deflate_sq(lower_bound_sq: f64) -> f64 {
 }
 
 /// One precomputed per-coefficient probe term: the transformed query
-/// pulled back into raw-spectrum space, plus the scale restoring the
-/// transform's contribution. Inert terms carry all zeros.
+/// pulled back into raw-spectrum space, the weight restoring the
+/// transform's contribution (of both frequencies when the term mirrors)
+/// and the absolute part of its allowance. Inert terms weigh nothing.
 #[derive(Debug, Clone, Copy)]
 struct ProbeTerm {
     w_re: f64,
     w_im: f64,
     scale_sq: f64,
+    abs_eps: f64,
 }
 
 const INERT: ProbeTerm = ProbeTerm {
     w_re: 0.0,
     w_im: 0.0,
     scale_sq: 0.0,
+    abs_eps: ABS_EPS,
 };
+
+/// The multiplier side of one term `f ≥ 1`, query-independent: `(1/m,
+/// |m|²)` at `f` and, when `n−f` may be claimed at all, at `n−f`.
+#[derive(Debug, Clone, Copy, Default)]
+struct TermPlan {
+    pull: Option<(Complex, f64)>,
+    mirror: Option<(Complex, f64)>,
+}
 
 /// A compiled filter probe for one (query, transform) pair.
 ///
@@ -153,66 +196,141 @@ const INERT: ProbeTerm = ProbeTerm {
 /// stored quantized `X_f` can be compared directly. Terms with a zero
 /// multiplier contribute the constant `|q_f|²` independent of the row;
 /// frequencies beyond the signature width contribute nothing (dropping
-/// non-negative terms keeps the bound a lower bound).
+/// non-negative terms keeps the bound a lower bound) — except the mirrored
+/// ones a term claims, see [`FilterProbe::mirrored`].
 #[derive(Debug, Clone)]
 pub struct FilterProbe {
     konst: f64,
     terms: Vec<ProbeTerm>,
+    plan: Vec<TermPlan>,
+    /// The spectrum length compiled for.
+    n: usize,
+    mirror_slack: f64,
+    floor: Option<(f64, f64)>,
 }
 
 impl FilterProbe {
+    /// Compiles a probe that never mirrors: [`FilterProbe::mirrored`]
+    /// against rows of unknown symmetry (`mirror_slack = ∞`).
+    pub fn new(q_spec: &[Complex], multipliers: &[Complex], coeffs: usize) -> Self {
+        Self::mirrored(q_spec, multipliers, coeffs, f64::INFINITY)
+    }
+
     /// Compiles a probe for a query spectrum against rows whose signatures
     /// keep `coeffs` coefficients, under the transform's frequency
-    /// `multipliers` (for frequencies `1..`, as the executors use them).
-    pub fn new(q_spec: &[Complex], multipliers: &[Complex], coeffs: usize) -> Self {
-        let n = coeffs.min(q_spec.len());
-        let mut konst = 0.0f64;
-        let mut terms = Vec::with_capacity(coeffs);
-        for (f, &q) in q_spec.iter().enumerate().take(n) {
-            let term = if f == 0 {
+    /// `multipliers` (for frequencies `1..`, as the executors use them),
+    /// the rows' spectra — of `q_spec`'s length `n` — being conjugate
+    /// symmetric within `mirror_slack` ([`SignatureArray::mirror_slack`]).
+    ///
+    /// A term `f ≥ 1` whose pulled-back mirrored query `q[n−f]/m[n−f−1]`
+    /// is the conjugate of its own `w = q[f]/m[f−1]` within a measured `δ`
+    /// also claims frequency `n−f`: `|X[n−f] − q[n−f]/m[n−f−1]|` differs
+    /// from `|X[f] − w|` by at most `δ + mirror_slack` per component, so
+    /// the term weighs `|m[f−1]|² + |m[n−f−1]|²` with that much more
+    /// allowance. It stays single when `n−f` is a signature frequency or
+    /// has no finite non-zero multiplier, or when the extra allowance
+    /// exceeds what quantization already grants a coefficient of `w`'s
+    /// size: asymmetry anywhere costs pruning, never an answer.
+    pub fn mirrored(
+        q_spec: &[Complex],
+        multipliers: &[Complex],
+        coeffs: usize,
+        mirror_slack: f64,
+    ) -> Self {
+        let n = q_spec.len();
+        let side = |f: usize| multipliers.get(f - 1).map(|m| (m.recip(), m.norm_sqr()));
+        let plan = (0..coeffs)
+            .map(|f| match f {
+                0 => TermPlan::default(),
+                _ => TermPlan {
+                    pull: side(f),
+                    mirror: (mirror_slack.is_finite() && n >= f + coeffs)
+                        .then(|| side(n - f))
+                        .flatten()
+                        .filter(|(inv, s)| inv.is_finite() && s.is_finite()),
+                },
+            })
+            .collect();
+        let mut probe = FilterProbe {
+            konst: 0.0,
+            terms: vec![INERT; coeffs],
+            plan,
+            n,
+            mirror_slack,
+            floor: None,
+        };
+        probe.recompile(q_spec);
+        probe
+    }
+
+    /// Recompiles in place for another query spectrum under the same
+    /// multipliers, keeping the allocation and everything derived from them.
+    ///
+    /// # Panics
+    /// If `q_spec`'s length differs from the compiled one.
+    pub fn recompile(&mut self, q_spec: &[Complex]) {
+        assert_eq!(q_spec.len(), self.n, "probe recompiled for another length");
+        self.konst = 0.0;
+        self.terms.fill(INERT);
+        let mut floor = Some((f64::INFINITY, 0.0));
+        let terms = self.terms.iter_mut().zip(&self.plan).zip(q_spec);
+        for (f, ((term, plan), &q)) in terms.enumerate() {
+            if f == 0 {
                 // DC term: compared untransformed.
-                if q.re.is_finite() && q.im.is_finite() {
-                    ProbeTerm {
-                        w_re: q.re,
-                        w_im: q.im,
-                        scale_sq: 1.0,
-                    }
-                } else {
-                    INERT
+                if q.is_finite() {
+                    (term.w_re, term.w_im, term.scale_sq) = (q.re, q.im, 1.0);
                 }
-            } else {
-                match multipliers.get(f - 1) {
-                    Some(m) if m.norm_sqr() == 0.0 => {
-                        // |X_f·0 − q_f|² = |q_f|², row-independent.
-                        let e = q.norm_sqr();
-                        if e.is_finite() {
-                            konst += e;
-                        }
-                        INERT
+                continue;
+            }
+            let mut mirrored = None;
+            match plan.pull {
+                Some((_, 0.0)) => {
+                    // |X_f·0 − q_f|² = |q_f|², row-independent.
+                    let e = q.norm_sqr();
+                    if e.is_finite() {
+                        self.konst += e;
                     }
-                    Some(m) => {
-                        let w = q / *m;
-                        let scale_sq = m.norm_sqr();
-                        if w.re.is_finite() && w.im.is_finite() && scale_sq.is_finite() {
-                            ProbeTerm {
-                                w_re: w.re,
-                                w_im: w.im,
-                                scale_sq,
-                            }
-                        } else {
-                            INERT
-                        }
-                    }
-                    // No multiplier for this frequency: the executors never
-                    // reach this (multipliers cover every stored frequency),
-                    // but degrading to inert keeps the bound sound anyway.
-                    None => INERT,
                 }
-            };
-            terms.push(term);
+                Some((inv, scale_sq)) => {
+                    let w = q * inv;
+                    if w.is_finite() && scale_sq.is_finite() {
+                        (term.w_re, term.w_im, term.scale_sq) = (w.re, w.im, scale_sq);
+                        mirrored = plan.mirror.and_then(|(m_inv, m_scale_sq)| {
+                            let v = q_spec[self.n - f] * m_inv;
+                            let size = w.re.abs() + w.im.abs();
+                            let widen = (v.re - w.re).abs().max((v.im + w.im).abs())
+                                + self.mirror_slack
+                                + PULL_EPS * (size + v.re.abs() + v.im.abs());
+                            let fits = widen <= REL_EPS * size;
+                            (v.is_finite() && fits && (scale_sq + m_scale_sq).is_finite())
+                                .then_some((widen, m_scale_sq))
+                        });
+                    }
+                }
+                // No multiplier (the executors' cover every stored
+                // frequency): inert keeps the bound sound anyway.
+                None => {}
+            }
+            let own = term.scale_sq;
+            if let Some((widen, m_scale_sq)) = mirrored {
+                (term.scale_sq, term.abs_eps) = (own + m_scale_sq, ABS_EPS + widen);
+            }
+            floor = floor
+                .zip(mirrored)
+                .map(|((rho_sq, a), (widen, m_scale_sq))| {
+                    (rho_sq.min(m_scale_sq / own), a + (2.0 * own).sqrt() * widen)
+                });
         }
-        terms.resize(coeffs, INERT);
-        FilterProbe { konst, terms }
+        self.floor = floor.filter(|(rho_sq, _)| rho_sq.is_finite());
+    }
+
+    /// When every term `f ≥ 1` mirrors: `(ρ², a)` such that a row whose
+    /// terms `|X_f·m_{f−1} − q_f|²` sum to at least `D` over this probe's
+    /// frequencies is at least `ρ²·(√D − a)₊²` away over their mirrors —
+    /// `ρ` the smallest `|m[n−f−1]| / |m[f−1]|`, `a` the terms' mirroring
+    /// allowances in distance units, summed.
+    pub fn mirror_floor(&self) -> Option<(f64, f64)> {
+        self.floor
     }
 
     /// A conservative lower bound on the squared verification distance of
@@ -227,8 +345,8 @@ impl FilterProbe {
             // Allowance per component: relative in the *larger* of the two
             // magnitudes' sum, plus a subnormal floor. A NaN propagating
             // into `dx` collapses to 0 via `max` (NaN.max(0) == 0).
-            let e_re = (cre.abs() + t.w_re.abs()) * REL_EPS + ABS_EPS;
-            let e_im = (cim.abs() + t.w_im.abs()) * REL_EPS + ABS_EPS;
+            let e_re = (cre.abs() + t.w_re.abs()) * REL_EPS + t.abs_eps;
+            let e_im = (cim.abs() + t.w_im.abs()) * REL_EPS + t.abs_eps;
             let dx = ((t.w_re - cre).abs() - e_re).max(0.0);
             let dy = ((t.w_im - cim).abs() - e_im).max(0.0);
             acc += t.scale_sq * (dx * dx + dy * dy);

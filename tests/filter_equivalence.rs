@@ -16,10 +16,18 @@
 //!    denormals, zeros, huge magnitudes, identical series) the quantized
 //!    lower bound never exceeds the true verification distance whenever
 //!    that distance is finite — the per-row inequality behind property 1.
-//! 4. **Build-path independence**: signatures are bit-identical whether a
-//!    relation was bulk loaded, incrementally inserted, batch inserted,
-//!    WAL-replayed or resharded, and a reopened snapshot filters with
-//!    the exact same dismissal counts as the database that wrote it.
+//!    The same holds for the *mirrored* bound the engine compiles
+//!    (`FilterProbe::mirrored` with the store's measured `mirror_slack`):
+//!    on spectra of real series under every transformation the language
+//!    has, `ON BOTH` and not, at lengths on both sides of the
+//!    `n < 2·coeffs` and odd-`n` edges, scaled to 1e154 and into
+//!    denormals.
+//! 4. **Build-path independence**: signatures — and the measured
+//!    `mirror_slack` — are bit-identical whether a relation was bulk
+//!    loaded, incrementally inserted, batch inserted, WAL-replayed,
+//!    reloaded from a snapshot or resharded, and a reopened snapshot
+//!    filters with the exact same dismissal counts as the database that
+//!    wrote it.
 
 mod common;
 
@@ -27,13 +35,14 @@ use common::{assert_outputs_bitwise_equal, corpus, relation_with};
 use proptest::prelude::*;
 use similarity_queries::prelude::*;
 use similarity_queries::series::distance_outcome;
-use similarity_queries::storage::{FilterProbe, SignatureArray, SIG_COEFFS};
+use similarity_queries::storage::{scan, FilterProbe, SignatureArray, SIG_COEFFS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The query forms the filter tier touches: index range verification
-/// (identity and transformed, with windows), two-step kNN verification,
-/// and join probe verification — plus scan paths, which bypass the tier
-/// and must be unaffected by the toggle.
+/// (identity and transformed, with windows), join probe verification and
+/// the kNN scan — plus indexed kNN, which ranks by the signature bound
+/// whichever way the toggle stands, and range scans, which bypass the
+/// tier; both must be unaffected by the toggle.
 fn query_matrix() -> Vec<String> {
     vec![
         "FIND SIMILAR TO ROW 0 IN r EPSILON 0.8".into(),
@@ -44,6 +53,8 @@ fn query_matrix() -> Vec<String> {
         "FIND SIMILAR TO ROW 0 IN r EPSILON 1.0 FORCE SCAN".into(),
         "FIND 5 NEAREST TO ROW 0 IN r".into(),
         "FIND 3 NEAREST TO ROW 2 IN r USING mavg(5) ON BOTH".into(),
+        "FIND 5 NEAREST TO ROW 0 IN r FORCE SCAN".into(),
+        "FIND 3 NEAREST TO ROW 2 IN r USING warp(2) ON BOTH".into(),
         "FIND PAIRS IN r EPSILON 1.5 METHOD b".into(),
         "FIND PAIRS IN r EPSILON 1.2 METHOD c".into(),
         "FIND PAIRS IN r USING mavg(5) EPSILON 1.0 METHOD d".into(),
@@ -129,11 +140,7 @@ proptest! {
         for q in query_matrix() {
             let dismissed_built = assert_filter_transparent(&mut built, &q, "built");
             let dismissed_opened = assert_filter_transparent(&mut opened, &q, "reopened");
-            // A parallel kNN search probes rows inside its work-stealing
-            // descent, against a bound whose history is the schedule's.
-            if !(q.contains("NEAREST") && built.parallelism().threads() > 1) {
-                assert_eq!(dismissed_built, dismissed_opened, "dismissal counts diverge: {q}");
-            }
+            assert_eq!(dismissed_built, dismissed_opened, "dismissal counts diverge: {q}");
             built.set_filter(true);
             opened.set_filter(true);
             let a = execute(&built, &q).unwrap();
@@ -219,20 +226,280 @@ proptest! {
     }
 }
 
+/// The transformations of the mirrored-bound properties: every kind the
+/// language has, and two-step compositions.
+fn transformations() -> Vec<SeriesTransform> {
+    use SeriesTransform::*;
+    vec![
+        Identity,
+        MovingAverage { window: 3 },
+        Reverse,
+        Shift(2.5),
+        Scale(-3.0),
+        Warp { m: 2 },
+        Chain(vec![Reverse, MovingAverage { window: 4 }]),
+        Chain(vec![Scale(2.0), Warp { m: 2 }]),
+        Chain(vec![MovingAverage { window: 2 }, Shift(-1.0)]),
+    ]
+}
+
+/// One case of the mirrored-bound property: three rows and a query cut
+/// from seeded random walks of length `n`, their normal-form spectra
+/// scaled by `magnitude`, probed the way the engine does — the mirrored
+/// compile against the array's own measured slack. Returns every row's
+/// `(bound, exact squared distance, a term mirrored)`, or `None` when the
+/// transformation does not apply at this length.
+fn mirrored_case(
+    seed: u64,
+    n: usize,
+    transform: &SeriesTransform,
+    on_both: bool,
+    magnitude: f64,
+) -> Option<Vec<(f64, f64, bool)>> {
+    let scheme = FeatureScheme::paper_default();
+    let action = transform.action(n, n - 1).ok()?;
+    let spectra: Vec<Vec<Complex>> = corpus(seed, 4, n)
+        .iter()
+        .map(|s| {
+            let spectrum = scheme.extract(s).expect("walks are not constant").spectrum;
+            spectrum.iter().map(|c| c.scale(magnitude)).collect()
+        })
+        .collect();
+    let (rows, query) = spectra.split_at(3);
+    let q_spec = if on_both {
+        transform.apply_spectrum(&query[0], n).ok()?
+    } else {
+        query[0].clone()
+    };
+    let mut sigs = SignatureArray::for_series_len(n);
+    rows.iter().for_each(|x| sigs.push(x));
+    let probe = FilterProbe::mirrored(
+        &q_spec,
+        &action.multipliers,
+        sigs.coeffs(),
+        sigs.mirror_slack(),
+    );
+    let single = FilterProbe::new(&q_spec, &action.multipliers, sigs.coeffs());
+    Some(
+        rows.iter()
+            .enumerate()
+            .map(|(pos, x)| {
+                let sig = sigs.row(pos).unwrap();
+                let bound = probe.lower_bound_sq(sig);
+                let exact = distance_outcome(x, &action.multipliers, &q_spec, None).dist_sq;
+                (bound, exact, bound > single.lower_bound_sq(sig))
+            })
+            .collect(),
+    )
+}
+
+fn mirrored_case_inputs() -> impl Strategy<Value = (u64, usize, usize, bool, f64)> {
+    (
+        0u64..1_000_000,
+        prop_oneof![
+            Just(8usize),
+            Just(15usize),
+            Just(16usize),
+            Just(17usize),
+            Just(64usize),
+            Just(128usize)
+        ],
+        0usize..transformations().len(),
+        prop_oneof![Just(false), Just(true)],
+        prop_oneof![
+            Just(1.0f64),
+            Just(1.0f64),
+            Just(1.0e154f64),
+            Just(1.0e-150f64),
+            Just(1.0e-306f64),
+            Just(1.0e-318f64)
+        ],
+    )
+}
+
+fn assert_mirrored_bound_is_sound(
+    (seed, n, transform, on_both, magnitude): (u64, usize, usize, bool, f64),
+) {
+    let transform = &transformations()[transform];
+    let Some(rows) = mirrored_case(seed, n, transform, on_both, magnitude) else {
+        return;
+    };
+    for (bound, exact, _) in rows {
+        assert!(
+            !exact.is_finite() || bound <= exact,
+            "{} (n {n}, ON BOTH {on_both}, × {magnitude:e}, seed {seed}): \
+             bound {bound:e} exceeds the exact distance {exact:e}",
+            transform.name()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The mirrored bound the engine compiles never exceeds the exact
+    /// squared distance over the full spectrum.
+    #[test]
+    fn mirrored_bound_never_exceeds_true_distance(case in mirrored_case_inputs()) {
+        assert_mirrored_bound_is_sound(case);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8000))]
+
+    /// Twenty times the cases, for the release-profile CI step.
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn mirrored_bound_never_exceeds_true_distance_long(case in mirrored_case_inputs()) {
+        assert_mirrored_bound_is_sound(case);
+    }
+}
+
+/// The property above is not vacuous: at every length that can mirror,
+/// under every transformation whose multipliers are conjugate symmetric
+/// over the series' own length (all but `warp`, whose are over the warped
+/// length), rows get a strictly larger bound than the single-frequency
+/// one — and at the lengths that cannot (`n < 2·coeffs`), none does.
+#[test]
+fn real_series_mirror_under_symmetric_transformations() {
+    for (t, transform) in transformations().iter().enumerate() {
+        if transform.name().contains("warp") {
+            continue;
+        }
+        for on_both in [false, true] {
+            for n in [8usize, 15, 16, 17, 64, 128] {
+                let Some(rows) = mirrored_case(t as u64, n, transform, on_both, 1.0) else {
+                    continue;
+                };
+                let mirrored = rows.iter().filter(|r| r.2).count();
+                let what = format!("{} (n {n}, ON BOTH {on_both})", transform.name());
+                if n < 2 * SIG_COEFFS {
+                    assert_eq!(mirrored, 0, "{what}");
+                } else {
+                    assert_eq!(mirrored, rows.len(), "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// Hand-built spectra with no symmetry at all: a seeded xorshift stream
+/// over ±50 in both components.
+fn pseudo(seed: u64, n: usize) -> Vec<Complex> {
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        ((state >> 11) as f64) / ((1u64 << 53) as f64) * 100.0 - 50.0
+    };
+    (0..n).map(|_| Complex::new(next(), next())).collect()
+}
+
+/// [`pseudo`] made conjugate symmetric over every mirrored pair.
+fn symmetric(seed: u64, n: usize) -> Vec<Complex> {
+    let mut x = pseudo(seed, n);
+    for f in 1..n.div_ceil(2) {
+        x[n - f] = x[f].conj();
+    }
+    x
+}
+
+fn one_row(x: &[Complex]) -> SignatureArray {
+    let mut sigs = SignatureArray::new(SIG_COEFFS);
+    sigs.push(x);
+    sigs
+}
+
+#[test]
+fn symmetric_terms_claim_both_frequencies_below_the_distance() {
+    let n = 32;
+    let (x, q) = (symmetric(1, n), symmetric(2, n));
+    let m = vec![Complex::ONE; n - 1];
+    let sigs = one_row(&x);
+    assert_eq!(sigs.mirror_slack(), 0.0);
+    let row = sigs.row(0).unwrap();
+    let single = FilterProbe::new(&q, &m, SIG_COEFFS).lower_bound_sq(row);
+    let mut probe = FilterProbe::mirrored(&q, &m, SIG_COEFFS, 0.0);
+    let both = probe.lower_bound_sq(row);
+    assert!(both <= distance_outcome(&x, &m, &q, None).dist_sq);
+    let dc = (x[0] - q[0]).norm_sqr();
+    assert!(both - dc > 1.99 * (single - dc), "{both} vs {single}");
+    assert_eq!(probe.mirror_floor().map(|(rho_sq, _)| rho_sq), Some(1.0));
+    // Recompiling in place is compiling afresh.
+    let other = symmetric(3, n);
+    probe.recompile(&other);
+    let fresh = FilterProbe::mirrored(&other, &m, SIG_COEFFS, 0.0);
+    assert_eq!(probe.lower_bound_sq(row), fresh.lower_bound_sq(row));
+}
+
+#[test]
+fn asymmetry_anywhere_leaves_terms_single() {
+    let n = 32;
+    let ones = vec![Complex::ONE; n - 1];
+    let same_as_single = |x: &[Complex], q: &[Complex], m: &[Complex], what: &str| {
+        let sigs = one_row(x);
+        let row = sigs.row(0).unwrap();
+        let probe = FilterProbe::mirrored(q, m, SIG_COEFFS, sigs.mirror_slack());
+        let single = FilterProbe::new(q, m, SIG_COEFFS);
+        let (got, want) = (probe.lower_bound_sq(row), single.lower_bound_sq(row));
+        assert_eq!(got.to_bits(), want.to_bits(), "{what}");
+        assert_eq!(probe.mirror_floor(), None, "{what}");
+    };
+    // Stored rows far from symmetric: the measured slack forbids it.
+    assert!(one_row(&pseudo(3, n)).mirror_slack() > 1.0);
+    same_as_single(&pseudo(3, n), &symmetric(4, n), &ones, "rows");
+    // Non-finite or short rows: infinite slack.
+    let mut broken = symmetric(5, n);
+    broken[n - 2].im = f64::NAN;
+    assert_eq!(one_row(&broken).mirror_slack(), f64::INFINITY);
+    assert_eq!(one_row(&symmetric(5, 15)).mirror_slack(), f64::INFINITY);
+    // An asymmetric complex query against symmetric rows.
+    same_as_single(&symmetric(6, n), &pseudo(7, n), &ones, "query");
+    // Multipliers: zero, NaN or infinite at `n−f` but not at `f`, and
+    // zero at `f` but not at `n−f` (the constant-energy path).
+    for bad in [
+        Complex::ZERO,
+        Complex::real(f64::NAN),
+        Complex::real(f64::INFINITY),
+    ] {
+        let mut m = ones.clone();
+        m[n - SIG_COEFFS..].fill(bad);
+        same_as_single(&symmetric(8, n), &symmetric(9, n), &m, "mirror side");
+    }
+    let mut m = ones.clone();
+    m[..SIG_COEFFS - 1].fill(Complex::ZERO);
+    same_as_single(&symmetric(8, n), &symmetric(9, n), &m, "own side");
+    // A non-finite query coefficient at `n−f`.
+    let mut q = symmetric(9, n);
+    q[n - 1].re = f64::INFINITY;
+    q[n - 2].im = f64::NAN;
+    let sigs = one_row(&symmetric(8, n));
+    let probe = FilterProbe::mirrored(&q, &ones, SIG_COEFFS, 0.0);
+    assert_eq!(probe.mirror_floor(), None);
+    assert!(probe.lower_bound_sq(sigs.row(0).unwrap()).is_finite());
+}
+
 /// On a dense corpus with tight thresholds the tier must actually fire:
 /// candidates are dismissed, and the filtered run touches strictly fewer
 /// spectrum coefficients than the unfiltered run (every dismissal skips
-/// at least one verification chunk).
+/// at least one verification chunk). The kNN scan probes each row ahead
+/// of its spectrum read — and, with the filter off, probes nothing: its
+/// dismissals are rows abandoned at zero coefficients, so they show as
+/// coefficients saved, not as `filtered_out`.
 #[test]
 fn filter_engages_and_saves_work() {
     let series = corpus(7, 250, 64);
     let mut db = db_of(&series, 1);
+    db.set_parallelism(Parallelism::Serial);
     let mut engaged = 0u64;
     for q in [
         "FIND SIMILAR TO ROW 0 IN r EPSILON 0.6",
         "FIND SIMILAR TO ROW 3 IN r USING mavg(5) ON BOTH EPSILON 0.8",
-        "FIND 4 NEAREST TO ROW 1 IN r",
         "FIND PAIRS IN r EPSILON 0.5 METHOD d",
+        "FIND 4 NEAREST TO ROW 1 IN r FORCE SCAN",
+        "FIND 4 NEAREST TO ROW 1 IN r USING mavg(5) ON BOTH FORCE SCAN",
     ] {
         db.set_filter(true);
         let filtered = execute(&db, q).unwrap();
@@ -240,7 +507,16 @@ fn filter_engages_and_saves_work() {
         let unfiltered = execute(&db, q).unwrap();
         db.set_filter(true);
         assert_outputs_bitwise_equal(&filtered, &unfiltered, q);
-        if filtered.stats.filtered_out > 0 {
+        if q.contains("NEAREST") {
+            assert!(matches!(filtered.plan.access, AccessPath::SeqScan { .. }));
+            assert_eq!(filtered.stats.rows_scanned, unfiltered.stats.rows_scanned);
+            assert!(
+                filtered.stats.coefficients_compared < unfiltered.stats.coefficients_compared / 2,
+                "{q}: the scan's probe saved too little: {} vs {} coefficients",
+                filtered.stats.coefficients_compared,
+                unfiltered.stats.coefficients_compared,
+            );
+        } else if filtered.stats.filtered_out > 0 {
             engaged += 1;
             assert!(
                 filtered.stats.coefficients_compared < unfiltered.stats.coefficients_compared,
@@ -253,7 +529,7 @@ fn filter_engages_and_saves_work() {
     }
     assert!(
         engaged >= 2,
-        "filter tier engaged on only {engaged} of 4 tight queries"
+        "filter tier engaged on only {engaged} of 3 tight queries"
     );
 }
 
@@ -343,17 +619,36 @@ fn every_build_path_produces_identical_signatures() {
     // Resharded: the same rows under a 4-way shard layout.
     let mut sharded = db_of(&series, 4);
 
+    // Snapshot reload: signatures and slack are rebuilt from the decoded
+    // spectra, never read from the file.
+    let path = unique_snapshot_path();
+    bulk.save_snapshot(&path).unwrap();
+    let mut reloaded = Database::open_snapshot(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+
     let reference = signature_bits(&bulk, rows);
+    let slack = |db: &Database| scan::mirror_slack(db.relation("r").unwrap().stores());
+    assert!(
+        slack(&bulk) > 0.0 && slack(&bulk) < 1e-9,
+        "{}",
+        slack(&bulk)
+    );
     for (db, what) in [
         (&incremental, "incremental insert"),
         (&batched, "batch insert"),
         (&replayed, "WAL replay"),
+        (&reloaded, "snapshot reload"),
         (&sharded, "resharded"),
     ] {
         assert_eq!(
             signature_bits(db, rows),
             reference,
             "{what}: signatures diverge from bulk load"
+        );
+        assert_eq!(
+            slack(db).to_bits(),
+            slack(&bulk).to_bits(),
+            "{what}: mirror slack diverges from bulk load"
         );
     }
 
@@ -367,6 +662,7 @@ fn every_build_path_produces_identical_signatures() {
             (&mut incremental, "incremental insert"),
             (&mut batched, "batch insert"),
             (&mut replayed, "WAL replay"),
+            (&mut reloaded, "snapshot reload"),
             (&mut sharded, "resharded"),
         ] {
             assert_filter_transparent(db, &q, what);

@@ -94,11 +94,13 @@ fn index_plans_touch_no_more_rows_than_the_scans_they_replace() {
 }
 
 /// The defect ROADMAP item 2 recorded — indexed kNN handing the whole
-/// relation to verification with the signature tier idle — stays fixed:
-/// on random walks, which the 6-d index separates poorly, 10-NN queries
-/// still rank well under half the rows between them (a single query whose
-/// leading coefficients say nothing about it may rank more) and the tier
-/// dismisses some of every query's.
+/// relation to verification — stays fixed: on random walks, which the 6-d
+/// index separates poorly, 10-NN queries still rank well under a quarter
+/// of the rows between them (a single query whose leading coefficients
+/// say nothing about it may rank more). And the converse of this file's
+/// first test: the plan that chose the index compares no more coefficients
+/// and touches no more rows than `FORCE SCAN` does on the same queries,
+/// although that scan probes and abandons too.
 #[test]
 fn indexed_knn_examines_a_minority_of_a_random_walk_corpus() {
     let rows = 1000u64;
@@ -109,40 +111,91 @@ fn indexed_knn_examines_a_minority_of_a_random_walk_corpus() {
         .collect();
     for shards in [1usize, 4] {
         for threads in [1usize, 4] {
-            let mut db = db_over(&series, shards, threads);
+            let db = db_over(&series, shards, threads);
             let what = format!("shards {shards}, threads {threads}");
-            let run = |db: &Database| -> Vec<QueryResult> {
-                queries.iter().map(|q| execute(db, q).unwrap()).collect()
+            let run = |suffix: &str| -> Vec<QueryResult> {
+                let each = queries
+                    .iter()
+                    .map(|q| execute(&db, &format!("{q}{suffix}")));
+                each.map(Result::unwrap).collect()
             };
-            let on = run(&db);
-            db.set_filter(false);
-            let off = run(&db);
-            for (q, (on, off)) in queries.iter().zip(on.iter().zip(&off)) {
-                assert_eq!(on.plan.access, AccessPath::IndexScan);
-                assert!(on.stats.candidates <= rows && off.stats.candidates <= rows);
-                assert!(on.stats.filtered_out > 0, "{q} ({what}): tier idle");
-                assert_eq!(off.stats.filtered_out, 0, "{q} ({what})");
+            let (index, scan) = (run(""), run(" FORCE SCAN"));
+            for r in &index {
+                assert_eq!(r.plan.access, AccessPath::IndexScan);
+                assert!(r.stats.candidates <= rows);
             }
             let total =
                 |rs: &[QueryResult], f: fn(&QueryResult) -> u64| -> u64 { rs.iter().map(f).sum() };
-            let budget = queries.len() as u64 * rows / 2;
-            for (tier, results) in [("on", &on), ("off", &off)] {
-                let candidates = total(results, |r| r.stats.candidates);
+            let budget = queries.len() as u64 * rows / 4;
+            let candidates = total(&index, |r| r.stats.candidates);
+            assert!(
+                candidates < budget,
+                "{what}: {candidates} candidates, a quarter of the rows is {budget}"
+            );
+            type Work = (&'static str, fn(&QueryResult) -> u64);
+            let work: [Work; 2] = [
+                ("coefficients", |r| r.stats.coefficients_compared),
+                ("rows", rows_touched),
+            ];
+            for (unit, f) in work {
+                let (index, scan) = (total(&index, f), total(&scan, f));
                 assert!(
-                    candidates < budget,
-                    "{what}, tier {tier}: {candidates} candidates, half the rows is {budget}"
-                );
-            }
-            if threads == 1 {
-                // Same ranked rows either way; the tier only removes exact work.
-                assert!(
-                    total(&on, |r| r.stats.coefficients_compared)
-                        < total(&off, |r| r.stats.coefficients_compared),
-                    "{what}: the tier saved no exact work"
+                    index <= scan,
+                    "{what}: the index plans cost {index} {unit}, FORCE SCAN {scan}"
                 );
             }
         }
     }
+}
+
+/// What the mirrored frequencies buy range verification: over the same
+/// statements and the same index candidates, the probe the engine compiles
+/// (mirrored, against the relation's measured slack) dismisses strictly
+/// more than the never-mirroring `FilterProbe::new` — rebuilt here from
+/// the public pieces — and the hits are exactly the candidates within ε.
+#[test]
+fn the_mirrored_probe_dismisses_more_range_candidates_than_the_single_one() {
+    use similarity_queries::index::forest_range;
+    use similarity_queries::series::distance_outcome;
+    use similarity_queries::storage::FilterProbe;
+
+    let (rows, len, eps) = (1000u64, 64usize, 5.0f64);
+    let series = corpus(20260927, rows as usize, len);
+    let db = db_over(&series, 1, 1);
+    let stored = db.relation("r").unwrap();
+    let (scheme, ones) = (stored.scheme(), vec![Complex::ONE; len - 1]);
+    let lowered = SeriesTransform::Identity.lower(scheme, len).unwrap();
+    let (mut mirrored, mut single) = (0u64, 0u64);
+    for row in (0..rows).step_by(25) {
+        let r = execute(
+            &db,
+            &format!("FIND SIMILAR TO ROW {row} IN r EPSILON {eps}"),
+        )
+        .unwrap();
+        assert_eq!(r.plan.access, AccessPath::IndexScan);
+        let q = &stored.row(row).unwrap().features;
+        // The executor's rectangle: ε padded by one part in 10⁹.
+        let rect = scheme.search_rect(&q.point, eps * (1.0 + 1e-9) + 1e-9);
+        let (candidates, _) = forest_range(stored.trees(), Some(&lowered), &rect, 1);
+        assert_eq!(candidates.len() as u64, r.stats.candidates, "ROW {row}");
+        let probe = FilterProbe::new(&q.spectrum, &ones, stored.sig_coeffs());
+        let dismissed = |id: &&u64| probe.dismisses(stored.signature(**id).unwrap(), eps * eps);
+        single += candidates.iter().filter(dismissed).count() as u64;
+        mirrored += r.stats.filtered_out;
+        let within = |id: &&u64| {
+            let x = &stored.row(**id).unwrap().features.spectrum;
+            distance_outcome(x, &ones, &q.spectrum, None).dist_sq.sqrt() <= eps
+        };
+        assert_eq!(
+            candidates.iter().filter(within).count() as u64,
+            r.stats.verified,
+            "ROW {row}"
+        );
+    }
+    assert!(
+        mirrored > single,
+        "mirrored probe dismissed {mirrored}, single probe {single}"
+    );
 }
 
 /// A batch is the single-query pipeline in a loop, so it never compares
