@@ -146,8 +146,9 @@ pub struct Registry {
     /// commit syncs once for many appended records, so
     /// `wal.appends / wal.syncs` is the realized group size.
     pub wal_syncs: AtomicU64,
-    /// `wal.group_commits` — batched appends (≥ 1 record per sync)
-    /// committed through the group-commit path.
+    /// `wal.group_commits` — flushed groups: grouped appends of ≥ 1
+    /// record, one write + one sync each (a single insert is a group of
+    /// one).
     pub wal_group_commits: AtomicU64,
     /// `wal.sync_latency_ns` — write+sync latency per WAL append.
     pub wal_sync_latency: Histogram,

@@ -4,6 +4,20 @@
 //!
 //! The planner ([`crate::plan`]) reads the catalog; nothing here depends
 //! on planning or execution.
+//!
+//! ## The ack contract
+//!
+//! [`Database::insert_into`] and [`Database::insert_batch`] are one write
+//! path: a shared prologue (`admit`), one per-shard commit
+//! (`commit_shard`) and a shared epilogue (`finish_commit`). With a WAL
+//! attached, a row's `Ok` is returned only after the group append holding
+//! its record — a group of one for a single insert — returned from its
+//! `write_all` + `sync_data` (and the parent-directory fsync when the
+//! append created the log), and only then is the row applied. A failed
+//! append applies nothing and still consumes the id(s), because a durable
+//! prefix of the failed group may be replayed after a crash. Applying a
+//! record is the same routine ([`SeriesRelation::apply_insert`]) live and
+//! at replay, so recovery rebuilds exactly the acknowledged state.
 
 use crate::error::QueryError;
 use simq_index::{RTree, RTreeConfig};
@@ -207,6 +221,28 @@ impl StoredRelation {
         }
     }
 
+    /// The shard a row id routes to (0 for the single form).
+    pub fn shard_of(&self, id: u64) -> usize {
+        match self {
+            StoredRelation::Single { .. } => 0,
+            StoredRelation::Sharded { relation, .. } => relation.shard_of(id),
+        }
+    }
+
+    /// The write side's view of the relation, the mutable twin of
+    /// [`StoredRelation::stores`] / [`StoredRelation::trees`]: shard `j`
+    /// is `stores[j]` with `trees.get_mut(j)` (no tree for an unindexed
+    /// single relation). Writers that go through it follow up with
+    /// [`StoredRelation::note_inserted`] so id assignment stays consistent.
+    fn write_parts(&mut self) -> (&mut [SeriesRelation], &mut [RTree]) {
+        match self {
+            StoredRelation::Single { relation, index } => {
+                (std::slice::from_mut(relation), index.as_mut_slice())
+            }
+            StoredRelation::Sharded { relation, indexes } => (relation.shards_mut(), indexes),
+        }
+    }
+
     /// Inserts a series under an explicit row id, keeping the owning
     /// shard's index in sync incrementally (no rebuild). Returns the
     /// shard that took the row and how many tree nodes the insert
@@ -221,26 +257,28 @@ impl StoredRelation {
         name: impl Into<String>,
         series: Vec<f64>,
     ) -> Result<(usize, u64), SeriesError> {
-        match self {
-            StoredRelation::Single { relation, index } => {
-                relation.insert_with_id(id, name, series)?;
-                let mut built = 0;
-                if let Some(tree) = index {
-                    let before = tree.nodes_built();
-                    let point = &relation.row(id).expect("just inserted").features.point;
-                    tree.insert_point(point, id);
-                    built = tree.nodes_built() - before;
-                }
-                Ok((0, built))
-            }
-            StoredRelation::Sharded { relation, indexes } => {
-                relation.insert_with_id(id, name, series)?;
-                let shard = relation.shard_of(id);
-                let tree = &mut indexes[shard];
-                let before = tree.nodes_built();
-                let point = &relation.row(id).expect("just inserted").features.point;
-                tree.insert_point(point, id);
-                Ok((shard, tree.nodes_built() - before))
+        let shard = self.shard_of(id);
+        let (stores, trees) = self.write_parts();
+        let record = WalRecord {
+            id,
+            name: name.into(),
+            series,
+        };
+        let nodes_built = stores[shard].apply_insert(record, trees.get_mut(shard))?;
+        self.note_inserted(id);
+        Ok((shard, nodes_built))
+    }
+}
+
+impl From<SnapshotEntry> for StoredRelation {
+    fn from(entry: SnapshotEntry) -> Self {
+        match entry {
+            SnapshotEntry::Single(s) => StoredRelation::Single {
+                relation: s.relation,
+                index: s.index,
+            },
+            SnapshotEntry::Sharded { relation, indexes } => {
+                StoredRelation::Sharded { relation, indexes }
             }
         }
     }
@@ -380,9 +418,6 @@ pub struct Database {
     generation: u64,
     /// The durable write path, when a WAL directory is attached.
     durability: Option<Durability>,
-    /// Route single-record WAL appends through the owning shard's
-    /// [`simq_storage::WriteGroup`] so concurrent writers coalesce syncs.
-    group_commit: bool,
     /// Inverted filter-tier switch (`false` = filter on, the default):
     /// when on, executors consult the quantized signature tier to dismiss
     /// candidates before full verification. Results are identical either
@@ -406,33 +441,27 @@ impl Database {
         self.generation
     }
 
+    /// Puts `stored` in the catalog under its own name (replacing a
+    /// same-named relation) and runs the after-DDL hook.
+    fn register(&mut self, stored: StoredRelation) {
+        self.generation += 1;
+        let name = stored.name().to_string();
+        self.relations.insert(name.clone(), Arc::new(stored));
+        self.after_ddl(&name);
+    }
+
     /// Registers a relation without an index.
     pub fn add_relation(&mut self, relation: SeriesRelation) {
-        self.generation += 1;
-        let name = relation.name().to_string();
-        self.relations.insert(
-            name.clone(),
-            Arc::new(StoredRelation::Single {
-                relation,
-                index: None,
-            }),
-        );
-        self.after_ddl(&name);
+        self.register(StoredRelation::Single {
+            relation,
+            index: None,
+        });
     }
 
     /// Registers a relation and bulk-loads an index over it.
     pub fn add_relation_indexed(&mut self, relation: SeriesRelation) {
-        let index = relation.build_index(RTreeConfig::default());
-        self.generation += 1;
-        let name = relation.name().to_string();
-        self.relations.insert(
-            name.clone(),
-            Arc::new(StoredRelation::Single {
-                relation,
-                index: Some(index),
-            }),
-        );
-        self.after_ddl(&name);
+        let index = Some(relation.build_index(RTreeConfig::default()));
+        self.register(StoredRelation::Single { relation, index });
     }
 
     /// Registers a relation partitioned into `shards` shards, with one
@@ -444,18 +473,9 @@ impl Database {
             self.add_relation_indexed(relation);
             return;
         }
-        let sharded = ShardedRelation::from_single(relation, shards);
-        let indexes = sharded.build_indexes(RTreeConfig::default());
-        self.generation += 1;
-        let name = sharded.name().to_string();
-        self.relations.insert(
-            name.clone(),
-            Arc::new(StoredRelation::Sharded {
-                relation: sharded,
-                indexes,
-            }),
-        );
-        self.after_ddl(&name);
+        let relation = ShardedRelation::from_single(relation, shards);
+        let indexes = relation.build_indexes(RTreeConfig::default());
+        self.register(StoredRelation::Sharded { relation, indexes });
     }
 
     /// Re-partitions an existing relation into `shards` shards (the CLI's
@@ -493,7 +513,6 @@ impl Database {
             Some(_) => {}
         }
         let stored = self.relations.remove(name).expect("presence checked above");
-        self.generation += 1;
         // A live read view may still hold this relation; take the value
         // out of the Arc when we are the only owner, clone otherwise.
         let stored = Arc::try_unwrap(stored).unwrap_or_else(|shared| (*shared).clone());
@@ -519,8 +538,7 @@ impl Database {
                 indexes,
             }
         };
-        self.relations.insert(name.to_string(), Arc::new(rebuilt));
-        self.after_ddl(name);
+        self.register(rebuilt);
         Ok(())
     }
 
@@ -622,15 +640,7 @@ impl Database {
         self.generation += 1;
         let mut names = Vec::with_capacity(count);
         for entry in loaded {
-            let stored = match entry {
-                SnapshotEntry::Single(s) => StoredRelation::Single {
-                    relation: s.relation,
-                    index: s.index,
-                },
-                SnapshotEntry::Sharded { relation, indexes } => {
-                    StoredRelation::Sharded { relation, indexes }
-                }
-            };
+            let stored = StoredRelation::from(entry);
             names.push(stored.name().to_string());
             self.relations
                 .insert(stored.name().to_string(), Arc::new(stored));
@@ -702,15 +712,7 @@ impl Database {
         let mut db = Database::new();
         db.generation = 1;
         for entry in entries {
-            let stored = match entry {
-                SnapshotEntry::Single(s) => StoredRelation::Single {
-                    relation: s.relation,
-                    index: s.index,
-                },
-                SnapshotEntry::Sharded { relation, indexes } => {
-                    StoredRelation::Sharded { relation, indexes }
-                }
-            };
+            let stored = StoredRelation::from(entry);
             db.relations
                 .insert(stored.name().to_string(), Arc::new(stored));
         }
@@ -761,120 +763,46 @@ impl Database {
         })
     }
 
-    /// Inserts a series through the durable write path: the record is
-    /// appended (and synced) to the owning shard's WAL **before** the
-    /// in-memory apply, so an `Ok` means the insert survives any
-    /// subsequent crash. Without an attached WAL this is a plain
-    /// in-memory insert with incremental index maintenance.
+    /// Inserts a series through the durable write path under the
+    /// [ack contract](self#the-ack-contract): an `Ok` means the insert
+    /// survives any subsequent crash. Without an attached WAL this is a
+    /// plain in-memory insert with incremental index maintenance.
     ///
     /// # Errors
     /// [`QueryError::UnknownRelation`], domain errors
     /// ([`QueryError::Series`] — wrong length, constant series), and
     /// [`QueryError::Storage`] when the WAL append fails (the insert is
-    /// **not** applied, so an error also never loses the guarantee).
+    /// **not** applied, so an error also never loses the guarantee) or the
+    /// write path is poisoned.
     pub fn insert_into(
         &mut self,
         relation: &str,
         name: impl Into<String>,
         series: Vec<f64>,
     ) -> Result<InsertReport, QueryError> {
-        if let Some(d) = &self.durability {
-            if let Some(e) = &d.pending_error {
-                return Err(QueryError::Storage(format!(
-                    "write path poisoned by a failed checkpoint: {e} (run a checkpoint to recover)"
-                )));
-            }
-        }
-        let stored = self
-            .relations
-            .get(relation)
-            .ok_or_else(|| QueryError::UnknownRelation(relation.to_string()))?;
-        // Validate everything the apply can reject *before* logging, so a
-        // WAL record is written only for an insert that will succeed —
-        // replay must never manufacture rows a crash-free run rejected.
-        if series.len() != stored.series_len() {
-            return Err(SeriesError::DimensionMismatch {
-                expected: stored.series_len(),
-                actual: series.len(),
-            }
-            .into());
-        }
-        stored.scheme().extract(&series)?;
+        let stored = self.admit(relation, std::iter::once(series.as_slice()))?;
         let id = stored.next_id();
-        let shard = match stored.as_ref() {
-            StoredRelation::Single { .. } => 0,
-            StoredRelation::Sharded { relation, .. } => relation.shard_of(id),
-        };
-        let record = WalRecord {
+        let shard = stored.shard_of(id);
+        let mut record = WalRecord {
             id,
             name: name.into(),
             series,
         };
-        let mut wal_appended = false;
-        if let Some(d) = &mut self.durability {
-            let appended = if self.group_commit {
-                // Route through the shard's write group: concurrent
-                // submitters share syncs; this still returns only after
-                // the flush covering the record has synced.
-                d.store
-                    .append_insert_grouped(relation, shard, &record)
-                    .map(|_| ())
-            } else {
-                d.store.append_insert(relation, shard, &record)
-            };
-            if let Err(e) = appended {
-                // A failed append can still have left the record durable
-                // (the sync died after the write, or it rode a torn group
-                // prefix); consume the id so no later insert collides
-                // with what replay may apply.
-                Arc::make_mut(
-                    self.relations
-                        .get_mut(relation)
-                        .expect("relation presence checked above"),
-                )
-                .note_inserted(id);
-                return Err(QueryError::from(e));
-            }
-            d.wal_records += 1;
-            wal_appended = true;
-        }
-        let WalRecord { id, name, series } = record;
-        let (shard, nodes_built) = Arc::make_mut(
-            self.relations
-                .get_mut(relation)
-                .expect("relation presence checked above"),
-        )
-        .insert_with_id(id, name, series)
-        .map_err(|e| {
-            // Unreachable by construction (pre-validated); poison the
-            // write path rather than leave a logged-but-unapplied row.
-            if let Some(d) = &mut self.durability {
-                d.pending_error = Some(format!("validated insert failed to apply: {e}"));
-            }
-            QueryError::Storage(format!("validated insert failed to apply: {e}"))
-        })?;
-        self.generation += 1;
-        if let Some(d) = &mut self.durability {
-            let shard_count = self.relations[relation].shard_count();
-            let flags = d
-                .dirty
-                .entry(relation.to_string())
-                .or_insert_with(|| vec![false; shard_count]);
-            if let Some(flag) = flags.get_mut(shard) {
-                *flag = true;
-            }
-        }
-        let m = simq_obs::metrics::registry();
-        m.insert_count
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        m.insert_nodes_built
-            .fetch_add(nodes_built, std::sync::atomic::Ordering::Relaxed);
-        Ok(InsertReport {
-            id,
-            shard,
-            nodes_built,
-            wal_appended,
-        })
+        let dur = self.durability.as_ref().map(|d| &d.store);
+        let (stores, trees) = admitted_mut(&mut self.relations, relation).write_parts();
+        let outcome = commit_shard(
+            dur,
+            relation,
+            &mut ShardWork {
+                shard,
+                idxs: &[0],
+                records: std::slice::from_mut(&mut record),
+                store: &mut stores[shard],
+                tree: trees.get_mut(shard),
+            },
+        );
+        let mut report = self.finish_commit(relation, id, [outcome])?;
+        Ok(report.acked.pop().expect("an Ok commit acked its row").1)
     }
 
     /// Inserts a batch of series through the durable write path with one
@@ -884,10 +812,11 @@ impl Database {
     /// worker thread, so inserts to distinct shards proceed in parallel
     /// while rows within a shard apply strictly in id order.
     ///
-    /// Ids are assigned in input order from the relation's `next_id`, so
-    /// the resulting database state is **bitwise identical** to calling
-    /// [`Database::insert_into`] once per row in order (pinned by
-    /// `tests/insert_equivalence.rs`), at a fraction of the syncs.
+    /// Ids are assigned in input order from the relation's `next_id`, and
+    /// every shard commits through the same core as
+    /// [`Database::insert_into`], so the resulting database state is
+    /// **bitwise identical** to calling it once per row in order (pinned
+    /// by `tests/insert_equivalence.rs`), at a fraction of the syncs.
     ///
     /// The whole batch is validated before anything is logged. After
     /// validation, failure is per shard: a shard whose group append fails
@@ -907,21 +836,91 @@ impl Database {
         if rows.is_empty() {
             return Ok(InsertBatchReport::default());
         }
-        if let Some(d) = &self.durability {
-            if let Some(e) = &d.pending_error {
-                return Err(QueryError::Storage(format!(
-                    "write path poisoned by a failed checkpoint: {e} (run a checkpoint to recover)"
-                )));
-            }
+        let stored = self.admit(relation, rows.iter().map(|(_, series)| series.as_slice()))?;
+        let base_id = stored.next_id();
+        let last_id = base_id + rows.len() as u64 - 1;
+        // Ids are assigned in input order (serial-equivalent) and routed
+        // by the shard layout; within a shard records stay id-ascending.
+        let mut per_shard: Vec<(Vec<usize>, Vec<WalRecord>)> =
+            vec![Default::default(); stored.shard_count()];
+        for (i, (name, series)) in rows.into_iter().enumerate() {
+            let id = base_id + i as u64;
+            let (idxs, records) = &mut per_shard[stored.shard_of(id)];
+            idxs.push(i);
+            records.push(WalRecord { id, name, series });
+        }
+        let threads = self.parallelism.threads();
+        let dur = self.durability.as_ref().map(|d| &d.store);
+        let (stores, trees) = admitted_mut(&mut self.relations, relation).write_parts();
+        let mut trees = trees.iter_mut();
+        let mut work: Vec<ShardWork<'_>> = stores
+            .iter_mut()
+            .zip(&mut per_shard)
+            .enumerate()
+            .map(|(shard, (store, (idxs, records)))| ShardWork {
+                shard,
+                idxs,
+                records,
+                store,
+                tree: trees.next(),
+            })
+            .filter(|w| !w.idxs.is_empty())
+            .collect();
+        let outcomes: Vec<ShardCommit> = if threads > 1 && work.len() > 1 {
+            // One scoped worker per chunk of busy shards: the `&mut`
+            // borrows are disjoint per shard, so inserts to distinct
+            // shards proceed in parallel. Workers join before the scope
+            // returns, so readers of the catalog never observe a shard
+            // mid-apply.
+            let per = work.len().div_ceil(threads.min(work.len()));
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = work
+                    .chunks_mut(per)
+                    .map(|chunk| {
+                        scope.spawn(move || {
+                            chunk
+                                .iter_mut()
+                                .map(|w| commit_shard(dur, relation, w))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("shard writer panicked"))
+                    .collect()
+            })
+        } else {
+            work.iter_mut()
+                .map(|w| commit_shard(dur, relation, w))
+                .collect()
+        };
+        self.finish_commit(relation, last_id, outcomes)
+    }
+
+    /// The write path's shared prologue: refuses while the path is
+    /// poisoned, finds the relation, and validates every series the apply
+    /// could reject *before* anything is logged — a WAL record is written
+    /// only for an insert that will succeed, so replay never manufactures
+    /// rows a crash-free run rejected.
+    fn admit<'a>(
+        &self,
+        relation: &str,
+        rows: impl Iterator<Item = &'a [f64]>,
+    ) -> Result<&StoredRelation, QueryError> {
+        let poisoned = self
+            .durability
+            .as_ref()
+            .and_then(|d| d.pending_error.as_ref());
+        if let Some(e) = poisoned {
+            return Err(QueryError::Storage(format!(
+                "write path poisoned by a failed checkpoint: {e} (run a checkpoint to recover)"
+            )));
         }
         let stored = self
-            .relations
-            .get(relation)
+            .relation(relation)
             .ok_or_else(|| QueryError::UnknownRelation(relation.to_string()))?;
-        // Validate every row before logging anything: validation failures
-        // reject the whole batch up front, so the WAL never holds a
-        // record replay would have to reject.
-        for (_, series) in &rows {
+        for series in rows {
             if series.len() != stored.series_len() {
                 return Err(SeriesError::DimensionMismatch {
                     expected: stored.series_len(),
@@ -931,161 +930,76 @@ impl Database {
             }
             stored.scheme().extract(series)?;
         }
-        let base_id = stored.next_id();
-        let shard_count = stored.shard_count();
-        let layout = match stored.as_ref() {
-            StoredRelation::Single { .. } => None,
-            StoredRelation::Sharded { relation, .. } => Some(relation.layout()),
-        };
-        let n = rows.len() as u64;
-        // Ids are assigned in input order (serial-equivalent) and routed
-        // by the shard layout; within a shard records stay id-ascending.
-        let mut per_shard: Vec<(Vec<usize>, Vec<WalRecord>)> =
-            (0..shard_count).map(|_| (Vec::new(), Vec::new())).collect();
-        for (i, (name, series)) in rows.into_iter().enumerate() {
-            let id = base_id + i as u64;
-            let shard = layout.as_ref().map_or(0, |l| l.shard_of(id));
-            per_shard[shard].0.push(i);
-            per_shard[shard].1.push(WalRecord { id, name, series });
-        }
-        let threads = self.parallelism.threads();
-        let dur = self.durability.as_ref().map(|d| &d.store);
-        let stored = Arc::make_mut(
-            self.relations
-                .get_mut(relation)
-                .expect("relation presence checked above"),
-        );
-        let mut outcomes: Vec<ShardBatchOutcome> = match stored {
-            StoredRelation::Single {
-                relation: store,
-                index,
-            } => {
-                let (idxs, records) = per_shard.pop().expect("single form has one shard");
-                let outcome =
-                    apply_shard_batch(dur, relation, 0, &idxs, records, store, index.as_mut());
-                // Mirror the sharded path below: every id in the batch is
-                // consumed, acked or not, so a later insert can never
-                // collide with a record a failed WAL prefix might replay.
-                store.note_inserted(base_id + n - 1);
-                vec![outcome]
-            }
-            StoredRelation::Sharded {
-                relation: sharded,
-                indexes,
-            } => {
-                let mut work: Vec<_> = sharded
-                    .shards_mut()
-                    .iter_mut()
-                    .zip(indexes.iter_mut())
-                    .zip(per_shard)
-                    .enumerate()
-                    .filter(|(_, (_, (idxs, _)))| !idxs.is_empty())
-                    .map(|(j, ((store, tree), (idxs, records)))| (j, idxs, records, store, tree))
-                    .collect();
-                let outcomes: Vec<ShardBatchOutcome> = if threads > 1 && work.len() > 1 {
-                    // One scoped worker per chunk of busy shards: the
-                    // `&mut` borrows are disjoint per shard, so inserts
-                    // to distinct shards proceed in parallel. Workers
-                    // join before the scope returns, so readers of the
-                    // catalog never observe a shard mid-apply.
-                    let per = work.len().div_ceil(threads.min(work.len()));
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = work
-                            .chunks_mut(per)
-                            .map(|chunk| {
-                                scope.spawn(move || {
-                                    chunk
-                                        .iter_mut()
-                                        .map(|(j, idxs, records, store, tree)| {
-                                            apply_shard_batch(
-                                                dur,
-                                                relation,
-                                                *j,
-                                                idxs,
-                                                std::mem::take(records),
-                                                store,
-                                                Some(tree),
-                                            )
-                                        })
-                                        .collect::<Vec<_>>()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("shard writer panicked"))
-                            .collect()
-                    })
-                } else {
-                    work.into_iter()
-                        .map(|(j, idxs, records, store, tree)| {
-                            apply_shard_batch(dur, relation, j, &idxs, records, store, Some(tree))
-                        })
-                        .collect()
-                };
-                // Every id in the batch is consumed, acked or not, so a
-                // later insert can never collide with a record a failed
-                // shard's WAL prefix might replay.
-                sharded.note_inserted(base_id + n - 1);
-                outcomes
-            }
-        };
-        outcomes.sort_by_key(|o| o.shard);
+        Ok(stored)
+    }
+
+    /// The write path's shared epilogue, run once per commit over its
+    /// per-shard outcomes: consumes the commit's ids, folds the outcomes
+    /// into one report, poisons the path on an apply failure, and — when
+    /// any row was acknowledged — bumps the generation, marks the touched
+    /// shards dirty and counts the inserts.
+    fn finish_commit(
+        &mut self,
+        relation: &str,
+        last_id: u64,
+        outcomes: impl IntoIterator<Item = ShardCommit>,
+    ) -> Result<InsertBatchReport, QueryError> {
+        // Every id of the commit is consumed, acked or not: a failed
+        // append can still have left its records durable (the sync died
+        // after the write, or they rode a torn group prefix), so no later
+        // insert may collide with what replay may apply.
+        admitted_mut(&mut self.relations, relation).note_inserted(last_id);
         let mut report = InsertBatchReport::default();
-        let mut poison: Option<String> = None;
         let mut first_error: Option<String> = None;
-        let mut dirty: Vec<usize> = Vec::new();
-        for o in &mut outcomes {
-            if o.wal_synced {
-                report.wal_syncs += 1;
-            }
-            if let Some(e) = &o.apply_error {
-                poison.get_or_insert_with(|| e.clone());
-            }
-            let err = o.apply_error.take().or_else(|| o.wal_error.take());
-            if let Some(e) = &err {
-                first_error.get_or_insert_with(|| e.clone());
-            }
-            for idx in o.failed.drain(..) {
-                report
-                    .failed
-                    .push((idx, err.clone().unwrap_or_else(|| "insert failed".into())));
-            }
+        let mut poison: Option<String> = None;
+        let mut dirty = self
+            .durability
+            .as_mut()
+            .and_then(|d| d.dirty.get_mut(relation));
+        for mut o in outcomes {
+            report.wal_syncs += u64::from(o.wal_synced);
             if !o.acked.is_empty() {
-                dirty.push(o.shard);
                 report.shards_touched += 1;
-            }
-            report.nodes_built += o.nodes_built;
-            report.acked.append(&mut o.acked);
-        }
-        report.acked.sort_by_key(|&(i, _)| i);
-        report.failed.sort_by_key(|&(i, _)| i);
-        // A post-validation apply failure is unreachable by construction;
-        // poison the write path rather than leave logged-but-unapplied
-        // rows behind (same stance as insert_into).
-        if let Some(e) = poison {
-            if let Some(d) = &mut self.durability {
-                d.pending_error = Some(e);
-            }
-        }
-        if report.acked.is_empty() {
-            return Err(QueryError::Storage(
-                first_error.unwrap_or_else(|| "batch insert failed".into()),
-            ));
-        }
-        self.generation += 1;
-        if let Some(d) = &mut self.durability {
-            report.wal_records = report.acked.len() as u64;
-            d.wal_records += report.wal_records;
-            let flags = d
-                .dirty
-                .entry(relation.to_string())
-                .or_insert_with(|| vec![false; shard_count]);
-            for &s in &dirty {
-                if let Some(flag) = flags.get_mut(s) {
+                // A relation without flags is already all-dirty.
+                if let Some(flag) = dirty.as_mut().and_then(|flags| flags.get_mut(o.shard)) {
                     *flag = true;
                 }
             }
+            if report.acked.is_empty() {
+                report.acked = o.acked; // the common one-shard commit: no copy
+            } else {
+                report.acked.append(&mut o.acked);
+            }
+            if let Some(e) = o.error {
+                report
+                    .failed
+                    .extend(o.failed.iter().map(|&idx| (idx, e.clone())));
+                // An error after the sync is a logged record that failed
+                // to apply.
+                if o.wal_synced {
+                    poison.get_or_insert_with(|| e.clone());
+                }
+                first_error.get_or_insert(e);
+            }
+        }
+        // A validated row that fails to apply is unreachable by
+        // construction; poison the write path rather than leave a
+        // logged-but-unapplied row behind.
+        if let (Some(e), Some(d)) = (poison, &mut self.durability) {
+            d.pending_error = Some(e);
+        }
+        report.acked.sort_by_key(|&(i, _)| i);
+        report.failed.sort_by_key(|&(i, _)| i);
+        if report.acked.is_empty() {
+            return Err(QueryError::Storage(
+                first_error.unwrap_or_else(|| "insert failed".into()),
+            ));
+        }
+        self.generation += 1;
+        report.nodes_built = report.acked.iter().map(|(_, r)| r.nodes_built).sum();
+        if let Some(d) = &mut self.durability {
+            report.wal_records = report.acked.len() as u64;
+            d.wal_records += report.wal_records;
         }
         let m = simq_obs::metrics::registry();
         m.insert_count.fetch_add(
@@ -1095,20 +1009,6 @@ impl Database {
         m.insert_nodes_built
             .fetch_add(report.nodes_built, std::sync::atomic::Ordering::Relaxed);
         Ok(report)
-    }
-
-    /// Whether single-record inserts route through per-shard
-    /// [`simq_storage::WriteGroup`]s (group commit).
-    pub fn group_commit(&self) -> bool {
-        self.group_commit
-    }
-
-    /// Enables or disables group commit for [`Database::insert_into`].
-    /// With it on, concurrent inserts to the same shard share WAL syncs;
-    /// a single uncontended insert still pays exactly one sync, so the
-    /// durability guarantee is unchanged either way.
-    pub fn set_group_commit(&mut self, on: bool) {
-        self.group_commit = on;
     }
 
     /// Whether index-served queries consult the quantized filter tier
@@ -1143,7 +1043,6 @@ impl Database {
                 parallelism: self.parallelism,
                 generation: self.generation,
                 durability: None,
-                group_commit: false,
                 filter_off: self.filter_off,
             },
         }
@@ -1182,23 +1081,12 @@ impl Database {
             .map(|s| {
                 let flags = d.dirty.get(s.name());
                 let dirty_at = |j: usize| flags.is_none_or(|f| f.get(j).copied().unwrap_or(true));
-                match s.as_ref() {
-                    StoredRelation::Single { relation, index } => CheckpointSource {
-                        name: relation.name(),
-                        sharded: false,
-                        shards: vec![(relation, index.as_ref(), dirty_at(0))],
-                    },
-                    StoredRelation::Sharded { relation, indexes } => CheckpointSource {
-                        name: relation.name(),
-                        sharded: true,
-                        shards: relation
-                            .shards()
-                            .iter()
-                            .zip(indexes)
-                            .enumerate()
-                            .map(|(j, (shard, tree))| (shard, Some(tree), dirty_at(j)))
-                            .collect(),
-                    },
+                CheckpointSource {
+                    name: s.name(),
+                    sharded: matches!(s.as_ref(), StoredRelation::Sharded { .. }),
+                    shards: (s.stores().iter().enumerate())
+                        .map(|(j, store)| (store, s.trees().get(j), dirty_at(j)))
+                        .collect(),
                 }
             })
             .collect();
@@ -1276,81 +1164,88 @@ impl std::borrow::Borrow<Database> for ReadView {
     }
 }
 
-/// One shard's slice of a batch insert, as reported by
-/// [`apply_shard_batch`].
-struct ShardBatchOutcome {
+/// The relation a writer has already admitted, un-shared from any read
+/// view that still holds it (copy-on-write).
+fn admitted_mut<'a>(
+    relations: &'a mut BTreeMap<String, Arc<StoredRelation>>,
+    name: &str,
+) -> &'a mut StoredRelation {
+    Arc::make_mut(relations.get_mut(name).expect("relation admitted above"))
+}
+
+/// One shard's slice of a commit: the rows routed to it (a slice of one
+/// for [`Database::insert_into`]) and the shard's own mutable state.
+struct ShardWork<'a> {
+    shard: usize,
+    /// Input index of each record, parallel to `records`.
+    idxs: &'a [usize],
+    /// The shard's records in id order; the apply takes them.
+    records: &'a mut [WalRecord],
+    store: &'a mut SeriesRelation,
+    tree: Option<&'a mut RTree>,
+}
+
+/// What [`commit_shard`] did with one [`ShardWork`].
+struct ShardCommit {
     shard: usize,
     /// `(input index, report)` for each row applied, in id order.
     acked: Vec<(usize, InsertReport)>,
     /// Input indexes of rows that were not applied.
     failed: Vec<usize>,
-    /// The WAL group append failed before anything was applied.
-    wal_error: Option<String>,
-    /// A pre-validated row failed to apply (poisons the write path).
-    apply_error: Option<String>,
+    /// Why `failed` failed: the WAL append's error (nothing applied, no
+    /// sync) or a validated row's apply error.
+    error: Option<String>,
     /// The shard's group append issued (and returned from) its one sync.
     wal_synced: bool,
-    nodes_built: u64,
 }
 
-/// WALs one shard's slice of a batch as a single group append (one write,
-/// one sync), then applies the rows in id order with incremental index
-/// maintenance. Runs on the caller's thread or a scoped worker — it takes
-/// only the shard's own `&mut` state plus a shared [`DurableDir`] handle.
-fn apply_shard_batch(
-    dur: Option<&DurableDir>,
-    relation: &str,
-    shard: usize,
-    idxs: &[usize],
-    records: Vec<WalRecord>,
-    store: &mut SeriesRelation,
-    mut tree: Option<&mut RTree>,
-) -> ShardBatchOutcome {
-    let mut out = ShardBatchOutcome {
+/// The write path's one commit: WALs the shard's records as a single
+/// group append (one write, one sync), then applies them in id order with
+/// incremental index maintenance — the WAL-then-apply half of the
+/// [ack contract](self#the-ack-contract). Runs on the caller's thread or a
+/// scoped worker: it takes only the shard's own `&mut` state plus a shared
+/// [`DurableDir`] handle.
+fn commit_shard(dur: Option<&DurableDir>, relation: &str, work: &mut ShardWork<'_>) -> ShardCommit {
+    let shard = work.shard;
+    let mut out = ShardCommit {
         shard,
-        acked: Vec::with_capacity(records.len()),
+        acked: Vec::with_capacity(work.records.len()),
         failed: Vec::new(),
-        wal_error: None,
-        apply_error: None,
+        error: None,
         wal_synced: false,
-        nodes_built: 0,
     };
     if let Some(d) = dur {
         // WAL first: the group is durable (or rejected whole) before any
         // row of it becomes visible. A crash mid-append leaves a prefix
         // of the group on disk — replay applies exactly that prefix.
-        if let Err(e) = d.append_insert_group(relation, shard, &records) {
-            out.wal_error = Some(e.to_string());
-            out.failed.extend_from_slice(idxs);
+        if let Err(e) = d.append_insert_group(relation, shard, work.records) {
+            out.error = Some(e.to_string());
+            out.failed.extend_from_slice(work.idxs);
             return out;
         }
         out.wal_synced = true;
     }
-    let wal_appended = dur.is_some();
-    for (k, (&idx, rec)) in idxs.iter().zip(records).enumerate() {
-        let WalRecord { id, name, series } = rec;
-        if let Err(e) = store.insert_with_id(id, name, series) {
-            out.apply_error = Some(format!("validated insert failed to apply: {e}"));
-            out.failed.extend_from_slice(&idxs[k..]);
-            break;
+    for (k, (&idx, rec)) in work.idxs.iter().zip(work.records.iter_mut()).enumerate() {
+        let id = rec.id;
+        match work
+            .store
+            .apply_insert(std::mem::take(rec), work.tree.as_deref_mut())
+        {
+            Ok(nodes_built) => out.acked.push((
+                idx,
+                InsertReport {
+                    id,
+                    shard,
+                    nodes_built,
+                    wal_appended: dur.is_some(),
+                },
+            )),
+            Err(e) => {
+                out.error = Some(format!("validated insert failed to apply: {e}"));
+                out.failed.extend_from_slice(&work.idxs[k..]);
+                break;
+            }
         }
-        let mut nodes_built = 0;
-        if let Some(tree) = tree.as_deref_mut() {
-            let before = tree.nodes_built();
-            let point = &store.row(id).expect("just inserted").features.point;
-            tree.insert_point(point, id);
-            nodes_built = tree.nodes_built() - before;
-        }
-        out.nodes_built += nodes_built;
-        out.acked.push((
-            idx,
-            InsertReport {
-                id,
-                shard,
-                nodes_built,
-                wal_appended,
-            },
-        ));
     }
     out
 }

@@ -41,7 +41,6 @@
 //! inserts re-extract features from the logged raw series — bit-identical
 //! to the original extraction, since extraction is deterministic.
 
-use crate::group::WriteGroup;
 use crate::pages::{self, PageError};
 use crate::relation::SeriesRelation;
 use crate::shard::{ShardLayout, ShardedRelation};
@@ -49,7 +48,7 @@ use crate::snapshot::{self, SnapshotEntry, SnapshotError, SnapshotRelation};
 use crate::wal::{self, WalRecord};
 use simq_index::serial::{ByteReader, ByteWriter};
 use simq_index::RTree;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -347,10 +346,6 @@ pub struct DurableDir {
     /// Test-injectable WAL write target ([`FailingStorage`]); `None`
     /// appends to the real files.
     sink: Option<Arc<FailingStorage>>,
-    /// One lazily created [`WriteGroup`] per live WAL path, shared by
-    /// every clone of this handle so concurrent submitters coalesce.
-    /// Cleared at checkpoint (the live paths change epoch).
-    groups: Arc<Mutex<BTreeMap<PathBuf, Arc<WriteGroup>>>>,
 }
 
 /// One relation's current state, as the checkpoint writer needs it: the
@@ -380,7 +375,6 @@ impl DurableDir {
             dir,
             manifest: Manifest::default(),
             sink: None,
-            groups: Arc::new(Mutex::new(BTreeMap::new())),
         };
         pages::write_atomic(&store.manifest_path(), &manifest_to_bytes(&store.manifest))?;
         Ok(store)
@@ -410,7 +404,6 @@ impl DurableDir {
             dir,
             manifest,
             sink: None,
-            groups: Arc::new(Mutex::new(BTreeMap::new())),
         };
 
         let mut entries = Vec::with_capacity(store.manifest.entries.len());
@@ -433,12 +426,9 @@ impl DurableDir {
     }
 
     /// Routes WAL appends through `sink` instead of the filesystem (the
-    /// crash-fuzz hook). Checkpoints still write real files. Existing
-    /// write groups are dropped — their flush closures captured the old
-    /// target.
+    /// crash-fuzz hook). Checkpoints still write real files.
     pub fn set_sink(&mut self, sink: Option<Arc<FailingStorage>>) {
         self.sink = sink;
-        self.groups.lock().expect("write-group map lock").clear();
     }
 
     /// The directory this store lives in.
@@ -483,32 +473,11 @@ impl DurableDir {
         Ok(self.wal_path(entry.file_id, shard, epoch))
     }
 
-    /// Appends one insert record to `name`'s shard `shard` WAL. Returns
-    /// only after the bytes are on the write target — a `Ok` here *is* the
-    /// acknowledged-write guarantee.
-    ///
-    /// # Errors
-    /// Routing errors ([`DurableError::Format`]) and write failures; on a
-    /// write failure the log may hold a torn tail, which replay truncates.
-    pub fn append_insert(
-        &self,
-        name: &str,
-        shard: usize,
-        record: &WalRecord,
-    ) -> Result<(), DurableError> {
-        let path = self.wal_path_for(name, shard)?;
-        match &self.sink {
-            Some(sink) => sink.append(&path, &wal::encode_record(record))?,
-            None => {
-                wal::append(&path, record)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends a whole batch of insert records to `name`'s shard `shard`
-    /// WAL with **one** write and **one** sync — the group-commit batch
-    /// path. `Ok` means the entire group is durable; after a crash the log
+    /// Appends a group of insert records — one for a single insert, a
+    /// shard's whole slice of a batch — to `name`'s shard `shard` WAL with
+    /// **one** write and **one** sync. Returns only after the bytes are
+    /// synced on the write target: an `Ok` here *is* the acknowledged-write
+    /// guarantee for every record of the group; after a crash the log
     /// holds a prefix of the group in append order, never an interleaving.
     /// Returns the records made durable (the group size).
     ///
@@ -521,54 +490,12 @@ impl DurableDir {
         shard: usize,
         records: &[WalRecord],
     ) -> Result<u64, DurableError> {
-        if records.is_empty() {
-            return Ok(0);
-        }
         let path = self.wal_path_for(name, shard)?;
         match &self.sink {
-            Some(sink) => {
-                let bytes: Vec<u8> = records.iter().flat_map(wal::encode_record).collect();
-                sink.append(&path, &bytes)?;
-                let m = simq_obs::metrics::registry();
-                m.wal_appends
-                    .fetch_add(records.len() as u64, Ordering::Relaxed);
-                m.wal_syncs.fetch_add(1, Ordering::Relaxed);
-                m.wal_group_commits.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                wal::append_group(&path, records)?;
-            }
-        }
-        Ok(records.len() as u64)
-    }
-
-    /// Appends one insert record through the shard's [`WriteGroup`]:
-    /// concurrent submitters against the same shard coalesce into shared
-    /// syncs, and this returns — acknowledging the insert — only after the
-    /// flush covering the record has synced. Returns the realized commit
-    /// (group size ≥ 1).
-    ///
-    /// # Errors
-    /// Routing errors ([`DurableError::Format`]) and the I/O error of the
-    /// failed flush that covered this record.
-    pub fn append_insert_grouped(
-        &self,
-        name: &str,
-        shard: usize,
-        record: &WalRecord,
-    ) -> Result<crate::group::GroupCommit, DurableError> {
-        let path = self.wal_path_for(name, shard)?;
-        let group = {
-            let mut groups = self.groups.lock().expect("write-group map lock");
-            Arc::clone(groups.entry(path.clone()).or_insert_with(|| {
-                let sink = self.sink.clone();
-                Arc::new(WriteGroup::new(move |bytes: &[u8]| match &sink {
-                    Some(sink) => sink.append(&path, bytes),
-                    None => wal::append_raw(&path, bytes),
-                }))
-            }))
+            Some(sink) => wal::append_group_to(records, |bytes| sink.append(&path, bytes))?,
+            None => wal::append_group(&path, records)?,
         };
-        Ok(group.submit(std::slice::from_ref(record))?)
+        Ok(records.len() as u64)
     }
 
     /// Commits a checkpoint: writes every dirty shard under the next
@@ -649,9 +576,6 @@ impl DurableDir {
             // point, and only then may step 3 delete the old files.
             pages::write_atomic(&self.manifest_path(), &manifest_to_bytes(&manifest))?;
             self.manifest = manifest;
-            // Live WAL paths moved to the new epoch; write groups pinned
-            // to the old paths must not receive further submissions.
-            self.groups.lock().expect("write-group map lock").clear();
         }
         {
             let clean_span = simq_obs::span::span("checkpoint.clean");
@@ -735,15 +659,7 @@ impl DurableDir {
             }
             let mut relation = s.relation;
             let mut index = s.index;
-            self.replay_wal_into(
-                entry,
-                shard,
-                *epoch,
-                shard_count,
-                &mut relation,
-                index.as_mut(),
-                report,
-            )?;
+            self.replay_wal_into(entry, shard, &mut relation, index.as_mut(), report)?;
             shards.push((relation, index));
         }
 
@@ -777,18 +693,15 @@ impl DurableDir {
     }
 
     /// Replays (and repairs) one shard's WAL tail into its loaded store.
-    #[allow(clippy::too_many_arguments)]
     fn replay_wal_into(
         &self,
         entry: &ManifestEntry,
         shard: usize,
-        epoch: u64,
-        shard_count: usize,
         relation: &mut SeriesRelation,
         mut index: Option<&mut RTree>,
         report: &mut ReplayReport,
     ) -> Result<(), DurableError> {
-        let path = self.wal_path(entry.file_id, shard, epoch);
+        let path = self.wal_path(entry.file_id, shard, entry.shard_epochs[shard]);
         let replayed = wal::load(&path)?;
         if replayed.dropped_bytes > 0 {
             wal::truncate_to(&path, replayed.valid_len)?;
@@ -797,7 +710,7 @@ impl DurableDir {
             report.records_dropped += replayed.dropped_records as u64;
         }
         let layout = ShardLayout::Hash {
-            shards: shard_count,
+            shards: entry.shard_epochs.len(),
         };
         for rec in replayed.records {
             if entry.sharded && layout.shard_of(rec.id) != shard {
@@ -812,18 +725,15 @@ impl DurableDir {
                 report.records_already_applied += 1;
                 continue;
             }
+            let id = rec.id;
             relation
-                .insert_with_id(rec.id, rec.name, rec.series)
+                .apply_insert(rec, index.as_deref_mut())
                 .map_err(|e| {
                     DurableError::Format(format!(
-                        "relation {:?}: WAL record id {} fails to apply: {e}",
-                        entry.name, rec.id
+                        "relation {:?}: WAL record id {id} fails to apply: {e}",
+                        entry.name
                     ))
                 })?;
-            if let Some(tree) = index.as_deref_mut() {
-                let point = &relation.row(rec.id).expect("just inserted").features.point;
-                tree.insert_point(point, rec.id);
-            }
             report.records_applied += 1;
         }
         Ok(())
@@ -897,14 +807,14 @@ mod tests {
         let extra = sample_relation("x", 8);
         for row in extra.rows().skip(5) {
             store
-                .append_insert(
+                .append_insert_group(
                     "r",
                     0,
-                    &WalRecord {
+                    &[WalRecord {
                         id: row.id,
                         name: row.name.clone(),
                         series: row.raw.clone(),
-                    },
+                    }],
                 )
                 .unwrap();
         }

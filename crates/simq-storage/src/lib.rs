@@ -24,11 +24,9 @@
 //!   reduced-precision leading spectrum coefficients per relation/shard)
 //!   and [`FilterProbe`] (a no-false-dismissal lower bound on the
 //!   verification distance, scanned before full verification).
-//! * [`wal`] — checksummed, length-prefixed write-ahead-log records with
+//! * [`wal`] — checksummed, length-prefixed write-ahead-log records, the
+//!   grouped append (one write + one sync for a group of records),
 //!   longest-valid-prefix replay and torn-tail repair.
-//! * [`group`] — [`WriteGroup`]: leader/follower group commit coalescing
-//!   concurrent WAL appends into one write + one sync per batch, with
-//!   acknowledgment only after the group's sync returns.
 //! * [`durable`] — the durable directory store: per-shard checkpoint
 //!   files under an atomically committed manifest, WAL tails on top
 //!   (snapshot = checkpoint, WAL = tail), and the injectable
@@ -38,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod durable;
-pub mod group;
 pub mod pages;
 pub mod persist;
 pub mod relation;
@@ -52,7 +49,6 @@ pub use durable::{
     CheckpointReport, CheckpointSource, DurableDir, DurableError, FailingStorage, Manifest,
     ManifestEntry, ReplayReport,
 };
-pub use group::{GroupCommit, GroupSink, WriteGroup};
 pub use relation::{SeriesRelation, SeriesRow};
 pub use scan::{
     scan_all_pairs, scan_all_pairs_over, scan_all_pairs_two, scan_knn, scan_knn_over, scan_range,

@@ -11,6 +11,7 @@
 //! scan operates on.
 
 use crate::sig::SignatureArray;
+use crate::wal::WalRecord;
 use simq_dsp::complex::Complex;
 use simq_index::geom::Rect;
 use simq_index::{RTree, RTreeConfig};
@@ -205,6 +206,32 @@ impl SeriesRelation {
         }
         self.next_id = self.next_id.max(id + 1);
         Ok(id)
+    }
+
+    /// Applies one logged insert: the row under the record's id, then —
+    /// when the store is indexed — its feature point into `tree`
+    /// (incremental maintenance, no rebuild). Returns the tree nodes the
+    /// insert materialized (splits and root growth; 0 without a tree).
+    ///
+    /// This is the write side's one apply: the live commit, catalog-level
+    /// explicit-id inserts and WAL replay all call it, so replay applies
+    /// exactly what the live path applied.
+    ///
+    /// # Errors
+    /// As [`SeriesRelation::insert_with_id`]; nothing is applied on error.
+    pub fn apply_insert(
+        &mut self,
+        record: WalRecord,
+        tree: Option<&mut RTree>,
+    ) -> Result<u64, SeriesError> {
+        let id = self.insert_with_id(record.id, record.name, record.series)?;
+        let Some(tree) = tree else {
+            return Ok(0);
+        };
+        let before = tree.nodes_built();
+        let row = self.rows.last().expect("just inserted");
+        tree.insert_point(&row.features.point, id);
+        Ok(tree.nodes_built() - before)
     }
 
     /// Consumes the relation, returning its rows in insertion order (the

@@ -372,7 +372,11 @@ fn decode_relation_parts(r: &mut ByteReader<'_>) -> Result<RelationParts, Snapsh
     let row_count = usize_from(r.get_u64()?)?;
     // Each row costs at least id + name length + raw + stats on the wire.
     r.check_count(row_count, 8 + 4 + 8 * series_len.min(1) + 16)?;
-    r.check_count(series_len, 8)?;
+    // Bounds the per-row `series_len` allocation; an empty relation reads
+    // no series (and may be followed by fewer bytes than one would take).
+    if row_count > 0 {
+        r.check_count(series_len, 8)?;
+    }
     let mut rows = Vec::with_capacity(row_count);
     let mut ids = HashSet::with_capacity(row_count);
     for i in 0..row_count {

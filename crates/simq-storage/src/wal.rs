@@ -37,10 +37,11 @@
 //! be trusted to be crash-ordered. Replay never panics on any input.
 
 use crate::pages;
-use simq_index::serial::{ByteReader, ByteWriter};
+use simq_index::serial::ByteReader;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::atomic::Ordering::Relaxed;
 
 /// Bytes of framing before each payload: `len: u32` + `checksum: u64`.
 pub const RECORD_HEADER: usize = 4 + 8;
@@ -51,7 +52,7 @@ const TAG_INSERT: u8 = 1;
 const MAX_PAYLOAD: usize = 1 << 30;
 
 /// One logged operation: an insert acknowledged under a fixed row id.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WalRecord {
     /// Row id the insert was (or will be) acknowledged under.
     pub id: u64,
@@ -79,20 +80,36 @@ pub struct WalReplay {
 
 /// Encodes one record (framing + payload).
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(TAG_INSERT);
-    w.put_u64(rec.id);
-    w.put_str(&rec.name);
-    w.put_u32(rec.series.len() as u32);
-    for v in &rec.series {
-        w.put_f64(*v);
-    }
-    let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&pages::checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(encoded_len(rec));
+    encode_into(rec, &mut out);
     out
+}
+
+/// Exact encoded size of `rec`, so a record (or a whole group) is encoded
+/// into a buffer allocated once.
+fn encoded_len(rec: &WalRecord) -> usize {
+    RECORD_HEADER + 1 + 8 + 4 + rec.name.len() + 4 + 8 * rec.series.len()
+}
+
+/// Appends `rec`'s encoding to `out`: the payload is written in place
+/// behind a reserved header, which is filled in once the payload's length
+/// and checksum are known.
+fn encode_into(rec: &WalRecord, out: &mut Vec<u8>) {
+    let header = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER]);
+    out.push(TAG_INSERT);
+    out.extend_from_slice(&rec.id.to_le_bytes());
+    out.extend_from_slice(&(rec.name.len() as u32).to_le_bytes());
+    out.extend_from_slice(rec.name.as_bytes());
+    out.extend_from_slice(&(rec.series.len() as u32).to_le_bytes());
+    for v in &rec.series {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    let payload = header + RECORD_HEADER;
+    let len = (out.len() - payload) as u32;
+    let checksum = pages::checksum(&out[payload..]);
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..payload].copy_from_slice(&checksum.to_le_bytes());
 }
 
 /// Tries to decode one record at the start of `bytes`. Returns the record
@@ -161,13 +178,14 @@ pub fn replay(bytes: &[u8]) -> WalReplay {
 }
 
 /// Appends one encoded record to the log at `path` (creating the file if
-/// absent) and flushes it to the OS. Returns the number of bytes appended.
+/// absent) and flushes it to the OS — a group of one. Returns the number
+/// of bytes appended.
 ///
 /// # Errors
 /// I/O errors from the filesystem. On error the log may hold a torn tail;
 /// replay truncates it.
 pub fn append(path: &Path, rec: &WalRecord) -> io::Result<usize> {
-    append_encoded(path, &encode_record(rec), 1)
+    append_group(path, std::slice::from_ref(rec))
 }
 
 /// Appends a whole group of records with **one** write and **one** sync —
@@ -177,59 +195,57 @@ pub fn append(path: &Path, rec: &WalRecord) -> io::Result<usize> {
 /// atomically absent-or-present in append order. Returns the bytes
 /// appended. An empty group is a no-op (no write, no sync).
 ///
+/// The write is one `write_all` + one `sync_data` and — when this append
+/// *created* the log file — a parent directory fsync, because a brand-new
+/// file's directory entry is not durable until the directory itself is
+/// synced (an acknowledged insert could otherwise vanish with its whole
+/// log on power loss).
+///
 /// # Errors
 /// I/O errors from the filesystem. On error the log may hold a torn tail;
 /// replay truncates it.
 pub fn append_group(path: &Path, records: &[WalRecord]) -> io::Result<usize> {
+    append_group_to(records, |bytes| {
+        // Detecting creation via a metadata probe is race-free here: each
+        // log file has exactly one writer (the owning shard's commit).
+        let created = !path.exists();
+        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+        file.write_all(bytes)?;
+        file.sync_data()?;
+        if created {
+            pages::fsync_parent_dir(path)?;
+        }
+        Ok(())
+    })
+}
+
+/// [`append_group`] against an arbitrary write target: `write` receives the
+/// whole group's bytes once and must not return `Ok` before they are
+/// synced. The file path and the injectable [`crate::FailingStorage`] both
+/// commit through here, so both move the same process-wide WAL metrics
+/// (appends, syncs, flushed groups, sync latency).
+pub(crate) fn append_group_to(
+    records: &[WalRecord],
+    write: impl FnOnce(&[u8]) -> io::Result<()>,
+) -> io::Result<usize> {
     if records.is_empty() {
         return Ok(0);
     }
-    let bytes: Vec<u8> = records.iter().flat_map(encode_record).collect();
-    let written = append_encoded(path, &bytes, records.len() as u64)?;
-    simq_obs::metrics::registry()
-        .wal_group_commits
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    Ok(written)
-}
-
-/// Appends pre-encoded record bytes with one `write_all` + one `sync_data`
-/// and — when this append *created* the log file — a parent directory
-/// fsync, because a brand-new file's directory entry is not durable until
-/// the directory itself is synced (an acknowledged insert could otherwise
-/// vanish with its whole log on power loss). No metrics are recorded: the
-/// caller owns accounting (a [`crate::group::WriteGroup`] leader flushes
-/// for many writers and reports the realized group itself).
-///
-/// # Errors
-/// I/O errors from the filesystem.
-pub(crate) fn append_raw(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    // Detecting creation via a metadata probe is race-free here: each log
-    // file has exactly one writer (the owning shard's group).
-    let created = !path.exists();
-    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    file.write_all(bytes)?;
-    file.sync_data()?;
-    if created {
-        pages::fsync_parent_dir(path)?;
+    let mut bytes = Vec::with_capacity(records.iter().map(encoded_len).sum());
+    for rec in records {
+        encode_into(rec, &mut bytes);
     }
-    Ok(())
-}
-
-/// Shared tail of [`append`] / [`append_group`]: [`append_raw`] plus the
-/// process-wide WAL metrics (appends, syncs, sync latency).
-fn append_encoded(path: &Path, bytes: &[u8], record_count: u64) -> io::Result<usize> {
+    let record_count = records.len() as u64;
     let append_span = simq_obs::span::span("wal.append");
     let started = std::time::Instant::now();
-    append_raw(path, bytes)?;
+    write(&bytes)?;
     let sync_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let m = simq_obs::metrics::registry();
-    m.wal_appends
-        .fetch_add(record_count, std::sync::atomic::Ordering::Relaxed);
-    m.wal_syncs
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    m.wal_appends.fetch_add(record_count, Relaxed);
+    m.wal_syncs.fetch_add(1, Relaxed);
+    m.wal_group_commits.fetch_add(1, Relaxed);
     m.wal_sync_latency.record(sync_ns);
-    m.wal_last_sync_ns
-        .store(sync_ns, std::sync::atomic::Ordering::Relaxed);
+    m.wal_last_sync_ns.store(sync_ns, Relaxed);
     append_span.note("records", record_count);
     append_span.note("bytes", bytes.len() as u64);
     Ok(bytes.len())

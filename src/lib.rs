@@ -81,6 +81,6 @@ pub mod prelude {
         moving_average, normal_form, warp, FeatureScheme, Representation, SeriesTransform,
     };
     pub use simq_server::{RemoteInsertReport, RemoteResult, Server, ServerConfig};
-    pub use simq_storage::{scan_range, SeriesRelation, ShardLayout, ShardedRelation, WriteGroup};
+    pub use simq_storage::{scan_range, SeriesRelation, ShardLayout, ShardedRelation};
     pub use simq_strings::{levenshtein, rewrite_distance, RewriteBudget, RewriteRule, RuleSet};
 }

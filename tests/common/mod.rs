@@ -80,24 +80,12 @@ pub fn apply_env_wal(db: &mut Database) {
     }
 }
 
-/// Applies the `SIMQ_GROUP_COMMIT` environment variable (any non-empty
-/// value other than `0`) to a freshly built database: single-record
-/// inserts then route through per-shard write groups. CI runs the
-/// workspace suite an extra time with it on, so every insert-exercising
-/// test also covers the group-commit path without opting in.
-pub fn apply_env_group_commit(db: &mut Database) {
-    if std::env::var("SIMQ_GROUP_COMMIT").is_ok_and(|v| !v.is_empty() && v != "0") {
-        db.set_group_commit(true);
-    }
-}
-
 /// Registers one relation into a fresh database with a bulk-loaded index.
 pub fn indexed_db(rel: SeriesRelation) -> Database {
     let mut db = Database::new();
     db.add_relation_indexed(rel);
     apply_env_parallelism(&mut db);
     apply_env_wal(&mut db);
-    apply_env_group_commit(&mut db);
     db
 }
 
@@ -124,7 +112,6 @@ pub fn scheme_db(rep: Representation, stats: bool, indexed: bool) -> Database {
     }
     apply_env_parallelism(&mut d);
     apply_env_wal(&mut d);
-    apply_env_group_commit(&mut d);
     d
 }
 

@@ -62,7 +62,7 @@ fn query_matrix() -> Vec<String> {
 }
 
 /// A database over `series` with the given shard count (1 = unsharded),
-/// under the CI environment matrix (threads / WAL / group commit).
+/// under the CI environment matrix (threads / WAL).
 fn db_of(series: &[Vec<f64>], shards: usize) -> Database {
     let rel = relation_with(series, FeatureScheme::paper_default());
     let mut db = Database::new();
@@ -73,7 +73,6 @@ fn db_of(series: &[Vec<f64>], shards: usize) -> Database {
     }
     common::apply_env_parallelism(&mut db);
     common::apply_env_wal(&mut db);
-    common::apply_env_group_commit(&mut db);
     db
 }
 

@@ -7,10 +7,9 @@
 //! executed serially and at 4 threads against both databases.
 //!
 //! Also pinned here: the group-commit sync accounting (at most one sync
-//! per touched shard), the generation-stamped `ReadView` (readers see the
+//! per touched shard) and the generation-stamped `ReadView` (readers see the
 //! catalog exactly as of the generation they captured, no matter what
-//! writers do afterwards), and the `set_group_commit` routing of
-//! single-record inserts through per-shard write groups.
+//! writers do afterwards).
 
 mod common;
 
@@ -238,43 +237,6 @@ fn read_view_pins_a_catalog_generation() {
             assert_outputs_bitwise_equal(&before, &got, "concurrent reader on a frozen view");
         }
     });
-}
-
-/// `set_group_commit` routes single-record inserts through per-shard
-/// write groups without changing results or durability: inserts are
-/// applied identically and survive reopen.
-#[test]
-fn group_commit_flag_preserves_results_and_durability() {
-    let dir = unique_dir("flag");
-    let mut grouped = fresh_db(4, 1);
-    grouped.attach_wal(&dir).unwrap();
-    grouped.set_group_commit(true);
-    assert!(grouped.group_commit());
-    let mut plain = fresh_db(4, 1);
-    let mut expected = Vec::new();
-    for (name, series) in batch() {
-        let g = grouped.insert_into("r", &name, series.clone()).unwrap();
-        let p = plain.insert_into("r", &name, series.clone()).unwrap();
-        assert_eq!(g.id, p.id);
-        assert_eq!(g.shard, p.shard);
-        assert_eq!(g.nodes_built, p.nodes_built);
-        assert!(g.wal_appended);
-        expected.push((g.id, name, series));
-    }
-    assert_databases_bitwise_equal(&mut grouped, &mut plain, "group-commit flag");
-    drop(grouped);
-    let (reopened, _replay) = Database::open_durable(&dir).unwrap();
-    let stored = reopened.relation("r").unwrap();
-    for (id, name, series) in &expected {
-        let row = stored
-            .row(*id)
-            .unwrap_or_else(|| panic!("grouped id {id} lost"));
-        assert_eq!(&row.name, name);
-        for (a, b) in row.raw.iter().zip(series) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A batch whose WAL group append fails still consumes its ids — in the

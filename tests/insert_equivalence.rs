@@ -10,6 +10,12 @@
 //! splits vs STR packing); only the sorted query outputs are contractually
 //! equal.
 //!
+//! The write path itself is one path: rows grown by live `insert_into`
+//! calls, the same rows through one `insert_batch`, and the same rows
+//! replayed from the log alone hold bitwise-equal rows and byte-equal
+//! per-shard trees, and the log `insert_into` writes is the plain
+//! concatenation of `wal::encode_record`.
+//!
 //! The companion property pins *incrementality* itself: each insert's
 //! [`InsertReport::nodes_built`] — the number of freshly materialized
 //! arena nodes — stays bounded by the split chain (root growth + one
@@ -23,6 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use similarity_queries::prelude::*;
 use similarity_queries::query::execute;
+use similarity_queries::storage::wal::{encode_record, WalRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const SERIES_LEN: usize = 32;
@@ -182,4 +189,96 @@ fn per_insert_node_cost_is_bounded_rebuild_is_not() {
         "rebuild materialized {} nodes, worst insert {max_delta}",
         rebuilt.nodes_built()
     );
+}
+
+/// Single insert, batch insert and WAL replay share one WAL-then-apply
+/// core, so for 1 and 4 shards they build the same relation bit for bit —
+/// rows, derived features and the serialized per-shard R*-trees — the
+/// third leg recovered by `open_durable` from an empty checkpoint plus the
+/// log alone. The log `k` single inserts write is, per shard file, exactly
+/// the concatenation of `wal::encode_record` of the records routed there
+/// (one group of one per insert adds no framing).
+#[test]
+fn live_batched_and_replayed_inserts_build_identical_rows_and_trees() {
+    let series = corpus(91, 60, SERIES_LEN);
+    let rows = || {
+        series
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (format!("S{i}"), s.clone()))
+    };
+    for shards in [1usize, 4] {
+        let empty_db = || {
+            let mut db = Database::new();
+            db.add_relation(SeriesRelation::new(
+                "r",
+                SERIES_LEN,
+                FeatureScheme::paper_default(),
+            ));
+            db.shard_relation("r", shards).unwrap();
+            db
+        };
+        let dir = unique_snapshot_path().with_extension("wal-dir");
+        let mut live = empty_db();
+        live.attach_wal(&dir).unwrap();
+        for (name, s) in rows() {
+            live.insert_into("r", name, s).unwrap();
+        }
+        let mut batched = empty_db();
+        let report = batched.insert_batch("r", rows().collect()).unwrap();
+        assert_eq!(report.acked.len(), series.len());
+
+        for shard in 0..shards {
+            let expected: Vec<u8> = rows()
+                .enumerate()
+                .filter(|(id, _)| id % shards == shard)
+                .flat_map(|(id, (name, series))| {
+                    encode_record(&WalRecord {
+                        id: id as u64,
+                        name,
+                        series,
+                    })
+                })
+                .collect();
+            let log = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .find(|p| {
+                    let name = p.file_name().unwrap().to_str().unwrap();
+                    name.contains(&format!(".s{shard}.")) && name.ends_with(".wal")
+                })
+                .expect("every shard took rows, so every shard has a log");
+            assert_eq!(
+                std::fs::read(log).unwrap(),
+                expected,
+                "shards {shards}: log bytes of shard {shard}"
+            );
+        }
+
+        let (recovered, replay) = Database::open_durable(&dir).unwrap();
+        assert_eq!(replay.records_applied, series.len() as u64);
+        std::fs::remove_dir_all(&dir).ok();
+        let want = live.relation("r").unwrap();
+        for (what, db) in [("batched", &batched), ("replayed", &recovered)] {
+            let got = db.relation("r").unwrap();
+            assert_eq!(got.next_id(), want.next_id(), "shards {shards}: {what}");
+            assert_eq!(got.shard_count(), shards, "shards {shards}: {what}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (g, w) in got.rows().zip(want.rows()) {
+                let what = format!("shards {shards}: {what} row {}", w.id);
+                assert_eq!((g.id, &g.name), (w.id, &w.name), "{what}");
+                assert_eq!(bits(&g.raw), bits(&w.raw), "{what}");
+                assert_eq!(bits(&g.features.point), bits(&w.features.point), "{what}");
+            }
+            assert_eq!(got.row_count(), want.row_count(), "shards {shards}: {what}");
+            for (shard, (g, w)) in got.trees().iter().zip(want.trees()).enumerate() {
+                assert_eq!(
+                    similarity_queries::index::serial::to_bytes(g),
+                    similarity_queries::index::serial::to_bytes(w),
+                    "shards {shards}: {what} tree of shard {shard}"
+                );
+            }
+            assert_eq!(got.trees().len(), shards, "shards {shards}: {what}");
+        }
+    }
 }

@@ -300,3 +300,32 @@ fn open_snapshot_preserves_tree_structure_not_rebuilds() {
     // incremental original instead.
     assert_eq!(serial::to_bytes(back), inc_bytes);
 }
+
+/// A relation handed out mutably is all-dirty until its next checkpoint,
+/// and a durable insert in between must not narrow that to the one shard
+/// it touched: rows put into the other shards behind the write path's back
+/// would be left out of an explicitly requested, successful checkpoint.
+#[test]
+fn an_insert_does_not_narrow_an_all_dirty_relation() {
+    let series = corpus(31, 17, 32);
+    let mut db = Database::new();
+    db.add_relation_sharded(
+        relation_with(&series[..8], FeatureScheme::paper_default()),
+        4,
+    );
+    let dir = std::env::temp_dir().join(format!("simq-all-dirty-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    db.attach_wal(&dir).unwrap();
+    let stored = db.relation_mut("r").unwrap();
+    for (i, s) in series[8..16].iter().enumerate() {
+        stored.insert(format!("X{i}"), s.clone()).unwrap();
+    }
+    db.insert_into("r", "logged", series[16].clone()).unwrap();
+    let status = db.wal_status().unwrap();
+    assert_eq!(status.dirty_shards, status.total_shards);
+    assert_eq!(db.checkpoint().unwrap().shards_written, 4);
+    drop(db);
+    let (reopened, _) = Database::open_durable(&dir).unwrap();
+    assert_eq!(reopened.relation("r").unwrap().row_count(), 17);
+    std::fs::remove_dir_all(&dir).ok();
+}

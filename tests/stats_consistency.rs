@@ -194,3 +194,48 @@ fn serial_counters_match_the_recorded_golden() {
     }
     assert_eq!(actual.lines().count(), golden.lines().count());
 }
+
+/// The WAL counters mean the same on both write targets: against real
+/// files and through the injectable in-memory `FailingStorage` (what the
+/// `logged_ingest` benchmark logs to), `n` single inserts followed by one
+/// `b`-row batch over `s` touched shards move `wal.appends` by `n + b` and
+/// `wal.syncs` / `wal.group_commits` (one flush each) by `n + s`. No other
+/// test of this binary writes a log, so the process-wide deltas are exact.
+#[test]
+fn wal_counters_move_alike_on_files_and_on_the_injected_sink() {
+    use similarity_queries::storage::FailingStorage;
+    use std::sync::atomic::Ordering::Relaxed;
+    let m = similarity_queries::obs::metrics::registry();
+    let series = corpus(11, 40, 64);
+    let (base, rest) = series.split_at(20);
+    let (singles, batch) = rest.split_at(3);
+    for sink in [false, true] {
+        let dir =
+            std::env::temp_dir().join(format!("simq-stats-wal-{}-{sink}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut db = db_over(base, 4, 1);
+        if sink {
+            db.attach_wal_with_sink(&dir, FailingStorage::new(u64::MAX))
+                .unwrap();
+        } else {
+            db.attach_wal(&dir).unwrap();
+        }
+        let counters =
+            || [&m.wal_appends, &m.wal_syncs, &m.wal_group_commits].map(|c| c.load(Relaxed));
+        let before = counters();
+        for (i, s) in singles.iter().enumerate() {
+            db.insert_into("r", format!("N{i}"), s.clone()).unwrap();
+        }
+        let rows = batch
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (format!("B{i}"), s.clone()))
+            .collect();
+        let report = db.insert_batch("r", rows).unwrap();
+        assert_eq!(report.shards_touched, 4, "sink {sink}");
+        let (n, b, s) = (singles.len() as u64, batch.len() as u64, 4);
+        let moved: Vec<u64> = counters().iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(moved, [n + b, n + s, n + s], "sink {sink}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
