@@ -1,5 +1,6 @@
 //! `repro` — regenerates every figure and table of the paper's evaluation
-//! (Section 5) plus the ablations documented in DESIGN.md.
+//! (Section 5) plus ablations of the design choices ARCHITECTURE.md
+//! describes (indexed coefficients, representation, tree construction).
 //!
 //! ```sh
 //! cargo run --release -p simq-bench --bin repro            # everything
@@ -13,7 +14,7 @@
 
 use simq_bench::{header, indexed_db, ms, row, stock_relation, time_mean, walk_relation};
 use simq_dsp::euclidean;
-use simq_query::{execute, Database, QueryOutput};
+use simq_query::{execute, AccessPath, Database, QueryOutput};
 use simq_series::features::{FeatureScheme, Representation};
 use simq_series::{moving_average, normal_form};
 use std::time::Duration;
@@ -557,10 +558,16 @@ fn ablation_rep(quick: bool) {
                 &format!("FIND SIMILAR TO ROW 0 IN r USING {t} ON BOTH EPSILON 2.0"),
             )
             .unwrap();
+            // A range query plans one of two paths.
+            let path = if r.plan.access == AccessPath::IndexScan {
+                "IndexScan"
+            } else {
+                "SeqScan"
+            };
             row(&[
                 name.to_string(),
                 t.to_string(),
-                format!("{:?}", r.plan.access),
+                path.to_string(),
                 r.stats.candidates.to_string(),
             ]);
         }

@@ -1,8 +1,9 @@
-//! # simq-bench — shared fixtures for benchmarks and reproduction
+//! # simq-bench — shared fixtures for the paper reproduction
 //!
-//! Corpus builders, query workloads and measurement helpers used by both
-//! the Criterion benches (`benches/`) and the `repro` binary that prints
-//! every figure and table of the paper's evaluation (Section 5).
+//! Corpus builders and measurement helpers used by the `repro` binary
+//! that prints every figure and table of the paper's evaluation
+//! (Section 5). Engine performance is measured elsewhere, by the `bench/`
+//! package that `BENCHMARK.json` declares.
 //!
 //! All fixtures are seeded and deterministic; building the same experiment
 //! twice produces identical corpora, queries and answer sets.
@@ -14,8 +15,6 @@ use simq_query::Database;
 use simq_series::features::FeatureScheme;
 use simq_storage::SeriesRelation;
 use std::time::{Duration, Instant};
-
-pub mod report;
 
 /// Default seed for every experiment corpus.
 pub const SEED: u64 = 19970513; // the paper's SIGMOD'97 presentation month
@@ -38,7 +37,7 @@ pub fn walk_relation(name: &str, rows: usize, len: usize) -> SeriesRelation {
 }
 
 /// Builds the paper-sized simulated stock relation (1,067 × 128 by
-/// default; smaller sizes for quick benches).
+/// default; smaller under `repro quick`).
 pub fn stock_relation(name: &str, stocks: usize, days: usize) -> SeriesRelation {
     let market = StockMarket::generate(
         &simq_data::MarketConfig {

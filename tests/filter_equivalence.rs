@@ -79,6 +79,11 @@ fn db_of(series: &[Vec<f64>], shards: usize) -> Database {
 /// Runs `q` with the filter on and off, asserts bitwise-identical
 /// outputs, and returns the filtered run's dismissal count. The
 /// unfiltered run must report zero dismissals by definition.
+///
+/// An indexed kNN ranks rows by the whole signature bound whichever way
+/// the toggle stands, so there the toggle must not move *work* either:
+/// every counter is identical. (Serial plans only — a parallel kNN's
+/// counters follow the schedule, its answers never do.)
 fn assert_filter_transparent(db: &mut Database, q: &str, what: &str) -> u64 {
     db.set_filter(true);
     let filtered = execute(db, q).expect("filtered query runs");
@@ -87,6 +92,15 @@ fn assert_filter_transparent(db: &mut Database, q: &str, what: &str) -> u64 {
     db.set_filter(true);
     assert_eq!(unfiltered.stats.filtered_out, 0, "{what}: {q}");
     assert_outputs_bitwise_equal(&filtered, &unfiltered, &format!("{what}: {q}"));
+    if q.contains(" NEAREST ")
+        && filtered.plan.access == AccessPath::IndexScan
+        && filtered.plan.threads == 1
+    {
+        assert_eq!(
+            filtered.stats, unfiltered.stats,
+            "{what}: the toggle moved indexed-kNN work: {q}"
+        );
+    }
     filtered.stats.filtered_out
 }
 

@@ -157,7 +157,7 @@ proptest! {
 /// 800-row tree one insert at a time materializes a small bounded number
 /// of nodes per insert, while each from-scratch rebuild re-materializes
 /// the whole arena. This is the "demonstrably skips the full rebuild"
-/// acceptance check, mirrored by the `insert_maintenance` bench.
+/// acceptance check.
 #[test]
 fn per_insert_node_cost_is_bounded_rebuild_is_not() {
     let series = corpus(77, 800, SERIES_LEN);

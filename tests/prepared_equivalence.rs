@@ -169,7 +169,7 @@ proptest! {
     }
 }
 
-/// (c) On the Figure 9 corpus (random walks, as in the fig9 bench), a
+/// (c) On the Figure 9 corpus (random walks, as in `repro fig9`), a
 /// cursor consumed for only a handful of hits descends strictly fewer
 /// index nodes than the full execution — and stops growing once dropped.
 #[test]
