@@ -418,12 +418,6 @@ pub struct Database {
     generation: u64,
     /// The durable write path, when a WAL directory is attached.
     durability: Option<Durability>,
-    /// Inverted filter-tier switch (`false` = filter on, the default):
-    /// when on, executors consult the quantized signature tier to dismiss
-    /// candidates before full verification. Results are identical either
-    /// way — the off position exists for baselines and the equivalence
-    /// suite.
-    filter_off: bool,
 }
 
 impl Database {
@@ -1011,23 +1005,6 @@ impl Database {
         Ok(report)
     }
 
-    /// Whether index-served queries consult the quantized filter tier
-    /// before full verification (on by default). The answer set is
-    /// identical either way — the tier only dismisses candidates whose
-    /// signature lower bound already exceeds the query threshold.
-    pub fn filter_enabled(&self) -> bool {
-        !self.filter_off
-    }
-
-    /// Turns the quantized filter tier on or off for subsequent queries
-    /// (off = verify every candidate, the pre-filter baseline). The
-    /// toggle governs *dismissal* — by range verification, the probe join
-    /// and the kNN scan: an indexed kNN ranks rows by their whole signature
-    /// bound either way.
-    pub fn set_filter(&mut self, on: bool) {
-        self.filter_off = !on;
-    }
-
     /// An immutable, generation-stamped view of the catalog for readers.
     ///
     /// The view shallow-copies the relation map (per-relation [`Arc`]
@@ -1043,7 +1020,6 @@ impl Database {
                 parallelism: self.parallelism,
                 generation: self.generation,
                 durability: None,
-                filter_off: self.filter_off,
             },
         }
     }

@@ -44,9 +44,9 @@ pub struct ExecStats {
     /// Candidates produced by the filter step.
     pub candidates: u64,
     /// Candidates dismissed by the quantized signature tier before their
-    /// full spectrum was touched (always 0 with the filter off — and the
-    /// answer set is identical either way, by the no-false-dismissal
-    /// bound).
+    /// full spectrum was touched — rows the exact distance would have
+    /// rejected too, by the no-false-dismissal bound. Always 0 on the
+    /// tier-free paths (range scans, scan joins).
     pub filtered_out: u64,
     /// Candidates that survived exact verification.
     pub verified: u64,
@@ -277,15 +277,7 @@ pub fn run_with_plan(
                 .relation(relation)
                 .ok_or_else(|| QueryError::UnknownRelation(relation.clone()))?;
             let ctx = resolve_query(stored, source, transform, *on_both)?;
-            let result = range(
-                stored,
-                transform,
-                ctx,
-                *eps,
-                *stats_window,
-                &the_plan,
-                db.filter_enabled(),
-            )?;
+            let result = range(stored, transform, ctx, *eps, *stats_window, &the_plan)?;
             note_query_metrics(&result);
             Ok(result)
         }
@@ -301,14 +293,7 @@ pub fn run_with_plan(
                 .relation(relation)
                 .ok_or_else(|| QueryError::UnknownRelation(relation.clone()))?;
             let ctx = resolve_query(stored, source, transform, *on_both)?;
-            let result = knn(
-                stored,
-                transform,
-                ctx.spectrum,
-                *k,
-                &the_plan,
-                db.filter_enabled(),
-            )?;
+            let result = knn(stored, transform, ctx.spectrum, *k, &the_plan)?;
             note_query_metrics(&result);
             Ok(result)
         }
@@ -322,7 +307,7 @@ pub fn run_with_plan(
             let stored = db
                 .relation(relation)
                 .ok_or_else(|| QueryError::UnknownRelation(relation.clone()))?;
-            let result = all_pairs(stored, left, right, *eps, &the_plan, db.filter_enabled())?;
+            let result = all_pairs(stored, left, right, *eps, &the_plan)?;
             note_query_metrics(&result);
             Ok(result)
         }
@@ -468,7 +453,6 @@ fn range(
     eps: f64,
     window: StatsWindow,
     the_plan: &Plan,
-    filter: bool,
 ) -> Result<QueryResult, QueryError> {
     let threads = the_plan.threads.max(1);
     let mut ledger = Ledger::new(stored, threads);
@@ -476,7 +460,7 @@ fn range(
 
     let mut hits: Vec<Hit> = match the_plan.access {
         AccessPath::IndexScan => {
-            let verifier = verifier.with_filter(filter);
+            let verifier = verifier.with_probe();
             let rect = verifier.search_rect()?;
             let lowered = transform.lower(stored.scheme(), stored.series_len())?;
             // One descent over the relation's forest of trees: every
@@ -543,7 +527,6 @@ fn knn(
     q_spec: Vec<Complex>,
     k: usize,
     the_plan: &Plan,
-    filter: bool,
 ) -> Result<QueryResult, QueryError> {
     let threads = the_plan.threads.max(1);
     let mut ledger = Ledger::new(stored, threads);
@@ -567,7 +550,7 @@ fn knn(
         AccessPath::SeqScan { .. } => {
             let scan_span = span::span("scan");
             let (scan_hits, s) =
-                scan::scan_knn_over(stored.stores(), transform, &q_spec, k, threads, filter)?;
+                scan::scan_knn_over(stored.stores(), transform, &q_spec, k, threads)?;
             ledger.scan(&s);
             ledger.stats.candidates = ledger.stats.rows_scanned;
             scan_span.note("rows", ledger.stats.rows_scanned);
@@ -593,7 +576,6 @@ fn all_pairs(
     right: &SeriesTransform,
     eps: f64,
     the_plan: &Plan,
-    filter: bool,
 ) -> Result<QueryResult, QueryError> {
     let n = stored.series_len();
     let threads = the_plan.threads.max(1);
@@ -660,7 +642,7 @@ fn all_pairs(
                 // verification step, so each probe row gets its own
                 // quantized-tier bound against ε — recompiled in place.
                 let mut probe_spec = vec![Complex::ZERO; n];
-                let mut row_probe = compile_probe(stored, filter, &probe_spec, &action.multipliers);
+                let mut row_probe = compile_probe(stored, &probe_spec, &action.multipliers);
                 for row in rows {
                     probe_spec.clear();
                     probe_spec.push(row.features.spectrum[0]);
@@ -672,9 +654,7 @@ fn all_pairs(
                     );
                     let probe_point = scheme.point_from_spectrum(0.0, 0.0, &probe_spec)?;
                     let rect = scheme.search_rect(&probe_point, pad(eps));
-                    if let Some(p) = row_probe.as_mut() {
-                        p.recompile(&probe_spec);
-                    }
+                    row_probe.recompile(&probe_spec);
                     for tree in stored.trees() {
                         let (candidates, s) = tree.range_transformed(&lowered, &rect);
                         stats.add_search(&s);
@@ -684,11 +664,10 @@ fn all_pairs(
                             if id == row.id || (symmetric && id < row.id) {
                                 continue;
                             }
-                            if let (Some(p), Some(sig)) = (&row_probe, stored.signature(id)) {
-                                if p.dismisses(sig, eps * eps) {
-                                    stats.filtered_out += 1;
-                                    continue;
-                                }
+                            let sig = stored.signature(id);
+                            if sig.is_some_and(|sig| row_probe.dismisses(sig, eps * eps)) {
+                                stats.filtered_out += 1;
+                                continue;
                             }
                             let other = stored.row(id).expect("index ids are valid");
                             let (d_sq, abandoned) = transformed_distance_sq(
@@ -927,56 +906,6 @@ pub(crate) mod tests {
             execute(&db, "FIND SIMILAR TO NAME missing IN stocks EPSILON 1"),
             Err(QueryError::UnknownRow(_))
         ));
-    }
-
-    #[test]
-    fn parallel_execution_equals_serial_for_every_access_path() {
-        use crate::catalog::Parallelism;
-        let mut db = make_db(80, true);
-        let queries = [
-            "FIND SIMILAR TO ROW 5 IN stocks EPSILON 3.0",
-            "FIND SIMILAR TO ROW 5 IN stocks EPSILON 3.0 FORCE SCAN",
-            "FIND SIMILAR TO ROW 3 IN stocks USING mavg(8) ON BOTH EPSILON 2.0",
-            "FIND 7 NEAREST TO ROW 10 IN stocks",
-            "FIND 7 NEAREST TO ROW 10 IN stocks FORCE SCAN",
-            "FIND PAIRS IN stocks USING mavg(8) EPSILON 1.5 METHOD b",
-            "FIND PAIRS IN stocks USING mavg(8) EPSILON 1.5 METHOD d",
-        ];
-        for q in queries {
-            db.set_parallelism(Parallelism::Serial);
-            let serial = execute(&db, q).unwrap();
-            assert_eq!(serial.stats.threads_used, 1, "{q}");
-            assert!(serial.per_thread.is_empty(), "{q}");
-            for threads in [2, 4] {
-                db.set_parallelism(Parallelism::Fixed(threads));
-                let par = execute(&db, q).unwrap();
-                // threads_used reports actual fan-out, which a degraded
-                // parallel plan may cap below the configured count.
-                assert!(
-                    (1..=threads as u64).contains(&par.stats.threads_used),
-                    "{q}: threads_used {}",
-                    par.stats.threads_used
-                );
-                match (&serial.output, &par.output) {
-                    (QueryOutput::Hits(a), QueryOutput::Hits(b)) => {
-                        assert_eq!(a.len(), b.len(), "{q} threads {threads}");
-                        for (x, y) in a.iter().zip(b) {
-                            assert_eq!(x.id, y.id, "{q} threads {threads}");
-                            assert_eq!(x.name, y.name);
-                            assert_eq!(x.distance.to_bits(), y.distance.to_bits());
-                        }
-                    }
-                    (QueryOutput::Pairs(a), QueryOutput::Pairs(b)) => {
-                        assert_eq!(a.len(), b.len(), "{q} threads {threads}");
-                        for (x, y) in a.iter().zip(b) {
-                            assert_eq!((x.a, x.b), (y.a, y.b), "{q} threads {threads}");
-                            assert_eq!(x.distance.to_bits(), y.distance.to_bits());
-                        }
-                    }
-                    other => panic!("mismatched outputs for {q}: {other:?}"),
-                }
-            }
-        }
     }
 
     #[test]

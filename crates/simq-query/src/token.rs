@@ -162,6 +162,15 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, QueryError> {
                     offset: start,
                     message: format!("malformed number {text:?}"),
                 })?;
+                // `1e400` parses — to infinity. No slot of the language
+                // takes a non-finite constant (a bound `?` rejects one
+                // too), so it stops here rather than in a kernel.
+                if !value.is_finite() {
+                    return Err(QueryError::Lex {
+                        offset: start,
+                        message: format!("number out of range {text:?}"),
+                    });
+                }
                 out.push(Spanned {
                     token: Token::Number(value),
                     offset: start,
@@ -220,6 +229,19 @@ mod tests {
     fn numbers_with_exponents() {
         assert_eq!(words("1e3"), vec![Token::Number(1000.0)]);
         assert_eq!(words("-2.5E-2"), vec![Token::Number(-0.025)]);
+    }
+
+    #[test]
+    fn numbers_that_overflow_to_infinity_are_out_of_range() {
+        for text in ["EPSILON 1e400", "shift(-1e400)", "[1, 1e309]"] {
+            match tokenize(text).unwrap_err() {
+                QueryError::Lex { message, .. } => {
+                    assert!(message.contains("number out of range"), "{message}")
+                }
+                other => panic!("wrong error {other:?}"),
+            }
+        }
+        assert_eq!(words("1e308"), vec![Token::Number(1e308)]);
     }
 
     #[test]

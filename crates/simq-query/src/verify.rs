@@ -48,17 +48,15 @@ pub(crate) fn shards_touched(stored: &StoredRelation) -> u64 {
     }
 }
 
-/// The quantized-tier probe of one verification stage, when the filter is
-/// on: the signature bound mirrored as far as the relation's measured
-/// symmetry allows.
+/// The quantized-tier probe of one verification stage: the signature
+/// bound mirrored as far as the relation's measured symmetry allows.
 pub(crate) fn compile_probe(
     stored: &StoredRelation,
-    filter: bool,
     q_spec: &[Complex],
     multipliers: &[Complex],
-) -> Option<FilterProbe> {
+) -> FilterProbe {
     let (coeffs, slack) = (stored.sig_coeffs(), scan::mirror_slack(stored.stores()));
-    filter.then(|| FilterProbe::mirrored(q_spec, multipliers, coeffs, slack))
+    FilterProbe::mirrored(q_spec, multipliers, coeffs, slack)
 }
 
 /// The range verifier: everything one range query needs to decide a
@@ -97,18 +95,17 @@ impl<'db> RangeVerifier<'db> {
     }
 
     /// Puts the quantized signature tier ahead of the exact distance (the
-    /// index paths, when the database's filter is on): one probe per
-    /// query, one flat-array lookup per candidate. Dismissal needs
-    /// `lb² > ε²`, which (the bound being a true lower bound) implies the
-    /// exact distance also exceeds ε — the candidate could never have
-    /// become a hit.
-    pub(crate) fn with_filter(mut self, filter: bool) -> Self {
-        self.probe = compile_probe(
+    /// index paths; the scan paths read every row anyway and stay
+    /// tier-free): one probe per query, one flat-array lookup per
+    /// candidate. Dismissal needs `lb² > ε²`, which (the bound being a
+    /// true lower bound) implies the exact distance also exceeds ε — the
+    /// candidate could never have become a hit.
+    pub(crate) fn with_probe(mut self) -> Self {
+        self.probe = Some(compile_probe(
             self.stored,
-            filter,
             &self.ctx.spectrum,
             &self.action.multipliers,
-        );
+        ));
         self
     }
 

@@ -39,6 +39,9 @@ pub enum SeriesError {
     /// A transformation is not safe for the requested representation
     /// (Theorems 2 and 3 of the paper).
     UnsafeTransformation(&'static str),
+    /// A transformation's constants overflow: its action on the mean, the
+    /// standard deviation or a spectrum coefficient is not a finite number.
+    NonFiniteTransformation,
     /// A row id is already present in the relation (explicit-id inserts on
     /// the persistence restore path).
     DuplicateRowId(u64),
@@ -72,6 +75,12 @@ impl fmt::Display for SeriesError {
             }
             SeriesError::UnsafeTransformation(why) => {
                 write!(f, "transformation is not safe: {why}")
+            }
+            SeriesError::NonFiniteTransformation => {
+                write!(
+                    f,
+                    "transformation constants overflow: its action is not finite"
+                )
             }
             SeriesError::DuplicateRowId(id) => {
                 write!(f, "row id {id} already exists in the relation")

@@ -131,8 +131,26 @@ impl SeriesTransform {
     /// length `n`, producing multipliers for frequencies `1..=count`.
     ///
     /// # Errors
-    /// Domain errors of the underlying coefficient constructions.
+    /// Domain errors of the underlying coefficient constructions;
+    /// [`SeriesError::ZeroVariance`] for a zero `scale` factor anywhere in
+    /// a chain (the scaled series is constant and has no normal form);
+    /// [`SeriesError::NonFiniteTransformation`] when the composed action
+    /// overflows — every kernel and index bound downstream assumes finite
+    /// coefficients.
     pub fn action(&self, n: usize, count: usize) -> Result<NormalFormAction, SeriesError> {
+        let action = self.compose(n, count)?;
+        let finite = [action.mean_scale, action.mean_shift, action.std_scale]
+            .iter()
+            .all(|v| v.is_finite())
+            && action.multipliers.iter().all(|m| m.is_finite());
+        finite
+            .then_some(action)
+            .ok_or(SeriesError::NonFiniteTransformation)
+    }
+
+    /// [`action`](Self::action) before the finiteness check (chains
+    /// compose their steps here, so the check runs once, on the result).
+    fn compose(&self, n: usize, count: usize) -> Result<NormalFormAction, SeriesError> {
         let identity = || NormalFormAction {
             mean_scale: 1.0,
             mean_shift: 0.0,
@@ -168,6 +186,7 @@ impl SeriesTransform {
                 mean_shift: *c,
                 ..identity()
             }),
+            SeriesTransform::Scale(k) if *k == 0.0 => Err(SeriesError::ZeroVariance),
             SeriesTransform::Scale(k) => Ok(NormalFormAction {
                 mean_scale: *k,
                 std_scale: k.abs(),
@@ -184,7 +203,7 @@ impl SeriesTransform {
             SeriesTransform::Chain(ts) => {
                 let mut acc = identity();
                 for t in ts {
-                    let next = t.action(n, count)?;
+                    let next = t.compose(n, count)?;
                     acc.mean_shift = next.mean_scale * acc.mean_shift + next.mean_shift;
                     acc.mean_scale *= next.mean_scale;
                     acc.std_scale *= next.std_scale;
@@ -350,6 +369,39 @@ mod tests {
         assert_eq!(a.mean_scale, -3.0);
         assert_eq!(a.std_scale, 3.0);
         assert!(a.multipliers[0].approx_eq(Complex::real(-1.0), 0.0));
+    }
+
+    #[test]
+    fn zero_scale_and_overflowing_constants_are_errors_not_actions() {
+        use SeriesTransform::{Chain, Scale, Shift, WeightedMovingAverage};
+        // `0.0.signum()` is 1 and `(-0.0).signum()` is −1: without the
+        // check these meant "identity" and "reverse".
+        for zero in [0.0, -0.0] {
+            let chained = Chain(vec![Shift(1.0), Scale(zero)]);
+            for t in [Scale(zero), chained] {
+                assert_eq!(t.action(32, 3).unwrap_err(), SeriesError::ZeroVariance);
+            }
+        }
+        let wmavg = |a, b| WeightedMovingAverage {
+            weights: vec![a, b],
+        };
+        for t in [
+            Shift(f64::INFINITY),
+            Chain(vec![Scale(1e308), Scale(1e308)]),
+            Chain(vec![Shift(1e308), Scale(100.0)]),
+            wmavg(1e308, 1e308),
+            wmavg(1e308, -1e308),
+        ] {
+            assert_eq!(
+                t.action(32, 31).unwrap_err(),
+                SeriesError::NonFiniteTransformation,
+                "{}",
+                t.name()
+            );
+        }
+        assert!(Chain(vec![Scale(1e150), Scale(-1e150)])
+            .action(32, 3)
+            .is_ok());
     }
 
     #[test]

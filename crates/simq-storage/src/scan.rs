@@ -561,9 +561,9 @@ pub fn scan_knn(
 /// provably outside its local top-`k` (ties included); the `k`-th best
 /// distance any worker has seen is published to a shared atomic bound,
 /// letting *every* worker abandon a row as soon as its partial sum
-/// provably exceeds the global `k`-th best — with `filter`, before its
-/// spectrum is read at all, when the signature bound ([`FilterProbe`],
-/// the one the index paths rank and dismiss by) already does. Rows
+/// provably exceeds the global `k`-th best — before its spectrum is read
+/// at all, when the signature bound ([`FilterProbe`], the one the index
+/// paths rank and dismiss by) already does. Rows
 /// abandoned either way are strictly worse than `k` already-found rows, so
 /// the merged, `(distance, id)`-sorted, truncated result equals the
 /// full-distance [`scan_knn`] exactly — while comparing far fewer
@@ -577,14 +577,12 @@ pub fn scan_knn_over(
     query_spectrum: &[Complex],
     k: usize,
     threads: usize,
-    filter: bool,
 ) -> Result<(Vec<ScanHit>, ScanFanStats), SeriesError> {
     let spans = spans(stores, threads);
     let n = series_len_of(stores);
     let action = transform.action(n, n.saturating_sub(1))?;
     let (coeffs, slack) = (n.min(SIG_COEFFS), mirror_slack(stores));
-    let probe =
-        filter.then(|| FilterProbe::mirrored(query_spectrum, &action.multipliers, coeffs, slack));
+    let probe = FilterProbe::mirrored(query_spectrum, &action.multipliers, coeffs, slack);
     // Shared upper bound on the k-th smallest squared distance (monotone
     // decreasing).
     let global_kth_sq = AtomicF64Min::new(f64::INFINITY);
@@ -598,9 +596,7 @@ pub fn scan_knn_over(
             for (pos, row) in (first..).zip(rows) {
                 stats.rows_scanned += 1;
                 let bound = global_kth_sq.get();
-                let dismissed =
-                    |p: &FilterProbe| sigs.row(pos).is_some_and(|s| p.dismisses(s, bound));
-                if probe.as_ref().is_some_and(dismissed) {
+                if sigs.row(pos).is_some_and(|s| probe.dismisses(s, bound)) {
                     stats.early_abandoned += 1;
                     continue;
                 }
@@ -786,7 +782,7 @@ mod tests {
             let (serial, _) = scan_knn(&rel, &t, &q, k).unwrap();
             for threads in [2, 3, 8] {
                 let (par, _) =
-                    scan_knn_over(std::slice::from_ref(&rel), &t, &q, k, threads, true).unwrap();
+                    scan_knn_over(std::slice::from_ref(&rel), &t, &q, k, threads).unwrap();
                 assert_eq!(par.len(), serial.len(), "k {k} threads {threads}");
                 for (a, b) in par.iter().zip(&serial) {
                     assert_eq!(a.id, b.id, "k {k} threads {threads}");
@@ -801,8 +797,7 @@ mod tests {
         let rel = relation_with(200);
         let q = rel.row(0).unwrap().features.spectrum.clone();
         let stores = std::slice::from_ref(&rel);
-        let (_, stats) =
-            scan_knn_over(stores, &SeriesTransform::Identity, &q, 3, 4, false).unwrap();
+        let (_, stats) = scan_knn_over(stores, &SeriesTransform::Identity, &q, 3, 4).unwrap();
         // The shared bound lets most rows abandon early, unlike the serial
         // scan which always computes full distances.
         assert!(

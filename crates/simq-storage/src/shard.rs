@@ -476,7 +476,7 @@ mod tests {
             let (want, _) = scan_knn_single(&rel, &SeriesTransform::Identity, &q, k).unwrap();
             for threads in [1, 4] {
                 let t = SeriesTransform::Identity;
-                let (got, _) = scan_knn_over(sharded.shards(), &t, &q, k, threads, true).unwrap();
+                let (got, _) = scan_knn_over(sharded.shards(), &t, &q, k, threads).unwrap();
                 assert_eq!(got.len(), want.len(), "k {k} threads {threads}");
                 for (a, b) in got.iter().zip(&want) {
                     assert_eq!(a.id, b.id, "k {k} threads {threads}");

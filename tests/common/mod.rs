@@ -7,8 +7,11 @@
 
 #![allow(dead_code)]
 
+pub mod lattice;
+pub mod oracle;
+
 use similarity_queries::prelude::*;
-use similarity_queries::query::{QueryError, QueryResult};
+use similarity_queries::query::QueryResult;
 
 /// Builds a deterministic corpus of random-walk series.
 pub fn corpus(seed: u64, rows: usize, len: usize) -> Vec<Vec<f64>> {
@@ -115,6 +118,45 @@ pub fn scheme_db(rep: Representation, stats: bool, indexed: bool) -> Database {
     d
 }
 
+/// Every query form the engine executes, over a relation `r` (row 0
+/// always exists): what the counter, work-sanity and observability suites
+/// iterate. `tests/fixtures/exec_stats_golden.txt` records these by text.
+pub const QUERY_FORMS: [&str; 10] = [
+    "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0",
+    "FIND SIMILAR TO ROW 0 IN r EPSILON 25.0",
+    "FIND SIMILAR TO ROW 0 IN r USING mavg(5) ON BOTH EPSILON 2.0",
+    "FIND SIMILAR TO ROW 0 IN r EPSILON 4.0 MEAN WITHIN 2.0",
+    "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0 FORCE SCAN",
+    "FIND 5 NEAREST TO ROW 0 IN r",
+    "FIND 5 NEAREST TO ROW 0 IN r USING mavg(5) ON BOTH",
+    "FIND 5 NEAREST TO ROW 0 IN r FORCE SCAN",
+    "FIND PAIRS IN r EPSILON 4.0 METHOD b",
+    "FIND PAIRS IN r USING mavg(5) EPSILON 3.0 METHOD d",
+];
+
+/// A database over `series` under the paper's default scheme, on `shards`
+/// shards (1 = unsharded) at `threads` threads — pinned explicitly, not
+/// taken from the environment.
+pub fn db_over(series: &[Vec<f64>], shards: usize, threads: usize) -> Database {
+    let mut db = sharded_db(
+        relation_with(series, FeatureScheme::paper_default()),
+        shards,
+    );
+    db.set_parallelism(Parallelism::Fixed(threads));
+    db
+}
+
+/// Registers `rel` with a bulk-loaded index per shard (1 = unsharded).
+pub fn sharded_db(rel: SeriesRelation, shards: usize) -> Database {
+    let mut db = Database::new();
+    if shards > 1 {
+        db.add_relation_sharded(rel, shards);
+    } else {
+        db.add_relation_indexed(rel);
+    }
+    db
+}
+
 /// Executes `q` and returns the hit ids (panics on non-hit output).
 pub fn hit_ids(db: &Database, q: &str) -> Vec<u64> {
     let result = execute(db, q).unwrap();
@@ -168,20 +210,6 @@ pub fn assert_output_values_bitwise_equal(a: &QueryOutput, b: &QueryOutput, what
             assert_output_values_bitwise_equal(x, y, what);
         }
         other => panic!("mismatched outputs for {what}: {other:?}"),
-    }
-}
-
-/// Asserts two per-query outcomes agree: both the same error variant, or
-/// both results with bitwise-equal outputs.
-pub fn assert_outcomes_equal(
-    a: &Result<QueryResult, QueryError>,
-    b: &Result<QueryResult, QueryError>,
-    what: &str,
-) {
-    match (a, b) {
-        (Ok(x), Ok(y)) => assert_outputs_bitwise_equal(x, y, what),
-        (Err(x), Err(y)) => assert_eq!(x, y, "{what}"),
-        other => panic!("outcome mismatch for {what}: {other:?}"),
     }
 }
 

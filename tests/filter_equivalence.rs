@@ -1,17 +1,18 @@
 //! The quantized filter tier's contract as executable properties.
 //!
-//! 1. **No false dismissals, end to end**: every query form — range
-//!    (identity and transformed, with statistics windows, forced to scan
-//!    or index), kNN and all-pairs joins (scan and probe methods) —
-//!    returns *bitwise identical* output with the signature filter on
-//!    and off: same ids, same names, same order, bitwise-equal
-//!    distances. Pinned at 1 and 4 threads, 1 and 4 shards, in memory
-//!    and after a snapshot reload.
+//! 1. **No false dismissals, end to end** lives on the configuration
+//!    lattice (`tests/lattice.rs`): every planned-index statement — the
+//!    paths that dismiss by signature — answers bitwise what its
+//!    tier-free twin answers (`FORCE SCAN`, the scan joins,
+//!    `scan::scan_knn`) and what the time-domain oracle defines, at every
+//!    point of threads × shards × WAL × front end × storage. The engine
+//!    has no switch to turn the tier off; the tier-free paths are the
+//!    reference.
 //! 2. **The tier actually engages**: on a dense corpus with a tight
-//!    threshold, the filtered run dismisses candidates
-//!    (`filtered_out > 0`) and touches strictly fewer spectrum
-//!    coefficients than the unfiltered run — the filter is a pure
-//!    work-saving layer, not a no-op.
+//!    threshold candidates are dismissed (`filtered_out > 0`) at no
+//!    spectrum coefficient each, and the kNN scan reads a fraction of the
+//!    coefficients its rows hold — the filter is a work-saving layer, not
+//!    a no-op.
 //! 3. **Pointwise soundness**: for adversarial spectra (negatives,
 //!    denormals, zeros, huge magnitudes, identical series) the quantized
 //!    lower bound never exceeds the true verification distance whenever
@@ -31,136 +32,25 @@
 
 mod common;
 
-use common::{assert_outputs_bitwise_equal, corpus, relation_with};
+use common::lattice::{world, Config, Storage};
+use common::{corpus, db_with};
 use proptest::prelude::*;
 use similarity_queries::prelude::*;
 use similarity_queries::series::distance_outcome;
 use similarity_queries::storage::{scan, FilterProbe, SignatureArray, SIG_COEFFS};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The query forms the filter tier touches: index range verification
-/// (identity and transformed, with windows), join probe verification and
-/// the kNN scan — plus indexed kNN, which ranks by the signature bound
-/// whichever way the toggle stands, and range scans, which bypass the
-/// tier; both must be unaffected by the toggle.
-fn query_matrix() -> Vec<String> {
-    vec![
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 0.8".into(),
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 6.0".into(),
-        "FIND SIMILAR TO ROW 1 IN r USING mavg(5) ON BOTH EPSILON 1.5".into(),
-        "FIND SIMILAR TO ROW 0 IN r USING reverse ON BOTH EPSILON 2.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0 MEAN WITHIN 2.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 1.0 FORCE SCAN".into(),
-        "FIND 5 NEAREST TO ROW 0 IN r".into(),
-        "FIND 3 NEAREST TO ROW 2 IN r USING mavg(5) ON BOTH".into(),
-        "FIND 5 NEAREST TO ROW 0 IN r FORCE SCAN".into(),
-        "FIND 3 NEAREST TO ROW 2 IN r USING warp(2) ON BOTH".into(),
-        "FIND PAIRS IN r EPSILON 1.5 METHOD b".into(),
-        "FIND PAIRS IN r EPSILON 1.2 METHOD c".into(),
-        "FIND PAIRS IN r USING mavg(5) EPSILON 1.0 METHOD d".into(),
-    ]
-}
-
-/// A database over `series` with the given shard count (1 = unsharded),
-/// under the CI environment matrix (threads / WAL).
-fn db_of(series: &[Vec<f64>], shards: usize) -> Database {
-    let rel = relation_with(series, FeatureScheme::paper_default());
-    let mut db = Database::new();
-    if shards <= 1 {
-        db.add_relation_indexed(rel);
-    } else {
-        db.add_relation_sharded(rel, shards);
-    }
-    common::apply_env_parallelism(&mut db);
-    common::apply_env_wal(&mut db);
-    db
-}
-
-/// Runs `q` with the filter on and off, asserts bitwise-identical
-/// outputs, and returns the filtered run's dismissal count. The
-/// unfiltered run must report zero dismissals by definition.
-///
-/// An indexed kNN ranks rows by the whole signature bound whichever way
-/// the toggle stands, so there the toggle must not move *work* either:
-/// every counter is identical. (Serial plans only — a parallel kNN's
-/// counters follow the schedule, its answers never do.)
-fn assert_filter_transparent(db: &mut Database, q: &str, what: &str) -> u64 {
-    db.set_filter(true);
-    let filtered = execute(db, q).expect("filtered query runs");
-    db.set_filter(false);
-    let unfiltered = execute(db, q).expect("unfiltered query runs");
-    db.set_filter(true);
-    assert_eq!(unfiltered.stats.filtered_out, 0, "{what}: {q}");
-    assert_outputs_bitwise_equal(&filtered, &unfiltered, &format!("{what}: {q}"));
-    if q.contains(" NEAREST ")
-        && filtered.plan.access == AccessPath::IndexScan
-        && filtered.plan.threads == 1
-    {
-        assert_eq!(
-            filtered.stats, unfiltered.stats,
-            "{what}: the toggle moved indexed-kNN work: {q}"
-        );
-    }
-    filtered.stats.filtered_out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Filtered and unfiltered execution agree bitwise on every query
-    /// form, across thread counts and shard counts, on random corpora.
-    #[test]
-    fn filtered_equals_unfiltered(
-        seed in 0u64..300,
-        rows in 30usize..80,
-        shards in prop_oneof![Just(1usize), Just(4usize)],
-    ) {
-        let series = corpus(seed, rows, 64);
-        let mut db = db_of(&series, shards);
-        for threads in [1usize, 4] {
-            db.set_parallelism(if threads == 1 {
-                Parallelism::Serial
-            } else {
-                Parallelism::Fixed(threads)
-            });
-            for q in query_matrix() {
-                assert_filter_transparent(
-                    &mut db,
-                    &q,
-                    &format!("shards {shards}, threads {threads}"),
-                );
-            }
-        }
-    }
-
-    /// A database reloaded from a snapshot answers every query form
-    /// bitwise-identically to the in-memory original, with the filter in
-    /// both states — and, because signatures are recomputed from the
-    /// decoded spectra and the tree layout round-trips exactly, with the
-    /// *same dismissal counts*.
-    #[test]
-    fn snapshot_reload_preserves_filter_behaviour(
-        seed in 0u64..200,
-        shards in prop_oneof![Just(1usize), Just(3usize)],
-    ) {
-        let series = corpus(seed.wrapping_add(77), 50, 64);
-        let mut built = db_of(&series, shards);
-        let path = unique_snapshot_path();
-        built.save_snapshot(&path).unwrap();
-        let mut opened = Database::open_snapshot(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        common::apply_env_parallelism(&mut opened);
-        for q in query_matrix() {
-            let dismissed_built = assert_filter_transparent(&mut built, &q, "built");
-            let dismissed_opened = assert_filter_transparent(&mut opened, &q, "reopened");
-            assert_eq!(dismissed_built, dismissed_opened, "dismissal counts diverge: {q}");
-            built.set_filter(true);
-            opened.set_filter(true);
-            let a = execute(&built, &q).unwrap();
-            let b = execute(&opened, &q).unwrap();
-            assert_outputs_bitwise_equal(&a, &b, &format!("built vs reopened: {q}"));
-        }
-    }
+/// A database reloaded from a snapshot does the in-memory original's exact
+/// work on every statement — `filtered_out` is part of the `ExecStats` the
+/// lattice compares — because signatures are recomputed from the decoded
+/// spectra and the tree layout round-trips exactly.
+#[test]
+fn snapshot_reload_preserves_filter_behaviour() {
+    let reloaded = |shards| Config {
+        shards,
+        storage: Storage::SnapshotReload,
+        ..Config::BASE
+    };
+    world(61, 45, 32).check(&[reloaded(1), reloaded(4)], |_| true);
 }
 
 /// A value strategy biased toward the places floating-point goes wrong:
@@ -495,16 +385,18 @@ fn asymmetry_anywhere_leaves_terms_single() {
 }
 
 /// On a dense corpus with tight thresholds the tier must actually fire:
-/// candidates are dismissed, and the filtered run touches strictly fewer
-/// spectrum coefficients than the unfiltered run (every dismissal skips
-/// at least one verification chunk). The kNN scan probes each row ahead
-/// of its spectrum read — and, with the filter off, probes nothing: its
-/// dismissals are rows abandoned at zero coefficients, so they show as
-/// coefficients saved, not as `filtered_out`.
+/// candidates are dismissed, each at no spectrum coefficient at all (the
+/// survivors' full spectra bound the work). The kNN scan probes each row
+/// ahead of its spectrum read; its dismissals are rows abandoned at zero
+/// coefficients, so they show as coefficients saved, not as
+/// `filtered_out`.
 #[test]
 fn filter_engages_and_saves_work() {
-    let series = corpus(7, 250, 64);
-    let mut db = db_of(&series, 1);
+    let (rows, n) = (250u64, 64u64);
+    let mut db = db_with(
+        &corpus(7, rows as usize, n as usize),
+        FeatureScheme::paper_default(),
+    );
     db.set_parallelism(Parallelism::Serial);
     let mut engaged = 0u64;
     for q in [
@@ -514,29 +406,22 @@ fn filter_engages_and_saves_work() {
         "FIND 4 NEAREST TO ROW 1 IN r FORCE SCAN",
         "FIND 4 NEAREST TO ROW 1 IN r USING mavg(5) ON BOTH FORCE SCAN",
     ] {
-        db.set_filter(true);
-        let filtered = execute(&db, q).unwrap();
-        db.set_filter(false);
-        let unfiltered = execute(&db, q).unwrap();
-        db.set_filter(true);
-        assert_outputs_bitwise_equal(&filtered, &unfiltered, q);
+        let stats = execute(&db, q).unwrap().stats;
         if q.contains("NEAREST") {
-            assert!(matches!(filtered.plan.access, AccessPath::SeqScan { .. }));
-            assert_eq!(filtered.stats.rows_scanned, unfiltered.stats.rows_scanned);
+            assert_eq!(stats.rows_scanned, rows);
             assert!(
-                filtered.stats.coefficients_compared < unfiltered.stats.coefficients_compared / 2,
-                "{q}: the scan's probe saved too little: {} vs {} coefficients",
-                filtered.stats.coefficients_compared,
-                unfiltered.stats.coefficients_compared,
+                stats.coefficients_compared < rows * n / 8,
+                "{q}: the scan's probe saved too little: {} coefficients",
+                stats.coefficients_compared,
             );
-        } else if filtered.stats.filtered_out > 0 {
+        } else if stats.filtered_out > 0 {
             engaged += 1;
             assert!(
-                filtered.stats.coefficients_compared < unfiltered.stats.coefficients_compared,
-                "{q}: dismissed {} candidates but compared {} >= {} coefficients",
-                filtered.stats.filtered_out,
-                filtered.stats.coefficients_compared,
-                unfiltered.stats.coefficients_compared,
+                stats.coefficients_compared <= (stats.candidates - stats.filtered_out) * n,
+                "{q}: dismissed {} of {} candidates but compared {} coefficients",
+                stats.filtered_out,
+                stats.candidates,
+                stats.coefficients_compared,
             );
         }
     }
@@ -544,24 +429,6 @@ fn filter_engages_and_saves_work() {
         engaged >= 2,
         "filter tier engaged on only {engaged} of 3 tight queries"
     );
-}
-
-fn unique_snapshot_path() -> std::path::PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "simq-filter-equivalence-{}-{}.simq",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed),
-    ))
-}
-
-fn unique_wal_dir() -> std::path::PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "simq-filter-equivalence-wal-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed),
-    ))
 }
 
 /// Collects every row's signature bits from a stored relation.
@@ -580,129 +447,42 @@ fn signature_bits(db: &Database, rows: usize) -> Vec<Vec<u32>> {
 
 /// Signatures are derived data recomputed on every build path; whichever
 /// way the same rows reach a relation — bulk load, incremental insert,
-/// batch insert, WAL replay into a reopened database, or resharding —
-/// the stored signatures are bit-for-bit identical and every query
-/// answers bitwise-identically with the filter on.
+/// batch insert, WAL replay into a reopened database, snapshot reload or
+/// resharding — the stored signatures and the measured mirror slack are
+/// bit-for-bit identical. (That every build then *answers* identically is
+/// the lattice's storage axis.)
 #[test]
 fn every_build_path_produces_identical_signatures() {
-    let series = corpus(41, 120, 48);
-    let rows = series.len();
-    let split = rows / 2;
-
-    // Bulk: everything loaded up front.
-    let mut bulk = db_of(&series, 1);
-
-    // Incremental: bulk prefix, then one insert_into per remaining row.
-    let mut incremental = db_of(&series[..split], 1);
-    for (i, s) in series[split..].iter().enumerate() {
-        incremental
-            .insert_into("r", format!("S{}", split + i), s.clone())
-            .unwrap();
-    }
-
-    // Batched: bulk prefix, then the rest in a single insert_batch.
-    let mut batched = db_of(&series[..split], 1);
-    let batch_rows: Vec<(String, Vec<f64>)> = series[split..]
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (format!("S{}", split + i), s.clone()))
-        .collect();
-    batched.insert_batch("r", batch_rows).unwrap();
-
-    // WAL replay: prefix checkpointed, suffix inserted through the WAL,
-    // then the whole database reopened from the durable directory. Built
-    // without the env fixtures — this path needs exactly one WAL, ours
-    // (under SIMQ_WAL=1 the fixture would already have attached one).
-    let dir = unique_wal_dir();
-    {
-        let mut writer = Database::new();
-        writer.add_relation_indexed(relation_with(
-            &series[..split],
-            FeatureScheme::paper_default(),
-        ));
-        writer.attach_wal(&dir).unwrap();
-        for (i, s) in series[split..].iter().enumerate() {
-            writer
-                .insert_into("r", format!("S{}", split + i), s.clone())
-                .unwrap();
-        }
-    }
-    let (mut replayed, _report) = Database::open_durable(&dir).unwrap();
-
-    // Resharded: the same rows under a 4-way shard layout.
-    let mut sharded = db_of(&series, 4);
-
-    // Snapshot reload: signatures and slack are rebuilt from the decoded
-    // spectra, never read from the file.
-    let path = unique_snapshot_path();
-    bulk.save_snapshot(&path).unwrap();
-    let mut reloaded = Database::open_snapshot(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-
-    let reference = signature_bits(&bulk, rows);
+    use Storage::*;
+    let world = world(62, 50, 64);
+    let rows = world.rows.len();
     let slack = |db: &Database| scan::mirror_slack(db.relation("r").unwrap().stores());
+    let (bulk, _scratch) = world.database(Built, 1, false);
     assert!(
         slack(&bulk) > 0.0 && slack(&bulk) < 1e-9,
         "{}",
         slack(&bulk)
     );
-    for (db, what) in [
-        (&incremental, "incremental insert"),
-        (&batched, "batch insert"),
-        (&replayed, "WAL replay"),
-        (&reloaded, "snapshot reload"),
-        (&sharded, "resharded"),
+    for storage in [
+        Incremental,
+        BatchInserted,
+        WalReplay,
+        SnapshotReload,
+        Resharded,
     ] {
-        assert_eq!(
-            signature_bits(db, rows),
-            reference,
-            "{what}: signatures diverge from bulk load"
-        );
-        assert_eq!(
-            slack(db).to_bits(),
-            slack(&bulk).to_bits(),
-            "{what}: mirror slack diverges from bulk load"
-        );
-    }
-
-    // And the filter is transparent on every build (tree shapes differ,
-    // so dismissal *counts* may differ between builds — the answer sets
-    // must not).
-    for q in query_matrix() {
-        bulk.set_filter(true);
-        let expect = execute(&bulk, &q).unwrap();
-        for (db, what) in [
-            (&mut incremental, "incremental insert"),
-            (&mut batched, "batch insert"),
-            (&mut replayed, "WAL replay"),
-            (&mut reloaded, "snapshot reload"),
-            (&mut sharded, "resharded"),
-        ] {
-            assert_filter_transparent(db, &q, what);
-            db.set_filter(true);
-            let got = execute(db, &q).unwrap();
-            assert_outputs_bitwise_equal(&expect, &got, &format!("{what}: {q}"));
+        for shards in [1, 4] {
+            let (db, _scratch) = world.database(storage, shards, true);
+            let what = format!("{storage:?} on {shards} shard(s)");
+            assert_eq!(
+                signature_bits(&db, rows),
+                signature_bits(&bulk, rows),
+                "{what}: signatures diverge from bulk load"
+            );
+            assert_eq!(
+                slack(&db).to_bits(),
+                slack(&bulk).to_bits(),
+                "{what}: mirror slack diverges from bulk load"
+            );
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Streaming cursors take the same verification shortcut: a session
-/// cursor drains identical rows with the filter on and off.
-#[test]
-fn cursor_results_unaffected_by_filter() {
-    let series = corpus(19, 80, 64);
-    let mut db = db_of(&series, 1);
-    let drain = |db: &Database| -> Vec<(u64, u64)> {
-        let session = Session::new(db);
-        let cursor = session
-            .cursor_text("FIND SIMILAR TO ROW 0 IN r EPSILON 2.0")
-            .expect("cursor opens");
-        cursor.map(|h| (h.id, h.distance.to_bits())).collect()
-    };
-    db.set_filter(true);
-    let filtered = drain(&db);
-    db.set_filter(false);
-    let unfiltered = drain(&db);
-    assert_eq!(filtered, unfiltered, "cursor rows diverge under the filter");
 }

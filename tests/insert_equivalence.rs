@@ -1,12 +1,11 @@
-//! Incremental-insert equivalence: the maintenance write path (R*-tree
-//! `insert_point` through `Database::insert_into`) must be observationally
-//! identical to rebuilding from scratch.
+//! The incremental-storage points of the configuration lattice
+//! (`tests/common/lattice.rs`), and what only the write path has.
 //!
-//! For random corpora, split points and insert orders, a database that
-//! bulk-loads a prefix and *incrementally inserts* the rest answers every
-//! query form bitwise-identically to a database that loads all rows up
-//! front — serially and at 4 threads, sharded and not, before and after a
-//! snapshot save/reload. The tree structures genuinely differ (incremental
+//! A database that bulk-loads a prefix and *incrementally inserts* the
+//! rest answers every statement bitwise-identically to a database that
+//! loads all rows up front — serially and at 4 threads, sharded and not,
+//! before and after a snapshot save/reload, and after one more insert into
+//! the reloaded trees. The tree structures genuinely differ (incremental
 //! splits vs STR packing); only the sorted query outputs are contractually
 //! equal.
 //!
@@ -23,133 +22,45 @@
 
 mod common;
 
-use common::{assert_outputs_bitwise_equal, corpus};
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use common::corpus;
+use common::lattice::{world, Config, Scratch, Storage, MAX_NODES_PER_INSERT};
 use similarity_queries::prelude::*;
-use similarity_queries::query::execute;
 use similarity_queries::storage::wal::{encode_record, WalRecord};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const SERIES_LEN: usize = 32;
 
-/// Upper bound on nodes materialized by one insert: one new node per
-/// level of a split chain plus a root growth. Trees in these corpora are
-/// ≤ 4 levels; a rebuild would materialize every node (dozens).
-const MAX_NODES_PER_INSERT: u64 = 16;
+/// Bulk-loaded and incrementally inserted rows are indistinguishable from
+/// loading everything up front, every insert within the node bound
+/// (`World::database` asserts it) — whether one row was bulk-loaded
+/// (seed 84: three of four shards start empty) or many — including after
+/// the incrementally maintained tree round-trips through a snapshot and
+/// accepts one more insert.
+#[test]
+fn incremental_inserts_match_bulk_load() {
+    for (seed, rows, shards) in [(84, 8, 4), (82, 26, 1), (83, 59, 4), (81, 37, 1)] {
+        let world = world(seed, rows, SERIES_LEN);
+        let grown = Config {
+            shards,
+            storage: Storage::Incremental,
+            ..Config::BASE
+        };
+        let points = [1, 4].map(|threads| Config { threads, ..grown });
+        world.check(&points, |_| true);
 
-/// The query battery both databases must agree on bitwise.
-const QUERIES: &[&str] = &[
-    "FIND SIMILAR TO ROW 0 IN r EPSILON 2.0",
-    "FIND SIMILAR TO ROW 2 IN r USING mavg(3) ON BOTH EPSILON 2.5",
-    "FIND 6 NEAREST TO ROW 1 IN r",
-    "FIND PAIRS IN r EPSILON 1.2 METHOD d",
-];
-
-/// A deterministic shuffle of `0..n` (Fisher–Yates over the seeded rng).
-fn shuffled(n: usize, rng: &mut StdRng) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        order.swap(i, rng.gen_range(0..=i));
-    }
-    order
-}
-
-fn unique_snapshot_path() -> std::path::PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "simq-insert-equivalence-{}-{}.simq",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed),
-    ))
-}
-
-/// Asserts the two databases answer the whole battery identically at 1
-/// and 4 threads.
-fn assert_equivalent(a: &mut Database, b: &mut Database, what: &str) {
-    for threads in [Parallelism::Serial, Parallelism::Fixed(4)] {
-        a.set_parallelism(threads);
-        b.set_parallelism(threads);
-        for q in QUERIES {
-            let x = execute(a, q).unwrap();
-            let y = execute(b, q).unwrap();
-            assert_outputs_bitwise_equal(&x, &y, &format!("{what}: {q} @ {threads}"));
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Random interleavings of bulk-loaded and incrementally inserted
-    /// rows are indistinguishable from loading everything up front —
-    /// including after the incrementally maintained tree round-trips
-    /// through a snapshot and accepts one more insert.
-    #[test]
-    fn incremental_inserts_match_bulk_load(
-        seed in 0u64..10_000,
-        total in 8usize..60,
-        split_frac in 0.0f64..1.0,
-        sharded in prop_oneof![Just(false), Just(true)],
-    ) {
-        let series = corpus(seed, total, SERIES_LEN);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        let order = shuffled(total, &mut rng);
-        // At least one row bulk-loads (an empty relation cannot be
-        // indexed) and at least one arrives through the write path.
-        let split = 1 + ((total - 2) as f64 * split_frac) as usize;
-        let shards = if sharded { 4 } else { 1 };
-
-        // Incrementally maintained database: prefix at build time, the
-        // rest through Database::insert_into against the live tree(s).
-        let mut rel = SeriesRelation::new("r", SERIES_LEN, FeatureScheme::paper_default());
-        for &row in &order[..split] {
-            rel.insert(format!("S{row}"), series[row].clone()).unwrap();
-        }
-        let mut inc = Database::new();
-        inc.add_relation_indexed(rel);
-        if sharded {
-            inc.shard_relation("r", shards).unwrap();
-        }
-        for &row in &order[split..] {
-            let report = inc
-                .insert_into("r", format!("S{row}"), series[row].clone())
-                .unwrap();
-            prop_assert!(
-                report.nodes_built <= MAX_NODES_PER_INSERT,
-                "insert of S{row} built {} nodes — that is a rebuild, not maintenance",
-                report.nodes_built,
-            );
-        }
-
-        // Oracle: the same rows in the same order, all present up front.
-        let mut all = SeriesRelation::new("r", SERIES_LEN, FeatureScheme::paper_default());
-        for &row in &order {
-            all.insert(format!("S{row}"), series[row].clone()).unwrap();
-        }
-        let mut bulk = Database::new();
-        bulk.add_relation_indexed(all);
-        if sharded {
-            bulk.shard_relation("r", shards).unwrap();
-        }
-
-        assert_equivalent(&mut inc, &mut bulk, "pre-reload");
-
-        // The incrementally grown tree round-trips through a snapshot …
-        let path = unique_snapshot_path();
-        inc.save_snapshot(&path).unwrap();
+        let (db, scratch) = world.database(Storage::Incremental, shards, false);
+        let path = scratch.0.join("grown.simq");
+        db.save_snapshot(&path).unwrap();
         let mut reloaded = Database::open_snapshot(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_equivalent(&mut reloaded, &mut bulk, "post-reload");
-
+        for point in points {
+            world.check_on(&mut reloaded, &point, |_| true);
+        }
         // … and the decoded arena keeps accepting incremental inserts.
-        let mut gen = WalkGenerator::new(seed.wrapping_add(1));
-        let probe = gen.series(SERIES_LEN);
+        let (mut bulk, _scratch) = world.database(Storage::Built, shards, false);
+        let probe = WalkGenerator::new(seed + 1).series(SERIES_LEN);
         let report = reloaded.insert_into("r", "PROBE", probe.clone()).unwrap();
-        prop_assert!(report.nodes_built <= MAX_NODES_PER_INSERT);
+        assert!(report.nodes_built <= MAX_NODES_PER_INSERT);
         bulk.insert_into("r", "PROBE", probe).unwrap();
-        assert_equivalent(&mut reloaded, &mut bulk, "post-reload insert");
+        world.assert_agree(&mut reloaded, &mut bulk, "post-reload insert");
     }
 }
 
@@ -218,7 +129,8 @@ fn live_batched_and_replayed_inserts_build_identical_rows_and_trees() {
             db.shard_relation("r", shards).unwrap();
             db
         };
-        let dir = unique_snapshot_path().with_extension("wal-dir");
+        let scratch = Scratch::new();
+        let dir = scratch.0.join("wal");
         let mut live = empty_db();
         live.attach_wal(&dir).unwrap();
         for (name, s) in rows() {
@@ -257,7 +169,6 @@ fn live_batched_and_replayed_inserts_build_identical_rows_and_trees() {
 
         let (recovered, replay) = Database::open_durable(&dir).unwrap();
         assert_eq!(replay.records_applied, series.len() as u64);
-        std::fs::remove_dir_all(&dir).ok();
         let want = live.relation("r").unwrap();
         for (what, db) in [("batched", &batched), ("replayed", &recovered)] {
             let got = db.relation("r").unwrap();

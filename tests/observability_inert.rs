@@ -25,7 +25,7 @@
 
 mod common;
 
-use common::{assert_outputs_bitwise_equal, corpus, relation_with};
+use common::{assert_outputs_bitwise_equal, corpus, db_over, QUERY_FORMS};
 use similarity_queries::obs::span;
 use similarity_queries::prelude::*;
 use similarity_queries::query::{Hit, QueryResult};
@@ -33,35 +33,9 @@ use std::sync::Mutex;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Query forms under test (row 0 always exists in the fixtures).
-fn query_matrix() -> Vec<String> {
-    vec![
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r USING mavg(5) ON BOTH EPSILON 2.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0 FORCE SCAN".into(),
-        "FIND 5 NEAREST TO ROW 0 IN r".into(),
-        "FIND 5 NEAREST TO ROW 0 IN r FORCE SCAN".into(),
-        "FIND PAIRS IN r EPSILON 4.0 METHOD b".into(),
-        "FIND PAIRS IN r USING mavg(5) EPSILON 3.0 METHOD d".into(),
-    ]
-}
-
 /// A database over a seeded corpus: unsharded when `shards == 1`.
 fn build_db(shards: usize, threads: usize) -> Database {
-    let series = corpus(97, 60, 64);
-    let rel = relation_with(&series, FeatureScheme::paper_default());
-    let mut db = Database::new();
-    if shards > 1 {
-        db.add_relation_sharded(rel, shards);
-    } else {
-        db.add_relation_indexed(rel);
-    }
-    db.set_parallelism(if threads > 1 {
-        Parallelism::Fixed(threads)
-    } else {
-        Parallelism::Serial
-    });
-    db
+    db_over(&corpus(97, 60, 64), shards, threads)
 }
 
 /// Work counters that must not move when tracing turns on, scoped to
@@ -99,12 +73,12 @@ fn tracing_is_inert_for_every_query_form() {
     for shards in [1usize, 4] {
         for threads in [1usize, 4] {
             let db = build_db(shards, threads);
-            for q in query_matrix() {
+            for q in QUERY_FORMS {
                 let label = format!("{q} (threads {threads}, shards {shards})");
                 span::set_tracing(false);
-                let off = execute(&db, &q).expect("query runs with tracing off");
+                let off = execute(&db, q).expect("query runs with tracing off");
                 span::set_tracing(true);
-                let on = execute(&db, &q).expect("query runs with tracing on");
+                let on = execute(&db, q).expect("query runs with tracing on");
                 let records = span::take_records();
                 span::set_tracing(false);
                 assert!(
@@ -112,7 +86,7 @@ fn tracing_is_inert_for_every_query_form() {
                     "{label}: tracing on collected no spans"
                 );
                 assert_outputs_bitwise_equal(&off, &on, &label);
-                assert_stats_equal(&off, &on, threads, uses_shared_bound(&q), &label);
+                assert_stats_equal(&off, &on, threads, uses_shared_bound(q), &label);
             }
         }
     }
@@ -252,9 +226,9 @@ fn explain_analyze_output_is_bitwise_identical_to_plain_execution() {
     for shards in [1usize, 4] {
         for threads in [1usize, 4] {
             let db = build_db(shards, threads);
-            for q in query_matrix() {
+            for q in QUERY_FORMS {
                 let label = format!("ANALYZE {q} (threads {threads}, shards {shards})");
-                let plain = execute(&db, &q).expect("plain query runs");
+                let plain = execute(&db, q).expect("plain query runs");
                 let analyzed =
                     execute(&db, &format!("EXPLAIN ANALYZE {q}")).expect("analyzed query runs");
                 let QueryOutput::Analyzed { report, output } = &analyzed.output else {
@@ -265,7 +239,7 @@ fn explain_analyze_output_is_bitwise_identical_to_plain_execution() {
                 // The wrapper carries the inner run's counters verbatim
                 // (comparable against a separate plain run only when the
                 // counters are schedule-independent).
-                if threads == 1 || !uses_shared_bound(&q) {
+                if threads == 1 || !uses_shared_bound(q) {
                     assert_eq!(plain.stats, analyzed.stats, "{label}");
                 }
                 let unwrapped = QueryResult {
@@ -314,8 +288,8 @@ fn spans_collect_nothing_while_tracing_is_off() {
     span::set_tracing(false);
     let _ = span::take_records();
     let db = build_db(4, 4);
-    for q in query_matrix() {
-        let _ = execute(&db, &q).unwrap();
+    for q in QUERY_FORMS {
+        let _ = execute(&db, q).unwrap();
     }
     assert!(
         span::take_records().is_empty(),

@@ -1,86 +1,45 @@
-//! Parallel/serial equivalence as an executable property: for every query
-//! form (range, kNN, all-pairs join), every access path, and any thread
-//! count, parallel execution returns *identical* hit sets and identical
-//! (bitwise) distances to the serial paths on random-walk corpora.
-//!
-//! This is the contract that makes [`Parallelism`] a pure throughput knob:
-//! the parallel subsystem only reschedules the exact serial per-row /
-//! per-node computations and merges deterministically.
+//! The threads axis of the configuration lattice
+//! (`tests/common/lattice.rs`): for every query form, access path and
+//! thread count, parallel execution answers bitwise what serial execution
+//! answers — the contract that makes [`Parallelism`] a pure throughput
+//! knob. One test per query form, each over a world of its own, so a
+//! failure names the form; the cross product with the other axes (at 4
+//! threads) runs in `tests/lattice.rs`.
 
 mod common;
 
-use common::{assert_parallel_equivalent as assert_equivalent, corpus, db_with};
-use proptest::prelude::*;
+use common::lattice::{world, Config, Kind, World};
+use common::{assert_parallel_equivalent, corpus, db_with};
 use similarity_queries::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+fn at_threads() -> [Config; 3] {
+    [2, 3, 8].map(|threads| Config {
+        threads,
+        ..Config::BASE
+    })
+}
 
-    /// Range queries: identical hits and distances, 1 vs N threads, on
-    /// both access paths and with transformations.
-    #[test]
-    fn range_parallel_equals_serial(
-        seed in 0u64..400,
-        row in 0usize..40,
-        eps in 0.1f64..8.0,
-        threads in 2usize..9,
-        force_scan in prop_oneof![Just(""), Just(" FORCE SCAN")],
-        t in prop_oneof![
-            Just(""),
-            Just(" USING mavg(5) ON BOTH"),
-            Just(" USING reverse ON BOTH"),
-        ],
-    ) {
-        let series = corpus(seed, 40, 64);
-        let mut db = db_with(&series, FeatureScheme::paper_default());
-        let q = format!("FIND SIMILAR TO ROW {row} IN r{t} EPSILON {eps}{force_scan}");
-        assert_equivalent(&mut db, &q, threads);
-    }
+#[test]
+fn range_parallel_equals_serial() {
+    world(41, 40, 64).check(&at_threads(), |s| s.kind == Kind::Range);
+}
 
-    /// kNN queries: identical neighbour lists, 1 vs N threads, on both
-    /// access paths.
-    #[test]
-    fn knn_parallel_equals_serial(
-        seed in 0u64..400,
-        row in 0usize..30,
-        k in 1usize..12,
-        threads in 2usize..9,
-        force_scan in prop_oneof![Just(""), Just(" FORCE SCAN")],
-    ) {
-        let series = corpus(seed.wrapping_add(13), 30, 64);
-        let mut db = db_with(&series, FeatureScheme::paper_default());
-        let q = format!("FIND {k} NEAREST TO ROW {row} IN r{force_scan}");
-        assert_equivalent(&mut db, &q, threads);
-    }
+#[test]
+fn knn_parallel_equals_serial() {
+    world(42, 30, 24).check(&at_threads(), |s| s.kind == Kind::Knn);
+}
 
-    /// All-pairs joins: identical pair sets and distances, 1 vs N threads,
-    /// for the scan methods (a, b) and the probe-join methods (c, d).
-    #[test]
-    fn join_parallel_equals_serial(
-        seed in 0u64..300,
-        eps in 0.3f64..4.0,
-        threads in 2usize..9,
-        method in prop_oneof![Just('a'), Just('b'), Just('c'), Just('d')],
-    ) {
-        let series = corpus(seed.wrapping_add(29), 30, 64);
-        let mut db = db_with(&series, FeatureScheme::paper_default());
-        let q = format!("FIND PAIRS IN r USING mavg(8) EPSILON {eps} METHOD {method}");
-        assert_equivalent(&mut db, &q, threads);
-    }
+#[test]
+fn join_parallel_equals_serial() {
+    world(43, 13, 32).check(&at_threads(), |s| s.kind == Kind::Pairs);
+}
 
-    /// The rectangular representation exercises the Euclidean kNN path.
-    #[test]
-    fn rect_scheme_parallel_equals_serial(
-        seed in 0u64..200,
-        row in 0usize..25,
-        k in 1usize..8,
-        threads in 2usize..6,
-    ) {
-        let series = corpus(seed.wrapping_add(53), 25, 32);
-        let mut db = db_with(&series, FeatureScheme::new(3, Representation::Rectangular, false));
-        let q = format!("FIND {k} NEAREST TO ROW {row} IN r");
-        assert_equivalent(&mut db, &q, threads);
-    }
+/// The rectangular representation: the Euclidean kNN path, and the scan
+/// fallback for every clause Theorem 2 keeps out of the index.
+#[test]
+fn rect_scheme_parallel_equals_serial() {
+    let scheme = FeatureScheme::new(3, Representation::Rectangular, false);
+    World::new(53, 40, 32, scheme).check(&at_threads(), |_| true);
 }
 
 /// Non-random regression at a size where every parallel code path engages
@@ -99,7 +58,7 @@ fn large_corpus_all_forms_equivalent() {
             "FIND PAIRS IN r EPSILON 1.0 METHOD b",
             "FIND PAIRS IN r EPSILON 1.0 METHOD d",
         ] {
-            assert_equivalent(&mut db, q, threads);
+            assert_parallel_equivalent(&mut db, q, threads);
         }
     }
 }

@@ -1,9 +1,11 @@
-//! The prepared-statement contract as executable properties:
+//! The prepared and cursor front ends of the configuration lattice
+//! (`tests/common/lattice.rs`):
 //!
 //! * **(a)** `prepare` + `bind` + session execution is **bitwise
 //!   identical** to executing the equivalent literal query text through
-//!   `execute()` — same hits, names and distances — at 1 and 4 threads,
-//!   against the in-memory database and against a snapshot-reloaded one.
+//!   `execute()` — same hits, names and distances, and serially the same
+//!   work — at 1 and 4 threads, against the in-memory database and
+//!   against a snapshot-reloaded one.
 //! * **(b)** draining a streaming [`Cursor`] yields exactly the hits of
 //!   the materialized `QueryOutput`.
 //! * **(c)** a partially consumed range cursor's `nodes_visited` is
@@ -15,158 +17,32 @@
 
 mod common;
 
+use common::lattice::{world, Config, FrontEnd, Storage};
 use common::{assert_outputs_bitwise_equal, corpus, db_with, indexed_db, walk_relation};
-use proptest::prelude::*;
 use similarity_queries::prelude::*;
 use similarity_queries::query::QueryOutput;
 
-/// One random parameterizable query: the template text, its positional
-/// bindings, and the equivalent literal text.
-#[derive(Debug, Clone)]
-struct Case {
-    template: String,
-    params: Vec<Value>,
-    literal: String,
-}
-
-fn transform_strategy() -> impl Strategy<Value = &'static str> {
-    prop_oneof![
-        Just(""),
-        Just(" USING mavg(5) ON BOTH"),
-        Just(" USING reverse ON BOTH"),
-    ]
-}
-
-fn force_strategy() -> impl Strategy<Value = &'static str> {
-    prop_oneof![Just(""), Just(" FORCE SCAN")]
-}
-
-fn case_strategy(rows: usize) -> impl Strategy<Value = Case> {
-    prop_oneof![
-        // Range by row id, parameterized (row, eps).
-        (0..rows, 0.1f64..6.0, transform_strategy(), force_strategy()).prop_map(
-            |(row, eps, t, f)| {
-                Case {
-                    template: format!("FIND SIMILAR TO ROW ? IN r{t} EPSILON ?{f}"),
-                    params: vec![Value::from(row), Value::from(eps)],
-                    literal: format!("FIND SIMILAR TO ROW {row} IN r{t} EPSILON {eps}{f}"),
-                }
-            }
-        ),
-        // kNN, parameterized (k, row).
-        (1usize..8, 0..rows, force_strategy()).prop_map(|(k, row, f)| Case {
-            template: format!("FIND $k NEAREST TO ROW $row IN r{f}"),
-            params: vec![Value::from(k), Value::from(row)],
-            literal: format!("FIND {k} NEAREST TO ROW {row} IN r{f}"),
-        }),
-        // Range with a MEAN window, parameterized (row, tol, eps) — the
-        // window's lexical position precedes EPSILON, pinning positional
-        // ordering.
-        (0..rows, 0.1f64..3.0, 0.1f64..6.0, transform_strategy()).prop_map(|(row, tol, eps, t)| {
-            Case {
-                template: format!("FIND SIMILAR TO ROW ? IN r{t} MEAN WITHIN ? EPSILON ?"),
-                params: vec![Value::from(row), Value::from(tol), Value::from(eps)],
-                literal: format!(
-                    "FIND SIMILAR TO ROW {row} IN r{t} MEAN WITHIN {tol} EPSILON {eps}"
-                ),
-            }
-        }),
-    ]
-}
-
-/// Executes a case both ways and asserts bitwise-identical outputs.
-fn assert_case_equivalent(db: &Database, case: &Case, what: &str) {
-    let session = Session::new(db);
-    let prepared = session.prepare(&case.template).unwrap();
-    let (positional, named): (Vec<_>, Vec<_>) = {
-        // kNN templates use named parameters $k/$row (in that order).
-        if case.template.contains("$k") {
-            (
-                Vec::new(),
-                vec![
-                    ("k", case.params[0].clone()),
-                    ("row", case.params[1].clone()),
-                ],
-            )
-        } else {
-            (case.params.clone(), Vec::new())
-        }
+/// `front_end` at 1 and 4 threads over built and snapshot-reloaded storage.
+fn points(front_end: FrontEnd) -> Vec<Config> {
+    let over = |storage| {
+        [1, 4].map(|threads| Config {
+            threads,
+            front_end,
+            storage,
+            ..Config::BASE
+        })
     };
-    let bound = prepared.bind_all(&positional, &named).unwrap();
-    let via_session = session.execute(&bound).unwrap();
-    let via_text = execute(db, &case.literal).unwrap();
-    assert_outputs_bitwise_equal(&via_session, &via_text, what);
-    // The prepare planted the plan: execution must have hit the cache.
-    assert_eq!(via_session.stats.plan_cache_hits, 1, "{what}");
+    [over(Storage::Built), over(Storage::SnapshotReload)].concat()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+#[test]
+fn prepared_equals_literal_execution() {
+    world(51, 10, 32).check(&points(FrontEnd::Prepared), |_| true);
+}
 
-    /// (a) prepared+bound == literal text, serial and at 4 threads,
-    /// in memory and after a snapshot round-trip.
-    #[test]
-    fn prepared_equals_literal_execution(
-        seed in 0u64..300,
-        cases in prop::collection::vec(case_strategy(30), 1..6),
-    ) {
-        let series = corpus(seed, 30, 64);
-        let mut db = db_with(&series, FeatureScheme::paper_default());
-        let path = std::env::temp_dir().join(format!("simq-prep-eq-{seed}.simq"));
-        db.save_snapshot(&path).unwrap();
-        let mut reopened = Database::open_snapshot(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        for threads in [1usize, 4] {
-            let parallelism = if threads == 1 {
-                Parallelism::Serial
-            } else {
-                Parallelism::Fixed(threads)
-            };
-            db.set_parallelism(parallelism);
-            reopened.set_parallelism(parallelism);
-            for (i, case) in cases.iter().enumerate() {
-                assert_case_equivalent(&db, case, &format!("case {i} ({threads} threads)"));
-                assert_case_equivalent(
-                    &reopened,
-                    case,
-                    &format!("case {i} ({threads} threads, reopened)"),
-                );
-            }
-        }
-    }
-
-    /// (b) draining a cursor equals the materialized output, for index
-    /// range, scan range and kNN paths.
-    #[test]
-    fn cursor_drain_equals_materialized_output(
-        seed in 0u64..200,
-        row in 0usize..25,
-        eps in 0.5f64..8.0,
-        k in 1usize..9,
-        force_scan in prop_oneof![Just(false), Just(true)],
-    ) {
-        let series = corpus(seed.wrapping_add(131), 25, 64);
-        let db = db_with(&series, FeatureScheme::paper_default());
-        let session = Session::new(&db);
-        let force = if force_scan { " FORCE SCAN" } else { "" };
-        for text in [
-            format!("FIND SIMILAR TO ROW {row} IN r EPSILON {eps}{force}"),
-            format!("FIND {k} NEAREST TO ROW {row} IN r{force}"),
-        ] {
-            let materialized = execute(&db, &text).unwrap();
-            let QueryOutput::Hits(want) = &materialized.output else {
-                panic!("expected hits");
-            };
-            let mut cursor = session.cursor_text(&text).unwrap();
-            let drained = cursor.drain_sorted();
-            prop_assert_eq!(drained.len(), want.len(), "{}", text);
-            for (a, b) in drained.iter().zip(want) {
-                prop_assert_eq!(a.id, b.id, "{}", text);
-                prop_assert_eq!(&a.name, &b.name, "{}", text);
-                prop_assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{}", text);
-            }
-        }
-    }
+#[test]
+fn cursor_drain_equals_materialized_output() {
+    world(52, 33, 20).check(&points(FrontEnd::CursorDrain), |_| true);
 }
 
 /// (c) On the Figure 9 corpus (random walks, as in `repro fig9`), a
@@ -277,7 +153,9 @@ fn prepared_batch_equals_individual_execution() {
         .collect();
     let batch = session.execute_batch(&bounds);
     assert_eq!(batch.results.len(), bounds.len());
-    assert!(batch.stats.plan_cache_hits >= bounds.len() as u64);
+    // One shape: the prepare missed once, every batch plan hits.
+    assert_eq!(batch.stats.plan_cache_hits, bounds.len() as u64);
+    assert_eq!(batch.stats.plan_cache_misses, 0);
     for (i, &(row, eps)) in bindings.iter().enumerate() {
         let individual = execute(
             &db,

@@ -52,14 +52,15 @@ fn remote_results_bitwise_equal_to_local() {
             "{query}: access path diverged"
         );
     }
-    // Errors come back structured, with the local error's message.
-    let local_err = execute(&oracle, "FIND 2 NEAREST TO ROW 0 IN nope").unwrap_err();
-    let remote_err = client
-        .query("FIND 2 NEAREST TO ROW 0 IN nope")
-        .expect_err("unknown relation fails remotely too");
-    match remote_err {
-        ClientError::Remote { message, .. } => assert_eq!(message, local_err.to_string()),
-        other => panic!("expected a structured server error, got {other:?}"),
+    // Errors come back structured, with the local error's message: the
+    // remote leg of the lattice's failing statements (overflowing and
+    // zero-scale constants, unknown rows and relations, garbage).
+    for query in lattice::error_statements("walks") {
+        let local_err = execute(&oracle, &query).expect_err("fails locally");
+        match client.query(&query).expect_err("fails remotely too") {
+            ClientError::Remote { message, .. } => assert_eq!(message, local_err.to_string()),
+            other => panic!("{query}: expected a structured server error, got {other:?}"),
+        }
     }
     client.goodbye().expect("orderly close");
     server.shutdown();

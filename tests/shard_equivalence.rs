@@ -1,130 +1,83 @@
-//! The sharding contract as executable properties.
+//! The shards axis of the configuration lattice
+//! (`tests/common/lattice.rs`), and what only a sharded relation has.
 //!
-//! 1. **Bitwise equivalence**: every query form — range (identity and
-//!    transformed, with MEAN/STD windows, forced to scan or index), kNN
-//!    and all-pairs joins (scan and probe methods) — returns *identical*
-//!    output over a sharded relation and its unsharded original: same
+//! 1. **Bitwise equivalence**: every statement of the corpus answers over
+//!    a sharded relation exactly as over its unsharded original: same
 //!    ids, same names, same order, bitwise-equal distances. Pinned at 1
 //!    and 4 threads, across shard counts.
 //! 2. **Persistence**: a saved sharded database reopens with its shard
 //!    layout and per-shard trees intact, and the reopened database
-//!    answers every query identically.
+//!    answers every statement identically.
 //! 3. **Surface parity**: batches, prepared statements and streaming
 //!    cursors over sharded relations reproduce unsharded answers, and
 //!    per-shard work counters sum to the merged totals.
 
 mod common;
 
-use common::{assert_outputs_bitwise_equal, corpus, relation_with};
-use proptest::prelude::*;
+use common::lattice::{world, Config, FrontEnd, Storage, World};
+use common::{corpus, db_over};
 use similarity_queries::prelude::*;
-use similarity_queries::query::StoredRelation;
 
-/// The query forms the equivalence contract covers (row 0 always exists).
-fn query_matrix() -> Vec<String> {
-    vec![
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 25.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r USING mavg(5) ON BOTH EPSILON 2.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 4.0 MEAN WITHIN 2.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0 FORCE SCAN".into(),
-        "FIND 5 NEAREST TO ROW 0 IN r".into(),
-        "FIND 5 NEAREST TO ROW 0 IN r USING mavg(5) ON BOTH".into(),
-        "FIND 5 NEAREST TO ROW 0 IN r FORCE SCAN".into(),
-        "FIND PAIRS IN r EPSILON 4.0 METHOD b".into(),
-        "FIND PAIRS IN r USING mavg(5) EPSILON 3.0 METHOD d".into(),
-    ]
+/// `base` at 1 and 4 threads.
+fn both_threads(base: Config) -> [Config; 2] {
+    [1, 4].map(|threads| Config { threads, ..base })
 }
 
-/// An unsharded database and its sharded twin over the same corpus.
-fn twin_dbs(series: &[Vec<f64>], shards: usize) -> (Database, Database) {
-    let rel = relation_with(series, FeatureScheme::paper_default());
-    let mut single = Database::new();
-    single.add_relation_indexed(rel.clone());
-    let mut sharded = Database::new();
-    sharded.add_relation_sharded(rel, shards);
-    (single, sharded)
-}
-
-fn assert_dbs_agree(single: &mut Database, sharded: &mut Database, label: &str) {
-    for q in query_matrix() {
-        for threads in [1usize, 4] {
-            let p = if threads == 1 {
-                Parallelism::Serial
-            } else {
-                Parallelism::Fixed(threads)
-            };
-            single.set_parallelism(p);
-            sharded.set_parallelism(p);
-            let a = execute(single, &q).expect("unsharded query runs");
-            let b = execute(sharded, &q).expect("sharded query runs");
-            assert_outputs_bitwise_equal(&a, &b, &format!("{label}: {q} (threads {threads})"));
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Arbitrary corpora, shard counts and thread counts: sharded
-    /// execution is bitwise identical to unsharded for every query form.
-    #[test]
-    fn sharded_results_equal_unsharded(
-        seed in 0u64..10_000,
-        rows in 8usize..80,
-        shards in 2usize..6,
-    ) {
-        let series = corpus(seed, rows, 64);
-        let (mut single, mut sharded) = twin_dbs(&series, shards);
-        assert_dbs_agree(&mut single, &mut sharded, &format!("{shards} shards"));
-    }
-
-    /// Saving a sharded database and reopening it preserves the layout,
-    /// the per-shard trees, and every query answer.
-    #[test]
-    fn sharded_snapshot_roundtrip_query_identical(
-        seed in 0u64..10_000,
-        rows in 8usize..50,
-        shards in 2usize..5,
-    ) {
-        let series = corpus(seed, rows, 64);
-        let (mut single, sharded) = twin_dbs(&series, shards);
-        let dir = std::env::temp_dir().join("simq-shard-equivalence");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("db-{seed}-{rows}-{shards}.simq"));
-        sharded.save_snapshot(&path).expect("snapshot saves");
-        let mut reopened = Database::open_snapshot(&path).expect("snapshot reopens");
-        std::fs::remove_file(&path).ok();
-        // The layout survived.
-        let stored = reopened.relation("r").expect("relation reopened");
-        prop_assert_eq!(stored.shard_count(), shards);
-        prop_assert_eq!(stored.row_count(), rows);
-        assert_dbs_agree(&mut single, &mut reopened, "reopened sharded db");
+fn sharded(shards: usize) -> Config {
+    Config {
+        shards,
+        ..Config::BASE
     }
 }
 
 #[test]
-fn shard_relation_reshards_and_merges_back() {
-    let series = corpus(11, 60, 64);
-    let rel = relation_with(&series, FeatureScheme::paper_default());
-    let mut reference = Database::new();
-    reference.add_relation_indexed(rel.clone());
-    let mut db = Database::new();
-    db.add_relation_indexed(rel);
+fn sharded_results_equal_unsharded() {
+    let points: Vec<Config> = (2..6)
+        .flat_map(|shards| both_threads(sharded(shards)))
+        .collect();
+    // Five shards of one or two rows; five of a dozen.
+    world(91, 8, 32).check(&points, |_| true);
+    world(92, 57, 24).check(&points, |_| true);
+}
 
+/// Saving a sharded database and reopening it preserves the layout, the
+/// per-shard trees, and every answer.
+#[test]
+fn sharded_snapshot_roundtrip_query_identical() {
+    let reloaded = Config {
+        storage: Storage::SnapshotReload,
+        ..sharded(3)
+    };
+    let world = world(93, 20, 32);
+    let (reopened, _scratch) = world.database(reloaded.storage, 3, false);
+    let stored = reopened.relation("r").expect("relation reopened");
+    assert_eq!(stored.shard_count(), 3);
+    assert_eq!(stored.row_count(), world.rows.len());
+    world.check(&both_threads(reloaded), |_| true);
+}
+
+#[test]
+fn shard_relation_reshards_and_merges_back() {
+    let world = world(94, 31, 32);
+    let rows = world.rows.len();
+    let (mut db, _scratch) = world.database(Storage::Built, 1, false);
     // 1 → 4 → 2 → 1 shards; answers never change.
     for shards in [4usize, 2, 1] {
         db.shard_relation("r", shards).expect("reshard succeeds");
         let stored = db.relation("r").expect("relation exists");
         assert_eq!(stored.shard_count(), shards);
-        assert_eq!(stored.row_count(), 60);
+        assert_eq!(stored.row_count(), rows);
         if shards > 1 {
             // The modulo layout balances shard sizes within one row.
             let counts = stored.shard_row_counts();
             let (min, max) = (*counts.iter().min().unwrap(), *counts.iter().max().unwrap());
             assert!(max - min <= 1, "unbalanced shards: {counts:?}");
         }
-        assert_dbs_agree(&mut reference, &mut db, &format!("reshard to {shards}"));
+        let resharded = Config {
+            storage: Storage::Resharded,
+            ..sharded(shards)
+        };
+        world.check_on(&mut db, &resharded, |_| true);
     }
 
     // Unknown relations and zero shard counts are rejected.
@@ -135,8 +88,7 @@ fn shard_relation_reshards_and_merges_back() {
 #[test]
 fn sharded_execution_reports_per_shard_counters() {
     let series = corpus(3, 96, 64);
-    let (_, mut db) = twin_dbs(&series, 4);
-    db.set_parallelism(Parallelism::Fixed(4));
+    let db = db_over(&series, 4, 4);
 
     // Index range: per-shard node visits sum to the merged total.
     let r = execute(&db, "FIND SIMILAR TO ROW 0 IN r EPSILON 6.0").unwrap();
@@ -162,96 +114,53 @@ fn sharded_execution_reports_per_shard_counters() {
 
     // Unsharded execution reports no shard counters.
     let series = corpus(3, 16, 64);
-    let mut single = Database::new();
-    single.add_relation_indexed(relation_with(&series, FeatureScheme::paper_default()));
+    let single = db_over(&series, 1, 1);
     let r = execute(&single, "FIND SIMILAR TO ROW 0 IN r EPSILON 1.0").unwrap();
     assert_eq!(r.stats.shards_touched, 0);
     assert!(r.per_shard.is_empty());
 }
 
+/// Batch slots over shards: the individual execution's answers, work and
+/// shard fan-out (`shards_touched` is part of the `ExecStats` compared).
 #[test]
 fn sharded_batches_equal_individual_execution() {
-    let series = corpus(21, 80, 64);
-    let (_, mut db) = twin_dbs(&series, 3);
-    for threads in [1usize, 4] {
-        db.set_parallelism(if threads == 1 {
-            Parallelism::Serial
-        } else {
-            Parallelism::Fixed(threads)
-        });
-        let queries: Vec<String> = (0..6)
-            .map(|i| format!("FIND SIMILAR TO ROW {i} IN r EPSILON {}", 1.0 + i as f64))
-            .chain((0..3).map(|i| format!("FIND {} NEAREST TO ROW {i} IN r", 3 + i)))
-            .chain((1..3).map(|i| format!("FIND SIMILAR TO ROW {i} IN r EPSILON 2 FORCE SCAN")))
-            .collect();
-        let texts: Vec<&str> = queries.iter().map(String::as_str).collect();
-        let batch = execute_batch(&db, &texts);
-        for (i, q) in texts.iter().enumerate() {
-            let individual = execute(&db, q).unwrap();
-            let got = batch.results[i].as_ref().unwrap();
-            assert_outputs_bitwise_equal(got, &individual, &format!("batch slot {i}: {q}"));
-            // Batch slots stamp the same shard fan-out as individual runs.
-            assert_eq!(got.stats.shards_touched, 3, "batch slot {i}: {q}");
-        }
-    }
+    let slots = Config {
+        front_end: FrontEnd::BatchSlot,
+        ..sharded(4)
+    };
+    world(95, 12, 32).check(&both_threads(slots), |_| true);
 }
 
 #[test]
 fn sharded_cursors_and_prepared_statements_match_materialized() {
+    let through = |front_end| Config {
+        front_end,
+        ..sharded(4)
+    };
+    world(96, 18, 16).check(
+        &[through(FrontEnd::Prepared), through(FrontEnd::CursorDrain)],
+        |_| true,
+    );
+
+    // A cursor's shard fan-out is stamped at open; an unsharded one has none.
     let series = corpus(33, 70, 64);
-    let (single, sharded) = twin_dbs(&series, 4);
-    let session = Session::new(&sharded);
-    let reference = Session::new(&single);
-
-    let p = session
-        .prepare("FIND SIMILAR TO ROW ? IN r EPSILON ?")
-        .unwrap();
-    let q = reference
-        .prepare("FIND SIMILAR TO ROW ? IN r EPSILON ?")
-        .unwrap();
-    for (row, eps) in [(0u64, 3.0), (5, 10.0), (12, 1.0)] {
-        let bound = p.bind(&[Value::from(row), Value::from(eps)]).unwrap();
-        let ref_bound = q.bind(&[Value::from(row), Value::from(eps)]).unwrap();
-        let materialized = session.execute(&bound).unwrap();
-        let expected = reference.execute(&ref_bound).unwrap();
-        assert_outputs_bitwise_equal(
-            &materialized,
-            &expected,
-            &format!("prepared row {row} eps {eps}"),
-        );
-
-        // A drained cursor reproduces the materialized output bitwise and
-        // reports the same shard fan-out as materialized execution.
-        let mut cursor = session.cursor(&bound).unwrap();
-        assert_eq!(cursor.stats().shards_touched, 4, "stamped at open");
-        let drained = cursor.drain_sorted();
-        assert_eq!(
-            cursor.stats().shards_touched,
-            materialized.stats.shards_touched
-        );
-        assert_eq!(
-            reference.cursor(&ref_bound).unwrap().stats().shards_touched,
-            0
-        );
-        let QueryOutput::Hits(want) = &materialized.output else {
-            panic!("expected hits");
-        };
-        assert_eq!(drained.len(), want.len());
-        for (a, b) in drained.iter().zip(want) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-        }
-    }
+    let (single, sharded) = (db_over(&series, 1, 1), db_over(&series, 4, 1));
+    let (session, reference) = (Session::new(&sharded), Session::new(&single));
+    let text = "FIND SIMILAR TO ROW 0 IN r EPSILON 50.0";
+    assert_eq!(session.cursor_text(text).unwrap().stats().shards_touched, 4);
+    assert_eq!(
+        reference.cursor_text(text).unwrap().stats().shards_touched,
+        0
+    );
 
     // Partial consumption of a wide sharded cursor descends strictly less
     // of the forest than a full drain.
-    let bound = p.bind(&[Value::from(0u64), Value::from(50.0)]).unwrap();
     let full = {
-        let mut c = session.cursor(&bound).unwrap();
+        let mut c = session.cursor_text(text).unwrap();
         let _ = c.drain_sorted();
         c.stats().nodes_visited
     };
-    let mut partial = session.cursor(&bound).unwrap();
+    let mut partial = session.cursor_text(text).unwrap();
     assert!(partial.next().is_some());
     assert!(
         partial.stats().nodes_visited < full,
@@ -263,77 +172,33 @@ fn sharded_cursors_and_prepared_statements_match_materialized() {
 
 #[test]
 fn inserts_into_sharded_relations_stay_queryable() {
-    let series = corpus(8, 40, 64);
-    let rel = relation_with(&series, FeatureScheme::paper_default());
-    let mut db = Database::new();
-    db.add_relation_sharded(rel, 4);
-
+    let world = world(97, 52, 64);
+    let (bulk, rest) = world.rows.split_at(40);
+    let mut db = db_over(bulk, 4, 1);
     // Insert through the catalog: the owning shard's tree is updated.
-    let extra = corpus(99, 8, 64);
-    {
-        let stored = db.relation_mut("r").expect("relation exists");
-        for (i, s) in extra.iter().enumerate() {
-            let id = stored.insert(format!("X{i}"), s.clone()).unwrap();
-            assert_eq!(id, 40 + i as u64);
-        }
+    let stored = db.relation_mut("r").expect("relation exists");
+    for (id, s) in (40u64..).zip(rest) {
+        assert_eq!(stored.insert(format!("S{id}"), s.clone()).unwrap(), id);
     }
-    let stored = db.relation("r").unwrap();
-    assert_eq!(stored.row_count(), 48);
-    if let StoredRelation::Sharded { relation, indexes } = stored {
-        for (shard, tree) in relation.shards().iter().zip(indexes) {
-            assert_eq!(shard.len(), tree.len(), "tree tracks its shard");
-        }
-    } else {
-        panic!("expected sharded relation");
+    for (shard, tree) in stored.stores().iter().zip(stored.trees()) {
+        assert_eq!(shard.len(), tree.len(), "tree tracks its shard");
     }
-
-    // The inserted rows are found by index-served queries, identically to
-    // an unsharded relation built the same way.
-    let mut single = Database::new();
-    let mut rel = relation_with(&series, FeatureScheme::paper_default());
-    for (i, s) in extra.iter().enumerate() {
-        rel.insert(format!("X{i}"), s.clone()).unwrap();
-    }
-    single.add_relation_indexed(rel);
-    for q in [
-        "FIND SIMILAR TO ROW 44 IN r EPSILON 8.0",
-        "FIND 6 NEAREST TO ROW 44 IN r",
-    ] {
-        let a = execute(&single, q).unwrap();
-        let b = execute(&db, q).unwrap();
-        assert_outputs_bitwise_equal(&a, &b, q);
-    }
+    // The inserted rows are found like any others: the relation now holds
+    // the lattice's rows and owes the lattice's answers.
+    let grown = Config {
+        storage: Storage::Incremental,
+        ..sharded(4)
+    };
+    world.check_on(&mut db, &grown, |_| true);
 }
 
 /// Sharded relations under an all-linear (rectangular, no-stats) scheme —
-/// the representation the paper's kNN MINDIST path exercises hardest.
+/// the representation the paper's kNN MINDIST path exercises hardest —
+/// and the oracle's verdict on the scan fallbacks that scheme forces.
 #[test]
 fn rectangular_scheme_sharded_equivalence() {
-    let series = corpus(17, 64, 32);
     let scheme = FeatureScheme::new(3, Representation::Rectangular, false);
-    let rel = relation_with(&series, scheme);
-    let mut single = Database::new();
-    single.add_relation_indexed(rel.clone());
-    let mut sharded = Database::new();
-    sharded.add_relation_sharded(rel, 4);
-    for q in [
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 5.0",
-        "FIND 7 NEAREST TO ROW 3 IN r",
-        "FIND PAIRS IN r EPSILON 6.0 METHOD d",
-    ] {
-        for threads in [1usize, 4] {
-            let p = if threads == 1 {
-                Parallelism::Serial
-            } else {
-                Parallelism::Fixed(threads)
-            };
-            single.set_parallelism(p);
-            sharded.set_parallelism(p);
-            let a = execute(&single, q).unwrap();
-            let b = execute(&sharded, q).unwrap();
-            assert_outputs_bitwise_equal(&a, &b, &format!("{q} (threads {threads})"));
-        }
-    }
+    World::new(17, 64, 32, scheme).check(&both_threads(sharded(4)), |_| true);
 }
 
 /// Regression: re-sharding a relation that has *pending incremental
@@ -343,35 +208,31 @@ fn rectangular_scheme_sharded_equivalence() {
 /// the maintained trees' insertion outcome.)
 #[test]
 fn reshard_after_pending_inserts_preserves_equivalence() {
-    let series = corpus(23, 40, 32);
-    let (mut single, mut sharded) = twin_dbs(&series[..30], 3);
-    // Ten pending inserts against both twins' live trees.
-    for (i, s) in series[30..].iter().enumerate() {
-        single
-            .insert_into("r", format!("S{}", 30 + i), s.clone())
-            .unwrap();
-        sharded
-            .insert_into("r", format!("S{}", 30 + i), s.clone())
-            .unwrap();
-    }
-    assert_dbs_agree(&mut single, &mut sharded, "pending inserts");
-
+    let world = world(98, 40, 32);
+    // Some rows bulk-loaded into 3 shards, the rest inserted since.
+    let (mut db, _scratch) = world.database(Storage::Incremental, 3, false);
+    let pending = Config {
+        storage: Storage::Incremental,
+        ..sharded(3)
+    };
+    world.check_on(&mut db, &pending, |_| true);
     // Re-shard with the inserts pending: 3 → 5 shards, then back to 1.
-    sharded.shard_relation("r", 5).unwrap();
-    assert_dbs_agree(
-        &mut single,
-        &mut sharded,
-        "resharded 3→5 with pending inserts",
-    );
-    sharded.shard_relation("r", 1).unwrap();
-    assert_dbs_agree(&mut single, &mut sharded, "unsharded with pending inserts");
-
-    // And the resharded trees keep accepting incremental inserts.
-    let mut gen = WalkGenerator::new(5);
-    let probe = gen.series(32);
+    for shards in [5, 1] {
+        db.shard_relation("r", shards).unwrap();
+        for point in both_threads(Config {
+            storage: Storage::Resharded,
+            ..sharded(shards)
+        }) {
+            world.check_on(&mut db, &point, |_| true);
+        }
+    }
+    // And the resharded trees keep accepting incremental inserts: the
+    // same row into an unsharded bulk-built twin, and the two still agree.
+    let (mut single, _scratch) = world.database(Storage::Built, 1, false);
+    let probe = WalkGenerator::new(5).series(32);
     single.insert_into("r", "P", probe.clone()).unwrap();
-    sharded.insert_into("r", "P", probe).unwrap();
-    assert_dbs_agree(&mut single, &mut sharded, "insert after reshard");
+    db.insert_into("r", "P", probe).unwrap();
+    world.assert_agree(&mut single, &mut db, "insert after reshard");
 }
 
 /// Regression: asking for the shard shape a relation already has is a
@@ -380,7 +241,7 @@ fn reshard_after_pending_inserts_preserves_equivalence() {
 #[test]
 fn same_shape_reshard_is_a_noop() {
     let series = corpus(29, 24, 32);
-    let (_, mut sharded) = twin_dbs(&series, 4);
+    let mut sharded = db_over(&series, 4, 1);
     let generation = sharded.generation();
     sharded.shard_relation("r", 4).unwrap();
     assert_eq!(
@@ -388,16 +249,11 @@ fn same_shape_reshard_is_a_noop() {
         generation,
         "same-shape reshard must not invalidate plans"
     );
-    let StoredRelation::Sharded { relation, .. } = sharded.relation("r").unwrap() else {
-        panic!("still sharded");
-    };
-    assert_eq!(relation.shard_count(), 4);
+    assert_eq!(sharded.relation("r").unwrap().shard_count(), 4);
 
     // A single relation that already has its one index: `\shard r 1`
     // is likewise a no-op.
-    let rel = relation_with(&series, FeatureScheme::paper_default());
-    let mut single = Database::new();
-    single.add_relation_indexed(rel);
+    let mut single = db_over(&series, 1, 1);
     let generation = single.generation();
     single.shard_relation("r", 1).unwrap();
     assert_eq!(single.generation(), generation);

@@ -5,9 +5,9 @@
 //!    index point and normal-form spectrum — with identical `f64` bit
 //!    patterns, and the reopened R*-tree has the identical node layout
 //!    (pinned by byte-equal re-serialization).
-//! 2. **Query equivalence**: a reopened database answers range, kNN and
-//!    join queries identically to the in-memory build, serially and at 4
-//!    threads, with the index decoded rather than re-bulk-loaded.
+//! 2. **Query equivalence**: a reopened database answers every statement
+//!    of the lattice corpus identically to the in-memory build, serially
+//!    and at 4 threads, with the index decoded rather than re-bulk-loaded.
 //! 3. **Corruption safety**: flipping any byte of a snapshot makes loading
 //!    return an error — never a panic, never silently wrong data.
 //! 4. **WAL corruption safety**: flipping or truncating random bytes of a
@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::{assert_outputs_bitwise_equal, corpus, relation_with};
+use common::{corpus, relation_with};
 use proptest::prelude::*;
 use similarity_queries::index::serial;
 use similarity_queries::prelude::*;
@@ -226,52 +226,25 @@ proptest! {
     }
 }
 
-/// The acceptance contract: a database saved and reopened from disk
-/// answers range, kNN and join queries identically to the in-memory build,
-/// at 1 and 4 threads, without re-bulk-loading the R*-tree.
+/// The acceptance contract — the snapshot-reload points of the lattice
+/// (`tests/common/lattice.rs`): a database saved and reopened from disk
+/// answers every statement identically to the in-memory build, at 1 and 4
+/// threads, and serially with identical work: the R*-tree is decoded, not
+/// re-bulk-loaded, and arena-identical trees do identical work.
 #[test]
 fn reopened_database_is_query_for_query_identical() {
-    let series = corpus(97, 120, 64);
-    let rel = relation_with(&series, FeatureScheme::paper_default());
-    let mut built = Database::new();
-    built.add_relation_indexed(rel);
-
-    let dir = std::env::temp_dir().join("simq-snapshot-roundtrip");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("db.simq");
-    built.save_snapshot(&path).unwrap();
-    let mut opened = Database::open_snapshot(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-
-    let queries = [
-        "FIND SIMILAR TO ROW 5 IN r EPSILON 3.0",
-        "FIND SIMILAR TO ROW 5 IN r EPSILON 3.0 FORCE SCAN",
-        "FIND SIMILAR TO ROW 3 IN r USING mavg(8) ON BOTH EPSILON 2.0",
-        "FIND 7 NEAREST TO ROW 10 IN r",
-        "FIND 7 NEAREST TO ROW 10 IN r FORCE SCAN",
-        "FIND PAIRS IN r USING mavg(8) EPSILON 1.5 METHOD b",
-        "FIND PAIRS IN r USING mavg(8) EPSILON 1.5 METHOD d",
-    ];
-    for q in queries {
-        for threads in [1usize, 4] {
-            let p = if threads == 1 {
-                Parallelism::Serial
-            } else {
-                Parallelism::Fixed(threads)
-            };
-            built.set_parallelism(p);
-            opened.set_parallelism(p);
-            let a = execute(&built, q).unwrap();
-            let b = execute(&opened, q).unwrap();
-            assert_outputs_bitwise_equal(&a, &b, &format!("{q} (threads {threads})"));
-            // Arena-identical trees do identical work (index paths only
-            // report node visits; scans report none either way).
-            assert_eq!(
-                a.stats.nodes_visited, b.stats.nodes_visited,
-                "{q} (threads {threads})"
-            );
-        }
-    }
+    use common::lattice::{world, Config, Storage};
+    let reopened = Config {
+        storage: Storage::SnapshotReload,
+        ..Config::BASE
+    };
+    world(71, 22, 32).check(
+        &[1, 4].map(|threads| Config {
+            threads,
+            ..reopened
+        }),
+        |_| true,
+    );
 }
 
 /// The reopened index is the decoded structure, not a fresh bulk-load:

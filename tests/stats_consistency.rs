@@ -16,26 +16,10 @@
 
 mod common;
 
-use common::{corpus, relation_with};
+use common::{corpus, db_over, QUERY_FORMS};
 use proptest::prelude::*;
 use similarity_queries::prelude::*;
 use similarity_queries::query::QueryResult;
-
-/// Every query form the engine executes — the `shard_equivalence` matrix.
-fn query_matrix() -> Vec<String> {
-    vec![
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 25.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r USING mavg(5) ON BOTH EPSILON 2.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 4.0 MEAN WITHIN 2.0".into(),
-        "FIND SIMILAR TO ROW 0 IN r EPSILON 3.0 FORCE SCAN".into(),
-        "FIND 5 NEAREST TO ROW 0 IN r".into(),
-        "FIND 5 NEAREST TO ROW 0 IN r USING mavg(5) ON BOTH".into(),
-        "FIND 5 NEAREST TO ROW 0 IN r FORCE SCAN".into(),
-        "FIND PAIRS IN r EPSILON 4.0 METHOD b".into(),
-        "FIND PAIRS IN r USING mavg(5) EPSILON 3.0 METHOD d".into(),
-    ]
-}
 
 /// Asserts the partition property for one execution.
 fn assert_breakdowns_sum(result: &QueryResult, label: &str) {
@@ -74,22 +58,6 @@ fn assert_breakdowns_sum(result: &QueryResult, label: &str) {
     );
 }
 
-fn db_over(series: &[Vec<f64>], shards: usize, threads: usize) -> Database {
-    let rel = relation_with(series, FeatureScheme::paper_default());
-    let mut db = Database::new();
-    if shards > 1 {
-        db.add_relation_sharded(rel, shards);
-    } else {
-        db.add_relation_indexed(rel);
-    }
-    db.set_parallelism(if threads > 1 {
-        Parallelism::Fixed(threads)
-    } else {
-        Parallelism::Serial
-    });
-    db
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -104,8 +72,8 @@ proptest! {
     ) {
         let series = corpus(seed, rows, 64);
         let db = db_over(&series, shards, threads);
-        for q in query_matrix() {
-            let result = execute(&db, &q).expect("matrix query runs");
+        for q in QUERY_FORMS {
+            let result = execute(&db, q).expect("matrix query runs");
             assert_breakdowns_sum(
                 &result,
                 &format!("{q} (seed {seed}, rows {rows}, shards {shards}, threads {threads})"),
@@ -118,8 +86,8 @@ proptest! {
 fn serial_unsharded_execution_reports_no_breakdowns() {
     let series = corpus(5, 40, 64);
     let db = db_over(&series, 1, 1);
-    for q in query_matrix() {
-        let result = execute(&db, &q).unwrap();
+    for q in QUERY_FORMS {
+        let result = execute(&db, q).unwrap();
         assert!(result.per_thread.is_empty(), "{q}");
         assert!(result.per_shard.is_empty(), "{q}");
     }
@@ -180,8 +148,8 @@ fn serial_counters_match_the_recorded_golden() {
     let mut actual = String::new();
     for shards in [1usize, 4] {
         let db = db_over(&series, shards, 1);
-        for q in query_matrix() {
-            let r = execute(&db, &q).expect("matrix query runs");
+        for q in QUERY_FORMS {
+            let r = execute(&db, q).expect("matrix query runs");
             actual.push_str(&format!(
                 "shards={shards} | {q}\n  stats: {:?}\n  per_thread: {:?}\n  per_shard: {:?}\n",
                 r.stats, r.per_thread, r.per_shard

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{corpus, relation_with};
+use common::{corpus, db_over};
 use similarity_queries::prelude::*;
 use similarity_queries::query::{execute_batch, QueryResult};
 
@@ -29,22 +29,6 @@ fn index_and_scan_forms() -> Vec<(String, String)> {
             "FIND PAIRS IN r USING mavg(5) EPSILON 3.0 METHOD b".into(),
         ),
     ]
-}
-
-fn db_over(series: &[Vec<f64>], shards: usize, threads: usize) -> Database {
-    let rel = relation_with(series, FeatureScheme::paper_default());
-    let mut db = Database::new();
-    if shards > 1 {
-        db.add_relation_sharded(rel, shards);
-    } else {
-        db.add_relation_indexed(rel);
-    }
-    db.set_parallelism(if threads > 1 {
-        Parallelism::Fixed(threads)
-    } else {
-        Parallelism::Serial
-    });
-    db
 }
 
 fn rows_touched(r: &QueryResult) -> u64 {
