@@ -15,7 +15,7 @@
 //!
 //! [`Registry::snapshot`] captures a point-in-time view renderable as
 //! aligned text (`\metrics`) or a stable JSON document
-//! (`\metrics --json`, schema version 1).
+//! (`\metrics --json`, schema version 2).
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,14 +122,6 @@ pub struct Registry {
     /// `filter.dismissed` — candidates dismissed by the quantized
     /// signature tier before full verification.
     pub filter_dismissed: AtomicU64,
-    /// `plan_cache.hits` — session plan-cache hits.
-    pub plan_cache_hits: AtomicU64,
-    /// `plan_cache.misses` — session plan-cache misses (plans computed).
-    pub plan_cache_misses: AtomicU64,
-    /// `plan_cache.evictions` — LRU entries displaced at capacity.
-    pub plan_cache_evictions: AtomicU64,
-    /// `plan_cache.invalidations` — entries dropped on catalog change.
-    pub plan_cache_invalidations: AtomicU64,
     /// `session.prepared` — statements prepared.
     pub session_prepared: AtomicU64,
     /// `session.cursors` — streaming cursors opened.
@@ -215,13 +207,6 @@ impl Registry {
                 ("query.executions", c(&self.query_executions)),
                 ("query.shard_work_units", c(&self.query_shard_work_units)),
                 ("filter.dismissed", c(&self.filter_dismissed)),
-                ("plan_cache.hits", c(&self.plan_cache_hits)),
-                ("plan_cache.misses", c(&self.plan_cache_misses)),
-                ("plan_cache.evictions", c(&self.plan_cache_evictions)),
-                (
-                    "plan_cache.invalidations",
-                    c(&self.plan_cache_invalidations),
-                ),
                 ("session.prepared", c(&self.session_prepared)),
                 ("session.cursors", c(&self.session_cursors)),
                 ("session.slow_queries", c(&self.session_slow_queries)),
@@ -340,7 +325,7 @@ impl Snapshot {
     /// Renders the snapshot as one line of JSON with a stable schema:
     ///
     /// ```json
-    /// {"schema":1,"counters":{…},"gauges":{…},
+    /// {"schema":2,"counters":{…},"gauges":{…},
     ///  "histograms":{"name":{"count":…,"sum_ns":…,"p50_ns":…,
     ///                        "p95_ns":…,"p99_ns":…,"max_ns":…}},
     ///  "derived":{"wal.group_size":…,"wal.syncs_per_insert":…}}
@@ -350,7 +335,7 @@ impl Snapshot {
     /// (unsigned integers except the derived ratios), so no string
     /// escaping is needed.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"schema\":1,\"counters\":{");
+        let mut out = String::from("{\"schema\":2,\"counters\":{");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -441,7 +426,7 @@ mod tests {
     fn json_schema_is_stable_and_parseable_shape() {
         let snap = Registry::default().snapshot();
         let json = snap.render_json();
-        assert!(json.starts_with("{\"schema\":1,\"counters\":{"));
+        assert!(json.starts_with("{\"schema\":2,\"counters\":{"));
         assert!(json.contains("\"query.executions\":0"));
         assert!(json.contains("\"wal.last_sync_ns\":0"));
         assert!(json.contains(
@@ -463,7 +448,7 @@ mod tests {
         assert!(text.contains("gauges:"));
         assert!(text.contains("histograms:"));
         assert!(text.contains("derived:"));
-        assert!(text.contains("plan_cache.hits"));
+        assert!(text.contains("session.prepared"));
         assert!(text.contains("wal.group_size"));
     }
 }

@@ -310,88 +310,4 @@ impl QueryTemplate {
             }
         }
     }
-
-    /// True when the template contains no placeholders (i.e. it is a
-    /// plain query that could also be executed directly).
-    pub fn is_fully_literal(&self) -> bool {
-        // Defined as convertibility so the two notions cannot drift.
-        self.into_query_literal().is_some()
-    }
-
-    /// Converts a fully-literal template into a plain [`Query`]. Returns
-    /// `None` when any placeholder remains (bind parameters first — see
-    /// `session::Prepared::bind`). Literal integer slots were validated by
-    /// the parser, so the numeric narrowing here is exact.
-    pub fn into_query_literal(&self) -> Option<Query> {
-        let num = |a: &NumArg| match a {
-            NumArg::Lit(v) => Some(*v),
-            NumArg::Param(_) => None,
-        };
-        let src = |s: &TemplateSource| match s {
-            TemplateSource::Literal(values) => Some(QuerySource::Literal(values.clone())),
-            TemplateSource::RowId(a) => Some(QuerySource::RowId(num(a)? as u64)),
-            TemplateSource::RowName(name) => Some(QuerySource::RowName(name.clone())),
-            TemplateSource::Series(_) => None,
-        };
-        Some(match self {
-            QueryTemplate::Range {
-                source,
-                relation,
-                transform,
-                on_both,
-                eps,
-                stats_window,
-                strategy,
-            } => Query::Range {
-                source: src(source)?,
-                relation: relation.clone(),
-                transform: transform.clone(),
-                on_both: *on_both,
-                eps: num(eps)?,
-                stats_window: StatsWindow {
-                    mean: match &stats_window.mean {
-                        Some(a) => Some(num(a)?),
-                        None => None,
-                    },
-                    std_dev: match &stats_window.std_dev {
-                        Some(a) => Some(num(a)?),
-                        None => None,
-                    },
-                },
-                strategy: *strategy,
-            },
-            QueryTemplate::Knn {
-                k,
-                source,
-                relation,
-                transform,
-                on_both,
-                strategy,
-            } => Query::Knn {
-                k: num(k)? as usize,
-                source: src(source)?,
-                relation: relation.clone(),
-                transform: transform.clone(),
-                on_both: *on_both,
-                strategy: *strategy,
-            },
-            QueryTemplate::AllPairs {
-                relation,
-                left,
-                right,
-                eps,
-                method,
-            } => Query::AllPairs {
-                relation: relation.clone(),
-                left: left.clone(),
-                right: right.clone(),
-                eps: num(eps)?,
-                method: *method,
-            },
-            QueryTemplate::Explain(inner) => Query::Explain(Box::new(inner.into_query_literal()?)),
-            QueryTemplate::ExplainAnalyze(inner) => {
-                Query::ExplainAnalyze(Box::new(inner.into_query_literal()?))
-            }
-        })
-    }
 }

@@ -4,9 +4,7 @@
 //! and nothing else:
 //!
 //! 1. **One front end.** Every statement is parsed and planned up front
-//!    through the caller's planner — a [`Session`](crate::session::Session)
-//!    passes its plan cache, so a shape is planned once however many
-//!    statements carry it. A statement that fails to parse or plan
+//!    against the pinned catalog. A statement that fails to parse or plan
 //!    occupies its own result slot without failing the batch.
 //! 2. **One catalog generation.** The executor pins a single
 //!    [`ReadView`] and answers every slot from it.
@@ -42,8 +40,7 @@ pub struct BatchResult {
     pub results: Vec<Result<QueryResult, QueryError>>,
     /// The slots' work counters summed (`verified` included);
     /// `threads_used` is the widest fan-out the batch or any slot
-    /// reached. A session batch adds the plan-cache hits and misses of
-    /// its planning pass.
+    /// reached.
     pub stats: ExecStats,
 }
 
@@ -70,9 +67,6 @@ pub fn split_batch_script(script: &str) -> Vec<String> {
         .collect()
 }
 
-/// The planner a batch plans its statements through.
-pub(crate) type Planner<'p> = dyn FnMut(&Query) -> Result<Plan, QueryError> + 'p;
-
 impl BatchExecutor {
     /// A batch executor over `db` as it stands now: the read view taken
     /// here serves every slot of every batch this executor runs.
@@ -85,40 +79,18 @@ impl BatchExecutor {
     /// Parses every input and executes the batch; parse errors fill their
     /// slot without failing the rest.
     pub fn execute_texts(&self, inputs: &[&str]) -> BatchResult {
-        self.execute_texts_with_planner(inputs, &mut |q| plan(self.view.database(), q))
-    }
-
-    /// [`BatchExecutor::execute_texts`] with plans supplied by `planner`
-    /// (the session's cache-aware text-batch path).
-    pub(crate) fn execute_texts_with_planner(
-        &self,
-        inputs: &[&str],
-        planner: &mut Planner,
-    ) -> BatchResult {
         let parsed: Vec<_> = inputs
             .iter()
             .map(|text| crate::parse::parse(text))
             .collect();
         let queries = parsed.iter().map(|p| p.as_ref().map_err(Clone::clone));
-        self.run(queries.collect(), planner)
+        self.run(queries.collect())
     }
 
-    /// Executes a batch of parsed queries.
-    pub fn execute(&self, queries: &[Query]) -> BatchResult {
-        self.execute_with_planner(queries.iter(), &mut |q| plan(self.view.database(), q))
-    }
-
-    /// Executes a batch of parsed queries with plans supplied by
-    /// `planner` — the prepared-batch path: `session::Session` passes its
-    /// plan-cache lookup here, so a batch of N bound statements with
-    /// shared shapes plans at most once per shape. The queries are only
-    /// borrowed: bound statements can carry whole query series.
-    pub(crate) fn execute_with_planner<'q>(
-        &self,
-        queries: impl Iterator<Item = &'q Query>,
-        planner: &mut Planner,
-    ) -> BatchResult {
-        self.run(queries.map(Ok).collect(), planner)
+    /// Executes a batch of parsed queries. The queries are only borrowed:
+    /// a session's bound statements can carry whole query series.
+    pub fn execute<'q>(&self, queries: impl IntoIterator<Item = &'q Query>) -> BatchResult {
+        self.run(queries.into_iter().map(Ok).collect())
     }
 
     /// Renders the batch `EXPLAIN`: one line per statement with the plan
@@ -137,7 +109,7 @@ impl BatchExecutor {
 
     /// Plans every parsed statement, runs the planned ones through
     /// [`exec::run_with_plan`] and sums their counters.
-    fn run(&self, queries: Vec<Result<&Query, QueryError>>, planner: &mut Planner) -> BatchResult {
+    fn run(&self, queries: Vec<Result<&Query, QueryError>>) -> BatchResult {
         let db = self.view.database();
         let m = simq_obs::metrics::registry();
         m.batch_batches.fetch_add(1, Ordering::Relaxed);
@@ -147,7 +119,7 @@ impl BatchExecutor {
         );
         let planned: Vec<Result<(&Query, Plan), QueryError>> = queries
             .into_iter()
-            .map(|query| query.and_then(|q| Ok((q, planner(q)?))))
+            .map(|query| query.and_then(|q| Ok((q, plan(db, q)?))))
             .collect();
         let runnable: Vec<&(&Query, Plan)> = planned.iter().flatten().collect();
 

@@ -303,7 +303,10 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// The concrete thread count this setting resolves to.
+    /// The concrete thread count this setting resolves to. `Auto` asks the
+    /// OS on every call, which costs more than planning a query, so
+    /// [`Database::set_parallelism`] resolves it once and the planner and
+    /// batch writers reuse that count.
     pub fn threads(self) -> usize {
         match self {
             Parallelism::Serial => 1,
@@ -408,16 +411,30 @@ pub struct WalStatus {
 /// [`Arc::make_mut`] (copy-on-write — in place when no view holds the
 /// relation, a clone when one does), so readers never block on writers and
 /// a view's answers never shift mid-query.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Database {
     relations: BTreeMap<String, Arc<StoredRelation>>,
     parallelism: Parallelism,
-    /// Catalog generation: bumped by every mutation that could change a
-    /// plan (relations added/replaced/mutated, parallelism changed).
-    /// Session plan caches compare generations to invalidate.
+    /// What `parallelism` resolved to when it was set.
+    threads: usize,
+    /// Catalog generation: bumped by every mutation a pinned read view
+    /// would not see (relations added/replaced/mutated, inserts,
+    /// parallelism changed).
     generation: u64,
     /// The durable write path, when a WAL directory is attached.
     durability: Option<Durability>,
+}
+
+impl Default for Database {
+    fn default() -> Self {
+        Database {
+            relations: BTreeMap::new(),
+            parallelism: Parallelism::Serial,
+            threads: 1,
+            generation: 0,
+            durability: None,
+        }
+    }
 }
 
 impl Database {
@@ -426,11 +443,11 @@ impl Database {
         Database::default()
     }
 
-    /// The catalog generation counter. It increases on every mutation
-    /// that could invalidate a cached plan: adding or replacing a
-    /// relation, handing out mutable access to one, loading a snapshot,
-    /// or changing the execution parallelism. `session::Session` keys its
-    /// plan cache to this value.
+    /// The catalog generation counter. It increases on every mutation a
+    /// pinned [`ReadView`] would not see: adding or replacing a relation,
+    /// handing out mutable access to one, an acknowledged insert, loading
+    /// a snapshot, or changing the execution parallelism. The server
+    /// re-pins a connection's session when it moves.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -483,8 +500,7 @@ impl Database {
     /// re-shards into exactly the structures continued inserting produces.
     ///
     /// Asking for the shape the relation already has is a **no-op**: no
-    /// rows move, no trees rebuild, the catalog generation stays put, so
-    /// cached plans stay valid.
+    /// rows move, no trees rebuild, the catalog generation stays put.
     ///
     /// # Errors
     /// [`QueryError::UnknownRelation`] when no such relation exists;
@@ -544,7 +560,7 @@ impl Database {
     /// Mutable lookup (to build or drop indexes). When the relation
     /// exists, this conservatively bumps the catalog
     /// [generation](Database::generation) — the borrow may mutate the
-    /// relation or its index; a missed lookup leaves cached plans valid.
+    /// relation or its index; a missed lookup leaves it alone.
     pub fn relation_mut(&mut self, name: &str) -> Option<&mut StoredRelation> {
         if self.relations.contains_key(name) {
             self.generation += 1;
@@ -569,12 +585,19 @@ impl Database {
         self.parallelism
     }
 
-    /// Sets the execution parallelism for subsequent queries. Plans
-    /// record their thread count, so this bumps the catalog generation
-    /// (cached plans must be re-made).
+    /// The worker-thread count [`Database::parallelism`] resolved to when
+    /// it was set — what every plan and batch insert uses.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Sets the execution parallelism for subsequent queries, resolving
+    /// it to a thread count once, here. Bumps the catalog generation: a
+    /// read view copies the setting, so one pinned before it is stale.
     pub fn set_parallelism(&mut self, parallelism: Parallelism) {
         self.generation += 1;
         self.parallelism = parallelism;
+        self.threads = parallelism.threads();
     }
 
     /// Builder-style [`Database::set_parallelism`].
@@ -843,7 +866,7 @@ impl Database {
             idxs.push(i);
             records.push(WalRecord { id, name, series });
         }
-        let threads = self.parallelism.threads();
+        let threads = self.threads;
         let dur = self.durability.as_ref().map(|d| &d.store);
         let (stores, trees) = admitted_mut(&mut self.relations, relation).write_parts();
         let mut trees = trees.iter_mut();
@@ -1018,6 +1041,7 @@ impl Database {
             db: Database {
                 relations: self.relations.clone(),
                 parallelism: self.parallelism,
+                threads: self.threads,
                 generation: self.generation,
                 durability: None,
             },

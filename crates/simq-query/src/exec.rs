@@ -56,13 +56,6 @@ pub struct ExecStats {
     /// rows or candidates to split, or a frontier the coordinator
     /// exhausted on its own).
     pub threads_used: u64,
-    /// Plan-cache hits this execution benefited from (only set by
-    /// session-based execution; plain [`execute`]/[`run`] plan afresh
-    /// and report 0).
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses this execution paid for (session-based
-    /// execution only).
-    pub plan_cache_misses: u64,
     /// Shards that carried work for this query — 0 for unsharded
     /// relations, the relation's shard count for sharded execution
     /// (index fan-out and scan fan-out both touch every shard; only the
@@ -109,8 +102,6 @@ impl ExecStats {
         self.coefficients_compared += o.coefficients_compared;
         self.candidates += o.candidates;
         self.filtered_out += o.filtered_out;
-        self.plan_cache_hits += o.plan_cache_hits;
-        self.plan_cache_misses += o.plan_cache_misses;
         self.nodes_built += o.nodes_built;
         self.wal_records += o.wal_records;
         self.wal_syncs += o.wal_syncs;
@@ -207,13 +198,12 @@ pub fn run(db: &Database, query: &Query) -> Result<QueryResult, QueryError> {
     run_with_plan(db, query, the_plan)
 }
 
-/// Executes a parsed query under an already-made plan (the session's
-/// plan-cache path; [`run`] is `plan` + this).
+/// Executes a parsed query under an already-made plan: [`run`] is `plan`
+/// followed by this, and batches and cursors plan first and call it too.
 ///
-/// The plan must have been made for this query's shape against this
-/// database at its current generation — a stale plan (wrong access path,
-/// wrong thread count) executes but may not match what planning afresh
-/// would choose.
+/// The plan must have been made for this query against this database —
+/// a plan made elsewhere (wrong access path, wrong thread count) executes
+/// but may not match what planning here would choose.
 ///
 /// # Errors
 /// Any [`QueryError`] from execution.
@@ -484,14 +474,13 @@ fn range(
             drop(verify_span);
             out
         }
-        AccessPath::SeqScan { early_abandon } => {
+        AccessPath::SeqScan => {
             let scan_span = span::span("scan");
             let (scan_hits, s) = scan::scan_range_over(
                 stored.stores(),
                 transform,
                 &verifier.ctx.spectrum,
                 eps,
-                early_abandon,
                 threads,
             )?;
             ledger.scan(&s);
@@ -547,7 +536,7 @@ fn knn(
             drop(rank_span);
             hits
         }
-        AccessPath::SeqScan { .. } => {
+        AccessPath::SeqScan => {
             let scan_span = span::span("scan");
             let (scan_hits, s) =
                 scan::scan_knn_over(stored.stores(), transform, &q_spec, k, threads)?;
@@ -757,7 +746,7 @@ pub(crate) mod tests {
             "FIND SIMILAR TO ROW 5 IN stocks EPSILON 3.0 FORCE SCAN",
         )
         .unwrap();
-        assert!(matches!(via_scan.plan.access, AccessPath::SeqScan { .. }));
+        assert_eq!(via_scan.plan.access, AccessPath::SeqScan);
         assert_eq!(hits(&via_index), hits(&via_scan));
         assert!(hits(&via_index).contains(&5));
     }
@@ -776,7 +765,7 @@ pub(crate) mod tests {
     fn unindexed_relation_falls_back_to_scan() {
         let db = make_db(20, false);
         let r = execute(&db, "FIND SIMILAR TO ROW 0 IN stocks EPSILON 1").unwrap();
-        assert!(matches!(r.plan.access, AccessPath::SeqScan { .. }));
+        assert_eq!(r.plan.access, AccessPath::SeqScan);
         assert!(r.plan.reason.contains("no index"));
     }
 
@@ -934,6 +923,16 @@ pub(crate) mod tests {
             panic!("expected plan output");
         };
         assert!(text.contains("parallelism: 8 threads"), "{text}");
+    }
+
+    #[test]
+    fn auto_parallelism_plans_every_available_thread() {
+        use crate::catalog::Parallelism;
+        let mut db = make_db(10, true);
+        db.set_parallelism(Parallelism::Auto);
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let r = execute(&db, "EXPLAIN FIND SIMILAR TO ROW 0 IN stocks EPSILON 1").unwrap();
+        assert_eq!(r.plan.threads, available);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! Pipeline: [`token`] → [`parse()`](parse()) → [`plan`] → [`exec`], over
 //! the relations the [`catalog`] holds. For
 //! workloads that re-issue the same query shapes with different constants,
-//! [`session`] adds prepared statements with `?`/`$name` placeholders, a
-//! shape-keyed plan cache, streaming [`Cursor`]s and prepared batches on
-//! top of the same pipeline. The planner
+//! [`session`] adds prepared statements with `?`/`$name` placeholders,
+//! streaming [`Cursor`]s and prepared batches on top of the same pipeline
+//! — every statement is planned when it runs. The planner
 //! chooses between the transformed R*-tree traversal (Algorithm 2) and the
 //! early-abandoning frequency-domain scan, driven by the safety theorems:
 //! a transformation that does not lower safely to the relation's feature

@@ -32,20 +32,20 @@ pub struct ParsedTemplate {
 /// [`QueryError::Lex`] / [`QueryError::Parse`] with byte offsets.
 pub fn parse(input: &str) -> Result<Query, QueryError> {
     let parsed = parse_template(input)?;
-    match parsed.template.into_query_literal() {
-        Some(q) => Ok(q),
-        None => {
-            let first = parsed.params.first().expect("non-literal implies a param");
-            Err(QueryError::Parse {
-                offset: Some(first.offset),
-                message: format!(
-                    "placeholder {} ({}) is only allowed in a prepared statement; \
-                     use Session::prepare",
-                    first.reference, first.context
-                ),
-            })
-        }
+    if let Some(first) = parsed.params.first() {
+        return Err(QueryError::Parse {
+            offset: Some(first.offset),
+            message: format!(
+                "placeholder {} ({}) is only allowed in a prepared statement; \
+                 use Session::prepare",
+                first.reference, first.context
+            ),
+        });
     }
+    // No placeholder is left, so the lookup is never reached.
+    crate::session::instantiate(&parsed.template, &mut |r, _, _| {
+        Err(QueryError::Bind(format!("unbound parameter {r}")))
+    })
 }
 
 /// Parses one statement template, allowing `?` and `$name` placeholders
@@ -817,12 +817,15 @@ mod template_tests {
     }
 
     #[test]
-    fn fully_literal_template_converts() {
+    fn fully_literal_template_parses_to_its_query() {
         let parsed = parse_template("FIND SIMILAR TO ROW 3 IN r EPSILON 1.5").unwrap();
         assert!(parsed.params.is_empty());
-        assert!(parsed.template.is_fully_literal());
-        let q = parsed.template.into_query_literal().unwrap();
-        assert_eq!(q.relation(), "r");
+        let Query::Range { source, eps, .. } =
+            parse("FIND SIMILAR TO ROW 3 IN r EPSILON 1.5").unwrap()
+        else {
+            panic!("a range query");
+        };
+        assert_eq!((source, eps), (crate::ast::QuerySource::RowId(3), 1.5));
     }
 
     #[test]

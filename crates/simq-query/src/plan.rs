@@ -26,11 +26,9 @@ pub enum AccessPath {
     /// Transformed R*-tree traversal (Algorithm 2) plus exact
     /// postprocessing.
     IndexScan,
-    /// Sequential scan over frequency-domain storage.
-    SeqScan {
-        /// Whether per-row distance computation abandons early.
-        early_abandon: bool,
-    },
+    /// Sequential scan over frequency-domain storage, abandoning each
+    /// row's distance once it exceeds ε (range) or the k-th best (kNN).
+    SeqScan,
     /// Probe join: one range query per row (the paper's methods *c*/*d*).
     IndexProbeJoin {
         /// Whether the transformation is pushed into the probes (method
@@ -51,8 +49,8 @@ pub struct Plan {
     pub access: AccessPath,
     /// Why the planner chose it.
     pub reason: String,
-    /// Worker threads execution will use (from the database's
-    /// [`Parallelism`] at planning time; 1 = serial).
+    /// Worker threads execution will use (the count the database's
+    /// [`Parallelism`] resolved to when it was set; 1 = serial).
     pub threads: usize,
     /// Shard count of the relation at planning time (1 = unsharded).
     /// Index and scan phases fan out one work unit per shard.
@@ -71,7 +69,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
         .ok_or_else(|| QueryError::UnknownRelation(query.relation().to_string()))?;
     let scheme = stored.scheme();
     let n = stored.series_len();
-    let threads = db.parallelism().threads();
+    let threads = db.threads();
     let shards = stored.shard_count();
 
     match query {
@@ -84,9 +82,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
         } => {
             if *strategy == Strategy::ForceScan {
                 return Ok(Plan {
-                    access: AccessPath::SeqScan {
-                        early_abandon: true,
-                    },
+                    access: AccessPath::SeqScan,
                     reason: "FORCE SCAN requested".into(),
                     threads,
                     shards,
@@ -117,9 +113,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
                     Err(QueryError::IndexUnavailable(why))
                 }
                 Err(why) => Ok(Plan {
-                    access: AccessPath::SeqScan {
-                        early_abandon: true,
-                    },
+                    access: AccessPath::SeqScan,
                     reason: why,
                     threads,
                     shards,
@@ -133,9 +127,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
         } => {
             if *strategy == Strategy::ForceScan {
                 return Ok(Plan {
-                    access: AccessPath::SeqScan {
-                        early_abandon: true,
-                    },
+                    access: AccessPath::SeqScan,
                     reason: "FORCE SCAN requested".into(),
                     threads,
                     shards,
@@ -167,9 +159,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
                     Err(QueryError::IndexUnavailable(why))
                 }
                 Err(why) => Ok(Plan {
-                    access: AccessPath::SeqScan {
-                        early_abandon: true,
-                    },
+                    access: AccessPath::SeqScan,
                     reason: why,
                     threads,
                     shards,
@@ -237,12 +227,7 @@ fn rep_name(rep: Representation) -> &'static str {
 pub fn explain(query: &Query, plan: &Plan) -> String {
     let access = match &plan.access {
         AccessPath::IndexScan => "IndexScan (transformed R*-tree traversal + exact postprocess)",
-        AccessPath::SeqScan {
-            early_abandon: true,
-        } => "SeqScan (frequency domain, early abandoning)",
-        AccessPath::SeqScan {
-            early_abandon: false,
-        } => "SeqScan (frequency domain, full distances)",
+        AccessPath::SeqScan => "SeqScan (frequency domain, early abandoning)",
         AccessPath::IndexProbeJoin { transformed: true } => {
             "IndexProbeJoin (transformed probes, Algorithm 2 per row)"
         }

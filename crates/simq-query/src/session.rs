@@ -3,20 +3,20 @@
 //!
 //! [`execute`](crate::execute) re-lexes, re-parses and re-plans its text
 //! on every call and materializes the whole answer. Applications re-issue
-//! the same query *shapes* with different constants; a [`Session`]
-//! amortizes everything that does not depend on the constants:
+//! the same query *shapes* with different constants; a [`Session`] moves
+//! the front end out of the loop:
 //!
-//! * [`Session::prepare`] lexes, parses and plans a statement **once**.
-//!   The text may contain placeholders — `?` positional (numbered in
-//!   lexical order) or `$name` named — in the query-source, `EPSILON`,
-//!   `k`, `ROW <id>` and `MEAN`/`STD WITHIN` slots.
+//! * [`Session::prepare`] lexes and parses a statement **once**, and
+//!   plans it once to fail early (unknown relation, unsatisfiable
+//!   `FORCE INDEX`). The text may contain placeholders — `?` positional
+//!   (numbered in lexical order) or `$name` named — in the query-source,
+//!   `EPSILON`, `k`, `ROW <id>` and `MEAN`/`STD WITHIN` slots.
 //! * [`Prepared::bind`] type-checks parameter values against the
 //!   statement's typed signature and produces a [`Bound`] statement.
-//! * [`Session::execute`] runs a bound statement, reusing the session's
-//!   **shape-keyed plan cache** (bounded LRU, invalidated whenever the
-//!   database's catalog [generation](Database::generation) changes).
-//!   Cache hits and misses are reported both per query (in
-//!   [`ExecStats`]) and cumulatively (in [`SessionStats`]).
+//! * [`Session::execute`] runs a bound statement exactly as
+//!   [`run`](crate::run) runs a parsed one: plan against the current
+//!   catalog, then execute on a pinned read view. Planning costs well
+//!   under a microsecond, so no plan is ever reused and none can go stale.
 //! * [`Session::cursor`] returns a lazy [`Cursor`] that streams hits
 //!   incrementally: range queries pull candidates out of an explicit-
 //!   stack index descent (or row-at-a-time scan), so a consumer that
@@ -50,15 +50,14 @@
 //!     let result = session.execute(&bound).unwrap();
 //!     assert!(matches!(result.output, QueryOutput::Hits(_)));
 //! }
-//! // One miss at prepare time, then every execution hit the plan cache.
-//! assert_eq!(session.stats().plan_cache_misses, 1);
-//! assert_eq!(session.stats().plan_cache_hits, 5);
+//! assert_eq!(session.stats().prepared_statements, 1);
+//! assert_eq!(session.stats().executions, 5);
 //! ```
 
 use crate::ast::{
     NumArg, ParamRef, ParamType, Query, QuerySource, QueryTemplate, StatsWindow, TemplateSource,
 };
-use crate::batch::{BatchExecutor, BatchResult, Planner};
+use crate::batch::{BatchExecutor, BatchResult};
 use crate::catalog::{Database, InsertBatchReport, InsertReport};
 use crate::error::QueryError;
 use crate::exec::{self, ExecStats, Hit, QueryResult};
@@ -73,10 +72,8 @@ use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Default bound on the session plan cache (distinct statement shapes).
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Parameter values
@@ -149,18 +146,16 @@ pub struct Slot {
     pub context: &'static str,
 }
 
-/// A prepared statement: parsed and planned once, executable many times
-/// with different parameter bindings.
+/// A prepared statement: parsed once, executable many times with
+/// different parameter bindings.
 ///
 /// Produced by [`Session::prepare`]. The statement itself is immutable
 /// and does not borrow the session or the database — it can outlive
-/// both; executing it against a *different* database (or after catalog
-/// mutations) simply re-plans through that session's cache.
+/// both; every execution plans against the catalog it runs on.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    text: String,
+    text: Arc<str>,
     template: QueryTemplate,
-    shape: String,
     /// Positional slots (in `?`-ordinal order), then named slots (in
     /// first-appearance order).
     slots: Vec<Slot>,
@@ -272,17 +267,18 @@ impl Prepared {
         let query = instantiate(&self.template, &mut lookup)?;
         Ok(Bound {
             query,
-            shape: self.shape.clone(),
+            text: Arc::clone(&self.text),
         })
     }
 }
 
 /// A prepared statement with every parameter bound: a concrete,
-/// executable query plus its plan-cache shape key.
+/// executable query plus the statement text it came from (the slow-query
+/// log's label).
 #[derive(Debug, Clone)]
 pub struct Bound {
     query: Query,
-    shape: String,
+    text: Arc<str>,
 }
 
 impl Bound {
@@ -293,7 +289,9 @@ impl Bound {
 }
 
 /// Substitutes parameter values into a template, type-checking each slot.
-fn instantiate(
+/// The one template → query walker: [`parse()`](crate::parse()) runs a
+/// placeholder-free template through it too.
+pub(crate) fn instantiate(
     template: &QueryTemplate,
     lookup: &mut dyn FnMut(&ParamRef, ParamType, &'static str) -> Result<Value, QueryError>,
 ) -> Result<Query, QueryError> {
@@ -449,120 +447,6 @@ fn instantiate(
 }
 
 // ---------------------------------------------------------------------------
-// Shape keys
-// ---------------------------------------------------------------------------
-
-/// Renderers for the plan-shape key: everything [`plan_query`] looks at
-/// — relation, query form, transformation(s), strategy, join method and
-/// which GK95 windows are present — and nothing it does not (epsilon,
-/// k, the query series). [`shape_key`] and [`shape_key_template`] both
-/// delegate here so the key format exists in exactly one place: the
-/// plan a `prepare()` plants under the template's key *must* be found
-/// by `execute()` under the bound query's key.
-mod shape {
-    pub(super) fn range(
-        relation: &str,
-        transform: &simq_series::transform::SeriesTransform,
-        strategy: &crate::ast::Strategy,
-        has_mean: bool,
-        has_std: bool,
-    ) -> String {
-        format!(
-            "range|{relation}|{transform:?}|{strategy:?}|m{}s{}",
-            has_mean as u8, has_std as u8
-        )
-    }
-
-    pub(super) fn knn(
-        relation: &str,
-        transform: &simq_series::transform::SeriesTransform,
-        strategy: &crate::ast::Strategy,
-    ) -> String {
-        format!("knn|{relation}|{transform:?}|{strategy:?}")
-    }
-
-    pub(super) fn pairs(
-        relation: &str,
-        left: &simq_series::transform::SeriesTransform,
-        right: &simq_series::transform::SeriesTransform,
-        method: &crate::ast::JoinMethod,
-    ) -> String {
-        format!("pairs|{relation}|{left:?}|{right:?}|{method:?}")
-    }
-}
-
-/// The plan-shape key of a concrete query. `EXPLAIN` shares its inner
-/// query's key, because it shares its plan.
-fn shape_key(query: &Query) -> String {
-    match query {
-        Query::Range {
-            relation,
-            transform,
-            strategy,
-            stats_window,
-            ..
-        } => shape::range(
-            relation,
-            transform,
-            strategy,
-            stats_window.mean.is_some(),
-            stats_window.std_dev.is_some(),
-        ),
-        Query::Knn {
-            relation,
-            transform,
-            strategy,
-            ..
-        } => shape::knn(relation, transform, strategy),
-        Query::AllPairs {
-            relation,
-            left,
-            right,
-            method,
-            ..
-        } => shape::pairs(relation, left, right, method),
-        Query::Explain(inner) | Query::ExplainAnalyze(inner) => shape_key(inner),
-    }
-}
-
-/// [`shape_key`] computed from a template (identical strings by
-/// construction: both delegate to [`shape`], and the shape fields are
-/// never parameterizable).
-fn shape_key_template(template: &QueryTemplate) -> String {
-    match template {
-        QueryTemplate::Range {
-            relation,
-            transform,
-            strategy,
-            stats_window,
-            ..
-        } => shape::range(
-            relation,
-            transform,
-            strategy,
-            stats_window.mean.is_some(),
-            stats_window.std_dev.is_some(),
-        ),
-        QueryTemplate::Knn {
-            relation,
-            transform,
-            strategy,
-            ..
-        } => shape::knn(relation, transform, strategy),
-        QueryTemplate::AllPairs {
-            relation,
-            left,
-            right,
-            method,
-            ..
-        } => shape::pairs(relation, left, right, method),
-        QueryTemplate::Explain(inner) | QueryTemplate::ExplainAnalyze(inner) => {
-            shape_key_template(inner)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The session
 // ---------------------------------------------------------------------------
 
@@ -575,55 +459,40 @@ pub struct SessionStats {
     pub executions: u64,
     /// Streaming cursors opened.
     pub cursors_opened: u64,
-    /// Plan-cache hits.
+    /// Always 0: sessions plan every statement and cache no plans. Kept
+    /// only because the frozen benchmark's `session.plan_cache_hit_share`
+    /// metric reads it; it goes with that metric (ROADMAP item 1).
     pub plan_cache_hits: u64,
-    /// Plan-cache misses (each paid one planning pass).
+    /// Always 0, for the same reason as
+    /// [`plan_cache_hits`](Self::plan_cache_hits).
     pub plan_cache_misses: u64,
-    /// Entries evicted by the LRU capacity bound.
-    pub plan_cache_evictions: u64,
-    /// Whole-cache invalidations caused by catalog generation changes.
-    pub plan_cache_invalidations: u64,
-    /// Entries currently cached.
-    pub plan_cache_entries: usize,
-    /// Configured capacity (0 disables caching).
-    pub plan_cache_capacity: usize,
     /// Rows inserted through [`Session::insert`].
     pub inserts: u64,
     /// WAL records those inserts appended (0 without an attached WAL).
     pub wal_records: u64,
     /// WAL records replayed when the session's database was opened
-    /// durably (snapshotted from [`Database::wal_status`], like the
-    /// plan-cache gauges).
+    /// durably (snapshotted from [`Database::wal_status`]).
     pub wal_replayed: u64,
     /// Executions that exceeded the session's slow-query threshold
     /// (cumulative — entries may have fallen out of the bounded log).
     pub slow_queries: u64,
 }
 
-/// The bounded LRU of shape key → plan.
-struct PlanCache {
-    generation: u64,
-    tick: u64,
-    capacity: usize,
-    entries: HashMap<String, (Plan, u64)>,
-}
-
 struct Inner {
-    cache: PlanCache,
     stats: SessionStats,
     slow_log: SlowLog,
 }
 
-/// A query session over a database: the unit of statement preparation,
-/// plan caching and execution statistics.
+/// A query session over a database: the unit of statement preparation
+/// and execution statistics.
 ///
 /// `D` is how the session holds its database: `Session<&Database>`
-/// borrows one (the [`execute`](crate::execute) compatibility path
-/// creates a throwaway session this way), `Session<Database>` owns one
-/// (the CLI does this) and additionally offers [`Session::db_mut`].
+/// borrows one, `Session<Database>` owns one (the CLI does this) and
+/// additionally offers [`Session::db_mut`], and `Session<ReadView>` (the
+/// server's per-connection session) owns a frozen catalog.
 ///
-/// Sessions are cheap: a handful of counters plus the plan cache. They
-/// use interior mutability for the cache, so all query methods take
+/// Sessions are cheap: a handful of counters plus the slow-query log.
+/// They use interior mutability for those, so all query methods take
 /// `&self`; a session is single-threaded by construction (`!Sync`), but
 /// the queries it runs still use the database's configured
 /// [`Parallelism`](crate::Parallelism) internally.
@@ -633,29 +502,12 @@ pub struct Session<D: Borrow<Database> = Database> {
 }
 
 impl<D: Borrow<Database>> Session<D> {
-    /// A session over `db` with the default plan-cache capacity
-    /// ([`DEFAULT_PLAN_CACHE_CAPACITY`]).
+    /// A session over `db`.
     pub fn new(db: D) -> Self {
-        Session::with_plan_cache_capacity(db, DEFAULT_PLAN_CACHE_CAPACITY)
-    }
-
-    /// A session with an explicit plan-cache capacity (0 disables plan
-    /// caching entirely; every execution re-plans).
-    pub fn with_plan_cache_capacity(db: D, capacity: usize) -> Self {
-        let generation = db.borrow().generation();
         Session {
             db,
             inner: RefCell::new(Inner {
-                cache: PlanCache {
-                    generation,
-                    tick: 0,
-                    capacity,
-                    entries: HashMap::new(),
-                },
-                stats: SessionStats {
-                    plan_cache_capacity: capacity,
-                    ..SessionStats::default()
-                },
+                stats: SessionStats::default(),
                 slow_log: SlowLog::new(),
             }),
         }
@@ -688,19 +540,16 @@ impl<D: Borrow<Database>> Session<D> {
 
     /// Cumulative session statistics.
     pub fn stats(&self) -> SessionStats {
-        let inner = self.inner.borrow();
-        let mut stats = inner.stats;
-        stats.plan_cache_entries = inner.cache.entries.len();
-        stats.plan_cache_capacity = inner.cache.capacity;
-        if let Some(wal) = self.db.borrow().wal_status() {
+        let mut stats = self.inner.borrow().stats;
+        if let Some(wal) = self.db().wal_status() {
             stats.wal_replayed = wal.replay.records_applied;
         }
         stats
     }
 
-    /// Prepares a statement: lexes, parses, builds the typed signature,
-    /// and plans the shape once into the session's plan cache (so the
-    /// first [`Session::execute`] already hits).
+    /// Prepares a statement: lexes, parses and builds the typed
+    /// signature. The statement is also planned once, with dummy
+    /// constants, so what every binding would fail to plan fails here.
     ///
     /// # Errors
     /// Lex/parse errors; [`QueryError::Bind`] when a named parameter is
@@ -741,9 +590,8 @@ impl<D: Borrow<Database>> Session<D> {
         let positional_count = slots.len();
         slots.extend(named);
 
-        let shape = shape_key_template(&parsed.template);
-        // Plan the shape now: constants never affect the plan, so a
-        // dummy instantiation plans exactly what every binding will run.
+        // Constants never affect the plan, so a dummy instantiation
+        // plans exactly what every binding will.
         let mut dummies = |_: &ParamRef, ty: ParamType, _: &'static str| {
             Ok(match ty {
                 ParamType::Number | ParamType::Integer => Value::Number(0.0),
@@ -751,40 +599,37 @@ impl<D: Borrow<Database>> Session<D> {
             })
         };
         let dummy = instantiate(&parsed.template, &mut dummies)?;
-        self.cached_plan(&shape, &dummy)?;
+        plan_query(self.db(), &dummy)?;
         self.inner.borrow_mut().stats.prepared_statements += 1;
         simq_obs::metrics::registry()
             .session_prepared
             .fetch_add(1, Ordering::Relaxed);
         Ok(Prepared {
-            text: text.to_string(),
+            text: text.into(),
             template: parsed.template,
-            shape,
             slots,
             positional_count,
         })
     }
 
-    /// Executes a bound statement through the plan cache. The returned
-    /// [`QueryResult`] is identical — bitwise, including hit order — to
-    /// [`execute`](crate::execute) on the equivalent literal query text;
-    /// only the plan-cache counters in its [`ExecStats`] differ.
+    /// Executes a bound statement. The returned [`QueryResult`] is
+    /// identical — bitwise, including hit order and work counters — to
+    /// [`execute`](crate::execute) on the equivalent literal query text.
     ///
     /// # Errors
     /// Any [`QueryError`] from planning or execution.
     pub fn execute(&self, bound: &Bound) -> Result<QueryResult, QueryError> {
-        self.execute_shaped(&bound.shape, &bound.query, None)
+        self.run(&bound.query, &bound.text)
     }
 
     /// Prepare-free convenience: parses `text` (no placeholders) and
-    /// executes it through the plan cache, so repeated ad-hoc queries of
-    /// the same shape still skip planning.
+    /// executes it, counting toward the session's statistics and
+    /// slow-query log.
     ///
     /// # Errors
     /// Any [`QueryError`] from the pipeline.
     pub fn execute_text(&self, text: &str) -> Result<QueryResult, QueryError> {
-        let query = crate::parse::parse(text)?;
-        self.execute_shaped(&shape_key(&query), &query, Some(text))
+        self.run(&crate::parse::parse(text)?, text)
     }
 
     /// Opens a streaming [`Cursor`] over a bound range or kNN statement.
@@ -795,7 +640,7 @@ impl<D: Borrow<Database>> Session<D> {
     /// [`QueryError::Unsupported`] for `EXPLAIN` and all-pairs queries;
     /// otherwise any planning/resolution error.
     pub fn cursor(&self, bound: &Bound) -> Result<Cursor<'_>, QueryError> {
-        self.cursor_shaped(&bound.shape, &bound.query)
+        self.open_cursor(&bound.query)
     }
 
     /// [`Session::cursor`] for ad-hoc (placeholder-free) query text.
@@ -804,54 +649,35 @@ impl<D: Borrow<Database>> Session<D> {
     /// Any [`QueryError`] from the pipeline; [`QueryError::Unsupported`]
     /// for `EXPLAIN` and all-pairs queries.
     pub fn cursor_text(&self, text: &str) -> Result<Cursor<'_>, QueryError> {
-        let query = crate::parse::parse(text)?;
-        self.cursor_shaped(&shape_key(&query), &query)
+        self.open_cursor(&crate::parse::parse(text)?)
     }
 
-    /// The one execution path all `execute*` variants share: cached
-    /// plan, run, stamp the per-query hit/miss counters, bump the
-    /// session counters, and feed the latency histogram and slow-query
-    /// log (`label` is the query text when the caller has it; the
-    /// statement shape stands in otherwise).
-    fn execute_shaped(
-        &self,
-        shape: &str,
-        query: &Query,
-        label: Option<&str>,
-    ) -> Result<QueryResult, QueryError> {
-        let (the_plan, hit) = self.cached_plan(shape, query)?;
-        // Pin the catalog generation for the whole execution: the view
-        // shares the relations by Arc, so this is a shallow clone, and a
-        // writer mutating the live database mid-query copy-on-writes
-        // instead of changing the catalog under us.
-        let view = self.db().read_view();
+    /// The one execution path both `execute*` variants share:
+    /// [`exec::run`], then the session counters, the latency histogram
+    /// and the slow-query log (labelled with the statement text).
+    fn run(&self, query: &Query, label: &str) -> Result<QueryResult, QueryError> {
         let started = std::time::Instant::now();
-        let mut result = exec::run_with_plan(view.database(), query, the_plan)?;
+        let result = exec::run(self.db(), query)?;
         let elapsed = started.elapsed();
-        result.stats.plan_cache_hits = hit as u64;
-        result.stats.plan_cache_misses = !hit as u64;
         let m = simq_obs::metrics::registry();
         m.query_latency
             .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
         let mut inner = self.inner.borrow_mut();
         inner.stats.executions += 1;
-        if inner
-            .slow_log
-            .observe(elapsed, || label.unwrap_or(shape).to_string())
-        {
+        if inner.slow_log.observe(elapsed, || label.to_string()) {
             inner.stats.slow_queries += 1;
             m.session_slow_queries.fetch_add(1, Ordering::Relaxed);
         }
         Ok(result)
     }
 
-    /// The shared cursor-opening path (the cursor analogue of
-    /// [`Session::execute_shaped`]).
-    fn cursor_shaped(&self, shape: &str, query: &Query) -> Result<Cursor<'_>, QueryError> {
-        let (the_plan, hit) = self.cached_plan(shape, query)?;
-        let mut cursor = Cursor::open(self.db(), query, the_plan)?;
-        cursor.stats.plan_cache_hits = hit as u64;
-        cursor.stats.plan_cache_misses = !hit as u64;
+    /// The shared cursor-opening path.
+    fn open_cursor(&self, query: &Query) -> Result<Cursor<'_>, QueryError> {
+        let the_plan = {
+            let _plan_span = span::span("query.plan");
+            plan_query(self.db(), query)?
+        };
+        let cursor = Cursor::open(self.db(), query, the_plan)?;
         self.inner.borrow_mut().stats.cursors_opened += 1;
         simq_obs::metrics::registry()
             .session_cursors
@@ -860,47 +686,23 @@ impl<D: Borrow<Database>> Session<D> {
     }
 
     /// Executes a batch of bound statements as one [`BatchExecutor`]
-    /// batch: plans come from the session cache (the result's `stats`
-    /// carries the batch's hit/miss counts), every slot is answered from
-    /// one catalog generation, and the thread budget is spent across
-    /// slots.
+    /// batch: every slot is answered from one catalog generation, and the
+    /// thread budget is spent across slots.
     pub fn execute_batch(&self, bounds: &[Bound]) -> BatchResult {
-        self.batch_through_cache(|planner| {
-            BatchExecutor::new(self.db())
-                .execute_with_planner(bounds.iter().map(|b| &b.query), planner)
-        })
+        self.count_batch(BatchExecutor::new(self.db()).execute(bounds.iter().map(|b| &b.query)))
     }
 
     /// Executes a `;`-script-style batch of query texts through the
     /// session: per-slot parse errors as in
-    /// [`execute_batch`](crate::execute_batch), but plans come from the
-    /// session cache and the executions count toward [`SessionStats`].
-    /// The CLI routes its batch lines here, so batched queries share the
-    /// plan cache with single ones.
+    /// [`execute_batch`](crate::execute_batch), and the executions count
+    /// toward [`SessionStats`]. The CLI routes its batch lines here.
     pub fn execute_batch_texts(&self, inputs: &[&str]) -> BatchResult {
-        self.batch_through_cache(|planner| {
-            BatchExecutor::new(self.db()).execute_texts_with_planner(inputs, planner)
-        })
+        self.count_batch(BatchExecutor::new(self.db()).execute_texts(inputs))
     }
 
-    /// Runs one batch with plans served by [`Session::cached_plan`],
-    /// folding the hit/miss counts into the batch's stats and the session
-    /// counters. Slots that never reached execution (lex/parse failures)
-    /// do not count as executions.
-    fn batch_through_cache(&self, run: impl FnOnce(&mut Planner) -> BatchResult) -> BatchResult {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut result = run(&mut |query: &Query| {
-            let (plan, hit) = self.cached_plan(&shape_key(query), query)?;
-            if hit {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
-            Ok(plan)
-        });
-        result.stats.plan_cache_hits += hits;
-        result.stats.plan_cache_misses += misses;
+    /// Counts a batch's executions: slots that never reached execution
+    /// (lex/parse failures) do not count.
+    fn count_batch(&self, result: BatchResult) -> BatchResult {
         let executed = result
             .results
             .iter()
@@ -914,89 +716,11 @@ impl<D: Borrow<Database>> Session<D> {
         self.inner.borrow_mut().stats.executions += executed as u64;
         result
     }
-
-    /// Looks the shape up in the plan cache, planning (and inserting) on
-    /// a miss. Returns the plan and whether it was a hit. The cache is
-    /// cleared first whenever the database's catalog generation moved.
-    ///
-    /// The cache key is the statement shape qualified by the relation's
-    /// shard count: a plan made for one shard layout must never serve
-    /// another (re-sharding also bumps the catalog generation, so the
-    /// qualifier is defense in depth — and makes the layout-dependence
-    /// explicit in the key).
-    fn cached_plan(&self, shape: &str, query: &Query) -> Result<(Plan, bool), QueryError> {
-        let db = self.db();
-        let shards = db
-            .relation(query.relation())
-            .map_or(0, |stored| stored.shard_count());
-        let shape = &format!("{shape}|shards:{shards}");
-        let generation = db.generation();
-        {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            if inner.cache.generation != generation {
-                if !inner.cache.entries.is_empty() {
-                    inner.stats.plan_cache_invalidations += 1;
-                    simq_obs::metrics::registry()
-                        .plan_cache_invalidations
-                        .fetch_add(1, Ordering::Relaxed);
-                    inner.cache.entries.clear();
-                }
-                inner.cache.generation = generation;
-            }
-            inner.cache.tick += 1;
-            let tick = inner.cache.tick;
-            if let Some((plan, last_used)) = inner.cache.entries.get_mut(shape) {
-                *last_used = tick;
-                inner.stats.plan_cache_hits += 1;
-                simq_obs::metrics::registry()
-                    .plan_cache_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                return Ok((plan.clone(), true));
-            }
-        }
-        // Plan outside the borrow (planning only reads the database).
-        let plan = {
-            let _plan_span = span::span("query.plan");
-            plan_query(db, query)?
-        };
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        inner.stats.plan_cache_misses += 1;
-        simq_obs::metrics::registry()
-            .plan_cache_misses
-            .fetch_add(1, Ordering::Relaxed);
-        if inner.cache.capacity > 0 {
-            if inner.cache.entries.len() >= inner.cache.capacity {
-                // Evict the least-recently-used entry (ticks are unique,
-                // so the choice is deterministic).
-                if let Some(victim) = inner
-                    .cache
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, t))| *t)
-                    .map(|(k, _)| k.clone())
-                {
-                    inner.cache.entries.remove(&victim);
-                    inner.stats.plan_cache_evictions += 1;
-                    simq_obs::metrics::registry()
-                        .plan_cache_evictions
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let tick = inner.cache.tick;
-            inner
-                .cache
-                .entries
-                .insert(shape.to_string(), (plan.clone(), tick));
-        }
-        Ok((plan, false))
-    }
 }
 
 impl Session<Database> {
-    /// Mutable access to an owned database. Mutations bump the catalog
-    /// generation, so cached plans are invalidated automatically.
+    /// Mutable access to an owned database. Every later execution plans
+    /// against the catalog as mutated.
     pub fn db_mut(&mut self) -> &mut Database {
         &mut self.db
     }
@@ -1151,7 +875,7 @@ impl<'db> Cursor<'db> {
                         );
                         CursorState::IndexRange { stream, verify }
                     }
-                    AccessPath::SeqScan { .. } => CursorState::ScanRange {
+                    AccessPath::SeqScan => CursorState::ScanRange {
                         rows: stored.rows_in_scan_order().into_iter(),
                         verify,
                     },
@@ -1290,31 +1014,11 @@ mod tests {
                 assert_eq!(a.id, b.id);
                 assert_eq!(a.distance.to_bits(), b.distance.to_bits());
             }
+            assert_eq!(via_session.stats, via_text.stats);
         }
-        // prepare = 1 miss, 3 executions = 3 hits.
         let stats = session.stats();
-        assert_eq!(stats.plan_cache_misses, 1);
-        assert_eq!(stats.plan_cache_hits, 3);
         assert_eq!(stats.executions, 3);
         assert_eq!(stats.prepared_statements, 1);
-    }
-
-    #[test]
-    fn per_query_stats_report_cache_outcome() {
-        let db = make_db(20);
-        let session = Session::new(&db);
-        let p = session
-            .prepare("FIND SIMILAR TO ROW $r IN stocks EPSILON 1")
-            .unwrap();
-        let r = session
-            .execute(&p.bind_named(&[("r", Value::from(0u64))]).unwrap())
-            .unwrap();
-        assert_eq!(r.stats.plan_cache_hits, 1);
-        assert_eq!(r.stats.plan_cache_misses, 0);
-        // Plain execute() never touches a cache and reports zeros.
-        let plain = execute(&db, "FIND SIMILAR TO ROW 0 IN stocks EPSILON 1").unwrap();
-        assert_eq!(plain.stats.plan_cache_hits, 0);
-        assert_eq!(plain.stats.plan_cache_misses, 0);
     }
 
     #[test]
@@ -1403,91 +1107,29 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_is_bounded_lru() {
-        let db = make_db(10);
-        let session = Session::with_plan_cache_capacity(&db, 2);
-        // Three distinct shapes: the first gets evicted.
-        for eps_shape in [
-            "FIND SIMILAR TO ROW 0 IN stocks EPSILON 1",
-            "FIND SIMILAR TO ROW 0 IN stocks USING mavg(5) EPSILON 1",
-            "FIND SIMILAR TO ROW 0 IN stocks USING reverse EPSILON 1",
-        ] {
-            session.execute_text(eps_shape).unwrap();
-        }
-        let stats = session.stats();
-        assert_eq!(stats.plan_cache_entries, 2);
-        assert_eq!(stats.plan_cache_evictions, 1);
-        assert_eq!(stats.plan_cache_misses, 3);
-        // Re-running the evicted shape misses again.
-        session
-            .execute_text("FIND SIMILAR TO ROW 0 IN stocks EPSILON 1")
-            .unwrap();
-        assert_eq!(session.stats().plan_cache_misses, 4);
-        // A distinct-shape flood (the parser-fuzz scenario) stays bounded.
-        for w in 2..40 {
-            session
-                .execute_text(&format!(
-                    "FIND SIMILAR TO ROW 0 IN stocks USING mavg({w}) EPSILON 1"
-                ))
-                .unwrap();
-        }
-        assert!(session.stats().plan_cache_entries <= 2);
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let db = make_db(10);
-        let session = Session::with_plan_cache_capacity(&db, 0);
-        for _ in 0..3 {
-            session
-                .execute_text("FIND SIMILAR TO ROW 0 IN stocks EPSILON 1")
-                .unwrap();
-        }
-        let stats = session.stats();
-        assert_eq!(stats.plan_cache_hits, 0);
-        assert_eq!(stats.plan_cache_misses, 3);
-        assert_eq!(stats.plan_cache_entries, 0);
-    }
-
-    #[test]
-    fn catalog_mutation_invalidates_cached_plans() {
+    fn prepared_statement_plans_for_the_current_catalog() {
         let db = make_db(30);
         let mut session = Session::new(db);
-        let p = session
-            .prepare("FIND SIMILAR TO ROW ? IN stocks EPSILON ?")
+        let p = session.prepare("FIND ? NEAREST TO ? IN stocks").unwrap();
+        let probe: Vec<f64> = (0..64)
+            .map(|t| 5.0 + (t as f64 * 0.37).cos() * 2.0)
+            .collect();
+        let bound = p
+            .bind(&[Value::from(1u64), Value::from(probe.clone())])
             .unwrap();
-        let bound = p.bind(&[Value::from(0u64), Value::from(1.0)]).unwrap();
-        session.execute(&bound).unwrap();
-        assert_eq!(session.stats().plan_cache_hits, 1);
+        let before = session.execute(&bound).unwrap();
+        assert_eq!((before.plan.threads, before.plan.shards), (1, 1));
 
-        // Changing parallelism bumps the generation: the cached plan's
-        // thread count is stale, so the next execution re-plans.
-        session
-            .db_mut()
-            .set_parallelism(crate::plan::Parallelism::Fixed(2));
-        let r = session.execute(&bound).unwrap();
-        assert_eq!(r.stats.plan_cache_misses, 1);
-        assert_eq!(r.plan.threads, 2);
-        let stats = session.stats();
-        assert_eq!(stats.plan_cache_invalidations, 1);
-
-        // And the refreshed plan is cached again.
-        let r = session.execute(&bound).unwrap();
-        assert_eq!(r.stats.plan_cache_hits, 1);
-    }
-
-    #[test]
-    fn explain_shares_the_inner_plan_shape() {
-        let db = make_db(10);
-        let session = Session::new(&db);
-        session
-            .execute_text("FIND SIMILAR TO ROW 0 IN stocks EPSILON 1")
-            .unwrap();
-        let r = session
-            .execute_text("EXPLAIN FIND SIMILAR TO ROW 1 IN stocks EPSILON 2")
-            .unwrap();
-        assert_eq!(r.stats.plan_cache_hits, 1);
-        assert!(matches!(r.output, QueryOutput::Plan(_)));
+        // Three catalog changes after the prepare: the next execution
+        // plans for all of them.
+        let db = session.db_mut();
+        db.set_parallelism(crate::plan::Parallelism::Fixed(2));
+        db.shard_relation("stocks", 3).unwrap();
+        session.insert("stocks", "NEW", probe).unwrap();
+        let after = session.execute(&bound).unwrap();
+        assert_eq!((after.plan.threads, after.plan.shards), (2, 3));
+        assert_eq!(hits(&after)[0].name, "NEW");
+        assert_eq!(hits(&after)[0].distance, 0.0);
     }
 
     #[test]

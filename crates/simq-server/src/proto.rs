@@ -239,8 +239,6 @@ fn put_stats(w: &mut PayloadWriter, s: &ExecStats) {
         s.filtered_out,
         s.verified,
         s.threads_used,
-        s.plan_cache_hits,
-        s.plan_cache_misses,
         s.shards_touched,
         s.nodes_built,
         s.wal_records,
@@ -261,8 +259,6 @@ fn get_stats(r: &mut PayloadReader<'_>) -> Result<ExecStats, WireError> {
         filtered_out: r.get_u64()?,
         verified: r.get_u64()?,
         threads_used: r.get_u64()?,
-        plan_cache_hits: r.get_u64()?,
-        plan_cache_misses: r.get_u64()?,
         shards_touched: r.get_u64()?,
         nodes_built: r.get_u64()?,
         wal_records: r.get_u64()?,
@@ -764,6 +760,27 @@ mod tests {
             code: ErrorCode::Query,
             message: "unknown relation".into(),
         });
+    }
+
+    /// docs/WIRE_PROTOCOL.md's **stats** layout: 13 `u64` counters.
+    #[test]
+    fn a_result_stats_block_is_thirteen_u64s() {
+        let result = |per_thread: Vec<ExecStats>| {
+            Response::Result(RemoteResult {
+                output: QueryOutput::Hits(Vec::new()),
+                access: String::new(),
+                stats: ExecStats::default(),
+                per_thread,
+            })
+            .encode()
+            .len()
+        };
+        // output tag + hit count, access length, stats, per-thread count.
+        assert_eq!(result(Vec::new()), 1 + 4 + 4 + 13 * 8 + 4);
+        assert_eq!(
+            result(vec![ExecStats::default()]) - result(Vec::new()),
+            13 * 8
+        );
     }
 
     #[test]

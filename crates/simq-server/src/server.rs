@@ -7,10 +7,10 @@
 //!   an [`RwLock`], but connection threads hold the read lock only long
 //!   enough to take a [`ReadView`] (a shallow, Arc-shared catalog
 //!   clone) and then execute entirely off-lock against the frozen
-//!   generation. Each connection keeps a `Session<ReadView>` for plan
-//!   caching and swaps it for a fresh view whenever the live generation
-//!   has moved on — so a query admitted after an acknowledged insert
-//!   always sees it.
+//!   generation. Each connection keeps a `Session<ReadView>` (its
+//!   prepared statements and counters run against that view) and swaps
+//!   it for a fresh view whenever the live generation has moved on — so
+//!   a query admitted after an acknowledged insert always sees it.
 //! * **Writes coalesce.** Inserts enqueue onto a shared pending queue
 //!   and then contend for the write lock; whichever thread gets it
 //!   (the *leader*) drains the whole queue, groups rows by relation,
@@ -375,9 +375,7 @@ struct ConnState {
 impl ConnState {
     /// Re-pins the session to the current catalog generation. Cheap
     /// when nothing changed (one read-lock acquisition and a generation
-    /// compare); on change the session — and with it the plan cache —
-    /// is rebuilt around the fresh view, exactly mirroring the local
-    /// session's generation-based cache invalidation.
+    /// compare); on change the session is rebuilt around the fresh view.
     fn refresh(&mut self, shared: &Shared) {
         let view = shared.db.read().expect("db lock poisoned").read_view();
         if view.generation() != self.session.db().generation() {

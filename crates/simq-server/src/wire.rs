@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! offset 0   MAGIC      4 bytes   b"SIMQ"
-//! offset 4   version    u8        PROTOCOL_VERSION (1)
+//! offset 4   version    u8        PROTOCOL_VERSION (2)
 //! offset 5   frame type u8        FrameKind discriminant
 //! offset 6   length     u32 LE    payload byte count
 //! offset 10  payload    length bytes
@@ -27,7 +27,7 @@ pub const MAGIC: [u8; 4] = *b"SIMQ";
 
 /// The protocol version this build speaks. A version bump is a wire
 /// break: both sides reject frames stamped with anything else.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Bytes before the payload: magic (4) + version (1) + kind (1) + len (4).
 pub const HEADER_LEN: usize = 10;

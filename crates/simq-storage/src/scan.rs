@@ -277,9 +277,9 @@ pub fn scan_range(
     Ok((hits, stats))
 }
 
-/// [`scan_range`] over a slice of stores on up to `threads` threads: hits
-/// come back in store-after-store row order, identical to scanning each
-/// store serially in turn.
+/// Early-abandoning [`scan_range`] over a slice of stores on up to
+/// `threads` threads: hits come back in store-after-store row order,
+/// identical to scanning each store serially in turn.
 ///
 /// # Errors
 /// Transformation-domain errors.
@@ -288,12 +288,11 @@ pub fn scan_range_over(
     transform: &SeriesTransform,
     query_spectrum: &[Complex],
     eps: f64,
-    early_abandon: bool,
     threads: usize,
 ) -> Result<(Vec<ScanHit>, ScanFanStats), SeriesError> {
     let n = series_len_of(stores);
     let action = transform.action(n, n.saturating_sub(1))?;
-    let limit = early_abandon.then_some(eps * eps);
+    let limit = Some(eps * eps);
     let workers = fan(&spans(stores, threads), |span| {
         let mut hits = Vec::new();
         let mut stats = vec![ScanStats::default(); stores.len()];
@@ -750,25 +749,16 @@ mod tests {
         let t = SeriesTransform::MovingAverage { window: 5 };
         let q_spec = t.apply_spectrum(&q, 64).unwrap();
         for eps in [0.2, 1.5, 20.0] {
-            for abandon in [false, true] {
-                let (serial, s_stats) = scan_range(&rel, &t, &q_spec, eps, abandon).unwrap();
-                for threads in [1, 2, 4, 8] {
-                    let (par, p_stats) = scan_range_over(
-                        std::slice::from_ref(&rel),
-                        &t,
-                        &q_spec,
-                        eps,
-                        abandon,
-                        threads,
-                    )
-                    .unwrap();
-                    assert_eq!(par.len(), serial.len());
-                    for (a, b) in par.iter().zip(&serial) {
-                        assert_eq!(a.id, b.id);
-                        assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-                    }
-                    assert_eq!(p_stats.merged, s_stats, "threads {threads} eps {eps}");
+            let (serial, s_stats) = scan_range(&rel, &t, &q_spec, eps, true).unwrap();
+            for threads in [1, 2, 4, 8] {
+                let stores = std::slice::from_ref(&rel);
+                let (par, p_stats) = scan_range_over(stores, &t, &q_spec, eps, threads).unwrap();
+                assert_eq!(par.len(), serial.len());
+                for (a, b) in par.iter().zip(&serial) {
+                    assert_eq!(a.id, b.id);
+                    assert_eq!(a.distance.to_bits(), b.distance.to_bits());
                 }
+                assert_eq!(p_stats.merged, s_stats, "threads {threads} eps {eps}");
             }
         }
     }
@@ -830,8 +820,7 @@ mod tests {
         let rel = relation_with(50);
         let q = rel.row(2).unwrap().features.spectrum.clone();
         let stores = std::slice::from_ref(&rel);
-        let (_, stats) =
-            scan_range_over(stores, &SeriesTransform::Identity, &q, 3.0, true, 4).unwrap();
+        let (_, stats) = scan_range_over(stores, &SeriesTransform::Identity, &q, 3.0, 4).unwrap();
         let mut sum = ScanStats::default();
         stats.per_thread.iter().for_each(|s| sum.add(s));
         assert_eq!(sum, stats.merged);

@@ -453,7 +453,7 @@ mod tests {
             let (mut want, want_stats) = scan_range_single(&rel, &t, &q_spec, eps, true).unwrap();
             for threads in [1, 4] {
                 let (mut got, stats) =
-                    scan_range_over(sharded.shards(), &t, &q_spec, eps, true, threads).unwrap();
+                    scan_range_over(sharded.shards(), &t, &q_spec, eps, threads).unwrap();
                 want.sort_by_key(|h| h.id);
                 got.sort_by_key(|h| h.id);
                 assert_eq!(got.len(), want.len(), "eps {eps} threads {threads}");

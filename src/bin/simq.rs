@@ -27,12 +27,11 @@
 //! schema; `\slowlog <ms>` (or `SIMQ_SLOWLOG=<ms>`) keeps the most
 //! recent queries that ran over the threshold.
 //!
-//! The shell runs every query through one `Session`: repeated queries of
-//! the same shape skip planning via the session's plan cache (the stat
-//! line shows `cache=hit|miss`). `\prepare` names a parameterized
-//! statement (`?` positional, `$name` named placeholders); `\exec` binds
-//! arguments — numbers, `[v1, v2, …]` series, `name=value` pairs — and
-//! executes it; `\sessions` prints the session's cumulative statistics.
+//! The shell runs every query through one `Session`. `\prepare` names a
+//! parameterized statement (`?` positional, `$name` named placeholders),
+//! parsed once; `\exec` binds arguments — numbers, `[v1, v2, …]` series,
+//! `name=value` pairs — and executes it; `\sessions` prints the
+//! session's cumulative statistics.
 //!
 //! Batched execution: a line of `;`-separated queries runs as **one
 //! batch** — parsed and planned together, answered from one catalog
@@ -341,8 +340,8 @@ fn main() {
     }
     println!("type a query, or \\help");
 
-    // The shell session: owns the database, caches plans by statement
-    // shape, and accumulates the statistics `\sessions` reports.
+    // The shell session: owns the database and accumulates the
+    // statistics `\sessions` reports.
     let mut session = Session::new(db);
     session.set_slow_query_threshold(slowlog_threshold);
     // Named prepared statements (`\prepare` / `\exec`).
@@ -430,18 +429,13 @@ fn main() {
                 let elapsed = start.elapsed();
                 print_output(&result.output);
                 println!(
-                    "({:.3} ms; plan {:?}; nodes={} rows={} candidates={} threads={} cache={})",
+                    "({:.3} ms; plan {:?}; nodes={} rows={} candidates={} threads={})",
                     elapsed.as_secs_f64() * 1e3,
                     result.plan.access,
                     result.stats.nodes_visited,
                     result.stats.rows_scanned,
                     result.stats.candidates,
                     result.stats.threads_used,
-                    if result.stats.plan_cache_hits > 0 {
-                        "hit"
-                    } else {
-                        "miss"
-                    },
                 );
                 if !result.per_thread.is_empty() {
                     let shares: Vec<String> = result
@@ -503,10 +497,9 @@ fn print_output(output: &QueryOutput) {
     }
 }
 
-/// Executes a batch of query texts through the session (plans come from
-/// the plan cache, executions count toward `\sessions`), printing
-/// per-query results and the summed work counters. Returns true when
-/// every query succeeded.
+/// Executes a batch of query texts through the session (executions count
+/// toward `\sessions`), printing per-query results and the summed work
+/// counters. Returns true when every query succeeded.
 fn run_batch<D: std::borrow::Borrow<Database>>(session: &Session<D>, queries: &[String]) -> bool {
     if queries.is_empty() {
         println!("batch is empty");
@@ -547,18 +540,13 @@ fn run_batch<D: std::borrow::Borrow<Database>>(session: &Session<D>, queries: &[
 fn print_remote_result(result: &simq_server::RemoteResult, elapsed: std::time::Duration) {
     print_output(&result.output);
     println!(
-        "({:.3} ms; plan {}; nodes={} rows={} candidates={} threads={} cache={})",
+        "({:.3} ms; plan {}; nodes={} rows={} candidates={} threads={})",
         elapsed.as_secs_f64() * 1e3,
         result.access,
         result.stats.nodes_visited,
         result.stats.rows_scanned,
         result.stats.candidates,
         result.stats.threads_used,
-        if result.stats.plan_cache_hits > 0 {
-            "hit"
-        } else {
-            "miss"
-        },
     );
     if !result.per_thread.is_empty() {
         let shares: Vec<String> = result
@@ -639,16 +627,11 @@ fn remote_exec(client: &mut Client, cmd: &str) {
         Ok(result) => {
             print_output(&result.output);
             println!(
-                "({:.3} ms; plan {}; nodes={} rows={} cache={})",
+                "({:.3} ms; plan {}; nodes={} rows={})",
                 start.elapsed().as_secs_f64() * 1e3,
                 result.access,
                 result.stats.nodes_visited,
                 result.stats.rows_scanned,
-                if result.stats.plan_cache_hits > 0 {
-                    "hit"
-                } else {
-                    "miss"
-                },
             );
         }
         Err(ClientError::Remote { message, .. }) => println!("error: {message}"),
@@ -945,16 +928,11 @@ fn shell_command(
                 Ok(result) => {
                     print_output(&result.output);
                     println!(
-                        "({:.3} ms; plan {:?}; nodes={} rows={} cache={})",
+                        "({:.3} ms; plan {:?}; nodes={} rows={})",
                         start.elapsed().as_secs_f64() * 1e3,
                         result.plan.access,
                         result.stats.nodes_visited,
                         result.stats.rows_scanned,
-                        if result.stats.plan_cache_hits > 0 {
-                            "hit"
-                        } else {
-                            "miss"
-                        },
                     );
                 }
                 Err(e) => println!("error: {e}"),
@@ -1084,7 +1062,7 @@ fn shell_command(
         }
         Some("help") => {
             println!(
-                "queries:\n  FIND SIMILAR TO (ROW <id> | NAME <name> | [v1, v2, …]) IN <rel> \\\n      [USING <t> [THEN <t>]* [ON BOTH]] EPSILON <e> \\\n      [MEAN WITHIN <m>] [STD WITHIN <s>] [FORCE SCAN|INDEX]\n  FIND <k> NEAREST TO <source> IN <rel> [USING …]\n  FIND PAIRS IN <rel> [USING <t> [ON ONE] | MATCHING <t> AGAINST <t>] \\\n      EPSILON <e> [METHOD a|b|c|d]\n  EXPLAIN <query>\n  EXPLAIN ANALYZE <query>   (execute instrumented; per-operator timings)\ntransformations: identity, mavg(w), wmavg(w1, …), reverse, shift(c), scale(k), warp(m)\nshell: \\relations  \\rows <rel>  \\insert <rel> <name> [v1, v2, …][; …]\n       \\shard <rel> <n>  \\save [file]  \\open <file>\n       \\export <rel> <path>  \\threads <n|auto|serial>\n       \\batch [run|explain|show|cancel]  \\wal [dir|checkpoint]\n       \\prepare <name> <query>  \\exec <name> [args…]  \\prepared\n       \\connect <host:port>  \\disconnect  \\sessions\n       \\metrics [--json]  \\trace [on|off]  \\slowlog [<ms>|off]  \\quit\nprepared statements: queries may hold ? (positional) and $name (named)\n  placeholders in the source, EPSILON, k, ROW and MEAN/STD slots;\n  \\prepare parses and plans once, \\exec binds arguments (numbers,\n  [v1, v2, …] series, name=value pairs) and executes; every query in\n  the shell shares one session whose plan cache skips re-planning\n  repeated shapes (\\sessions shows hits/misses)\nbatches: a line of `;`-separated queries runs as one batch (one parse/plan\n  pass, one catalog generation, threads spent across statements);\n  \\batch collects queries line by line, \\batch run executes them,\n  \\batch explain previews each statement's plan\nsharding: \\shard <rel> <n> partitions a relation into n shards, each with\n  its own R*-tree — inserts touch one small tree, and queries fan out\n  one work unit per shard (results identical to unsharded; \\shard 1\n  merges back)\npersistence: \\save writes a binary snapshot of the whole database\n  (SIMQ_DB names the default file); \\open loads one without rebuilding\n  indexes; \\export writes one relation as v2 text\ndurability: \\wal <dir> attaches a write-ahead-logged directory (SIMQ_WAL\n  attaches or reopens one at startup); \\insert appends to the owning\n  shard's log *before* applying, so acknowledged inserts survive any\n  crash; \\wal shows status; \\wal checkpoint (or bare \\save) rewrites\n  only the dirty shards and absorbs their logs; a `;`-separated\n  \\insert batch group-commits — one WAL sync per touched shard, rows\n  to distinct shards applied by concurrent writers\nnetwork: simq --serve <addr> (or SIMQ_LISTEN) serves this database to\n  concurrent wire-protocol clients (docs/WIRE_PROTOCOL.md); \\connect\n  <host:port> turns this shell into a remote client — queries,\n  \\prepare/\\exec/\\prepared and \\insert run server-side with bitwise-\n  identical results; \\disconnect returns to the local database\nobservability: EXPLAIN ANALYZE prints the executed operator tree with\n  wall-clock timings (results bitwise identical to the plain query);\n  \\trace on prints a span tree after every query (SIMQ_TRACE=1 at\n  startup); \\metrics dumps the process-wide counter/histogram registry\n  (--json for machines); \\slowlog <ms> keeps the last slow queries\n  (SIMQ_SLOWLOG=<ms> at startup)"
+                "queries:\n  FIND SIMILAR TO (ROW <id> | NAME <name> | [v1, v2, …]) IN <rel> \\\n      [USING <t> [THEN <t>]* [ON BOTH]] EPSILON <e> \\\n      [MEAN WITHIN <m>] [STD WITHIN <s>] [FORCE SCAN|INDEX]\n  FIND <k> NEAREST TO <source> IN <rel> [USING …]\n  FIND PAIRS IN <rel> [USING <t> [ON ONE] | MATCHING <t> AGAINST <t>] \\\n      EPSILON <e> [METHOD a|b|c|d]\n  EXPLAIN <query>\n  EXPLAIN ANALYZE <query>   (execute instrumented; per-operator timings)\ntransformations: identity, mavg(w), wmavg(w1, …), reverse, shift(c), scale(k), warp(m)\nshell: \\relations  \\rows <rel>  \\insert <rel> <name> [v1, v2, …][; …]\n       \\shard <rel> <n>  \\save [file]  \\open <file>\n       \\export <rel> <path>  \\threads <n|auto|serial>\n       \\batch [run|explain|show|cancel]  \\wal [dir|checkpoint]\n       \\prepare <name> <query>  \\exec <name> [args…]  \\prepared\n       \\connect <host:port>  \\disconnect  \\sessions\n       \\metrics [--json]  \\trace [on|off]  \\slowlog [<ms>|off]  \\quit\nprepared statements: queries may hold ? (positional) and $name (named)\n  placeholders in the source, EPSILON, k, ROW and MEAN/STD slots;\n  \\prepare parses once, \\exec binds arguments (numbers, [v1, v2, …]\n  series, name=value pairs), plans and executes; \\sessions counts the\n  shell session's statements, executions and slow queries\nbatches: a line of `;`-separated queries runs as one batch (one parse/plan\n  pass, one catalog generation, threads spent across statements);\n  \\batch collects queries line by line, \\batch run executes them,\n  \\batch explain previews each statement's plan\nsharding: \\shard <rel> <n> partitions a relation into n shards, each with\n  its own R*-tree — inserts touch one small tree, and queries fan out\n  one work unit per shard (results identical to unsharded; \\shard 1\n  merges back)\npersistence: \\save writes a binary snapshot of the whole database\n  (SIMQ_DB names the default file); \\open loads one without rebuilding\n  indexes; \\export writes one relation as v2 text\ndurability: \\wal <dir> attaches a write-ahead-logged directory (SIMQ_WAL\n  attaches or reopens one at startup); \\insert appends to the owning\n  shard's log *before* applying, so acknowledged inserts survive any\n  crash; \\wal shows status; \\wal checkpoint (or bare \\save) rewrites\n  only the dirty shards and absorbs their logs; a `;`-separated\n  \\insert batch group-commits — one WAL sync per touched shard, rows\n  to distinct shards applied by concurrent writers\nnetwork: simq --serve <addr> (or SIMQ_LISTEN) serves this database to\n  concurrent wire-protocol clients (docs/WIRE_PROTOCOL.md); \\connect\n  <host:port> turns this shell into a remote client — queries,\n  \\prepare/\\exec/\\prepared and \\insert run server-side with bitwise-\n  identical results; \\disconnect returns to the local database\nobservability: EXPLAIN ANALYZE prints the executed operator tree with\n  wall-clock timings (results bitwise identical to the plain query);\n  \\trace on prints a span tree after every query (SIMQ_TRACE=1 at\n  startup); \\metrics dumps the process-wide counter/histogram registry\n  (--json for machines); \\slowlog <ms> keeps the last slow queries\n  (SIMQ_SLOWLOG=<ms> at startup)"
             );
         }
         Some("sessions") => {
@@ -1122,26 +1100,6 @@ fn shell_command(
                 if stats.executions == 1 { "" } else { "s" },
                 stats.cursors_opened,
                 if stats.cursors_opened == 1 { "" } else { "s" },
-            );
-            let lookups = stats.plan_cache_hits + stats.plan_cache_misses;
-            println!(
-                "  plan cache: {} hit{} / {} miss{} ({:.0}% hit ratio; {} entr{} of {} capacity, {} eviction{}, {} invalidation{})",
-                stats.plan_cache_hits,
-                if stats.plan_cache_hits == 1 { "" } else { "s" },
-                stats.plan_cache_misses,
-                if stats.plan_cache_misses == 1 { "" } else { "es" },
-                if lookups > 0 {
-                    stats.plan_cache_hits as f64 / lookups as f64 * 100.0
-                } else {
-                    0.0
-                },
-                stats.plan_cache_entries,
-                if stats.plan_cache_entries == 1 { "y" } else { "ies" },
-                stats.plan_cache_capacity,
-                stats.plan_cache_evictions,
-                if stats.plan_cache_evictions == 1 { "" } else { "s" },
-                stats.plan_cache_invalidations,
-                if stats.plan_cache_invalidations == 1 { "" } else { "s" },
             );
             match session.slow_query_threshold() {
                 Some(t) => println!(

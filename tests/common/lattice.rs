@@ -654,8 +654,8 @@ impl World {
             "{what}: {used} threads"
         );
         // Identical trees walked serially do identical work, whichever
-        // front end asks — but for a session's plan-cache counters, and a
-        // scan cursor testing the window before the distance, not after.
+        // front end asks — but for a scan cursor testing the window before
+        // the distance, not after.
         let same_trees = matches!(point.storage, Storage::Built | Storage::SnapshotReload);
         let reference = self
             .reference
@@ -664,8 +664,6 @@ impl World {
         if let Some(Ok(want)) = reference.map(|r| &r[i]) {
             let streamed = point.front_end == FrontEnd::CursorDrain;
             let comparable = |s: ExecStats| ExecStats {
-                plan_cache_hits: 0,
-                plan_cache_misses: 0,
                 coefficients_compared: if streamed { 0 } else { s.coefficients_compared },
                 ..s
             };

@@ -62,33 +62,11 @@ pub fn apply_env_parallelism(db: &mut Database) {
     db.set_parallelism(parallelism);
 }
 
-/// Applies the `SIMQ_WAL` environment variable (any non-empty value) to a
-/// freshly built database by attaching a write-ahead-logged durable
-/// directory under the system temp dir. CI runs the workspace suite an
-/// extra time with `SIMQ_WAL=1`, so every test built on these fixtures
-/// also exercises the durable write path (initial checkpoint + per-shard
-/// WAL appends) without opting in. Each database gets its own unique
-/// directory — tests run concurrently within one binary.
-pub fn apply_env_wal(db: &mut Database) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    if std::env::var("SIMQ_WAL").is_ok_and(|v| !v.is_empty()) {
-        let dir = std::env::temp_dir().join(format!(
-            "simq-test-wal-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed),
-        ));
-        db.attach_wal(&dir)
-            .expect("attaching a test WAL directory succeeds");
-    }
-}
-
 /// Registers one relation into a fresh database with a bulk-loaded index.
 pub fn indexed_db(rel: SeriesRelation) -> Database {
     let mut db = Database::new();
     db.add_relation_indexed(rel);
     apply_env_parallelism(&mut db);
-    apply_env_wal(&mut db);
     db
 }
 
@@ -114,7 +92,6 @@ pub fn scheme_db(rep: Representation, stats: bool, indexed: bool) -> Database {
         d.add_relation(rel);
     }
     apply_env_parallelism(&mut d);
-    apply_env_wal(&mut d);
     d
 }
 

@@ -42,7 +42,7 @@ fn rect_index_serves_real_multiplier_transforms_only() {
         if expect_index {
             assert_eq!(got, AccessPath::IndexScan, "{t}");
         } else {
-            assert!(matches!(got, AccessPath::SeqScan { .. }), "{t}: {got:?}");
+            assert_eq!(got, AccessPath::SeqScan, "{t}");
         }
     }
 }
@@ -81,24 +81,20 @@ fn knn_planner_matrix() {
             "{rep:?} stats={stats}"
         );
     }
-    // Every kNN scan abandons against the shrinking k-th best.
-    let abandoning_scan = AccessPath::SeqScan {
-        early_abandon: true,
-    };
     let unindexed = db(Representation::Polar, true, false);
     assert_eq!(
         access(&unindexed, "FIND 3 NEAREST TO ROW 0 IN r"),
-        abandoning_scan
+        AccessPath::SeqScan
     );
     // Unsafe transformation on the rectangular index: scan.
     let rect = db(Representation::Rectangular, true, true);
     assert_eq!(
         access(&rect, "FIND 3 NEAREST TO ROW 0 IN r USING mavg(5)"),
-        abandoning_scan
+        AccessPath::SeqScan
     );
     assert_eq!(
         access(&rect, "FIND 3 NEAREST TO ROW 0 IN r FORCE SCAN"),
-        abandoning_scan
+        AccessPath::SeqScan
     );
 }
 
@@ -228,6 +224,6 @@ fn stats_windows_constrain_range_answers() {
 fn stats_window_requires_stats_dims_for_index() {
     let d = db(Representation::Polar, false, true); // no stats dims
     let r = execute(&d, "FIND SIMILAR TO ROW 0 IN r EPSILON 1 MEAN WITHIN 1.0").unwrap();
-    assert!(matches!(r.plan.access, AccessPath::SeqScan { .. }));
+    assert_eq!(r.plan.access, AccessPath::SeqScan);
     assert!(r.plan.reason.contains("statistics dimensions"));
 }

@@ -8,16 +8,24 @@
 
 mod common;
 
+use common::lattice::Scratch;
 use common::*;
 use similarity_queries::prelude::*;
 use similarity_queries::query::QueryOutput;
 use std::net::SocketAddr;
 
-/// One relation, two identically built databases: the caller keeps the
-/// local oracle, the server gets the twin.
-fn oracle_and_server(rel: fn() -> SeriesRelation) -> (Database, Server, SocketAddr) {
-    let oracle = indexed_db(rel());
-    let server = Server::bind("127.0.0.1:0", indexed_db(rel())).expect("server binds");
+/// Two identically built databases over [`walks`]: the caller keeps the
+/// local oracle, the server gets the twin — with a write-ahead log under
+/// `wal` for the tests that write through it.
+fn oracle_and_server(wal: Option<&Scratch>) -> (Database, Server, SocketAddr) {
+    let oracle = indexed_db(walks());
+    let mut served = indexed_db(walks());
+    if let Some(scratch) = wal {
+        served
+            .attach_wal(scratch.0.join("wal"))
+            .expect("log attaches");
+    }
+    let server = Server::bind("127.0.0.1:0", served).expect("server binds");
     let addr = server.local_addr();
     (oracle, server, addr)
 }
@@ -40,7 +48,7 @@ const QUERIES: &[&str] = &[
 
 #[test]
 fn remote_results_bitwise_equal_to_local() {
-    let (oracle, server, addr) = oracle_and_server(walks);
+    let (oracle, server, addr) = oracle_and_server(None);
     let mut client = Client::connect(addr).expect("client connects");
     for query in QUERIES {
         let local = execute(&oracle, query).expect("local query runs");
@@ -68,7 +76,7 @@ fn remote_results_bitwise_equal_to_local() {
 
 #[test]
 fn concurrent_clients_all_get_oracle_results() {
-    let (oracle, server, addr) = oracle_and_server(walks);
+    let (oracle, server, addr) = oracle_and_server(None);
     let handles: Vec<_> = (0..4)
         .map(|offset| {
             std::thread::spawn(move || {
@@ -99,7 +107,7 @@ fn concurrent_clients_all_get_oracle_results() {
 
 #[test]
 fn prepared_statements_match_local_prepare_bind_execute() {
-    let (oracle, server, addr) = oracle_and_server(walks);
+    let (oracle, server, addr) = oracle_and_server(None);
     let session = Session::new(&oracle);
     let text = "FIND ? NEAREST TO ROW $r IN walks";
     let local_prepared = session.prepare(text).expect("local prepare");
@@ -144,13 +152,15 @@ fn prepared_statements_match_local_prepare_bind_execute() {
 
 #[test]
 fn acked_insert_is_visible_to_other_connections_and_matches_local() {
-    let (mut oracle, server, addr) = oracle_and_server(walks);
+    let scratch = Scratch::new();
+    let (mut oracle, server, addr) = oracle_and_server(Some(&scratch));
     let mut gen = WalkGenerator::new(777);
     let rows: Vec<(String, Vec<f64>)> = (0..6).map(|i| (format!("N{i}"), gen.series(64))).collect();
 
     let mut writer = Client::connect(addr).expect("writer connects");
     let report = writer.insert("walks", rows.clone()).expect("remote insert");
     assert_eq!(report.ids.len(), rows.len(), "every row acked");
+    assert_eq!(report.wal_records, rows.len() as u64, "every row logged");
     assert!(report.failed.is_empty(), "{:?}", report.failed);
 
     // The oracle applies the identical batch locally.
@@ -188,7 +198,8 @@ fn acked_insert_is_visible_to_other_connections_and_matches_local() {
 
 #[test]
 fn reads_racing_writes_observe_only_complete_prefixes() {
-    let (mut oracle, server, addr) = oracle_and_server(walks);
+    let scratch = Scratch::new();
+    let (mut oracle, server, addr) = oracle_and_server(Some(&scratch));
     // The writer inserts clones of one probe series, nudged by i/1000:
     // an epsilon ball around the probe catches exactly the inserted
     // rows, so what a racing reader sees *is* the visible write set.
@@ -218,7 +229,7 @@ fn reads_racing_writes_observe_only_complete_prefixes() {
                 ),
             ];
             let report = client.insert("walks", rows).expect("insert acked");
-            assert_eq!(report.ids.len(), 2);
+            assert_eq!((report.ids.len(), report.wal_records), (2, 2));
         }
         client.goodbye().expect("orderly close");
     });
@@ -283,7 +294,7 @@ fn reads_racing_writes_observe_only_complete_prefixes() {
 
 #[test]
 fn full_cursor_drain_matches_local_and_partial_reads_fewer_nodes() {
-    let (oracle, server, addr) = oracle_and_server(walks);
+    let (oracle, server, addr) = oracle_and_server(None);
     let query = "FIND SIMILAR TO ROW 0 IN walks EPSILON 60.0";
 
     // Local oracle cursor: full drain, in traversal order.

@@ -6,6 +6,7 @@
 
 mod common;
 
+use common::lattice::Scratch;
 use common::*;
 use similarity_queries::prelude::*;
 use similarity_queries::query::QueryOutput;
@@ -14,44 +15,50 @@ use similarity_queries::server::wire::{self, FrameKind};
 use similarity_queries::server::ErrorCode;
 use std::net::TcpStream;
 
+fn walks() -> Database {
+    indexed_db(walk_relation("walks", 11, 120, 32))
+}
+
 fn spawn_server() -> (Server, std::net::SocketAddr) {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        indexed_db(walk_relation("walks", 11, 120, 32)),
-    )
-    .expect("server binds");
+    let server = Server::bind("127.0.0.1:0", walks()).expect("server binds");
     let addr = server.local_addr();
     (server, addr)
 }
 
 #[test]
 fn shutdown_hands_back_the_database_with_acked_writes_applied() {
-    let (server, addr) = spawn_server();
-    let mut client = Client::connect(addr).expect("client connects");
+    let scratch = Scratch::new();
+    let mut served = walks();
+    served
+        .attach_wal(scratch.0.join("wal"))
+        .expect("log attaches");
+    let server = Server::bind("127.0.0.1:0", served).expect("server binds");
+    let mut client = Client::connect(server.local_addr()).expect("client connects");
     let series = WalkGenerator::new(99).series(32);
     let report = client
         .insert("walks", vec![("LAST".into(), series.clone())])
         .expect("insert acked");
-    assert_eq!(report.ids.len(), 1);
+    assert_eq!((report.ids.len(), report.wal_records), (1, 1));
     client.goodbye().expect("orderly close");
 
     let db = server
         .shutdown()
         .expect("sole owner after every connection joined");
-    // The acked write is in the returned database.
+    // The acked write is in the returned database, and in its log.
     let literal: Vec<String> = series.iter().map(|v| format!("{v:?}")).collect();
-    let result = execute(
-        &db,
-        &format!("FIND 1 NEAREST TO [{}] IN walks", literal.join(", ")),
-    )
-    .expect("returned database answers queries");
-    match result.output {
-        QueryOutput::Hits(hits) => {
-            assert_eq!(hits[0].name, "LAST");
-            assert_eq!(hits[0].distance.to_bits(), 0f64.to_bits());
-        }
-        other => panic!("expected hits, got {other:?}"),
-    }
+    let nearest = format!("FIND 1 NEAREST TO [{}] IN walks", literal.join(", "));
+    let holds_last = |db: &Database| {
+        let result = execute(db, &nearest).expect("database answers queries");
+        let QueryOutput::Hits(hits) = &result.output else {
+            panic!("expected hits, got {:?}", result.output)
+        };
+        assert_eq!(hits[0].name, "LAST");
+        assert_eq!(hits[0].distance.to_bits(), 0f64.to_bits());
+    };
+    holds_last(&db);
+    drop(db);
+    let (reopened, _) = Database::open_durable(scratch.0.join("wal")).expect("log replays");
+    holds_last(&reopened);
 }
 
 #[test]

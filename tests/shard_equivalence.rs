@@ -236,8 +236,9 @@ fn reshard_after_pending_inserts_preserves_equivalence() {
 }
 
 /// Regression: asking for the shard shape a relation already has is a
-/// no-op — same layout, same tree bytes, and no generation bump (cached
-/// plans and prepared statements stay valid).
+/// no-op — same layout, same tree bytes, and no generation bump (pinned
+/// read views, such as the server's per-connection sessions, stay
+/// current).
 #[test]
 fn same_shape_reshard_is_a_noop() {
     let series = corpus(29, 24, 32);
@@ -247,7 +248,7 @@ fn same_shape_reshard_is_a_noop() {
     assert_eq!(
         sharded.generation(),
         generation,
-        "same-shape reshard must not invalidate plans"
+        "same-shape reshard must not bump the generation"
     );
     assert_eq!(sharded.relation("r").unwrap().shard_count(), 4);
 
