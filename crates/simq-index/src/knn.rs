@@ -15,7 +15,9 @@
 //!
 //! * `threads == 1` runs one serial loop: the frontier holds subtrees of
 //!   *every* tree, so one bound on the `k`-th best distance prunes all
-//!   shards at once.
+//!   shards at once. A leaf's admitted rows wait in a *run* whose smallest
+//!   `(bound, id)` alone is heaped, then the next smallest: the visit
+//!   order of a heap of every row, at one heap entry per leaf, not per row.
 //! * `threads > 1` runs a work-stealing pool: workers pop the globally
 //!   most promising subtree task and prune against the shared atomic
 //!   bound on the `k`-th best distance, published by every thread as its
@@ -240,11 +242,17 @@ impl<'a> LocalKth<'a> {
     }
 }
 
+/// A span `lo..hi` of the serial search's row arena.
+type Run = (usize, usize);
+
 /// Where a frontier element of the serial search points. Items order
-/// below nodes, so at equal bounds results pop as early as possible.
+/// below nodes, so at equal bounds results pop as early as possible. An
+/// item is the smallest `(bound, id)` of its leaf's admitted rows, the
+/// rest of which wait off the heap in `run`: it pops exactly when a heap
+/// of every row would pop it. `(shard, id)` is unique; `run` never decides.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum At {
-    Item { shard: usize, id: u64 },
+    Item { shard: usize, id: u64, run: Run },
     Node { shard: usize, idx: usize },
 }
 
@@ -285,6 +293,34 @@ fn expand(
     }
 }
 
+/// Heaps the smallest `(bound, id)` of `arena[lo..hi]`, swapped to `lo`,
+/// if its bound is within `kth`. A head dropped here could only have
+/// ended the loop: the rest of its run is no nearer, and `kth` never grows.
+fn push_head(
+    heap: &mut BinaryHeap<Reverse<Ranked<At>>>,
+    arena: &mut [(f64, u64)],
+    shard: usize,
+    (lo, hi): Run,
+    kth: f64,
+) {
+    let run = &mut arena[lo..hi];
+    let Some(&(mut min)) = run.first() else {
+        return;
+    };
+    let mut first = 0; // a plain loop: `min_by` over indices was slower
+    for (i, &row) in run.iter().enumerate().skip(1) {
+        if cmp_distance_id(row, min).is_lt() {
+            (first, min) = (i, row);
+        }
+    }
+    run.swap(0, first);
+    let ((key, id), run) = (min, (lo + 1, hi));
+    if key <= kth {
+        let what = At::Item { shard, id, run };
+        heap.push(Reverse(Ranked { key, what }));
+    }
+}
+
 /// The serial best-first loop over a forest: the `k` items with the
 /// smallest (refined) distances and each tree's work counters.
 fn nearest_serial(
@@ -317,38 +353,42 @@ fn nearest_serial(
     // deterministic regardless of heap pop order.
     let kth_best = AtomicF64Min::new(f64::INFINITY);
     let mut kth = LocalKth::new(k, &kth_best);
+    let mut arena: Vec<(f64, u64)> = Vec::new();
     while let Some(Reverse(top)) = heap.pop() {
         let kth_now = kth_best.get();
         if top.key > kth_now {
             break;
         }
         match top.what {
-            At::Item { shard, id } => {
+            At::Item { shard, id, run } => {
                 if let Some(d) = resolve(items, id, top.key, kth_now, &mut per_shard[shard]) {
                     out.push(Neighbor { id, dist_sq: d });
                     kth.offer(d);
                 }
+                push_head(&mut heap, &mut arena, shard, run, kth_best.get());
             }
-            At::Node { shard, idx } => expand(
-                &trees[shard],
-                idx,
-                bound,
-                transform,
-                items,
-                &mut scratch,
-                &mut per_shard[shard],
-                |e, d| {
-                    if d <= kth_now {
-                        heap.push(Reverse(Ranked {
+            At::Node { shard, idx } => {
+                let start = arena.len();
+                expand(
+                    &trees[shard],
+                    idx,
+                    bound,
+                    transform,
+                    items,
+                    &mut scratch,
+                    &mut per_shard[shard],
+                    |e, d| match e {
+                        _ if d > kth_now => {}
+                        Entry::Child { node, .. } => heap.push(Reverse(Ranked {
                             key: d,
-                            what: match e {
-                                Entry::Child { node, .. } => At::Node { shard, idx: *node },
-                                Entry::Item { id, .. } => At::Item { shard, id: *id },
-                            },
-                        }))
-                    }
-                },
-            ),
+                            what: At::Node { shard, idx: *node },
+                        })),
+                        Entry::Item { id, .. } => arena.push((d, *id)),
+                    },
+                );
+                let run = (start, arena.len());
+                push_head(&mut heap, &mut arena, shard, run, kth_now);
+            }
         }
     }
     (finish(out, k), per_shard)
@@ -538,17 +578,24 @@ mod tests {
     use crate::geom::Space;
     use crate::rstar::RTreeConfig;
     use crate::transform::DiagonalAffine;
+    use std::collections::{HashMap, HashSet};
+
+    /// The `n × n` integer grid, item `i·n + j` at `(i, j)`, split
+    /// id-mod-`shards` into trees.
+    fn grid_forest(n: u64, shards: u64) -> Vec<RTree> {
+        (0..shards)
+            .map(|s| {
+                let mut t = RTree::with_dims(2);
+                for id in (s..n * n).step_by(shards as usize) {
+                    t.insert_point(&[(id / n) as f64, (id % n) as f64], id);
+                }
+                t
+            })
+            .collect()
+    }
 
     fn grid_tree(n: usize) -> RTree {
-        let mut t = RTree::with_dims(2);
-        let mut id = 0u64;
-        for i in 0..n {
-            for j in 0..n {
-                t.insert_point(&[i as f64, j as f64], id);
-                id += 1;
-            }
-        }
-        t
+        grid_forest(n as u64, 1).remove(0)
     }
 
     fn brute_knn(n: usize, q: &[f64], k: usize) -> Vec<Neighbor> {
@@ -587,6 +634,21 @@ mod tests {
             })
             .collect();
         (single, shard_trees)
+    }
+
+    /// Item id → `(shard, leaf node)` holding it.
+    fn leaf_of(trees: &[RTree]) -> HashMap<u64, (usize, usize)> {
+        let mut leaf = HashMap::new();
+        for (shard, tree) in trees.iter().enumerate() {
+            for (idx, node) in tree.nodes.iter().enumerate() {
+                for e in &node.entries {
+                    if let Entry::Item { id, .. } = e {
+                        leaf.insert(*id, (shard, idx));
+                    }
+                }
+            }
+        }
+        leaf
     }
 
     fn assert_same(got: &[Neighbor], want: &[Neighbor], what: &str) {
@@ -770,18 +832,23 @@ mod tests {
             let d = (r.lo[0] - q[0]).max(q[0] - r.hi[0]).max(0.0);
             d * d
         };
-        struct Stage<E>(E);
+        // Records `(bound, id)` of every refine call, in call order.
+        struct Stage<E>(E, Mutex<Vec<(f64, u64)>>);
         impl<E: Fn(u64) -> (f64, f64) + Sync> ItemStage for Stage<E> {
             fn bound(&self, id: u64) -> f64 {
                 self.0(id).0
             }
             fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64> {
                 stats.refine_work += 1;
-                let d = self.0(id).1;
+                let (bound, d) = self.0(id);
+                self.1.lock().expect("refine log").push((bound, id));
                 (d <= kth_now).then_some(d)
             }
         }
-        let stage = Stage(|id: u64| (exact(id) - hidden(id), exact(id)));
+        let stage = Stage(
+            |id: u64| (exact(id) - hidden(id), exact(id)),
+            Mutex::default(),
+        );
         for k in [1usize, 7, 40] {
             let want = finish(
                 (0..500u64)
@@ -801,9 +868,34 @@ mod tests {
                         items: Some(&stage),
                     };
                     let (got, stats) = forest_nearest(trees, &query, threads);
+                    let refined = std::mem::take(&mut *stage.1.lock().expect("refine log"));
                     let what = format!("k {k} trees {} threads {threads}", trees.len());
                     assert_same(&got, &want, &what);
                     let s = stats.merged;
+                    if threads == 1 {
+                        // The serial descent refines in ascending bound,
+                        // and each leaf's rows in strictly ascending
+                        // (bound, id), so no row twice. Across leaves ids
+                        // may fall at one bound: a subtree whose key ties
+                        // a refined row's bound opens after it.
+                        assert!(
+                            refined.windows(2).all(|w| w[0].0 <= w[1].0),
+                            "{what}: {refined:?}"
+                        );
+                        let leaf = leaf_of(trees);
+                        let mut by_leaf: HashMap<_, Vec<(f64, u64)>> = HashMap::new();
+                        for &row in &refined {
+                            by_leaf.entry(leaf[&row.1]).or_default().push(row);
+                        }
+                        for rows in by_leaf.values() {
+                            assert!(
+                                rows.windows(2)
+                                    .all(|w| cmp_distance_id(w[0], w[1]) == Ordering::Less),
+                                "{what}: {rows:?}"
+                            );
+                        }
+                        assert_eq!(s.candidates, refined.len() as u64, "{what}");
+                    }
                     // Every item is refined at most once — and serially,
                     // none whose bound exceeds the final k-th distance.
                     assert_eq!(s.candidates, s.refine_work, "{what}");
@@ -813,6 +905,81 @@ mod tests {
                     assert!(s.candidates <= most as u64, "{what}");
                 }
             }
+        }
+    }
+
+    /// An item stage whose bound is the exact distance.
+    struct Exact<F>(F);
+    impl<F: Fn(u64) -> f64 + Sync> ItemStage for Exact<F> {
+        fn bound(&self, id: u64) -> f64 {
+            self.0(id)
+        }
+        fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64> {
+            stats.refine_work += 1;
+            Some(self.0(id)).filter(|d| *d <= kth_now)
+        }
+    }
+
+    /// Serial and 4-thread searches of the 20 × 20 grid forest, with and
+    /// without an item stage, each bitwise equal to brute force.
+    fn assert_grid_ties(forest: &[RTree], q: [f64; 2], k: usize) {
+        let n = 20;
+        let want = brute_knn(n, &q, k);
+        let mut dist = vec![0.0; n * n];
+        brute_knn(n, &q, n * n)
+            .iter()
+            .for_each(|h| dist[h.id as usize] = h.dist_sq);
+        let bound = |r: &Rect| r.min_dist_sq(&q);
+        let stage = Exact(|id: u64| dist[id as usize]);
+        for items in [None, Some(&stage as &dyn ItemStage)] {
+            let query = KnnQuery {
+                bound: &bound,
+                transform: None,
+                k,
+                items,
+            };
+            let what = format!("q {q:?} k {k} shards {}", forest.len());
+            let (serial, _) = forest_nearest(forest, &query, 1);
+            assert_same(&serial, &want, &what);
+            assert_same(&forest_nearest(forest, &query, 4).0, &serial, &what);
+        }
+    }
+
+    #[test]
+    fn ties_across_leaves_and_shards_resolve_by_id() {
+        // At a lattice point every distance is an integer: k cuts through
+        // the ring at squared distance 25, whose 12 points lie in several
+        // leaves of three shards.
+        let forest = grid_forest(20, 3);
+        let q = [7.0, 12.0];
+        let all = brute_knn(20, &q, 400);
+        let inside = all.iter().filter(|h| h.dist_sq < 25.0).count();
+        let ring: Vec<u64> = all
+            .iter()
+            .filter(|h| h.dist_sq == 25.0)
+            .map(|h| h.id)
+            .collect();
+        assert_eq!(ring.len(), 12);
+        let leaf = leaf_of(&forest);
+        let leaves: HashSet<_> = ring.iter().map(|id| leaf[id]).collect();
+        assert!(leaves.len() >= 4, "the ring spans {} leaves", leaves.len());
+        assert_grid_ties(&forest, q, inside + 6);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// Random shard counts, lattice query points (some off the grid)
+        /// and `k`, for the release-profile CI step.
+        #[test]
+        #[ignore = "long: run with --release -- --ignored"]
+        fn ties_across_leaves_and_shards_resolve_by_id_long(
+            shards in 1u64..6,
+            x in -2i32..22,
+            y in -2i32..22,
+            k in 1usize..81,
+        ) {
+            assert_grid_ties(&grid_forest(20, shards), [x as f64, y as f64], k);
         }
     }
 

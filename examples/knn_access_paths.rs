@@ -1,4 +1,4 @@
-//! ROADMAP item 1's comparison, re-runnable: what a 10-NN query costs by
+//! ROADMAP item 9's comparison, re-runnable: what a 10-NN query costs by
 //! the plan the planner picks (the ranked descent over the index) and by
 //! `FORCE SCAN` (the probing, abandoning sequential scan), on corpora the
 //! index separates badly (random walks) and well (clustered stocks).
