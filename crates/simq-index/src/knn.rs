@@ -11,32 +11,26 @@
 //! queue ordered by a caller-supplied lower bound, which visits the minimum
 //! possible number of nodes for the given trees. There is **one** search,
 //! [`forest_nearest`], over a forest of trees (one per relation shard; a
-//! single tree is a forest of one) and a thread budget:
-//!
-//! * `threads == 1` runs one serial loop: the frontier holds subtrees of
-//!   *every* tree, so one bound on the `k`-th best distance prunes all
-//!   shards at once. A leaf's admitted rows wait in a *run* whose smallest
-//!   `(bound, id)` alone is heaped, then the next smallest: the visit
-//!   order of a heap of every row, at one heap entry per leaf, not per row.
-//! * `threads > 1` runs a work-stealing pool: workers pop the globally
-//!   most promising subtree task and prune against the shared atomic
-//!   bound on the `k`-th best distance, published by every thread as its
-//!   local top-`k` fills.
+//! single tree is a forest of one), and it runs on the calling thread: the
+//! frontier holds subtrees of *every* tree, so one bound on the `k`-th
+//! best distance prunes all shards at once. A leaf's admitted rows wait in
+//! a *run* whose smallest `(bound, id)` alone is heaped, then the next
+//! smallest: the visit order of a heap of every row, at one heap entry per
+//! leaf, not per row.
 //!
 //! Leaf bounds depend only on the item's (transformed) rectangle, so the
-//! `k` results are identical however the items are split into trees and
-//! however the work is scheduled: results are `(distance, id)`-sorted and
-//! ties around the `k`-th distance are retained until the final sort.
+//! `k` results are identical however the items are split into trees:
+//! results are `(distance, id)`-sorted and ties around the `k`-th distance
+//! are retained until the final sort.
 //!
-//! [`RTree::nearest`] and [`RTree::nearest_by`] are the single-tree,
-//! single-thread callers.
+//! [`RTree::nearest`] and [`RTree::nearest_by`] are the single-tree
+//! callers.
 //!
 //! With an [`ItemStage`] the same descent is the *optimal multi-step*
 //! search of Seidl & Kriegel: bounds only rank, every leaf item reached
-//! is refined to its exact distance, and the search stops (or skips a
-//! task) once the next lower bound exceeds the shrinking *exact* `k`-th
-//! best — serially, no item whose bound is above the final `k`-th
-//! distance is ever refined.
+//! is refined to its exact distance, and the search stops once the next
+//! lower bound exceeds the shrinking *exact* `k`-th best — no item whose
+//! bound is above the final `k`-th distance is ever refined.
 
 use crate::geom::Rect;
 use crate::rstar::{Entry, RTree};
@@ -44,8 +38,6 @@ use crate::search::{ForestStats, SearchStats};
 use crate::transform::SpatialTransform;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 
 /// A nearest-neighbour hit: item id and squared Euclidean distance in the
 /// (transformed) index space.
@@ -83,7 +75,7 @@ fn finish(mut found: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
 
 /// The item stage of a multi-step search: what the search does with a leaf
 /// item instead of taking its rectangle's bound as the item's distance.
-pub trait ItemStage: Sync {
+pub trait ItemStage {
     /// A cheap lower bound on the exact distance of item `id` — the key
     /// that ranks it. Replaces [`KnnQuery::bound`] on leaf entries, so it
     /// may come from data the index does not hold.
@@ -109,7 +101,7 @@ pub trait ItemStage: Sync {
 /// to an annular sector is not the Euclidean distance of raw coordinates.
 pub struct KnnQuery<'a> {
     /// The lower-bound function.
-    pub bound: &'a (dyn Fn(&Rect) -> f64 + Sync),
+    pub bound: &'a dyn Fn(&Rect) -> f64,
     /// Transformation applied to every MBR before bounding.
     pub transform: Option<&'a dyn SpatialTransform>,
     /// Number of neighbours requested.
@@ -141,42 +133,9 @@ fn resolve(
     }
 }
 
-/// Lock-free monotone minimum over `f64`s — the shared pruning bound of
-/// the parallel kNN search here and of the parallel kNN scan in
-/// `simq-storage`.
-pub struct AtomicF64Min(AtomicU64);
-
-impl AtomicF64Min {
-    /// A new cell holding `v` (typically `f64::INFINITY`).
-    pub fn new(v: f64) -> Self {
-        AtomicF64Min(AtomicU64::new(v.to_bits()))
-    }
-
-    /// The current minimum.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(AtomicOrdering::Relaxed))
-    }
-
-    /// Lowers the cell to `v` if `v` is smaller.
-    pub fn fetch_min(&self, v: f64) {
-        let mut cur = self.0.load(AtomicOrdering::Relaxed);
-        while v < f64::from_bits(cur) {
-            match self.0.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                AtomicOrdering::Relaxed,
-                AtomicOrdering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
-    }
-}
-
 /// A heap element ordered by its `f64` key, equal keys falling through to
-/// the payload's order. `BinaryHeap` is a max-heap: the search frontiers
-/// wrap it in [`Reverse`] to pop the smallest bound first.
+/// the payload's order. `BinaryHeap` is a max-heap: the search frontier
+/// wraps it in [`Reverse`] to pop the smallest bound first.
 struct Ranked<T> {
     key: f64,
     what: T,
@@ -199,27 +158,33 @@ impl<T: Ord> Ord for Ranked<T> {
     }
 }
 
-/// Tracks the `k` smallest distances one thread has seen (their maximum is
-/// an upper bound on the global `k`-th best), publishing improvements to
-/// the shared bound.
-pub struct LocalKth<'a> {
+/// Tracks the `k` smallest distances seen so far: the live `k`-th best
+/// that a search or scan prunes against.
+pub struct LocalKth {
     heap: BinaryHeap<Ranked<()>>, // max-heap of the k best distances
     k: usize,
-    shared: &'a AtomicF64Min,
+    /// The heap's maximum once it holds `k` distances, infinite before.
+    kth: f64,
 }
 
-impl<'a> LocalKth<'a> {
-    /// A tracker for the `k` best distances publishing to `shared`.
-    pub fn new(k: usize, shared: &'a AtomicF64Min) -> Self {
+impl LocalKth {
+    /// A tracker for the `k` best distances.
+    pub fn new(k: usize) -> Self {
         LocalKth {
             heap: BinaryHeap::new(),
             k,
-            shared,
+            kth: f64::INFINITY,
         }
     }
 
-    /// True when `d` is not provably outside this thread's top-`k` (ties
-    /// at the `k`-th distance included).
+    /// The `k`-th best distance so far (infinite until `k` were offered).
+    #[inline]
+    pub fn kth(&self) -> f64 {
+        self.kth
+    }
+
+    /// True when `d` is not provably outside the top-`k` (ties at the
+    /// `k`-th distance included).
     pub fn admits(&self, d: f64) -> bool {
         self.heap.len() < self.k || self.heap.peek().is_some_and(|worst| d <= worst.key)
     }
@@ -236,16 +201,16 @@ impl<'a> LocalKth<'a> {
         }
         if self.heap.len() == self.k {
             if let Some(worst) = self.heap.peek() {
-                self.shared.fetch_min(worst.key);
+                self.kth = worst.key;
             }
         }
     }
 }
 
-/// A span `lo..hi` of the serial search's row arena.
+/// A span `lo..hi` of the search's row arena.
 type Run = (usize, usize);
 
-/// Where a frontier element of the serial search points. Items order
+/// Where a frontier element of the search points. Items order
 /// below nodes, so at equal bounds results pop as early as possible. An
 /// item is the smallest `(bound, id)` of its leaf's admitted rows, the
 /// rest of which wait off the heap in `run`: it pops exactly when a heap
@@ -256,16 +221,9 @@ enum At {
     Node { shard: usize, idx: usize },
 }
 
-/// A subtree task of the work-stealing search.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct Subtree {
-    shard: usize,
-    idx: usize,
-}
-
 /// Reads one node: counts the visit and hands every entry with its bound
-/// to `each` (the node expansion both search loops share). Transformed
-/// MBRs are written into `scratch` — no allocation per entry.
+/// to `each`. Transformed MBRs are written into `scratch` — no allocation
+/// per entry.
 #[allow(clippy::too_many_arguments)]
 fn expand(
     tree: &RTree,
@@ -321,19 +279,22 @@ fn push_head(
     }
 }
 
-/// The serial best-first loop over a forest: the `k` items with the
-/// smallest (refined) distances and each tree's work counters.
-fn nearest_serial(
-    trees: &[RTree],
-    bound: &dyn Fn(&Rect) -> f64,
-    transform: Option<&dyn SpatialTransform>,
-    k: usize,
-    items: Option<&dyn ItemStage>,
-) -> (Vec<Neighbor>, Vec<SearchStats>) {
+/// Best-first `k`-nearest search over a forest of trees (see the
+/// [module docs](self)). Returns the `k` items with the smallest distances
+/// (bound values, or refined by the query's item stage) across the whole
+/// forest — `(distance, id)`-sorted, identical to a search of one tree
+/// over the union of the trees' items — and the search's work counters.
+pub fn forest_nearest(trees: &[RTree], query: &KnnQuery) -> (Vec<Neighbor>, ForestStats) {
+    let KnnQuery {
+        bound,
+        transform,
+        k,
+        items,
+    } = *query;
     let mut per_shard = vec![SearchStats::default(); trees.len()];
     let mut out: Vec<Neighbor> = Vec::new();
     if k == 0 {
-        return (out, per_shard);
+        return (out, ForestStats::from_shards(per_shard));
     }
     let mut scratch = scratch_rect(transform);
     let mut heap = BinaryHeap::new();
@@ -351,11 +312,10 @@ fn nearest_serial(
     // The k-th best distance collected so far; ties at exactly this
     // distance are still collected so the final (distance, id) sort is
     // deterministic regardless of heap pop order.
-    let kth_best = AtomicF64Min::new(f64::INFINITY);
-    let mut kth = LocalKth::new(k, &kth_best);
+    let mut kth = LocalKth::new(k);
     let mut arena: Vec<(f64, u64)> = Vec::new();
     while let Some(Reverse(top)) = heap.pop() {
-        let kth_now = kth_best.get();
+        let kth_now = kth.kth();
         if top.key > kth_now {
             break;
         }
@@ -365,7 +325,7 @@ fn nearest_serial(
                     out.push(Neighbor { id, dist_sq: d });
                     kth.offer(d);
                 }
-                push_head(&mut heap, &mut arena, shard, run, kth_best.get());
+                push_head(&mut heap, &mut arena, shard, run, kth.kth());
             }
             At::Node { shard, idx } => {
                 let start = arena.len();
@@ -391,162 +351,7 @@ fn nearest_serial(
             }
         }
     }
-    (finish(out, k), per_shard)
-}
-
-/// Best-first `k`-nearest search over a forest of trees, on up to
-/// `threads` threads (see the [module docs](self)). Returns the `k` items
-/// with the smallest distances (bound values, or refined by the query's
-/// item stage) across the whole forest — `(distance, id)`-sorted,
-/// identical to a serial single-tree search over the union of the trees'
-/// items — and the search's work counters.
-pub fn forest_nearest(
-    trees: &[RTree],
-    query: &KnnQuery,
-    threads: usize,
-) -> (Vec<Neighbor>, ForestStats) {
-    let shards = trees.len();
-    let serial = || {
-        let (found, per_shard) =
-            nearest_serial(trees, query.bound, query.transform, query.k, query.items);
-        (found, ForestStats::from_workers(shards, vec![per_shard]))
-    };
-    if threads <= 1 {
-        return serial();
-    }
-    let seeds: BinaryHeap<Reverse<Ranked<Subtree>>> = trees
-        .iter()
-        .enumerate()
-        .filter(|(_, tree)| query.k > 0 && !tree.is_empty())
-        .map(|(shard, tree)| {
-            Reverse(Ranked {
-                key: 0.0,
-                what: Subtree {
-                    shard,
-                    idx: tree.root,
-                },
-            })
-        })
-        .collect();
-    if seeds.is_empty() {
-        return serial();
-    }
-
-    let shared = AtomicF64Min::new(f64::INFINITY);
-    let pool = Mutex::new(seeds);
-    let in_flight = AtomicUsize::new(0);
-
-    // Per worker: the items kept, and work counters per shard.
-    type Worker = (Vec<Neighbor>, Vec<SearchStats>);
-    let workers: Vec<Worker> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut found: Vec<Neighbor> = Vec::new();
-                    let mut cells = vec![SearchStats::default(); shards];
-                    let mut kth = LocalKth::new(query.k, &shared);
-                    let mut scratch = scratch_rect(query.transform);
-                    let mut leaf_items: Vec<(f64, u64)> = Vec::new();
-                    // Backoff for idle polls: yield first, then sleep
-                    // with exponential growth so starved workers stop
-                    // contending on the pool mutex when one deep subtree
-                    // holds all the work.
-                    let mut idle_us: u64 = 0;
-                    loop {
-                        let task = {
-                            let mut guard = pool.lock().expect("pool lock");
-                            let t = guard.pop();
-                            if t.is_some() {
-                                // Counted before the lock drops so an
-                                // empty pool with zero in-flight tasks
-                                // really means "done".
-                                in_flight.fetch_add(1, AtomicOrdering::SeqCst);
-                            }
-                            t
-                        };
-                        let Some(task) = task else {
-                            if in_flight.load(AtomicOrdering::SeqCst) == 0 {
-                                break;
-                            }
-                            if idle_us == 0 {
-                                std::thread::yield_now();
-                                idle_us = 1;
-                            } else {
-                                std::thread::sleep(std::time::Duration::from_micros(idle_us));
-                                idle_us = (idle_us * 2).min(200);
-                            }
-                            continue;
-                        };
-                        idle_us = 0;
-                        let Reverse(Ranked {
-                            key,
-                            what: Subtree { shard, idx },
-                        }) = task;
-                        if key <= shared.get() {
-                            let mut children = Vec::new();
-                            leaf_items.clear();
-                            expand(
-                                &trees[shard],
-                                idx,
-                                query.bound,
-                                query.transform,
-                                query.items,
-                                &mut scratch,
-                                &mut cells[shard],
-                                |e, d| {
-                                    // Kept whenever the bound does not
-                                    // exceed the shared bound at visit
-                                    // time: every candidate the serial
-                                    // search would keep, ties included.
-                                    if d > shared.get() {
-                                        return;
-                                    }
-                                    match e {
-                                        Entry::Child { node, .. } => {
-                                            children.push(Reverse(Ranked {
-                                                key: d,
-                                                what: Subtree { shard, idx: *node },
-                                            }))
-                                        }
-                                        Entry::Item { id, .. } => leaf_items.push((d, *id)),
-                                    }
-                                },
-                            );
-                            // A leaf's items resolve in bound order, each
-                            // against the bound as it stands by then.
-                            leaf_items.sort_by(|a, b| cmp_distance_id(*a, *b));
-                            for &(d, id) in &leaf_items {
-                                let kth_now = shared.get();
-                                if d > kth_now {
-                                    break;
-                                }
-                                let cell = &mut cells[shard];
-                                if let Some(dist_sq) = resolve(query.items, id, d, kth_now, cell) {
-                                    found.push(Neighbor { id, dist_sq });
-                                    kth.offer(dist_sq);
-                                }
-                            }
-                            if !children.is_empty() {
-                                pool.lock().expect("pool lock").extend(children);
-                            }
-                        }
-                        in_flight.fetch_sub(1, AtomicOrdering::SeqCst);
-                    }
-                    (found, cells)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("kNN worker panicked"))
-            .collect()
-    });
-
-    let (found, cells): (Vec<_>, Vec<_>) = workers.into_iter().unzip();
-    (
-        finish(found.concat(), query.k),
-        ForestStats::from_workers(shards, cells),
-    )
+    (finish(out, k), ForestStats::from_shards(per_shard))
 }
 
 impl RTree {
@@ -559,16 +364,21 @@ impl RTree {
 
     /// The `k` items with the smallest `bound` values (see [`KnnQuery`]
     /// for the bound contract), ascending (ties by id), with search
-    /// statistics — the serial search over a forest of one.
+    /// statistics — the search over a forest of one.
     pub fn nearest_by(
         &self,
         bound: &dyn Fn(&Rect) -> f64,
         transform: Option<&dyn SpatialTransform>,
         k: usize,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let (found, per_shard) =
-            nearest_serial(std::slice::from_ref(self), bound, transform, k, None);
-        (found, per_shard[0])
+        let query = KnnQuery {
+            bound,
+            transform,
+            k,
+            items: None,
+        };
+        let (found, stats) = forest_nearest(std::slice::from_ref(self), &query);
+        (found, stats.merged)
     }
 }
 
@@ -578,6 +388,7 @@ mod tests {
     use crate::geom::Space;
     use crate::rstar::RTreeConfig;
     use crate::transform::DiagonalAffine;
+    use std::cell::RefCell;
     use std::collections::{HashMap, HashSet};
 
     /// The `n × n` integer grid, item `i·n + j` at `(i, j)`, split
@@ -763,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn forest_search_equals_single_tree_at_any_thread_count() {
+    fn forest_search_equals_single_tree() {
         let (single, shard_trees) = tree_and_shards(500, 3);
         let affine = DiagonalAffine::new(vec![-1.0, 2.0], vec![5.0, -3.0]);
         for transform in [None, Some(&affine as &dyn SpatialTransform)] {
@@ -771,23 +582,19 @@ mod tests {
                 let bound = |r: &Rect| r.min_dist_sq(&q);
                 let (want, _) = single.nearest_by(&bound, transform, k);
                 for trees in [std::slice::from_ref(&single), shard_trees.as_slice()] {
-                    for threads in [1, 2, 4] {
-                        let query = KnnQuery {
-                            bound: &bound,
-                            transform,
-                            k,
-                            items: None,
-                        };
-                        let (got, s) = forest_nearest(trees, &query, threads);
-                        let what = format!("k {k} trees {} threads {threads}", trees.len());
-                        assert_same(&got, &want, &what);
-                        assert_eq!(s.per_shard.len(), trees.len(), "{what}");
-                        for part in [&s.per_thread, &s.per_shard] {
-                            let mut sum = SearchStats::default();
-                            part.iter().for_each(|p| sum.add(p));
-                            assert_eq!(sum, s.merged, "{what}");
-                        }
-                    }
+                    let query = KnnQuery {
+                        bound: &bound,
+                        transform,
+                        k,
+                        items: None,
+                    };
+                    let (got, s) = forest_nearest(trees, &query);
+                    let what = format!("k {k} trees {}", trees.len());
+                    assert_same(&got, &want, &what);
+                    assert_eq!(s.per_shard.len(), trees.len(), "{what}");
+                    let mut sum = SearchStats::default();
+                    s.per_shard.iter().for_each(|p| sum.add(p));
+                    assert_eq!(sum, s.merged, "{what}");
                 }
             }
         }
@@ -802,8 +609,13 @@ mod tests {
         let q = [29.0, 31.0];
         let bound = |r: &Rect| r.min_dist_sq(&q);
         let (_, single_stats) = single.nearest_by(&bound, None, 3);
-        let (_, forest) = nearest_serial(&shard_trees, &bound, None, 3, None);
-        let forest_nodes: u64 = forest.iter().map(|s| s.nodes_visited).sum();
+        let query = KnnQuery {
+            bound: &bound,
+            transform: None,
+            k: 3,
+            items: None,
+        };
+        let forest_nodes = forest_nearest(&shard_trees, &query).1.merged.nodes_visited;
         // Best-first over the forest visits the same order of magnitude of
         // nodes as the single tree — far less than 4 independent searches.
         let independent: u64 = shard_trees
@@ -833,21 +645,21 @@ mod tests {
             d * d
         };
         // Records `(bound, id)` of every refine call, in call order.
-        struct Stage<E>(E, Mutex<Vec<(f64, u64)>>);
-        impl<E: Fn(u64) -> (f64, f64) + Sync> ItemStage for Stage<E> {
+        struct Stage<E>(E, RefCell<Vec<(f64, u64)>>);
+        impl<E: Fn(u64) -> (f64, f64)> ItemStage for Stage<E> {
             fn bound(&self, id: u64) -> f64 {
                 self.0(id).0
             }
             fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64> {
                 stats.refine_work += 1;
                 let (bound, d) = self.0(id);
-                self.1.lock().expect("refine log").push((bound, id));
+                self.1.borrow_mut().push((bound, id));
                 (d <= kth_now).then_some(d)
             }
         }
         let stage = Stage(
             |id: u64| (exact(id) - hidden(id), exact(id)),
-            Mutex::default(),
+            RefCell::default(),
         );
         for k in [1usize, 7, 40] {
             let want = finish(
@@ -860,57 +672,51 @@ mod tests {
                 k,
             );
             for trees in [std::slice::from_ref(&single), shard_trees.as_slice()] {
-                for threads in [1, 4] {
-                    let query = KnnQuery {
-                        bound: &bound,
-                        transform: None,
-                        k,
-                        items: Some(&stage),
-                    };
-                    let (got, stats) = forest_nearest(trees, &query, threads);
-                    let refined = std::mem::take(&mut *stage.1.lock().expect("refine log"));
-                    let what = format!("k {k} trees {} threads {threads}", trees.len());
-                    assert_same(&got, &want, &what);
-                    let s = stats.merged;
-                    if threads == 1 {
-                        // The serial descent refines in ascending bound,
-                        // and each leaf's rows in strictly ascending
-                        // (bound, id), so no row twice. Across leaves ids
-                        // may fall at one bound: a subtree whose key ties
-                        // a refined row's bound opens after it.
-                        assert!(
-                            refined.windows(2).all(|w| w[0].0 <= w[1].0),
-                            "{what}: {refined:?}"
-                        );
-                        let leaf = leaf_of(trees);
-                        let mut by_leaf: HashMap<_, Vec<(f64, u64)>> = HashMap::new();
-                        for &row in &refined {
-                            by_leaf.entry(leaf[&row.1]).or_default().push(row);
-                        }
-                        for rows in by_leaf.values() {
-                            assert!(
-                                rows.windows(2)
-                                    .all(|w| cmp_distance_id(w[0], w[1]) == Ordering::Less),
-                                "{what}: {rows:?}"
-                            );
-                        }
-                        assert_eq!(s.candidates, refined.len() as u64, "{what}");
-                    }
-                    // Every item is refined at most once — and serially,
-                    // none whose bound exceeds the final k-th distance.
-                    assert_eq!(s.candidates, s.refine_work, "{what}");
-                    let kth = want.last().unwrap().dist_sq;
-                    let within = (0..500u64).filter(|&id| exact(id) - hidden(id) <= kth);
-                    let most = if threads == 1 { within.count() } else { 500 };
-                    assert!(s.candidates <= most as u64, "{what}");
+                let query = KnnQuery {
+                    bound: &bound,
+                    transform: None,
+                    k,
+                    items: Some(&stage),
+                };
+                let (got, stats) = forest_nearest(trees, &query);
+                let refined = stage.1.take();
+                let what = format!("k {k} trees {}", trees.len());
+                assert_same(&got, &want, &what);
+                let s = stats.merged;
+                // The descent refines in ascending bound, and each leaf's
+                // rows in strictly ascending (bound, id), so no row twice.
+                // Across leaves ids may fall at one bound: a subtree whose
+                // key ties a refined row's bound opens after it.
+                assert!(
+                    refined.windows(2).all(|w| w[0].0 <= w[1].0),
+                    "{what}: {refined:?}"
+                );
+                let leaf = leaf_of(trees);
+                let mut by_leaf: HashMap<_, Vec<(f64, u64)>> = HashMap::new();
+                for &row in &refined {
+                    by_leaf.entry(leaf[&row.1]).or_default().push(row);
                 }
+                for rows in by_leaf.values() {
+                    assert!(
+                        rows.windows(2)
+                            .all(|w| cmp_distance_id(w[0], w[1]) == Ordering::Less),
+                        "{what}: {rows:?}"
+                    );
+                }
+                assert_eq!(s.candidates, refined.len() as u64, "{what}");
+                // Every item is refined at most once, and none whose bound
+                // exceeds the final k-th distance.
+                assert_eq!(s.candidates, s.refine_work, "{what}");
+                let kth = want.last().unwrap().dist_sq;
+                let within = (0..500u64).filter(|&id| exact(id) - hidden(id) <= kth);
+                assert!(s.candidates <= within.count() as u64, "{what}");
             }
         }
     }
 
     /// An item stage whose bound is the exact distance.
     struct Exact<F>(F);
-    impl<F: Fn(u64) -> f64 + Sync> ItemStage for Exact<F> {
+    impl<F: Fn(u64) -> f64> ItemStage for Exact<F> {
         fn bound(&self, id: u64) -> f64 {
             self.0(id)
         }
@@ -920,8 +726,8 @@ mod tests {
         }
     }
 
-    /// Serial and 4-thread searches of the 20 × 20 grid forest, with and
-    /// without an item stage, each bitwise equal to brute force.
+    /// Searches of the 20 × 20 grid forest, with and without an item
+    /// stage, each bitwise equal to brute force.
     fn assert_grid_ties(forest: &[RTree], q: [f64; 2], k: usize) {
         let n = 20;
         let want = brute_knn(n, &q, k);
@@ -939,9 +745,7 @@ mod tests {
                 items,
             };
             let what = format!("q {q:?} k {k} shards {}", forest.len());
-            let (serial, _) = forest_nearest(forest, &query, 1);
-            assert_same(&serial, &want, &what);
-            assert_same(&forest_nearest(forest, &query, 4).0, &serial, &what);
+            assert_same(&forest_nearest(forest, &query).0, &want, &what);
         }
     }
 
@@ -992,17 +796,15 @@ mod tests {
         let q = [0.0, 0.0];
         let bound = |r: &Rect| r.min_dist_sq(&q);
         for (trees, k) in [(empty.as_slice(), 5), (&[][..], 5), (empty.as_slice(), 0)] {
-            for threads in [1, 4] {
-                let query = KnnQuery {
-                    bound: &bound,
-                    transform: None,
-                    k,
-                    items: None,
-                };
-                let (got, stats) = forest_nearest(trees, &query, threads);
-                assert!(got.is_empty());
-                assert_eq!(stats.merged, SearchStats::default());
-            }
+            let query = KnnQuery {
+                bound: &bound,
+                transform: None,
+                k,
+                items: None,
+            };
+            let (got, stats) = forest_nearest(trees, &query);
+            assert!(got.is_empty());
+            assert_eq!(stats.merged, SearchStats::default());
         }
     }
 }

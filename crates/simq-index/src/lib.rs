@@ -14,12 +14,11 @@
 //! * [`rstar`] — the tree structure: ChooseSubtree, forced reinsertion, R*
 //!   split, deletion with condense.
 //! * [`search`] — range queries, plain and transformed, with node-access
-//!   statistics: the serial single-tree recursion, and the same query over
-//!   a forest of trees (one per relation shard) on a thread budget.
+//!   statistics: the single-tree recursion, and the same query over a
+//!   forest of trees (one per relation shard).
 //! * [`knn`] — best-first nearest neighbours under a caller-supplied
 //!   lower bound (MINDIST by default), plain and transformed: one search
-//!   over a forest of trees with a shared `k`-th-best bound — a serial
-//!   loop, or a work-stealing pool when given more than one thread.
+//!   over a forest of trees with one `k`-th-best bound for every shard.
 //! * [`join`] — the probe-based spatial join (the paper's Table 1
 //!   methods).
 //! * [`bulk`] — STR bulk loading.

@@ -8,19 +8,17 @@
 //! the same in both cases" for the identity transformation — is directly
 //! checkable.
 //!
-//! [`RTree::range`] / [`RTree::range_transformed`] are the serial
-//! single-tree recursion. [`forest_range`] is the same query over a forest
-//! of trees (one per relation shard; a single tree is a forest of one) on a
-//! thread budget: every tree is traversed with the same transformation and
-//! search rectangle, and because shards partition the item space the union
-//! of the per-tree answers is exactly the answer of the equivalent single
-//! tree. The trees are immutable during queries, so concurrency needs no
-//! locks on the structure — only coordination of work.
+//! [`RTree::range`] / [`RTree::range_transformed`] are the single-tree
+//! recursion. [`forest_range`] is the same query over a forest of trees
+//! (one per relation shard; a single tree is a forest of one), descended
+//! tree after tree on the calling thread: every tree is traversed with the
+//! same transformation and search rectangle, and because shards partition
+//! the item space the union of the per-tree answers is exactly the answer
+//! of the equivalent single tree.
 
 use crate::geom::Rect;
 use crate::rstar::{Entry, RTree};
 use crate::transform::SpatialTransform;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Counters describing the work one search performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,57 +56,28 @@ impl SearchStats {
     }
 }
 
-/// Work counters of one traversal of a forest of trees, partitioned two
-/// ways by the same run: per worker thread and per tree. Each partition
-/// sums to `merged`.
+/// Work counters of one traversal of a forest of trees: one entry per
+/// tree and their sum.
 #[derive(Debug, Clone, Default)]
 pub struct ForestStats {
-    /// Totals — comparable with a serial single-tree search.
+    /// Totals — comparable with a single-tree search.
     pub merged: SearchStats,
-    /// One entry per worker thread (entry 0 also carries coordination work
-    /// done on the calling thread).
-    pub per_thread: Vec<SearchStats>,
     /// One entry per tree, in forest order.
     pub per_shard: Vec<SearchStats>,
 }
 
 impl ForestStats {
-    /// Builds both partitions from each worker's per-tree counters.
-    pub(crate) fn from_workers(shards: usize, mut workers: Vec<Vec<SearchStats>>) -> Self {
-        let sum = |parts: &[SearchStats]| {
-            let mut total = SearchStats::default();
-            parts.iter().for_each(|s| total.add(s));
-            total
-        };
-        let per_thread: Vec<SearchStats> = workers.iter().map(|w| sum(w)).collect();
-        let mut per_shard = workers
-            .pop()
-            .unwrap_or_else(|| vec![SearchStats::default(); shards]);
-        for worker in &workers {
-            for (acc, s) in per_shard.iter_mut().zip(worker) {
-                acc.add(s);
-            }
-        }
-        ForestStats {
-            merged: sum(&per_thread),
-            per_thread,
-            per_shard,
-        }
+    /// Sums each tree's counters.
+    pub(crate) fn from_shards(per_shard: Vec<SearchStats>) -> Self {
+        let mut merged = SearchStats::default();
+        per_shard.iter().for_each(|s| merged.add(s));
+        ForestStats { merged, per_shard }
     }
 }
 
-/// Range query over a forest of trees on up to `threads` threads: all item
-/// ids whose (optionally transformed) rectangle overlaps `query`, with the
-/// work counters of the run.
-///
-/// With `threads == 1` each tree is descended by the serial recursion and
-/// ids come back in forest-major depth-first order. With more, a
-/// breadth-first frontier of overlapping `(tree, subtree)` tasks is
-/// expanded on the calling thread until there is enough independent work,
-/// then workers claim tasks from a shared cursor and descend them
-/// serially; ids come back sorted ascending. Either way the answer *set*
-/// and the merged / per-tree counters are the same — only the schedule
-/// differs.
+/// Range query over a forest of trees: all item ids whose (optionally
+/// transformed) rectangle overlaps `query`, in forest-major depth-first
+/// order, with the work counters of the run.
 ///
 /// # Panics
 /// If the query or transformation dimensionality does not match a tree's.
@@ -116,93 +85,17 @@ pub fn forest_range(
     trees: &[RTree],
     transform: Option<&dyn SpatialTransform>,
     query: &Rect,
-    threads: usize,
 ) -> (Vec<u64>, ForestStats) {
     for tree in trees {
         tree.check_range_dims(transform, query);
     }
     let mut out = Vec::new();
-    let mut coordinator = vec![SearchStats::default(); trees.len()];
+    let mut per_shard = vec![SearchStats::default(); trees.len()];
     let mut scratch = Rect::point(&vec![0.0; query.dims()]);
-    if threads <= 1 {
-        for (tree, stats) in trees.iter().zip(&mut coordinator) {
-            tree.range_rec(tree.root, query, transform, &mut scratch, &mut out, stats);
-        }
-        return (
-            out,
-            ForestStats::from_workers(trees.len(), vec![coordinator]),
-        );
+    for (tree, stats) in trees.iter().zip(&mut per_shard) {
+        tree.range_rec(tree.root, query, transform, &mut scratch, &mut out, stats);
     }
-
-    let target = threads * 4;
-    let mut queue: Vec<(usize, usize)> = trees.iter().map(|t| t.root).enumerate().collect();
-    let mut head = 0usize;
-    while head < queue.len() && (queue.len() - head) < target {
-        let (shard, idx) = queue[head];
-        head += 1;
-        let tree = &trees[shard];
-        let node = &tree.nodes[idx];
-        coordinator[shard].count_node(node.level);
-        for e in &node.entries {
-            coordinator[shard].entries_tested += 1;
-            if tree.overlaps(e.mbr(), query, transform, &mut scratch) {
-                match e {
-                    Entry::Child { node, .. } => queue.push((shard, *node)),
-                    Entry::Item { id, .. } => out.push(*id),
-                }
-            }
-        }
-    }
-
-    let pending = &queue[head..];
-    let mut workers: Vec<Vec<SearchStats>> = Vec::new();
-    if !pending.is_empty() {
-        let cursor = AtomicUsize::new(0);
-        let claimed: Vec<(Vec<u64>, Vec<SearchStats>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut ids = Vec::new();
-                        let mut stats = vec![SearchStats::default(); trees.len()];
-                        let mut scratch = Rect::point(&vec![0.0; query.dims()]);
-                        loop {
-                            let j = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(shard, idx)) = pending.get(j) else {
-                                break;
-                            };
-                            trees[shard].range_rec(
-                                idx,
-                                query,
-                                transform,
-                                &mut scratch,
-                                &mut ids,
-                                &mut stats[shard],
-                            );
-                        }
-                        (ids, stats)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("range worker panicked"))
-                .collect()
-        });
-        for (ids, stats) in claimed {
-            out.extend(ids);
-            workers.push(stats);
-        }
-    }
-    // The calling thread's frontier work counts against worker 0.
-    match workers.first_mut() {
-        Some(first) => first
-            .iter_mut()
-            .zip(&coordinator)
-            .for_each(|(a, c)| a.add(c)),
-        None => workers.push(coordinator),
-    }
-    out.sort_unstable();
-    (out, ForestStats::from_workers(trees.len(), workers))
+    (out, ForestStats::from_shards(per_shard))
 }
 
 impl RTree {
@@ -440,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn forest_range_equals_serial_at_any_shard_and_thread_count() {
+    fn forest_range_equals_single_tree_at_any_shard_count() {
         let n = 25usize;
         let single = grid_tree(n);
         // The same grid partitioned id-mod-3 into three trees.
@@ -470,30 +363,23 @@ mod tests {
                 &mut want,
                 &mut want_stats,
             );
-            let want = sorted(want);
-            for threads in [1, 2, 4, 16] {
-                let (got, stats) =
-                    forest_range(std::slice::from_ref(&single), transform, &query, threads);
-                assert_eq!(sorted(got), want, "threads {threads}");
-                // Every schedule visits the same node set.
-                assert_eq!(stats.merged, want_stats, "threads {threads}");
+            let (got, stats) = forest_range(std::slice::from_ref(&single), transform, &query);
+            assert_eq!(got, want);
+            assert_eq!(stats.merged, want_stats);
 
-                let (got, stats) = forest_range(&shards, transform, &query, threads);
-                assert_eq!(sorted(got), want, "3 shards, threads {threads}");
-                assert_eq!(stats.per_shard.len(), 3);
-                for part in [&stats.per_thread, &stats.per_shard] {
-                    let mut sum = SearchStats::default();
-                    part.iter().for_each(|p| sum.add(p));
-                    assert_eq!(sum, stats.merged, "threads {threads}");
-                }
-                // Per-tree counters equal each tree's own serial run.
-                for (tree, s) in shards.iter().zip(&stats.per_shard) {
-                    let serial = match transform {
-                        Some(t) => tree.range_transformed(t, &query).1,
-                        None => tree.range(&query).1,
-                    };
-                    assert_eq!(*s, serial, "threads {threads}");
-                }
+            let (got, stats) = forest_range(&shards, transform, &query);
+            assert_eq!(sorted(got), sorted(want.clone()), "3 shards");
+            assert_eq!(stats.per_shard.len(), 3);
+            let mut sum = SearchStats::default();
+            stats.per_shard.iter().for_each(|p| sum.add(p));
+            assert_eq!(sum, stats.merged);
+            // Per-tree counters equal each tree's own run.
+            for (tree, s) in shards.iter().zip(&stats.per_shard) {
+                let alone = match transform {
+                    Some(t) => tree.range_transformed(t, &query).1,
+                    None => tree.range(&query).1,
+                };
+                assert_eq!(*s, alone);
             }
         }
     }
@@ -502,14 +388,12 @@ mod tests {
     fn forest_range_over_empty_trees() {
         let empty: Vec<RTree> = (0..3).map(|_| RTree::with_dims(2)).collect();
         let query = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        for threads in [1, 4] {
-            let (ids, stats) = forest_range(&empty, None, &query, threads);
-            assert!(ids.is_empty());
-            assert_eq!(stats.merged.nodes_visited, 3);
-            let (ids, stats) = forest_range(&[], None, &query, threads);
-            assert!(ids.is_empty());
-            assert_eq!(stats.merged, SearchStats::default());
-            assert_eq!(stats.per_thread.len(), 1);
-        }
+        let (ids, stats) = forest_range(&empty, None, &query);
+        assert!(ids.is_empty());
+        assert_eq!(stats.merged.nodes_visited, 3);
+        let (ids, stats) = forest_range(&[], None, &query);
+        assert!(ids.is_empty());
+        assert_eq!(stats.merged, SearchStats::default());
+        assert!(stats.per_shard.is_empty());
     }
 }

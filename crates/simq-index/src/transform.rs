@@ -16,9 +16,9 @@ use crate::geom::Rect;
 /// `x ∈ R ⇒ apply_point(x) ∈ apply_rect(R)` — the property that makes
 /// transformed search return a superset of the true answer (Lemma 1).
 ///
-/// `Send + Sync` is required so one transformation can be shared by the
-/// worker threads of the parallel traversals ([`crate::search`],
-/// [`crate::knn`]); implementations are plain data, so this costs nothing.
+/// `Send + Sync` lets a paused [`crate::RangeStream`] carry its
+/// transformation to another thread; implementations are plain data, so
+/// this costs nothing.
 pub trait SpatialTransform: Send + Sync {
     /// Number of dimensions the transform expects.
     fn dims(&self) -> usize;

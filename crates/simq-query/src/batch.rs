@@ -10,15 +10,18 @@
 //!    [`ReadView`] and answers every slot from it.
 //! 3. **One thread start-up.** Each planned slot runs through
 //!    [`exec::run_with_plan`] — the code a lone statement runs. When the
-//!    thread budget is above 1 and at least two slots are runnable, the
-//!    slots are split into contiguous ranges over at most one worker per
-//!    slot and every slot runs serially inside its worker, so the batch
-//!    pays for one round of thread spawns instead of one per statement. A
-//!    batch of one stays an ordinary query with intra-query threads.
+//!    database's thread budget is above 1 and at least two slots are
+//!    runnable, the slots are split into contiguous ranges over at most one
+//!    worker per slot and every slot runs serially inside its worker, so
+//!    the batch pays for one round of thread spawns instead of one per
+//!    statement — and a batch of statements that would each run on one
+//!    thread (index descents, kNN) still spreads across the budget. A
+//!    batch of one stays an ordinary query with its plan's threads.
 //!
 //! Because a slot *is* an individual execution, its hits, distances,
-//! errors and (when serial) its [`ExecStats`] are identical to running the
-//! statement alone, and the batch's counters are the sum of its slots'
+//! errors and [`ExecStats`] (all but the fan-out, `threads_used`) are
+//! identical to running the statement alone, and the batch's counters are
+//! the sum of its slots'
 //! (`tests/batch_equivalence.rs` pins both, at 1 and 4 threads, in memory
 //! and after snapshot reload). In memory a batch does not save index or
 //! row work; it saves the front end and thread start-up.
@@ -125,8 +128,7 @@ impl BatchExecutor {
 
         // Spend the thread budget across slots rather than inside each:
         // one round of worker spawns for the whole batch.
-        let budget = runnable.iter().map(|(_, p)| p.threads).max().unwrap_or(1);
-        let workers = if runnable.len() >= 2 { budget } else { 1 };
+        let workers = if runnable.len() >= 2 { db.threads() } else { 1 };
         let ranges = chunk_bounds(runnable.len(), workers);
         let fanned = ranges.len() > 1;
         let executed = fan(&ranges, |&(lo, hi)| {

@@ -284,13 +284,18 @@ impl From<SnapshotEntry> for StoredRelation {
     }
 }
 
-/// How many threads query execution may use.
+/// How many threads execution may use.
 ///
-/// The default is [`Parallelism::Serial`]: exactly the single-threaded
-/// code paths, no coordination overhead. Parallel execution returns
-/// *identical* results (hit sets, distances, ordering) for every query
-/// form — the equivalence property tests pin this — so the knob is purely
-/// a throughput decision.
+/// The budget goes to the work that reads every row or pair, or that
+/// holds many independent units: a range `SeqScan`'s row spans, the two
+/// joins' outer rows, a batch's slots and [`Database::insert_batch`]'s
+/// per-shard writers. An index descent and every kNN run on the calling
+/// thread whatever the setting (EXPLAIN prints the count a plan uses).
+///
+/// The default is [`Parallelism::Serial`]: no thread is ever spawned.
+/// Every setting returns *identical* results (hit sets, distances,
+/// ordering) and work counters for every query form — the equivalence
+/// suites pin this — so the knob is purely a throughput decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Single-threaded execution (the default).

@@ -17,9 +17,7 @@ use crate::ast::{Query, QuerySource, StatsWindow};
 use crate::catalog::{Database, StoredRelation};
 use crate::error::QueryError;
 use crate::plan::{explain, plan, AccessPath, Plan};
-use crate::verify::{
-    chunked, compile_probe, knn_rank, pad, sort_hits, verify_all, KnnRank, Ledger, RangeVerifier,
-};
+use crate::verify::{compile_probe, knn_rank, pad, sort_hits, KnnRank, Ledger, RangeVerifier};
 use simq_dsp::complex::Complex;
 use simq_index::forest_range;
 use simq_obs::span;
@@ -51,17 +49,16 @@ pub struct ExecStats {
     /// Candidates that survived exact verification.
     pub verified: u64,
     /// Worker threads that actually carried out query work — the widest
-    /// per-thread fan-out any execution phase reached. 1 means the query
-    /// ran serially, including when a parallel plan degraded (too few
-    /// rows or candidates to split, or a frontier the coordinator
-    /// exhausted on its own).
+    /// fan-out any execution phase reached. 1 means the query ran on the
+    /// calling thread: every index descent and kNN does, and a scan or
+    /// join does when its plan has one thread or too few rows to split.
     pub threads_used: u64,
     /// Shards that carried work for this query — 0 for unsharded
     /// relations, the relation's shard count for sharded execution
-    /// (index fan-out and scan fan-out both touch every shard; only the
-    /// shared-bound kNN forest search can effectively prune some shards,
-    /// but they are still inspected). Per-shard counter breakdowns are in
-    /// [`QueryResult::per_shard`].
+    /// (index and scan phases both touch every shard; only the kNN forest
+    /// search, whose one bound spans every shard, can effectively prune
+    /// some shards, but they are still inspected). Per-shard counter
+    /// breakdowns are in [`QueryResult::per_shard`].
     pub shards_touched: u64,
     /// R*-tree nodes materialized by write operations (node splits and
     /// root growth under incremental insert). Always 0 for read queries;
@@ -157,11 +154,12 @@ pub struct QueryResult {
     pub output: QueryOutput,
     /// The plan used.
     pub plan: Plan,
-    /// Work counters (merged across threads).
+    /// Work counters (merged across threads and shards).
     pub stats: ExecStats,
-    /// Per-worker-thread counters for parallel executions (empty when the
-    /// query ran serially). Entry 0 also carries coordination work done on
-    /// the calling thread.
+    /// Always empty. Execution keeps no per-thread breakdown; the field
+    /// stays, with the wire's count-prefixed block it feeds
+    /// (`RemoteResult::per_thread`), until the benchmark package stops
+    /// reading it.
     pub per_thread: Vec<ExecStats>,
     /// Per-shard counters for sharded relations (empty for unsharded
     /// execution): entry `i` is shard `i`'s share of the index traversal
@@ -320,8 +318,7 @@ fn note_query_metrics(result: &QueryResult) {
 }
 
 /// Renders the `EXPLAIN ANALYZE` report: the plan, the span tree of the
-/// instrumented execution, merged work counters, and the per-thread /
-/// per-shard splits.
+/// instrumented execution, merged work counters, and the per-shard split.
 fn render_analyze(
     query: &Query,
     result: &QueryResult,
@@ -351,11 +348,9 @@ fn render_analyze(
         s.threads_used,
         s.shards_touched,
     );
-    let splits = |out: &mut String, what: &str, per: &[ExecStats]| {
-        if per.is_empty() {
-            return;
-        }
-        let shares: Vec<String> = per
+    if !result.per_shard.is_empty() {
+        let shares: Vec<String> = result
+            .per_shard
             .iter()
             .map(|t| {
                 format!(
@@ -366,12 +361,10 @@ fn render_analyze(
             .collect();
         let _ = writeln!(
             out,
-            "{what} (nodes/rows/coefficients): [{}]",
+            "per-shard (nodes/rows/coefficients): [{}]",
             shares.join(", ")
         );
-    };
-    splits(&mut out, "per-thread", &result.per_thread);
-    splits(&mut out, "per-shard", &result.per_shard);
+    }
     out
 }
 
@@ -444,8 +437,7 @@ fn range(
     window: StatsWindow,
     the_plan: &Plan,
 ) -> Result<QueryResult, QueryError> {
-    let threads = the_plan.threads.max(1);
-    let mut ledger = Ledger::new(stored, threads);
+    let mut ledger = Ledger::new(stored);
     let verifier = RangeVerifier::new(stored, transform, ctx, eps, window)?;
 
     let mut hits: Vec<Hit> = match the_plan.access {
@@ -456,7 +448,7 @@ fn range(
             // One descent over the relation's forest of trees: every
             // shard's tree serves the same lowered query.
             let descend = span::span("range.descend");
-            let (candidates, s) = forest_range(stored.trees(), Some(&lowered), &rect, threads);
+            let (candidates, s) = forest_range(stored.trees(), Some(&lowered), &rect);
             ledger.search(&s);
             ledger.stats.candidates = candidates.len() as u64;
             descend.note("nodes", ledger.stats.nodes_visited);
@@ -466,8 +458,10 @@ fn range(
             drop(descend);
 
             let verify_span = span::span("range.verify");
-            let (out, work) = verify_all(&candidates, threads, |id, st| verifier.verify(id, st));
-            ledger.verified(&work);
+            let out: Vec<Hit> = candidates
+                .iter()
+                .filter_map(|&id| verifier.verify(id, &mut ledger.stats))
+                .collect();
             verify_span.note("candidates", ledger.stats.candidates);
             verify_span.note("filtered", ledger.stats.filtered_out);
             verify_span.note("verified", out.len() as u64);
@@ -481,7 +475,7 @@ fn range(
                 transform,
                 &verifier.ctx.spectrum,
                 eps,
-                threads,
+                the_plan.threads,
             )?;
             ledger.scan(&s);
             ledger.stats.candidates = ledger.stats.rows_scanned;
@@ -517,8 +511,7 @@ fn knn(
     k: usize,
     the_plan: &Plan,
 ) -> Result<QueryResult, QueryError> {
-    let threads = the_plan.threads.max(1);
-    let mut ledger = Ledger::new(stored, threads);
+    let mut ledger = Ledger::new(stored);
 
     let hits: Vec<Hit> = match the_plan.access {
         AccessPath::IndexScan => {
@@ -528,7 +521,7 @@ fn knn(
             // stopping once the next bound exceeds the exact k-th best.
             let rank = KnnRank::new(stored, transform, q_spec, k)?;
             let rank_span = span::span("knn.rank");
-            let (hits, s) = knn_rank(stored, &rank, threads);
+            let (hits, s) = knn_rank(stored, &rank);
             ledger.search(&s);
             rank_span.note("nodes", ledger.stats.nodes_visited);
             rank_span.note("candidates", ledger.stats.candidates);
@@ -538,8 +531,7 @@ fn knn(
         }
         AccessPath::SeqScan => {
             let scan_span = span::span("scan");
-            let (scan_hits, s) =
-                scan::scan_knn_over(stored.stores(), transform, &q_spec, k, threads)?;
+            let (scan_hits, s) = scan::scan_knn_over(stored.stores(), transform, &q_spec, k)?;
             ledger.scan(&s);
             ledger.stats.candidates = ledger.stats.rows_scanned;
             scan_span.note("rows", ledger.stats.rows_scanned);
@@ -567,15 +559,15 @@ fn all_pairs(
     the_plan: &Plan,
 ) -> Result<QueryResult, QueryError> {
     let n = stored.series_len();
-    let threads = the_plan.threads.max(1);
-    let mut ledger = Ledger::new(stored, threads);
+    let threads = the_plan.threads;
+    let mut ledger = Ledger::new(stored);
     let symmetric = left == right;
 
     let mut pairs: Vec<PairHit> = match the_plan.access {
         AccessPath::ScanJoin { early_abandon } => {
             // Pair work crosses shards: the rows of every store run
             // through one pair scan, so parallelism is row-claimed and
-            // the shares are per thread.
+            // there are no per-shard shares.
             let join_span = span::span("join.scan");
             let (found, s) = scan::scan_all_pairs_over(
                 stored.stores(),
@@ -585,7 +577,7 @@ fn all_pairs(
                 early_abandon,
                 threads,
             )?;
-            ledger.workers(&s.per_thread, ExecStats::add_scan);
+            ledger.scan(&s);
             join_span.note("rows", ledger.stats.rows_scanned);
             join_span.note("pairs", found.len() as u64);
             drop(join_span);
@@ -617,6 +609,7 @@ fn all_pairs(
             // candidate set and `min` is commutative, so the map is the
             // same however rows are sharded or chunked across workers.
             let rows: Vec<&simq_storage::SeriesRow> = stored.rows_in_scan_order();
+            let chunks = scan::chunk_bounds(rows.len(), threads);
             type Found = BTreeMap<(u64, u64), f64>;
             let keep_min = |found: &mut Found, key: (u64, u64), d: f64| {
                 let entry = found.entry(key).or_insert(d);
@@ -624,7 +617,7 @@ fn all_pairs(
                     *entry = d;
                 }
             };
-            let workers = chunked(&rows, threads, |rows| -> Result<_, QueryError> {
+            let workers = scan::fan(&chunks, |&(lo, hi)| -> Result<_, QueryError> {
                 let mut found = Found::new();
                 let mut stats = ExecStats::default();
                 // The probe spectrum is the "query" of each row's
@@ -632,7 +625,7 @@ fn all_pairs(
                 // quantized-tier bound against ε — recompiled in place.
                 let mut probe_spec = vec![Complex::ZERO; n];
                 let mut row_probe = compile_probe(stored, &probe_spec, &action.multipliers);
-                for row in rows {
+                for row in &rows[lo..hi] {
                     probe_spec.clear();
                     probe_spec.push(row.features.spectrum[0]);
                     probe_spec.extend(
@@ -684,7 +677,7 @@ fn all_pairs(
                 }
                 phase.push(local_stats);
             }
-            ledger.workers(&phase, ExecStats::add_work);
+            ledger.workers(&phase);
             join_span.note("probes", rows.len() as u64);
             join_span.note("candidates", ledger.stats.candidates);
             join_span.note("filtered", ledger.stats.filtered_out);
@@ -898,31 +891,30 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn parallel_execution_reports_per_thread_stats() {
+    fn explain_prints_one_thread_for_descents_and_the_budget_for_scans_and_joins() {
         use crate::catalog::Parallelism;
-        let mut db = make_db(120, true);
+        let mut db = make_db(40, true);
         db.set_parallelism(Parallelism::Fixed(4));
-        let r = execute(
-            &db,
-            "FIND SIMILAR TO ROW 1 IN stocks EPSILON 5.0 FORCE SCAN",
-        )
-        .unwrap();
-        assert!(!r.per_thread.is_empty());
-        let scanned: u64 = r.per_thread.iter().map(|s| s.rows_scanned).sum();
-        assert_eq!(scanned, r.stats.rows_scanned);
-        assert_eq!(r.stats.rows_scanned, 120);
-    }
-
-    #[test]
-    fn explain_shows_parallelism() {
-        use crate::catalog::Parallelism;
-        let mut db = make_db(10, true);
-        db.set_parallelism(Parallelism::Fixed(8));
-        let r = execute(&db, "EXPLAIN FIND SIMILAR TO ROW 0 IN stocks EPSILON 1").unwrap();
-        let QueryOutput::Plan(text) = &r.output else {
-            panic!("expected plan output");
-        };
-        assert!(text.contains("parallelism: 8 threads"), "{text}");
+        for (q, threads) in [
+            ("FIND SIMILAR TO ROW 0 IN stocks EPSILON 1", 1),
+            ("FIND 3 NEAREST TO ROW 0 IN stocks", 1),
+            ("FIND 3 NEAREST TO ROW 0 IN stocks FORCE SCAN", 1),
+            ("FIND SIMILAR TO ROW 0 IN stocks EPSILON 1 FORCE SCAN", 4),
+            ("FIND PAIRS IN stocks EPSILON 1 METHOD b", 4),
+            ("FIND PAIRS IN stocks EPSILON 1 METHOD d", 4),
+        ] {
+            let r = execute(&db, &format!("EXPLAIN {q}")).unwrap();
+            let QueryOutput::Plan(text) = &r.output else {
+                panic!("expected plan output");
+            };
+            let s = if threads == 1 { "" } else { "s" };
+            assert!(
+                text.ends_with(&format!("parallelism: {threads} thread{s}")),
+                "{text}"
+            );
+            // What EXPLAIN prints is what runs.
+            assert_eq!(execute(&db, q).unwrap().stats.threads_used, threads, "{q}");
+        }
     }
 
     #[test]
@@ -931,8 +923,8 @@ pub(crate) mod tests {
         let mut db = make_db(10, true);
         db.set_parallelism(Parallelism::Auto);
         let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let r = execute(&db, "EXPLAIN FIND SIMILAR TO ROW 0 IN stocks EPSILON 1").unwrap();
-        assert_eq!(r.plan.threads, available);
+        let q = "EXPLAIN FIND SIMILAR TO ROW 0 IN stocks EPSILON 1 FORCE SCAN";
+        assert_eq!(execute(&db, q).unwrap().plan.threads, available);
     }
 
     #[test]

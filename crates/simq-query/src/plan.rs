@@ -49,8 +49,11 @@ pub struct Plan {
     pub access: AccessPath,
     /// Why the planner chose it.
     pub reason: String,
-    /// Worker threads execution will use (the count the database's
-    /// [`Parallelism`] resolved to when it was set; 1 = serial).
+    /// Worker threads execution will use (1 = the calling thread). Only
+    /// the forms that read every row or pair fan out — a range `SeqScan`
+    /// and both joins — up to the count the database's [`Parallelism`]
+    /// resolved to when it was set; an index descent and every kNN run on
+    /// one thread, where a second one measured no gain.
     pub threads: usize,
     /// Shard count of the relation at planning time (1 = unsharded).
     /// Index and scan phases fan out one work unit per shard.
@@ -106,7 +109,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
                         transform.name(),
                         rep_name(scheme.rep)
                     ),
-                    threads,
+                    threads: 1,
                     shards,
                 }),
                 Err(why) if *strategy == Strategy::ForceIndex => {
@@ -129,7 +132,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
                 return Ok(Plan {
                     access: AccessPath::SeqScan,
                     reason: "FORCE SCAN requested".into(),
-                    threads,
+                    threads: 1,
                     shards,
                 });
             }
@@ -152,7 +155,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
                         "multi-step kNN with spectral MINDIST over the {} index",
                         rep_name(scheme.rep)
                     ),
-                    threads,
+                    threads: 1,
                     shards,
                 }),
                 Err(why) if *strategy == Strategy::ForceIndex => {
@@ -161,7 +164,7 @@ pub fn plan(db: &Database, query: &Query) -> Result<Plan, QueryError> {
                 Err(why) => Ok(Plan {
                     access: AccessPath::SeqScan,
                     reason: why,
-                    threads,
+                    threads: 1,
                     shards,
                 }),
             }

@@ -807,11 +807,11 @@ impl Session<Database> {
 ///   remaining hits and sorts them; on a fresh cursor it returns exactly
 ///   the hits of the materialized [`QueryOutput`](crate::QueryOutput).
 ///
-/// Streaming range cursors execute serially (`threads_used` is 1) —
-/// streaming and multi-threaded fan-out are at odds; use
-/// [`Session::execute`] for parallel materialized execution. Buffered
-/// kNN cursors materialize through the normal executor and report its
-/// actual fan-out.
+/// Streaming range cursors run on the calling thread, so their
+/// `threads_used` is 1 — streaming and multi-threaded fan-out are at odds;
+/// use [`Session::execute`] for a range scan that fans out over the thread
+/// budget. Buffered kNN cursors materialize through the normal executor,
+/// which runs kNN on one thread too.
 pub struct Cursor<'db> {
     plan: Plan,
     stats: ExecStats,
@@ -1110,12 +1110,14 @@ mod tests {
     fn prepared_statement_plans_for_the_current_catalog() {
         let db = make_db(30);
         let mut session = Session::new(db);
-        let p = session.prepare("FIND ? NEAREST TO ? IN stocks").unwrap();
+        let p = session
+            .prepare("FIND SIMILAR TO ? IN stocks EPSILON ? FORCE SCAN")
+            .unwrap();
         let probe: Vec<f64> = (0..64)
             .map(|t| 5.0 + (t as f64 * 0.37).cos() * 2.0)
             .collect();
         let bound = p
-            .bind(&[Value::from(1u64), Value::from(probe.clone())])
+            .bind(&[Value::from(probe.clone()), Value::from(1e-9)])
             .unwrap();
         let before = session.execute(&bound).unwrap();
         assert_eq!((before.plan.threads, before.plan.shards), (1, 1));

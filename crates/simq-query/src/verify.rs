@@ -3,10 +3,10 @@
 //!
 //! Materialized execution ([`crate::exec`] — batches run it per slot) and
 //! streaming cursors ([`crate::session`]) both verify candidates through
-//! the stages here: window test → signature
-//! probe → exact distance. This module also owns the serial-or-chunked
-//! dispatch of verification work ([`chunked`]) and the one rule deciding
-//! which counter breakdown a phase is charged to ([`Ledger`]).
+//! the stages here, one candidate after another on the calling thread:
+//! window test → signature probe → exact distance. This module also owns
+//! the one rule deciding which counter breakdown a phase is charged to
+//! ([`Ledger`]).
 
 use crate::ast::StatsWindow;
 use crate::catalog::StoredRelation;
@@ -270,19 +270,15 @@ impl ItemStage for KnnRank<'_> {
 
 /// Runs `rank` as one ranked descent over the relation's forest: the `k`
 /// nearest rows in `(distance, id)` order and the work the search did —
-/// index reads and, per worker and shard, the refine work done inside it.
-pub(crate) fn knn_rank(
-    stored: &StoredRelation,
-    rank: &KnnRank,
-    threads: usize,
-) -> (Vec<Hit>, ForestStats) {
+/// index reads and, per shard, the refine work done inside it.
+pub(crate) fn knn_rank(stored: &StoredRelation, rank: &KnnRank) -> (Vec<Hit>, ForestStats) {
     let query = KnnQuery {
         bound: &|rect: &Rect| rank.subtree_bound(rect),
         transform: Some(&rank.lowered),
         k: rank.k,
         items: Some(rank),
     };
-    let (found, stats) = forest_nearest(stored.trees(), &query, threads);
+    let (found, stats) = forest_nearest(stored.trees(), &query);
     let mut hits: Vec<Hit> = found
         .into_iter()
         .map(|nb| Hit {
@@ -295,146 +291,69 @@ pub(crate) fn knn_rank(
     (hits, stats)
 }
 
-/// The serial-or-chunked dispatch: runs `work` over contiguous chunks of
-/// `items` on scoped worker threads when the thread budget allows and
-/// there is enough to split, otherwise once on the calling thread. Results
-/// come back in chunk order.
-pub(crate) fn chunked<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    work: impl Fn(&[T]) -> R + Sync,
-) -> Vec<R> {
-    let chunks: Vec<&[T]> = if threads <= 1 || items.len() < 2 * threads {
-        vec![items]
-    } else {
-        scan::chunk_bounds(items.len(), threads)
-            .into_iter()
-            .map(|(lo, hi)| &items[lo..hi])
-            .collect()
-    };
-    scan::fan(&chunks, |chunk| work(chunk))
-}
-
-/// Verifies `candidates` through [`chunked`]: the hits in candidate order
-/// and each worker's counters (coefficients compared, rows filtered out).
-pub(crate) fn verify_all(
-    candidates: &[u64],
-    threads: usize,
-    verify: impl Fn(u64, &mut ExecStats) -> Option<Hit> + Sync,
-) -> (Vec<Hit>, Vec<ExecStats>) {
-    let chunks = chunked(candidates, threads, |ids| {
-        let mut stats = ExecStats::default();
-        let hits: Vec<Hit> = ids
-            .iter()
-            .filter_map(|&id| verify(id, &mut stats))
-            .collect();
-        (hits, stats)
-    });
-    let mut hits = Vec::new();
-    let mut work = Vec::with_capacity(chunks.len());
-    for (chunk_hits, stats) in chunks {
-        if hits.is_empty() {
-            hits = chunk_hits;
-        } else {
-            hits.extend(chunk_hits);
-        }
-        work.push(stats);
-    }
-    (hits, work)
-}
-
-/// Folds one phase's per-unit counters into a breakdown vector.
-fn fold<T>(per: &mut Vec<ExecStats>, phase: &[T], add: impl Fn(&mut ExecStats, &T)) {
-    if per.len() < phase.len() {
-        per.resize(phase.len(), ExecStats::default());
-    }
-    for (acc, s) in per.iter_mut().zip(phase) {
-        add(acc, s);
-    }
-}
-
-/// The counters of one execution — merged totals plus the per-thread and
-/// per-shard breakdowns, which always *partition* the totals — and the one
-/// rule for which breakdown a phase is charged to:
-///
-/// * a phase over the relation's forest of stores / trees is charged
-///   **per shard** when the relation has more than one store, else **per
-///   thread** (when the plan has more than one thread; a serial unsharded
-///   execution reports no breakdowns). Single-store relations keep
-///   `shards_touched = 0` and an empty `per_shard`;
-/// * work that has no shard affinity (verification of merged candidate
-///   lists, pair work that crosses shards) is charged per
-///   thread whenever it fanned out — or on the calling thread, to entry 0,
-///   as soon as any breakdown exists, so the shares keep summing to the
-///   totals.
+/// The counters of one execution — merged totals, the per-shard breakdown
+/// and the widest fan-out — and the one rule for what the breakdown holds:
+/// a phase over the relation's forest of stores / trees (index reads, the
+/// refine work a kNN descent does inside them, scanned rows) is charged
+/// **per shard** when the relation has more than one store. Work with no
+/// shard affinity (verifying a merged candidate list, pair work that
+/// crosses shards) is in the totals only. Single-store relations keep
+/// `shards_touched = 0` and an empty `per_shard`.
 pub(crate) struct Ledger {
     /// The merged totals.
     pub(crate) stats: ExecStats,
-    per_thread: Vec<ExecStats>,
     per_shard: Vec<ExecStats>,
     sharded: bool,
-    threads: usize,
-    /// The widest per-thread fan-out any phase reached.
+    /// The widest fan-out any phase reached (1 = the calling thread).
     widest: usize,
 }
 
 impl Ledger {
-    /// An empty ledger for a query over `stored` planned at `threads`.
-    pub(crate) fn new(stored: &StoredRelation, threads: usize) -> Self {
+    /// An empty ledger for a query over `stored`.
+    pub(crate) fn new(stored: &StoredRelation) -> Self {
         let shards_touched = shards_touched(stored);
         Ledger {
             stats: ExecStats {
                 shards_touched,
                 ..ExecStats::default()
             },
-            per_thread: Vec::new(),
             per_shard: Vec::new(),
             sharded: shards_touched > 0,
-            threads,
             widest: 1,
         }
     }
 
-    /// Charges a phase over the forest (both partitions of the same run).
-    fn forest<T>(&mut self, per_thread: &[T], per_shard: &[T], add: impl Fn(&mut ExecStats, &T)) {
-        self.widest = self.widest.max(per_thread.len());
-        if self.sharded {
-            fold(&mut self.per_shard, per_shard, add);
-        } else if self.threads > 1 {
-            fold(&mut self.per_thread, per_thread, add);
+    /// Charges a phase's per-store counters to the breakdown.
+    fn forest<T>(&mut self, per_shard: &[T], add: impl Fn(&mut ExecStats, &T)) {
+        if !self.sharded {
+            return;
+        }
+        if self.per_shard.len() < per_shard.len() {
+            self.per_shard.resize(per_shard.len(), ExecStats::default());
+        }
+        for (acc, s) in self.per_shard.iter_mut().zip(per_shard) {
+            add(acc, s);
         }
     }
 
     /// Charges an index traversal.
     pub(crate) fn search(&mut self, s: &ForestStats) {
         self.stats.add_search(&s.merged);
-        self.forest(&s.per_thread, &s.per_shard, ExecStats::add_search);
+        self.forest(&s.per_shard, ExecStats::add_search);
     }
 
     /// Charges a sequential scan.
     pub(crate) fn scan(&mut self, s: &ScanFanStats) {
         self.stats.add_scan(&s.merged);
-        self.forest(&s.per_thread, &s.per_shard, ExecStats::add_scan);
+        self.widest = self.widest.max(s.threads);
+        self.forest(&s.per_shard, ExecStats::add_scan);
     }
 
     /// Charges work without shard affinity, one entry per worker that
-    /// carried it (one entry = the calling thread).
-    pub(crate) fn workers<T>(&mut self, per_worker: &[T], add: impl Fn(&mut ExecStats, &T)) {
+    /// carried it.
+    pub(crate) fn workers(&mut self, per_worker: &[ExecStats]) {
         self.widest = self.widest.max(per_worker.len());
-        for w in per_worker {
-            add(&mut self.stats, w);
-        }
-        if per_worker.len() > 1 || !self.per_thread.is_empty() || !self.per_shard.is_empty() {
-            fold(&mut self.per_thread, per_worker, add);
-        }
-    }
-
-    /// Charges a [`verify_all`] phase.
-    pub(crate) fn verified(&mut self, work: &[ExecStats]) {
-        self.stats.filtered_out += work.iter().map(|w| w.filtered_out).sum::<u64>();
-        self.workers(work, |acc, w| {
-            acc.coefficients_compared += w.coefficients_compared
-        });
+        per_worker.iter().for_each(|w| self.stats.add_work(w));
     }
 
     /// Closes the ledger into a result.
@@ -444,12 +363,12 @@ impl Ledger {
             QueryOutput::Pairs(pairs) => pairs.len() as u64,
             _ => 0,
         };
-        self.stats.threads_used = self.widest.max(self.per_thread.len()) as u64;
+        self.stats.threads_used = self.widest as u64;
         QueryResult {
             output,
             plan: plan.clone(),
             stats: self.stats,
-            per_thread: self.per_thread,
+            per_thread: Vec::new(),
             per_shard: self.per_shard,
         }
     }

@@ -176,7 +176,9 @@ pub struct RemoteResult {
     pub access: String,
     /// Merged work counters.
     pub stats: ExecStats,
-    /// Per-worker-thread counters (empty for serial execution).
+    /// Always empty, like the `QueryResult::per_thread` it carries; the
+    /// wire keeps its count-prefixed block (count 0) for protocol
+    /// version 2 peers.
     pub per_thread: Vec<ExecStats>,
 }
 

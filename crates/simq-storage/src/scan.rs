@@ -15,22 +15,24 @@
 //! Both operate on stored normal-form spectra; distances equal time-domain
 //! normal-form distances by Parseval.
 //!
-//! [`scan_range`] and [`scan_knn`] are the serial single-store kernels —
-//! and the oracle every other path is tested against ([`scan_knn`]
-//! computes every full distance; the engine's kNN scan, [`scan_knn_over`],
-//! abandons against the `k`-th best). The `*_over` entry points run the
-//! same per-row code over a slice of stores (one per relation shard; an
-//! unsharded relation is a slice of one) on a thread budget: the stores'
-//! rows, taken store after store, are split into contiguous spans, one
-//! per worker, so hit order is the serial row order and every distance is
-//! computed by exactly the serial code on the same operands — only the
-//! schedule differs. Work counters come back merged, per worker thread
-//! and per store.
+//! [`scan_range`] and [`scan_knn`] are the single-store kernels — and the
+//! oracle every other path is tested against ([`scan_knn`] computes every
+//! full distance; the engine's kNN scan, [`scan_knn_over`], abandons
+//! against the `k`-th best). The `*_over` entry points run the same
+//! per-row code over a slice of stores (one per relation shard; an
+//! unsharded relation is a slice of one). The two forms that read every
+//! row or pair take a thread budget: the range scan splits the stores'
+//! rows, taken store after store, into contiguous spans, one per worker,
+//! so hit order is the serial row order and every distance is computed by
+//! exactly the serial code on the same operands; the pair scan's workers
+//! claim outer rows. The kNN scan is one loop on the calling thread: its
+//! pruning bound is the `k`-th best *so far*, which a split would weaken.
+//! Work counters come back merged and per store.
 
 use crate::relation::{SeriesRelation, SeriesRow};
 use crate::sig::{FilterProbe, SIG_COEFFS};
 use simq_dsp::complex::Complex;
-use simq_index::knn::{cmp_distance_id, AtomicF64Min, LocalKth};
+use simq_index::knn::{cmp_distance_id, LocalKth};
 use simq_series::error::SeriesError;
 use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::SeriesTransform;
@@ -56,41 +58,34 @@ impl ScanStats {
     }
 }
 
-/// Work counters of one scan over a slice of stores, partitioned two ways
-/// by the same run: per worker thread and per store. Each non-empty
-/// partition sums to `merged`.
+/// Work counters of one scan over a slice of stores: totals, one entry
+/// per store, and how many threads carried the work.
 #[derive(Debug, Clone, Default)]
 pub struct ScanFanStats {
-    /// Totals — comparable with the serial single-store counters.
+    /// Totals — comparable with the single-store counters.
     pub merged: ScanStats,
-    /// One entry per worker thread.
-    pub per_thread: Vec<ScanStats>,
-    /// One entry per store, in slice order (empty for the pair scans,
-    /// whose row pairs cross stores).
+    /// One entry per store, in slice order, summing to `merged` (empty for
+    /// the pair scans, whose row pairs cross stores).
     pub per_shard: Vec<ScanStats>,
+    /// Worker threads the scan ran on (1 = the calling thread alone).
+    pub threads: usize,
 }
 
 impl ScanFanStats {
-    /// Builds both partitions from each worker's per-store counters.
-    fn from_workers(shards: usize, mut workers: Vec<Vec<ScanStats>>) -> Self {
-        let sum = |parts: &[ScanStats]| {
-            let mut total = ScanStats::default();
-            parts.iter().for_each(|s| total.add(s));
-            total
-        };
-        let per_thread: Vec<ScanStats> = workers.iter().map(|w| sum(w)).collect();
-        let mut per_shard = workers
-            .pop()
-            .unwrap_or_else(|| vec![ScanStats::default(); shards]);
+    /// Sums each worker's per-store counters.
+    fn from_workers(shards: usize, workers: Vec<Vec<ScanStats>>) -> Self {
+        let mut per_shard = vec![ScanStats::default(); shards];
         for worker in &workers {
             for (acc, s) in per_shard.iter_mut().zip(worker) {
                 acc.add(s);
             }
         }
+        let mut merged = ScanStats::default();
+        per_shard.iter().for_each(|s| merged.add(s));
         ScanFanStats {
-            merged: sum(&per_thread),
-            per_thread,
+            merged,
             per_shard,
+            threads: workers.len().max(1),
         }
     }
 }
@@ -122,8 +117,8 @@ fn nearest_k(mut hits: Vec<ScanHit>, k: usize) -> Vec<ScanHit> {
 }
 
 /// Splits `n` work items into at most `threads` contiguous, non-empty
-/// `[lo, hi)` chunks (shared by the scans here and the verification
-/// phases in `simq-query`).
+/// `[lo, hi)` chunks (shared by the scans here and by the probe join and
+/// batch slots in `simq-query`).
 pub fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
     let threads = threads.max(1).min(n.max(1));
     let chunk = n.div_ceil(threads);
@@ -162,8 +157,8 @@ fn spans(stores: &[SeriesRelation], threads: usize) -> Vec<Span<'_>> {
 
 /// Runs `work` once per unit — on the calling thread when there is at most
 /// one, on one scoped thread each otherwise — returning results in unit
-/// order (shared by the scans here and the verification phases in
-/// `simq-query`).
+/// order (shared by the scans here and by the probe join and batch slots
+/// in `simq-query`).
 pub fn fan<U: Sync, T: Send>(units: &[U], work: impl Fn(&U) -> T + Sync) -> Vec<T> {
     if units.len() <= 1 {
         return units.iter().map(work).collect();
@@ -371,8 +366,8 @@ pub fn scan_all_pairs_two(
 /// unsharded. Pair work crosses stores, so threads claim outer rows from a
 /// shared cursor (the triangular inner loop makes static chunks
 /// unbalanced) and the per-row pair lists are reassembled in row order,
-/// reproducing the serial output exactly; the stats carry per-thread
-/// shares only.
+/// reproducing the serial output exactly; the stats carry no per-store
+/// shares.
 ///
 /// # Errors
 /// Transformation-domain errors.
@@ -418,11 +413,13 @@ pub fn scan_all_pairs_over(
     });
 
     let mut grouped: Vec<RowPairs> = Vec::new();
-    let mut stats = ScanFanStats::default();
+    let mut stats = ScanFanStats {
+        threads: workers.len(),
+        ..ScanFanStats::default()
+    };
     for (produced, s) in claimed {
         grouped.extend(produced);
         stats.merged.add(&s);
-        stats.per_thread.push(s);
     }
     grouped.sort_by_key(|(i, _)| *i);
     let out: PairList = grouped.into_iter().flat_map(|(_, v)| v).collect();
@@ -554,19 +551,16 @@ pub fn scan_knn(
     Ok((nearest_k(all, k), stats))
 }
 
-/// [`scan_knn`] over a slice of stores on up to `threads` threads.
+/// [`scan_knn`] over a slice of stores, store after store.
 ///
-/// Every worker (one, on one thread) scans its span keeping the rows not
-/// provably outside its local top-`k` (ties included); the `k`-th best
-/// distance any worker has seen is published to a shared atomic bound,
-/// letting *every* worker abandon a row as soon as its partial sum
-/// provably exceeds the global `k`-th best — before its spectrum is read
-/// at all, when the signature bound ([`FilterProbe`], the one the index
-/// paths rank and dismiss by) already does. Rows
-/// abandoned either way are strictly worse than `k` already-found rows, so
-/// the merged, `(distance, id)`-sorted, truncated result equals the
-/// full-distance [`scan_knn`] exactly — while comparing far fewer
-/// coefficients.
+/// The scan keeps the rows not provably outside the top-`k` so far (ties
+/// included) and abandons a row as soon as its partial sum provably
+/// exceeds the `k`-th best so far — before its spectrum is read at all,
+/// when the signature bound ([`FilterProbe`], the one the index paths rank
+/// and dismiss by) already does. Abandoned rows are strictly worse than
+/// `k` already-found rows, so the `(distance, id)`-sorted, truncated
+/// result equals the full-distance [`scan_knn`] exactly — while comparing
+/// far fewer coefficients.
 ///
 /// # Errors
 /// Transformation-domain errors.
@@ -575,57 +569,47 @@ pub fn scan_knn_over(
     transform: &SeriesTransform,
     query_spectrum: &[Complex],
     k: usize,
-    threads: usize,
 ) -> Result<(Vec<ScanHit>, ScanFanStats), SeriesError> {
-    let spans = spans(stores, threads);
     let n = series_len_of(stores);
     let action = transform.action(n, n.saturating_sub(1))?;
     let (coeffs, slack) = (n.min(SIG_COEFFS), mirror_slack(stores));
     let probe = FilterProbe::mirrored(query_spectrum, &action.multipliers, coeffs, slack);
-    // Shared upper bound on the k-th smallest squared distance (monotone
-    // decreasing).
-    let global_kth_sq = AtomicF64Min::new(f64::INFINITY);
-    let workers = fan(&spans, |span| {
-        let mut stats = vec![ScanStats::default(); stores.len()];
-        let mut kept: Vec<ScanHit> = Vec::new();
-        let mut local = LocalKth::new(k, &global_kth_sq);
-        for &(shard, first, rows) in span {
-            let stats = &mut stats[shard];
-            let sigs = stores[shard].signatures();
-            for (pos, row) in (first..).zip(rows) {
-                stats.rows_scanned += 1;
-                let bound = global_kth_sq.get();
-                if sigs.row(pos).is_some_and(|s| probe.dismisses(s, bound)) {
-                    stats.early_abandoned += 1;
-                    continue;
-                }
-                let (d_sq, abandoned) = transformed_distance_sq(
-                    &row.features.spectrum,
-                    &action.multipliers,
-                    query_spectrum,
-                    bound.is_finite().then_some(bound),
-                    &mut stats.coefficients_compared,
-                );
-                if abandoned {
-                    stats.early_abandoned += 1;
-                    continue;
-                }
-                // `kept` stays O(k + improvements) instead of O(rows).
-                if local.admits(d_sq) {
-                    kept.push(ScanHit {
-                        id: row.id,
-                        distance: d_sq.sqrt(),
-                    });
-                }
-                local.offer(d_sq);
+    let mut per_shard = vec![ScanStats::default(); stores.len()];
+    let mut kept: Vec<ScanHit> = Vec::new();
+    let mut kth = LocalKth::new(k);
+    for (store, stats) in stores.iter().zip(&mut per_shard) {
+        let sigs = store.signatures();
+        for (pos, row) in store.row_slice().iter().enumerate() {
+            stats.rows_scanned += 1;
+            let bound = kth.kth();
+            if sigs.row(pos).is_some_and(|s| probe.dismisses(s, bound)) {
+                stats.early_abandoned += 1;
+                continue;
             }
+            let (d_sq, abandoned) = transformed_distance_sq(
+                &row.features.spectrum,
+                &action.multipliers,
+                query_spectrum,
+                bound.is_finite().then_some(bound),
+                &mut stats.coefficients_compared,
+            );
+            if abandoned {
+                stats.early_abandoned += 1;
+                continue;
+            }
+            // `kept` stays O(k + improvements) instead of O(rows).
+            if kth.admits(d_sq) {
+                kept.push(ScanHit {
+                    id: row.id,
+                    distance: d_sq.sqrt(),
+                });
+            }
+            kth.offer(d_sq);
         }
-        (kept, stats)
-    });
-    let (kept, stats) = gather(workers);
+    }
     Ok((
         nearest_k(kept, k),
-        ScanFanStats::from_workers(stores.len(), stats),
+        ScanFanStats::from_workers(stores.len(), vec![per_shard]),
     ))
 }
 
@@ -764,39 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_knn_scan_equals_serial() {
-        let rel = relation_with(120);
-        let q = rel.row(7).unwrap().features.spectrum.clone();
-        let t = SeriesTransform::Identity;
-        for k in [1, 5, 17, 120, 200] {
-            let (serial, _) = scan_knn(&rel, &t, &q, k).unwrap();
-            for threads in [2, 3, 8] {
-                let (par, _) =
-                    scan_knn_over(std::slice::from_ref(&rel), &t, &q, k, threads).unwrap();
-                assert_eq!(par.len(), serial.len(), "k {k} threads {threads}");
-                for (a, b) in par.iter().zip(&serial) {
-                    assert_eq!(a.id, b.id, "k {k} threads {threads}");
-                    assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_knn_scan_abandons_with_shared_bound() {
-        let rel = relation_with(200);
-        let q = rel.row(0).unwrap().features.spectrum.clone();
-        let stores = std::slice::from_ref(&rel);
-        let (_, stats) = scan_knn_over(stores, &SeriesTransform::Identity, &q, 3, 4).unwrap();
-        // The shared bound lets most rows abandon early, unlike the serial
-        // scan which always computes full distances.
-        assert!(
-            stats.merged.early_abandoned > 0,
-            "expected shared-bound abandoning, got {stats:?}"
-        );
-    }
-
-    #[test]
     fn parallel_all_pairs_equals_serial() {
         let rel = relation_with(40);
         let left = SeriesTransform::MovingAverage { window: 5 };
@@ -813,16 +764,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_stats_per_thread_sum_to_merged() {
-        let rel = relation_with(50);
-        let q = rel.row(2).unwrap().features.spectrum.clone();
-        let stores = std::slice::from_ref(&rel);
-        let (_, stats) = scan_range_over(stores, &SeriesTransform::Identity, &q, 3.0, 4).unwrap();
-        let mut sum = ScanStats::default();
-        stats.per_thread.iter().for_each(|s| sum.add(s));
-        assert_eq!(sum, stats.merged);
     }
 }

@@ -472,17 +472,16 @@ mod tests {
         let rel = single_relation(90);
         let q = rel.row(11).unwrap().features.spectrum.clone();
         let sharded = ShardedRelation::from_single(rel.clone(), 3);
+        let t = SeriesTransform::Identity;
         for k in [1, 7, 90, 200] {
-            let (want, _) = scan_knn_single(&rel, &SeriesTransform::Identity, &q, k).unwrap();
-            for threads in [1, 4] {
-                let t = SeriesTransform::Identity;
-                let (got, _) = scan_knn_over(sharded.shards(), &t, &q, k, threads).unwrap();
-                assert_eq!(got.len(), want.len(), "k {k} threads {threads}");
-                for (a, b) in got.iter().zip(&want) {
-                    assert_eq!(a.id, b.id, "k {k} threads {threads}");
-                    assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-                }
+            let (want, _) = scan_knn_single(&rel, &t, &q, k).unwrap();
+            let (got, stats) = scan_knn_over(sharded.shards(), &t, &q, k).unwrap();
+            assert_eq!(got.len(), want.len(), "k {k}");
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.id, b.id, "k {k}");
+                assert_eq!(a.distance.to_bits(), b.distance.to_bits());
             }
+            assert_eq!(stats.per_shard.len(), 3);
         }
     }
 

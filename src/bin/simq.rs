@@ -437,14 +437,6 @@ fn main() {
                     result.stats.candidates,
                     result.stats.threads_used,
                 );
-                if !result.per_thread.is_empty() {
-                    let shares: Vec<String> = result
-                        .per_thread
-                        .iter()
-                        .map(|t| format!("{}n/{}r", t.nodes_visited, t.rows_scanned))
-                        .collect();
-                    println!("  per-thread nodes/rows: [{}]", shares.join(", "));
-                }
                 print_trace_if_on();
             }
             Err(e) => println!("error: {e}"),
@@ -548,14 +540,6 @@ fn print_remote_result(result: &simq_server::RemoteResult, elapsed: std::time::D
         result.stats.candidates,
         result.stats.threads_used,
     );
-    if !result.per_thread.is_empty() {
-        let shares: Vec<String> = result
-            .per_thread
-            .iter()
-            .map(|t| format!("{}n/{}r", t.nodes_visited, t.rows_scanned))
-            .collect();
-        println!("  per-thread nodes/rows: [{}]", shares.join(", "));
-    }
 }
 
 /// Runs one query on the connected server, printing the same output as

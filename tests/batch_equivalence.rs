@@ -2,8 +2,8 @@
 //! (`tests/common/lattice.rs`): a batch is the single-query pipeline in a
 //! loop, so every slot of [`execute_batch`] is exactly what one-at-a-time
 //! execution returns — same hits, same names, bitwise-identical
-//! distances, same errors, and under `Parallelism::Serial` the same
-//! `ExecStats` — in memory and after a snapshot reload, on 1 and 4
+//! distances, same errors, and the same `ExecStats` bar the fan-out it
+//! reports — in memory and after a snapshot reload, on 1 and 4
 //! shards. What only a batch has stays here: its `stats` are the sum of
 //! its slots', and a batch of one keeps its plan's threads.
 

@@ -8,8 +8,9 @@
 //!
 //! * every lattice point ≡ the base point **bitwise** — ids, names, order,
 //!   distance bits, and the same error for a failing statement; the whole
-//!   `ExecStats` too wherever two runs must do identical work (serial, on
-//!   built or snapshot-reloaded storage of the same shard count);
+//!   `ExecStats` too (bar the fan-out it reports) wherever two runs must do
+//!   identical work: at any thread count, on built or snapshot-reloaded
+//!   storage of the same shard count;
 //! * at the base point, statements of one *group* — the same question put
 //!   to different access paths: planned index / `FORCE SCAN` /
 //!   `FORCE INDEX`, join methods a / b / d — answer bitwise alike, and a
@@ -653,18 +654,16 @@ impl World {
             (1..=point.threads as u64).contains(&used),
             "{what}: {used} threads"
         );
-        // Identical trees walked serially do identical work, whichever
+        // Identical trees do identical work at any thread count, whichever
         // front end asks — but for a scan cursor testing the window before
         // the distance, not after.
         let same_trees = matches!(point.storage, Storage::Built | Storage::SnapshotReload);
-        let reference = self
-            .reference
-            .get(&point.shards)
-            .filter(|_| same_trees && point.threads == 1);
+        let reference = self.reference.get(&point.shards).filter(|_| same_trees);
         if let Some(Ok(want)) = reference.map(|r| &r[i]) {
             let streamed = point.front_end == FrontEnd::CursorDrain;
             let comparable = |s: ExecStats| ExecStats {
                 coefficients_compared: if streamed { 0 } else { s.coefficients_compared },
+                threads_used: 0,
                 ..s
             };
             let (work, want) = (comparable(got.stats), comparable(want.stats));

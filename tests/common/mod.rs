@@ -40,33 +40,10 @@ pub fn relation_with(series: &[Vec<f64>], scheme: FeatureScheme) -> SeriesRelati
     rel
 }
 
-/// Applies the `SIMQ_THREADS` environment variable (if set and valid) to
-/// a freshly built database. CI runs the whole workspace suite a second
-/// time with `SIMQ_THREADS=4`, so every test built on these fixtures
-/// exercises the parallel execution paths without opting in; tests that
-/// pin a parallelism explicitly still override it with
-/// `set_parallelism`. Invalid settings are ignored (the binary's
-/// validation has its own CLI-level tests).
-pub fn apply_env_parallelism(db: &mut Database) {
-    let Ok(setting) = std::env::var("SIMQ_THREADS") else {
-        return;
-    };
-    let parallelism = match setting.trim() {
-        "" | "1" | "serial" => Parallelism::Serial,
-        "auto" => Parallelism::Auto,
-        word => match word.parse::<usize>() {
-            Ok(n) if n >= 1 => Parallelism::Fixed(n),
-            _ => return,
-        },
-    };
-    db.set_parallelism(parallelism);
-}
-
 /// Registers one relation into a fresh database with a bulk-loaded index.
 pub fn indexed_db(rel: SeriesRelation) -> Database {
     let mut db = Database::new();
     db.add_relation_indexed(rel);
-    apply_env_parallelism(&mut db);
     db
 }
 
@@ -91,7 +68,6 @@ pub fn scheme_db(rep: Representation, stats: bool, indexed: bool) -> Database {
     } else {
         d.add_relation(rel);
     }
-    apply_env_parallelism(&mut d);
     d
 }
 
@@ -112,8 +88,7 @@ pub const QUERY_FORMS: [&str; 10] = [
 ];
 
 /// A database over `series` under the paper's default scheme, on `shards`
-/// shards (1 = unsharded) at `threads` threads — pinned explicitly, not
-/// taken from the environment.
+/// shards (1 = unsharded) at `threads` threads.
 pub fn db_over(series: &[Vec<f64>], shards: usize, threads: usize) -> Database {
     let mut db = sharded_db(
         relation_with(series, FeatureScheme::paper_default()),
@@ -197,8 +172,8 @@ pub fn assert_parallel_equivalent(db: &mut Database, query: &str, threads: usize
     let serial = execute(db, query).unwrap();
     db.set_parallelism(Parallelism::Fixed(threads));
     let parallel = execute(db, query).unwrap();
-    // threads_used reports the actual fan-out; a degraded parallel plan
-    // (few rows, tiny frontier) may cap it below the configured count.
+    // threads_used reports the actual fan-out: 1 for index descents and
+    // kNN, and possibly below the budget for a scan with few rows.
     assert!(
         (1..=threads as u64).contains(&parallel.stats.threads_used),
         "{query}: threads_used {}",

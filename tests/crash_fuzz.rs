@@ -304,29 +304,21 @@ fn no_crash_when_budget_exceeds_workload() {
 // Concurrent writers: mid-group kill points
 // ---------------------------------------------------------------------------
 
-/// The worker-thread count the concurrent crash runs use (CI sets
-/// `SIMQ_THREADS=4`; so does the default).
-fn crash_threads() -> usize {
-    std::env::var("SIMQ_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(4)
-}
-
-/// One simulated crash under concurrent per-shard writers: the whole
+/// One simulated crash under `threads` per-shard writers: the whole
 /// workload goes through `Database::insert_batch` (one WAL group append
-/// per shard, writers racing on distinct shards) with the shared byte
-/// budget killed after `kill_after` bytes. The contract is two-sided:
+/// per shard; at more than one thread, writers racing on distinct shards)
+/// with the shared byte budget killed after `kill_after` bytes. The
+/// contract is two-sided:
 ///
 /// 1. every row the batch **acknowledged** survives reopen bit-for-bit;
 /// 2. rows of a torn (unacknowledged) group are atomically
 ///    absent-or-present per shard according to the WAL prefix property —
 ///    the recovered subset of each shard's group is exactly a prefix of
 ///    that shard's records in id order, never a gap.
-fn crash_batch_at(shards: usize, kill_after: u64, what: &str) {
-    let dir = unique_dir(&format!("batch-s{shards}"));
+fn crash_batch_at(shards: usize, threads: usize, kill_after: u64, what: &str) {
+    let dir = unique_dir(&format!("batch-s{shards}-t{threads}"));
     let mut db = fresh_db(shards);
-    db.set_parallelism(Parallelism::Fixed(crash_threads()));
+    db.set_parallelism(Parallelism::Fixed(threads));
     let sink = FailingStorage::new(kill_after);
     db.attach_wal_with_sink(&dir, sink.clone()).unwrap();
 
@@ -405,25 +397,30 @@ fn crash_batch_at(shards: usize, kill_after: u64, what: &str) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Seeded mid-group kill points against the 4-shard configuration under
-/// concurrent per-shard writers, plus the single-tree one-group case.
+/// Seeded mid-group kill points against the 4-shard configuration, plus
+/// the single-tree one-group case, through both the sequential writer
+/// loop (1 thread) and concurrent per-shard writers (4).
 #[test]
 fn crash_fuzz_concurrent_batch() {
-    let seed = base_seed().wrapping_add(2);
-    for (i, kill_after) in kill_points(seed).into_iter().take(60).enumerate() {
-        crash_batch_at(
-            4,
-            kill_after,
-            &format!("batch-sharded[{i}] kill@{kill_after} seed {seed:#x}"),
-        );
-    }
-    let seed = base_seed().wrapping_add(3);
-    for (i, kill_after) in kill_points(seed).into_iter().take(30).enumerate() {
-        crash_batch_at(
-            1,
-            kill_after,
-            &format!("batch-single[{i}] kill@{kill_after} seed {seed:#x}"),
-        );
+    for threads in [1, 4] {
+        let seed = base_seed().wrapping_add(2);
+        for (i, kill_after) in kill_points(seed).into_iter().take(60).enumerate() {
+            crash_batch_at(
+                4,
+                threads,
+                kill_after,
+                &format!("batch-sharded[{i}] @{threads} kill@{kill_after} seed {seed:#x}"),
+            );
+        }
+        let seed = base_seed().wrapping_add(3);
+        for (i, kill_after) in kill_points(seed).into_iter().take(30).enumerate() {
+            crash_batch_at(
+                1,
+                threads,
+                kill_after,
+                &format!("batch-single[{i}] @{threads} kill@{kill_after} seed {seed:#x}"),
+            );
+        }
     }
 }
 

@@ -1,7 +1,6 @@
 //! Observability must observe, never steer: toggling span tracing on
 //! cannot change what any query computes — results stay bitwise
-//! identical and every schedule-independent work counter stays *equal*,
-//! not merely close.
+//! identical and every work counter stays *equal*, not merely close.
 //!
 //! Covered surface: range (index and forced scan), kNN, all-pairs joins,
 //! prepared statements, streaming cursors and batches, each at 1 and 4
@@ -14,14 +13,10 @@
 //! but not against the rest of the suite (whose correctness cannot
 //! depend on the flag; that is the very property under test).
 //!
-//! Counter comparisons are scoped to schedule-independent
-//! configurations: serial runs compare everything, parallel non-kNN
-//! runs compare merged totals (dynamic subtree claiming moves shares
-//! *between* threads but cannot change the total work), and parallel
-//! kNN compares outputs only — its shared k-th-best bound makes even
-//! merged node/coefficient counts timing-dependent between any two
-//! runs, traced or not (the partition invariant for those lives in
-//! `tests/stats_consistency.rs`).
+//! No form's counters depend on a schedule (index descents and kNN run on
+//! one thread; scans and joins split their rows statically or count per
+//! row), so every comparison covers the merged and per-shard counters at
+//! 4 threads as at 1.
 
 mod common;
 
@@ -38,33 +33,10 @@ fn build_db(shards: usize, threads: usize) -> Database {
     db_over(&corpus(97, 60, 64), shards, threads)
 }
 
-/// Work counters that must not move when tracing turns on, scoped to
-/// what two independent runs can be expected to agree on (see the
-/// module docs): everything when serial, merged totals when parallel
-/// without a shared pruning bound, nothing when parallel kNN.
-fn assert_stats_equal(
-    off: &QueryResult,
-    on: &QueryResult,
-    threads: usize,
-    shared_bound: bool,
-    what: &str,
-) {
-    if threads == 1 {
-        assert_eq!(off.stats, on.stats, "{what}: merged stats moved");
-        assert_eq!(
-            off.per_thread, on.per_thread,
-            "{what}: per-thread stats moved"
-        );
-        assert_eq!(off.per_shard, on.per_shard, "{what}: per-shard stats moved");
-    } else if !shared_bound {
-        assert_eq!(off.stats, on.stats, "{what}: merged stats moved");
-    }
-}
-
-/// Whether a query form prunes against a shared k-th-best bound (the
-/// one execution phase whose counters are timing-dependent).
-fn uses_shared_bound(q: &str) -> bool {
-    q.contains("NEAREST")
+/// Work counters that must not move when tracing turns on.
+fn assert_stats_equal(off: &QueryResult, on: &QueryResult, what: &str) {
+    assert_eq!(off.stats, on.stats, "{what}: merged stats moved");
+    assert_eq!(off.per_shard, on.per_shard, "{what}: per-shard stats moved");
 }
 
 #[test]
@@ -86,7 +58,7 @@ fn tracing_is_inert_for_every_query_form() {
                     "{label}: tracing on collected no spans"
                 );
                 assert_outputs_bitwise_equal(&off, &on, &label);
-                assert_stats_equal(&off, &on, threads, uses_shared_bound(q), &label);
+                assert_stats_equal(&off, &on, &label);
             }
         }
     }
@@ -117,7 +89,7 @@ fn tracing_is_inert_for_prepared_statements_and_cursors() {
             let (exec_on, stream_on) = run(true);
 
             assert_outputs_bitwise_equal(&exec_off, &exec_on, &label);
-            assert_stats_equal(&exec_off, &exec_on, threads, false, &label);
+            assert_stats_equal(&exec_off, &exec_on, &label);
             assert_eq!(stream_off.len(), stream_on.len(), "{label}");
             for (a, b) in stream_off.iter().zip(&stream_on) {
                 assert_eq!(a.id, b.id, "{label}");
@@ -148,14 +120,12 @@ fn tracing_is_inert_for_batches() {
             let _ = span::take_records();
             span::set_tracing(false);
 
-            // The batch contains a kNN member, so its counters are only
-            // schedule-independent when execution is serial.
-            if threads == 1 {
-                assert_eq!(off.stats, on.stats, "{label}");
-            }
+            assert_eq!(off.stats, on.stats, "{label}");
             for (i, (a, b)) in off.results.iter().zip(&on.results).enumerate() {
                 let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_outputs_bitwise_equal(a, b, &format!("{label} [{i}]"));
+                let what = format!("{label} [{i}]");
+                assert_outputs_bitwise_equal(a, b, &what);
+                assert_stats_equal(a, b, &what);
             }
         }
     }
@@ -236,12 +206,8 @@ fn explain_analyze_output_is_bitwise_identical_to_plain_execution() {
                 };
                 assert!(report.contains("operators:"), "{label}: report\n{report}");
                 assert!(report.contains("total:"), "{label}");
-                // The wrapper carries the inner run's counters verbatim
-                // (comparable against a separate plain run only when the
-                // counters are schedule-independent).
-                if threads == 1 || !uses_shared_bound(q) {
-                    assert_eq!(plain.stats, analyzed.stats, "{label}");
-                }
+                // The wrapper carries the inner run's counters verbatim.
+                assert_stats_equal(&plain, &analyzed, &label);
                 let unwrapped = QueryResult {
                     output: (**output).clone(),
                     plan: analyzed.plan.clone(),

@@ -1,10 +1,11 @@
 //! The threads axis of the configuration lattice
-//! (`tests/common/lattice.rs`): for every query form, access path and
-//! thread count, parallel execution answers bitwise what serial execution
-//! answers — the contract that makes [`Parallelism`] a pure throughput
-//! knob. One test per query form, each over a world of its own, so a
-//! failure names the form; the cross product with the other axes (at 4
-//! threads) runs in `tests/lattice.rs`.
+//! (`tests/common/lattice.rs`): for every form that fans out (range scans
+//! and joins; index descents and kNN run on one thread at any budget) and
+//! every thread count, parallel execution answers bitwise what serial
+//! execution answers, with the same work: the contract that makes
+//! [`Parallelism`] a pure throughput knob. One test per query form, each
+//! over a world of its own, so a failure names the form; the cross
+//! product with the other axes (at 4 threads) runs in `tests/lattice.rs`.
 
 mod common;
 
@@ -25,11 +26,6 @@ fn range_parallel_equals_serial() {
 }
 
 #[test]
-fn knn_parallel_equals_serial() {
-    world(42, 30, 24).check(&at_threads(), |s| s.kind == Kind::Knn);
-}
-
-#[test]
 fn join_parallel_equals_serial() {
     world(43, 13, 32).check(&at_threads(), |s| s.kind == Kind::Pairs);
 }
@@ -42,19 +38,15 @@ fn rect_scheme_parallel_equals_serial() {
     World::new(53, 40, 32, scheme).check(&at_threads(), |_| true);
 }
 
-/// Non-random regression at a size where every parallel code path engages
-/// its multi-threaded branch (frontiers form, chunks are non-trivial).
+/// Non-random regression at a size where every form that fans out splits
+/// its rows into non-trivial chunks.
 #[test]
 fn large_corpus_all_forms_equivalent() {
     let series = corpus(4242, 600, 128);
     let mut db = db_with(&series, FeatureScheme::paper_default());
     for threads in [2, 4, 8] {
         for q in [
-            "FIND SIMILAR TO ROW 11 IN r EPSILON 6.0",
             "FIND SIMILAR TO ROW 11 IN r EPSILON 6.0 FORCE SCAN",
-            "FIND SIMILAR TO ROW 11 IN r USING mavg(20) ON BOTH EPSILON 4.0",
-            "FIND 25 NEAREST TO ROW 11 IN r",
-            "FIND 25 NEAREST TO ROW 11 IN r FORCE SCAN",
             "FIND PAIRS IN r EPSILON 1.0 METHOD b",
             "FIND PAIRS IN r EPSILON 1.0 METHOD d",
         ] {

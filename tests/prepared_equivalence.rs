@@ -3,8 +3,8 @@
 //!
 //! * **(a)** `prepare` + `bind` + session execution is **bitwise
 //!   identical** to executing the equivalent literal query text through
-//!   `execute()` — same hits, names and distances, and serially the same
-//!   work — at 1 and 4 threads, against the in-memory database and
+//!   `execute()` — same hits, names and distances, and the same work —
+//!   at 1 and 4 threads, against the in-memory database and
 //!   against a snapshot-reloaded one.
 //! * **(b)** draining a streaming [`Cursor`] yields exactly the hits of
 //!   the materialized `QueryOutput`.

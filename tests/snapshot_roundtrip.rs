@@ -228,8 +228,8 @@ proptest! {
 
 /// The acceptance contract — the snapshot-reload points of the lattice
 /// (`tests/common/lattice.rs`): a database saved and reopened from disk
-/// answers every statement identically to the in-memory build, at 1 and 4
-/// threads, and serially with identical work: the R*-tree is decoded, not
+/// answers every statement identically to the in-memory build, with
+/// identical work, at 1 and 4 threads: the R*-tree is decoded, not
 /// re-bulk-loaded, and arena-identical trees do identical work.
 #[test]
 fn reopened_database_is_query_for_query_identical() {

@@ -1,68 +1,45 @@
-//! The counter-breakdown contract of `QueryResult`: the `per_thread` and
-//! `per_shard` vectors are *partitions* of the merged `stats`, not
-//! estimates. Each search/scan counter lives in exactly one breakdown —
-//! per-thread for single-relation parallel phases, per-shard for shard
-//! fan-out — so across both vectors the shares sum exactly to the merged
-//! totals. This hardens the one charging rule (`simq-query::verify`'s
-//! `Ledger`) against silently dropping a phase — e.g. the exact-distance
-//! work a kNN search does inside its descent, on whichever worker
-//! surfaces the row.
-//!
-//! Coefficient comparisons hold the partition property too: sharded
-//! executions that verify on the calling thread (serial, or parallel with
-//! too few candidates to fan out) charge that work to a per-thread entry
-//! created on demand, so the breakdown sum equals the merged count on
-//! every path. (This suite used to document a `<=` gap exactly there.)
+//! The counter contract of `QueryResult`: `per_shard` is a *partition*
+//! of the merged `stats`, not an estimate, for every counter a phase over
+//! the relation's shards produces — index reads, scanned rows, scan
+//! coefficients, and the candidates and refine work a kNN descent does
+//! inside its trees. Work without shard affinity (verifying a merged
+//! candidate list, pair work that crosses shards) is in the totals only.
+//! This hardens the one charging rule (`simq-query::verify`'s `Ledger`)
+//! against silently dropping a phase. And the merged counters are the
+//! same at every thread budget: no form's work depends on a schedule.
 
 mod common;
 
 use common::{corpus, db_over, QUERY_FORMS};
 use proptest::prelude::*;
 use similarity_queries::prelude::*;
-use similarity_queries::query::QueryResult;
+use similarity_queries::query::{ExecStats, QueryResult};
 
-/// Asserts the partition property for one execution.
-fn assert_breakdowns_sum(result: &QueryResult, label: &str) {
-    let pt = &result.per_thread;
-    let ps = &result.per_shard;
-    if pt.is_empty() && ps.is_empty() {
-        return; // fully serial, unsharded: no breakdowns to check
+type Field = fn(&ExecStats) -> u64;
+
+/// The counters every shard-affine phase charges to `per_shard`.
+const FOREST_COUNTERS: [(&str, Field); 4] = [
+    ("nodes_visited", |s| s.nodes_visited),
+    ("leaves_visited", |s| s.leaves_visited),
+    ("entries_tested", |s| s.entries_tested),
+    ("rows_scanned", |s| s.rows_scanned),
+];
+
+/// Asserts `per_shard` sums to the merged totals on `fields`.
+fn assert_shards_sum(result: &QueryResult, fields: &[(&str, Field)], label: &str) {
+    for (what, field) in fields {
+        let sum: u64 = result.per_shard.iter().map(field).sum();
+        assert_eq!(sum, field(&result.stats), "{label}: {what} breakdown");
     }
-    let sum = |f: fn(&similarity_queries::query::ExecStats) -> u64| -> u64 {
-        pt.iter().map(f).sum::<u64>() + ps.iter().map(f).sum::<u64>()
-    };
-    assert_eq!(
-        sum(|s| s.nodes_visited),
-        result.stats.nodes_visited,
-        "{label}: nodes_visited breakdown"
-    );
-    assert_eq!(
-        sum(|s| s.leaves_visited),
-        result.stats.leaves_visited,
-        "{label}: leaves_visited breakdown"
-    );
-    assert_eq!(
-        sum(|s| s.entries_tested),
-        result.stats.entries_tested,
-        "{label}: entries_tested breakdown"
-    );
-    assert_eq!(
-        sum(|s| s.rows_scanned),
-        result.stats.rows_scanned,
-        "{label}: rows_scanned breakdown"
-    );
-    assert_eq!(
-        sum(|s| s.coefficients_compared),
-        result.stats.coefficients_compared,
-        "{label}: coefficients_compared breakdown"
-    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Arbitrary corpora × shard counts × thread counts: per-thread and
-    /// per-shard counters always partition the merged totals.
+    /// Arbitrary corpora × shard counts × thread counts: per-shard
+    /// counters partition the merged index and scan totals (the whole
+    /// coefficient count too where no phase lacks shard affinity), one
+    /// entry per shard, and no execution reports a per-thread breakdown.
     #[test]
     fn breakdowns_partition_merged_stats(
         seed in 0u64..1_000,
@@ -74,10 +51,21 @@ proptest! {
         let db = db_over(&series, shards, threads);
         for q in QUERY_FORMS {
             let result = execute(&db, q).expect("matrix query runs");
-            assert_breakdowns_sum(
-                &result,
-                &format!("{q} (seed {seed}, rows {rows}, shards {shards}, threads {threads})"),
-            );
+            let label = format!("{q} (seed {seed}, rows {rows}, shards {shards}, threads {threads})");
+            assert!(result.per_thread.is_empty(), "{label}");
+            let pairs = q.contains("PAIRS");
+            if shards == 1 || pairs {
+                assert!(result.per_shard.is_empty(), "{label}");
+                continue;
+            }
+            assert_eq!(result.per_shard.len(), shards, "{label}");
+            assert_shards_sum(&result, &FOREST_COUNTERS, &label);
+            // Range scans and kNN of either path do all their distance
+            // work inside the per-shard phase; an index range verifies
+            // its merged candidate list after it.
+            if q.contains("FORCE SCAN") || q.contains("NEAREST") {
+                assert_shards_sum(&result, &[("coefficients", |s| s.coefficients_compared)], &label);
+            }
         }
     }
 }
@@ -94,66 +82,62 @@ fn serial_unsharded_execution_reports_no_breakdowns() {
 }
 
 #[test]
-fn knn_refine_work_inside_search_workers_partitions_the_totals() {
+fn knn_refine_work_partitions_across_shards() {
     // Multi-step kNN has no verification phase of its own: rows are
-    // exactly refined *inside* the ranked descent, by whichever
-    // search worker surfaces them. That work must land in the same
-    // breakdown cell as the worker's node reads — per shard when sharded,
-    // per thread otherwise — or the breakdown undercounts exactly the
+    // exactly refined *inside* the ranked descent, in whichever shard's
+    // tree they surface. That work must land in the same breakdown cell
+    // as the shard's node reads, or the breakdown undercounts exactly the
     // refine work.
     let series = corpus(11, 120, 64);
-    for (shards, threads) in [(4, 4), (4, 1), (1, 4)] {
-        let db = db_over(&series, shards, threads);
+    for threads in [1, 4] {
+        let db = db_over(&series, 4, threads);
         let result = execute(&db, "FIND 10 NEAREST TO ROW 0 IN r").unwrap();
-        let label = format!("kNN, shards {shards}, threads {threads}");
+        let label = format!("kNN, 4 shards, threads {threads}");
         assert!(
             result.stats.coefficients_compared > 0,
             "{label}: fixture does no refine work, so the test pins nothing"
         );
-        let parts = if shards > 1 {
-            assert!(result.per_thread.is_empty(), "{label}");
-            &result.per_shard
-        } else {
-            assert!(result.per_shard.is_empty(), "{label}");
-            &result.per_thread
-        };
-        assert_eq!(parts.len(), shards.max(threads), "{label}");
-        assert_breakdowns_sum(&result, &label);
-        type Field = fn(&similarity_queries::query::ExecStats) -> u64;
-        let fields: [(&str, Field); 2] = [
+        assert_eq!(result.per_shard.len(), 4, "{label}");
+        assert_shards_sum(&result, &FOREST_COUNTERS, &label);
+        let refine: [(&str, Field); 2] = [
             ("candidates", |s| s.candidates),
             ("coefficients", |s| s.coefficients_compared),
         ];
-        for (what, field) in fields {
-            assert_eq!(
-                parts.iter().map(field).sum::<u64>(),
-                field(&result.stats),
-                "{label}: {what} breakdown"
-            );
-        }
+        assert_shards_sum(&result, &refine, &label);
     }
 }
 
-/// Counter golden: every `ExecStats` field (merged, per-thread and
-/// per-shard) of the query matrix at `Parallelism::Serial`, over 1 and 4
-/// shards of one fixed corpus, equals the checked-in fixture recorded
-/// before the execution matrix was collapsed into one pipeline per query
-/// form (the six `NEAREST` rows re-recorded when kNN became one ranked
-/// multi-step descent and its scan began abandoning). Serial counters are schedule-independent, so any drift here is a
-/// change in the work a plan does, not noise. (4 threads stay
-/// answer-only: work-stealing node counts depend on the schedule.)
+/// Counter golden: every `ExecStats` field (merged and per-shard) of the
+/// query matrix at `Parallelism::Serial`, over 1 and 4 shards of one fixed
+/// corpus, equals the checked-in fixture recorded before the execution
+/// matrix was collapsed into one pipeline per query form (the six
+/// `NEAREST` rows re-recorded when kNN became one ranked multi-step
+/// descent and its scan began abandoning). Counters are
+/// schedule-independent, so any drift here is a change in the work a plan
+/// does, not noise — and at 4 threads each statement does exactly the
+/// golden's work (the fan-out it reports aside).
 #[test]
 fn serial_counters_match_the_recorded_golden() {
     let series = corpus(7, 400, 64);
     let mut actual = String::new();
     for shards in [1usize, 4] {
-        let db = db_over(&series, shards, 1);
+        let mut db = db_over(&series, shards, 1);
         for q in QUERY_FORMS {
+            db.set_parallelism(Parallelism::Serial);
             let r = execute(&db, q).expect("matrix query runs");
             actual.push_str(&format!(
-                "shards={shards} | {q}\n  stats: {:?}\n  per_thread: {:?}\n  per_shard: {:?}\n",
-                r.stats, r.per_thread, r.per_shard
+                "shards={shards} | {q}\n  stats: {:?}\n  per_shard: {:?}\n",
+                r.stats, r.per_shard
             ));
+            db.set_parallelism(Parallelism::Fixed(4));
+            let wide = execute(&db, q).expect("matrix query runs");
+            let work = |s: ExecStats| ExecStats {
+                threads_used: 0,
+                ..s
+            };
+            let label = format!("shards={shards} | {q} at 4 threads");
+            assert_eq!(work(wide.stats), work(r.stats), "{label}");
+            assert_eq!(wide.per_shard, r.per_shard, "{label}");
         }
     }
     let golden = include_str!("fixtures/exec_stats_golden.txt");

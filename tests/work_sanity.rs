@@ -160,7 +160,7 @@ fn the_mirrored_probe_dismisses_more_range_candidates_than_the_single_one() {
         let q = &stored.row(row).unwrap().features;
         // The executor's rectangle: ε padded by one part in 10⁹.
         let rect = scheme.search_rect(&q.point, eps * (1.0 + 1e-9) + 1e-9);
-        let (candidates, _) = forest_range(stored.trees(), Some(&lowered), &rect, 1);
+        let (candidates, _) = forest_range(stored.trees(), Some(&lowered), &rect);
         assert_eq!(candidates.len() as u64, r.stats.candidates, "ROW {row}");
         let probe = FilterProbe::new(&q.spectrum, &ones, stored.sig_coeffs());
         let dismissed = |id: &&u64| probe.dismisses(stored.signature(**id).unwrap(), eps * eps);
