@@ -7,6 +7,16 @@
 //! overflow per level. Nodes live in an arena (`Vec<Node>`) with index
 //! handles; there is no unsafe code.
 //!
+//! ChooseSubtree picks exactly the child Beckmann's loop picks, so every
+//! tree is the one the textbook algorithm builds, but it does not score
+//! every child's overlap enlargement against every sibling (O(M²·d) per
+//! insert). Overlap enlargement is never negative in floating point, so
+//! walking the children in `(area enlargement, area, position)` order,
+//! the first child whose overlap enlargement is exactly zero is the
+//! loop's minimum; almost every insert stops there after one or two
+//! children. When no child scores zero, or an area key is not finite
+//! (coordinates so large that `inf − inf` appears), the full loop runs.
+//!
 //! Search, nearest-neighbour, join and bulk-loading live in sibling modules
 //! ([`crate::search`], [`crate::knn`], [`crate::join`], [`crate::bulk`]);
 //! this module owns the structure and its update algorithms.
@@ -300,37 +310,69 @@ impl RTree {
 
     /// R* ChooseSubtree: overlap-minimizing at the level just above the
     /// leaves, area-minimizing elsewhere. Returns the entry position.
+    ///
+    /// Above the leaves it takes the first position minimizing
+    /// `(overlap_enl, area_enl, area)`, as Beckmann's loop does, but
+    /// without scoring every child against every sibling. `overlap_enl`
+    /// is never negative in floating point: the enlarged MBR contains the
+    /// child's, so each sibling overlap term can only grow, and rounded
+    /// sums are monotone. Hence, walking positions in `(area_enl, area,
+    /// pos)` order, the first child whose overlap enlargement is exactly
+    /// zero is the full loop's answer. Only when no child scores zero, or
+    /// when an `area_enl` or `area` is not finite (`inf − inf` at huge
+    /// coordinates makes the order partial), does the full loop run.
     fn choose_subtree(&self, node_idx: usize, rect: &Rect) -> usize {
         let node = &self.nodes[node_idx];
         debug_assert!(node.level > 0);
-        let children_are_leaves = node.level == 1;
-        let mut best = 0usize;
-        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for (pos, e) in node.entries.iter().enumerate() {
-            let mbr = e.mbr();
+        if node.level > 1 {
+            return first_min(node.entries.iter().map(|e| {
+                let mbr = e.mbr();
+                (mbr.union(rect).area() - mbr.area(), mbr.area(), 0.0)
+            }));
+        }
+        // Overlap enlargement of entry `pos` against its sibling MBRs.
+        let overlap_enlargement = |pos: usize| {
+            let mbr = node.entries[pos].mbr();
             let enlarged = mbr.union(rect);
-            let area_enlargement = enlarged.area() - mbr.area();
-            let key = if children_are_leaves {
-                // Overlap enlargement against sibling MBRs.
-                let mut before = 0.0;
-                let mut after = 0.0;
-                for (other_pos, other) in node.entries.iter().enumerate() {
-                    if other_pos == pos {
-                        continue;
-                    }
-                    before += mbr.overlap_area(other.mbr());
-                    after += enlarged.overlap_area(other.mbr());
+            let mut before = 0.0;
+            let mut after = 0.0;
+            for (other_pos, other) in node.entries.iter().enumerate() {
+                if other_pos == pos {
+                    continue;
                 }
-                (after - before, area_enlargement, mbr.area())
-            } else {
-                (area_enlargement, mbr.area(), 0.0)
-            };
-            if key < best_key {
-                best_key = key;
-                best = pos;
+                before += mbr.overlap_area(other.mbr());
+                after += enlarged.overlap_area(other.mbr());
+            }
+            after - before
+        };
+        let areas: Vec<(f64, f64)> = node
+            .entries
+            .iter()
+            .map(|e| {
+                let mbr = e.mbr();
+                (mbr.union(rect).area() - mbr.area(), mbr.area())
+            })
+            .collect();
+        let finite = areas
+            .iter()
+            .all(|(enl, area)| enl.is_finite() && area.is_finite());
+        if finite {
+            let mut order: Vec<usize> = (0..areas.len()).collect();
+            // Stable, so equal keys keep ascending position.
+            order.sort_by(|&a, &b| areas[a].partial_cmp(&areas[b]).expect("finite keys"));
+            let zero = order
+                .into_iter()
+                .find(|&pos| overlap_enlargement(pos) == 0.0);
+            if let Some(pos) = zero {
+                return pos;
             }
         }
-        best
+        first_min(
+            areas
+                .iter()
+                .enumerate()
+                .map(|(pos, &(enl, area))| (overlap_enlargement(pos), enl, area)),
+        )
     }
 
     /// Forced reinsertion: remove the `p` entries of `node_idx` whose
@@ -394,7 +436,6 @@ impl RTree {
 
         // For each axis and each sorting (by lower then by upper value),
         // evaluate margin sums over the distributions.
-        let mut best_axis = 0usize;
         let mut best_axis_margin = f64::INFINITY;
         let mut best_axis_order: Vec<usize> = Vec::new();
 
@@ -417,12 +458,10 @@ impl RTree {
                 }
                 if margin_sum < best_axis_margin {
                     best_axis_margin = margin_sum;
-                    best_axis = axis;
                     best_axis_order = order;
                 }
             }
         }
-        let _ = best_axis; // axis is implied by the retained order
 
         // Choose the distribution along the winning order.
         let order = best_axis_order;
@@ -681,6 +720,21 @@ fn group_mbr(entries: &[Entry], idx: &[usize]) -> Rect {
     it.fold(first, |acc, &i| acc.union(entries[i].mbr()))
 }
 
+/// Position of the first strict minimum of `keys` under tuple `<`,
+/// starting from an all-infinite key: ties keep the lower position, and a
+/// key with a NaN never wins.
+fn first_min(keys: impl Iterator<Item = (f64, f64, f64)>) -> usize {
+    let mut best = 0usize;
+    let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    for (pos, key) in keys.enumerate() {
+        if key < best_key {
+            best_key = key;
+            best = pos;
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -813,5 +867,267 @@ mod tests {
     fn wrong_dims_rejected() {
         let mut t = RTree::with_dims(2);
         t.insert_point(&[1.0], 0);
+    }
+
+    /// FNV-1a of a tree's `serial::to_bytes` image.
+    fn tree_hash(t: &RTree) -> u64 {
+        crate::serial::to_bytes(t)
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// 2,000 six-dimensional LCG points on the integer lattice 0..100;
+    /// every tenth point repeats an earlier one.
+    fn lcg_points() -> Vec<[f64; 6]> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut points: Vec<[f64; 6]> = Vec::with_capacity(2000);
+        for i in 0..2000 {
+            if i % 10 == 9 {
+                points.push(points[i / 2]);
+                continue;
+            }
+            points.push(std::array::from_fn(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((state >> 33) % 100) as f64
+            }));
+        }
+        points
+    }
+
+    #[test]
+    fn incrementally_built_trees_are_pinned() {
+        let lcg_tree = |config: RTreeConfig| {
+            let mut t = RTree::new(Space::linear(6), config);
+            for (id, p) in lcg_points().iter().enumerate() {
+                t.insert_point(p, id as u64);
+            }
+            t.check_invariants().unwrap();
+            t
+        };
+        let no_reinsert = RTreeConfig {
+            forced_reinsert: false,
+            ..RTreeConfig::default()
+        };
+        let hashes = [
+            tree_hash(&grid_tree(20)),
+            tree_hash(&lcg_tree(RTreeConfig::default())),
+            tree_hash(&lcg_tree(no_reinsert)),
+        ];
+        assert_eq!(
+            hashes,
+            [
+                0x3259_61e3_ee4e_0fd1,
+                0x79ee_fe82_c24b_2cfd,
+                0x740a_97be_8bcb_cd50
+            ],
+            "{hashes:#018x?}"
+        );
+    }
+
+    /// Beckmann's ChooseSubtree keys above the leaves, computed as the
+    /// full loop computes them: `(overlap_enl, area_enl, area)` per child.
+    fn full_loop_keys(entries: &[Entry], rect: &Rect) -> Vec<(f64, f64, f64)> {
+        entries
+            .iter()
+            .enumerate()
+            .map(|(pos, e)| {
+                let mbr = e.mbr();
+                let enlarged = mbr.union(rect);
+                let mut before = 0.0;
+                let mut after = 0.0;
+                for (other_pos, other) in entries.iter().enumerate() {
+                    if other_pos != pos {
+                        before += mbr.overlap_area(other.mbr());
+                        after += enlarged.overlap_area(other.mbr());
+                    }
+                }
+                (after - before, enlarged.area() - mbr.area(), mbr.area())
+            })
+            .collect()
+    }
+
+    /// The full loop's choice: the first strict minimum from an
+    /// all-infinite start.
+    fn full_loop_choice(keys: &[(f64, f64, f64)]) -> usize {
+        let mut best = 0usize;
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for (pos, &key) in keys.iter().enumerate() {
+            if key < best_key {
+                best_key = key;
+                best = pos;
+            }
+        }
+        best
+    }
+
+    /// SplitMix64, drawing small integers.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        /// A uniform integer in `0..k`, as an `f64`.
+        fn below(&mut self, k: u64) -> f64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % k) as f64
+        }
+    }
+
+    /// A random level-1 node and an item rectangle to place in it, drawn
+    /// from `seed`. Shapes: 0 scattered boxes, 1 copies of one to three
+    /// boxes, 2 boxes flat in about half their dimensions, 3 boxes piled
+    /// on one corner. Half the items lie inside a child (inside several
+    /// where children overlap). Coordinates are multiples of `scale / 4`,
+    /// so a positive overlap enlargement can be far below 1.
+    fn random_leaf_parent(
+        seed: u64,
+        shape: u8,
+        n: usize,
+        dims: usize,
+        scale: f64,
+    ) -> (RTree, Rect) {
+        let mut rng = SplitMix(seed);
+        let random_box = |rng: &mut SplitMix, shape: u8| {
+            let (lo, ext): (Vec<f64>, Vec<f64>) = (0..dims)
+                .map(|_| match shape {
+                    2 if rng.below(2) == 0.0 => (rng.below(20), 0.0),
+                    3 => (rng.below(5), 10.0 + rng.below(10)),
+                    _ => (rng.below(20), rng.below(5)),
+                })
+                .unzip();
+            let hi = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
+            Rect::new(lo, hi)
+        };
+        let children: Vec<Rect> = if shape == 1 {
+            let copies = 1 + rng.below(3) as usize;
+            let bases: Vec<Rect> = (0..copies).map(|_| random_box(&mut rng, 0)).collect();
+            (0..n)
+                .map(|_| bases[rng.below(copies as u64) as usize].clone())
+                .collect()
+        } else {
+            (0..n).map(|_| random_box(&mut rng, shape)).collect()
+        };
+        let rect = if rng.below(2) == 0.0 {
+            let c = &children[rng.below(n as u64) as usize];
+            let p: Vec<f64> = (0..dims)
+                .map(|d| c.lo[d] + rng.below((c.hi[d] - c.lo[d]) as u64 + 1))
+                .collect();
+            Rect::point(&p)
+        } else {
+            let lo: Vec<f64> = (0..dims).map(|_| rng.below(30)).collect();
+            let hi = lo.iter().map(|l| l + rng.below(2)).collect();
+            Rect::new(lo, hi)
+        };
+        let scaled = |r: &Rect| {
+            Rect::new(
+                r.lo.iter().map(|v| v * scale / 4.0).collect(),
+                r.hi.iter().map(|v| v * scale / 4.0).collect(),
+            )
+        };
+        let mut t = RTree::with_dims(dims);
+        t.nodes[0] = Node {
+            level: 1,
+            entries: children
+                .iter()
+                .enumerate()
+                .map(|(i, mbr)| Entry::Child {
+                    mbr: scaled(mbr),
+                    node: i + 1,
+                })
+                .collect(),
+        };
+        (t, scaled(&rect))
+    }
+
+    fn assert_full_loop_choice(seed: u64, shape: u8, n: usize, dims: usize, huge: bool) {
+        let scale = if huge { 1e80 } else { 1.0 };
+        let (t, rect) = random_leaf_parent(seed, shape, n, dims, scale);
+        let want = full_loop_choice(&full_loop_keys(&t.nodes[0].entries, &rect));
+        assert_eq!(
+            t.choose_subtree(0, &rect),
+            want,
+            "seed {seed} shape {shape} n {n} dims {dims} scale {scale}"
+        );
+    }
+
+    /// The generator reaches every path of `choose_subtree` and every
+    /// corner the equivalence property is meant to cover.
+    #[test]
+    fn leaf_parent_cases_reach_every_path() {
+        let mut seen = [0usize; 6];
+        for seed in 0..2000u64 {
+            let (shape, dims) = ((seed % 4) as u8, 1 + (seed / 4 % 6) as usize);
+            let n = 2 + (seed / 24 % 39) as usize;
+            let scale = if seed % 7 == 0 { 1e80 } else { 1.0 };
+            let (t, rect) = random_leaf_parent(seed, shape, n, dims, scale);
+            let entries = &t.nodes[0].entries;
+            let keys = full_loop_keys(entries, &rect);
+            let best = full_loop_choice(&keys);
+            let finite = keys.iter().all(|k| k.1.is_finite() && k.2.is_finite());
+            let inside = entries
+                .iter()
+                .filter(|e| e.mbr().intersects_linear(&rect))
+                .count();
+            let cases = [
+                // an exact zero-overlap winner that is found early,
+                finite && keys[best].0 == 0.0,
+                // no zero-overlap child: the fallback,
+                finite && keys.iter().all(|k| k.0 != 0.0),
+                // non-finite area keys: the guard,
+                !finite,
+                // a later duplicate of the winner that must lose the tie,
+                entries[best + 1..]
+                    .iter()
+                    .any(|e| e.mbr() == entries[best].mbr()),
+                // a zero-area winner,
+                keys[best].2 == 0.0,
+                // an item inside several children.
+                rect.lo == rect.hi && inside > 1,
+            ];
+            for (count, hit) in seen.iter_mut().zip(cases) {
+                *count += usize::from(hit);
+            }
+            assert_eq!(t.choose_subtree(0, &rect), best, "seed {seed}");
+        }
+        assert!(seen.iter().all(|&c| c >= 20), "{seen:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+
+        /// The early exit picks the child the full overlap loop picks.
+        #[test]
+        fn choose_subtree_matches_the_full_loop(
+            seed in 0u64..u64::MAX,
+            shape in 0u8..4,
+            n in 2usize..41,
+            dims in 1usize..7,
+            huge in 0u8..4,
+        ) {
+            assert_full_loop_choice(seed, shape, n, dims, huge == 0);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(100_000))]
+
+        /// The same property over many more nodes, for the release-profile
+        /// CI step.
+        #[test]
+        #[ignore = "long: run with --release -- --ignored"]
+        fn choose_subtree_matches_the_full_loop_long(
+            seed in 0u64..u64::MAX,
+            shape in 0u8..4,
+            n in 2usize..41,
+            dims in 1usize..7,
+            huge in 0u8..4,
+        ) {
+            assert_full_loop_choice(seed, shape, n, dims, huge == 0);
+        }
     }
 }
