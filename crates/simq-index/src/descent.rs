@@ -1,0 +1,655 @@
+//! The one traversal of the index: a best-first descent over a forest of
+//! trees (one per relation shard; a single tree is a forest of one) that
+//! answers both of the paper's query forms.
+//!
+//! "As we go down the tree, we apply T to all entries of the node we
+//! visit" — for a range query (Algorithm 2) and a nearest-neighbour query
+//! alike. Hjaltason & Samet's distance browsing (TODS 1999) casts both as
+//! a best-first descent that differs in its *bound*. Here the two bounds
+//! share one type: its roots (a frontier that starts with every tree's),
+//! its entry keys ([`Stage`] applied to each transformed rectangle), its
+//! per-tree counters and its pull interface. Each bound has its own loop:
+//!
+//! * **A fixed bound** (range, [`Descent::within`]): the stage's entry test
+//!   alone prunes, keeping a subtree or row whose transformed rectangle
+//!   overlaps the search rectangle. Nodes are read entry by entry along an
+//!   open path, depth first as Algorithm 2 recurses: a kept row is refined
+//!   on the spot, straight from its leaf and never heaped, and yielded at
+//!   once if refine accepts it; at a kept subtree the reading pauses and
+//!   the subtree is read first. The frontier holds only the roots, all at
+//!   one key, so it hands out the trees in shard order and shards are
+//!   entered one after another. Like the recursion, it reads an empty
+//!   tree's root.
+//! * **The live `k`-th best** (kNN, [`Descent::nearest`]). A node is read
+//!   whole: entries are keyed by a lower bound and pruned above the `k`-th
+//!   best distance refined so far. A leaf's kept rows wait in a run whose
+//!   smallest `(key, id)` alone is heaped, then the next smallest: the
+//!   visit order of a heap of every row, at one heap entry per leaf. With a
+//!   stage that refines, this is Seidl & Kriegel's optimal multi-step
+//!   search (SIGMOD 1998): bounds only rank, each row reached is refined to
+//!   its exact distance, and no row whose bound exceeds the final `k`-th
+//!   distance is refined. A refined row is yielded once its distance is
+//!   strictly below the next frontier key, when nothing unread can precede
+//!   it, so rows come out in final `(distance, id)` order and the descent
+//!   stops after `k` of them. Empty trees are not entered.
+//!
+//! Keys depend only on an entry's (transformed) rectangle or on its row,
+//! so the answer is the same however the rows are split into trees.
+//!
+//! The descent is pull-based: materialized execution drains it, a cursor
+//! pauses it between pulls, and dropping it abandons what was not read.
+//! Work is counted per tree as it happens, so a paused descent reports
+//! only the nodes it opened, the entries it tested and the rows it refined.
+
+use crate::geom::{Rect, Space};
+use crate::knn::{cmp_distance_id, LocalKth, Neighbor, Ranked};
+use crate::rstar::{Entry, RTree};
+use crate::search::{ForestStats, SearchStats};
+use crate::transform::SpatialTransform;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// What a descent does at the entries and rows it reaches.
+pub trait Stage {
+    /// The entry test or key of an index entry whose (transformed)
+    /// rectangle is `rect`, under the tree's dimension semantics `space`.
+    /// `None` prunes the entry. `Some(key)` must be a lower bound on the
+    /// distance of every row under the entry; under a `k`-th-best bound an
+    /// entry whose key exceeds the bound is pruned too.
+    fn key(&self, space: &Space, rect: &Rect) -> Option<f64>;
+
+    /// The row bound: a lower bound on row `id`'s distance, from data the
+    /// index does not hold, that keys the row in place of
+    /// [`Stage::key`] of its rectangle. `None`, the default, keys rows like
+    /// nodes.
+    fn row_bound(&self, _id: u64) -> Option<f64> {
+        None
+    }
+
+    /// Refines row `id`, kept at key `key` while the descent's bound is
+    /// `bound` (the live `k`-th best; infinite under a fixed bound): its
+    /// distance, or `None` when it is no answer. Under a `k`-th-best bound
+    /// it must never drop a row whose distance is `<= bound`. Reports its
+    /// own work in `stats`
+    /// ([`SearchStats::refine_work`], [`SearchStats::filtered_out`]). The
+    /// default accepts every row at its key: the index alone decides.
+    fn refine(&self, _id: u64, key: f64, _bound: f64, _stats: &mut SearchStats) -> Option<f64> {
+        Some(key)
+    }
+}
+
+/// The bound a descent prunes against.
+enum Bound {
+    /// A fixed bound (range): the stage's entry test alone prunes.
+    Fixed,
+    /// The live `k`-th best refined distance (kNN).
+    Kth(LocalKth),
+}
+
+impl Bound {
+    fn now(&self) -> f64 {
+        match self {
+            Bound::Fixed => f64::INFINITY,
+            Bound::Kth(kth) => kth.kth(),
+        }
+    }
+}
+
+/// A span `lo..hi` of the descent's row arena.
+type Run = (usize, usize);
+
+/// Where a frontier element points. Rows order below nodes, so at equal
+/// keys results surface as early as possible. A row is the smallest
+/// `(key, id)` of its leaf's kept rows, the rest of which wait off the
+/// heap in `run`: it pops exactly when a heap of every row would pop it.
+/// `(shard, id)` is unique; `run` never decides.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum At {
+    Row { shard: usize, id: u64, run: Run },
+    Node { shard: usize, idx: usize },
+}
+
+/// A best-first descent over a forest of trees (see the
+/// [module docs](self)): an iterator of [`Neighbor`]s, each a row and the
+/// distance its stage refined it to.
+///
+/// The descent owns its transformation and its stage, and borrows only
+/// the trees, so a paused one can be kept wherever the trees live.
+pub struct Descent<'t, X, S> {
+    trees: &'t [RTree],
+    transform: Option<X>,
+    stage: S,
+    bound: Bound,
+    /// The trees' roots, and under a `k`-th-best bound every kept node
+    /// and run head, still to read.
+    frontier: BinaryHeap<Reverse<Ranked<At>>>,
+    /// Under a fixed bound: the nodes being read, `(shard, node, next
+    /// entry)`, from a root down to the innermost.
+    open: Vec<(usize, usize, usize)>,
+    /// Under a `k`-th-best bound: the kept rows of opened leaves,
+    /// `(key, id)`.
+    rows: Vec<(f64, u64)>,
+    /// Under a `k`-th-best bound: refined rows the frontier may still
+    /// undercut, `(distance, id)`.
+    ready: BinaryHeap<Reverse<Ranked<u64>>>,
+    /// Rows still to yield: `k` counting down, unbounded for a fixed bound.
+    left: usize,
+    /// Transformed MBRs are written here: no allocation per entry.
+    scratch: Rect,
+    per_shard: Vec<SearchStats>,
+}
+
+impl<'t, X: SpatialTransform, S: Stage> Descent<'t, X, S> {
+    /// A range descent: every row the stage's entry test keeps and its
+    /// refine accepts, tree after tree, each depth first.
+    ///
+    /// # Panics
+    /// If the transformation's dimensionality differs from a tree's.
+    pub fn within(trees: &'t [RTree], transform: Option<X>, stage: S) -> Self {
+        Self::new(trees, transform, stage, Bound::Fixed, usize::MAX)
+    }
+
+    /// A `k`-nearest descent: the `k` rows with the smallest refined
+    /// distances across the forest, in `(distance, id)` order.
+    ///
+    /// # Panics
+    /// If the transformation's dimensionality differs from a tree's.
+    pub fn nearest(trees: &'t [RTree], transform: Option<X>, stage: S, k: usize) -> Self {
+        Self::new(trees, transform, stage, Bound::Kth(LocalKth::new(k)), k)
+    }
+
+    fn new(trees: &'t [RTree], transform: Option<X>, stage: S, bound: Bound, left: usize) -> Self {
+        if let Some(t) = &transform {
+            for tree in trees {
+                assert_eq!(t.dims(), tree.dims(), "transform dimensionality mismatch");
+            }
+        }
+        let fixed = matches!(bound, Bound::Fixed);
+        let roots = trees
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| fixed || !t.is_empty());
+        let root = |(shard, tree): (usize, &RTree)| {
+            let what = At::Node {
+                shard,
+                idx: tree.root,
+            };
+            Reverse(Ranked { key: 0.0, what })
+        };
+        Descent {
+            trees,
+            scratch: Rect::point(&vec![0.0; trees.first().map_or(0, RTree::dims)]),
+            transform,
+            stage,
+            bound,
+            frontier: roots.map(root).collect(),
+            open: Vec::new(),
+            rows: Vec::new(),
+            ready: BinaryHeap::new(),
+            left,
+            per_shard: vec![SearchStats::default(); trees.len()],
+        }
+    }
+
+    /// Work done so far, per tree and merged: after a partial run only the
+    /// nodes opened, the entries tested and the rows refined, after
+    /// draining the whole search.
+    pub fn stats(&self) -> ForestStats {
+        ForestStats::from_shards(self.per_shard.clone())
+    }
+
+    /// [`Descent::stats`] of a descent that is done with.
+    pub fn into_stats(self) -> ForestStats {
+        ForestStats::from_shards(self.per_shard)
+    }
+
+    /// Reads node `idx` of tree `shard` whole, under a `k`-th-best bound:
+    /// every entry its stage keeps goes onto the frontier (subtrees) or
+    /// into a run of the arena (rows), which it returns.
+    fn expand(&mut self, shard: usize, idx: usize) -> Run {
+        let (tree, bound) = (&self.trees[shard], self.bound.now());
+        let entries = &tree.nodes[idx].entries;
+        self.per_shard[shard].entries_tested += entries.len() as u64;
+        let start = self.rows.len();
+        for e in entries {
+            let (stage, scratch) = (&self.stage, &mut self.scratch);
+            let Some(key) = entry_key(stage, &self.transform, scratch, &tree.space, bound, e)
+            else {
+                continue;
+            };
+            match e {
+                Entry::Child { node, .. } => {
+                    let what = At::Node { shard, idx: *node };
+                    self.frontier.push(Reverse(Ranked { key, what }));
+                }
+                Entry::Item { id, .. } => self.rows.push((key, *id)),
+            }
+        }
+        (start, self.rows.len())
+    }
+
+    /// Reads on along the open path, under a fixed bound: the next row
+    /// its stage keeps and refine accepts, or `None` once the path has
+    /// closed. A kept subtree opens at once and is read before the rest of
+    /// its node; a node read to its end closes. Kept out of line: inlined
+    /// into `next` it slowed the `k`-th-best loop there by 2–4 %.
+    #[inline(never)]
+    fn read(&mut self) -> Option<Neighbor> {
+        let Descent {
+            trees,
+            transform,
+            stage,
+            bound,
+            open,
+            scratch,
+            per_shard,
+            ..
+        } = self;
+        let bound = bound.now();
+        while let Some(&(shard, idx, next)) = open.last() {
+            let (tree, stats) = (&trees[shard], &mut per_shard[shard]);
+            let entries = &tree.nodes[idx].entries;
+            let mut unread = entries[next..].iter();
+            let mut child = None;
+            let found = loop {
+                let Some(e) = unread.next() else {
+                    break None;
+                };
+                let Some(key) = entry_key(stage, transform, scratch, &tree.space, bound, e) else {
+                    continue;
+                };
+                match e {
+                    Entry::Item { id, .. } => {
+                        stats.candidates += 1;
+                        if let Some(dist_sq) = stage.refine(*id, key, bound, stats) {
+                            break Some(Neighbor { id: *id, dist_sq });
+                        }
+                    }
+                    Entry::Child { node, .. } => {
+                        child = Some(*node);
+                        break None;
+                    }
+                }
+            };
+            let read_to = entries.len() - unread.len();
+            stats.entries_tested += (read_to - next) as u64;
+            match open.last_mut() {
+                Some(top) if read_to < entries.len() => top.2 = read_to,
+                _ => {
+                    open.pop();
+                }
+            }
+            if let Some(node) = child {
+                stats.count_node(tree.nodes[node].level);
+                open.push((shard, node, 0));
+            }
+            if found.is_some() {
+                return found;
+            }
+        }
+        None
+    }
+
+    /// Heaps the smallest `(key, id)` of a run, swapped to its front, if
+    /// its key is within the bound. A head dropped here could only have
+    /// been pruned: the rest of its run is no nearer, and the bound never
+    /// grows.
+    fn push_head(&mut self, shard: usize, (lo, hi): Run) {
+        let run = &mut self.rows[lo..hi];
+        let Some(&(mut min)) = run.first() else {
+            return;
+        };
+        let mut first = 0; // a plain loop: `min_by` over indices was slower
+        for (i, &row) in run.iter().enumerate().skip(1) {
+            if cmp_distance_id(row, min).is_lt() {
+                (first, min) = (i, row);
+            }
+        }
+        run.swap(0, first);
+        let ((key, id), run) = (min, (lo + 1, hi));
+        if key <= self.bound.now() {
+            let what = At::Row { shard, id, run };
+            self.frontier.push(Reverse(Ranked { key, what }));
+        }
+    }
+}
+
+/// The stage's key for entry `e` of a tree over `space`, or `None` when
+/// the stage prunes it or the key exceeds `bound`.
+#[inline]
+fn entry_key<X: SpatialTransform, S: Stage>(
+    stage: &S,
+    transform: &Option<X>,
+    scratch: &mut Rect,
+    space: &Space,
+    bound: f64,
+    e: &Entry,
+) -> Option<f64> {
+    let row = match e {
+        Entry::Item { id, .. } => stage.row_bound(*id),
+        Entry::Child { .. } => None,
+    };
+    // A plain match: `Option::or_else` with this closure was not inlined.
+    let key = match (row, transform) {
+        (Some(key), _) => key,
+        (None, Some(t)) => {
+            t.apply_rect_into(e.mbr(), scratch);
+            stage.key(space, scratch)?
+        }
+        (None, None) => stage.key(space, e.mbr())?,
+    };
+    if key > bound {
+        return None;
+    }
+    Some(key)
+}
+
+impl<X: SpatialTransform, S: Stage> Iterator for Descent<'_, X, S> {
+    type Item = Neighbor;
+
+    fn next(&mut self) -> Option<Neighbor> {
+        while self.left > 0 {
+            // Only a fixed bound opens a path: kNN skips the call.
+            if !self.open.is_empty() {
+                if let Some(hit) = self.read() {
+                    return Some(hit);
+                }
+            }
+            // Every unread row is at least the frontier's smallest key
+            // away, so a refined row strictly below it is next in order.
+            if let Some(Reverse(row)) = self.ready.peek() {
+                if self
+                    .frontier
+                    .peek()
+                    .is_none_or(|Reverse(next)| row.key < next.key)
+                {
+                    let Reverse(row) = self.ready.pop().expect("peeked");
+                    self.left -= 1;
+                    let (id, dist_sq) = (row.what, row.key);
+                    return Some(Neighbor { id, dist_sq });
+                }
+            }
+            // Under a k-th-best bound the frontier never pops above the
+            // bound while rows are left: at least `left` refined rows lie
+            // at or below it and are yielded first.
+            let Reverse(top) = self.frontier.pop()?;
+            match top.what {
+                At::Row { shard, id, run } => {
+                    let stats = &mut self.per_shard[shard];
+                    stats.candidates += 1;
+                    let kth = self.bound.now();
+                    if let Some(d) = self.stage.refine(id, top.key, kth, stats) {
+                        if let Bound::Kth(kth) = &mut self.bound {
+                            kth.offer(d);
+                        }
+                        self.ready.push(Reverse(Ranked { key: d, what: id }));
+                    }
+                    self.push_head(shard, run);
+                }
+                At::Node { shard, idx } => {
+                    let level = self.trees[shard].nodes[idx].level;
+                    self.per_shard[shard].count_node(level);
+                    if let Bound::Fixed = self.bound {
+                        self.open.push((shard, idx, 0));
+                    } else {
+                        let run = self.expand(shard, idx);
+                        self.push_head(shard, run);
+                    }
+                }
+            }
+        }
+        None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rstar::RTreeConfig;
+    use crate::search::Window;
+    use crate::transform::DiagonalAffine;
+    use std::cell::RefCell;
+    use std::collections::HashMap;
+
+    /// Item `id` at `points[id]`, split id-mod-`shards` into trees of at
+    /// most four entries a node, bulk-loaded or inserted one by one.
+    fn forest(points: &[[f64; 2]], shards: usize, bulk: bool) -> Vec<RTree> {
+        let config = RTreeConfig {
+            max_entries: 4,
+            ..RTreeConfig::default()
+        };
+        let space = Space::linear(2);
+        (0..shards)
+            .map(|s| {
+                let items = points.iter().enumerate().skip(s).step_by(shards);
+                let items = items.map(|(id, p)| (Rect::point(p), id as u64));
+                if bulk {
+                    return RTree::bulk_load(space.clone(), config.clone(), items.collect());
+                }
+                let mut tree = RTree::new(space.clone(), config.clone());
+                items.for_each(|(rect, id)| tree.insert(rect, id));
+                tree
+            })
+            .collect()
+    }
+
+    /// A kNN stage over transformed integer points: a rectangle is keyed
+    /// by its MINDIST to `q` (a row's by its point's distance, read from
+    /// the row when `rows`), and a row is refined to that plus a hidden
+    /// `id % hide`, so bound order and answer order differ and ties abound.
+    /// Every refine call's `(key, id)` is logged.
+    struct Hidden<'a> {
+        q: [f64; 2],
+        points: &'a [Vec<f64>],
+        rows: bool,
+        hide: u64,
+        log: &'a RefCell<Vec<(f64, u64)>>,
+    }
+
+    impl Hidden<'_> {
+        fn key(&self, id: u64) -> f64 {
+            Rect::point(&self.points[id as usize]).min_dist_sq(&self.q)
+        }
+        fn exact(&self, id: u64) -> f64 {
+            self.key(id) + (id % self.hide) as f64
+        }
+    }
+
+    impl Stage for Hidden<'_> {
+        fn key(&self, _: &Space, rect: &Rect) -> Option<f64> {
+            Some(rect.min_dist_sq(&self.q))
+        }
+        fn row_bound(&self, id: u64) -> Option<f64> {
+            self.rows.then(|| self.key(id))
+        }
+        fn refine(&self, id: u64, key: f64, bound: f64, stats: &mut SearchStats) -> Option<f64> {
+            stats.refine_work += 1;
+            self.log.borrow_mut().push((key, id));
+            Some(self.exact(id)).filter(|d| *d <= bound)
+        }
+    }
+
+    /// Drains one descent, and a twin paused after `pause` pulls and then
+    /// resumed: the resumed pulls are the drain bitwise, both runs' shards
+    /// sum to their merged counters, and the paused run's counters never
+    /// exceed the drained run's. Returns the drain's `(distance, id)`s and
+    /// counters.
+    fn drain_and_pause<'t, S: Stage>(
+        make: impl Fn() -> Descent<'t, DiagonalAffine, S>,
+        pause: usize,
+    ) -> (Vec<(f64, u64)>, SearchStats) {
+        let mut full = make();
+        let all: Vec<(f64, u64)> = full.by_ref().map(|n| (n.dist_sq, n.id)).collect();
+        let mut paused = make();
+        let mut resumed: Vec<(f64, u64)> = paused
+            .by_ref()
+            .take(pause)
+            .map(|n| (n.dist_sq, n.id))
+            .collect();
+        let partial = paused.stats();
+        resumed.extend(paused.by_ref().map(|n| (n.dist_sq, n.id)));
+        let bits = |v: &[(f64, u64)]| {
+            v.iter()
+                .map(|(d, id)| (d.to_bits(), *id))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&resumed), bits(&all));
+        let drained = full.stats();
+        assert_eq!(paused.stats().per_shard, drained.per_shard);
+        let counters = |s: &SearchStats| {
+            let SearchStats {
+                nodes_visited: a,
+                leaves_visited: b,
+                entries_tested: c,
+                candidates: d,
+                filtered_out: e,
+                refine_work: f,
+            } = *s;
+            [a, b, c, d, e, f]
+        };
+        for stats in [&partial, &drained] {
+            let mut sum = SearchStats::default();
+            stats.per_shard.iter().for_each(|s| sum.add(s));
+            assert_eq!(sum, stats.merged);
+        }
+        let (part, whole) = (counters(&partial.merged), counters(&drained.merged));
+        assert!(
+            part.iter().zip(&whole).all(|(p, w)| p <= w),
+            "{part:?} > {whole:?}"
+        );
+        (all, drained.merged)
+    }
+
+    /// One random case of the property: both bounds over one forest.
+    fn descents_agree(
+        raw: &[(i32, i32)],
+        (shards, bulk): (usize, bool),
+        (scale, shift): ((i32, i32), (i32, i32)),
+        (q, k, rows): ((i32, i32), usize, bool),
+        (corner, side): ((i32, i32), i32),
+        pause: usize,
+    ) {
+        let points: Vec<[f64; 2]> = raw.iter().map(|&(x, y)| [x as f64, y as f64]).collect();
+        let trees = forest(&points, shards, bulk);
+        let nonzero = |s: i32| if s == 0 { 1.0 } else { s as f64 };
+        let scale = vec![nonzero(scale.0), nonzero(scale.1)];
+        let affine = DiagonalAffine::new(scale, vec![shift.0 as f64, shift.1 as f64]);
+        let moved: Vec<Vec<f64>> = points.iter().map(|p| affine.apply_point(p)).collect();
+
+        // A fixed bound: the rows inside the window, once each; each tree
+        // is entered on its own, so its share is its own search.
+        let lo = [corner.0 as f64, corner.1 as f64];
+        let window = Rect::new(lo.to_vec(), lo.iter().map(|v| v + side as f64).collect());
+        let range = |trees| Descent::within(trees, Some(affine.clone()), Window(&window));
+        let mut got: Vec<u64> = drain_and_pause(|| range(&trees), pause)
+            .0
+            .iter()
+            .map(|h| h.1)
+            .collect();
+        got.sort_unstable();
+        let inside =
+            (0..points.len() as u64).filter(|&id| window.contains_linear(&moved[id as usize]));
+        assert_eq!(got, inside.collect::<Vec<_>>());
+        let mut whole = range(&trees);
+        whole.by_ref().for_each(drop);
+        for (shard, share) in whole.stats().per_shard.iter().enumerate() {
+            let mut alone = range(&trees[shard..=shard]);
+            alone.by_ref().for_each(drop);
+            assert_eq!(*share, alone.stats().merged, "shard {shard}");
+        }
+
+        // The k-th best: the k nearest by (distance, id), in that order.
+        let log = RefCell::default();
+        let stage = || Hidden {
+            q: [q.0 as f64, q.1 as f64],
+            points: &moved,
+            rows,
+            hide: if rows { 3 } else { 1 },
+            log: &log,
+        };
+        let nearest = || Descent::nearest(&trees, Some(affine.clone()), stage(), k);
+        let (got, stats) = drain_and_pause(nearest, pause);
+        let exact = stage();
+        let mut want: Vec<(f64, u64)> = (0..points.len() as u64)
+            .map(|id| (exact.exact(id), id))
+            .collect();
+        want.sort_by(|a, b| cmp_distance_id(*a, *b));
+        want.truncate(k);
+        assert_eq!(got, want);
+
+        // The paused run refined what the drain did. The drain refined in
+        // ascending key, each leaf's rows in strictly ascending (key, id),
+        // so no row twice, and none keyed above the final k-th distance.
+        // Across leaves ids may fall at one key: a subtree whose key ties
+        // a refined row's opens after it.
+        let log = log.take();
+        let (drained, resumed) = log.split_at(log.len() / 2);
+        assert_eq!(drained, resumed);
+        assert_eq!(stats.candidates, drained.len() as u64);
+        assert!(drained.windows(2).all(|w| w[0].0 <= w[1].0), "{drained:?}");
+        let mut leaf = HashMap::new();
+        for (shard, tree) in trees.iter().enumerate() {
+            for (idx, node) in tree.nodes.iter().enumerate() {
+                for e in &node.entries {
+                    if let Entry::Item { id, .. } = e {
+                        leaf.insert(*id, (shard, idx));
+                    }
+                }
+            }
+        }
+        let mut by_leaf: HashMap<_, Vec<(f64, u64)>> = HashMap::new();
+        for &row in drained {
+            by_leaf.entry(leaf[&row.1]).or_default().push(row);
+        }
+        for rows in by_leaf.values() {
+            let ascending = |w: &[(f64, u64)]| cmp_distance_id(w[0], w[1]).is_lt();
+            assert!(rows.windows(2).all(ascending), "{rows:?}");
+        }
+        let kth = want.get(k - 1).map_or(f64::INFINITY, |w| w.0);
+        assert!(
+            drained.iter().all(|&(key, _)| key <= kth),
+            "{drained:?} > {kth}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random forests of 1–5 shards, bulk-loaded and incrementally
+        /// built, under both bounds, paused at random points: resumed pulls
+        /// ≡ a full drain ≡ brute force, and the counters partition and
+        /// only grow.
+        #[test]
+        fn paused_descents_resume_to_the_drain_and_brute_force(
+            raw in proptest::prelude::prop::collection::vec((0i32..20, 0i32..20), 0..120),
+            forest in (1usize..6, 0u8..2),
+            affine in ((-2i32..3, -2i32..3), (-3i32..4, -3i32..4)),
+            knn in ((-4i32..24, -4i32..24), 1usize..30, 0u8..2),
+            window in ((-30i32..30, -30i32..30), 0i32..30),
+            pause in 0usize..40,
+        ) {
+            let knn = (knn.0, knn.1, knn.2 == 1);
+            descents_agree(&raw, (forest.0, forest.1 == 1), affine, knn, window, pause);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3000))]
+
+        /// [`paused_descents_resume_to_the_drain_and_brute_force`] over
+        /// larger forests, for the release-profile CI step.
+        #[test]
+        #[ignore = "long: run with --release -- --ignored"]
+        fn paused_descents_resume_to_the_drain_and_brute_force_long(
+            raw in proptest::prelude::prop::collection::vec((0i32..40, 0i32..40), 0..600),
+            forest in (1usize..6, 0u8..2),
+            affine in ((-2i32..3, -2i32..3), (-3i32..4, -3i32..4)),
+            knn in ((-4i32..44, -4i32..44), 1usize..80, 0u8..2),
+            window in ((-60i32..60, -60i32..60), 0i32..60),
+            pause in 0usize..120,
+        ) {
+            let knn = (knn.0, knn.1, knn.2 == 1);
+            descents_agree(&raw, (forest.0, forest.1 == 1), affine, knn, window, pause);
+        }
+    }
+}

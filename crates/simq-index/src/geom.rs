@@ -70,6 +70,7 @@ impl Space {
     ///
     /// Linear dimensions use ordinary interval overlap; circular dimensions
     /// compare arcs modulo the period.
+    #[inline]
     pub fn intersects(&self, a: &Rect, b: &Rect) -> bool {
         debug_assert_eq!(a.dims(), self.dims());
         debug_assert_eq!(b.dims(), self.dims());

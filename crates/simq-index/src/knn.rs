@@ -7,36 +7,21 @@
 //! entries of the node we visit. We can then use any kind of metric (such
 //! as MINDIST or MINMAXDIST …) for pruning the search."
 //!
-//! The implementation is the standard best-first traversal over a priority
-//! queue ordered by a caller-supplied lower bound, which visits the minimum
-//! possible number of nodes for the given trees. There is **one** search,
-//! [`forest_nearest`], over a forest of trees (one per relation shard; a
-//! single tree is a forest of one), and it runs on the calling thread: the
-//! frontier holds subtrees of *every* tree, so one bound on the `k`-th
-//! best distance prunes all shards at once. A leaf's admitted rows wait in
-//! a *run* whose smallest `(bound, id)` alone is heaped, then the next
-//! smallest: the visit order of a heap of every row, at one heap entry per
-//! leaf, not per row.
-//!
-//! Leaf bounds depend only on the item's (transformed) rectangle, so the
-//! `k` results are identical however the items are split into trees:
-//! results are `(distance, id)`-sorted and ties around the `k`-th distance
-//! are retained until the final sort.
-//!
-//! [`RTree::nearest`] and [`RTree::nearest_by`] are the single-tree
-//! callers.
-//!
-//! With an [`ItemStage`] the same descent is the *optimal multi-step*
-//! search of Seidl & Kriegel: bounds only rank, every leaf item reached
-//! is refined to its exact distance, and the search stops once the next
-//! lower bound exceeds the shrinking *exact* `k`-th best — no item whose
-//! bound is above the final `k`-th distance is ever refined.
+//! The search is the best-first `k`-th-best loop of the one
+//! [`Descent`] over a forest of trees: its frontier holds subtrees of
+//! *every* tree, so one bound on the `k`-th best distance prunes all
+//! shards at once, and it visits the minimum possible number of nodes for
+//! the given trees and lower bound. This module holds what that form
+//! orders by — the engine's `(distance, id)` order and the live `k`-th
+//! best ([`LocalKth`], which the scans share) — and the single-tree
+//! callers [`RTree::nearest`] and [`RTree::nearest_by`].
 
-use crate::geom::Rect;
-use crate::rstar::{Entry, RTree};
-use crate::search::{ForestStats, SearchStats};
+use crate::descent::{Descent, Stage};
+use crate::geom::{Rect, Space};
+use crate::rstar::RTree;
+use crate::search::SearchStats;
 use crate::transform::SpatialTransform;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A nearest-neighbour hit: item id and squared Euclidean distance in the
@@ -66,79 +51,12 @@ fn cmp_finite(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).expect("finite distances")
 }
 
-/// Deterministic result order: `(distance, id)`-sorted, first `k` kept.
-fn finish(mut found: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
-    found.sort_by(|a, b| cmp_distance_id((a.dist_sq, a.id), (b.dist_sq, b.id)));
-    found.truncate(k);
-    found
-}
-
-/// The item stage of a multi-step search: what the search does with a leaf
-/// item instead of taking its rectangle's bound as the item's distance.
-pub trait ItemStage {
-    /// A cheap lower bound on the exact distance of item `id` — the key
-    /// that ranks it. Replaces [`KnnQuery::bound`] on leaf entries, so it
-    /// may come from data the index does not hold.
-    fn bound(&self, id: u64) -> f64;
-
-    /// The exact distance of item `id`, or `None` once it is known to lie
-    /// beyond `kth_now` — the current exact `k`-th best distance (infinite
-    /// until `k` items are refined). Must never drop an item whose exact
-    /// distance is `<= kth_now`. Reports its own work in `stats`
-    /// ([`SearchStats::refine_work`]).
-    fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64>;
-}
-
-/// The nearest-neighbour query of a [`forest_nearest`] call.
-///
-/// `bound(rect)` must return a lower bound on the caller's true distance
-/// from the query to any item whose (transformed) index rectangle is
-/// `rect`. Without an item stage the bound of a leaf entry (a degenerate
-/// rectangle) *is* the item's distance; with one, `bound` serves internal
-/// entries only, in the item stage's unit. This generalizes MINDIST-based
-/// kNN to non-Euclidean feature layouts — the polar representation's
-/// magnitude/phase pairs in particular, where the complex-plane distance
-/// to an annular sector is not the Euclidean distance of raw coordinates.
-pub struct KnnQuery<'a> {
-    /// The lower-bound function.
-    pub bound: &'a dyn Fn(&Rect) -> f64,
-    /// Transformation applied to every MBR before bounding.
-    pub transform: Option<&'a dyn SpatialTransform>,
-    /// Number of neighbours requested.
-    pub k: usize,
-    /// The item stage of a multi-step search, if any.
-    pub items: Option<&'a dyn ItemStage>,
-}
-
-/// A scratch rectangle for [`expand`]'s transformed MBRs.
-fn scratch_rect(transform: Option<&dyn SpatialTransform>) -> Rect {
-    Rect::point(&vec![0.0; transform.map_or(0, |t| t.dims())])
-}
-
-/// The distance of a leaf item reached at lower bound `key` while the
-/// `k`-th best is `kth_now`, or `None` when it cannot be a result.
-fn resolve(
-    items: Option<&dyn ItemStage>,
-    id: u64,
-    key: f64,
-    kth_now: f64,
-    stats: &mut SearchStats,
-) -> Option<f64> {
-    match items {
-        Some(stage) => {
-            stats.candidates += 1;
-            stage.refine(id, kth_now, stats)
-        }
-        None => Some(key),
-    }
-}
-
 /// A heap element ordered by its `f64` key, equal keys falling through to
-/// the payload's order. `BinaryHeap` is a max-heap: the search frontier
-/// wraps it in [`Reverse`] to pop the smallest bound first.
-struct Ranked<T> {
-    key: f64,
-    what: T,
+/// the payload's order. `BinaryHeap` is a max-heap: the descent's heaps
+/// wrap it in [`std::cmp::Reverse`] to pop the smallest key first.
+pub(crate) struct Ranked<T> {
+    pub(crate) key: f64,
+    pub(crate) what: T,
 }
 
 impl<T: Ord> PartialEq for Ranked<T> {
@@ -207,151 +125,14 @@ impl LocalKth {
     }
 }
 
-/// A span `lo..hi` of the search's row arena.
-type Run = (usize, usize);
+/// The kNN stage over the index alone: `bound` keys every entry, and a
+/// row's key is its distance.
+struct ByBound<'a>(&'a dyn Fn(&Rect) -> f64);
 
-/// Where a frontier element of the search points. Items order
-/// below nodes, so at equal bounds results pop as early as possible. An
-/// item is the smallest `(bound, id)` of its leaf's admitted rows, the
-/// rest of which wait off the heap in `run`: it pops exactly when a heap
-/// of every row would pop it. `(shard, id)` is unique; `run` never decides.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-enum At {
-    Item { shard: usize, id: u64, run: Run },
-    Node { shard: usize, idx: usize },
-}
-
-/// Reads one node: counts the visit and hands every entry with its bound
-/// to `each`. Transformed MBRs are written into `scratch` — no allocation
-/// per entry.
-#[allow(clippy::too_many_arguments)]
-fn expand(
-    tree: &RTree,
-    idx: usize,
-    bound: &dyn Fn(&Rect) -> f64,
-    transform: Option<&dyn SpatialTransform>,
-    items: Option<&dyn ItemStage>,
-    scratch: &mut Rect,
-    stats: &mut SearchStats,
-    mut each: impl FnMut(&Entry, f64),
-) {
-    let node = &tree.nodes[idx];
-    stats.count_node(node.level);
-    for e in &node.entries {
-        stats.entries_tested += 1;
-        let d = match (e, items, transform) {
-            (Entry::Item { id, .. }, Some(stage), _) => stage.bound(*id),
-            (_, _, Some(t)) => {
-                t.apply_rect_into(e.mbr(), scratch);
-                bound(scratch)
-            }
-            (_, _, None) => bound(e.mbr()),
-        };
-        each(e, d);
+impl Stage for ByBound<'_> {
+    fn key(&self, _: &Space, rect: &Rect) -> Option<f64> {
+        Some((self.0)(rect))
     }
-}
-
-/// Heaps the smallest `(bound, id)` of `arena[lo..hi]`, swapped to `lo`,
-/// if its bound is within `kth`. A head dropped here could only have
-/// ended the loop: the rest of its run is no nearer, and `kth` never grows.
-fn push_head(
-    heap: &mut BinaryHeap<Reverse<Ranked<At>>>,
-    arena: &mut [(f64, u64)],
-    shard: usize,
-    (lo, hi): Run,
-    kth: f64,
-) {
-    let run = &mut arena[lo..hi];
-    let Some(&(mut min)) = run.first() else {
-        return;
-    };
-    let mut first = 0; // a plain loop: `min_by` over indices was slower
-    for (i, &row) in run.iter().enumerate().skip(1) {
-        if cmp_distance_id(row, min).is_lt() {
-            (first, min) = (i, row);
-        }
-    }
-    run.swap(0, first);
-    let ((key, id), run) = (min, (lo + 1, hi));
-    if key <= kth {
-        let what = At::Item { shard, id, run };
-        heap.push(Reverse(Ranked { key, what }));
-    }
-}
-
-/// Best-first `k`-nearest search over a forest of trees (see the
-/// [module docs](self)). Returns the `k` items with the smallest distances
-/// (bound values, or refined by the query's item stage) across the whole
-/// forest — `(distance, id)`-sorted, identical to a search of one tree
-/// over the union of the trees' items — and the search's work counters.
-pub fn forest_nearest(trees: &[RTree], query: &KnnQuery) -> (Vec<Neighbor>, ForestStats) {
-    let KnnQuery {
-        bound,
-        transform,
-        k,
-        items,
-    } = *query;
-    let mut per_shard = vec![SearchStats::default(); trees.len()];
-    let mut out: Vec<Neighbor> = Vec::new();
-    if k == 0 {
-        return (out, ForestStats::from_shards(per_shard));
-    }
-    let mut scratch = scratch_rect(transform);
-    let mut heap = BinaryHeap::new();
-    for (shard, tree) in trees.iter().enumerate() {
-        if !tree.is_empty() {
-            heap.push(Reverse(Ranked {
-                key: 0.0,
-                what: At::Node {
-                    shard,
-                    idx: tree.root,
-                },
-            }));
-        }
-    }
-    // The k-th best distance collected so far; ties at exactly this
-    // distance are still collected so the final (distance, id) sort is
-    // deterministic regardless of heap pop order.
-    let mut kth = LocalKth::new(k);
-    let mut arena: Vec<(f64, u64)> = Vec::new();
-    while let Some(Reverse(top)) = heap.pop() {
-        let kth_now = kth.kth();
-        if top.key > kth_now {
-            break;
-        }
-        match top.what {
-            At::Item { shard, id, run } => {
-                if let Some(d) = resolve(items, id, top.key, kth_now, &mut per_shard[shard]) {
-                    out.push(Neighbor { id, dist_sq: d });
-                    kth.offer(d);
-                }
-                push_head(&mut heap, &mut arena, shard, run, kth.kth());
-            }
-            At::Node { shard, idx } => {
-                let start = arena.len();
-                expand(
-                    &trees[shard],
-                    idx,
-                    bound,
-                    transform,
-                    items,
-                    &mut scratch,
-                    &mut per_shard[shard],
-                    |e, d| match e {
-                        _ if d > kth_now => {}
-                        Entry::Child { node, .. } => heap.push(Reverse(Ranked {
-                            key: d,
-                            what: At::Node { shard, idx: *node },
-                        })),
-                        Entry::Item { id, .. } => arena.push((d, *id)),
-                    },
-                );
-                let run = (start, arena.len());
-                push_head(&mut heap, &mut arena, shard, run, kth_now);
-            }
-        }
-    }
-    (finish(out, k), ForestStats::from_shards(per_shard))
 }
 
 impl RTree {
@@ -362,51 +143,62 @@ impl RTree {
         self.nearest_by(&|r| r.min_dist_sq(q), None, k)
     }
 
-    /// The `k` items with the smallest `bound` values (see [`KnnQuery`]
-    /// for the bound contract), ascending (ties by id), with search
-    /// statistics — the search over a forest of one.
+    /// The `k` items with the smallest `bound` values, ascending (ties by
+    /// id), with search statistics: the `k`-nearest [`Descent`] over a
+    /// forest of one. `bound(rect)` must return a lower bound on the
+    /// caller's distance from the query to any item whose (transformed)
+    /// rectangle is `rect`; a leaf entry's bound is the item's distance.
+    /// This generalizes MINDIST-based kNN to non-Euclidean feature layouts
+    /// — the polar representation's magnitude/phase pairs in particular.
+    ///
+    /// # Panics
+    /// If the transformation's dimensionality differs from the tree's.
     pub fn nearest_by(
         &self,
         bound: &dyn Fn(&Rect) -> f64,
         transform: Option<&dyn SpatialTransform>,
         k: usize,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let query = KnnQuery {
-            bound,
-            transform,
-            k,
-            items: None,
-        };
-        let (found, stats) = forest_nearest(std::slice::from_ref(self), &query);
-        (found, stats.merged)
+        let stage = ByBound(bound);
+        let mut descent = Descent::nearest(std::slice::from_ref(self), transform, stage, k);
+        let found = descent.by_ref().collect();
+        (found, descent.into_stats().merged)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geom::Space;
     use crate::rstar::RTreeConfig;
+    use crate::search::ForestStats;
     use crate::transform::DiagonalAffine;
-    use std::cell::RefCell;
-    use std::collections::{HashMap, HashSet};
 
-    /// The `n × n` integer grid, item `i·n + j` at `(i, j)`, split
-    /// id-mod-`shards` into trees.
-    fn grid_forest(n: u64, shards: u64) -> Vec<RTree> {
-        (0..shards)
-            .map(|s| {
-                let mut t = RTree::with_dims(2);
-                for id in (s..n * n).step_by(shards as usize) {
-                    t.insert_point(&[(id / n) as f64, (id % n) as f64], id);
-                }
-                t
-            })
-            .collect()
+    /// The `k`-nearest descent over `trees`, drained.
+    fn search<S: Stage>(
+        trees: &[RTree],
+        transform: Option<&dyn SpatialTransform>,
+        stage: S,
+        k: usize,
+    ) -> (Vec<Neighbor>, ForestStats) {
+        let mut descent = Descent::nearest(trees, transform, stage, k);
+        let found = descent.by_ref().collect();
+        (found, descent.stats())
     }
 
+    /// The `n × n` integer grid, item `i·n + j` at `(i, j)`.
     fn grid_tree(n: usize) -> RTree {
-        grid_forest(n as u64, 1).remove(0)
+        let mut t = RTree::with_dims(2);
+        for id in 0..n * n {
+            t.insert_point(&[(id / n) as f64, (id % n) as f64], id as u64);
+        }
+        t
+    }
+
+    /// The first `k` of `all` in `(distance, id)` order.
+    fn first_k(mut all: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
+        all.sort_by(|a, b| cmp_distance_id((a.dist_sq, a.id), (b.dist_sq, b.id)));
+        all.truncate(k);
+        all
     }
 
     fn brute_knn(n: usize, q: &[f64], k: usize) -> Vec<Neighbor> {
@@ -420,7 +212,7 @@ mod tests {
                 }
             })
             .collect();
-        finish(all, k)
+        first_k(all, k)
     }
 
     /// A single tree plus the same items partitioned id-mod-n into shards.
@@ -445,29 +237,6 @@ mod tests {
             })
             .collect();
         (single, shard_trees)
-    }
-
-    /// Item id → `(shard, leaf node)` holding it.
-    fn leaf_of(trees: &[RTree]) -> HashMap<u64, (usize, usize)> {
-        let mut leaf = HashMap::new();
-        for (shard, tree) in trees.iter().enumerate() {
-            for (idx, node) in tree.nodes.iter().enumerate() {
-                for e in &node.entries {
-                    if let Entry::Item { id, .. } = e {
-                        leaf.insert(*id, (shard, idx));
-                    }
-                }
-            }
-        }
-        leaf
-    }
-
-    fn assert_same(got: &[Neighbor], want: &[Neighbor], what: &str) {
-        assert_eq!(got.len(), want.len(), "{what}");
-        for (a, b) in got.iter().zip(want) {
-            assert_eq!(a.id, b.id, "{what}");
-            assert_eq!(a.dist_sq.to_bits(), b.dist_sq.to_bits(), "{what}");
-        }
     }
 
     #[test]
@@ -518,7 +287,7 @@ mod tests {
                 }
             })
             .collect();
-        let want = finish(all, 5);
+        let want = first_k(all, 5);
 
         assert_eq!(via_transform.len(), 5);
         for (g, w) in via_transform.iter().zip(&want) {
@@ -574,33 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn forest_search_equals_single_tree() {
-        let (single, shard_trees) = tree_and_shards(500, 3);
-        let affine = DiagonalAffine::new(vec![-1.0, 2.0], vec![5.0, -3.0]);
-        for transform in [None, Some(&affine as &dyn SpatialTransform)] {
-            for (q, k) in [([40.0, 40.0], 7usize), ([0.0, 0.0], 1), ([96.0, 12.0], 25)] {
-                let bound = |r: &Rect| r.min_dist_sq(&q);
-                let (want, _) = single.nearest_by(&bound, transform, k);
-                for trees in [std::slice::from_ref(&single), shard_trees.as_slice()] {
-                    let query = KnnQuery {
-                        bound: &bound,
-                        transform,
-                        k,
-                        items: None,
-                    };
-                    let (got, s) = forest_nearest(trees, &query);
-                    let what = format!("k {k} trees {}", trees.len());
-                    assert_same(&got, &want, &what);
-                    assert_eq!(s.per_shard.len(), trees.len(), "{what}");
-                    let mut sum = SearchStats::default();
-                    s.per_shard.iter().for_each(|p| sum.add(p));
-                    assert_eq!(sum, s.merged, "{what}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn shared_bound_prunes_across_shards() {
         // A query deep inside shard 0's data: the shared bound from shard
         // 0's items must keep the forest search from reading most of the
@@ -609,13 +351,10 @@ mod tests {
         let q = [29.0, 31.0];
         let bound = |r: &Rect| r.min_dist_sq(&q);
         let (_, single_stats) = single.nearest_by(&bound, None, 3);
-        let query = KnnQuery {
-            bound: &bound,
-            transform: None,
-            k: 3,
-            items: None,
-        };
-        let forest_nodes = forest_nearest(&shard_trees, &query).1.merged.nodes_visited;
+        let forest_nodes = search(&shard_trees, None, ByBound(&bound), 3)
+            .1
+            .merged
+            .nodes_visited;
         // Best-first over the forest visits the same order of magnitude of
         // nodes as the single tree — far less than 4 independent searches.
         let independent: u64 = shard_trees
@@ -630,164 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn refined_search_ranks_by_bound_and_answers_by_exact_distance() {
-        // The index bound sees only x; the exact distance adds a hidden
-        // per-item term, so bound order and answer order differ.
-        let (single, shard_trees) = tree_and_shards(500, 3);
-        let q = [40.0, 40.0];
-        let hidden = |id: u64| ((id * 37) % 101) as f64;
-        let exact = |id: u64| {
-            let x = ((id * 29) % 97) as f64;
-            (x - q[0]) * (x - q[0]) + hidden(id)
-        };
-        let bound = |r: &Rect| {
-            let d = (r.lo[0] - q[0]).max(q[0] - r.hi[0]).max(0.0);
-            d * d
-        };
-        // Records `(bound, id)` of every refine call, in call order.
-        struct Stage<E>(E, RefCell<Vec<(f64, u64)>>);
-        impl<E: Fn(u64) -> (f64, f64)> ItemStage for Stage<E> {
-            fn bound(&self, id: u64) -> f64 {
-                self.0(id).0
-            }
-            fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64> {
-                stats.refine_work += 1;
-                let (bound, d) = self.0(id);
-                self.1.borrow_mut().push((bound, id));
-                (d <= kth_now).then_some(d)
-            }
-        }
-        let stage = Stage(
-            |id: u64| (exact(id) - hidden(id), exact(id)),
-            RefCell::default(),
-        );
-        for k in [1usize, 7, 40] {
-            let want = finish(
-                (0..500u64)
-                    .map(|id| Neighbor {
-                        id,
-                        dist_sq: exact(id),
-                    })
-                    .collect(),
-                k,
-            );
-            for trees in [std::slice::from_ref(&single), shard_trees.as_slice()] {
-                let query = KnnQuery {
-                    bound: &bound,
-                    transform: None,
-                    k,
-                    items: Some(&stage),
-                };
-                let (got, stats) = forest_nearest(trees, &query);
-                let refined = stage.1.take();
-                let what = format!("k {k} trees {}", trees.len());
-                assert_same(&got, &want, &what);
-                let s = stats.merged;
-                // The descent refines in ascending bound, and each leaf's
-                // rows in strictly ascending (bound, id), so no row twice.
-                // Across leaves ids may fall at one bound: a subtree whose
-                // key ties a refined row's bound opens after it.
-                assert!(
-                    refined.windows(2).all(|w| w[0].0 <= w[1].0),
-                    "{what}: {refined:?}"
-                );
-                let leaf = leaf_of(trees);
-                let mut by_leaf: HashMap<_, Vec<(f64, u64)>> = HashMap::new();
-                for &row in &refined {
-                    by_leaf.entry(leaf[&row.1]).or_default().push(row);
-                }
-                for rows in by_leaf.values() {
-                    assert!(
-                        rows.windows(2)
-                            .all(|w| cmp_distance_id(w[0], w[1]) == Ordering::Less),
-                        "{what}: {rows:?}"
-                    );
-                }
-                assert_eq!(s.candidates, refined.len() as u64, "{what}");
-                // Every item is refined at most once, and none whose bound
-                // exceeds the final k-th distance.
-                assert_eq!(s.candidates, s.refine_work, "{what}");
-                let kth = want.last().unwrap().dist_sq;
-                let within = (0..500u64).filter(|&id| exact(id) - hidden(id) <= kth);
-                assert!(s.candidates <= within.count() as u64, "{what}");
-            }
-        }
-    }
-
-    /// An item stage whose bound is the exact distance.
-    struct Exact<F>(F);
-    impl<F: Fn(u64) -> f64> ItemStage for Exact<F> {
-        fn bound(&self, id: u64) -> f64 {
-            self.0(id)
-        }
-        fn refine(&self, id: u64, kth_now: f64, stats: &mut SearchStats) -> Option<f64> {
-            stats.refine_work += 1;
-            Some(self.0(id)).filter(|d| *d <= kth_now)
-        }
-    }
-
-    /// Searches of the 20 × 20 grid forest, with and without an item
-    /// stage, each bitwise equal to brute force.
-    fn assert_grid_ties(forest: &[RTree], q: [f64; 2], k: usize) {
-        let n = 20;
-        let want = brute_knn(n, &q, k);
-        let mut dist = vec![0.0; n * n];
-        brute_knn(n, &q, n * n)
-            .iter()
-            .for_each(|h| dist[h.id as usize] = h.dist_sq);
-        let bound = |r: &Rect| r.min_dist_sq(&q);
-        let stage = Exact(|id: u64| dist[id as usize]);
-        for items in [None, Some(&stage as &dyn ItemStage)] {
-            let query = KnnQuery {
-                bound: &bound,
-                transform: None,
-                k,
-                items,
-            };
-            let what = format!("q {q:?} k {k} shards {}", forest.len());
-            assert_same(&forest_nearest(forest, &query).0, &want, &what);
-        }
-    }
-
-    #[test]
-    fn ties_across_leaves_and_shards_resolve_by_id() {
-        // At a lattice point every distance is an integer: k cuts through
-        // the ring at squared distance 25, whose 12 points lie in several
-        // leaves of three shards.
-        let forest = grid_forest(20, 3);
-        let q = [7.0, 12.0];
-        let all = brute_knn(20, &q, 400);
-        let inside = all.iter().filter(|h| h.dist_sq < 25.0).count();
-        let ring: Vec<u64> = all
-            .iter()
-            .filter(|h| h.dist_sq == 25.0)
-            .map(|h| h.id)
-            .collect();
-        assert_eq!(ring.len(), 12);
-        let leaf = leaf_of(&forest);
-        let leaves: HashSet<_> = ring.iter().map(|id| leaf[id]).collect();
-        assert!(leaves.len() >= 4, "the ring spans {} leaves", leaves.len());
-        assert_grid_ties(&forest, q, inside + 6);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
-
-        /// Random shard counts, lattice query points (some off the grid)
-        /// and `k`, for the release-profile CI step.
-        #[test]
-        #[ignore = "long: run with --release -- --ignored"]
-        fn ties_across_leaves_and_shards_resolve_by_id_long(
-            shards in 1u64..6,
-            x in -2i32..22,
-            y in -2i32..22,
-            k in 1usize..81,
-        ) {
-            assert_grid_ties(&grid_forest(20, shards), [x as f64, y as f64], k);
-        }
-    }
-
-    #[test]
     fn empty_and_degenerate_forests() {
         let space = Space::linear(2);
         let empty: Vec<RTree> = (0..3)
@@ -795,16 +376,26 @@ mod tests {
             .collect();
         let q = [0.0, 0.0];
         let bound = |r: &Rect| r.min_dist_sq(&q);
-        for (trees, k) in [(empty.as_slice(), 5), (&[][..], 5), (empty.as_slice(), 0)] {
-            let query = KnnQuery {
-                bound: &bound,
-                transform: None,
-                k,
-                items: None,
-            };
-            let (got, stats) = forest_nearest(trees, &query);
+        let grid = [grid_tree(5)];
+        for (trees, k) in [
+            (empty.as_slice(), 5),
+            (&[][..], 5),
+            (empty.as_slice(), 0),
+            (&grid, 0),
+        ] {
+            let (got, stats) = search(trees, None, ByBound(&bound), k);
             assert!(got.is_empty());
             assert_eq!(stats.merged, SearchStats::default());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "transform dimensionality mismatch")]
+    fn knn_rejects_a_transformation_of_other_dimensionality() {
+        // Wider than the tree, it would bound a scratch rectangle whose
+        // extra coordinates were never written.
+        let t = grid_tree(5);
+        let wide = DiagonalAffine::scaling(vec![1.0; 3]);
+        t.nearest_by(&|r| r.min_dist_sq(&[0.0; 3]), Some(&wide), 2);
     }
 }

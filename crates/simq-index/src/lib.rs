@@ -13,19 +13,23 @@
 //!   normal form every safe transformation reduces to).
 //! * [`rstar`] — the tree structure: ChooseSubtree, forced reinsertion, R*
 //!   split, deletion with condense.
+//! * [`descent`] — the one traversal type: a pull-based [`Descent`] over
+//!   a forest of trees (one per relation shard) that a [`Stage`] steers —
+//!   an entry test or key, a row bound, a refine step. It has one loop per
+//!   bound over shared roots, keys and counters: a fixed bound (range,
+//!   depth first) and the live `k`-th best (kNN, best first). Drained it
+//!   answers a query; paused between pulls it is a cursor, and dropping it
+//!   abandons the remaining descent.
 //! * [`search`] — range queries, plain and transformed, with node-access
-//!   statistics: the single-tree recursion, and the same query over a
-//!   forest of trees (one per relation shard).
-//! * [`knn`] — best-first nearest neighbours under a caller-supplied
-//!   lower bound (MINDIST by default), plain and transformed: one search
-//!   over a forest of trees with one `k`-th-best bound for every shard.
+//!   statistics: the search-rectangle [`Window`] stage and its single-tree
+//!   callers.
+//! * [`knn`] — nearest neighbours under a caller-supplied lower bound
+//!   (MINDIST by default), plain and transformed: the engine's
+//!   `(distance, id)` order, the live `k`-th best, and the single-tree
+//!   callers.
 //! * [`join`] — the probe-based spatial join (the paper's Table 1
 //!   methods).
 //! * [`bulk`] — STR bulk loading.
-//! * [`cursor`] — incremental range traversal: an explicit-stack
-//!   [`RangeStream`] over a forest of trees that yields matching ids one
-//!   at a time, so early termination (drop, `LIMIT`) abandons the
-//!   remaining descent.
 //! * [`serial`] — binary serialization of the full tree structure (node
 //!   arena, geometry, free list), so persisted databases reopen without
 //!   re-bulk-loading and reproduce the identical tree.
@@ -33,7 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod bulk;
-pub mod cursor;
+pub mod descent;
 pub mod geom;
 pub mod join;
 pub mod knn;
@@ -42,10 +46,10 @@ pub mod search;
 pub mod serial;
 pub mod transform;
 
-pub use cursor::RangeStream;
+pub use descent::{Descent, Stage};
 pub use geom::{circular_overlap, DimSemantics, Rect, Space};
-pub use knn::{cmp_distance_id, forest_nearest, ItemStage, KnnQuery, Neighbor};
+pub use knn::{cmp_distance_id, Neighbor};
 pub use rstar::{RTree, RTreeConfig};
-pub use search::{forest_range, ForestStats, SearchStats};
+pub use search::{ForestStats, SearchStats, Window};
 pub use serial::SerialError;
 pub use transform::{DiagonalAffine, IdentityTransform, SpatialTransform};

@@ -81,6 +81,7 @@ pub(crate) enum Entry {
 }
 
 impl Entry {
+    #[inline]
     pub(crate) fn mbr(&self) -> &Rect {
         match self {
             Entry::Child { mbr, .. } | Entry::Item { mbr, .. } => mbr,

@@ -1,5 +1,5 @@
 //! Range search, with and without an on-the-fly transformation
-//! (Algorithm 2 of the paper).
+//! (Algorithm 2 of the paper), and the work counters of every search.
 //!
 //! The transformed search visits exactly the nodes whose *transformed* MBR
 //! overlaps the search rectangle, i.e. it traverses the virtual index `I'`
@@ -8,16 +8,12 @@
 //! the same in both cases" for the identity transformation — is directly
 //! checkable.
 //!
-//! [`RTree::range`] / [`RTree::range_transformed`] are the single-tree
-//! recursion. [`forest_range`] is the same query over a forest of trees
-//! (one per relation shard; a single tree is a forest of one), descended
-//! tree after tree on the calling thread: every tree is traversed with the
-//! same transformation and search rectangle, and because shards partition
-//! the item space the union of the per-tree answers is exactly the answer
-//! of the equivalent single tree.
+//! [`RTree::range`] / [`RTree::range_transformed`] drain the one
+//! [`Descent`] over a forest of one, under the [`Window`] stage.
 
-use crate::geom::Rect;
-use crate::rstar::{Entry, RTree};
+use crate::descent::{Descent, Stage};
+use crate::geom::{Rect, Space};
+use crate::rstar::RTree;
 use crate::transform::SpatialTransform;
 
 /// Counters describing the work one search performed.
@@ -27,11 +23,14 @@ pub struct SearchStats {
     pub nodes_visited: u64,
     /// Leaf nodes among them.
     pub leaves_visited: u64,
-    /// Entries tested against the query rectangle.
+    /// Entries tested against the stage's entry test or key.
     pub entries_tested: u64,
-    /// Leaf items a multi-step kNN search handed to
-    /// [`crate::knn::ItemStage::refine`]; 0 for every other search.
+    /// Rows the descent handed to its stage's
+    /// [`refine`](crate::descent::Stage::refine).
     pub candidates: u64,
+    /// Candidates `refine` dismissed by a cheaper test ahead of its exact
+    /// distance (the query layer's quantized signature tier).
+    pub filtered_out: u64,
     /// Exact-distance work `refine` reports, in its own unit (the query
     /// layer counts complex coefficients compared).
     pub refine_work: u64,
@@ -44,10 +43,12 @@ impl SearchStats {
         self.leaves_visited += other.leaves_visited;
         self.entries_tested += other.entries_tested;
         self.candidates += other.candidates;
+        self.filtered_out += other.filtered_out;
         self.refine_work += other.refine_work;
     }
 
     /// Counts one node read at tree level `level` (0 = leaf).
+    #[inline]
     pub(crate) fn count_node(&mut self, level: u32) {
         self.nodes_visited += 1;
         if level == 0 {
@@ -75,27 +76,16 @@ impl ForestStats {
     }
 }
 
-/// Range query over a forest of trees: all item ids whose (optionally
-/// transformed) rectangle overlaps `query`, in forest-major depth-first
-/// order, with the work counters of the run.
-///
-/// # Panics
-/// If the query or transformation dimensionality does not match a tree's.
-pub fn forest_range(
-    trees: &[RTree],
-    transform: Option<&dyn SpatialTransform>,
-    query: &Rect,
-) -> (Vec<u64>, ForestStats) {
-    for tree in trees {
-        tree.check_range_dims(transform, query);
+/// The search-rectangle test of Algorithm 2 as a descent [`Stage`]: an
+/// entry is kept when its (transformed) rectangle overlaps the window
+/// under the tree's dimension semantics, and every row kept is an answer.
+pub struct Window<'a>(pub &'a Rect);
+
+impl Stage for Window<'_> {
+    #[inline]
+    fn key(&self, space: &Space, rect: &Rect) -> Option<f64> {
+        space.intersects(rect, self.0).then_some(0.0)
     }
-    let mut out = Vec::new();
-    let mut per_shard = vec![SearchStats::default(); trees.len()];
-    let mut scratch = Rect::point(&vec![0.0; query.dims()]);
-    for (tree, stats) in trees.iter().zip(&mut per_shard) {
-        tree.range_rec(tree.root, query, transform, &mut scratch, &mut out, stats);
-    }
-    (out, ForestStats::from_shards(per_shard))
 }
 
 impl RTree {
@@ -103,12 +93,7 @@ impl RTree {
     /// dimension semantics — circular dimensions overlap modulo the
     /// period).
     pub fn range(&self, query: &Rect) -> (Vec<u64>, SearchStats) {
-        self.check_range_dims(None, query);
-        let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        let mut scratch = Rect::point(&vec![0.0; self.dims()]);
-        self.range_rec(self.root, query, None, &mut scratch, &mut out, &mut stats);
-        (out, stats)
+        self.range_by(None, query)
     }
 
     /// Algorithm 2: all item ids whose *transformed* rectangle overlaps
@@ -119,82 +104,30 @@ impl RTree {
         transform: &dyn SpatialTransform,
         query: &Rect,
     ) -> (Vec<u64>, SearchStats) {
-        self.check_range_dims(Some(transform), query);
-        let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        let mut scratch = Rect::point(&vec![0.0; self.dims()]);
-        self.range_rec(
-            self.root,
-            query,
-            Some(transform),
-            &mut scratch,
-            &mut out,
-            &mut stats,
-        );
-        (out, stats)
+        self.range_by(Some(transform), query)
     }
 
-    /// Asserts that a range query's rectangle and transformation match
-    /// the tree's dimensionality.
-    pub(crate) fn check_range_dims(&self, transform: Option<&dyn SpatialTransform>, query: &Rect) {
+    /// The range [`Descent`] over this tree alone, drained.
+    ///
+    /// # Panics
+    /// If the query or transformation dimensionality does not match the
+    /// tree's.
+    fn range_by(
+        &self,
+        transform: Option<&dyn SpatialTransform>,
+        query: &Rect,
+    ) -> (Vec<u64>, SearchStats) {
         assert_eq!(query.dims(), self.dims(), "query dimensionality mismatch");
-        if let Some(t) = transform {
-            assert_eq!(t.dims(), self.dims(), "transform dimensionality mismatch");
-        }
-    }
-
-    /// The per-entry test every range traversal shares: whether an entry's
-    /// (optionally transformed) MBR overlaps `query` under the tree's
-    /// dimension semantics.
-    #[inline]
-    pub(crate) fn overlaps(
-        &self,
-        mbr: &Rect,
-        query: &Rect,
-        transform: Option<&dyn SpatialTransform>,
-        scratch: &mut Rect,
-    ) -> bool {
-        match transform {
-            Some(t) => {
-                t.apply_rect_into(mbr, scratch);
-                self.space.intersects(scratch, query)
-            }
-            None => self.space.intersects(mbr, query),
-        }
-    }
-
-    /// Serial recursive descent of one subtree — the kernel of every
-    /// materializing range traversal.
-    pub(crate) fn range_rec(
-        &self,
-        node_idx: usize,
-        query: &Rect,
-        transform: Option<&dyn SpatialTransform>,
-        scratch: &mut Rect,
-        out: &mut Vec<u64>,
-        stats: &mut SearchStats,
-    ) {
-        let node = &self.nodes[node_idx];
-        stats.count_node(node.level);
-        for e in &node.entries {
-            stats.entries_tested += 1;
-            if !self.overlaps(e.mbr(), query, transform, scratch) {
-                continue;
-            }
-            match e {
-                Entry::Child { node, .. } => {
-                    self.range_rec(*node, query, transform, scratch, out, stats)
-                }
-                Entry::Item { id, .. } => out.push(*id),
-            }
-        }
+        let mut descent = Descent::within(std::slice::from_ref(self), transform, Window(query));
+        let ids = descent.by_ref().map(|hit| hit.id).collect();
+        (ids, descent.into_stats().merged)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geom::{DimSemantics, Space};
+    use crate::geom::DimSemantics;
     use crate::rstar::RTreeConfig;
     use crate::transform::{DiagonalAffine, IdentityTransform};
     use std::f64::consts::PI;
@@ -333,67 +266,17 @@ mod tests {
     }
 
     #[test]
-    fn forest_range_equals_single_tree_at_any_shard_count() {
-        let n = 25usize;
-        let single = grid_tree(n);
-        // The same grid partitioned id-mod-3 into three trees.
-        let mut shards: Vec<RTree> = (0..3).map(|_| RTree::with_dims(2)).collect();
-        for id in 0..(n * n) as u64 {
-            let p = [(id / n as u64) as f64, (id % n as u64) as f64];
-            shards[(id % 3) as usize].insert_point(&p, id);
-        }
-        let affine = DiagonalAffine::new(vec![2.0, -1.0], vec![10.0, 3.0]);
-        for (transform, query) in [
-            (None, Rect::new(vec![2.5, 3.5], vec![7.5, 9.0])),
-            (None, Rect::new(vec![-5.0, -5.0], vec![100.0, 100.0])),
-            (None, Rect::new(vec![50.0, 50.0], vec![60.0, 60.0])),
-            (
-                Some(&affine as &dyn SpatialTransform),
-                Rect::new(vec![15.0, -10.0], vec![30.0, 0.0]),
-            ),
-        ] {
-            let mut scratch = Rect::point(&[0.0, 0.0]);
-            let mut want = Vec::new();
-            let mut want_stats = SearchStats::default();
-            single.range_rec(
-                single.root,
-                &query,
-                transform,
-                &mut scratch,
-                &mut want,
-                &mut want_stats,
-            );
-            let (got, stats) = forest_range(std::slice::from_ref(&single), transform, &query);
-            assert_eq!(got, want);
-            assert_eq!(stats.merged, want_stats);
-
-            let (got, stats) = forest_range(&shards, transform, &query);
-            assert_eq!(sorted(got), sorted(want.clone()), "3 shards");
-            assert_eq!(stats.per_shard.len(), 3);
-            let mut sum = SearchStats::default();
-            stats.per_shard.iter().for_each(|p| sum.add(p));
-            assert_eq!(sum, stats.merged);
-            // Per-tree counters equal each tree's own run.
-            for (tree, s) in shards.iter().zip(&stats.per_shard) {
-                let alone = match transform {
-                    Some(t) => tree.range_transformed(t, &query).1,
-                    None => tree.range(&query).1,
-                };
-                assert_eq!(*s, alone);
-            }
-        }
-    }
-
-    #[test]
-    fn forest_range_over_empty_trees() {
+    fn range_over_empty_trees_reads_each_root() {
+        // A sharded relation's empty shards still cost one node read each.
         let empty: Vec<RTree> = (0..3).map(|_| RTree::with_dims(2)).collect();
         let query = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        let (ids, stats) = forest_range(&empty, None, &query);
-        assert!(ids.is_empty());
+        let mut descent = Descent::<DiagonalAffine, _>::within(&empty, None, Window(&query));
+        assert_eq!(descent.next(), None);
+        let stats = descent.stats();
         assert_eq!(stats.merged.nodes_visited, 3);
-        let (ids, stats) = forest_range(&[], None, &query);
-        assert!(ids.is_empty());
-        assert_eq!(stats.merged, SearchStats::default());
-        assert!(stats.per_shard.is_empty());
+        assert!(stats.per_shard.iter().all(|s| s.nodes_visited == 1));
+        let mut descent = Descent::<DiagonalAffine, _>::within(&[], None, Window(&query));
+        assert_eq!(descent.next(), None);
+        assert_eq!(descent.stats().merged, SearchStats::default());
     }
 }

@@ -15,11 +15,7 @@ use crate::geom::Rect;
 /// Implementations must preserve the containment direction
 /// `x ∈ R ⇒ apply_point(x) ∈ apply_rect(R)` — the property that makes
 /// transformed search return a superset of the true answer (Lemma 1).
-///
-/// `Send + Sync` lets a paused [`crate::RangeStream`] carry its
-/// transformation to another thread; implementations are plain data, so
-/// this costs nothing.
-pub trait SpatialTransform: Send + Sync {
+pub trait SpatialTransform {
     /// Number of dimensions the transform expects.
     fn dims(&self) -> usize;
 
@@ -35,6 +31,27 @@ pub trait SpatialTransform: Send + Sync {
     /// traversals call this once per index entry.
     fn apply_rect_into(&self, r: &Rect, out: &mut Rect) {
         *out = self.apply_rect(r);
+    }
+}
+
+/// A borrowed transformation is the transformation: a
+/// [`Descent`](crate::descent::Descent) that borrows its caller's owns the
+/// reference.
+impl<T: SpatialTransform + ?Sized> SpatialTransform for &T {
+    fn dims(&self) -> usize {
+        (**self).dims()
+    }
+
+    fn apply_point(&self, p: &[f64]) -> Vec<f64> {
+        (**self).apply_point(p)
+    }
+
+    fn apply_rect(&self, r: &Rect) -> Rect {
+        (**self).apply_rect(r)
+    }
+
+    fn apply_rect_into(&self, r: &Rect, out: &mut Rect) {
+        (**self).apply_rect_into(r, out)
     }
 }
 
@@ -168,6 +185,7 @@ impl SpatialTransform for DiagonalAffine {
         Rect::new(lo, hi)
     }
 
+    #[inline]
     fn apply_rect_into(&self, r: &Rect, out: &mut Rect) {
         debug_assert_eq!(r.dims(), self.dims());
         debug_assert_eq!(out.dims(), self.dims());

@@ -10,16 +10,20 @@
 //!    on the full stored spectrum and keep those within ε.
 //!
 //! Lemma 1 guarantees step 2 returns a superset of the answer (no false
-//! dismissals); step 3 removes the false hits. The property tests in
-//! `tests/lemma1.rs` pin the end-to-end guarantee against brute force.
+//! dismissals); step 3 removes the false hits. Steps 2 and 3 are one
+//! [`Descent`](simq_index::Descent): each row a leaf keeps is verified the
+//! moment it is kept. kNN runs the same descent under its live `k`-th best.
+//! The property tests in `tests/lemma1.rs` pin the end-to-end guarantee
+//! against brute force.
 
 use crate::ast::{Query, QuerySource, StatsWindow};
 use crate::catalog::{Database, StoredRelation};
 use crate::error::QueryError;
 use crate::plan::{explain, plan, AccessPath, Plan};
-use crate::verify::{compile_probe, knn_rank, pad, sort_hits, KnnRank, Ledger, RangeVerifier};
+use crate::verify::{
+    compile_probe, hit, knn_descent, pad, sort_hits, IndexDescent, Ledger, RangeVerifier,
+};
 use simq_dsp::complex::Complex;
-use simq_index::forest_range;
 use simq_obs::span;
 use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::SeriesTransform;
@@ -79,8 +83,9 @@ impl ExecStats {
         self.nodes_visited += s.nodes_visited;
         self.leaves_visited += s.leaves_visited;
         self.entries_tested += s.entries_tested;
-        // A multi-step kNN search refines inside the descent.
+        // Both descent forms refine their rows inside the descent.
         self.candidates += s.candidates;
+        self.filtered_out += s.filtered_out;
         self.coefficients_compared += s.refine_work;
     }
 
@@ -162,9 +167,11 @@ pub struct QueryResult {
     /// reading it.
     pub per_thread: Vec<ExecStats>,
     /// Per-shard counters for sharded relations (empty for unsharded
-    /// execution): entry `i` is shard `i`'s share of the index traversal
-    /// and scan work. Verification work on merged candidate lists crosses
-    /// shards and is reported in [`QueryResult::stats`] only.
+    /// execution): entry `i` is shard `i`'s share of the index descent —
+    /// node reads, and the candidates, dismissals and coefficients of the
+    /// rows refined in its tree, range verification included — and of the
+    /// scan work. Pair work crosses shards and is reported in
+    /// [`QueryResult::stats`] only, as is `verified`.
     pub per_shard: Vec<ExecStats>,
 }
 
@@ -261,10 +268,7 @@ pub fn run_with_plan(
             stats_window,
             ..
         } => {
-            let stored = db
-                .relation(relation)
-                .ok_or_else(|| QueryError::UnknownRelation(relation.clone()))?;
-            let ctx = resolve_query(stored, source, transform, *on_both)?;
+            let (stored, ctx) = resolve_query(db, relation, source, transform, *on_both)?;
             let result = range(stored, transform, ctx, *eps, *stats_window, &the_plan)?;
             note_query_metrics(&result);
             Ok(result)
@@ -277,10 +281,7 @@ pub fn run_with_plan(
             on_both,
             ..
         } => {
-            let stored = db
-                .relation(relation)
-                .ok_or_else(|| QueryError::UnknownRelation(relation.clone()))?;
-            let ctx = resolve_query(stored, source, transform, *on_both)?;
+            let (stored, ctx) = resolve_query(db, relation, source, transform, *on_both)?;
             let result = knn(stored, transform, ctx.spectrum, *k, &the_plan)?;
             note_query_metrics(&result);
             Ok(result)
@@ -376,14 +377,19 @@ pub(crate) struct QueryContext {
     pub(crate) std_dev: f64,
 }
 
-/// Resolves the query source: the normal-form spectrum of the query series
-/// (transformed when `ON BOTH` was given) and its statistics.
-pub(crate) fn resolve_query(
-    stored: &StoredRelation,
+/// Resolves a row query: the relation it names, and the normal-form
+/// spectrum of the query series (transformed when `ON BOTH` was given) with
+/// its statistics.
+pub(crate) fn resolve_query<'db>(
+    db: &'db Database,
+    relation: &str,
     source: &QuerySource,
     transform: &SeriesTransform,
     on_both: bool,
-) -> Result<QueryContext, QueryError> {
+) -> Result<(&'db StoredRelation, QueryContext), QueryError> {
+    let stored = db
+        .relation(relation)
+        .ok_or_else(|| QueryError::UnknownRelation(relation.to_string()))?;
     let n = stored.series_len();
     let (spectrum, mean, std_dev) = match source {
         QuerySource::Literal(values) => {
@@ -422,11 +428,12 @@ pub(crate) fn resolve_query(
     } else {
         spectrum
     };
-    Ok(QueryContext {
+    let ctx = QueryContext {
         spectrum,
         mean,
         std_dev,
-    })
+    };
+    Ok((stored, ctx))
 }
 
 fn range(
@@ -441,32 +448,12 @@ fn range(
     let verifier = RangeVerifier::new(stored, transform, ctx, eps, window)?;
 
     let mut hits: Vec<Hit> = match the_plan.access {
+        // One descent over the relation's forest of trees: every shard's
+        // tree serves the same lowered query, and each row a leaf keeps is
+        // verified the moment it is kept.
         AccessPath::IndexScan => {
-            let verifier = verifier.with_probe();
-            let rect = verifier.search_rect()?;
-            let lowered = transform.lower(stored.scheme(), stored.series_len())?;
-            // One descent over the relation's forest of trees: every
-            // shard's tree serves the same lowered query.
-            let descend = span::span("range.descend");
-            let (candidates, s) = forest_range(stored.trees(), Some(&lowered), &rect);
-            ledger.search(&s);
-            ledger.stats.candidates = candidates.len() as u64;
-            descend.note("nodes", ledger.stats.nodes_visited);
-            descend.note("leaves", ledger.stats.leaves_visited);
-            descend.note("entries", ledger.stats.entries_tested);
-            descend.note("candidates", ledger.stats.candidates);
-            drop(descend);
-
-            let verify_span = span::span("range.verify");
-            let out: Vec<Hit> = candidates
-                .iter()
-                .filter_map(|&id| verifier.verify(id, &mut ledger.stats))
-                .collect();
-            verify_span.note("candidates", ledger.stats.candidates);
-            verify_span.note("filtered", ledger.stats.filtered_out);
-            verify_span.note("verified", out.len() as u64);
-            drop(verify_span);
-            out
+            let descent = verifier.descend(transform)?;
+            drain(stored, descent, &mut ledger, "range.descend")
         }
         AccessPath::SeqScan => {
             let scan_span = span::span("scan");
@@ -504,6 +491,27 @@ fn range(
     Ok(ledger.finish(QueryOutput::Hits(hits), the_plan))
 }
 
+/// Drains an index plan's descent over `stored` under the operator span
+/// `name`, charging its work to the ledger.
+fn drain(
+    stored: &StoredRelation,
+    mut descent: IndexDescent,
+    ledger: &mut Ledger,
+    name: &'static str,
+) -> Vec<Hit> {
+    let span = span::span(name);
+    let hits: Vec<Hit> = descent.by_ref().map(|nb| hit(stored, nb)).collect();
+    ledger.search(&descent.into_stats());
+    let s = &ledger.stats;
+    span.note("nodes", s.nodes_visited);
+    span.note("leaves", s.leaves_visited);
+    span.note("entries", s.entries_tested);
+    span.note("candidates", s.candidates);
+    span.note("filtered", s.filtered_out);
+    span.note("verified", hits.len() as u64);
+    hits
+}
+
 fn knn(
     stored: &StoredRelation,
     transform: &SeriesTransform,
@@ -518,15 +526,11 @@ fn knn(
             // Optimal multi-step kNN (Seidl & Kriegel): one best-first
             // descent over the relation's whole forest of trees ranks
             // rows by lower bound and refines each as it surfaces,
-            // stopping once the next bound exceeds the exact k-th best.
-            let rank = KnnRank::new(stored, transform, q_spec, k)?;
-            let rank_span = span::span("knn.rank");
-            let (hits, s) = knn_rank(stored, &rank);
-            ledger.search(&s);
-            rank_span.note("nodes", ledger.stats.nodes_visited);
-            rank_span.note("candidates", ledger.stats.candidates);
-            rank_span.note("verified", hits.len() as u64);
-            drop(rank_span);
+            // yielding the k nearest in (d², id) order.
+            let descent = knn_descent(stored, transform, q_spec, k)?;
+            let mut hits = drain(stored, descent, &mut ledger, "knn.rank");
+            // √ can turn two distinct squared distances into one tie.
+            sort_hits(&mut hits);
             hits
         }
         AccessPath::SeqScan => {
@@ -640,7 +644,6 @@ fn all_pairs(
                     for tree in stored.trees() {
                         let (candidates, s) = tree.range_transformed(&lowered, &rect);
                         stats.add_search(&s);
-                        stats.candidates += candidates.len() as u64;
                         for id in candidates {
                             // Symmetric joins need each unordered pair once.
                             if id == row.id || (symmetric && id < row.id) {

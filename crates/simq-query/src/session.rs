@@ -18,10 +18,10 @@
 //!   catalog, then execute on a pinned read view. Planning costs well
 //!   under a microsecond, so no plan is ever reused and none can go stale.
 //! * [`Session::cursor`] returns a lazy [`Cursor`] that streams hits
-//!   incrementally: range queries pull candidates out of an explicit-
-//!   stack index descent (or row-at-a-time scan), so a consumer that
-//!   stops after a few hits — `LIMIT`-style — abandons the remaining
-//!   index descent instead of materializing everything.
+//!   incrementally: an index plan's cursor is the one index descent
+//!   paused between pulls (a range scan reads a row at a time), so a
+//!   consumer that stops after a few hits — `LIMIT`-style — abandons the
+//!   remaining descent instead of materializing everything.
 //!
 //! ```
 //! use simq_query::session::{Session, Value};
@@ -58,11 +58,11 @@ use crate::ast::{
     NumArg, ParamRef, ParamType, Query, QuerySource, QueryTemplate, StatsWindow, TemplateSource,
 };
 use crate::batch::{BatchExecutor, BatchResult};
-use crate::catalog::{Database, InsertBatchReport, InsertReport};
+use crate::catalog::{Database, InsertBatchReport, InsertReport, StoredRelation};
 use crate::error::QueryError;
 use crate::exec::{self, ExecStats, Hit, QueryResult};
 use crate::plan::{plan as plan_query, AccessPath, Plan};
-use crate::verify::{self, RangeVerifier};
+use crate::verify::{self, IndexDescent, RangeVerifier};
 use simq_obs::slowlog::{SlowEntry, SlowLog};
 use simq_obs::span;
 #[cfg(test)]
@@ -792,58 +792,90 @@ impl Session<Database> {
 
 /// A lazy query result: an iterator of [`Hit`]s produced incrementally.
 ///
-/// * **Range queries stream.** The index path pulls candidates out of an
-///   incremental R*-tree descent ([`simq_index::cursor`]) and verifies
-///   them one at a time; the scan path reads one row at a time. Stopping
+/// * **Index plans pause the descent.** A cursor over an index plan holds
+///   the query's one best-first descent over the relation's forest
+///   ([`simq_index::Descent`]) and resumes it on every pull. Stopping
 ///   early — dropping the cursor, or just not calling `next` — abandons
-///   the remaining index descent, so `LIMIT`-style consumption does
-///   strictly less work than a full execution ([`Cursor::stats`] shows
-///   the difference).
-/// * **kNN queries buffer.** A k-nearest answer is not known until the
-///   search completes, so the cursor materializes it at open and then
-///   iterates (its stats are final from the start).
-/// * **Ordering caveat:** streamed hits arrive in traversal order, not
-///   `(distance, id)` order. [`Cursor::drain_sorted`] drains the
-///   remaining hits and sorts them; on a fresh cursor it returns exactly
-///   the hits of the materialized [`QueryOutput`](crate::QueryOutput).
+///   the remaining descent, so `LIMIT`-style consumption does strictly
+///   less work than a full execution ([`Cursor::stats`] shows the
+///   difference). A range scan reads one row at a time.
+/// * **Order.** A kNN cursor yields hits in `(distance², id)` order, which
+///   is the materialized order up to ties the square root creates. A range
+///   cursor yields hits in traversal order, not `(distance, id)` order.
+///   [`Cursor::drain_sorted`] drains the remaining hits and sorts them;
+///   on a fresh cursor it returns exactly the hits of the materialized
+///   [`QueryOutput`](crate::QueryOutput).
+/// * **kNN `FORCE SCAN` buffers.** The scan ranks every row before its
+///   first answer, so the cursor materializes it at open and then iterates
+///   (its stats are final from the start).
 ///
-/// Streaming range cursors run on the calling thread, so their
-/// `threads_used` is 1 — streaming and multi-threaded fan-out are at odds;
-/// use [`Session::execute`] for a range scan that fans out over the thread
-/// budget. Buffered kNN cursors materialize through the normal executor,
-/// which runs kNN on one thread too.
+/// Streaming cursors run on the calling thread, so their `threads_used`
+/// is 1 — streaming and multi-threaded fan-out are at odds; use
+/// [`Session::execute`] for a range scan that fans out over the thread
+/// budget.
 pub struct Cursor<'db> {
     plan: Plan,
     stats: ExecStats,
     state: CursorState<'db>,
 }
 
+// A statement holds one cursor, so the variants' sizes never multiply.
+#[allow(clippy::large_enum_variant)]
 enum CursorState<'db> {
-    /// Streaming descent over the relation's forest of trees (shards
-    /// entered lazily, so early termination skips whole shards) +
-    /// per-candidate verification.
-    IndexRange {
-        stream: simq_index::RangeStream<'db>,
-        verify: RangeVerifier<'db>,
+    /// The index descent over the relation's forest of trees, paused
+    /// between pulls (shards entered lazily, so early termination skips
+    /// whole shards).
+    Index {
+        descent: IndexDescent<'db>,
+        stored: &'db StoredRelation,
     },
     /// Row-at-a-time sequential scan.
     ScanRange {
         rows: std::vec::IntoIter<&'db SeriesRow>,
         verify: RangeVerifier<'db>,
     },
-    /// Materialized-at-open results (kNN).
+    /// Materialized-at-open results (kNN `FORCE SCAN`).
     Buffered(std::vec::IntoIter<Hit>),
 }
 
 impl<'db> Cursor<'db> {
     fn open(db: &'db Database, query: &Query, the_plan: Plan) -> Result<Self, QueryError> {
-        match query {
-            Query::Explain(_) | Query::ExplainAnalyze(_) => Err(QueryError::Unsupported(
-                "cursors stream result rows; EXPLAIN has none — use execute".into(),
-            )),
-            Query::AllPairs { .. } => Err(QueryError::Unsupported(
-                "cursors yield per-row hits; all-pairs queries return pairs — use execute".into(),
-            )),
+        let index = the_plan.access == AccessPath::IndexScan;
+        let (stored, state) = match query {
+            Query::Explain(_) | Query::ExplainAnalyze(_) => {
+                return Err(QueryError::Unsupported(
+                    "cursors stream result rows; EXPLAIN has none — use execute".into(),
+                ))
+            }
+            Query::AllPairs { .. } => {
+                return Err(QueryError::Unsupported(
+                    "cursors yield per-row hits; all-pairs queries return pairs — use execute"
+                        .into(),
+                ))
+            }
+            Query::Knn { .. } if !index => {
+                let result = exec::run_with_plan(db, query, the_plan)?;
+                let crate::exec::QueryOutput::Hits(hits) = result.output else {
+                    unreachable!("kNN yields hits")
+                };
+                return Ok(Cursor {
+                    plan: result.plan,
+                    stats: result.stats,
+                    state: CursorState::Buffered(hits.into_iter()),
+                });
+            }
+            Query::Knn {
+                k,
+                source,
+                relation,
+                transform,
+                on_both,
+                ..
+            } => {
+                let (stored, ctx) = exec::resolve_query(db, relation, source, transform, *on_both)?;
+                let descent = verify::knn_descent(stored, transform, ctx.spectrum, *k)?;
+                (stored, CursorState::Index { descent, stored })
+            }
             Query::Range {
                 source,
                 relation,
@@ -853,58 +885,34 @@ impl<'db> Cursor<'db> {
                 stats_window,
                 ..
             } => {
-                let stored = db
-                    .relation(relation)
-                    .ok_or_else(|| QueryError::UnknownRelation(relation.clone()))?;
-                let ctx = exec::resolve_query(stored, source, transform, *on_both)?;
+                let (stored, ctx) = exec::resolve_query(db, relation, source, transform, *on_both)?;
                 let verify = RangeVerifier::new(stored, transform, ctx, *eps, *stats_window)?;
                 let state = match the_plan.access {
-                    AccessPath::IndexScan => {
-                        // Index cursors consult the quantized tier, exactly
-                        // like the materialized index executor. The scan
-                        // cursor reads every row's spectrum anyway, so it
-                        // goes straight to the exact distance, as the
-                        // materialized range scan does.
-                        let verify = verify.with_probe();
-                        let rect = verify.search_rect()?;
-                        let lowered = transform.lower(stored.scheme(), stored.series_len())?;
-                        let stream = simq_index::RangeStream::new(
-                            stored.trees(),
-                            Some(Box::new(lowered)),
-                            rect,
-                        );
-                        CursorState::IndexRange { stream, verify }
-                    }
+                    // The scan cursor reads every row's spectrum anyway, so
+                    // it goes straight to the exact distance, as the
+                    // materialized range scan does.
                     AccessPath::SeqScan => CursorState::ScanRange {
                         rows: stored.rows_in_scan_order().into_iter(),
                         verify,
                     },
+                    AccessPath::IndexScan => CursorState::Index {
+                        descent: verify.descend(transform)?,
+                        stored,
+                    },
                     _ => unreachable!("range queries plan to IndexScan or SeqScan"),
                 };
-                Ok(Cursor {
-                    plan: the_plan,
-                    stats: ExecStats {
-                        threads_used: 1,
-                        shards_touched: verify::shards_touched(stored),
-                        ..ExecStats::default()
-                    },
-                    state,
-                })
+                (stored, state)
             }
-            Query::Knn { .. } => {
-                // kNN answers are order-sensitive and bounded by k; the
-                // cursor buffers the materialized result.
-                let result = exec::run_with_plan(db, query, the_plan)?;
-                let crate::exec::QueryOutput::Hits(hits) = result.output else {
-                    unreachable!("kNN yields hits")
-                };
-                Ok(Cursor {
-                    plan: result.plan,
-                    stats: result.stats,
-                    state: CursorState::Buffered(hits.into_iter()),
-                })
-            }
-        }
+        };
+        Ok(Cursor {
+            plan: the_plan,
+            stats: ExecStats {
+                threads_used: 1,
+                shards_touched: verify::shards_touched(stored),
+                ..ExecStats::default()
+            },
+            state,
+        })
     }
 
     /// The plan the cursor executes under.
@@ -912,15 +920,15 @@ impl<'db> Cursor<'db> {
         &self.plan
     }
 
-    /// Work performed **so far**. For streaming range cursors this is
+    /// Work performed **so far**. For streaming cursors this is
     /// incremental — a partially consumed cursor reports only the index
-    /// nodes actually descended and rows actually verified; dropping the
-    /// cursor freezes the count. For buffered (kNN) cursors it is the
-    /// full execution cost, known at open.
+    /// nodes actually descended and rows actually refined; dropping the
+    /// cursor freezes the count. For buffered (kNN `FORCE SCAN`) cursors
+    /// it is the full execution cost, known at open.
     pub fn stats(&self) -> ExecStats {
         let mut stats = self.stats;
-        if let CursorState::IndexRange { stream, .. } = &self.state {
-            stats.add_search(stream.stats());
+        if let CursorState::Index { descent, .. } = &self.state {
+            stats.add_search(&descent.stats().merged);
         }
         stats
     }
@@ -942,14 +950,10 @@ impl Iterator for Cursor<'_> {
         let pull = span::span("cursor.pull");
         let out = match &mut self.state {
             CursorState::Buffered(hits) => hits.next(),
-            CursorState::IndexRange { stream, verify } => loop {
-                let Some(id) = stream.next() else { break None };
-                self.stats.candidates += 1;
-                if let Some(hit) = verify.verify(id, &mut self.stats) {
-                    self.stats.verified += 1;
-                    break Some(hit);
-                }
-            },
+            CursorState::Index { descent, stored } => descent.next().map(|nb| {
+                self.stats.verified += 1;
+                verify::hit(stored, nb)
+            }),
             CursorState::ScanRange { rows, verify } => loop {
                 let Some(row) = rows.next() else { break None };
                 self.stats.rows_scanned += 1;
@@ -1132,42 +1136,6 @@ mod tests {
         assert_eq!((after.plan.threads, after.plan.shards), (2, 3));
         assert_eq!(hits(&after)[0].name, "NEW");
         assert_eq!(hits(&after)[0].distance, 0.0);
-    }
-
-    #[test]
-    fn cursor_streams_range_hits_and_stops_early() {
-        let db = make_db(120);
-        let session = Session::new(&db);
-        let p = session
-            .prepare("FIND SIMILAR TO ROW ? IN stocks EPSILON ?")
-            .unwrap();
-        let bound = p.bind(&[Value::from(5u64), Value::from(30.0)]).unwrap();
-        let full = session.execute(&bound).unwrap();
-        let full_hits = hits(&full);
-        assert!(full_hits.len() > 10, "corpus yields {}", full_hits.len());
-
-        // Draining a fresh cursor reproduces the materialized output.
-        let mut cursor = session.cursor(&bound).unwrap();
-        let drained = cursor.drain_sorted();
-        assert_eq!(drained.len(), full_hits.len());
-        for (a, b) in drained.iter().zip(full_hits) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-        }
-        let drained_stats = cursor.stats();
-        assert_eq!(drained_stats.nodes_visited, full.stats.nodes_visited);
-
-        // Partial consumption descends strictly less of the index.
-        let mut partial = session.cursor(&bound).unwrap();
-        assert!(partial.next().is_some());
-        assert!(
-            partial.stats().nodes_visited < full.stats.nodes_visited,
-            "partial {} vs full {}",
-            partial.stats().nodes_visited,
-            full.stats.nodes_visited
-        );
-        drop(partial); // early termination: remaining descent abandoned
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Verification — step 3 of Algorithm 2 — and the work ledger, shared by
-//! every execution surface.
+//! Verification — step 3 of Algorithm 2 — the index stage that runs it
+//! inside the one descent, and the work ledger, shared by every execution
+//! surface.
 //!
-//! Materialized execution ([`crate::exec`] — batches run it per slot) and
-//! streaming cursors ([`crate::session`]) both verify candidates through
-//! the stages here, one candidate after another on the calling thread:
-//! window test → signature probe → exact distance. This module also owns
-//! the one rule deciding which counter breakdown a phase is charged to
-//! ([`Ledger`]).
+//! An index plan opens one [`Descent`] over the relation's forest of trees
+//! with an [`IndexStage`]: a range query's search rectangle and verifier
+//! (window test → signature probe → exact distance against ε, for each
+//! row the moment its leaf keeps it), or a kNN query's ranking bounds and
+//! refine step. Materialized execution ([`crate::exec`] — batches run it
+//! per slot) drains the descent; a streaming cursor ([`crate::session`])
+//! pauses it between pulls. This module also owns the one rule deciding
+//! which counter breakdown a phase is charged to ([`Ledger`]).
 
 use crate::ast::StatsWindow;
 use crate::catalog::StoredRelation;
@@ -15,8 +18,8 @@ use crate::exec::{ExecStats, Hit, QueryContext, QueryOutput, QueryResult};
 use crate::plan::Plan;
 use simq_dsp::complex::Complex;
 use simq_index::{
-    cmp_distance_id, forest_nearest, DiagonalAffine, ForestStats, ItemStage, KnnQuery, Rect,
-    SearchStats,
+    cmp_distance_id, Descent, DiagonalAffine, ForestStats, Neighbor, Rect, SearchStats, Space,
+    Stage, Window,
 };
 use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::{NormalFormAction, SeriesTransform};
@@ -100,7 +103,7 @@ impl<'db> RangeVerifier<'db> {
     /// candidate. Dismissal needs `lb² > ε²`, which (the bound being a
     /// true lower bound) implies the exact distance also exceeds ε — the
     /// candidate could never have become a hit.
-    pub(crate) fn with_probe(mut self) -> Self {
+    fn with_probe(mut self) -> Self {
         self.probe = Some(compile_probe(
             self.stored,
             &self.ctx.spectrum,
@@ -112,7 +115,7 @@ impl<'db> RangeVerifier<'db> {
     /// The search rectangle around the features of the comparison
     /// spectrum; statistics dimensions are unbounded unless a MEAN/STD
     /// window constrains them.
-    pub(crate) fn search_rect(&self) -> Result<Rect, QueryError> {
+    fn search_rect(&self) -> Result<Rect, QueryError> {
         let scheme = self.stored.scheme();
         let q_point =
             scheme.point_from_spectrum(self.ctx.mean, self.ctx.std_dev, &self.ctx.spectrum)?;
@@ -145,9 +148,10 @@ impl<'db> RangeVerifier<'db> {
                 .is_none_or(|tol| (t_std - self.ctx.std_dev).abs() <= tol)
     }
 
-    /// Verifies one candidate: window test → signature probe → exact
-    /// distance. `None` when the row is not a hit.
-    pub(crate) fn verify(&self, id: u64, stats: &mut ExecStats) -> Option<Hit> {
+    /// Decides one row: window test → signature probe → exact distance.
+    /// Its squared distance when it is a hit; dismissals by the probe are
+    /// counted in `filtered_out`, coefficients compared in `coefficients`.
+    fn distance_sq(&self, id: u64, filtered_out: &mut u64, coefficients: &mut u64) -> Option<f64> {
         let row = self.stored.row(id).expect("candidate ids are valid");
         if !self.window_ok(row) {
             return None;
@@ -155,7 +159,7 @@ impl<'db> RangeVerifier<'db> {
         let eps_sq = self.eps * self.eps;
         if let (Some(p), Some(sig)) = (&self.probe, self.stored.signature(id)) {
             if p.dismisses(sig, eps_sq) {
-                stats.filtered_out += 1;
+                *filtered_out += 1;
                 return None;
             }
         }
@@ -167,14 +171,40 @@ impl<'db> RangeVerifier<'db> {
             &self.action.multipliers,
             &self.ctx.spectrum,
             Some(eps_sq),
-            &mut stats.coefficients_compared,
+            coefficients,
         );
-        let d = d_sq.sqrt();
-        (!abandoned && d <= self.eps).then(|| Hit {
-            id,
-            name: row.name.clone(),
-            distance: d,
-        })
+        (!abandoned && d_sq.sqrt() <= self.eps).then_some(d_sq)
+    }
+
+    /// Verifies one scanned row. `None` when the row is not a hit.
+    pub(crate) fn verify(&self, id: u64, stats: &mut ExecStats) -> Option<Hit> {
+        let (filtered, coefficients) = (&mut stats.filtered_out, &mut stats.coefficients_compared);
+        let dist_sq = self.distance_sq(id, filtered, coefficients)?;
+        Some(hit(self.stored, Neighbor { id, dist_sq }))
+    }
+
+    /// Opens the range query's index descent: the search rectangle prunes
+    /// nodes and rows, and each row a leaf keeps is verified with the
+    /// quantized tier ahead of the exact distance.
+    pub(crate) fn descend(
+        self,
+        transform: &SeriesTransform,
+    ) -> Result<IndexDescent<'db>, QueryError> {
+        let stored = self.stored;
+        let verify = self.with_probe();
+        let rect = verify.search_rect()?;
+        let lowered = Some(transform.lower(stored.scheme(), stored.series_len())?);
+        let stage = IndexStage::Range { rect, verify };
+        Ok(Descent::within(stored.trees(), lowered, stage))
+    }
+}
+
+/// A hit of the descent's row `nb`, at distance `√d²`.
+pub(crate) fn hit(stored: &StoredRelation, nb: Neighbor) -> Hit {
+    Hit {
+        id: nb.id,
+        name: stored.row(nb.id).expect("index ids are valid").name.clone(),
+        distance: nb.dist_sq.sqrt(),
     }
 }
 
@@ -185,8 +215,6 @@ impl<'db> RangeVerifier<'db> {
 pub(crate) struct KnnRank<'a> {
     stored: &'a StoredRelation,
     q_spec: Vec<Complex>,
-    k: usize,
-    lowered: DiagonalAffine,
     multipliers: Vec<Complex>,
     mindist: SpectralMindist,
     /// What the mirrored index frequencies add to a subtree's MINDIST:
@@ -205,7 +233,6 @@ impl<'a> KnnRank<'a> {
         stored: &'a StoredRelation,
         transform: &SeriesTransform,
         q_spec: Vec<Complex>,
-        k: usize,
     ) -> Result<Self, QueryError> {
         let scheme = stored.scheme();
         let n = stored.series_len();
@@ -215,8 +242,6 @@ impl<'a> KnnRank<'a> {
         let over = |coeffs| FilterProbe::mirrored(&q_spec, &multipliers, coeffs, slack);
         Ok(KnnRank {
             stored,
-            k,
-            lowered: transform.lower(scheme, n)?,
             mindist,
             floor: (scheme.k < stored.sig_coeffs())
                 .then(|| over(scheme.k + 1).mirror_floor())
@@ -241,12 +266,10 @@ impl<'a> KnnRank<'a> {
         });
         deflate_sq(d + mirrored)
     }
-}
 
-impl ItemStage for KnnRank<'_> {
     /// The ranking key of a row: its whole (deflated) signature bound, so
     /// a row that surfaces has nothing left to be dismissed by.
-    fn bound(&self, id: u64) -> f64 {
+    fn row_bound(&self, id: u64) -> f64 {
         self.stored
             .signature(id)
             .map_or(0.0, |sig| self.signature.lower_bound_sq(sig))
@@ -268,36 +291,70 @@ impl ItemStage for KnnRank<'_> {
     }
 }
 
-/// Runs `rank` as one ranked descent over the relation's forest: the `k`
-/// nearest rows in `(distance, id)` order and the work the search did —
-/// index reads and, per shard, the refine work done inside it.
-pub(crate) fn knn_rank(stored: &StoredRelation, rank: &KnnRank) -> (Vec<Hit>, ForestStats) {
-    let query = KnnQuery {
-        bound: &|rect: &Rect| rank.subtree_bound(rect),
-        transform: Some(&rank.lowered),
-        k: rank.k,
-        items: Some(rank),
-    };
-    let (found, stats) = forest_nearest(stored.trees(), &query);
-    let mut hits: Vec<Hit> = found
-        .into_iter()
-        .map(|nb| Hit {
-            id: nb.id,
-            name: stored.row(nb.id).expect("index ids are valid").name.clone(),
-            distance: nb.dist_sq.sqrt(),
-        })
-        .collect();
-    sort_hits(&mut hits);
-    (hits, stats)
+/// What an index plan's descent does at the entries and rows it reaches:
+/// the one [`Stage`] of both query forms.
+pub(crate) enum IndexStage<'db> {
+    /// Range: the search rectangle prunes, the verifier decides each row
+    /// against ε.
+    Range {
+        rect: Rect,
+        verify: RangeVerifier<'db>,
+    },
+    /// kNN: subtree and row bounds rank, refine decides each row against
+    /// the live `k`-th best.
+    Knn(KnnRank<'db>),
+}
+
+impl Stage for IndexStage<'_> {
+    fn key(&self, space: &Space, rect: &Rect) -> Option<f64> {
+        match self {
+            IndexStage::Range { rect: window, .. } => Window(window).key(space, rect),
+            IndexStage::Knn(rank) => Some(rank.subtree_bound(rect)),
+        }
+    }
+
+    fn row_bound(&self, id: u64) -> Option<f64> {
+        match self {
+            IndexStage::Range { .. } => None,
+            IndexStage::Knn(rank) => Some(rank.row_bound(id)),
+        }
+    }
+
+    fn refine(&self, id: u64, _: f64, bound: f64, stats: &mut SearchStats) -> Option<f64> {
+        match self {
+            IndexStage::Range { verify, .. } => {
+                let (filtered, coefficients) = (&mut stats.filtered_out, &mut stats.refine_work);
+                verify.distance_sq(id, filtered, coefficients)
+            }
+            IndexStage::Knn(rank) => rank.refine(id, bound, stats),
+        }
+    }
+}
+
+/// The descent of an index plan over a relation's forest of trees.
+pub(crate) type IndexDescent<'db> = Descent<'db, DiagonalAffine, IndexStage<'db>>;
+
+/// Opens a kNN query's index descent: the optimal multi-step search
+/// (Seidl & Kriegel), ranking rows by lower bound and refining each as it
+/// surfaces, for the `k` nearest rows of `stored` to `q_spec`.
+pub(crate) fn knn_descent<'db>(
+    stored: &'db StoredRelation,
+    transform: &SeriesTransform,
+    q_spec: Vec<Complex>,
+    k: usize,
+) -> Result<IndexDescent<'db>, QueryError> {
+    let stage = IndexStage::Knn(KnnRank::new(stored, transform, q_spec)?);
+    let lowered = Some(transform.lower(stored.scheme(), stored.series_len())?);
+    Ok(Descent::nearest(stored.trees(), lowered, stage, k))
 }
 
 /// The counters of one execution — merged totals, the per-shard breakdown
 /// and the widest fan-out — and the one rule for what the breakdown holds:
 /// a phase over the relation's forest of stores / trees (index reads, the
-/// refine work a kNN descent does inside them, scanned rows) is charged
-/// **per shard** when the relation has more than one store. Work with no
-/// shard affinity (verifying a merged candidate list, pair work that
-/// crosses shards) is in the totals only. Single-store relations keep
+/// candidates, dismissals and refine work of either descent form — range
+/// verification included — and scanned rows) is charged **per shard**
+/// when the relation has more than one store. Pair work, which crosses
+/// shards, is in the totals only. Single-store relations keep
 /// `shards_touched = 0` and an empty `per_shard`.
 pub(crate) struct Ledger {
     /// The merged totals.
@@ -336,7 +393,7 @@ impl Ledger {
         }
     }
 
-    /// Charges an index traversal.
+    /// Charges an index descent.
     pub(crate) fn search(&mut self, s: &ForestStats) {
         self.stats.add_search(&s.merged);
         self.forest(&s.per_shard, ExecStats::add_search);
@@ -402,12 +459,13 @@ mod tests {
                 if case % 2 == 1 {
                     q_spec = transform.apply_spectrum(&q_spec, n).unwrap();
                 }
-                let rank = KnnRank::new(stored, transform, q_spec, 5).unwrap();
+                let rank = KnnRank::new(stored, transform, q_spec).unwrap();
+                let lowered = transform.lower(stored.scheme(), n).unwrap();
                 assert!(rank.floor.is_some(), "transformation {t} does not mirror");
                 let ids = (0..1 + case % 12).map(|i| (case * 13 + i * (1 + case % 5)) % rows);
                 let point = |id| Rect::point(&stored.row(id).unwrap().features.point);
                 let node = ids.clone().map(point).reduce(|a, b| a.union(&b)).unwrap();
-                let key = rank.subtree_bound(&rank.lowered.apply_rect(&node));
+                let key = rank.subtree_bound(&lowered.apply_rect(&node));
                 for id in ids {
                     let (m, q) = (&rank.multipliers, &rank.q_spec);
                     let (exact, _) = transformed_distance_sq(spectrum(id), m, q, None, &mut 0);

@@ -182,7 +182,6 @@ fn batched_statements_count_and_trace_like_individual_ones() {
         if threads == 1 {
             let count = |name: &str| records.iter().filter(|r| r.name == name).count();
             assert_eq!(count("range.descend"), 2, "{label}");
-            assert_eq!(count("range.verify"), 2, "{label}");
             assert_eq!(count("knn.rank"), 2, "{label}");
             assert_eq!(count("scan"), 1, "{label}");
         }

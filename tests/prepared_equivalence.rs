@@ -8,8 +8,8 @@
 //!   against a snapshot-reloaded one.
 //! * **(b)** draining a streaming [`Cursor`] yields exactly the hits of
 //!   the materialized `QueryOutput`.
-//! * **(c)** a partially consumed range cursor's `nodes_visited` is
-//!   strictly below the full execution's on the Figure 9 corpus — early
+//! * **(c)** a partially consumed range or kNN cursor's `nodes_visited`
+//!   is strictly below the full execution's on the Figure 9 corpus — early
 //!   termination really does abandon index descent.
 //!
 //! Plus prepare once, execute N bindings — each bitwise equal to its
@@ -18,7 +18,10 @@
 mod common;
 
 use common::lattice::{world, Config, FrontEnd, Storage};
-use common::{assert_outputs_bitwise_equal, corpus, db_with, indexed_db, walk_relation};
+use common::{
+    assert_output_values_bitwise_equal, assert_outputs_bitwise_equal, corpus, db_with, indexed_db,
+    walk_relation,
+};
 use similarity_queries::prelude::*;
 use similarity_queries::query::QueryOutput;
 
@@ -46,48 +49,65 @@ fn cursor_drain_equals_materialized_output() {
 }
 
 /// (c) On the Figure 9 corpus (random walks, as in `repro fig9`), a
-/// cursor consumed for only a handful of hits descends strictly fewer
-/// index nodes than the full execution — and stops growing once dropped.
+/// cursor consumed for only three hits descends strictly fewer index
+/// nodes than the full execution — a wide range and a 20-nearest alike,
+/// the kNN cursor's three being the full answer's first three — and stops
+/// growing once dropped.
 #[test]
 fn partially_consumed_cursor_descends_less_of_the_index() {
     let db = indexed_db(walk_relation("r", 19970513, 2000, 64));
     let session = Session::new(&db);
-    let prepared = session
-        .prepare("FIND SIMILAR TO ROW ? IN r EPSILON ?")
-        .unwrap();
+    let bind = |text: &str, values: &[Value]| session.prepare(text).unwrap().bind(values).unwrap();
     // A wide radius: many hits spread over many leaves.
-    let bound = prepared
-        .bind(&[Value::from(0usize), Value::from(60.0)])
-        .unwrap();
-    let full = session.execute(&bound).unwrap();
-    let QueryOutput::Hits(full_hits) = &full.output else {
-        panic!("expected hits");
-    };
-    assert!(
-        full_hits.len() > 100,
-        "corpus should produce many hits, got {}",
-        full_hits.len()
+    let range = bind(
+        "FIND SIMILAR TO ROW ? IN r EPSILON ?",
+        &[Value::from(0usize), Value::from(60.0)],
     );
-    assert!(full.stats.leaves_visited > 4, "{:?}", full.stats);
+    let knn = bind(
+        "FIND ? NEAREST TO ROW ? IN r",
+        &[Value::from(20usize), Value::from(0usize)],
+    );
+    for (bound, at_least, ranked) in [(range, 100, false), (knn, 20, true)] {
+        let full = session.execute(&bound).unwrap();
+        let QueryOutput::Hits(full_hits) = &full.output else {
+            panic!("expected hits");
+        };
+        let what = format!("{:?}", bound.query());
+        assert!(
+            full_hits.len() >= at_least,
+            "{what}: {} hits",
+            full_hits.len()
+        );
+        assert!(full.stats.leaves_visited > 4, "{what}: {:?}", full.stats);
 
-    let mut cursor = session.cursor(&bound).unwrap();
-    for _ in 0..3 {
-        assert!(cursor.next().is_some());
+        let mut cursor = session.cursor(&bound).unwrap();
+        let first: Vec<_> = cursor.by_ref().take(3).collect();
+        let partial = cursor.stats();
+        assert!(
+            partial.nodes_visited < full.stats.nodes_visited,
+            "{what}: partial consumption visited {} nodes, full run {}",
+            partial.nodes_visited,
+            full.stats.nodes_visited
+        );
+        assert_eq!(partial.verified, 3, "{what}");
+        if ranked {
+            let (got, want) = (
+                QueryOutput::Hits(first),
+                QueryOutput::Hits(full_hits[..3].to_vec()),
+            );
+            assert_output_values_bitwise_equal(&got, &want, &what);
+        }
+        // Dropping the cursor abandons the descent; a fully drained cursor
+        // converges to the materializing traversal's node count.
+        let mut drained = session.cursor(&bound).unwrap();
+        let all = drained.drain_sorted();
+        assert_eq!(all.len(), full_hits.len(), "{what}");
+        assert_eq!(
+            drained.stats().nodes_visited,
+            full.stats.nodes_visited,
+            "{what}"
+        );
     }
-    let partial = cursor.stats();
-    assert!(
-        partial.nodes_visited < full.stats.nodes_visited,
-        "partial consumption visited {} nodes, full run {}",
-        partial.nodes_visited,
-        full.stats.nodes_visited
-    );
-    assert!(partial.verified == 3);
-    // Dropping the cursor abandons the descent; a fully drained cursor
-    // converges to the materializing traversal's node count.
-    let mut drained = session.cursor(&bound).unwrap();
-    let all = drained.drain_sorted();
-    assert_eq!(all.len(), full_hits.len());
-    assert_eq!(drained.stats().nodes_visited, full.stats.nodes_visited);
 }
 
 /// Prepare once, bind/execute N times: results bitwise-identical to N

@@ -295,55 +295,72 @@ fn reads_racing_writes_observe_only_complete_prefixes() {
 #[test]
 fn full_cursor_drain_matches_local_and_partial_reads_fewer_nodes() {
     let (oracle, server, addr) = oracle_and_server(None);
-    let query = "FIND SIMILAR TO ROW 0 IN walks EPSILON 60.0";
-
-    // Local oracle cursor: full drain, in traversal order.
-    let session = Session::new(&oracle);
-    let mut local_hits = Vec::new();
-    let mut cursor = session.cursor_text(query).expect("local cursor opens");
-    for hit in cursor.by_ref() {
-        local_hits.push(hit);
-    }
-    let local_stats = cursor.stats();
-    assert!(
-        local_hits.len() > 8,
-        "need a multi-chunk result, got {}",
-        local_hits.len()
-    );
-
-    // Remote full drain with a generous window per fetch.
     let mut client = Client::connect(addr).expect("client connects");
-    let mut remote = client.open_cursor(query, 7).expect("remote cursor opens");
-    let mut remote_hits = remote.take_hits();
-    while !remote.is_done() {
-        remote.fetch(7).expect("window grant honored");
-        remote_hits.extend(remote.take_hits());
-    }
-    assert_eq!(local_hits.len(), remote_hits.len(), "same row count");
-    for (l, r) in local_hits.iter().zip(&remote_hits) {
-        assert_eq!(l.id, r.id);
-        assert_eq!(l.name, r.name);
-        assert_eq!(l.distance.to_bits(), r.distance.to_bits());
-    }
-    let full_stats = remote.close().expect("drained cursor closes");
-    assert_eq!(
-        full_stats.nodes_visited, local_stats.nodes_visited,
-        "full drain does the same index work as the local cursor"
-    );
+    let queries = [
+        "FIND SIMILAR TO ROW 0 IN walks EPSILON 60.0",
+        "FIND 20 NEAREST TO ROW 0 IN walks",
+    ];
+    for query in queries {
+        // Local oracle cursor: full drain, in the order it yields.
+        let session = Session::new(&oracle);
+        let mut local_hits = Vec::new();
+        let mut cursor = session.cursor_text(query).expect("local cursor opens");
+        for hit in cursor.by_ref() {
+            local_hits.push(hit);
+        }
+        let local_stats = cursor.stats();
+        assert!(
+            local_hits.len() > 8,
+            "{query}: need a multi-chunk result, got {}",
+            local_hits.len()
+        );
 
-    // Partial consumption: three rows, then close. The lazy pull must
-    // have read strictly fewer tree nodes end-to-end.
-    let mut partial = client.open_cursor(query, 3).expect("remote cursor opens");
-    let first = partial.take_hits();
-    assert_eq!(first.len(), 3.min(local_hits.len()));
-    assert!(!partial.is_done(), "a 3-row window must suspend");
-    let partial_stats = partial.close().expect("suspended cursor closes");
-    assert!(
-        partial_stats.nodes_visited < full_stats.nodes_visited,
-        "partial consumption ({} nodes) must read strictly fewer nodes than a full drain ({})",
-        partial_stats.nodes_visited,
-        full_stats.nodes_visited
-    );
+        // Remote full drain with a generous window per fetch.
+        let mut remote = client.open_cursor(query, 7).expect("remote cursor opens");
+        let mut remote_hits = remote.take_hits();
+        while !remote.is_done() {
+            remote.fetch(7).expect("window grant honored");
+            remote_hits.extend(remote.take_hits());
+        }
+        assert_eq!(
+            local_hits.len(),
+            remote_hits.len(),
+            "{query}: same row count"
+        );
+        for (l, r) in local_hits.iter().zip(&remote_hits) {
+            assert_eq!(l.id, r.id, "{query}");
+            assert_eq!(l.name, r.name, "{query}");
+            assert_eq!(l.distance.to_bits(), r.distance.to_bits(), "{query}");
+        }
+        let full_stats = remote.close().expect("drained cursor closes");
+        assert_eq!(
+            full_stats.nodes_visited, local_stats.nodes_visited,
+            "{query}: full drain does the same index work as the local cursor"
+        );
+
+        // Partial consumption: three rows, then close. The lazy pull must
+        // have read strictly fewer tree nodes end-to-end, and returned the
+        // full drain's first three rows.
+        let mut partial = client.open_cursor(query, 3).expect("remote cursor opens");
+        let first = partial.take_hits();
+        assert_eq!(first.len(), 3, "{query}");
+        for (l, r) in local_hits.iter().zip(&first) {
+            assert_eq!(
+                (l.id, l.distance.to_bits()),
+                (r.id, r.distance.to_bits()),
+                "{query}"
+            );
+        }
+        assert!(!partial.is_done(), "{query}: a 3-row window must suspend");
+        let partial_stats = partial.close().expect("suspended cursor closes");
+        assert!(
+            partial_stats.nodes_visited < full_stats.nodes_visited,
+            "{query}: partial consumption ({} nodes) must read strictly fewer nodes than a \
+             full drain ({})",
+            partial_stats.nodes_visited,
+            full_stats.nodes_visited
+        );
+    }
     client.goodbye().expect("orderly close");
     server.shutdown();
 }

@@ -1,9 +1,9 @@
 //! The counter contract of `QueryResult`: `per_shard` is a *partition*
 //! of the merged `stats`, not an estimate, for every counter a phase over
 //! the relation's shards produces — index reads, scanned rows, scan
-//! coefficients, and the candidates and refine work a kNN descent does
-//! inside its trees. Work without shard affinity (verifying a merged
-//! candidate list, pair work that crosses shards) is in the totals only.
+//! coefficients, and the candidates, dismissals and refine work either
+//! descent form (range verification included) does inside its trees.
+//! Pair work, which crosses shards, is in the totals only.
 //! This hardens the one charging rule (`simq-query::verify`'s `Ledger`)
 //! against silently dropping a phase. And the merged counters are the
 //! same at every thread budget: no form's work depends on a schedule.
@@ -37,9 +37,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Arbitrary corpora × shard counts × thread counts: per-shard
-    /// counters partition the merged index and scan totals (the whole
-    /// coefficient count too where no phase lacks shard affinity), one
-    /// entry per shard, and no execution reports a per-thread breakdown.
+    /// counters partition the merged index and scan totals, the whole
+    /// coefficient count, and an index descent's candidates and
+    /// dismissals — one entry per shard — and no execution reports a
+    /// per-thread breakdown.
     #[test]
     fn breakdowns_partition_merged_stats(
         seed in 0u64..1_000,
@@ -60,11 +61,17 @@ proptest! {
             }
             assert_eq!(result.per_shard.len(), shards, "{label}");
             assert_shards_sum(&result, &FOREST_COUNTERS, &label);
-            // Range scans and kNN of either path do all their distance
-            // work inside the per-shard phase; an index range verifies
-            // its merged candidate list after it.
-            if q.contains("FORCE SCAN") || q.contains("NEAREST") {
-                assert_shards_sum(&result, &[("coefficients", |s| s.coefficients_compared)], &label);
+            // Every row form does all its distance work inside the
+            // per-shard phase; an index descent also charges its
+            // candidates and signature dismissals to the shard whose tree
+            // yielded the row.
+            assert_shards_sum(&result, &[("coefficients", |s| s.coefficients_compared)], &label);
+            if !q.contains("FORCE SCAN") {
+                let refine: [(&str, Field); 2] = [
+                    ("candidates", |s| s.candidates),
+                    ("filtered_out", |s| s.filtered_out),
+                ];
+                assert_shards_sum(&result, &refine, &label);
             }
         }
     }
@@ -112,7 +119,9 @@ fn knn_refine_work_partitions_across_shards() {
 /// corpus, equals the checked-in fixture recorded before the execution
 /// matrix was collapsed into one pipeline per query form (the six
 /// `NEAREST` rows re-recorded when kNN became one ranked multi-step
-/// descent and its scan began abandoning). Counters are
+/// descent and its scan began abandoning; the four sharded index-range
+/// `per_shard` rows when range verification moved inside the descent and
+/// its counters into the shards' shares). Counters are
 /// schedule-independent, so any drift here is a change in the work a plan
 /// does, not noise — and at 4 threads each statement does exactly the
 /// golden's work (the fan-out it reports aside).

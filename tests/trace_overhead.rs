@@ -23,9 +23,9 @@ use similarity_queries::prelude::*;
 use std::time::Instant;
 
 /// Spans the executor actually opens per query, with headroom: a range
-/// query opens 4 (plan, descend, verify, merge), kNN 6, a join 2. Cursor
-/// pulls open one span each, but every pull also does per-row
-/// verification work, so the per-query ratio bounds that case too.
+/// query opens 3 (plan, descend, merge), kNN 6, a join 2. Cursor pulls
+/// open one span each, but every pull also resumes the descent, so the
+/// per-query ratio bounds that case too.
 const SPAN_BUDGET_PER_QUERY: u64 = 8;
 
 /// Median of `trials` runs of `f`, in nanoseconds.

@@ -139,7 +139,6 @@ fn indexed_knn_examines_a_minority_of_a_random_walk_corpus() {
 /// the public pieces — and the hits are exactly the candidates within ε.
 #[test]
 fn the_mirrored_probe_dismisses_more_range_candidates_than_the_single_one() {
-    use similarity_queries::index::forest_range;
     use similarity_queries::series::distance_outcome;
     use similarity_queries::storage::FilterProbe;
 
@@ -160,7 +159,7 @@ fn the_mirrored_probe_dismisses_more_range_candidates_than_the_single_one() {
         let q = &stored.row(row).unwrap().features;
         // The executor's rectangle: ε padded by one part in 10⁹.
         let rect = scheme.search_rect(&q.point, eps * (1.0 + 1e-9) + 1e-9);
-        let (candidates, _) = forest_range(stored.trees(), Some(&lowered), &rect);
+        let (candidates, _) = stored.trees()[0].range_transformed(&lowered, &rect);
         assert_eq!(candidates.len() as u64, r.stats.candidates, "ROW {row}");
         let probe = FilterProbe::new(&q.spectrum, &ones, stored.sig_coeffs());
         let dismissed = |id: &&u64| probe.dismisses(stored.signature(**id).unwrap(), eps * eps);
