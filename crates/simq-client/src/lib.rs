@@ -5,7 +5,8 @@
 //! modules (one codec, both sides) over a `std::net::TcpStream`. Every
 //! `f64` travels as its bit pattern, so the hits a client receives are
 //! **bitwise identical** to what local execution on the server's
-//! database returns — the property `tests/server_equivalence.rs` pins.
+//! database returns — the property the configuration lattice's `Remote`
+//! points pin (`tests/common/lattice.rs`).
 //!
 //! Streaming reads go through [`RemoteCursor`]: the client grants a
 //! window of rows, the server pulls its lazy cursor no further than
@@ -109,7 +110,7 @@ impl Client {
         let hello = Request::Hello {
             client: format!("simq-client/{}", env!("CARGO_PKG_VERSION")),
         };
-        match client.roundtrip(&hello)? {
+        match client.call(&hello)? {
             Response::HelloOk { server, generation } => {
                 client.server = server;
                 client.generation = generation;
@@ -144,7 +145,14 @@ impl Client {
         Ok(Response::decode(kind, &payload)?)
     }
 
-    fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
+    /// Sends one request and reads its one response — the shape of every
+    /// request but `OpenCursor`, whose replies [`Client::open_cursor`]
+    /// streams.
+    ///
+    /// # Errors
+    /// Wire failures; an error frame comes back as
+    /// [`ClientError::Remote`].
+    pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         self.send(req)?;
         match self.receive()? {
             Response::Error { code, message } => Err(ClientError::Remote { code, message }),
@@ -157,7 +165,7 @@ impl Client {
     /// # Errors
     /// [`ClientError::Remote`] carries the server-side query error.
     pub fn query(&mut self, text: &str) -> Result<RemoteResult, ClientError> {
-        match self.roundtrip(&Request::Query { text: text.into() })? {
+        match self.call(&Request::Query { text: text.into() })? {
             Response::Result(result) => Ok(result),
             other => Err(ClientError::Unexpected(format!("{:?}", other.kind()))),
         }
@@ -173,7 +181,7 @@ impl Client {
             name: name.into(),
             text: text.into(),
         };
-        match self.roundtrip(&req)? {
+        match self.call(&req)? {
             Response::PreparedOk { signature, .. } => Ok(signature),
             other => Err(ClientError::Unexpected(format!("{:?}", other.kind()))),
         }
@@ -195,7 +203,7 @@ impl Client {
             positional,
             named,
         };
-        match self.roundtrip(&req)? {
+        match self.call(&req)? {
             Response::Result(result) => Ok(result),
             other => Err(ClientError::Unexpected(format!("{:?}", other.kind()))),
         }
@@ -206,7 +214,7 @@ impl Client {
     /// # Errors
     /// Wire failures only.
     pub fn list_prepared(&mut self) -> Result<Vec<(String, String)>, ClientError> {
-        match self.roundtrip(&Request::ListPrepared)? {
+        match self.call(&Request::ListPrepared)? {
             Response::PreparedList { entries } => Ok(entries),
             other => Err(ClientError::Unexpected(format!("{:?}", other.kind()))),
         }
@@ -228,7 +236,7 @@ impl Client {
             relation: relation.into(),
             rows,
         };
-        match self.roundtrip(&req)? {
+        match self.call(&req)? {
             Response::Inserted(report) => Ok(report),
             other => Err(ClientError::Unexpected(format!("{:?}", other.kind()))),
         }
@@ -239,7 +247,7 @@ impl Client {
     /// # Errors
     /// Wire failures only.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Ping)? {
+        match self.call(&Request::Ping)? {
             Response::Pong => Ok(()),
             other => Err(ClientError::Unexpected(format!("{:?}", other.kind()))),
         }
@@ -250,7 +258,7 @@ impl Client {
     /// # Errors
     /// Wire failures only.
     pub fn goodbye(mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Goodbye)? {
+        match self.call(&Request::Goodbye)? {
             Response::Bye => Ok(()),
             other => Err(ClientError::Unexpected(format!("{:?}", other.kind()))),
         }

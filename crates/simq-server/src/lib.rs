@@ -1,7 +1,7 @@
 //! The simq network service: a concurrent multi-client wire protocol
 //! over the session API.
 //!
-//! Three layers, bottom up:
+//! Four layers, bottom up:
 //!
 //! * [`wire`] — length-prefixed binary frames
 //!   (`MAGIC | version | frame-type | len | payload | checksum`),
@@ -11,11 +11,18 @@
 //!   [`Response`] vocabulary. Every `f64` travels as
 //!   its bit pattern, so remote results are bitwise identical to local
 //!   execution.
+//! * [`connection`] — the execution layer: a [`Connection`] holds one
+//!   client's session and named prepared-statement registry, and
+//!   [`Connection::respond`] answers `Query`, `Prepare`, `Exec`,
+//!   `ListPrepared` and `Ping`. The server runs every such request
+//!   through it, and so does the `simq` shell against its local
+//!   database, so local and remote answers come from one code path.
 //! * [`server`] — `std::net::TcpListener` + thread-per-connection over
 //!   a bounded accept pool. Each connection owns a
-//!   `Session<ReadView>` pinned to a catalog generation (readers never
-//!   block on writers) and a named prepared-statement registry; writes
-//!   from all connections coalesce through one group-committed
+//!   `Connection<ReadView>` pinned to a catalog generation (readers
+//!   never block on writers) and serves what needs the socket or the
+//!   shared lock itself: the handshake, cursor windows and inserts,
+//!   which from all connections coalesce through one group-committed
 //!   `insert_batch` per drain.
 //!
 //! The client half lives in the `simq-client` crate, which reuses
@@ -25,10 +32,12 @@
 
 #![warn(missing_docs)]
 
+pub mod connection;
 pub mod proto;
 pub mod server;
 pub mod wire;
 
+pub use connection::Connection;
 pub use proto::{ErrorCode, RemoteInsertReport, RemoteResult, Request, Response};
 pub use server::{Server, ServerConfig};
 pub use wire::{FrameKind, WireError, MAX_PAYLOAD, PROTOCOL_VERSION};

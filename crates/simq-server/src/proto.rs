@@ -4,8 +4,9 @@
 //! Scalars travel little-endian and every `f64` travels as its
 //! IEEE-754 bit pattern, so a [`Hit`] decoded on the client is bitwise
 //! identical to the one the server pulled from its cursor — the wire
-//! adds no rounding step, which is what lets `tests/server_equivalence.rs`
-//! compare remote results to local execution with `to_bits()`.
+//! adds no rounding step, which is what lets the configuration lattice's
+//! `Remote` points (`tests/common/lattice.rs`) compare remote results to
+//! local execution with `to_bits()`.
 
 use simq_query::session::Value;
 use simq_query::{ExecStats, Hit, PairHit, QueryOutput};

@@ -37,10 +37,11 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use simq_obs::metrics::registry;
-use simq_query::session::{Prepared, Session, Value};
-use simq_query::{Database, QueryError, ReadView, Slot};
+use simq_query::session::Session;
+use simq_query::{Database, ReadView};
 
-use crate::proto::{ErrorCode, RemoteInsertReport, RemoteResult, Request, Response};
+use crate::connection::{query_error, Connection};
+use crate::proto::{ErrorCode, RemoteInsertReport, Request, Response};
 use crate::wire::{self, FrameKind, WireError};
 
 /// How long a blocked read waits before re-checking the shutdown flag.
@@ -351,11 +352,11 @@ fn send<W: Write>(writer: &mut W, resp: &Response) -> Result<(), WireError> {
     Ok(())
 }
 
-fn query_error(e: &QueryError) -> Response {
-    Response::Error {
-        code: ErrorCode::Query,
-        message: e.to_string(),
-    }
+/// Sends a protocol-violation error frame; the caller then closes the
+/// connection.
+fn refuse<W: Write>(writer: &mut W, message: impl ToString) {
+    let (code, message) = (ErrorCode::Protocol, message.to_string());
+    send(writer, &Response::Error { code, message }).ok();
 }
 
 fn shutdown_error() -> Response {
@@ -365,30 +366,14 @@ fn shutdown_error() -> Response {
     }
 }
 
-/// Per-connection execution state: the generation-pinned session and
-/// the named prepared-statement registry.
-struct ConnState {
-    session: Session<ReadView>,
-    registry: BTreeMap<String, Prepared>,
-}
-
-impl ConnState {
-    /// Re-pins the session to the current catalog generation. Cheap
-    /// when nothing changed (one read-lock acquisition and a generation
-    /// compare); on change the session is rebuilt around the fresh view.
-    fn refresh(&mut self, shared: &Shared) {
-        let view = shared.db.read().expect("db lock poisoned").read_view();
-        if view.generation() != self.session.db().generation() {
-            self.session = Session::new(view);
-        }
-    }
-}
-
-/// Renders one signature slot the way `\prepare` lists them.
-fn describe_slot(i: usize, slot: &Slot) -> String {
-    match &slot.name {
-        Some(name) => format!("${name}: {} ({})", slot.ty, slot.context),
-        None => format!("?{}: {} ({})", i + 1, slot.ty, slot.context),
+/// Re-pins the connection's session to the current catalog generation.
+/// Cheap when nothing changed (one read-lock acquisition and a
+/// generation compare); on change the session is rebuilt around the
+/// fresh view, and the prepared statements stay registered.
+fn refresh(conn: &mut Connection<ReadView>, shared: &Shared) {
+    let view = shared.db.read().expect("db lock poisoned").read_view();
+    if view.generation() != conn.session.db().generation() {
+        conn.session = Session::new(view);
     }
 }
 
@@ -421,25 +406,11 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 }
             }
             Ok(_) => {
-                send(
-                    &mut writer,
-                    &Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: "expected Hello as the first frame".into(),
-                    },
-                )
-                .ok();
+                refuse(&mut writer, "expected Hello as the first frame");
                 return;
             }
             Err(e) => {
-                send(
-                    &mut writer,
-                    &Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: e.to_string(),
-                    },
-                )
-                .ok();
+                refuse(&mut writer, e);
                 return;
             }
         },
@@ -450,23 +421,13 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
         Err(WireError::Closed) => return,
         Err(e) => {
             // Malformed first frame: structured error, then close.
-            send(
-                &mut writer,
-                &Response::Error {
-                    code: ErrorCode::Protocol,
-                    message: e.to_string(),
-                },
-            )
-            .ok();
+            refuse(&mut writer, e);
             return;
         }
     }
 
     let view = shared.db.read().expect("db lock poisoned").read_view();
-    let mut state = ConnState {
-        session: Session::new(view),
-        registry: BTreeMap::new(),
-    };
+    let mut state = Connection::new(Session::new(view));
 
     loop {
         let (kind, payload) = match poll_frame(&mut reader, shared) {
@@ -477,14 +438,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             }
             Err(WireError::Closed) => return,
             Err(e) => {
-                send(
-                    &mut writer,
-                    &Response::Error {
-                        code: ErrorCode::Protocol,
-                        message: e.to_string(),
-                    },
-                )
-                .ok();
+                refuse(&mut writer, e);
                 return;
             }
         };
@@ -501,13 +455,15 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Dispatches one decoded top-level frame. Returns false when the
-/// connection should close.
+/// Dispatches one decoded top-level frame: what needs the socket or the
+/// shared lock is served here, everything else by
+/// [`Connection::respond`]. Returns false when the connection should
+/// close.
 fn handle_frame<R: Read, W: Write>(
     kind: FrameKind,
     payload: &[u8],
     shared: &Shared,
-    state: &mut ConnState,
+    state: &mut Connection<ReadView>,
     reader: &mut R,
     writer: &mut W,
 ) -> bool {
@@ -516,87 +472,18 @@ fn handle_frame<R: Read, W: Write>(
         Err(e) => {
             // A structurally invalid payload (or a response frame type
             // from a confused peer): structured error, clean close.
-            send(
-                writer,
-                &Response::Error {
-                    code: ErrorCode::Protocol,
-                    message: e.to_string(),
-                },
-            )
-            .ok();
+            refuse(writer, e);
             return false;
         }
     };
     match request {
         Request::Hello { .. } => {
-            send(
-                writer,
-                &Response::Error {
-                    code: ErrorCode::Protocol,
-                    message: "connection is already greeted".into(),
-                },
-            )
-            .ok();
+            refuse(writer, "connection is already greeted");
             false
-        }
-        Request::Query { text } => {
-            state.refresh(shared);
-            let resp = match state.session.execute_text(&text) {
-                Ok(result) => Response::Result(RemoteResult {
-                    access: format!("{:?}", result.plan.access),
-                    output: result.output,
-                    stats: result.stats,
-                    per_thread: result.per_thread,
-                }),
-                Err(e) => query_error(&e),
-            };
-            send(writer, &resp).is_ok()
-        }
-        Request::Prepare { name, text } => {
-            state.refresh(shared);
-            let resp = match state.session.prepare(&text) {
-                Ok(prepared) => {
-                    let signature = prepared
-                        .signature()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| describe_slot(i, s))
-                        .collect();
-                    state.registry.insert(name.clone(), prepared);
-                    Response::PreparedOk { name, signature }
-                }
-                Err(e) => query_error(&e),
-            };
-            send(writer, &resp).is_ok()
-        }
-        Request::Exec {
-            name,
-            positional,
-            named,
-        } => {
-            state.refresh(shared);
-            let resp = exec_prepared(state, &name, &positional, &named);
-            send(writer, &resp).is_ok()
-        }
-        Request::ListPrepared => {
-            let entries = state
-                .registry
-                .iter()
-                .map(|(name, p)| (name.clone(), p.text().to_string()))
-                .collect();
-            send(writer, &Response::PreparedList { entries }).is_ok()
         }
         Request::OpenCursor { text, window } => {
             serve_cursor(shared, state, reader, writer, &text, window)
         }
-        Request::Fetch { .. } | Request::CloseCursor => send(
-            writer,
-            &Response::Error {
-                code: ErrorCode::Unsupported,
-                message: "no cursor is open on this connection".into(),
-            },
-        )
-        .is_ok(),
         Request::Insert { relation, rows } => {
             let resp = match submit_insert(shared, relation, rows) {
                 Ok(report) => Response::Inserted(report),
@@ -607,41 +494,14 @@ fn handle_frame<R: Read, W: Write>(
             };
             send(writer, &resp).is_ok()
         }
-        Request::Ping => send(writer, &Response::Pong).is_ok(),
         Request::Goodbye => {
             send(writer, &Response::Bye).ok();
             false
         }
-    }
-}
-
-/// Executes a registered statement with the given arguments.
-fn exec_prepared(
-    state: &ConnState,
-    name: &str,
-    positional: &[Value],
-    named: &[(String, Value)],
-) -> Response {
-    let Some(prepared) = state.registry.get(name) else {
-        return Response::Error {
-            code: ErrorCode::Query,
-            message: format!("unknown prepared statement {name:?}; Prepare it first"),
-        };
-    };
-    let named_refs: Vec<(&str, Value)> =
-        named.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-    let bound = match prepared.bind_all(positional, &named_refs) {
-        Ok(b) => b,
-        Err(e) => return query_error(&e),
-    };
-    match state.session.execute(&bound) {
-        Ok(result) => Response::Result(RemoteResult {
-            access: format!("{:?}", result.plan.access),
-            output: result.output,
-            stats: result.stats,
-            per_thread: result.per_thread,
-        }),
-        Err(e) => query_error(&e),
+        request => {
+            refresh(state, shared);
+            send(writer, &state.respond(request)).is_ok()
+        }
     }
 }
 
@@ -651,13 +511,13 @@ fn exec_prepared(
 /// connection should close.
 fn serve_cursor<R: Read, W: Write>(
     shared: &Shared,
-    state: &mut ConnState,
+    state: &mut Connection<ReadView>,
     reader: &mut R,
     writer: &mut W,
     text: &str,
     window: u32,
 ) -> bool {
-    state.refresh(shared);
+    refresh(state, shared);
     let mut cursor = match state.session.cursor_text(text) {
         Ok(c) => c,
         Err(e) => return send(writer, &query_error(&e)).is_ok(),
@@ -727,14 +587,7 @@ fn serve_cursor<R: Read, W: Write>(
                         }
                     }
                     Err(e) => {
-                        send(
-                            writer,
-                            &Response::Error {
-                                code: ErrorCode::Protocol,
-                                message: e.to_string(),
-                            },
-                        )
-                        .ok();
+                        refuse(writer, e);
                         return false;
                     }
                 },
@@ -746,14 +599,7 @@ fn serve_cursor<R: Read, W: Write>(
                 }
                 Err(WireError::Closed) => return false,
                 Err(e) => {
-                    send(
-                        writer,
-                        &Response::Error {
-                            code: ErrorCode::Protocol,
-                            message: e.to_string(),
-                        },
-                    )
-                    .ok();
+                    refuse(writer, e);
                     return false;
                 }
             }

@@ -712,3 +712,116 @@ fn serve_and_connect_roundtrip_between_two_processes() {
     let status = server.child.wait().expect("server process exits");
     assert_eq!(status.code(), Some(0));
 }
+
+/// Starts `simq --serve 127.0.0.1:0` over the demo corpus and returns the
+/// process with the address it bound.
+fn serve_demo() -> (InteractiveCli, String) {
+    let mut server = InteractiveCli::spawn_with_args(&["--serve", "127.0.0.1:0"], &[]);
+    server.expect("EOF or `quit` stops the server");
+    let out = server.stdout.lock().expect("stdout buffer lock").clone();
+    let addr = out
+        .lines()
+        .find_map(|line| line.strip_prefix("serving on "))
+        .expect("serve banner names the address")
+        .trim()
+        .to_string();
+    (server, addr)
+}
+
+/// The lines a script printed after `marker`'s line, prompts removed and
+/// each stat line's wall time masked (`(0.123 ms; …` → `(… ms; …`).
+fn transcript(stdout: &str, marker: &str) -> Vec<String> {
+    let at = stdout.find(marker).expect("marker line printed");
+    let after = &stdout[at..];
+    let after = &after[after.find('\n').map_or(after.len(), |eol| eol + 1)..];
+    after
+        .replace("simq remote> ", "")
+        .replace("simq> ", "")
+        .lines()
+        .map(|line| match (line.strip_prefix('('), line.find(" ms;")) {
+            (Some(_), Some(end)) => format!("(…{}", &line[end..]),
+            _ => line.to_string(),
+        })
+        .collect()
+}
+
+/// One script, asked of the local database and of a `simq --serve` over
+/// the same demo corpus after `\connect`: the printed lines are identical
+/// once wall times are masked — queries, EXPLAIN, errors, prepared
+/// statements, bind errors and the registry listing alike.
+#[test]
+fn local_and_remote_transcripts_are_identical() {
+    let script = "FIND SIMILAR TO ROW 7 IN walks EPSILON 2.0\n\
+                  FIND 5 NEAREST TO ROW 3 IN walks\n\
+                  EXPLAIN FIND 5 NEAREST TO ROW 3 IN walks\n\
+                  FIND SIMILAR TO ROW 5 IN nope EPSILON 1.0\n\
+                  \\prepare rq FIND SIMILAR TO ROW ? IN walks EPSILON ?\n\
+                  \\prepare nq FIND $k NEAREST TO ROW $row IN walks\n\
+                  \\exec rq 7 2.0\n\
+                  \\exec nq k=3 row=10\n\
+                  \\exec rq 5\n\
+                  \\prepared\n\
+                  \\exec nothere 1\n\
+                  \\quit\n";
+    let (local, _, code) = run_cli(&[], script);
+    assert_eq!(code, 0, "{local}");
+
+    let (mut server, addr) = serve_demo();
+    let (remote, _, code) = run_cli(&[], &format!("\\connect {addr}\n{script}"));
+    assert_eq!(code, 0, "{remote}");
+    server.send("quit");
+    server.expect("server stopped");
+    server.child.wait().expect("server process exits");
+
+    assert!(remote.contains("simq remote> "), "{remote}");
+    let local = transcript(&local, "type a query");
+    assert_eq!(local, transcript(&remote, "connected to simq-server/"));
+    let local = local.join("\n");
+    for line in [
+        "5 hits:",
+        "access: IndexScan",
+        "error: unknown relation",
+        "prepared `nq` with 2 parameters: $k: integer (k), $row: integer (ROW id)",
+        "error: statement takes 2 positional parameters, got 1",
+        "  nq: FIND $k NEAREST TO ROW $row IN walks\n  rq: FIND SIMILAR TO ROW ? IN walks EPSILON ?",
+        "error: unknown prepared statement \"nothere\"",
+    ] {
+        assert!(local.contains(line), "{line:?} missing from\n{local}");
+    }
+}
+
+/// A slow-query threshold too large for a `Duration` is a bad setting,
+/// not a panic: the shell reports it and keeps running, and the
+/// environment variable is ignored with a warning.
+#[test]
+fn slowlog_threshold_that_overflows_is_an_error() {
+    let (stdout, stderr, code) = run_cli(&[], "\\slowlog 1e300\n\\slowlog\n\\quit\n");
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.contains("error: invalid slow-query threshold \"1e300\""),
+        "{stdout}"
+    );
+    assert!(stdout.contains("slow-query log: off"), "{stdout}");
+
+    let (_, stderr, code) = run_cli_with(&[], "\\quit\n", &[("SIMQ_SLOWLOG", "1e300")]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stderr.contains("ignoring SIMQ_SLOWLOG"), "{stderr}");
+}
+
+/// `\connect` while `\batch` collects would strand the queue, so it is
+/// refused; the batch keeps collecting and runs locally.
+#[test]
+fn connect_is_refused_while_a_batch_collects() {
+    let (stdout, _, code) = run_cli(
+        &[],
+        "\\batch\n\\connect 127.0.0.1:1\nFIND SIMILAR TO ROW 1 IN walks EPSILON 1.0\n\\batch run\n\\quit\n",
+    );
+    assert_eq!(code, 0);
+    assert!(
+        stdout.contains("a batch is collecting; \\batch run or \\batch cancel first"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("connected to"), "{stdout}");
+    assert!(stdout.contains("queued (1 pending"), "{stdout}");
+    assert!(stdout.contains("batch: 1 queries"), "{stdout}");
+}

@@ -25,7 +25,7 @@
 //! line.
 
 use super::oracle::{decidable_k, threshold_near, Oracle};
-use super::{assert_outputs_bitwise_equal, relation_with};
+use super::{assert_output_values_bitwise_equal, assert_outputs_bitwise_equal, relation_with};
 use similarity_queries::prelude::*;
 use similarity_queries::query::{ExecStats, Query, QueryError, QuerySource};
 use similarity_queries::storage::scan;
@@ -40,6 +40,9 @@ pub enum FrontEnd {
     Prepared,
     BatchSlot,
     CursorDrain,
+    /// Prepared and executed by a wire-protocol client of a server that
+    /// serves the point's own database on loopback.
+    Remote,
 }
 
 /// How the rows reached the relation. Every variant holds the same rows
@@ -88,7 +91,7 @@ impl Config {
         ] {
             for (shards, wal) in [(1, false), (1, true), (4, false), (4, true)] {
                 for threads in [1, 4] {
-                    for front_end in [Text, Prepared, BatchSlot, CursorDrain] {
+                    for front_end in [Text, Prepared, BatchSlot, CursorDrain, Remote] {
                         let point = Config {
                             threads,
                             shards,
@@ -133,8 +136,8 @@ pub struct Stmt {
 pub type Outcome = Result<QueryResult, QueryError>;
 
 /// Statements that must fail — with a structured error, never a panic —
-/// alike through every front end (`tests/server_equivalence.rs` runs the
-/// remote leg): constants that overflow on their own or composed, a zero
+/// alike through every front end, the `Remote` one included (whose error
+/// frame carries the local error's message): constants that overflow on their own or composed, a zero
 /// scale factor (no normal form), and the three ways a slot can fail
 /// before it runs.
 pub fn error_statements(relation: &str) -> Vec<String> {
@@ -546,8 +549,9 @@ impl World {
         (db, scratch)
     }
 
-    /// Statements `picked` through one front end (`None` where the front
-    /// end has no such form: cursors yield rows, joins yield pairs).
+    /// Statements `picked` through one in-process front end (`None` where
+    /// the front end has no such form: cursors yield rows, joins yield
+    /// pairs).
     pub fn run(
         &self,
         db: &Database,
@@ -586,6 +590,7 @@ impl World {
                     })
                 })
                 .collect(),
+            FrontEnd::Remote => unreachable!("a server takes the database by value: check_on"),
         }
     }
 
@@ -618,6 +623,9 @@ impl World {
             .filter(|&i| only(&self.stmts[i]))
             .collect();
         db.set_parallelism(Parallelism::Fixed(point.threads));
+        if point.front_end == FrontEnd::Remote {
+            return self.check_remote(db, point, &picked);
+        }
         let answers = self.run(db, point.front_end, &picked);
         for (&i, got) in picked.iter().zip(&answers) {
             if let Some(got) = got {
@@ -645,11 +653,57 @@ impl World {
         }
     }
 
+    /// [`check_on`](Self::check_on)'s `Remote` leg: `db` is served on
+    /// loopback and comes back with the server's shutdown. One client
+    /// prepares each statement's template and executes it with the
+    /// template's constants. An answer must match the reference's output
+    /// bitwise, its access path and its work; a failing statement must
+    /// come back with the reference error's message. The connection keeps
+    /// serving after every error, and lists what it prepared in name order.
+    fn check_remote(&self, db: &mut Database, point: &Config, picked: &[usize]) {
+        let server = Server::bind("127.0.0.1:0", std::mem::take(db)).expect("server binds");
+        let mut client = Client::connect(server.local_addr()).expect("client connects");
+        let mut registered = BTreeMap::new();
+        for &i in picked {
+            let (stmt, what) = (
+                &self.stmts[i],
+                format!("{} at {point:?}", self.stmts[i].text),
+            );
+            let name = format!("s{i}");
+            let got = client.prepare(&name, &stmt.template).and_then(|_| {
+                registered.insert(name.clone(), stmt.template.clone());
+                client.exec(&name, stmt.params.clone(), Vec::new())
+            });
+            match (got, &self.reference[&1][i]) {
+                (Ok(got), Ok(want)) => {
+                    assert_output_values_bitwise_equal(&got.output, &want.output, &what);
+                    assert_eq!(got.access, format!("{:?}", want.plan.access), "{what}");
+                    self.same_work(i, point, got.stats, &what);
+                }
+                (Err(ClientError::Remote { message, .. }), Err(want)) => {
+                    assert_eq!(message, want.to_string(), "{what}");
+                }
+                (got, want) => panic!("{what}: outcomes differ: {got:?} vs {want:?}"),
+            }
+        }
+        let listed = client.list_prepared().expect("the connection still serves");
+        assert_eq!(listed, registered.into_iter().collect::<Vec<_>>());
+        client.goodbye().expect("orderly close");
+        *db = server.shutdown().expect("the database comes back");
+    }
+
     fn compare(&self, i: usize, point: &Config, got: &Outcome) {
         let what = format!("{} at {point:?}", self.stmts[i].text);
         same_outcome(got, &self.reference[&1][i], &what);
-        let Ok(got) = got else { return };
-        let used = got.stats.threads_used;
+        if let Ok(got) = got {
+            self.same_work(i, point, got.stats, &what);
+        }
+    }
+
+    /// The threads a statement reported, and — where the point's trees are
+    /// the reference's — its exact work.
+    fn same_work(&self, i: usize, point: &Config, stats: ExecStats, what: &str) {
+        let used = stats.threads_used;
         assert!(
             (1..=point.threads as u64).contains(&used),
             "{what}: {used} threads"
@@ -666,7 +720,7 @@ impl World {
                 threads_used: 0,
                 ..s
             };
-            let (work, want) = (comparable(got.stats), comparable(want.stats));
+            let (work, want) = (comparable(stats), comparable(want.stats));
             assert_eq!(work, want, "{what}: work differs");
         }
     }

@@ -1,10 +1,12 @@
-//! The network service's equivalence contract: results served over the
-//! wire protocol are **bitwise identical** to local execution on the
-//! same database — for plain queries, prepared statements, streaming
-//! cursors and inserts, from one client or many concurrent ones, and
-//! for reads racing writes (which must observe only complete acked
-//! generations). Every `f64` travels as its bit pattern, so comparing
-//! with [`common::assert_output_values_bitwise_equal`] is exact.
+//! The network service's equivalence contract beyond one client's
+//! requests: results served over the wire protocol are **bitwise
+//! identical** to local execution on the same database for many
+//! concurrent clients, streaming cursors and inserts, and reads racing
+//! writes observe only complete acked generations. Every `f64` travels as
+//! its bit pattern, so comparing with
+//! [`common::assert_output_values_bitwise_equal`] is exact. One client's
+//! queries, prepared statements and errors are the configuration
+//! lattice's `Remote` points (`tests/common/lattice.rs`).
 
 mod common;
 
@@ -34,7 +36,7 @@ fn walks() -> SeriesRelation {
     walk_relation("walks", 42, 300, 64)
 }
 
-/// The mixed read workload every equivalence test draws from.
+/// The mixed read workload the concurrent clients draw from.
 const QUERIES: &[&str] = &[
     "FIND SIMILAR TO ROW 0 IN walks EPSILON 2.0",
     "FIND SIMILAR TO ROW 17 IN walks USING mavg(8) ON BOTH EPSILON 1.5",
@@ -45,34 +47,6 @@ const QUERIES: &[&str] = &[
     "EXPLAIN FIND 2 NEAREST TO ROW 1 IN walks",
     "FIND SIMILAR TO ROW 40 IN walks EPSILON 99.0 FORCE SCAN",
 ];
-
-#[test]
-fn remote_results_bitwise_equal_to_local() {
-    let (oracle, server, addr) = oracle_and_server(None);
-    let mut client = Client::connect(addr).expect("client connects");
-    for query in QUERIES {
-        let local = execute(&oracle, query).expect("local query runs");
-        let remote = client.query(query).expect("remote query runs");
-        assert_output_values_bitwise_equal(&local.output, &remote.output, query);
-        assert_eq!(
-            format!("{:?}", local.plan.access),
-            remote.access,
-            "{query}: access path diverged"
-        );
-    }
-    // Errors come back structured, with the local error's message: the
-    // remote leg of the lattice's failing statements (overflowing and
-    // zero-scale constants, unknown rows and relations, garbage).
-    for query in lattice::error_statements("walks") {
-        let local_err = execute(&oracle, &query).expect_err("fails locally");
-        match client.query(&query).expect_err("fails remotely too") {
-            ClientError::Remote { message, .. } => assert_eq!(message, local_err.to_string()),
-            other => panic!("{query}: expected a structured server error, got {other:?}"),
-        }
-    }
-    client.goodbye().expect("orderly close");
-    server.shutdown();
-}
 
 #[test]
 fn concurrent_clients_all_get_oracle_results() {
@@ -102,51 +76,6 @@ fn concurrent_clients_all_get_oracle_results() {
             assert_output_values_bitwise_equal(&local.output, &output, query);
         }
     }
-    server.shutdown();
-}
-
-#[test]
-fn prepared_statements_match_local_prepare_bind_execute() {
-    let (oracle, server, addr) = oracle_and_server(None);
-    let session = Session::new(&oracle);
-    let text = "FIND ? NEAREST TO ROW $r IN walks";
-    let local_prepared = session.prepare(text).expect("local prepare");
-
-    let mut client = Client::connect(addr).expect("client connects");
-    let signature = client.prepare("knn", text).expect("remote prepare");
-    assert_eq!(signature.len(), local_prepared.signature().len());
-
-    for (k, row) in [(1u64, 5u64), (4, 120), (7, 5), (2, 299)] {
-        let bound = local_prepared
-            .bind_all(
-                &[Value::Number(k as f64)],
-                &[("r", Value::Number(row as f64))],
-            )
-            .expect("local bind");
-        let local = session.execute(&bound).expect("local exec");
-        let remote = client
-            .exec(
-                "knn",
-                vec![Value::Number(k as f64)],
-                vec![("r".to_string(), Value::Number(row as f64))],
-            )
-            .expect("remote exec");
-        assert_output_values_bitwise_equal(
-            &local.output,
-            &remote.output,
-            &format!("exec knn {k} r={row}"),
-        );
-    }
-    // The registry lists what this connection prepared, name-ordered.
-    let listed = client.list_prepared().expect("list");
-    assert_eq!(listed, vec![("knn".to_string(), text.to_string())]);
-    // Binding errors are structured, not fatal to the connection.
-    let err = client
-        .exec("knn", vec![], vec![])
-        .expect_err("missing arguments fail");
-    assert!(matches!(err, ClientError::Remote { .. }), "{err:?}");
-    client.ping().expect("connection survives a bind error");
-    client.goodbye().expect("orderly close");
     server.shutdown();
 }
 
