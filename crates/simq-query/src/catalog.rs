@@ -8,21 +8,22 @@
 //! ## The ack contract
 //!
 //! [`Database::insert_into`] and [`Database::insert_batch`] are one write
-//! path: a shared prologue (`admit`), one per-shard commit
-//! (`commit_shard`) and a shared epilogue (`finish_commit`). With a WAL
-//! attached, a row's `Ok` is returned only after the group append holding
-//! its record — a group of one for a single insert — returned from its
-//! `write_all` + `sync_data` (and the parent-directory fsync when the
-//! append created the log), and only then is the row applied. A failed
-//! append applies nothing and still consumes the id(s), because a durable
-//! prefix of the failed group may be replayed after a crash. Applying a
-//! record is the same routine ([`SeriesRelation::apply_insert`]) live and
-//! at replay, so recovery rebuilds exactly the acknowledged state.
+//! path: a shared prologue (`admit`, which extracts each row's features
+//! once), one per-shard commit (`commit_shard`, which applies them) and a
+//! shared epilogue (`finish_commit`). With a WAL attached, a row's `Ok` is
+//! returned only after the group append holding its record — a group of
+//! one for a single insert — returned from its `write_all` + `sync_data`
+//! (and the parent-directory fsync when the append created the log), and
+//! only then is the row applied. A failed append applies nothing and still
+//! consumes the id(s), because a durable prefix of the failed group may be
+//! replayed after a crash. Applying a record is the same routine
+//! ([`SeriesRelation::apply_insert`]) live and at replay, which re-extracts
+//! deterministically, so recovery rebuilds exactly the acknowledged state.
 
 use crate::error::QueryError;
 use simq_index::{RTree, RTreeConfig};
 use simq_series::error::SeriesError;
-use simq_series::features::FeatureScheme;
+use simq_series::features::{FeatureScheme, SeriesFeatures};
 use simq_storage::durable::{
     CheckpointReport, CheckpointSource, DurableDir, DurableError, FailingStorage, ReplayReport,
 };
@@ -257,6 +258,7 @@ impl StoredRelation {
         name: impl Into<String>,
         series: Vec<f64>,
     ) -> Result<(usize, u64), SeriesError> {
+        let features = self.scheme().extract(&series)?;
         let shard = self.shard_of(id);
         let (stores, trees) = self.write_parts();
         let record = WalRecord {
@@ -264,7 +266,7 @@ impl StoredRelation {
             name: name.into(),
             series,
         };
-        let nodes_built = stores[shard].apply_insert(record, trees.get_mut(shard))?;
+        let nodes_built = stores[shard].apply_insert(record, features, trees.get_mut(shard))?;
         self.note_inserted(id);
         Ok((shard, nodes_built))
     }
@@ -802,7 +804,7 @@ impl Database {
         name: impl Into<String>,
         series: Vec<f64>,
     ) -> Result<InsertReport, QueryError> {
-        let stored = self.admit(relation, std::iter::once(series.as_slice()))?;
+        let (stored, mut features) = self.admit(relation, std::iter::once(series.as_slice()))?;
         let id = stored.next_id();
         let shard = stored.shard_of(id);
         let mut record = WalRecord {
@@ -819,6 +821,7 @@ impl Database {
                 shard,
                 idxs: &[0],
                 records: std::slice::from_mut(&mut record),
+                features: &mut features,
                 store: &mut stores[shard],
                 tree: trees.get_mut(shard),
             },
@@ -858,18 +861,20 @@ impl Database {
         if rows.is_empty() {
             return Ok(InsertBatchReport::default());
         }
-        let stored = self.admit(relation, rows.iter().map(|(_, series)| series.as_slice()))?;
+        let (stored, features) =
+            self.admit(relation, rows.iter().map(|(_, series)| series.as_slice()))?;
         let base_id = stored.next_id();
         let last_id = base_id + rows.len() as u64 - 1;
         // Ids are assigned in input order (serial-equivalent) and routed
         // by the shard layout; within a shard records stay id-ascending.
-        let mut per_shard: Vec<(Vec<usize>, Vec<WalRecord>)> =
+        let mut per_shard: Vec<(Vec<usize>, Vec<WalRecord>, Vec<SeriesFeatures>)> =
             vec![Default::default(); stored.shard_count()];
-        for (i, (name, series)) in rows.into_iter().enumerate() {
+        for (i, ((name, series), f)) in rows.into_iter().zip(features).enumerate() {
             let id = base_id + i as u64;
-            let (idxs, records) = &mut per_shard[stored.shard_of(id)];
+            let (idxs, records, features) = &mut per_shard[stored.shard_of(id)];
             idxs.push(i);
             records.push(WalRecord { id, name, series });
+            features.push(f);
         }
         let threads = self.threads;
         let dur = self.durability.as_ref().map(|d| &d.store);
@@ -879,10 +884,11 @@ impl Database {
             .iter_mut()
             .zip(&mut per_shard)
             .enumerate()
-            .map(|(shard, (store, (idxs, records)))| ShardWork {
+            .map(|(shard, (store, (idxs, records, features)))| ShardWork {
                 shard,
                 idxs,
                 records,
+                features,
                 store,
                 tree: trees.next(),
             })
@@ -924,12 +930,13 @@ impl Database {
     /// poisoned, finds the relation, and validates every series the apply
     /// could reject *before* anything is logged — a WAL record is written
     /// only for an insert that will succeed, so replay never manufactures
-    /// rows a crash-free run rejected.
+    /// rows a crash-free run rejected. Validation is extraction, and the
+    /// features come back in input order for the commit to apply.
     fn admit<'a>(
         &self,
         relation: &str,
         rows: impl Iterator<Item = &'a [f64]>,
-    ) -> Result<&StoredRelation, QueryError> {
+    ) -> Result<(&StoredRelation, Vec<SeriesFeatures>), QueryError> {
         let poisoned = self
             .durability
             .as_ref()
@@ -942,17 +949,18 @@ impl Database {
         let stored = self
             .relation(relation)
             .ok_or_else(|| QueryError::UnknownRelation(relation.to_string()))?;
-        for series in rows {
-            if series.len() != stored.series_len() {
-                return Err(SeriesError::DimensionMismatch {
-                    expected: stored.series_len(),
-                    actual: series.len(),
+        let features = rows
+            .map(|series| {
+                if series.len() != stored.series_len() {
+                    return Err(SeriesError::DimensionMismatch {
+                        expected: stored.series_len(),
+                        actual: series.len(),
+                    });
                 }
-                .into());
-            }
-            stored.scheme().extract(series)?;
-        }
-        Ok(stored)
+                stored.scheme().extract(series)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok((stored, features))
     }
 
     /// The write path's shared epilogue, run once per commit over its
@@ -1186,6 +1194,8 @@ struct ShardWork<'a> {
     idxs: &'a [usize],
     /// The shard's records in id order; the apply takes them.
     records: &'a mut [WalRecord],
+    /// Admission's features, parallel to `records`; the apply takes them.
+    features: &'a mut [SeriesFeatures],
     store: &'a mut SeriesRelation,
     tree: Option<&'a mut RTree>,
 }
@@ -1206,8 +1216,8 @@ struct ShardCommit {
 
 /// The write path's one commit: WALs the shard's records as a single
 /// group append (one write, one sync), then applies them in id order with
-/// incremental index maintenance — the WAL-then-apply half of the
-/// [ack contract](self#the-ack-contract). Runs on the caller's thread or a
+/// admission's features and incremental index maintenance — the
+/// WAL-then-apply half of the [ack contract](self#the-ack-contract). Runs on the caller's thread or a
 /// scoped worker: it takes only the shard's own `&mut` state plus a shared
 /// [`DurableDir`] handle.
 fn commit_shard(dur: Option<&DurableDir>, relation: &str, work: &mut ShardWork<'_>) -> ShardCommit {
@@ -1230,11 +1240,13 @@ fn commit_shard(dur: Option<&DurableDir>, relation: &str, work: &mut ShardWork<'
         }
         out.wal_synced = true;
     }
-    for (k, (&idx, rec)) in work.idxs.iter().zip(work.records.iter_mut()).enumerate() {
+    let rows = work.records.iter_mut().zip(work.features.iter_mut());
+    for (k, (&idx, (rec, features))) in work.idxs.iter().zip(rows).enumerate() {
         let id = rec.id;
+        let (rec, features) = (std::mem::take(rec), std::mem::take(features));
         match work
             .store
-            .apply_insert(std::mem::take(rec), work.tree.as_deref_mut())
+            .apply_insert(rec, features, work.tree.as_deref_mut())
         {
             Ok(nodes_built) => out.acked.push((
                 idx,

@@ -42,6 +42,9 @@ pub enum SeriesError {
     /// A transformation's constants overflow: its action on the mean, the
     /// standard deviation or a spectrum coefficient is not a finite number.
     NonFiniteTransformation,
+    /// A series holds a NaN or infinite sample, or its mean or standard
+    /// deviation overflows, so it has no finite normal form.
+    NonFiniteSeries,
     /// A row id is already present in the relation (explicit-id inserts on
     /// the persistence restore path).
     DuplicateRowId(u64),
@@ -82,6 +85,10 @@ impl fmt::Display for SeriesError {
                     "transformation constants overflow: its action is not finite"
                 )
             }
+            SeriesError::NonFiniteSeries => write!(
+                f,
+                "series is not finite: a sample, its mean or its standard deviation is NaN or infinite"
+            ),
             SeriesError::DuplicateRowId(id) => {
                 write!(f, "row id {id} already exists in the relation")
             }

@@ -62,7 +62,7 @@ pub struct FeatureScheme {
 
 /// Everything extracted from one series: the index point plus the data the
 /// postprocessing step needs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SeriesFeatures {
     /// The point stored in the index.
     pub point: FeaturePoint,
@@ -137,7 +137,11 @@ impl FeatureScheme {
     /// # Errors
     /// [`SeriesError::TooFewSamples`] when the series has fewer than `k+1`
     /// samples (frequencies `1..=k` must exist); the normalization errors
-    /// of [`normal::normalize`] otherwise.
+    /// of [`normal::normalize`]; [`SeriesError::NonFiniteSeries`] when the
+    /// mean or the standard deviation is not finite — which a NaN or
+    /// infinite sample always makes them. A finite standard deviation
+    /// bounds every sample's squared deviation, so the normal form of an
+    /// accepted series is bounded and its spectrum finite.
     pub fn extract(&self, series: &[f64]) -> Result<SeriesFeatures, SeriesError> {
         if series.len() < self.k + 1 {
             return Err(SeriesError::TooFewSamples {
@@ -146,6 +150,9 @@ impl FeatureScheme {
             });
         }
         let nf = normal::normalize(series)?;
+        if !(nf.mean.is_finite() && nf.std_dev.is_finite()) {
+            return Err(SeriesError::NonFiniteSeries);
+        }
         let spectrum = fft::forward_real(&nf.series);
         let point = self.point_from_spectrum(nf.mean, nf.std_dev, &spectrum)?;
         Ok(SeriesFeatures {
@@ -441,6 +448,65 @@ mod tests {
             scheme.extract(&[1.0, 2.0, 3.0]),
             Err(SeriesError::TooFewSamples { .. })
         ));
+    }
+
+    #[test]
+    fn every_accepted_series_has_finite_features() {
+        let schemes = [
+            FeatureScheme::paper_default(),
+            FeatureScheme::new(3, Representation::Rectangular, true),
+        ];
+        let offsets = [
+            0.0,
+            1e-170,
+            1e150,
+            -1e150,
+            1e300,
+            -1e300,
+            f64::MAX / 256.0,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        let amplitudes = [1e-170, 1e-162, 1e-3, 1.0, 1e150, 1e154, 1e300, f64::MAX];
+        let mut accepted_offsets = Vec::new();
+        for seed in 0..6u64 {
+            let walk = sample_series(64, seed);
+            let (lo, hi) = walk
+                .iter()
+                .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            for &offset in &offsets {
+                for &amp in &amplitudes {
+                    // A walk rescaled to [−amp, amp] around `offset`; odd
+                    // seeds also pin one sample to ±f64::MAX.
+                    let mut s: Vec<f64> = walk
+                        .iter()
+                        .map(|v| offset + amp * (2.0 * (v - lo) / (hi - lo) - 1.0))
+                        .collect();
+                    if seed % 2 == 1 {
+                        s[seed as usize] = if seed % 4 == 1 { f64::MAX } else { -f64::MAX };
+                    }
+                    for scheme in &schemes {
+                        let Ok(f) = scheme.extract(&s) else { continue };
+                        accepted_offsets.push(offset);
+                        let what = format!("seed {seed} offset {offset:e} amp {amp:e}");
+                        assert!(f.mean.is_finite() && f.std_dev.is_finite(), "{what}");
+                        assert!(f.point.iter().all(|x| x.is_finite()), "{what}");
+                        assert!(
+                            f.spectrum
+                                .iter()
+                                .all(|c| c.re.is_finite() && c.im.is_finite()),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+        // The sweep accepts series at the extremes it is meant to cover.
+        // From 1e300 up every series is constant or overflows: one ulp
+        // there squares past f64::MAX.
+        for offset in [0.0, 1e-170, 1e150, -1e150] {
+            assert!(accepted_offsets.contains(&offset), "{offset:e}");
+        }
     }
 
     #[test]

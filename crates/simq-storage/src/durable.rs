@@ -726,8 +726,8 @@ impl DurableDir {
                 continue;
             }
             let id = rec.id;
-            relation
-                .apply_insert(rec, index.as_deref_mut())
+            (relation.scheme().extract(&rec.series))
+                .and_then(|features| relation.apply_insert(rec, features, index.as_deref_mut()))
                 .map_err(|e| {
                     DurableError::Format(format!(
                         "relation {:?}: WAL record id {id} fails to apply: {e}",

@@ -168,23 +168,46 @@ impl SeriesRelation {
         name: impl Into<String>,
         series: Vec<f64>,
     ) -> Result<u64, SeriesError> {
-        if series.len() != self.series_len {
-            return Err(SeriesError::DimensionMismatch {
-                expected: self.series_len,
-                actual: series.len(),
-            });
-        }
-        // Ids at or above `next_id` have never been assigned, so only
-        // smaller ids can collide — sequential inserts skip the lookup.
-        if id < self.next_id && self.row(id).is_some() {
-            return Err(SeriesError::DuplicateRowId(id));
-        }
+        self.check_slot(id, &series)?;
         let features = self.scheme.extract(&series)?;
+        let name = name.into();
+        self.apply_insert(WalRecord { id, name, series }, features, None)
+            .map(|_| id)
+    }
+
+    /// Applies one insert with its extracted features: the row under the
+    /// record's id, then — when the store is indexed — its feature point
+    /// into `tree` (incremental maintenance, no rebuild). Returns the tree
+    /// nodes the insert materialized (splits and root growth; 0 without a
+    /// tree).
+    ///
+    /// This is the write side's one apply and one row push. The live
+    /// commit passes the features its admission extracted; explicit-id
+    /// inserts and WAL replay extract first. Extraction is deterministic,
+    /// so replay applies exactly what the live path applied.
+    ///
+    /// # Errors
+    /// [`SeriesError::DimensionMismatch`] on wrong length,
+    /// [`SeriesError::DuplicateRowId`] when the id is taken; nothing is
+    /// applied on error.
+    pub fn apply_insert(
+        &mut self,
+        record: WalRecord,
+        features: SeriesFeatures,
+        tree: Option<&mut RTree>,
+    ) -> Result<u64, SeriesError> {
+        self.check_slot(record.id, &record.series)?;
+        debug_assert!(
+            features.point.len() == self.scheme.dims()
+                && features.spectrum.len() == self.series_len,
+            "features of another scheme or length"
+        );
+        let WalRecord { id, name, series } = record;
         let pos = self.rows.len();
         self.sigs.push(&features.spectrum);
         self.rows.push(SeriesRow {
             id,
-            name: name.into(),
+            name,
             raw: series,
             features,
         });
@@ -205,33 +228,29 @@ impl SeriesRelation {
             None => {}
         }
         self.next_id = self.next_id.max(id + 1);
-        Ok(id)
-    }
-
-    /// Applies one logged insert: the row under the record's id, then —
-    /// when the store is indexed — its feature point into `tree`
-    /// (incremental maintenance, no rebuild). Returns the tree nodes the
-    /// insert materialized (splits and root growth; 0 without a tree).
-    ///
-    /// This is the write side's one apply: the live commit, catalog-level
-    /// explicit-id inserts and WAL replay all call it, so replay applies
-    /// exactly what the live path applied.
-    ///
-    /// # Errors
-    /// As [`SeriesRelation::insert_with_id`]; nothing is applied on error.
-    pub fn apply_insert(
-        &mut self,
-        record: WalRecord,
-        tree: Option<&mut RTree>,
-    ) -> Result<u64, SeriesError> {
-        let id = self.insert_with_id(record.id, record.name, record.series)?;
         let Some(tree) = tree else {
             return Ok(0);
         };
         let before = tree.nodes_built();
-        let row = self.rows.last().expect("just inserted");
-        tree.insert_point(&row.features.point, id);
+        tree.insert_point(&self.rows[pos].features.point, id);
         Ok(tree.nodes_built() - before)
+    }
+
+    /// Refuses a row this relation cannot take: a series of the wrong
+    /// length or an id already stored.
+    fn check_slot(&self, id: u64, series: &[f64]) -> Result<(), SeriesError> {
+        if series.len() != self.series_len {
+            return Err(SeriesError::DimensionMismatch {
+                expected: self.series_len,
+                actual: series.len(),
+            });
+        }
+        // Ids at or above `next_id` have never been assigned, so only
+        // smaller ids can collide — sequential inserts skip the lookup.
+        if id < self.next_id && self.row(id).is_some() {
+            return Err(SeriesError::DuplicateRowId(id));
+        }
+        Ok(())
     }
 
     /// Consumes the relation, returning its rows in insertion order (the

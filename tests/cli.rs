@@ -442,6 +442,21 @@ fn insert_validates_arguments_before_touching_anything() {
 }
 
 #[test]
+fn non_finite_insert_is_refused_and_the_shell_keeps_answering() {
+    let mut series: Vec<String> = (0..128).map(|i| format!("{}", 30 + i % 7)).collect();
+    series[5] = "NaN".into();
+    let script = format!(
+        "\\insert walks BAD [{}]\nFIND 3 NEAREST TO ROW 0 IN walks\n\\quit\n",
+        series.join(", ")
+    );
+    let (stdout, stderr, code) = run_cli(&[], &script);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("error: series is not finite"), "{stdout}");
+    assert!(!stdout.contains("inserted"), "{stdout}");
+    assert!(stdout.contains("3 hits:"), "{stdout}");
+}
+
+#[test]
 fn semicolon_insert_runs_as_one_grouped_batch() {
     let row = |k: usize| {
         (0..128)
