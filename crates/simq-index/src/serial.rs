@@ -1,6 +1,6 @@
 //! Binary serialization of the R*-tree.
 //!
-//! The persistence layer stores whole databases in paged binary snapshots
+//! The persistence layer stores every shard's tree in a paged checkpoint
 //! (`simq-storage`); reopening one must *not* re-bulk-load the index — the
 //! paper's trees are built once over a fixed corpus and then only read. This
 //! module encodes the complete tree *structure* — configuration, space

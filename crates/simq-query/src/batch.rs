@@ -23,7 +23,7 @@
 //! identical to running the statement alone, and the batch's counters are
 //! the sum of its slots'
 //! (`tests/batch_equivalence.rs` pins both, at 1 and 4 threads, in memory
-//! and after snapshot reload). In memory a batch does not save index or
+//! and after a save and reopen). In memory a batch does not save index or
 //! row work; it saves the front end and thread start-up.
 
 use crate::ast::Query;

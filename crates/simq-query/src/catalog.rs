@@ -26,8 +26,8 @@ use simq_series::error::SeriesError;
 use simq_series::features::{FeatureScheme, SeriesFeatures};
 use simq_storage::durable::{
     CheckpointReport, CheckpointSource, DurableDir, DurableError, FailingStorage, ReplayReport,
+    SnapshotEntry,
 };
-use simq_storage::snapshot::{self, SnapshotEntry, SnapshotError, SnapshotSource};
 use simq_storage::wal::WalRecord;
 use simq_storage::{SeriesRelation, SeriesRow, ShardedRelation};
 use std::collections::BTreeMap;
@@ -452,8 +452,8 @@ impl Database {
 
     /// The catalog generation counter. It increases on every mutation a
     /// pinned [`ReadView`] would not see: adding or replacing a relation,
-    /// handing out mutable access to one, an acknowledged insert, loading
-    /// a snapshot, or changing the execution parallelism. The server
+    /// handing out mutable access to one, an acknowledged insert, or
+    /// changing the execution parallelism. The server
     /// re-pins a connection's session when it moves.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -614,93 +614,78 @@ impl Database {
         self
     }
 
-    /// Saves every relation — and its index structure(s), when built — to
-    /// a paged binary snapshot (see [`simq_storage::snapshot`]). Sharded
-    /// relations persist their shard layout and one tree per shard, so
-    /// reopening reproduces the sharded form exactly.
+    /// Saves the whole database — every relation with its index
+    /// structure(s), sharded or not — into the durable directory `dir`: a
+    /// full checkpoint, the same one [`Database::attach_wal`] writes.
+    /// Creates the database at `dir` or replaces the one already there;
+    /// the replacement commits at the manifest rename, so a failure or
+    /// crash before it leaves the old database whole. Reopen it with
+    /// [`Database::open_durable`]: rows, spectra and index points come
+    /// back bit-for-bit and indexes are decoded, not re-bulk-loaded.
     ///
     /// # Errors
-    /// I/O errors from the filesystem.
-    pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        let entries: Vec<SnapshotSource> = self
-            .relations
-            .values()
-            .map(|s| match s.as_ref() {
-                StoredRelation::Single { relation, index } => {
-                    SnapshotSource::Single(relation, index.as_ref())
-                }
-                StoredRelation::Sharded { relation, indexes } => {
-                    SnapshotSource::Sharded(relation, indexes)
-                }
-            })
-            .collect();
-        snapshot::save_catalog(path, &entries)
+    /// [`QueryError::Unsupported`] when `dir` is this database's own
+    /// attached WAL directory: a second handle's full checkpoint there
+    /// would delete the live log tails under the attached one, so save it
+    /// with [`Database::checkpoint`] instead. [`QueryError::Storage`] on
+    /// filesystem failure.
+    pub fn save_snapshot(&self, dir: impl AsRef<Path>) -> Result<CheckpointReport, QueryError> {
+        self.save_to(dir.as_ref()).map(|(_, report)| report)
     }
 
-    /// Opens a snapshot as a fresh database. Rows, spectra and index
-    /// points are restored bit-for-bit and indexes are *decoded*, not
-    /// re-bulk-loaded — queries against the reopened database return
-    /// exactly what the saved one did. The execution parallelism is a
-    /// runtime setting and starts at the default ([`Parallelism::Serial`]).
-    ///
-    /// # Errors
-    /// [`SnapshotError`] on I/O failure, checksum mismatch or a
-    /// structurally invalid snapshot.
-    pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        let mut db = Database::new();
-        db.load_snapshot(path)?;
-        Ok(db)
-    }
-
-    /// Merges a snapshot's relations into this database (same-named
-    /// relations are replaced). Returns how many relations were loaded.
-    ///
-    /// # Errors
-    /// [`SnapshotError`] on I/O failure, checksum mismatch or a
-    /// structurally invalid snapshot; on error the database is unchanged.
-    pub fn load_snapshot(&mut self, path: impl AsRef<Path>) -> Result<usize, SnapshotError> {
-        let loaded = snapshot::load(path)?;
-        let count = loaded.len();
-        self.generation += 1;
-        let mut names = Vec::with_capacity(count);
-        for entry in loaded {
-            let stored = StoredRelation::from(entry);
-            names.push(stored.name().to_string());
-            self.relations
-                .insert(stored.name().to_string(), Arc::new(stored));
-        }
-        if let Some(d) = &mut self.durability {
-            for name in &names {
-                d.dirty.remove(name);
+    /// The full checkpoint behind [`Database::save_snapshot`] and
+    /// [`Database::attach_wal`]; returns the directory handle it wrote
+    /// through.
+    fn save_to(&self, dir: &Path) -> Result<(DurableDir, CheckpointReport), QueryError> {
+        if let Some(d) = &self.durability {
+            let canonical = |p: &Path| std::fs::canonicalize(p).ok();
+            if canonical(d.store.dir()).is_some_and(|own| Some(own) == canonical(dir)) {
+                return Err(QueryError::Unsupported(format!(
+                    "{} is this database's attached WAL directory; use checkpoint() to save it",
+                    dir.display()
+                )));
             }
-            self.auto_checkpoint();
         }
-        Ok(count)
+        let mut store = DurableDir::create(dir)?;
+        let report = store.checkpoint(&checkpoint_sources(&self.relations, &BTreeMap::new()))?;
+        Ok((store, report))
     }
 
-    /// Attaches a durable write path to `dir`: creates the directory,
-    /// writes a full checkpoint of the current catalog, and from then on
-    /// appends every acknowledged insert to the owning shard's WAL before
-    /// applying it. Returns what the initial checkpoint wrote.
+    /// [`Database::open_durable`] without the replay report. Kept only
+    /// because the benchmark's layer probe (`bench/src/ingest.rs`) calls
+    /// it; new code calls `open_durable`.
+    ///
+    /// # Errors
+    /// As [`Database::open_durable`].
+    pub fn open_snapshot(dir: impl AsRef<Path>) -> Result<Self, QueryError> {
+        Database::open_durable(dir.as_ref()).map(|(db, _)| db)
+    }
+
+    /// Attaches a durable write path to `dir`: writes a full checkpoint of
+    /// the current catalog there (creating the database, or replacing the
+    /// one already there exactly as [`Database::save_snapshot`] does), and
+    /// from then on appends every acknowledged insert to the owning
+    /// shard's WAL before applying it. Returns what the checkpoint wrote.
     ///
     /// # Errors
     /// [`QueryError::Unsupported`] when a WAL is already attached;
-    /// [`QueryError::Storage`] on filesystem failure.
+    /// [`QueryError::Storage`] on filesystem failure, after which no WAL
+    /// is attached and `dir` still holds what it held before.
     pub fn attach_wal(&mut self, dir: impl Into<PathBuf>) -> Result<CheckpointReport, QueryError> {
         if self.durability.is_some() {
             return Err(QueryError::Unsupported(
                 "a WAL directory is already attached".into(),
             ));
         }
-        let store = DurableDir::create(dir.into())?;
+        let (store, report) = self.save_to(&dir.into())?;
         self.durability = Some(Durability {
             store,
-            dirty: BTreeMap::new(),
+            dirty: clean_flags(&self.relations),
             wal_records: 0,
             replay: ReplayReport::default(),
             pending_error: None,
         });
-        self.checkpoint()
+        Ok(report)
     }
 
     /// [`Database::attach_wal`] with WAL appends routed through an
@@ -742,14 +727,9 @@ impl Database {
         }
         // Checkpoints + logs already hold everything replay applied, so
         // every shard starts clean.
-        let dirty = db
-            .relations
-            .values()
-            .map(|s| (s.name().to_string(), vec![false; s.shard_count()]))
-            .collect();
         db.durability = Some(Durability {
             store,
-            dirty,
+            dirty: clean_flags(&db.relations),
             wal_records: 0,
             replay,
             pending_error: None,
@@ -1062,7 +1042,7 @@ impl Database {
     }
 
     /// Commits a checkpoint: every dirty shard's store and tree are
-    /// written to new snapshot files, the manifest flips atomically, and
+    /// written to new checkpoint files, the manifest flips atomically, and
     /// absorbed WAL tails are deleted. Clean shards keep their files
     /// untouched — the incremental-maintenance win `\save` inherits.
     /// A successful checkpoint also clears a poisoned write path.
@@ -1088,27 +1068,10 @@ impl Database {
     /// automatic after-DDL checkpoints.
     fn checkpoint_inner(&mut self) -> Result<CheckpointReport, DurableError> {
         let d = self.durability.as_mut().expect("caller checked attachment");
-        let sources: Vec<CheckpointSource<'_>> = self
-            .relations
-            .values()
-            .map(|s| {
-                let flags = d.dirty.get(s.name());
-                let dirty_at = |j: usize| flags.is_none_or(|f| f.get(j).copied().unwrap_or(true));
-                CheckpointSource {
-                    name: s.name(),
-                    sharded: matches!(s.as_ref(), StoredRelation::Sharded { .. }),
-                    shards: (s.stores().iter().enumerate())
-                        .map(|(j, store)| (store, s.trees().get(j), dirty_at(j)))
-                        .collect(),
-                }
-            })
-            .collect();
-        let report = d.store.checkpoint(&sources)?;
-        d.dirty = self
-            .relations
-            .values()
-            .map(|s| (s.name().to_string(), vec![false; s.shard_count()]))
-            .collect();
+        let report = d
+            .store
+            .checkpoint(&checkpoint_sources(&self.relations, &d.dirty))?;
+        d.dirty = clean_flags(&self.relations);
         Ok(report)
     }
 
@@ -1175,6 +1138,38 @@ impl std::borrow::Borrow<Database> for ReadView {
     fn borrow(&self) -> &Database {
         &self.db
     }
+}
+
+/// The checkpoint writer's view of the catalog: every relation's shards,
+/// each dirty unless `dirty` flags it clean. A relation missing from
+/// `dirty` is all-dirty, so an empty map asks for a full checkpoint.
+fn checkpoint_sources<'a>(
+    relations: &'a BTreeMap<String, Arc<StoredRelation>>,
+    dirty: &BTreeMap<String, Vec<bool>>,
+) -> Vec<CheckpointSource<'a>> {
+    relations
+        .values()
+        .map(|s| {
+            let flags = dirty.get(s.name());
+            let dirty_at = |j: usize| flags.is_none_or(|f| f.get(j).copied().unwrap_or(true));
+            CheckpointSource {
+                name: s.name(),
+                sharded: matches!(s.as_ref(), StoredRelation::Sharded { .. }),
+                shards: (s.stores().iter().enumerate())
+                    .map(|(j, store)| (store, s.trees().get(j), dirty_at(j)))
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+/// Every shard of every relation flagged clean: the state right after a
+/// checkpoint commits or a directory opens.
+fn clean_flags(relations: &BTreeMap<String, Arc<StoredRelation>>) -> BTreeMap<String, Vec<bool>> {
+    relations
+        .values()
+        .map(|s| (s.name().to_string(), vec![false; s.shard_count()]))
+        .collect()
 }
 
 /// The relation a writer has already admitted, un-shared from any read

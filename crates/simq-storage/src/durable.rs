@@ -1,6 +1,8 @@
 //! The durable directory store: per-shard checkpoints plus WAL tails.
 //!
-//! A durable database lives in one directory:
+//! This is the one on-disk form of a database. A saved database and a
+//! write-ahead-logged one are the same directory, written by the same
+//! checkpoint and opened by [`DurableDir::open`]:
 //!
 //! ```text
 //! dir/
@@ -9,12 +11,11 @@
 //!   r<id>.s<j>.e<E>.wal       shard j's WAL tail since that checkpoint
 //! ```
 //!
-//! Every shard checkpoint is an ordinary single-entry snapshot
-//! ([`crate::snapshot`]) of that shard's store and tree; an unsharded
-//! relation is the one-shard special case. `<id>` is a stable per-relation
-//! file id assigned at first checkpoint (names stay valid when relations
-//! are added or dropped), and `<E>` is the epoch the shard's checkpoint was
-//! written at.
+//! Every shard checkpoint is one image of the [`crate::snapshot`] codec:
+//! that shard's store and tree. An unsharded relation is the one-shard
+//! special case. `<id>` is a stable per-relation file id assigned at first
+//! checkpoint (names stay valid when relations are added or dropped), and
+//! `<E>` is the epoch the shard's checkpoint was written at.
 //!
 //! ## Checkpoint protocol
 //!
@@ -25,12 +26,17 @@
 //! 3. Delete files the new manifest no longer references (superseded
 //!    checkpoints and the WAL tails they absorbed).
 //!
-//! A crash at any point leaves a openable directory: before step 2 the old
+//! The manifest rename in step 2 is the only commit point, also when a
+//! database replaces another in the same directory: [`DurableDir::create`]
+//! reads the manifest already there, so the new files take the next epoch
+//! and the old set stays whole until the rename.
+//!
+//! A crash at any point leaves an openable directory: before step 2 the old
 //! manifest still references the complete old file set (new-epoch files are
 //! orphans, cleaned on next open); after step 2 the new set is committed
 //! and stale files are at worst re-deleted. A crash *between* a shard's
 //! checkpoint commit and its WAL deletion makes replay see records the
-//! snapshot already contains — they deterministically collide on their row
+//! checkpoint already contains — they deterministically collide on their row
 //! id and are skipped (and counted) rather than double-applied.
 //!
 //! ## Replay invariants
@@ -44,7 +50,7 @@
 use crate::pages::{self, PageError};
 use crate::relation::SeriesRelation;
 use crate::shard::{ShardLayout, ShardedRelation};
-use crate::snapshot::{self, SnapshotEntry, SnapshotError, SnapshotRelation};
+use crate::snapshot::{self, SnapshotError, SnapshotRelation};
 use crate::wal::{self, WalRecord};
 use simq_index::serial::{ByteReader, ByteWriter};
 use simq_index::RTree;
@@ -213,6 +219,21 @@ fn manifest_from_bytes(file: &[u8]) -> Result<Manifest, DurableError> {
     })
 }
 
+/// One relation of an opened directory: a plain relation or a sharded one
+/// with its per-shard trees.
+#[derive(Debug, Clone)]
+pub enum SnapshotEntry {
+    /// An unsharded relation.
+    Single(SnapshotRelation),
+    /// A sharded relation with one decoded R*-tree per shard.
+    Sharded {
+        /// The sharded relation, rows restored bit-for-bit per shard.
+        relation: ShardedRelation,
+        /// One decoded tree per shard, in shard order.
+        indexes: Vec<RTree>,
+    },
+}
+
 /// The injectable WAL write target for the crash-fuzz harness.
 ///
 /// Instead of the filesystem, appends go to an in-memory byte buffer per
@@ -361,23 +382,29 @@ pub struct CheckpointSource<'a> {
 }
 
 impl DurableDir {
-    /// Creates (or re-initializes the handle for) a durable directory.
-    /// The directory is created if absent; an existing manifest is **not**
-    /// read — use [`DurableDir::open`] for that. The caller follows up
-    /// with a full checkpoint to give the manifest content.
+    /// A handle for writing a whole database into `dir`, which is created
+    /// if absent. The caller follows up with a full checkpoint, which
+    /// creates the database there or replaces the one already there.
+    /// Nothing is written here: an existing manifest is read (not loaded)
+    /// so the checkpoint's files take the next epoch, and its manifest
+    /// rename is the one instant the directory switches databases.
     ///
     /// # Errors
-    /// I/O errors from the filesystem.
+    /// I/O errors from the filesystem, and [`DurableError`] when a
+    /// manifest exists but is unreadable.
     pub fn create(dir: impl Into<PathBuf>) -> Result<Self, DurableError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let store = DurableDir {
-            dir,
-            manifest: Manifest::default(),
-            sink: None,
+        let manifest = match fs::read(dir.join(MANIFEST_NAME)) {
+            Ok(bytes) => manifest_from_bytes(&bytes)?,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Manifest::default(),
+            Err(e) => return Err(e.into()),
         };
-        pages::write_atomic(&store.manifest_path(), &manifest_to_bytes(&store.manifest))?;
-        Ok(store)
+        Ok(DurableDir {
+            dir,
+            manifest,
+            sink: None,
+        })
     }
 
     /// Opens an existing durable directory: reads the manifest, loads
@@ -393,7 +420,10 @@ impl DurableDir {
     ) -> Result<(Self, Vec<SnapshotEntry>, ReplayReport), DurableError> {
         let dir = dir.into();
         let manifest_bytes = fs::read(dir.join(MANIFEST_NAME)).map_err(|e| {
-            if e.kind() == io::ErrorKind::NotFound {
+            if matches!(
+                e.kind(),
+                io::ErrorKind::NotFound | io::ErrorKind::NotADirectory
+            ) {
                 DurableError::Format(format!("no durable database at {}", dir.display()))
             } else {
                 DurableError::Io(e)
@@ -543,7 +573,7 @@ impl DurableDir {
             let mut shard_epochs = Vec::with_capacity(src.shards.len());
             for (shard, (relation, index, dirty)) in src.shards.iter().enumerate() {
                 if *dirty || shape_changed {
-                    let bytes = snapshot::to_bytes(&[(relation, *index)]);
+                    let bytes = snapshot::to_bytes(relation, *index);
                     pages::write_atomic(&self.snap_path(file_id, shard, epoch), &bytes)?;
                     bytes_written += bytes.len() as u64;
                     shard_epochs.push(epoch);
@@ -627,7 +657,10 @@ impl DurableDir {
         let mut shards: Vec<(SeriesRelation, Option<RTree>)> = Vec::with_capacity(shard_count);
         for (shard, epoch) in entry.shard_epochs.iter().enumerate() {
             let path = self.snap_path(entry.file_id, shard, *epoch);
-            let mut loaded = snapshot::load(&path).map_err(|e| match e {
+            let SnapshotRelation {
+                mut relation,
+                mut index,
+            } = snapshot::load(&path).map_err(|e| match e {
                 SnapshotError::Io(io) if io.kind() == io::ErrorKind::NotFound => {
                     DurableError::Format(format!(
                         "checkpoint {} referenced by the manifest is missing",
@@ -636,29 +669,14 @@ impl DurableDir {
                 }
                 other => DurableError::Snapshot(other),
             })?;
-            if loaded.len() != 1 {
-                return Err(DurableError::Format(format!(
-                    "checkpoint {} holds {} catalog entries (expected 1)",
-                    path.display(),
-                    loaded.len()
-                )));
-            }
-            let Some(SnapshotEntry::Single(s)) = loaded.pop() else {
-                return Err(DurableError::Format(format!(
-                    "checkpoint {} is not a single-shard image",
-                    path.display()
-                )));
-            };
-            if s.relation.name() != entry.name {
+            if relation.name() != entry.name {
                 return Err(DurableError::Format(format!(
                     "checkpoint {} stores relation {:?}, manifest says {:?}",
                     path.display(),
-                    s.relation.name(),
+                    relation.name(),
                     entry.name
                 )));
             }
-            let mut relation = s.relation;
-            let mut index = s.index;
             self.replay_wal_into(entry, shard, &mut relation, index.as_mut(), report)?;
             shards.push((relation, index));
         }
@@ -757,6 +775,13 @@ mod tests {
         rel
     }
 
+    fn single(entry: &SnapshotEntry) -> &SnapshotRelation {
+        let SnapshotEntry::Single(s) = entry else {
+            panic!("unsharded entry expected");
+        };
+        s
+    }
+
     fn tmp(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("simq-durable-unit-{tag}-{}", std::process::id()));
@@ -782,7 +807,7 @@ mod tests {
         let (_, entries, replay) = DurableDir::open(&dir).unwrap();
         assert_eq!(replay, ReplayReport::default());
         assert_eq!(entries.len(), 1);
-        let single = entries[0].single().expect("single entry");
+        let single = single(&entries[0]);
         assert_eq!(single.relation.len(), 20);
         assert_eq!(
             simq_index::serial::to_bytes(single.index.as_ref().unwrap()),
@@ -821,7 +846,7 @@ mod tests {
         let (_, entries, replay) = DurableDir::open(&dir).unwrap();
         assert_eq!(replay.records_applied, 3);
         assert_eq!(replay.records_dropped, 0);
-        let single = entries[0].single().unwrap();
+        let single = single(&entries[0]);
         assert_eq!(single.relation.len(), 8);
         assert_eq!(single.index.as_ref().unwrap().len(), 8);
         assert_eq!(single.relation.row(6).unwrap().name, "D6");
@@ -880,12 +905,37 @@ mod tests {
         // Simulate a crash mid-checkpoint: a new-epoch snap file exists
         // but the manifest was never rewritten.
         let bigger = sample_relation("r", 9);
-        let bytes = snapshot::to_bytes(&[(&bigger, None)]);
+        let bytes = snapshot::to_bytes(&bigger, None);
         let orphan = store.snap_path(store.manifest().entries[0].file_id, 0, 99);
         std::fs::write(&orphan, &bytes).unwrap();
         let (_, entries, _) = DurableDir::open(&dir).unwrap();
-        assert_eq!(entries[0].single().unwrap().relation.len(), 6);
+        assert_eq!(single(&entries[0]).relation.len(), 6);
         assert!(!orphan.exists(), "orphan cleaned on open");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `create` over a database writes nothing and continues its epochs;
+    /// a missing manifest is an empty one and a garbled one an error.
+    #[test]
+    fn create_reads_an_existing_manifest_and_writes_nothing() {
+        let dir = tmp("create");
+        let mut store = DurableDir::create(&dir).unwrap();
+        assert_eq!(store.manifest(), &Manifest::default());
+        assert!(!dir.join(MANIFEST_NAME).exists());
+        let rel = sample_relation("r", 4);
+        store
+            .checkpoint(&[CheckpointSource {
+                name: "r",
+                sharded: false,
+                shards: vec![(&rel, None, true)],
+            }])
+            .unwrap();
+        let committed = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+        let again = DurableDir::create(&dir).unwrap();
+        assert_eq!(again.manifest(), store.manifest());
+        assert_eq!(std::fs::read(dir.join(MANIFEST_NAME)).unwrap(), committed);
+        std::fs::write(dir.join(MANIFEST_NAME), b"not a manifest").unwrap();
+        assert!(DurableDir::create(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

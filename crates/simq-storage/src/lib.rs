@@ -12,10 +12,9 @@
 //! * [`persist`] — a tiny dependency-free text format with exact `f64`
 //!   round-tripping (the import/export path).
 //! * [`pages`] — the checksummed fixed-size page layer under snapshots.
-//! * [`snapshot`] — versioned binary snapshots of whole databases:
-//!   relations (sharded or not), precomputed spectra and serialized
-//!   R*-trees, so cold starts skip feature extraction and index
-//!   bulk-loading.
+//! * [`snapshot`] — the shard checkpoint codec: one relation with its
+//!   precomputed spectra and serialized R*-tree, so cold starts skip
+//!   feature extraction and index bulk-loading.
 //! * [`shard`] — [`ShardedRelation`]: the row space hash-partitioned by
 //!   row id into independent shards (each an ordinary [`SeriesRelation`]),
 //!   plus sharded scan entry points whose merged results are bitwise
@@ -27,9 +26,9 @@
 //! * [`wal`] — checksummed, length-prefixed write-ahead-log records, the
 //!   grouped append (one write + one sync for a group of records),
 //!   longest-valid-prefix replay and torn-tail repair.
-//! * [`durable`] — the durable directory store: per-shard checkpoint
-//!   files under an atomically committed manifest, WAL tails on top
-//!   (snapshot = checkpoint, WAL = tail), and the injectable
+//! * [`durable`] — the durable directory store, the one on-disk form of
+//!   a database: per-shard checkpoint files under an atomically
+//!   committed manifest, WAL tails on top, and the injectable
 //!   [`FailingStorage`] the crash-fuzz harness kills at seeded byte
 //!   offsets.
 
@@ -47,7 +46,7 @@ pub mod wal;
 
 pub use durable::{
     CheckpointReport, CheckpointSource, DurableDir, DurableError, FailingStorage, Manifest,
-    ManifestEntry, ReplayReport,
+    ManifestEntry, ReplayReport, SnapshotEntry,
 };
 pub use relation::{SeriesRelation, SeriesRow};
 pub use scan::{
@@ -56,5 +55,5 @@ pub use scan::{
 };
 pub use shard::{ShardLayout, ShardedRelation};
 pub use sig::{deflate_sq, FilterProbe, SignatureArray, SIG_COEFFS};
-pub use snapshot::{SnapshotEntry, SnapshotError, SnapshotRelation, SnapshotSource};
+pub use snapshot::{SnapshotError, SnapshotRelation};
 pub use wal::{WalRecord, WalReplay};

@@ -1,5 +1,5 @@
 //! Plain-text persistence for relations (the import/export path; binary
-//! cold starts live in [`crate::snapshot`]).
+//! cold starts live in [`crate::durable`]).
 //!
 //! A deliberately tiny line format (no external dependencies):
 //!

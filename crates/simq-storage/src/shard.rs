@@ -116,37 +116,19 @@ impl ShardedRelation {
 
     /// Re-partitions an existing relation into `shards` shards. Rows move
     /// bit-for-bit (no feature re-extraction), so every query answer over
-    /// the sharded form is identical to the unsharded one.
+    /// the sharded form is identical to the unsharded one; each shard keeps
+    /// its rows in their relative order.
     pub fn from_single(relation: SeriesRelation, shards: usize) -> Self {
         let name = relation.name().to_string();
         let series_len = relation.series_len();
         let scheme = relation.scheme().clone();
-        Self::from_parts(
-            name,
-            series_len,
-            scheme,
-            ShardLayout::Hash {
-                shards: shards.max(1),
-            },
-            relation.into_rows(),
-        )
-    }
-
-    /// Rebuilds a sharded relation from already-validated rows (the
-    /// snapshot restore path and [`ShardedRelation::from_single`]): rows
-    /// are routed by the layout, preserving their relative order within
-    /// each shard.
-    pub(crate) fn from_parts(
-        name: String,
-        series_len: usize,
-        scheme: FeatureScheme,
-        layout: ShardLayout,
-        rows: Vec<SeriesRow>,
-    ) -> Self {
-        let count = layout.shard_count();
-        let mut per_shard: Vec<Vec<SeriesRow>> = (0..count).map(|_| Vec::new()).collect();
+        let layout = ShardLayout::Hash {
+            shards: shards.max(1),
+        };
+        let mut per_shard: Vec<Vec<SeriesRow>> =
+            (0..layout.shard_count()).map(|_| Vec::new()).collect();
         let mut next_id = 0u64;
-        for row in rows {
+        for row in relation.into_rows() {
             next_id = next_id.max(row.id + 1);
             per_shard[layout.shard_of(row.id)].push(row);
         }

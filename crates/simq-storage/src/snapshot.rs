@@ -1,30 +1,27 @@
-//! Versioned binary snapshots of whole databases.
+//! The shard checkpoint codec: one relation with its optional R*-tree.
 //!
-//! A snapshot holds a catalog of named relations, and per relation
-//! everything the in-memory form stores: the feature scheme, every row with
-//! its id, name, raw series, statistics, index point and precomputed
-//! normal-form spectrum, plus (when present) the complete R*-tree structure
-//! via [`simq_index::serial`]. Since format version 2 a catalog entry may
-//! also be a **sharded** relation ([`crate::shard::ShardedRelation`]): the
-//! rows are stored flattened shard-major together with the shard layout
-//! and one serialized R*-tree per shard, so `\save`/`\open` round-trip
-//! sharded databases without re-partitioning work, feature extraction or
-//! index bulk-loading. Version-1 snapshots (unsharded only) still load.
+//! Every checkpoint a durable directory ([`crate::durable`]) writes is
+//! one image of this codec: the feature scheme, every row with its id,
+//! name, raw series, statistics, index point and precomputed normal-form
+//! spectrum, plus (when present) the complete R*-tree structure via
+//! [`simq_index::serial`]. A sharded relation is one image per shard, so
+//! reopening skips feature extraction and index bulk-loading for every
+//! relation shape.
 //!
-//! On disk the catalog is one logical byte stream (little-endian, exact
-//! `f64` bit patterns) wrapped into the checksummed fixed-size pages of
+//! The image is one logical byte stream (little-endian, exact `f64` bit
+//! patterns) — magic, format version 2, an entry count that is always 1,
+//! then the relation — wrapped into the checksummed fixed-size pages of
 //! [`crate::pages`]. Decoding is defensive end-to-end: any flipped byte is
-//! caught by a page checksum, and a structurally inconsistent catalog
+//! caught by a page checksum, and a structurally inconsistent image
 //! (wrong spectrum lengths, duplicate row ids, an index whose space or
-//! items disagree with its relation or shard) produces a
-//! [`SnapshotError`], never a panic.
+//! items disagree with its relation, an entry count other than 1)
+//! produces a [`SnapshotError`], never a panic.
 //!
 //! The v2 text format of [`crate::persist`] remains the human-readable
-//! import/export path; snapshots are the cold-start path.
+//! import/export path.
 
 use crate::pages::{self, PageError};
 use crate::relation::{SeriesRelation, SeriesRow};
-use crate::shard::{ShardLayout, ShardedRelation};
 use simq_dsp::complex::Complex;
 use simq_index::serial::{self, ByteReader, ByteWriter, SerialError};
 use simq_index::RTree;
@@ -35,8 +32,7 @@ use std::io;
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"SIMQSNAP";
-/// Snapshot catalog version written by the encoders. Version 1 (no
-/// sharded entries) is still accepted by the decoder.
+/// The image format version, the only one the decoder accepts.
 const VERSION: u32 = 2;
 
 /// Errors from reading a snapshot.
@@ -83,7 +79,7 @@ impl From<SerialError> for SnapshotError {
     }
 }
 
-/// One unsharded catalog entry of a decoded snapshot.
+/// A decoded checkpoint image.
 #[derive(Debug, Clone)]
 pub struct SnapshotRelation {
     /// The relation, restored bit-for-bit.
@@ -92,259 +88,109 @@ pub struct SnapshotRelation {
     pub index: Option<RTree>,
 }
 
-/// One catalog entry of a decoded snapshot: a plain relation or a sharded
-/// one with its per-shard trees.
-#[derive(Debug, Clone)]
-pub enum SnapshotEntry {
-    /// An unsharded relation (the only entry kind of format version 1).
-    Single(SnapshotRelation),
-    /// A sharded relation with one decoded R*-tree per shard.
-    Sharded {
-        /// The sharded relation, rows restored bit-for-bit per shard.
-        relation: ShardedRelation,
-        /// One decoded tree per shard, in shard order.
-        indexes: Vec<RTree>,
-    },
-}
-
-impl SnapshotEntry {
-    /// The entry's relation name.
-    pub fn name(&self) -> &str {
-        match self {
-            SnapshotEntry::Single(s) => s.relation.name(),
-            SnapshotEntry::Sharded { relation, .. } => relation.name(),
-        }
-    }
-
-    /// The unsharded entry, if this is one (the common case in tests).
-    pub fn single(&self) -> Option<&SnapshotRelation> {
-        match self {
-            SnapshotEntry::Single(s) => Some(s),
-            SnapshotEntry::Sharded { .. } => None,
-        }
-    }
-}
-
-/// One catalog entry to encode: borrowed views over the in-memory forms.
-#[derive(Debug, Clone, Copy)]
-pub enum SnapshotSource<'a> {
-    /// An unsharded relation with its optional index.
-    Single(&'a SeriesRelation, Option<&'a RTree>),
-    /// A sharded relation with its per-shard trees (one per shard, in
-    /// shard order).
-    Sharded(&'a ShardedRelation, &'a [RTree]),
-}
-
-/// Encodes a catalog of unsharded relations (with optional indexes) into
-/// a paged snapshot file image — the convenience wrapper over
-/// [`catalog_to_bytes`].
-pub fn to_bytes(entries: &[(&SeriesRelation, Option<&RTree>)]) -> Vec<u8> {
-    let sources: Vec<SnapshotSource> = entries
-        .iter()
-        .map(|(rel, idx)| SnapshotSource::Single(rel, *idx))
-        .collect();
-    catalog_to_bytes(&sources)
-}
-
-/// Encodes a full catalog — unsharded and sharded entries — into a paged
-/// snapshot file image.
-///
-/// # Panics
-/// Panics if a sharded entry's tree list does not hold exactly one tree
-/// per shard — the decoder routes rows and validates trees by shard
-/// position, so a mismatched list would only surface as a corrupt
-/// snapshot at reopen time.
-pub fn catalog_to_bytes(entries: &[SnapshotSource]) -> Vec<u8> {
+/// Encodes one relation and its optional index into a paged checkpoint
+/// image.
+pub fn to_bytes(relation: &SeriesRelation, index: Option<&RTree>) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_bytes(MAGIC);
     w.put_u32(VERSION);
-    w.put_u32(entries.len() as u32);
-    for entry in entries {
-        match entry {
-            SnapshotSource::Single(relation, index) => {
-                encode_relation(relation, &mut w);
-                match index {
-                    Some(tree) => {
-                        w.put_u8(1);
-                        put_tree(tree, &mut w);
-                    }
-                    None => w.put_u8(0),
-                }
-            }
-            SnapshotSource::Sharded(relation, indexes) => {
-                assert_eq!(
-                    indexes.len(),
-                    relation.shard_count(),
-                    "sharded snapshot entry {:?} needs one tree per shard",
-                    relation.name()
-                );
-                encode_relation_header(
-                    relation.name(),
-                    relation.series_len(),
-                    relation.scheme(),
-                    &mut w,
-                );
-                // Rows flattened shard-major: the layout routes them back
-                // to identical shards (same contents, same in-shard order)
-                // on decode.
-                w.put_u64(relation.len() as u64);
-                for row in relation.rows() {
-                    encode_row(row, &mut w);
-                }
-                w.put_u8(2);
-                match relation.layout() {
-                    ShardLayout::Hash { .. } => w.put_u8(0),
-                }
-                w.put_u32(relation.shard_count() as u32);
-                for tree in *indexes {
-                    put_tree(tree, &mut w);
-                }
-            }
+    w.put_u32(1);
+    encode_relation(relation, &mut w);
+    match index {
+        Some(tree) => {
+            w.put_u8(1);
+            let blob = serial::to_bytes(tree);
+            w.put_u32(blob.len() as u32);
+            w.put_bytes(&blob);
         }
+        None => w.put_u8(0),
     }
     pages::to_file_bytes(&w.into_bytes())
 }
 
-/// Decodes a paged snapshot file image back into its catalog.
+/// Decodes a paged checkpoint image.
 ///
 /// # Errors
 /// [`SnapshotError`] on any checksum or structural violation.
-pub fn from_bytes(file: &[u8]) -> Result<Vec<SnapshotEntry>, SnapshotError> {
+pub fn from_bytes(file: &[u8]) -> Result<SnapshotRelation, SnapshotError> {
     let stream = pages::from_file_bytes(file)?;
     let mut r = ByteReader::new(&stream);
     if r.take(8)? != MAGIC {
         return Err(SnapshotError::Format("bad snapshot magic".into()));
     }
     let version = r.get_u32()?;
-    if version != 1 && version != VERSION {
+    if version != VERSION {
         return Err(SnapshotError::Format(format!(
-            "unsupported snapshot version {version} (expected 1 or {VERSION})"
+            "unsupported snapshot version {version} (expected {VERSION})"
         )));
     }
-    let count = r.get_u32()? as usize;
-    r.check_count(count, 1)?;
-    let mut out = Vec::with_capacity(count);
-    let mut names = HashSet::with_capacity(count);
-    for i in 0..count {
-        let entry = decode_entry(&mut r, version)
-            .map_err(|e| prefix_format(e, &format!("relation {i}")))?;
-        if !names.insert(entry.name().to_string()) {
-            return Err(SnapshotError::Format(format!(
-                "duplicate relation name {:?}",
-                entry.name()
-            )));
-        }
-        out.push(entry);
+    let count = r.get_u32()?;
+    if count != 1 {
+        return Err(SnapshotError::Format(format!(
+            "image holds {count} relations (expected 1)"
+        )));
     }
+    let relation = decode_relation(&mut r)?;
+    let index = match r.get_u8()? {
+        0 => None,
+        1 => {
+            let blob_len = r.get_u32()? as usize;
+            let tree = serial::from_bytes(r.take(blob_len)?)?;
+            validate_index(&relation, &tree)?;
+            Some(tree)
+        }
+        tag => return Err(SnapshotError::Format(format!("unknown index flag {tag}"))),
+    };
     if r.remaining() != 0 {
         return Err(SnapshotError::Format(format!(
-            "{} trailing bytes after catalog",
+            "{} trailing bytes after the relation",
             r.remaining()
         )));
     }
-    Ok(out)
+    Ok(SnapshotRelation { relation, index })
 }
 
-/// Saves a catalog of unsharded relations to a snapshot file (the
-/// convenience wrapper over [`save_catalog`]).
-///
-/// # Errors
-/// I/O errors from the filesystem.
-pub fn save(
-    path: impl AsRef<Path>,
-    entries: &[(&SeriesRelation, Option<&RTree>)],
-) -> Result<(), SnapshotError> {
-    pages::write_atomic(path.as_ref(), &to_bytes(entries))?;
-    Ok(())
-}
-
-/// Saves a full catalog — unsharded and sharded entries — to a snapshot
-/// file. The write is atomic (temp file + rename), so an existing
-/// snapshot at `path` survives a crash or full disk mid-write intact.
-///
-/// # Errors
-/// I/O errors from the filesystem.
-pub fn save_catalog(
-    path: impl AsRef<Path>,
-    entries: &[SnapshotSource],
-) -> Result<(), SnapshotError> {
-    pages::write_atomic(path.as_ref(), &catalog_to_bytes(entries))?;
-    Ok(())
-}
-
-/// Loads a catalog from a snapshot file.
+/// Loads a checkpoint image from a file.
 ///
 /// # Errors
 /// [`SnapshotError`] on I/O failure, checksum mismatch or structural
 /// violation.
-pub fn load(path: impl AsRef<Path>) -> Result<Vec<SnapshotEntry>, SnapshotError> {
+pub fn load(path: impl AsRef<Path>) -> Result<SnapshotRelation, SnapshotError> {
     from_bytes(&fs::read(path)?)
 }
 
-fn put_tree(tree: &RTree, w: &mut ByteWriter) {
-    let blob = serial::to_bytes(tree);
-    w.put_u32(blob.len() as u32);
-    w.put_bytes(&blob);
-}
-
-fn take_tree(r: &mut ByteReader<'_>) -> Result<RTree, SnapshotError> {
-    let blob_len = r.get_u32()? as usize;
-    let blob = r.take(blob_len)?;
-    Ok(serial::from_bytes(blob)?)
-}
-
-fn encode_relation_header(
-    name: &str,
-    series_len: usize,
-    scheme: &FeatureScheme,
-    w: &mut ByteWriter,
-) {
-    w.put_str(name);
-    w.put_u64(series_len as u64);
+fn encode_relation(relation: &SeriesRelation, w: &mut ByteWriter) {
+    let scheme = relation.scheme();
+    w.put_str(relation.name());
+    w.put_u64(relation.series_len() as u64);
     w.put_u32(scheme.k as u32);
     w.put_u8(match scheme.rep {
         Representation::Rectangular => 0,
         Representation::Polar => 1,
     });
     w.put_u8(u8::from(scheme.include_stats));
-}
-
-fn encode_row(row: &SeriesRow, w: &mut ByteWriter) {
-    w.put_u64(row.id);
-    w.put_str(&row.name);
-    for v in &row.raw {
-        w.put_f64(*v);
-    }
-    w.put_f64(row.features.mean);
-    w.put_f64(row.features.std_dev);
-    w.put_u32(row.features.point.len() as u32);
-    for v in &row.features.point {
-        w.put_f64(*v);
-    }
-    w.put_u32(row.features.spectrum.len() as u32);
-    for c in &row.features.spectrum {
-        w.put_f64(c.re);
-        w.put_f64(c.im);
-    }
-}
-
-fn encode_relation(relation: &SeriesRelation, w: &mut ByteWriter) {
-    encode_relation_header(relation.name(), relation.series_len(), relation.scheme(), w);
     w.put_u64(relation.len() as u64);
     for row in relation.rows() {
-        encode_row(row, w);
+        w.put_u64(row.id);
+        w.put_str(&row.name);
+        for v in &row.raw {
+            w.put_f64(*v);
+        }
+        w.put_f64(row.features.mean);
+        w.put_f64(row.features.std_dev);
+        w.put_u32(row.features.point.len() as u32);
+        for v in &row.features.point {
+            w.put_f64(*v);
+        }
+        w.put_u32(row.features.spectrum.len() as u32);
+        for c in &row.features.spectrum {
+            w.put_f64(c.re);
+            w.put_f64(c.im);
+        }
     }
 }
 
-/// The decoded relation payload shared by unsharded and sharded entries.
-struct RelationParts {
-    name: String,
-    series_len: usize,
-    scheme: FeatureScheme,
-    rows: Vec<SeriesRow>,
-}
-
-fn decode_relation_parts(r: &mut ByteReader<'_>) -> Result<RelationParts, SnapshotError> {
+fn decode_relation(r: &mut ByteReader<'_>) -> Result<SeriesRelation, SnapshotError> {
     let name = r.get_str()?;
     let series_len = usize_from(r.get_u64()?)?;
     let k = r.get_u32()? as usize;
@@ -422,66 +268,9 @@ fn decode_relation_parts(r: &mut ByteReader<'_>) -> Result<RelationParts, Snapsh
             },
         });
     }
-    Ok(RelationParts {
-        name,
-        series_len,
-        scheme,
-        rows,
-    })
-}
-
-fn decode_entry(r: &mut ByteReader<'_>, version: u32) -> Result<SnapshotEntry, SnapshotError> {
-    let parts = decode_relation_parts(r)?;
-    let tag = r.get_u8()?;
-    match tag {
-        0 | 1 => {
-            let relation = SeriesRelation::from_validated_parts(
-                parts.name,
-                parts.series_len,
-                parts.scheme,
-                parts.rows,
-            );
-            let index = if tag == 1 {
-                let tree = take_tree(r)?;
-                validate_index(&relation, &tree)?;
-                Some(tree)
-            } else {
-                None
-            };
-            Ok(SnapshotEntry::Single(SnapshotRelation { relation, index }))
-        }
-        2 if version >= 2 => {
-            let layout_tag = r.get_u8()?;
-            if layout_tag != 0 {
-                return Err(SnapshotError::Format(format!(
-                    "unknown shard layout tag {layout_tag}"
-                )));
-            }
-            let shard_count = r.get_u32()? as usize;
-            if shard_count == 0 {
-                return Err(SnapshotError::Format("sharded entry with 0 shards".into()));
-            }
-            r.check_count(shard_count, 4)?;
-            let relation = ShardedRelation::from_parts(
-                parts.name,
-                parts.series_len,
-                parts.scheme,
-                ShardLayout::Hash {
-                    shards: shard_count,
-                },
-                parts.rows,
-            );
-            let mut indexes = Vec::with_capacity(shard_count);
-            for shard in 0..shard_count {
-                let tree = take_tree(r)?;
-                validate_index(relation.shard(shard), &tree)
-                    .map_err(|e| prefix_format(e, &format!("shard {shard}")))?;
-                indexes.push(tree);
-            }
-            Ok(SnapshotEntry::Sharded { relation, indexes })
-        }
-        tag => Err(SnapshotError::Format(format!("unknown index flag {tag}"))),
-    }
+    Ok(SeriesRelation::from_validated_parts(
+        name, series_len, scheme, rows,
+    ))
 }
 
 /// Rejects an index that disagrees with its relation: wrong space, wrong
@@ -520,13 +309,6 @@ fn validate_index(relation: &SeriesRelation, tree: &RTree) -> Result<(), Snapsho
         }
     }
     Ok(())
-}
-
-fn prefix_format(e: SnapshotError, ctx: &str) -> SnapshotError {
-    match e {
-        SnapshotError::Format(m) => SnapshotError::Format(format!("{ctx}: {m}")),
-        other => other,
-    }
 }
 
 fn usize_from(v: u64) -> Result<usize, SnapshotError> {
@@ -574,76 +356,12 @@ mod tests {
     fn roundtrip_relation_and_index() {
         let rel = sample_relation(40);
         let tree = rel.build_index(RTreeConfig::default());
-        let file = to_bytes(&[(&rel, Some(&tree))]);
-        let back = from_bytes(&file).unwrap();
-        assert_eq!(back.len(), 1);
-        let single = back[0].single().expect("unsharded entry");
-        assert_rows_bitwise_equal(&rel, &single.relation);
+        let back = from_bytes(&to_bytes(&rel, Some(&tree))).unwrap();
+        assert_rows_bitwise_equal(&rel, &back.relation);
         // The decoded tree has the identical arena: its re-encoding is
         // byte-identical to the original's.
-        let loaded = single.index.as_ref().unwrap();
+        let loaded = back.index.as_ref().unwrap();
         assert_eq!(serial::to_bytes(loaded), serial::to_bytes(&tree));
-    }
-
-    #[test]
-    fn roundtrip_sharded_entry() {
-        let rel = sample_relation(30);
-        let sharded = ShardedRelation::from_single(rel, 3);
-        let trees = sharded.build_indexes(RTreeConfig::default());
-        let file = catalog_to_bytes(&[SnapshotSource::Sharded(&sharded, &trees)]);
-        let back = from_bytes(&file).unwrap();
-        assert_eq!(back.len(), 1);
-        let SnapshotEntry::Sharded { relation, indexes } = &back[0] else {
-            panic!("expected a sharded entry");
-        };
-        assert_eq!(relation.shard_count(), 3);
-        assert_eq!(relation.len(), 30);
-        for (a, b) in sharded.shards().iter().zip(relation.shards()) {
-            assert_rows_bitwise_equal(a, b);
-        }
-        // Per-shard trees decode arena-identical.
-        for (a, b) in trees.iter().zip(indexes) {
-            assert_eq!(serial::to_bytes(a), serial::to_bytes(b));
-        }
-    }
-
-    #[test]
-    fn sharded_entry_with_wrong_shard_tree_rejected() {
-        let rel = sample_relation(24);
-        let sharded = ShardedRelation::from_single(rel, 2);
-        let mut trees = sharded.build_indexes(RTreeConfig::default());
-        trees.swap(0, 1); // each tree now disagrees with its shard
-        let file = catalog_to_bytes(&[SnapshotSource::Sharded(&sharded, &trees)]);
-        assert!(matches!(from_bytes(&file), Err(SnapshotError::Format(_))));
-    }
-
-    #[test]
-    fn roundtrip_multiple_relations_mixed_indexing() {
-        let a = sample_relation(10);
-        let mut b = SeriesRelation::new(
-            "other",
-            16,
-            FeatureScheme::new(3, Representation::Rectangular, false),
-        );
-        for i in 0..7 {
-            let series: Vec<f64> = (0..16)
-                .map(|t| (t as f64 * (0.2 + i as f64 * 0.05)).cos() * 2.0 + 5.0)
-                .collect();
-            b.insert(format!("B{i}"), series).unwrap();
-        }
-        let tree = a.build_index(RTreeConfig::default());
-        let file = to_bytes(&[(&a, Some(&tree)), (&b, None)]);
-        let back = from_bytes(&file).unwrap();
-        assert_eq!(back.len(), 2);
-        assert!(back[0].single().unwrap().index.is_some());
-        assert!(back[1].single().unwrap().index.is_none());
-        assert_rows_bitwise_equal(&b, &back[1].single().unwrap().relation);
-    }
-
-    #[test]
-    fn empty_catalog_roundtrips() {
-        let back = from_bytes(&to_bytes(&[])).unwrap();
-        assert!(back.is_empty());
     }
 
     #[test]
@@ -655,12 +373,10 @@ mod tests {
                 .collect();
             rel.insert_with_id(id, format!("G{id}"), series).unwrap();
         }
-        let back = from_bytes(&to_bytes(&[(&rel, None)])).unwrap();
-        assert_rows_bitwise_equal(&rel, &back[0].single().unwrap().relation);
-        assert_eq!(
-            back[0].single().unwrap().relation.row(11).unwrap().name,
-            "G11"
-        );
+        let back = from_bytes(&to_bytes(&rel, None)).unwrap();
+        assert_rows_bitwise_equal(&rel, &back.relation);
+        assert!(back.index.is_none());
+        assert_eq!(back.relation.row(11).unwrap().name, "G11");
     }
 
     #[test]
@@ -669,7 +385,7 @@ mod tests {
         let other = sample_relation(12);
         let tree = other.build_index(RTreeConfig::default());
         // Pair rel with an index of different cardinality.
-        let file = to_bytes(&[(&rel, Some(&tree))]);
+        let file = to_bytes(&rel, Some(&tree));
         assert!(matches!(from_bytes(&file), Err(SnapshotError::Format(_))));
     }
 
@@ -680,34 +396,33 @@ mod tests {
         let p = rel.row(0).unwrap().features.point.clone();
         tree.insert_point(&p, 0);
         tree.insert_point(&p, 0); // id 0 twice, id 1 never
-        let file = to_bytes(&[(&rel, Some(&tree))]);
-        let err = from_bytes(&file).unwrap_err();
+        let err = from_bytes(&to_bytes(&rel, Some(&tree))).unwrap_err();
         let SnapshotError::Format(msg) = err else {
             panic!("expected format error, got {err:?}");
         };
         assert!(msg.contains("appears twice"), "{msg}");
     }
 
+    /// Only a version-2 image of exactly one relation decodes: the
+    /// multi-relation catalogs and version-1 files of older releases are
+    /// refused, not half-read.
     #[test]
-    fn save_is_atomic_over_existing_snapshot() {
-        let dir = std::env::temp_dir().join("simq-snapshot-atomic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.simq");
-        let rel = sample_relation(5);
-        save(&path, &[(&rel, None)]).unwrap();
-        // Overwrite with a different catalog; no temp file may remain.
-        let rel2 = sample_relation(9);
-        save(&path, &[(&rel2, None)]).unwrap();
-        assert_eq!(load(&path).unwrap()[0].single().unwrap().relation.len(), 9);
-        assert!(!dir.join("db.simq.tmp").exists());
-        std::fs::remove_dir_all(&dir).ok();
+    fn other_versions_and_entry_counts_rejected() {
+        let rel = sample_relation(4);
+        let stream = pages::from_file_bytes(&to_bytes(&rel, None)).unwrap();
+        for (offset, value) in [(8, 1u32), (8, 3), (12, 0), (12, 2)] {
+            let mut patched = stream.clone();
+            patched[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+            let err = from_bytes(&pages::to_file_bytes(&patched)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Format(_)), "{err:?}");
+        }
     }
 
     #[test]
     fn corrupted_byte_is_detected() {
         let rel = sample_relation(20);
         let tree = rel.build_index(RTreeConfig::default());
-        let file = to_bytes(&[(&rel, Some(&tree))]);
+        let file = to_bytes(&rel, Some(&tree));
         for pos in (0..file.len()).step_by(97) {
             let mut corrupt = file.clone();
             corrupt[pos] ^= 0x40;
@@ -722,12 +437,12 @@ mod tests {
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join("simq-snapshot-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.simq");
+        let path = dir.join("shard.snap");
         let rel = sample_relation(15);
         let tree = rel.build_index(RTreeConfig::default());
-        save(&path, &[(&rel, Some(&tree))]).unwrap();
+        std::fs::write(&path, to_bytes(&rel, Some(&tree))).unwrap();
         let back = load(&path).unwrap();
-        assert_rows_bitwise_equal(&rel, &back[0].single().unwrap().relation);
+        assert_rows_bitwise_equal(&rel, &back.relation);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -3,7 +3,7 @@
 //! ```sh
 //! cargo run --release --bin simq                     # demo corpus
 //! cargo run --release --bin simq -- relation.txt …   # import text relations
-//! SIMQ_DB=db.simq cargo run --release --bin simq     # open a snapshot
+//! SIMQ_WAL=db cargo run --release --bin simq         # open or create a database
 //! cargo run --release --bin simq -- --exec "q1; q2"  # non-interactive batch
 //! cargo run --release --bin simq -- --serve <addr>   # serve over TCP
 //! ```
@@ -25,17 +25,16 @@
 //! local-only in the table are refused while connected.
 //!
 //! Startup settings come from the environment: `SIMQ_THREADS`
-//! (`4`, `auto`, `serial`), `SIMQ_DB` (a snapshot opened on startup and
-//! written by a bare `\save`), `SIMQ_WAL` (a durable directory, opened
-//! and replayed when it holds a database, created otherwise), `SIMQ_TRACE`,
+//! (`4`, `auto`, `serial`), `SIMQ_WAL` (a database directory, opened and
+//! replayed when it holds a database, created otherwise), `SIMQ_TRACE`,
 //! `SIMQ_SLOWLOG=<ms>` and `SIMQ_LISTEN=<addr>` (as `--serve`).
 
 use similarity_queries::data::WalkGenerator;
 use similarity_queries::obs::{metrics, span};
 use similarity_queries::prelude::*;
 use similarity_queries::query::batch::{split_batch_script, BatchExecutor, BatchResult};
-use similarity_queries::query::QueryOutput;
 use similarity_queries::query::StoredRelation;
+use similarity_queries::query::{QueryError, QueryOutput};
 use similarity_queries::server::{Connection, Request, Response};
 use similarity_queries::storage::persist;
 use simq_client::{Client, ClientError};
@@ -122,35 +121,16 @@ fn main() {
             Err(why) => eprintln!("ignoring SIMQ_THREADS: {why}"),
         }
     }
-    // A durable directory named by SIMQ_WAL that already holds a database
-    // is opened first: its checkpoints + replayed WAL tails *are* the
-    // catalog, so the demo corpus and SIMQ_DB are skipped.
+    // A directory named by SIMQ_WAL that already holds a database is
+    // opened first: its checkpoints + replayed WAL tails *are* the
+    // catalog, so the demo corpus is skipped.
     let wal_dir = std::env::var("SIMQ_WAL").ok().filter(|p| !p.is_empty());
     let mut opened_durable = false;
     if let Some(dir) = &wal_dir {
         if std::path::Path::new(dir).join("MANIFEST").exists() {
-            match Database::open_durable(dir) {
-                Ok((opened, replay)) => {
-                    let parallelism = db.parallelism();
+            match open_database(dir, db.parallelism()) {
+                Ok(opened) => {
                     db = opened;
-                    db.set_parallelism(parallelism);
-                    println!(
-                        "opened durable database {dir} ({} relations; replayed {} WAL record{}{})",
-                        db.relation_names().len(),
-                        replay.records_applied,
-                        plural(replay.records_applied),
-                        if replay.records_dropped > 0 || replay.wal_files_repaired > 0 {
-                            format!(
-                                "; repaired {} torn log{}, {} record{} unrecoverable",
-                                replay.wal_files_repaired,
-                                plural(replay.wal_files_repaired),
-                                replay.records_dropped,
-                                plural(replay.records_dropped),
-                            )
-                        } else {
-                            String::new()
-                        },
-                    );
                     opened_durable = true;
                 }
                 Err(e) => {
@@ -158,24 +138,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-        }
-    }
-    let default_snapshot = std::env::var("SIMQ_DB").ok().filter(|p| !p.is_empty());
-    let mut opened_snapshot = opened_durable;
-    if let Some(path) = default_snapshot.as_deref().filter(|_| !opened_durable) {
-        if std::path::Path::new(path).exists() {
-            match db.load_snapshot(path) {
-                Ok(count) => {
-                    println!("opened snapshot {path} ({count} relations, from SIMQ_DB)");
-                    opened_snapshot = true;
-                }
-                Err(e) => {
-                    eprintln!("cannot open snapshot {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            println!("SIMQ_DB={path} does not exist yet; \\save will create it");
         }
     }
 
@@ -208,7 +170,7 @@ fn main() {
         }
     }
 
-    if files.is_empty() && !opened_snapshot {
+    if files.is_empty() && !opened_durable {
         let mut gen = WalkGenerator::new(42);
         let mut rel = SeriesRelation::new("walks", 128, FeatureScheme::paper_default());
         for i in 0..1000 {
@@ -304,7 +266,6 @@ fn main() {
         local: Connection::new(session),
         remote: None,
         batch: None,
-        default_snapshot,
     };
 
     let stdin = io::stdin();
@@ -355,8 +316,8 @@ const COMMANDS: &[(&str, &str, Runs)] = &[
         Runs::Endpoint,
     ),
     ("shard", "<relation> <n>", Runs::Local),
-    ("save", "[file]", Runs::Local),
-    ("open", "<file>", Runs::Local),
+    ("save", "[dir]", Runs::Local),
+    ("open", "<dir>", Runs::Local),
     ("export", "<relation> <path>", Runs::Local),
     ("threads", "[n|auto|serial]", Runs::Local),
     ("batch", "[run|explain|show|cancel]", Runs::Local),
@@ -397,7 +358,6 @@ struct Shell {
     /// When `Some`, query lines are queued instead of executed, until
     /// `\batch run` / `\batch cancel`.
     batch: Option<Vec<String>>,
-    default_snapshot: Option<String>,
 }
 
 impl Shell {
@@ -792,27 +752,21 @@ impl Shell {
                 }
                 None => usage("rows"),
             },
-            "save" => {
-                // Two arguments keep the pre-snapshot behavior as an alias for
-                // \export; one (or none, with SIMQ_DB) writes a full snapshot.
-                match (parts.next(), parts.next()) {
-                    (Some(name), Some(path)) => export_relation(session.db(), name, path),
-                    (Some(path), None) => save_snapshot(session.db(), path),
-                    // With a WAL attached, a bare `\save` is a checkpoint:
-                    // dirty shards are rewritten and their logs absorbed.
-                    (None, None) if session.db().is_durable() => {
-                        checkpoint_durable(session);
-                        if let Some(path) = &self.default_snapshot {
-                            save_snapshot(session.db(), path);
-                        }
-                    }
-                    (None, None) => match &self.default_snapshot {
-                        Some(path) => save_snapshot(session.db(), path),
-                        None => println!("usage: \\save <file>  (or set SIMQ_DB, or attach a WAL)"),
-                    },
-                    (None, Some(_)) => unreachable!("second arg implies a first"),
-                }
-            }
+            // A bare `\save` checkpoints the attached directory: dirty
+            // shards are rewritten and their logs absorbed.
+            "save" => match parts.next() {
+                Some(dir) => match session.db().save_snapshot(dir) {
+                    Ok(report) => println!(
+                        "saved database to {dir} ({} shard{} at epoch {})",
+                        report.shards_written,
+                        plural(report.shards_written),
+                        report.epoch,
+                    ),
+                    Err(e) => println!("save failed: {e}"),
+                },
+                None if session.db().is_durable() => checkpoint_durable(session),
+                None => usage("save"),
+            },
             "wal" => match parts.next() {
                 None => match session.db().wal_status() {
                     Some(status) => {
@@ -892,8 +846,8 @@ impl Shell {
                 },
             },
             "open" => match parts.next() {
-                Some(path) => match session.db_mut().load_snapshot(path) {
-                    Ok(count) => println!("opened snapshot {path} ({count} relations)"),
+                Some(dir) => match open_database(dir, session.db().parallelism()) {
+                    Ok(db) => *session.db_mut() = db,
                     Err(e) => println!("open failed: {e}"),
                 },
                 None => usage("open"),
@@ -1229,7 +1183,7 @@ fn print_help() {
         println!("{}", format!(" {local}\\{name} {args}").trim_end());
     }
     println!(
-        "prepared statements: queries may hold ? (positional) and $name (named)\n  placeholders in the source, EPSILON, k, ROW and MEAN/STD slots;\n  \\prepare parses once, \\exec binds arguments (numbers, [v1, v2, …]\n  series, name=value pairs), plans and executes; \\sessions counts the\n  shell session's statements, executions and slow queries\nbatches: a line of `;`-separated queries runs as one batch (one parse/plan\n  pass, one catalog generation, threads spent across statements);\n  \\batch collects queries line by line, \\batch run executes them,\n  \\batch explain previews each statement's plan\nsharding: \\shard <rel> <n> partitions a relation into n shards, each with\n  its own R*-tree — inserts touch one small tree, and queries fan out\n  one work unit per shard (results identical to unsharded; \\shard 1\n  merges back)\npersistence: \\save writes a binary snapshot of the whole database\n  (SIMQ_DB names the default file); \\open loads one without rebuilding\n  indexes; \\export writes one relation as v2 text\ndurability: \\wal <dir> attaches a write-ahead-logged directory (SIMQ_WAL\n  attaches or reopens one at startup); \\insert appends to the owning\n  shard's log *before* applying, so acknowledged inserts survive any\n  crash; \\wal shows status; \\wal checkpoint (or bare \\save) rewrites\n  only the dirty shards and absorbs their logs; a `;`-separated\n  \\insert batch group-commits — one WAL sync per touched shard, rows\n  to distinct shards applied by concurrent writers\nnetwork: simq --serve <addr> (or SIMQ_LISTEN) serves this database to\n  concurrent wire-protocol clients (docs/WIRE_PROTOCOL.md); \\connect\n  <host:port> turns this shell into a remote client — queries,\n  \\prepare/\\exec/\\prepared and \\insert run server-side and print what\n  they print locally; \\disconnect returns to the local database\nobservability: EXPLAIN ANALYZE prints the executed operator tree with\n  wall-clock timings (results bitwise identical to the plain query);\n  \\trace on prints a span tree after every query (SIMQ_TRACE=1 at\n  startup); \\metrics dumps the process-wide counter/histogram registry\n  (--json for machines); \\slowlog <ms> keeps the last slow queries\n  (SIMQ_SLOWLOG=<ms> at startup)"
+        "prepared statements: queries may hold ? (positional) and $name (named)\n  placeholders in the source, EPSILON, k, ROW and MEAN/STD slots;\n  \\prepare parses once, \\exec binds arguments (numbers, [v1, v2, …]\n  series, name=value pairs), plans and executes; \\sessions counts the\n  shell session's statements, executions and slow queries\nbatches: a line of `;`-separated queries runs as one batch (one parse/plan\n  pass, one catalog generation, threads spent across statements);\n  \\batch collects queries line by line, \\batch run executes them,\n  \\batch explain previews each statement's plan\nsharding: \\shard <rel> <n> partitions a relation into n shards, each with\n  its own R*-tree — inserts touch one small tree, and queries fan out\n  one work unit per shard (results identical to unsharded; \\shard 1\n  merges back)\npersistence: a database on disk is one directory of per-shard\n  checkpoints and WAL tails; \\save <dir> writes the whole database there\n  (replacing what it held), \\open <dir> replaces this session's database\n  with the one saved there, indexes decoded, not rebuilt; \\export writes\n  one relation as v2 text\ndurability: \\wal <dir> saves to a directory and stays attached (SIMQ_WAL\n  attaches or reopens one at startup); \\insert appends to the owning\n  shard's log *before* applying, so acknowledged inserts survive any\n  crash; \\wal shows status; \\wal checkpoint (or bare \\save) rewrites\n  only the dirty shards and absorbs their logs; a `;`-separated\n  \\insert batch group-commits — one WAL sync per touched shard, rows\n  to distinct shards applied by concurrent writers\nnetwork: simq --serve <addr> (or SIMQ_LISTEN) serves this database to\n  concurrent wire-protocol clients (docs/WIRE_PROTOCOL.md); \\connect\n  <host:port> turns this shell into a remote client — queries,\n  \\prepare/\\exec/\\prepared and \\insert run server-side and print what\n  they print locally; \\disconnect returns to the local database\nobservability: EXPLAIN ANALYZE prints the executed operator tree with\n  wall-clock timings (results bitwise identical to the plain query);\n  \\trace on prints a span tree after every query (SIMQ_TRACE=1 at\n  startup); \\metrics dumps the process-wide counter/histogram registry\n  (--json for machines); \\slowlog <ms> keeps the last slow queries\n  (SIMQ_SLOWLOG=<ms> at startup)"
     );
 }
 
@@ -1252,12 +1206,29 @@ fn checkpoint_durable(session: &mut Session) {
     }
 }
 
-/// Writes the whole database to a binary snapshot.
-fn save_snapshot(db: &Database, path: &str) {
-    match db.save_snapshot(path) {
-        Ok(()) => println!("saved snapshot to {path}"),
-        Err(e) => println!("save failed: {e}"),
-    }
+/// Opens the database saved at `dir` under `parallelism` and prints what
+/// replay recovered — the one report for `SIMQ_WAL` and `\open`.
+fn open_database(dir: &str, parallelism: Parallelism) -> Result<Database, QueryError> {
+    let (mut db, replay) = Database::open_durable(dir)?;
+    db.set_parallelism(parallelism);
+    println!(
+        "opened durable database {dir} ({} relations; replayed {} WAL record{}{})",
+        db.relation_names().len(),
+        replay.records_applied,
+        plural(replay.records_applied),
+        if replay.records_dropped > 0 || replay.wal_files_repaired > 0 {
+            format!(
+                "; repaired {} torn log{}, {} record{} unrecoverable",
+                replay.wal_files_repaired,
+                plural(replay.wal_files_repaired),
+                replay.records_dropped,
+                plural(replay.records_dropped),
+            )
+        } else {
+            String::new()
+        },
+    );
+    Ok(db)
 }
 
 /// Writes one relation as v2 text.

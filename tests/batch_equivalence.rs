@@ -3,7 +3,7 @@
 //! loop, so every slot of [`execute_batch`] is exactly what one-at-a-time
 //! execution returns — same hits, same names, bitwise-identical
 //! distances, same errors, and the same `ExecStats` bar the fan-out it
-//! reports — in memory and after a snapshot reload, on 1 and 4
+//! reports — in memory and after a save and reopen, on 1 and 4
 //! shards. What only a batch has stays here: its `stats` are the sum of
 //! its slots', and a batch of one keeps its plan's threads.
 
@@ -33,7 +33,7 @@ fn batch_equals_one_at_a_time() {
 
 #[test]
 fn batch_equals_one_at_a_time_after_snapshot_reload() {
-    world(32, 27, 16).check(&slots(Storage::SnapshotReload, 1), |_| true);
+    world(32, 27, 16).check(&slots(Storage::Reopened, 1), |_| true);
 }
 
 /// Asserts `batch.stats` is the sum of its slots' counters, with

@@ -14,14 +14,11 @@ fn run_cli(args: &[&str], stdin: &str) -> (String, String, i32) {
 }
 
 /// [`run_cli`] with extra environment variables. The durability and
-/// snapshot variables are always scrubbed first: the spawned binary must
-/// not take a developer's `SIMQ_WAL` / `SIMQ_DB` as *its* startup
-/// directories.
+/// listen variables are always scrubbed first: the spawned binary must
+/// not take a developer's `SIMQ_WAL` as *its* startup directory.
 fn run_cli_with(args: &[&str], stdin: &str, env: &[(&str, &str)]) -> (String, String, i32) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_simq"));
-    cmd.env_remove("SIMQ_WAL")
-        .env_remove("SIMQ_DB")
-        .env_remove("SIMQ_LISTEN");
+    cmd.env_remove("SIMQ_WAL").env_remove("SIMQ_LISTEN");
     for (k, v) in env {
         cmd.env(k, v);
     }
@@ -74,7 +71,6 @@ fn invalid_simq_threads_env_is_reported_not_silently_ignored() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_simq"))
         .env("SIMQ_THREADS", "0")
         .env_remove("SIMQ_WAL")
-        .env_remove("SIMQ_DB")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -291,22 +287,79 @@ fn shard_command_partitions_lists_and_merges_back() {
     assert!(stdout.contains("usage: \\shard <relation> <n>"), "{stdout}");
 }
 
+/// A saved database is a directory: `\save` writes the sharded layout
+/// there and `\open` replaces the session's database with it. Replace,
+/// not merge: a row inserted after the save is gone after the open, and
+/// so is a relation the saved database never held.
 #[test]
 fn sharded_snapshot_roundtrips_through_save_and_open() {
-    let dir = std::env::temp_dir().join("simq-cli-shard-snapshot");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("sharded.simq");
+    let scratch = std::env::temp_dir().join(format!("simq-cli-save-{}", std::process::id()));
+    std::fs::remove_dir_all(&scratch).ok();
+    std::fs::create_dir_all(&scratch).expect("temp dir");
+    let dir = scratch.join("db");
+    let dir_str = dir.to_str().expect("utf-8 temp path");
+    let series: Vec<String> = (0..128).map(|i| format!("{}", 30 + i % 7)).collect();
+    let (stdout, _, code) = run_cli(
+        &[],
+        &format!(
+            "\\shard walks 3\n\\save {dir_str}\n\\insert walks AFTER [{}]\n\\open {dir_str}\n\\relations\nFIND 1 NEAREST TO NAME AFTER IN walks\n\\quit\n",
+            series.join(", ")
+        ),
+    );
+    assert_eq!(code, 0);
+    assert!(stdout.contains("saved database to"), "{stdout}");
+    assert!(stdout.contains("inserted id=1000"), "{stdout}");
+    assert!(stdout.contains("opened durable database"), "{stdout}");
+    // The reopened relation is still sharded 3 ways, without the row.
+    assert!(stdout.contains("walks: 1000 series"), "{stdout}");
+    assert!(stdout.contains("shards: 3"), "{stdout}");
+    assert!(stdout.contains("unknown row name \"AFTER\""), "{stdout}");
+
+    // A relation the saved database never held is gone after `\open`.
+    let text = scratch.join("extra.txt");
+    std::fs::write(
+        &text,
+        "# simq-relation v2\n# name=extra len=8 k=2 rep=polar stats=0\n0,E0,1,2,3,5,8,13,21,34\n",
+    )
+    .expect("text relation written");
+    let (stdout, _, code) = run_cli(
+        &[text.to_str().expect("utf-8 temp path")],
+        &format!("\\relations\n\\open {dir_str}\n\\relations\n\\quit\n"),
+    );
+    std::fs::remove_dir_all(&scratch).ok();
+    assert_eq!(code, 0);
+    let (before, after) = stdout
+        .split_once("opened durable database")
+        .unwrap_or_else(|| panic!("{stdout}"));
+    assert!(before.contains("extra: 1 series"), "{stdout}");
+    assert!(!after.contains("extra"), "{stdout}");
+    assert!(after.contains("shards: 3"), "{stdout}");
+}
+
+/// A single-file snapshot of an older release is not a database
+/// directory: `\open` says so and the shell keeps answering on the
+/// database it had.
+#[test]
+fn open_of_an_old_snapshot_file_is_an_error() {
+    use similarity_queries::prelude::*;
+    use similarity_queries::storage::snapshot;
+    let path = std::env::temp_dir().join(format!("simq-cli-old-{}.simq", std::process::id()));
+    let mut rel = SeriesRelation::new("old", 16, FeatureScheme::paper_default());
+    rel.insert("O0", WalkGenerator::new(5).series(16)).unwrap();
+    // The one-relation catalog the single-file format wrote.
+    std::fs::write(&path, snapshot::to_bytes(&rel, None)).expect("old file written");
     let path_str = path.to_str().expect("utf-8 temp path");
     let (stdout, _, code) = run_cli(
         &[],
-        &format!("\\shard walks 3\n\\save {path_str}\n\\open {path_str}\n\\relations\n\\quit\n"),
+        &format!("\\open {path_str}\nFIND 1 NEAREST TO ROW 3 IN walks\n\\quit\n"),
     );
     std::fs::remove_file(&path).ok();
     assert_eq!(code, 0);
-    assert!(stdout.contains("saved snapshot"), "{stdout}");
-    assert!(stdout.contains("opened snapshot"), "{stdout}");
-    // The reopened relation is still sharded 3 ways.
-    assert!(stdout.contains("shards: 3"), "{stdout}");
+    assert!(
+        stdout.contains(&format!("no durable database at {path_str}")),
+        "{stdout}"
+    );
+    assert!(stdout.contains("W0003"), "{stdout}");
 }
 
 /// Every runnable example in docs/QUERY_LANGUAGE.md, executed verbatim
@@ -507,9 +560,7 @@ impl InteractiveCli {
         use std::io::Read;
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_simq"));
         cmd.args(args);
-        cmd.env_remove("SIMQ_WAL")
-            .env_remove("SIMQ_DB")
-            .env_remove("SIMQ_LISTEN");
+        cmd.env_remove("SIMQ_WAL").env_remove("SIMQ_LISTEN");
         for (k, v) in env {
             cmd.env(k, v);
         }

@@ -9,8 +9,8 @@
 //! * every lattice point ≡ the base point **bitwise** — ids, names, order,
 //!   distance bits, and the same error for a failing statement; the whole
 //!   `ExecStats` too (bar the fan-out it reports) wherever two runs must do
-//!   identical work: at any thread count, on built or snapshot-reloaded
-//!   storage of the same shard count;
+//!   identical work: at any thread count, on built storage or its saved
+//!   and reopened directory, of the same shard count;
 //! * at the base point, statements of one *group* — the same question put
 //!   to different access paths: planned index / `FORCE SCAN` /
 //!   `FORCE INDEX`, join methods a / b / d — answer bitwise alike, and a
@@ -52,8 +52,10 @@ pub enum Storage {
     Built,
     Incremental,
     BatchInserted,
-    SnapshotReload,
-    WalReplay,
+    /// Saved with `save_snapshot` and its directory reopened. Without a
+    /// WAL every row is saved; with one, only the bulk-loaded prefix is,
+    /// the rest is inserted through the log and replayed after a drop.
+    Reopened,
     Resharded,
 }
 
@@ -76,32 +78,21 @@ impl Config {
         storage: Storage::Built,
     };
 
-    /// Every point. (A replayed database always has its log, so
-    /// `WalReplay` without one is not a point.)
+    /// Every point.
     pub fn all() -> Vec<Config> {
         use {FrontEnd::*, Storage::*};
         let mut points = Vec::new();
-        for storage in [
-            Built,
-            Incremental,
-            BatchInserted,
-            SnapshotReload,
-            WalReplay,
-            Resharded,
-        ] {
+        for storage in [Built, Incremental, BatchInserted, Reopened, Resharded] {
             for (shards, wal) in [(1, false), (1, true), (4, false), (4, true)] {
                 for threads in [1, 4] {
                     for front_end in [Text, Prepared, BatchSlot, CursorDrain, Remote] {
-                        let point = Config {
+                        points.push(Config {
                             threads,
                             shards,
                             wal,
                             front_end,
                             storage,
-                        };
-                        if wal || storage != WalReplay {
-                            points.push(point);
-                        }
+                        });
                     }
                 }
             }
@@ -350,8 +341,8 @@ impl Corpus<'_> {
     }
 }
 
-/// A scratch directory for one database's snapshot and log files, removed
-/// when dropped.
+/// A scratch directory for one database's checkpoint and log files,
+/// removed when dropped.
 pub struct Scratch(pub PathBuf);
 
 impl Scratch {
@@ -509,27 +500,28 @@ impl World {
         let named = (bulk.len()..)
             .zip(rest)
             .map(|(i, s)| (format!("S{i}"), s.clone()));
+        let dir = scratch.0.join("wal");
         let mut db = match storage {
-            Built | SnapshotReload => register(&self.rows, shards),
+            Built => register(&self.rows, shards),
+            Reopened if !wal => register(&self.rows, shards),
             Resharded => register(&self.rows, 3),
-            Incremental | BatchInserted | WalReplay => register(bulk, shards),
+            Incremental | BatchInserted | Reopened => register(bulk, shards),
         };
-        if storage == SnapshotReload {
-            let file = scratch.0.join("db.simq");
-            db.save_snapshot(&file).expect("snapshot saves");
-            db = Database::open_snapshot(&file).expect("snapshot reopens");
-        }
-        if wal || storage == WalReplay {
-            db.attach_wal(scratch.0.join("wal")).expect("log attaches");
+        if storage == Reopened {
+            db.save_snapshot(&dir).expect("database saves");
+            db = Database::open_durable(&dir).expect("database reopens").0;
+        } else if wal {
+            db.attach_wal(&dir).expect("log attaches");
         }
         match storage {
-            Built | SnapshotReload => {}
+            Built => {}
+            Reopened if !wal => {}
             Resharded => db.shard_relation("r", shards).expect("reshards"),
             BatchInserted => drop(
                 db.insert_batch("r", named.collect())
                     .expect("batch inserts"),
             ),
-            Incremental | WalReplay => {
+            Incremental | Reopened => {
                 for (name, series) in named {
                     let report = db.insert_into("r", name, series).expect("row inserts");
                     let built = report.nodes_built;
@@ -540,11 +532,9 @@ impl World {
                 }
             }
         }
-        if storage == WalReplay {
-            drop(db); // the crash: checkpointed prefix + log are all that is left
-            db = Database::open_durable(scratch.0.join("wal"))
-                .expect("log replays")
-                .0;
+        if storage == Reopened && wal {
+            drop(db); // the crash: the saved prefix + log are all that is left
+            db = Database::open_durable(&dir).expect("log replays").0;
         }
         (db, scratch)
     }
@@ -711,7 +701,11 @@ impl World {
         // Identical trees do identical work at any thread count, whichever
         // front end asks — but for a scan cursor testing the window before
         // the distance, not after.
-        let same_trees = matches!(point.storage, Storage::Built | Storage::SnapshotReload);
+        let same_trees = match point.storage {
+            Storage::Built => true,
+            Storage::Reopened => !point.wal,
+            _ => false,
+        };
         let reference = self.reference.get(&point.shards).filter(|_| same_trees);
         if let Some(Ok(want)) = reference.map(|r| &r[i]) {
             let streamed = point.front_end == FrontEnd::CursorDrain;

@@ -10,8 +10,10 @@
 pub mod lattice;
 pub mod oracle;
 
+use similarity_queries::index::serial;
 use similarity_queries::prelude::*;
-use similarity_queries::query::QueryResult;
+use similarity_queries::query::{QueryResult, StoredRelation};
+use similarity_queries::series::features::SeriesFeatures;
 
 /// Builds a deterministic corpus of random-walk series.
 pub fn corpus(seed: u64, rows: usize, len: usize) -> Vec<Vec<f64>> {
@@ -162,6 +164,49 @@ pub fn assert_output_values_bitwise_equal(a: &QueryOutput, b: &QueryOutput, what
             assert_output_values_bitwise_equal(x, y, what);
         }
         other => panic!("mismatched outputs for {what}: {other:?}"),
+    }
+}
+
+/// Asserts two stores hold the same rows in the same order — id, name,
+/// raw series, statistics, index point and spectrum — bit for bit.
+pub fn assert_stores_bitwise_equal(got: &SeriesRelation, want: &SeriesRelation, what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(got.name(), want.name(), "{what}");
+    assert_eq!(got.series_len(), want.series_len(), "{what}");
+    assert_eq!(got.scheme(), want.scheme(), "{what}");
+    assert_eq!(got.len(), want.len(), "{what}: row count");
+    for (a, b) in got.rows().zip(want.rows()) {
+        let what = format!("{what}: row {}", b.id);
+        assert_eq!((a.id, &a.name), (b.id, &b.name), "{what}");
+        assert_eq!(bits(&a.raw), bits(&b.raw), "{what}: raw");
+        let (fa, fb) = (&a.features, &b.features);
+        assert_eq!(fa.mean.to_bits(), fb.mean.to_bits(), "{what}: mean");
+        assert_eq!(fa.std_dev.to_bits(), fb.std_dev.to_bits(), "{what}: std");
+        assert_eq!(bits(&fa.point), bits(&fb.point), "{what}: point");
+        let spectrum = |f: &SeriesFeatures| {
+            f.spectrum
+                .iter()
+                .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(spectrum(fa), spectrum(fb), "{what}: spectrum");
+    }
+}
+
+/// Asserts two databases hold the same relations in the same shapes, with
+/// bitwise-equal rows ([`assert_stores_bitwise_equal`]) and byte-equal
+/// serialized trees.
+pub fn assert_same_database(got: &Database, want: &Database, what: &str) {
+    assert_eq!(got.relation_names(), want.relation_names(), "{what}");
+    for name in want.relation_names() {
+        let (g, w) = (got.relation(name).unwrap(), want.relation(name).unwrap());
+        let what = format!("{what}: relation {name}");
+        assert_eq!(g.shard_count(), w.shard_count(), "{what}: shards");
+        for (a, b) in g.stores().iter().zip(w.stores()) {
+            assert_stores_bitwise_equal(a, b, &what);
+        }
+        let trees = |s: &StoredRelation| s.trees().iter().map(serial::to_bytes).collect::<Vec<_>>();
+        assert_eq!(trees(g), trees(w), "{what}: trees");
     }
 }
 

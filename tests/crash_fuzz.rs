@@ -29,13 +29,14 @@
 
 mod common;
 
-use common::assert_outputs_bitwise_equal;
+use common::{assert_outputs_bitwise_equal, assert_same_database};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use similarity_queries::prelude::*;
-use similarity_queries::query::execute;
+use similarity_queries::query::{execute, QueryError};
 use similarity_queries::storage::wal::encode_record;
 use similarity_queries::storage::{FailingStorage, WalRecord};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -429,8 +430,8 @@ fn crash_fuzz_concurrent_batch() {
 // ---------------------------------------------------------------------------
 
 /// Reads every file of a durable directory into memory.
-fn dir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
-    let mut files = std::collections::BTreeMap::new();
+fn dir_files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    let mut files = BTreeMap::new();
     for entry in std::fs::read_dir(dir).unwrap() {
         let entry = entry.unwrap();
         if entry.file_type().unwrap().is_file() {
@@ -444,7 +445,7 @@ fn dir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8
 }
 
 /// Materializes a simulated post-crash directory state.
-fn write_dir(dir: &std::path::Path, files: &std::collections::BTreeMap<String, Vec<u8>>) {
+fn write_dir(dir: &std::path::Path, files: &BTreeMap<String, Vec<u8>>) {
     std::fs::create_dir_all(dir).unwrap();
     for (name, bytes) in files {
         std::fs::write(dir.join(name), bytes).unwrap();
@@ -454,76 +455,109 @@ fn write_dir(dir: &std::path::Path, files: &std::collections::BTreeMap<String, V
 /// Crashes at the checkpoint's commit point: the manifest rename is the
 /// atomic switch, and the directory fsync after it is what makes the
 /// switch durable. A crash on either side of that instant must leave a
-/// directory that reopens to a state containing **every acknowledged
-/// insert** — before the rename becomes durable the old manifest still
-/// governs (old checkpoint + intact WAL tails), after it the new one does
-/// (new checkpoint; stale files are ignorable garbage).
+/// directory that reopens to exactly one whole database — before the
+/// rename becomes durable the old manifest still governs (old checkpoint
+/// and intact WAL tails), after it the new one does (new checkpoint;
+/// stale files are ignorable garbage). Two commits are crashed: the attached
+/// database's own checkpoint, after which both sides hold every
+/// acknowledged insert, and a different database B saved over that
+/// directory as it stood before the checkpoint (A: checkpoints plus WAL
+/// tails), in a new shard layout.
 #[test]
 fn checkpoint_commit_point_crash_recovers_every_acked_insert() {
     for shards in [1usize, 4] {
         let dir = unique_dir(&format!("commit-point-s{shards}"));
         let mut db = fresh_db(shards);
         db.attach_wal(&dir).unwrap();
-        let mut acked = Vec::new();
         for (name, series) in workload() {
-            let report = db.insert_into("r", &name, series.clone()).unwrap();
-            acked.push((report.id, name, series));
+            db.insert_into("r", &name, series).unwrap();
         }
         let before = dir_files(&dir); // old manifest + old snaps + WAL tails
         db.checkpoint().unwrap();
         let after = dir_files(&dir); // new manifest + new snaps, tails absorbed
-        drop(db);
-        assert_ne!(
-            before.get("MANIFEST"),
-            after.get("MANIFEST"),
-            "checkpoint must swap the manifest"
-        );
+        let what = format!("checkpoint (shards {shards})");
+        assert_commit_point(&what, &before, &after, &db, &db);
 
-        // Crash A — new checkpoint files synced, manifest rename NOT yet
-        // durable: the directory shows every new file but the old
-        // manifest. (This is exactly the window the directory fsync in
-        // `pages::write_atomic` closes.)
-        let mut pre_rename = before.clone();
-        for (name, bytes) in &after {
-            if name != "MANIFEST" {
-                pre_rename
-                    .entry(name.clone())
-                    .or_insert_with(|| bytes.clone());
-            }
-        }
-        // Crash B — rename durable, stale-file deletion NOT yet durable:
-        // old epoch files and absorbed WAL tails reappear next to the new
-        // manifest.
-        let mut post_rename = before.clone();
-        for (name, bytes) in &after {
-            post_rename.insert(name.clone(), bytes.clone());
-        }
-
-        for (tag, files) in [("pre-rename", &pre_rename), ("post-rename", &post_rename)] {
-            let what = format!("commit-point {tag} (shards {shards})");
-            let crash_dir = unique_dir(&format!("commit-point-{tag}-s{shards}"));
-            write_dir(&crash_dir, files);
-            let (reopened, _replay) = Database::open_durable(&crash_dir)
-                .unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"));
-            let stored = reopened.relation("r").expect("relation survives");
-            assert_eq!(
-                stored.row_count(),
-                BASE_ROWS + acked.len(),
-                "{what}: row count"
-            );
-            for (id, name, series) in &acked {
-                let row = stored
-                    .row(*id)
-                    .unwrap_or_else(|| panic!("{what}: acked id {id} lost"));
-                assert_eq!(&row.name, name, "{what}: name of id {id}");
-                for (a, b) in row.raw.iter().zip(series) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: bits of id {id}");
-                }
-            }
-            std::fs::remove_dir_all(&crash_dir).ok();
-        }
+        let replaced = unique_dir(&format!("save-over-s{shards}"));
+        write_dir(&replaced, &before);
+        let mut b = fresh_db(5 - shards);
+        b.insert_batch("r", workload().into_iter().rev().take(7).collect())
+            .unwrap();
+        b.save_snapshot(&replaced).unwrap();
+        let what = format!("B saved over A (shards {shards})");
+        assert_commit_point(&what, &before, &dir_files(&replaced), &db, &b);
+        std::fs::remove_dir_all(&replaced).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Materializes the two crash states around one commit's manifest rename
+/// and reopens each. Pre-rename — every new file synced, the rename not
+/// yet durable — must open to `old`; post-rename — the rename durable,
+/// the stale-file deletion not — must open to `new`.
+fn assert_commit_point(
+    what: &str,
+    before: &BTreeMap<String, Vec<u8>>,
+    after: &BTreeMap<String, Vec<u8>>,
+    old: &Database,
+    new: &Database,
+) {
+    assert_ne!(
+        before.get("MANIFEST"),
+        after.get("MANIFEST"),
+        "{what}: the commit must swap the manifest"
+    );
+    let mut pre_rename = before.clone();
+    for (name, bytes) in after {
+        if name != "MANIFEST" {
+            pre_rename
+                .entry(name.clone())
+                .or_insert_with(|| bytes.clone());
+        }
+    }
+    let mut post_rename = before.clone();
+    post_rename.extend(after.clone());
+    for (tag, files, want) in [
+        ("pre-rename", &pre_rename, old),
+        ("post-rename", &post_rename, new),
+    ] {
+        let what = format!("{what} {tag}");
+        let crash_dir = unique_dir(&format!("commit-point-{tag}"));
+        write_dir(&crash_dir, files);
+        let (reopened, _replay) = Database::open_durable(&crash_dir)
+            .unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"));
+        assert_same_database(&reopened, want, &what);
+        std::fs::remove_dir_all(&crash_dir).ok();
+    }
+}
+
+/// Saving into the database's own attached directory is refused with a
+/// typed error that points at the checkpoint, however the path is
+/// spelled: a second handle's full checkpoint would delete the live log
+/// tails under the attached one. The refusal changes nothing, so after a
+/// drop the directory holds every acknowledged row.
+#[test]
+fn save_into_the_attached_directory_is_refused() {
+    let dir = unique_dir("own-dir");
+    let mut db = fresh_db(4);
+    db.attach_wal(&dir).unwrap();
+    let rows = workload();
+    db.insert_batch("r", rows[..10].to_vec()).unwrap();
+    let respelled = dir.join("..").join(dir.file_name().unwrap());
+    for path in [dir.clone(), respelled] {
+        match db.save_snapshot(&path) {
+            Err(QueryError::Unsupported(why)) => assert!(why.contains("checkpoint()"), "{why}"),
+            other => panic!("{}: {other:?}", path.display()),
+        }
+    }
+    for (name, series) in &rows[10..] {
+        db.insert_into("r", name, series.clone()).unwrap();
+    }
+    let acked = db.read_view();
+    drop(db);
+    let (reopened, _replay) = Database::open_durable(&dir).unwrap();
+    assert_same_database(&reopened, acked.database(), "after the refused save");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------

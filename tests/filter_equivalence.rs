@@ -25,10 +25,10 @@
 //!    denormals.
 //! 4. **Build-path independence**: signatures — and the measured
 //!    `mirror_slack` — are bit-identical whether a relation was bulk
-//!    loaded, incrementally inserted, batch inserted, WAL-replayed,
-//!    reloaded from a snapshot or resharded, and a reopened snapshot
-//!    filters with the exact same dismissal counts as the database that
-//!    wrote it.
+//!    loaded, incrementally inserted, batch inserted, saved and
+//!    reopened (with or without a replayed log tail) or resharded, and a
+//!    reopened database filters with the exact same dismissal counts as
+//!    the database that saved it.
 
 mod common;
 
@@ -39,7 +39,7 @@ use similarity_queries::prelude::*;
 use similarity_queries::series::distance_outcome;
 use similarity_queries::storage::{scan, FilterProbe, SignatureArray, SIG_COEFFS};
 
-/// A database reloaded from a snapshot does the in-memory original's exact
+/// A database saved and reopened does the in-memory original's exact
 /// work on every statement — `filtered_out` is part of the `ExecStats` the
 /// lattice compares — because signatures are recomputed from the decoded
 /// spectra and the tree layout round-trips exactly.
@@ -47,7 +47,7 @@ use similarity_queries::storage::{scan, FilterProbe, SignatureArray, SIG_COEFFS}
 fn snapshot_reload_preserves_filter_behaviour() {
     let reloaded = |shards| Config {
         shards,
-        storage: Storage::SnapshotReload,
+        storage: Storage::Reopened,
         ..Config::BASE
     };
     world(61, 45, 32).check(&[reloaded(1), reloaded(4)], |_| true);
@@ -447,8 +447,8 @@ fn signature_bits(db: &Database, rows: usize) -> Vec<Vec<u32>> {
 
 /// Signatures are derived data recomputed on every build path; whichever
 /// way the same rows reach a relation — bulk load, incremental insert,
-/// batch insert, WAL replay into a reopened database, snapshot reload or
-/// resharding — the stored signatures and the measured mirror slack are
+/// batch insert, a saved and reopened directory with a replayed log tail
+/// or resharding — the stored signatures and the measured mirror slack are
 /// bit-for-bit identical. (That every build then *answers* identically is
 /// the lattice's storage axis.)
 #[test]
@@ -463,13 +463,7 @@ fn every_build_path_produces_identical_signatures() {
         "{}",
         slack(&bulk)
     );
-    for storage in [
-        Incremental,
-        BatchInserted,
-        WalReplay,
-        SnapshotReload,
-        Resharded,
-    ] {
+    for storage in [Incremental, BatchInserted, Reopened, Resharded] {
         for shards in [1, 4] {
             let (db, _scratch) = world.database(storage, shards, true);
             let what = format!("{storage:?} on {shards} shard(s)");

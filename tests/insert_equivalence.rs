@@ -4,8 +4,8 @@
 //! A database that bulk-loads a prefix and *incrementally inserts* the
 //! rest answers every statement bitwise-identically to a database that
 //! loads all rows up front — serially and at 4 threads, sharded and not,
-//! before and after a snapshot save/reload, and after one more insert into
-//! the reloaded trees. The tree structures genuinely differ (incremental
+//! before and after a save to a directory and its reopening, and after one
+//! more insert into the reopened trees. The tree structures genuinely differ (incremental
 //! splits vs STR packing); only the sorted query outputs are contractually
 //! equal.
 //!
@@ -36,8 +36,8 @@ const SERIES_LEN: usize = 32;
 /// loading everything up front, every insert within the node bound
 /// (`World::database` asserts it) — whether one row was bulk-loaded
 /// (seed 84: three of four shards start empty) or many — including after
-/// the incrementally maintained tree round-trips through a snapshot and
-/// accepts one more insert.
+/// the incrementally maintained tree round-trips through a saved directory
+/// and accepts one more insert.
 #[test]
 fn incremental_inserts_match_bulk_load() {
     for (seed, rows, shards) in [(84, 8, 4), (82, 26, 1), (83, 59, 4), (81, 37, 1)] {
@@ -51,9 +51,9 @@ fn incremental_inserts_match_bulk_load() {
         world.check(&points, |_| true);
 
         let (db, scratch) = world.database(Storage::Incremental, shards, false);
-        let path = scratch.0.join("grown.simq");
-        db.save_snapshot(&path).unwrap();
-        let mut reloaded = Database::open_snapshot(&path).unwrap();
+        let dir = scratch.0.join("grown");
+        db.save_snapshot(&dir).unwrap();
+        let (mut reloaded, _) = Database::open_durable(&dir).unwrap();
         for point in points {
             world.check_on(&mut reloaded, &point, |_| true);
         }

@@ -5,7 +5,7 @@
 //!   identical** to executing the equivalent literal query text through
 //!   `execute()` — same hits, names and distances, and the same work —
 //!   at 1 and 4 threads, against the in-memory database and
-//!   against a snapshot-reloaded one.
+//!   against a saved and reopened one.
 //! * **(b)** draining a streaming [`Cursor`] yields exactly the hits of
 //!   the materialized `QueryOutput`.
 //! * **(c)** a partially consumed range or kNN cursor's `nodes_visited`
@@ -25,7 +25,7 @@ use common::{
 use similarity_queries::prelude::*;
 use similarity_queries::query::QueryOutput;
 
-/// `front_end` at 1 and 4 threads over built and snapshot-reloaded storage.
+/// `front_end` at 1 and 4 threads over built and reopened storage.
 fn points(front_end: FrontEnd) -> Vec<Config> {
     let over = |storage| {
         [1, 4].map(|threads| Config {
@@ -35,7 +35,7 @@ fn points(front_end: FrontEnd) -> Vec<Config> {
             ..Config::BASE
         })
     };
-    [over(Storage::Built), over(Storage::SnapshotReload)].concat()
+    [over(Storage::Built), over(Storage::Reopened)].concat()
 }
 
 #[test]

@@ -45,7 +45,7 @@ fn sharded_results_equal_unsharded() {
 #[test]
 fn sharded_snapshot_roundtrip_query_identical() {
     let reloaded = Config {
-        storage: Storage::SnapshotReload,
+        storage: Storage::Reopened,
         ..sharded(3)
     };
     let world = world(93, 20, 32);

@@ -1,60 +1,41 @@
 //! The persistence contract as executable properties.
 //!
-//! 1. **Bitwise round-trip**: an arbitrary relation saved to a snapshot and
-//!    reopened reproduces every row — id, name, raw series, statistics,
-//!    index point and normal-form spectrum — with identical `f64` bit
-//!    patterns, and the reopened R*-tree has the identical node layout
-//!    (pinned by byte-equal re-serialization).
-//! 2. **Query equivalence**: a reopened database answers every statement
-//!    of the lattice corpus identically to the in-memory build, serially
-//!    and at 4 threads, with the index decoded rather than re-bulk-loaded.
-//! 3. **Corruption safety**: flipping any byte of a snapshot makes loading
-//!    return an error — never a panic, never silently wrong data.
+//! 1. **Bitwise round-trip**: an arbitrary relation encoded as a
+//!    checkpoint image and decoded reproduces every row — id, name, raw
+//!    series, statistics, index point and normal-form spectrum — with
+//!    identical `f64` bit patterns, and the decoded R*-tree has the
+//!    identical node layout (pinned by byte-equal re-serialization).
+//! 2. **Query equivalence**: a saved and reopened database answers every
+//!    statement of the lattice corpus identically to the in-memory build,
+//!    serially and at 4 threads, with the index decoded rather than
+//!    re-bulk-loaded.
+//! 3. **Corruption safety**: flipping any byte of a checkpoint image makes
+//!    decoding return an error — never a panic, never silently wrong data.
 //! 4. **WAL corruption safety**: flipping or truncating random bytes of a
 //!    durable directory's write-ahead log never panics and never errors —
 //!    reopening recovers the longest valid record prefix, reports what was
 //!    dropped in the [`ReplayReport`], and repairs the log on disk so the
 //!    next open is clean.
+//! 5. **Atomic replacement**: saving or attaching a database over another
+//!    commits at the manifest rename; a failure before it leaves the old
+//!    database whole and the failed handle unattached.
 
 mod common;
 
-use common::{corpus, relation_with};
+use common::lattice::Scratch;
+use common::{assert_same_database, assert_stores_bitwise_equal, corpus, relation_with};
 use proptest::prelude::*;
 use similarity_queries::index::serial;
 use similarity_queries::prelude::*;
 use similarity_queries::storage::snapshot;
 
-fn f64_bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// Saves `rel` (with a bulk-loaded index) to an in-memory snapshot and
-/// loads it back, asserting the bitwise round-trip contract.
+/// Encodes `rel` (with a bulk-loaded index) as an in-memory checkpoint
+/// image and decodes it, asserting the bitwise round-trip contract.
 fn assert_snapshot_roundtrip(rel: &SeriesRelation) {
     let tree = rel.build_index(RTreeConfig::default());
-    let file = snapshot::to_bytes(&[(rel, Some(&tree))]);
-    let loaded = snapshot::from_bytes(&file).expect("valid snapshot loads");
-    assert_eq!(loaded.len(), 1);
-    let entry = loaded[0].single().expect("unsharded entry");
-    let back = &entry.relation;
-
-    assert_eq!(back.name(), rel.name());
-    assert_eq!(back.series_len(), rel.series_len());
-    assert_eq!(back.scheme(), rel.scheme());
-    assert_eq!(back.len(), rel.len());
-    for (a, b) in rel.rows().zip(back.rows()) {
-        assert_eq!(a.id, b.id);
-        assert_eq!(a.name, b.name);
-        assert_eq!(f64_bits(&a.raw), f64_bits(&b.raw));
-        assert_eq!(a.features.mean.to_bits(), b.features.mean.to_bits());
-        assert_eq!(a.features.std_dev.to_bits(), b.features.std_dev.to_bits());
-        assert_eq!(f64_bits(&a.features.point), f64_bits(&b.features.point));
-        assert_eq!(a.features.spectrum.len(), b.features.spectrum.len());
-        for (x, y) in a.features.spectrum.iter().zip(&b.features.spectrum) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-    }
+    let file = snapshot::to_bytes(rel, Some(&tree));
+    let entry = snapshot::from_bytes(&file).expect("valid image decodes");
+    assert_stores_bitwise_equal(&entry.relation, rel, "decoded image");
 
     // Identical node layout: the loaded tree re-serializes byte-for-byte.
     let back_tree = entry.index.as_ref().expect("index was saved");
@@ -93,7 +74,7 @@ proptest! {
         let series = corpus(seed, rows, 32);
         let rel = relation_with(&series, FeatureScheme::paper_default());
         let tree = rel.build_index(RTreeConfig::default());
-        let mut file = snapshot::to_bytes(&[(&rel, Some(&tree))]);
+        let mut file = snapshot::to_bytes(&rel, Some(&tree));
         let pos = ((file.len() - 1) as f64 * pos_frac) as usize;
         file[pos] ^= mask; // mask ≥ 1, so the byte really changes
         prop_assert!(
@@ -110,7 +91,7 @@ proptest! {
     ) {
         let series = corpus(seed, 10, 32);
         let rel = relation_with(&series, FeatureScheme::paper_default());
-        let file = snapshot::to_bytes(&[(&rel, None)]);
+        let file = snapshot::to_bytes(&rel, None);
         let cut = ((file.len() - 1) as f64 * cut_frac) as usize;
         prop_assert!(snapshot::from_bytes(&file[..cut]).is_err());
     }
@@ -226,7 +207,7 @@ proptest! {
     }
 }
 
-/// The acceptance contract — the snapshot-reload points of the lattice
+/// The acceptance contract — the reopened points of the lattice
 /// (`tests/common/lattice.rs`): a database saved and reopened from disk
 /// answers every statement identically to the in-memory build, with
 /// identical work, at 1 and 4 threads: the R*-tree is decoded, not
@@ -235,7 +216,7 @@ proptest! {
 fn reopened_database_is_query_for_query_identical() {
     use common::lattice::{world, Config, Storage};
     let reopened = Config {
-        storage: Storage::SnapshotReload,
+        storage: Storage::Reopened,
         ..Config::BASE
     };
     world(71, 22, 32).check(
@@ -261,14 +242,9 @@ fn open_snapshot_preserves_tree_structure_not_rebuilds() {
     let inc_bytes = serial::to_bytes(&incremental);
     assert_ne!(inc_bytes, serial::to_bytes(&bulk));
 
-    let file = snapshot::to_bytes(&[(&rel, Some(&incremental))]);
+    let file = snapshot::to_bytes(&rel, Some(&incremental));
     let loaded = snapshot::from_bytes(&file).unwrap();
-    let back = loaded[0]
-        .single()
-        .expect("unsharded entry")
-        .index
-        .as_ref()
-        .unwrap();
+    let back = loaded.index.as_ref().unwrap();
     // If open re-bulk-loaded, this would equal `bulk`; it equals the
     // incremental original instead.
     assert_eq!(serial::to_bytes(back), inc_bytes);
@@ -301,4 +277,35 @@ fn an_insert_does_not_narrow_an_all_dirty_relation() {
     let (reopened, _) = Database::open_durable(&dir).unwrap();
     assert_eq!(reopened.relation("r").unwrap().row_count(), 17);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Saving or attaching database B over saved database A commits at the
+/// manifest rename and nowhere else. With B's checkpoint blocked (a
+/// directory squats on its file name), both fail; the directory still
+/// opens to A bitwise, and the failed attach leaves B unattached, free to
+/// attach elsewhere. Once the squatter is gone, the same save replaces A
+/// with B.
+#[test]
+fn a_failed_save_or_attach_over_a_database_leaves_it_whole() {
+    let scratch = Scratch::new();
+    let dir = scratch.0.join("db");
+    let a = common::db_with(&corpus(41, 12, 32), FeatureScheme::paper_default());
+    let mut b = common::db_with(&corpus(42, 17, 32), FeatureScheme::paper_default());
+    a.save_snapshot(&dir).unwrap();
+    // A's one checkpoint is `r0.s0.e1.snap`. B's relation has A's name and
+    // shape, so B keeps file id 0 and writes the next epoch.
+    let squatter = dir.join("r0.s0.e2.snap");
+    std::fs::create_dir(&squatter).unwrap();
+    assert!(b.save_snapshot(&dir).is_err());
+    assert!(b.attach_wal(&dir).is_err());
+    assert!(!b.is_durable(), "a failed attach leaves no WAL attached");
+    let (reopened, _) = Database::open_durable(&dir).unwrap();
+    assert_same_database(&reopened, &a, "A after the failed replacements");
+    drop(reopened);
+    b.attach_wal(scratch.0.join("elsewhere")).unwrap();
+
+    std::fs::remove_dir(&squatter).unwrap();
+    b.save_snapshot(&dir).unwrap();
+    let (reopened, _) = Database::open_durable(&dir).unwrap();
+    assert_same_database(&reopened, &b, "B saved over A");
 }
