@@ -33,7 +33,42 @@ fn fft_pow2(buf: &mut [Complex], inverse: bool) {
     if n <= 1 {
         return;
     }
-    // Bit-reversal permutation.
+    bit_reverse(buf);
+    // Iterative butterflies, one stage per block length `len`. The
+    // butterfly of frequency `k` in every block multiplies by the twiddle
+    // `wlen^k`, which the recurrence `w *= wlen` reaches in `k` steps from
+    // `Complex::ONE`. The stage advances `w` once per frequency and applies
+    // it to that frequency's butterfly in every block: `len / 2` products
+    // per stage (127 in all at n = 128) rather than one per butterfly
+    // (448), and no block's butterflies wait on a serial twiddle chain of
+    // their own. The output is bitwise that of restarting the recurrence
+    // in every block: each butterfly multiplies by the same `w` bits, and
+    // a stage's butterflies touch disjoint pairs, so their order is free.
+    let sign = if inverse { 1.0 } else { -1.0 };
+    let mut len = 2;
+    while len <= n {
+        let ang = sign * 2.0 * PI / len as f64;
+        let wlen = Complex::cis(ang);
+        let half = len / 2;
+        let mut w = Complex::ONE;
+        for k in 0..half {
+            for block in buf.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                let u = lo[k];
+                let v = hi[k] * w;
+                lo[k] = u + v;
+                hi[k] = u - v;
+            }
+            w *= wlen;
+        }
+        len <<= 1;
+    }
+}
+
+/// The bit-reversal permutation that puts a radix-2 FFT's input in
+/// butterfly order.
+fn bit_reverse(buf: &mut [Complex]) {
+    let n = buf.len();
     let mut j = 0usize;
     for i in 1..n {
         let mut bit = n >> 1;
@@ -46,34 +81,14 @@ fn fft_pow2(buf: &mut [Complex], inverse: bool) {
             buf.swap(i, j);
         }
     }
-    // Iterative butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
-        let wlen = Complex::cis(ang);
-        let half = len / 2;
-        let mut start = 0;
-        while start < n {
-            let mut w = Complex::ONE;
-            for k in 0..half {
-                let u = buf[start + k];
-                let v = buf[start + k + half] * w;
-                buf[start + k] = u + v;
-                buf[start + k + half] = u - v;
-                w *= wlen;
-            }
-            start += len;
-        }
-        len <<= 1;
-    }
 }
 
 /// Unnormalized DFT of arbitrary length via Bluestein's chirp-z algorithm.
 ///
 /// Expresses an `n`-point DFT as a circular convolution of length `m ≥ 2n-1`
-/// (rounded up to a power of two) which is evaluated with [`fft_pow2`].
-fn bluestein(x: &[Complex], inverse: bool) -> Vec<Complex> {
+/// (rounded up to a power of two) which is evaluated with the radix-2
+/// kernel `pow2`.
+fn bluestein(x: &[Complex], inverse: bool, pow2: Radix2) -> Vec<Complex> {
     let n = x.len();
     debug_assert!(n > 0);
     let sign = if inverse { 1.0 } else { -1.0 };
@@ -97,45 +112,45 @@ fn bluestein(x: &[Complex], inverse: bool) -> Vec<Complex> {
     for k in 1..n {
         b[m - k] = chirp[k].conj();
     }
-    fft_pow2(&mut a, false);
-    fft_pow2(&mut b, false);
+    pow2(&mut a, false);
+    pow2(&mut b, false);
     for (ai, bi) in a.iter_mut().zip(&b) {
         *ai *= *bi;
     }
-    fft_pow2(&mut a, true);
+    pow2(&mut a, true);
     let scale = 1.0 / m as f64;
     (0..n).map(|k| a[k] * chirp[k] * scale).collect()
 }
 
-/// Unnormalized forward/inverse DFT dispatching between radix-2 and
-/// Bluestein.
-fn transform_unnormalized(x: &[Complex], inverse: bool) -> Vec<Complex> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if is_power_of_two(n) {
-        let mut buf = x.to_vec();
-        fft_pow2(&mut buf, inverse);
-        buf
-    } else {
-        bluestein(x, inverse)
-    }
-}
+/// An in-place unnormalized radix-2 kernel: [`fft_pow2`] (the tests pass
+/// a reference kernel in its place).
+type Radix2 = fn(&mut [Complex], bool);
 
-/// Normalized forward FFT of a complex sequence: identical to
-/// [`crate::dft::dft_complex`] (Equation 1) but `O(n log n)`.
-pub fn forward(x: &[Complex]) -> Vec<Complex> {
+/// The `1/√n`-normalized forward or inverse DFT, dispatching between the
+/// radix-2 kernel `pow2` and Bluestein.
+fn transform(x: &[Complex], inverse: bool, pow2: Radix2) -> Vec<Complex> {
     let n = x.len();
     if n == 0 {
         return Vec::new();
     }
     let scale = 1.0 / (n as f64).sqrt();
-    let mut out = transform_unnormalized(x, false);
+    let mut out = if is_power_of_two(n) {
+        let mut buf = x.to_vec();
+        pow2(&mut buf, inverse);
+        buf
+    } else {
+        bluestein(x, inverse, pow2)
+    };
     for z in &mut out {
         *z = *z * scale;
     }
     out
+}
+
+/// Normalized forward FFT of a complex sequence: identical to
+/// [`crate::dft::dft_complex`] (Equation 1) but `O(n log n)`.
+pub fn forward(x: &[Complex]) -> Vec<Complex> {
+    transform(x, false, fft_pow2)
 }
 
 /// Normalized forward FFT of a real sequence.
@@ -147,16 +162,7 @@ pub fn forward_real(x: &[f64]) -> Vec<Complex> {
 /// Normalized inverse FFT: identical to [`crate::dft::idft`] (Equation 2)
 /// but `O(n log n)`.
 pub fn inverse(x: &[Complex]) -> Vec<Complex> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let scale = 1.0 / (n as f64).sqrt();
-    let mut out = transform_unnormalized(x, true);
-    for z in &mut out {
-        *z = *z * scale;
-    }
-    out
+    transform(x, true, fft_pow2)
 }
 
 /// Normalized inverse FFT projected onto the reals (for spectra of real
@@ -234,5 +240,120 @@ mod tests {
     fn single_element_is_identity() {
         let spec = forward_real(&[42.0]);
         assert!(spec[0].approx_eq(Complex::real(42.0), 1e-12));
+    }
+
+    /// The radix-2 kernel as it was before each stage advanced its twiddle
+    /// once per frequency: every block restarts the recurrence `w *= wlen`
+    /// from `Complex::ONE`. The stage loop is kept verbatim as the bitwise
+    /// reference.
+    fn fft_pow2_blockwise(buf: &mut [Complex], inverse: bool) {
+        let n = buf.len();
+        assert!(is_power_of_two(n));
+        if n <= 1 {
+            return;
+        }
+        bit_reverse(buf);
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * PI / len as f64;
+            let wlen = Complex::cis(ang);
+            let half = len / 2;
+            let mut start = 0;
+            while start < n {
+                let mut w = Complex::ONE;
+                for k in 0..half {
+                    let u = buf[start + k];
+                    let v = buf[start + k + half] * w;
+                    buf[start + k] = u + v;
+                    buf[start + k + half] = u - v;
+                    w *= wlen;
+                }
+                start += len;
+            }
+            len <<= 1;
+        }
+    }
+
+    /// SplitMix64, uniform in `[-1, 1)`.
+    fn uniform(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    /// Inputs of length `n`: random complex and real ones at several
+    /// magnitudes, and the edges — signed zeros, subnormals, ±1e300 and a
+    /// constant.
+    fn inputs(n: usize, trials: usize, seed: u64) -> Vec<Vec<Complex>> {
+        let mut state = seed ^ n as u64;
+        let mut out = Vec::new();
+        for t in 0..trials {
+            let magnitude = [1.0, 1e-3, 1e3, 1e150][t % 4];
+            let complex = (0..n)
+                .map(|_| Complex::new(uniform(&mut state), uniform(&mut state)) * magnitude)
+                .collect();
+            let real = (0..n)
+                .map(|_| Complex::real(uniform(&mut state) * magnitude))
+                .collect();
+            out.extend([complex, real]);
+        }
+        const TINY: f64 = f64::MIN_POSITIVE / 4.0;
+        let edges: [fn(usize) -> Complex; 5] = [
+            |i: usize| Complex::new(if i.is_multiple_of(2) { 0.0 } else { -0.0 }, -0.0),
+            |i: usize| Complex::new(TINY * i as f64, -TINY),
+            |i: usize| Complex::real(if i.is_multiple_of(3) { 1e300 } else { -1e300 }),
+            |i: usize| Complex::new(1e300, -1e300 * (i % 2) as f64),
+            |_: usize| Complex::real(7.25),
+        ];
+        out.extend(edges.iter().map(|f| (0..n).map(f).collect()));
+        out
+    }
+
+    fn assert_same_bits(got: &[Complex], want: &[Complex], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                "{what}, coefficient {i}: {g} vs {w}"
+            );
+        }
+    }
+
+    /// Forward and inverse transforms, through the radix-2 path or
+    /// Bluestein's, agree to the bit with the blockwise reference kernel.
+    fn check_against_the_blockwise_kernel(lengths: &[usize], trials: usize) {
+        for &n in lengths {
+            for (i, x) in inputs(n, trials, 0x5EED).iter().enumerate() {
+                let want = |inverse| transform(x, inverse, fft_pow2_blockwise);
+                assert_same_bits(
+                    &forward(x),
+                    &want(false),
+                    &format!("n={n} input {i} forward"),
+                );
+                assert_same_bits(
+                    &inverse(x),
+                    &want(true),
+                    &format!("n={n} input {i} inverse"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn transforms_match_the_blockwise_kernel_bitwise() {
+        let mut lengths: Vec<usize> = (0..=10).map(|e| 1 << e).collect();
+        lengths.extend([3, 5, 100, 127, 152]);
+        check_against_the_blockwise_kernel(&lengths, 8);
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn transforms_match_the_blockwise_kernel_bitwise_long() {
+        let mut lengths: Vec<usize> = (0..=14).map(|e| 1 << e).collect();
+        lengths.extend([3, 5, 6, 7, 12, 15, 100, 127, 152, 1000, 1067, 3000]);
+        check_against_the_blockwise_kernel(&lengths, 24);
     }
 }

@@ -18,6 +18,15 @@ pub enum SeriesError {
     EmptyKernel,
     /// A warp factor must be at least 1.
     InvalidWarpFactor(usize),
+    /// A warp factor must not exceed the series length: the warp
+    /// coefficients cost `O(m·n)` to build, so an unbounded `m` would hold
+    /// a statement for as long as the caller asks.
+    WarpFactorTooLarge {
+        /// Requested warp factor.
+        m: usize,
+        /// Series length.
+        len: usize,
+    },
     /// The series is constant, so its normal form (division by the standard
     /// deviation) is undefined.
     ZeroVariance,
@@ -60,6 +69,12 @@ impl fmt::Display for SeriesError {
             SeriesError::EmptyKernel => write!(f, "moving-average kernel must be non-empty"),
             SeriesError::InvalidWarpFactor(m) => {
                 write!(f, "warp factor must be ≥ 1, got {m}")
+            }
+            SeriesError::WarpFactorTooLarge { m, len } => {
+                write!(
+                    f,
+                    "warp factor {m} exceeds the series length {len} (1 ≤ m ≤ n)"
+                )
             }
             SeriesError::ZeroVariance => {
                 write!(

@@ -6,6 +6,12 @@
 //! every series in normal form and keeps the mean and standard deviation as
 //! two extra index dimensions, so simple shift/scale similarity (GK95) and
 //! general transformations coexist on one index.
+//!
+//! Every stored row, insert, replayed log record and literal query is
+//! normalized once, by [`normalize`]: three passes over the series (mean,
+//! σ about that mean, the normalized samples) and one allocation, the
+//! normal form itself. [`std_dev`] and [`normal_form`] share its arithmetic,
+//! expression for expression, so all three report the same bits.
 
 use crate::error::SeriesError;
 
@@ -21,11 +27,19 @@ pub fn mean(s: &[f64]) -> f64 {
 
 /// Population standard deviation (the `std` of Equation 9).
 pub fn std_dev(s: &[f64]) -> f64 {
+    moments(s).1
+}
+
+/// The mean and the population standard deviation about it, one pass
+/// each: the one place σ is computed, so [`std_dev`] and [`normalize`]
+/// agree to the bit. Both are 0 for an empty series.
+fn moments(s: &[f64]) -> (f64, f64) {
     if s.is_empty() {
-        return 0.0;
+        return (0.0, 0.0);
     }
     let m = mean(s);
-    (s.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / s.len() as f64).sqrt()
+    let sd = (s.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / s.len() as f64).sqrt();
+    (m, sd)
 }
 
 /// Shifts every sample by `c` (a translation transformation `(1, c)`).
@@ -46,15 +60,7 @@ pub fn scale(s: &[f64], k: f64) -> Vec<f64> {
 /// [`SeriesError::EmptySeries`] for empty input;
 /// [`SeriesError::ZeroVariance`] for constant series.
 pub fn normal_form(s: &[f64]) -> Result<Vec<f64>, SeriesError> {
-    if s.is_empty() {
-        return Err(SeriesError::EmptySeries);
-    }
-    let m = mean(s);
-    let sd = std_dev(s);
-    if sd == 0.0 {
-        return Err(SeriesError::ZeroVariance);
-    }
-    Ok(s.iter().map(|v| (v - m) / sd).collect())
+    normalize(s).map(|nf| nf.series)
 }
 
 /// Normal form plus the statistics that were divided out, which the paper
@@ -69,16 +75,22 @@ pub struct NormalForm {
     pub std_dev: f64,
 }
 
-/// Computes the normal form together with the removed statistics.
+/// Computes the normal form together with the removed statistics, in
+/// three passes over `s`: the mean, the deviations about it (σ), and the
+/// normalized samples. This is the normalization every extraction runs.
 ///
 /// # Errors
 /// Same conditions as [`normal_form`].
 pub fn normalize(s: &[f64]) -> Result<NormalForm, SeriesError> {
-    let m = mean(s);
-    let sd = std_dev(s);
-    let series = normal_form(s)?;
+    if s.is_empty() {
+        return Err(SeriesError::EmptySeries);
+    }
+    let (m, sd) = moments(s);
+    if sd == 0.0 {
+        return Err(SeriesError::ZeroVariance);
+    }
     Ok(NormalForm {
-        series,
+        series: s.iter().map(|v| (v - m) / sd).collect(),
         mean: m,
         std_dev: sd,
     })
@@ -144,6 +156,106 @@ mod tests {
         let nt = normal_form(&t).unwrap();
         for (a, b) in ns.iter().zip(&nt) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    /// The composition `normalize` ran before it computed the mean and σ
+    /// once: `mean`, `std_dev`, then `normal_form`, which computed both
+    /// again. Kept verbatim as the bitwise reference.
+    mod seven_pass {
+        use super::{mean, NormalForm, SeriesError};
+
+        pub fn std_dev(s: &[f64]) -> f64 {
+            if s.is_empty() {
+                return 0.0;
+            }
+            let m = mean(s);
+            (s.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / s.len() as f64).sqrt()
+        }
+
+        pub fn normal_form(s: &[f64]) -> Result<Vec<f64>, SeriesError> {
+            if s.is_empty() {
+                return Err(SeriesError::EmptySeries);
+            }
+            let m = mean(s);
+            let sd = std_dev(s);
+            if sd == 0.0 {
+                return Err(SeriesError::ZeroVariance);
+            }
+            Ok(s.iter().map(|v| (v - m) / sd).collect())
+        }
+
+        pub fn normalize(s: &[f64]) -> Result<NormalForm, SeriesError> {
+            let m = mean(s);
+            let sd = std_dev(s);
+            let series = normal_form(s)?;
+            Ok(NormalForm {
+                series,
+                mean: m,
+                std_dev: sd,
+            })
+        }
+    }
+
+    /// SplitMix64, uniform in `[-1, 1)`.
+    fn uniform(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    fn bits(s: &[f64]) -> Vec<u64> {
+        s.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Random walks and noise at several magnitudes, and the edges: signed
+    /// zeros, subnormals, ±1e300 (whose σ overflows), a constant, a NaN
+    /// and an infinity.
+    #[test]
+    fn statistics_match_the_seven_pass_composition_bitwise() {
+        let mut state = 0x5EED;
+        let mut lengths: Vec<usize> = (0..=10).map(|e| 1 << e).collect();
+        lengths.extend([0, 3, 5, 100, 127, 152]);
+        for n in lengths {
+            let mut inputs: Vec<Vec<f64>> = Vec::new();
+            for magnitude in [1.0, 1e-3, 1e3, 1e150] {
+                let mut x = 0.0;
+                inputs.push((0..n).map(|_| magnitude * uniform(&mut state)).collect());
+                inputs.push(
+                    (0..n)
+                        .map(|_| {
+                            x += magnitude * uniform(&mut state);
+                            x
+                        })
+                        .collect(),
+                );
+            }
+            let tiny = f64::MIN_POSITIVE / 4.0;
+            let edges: [&dyn Fn(usize) -> f64; 6] = [
+                &|i| if i.is_multiple_of(2) { 0.0 } else { -0.0 },
+                &|i| tiny * i as f64,
+                &|i| if i.is_multiple_of(3) { 1e300 } else { -1e300 },
+                &|_| 7.25,
+                &|i| if i == n / 2 { f64::NAN } else { i as f64 },
+                &|i| if i == 0 { f64::INFINITY } else { i as f64 },
+            ];
+            inputs.extend(edges.iter().map(|f| (0..n).map(f).collect()));
+            for (i, s) in inputs.iter().enumerate() {
+                let what = format!("n={n} input {i}");
+                assert_eq!(
+                    std_dev(s).to_bits(),
+                    seven_pass::std_dev(s).to_bits(),
+                    "{what}"
+                );
+                let want = seven_pass::normal_form(s).map(|v| bits(&v));
+                assert_eq!(normal_form(s).map(|v| bits(&v)), want, "{what}");
+                let key = |r: Result<NormalForm, SeriesError>| {
+                    r.map(|nf| (bits(&nf.series), nf.mean.to_bits(), nf.std_dev.to_bits()))
+                };
+                assert_eq!(key(normalize(s)), key(seven_pass::normalize(s)), "{what}");
+            }
         }
     }
 

@@ -65,9 +65,13 @@ pub fn unwarp(s: &[f64], m: usize) -> Option<Vec<f64>> {
 /// Satisfies `S'_f = a_f · S_f` when `S'` is computed with the appendix's
 /// `1/√n` normalization over the warped (length `m·n`) series.
 ///
+/// Building the vector costs `O(m · count)`, so `m` is bounded by the
+/// series length as a moving average's window is: `1 ≤ m ≤ n`.
+///
 /// # Errors
 /// [`SeriesError::InvalidWarpFactor`] when `m == 0`;
-/// [`SeriesError::EmptySeries`] when `n == 0`.
+/// [`SeriesError::EmptySeries`] when `n == 0`;
+/// [`SeriesError::WarpFactorTooLarge`] when `m > n`.
 pub fn warp_coefficients_eq19(
     n: usize,
     m: usize,
@@ -78,6 +82,9 @@ pub fn warp_coefficients_eq19(
     }
     if n == 0 {
         return Err(SeriesError::EmptySeries);
+    }
+    if m > n {
+        return Err(SeriesError::WarpFactorTooLarge { m, len: n });
     }
     let mn = (m * n) as f64;
     let mut out = Vec::with_capacity(count);
@@ -132,6 +139,21 @@ mod tests {
     #[test]
     fn warp_factor_zero_rejected() {
         assert_eq!(warp(&[1.0], 0), Err(SeriesError::InvalidWarpFactor(0)));
+    }
+
+    #[test]
+    fn warp_factor_above_the_series_length_rejected() {
+        let too_large = Err(SeriesError::WarpFactorTooLarge { m: 9, len: 8 });
+        assert_eq!(warp_coefficients_eq19(8, 9, 4), too_large);
+        assert_eq!(warp_coefficients(8, 9, 4), too_large);
+        assert_eq!(
+            warp_coefficients(128, usize::MAX, 3),
+            Err(SeriesError::WarpFactorTooLarge {
+                m: usize::MAX,
+                len: 128
+            })
+        );
+        assert_eq!(warp_coefficients(8, 8, 4).map(|a| a.len()), Ok(4));
     }
 
     #[test]

@@ -509,6 +509,28 @@ fn non_finite_insert_is_refused_and_the_shell_keeps_answering() {
     assert!(stdout.contains("3 hits:"), "{stdout}");
 }
 
+/// A warp factor is bounded by the series length (the demo's is 128):
+/// `warp(10000000)` once built its coefficients for seconds while holding
+/// the shell; now it and `warp(129)` are refused at once, `warp(128)`
+/// runs, and the shell keeps answering.
+#[test]
+fn warp_factor_above_the_series_length_is_refused_and_the_shell_keeps_answering() {
+    let (stdout, stderr, code) = run_cli(
+        &[],
+        "FIND SIMILAR TO ROW 0 IN walks USING warp(129) EPSILON 1\n\
+         FIND 2 NEAREST TO ROW 0 IN walks USING warp(10000000)\n\
+         FIND 2 NEAREST TO ROW 0 IN walks USING warp(128)\n\
+         FIND 3 NEAREST TO ROW 0 IN walks\n\\quit\n",
+    );
+    assert_eq!(code, 0, "{stderr}");
+    for m in [129, 10000000] {
+        let refused = format!("error: warp factor {m} exceeds the series length 128");
+        assert!(stdout.contains(&refused), "{stdout}");
+    }
+    assert!(stdout.contains("2 hits:"), "{stdout}");
+    assert!(stdout.contains("3 hits:"), "{stdout}");
+}
+
 #[test]
 fn semicolon_insert_runs_as_one_grouped_batch() {
     let row = |k: usize| {

@@ -129,9 +129,13 @@ pub type Outcome = Result<QueryResult, QueryError>;
 /// Statements that must fail — with a structured error, never a panic —
 /// alike through every front end, the `Remote` one included (whose error
 /// frame carries the local error's message): constants that overflow on their own or composed, a zero
-/// scale factor (no normal form), and the three ways a slot can fail
-/// before it runs.
-pub fn error_statements(relation: &str) -> Vec<String> {
+/// scale factor (no normal form), a warp factor above the series length
+/// `len`, and the three ways a slot can fail before it runs.
+pub fn error_statements(relation: &str, len: usize) -> Vec<String> {
+    let too_wide_warp = format!(
+        "FIND SIMILAR TO ROW 0 IN r USING warp({}) EPSILON 1",
+        len + 1
+    );
     [
         "FIND 2 NEAREST TO ROW 0 IN r USING shift(1e400)",
         "FIND 2 NEAREST TO ROW 0 IN r USING scale(1e308) THEN scale(1e308)",
@@ -140,6 +144,7 @@ pub fn error_statements(relation: &str) -> Vec<String> {
         "FIND 2 NEAREST TO ROW 0 IN r USING wmavg(1e308, -1e308) FORCE SCAN",
         "FIND 3 NEAREST TO ROW 0 IN r USING scale(0)",
         "FIND SIMILAR TO ROW 0 IN r USING mavg(3) THEN scale(-0.0) ON BOTH EPSILON 1",
+        &too_wide_warp,
         "FIND SIMILAR TO ROW 0 IN r EPSILON 1e400",
         "FIND SIMILAR TO ROW 99999 IN r EPSILON 1",
         "FIND SIMILAR TO ROW 0 IN nope EPSILON 1",
@@ -333,7 +338,7 @@ impl Corpus<'_> {
                 );
             }
         }
-        for text in error_statements("r") {
+        for text in error_statements("r", self.rows[0].len()) {
             self.groups += 1;
             self.push(Kind::Error, text, &[]);
         }
