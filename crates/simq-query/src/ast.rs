@@ -149,7 +149,7 @@ impl Query {
 }
 
 // ---------------------------------------------------------------------------
-// Parameterized templates (prepared statements)
+// Placeholders (prepared statements)
 // ---------------------------------------------------------------------------
 
 /// A reference to a statement parameter: `?` (positional, numbered in
@@ -192,122 +192,69 @@ impl std::fmt::Display for ParamType {
     }
 }
 
-/// One appearance of a placeholder in a template, in lexical order —
-/// the raw material of a prepared statement's signature.
+/// Integer slots (`k`, `ROW <id>`) take whole numbers below 2⁵³: from
+/// there on f64 — the lexer's numbers and [`Value::Number`]'s payload —
+/// merges neighbouring integers, so a larger value would silently name a
+/// different row.
+///
+/// [`Value::Number`]: crate::session::Value::Number
+pub(crate) const INTEGER_LIMIT: f64 = (1u64 << 53) as f64;
+
+/// The field of a [`Query`] a placeholder fills. `Display` names it the
+/// way signatures and error messages do (`"EPSILON"`, `"k"`, …).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotField {
+    /// `FIND <k> NEAREST`.
+    K,
+    /// `ROW <id>`.
+    RowId,
+    /// The query series (a placeholder in source position).
+    Series,
+    /// `EPSILON <e>`.
+    Epsilon,
+    /// `MEAN WITHIN <m>`.
+    MeanWithin,
+    /// `STD WITHIN <s>`.
+    StdWithin,
+}
+
+impl SlotField {
+    /// The type of value the field takes.
+    pub(crate) fn ty(self) -> ParamType {
+        match self {
+            SlotField::K | SlotField::RowId => ParamType::Integer,
+            SlotField::Series => ParamType::Series,
+            SlotField::Epsilon | SlotField::MeanWithin | SlotField::StdWithin => ParamType::Number,
+        }
+    }
+
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            SlotField::K => "k",
+            SlotField::RowId => "ROW id",
+            SlotField::Series => "query series",
+            SlotField::Epsilon => "EPSILON",
+            SlotField::MeanWithin => "MEAN WITHIN",
+            SlotField::StdWithin => "STD WITHIN",
+        }
+    }
+}
+
+impl std::fmt::Display for SlotField {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// One appearance of a placeholder in a statement, in lexical order —
+/// the raw material of a prepared statement's signature. The field it
+/// fills holds a dummy constant until a binding writes the value there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamOccurrence {
     /// Which parameter.
     pub reference: ParamRef,
-    /// The type the slot expects.
-    pub ty: ParamType,
-    /// Human-readable slot description (`"EPSILON"`, `"k"`, …).
-    pub context: &'static str,
+    /// The field the placeholder fills.
+    pub field: SlotField,
     /// Byte offset of the placeholder in the statement text.
     pub offset: usize,
-}
-
-/// A numeric slot of a template: a literal or a placeholder.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NumArg {
-    /// A literal constant.
-    Lit(f64),
-    /// A parameter bound at execution time.
-    Param(ParamRef),
-}
-
-/// The query-series slot of a template. Placeholders in source position
-/// bind a whole series (`Vec<f64>`) at execution time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TemplateSource {
-    /// An inline literal `[v1, v2, …]` (elements are always literal).
-    Literal(Vec<f64>),
-    /// `ROW <id>` — the id may be a placeholder.
-    RowId(NumArg),
-    /// `NAME <name>` — always literal.
-    RowName(String),
-    /// `?` / `$name` in source position: a series parameter.
-    Series(ParamRef),
-}
-
-/// [`StatsWindow`] with parameterizable tolerances. Which windows are
-/// *present* is part of the statement shape (it affects planning); their
-/// numeric values are not.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TemplateStatsWindow {
-    /// `MEAN WITHIN x` — tolerance on the mean dimension.
-    pub mean: Option<NumArg>,
-    /// `STD WITHIN y` — tolerance on the standard-deviation dimension.
-    pub std_dev: Option<NumArg>,
-}
-
-/// A parsed query *template*: the AST of a prepared statement, with
-/// placeholders in the positions that may vary per execution (query
-/// source, epsilon, k, row id, MEAN/STD tolerances). Relation names,
-/// transformations, strategies and join methods are always literal —
-/// they determine the plan shape.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryTemplate {
-    /// Range query template.
-    Range {
-        /// The query series slot.
-        source: TemplateSource,
-        /// Relation name.
-        relation: String,
-        /// Transformation applied to stored series.
-        transform: SeriesTransform,
-        /// Whether the transformation also applies to the query series.
-        on_both: bool,
-        /// Distance threshold slot.
-        eps: NumArg,
-        /// Optional GK95 window slots.
-        stats_window: TemplateStatsWindow,
-        /// Strategy override.
-        strategy: Strategy,
-    },
-    /// k-nearest-neighbour template.
-    Knn {
-        /// Number of neighbours slot.
-        k: NumArg,
-        /// The query series slot.
-        source: TemplateSource,
-        /// Relation name.
-        relation: String,
-        /// Transformation applied to stored series.
-        transform: SeriesTransform,
-        /// Whether the transformation also applies to the query series.
-        on_both: bool,
-        /// Strategy override.
-        strategy: Strategy,
-    },
-    /// All-pairs template.
-    AllPairs {
-        /// Relation name.
-        relation: String,
-        /// Transformation applied to the left side of each pair.
-        left: SeriesTransform,
-        /// Transformation applied to the right side of each pair.
-        right: SeriesTransform,
-        /// Distance threshold slot.
-        eps: NumArg,
-        /// Evaluation method.
-        method: JoinMethod,
-    },
-    /// `EXPLAIN <template>`.
-    Explain(Box<QueryTemplate>),
-    /// `EXPLAIN ANALYZE <template>`.
-    ExplainAnalyze(Box<QueryTemplate>),
-}
-
-impl QueryTemplate {
-    /// The relation the template targets.
-    pub fn relation(&self) -> &str {
-        match self {
-            QueryTemplate::Range { relation, .. }
-            | QueryTemplate::Knn { relation, .. }
-            | QueryTemplate::AllPairs { relation, .. } => relation,
-            QueryTemplate::Explain(inner) | QueryTemplate::ExplainAnalyze(inner) => {
-                inner.relation()
-            }
-        }
-    }
 }

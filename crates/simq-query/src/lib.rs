@@ -35,7 +35,7 @@ pub mod session;
 pub mod token;
 mod verify;
 
-pub use ast::{JoinMethod, ParamRef, ParamType, Query, QuerySource, QueryTemplate, Strategy};
+pub use ast::{JoinMethod, ParamRef, ParamType, Query, QuerySource, Strategy};
 pub use batch::{execute_batch, split_batch_script, BatchExecutor, BatchResult};
 pub use catalog::{
     Database, InsertBatchReport, InsertReport, Parallelism, ReadView, StoredRelation, WalStatus,

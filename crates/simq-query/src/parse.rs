@@ -1,26 +1,27 @@
 //! Recursive-descent parser for the query language.
 //!
-//! The parser produces a [`QueryTemplate`]: the AST of a (possibly
-//! parameterized) statement. Plain execution goes through [`parse()`],
-//! which requires every slot to be literal; prepared statements go
-//! through [`parse_template()`], which additionally reports every
-//! placeholder occurrence so `session::Prepared` can build a typed
-//! signature.
+//! The parser produces one [`Query`] AST for every statement. A
+//! placeholder (`?` / `$name`) writes a dummy constant into the field it
+//! stands for — number 0, integer 0, the empty series — and records a
+//! [`ParamOccurrence`] naming that field. Plain execution goes through
+//! [`parse()`], which refuses any placeholder; prepared statements go
+//! through [`parse_template()`], whose occurrences `session::Prepared`
+//! turns into a typed signature and later fills with bound values.
 
 use crate::ast::{
-    JoinMethod, NumArg, ParamOccurrence, ParamRef, ParamType, Query, QueryTemplate, Strategy,
-    TemplateSource, TemplateStatsWindow,
+    JoinMethod, ParamOccurrence, ParamRef, Query, QuerySource, SlotField, StatsWindow, Strategy,
+    INTEGER_LIMIT,
 };
 use crate::error::QueryError;
 use crate::token::{tokenize, Spanned, Token};
 use simq_series::transform::SeriesTransform;
 
-/// A parsed statement template together with its placeholder occurrences
-/// (in lexical order).
+/// A parsed statement together with its placeholder occurrences (in
+/// lexical order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedTemplate {
-    /// The template AST.
-    pub template: QueryTemplate,
+    /// The statement; each placeholder's field holds a dummy constant.
+    pub query: Query,
     /// Every placeholder appearance, in lexical order.
     pub params: Vec<ParamOccurrence>,
 }
@@ -31,21 +32,18 @@ pub struct ParsedTemplate {
 /// # Errors
 /// [`QueryError::Lex`] / [`QueryError::Parse`] with byte offsets.
 pub fn parse(input: &str) -> Result<Query, QueryError> {
-    let parsed = parse_template(input)?;
-    if let Some(first) = parsed.params.first() {
-        return Err(QueryError::Parse {
+    let ParsedTemplate { query, params } = parse_template(input)?;
+    match params.first() {
+        None => Ok(query),
+        Some(first) => Err(QueryError::Parse {
             offset: Some(first.offset),
             message: format!(
                 "placeholder {} ({}) is only allowed in a prepared statement; \
                  use Session::prepare",
-                first.reference, first.context
+                first.reference, first.field
             ),
-        });
+        }),
     }
-    // No placeholder is left, so the lookup is never reached.
-    crate::session::instantiate(&parsed.template, &mut |r, _, _| {
-        Err(QueryError::Bind(format!("unbound parameter {r}")))
-    })
 }
 
 /// Parses one statement template, allowing `?` and `$name` placeholders
@@ -63,7 +61,7 @@ pub fn parse_template(input: &str) -> Result<ParsedTemplate, QueryError> {
         positional: 0,
         params: Vec::new(),
     };
-    let template = p.query()?;
+    let query = p.query()?;
     if let Some(extra) = p.peek() {
         return Err(QueryError::Parse {
             offset: Some(extra.offset),
@@ -71,7 +69,7 @@ pub fn parse_template(input: &str) -> Result<ParsedTemplate, QueryError> {
         });
     }
     Ok(ParsedTemplate {
-        template,
+        query,
         params: p.params,
     })
 }
@@ -83,6 +81,18 @@ struct Parser {
     positional: usize,
     /// Every placeholder occurrence, in lexical order.
     params: Vec<ParamOccurrence>,
+}
+
+/// The error for finding `got` (`None`: the end of input) where `what`
+/// was expected.
+fn expected(what: &str, got: Option<Spanned>) -> QueryError {
+    QueryError::Parse {
+        offset: got.as_ref().map(|s| s.offset),
+        message: match got {
+            Some(s) => format!("expected {what}, found {:?}", s.token.to_string()),
+            None => format!("expected {what}"),
+        },
+    }
 }
 
 /// Which side(s) of the query a USING clause targets.
@@ -115,30 +125,27 @@ impl Parser {
         }
     }
 
-    /// Records a placeholder occurrence and returns its reference.
-    fn param(
-        &mut self,
-        token: Token,
-        ty: ParamType,
-        context: &'static str,
-        offset: usize,
-    ) -> ParamRef {
+    /// Consumes a placeholder if one comes next, recording that it fills
+    /// `field`; the caller then writes the field's dummy constant.
+    fn placeholder(&mut self, field: SlotField) -> bool {
+        let Some(Spanned { token, offset }) = self.tokens.get(self.pos) else {
+            return false;
+        };
         let reference = match token {
             Token::Positional => {
-                let i = self.positional;
                 self.positional += 1;
-                ParamRef::Positional(i)
+                ParamRef::Positional(self.positional - 1)
             }
-            Token::Named(name) => ParamRef::Named(name),
-            other => unreachable!("not a placeholder token: {other:?}"),
+            Token::Named(name) => ParamRef::Named(name.clone()),
+            _ => return false,
         };
         self.params.push(ParamOccurrence {
-            reference: reference.clone(),
-            ty,
-            context,
-            offset,
+            reference,
+            field,
+            offset: *offset,
         });
-        reference
+        self.pos += 1;
+        true
     }
 
     /// Consumes a keyword (case-insensitive) or fails.
@@ -148,14 +155,7 @@ impl Parser {
                 token: Token::Word(w),
                 ..
             }) if w.eq_ignore_ascii_case(kw) => Ok(()),
-            Some(other) => Err(QueryError::Parse {
-                offset: Some(other.offset),
-                message: format!("expected {kw}, found {:?}", other.token.to_string()),
-            }),
-            None => Err(QueryError::Parse {
-                offset: None,
-                message: format!("expected {kw}"),
-            }),
+            other => Err(expected(kw, other)),
         }
     }
 
@@ -180,18 +180,11 @@ impl Parser {
                 token: Token::Number(n),
                 ..
             }) => Ok(n),
-            Some(other) => Err(QueryError::Parse {
-                offset: Some(other.offset),
-                message: format!("expected a number, found {:?}", other.token.to_string()),
-            }),
-            None => Err(QueryError::Parse {
-                offset: None,
-                message: "expected a number".into(),
-            }),
+            other => Err(expected("a number", other)),
         }
     }
 
-    fn integer(&mut self, what: &str) -> Result<usize, QueryError> {
+    fn integer(&mut self, what: impl std::fmt::Display) -> Result<usize, QueryError> {
         let offset = self.peek().map(|s| s.offset);
         let n = self.number()?;
         if n.fract() != 0.0 || n < 0.0 || n > usize::MAX as f64 {
@@ -203,37 +196,38 @@ impl Parser {
         Ok(n as usize)
     }
 
-    /// A numeric slot that may be a placeholder.
-    fn num_arg(&mut self, context: &'static str) -> Result<NumArg, QueryError> {
-        match self.peek().map(|s| (s.token.clone(), s.offset)) {
-            Some((t @ (Token::Positional | Token::Named(_)), offset)) => {
-                self.pos += 1;
-                Ok(NumArg::Param(self.param(
-                    t,
-                    ParamType::Number,
-                    context,
-                    offset,
-                )))
-            }
-            _ => Ok(NumArg::Lit(self.number()?)),
+    /// A non-negative number slot (`EPSILON`, `MEAN`/`STD WITHIN`): a
+    /// placeholder (dummy 0) or a literal, checked at its own offset.
+    fn number_slot(&mut self, field: SlotField) -> Result<f64, QueryError> {
+        if self.placeholder(field) {
+            return Ok(0.0);
         }
+        let offset = self.peek().map(|s| s.offset);
+        let v = self.number()?;
+        if v < 0.0 {
+            return Err(QueryError::Parse {
+                offset,
+                message: format!("{field} must be non-negative, got {v}"),
+            });
+        }
+        Ok(v)
     }
 
-    /// An integer slot that may be a placeholder (literal values are
-    /// validated here; bound values are validated at bind time).
-    fn int_arg(&mut self, context: &'static str) -> Result<NumArg, QueryError> {
-        match self.peek().map(|s| (s.token.clone(), s.offset)) {
-            Some((t @ (Token::Positional | Token::Named(_)), offset)) => {
-                self.pos += 1;
-                Ok(NumArg::Param(self.param(
-                    t,
-                    ParamType::Integer,
-                    context,
-                    offset,
-                )))
-            }
-            _ => Ok(NumArg::Lit(self.integer(context)? as f64)),
+    /// An integer slot (`k`, `ROW <id>`): a placeholder (dummy 0) or a
+    /// whole literal below [`INTEGER_LIMIT`], the rule bound values meet.
+    fn integer_slot(&mut self, field: SlotField) -> Result<u64, QueryError> {
+        if self.placeholder(field) {
+            return Ok(0);
         }
+        let offset = self.peek().map(|s| s.offset);
+        let n = self.integer(field)? as f64;
+        if n >= INTEGER_LIMIT {
+            return Err(QueryError::Parse {
+                offset,
+                message: format!("{field} must be below 2^53 to be represented exactly, got {n}"),
+            });
+        }
+        Ok(n as u64)
     }
 
     fn ident(&mut self, what: &str) -> Result<String, QueryError> {
@@ -242,23 +236,16 @@ impl Parser {
                 token: Token::Word(w),
                 ..
             }) => Ok(w),
-            Some(other) => Err(QueryError::Parse {
-                offset: Some(other.offset),
-                message: format!("expected {what}, found {:?}", other.token.to_string()),
-            }),
-            None => Err(QueryError::Parse {
-                offset: None,
-                message: format!("expected {what}"),
-            }),
+            other => Err(expected(what, other)),
         }
     }
 
-    fn query(&mut self) -> Result<QueryTemplate, QueryError> {
+    fn query(&mut self) -> Result<Query, QueryError> {
         if self.eat_kw("EXPLAIN") {
             if self.eat_kw("ANALYZE") {
-                return Ok(QueryTemplate::ExplainAnalyze(Box::new(self.query()?)));
+                return Ok(Query::ExplainAnalyze(Box::new(self.query()?)));
             }
-            return Ok(QueryTemplate::Explain(Box::new(self.query()?)));
+            return Ok(Query::Explain(Box::new(self.query()?)));
         }
         self.expect_kw("FIND")?;
 
@@ -270,54 +257,37 @@ impl Parser {
             return self.range_query();
         }
         // FIND <k> NEAREST TO …
-        let k = self.int_arg("k")?;
+        let k = self.integer_slot(SlotField::K)? as usize;
         self.expect_kw("NEAREST")?;
         self.expect_kw("TO")?;
         self.knn_query(k)
     }
 
-    fn range_query(&mut self) -> Result<QueryTemplate, QueryError> {
+    fn range_query(&mut self) -> Result<Query, QueryError> {
         let source = self.source()?;
         self.expect_kw("IN")?;
         let relation = self.ident("a relation name")?;
         let (transform, on_both) = self.using_clause()?;
         let mut eps = None;
         let mut strategy = Strategy::Auto;
-        let mut stats_window = TemplateStatsWindow::default();
+        let mut stats_window = StatsWindow::default();
         loop {
             if self.eat_kw("EPSILON") {
-                eps = Some(self.num_arg("EPSILON")?);
+                eps = Some(self.number_slot(SlotField::Epsilon)?);
             } else if self.eat_kw("FORCE") {
                 strategy = self.strategy()?;
             } else if self.eat_kw("MEAN") {
                 self.expect_kw("WITHIN")?;
-                let tol = self.num_arg("MEAN WITHIN")?;
-                if let NumArg::Lit(v) = tol {
-                    if v < 0.0 {
-                        return Err(self.error("MEAN WITHIN tolerance must be non-negative"));
-                    }
-                }
-                stats_window.mean = Some(tol);
+                stats_window.mean = Some(self.number_slot(SlotField::MeanWithin)?);
             } else if self.eat_kw("STD") {
                 self.expect_kw("WITHIN")?;
-                let tol = self.num_arg("STD WITHIN")?;
-                if let NumArg::Lit(v) = tol {
-                    if v < 0.0 {
-                        return Err(self.error("STD WITHIN tolerance must be non-negative"));
-                    }
-                }
-                stats_window.std_dev = Some(tol);
+                stats_window.std_dev = Some(self.number_slot(SlotField::StdWithin)?);
             } else {
                 break;
             }
         }
         let eps = eps.ok_or_else(|| self.error("range queries require an EPSILON clause"))?;
-        if let NumArg::Lit(v) = eps {
-            if v < 0.0 {
-                return Err(self.error("EPSILON must be non-negative"));
-            }
-        }
-        Ok(QueryTemplate::Range {
+        Ok(Query::Range {
             source,
             relation,
             transform,
@@ -328,7 +298,7 @@ impl Parser {
         })
     }
 
-    fn knn_query(&mut self, k: NumArg) -> Result<QueryTemplate, QueryError> {
+    fn knn_query(&mut self, k: usize) -> Result<Query, QueryError> {
         let source = self.source()?;
         self.expect_kw("IN")?;
         let relation = self.ident("a relation name")?;
@@ -338,7 +308,7 @@ impl Parser {
         } else {
             Strategy::Auto
         };
-        Ok(QueryTemplate::Knn {
+        Ok(Query::Knn {
             k,
             source,
             relation,
@@ -348,7 +318,7 @@ impl Parser {
         })
     }
 
-    fn pairs_query(&mut self) -> Result<QueryTemplate, QueryError> {
+    fn pairs_query(&mut self) -> Result<Query, QueryError> {
         self.expect_kw("IN")?;
         let relation = self.ident("a relation name")?;
         let (left, right) =
@@ -371,7 +341,7 @@ impl Parser {
         let mut method = JoinMethod::default();
         loop {
             if self.eat_kw("EPSILON") {
-                eps = Some(self.num_arg("EPSILON")?);
+                eps = Some(self.number_slot(SlotField::Epsilon)?);
             } else if self.eat_kw("METHOD") {
                 let m = self.ident("a join method (a, b, c or d)")?;
                 method = match m.to_ascii_lowercase().as_str() {
@@ -390,12 +360,7 @@ impl Parser {
             }
         }
         let eps = eps.ok_or_else(|| self.error("FIND PAIRS requires an EPSILON clause"))?;
-        if let NumArg::Lit(v) = eps {
-            if v < 0.0 {
-                return Err(self.error("EPSILON must be non-negative"));
-            }
-        }
-        Ok(QueryTemplate::AllPairs {
+        Ok(Query::AllPairs {
             relation,
             left,
             right,
@@ -427,23 +392,17 @@ impl Parser {
         }
     }
 
-    fn source(&mut self) -> Result<TemplateSource, QueryError> {
+    fn source(&mut self) -> Result<QuerySource, QueryError> {
         if self.eat_kw("ROW") {
-            return Ok(TemplateSource::RowId(self.int_arg("ROW id")?));
+            return Ok(QuerySource::RowId(self.integer_slot(SlotField::RowId)?));
         }
         if self.eat_kw("NAME") {
-            return Ok(TemplateSource::RowName(self.ident("a row name")?));
+            return Ok(QuerySource::RowName(self.ident("a row name")?));
+        }
+        if self.placeholder(SlotField::Series) {
+            return Ok(QuerySource::Literal(Vec::new()));
         }
         match self.next() {
-            Some(Spanned {
-                token: t @ (Token::Positional | Token::Named(_)),
-                offset,
-            }) => Ok(TemplateSource::Series(self.param(
-                t,
-                ParamType::Series,
-                "query series",
-                offset,
-            ))),
             Some(Spanned {
                 token: Token::LBracket,
                 ..
@@ -478,7 +437,7 @@ impl Parser {
                 } else {
                     self.next(); // consume ]
                 }
-                Ok(TemplateSource::Literal(values))
+                Ok(QuerySource::Literal(values))
             }
             Some(other) => Err(QueryError::Parse {
                 offset: Some(other.offset),
@@ -716,13 +675,43 @@ mod tests {
     fn error_messages_carry_offsets() {
         let err = parse("FIND SIMILAR TO ROW 0 IN r EPSILON").unwrap_err();
         assert!(matches!(err, QueryError::Parse { offset: None, .. }));
-        let err = parse("FIND SIMILAR XX ROW").unwrap_err();
-        match err {
-            QueryError::Parse {
-                offset: Some(o), ..
-            } => assert_eq!(o, 13),
-            other => panic!("wrong error {other:?}"),
+        // A bad literal is reported at the literal, wherever its clause
+        // sits and whatever follows it.
+        for (text, at) in [
+            ("FIND SIMILAR XX ROW", 13),
+            ("FIND SIMILAR TO ROW 0 IN r EPSILON -1", 35),
+            ("FIND SIMILAR TO ROW 0 IN r EPSILON -1 FORCE SCAN", 35),
+            ("FIND SIMILAR TO ROW 0 IN r EPSILON 1 MEAN WITHIN -2", 49),
+            ("FIND SIMILAR TO ROW 0 IN r STD WITHIN -0.5 EPSILON 1", 38),
+            ("FIND PAIRS IN r EPSILON -3 METHOD a", 24),
+            ("FIND 1 NEAREST TO ROW 9007199254740992 IN r", 22),
+        ] {
+            match parse(text).unwrap_err() {
+                QueryError::Parse { offset, .. } => assert_eq!(offset, Some(at), "{text}"),
+                other => panic!("wrong error {other:?} for {text}"),
+            }
         }
+    }
+
+    #[test]
+    fn integer_literals_stay_below_2_pow_53() {
+        // From 2⁵³ on f64 merges neighbouring integers: 2⁵³ + 1 lexes to
+        // 2⁵³, so both must be refused rather than name row 2⁵³.
+        for n in ["9007199254740992", "9007199254740993", "1e300"] {
+            assert!(
+                parse(&format!("FIND 1 NEAREST TO ROW {n} IN r")).is_err(),
+                "{n}"
+            );
+            assert!(
+                parse(&format!("FIND {n} NEAREST TO ROW 0 IN r")).is_err(),
+                "{n}"
+            );
+        }
+        let q = parse("FIND 1 NEAREST TO ROW 9007199254740991 IN r").unwrap();
+        let Query::Knn { source, .. } = q else {
+            panic!("a kNN query")
+        };
+        assert_eq!(source, QuerySource::RowId((1 << 53) - 1));
     }
 
     #[test]
@@ -768,25 +757,18 @@ mod template_tests {
                 ParamRef::Positional(2),
             ]
         );
-        let tys: Vec<_> = parsed.params.iter().map(|p| p.ty).collect();
+        // MEAN WITHIN appears lexically before EPSILON, so ?2 fills the
+        // window and ?3 fills eps.
+        let fields: Vec<_> = parsed.params.iter().map(|p| p.field).collect();
         assert_eq!(
-            tys,
-            vec![ParamType::Series, ParamType::Number, ParamType::Number]
+            fields,
+            vec![SlotField::Series, SlotField::MeanWithin, SlotField::Epsilon]
         );
-        // MEAN WITHIN appears lexically before EPSILON, so the template
-        // must carry ?1 in the window and ?2 in eps.
-        match parsed.template {
-            QueryTemplate::Range {
-                eps, stats_window, ..
-            } => {
-                assert_eq!(eps, NumArg::Param(ParamRef::Positional(2)));
-                assert_eq!(
-                    stats_window.mean,
-                    Some(NumArg::Param(ParamRef::Positional(1)))
-                );
-            }
-            other => panic!("wrong template {other:?}"),
-        }
+        // Every placeholder's field holds its dummy constant.
+        assert_eq!(
+            parsed.query,
+            parse("FIND SIMILAR TO [] IN stocks MEAN WITHIN 0 EPSILON 0").unwrap()
+        );
     }
 
     #[test]
@@ -794,9 +776,9 @@ mod template_tests {
         let parsed = parse_template("FIND $k NEAREST TO ROW $row IN stocks USING mavg(5)").unwrap();
         assert_eq!(parsed.params.len(), 2);
         assert_eq!(parsed.params[0].reference, ParamRef::Named("k".into()));
-        assert_eq!(parsed.params[0].ty, ParamType::Integer);
+        assert_eq!(parsed.params[0].field, SlotField::K);
         assert_eq!(parsed.params[1].reference, ParamRef::Named("row".into()));
-        assert_eq!(parsed.params[1].ty, ParamType::Integer);
+        assert_eq!(parsed.params[1].field, SlotField::RowId);
     }
 
     #[test]
@@ -818,21 +800,17 @@ mod template_tests {
 
     #[test]
     fn fully_literal_template_parses_to_its_query() {
-        let parsed = parse_template("FIND SIMILAR TO ROW 3 IN r EPSILON 1.5").unwrap();
+        let text = "FIND SIMILAR TO ROW 3 IN r EPSILON 1.5";
+        let parsed = parse_template(text).unwrap();
         assert!(parsed.params.is_empty());
-        let Query::Range { source, eps, .. } =
-            parse("FIND SIMILAR TO ROW 3 IN r EPSILON 1.5").unwrap()
-        else {
-            panic!("a range query");
-        };
-        assert_eq!((source, eps), (crate::ast::QuerySource::RowId(3), 1.5));
+        assert_eq!(parsed.query, parse(text).unwrap());
     }
 
     #[test]
     fn explain_template_carries_placeholders() {
         let parsed = parse_template("EXPLAIN FIND SIMILAR TO ROW ? IN r EPSILON ?").unwrap();
         assert_eq!(parsed.params.len(), 2);
-        assert!(matches!(parsed.template, QueryTemplate::Explain(_)));
+        assert!(matches!(parsed.query, Query::Explain(_)));
     }
 }
 

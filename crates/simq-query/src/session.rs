@@ -6,13 +6,14 @@
 //! the same query *shapes* with different constants; a [`Session`] moves
 //! the front end out of the loop:
 //!
-//! * [`Session::prepare`] lexes and parses a statement **once**, and
-//!   plans it once to fail early (unknown relation, unsatisfiable
-//!   `FORCE INDEX`). The text may contain placeholders — `?` positional
-//!   (numbered in lexical order) or `$name` named — in the query-source,
-//!   `EPSILON`, `k`, `ROW <id>` and `MEAN`/`STD WITHIN` slots.
-//! * [`Prepared::bind`] type-checks parameter values against the
-//!   statement's typed signature and produces a [`Bound`] statement.
+//! * [`Session::prepare`] lexes and parses a statement **once** into the
+//!   one [`Query`] AST, and plans it once to fail early (unknown relation,
+//!   unsatisfiable `FORCE INDEX`). The text may contain placeholders — `?`
+//!   positional or `$name` named — in the query-source, `EPSILON`, `k`,
+//!   `ROW <id>` and `MEAN`/`STD WITHIN` slots; each holds a dummy constant.
+//! * [`Prepared::bind`] clones that query and, placeholder by placeholder
+//!   in lexical order, checks each value's type and domain and writes it
+//!   into its field, producing a [`Bound`] statement.
 //! * [`Session::execute`] runs a bound statement exactly as
 //!   [`run`](crate::run) runs a parsed one: plan against the current
 //!   catalog, then execute on a pinned read view. Planning costs well
@@ -55,7 +56,7 @@
 //! ```
 
 use crate::ast::{
-    NumArg, ParamRef, ParamType, Query, QuerySource, QueryTemplate, StatsWindow, TemplateSource,
+    ParamOccurrence, ParamRef, ParamType, Query, QuerySource, SlotField, INTEGER_LIMIT,
 };
 use crate::batch::{BatchExecutor, BatchResult};
 use crate::catalog::{Database, InsertBatchReport, InsertReport, StoredRelation};
@@ -70,7 +71,6 @@ use simq_storage::SeriesRelation;
 use simq_storage::SeriesRow;
 use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -107,9 +107,9 @@ impl From<i32> for Value {
         Value::Number(v as f64)
     }
 }
-/// Integer conversions go through the `Number` f64, which is exact up
-/// to 2⁵³; binding an integer slot to a larger value is rejected at
-/// bind time rather than rounded.
+/// Integer conversions go through the `Number` f64, which is exact below
+/// 2⁵³; any value from 2⁵³ on converts to at least 2⁵³, so binding it to
+/// an integer slot is rejected at bind time rather than rounded.
 impl From<u64> for Value {
     fn from(v: u64) -> Self {
         Value::Number(v as f64)
@@ -155,7 +155,10 @@ pub struct Slot {
 #[derive(Debug, Clone)]
 pub struct Prepared {
     text: Arc<str>,
-    template: QueryTemplate,
+    /// The statement, each placeholder's field holding a dummy constant.
+    query: Query,
+    /// Every placeholder, in lexical order: what a binding writes where.
+    params: Vec<ParamOccurrence>,
     /// Positional slots (in `?`-ordinal order), then named slots (in
     /// first-appearance order).
     slots: Vec<Slot>,
@@ -168,20 +171,10 @@ impl Prepared {
         &self.text
     }
 
-    /// The parsed template.
-    pub fn template(&self) -> &QueryTemplate {
-        &self.template
-    }
-
     /// The typed signature: positional slots in ordinal order, then
     /// named slots in first-appearance order.
     pub fn signature(&self) -> &[Slot] {
         &self.slots
-    }
-
-    /// Number of positional (`?`) parameters.
-    pub fn positional_count(&self) -> usize {
-        self.positional_count
     }
 
     /// Binds positional parameter values, in `?` order.
@@ -246,25 +239,28 @@ impl Prepared {
                 )));
             }
         }
-        let mut resolved_named: HashMap<&str, &Value> = HashMap::new();
-        for (name, value) in named {
-            if resolved_named.insert(name, value).is_some() {
+        for (i, (name, _)) in named.iter().enumerate() {
+            if named[..i].iter().any(|(seen, _)| seen == name) {
                 return Err(QueryError::Bind(format!("parameter ${name} bound twice")));
             }
         }
         for slot in named_slots {
             let name = slot.name.as_deref().expect("named slot has a name");
-            if !resolved_named.contains_key(name) {
+            if !named.iter().any(|(given, _)| *given == name) {
                 return Err(QueryError::Bind(format!("parameter ${name} is not bound")));
             }
         }
-        let mut lookup = |r: &ParamRef, _ty: ParamType, _context: &'static str| match r {
-            ParamRef::Positional(i) => Ok(positional[*i].clone()),
-            ParamRef::Named(name) => {
-                Ok((*resolved_named.get(name.as_str()).expect("checked above")).clone())
-            }
-        };
-        let query = instantiate(&self.template, &mut lookup)?;
+        let mut query = self.query.clone();
+        for occ in &self.params {
+            let value = match &occ.reference {
+                ParamRef::Positional(i) => &positional[*i],
+                ParamRef::Named(name) => {
+                    let bound = named.iter().find(|(given, _)| given == name);
+                    &bound.expect("every name is bound").1
+                }
+            };
+            fill(&mut query, occ, value)?;
+        }
         Ok(Bound {
             query,
             text: Arc::clone(&self.text),
@@ -288,162 +284,88 @@ impl Bound {
     }
 }
 
-/// Substitutes parameter values into a template, type-checking each slot.
-/// The one template → query walker: [`parse()`](crate::parse()) runs a
-/// placeholder-free template through it too.
-pub(crate) fn instantiate(
-    template: &QueryTemplate,
-    lookup: &mut dyn FnMut(&ParamRef, ParamType, &'static str) -> Result<Value, QueryError>,
-) -> Result<Query, QueryError> {
-    fn number(
-        arg: &NumArg,
-        context: &'static str,
-        lookup: &mut dyn FnMut(&ParamRef, ParamType, &'static str) -> Result<Value, QueryError>,
-    ) -> Result<f64, QueryError> {
-        match arg {
-            NumArg::Lit(v) => Ok(*v),
-            NumArg::Param(r) => match lookup(r, ParamType::Number, context)? {
-                Value::Number(v) if v.is_finite() => Ok(v),
-                Value::Number(v) => Err(QueryError::Bind(format!(
-                    "{context} parameter {r} must be finite, got {v}"
-                ))),
-                other => Err(QueryError::Bind(format!(
-                    "{context} parameter {r} expects a number, got a {}",
-                    other.type_name()
-                ))),
-            },
-        }
+/// Checks `value` against the field `occ` names and writes it there,
+/// below any `EXPLAIN` / `EXPLAIN ANALYZE` wrapper.
+fn fill(query: &mut Query, occ: &ParamOccurrence, value: &Value) -> Result<(), QueryError> {
+    let (field, r) = (occ.field, &occ.reference);
+    let mut q = query;
+    while let Query::Explain(inner) | Query::ExplainAnalyze(inner) = q {
+        q = inner;
     }
-    fn integer(
-        arg: &NumArg,
-        context: &'static str,
-        lookup: &mut dyn FnMut(&ParamRef, ParamType, &'static str) -> Result<Value, QueryError>,
-    ) -> Result<u64, QueryError> {
-        // Integers travel through `Value::Number`'s f64, which represents
-        // integers exactly only up to 2⁵³ — larger values would silently
-        // round to a *different* id/k, so they are rejected, not accepted
-        // approximately.
-        const MAX_EXACT: f64 = (1u64 << 53) as f64;
-        match arg {
-            // Literal slots were validated by the parser.
-            NumArg::Lit(v) => Ok(*v as u64),
-            NumArg::Param(r) => match lookup(r, ParamType::Integer, context)? {
-                Value::Number(v) if v.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&v) => {
-                    Ok(v as u64)
-                }
-                Value::Number(v) if v > MAX_EXACT => Err(QueryError::Bind(format!(
-                    "{context} parameter {r} exceeds 2^53 and cannot be represented exactly"
-                ))),
-                Value::Number(v) => Err(QueryError::Bind(format!(
-                    "{context} parameter {r} must be a non-negative integer, got {v}"
-                ))),
-                other => Err(QueryError::Bind(format!(
-                    "{context} parameter {r} expects an integer, got a {}",
-                    other.type_name()
-                ))),
-            },
+    match (field, q) {
+        (SlotField::K, Query::Knn { k, .. }) => *k = integer(value, field, r)? as usize,
+        (SlotField::RowId, Query::Range { source, .. } | Query::Knn { source, .. }) => {
+            *source = QuerySource::RowId(integer(value, field, r)?)
         }
-    }
-    fn non_negative(v: f64, context: &'static str) -> Result<f64, QueryError> {
-        if v < 0.0 {
-            Err(QueryError::Bind(format!(
-                "{context} must be non-negative, got {v}"
-            )))
-        } else {
-            Ok(v)
+        (SlotField::Series, Query::Range { source, .. } | Query::Knn { source, .. }) => {
+            *source = QuerySource::Literal(series(value, r)?)
         }
-    }
-    fn source(
-        src: &TemplateSource,
-        lookup: &mut dyn FnMut(&ParamRef, ParamType, &'static str) -> Result<Value, QueryError>,
-    ) -> Result<QuerySource, QueryError> {
-        match src {
-            TemplateSource::Literal(values) => Ok(QuerySource::Literal(values.clone())),
-            TemplateSource::RowName(name) => Ok(QuerySource::RowName(name.clone())),
-            TemplateSource::RowId(arg) => Ok(QuerySource::RowId(integer(arg, "ROW id", lookup)?)),
-            TemplateSource::Series(r) => match lookup(r, ParamType::Series, "query series")? {
-                Value::Series(values) => {
-                    if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
-                        return Err(QueryError::Bind(format!(
-                            "query series parameter {r} contains a non-finite value {bad}"
-                        )));
-                    }
-                    Ok(QuerySource::Literal(values))
-                }
-                other => Err(QueryError::Bind(format!(
-                    "query series parameter {r} expects a series, got a {}",
-                    other.type_name()
-                ))),
-            },
+        (SlotField::Epsilon, Query::Range { eps, .. } | Query::AllPairs { eps, .. }) => {
+            *eps = number(value, field, r)?
         }
+        (SlotField::MeanWithin, Query::Range { stats_window, .. }) => {
+            stats_window.mean = Some(number(value, field, r)?)
+        }
+        (SlotField::StdWithin, Query::Range { stats_window, .. }) => {
+            stats_window.std_dev = Some(number(value, field, r)?)
+        }
+        (field, q) => unreachable!("the parser records no {field} placeholder in {q:?}"),
     }
+    Ok(())
+}
 
-    Ok(match template {
-        QueryTemplate::Range {
-            source: src,
-            relation,
-            transform,
-            on_both,
-            eps,
-            stats_window,
-            strategy,
-        } => Query::Range {
-            source: source(src, lookup)?,
-            relation: relation.clone(),
-            transform: transform.clone(),
-            on_both: *on_both,
-            eps: non_negative(number(eps, "EPSILON", lookup)?, "EPSILON")?,
-            stats_window: StatsWindow {
-                mean: match &stats_window.mean {
-                    Some(a) => Some(non_negative(
-                        number(a, "MEAN WITHIN", lookup)?,
-                        "MEAN WITHIN",
-                    )?),
-                    None => None,
-                },
-                std_dev: match &stats_window.std_dev {
-                    Some(a) => Some(non_negative(
-                        number(a, "STD WITHIN", lookup)?,
-                        "STD WITHIN",
-                    )?),
-                    None => None,
-                },
-            },
-            strategy: *strategy,
+/// A finite, non-negative number: every number slot is a distance or a
+/// tolerance.
+fn number(value: &Value, field: SlotField, r: &ParamRef) -> Result<f64, QueryError> {
+    match *value {
+        Value::Number(v) if !v.is_finite() => Err(QueryError::Bind(format!(
+            "{field} parameter {r} must be finite, got {v}"
+        ))),
+        Value::Number(v) if v < 0.0 => Err(QueryError::Bind(format!(
+            "{field} must be non-negative, got {v}"
+        ))),
+        Value::Number(v) => Ok(v),
+        ref other => Err(mismatch(field, r, ParamType::Number, other)),
+    }
+}
+
+/// A whole number below [`INTEGER_LIMIT`], the rule literals meet too.
+fn integer(value: &Value, field: SlotField, r: &ParamRef) -> Result<u64, QueryError> {
+    match *value {
+        Value::Number(v) if v.fract() == 0.0 && (0.0..INTEGER_LIMIT).contains(&v) => Ok(v as u64),
+        Value::Number(v) if v >= INTEGER_LIMIT => Err(QueryError::Bind(format!(
+            "{field} parameter {r} must be below 2^53 to be represented exactly, got {v}"
+        ))),
+        Value::Number(v) => Err(QueryError::Bind(format!(
+            "{field} parameter {r} must be a non-negative integer, got {v}"
+        ))),
+        ref other => Err(mismatch(field, r, ParamType::Integer, other)),
+    }
+}
+
+/// A query series of finite samples.
+fn series(value: &Value, r: &ParamRef) -> Result<Vec<f64>, QueryError> {
+    match value {
+        Value::Series(values) => match values.iter().find(|v| !v.is_finite()) {
+            Some(bad) => Err(QueryError::Bind(format!(
+                "query series parameter {r} contains a non-finite value {bad}"
+            ))),
+            None => Ok(values.clone()),
         },
-        QueryTemplate::Knn {
-            k,
-            source: src,
-            relation,
-            transform,
-            on_both,
-            strategy,
-        } => Query::Knn {
-            k: integer(k, "k", lookup)? as usize,
-            source: source(src, lookup)?,
-            relation: relation.clone(),
-            transform: transform.clone(),
-            on_both: *on_both,
-            strategy: *strategy,
-        },
-        QueryTemplate::AllPairs {
-            relation,
-            left,
-            right,
-            eps,
-            method,
-        } => Query::AllPairs {
-            relation: relation.clone(),
-            left: left.clone(),
-            right: right.clone(),
-            eps: non_negative(number(eps, "EPSILON", lookup)?, "EPSILON")?,
-            method: *method,
-        },
-        QueryTemplate::Explain(inner) => Query::Explain(Box::new(instantiate(inner, lookup)?)),
-        QueryTemplate::ExplainAnalyze(inner) => {
-            Query::ExplainAnalyze(Box::new(instantiate(inner, lookup)?))
-        }
-    })
+        other => Err(mismatch(SlotField::Series, r, ParamType::Series, other)),
+    }
+}
+
+fn mismatch(field: SlotField, r: &ParamRef, want: ParamType, got: &Value) -> QueryError {
+    let article = if want == ParamType::Integer {
+        "an"
+    } else {
+        "a"
+    };
+    QueryError::Bind(format!(
+        "{field} parameter {r} expects {article} {want}, got a {}",
+        got.type_name()
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -556,57 +478,48 @@ impl<D: Borrow<Database>> Session<D> {
     /// used with conflicting types; planning errors (unknown relation,
     /// unsatisfiable `FORCE INDEX`).
     pub fn prepare(&self, text: &str) -> Result<Prepared, QueryError> {
-        let parsed = crate::parse::parse_template(text)?;
+        let crate::parse::ParsedTemplate { query, params } = crate::parse::parse_template(text)?;
         let mut slots: Vec<Slot> = Vec::new();
         let mut named: Vec<Slot> = Vec::new();
-        for occ in &parsed.params {
-            match &occ.reference {
-                ParamRef::Positional(_) => slots.push(Slot {
+        for occ in &params {
+            let (ty, context) = (occ.field.ty(), occ.field.as_str());
+            let ParamRef::Named(name) = &occ.reference else {
+                slots.push(Slot {
                     name: None,
-                    ty: occ.ty,
-                    context: occ.context,
-                }),
-                ParamRef::Named(name) => {
-                    if let Some(existing) = named
-                        .iter()
-                        .find(|s| s.name.as_deref() == Some(name.as_str()))
-                    {
-                        if existing.ty != occ.ty {
-                            return Err(QueryError::Bind(format!(
-                                "parameter ${name} is used both as {} ({}) and as {} ({})",
-                                existing.ty, existing.context, occ.ty, occ.context
-                            )));
-                        }
-                    } else {
-                        named.push(Slot {
-                            name: Some(name.clone()),
-                            ty: occ.ty,
-                            context: occ.context,
-                        });
-                    }
+                    ty,
+                    context,
+                });
+                continue;
+            };
+            match named.iter().find(|s| s.name.as_ref() == Some(name)) {
+                Some(first) if first.ty != ty => {
+                    return Err(QueryError::Bind(format!(
+                        "parameter ${name} is used both as {} ({}) and as {ty} ({context})",
+                        first.ty, first.context
+                    )))
                 }
+                Some(_) => {}
+                None => named.push(Slot {
+                    name: Some(name.clone()),
+                    ty,
+                    context,
+                }),
             }
         }
         let positional_count = slots.len();
         slots.extend(named);
 
-        // Constants never affect the plan, so a dummy instantiation
-        // plans exactly what every binding will.
-        let mut dummies = |_: &ParamRef, ty: ParamType, _: &'static str| {
-            Ok(match ty {
-                ParamType::Number | ParamType::Integer => Value::Number(0.0),
-                ParamType::Series => Value::Series(Vec::new()),
-            })
-        };
-        let dummy = instantiate(&parsed.template, &mut dummies)?;
-        plan_query(self.db(), &dummy)?;
+        // Constants never affect the plan, so the statement with its
+        // dummy constants plans exactly what every binding will.
+        plan_query(self.db(), &query)?;
         self.inner.borrow_mut().stats.prepared_statements += 1;
         simq_obs::metrics::registry()
             .session_prepared
             .fetch_add(1, Ordering::Relaxed);
         Ok(Prepared {
             text: text.into(),
-            template: parsed.template,
+            query,
+            params,
             slots,
             positional_count,
         })
@@ -1057,24 +970,6 @@ mod tests {
             p.bind(&[Value::from(1u64)]),
             Err(QueryError::Bind(_))
         ));
-        // Series where an integer is expected.
-        assert!(matches!(
-            p.bind(&[Value::from(vec![1.0]), Value::from(0u64)]),
-            Err(QueryError::Bind(_))
-        ));
-        // Fractional k.
-        assert!(matches!(
-            p.bind(&[Value::from(2.5), Value::from(0u64)]),
-            Err(QueryError::Bind(_))
-        ));
-        // Negative epsilon from a parameter.
-        let p2 = session
-            .prepare("FIND SIMILAR TO ROW 0 IN stocks EPSILON ?")
-            .unwrap();
-        assert!(matches!(
-            p2.bind(&[Value::from(-1.0)]),
-            Err(QueryError::Bind(_))
-        ));
         // Unknown / missing named parameters.
         let p3 = session
             .prepare("FIND SIMILAR TO ROW $r IN stocks EPSILON $e")
@@ -1087,6 +982,65 @@ mod tests {
             p3.bind_named(&[("r", Value::from(0u64))]),
             Err(QueryError::Bind(_))
         ));
+    }
+
+    /// Text ≡ bound at the AST: a bound template equals the parse of its
+    /// literal text, and a wrong binding is refused with its message.
+    #[test]
+    fn bound_statements_equal_their_literal_text() {
+        let db = make_db(5);
+        let session = Session::new(&db);
+        let (n, series) = (|v: f64| Value::from(v), Value::from(vec![1.0, 2.5]));
+        #[rustfmt::skip]
+        let cases = [
+            ("FIND ? NEAREST TO ROW ? IN stocks FORCE SCAN",
+             vec![n(3.0), Value::from((1u64 << 53) - 1)], vec![],
+             "FIND 3 NEAREST TO ROW 9007199254740991 IN stocks FORCE SCAN"),
+            ("FIND SIMILAR TO ? IN stocks STD WITHIN $s MEAN WITHIN ? EPSILON $e",
+             vec![series.clone(), n(0.5)], vec![("e", n(2.0)), ("s", n(0.25))],
+             "FIND SIMILAR TO [1, 2.5] IN stocks STD WITHIN 0.25 MEAN WITHIN 0.5 EPSILON 2"),
+            ("EXPLAIN ANALYZE FIND $k NEAREST TO ROW $k IN stocks USING mavg(3)",
+             vec![], vec![("k", n(4.0))],
+             "EXPLAIN ANALYZE FIND 4 NEAREST TO ROW 4 IN stocks USING mavg(3)"),
+            ("EXPLAIN FIND PAIRS IN stocks USING reverse ON ONE EPSILON ? METHOD c",
+             vec![n(1.5)], vec![],
+             "EXPLAIN FIND PAIRS IN stocks USING reverse ON ONE EPSILON 1.5 METHOD c"),
+        ];
+        for (template, positional, named, text) in cases {
+            let p = session.prepare(template).unwrap();
+            let bound = p.bind_all(&positional, &named).unwrap();
+            assert_eq!(bound.query(), &crate::parse(text).unwrap(), "{template}");
+        }
+
+        // One wrong-type binding per slot kind, then the domain checks. Of
+        // several wrong values the first in lexical order is reported: STD
+        // WITHIN in the last row, although the AST holds `eps` first. The
+        // kNN template takes the first two values of a row.
+        let range = "FIND SIMILAR TO ROW ? IN stocks STD WITHIN ? MEAN WITHIN ? EPSILON ?";
+        let knn = "FIND ? NEAREST TO ? IN stocks";
+        let limit = "must be below 2^53 to be represented exactly, got 9007199254740992";
+        let big = |v: u64| Value::from(v);
+        #[rustfmt::skip]
+        let wrong: [(&str, [Value; 4], String); 12] = [
+            (range, [series.clone(), n(1.0), n(1.0), n(1.0)], "ROW id parameter ?1 expects an integer, got a series".into()),
+            (range, [n(1.0), series.clone(), n(1.0), n(1.0)], "STD WITHIN parameter ?2 expects a number, got a series".into()),
+            (range, [n(1.0), n(1.0), series.clone(), n(1.0)], "MEAN WITHIN parameter ?3 expects a number, got a series".into()),
+            (range, [n(1.0), n(1.0), n(1.0), series.clone()], "EPSILON parameter ?4 expects a number, got a series".into()),
+            (knn, [series.clone(), series.clone(), n(1.0), n(1.0)], "k parameter ?1 expects an integer, got a series".into()),
+            (knn, [n(1.0), n(1.0), n(1.0), n(1.0)], "query series parameter ?2 expects a series, got a number".into()),
+            (range, [n(2.5), n(1.0), n(1.0), n(1.0)], "ROW id parameter ?1 must be a non-negative integer, got 2.5".into()),
+            (range, [big(1 << 53), n(1.0), n(1.0), n(1.0)], format!("ROW id parameter ?1 {limit}")),
+            (knn, [big((1 << 53) + 1), series.clone(), n(1.0), n(1.0)], format!("k parameter ?1 {limit}")),
+            (range, [n(1.0), n(1.0), n(f64::NAN), n(1.0)], "MEAN WITHIN parameter ?3 must be finite, got NaN".into()),
+            (range, [n(1.0), n(1.0), n(1.0), n(-1.0)], "EPSILON must be non-negative, got -1".into()),
+            (range, [n(1.0), n(-2.0), n(1.0), n(-1.0)], "STD WITHIN must be non-negative, got -2".into()),
+        ];
+        for (template, values, message) in wrong {
+            let arity = if template == knn { 2 } else { 4 };
+            let p = session.prepare(template).unwrap();
+            let err = p.bind(&values[..arity]).unwrap_err();
+            assert_eq!(err, QueryError::Bind(message), "{template}");
+        }
     }
 
     #[test]

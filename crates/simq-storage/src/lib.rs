@@ -50,8 +50,8 @@ pub use durable::{
 };
 pub use relation::{SeriesRelation, SeriesRow};
 pub use scan::{
-    scan_all_pairs, scan_all_pairs_over, scan_all_pairs_two, scan_knn, scan_knn_over, scan_range,
-    scan_range_over, ScanFanStats, ScanHit, ScanStats,
+    scan_all_pairs_over, scan_knn, scan_knn_over, scan_range, scan_range_over, ScanFanStats,
+    ScanHit, ScanStats,
 };
 pub use shard::{ShardLayout, ShardedRelation};
 pub use sig::{deflate_sq, FilterProbe, SignatureArray, SIG_COEFFS};

@@ -323,48 +323,19 @@ pub fn rows_in_scan_order(stores: &[SeriesRelation]) -> Vec<&SeriesRow> {
     rows
 }
 
-/// All-pairs query by nested-loop scan: every unordered pair `(i, j)`,
-/// `i < j`, whose transformed spectra lie within `eps` of each other
-/// (both sides transformed, as in the paper's join methods *a*/*b*).
-///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_all_pairs(
-    relation: &SeriesRelation,
-    transform: &SeriesTransform,
-    eps: f64,
-    early_abandon: bool,
-) -> Result<(PairList, ScanStats), SeriesError> {
-    scan_all_pairs_two(relation, transform, transform, eps, early_abandon)
-}
-
 /// All-pairs scan between `L(r)` and `R(r)` with independent
 /// transformations per side — the general join of the query language
-/// (`MATCHING L AGAINST R`). A pair qualifies when *either* orientation
+/// (`MATCHING L AGAINST R`) — over a slice of stores on up to `threads`
+/// threads. A pair `(i, j)`, `i < j`, qualifies when *either* orientation
 /// `D(L(x̂_i), R(x̂_j))` or `D(L(x̂_j), R(x̂_i))` is within `eps`; the
 /// smaller distance is reported. When `left == right` the orientations
 /// coincide and only one is computed.
 ///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_all_pairs_two(
-    relation: &SeriesRelation,
-    left: &SeriesTransform,
-    right: &SeriesTransform,
-    eps: f64,
-    early_abandon: bool,
-) -> Result<(PairList, ScanStats), SeriesError> {
-    let stores = std::slice::from_ref(relation);
-    let (pairs, stats) = scan_all_pairs_over(stores, left, right, eps, early_abandon, 1)?;
-    Ok((pairs, stats.merged))
-}
-
-/// [`scan_all_pairs_two`] over a slice of stores on up to `threads`
-/// threads. A single store scans in its insertion order; several stores
-/// scan with their rows flattened in id order — the scan order of every
+/// A single store scans in its insertion order; several stores scan with
+/// their rows flattened in id order — the scan order of every
 /// sequentially built relation, so sharded output is bitwise identical to
-/// unsharded. Pair work crosses stores, so threads claim outer rows from a
-/// shared cursor (the triangular inner loop makes static chunks
+/// unsharded. Pair work crosses stores, so threads claim outer rows from
+/// a shared cursor (the triangular inner loop makes static chunks
 /// unbalanced) and the per-row pair lists are reassembled in row order,
 /// reproducing the serial output exactly; the stats carry no per-store
 /// shares.
@@ -700,7 +671,9 @@ mod tests {
     #[test]
     fn all_pairs_is_symmetric_free_and_complete() {
         let rel = relation_with(25);
-        let (pairs, _) = scan_all_pairs(&rel, &SeriesTransform::Identity, 3.0, true).unwrap();
+        let id = SeriesTransform::Identity;
+        let (pairs, _) =
+            scan_all_pairs_over(std::slice::from_ref(&rel), &id, &id, 3.0, true, 1).unwrap();
         // Each unordered pair at most once, i < j.
         for (i, j, _) in &pairs {
             assert!(i < j);
@@ -753,7 +726,8 @@ mod tests {
         let left = SeriesTransform::MovingAverage { window: 5 };
         let right = SeriesTransform::Identity;
         for (l, r) in [(&left, &left), (&left, &right)] {
-            let (serial, _) = scan_all_pairs_two(&rel, l, r, 6.0, true).unwrap();
+            let (serial, _) =
+                scan_all_pairs_over(std::slice::from_ref(&rel), l, r, 6.0, true, 1).unwrap();
             for threads in [1, 2, 4, 9] {
                 let stores = std::slice::from_ref(&rel);
                 let (par, _) = scan_all_pairs_over(stores, l, r, 6.0, true, threads).unwrap();

@@ -352,7 +352,7 @@ impl ShardedRelation {
 mod tests {
     use super::*;
     use crate::scan::{
-        scan_all_pairs_over, scan_all_pairs_two, scan_knn as scan_knn_single, scan_knn_over,
+        scan_all_pairs_over, scan_knn as scan_knn_single, scan_knn_over,
         scan_range as scan_range_single, scan_range_over,
     };
     use simq_series::transform::SeriesTransform;
@@ -474,7 +474,8 @@ mod tests {
         let right = SeriesTransform::Identity;
         let sharded = ShardedRelation::from_single(rel.clone(), 4);
         for (l, r) in [(&left, &left), (&left, &right)] {
-            let (want, _) = scan_all_pairs_two(&rel, l, r, 6.0, true).unwrap();
+            let (want, _) =
+                scan_all_pairs_over(std::slice::from_ref(&rel), l, r, 6.0, true, 1).unwrap();
             for threads in [1, 3] {
                 let (got, _) =
                     scan_all_pairs_over(sharded.shards(), l, r, 6.0, true, threads).unwrap();
