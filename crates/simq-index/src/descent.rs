@@ -45,7 +45,8 @@ use crate::geom::{Rect, Space};
 use crate::knn::{cmp_distance_id, LocalKth, Neighbor, Ranked};
 use crate::rstar::{Entry, RTree};
 use crate::search::{ForestStats, SearchStats};
-use crate::transform::SpatialTransform;
+use crate::transform::DiagonalAffine;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -113,11 +114,14 @@ enum At {
 /// [module docs](self)): an iterator of [`Neighbor`]s, each a row and the
 /// distance its stage refined it to.
 ///
-/// The descent owns its transformation and its stage, and borrows only
-/// the trees, so a paused one can be kept wherever the trees live.
-pub struct Descent<'t, X, S> {
+/// Entries are moved by the index's one transformation type,
+/// [`DiagonalAffine`], or by none. The descent owns its stage and either
+/// owns its transformation (the engine's cursors keep it) or borrows it
+/// for as long as it borrows the trees, so a paused one can be kept
+/// wherever the trees live.
+pub struct Descent<'t, S> {
     trees: &'t [RTree],
-    transform: Option<X>,
+    transform: Option<Cow<'t, DiagonalAffine>>,
     stage: S,
     bound: Bound,
     /// The trees' roots, and under a `k`-th-best bound every kept node
@@ -139,13 +143,17 @@ pub struct Descent<'t, X, S> {
     per_shard: Vec<SearchStats>,
 }
 
-impl<'t, X: SpatialTransform, S: Stage> Descent<'t, X, S> {
+impl<'t, S: Stage> Descent<'t, S> {
     /// A range descent: every row the stage's entry test keeps and its
     /// refine accepts, tree after tree, each depth first.
     ///
     /// # Panics
     /// If the transformation's dimensionality differs from a tree's.
-    pub fn within(trees: &'t [RTree], transform: Option<X>, stage: S) -> Self {
+    pub fn within(
+        trees: &'t [RTree],
+        transform: Option<Cow<'t, DiagonalAffine>>,
+        stage: S,
+    ) -> Self {
         Self::new(trees, transform, stage, Bound::Fixed, usize::MAX)
     }
 
@@ -154,11 +162,22 @@ impl<'t, X: SpatialTransform, S: Stage> Descent<'t, X, S> {
     ///
     /// # Panics
     /// If the transformation's dimensionality differs from a tree's.
-    pub fn nearest(trees: &'t [RTree], transform: Option<X>, stage: S, k: usize) -> Self {
+    pub fn nearest(
+        trees: &'t [RTree],
+        transform: Option<Cow<'t, DiagonalAffine>>,
+        stage: S,
+        k: usize,
+    ) -> Self {
         Self::new(trees, transform, stage, Bound::Kth(LocalKth::new(k)), k)
     }
 
-    fn new(trees: &'t [RTree], transform: Option<X>, stage: S, bound: Bound, left: usize) -> Self {
+    fn new(
+        trees: &'t [RTree],
+        transform: Option<Cow<'t, DiagonalAffine>>,
+        stage: S,
+        bound: Bound,
+        left: usize,
+    ) -> Self {
         if let Some(t) = &transform {
             for tree in trees {
                 assert_eq!(t.dims(), tree.dims(), "transform dimensionality mismatch");
@@ -211,10 +230,10 @@ impl<'t, X: SpatialTransform, S: Stage> Descent<'t, X, S> {
         let entries = &tree.nodes[idx].entries;
         self.per_shard[shard].entries_tested += entries.len() as u64;
         let start = self.rows.len();
+        let transform = self.transform.as_deref();
         for e in entries {
             let (stage, scratch) = (&self.stage, &mut self.scratch);
-            let Some(key) = entry_key(stage, &self.transform, scratch, &tree.space, bound, e)
-            else {
+            let Some(key) = entry_key(stage, transform, scratch, &tree.space, bound, e) else {
                 continue;
             };
             match e {
@@ -245,7 +264,7 @@ impl<'t, X: SpatialTransform, S: Stage> Descent<'t, X, S> {
             per_shard,
             ..
         } = self;
-        let bound = bound.now();
+        let (bound, transform) = (bound.now(), transform.as_deref());
         while let Some(&(shard, idx, next)) = open.last() {
             let (tree, stats) = (&trees[shard], &mut per_shard[shard]);
             let entries = &tree.nodes[idx].entries;
@@ -317,9 +336,9 @@ impl<'t, X: SpatialTransform, S: Stage> Descent<'t, X, S> {
 /// The stage's key for entry `e` of a tree over `space`, or `None` when
 /// the stage prunes it or the key exceeds `bound`.
 #[inline]
-fn entry_key<X: SpatialTransform, S: Stage>(
+fn entry_key<S: Stage>(
     stage: &S,
-    transform: &Option<X>,
+    transform: Option<&DiagonalAffine>,
     scratch: &mut Rect,
     space: &Space,
     bound: f64,
@@ -344,7 +363,7 @@ fn entry_key<X: SpatialTransform, S: Stage>(
     Some(key)
 }
 
-impl<X: SpatialTransform, S: Stage> Iterator for Descent<'_, X, S> {
+impl<S: Stage> Iterator for Descent<'_, S> {
     type Item = Neighbor;
 
     fn next(&mut self) -> Option<Neighbor> {
@@ -407,7 +426,6 @@ mod tests {
     use super::*;
     use crate::rstar::RTreeConfig;
     use crate::search::Window;
-    use crate::transform::DiagonalAffine;
     use std::cell::RefCell;
     use std::collections::HashMap;
 
@@ -475,7 +493,7 @@ mod tests {
     /// exceed the drained run's. Returns the drain's `(distance, id)`s and
     /// counters.
     fn drain_and_pause<'t, S: Stage>(
-        make: impl Fn() -> Descent<'t, DiagonalAffine, S>,
+        make: impl Fn() -> Descent<'t, S>,
         pause: usize,
     ) -> (Vec<(f64, u64)>, SearchStats) {
         let mut full = make();
@@ -540,7 +558,7 @@ mod tests {
         // is entered on its own, so its share is its own search.
         let lo = [corner.0 as f64, corner.1 as f64];
         let window = Rect::new(lo.to_vec(), lo.iter().map(|v| v + side as f64).collect());
-        let range = |trees| Descent::within(trees, Some(affine.clone()), Window(&window));
+        let range = |trees| Descent::within(trees, Some(Cow::Borrowed(&affine)), Window(&window));
         let mut got: Vec<u64> = drain_and_pause(|| range(&trees), pause)
             .0
             .iter()
@@ -567,7 +585,7 @@ mod tests {
             hide: if rows { 3 } else { 1 },
             log: &log,
         };
-        let nearest = || Descent::nearest(&trees, Some(affine.clone()), stage(), k);
+        let nearest = || Descent::nearest(&trees, Some(Cow::Borrowed(&affine)), stage(), k);
         let (got, stats) = drain_and_pause(nearest, pause);
         let exact = stage();
         let mut want: Vec<(f64, u64)> = (0..points.len() as u64)

@@ -13,7 +13,7 @@
 use crate::geom::Rect;
 use crate::rstar::RTree;
 use crate::search::SearchStats;
-use crate::transform::SpatialTransform;
+use crate::transform::DiagonalAffine;
 
 /// Expands a rectangle by `eps` in every dimension (the search-rectangle
 /// construction for joins on linear dimensions).
@@ -37,8 +37,8 @@ impl RTree {
     pub fn join_via_probes(
         &self,
         probes: &[(Rect, u64)],
-        probe_transform: &dyn SpatialTransform,
-        index_transform: &dyn SpatialTransform,
+        probe_transform: &DiagonalAffine,
+        index_transform: &DiagonalAffine,
         eps: f64,
     ) -> (Vec<(u64, u64)>, SearchStats) {
         let mut out = Vec::new();
@@ -56,7 +56,6 @@ impl RTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::{DiagonalAffine, IdentityTransform};
 
     fn line_tree(coords: &[f64]) -> RTree {
         let mut t = RTree::with_dims(1);
@@ -97,7 +96,7 @@ mod tests {
     fn probe_join_matches_brute_force() {
         let coords: Vec<f64> = (0..150).map(|i| ((i * 17) % 83) as f64 / 2.0).collect();
         let t = line_tree(&coords);
-        let id = IdentityTransform::new(1);
+        let id = DiagonalAffine::new(vec![1.0], vec![0.0]);
         let (mut pairs, _) = t.join_via_probes(&point_probes(&coords), &id, &id, 0.75);
         // The probe join returns ordered pairs including self and both
         // directions; canonicalize.
@@ -111,7 +110,7 @@ mod tests {
         // pair each point with its negation.
         let coords = [1.0, 2.0, 3.0, -1.0, -2.0, -3.0];
         let t = line_tree(&coords);
-        let id = IdentityTransform::new(1);
+        let id = DiagonalAffine::new(vec![1.0], vec![0.0]);
         let neg = DiagonalAffine::new(vec![-1.0], vec![0.0]);
         let (mut pairs, _) = t.join_via_probes(&point_probes(&coords), &id, &neg, 1e-9);
         // (0 ↔ 3), (1 ↔ 4), (2 ↔ 5), found from both sides.
@@ -122,7 +121,7 @@ mod tests {
     #[test]
     fn join_between_distinct_sides() {
         let b = line_tree(&[0.4, 9.0, 40.0]);
-        let id = IdentityTransform::new(1);
+        let id = DiagonalAffine::new(vec![1.0], vec![0.0]);
         let (pairs, _) = b.join_via_probes(&point_probes(&[0.0, 10.0, 20.0]), &id, &id, 0.5);
         assert_eq!(sorted(pairs), vec![(0, 0)]);
     }
@@ -136,7 +135,7 @@ mod tests {
     #[test]
     fn empty_join_sides() {
         let empty = RTree::with_dims(1);
-        let id = IdentityTransform::new(1);
+        let id = DiagonalAffine::new(vec![1.0], vec![0.0]);
         let (pairs, _) = empty.join_via_probes(&point_probes(&[1.0]), &id, &id, 10.0);
         assert!(pairs.is_empty());
         let (pairs, _) = line_tree(&[1.0]).join_via_probes(&[], &id, &id, 10.0);

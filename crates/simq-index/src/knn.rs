@@ -20,7 +20,8 @@ use crate::descent::{Descent, Stage};
 use crate::geom::{Rect, Space};
 use crate::rstar::RTree;
 use crate::search::SearchStats;
-use crate::transform::SpatialTransform;
+use crate::transform::DiagonalAffine;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -156,11 +157,11 @@ impl RTree {
     pub fn nearest_by(
         &self,
         bound: &dyn Fn(&Rect) -> f64,
-        transform: Option<&dyn SpatialTransform>,
+        transform: Option<&DiagonalAffine>,
         k: usize,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let stage = ByBound(bound);
-        let mut descent = Descent::nearest(std::slice::from_ref(self), transform, stage, k);
+        let (trees, transform) = (std::slice::from_ref(self), transform.map(Cow::Borrowed));
+        let mut descent = Descent::nearest(trees, transform, ByBound(bound), k);
         let found = descent.by_ref().collect();
         (found, descent.into_stats().merged)
     }
@@ -171,16 +172,15 @@ mod tests {
     use super::*;
     use crate::rstar::RTreeConfig;
     use crate::search::ForestStats;
-    use crate::transform::DiagonalAffine;
 
     /// The `k`-nearest descent over `trees`, drained.
     fn search<S: Stage>(
         trees: &[RTree],
-        transform: Option<&dyn SpatialTransform>,
+        transform: Option<&DiagonalAffine>,
         stage: S,
         k: usize,
     ) -> (Vec<Neighbor>, ForestStats) {
-        let mut descent = Descent::nearest(trees, transform, stage, k);
+        let mut descent = Descent::nearest(trees, transform.map(Cow::Borrowed), stage, k);
         let found = descent.by_ref().collect();
         (found, descent.stats())
     }
@@ -395,7 +395,7 @@ mod tests {
         // Wider than the tree, it would bound a scratch rectangle whose
         // extra coordinates were never written.
         let t = grid_tree(5);
-        let wide = DiagonalAffine::scaling(vec![1.0; 3]);
+        let wide = DiagonalAffine::new(vec![1.0; 3], vec![0.0; 3]);
         t.nearest_by(&|r| r.min_dist_sq(&[0.0; 3]), Some(&wide), 2);
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! * [`geom`] — rectangles, dimension semantics (including circular phase
 //!   angles), MINDIST/MINMAXDIST.
-//! * [`transform`] — spatial transformations ([`DiagonalAffine`] is the
-//!   normal form every safe transformation reduces to).
+//! * [`transform`] — the one spatial transformation type,
+//!   [`DiagonalAffine`]: Theorems 1–3 reduce every safe transformation to
+//!   a per-dimension affine map, so the traversal needs no other.
 //! * [`rstar`] — the tree structure: ChooseSubtree, forced reinsertion, R*
 //!   split, deletion with condense.
 //! * [`descent`] — the one traversal type: a pull-based [`Descent`] over
@@ -52,4 +53,4 @@ pub use knn::{cmp_distance_id, Neighbor};
 pub use rstar::{RTree, RTreeConfig};
 pub use search::{ForestStats, SearchStats, Window};
 pub use serial::SerialError;
-pub use transform::{DiagonalAffine, IdentityTransform, SpatialTransform};
+pub use transform::DiagonalAffine;

@@ -14,7 +14,8 @@
 use crate::descent::{Descent, Stage};
 use crate::geom::{Rect, Space};
 use crate::rstar::RTree;
-use crate::transform::SpatialTransform;
+use crate::transform::DiagonalAffine;
+use std::borrow::Cow;
 
 /// Counters describing the work one search performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,7 +102,7 @@ impl RTree {
     /// entry during the traversal; the tree itself is untouched.
     pub fn range_transformed(
         &self,
-        transform: &dyn SpatialTransform,
+        transform: &DiagonalAffine,
         query: &Rect,
     ) -> (Vec<u64>, SearchStats) {
         self.range_by(Some(transform), query)
@@ -114,11 +115,12 @@ impl RTree {
     /// tree's.
     fn range_by(
         &self,
-        transform: Option<&dyn SpatialTransform>,
+        transform: Option<&DiagonalAffine>,
         query: &Rect,
     ) -> (Vec<u64>, SearchStats) {
         assert_eq!(query.dims(), self.dims(), "query dimensionality mismatch");
-        let mut descent = Descent::within(std::slice::from_ref(self), transform, Window(query));
+        let (trees, transform) = (std::slice::from_ref(self), transform.map(Cow::Borrowed));
+        let mut descent = Descent::within(trees, transform, Window(query));
         let ids = descent.by_ref().map(|hit| hit.id).collect();
         (ids, descent.into_stats().merged)
     }
@@ -129,7 +131,7 @@ mod tests {
     use super::*;
     use crate::geom::DimSemantics;
     use crate::rstar::RTreeConfig;
-    use crate::transform::{DiagonalAffine, IdentityTransform};
+    use crate::transform::DiagonalAffine;
     use std::f64::consts::PI;
 
     fn grid_tree(n: usize) -> RTree {
@@ -185,7 +187,8 @@ mod tests {
         let t = grid_tree(30);
         let query = Rect::new(vec![5.0, 5.0], vec![15.0, 12.0]);
         let (plain, s1) = t.range(&query);
-        let (transformed, s2) = t.range_transformed(&IdentityTransform::new(2), &query);
+        let identity = DiagonalAffine::new(vec![1.0; 2], vec![0.0; 2]);
+        let (transformed, s2) = t.range_transformed(&identity, &query);
         assert_eq!(sorted(plain), sorted(transformed));
         assert_eq!(s1.nodes_visited, s2.nodes_visited);
         assert_eq!(s1.leaves_visited, s2.leaves_visited);
@@ -204,7 +207,6 @@ mod tests {
         let mut transformed_tree = RTree::with_dims(2);
         for i in 0..n {
             for j in 0..n {
-                use crate::transform::SpatialTransform;
                 let p = affine.apply_point(&[i as f64, j as f64]);
                 transformed_tree.insert_point(&p, (i * n + j) as u64);
             }
@@ -270,12 +272,12 @@ mod tests {
         // A sharded relation's empty shards still cost one node read each.
         let empty: Vec<RTree> = (0..3).map(|_| RTree::with_dims(2)).collect();
         let query = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        let mut descent = Descent::<DiagonalAffine, _>::within(&empty, None, Window(&query));
+        let mut descent = Descent::within(&empty, None, Window(&query));
         assert_eq!(descent.next(), None);
         let stats = descent.stats();
         assert_eq!(stats.merged.nodes_visited, 3);
         assert!(stats.per_shard.iter().all(|s| s.nodes_visited == 1));
-        let mut descent = Descent::<DiagonalAffine, _>::within(&[], None, Window(&query));
+        let mut descent = Descent::within(&[], None, Window(&query));
         assert_eq!(descent.next(), None);
         assert_eq!(descent.stats().merged, SearchStats::default());
     }

@@ -18,9 +18,10 @@
 //! yields a [`SerialError`], never a panic or a tree that would send a
 //! traversal into an infinite descent.
 //!
-//! The [`ByteWriter`]/[`ByteReader`] pair is exported for the snapshot
-//! format in `simq-storage`, which embeds tree blobs alongside relation
-//! data.
+//! The [`ByteWriter`]/[`ByteReader`] pair is the workspace's one byte
+//! codec: `simq-storage`'s checkpoint, MANIFEST and WAL formats embed tree
+//! blobs and relation data with it, and `simq-server` writes and reads
+//! its wire payloads with it.
 
 use crate::geom::{DimSemantics, Rect, Space};
 use crate::rstar::{Entry, Node, RTree, RTreeConfig};
@@ -53,7 +54,8 @@ impl std::fmt::Display for SerialError {
 
 impl std::error::Error for SerialError {}
 
-/// Little-endian byte-stream writer used by the persistence encoders.
+/// Little-endian byte-stream writer used by the persistence and wire
+/// encoders.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -109,6 +111,12 @@ impl ByteWriter {
     pub fn put_str(&mut self, v: &str) {
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v.as_bytes());
+    }
+
+    /// Appends a `u32` count followed by the values' `f64` bit patterns.
+    pub fn put_series(&mut self, values: &[f64]) {
+        self.put_u32(values.len() as u32);
+        values.iter().for_each(|v| self.put_f64(*v));
     }
 }
 
@@ -213,6 +221,18 @@ impl<'a> ByteReader<'a> {
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| SerialError::Format("string is not valid UTF-8".into()))
+    }
+
+    /// Reads a series written by [`ByteWriter::put_series`]: its count is
+    /// checked against the remaining input before anything is allocated.
+    ///
+    /// # Errors
+    /// [`SerialError::Truncated`] when the input holds fewer values than
+    /// the count declares.
+    pub fn get_series(&mut self) -> Result<Vec<f64>, SerialError> {
+        let n = self.get_u32()? as usize;
+        self.check_count(n, 8)?;
+        self.get_f64_vec(n)
     }
 
     /// Validates a declared element count against the space left in the
@@ -636,6 +656,38 @@ mod tests {
             // decode a structurally valid tree, or it errors — no panics.
             let _ = from_bytes(&corrupt);
         }
+    }
+
+    #[test]
+    fn payload_codec_round_trips() {
+        let mut w = ByteWriter::new();
+        w.put_u8(7);
+        w.put_u32(123_456);
+        w.put_u64(u64::MAX);
+        w.put_f64(-0.0);
+        w.put_str("héllo");
+        w.put_series(&[1.5, f64::MIN_POSITIVE, -3.25]);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.get_u8().unwrap(), 7);
+        assert_eq!(r.get_u32().unwrap(), 123_456);
+        assert_eq!(r.get_u64().unwrap(), u64::MAX);
+        assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.get_str().unwrap(), "héllo");
+        assert_eq!(r.get_series().unwrap(), vec![1.5, f64::MIN_POSITIVE, -3.25]);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn reader_rejects_overruns() {
+        let mut r = ByteReader::new(&[1, 2, 3]);
+        assert!(r.get_u64().is_err());
+        // A huge series length cannot force a huge allocation.
+        let mut w = ByteWriter::new();
+        w.put_u32(u32::MAX);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert!(r.get_series().is_err());
     }
 
     #[test]

@@ -38,9 +38,12 @@ use std::sync::Arc;
 /// partitioned into shards with one R*-tree per shard.
 ///
 /// Execution treats the two forms identically at the row level (row
-/// lookups route through the shard layout) and fans index/scan work out
-/// per shard for the sharded form; sharded results are bitwise identical
-/// to unsharded execution (`tests/shard_equivalence.rs`).
+/// lookups route through the shard layout). An index descent reads the
+/// sharded form's trees one after another on the calling thread, scans
+/// and joins split rows rather than shards across threads, and only
+/// `insert_batch` writes shards on separate threads. Sharded results are
+/// bitwise identical to unsharded execution
+/// (`tests/shard_equivalence.rs`).
 #[derive(Debug, Clone)]
 pub enum StoredRelation {
     /// One store, one optional R*-tree — the default form.

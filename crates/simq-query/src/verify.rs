@@ -18,13 +18,13 @@ use crate::exec::{ExecStats, Hit, QueryContext, QueryOutput, QueryResult};
 use crate::plan::Plan;
 use simq_dsp::complex::Complex;
 use simq_index::{
-    cmp_distance_id, Descent, DiagonalAffine, ForestStats, Neighbor, Rect, SearchStats, Space,
-    Stage, Window,
+    cmp_distance_id, Descent, ForestStats, Neighbor, Rect, SearchStats, Space, Stage, Window,
 };
 use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::{NormalFormAction, SeriesTransform};
 use simq_series::SpectralMindist;
 use simq_storage::{deflate_sq, scan, FilterProbe, ScanFanStats, SeriesRow};
+use std::borrow::Cow;
 
 /// Pads a search radius by one part in 10⁹ plus one absolute ulp-scale
 /// nudge. Transformed index coordinates are computed by different
@@ -193,9 +193,9 @@ impl<'db> RangeVerifier<'db> {
         let stored = self.stored;
         let verify = self.with_probe();
         let rect = verify.search_rect()?;
-        let lowered = Some(transform.lower(stored.scheme(), stored.series_len())?);
+        let lowered = Cow::Owned(transform.lower(stored.scheme(), stored.series_len())?);
         let stage = IndexStage::Range { rect, verify };
-        Ok(Descent::within(stored.trees(), lowered, stage))
+        Ok(Descent::within(stored.trees(), Some(lowered), stage))
     }
 }
 
@@ -332,7 +332,7 @@ impl Stage for IndexStage<'_> {
 }
 
 /// The descent of an index plan over a relation's forest of trees.
-pub(crate) type IndexDescent<'db> = Descent<'db, DiagonalAffine, IndexStage<'db>>;
+pub(crate) type IndexDescent<'db> = Descent<'db, IndexStage<'db>>;
 
 /// Opens a kNN query's index descent: the optimal multi-step search
 /// (Seidl & Kriegel), ranking rows by lower bound and refining each as it
@@ -344,8 +344,8 @@ pub(crate) fn knn_descent<'db>(
     k: usize,
 ) -> Result<IndexDescent<'db>, QueryError> {
     let stage = IndexStage::Knn(KnnRank::new(stored, transform, q_spec)?);
-    let lowered = Some(transform.lower(stored.scheme(), stored.series_len())?);
-    Ok(Descent::nearest(stored.trees(), lowered, stage, k))
+    let lowered = Cow::Owned(transform.lower(stored.scheme(), stored.series_len())?);
+    Ok(Descent::nearest(stored.trees(), Some(lowered), stage, k))
 }
 
 /// The counters of one execution — merged totals, the per-shard breakdown
@@ -434,7 +434,6 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simq_index::SpatialTransform;
 
     /// A subtree's ranking key never exceeds the exact distance of a row
     /// under it: for `cases` groups of rows per transformation, the key of

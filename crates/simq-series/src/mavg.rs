@@ -31,8 +31,11 @@ use std::f64::consts::PI;
 /// [`SeriesError::InvalidWindow`] when `window` is zero or exceeds the
 /// series length; [`SeriesError::EmptySeries`] for an empty series.
 pub fn moving_average(s: &[f64], window: usize) -> Result<Vec<f64>, SeriesError> {
-    let weights = vec![1.0 / window.max(1) as f64; window];
-    weighted_moving_average(s, &weights)
+    if s.is_empty() {
+        return Err(SeriesError::EmptySeries);
+    }
+    check_window(window, s.len())?;
+    weighted_moving_average(s, &vec![1.0 / window as f64; window])
 }
 
 /// Circular weighted moving average: output sample `i` is
@@ -77,16 +80,20 @@ pub fn weighted_moving_average(s: &[f64], weights: &[f64]) -> Result<Vec<f64>, S
 /// [`SeriesError::InvalidWindow`] when `window` is zero or exceeds the
 /// series length.
 pub fn plain_moving_average(s: &[f64], window: usize) -> Result<Vec<f64>, SeriesError> {
-    if window == 0 || window > s.len() {
-        return Err(SeriesError::InvalidWindow {
-            window,
-            len: s.len(),
-        });
-    }
+    check_window(window, s.len())?;
     let inv = 1.0 / window as f64;
     Ok(s.windows(window)
         .map(|w| w.iter().sum::<f64>() * inv)
         .collect())
+}
+
+/// Refuses a window of zero or one longer than the series, before any
+/// `window`-long kernel is allocated: the window comes from query text.
+fn check_window(window: usize, len: usize) -> Result<(), SeriesError> {
+    if window == 0 || window > len {
+        return Err(SeriesError::InvalidWindow { window, len });
+    }
+    Ok(())
 }
 
 /// Closed-form frequency-domain coefficients of the circular weighted
@@ -134,17 +141,14 @@ pub fn weighted_mavg_coefficients(
 /// Equation 11's kernel).
 ///
 /// # Errors
-/// Same conditions as [`weighted_mavg_coefficients`].
+/// [`SeriesError::InvalidWindow`] when `window` is zero or exceeds `n`.
 pub fn mavg_coefficients(
     n: usize,
     window: usize,
     count: usize,
 ) -> Result<Vec<Complex>, SeriesError> {
-    let weights = vec![1.0 / window.max(1) as f64; window];
-    if window == 0 {
-        return Err(SeriesError::InvalidWindow { window, len: n });
-    }
-    weighted_mavg_coefficients(n, &weights, count)
+    check_window(window, n)?;
+    weighted_mavg_coefficients(n, &vec![1.0 / window as f64; window], count)
 }
 
 #[cfg(test)]
@@ -181,6 +185,25 @@ mod tests {
         assert!(plain_moving_average(&[1.0, 2.0], 0).is_err());
         assert!(weighted_moving_average(&[1.0], &[]).is_err());
         assert!(moving_average(&[], 1).is_err());
+    }
+
+    #[test]
+    fn huge_windows_are_refused_before_allocating_a_kernel() {
+        let huge = 1usize << 50;
+        let s = [1.0, 2.0, 3.0];
+        let refused = SeriesError::InvalidWindow {
+            window: huge,
+            len: 3,
+        };
+        assert_eq!(moving_average(&s, huge), Err(refused.clone()));
+        let refused = SeriesError::InvalidWindow {
+            window: huge,
+            len: 128,
+        };
+        assert_eq!(mavg_coefficients(128, huge, 8), Err(refused));
+        let zero = SeriesError::InvalidWindow { window: 0, len: 3 };
+        assert_eq!(moving_average(&s, 0), Err(zero));
+        assert_eq!(moving_average(&[], huge), Err(SeriesError::EmptySeries));
     }
 
     #[test]

@@ -453,7 +453,6 @@ mod tests {
     fn lowered_transform_maps_extracted_points_correctly() {
         // T(point(x)) must equal point built from T's spectral action —
         // the commuting square behind Algorithm 2.
-        use simq_index::transform::SpatialTransform;
         let n = 128;
         let s = series(5, n);
         let scheme = FeatureScheme::paper_default();
@@ -507,7 +506,6 @@ mod tests {
 
     #[test]
     fn identity_lowering_is_identity() {
-        use simq_index::transform::SpatialTransform;
         let scheme = FeatureScheme::paper_default();
         let affine = SeriesTransform::Identity.lower(&scheme, 128).unwrap();
         let p: Vec<f64> = (0..scheme.dims()).map(|i| i as f64).collect();

@@ -8,9 +8,10 @@
 //!   checksummed with the storage layer's page checksum. Decoding
 //!   never panics on arbitrary bytes.
 //! * [`proto`] — the typed [`Request`] /
-//!   [`Response`] vocabulary. Every `f64` travels as
-//!   its bit pattern, so remote results are bitwise identical to local
-//!   execution.
+//!   [`Response`] vocabulary, written and read with the byte codec the
+//!   persistence formats share (`simq_index::serial::{ByteWriter,
+//!   ByteReader}`). Every `f64` travels as its bit pattern, so remote
+//!   results are bitwise identical to local execution.
 //! * [`connection`] — the execution layer: a [`Connection`] holds one
 //!   client's session and named prepared-statement registry, and
 //!   [`Connection::respond`] answers `Query`, `Prepare`, `Exec`,

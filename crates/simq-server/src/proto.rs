@@ -11,7 +11,8 @@
 use simq_query::session::Value;
 use simq_query::{ExecStats, Hit, PairHit, QueryOutput};
 
-use crate::wire::{FrameKind, PayloadReader, PayloadWriter, WireError};
+use crate::wire::{FrameKind, WireError};
+use simq_index::serial::{ByteReader, ByteWriter};
 
 /// A client → server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,7 +211,7 @@ pub struct RemoteInsertReport {
 // Field-level helpers
 // ---------------------------------------------------------------------------
 
-fn put_value(w: &mut PayloadWriter, v: &Value) {
+fn put_value(w: &mut ByteWriter, v: &Value) {
     match v {
         Value::Number(n) => {
             w.put_u8(0);
@@ -223,7 +224,7 @@ fn put_value(w: &mut PayloadWriter, v: &Value) {
     }
 }
 
-fn get_value(r: &mut PayloadReader<'_>) -> Result<Value, WireError> {
+fn get_value(r: &mut ByteReader<'_>) -> Result<Value, WireError> {
     match r.get_u8()? {
         0 => Ok(Value::Number(r.get_f64()?)),
         1 => Ok(Value::Series(r.get_series()?)),
@@ -231,7 +232,7 @@ fn get_value(r: &mut PayloadReader<'_>) -> Result<Value, WireError> {
     }
 }
 
-fn put_stats(w: &mut PayloadWriter, s: &ExecStats) {
+fn put_stats(w: &mut ByteWriter, s: &ExecStats) {
     for v in [
         s.nodes_visited,
         s.leaves_visited,
@@ -251,7 +252,7 @@ fn put_stats(w: &mut PayloadWriter, s: &ExecStats) {
     }
 }
 
-fn get_stats(r: &mut PayloadReader<'_>) -> Result<ExecStats, WireError> {
+fn get_stats(r: &mut ByteReader<'_>) -> Result<ExecStats, WireError> {
     Ok(ExecStats {
         nodes_visited: r.get_u64()?,
         leaves_visited: r.get_u64()?,
@@ -269,7 +270,7 @@ fn get_stats(r: &mut PayloadReader<'_>) -> Result<ExecStats, WireError> {
     })
 }
 
-fn put_hits(w: &mut PayloadWriter, hits: &[Hit]) {
+fn put_hits(w: &mut ByteWriter, hits: &[Hit]) {
     w.put_u32(hits.len() as u32);
     for h in hits {
         w.put_u64(h.id);
@@ -278,7 +279,7 @@ fn put_hits(w: &mut PayloadWriter, hits: &[Hit]) {
     }
 }
 
-fn get_hits(r: &mut PayloadReader<'_>) -> Result<Vec<Hit>, WireError> {
+fn get_hits(r: &mut ByteReader<'_>) -> Result<Vec<Hit>, WireError> {
     let n = r.get_u32()? as usize;
     let mut hits = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
@@ -291,7 +292,7 @@ fn get_hits(r: &mut PayloadReader<'_>) -> Result<Vec<Hit>, WireError> {
     Ok(hits)
 }
 
-fn put_output(w: &mut PayloadWriter, output: &QueryOutput) {
+fn put_output(w: &mut ByteWriter, output: &QueryOutput) {
     match output {
         QueryOutput::Hits(hits) => {
             w.put_u8(0);
@@ -318,11 +319,11 @@ fn put_output(w: &mut PayloadWriter, output: &QueryOutput) {
     }
 }
 
-fn get_output(r: &mut PayloadReader<'_>) -> Result<QueryOutput, WireError> {
+fn get_output(r: &mut ByteReader<'_>) -> Result<QueryOutput, WireError> {
     get_output_depth(r, 0)
 }
 
-fn get_output_depth(r: &mut PayloadReader<'_>, depth: u8) -> Result<QueryOutput, WireError> {
+fn get_output_depth(r: &mut ByteReader<'_>, depth: u8) -> Result<QueryOutput, WireError> {
     // EXPLAIN ANALYZE nests one level; anything deeper is hostile input.
     if depth > 4 {
         return Err(WireError::Malformed("output nests too deep".into()));
@@ -378,7 +379,7 @@ impl Request {
 
     /// Encodes the payload bytes (the frame layer wraps them).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         match self {
             Request::Hello { client } => w.put_str(client),
             Request::Query { text } => w.put_str(text),
@@ -426,7 +427,7 @@ impl Request {
     /// [`WireError::Malformed`] on structural violations (including a
     /// response frame type arriving where a request belongs).
     pub fn decode(kind: FrameKind, payload: &[u8]) -> Result<Request, WireError> {
-        let mut r = PayloadReader::new(payload);
+        let mut r = ByteReader::new(payload);
         let req = match kind {
             FrameKind::Hello => Request::Hello {
                 client: r.get_str()?,
@@ -482,7 +483,7 @@ impl Request {
                 )))
             }
         };
-        if !r.is_empty() {
+        if r.remaining() != 0 {
             return Err(WireError::Malformed("trailing bytes after request".into()));
         }
         Ok(req)
@@ -509,7 +510,7 @@ impl Response {
 
     /// Encodes the payload bytes (the frame layer wraps them).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         match self {
             Response::HelloOk { server, generation } => {
                 w.put_str(server);
@@ -571,7 +572,7 @@ impl Response {
     /// [`WireError::Malformed`] on structural violations (including a
     /// request frame type arriving where a response belongs).
     pub fn decode(kind: FrameKind, payload: &[u8]) -> Result<Response, WireError> {
-        let mut r = PayloadReader::new(payload);
+        let mut r = ByteReader::new(payload);
         let resp = match kind {
             FrameKind::HelloOk => Response::HelloOk {
                 server: r.get_str()?,
@@ -652,7 +653,7 @@ impl Response {
                 )))
             }
         };
-        if !r.is_empty() {
+        if r.remaining() != 0 {
             return Err(WireError::Malformed("trailing bytes after response".into()));
         }
         Ok(resp)
@@ -663,106 +664,173 @@ impl Response {
 mod tests {
     use super::*;
 
-    fn round_trip_request(req: Request) {
-        let payload = req.encode();
-        let decoded = Request::decode(req.kind(), &payload).expect("request decodes");
-        assert_eq!(decoded, req);
+    /// One request of every kind.
+    fn requests() -> Vec<Request> {
+        vec![
+            Request::Hello {
+                client: "simq-cli".into(),
+            },
+            Request::Query {
+                text: "FIND ALL IN stocks WITHIN 0.5 OF ROW 3".into(),
+            },
+            Request::Prepare {
+                name: "near".into(),
+                text: "FIND ALL IN stocks WITHIN $eps OF ROW ?".into(),
+            },
+            Request::Exec {
+                name: "near".into(),
+                positional: vec![Value::Number(3.0)],
+                named: vec![("eps".into(), Value::Number(0.5))],
+            },
+            Request::ListPrepared,
+            Request::OpenCursor {
+                text: "FIND ALL IN stocks WITHIN 1.0 OF ROW 0".into(),
+                window: 16,
+            },
+            Request::Fetch { window: 8 },
+            Request::CloseCursor,
+            Request::Insert {
+                relation: "stocks".into(),
+                rows: vec![("S1".into(), vec![0.25, -1.5]), ("S2".into(), vec![])],
+            },
+            Request::Ping,
+            Request::Goodbye,
+        ]
     }
 
-    fn round_trip_response(resp: Response) {
-        let payload = resp.encode();
-        let decoded = Response::decode(resp.kind(), &payload).expect("response decodes");
-        assert_eq!(decoded, resp);
+    /// One response of every kind.
+    fn responses() -> Vec<Response> {
+        vec![
+            Response::HelloOk {
+                server: "simq-server".into(),
+                generation: 42,
+            },
+            Response::Result(RemoteResult {
+                output: QueryOutput::Analyzed {
+                    report: "plan".into(),
+                    output: Box::new(QueryOutput::Hits(vec![Hit {
+                        id: 7,
+                        name: "S7".into(),
+                        distance: 0.125,
+                    }])),
+                },
+                access: "IndexScan".into(),
+                stats: ExecStats {
+                    nodes_visited: 12,
+                    threads_used: 4,
+                    ..ExecStats::default()
+                },
+                per_thread: vec![ExecStats::default(), ExecStats::default()],
+            }),
+            Response::PreparedOk {
+                name: "near".into(),
+                signature: vec!["$eps: number (EPSILON)".into()],
+            },
+            Response::PreparedList {
+                entries: vec![("near".into(), "FIND …".into())],
+            },
+            Response::Rows {
+                hits: vec![Hit {
+                    id: 1,
+                    name: "S1".into(),
+                    distance: f64::from_bits(0x3FF0_0000_0000_0001),
+                }],
+            },
+            Response::CursorSuspended,
+            Response::CursorDone {
+                stats: ExecStats::default(),
+            },
+            Response::Inserted(RemoteInsertReport {
+                ids: vec![10, 11],
+                failed: vec![(2, "series length mismatch".into())],
+                shards_touched: 1,
+                wal_records: 2,
+                wal_syncs: 1,
+                group_nodes_built: 0,
+                group_rows: 5,
+            }),
+            Response::Pong,
+            Response::Bye,
+            Response::Error {
+                code: ErrorCode::Query,
+                message: "unknown relation".into(),
+            },
+        ]
+    }
+
+    /// A decoder of one direction, its message dropped.
+    type Decode = fn(FrameKind, &[u8]) -> Result<(), WireError>;
+
+    /// Every corpus message's frame type, payload and decoder.
+    fn encodings() -> Vec<(FrameKind, Vec<u8>, Decode)> {
+        let request: Decode = |kind, bytes| Request::decode(kind, bytes).map(drop);
+        let response: Decode = |kind, bytes| Response::decode(kind, bytes).map(drop);
+        let requests = requests()
+            .into_iter()
+            .map(|m| (m.kind(), m.encode(), request));
+        let responses = responses()
+            .into_iter()
+            .map(|m| (m.kind(), m.encode(), response));
+        requests.chain(responses).collect()
     }
 
     #[test]
     fn requests_round_trip() {
-        round_trip_request(Request::Hello {
-            client: "simq-cli".into(),
-        });
-        round_trip_request(Request::Query {
-            text: "FIND ALL IN stocks WITHIN 0.5 OF ROW 3".into(),
-        });
-        round_trip_request(Request::Prepare {
-            name: "near".into(),
-            text: "FIND ALL IN stocks WITHIN $eps OF ROW ?".into(),
-        });
-        round_trip_request(Request::Exec {
-            name: "near".into(),
-            positional: vec![Value::Number(3.0)],
-            named: vec![("eps".into(), Value::Number(0.5))],
-        });
-        round_trip_request(Request::ListPrepared);
-        round_trip_request(Request::OpenCursor {
-            text: "FIND ALL IN stocks WITHIN 1.0 OF ROW 0".into(),
-            window: 16,
-        });
-        round_trip_request(Request::Fetch { window: 8 });
-        round_trip_request(Request::CloseCursor);
-        round_trip_request(Request::Insert {
-            relation: "stocks".into(),
-            rows: vec![("S1".into(), vec![0.25, -1.5]), ("S2".into(), vec![])],
-        });
-        round_trip_request(Request::Ping);
-        round_trip_request(Request::Goodbye);
+        for req in requests() {
+            let decoded = Request::decode(req.kind(), &req.encode()).expect("request decodes");
+            assert_eq!(decoded, req);
+        }
     }
 
     #[test]
     fn responses_round_trip() {
-        round_trip_response(Response::HelloOk {
-            server: "simq-server".into(),
-            generation: 42,
-        });
-        round_trip_response(Response::Result(RemoteResult {
-            output: QueryOutput::Analyzed {
-                report: "plan".into(),
-                output: Box::new(QueryOutput::Hits(vec![Hit {
-                    id: 7,
-                    name: "S7".into(),
-                    distance: 0.125,
-                }])),
-            },
-            access: "IndexScan".into(),
-            stats: ExecStats {
-                nodes_visited: 12,
-                threads_used: 4,
-                ..ExecStats::default()
-            },
-            per_thread: vec![ExecStats::default(), ExecStats::default()],
-        }));
-        round_trip_response(Response::PreparedOk {
-            name: "near".into(),
-            signature: vec!["$eps: number (EPSILON)".into()],
-        });
-        round_trip_response(Response::PreparedList {
-            entries: vec![("near".into(), "FIND …".into())],
-        });
-        round_trip_response(Response::Rows {
-            hits: vec![Hit {
-                id: 1,
-                name: "S1".into(),
-                distance: f64::from_bits(0x3FF0_0000_0000_0001),
-            }],
-        });
-        round_trip_response(Response::CursorSuspended);
-        round_trip_response(Response::CursorDone {
-            stats: ExecStats::default(),
-        });
-        round_trip_response(Response::Inserted(RemoteInsertReport {
-            ids: vec![10, 11],
-            failed: vec![(2, "series length mismatch".into())],
-            shards_touched: 1,
-            wal_records: 2,
-            wal_syncs: 1,
-            group_nodes_built: 0,
-            group_rows: 5,
-        }));
-        round_trip_response(Response::Pong);
-        round_trip_response(Response::Bye);
-        round_trip_response(Response::Error {
-            code: ErrorCode::Query,
-            message: "unknown relation".into(),
-        });
+        for resp in responses() {
+            let decoded = Response::decode(resp.kind(), &resp.encode()).expect("response decodes");
+            assert_eq!(decoded, resp);
+        }
+    }
+
+    /// The corpora's hash at protocol version 2, recorded when the codec
+    /// was last changed.
+    const PINNED: u64 = 0x69bf_a960_56a6_aaae;
+
+    /// The corpora's bytes are pinned: a codec change that moves one byte
+    /// of any message breaks protocol version 2 peers.
+    #[test]
+    fn corpus_encodings_are_pinned() {
+        let mut all = Vec::new();
+        for (kind, bytes, _) in encodings() {
+            all.push(kind as u8);
+            all.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            all.extend_from_slice(&bytes);
+        }
+        assert_eq!(crate::PROTOCOL_VERSION, 2);
+        assert_eq!(simq_storage::pages::checksum(&all), PINNED);
+    }
+
+    /// Every strict prefix of a corpus message is malformed, and every
+    /// byte overwritten with `0x00` or `0xFF` decodes or is malformed:
+    /// the nested decoders never panic and never fail another way.
+    #[test]
+    fn truncated_and_overwritten_payloads_are_malformed_or_decode() {
+        for (kind, bytes, decode) in encodings() {
+            for cut in 0..bytes.len() {
+                let got = decode(kind, &bytes[..cut]);
+                assert!(
+                    matches!(got, Err(WireError::Malformed(_))),
+                    "{kind:?} cut {cut}: {got:?}"
+                );
+            }
+            for (at, byte) in (0..bytes.len()).flat_map(|at| [(at, 0x00), (at, 0xFF)]) {
+                let mut bad = bytes.clone();
+                bad[at] = byte;
+                let got = decode(kind, &bad);
+                assert!(
+                    matches!(got, Ok(()) | Err(WireError::Malformed(_))),
+                    "{kind:?} byte {at} = {byte:#04x}: {got:?}"
+                );
+            }
+        }
     }
 
     /// docs/WIRE_PROTOCOL.md's **stats** layout: 13 `u64` counters.

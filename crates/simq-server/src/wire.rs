@@ -20,6 +20,7 @@
 
 use std::io::{Read, Write};
 
+use simq_index::SerialError;
 use simq_storage::pages::checksum;
 
 /// The four magic bytes opening every frame.
@@ -178,6 +179,14 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// A payload field the shared byte codec cannot read is a malformed
+/// payload.
+impl From<SerialError> for WireError {
+    fn from(e: SerialError) -> Self {
+        WireError::Malformed(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
@@ -304,163 +313,6 @@ pub fn read_frame_after(first: u8, r: &mut impl Read) -> Result<(FrameKind, Vec<
     Ok((kind, payload))
 }
 
-// ---------------------------------------------------------------------------
-// Payload codec
-// ---------------------------------------------------------------------------
-
-/// Appends typed fields to a payload buffer.
-///
-/// Numbers are little-endian; `f64`s travel as their IEEE-754 bit
-/// pattern (`to_bits`), so a value decoded on the other side is
-/// **bitwise identical** — the property every equivalence test pins.
-#[derive(Debug, Default)]
-pub struct PayloadWriter {
-    buf: Vec<u8>,
-}
-
-impl PayloadWriter {
-    /// An empty payload.
-    pub fn new() -> Self {
-        PayloadWriter::default()
-    }
-
-    /// Finishes the payload.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a length-prefixed series of `f64` bit patterns.
-    pub fn put_series(&mut self, values: &[f64]) {
-        self.put_u32(values.len() as u32);
-        for v in values {
-            self.put_f64(*v);
-        }
-    }
-}
-
-/// Reads typed fields back out of a payload. Every accessor is
-/// bounds-checked and returns [`WireError::Malformed`] instead of
-/// panicking — arbitrary bytes are safe to feed through.
-#[derive(Debug)]
-pub struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    /// A reader over a complete payload.
-    pub fn new(buf: &'a [u8]) -> Self {
-        PayloadReader { buf, pos: 0 }
-    }
-
-    /// True when every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| WireError::Malformed("field extends past payload end".into()))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    /// [`WireError::Malformed`] past the payload end.
-    pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `u32`.
-    ///
-    /// # Errors
-    /// [`WireError::Malformed`] past the payload end.
-    pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a `u64`.
-    ///
-    /// # Errors
-    /// [`WireError::Malformed`] past the payload end.
-    pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    ///
-    /// # Errors
-    /// [`WireError::Malformed`] past the payload end.
-    pub fn get_f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    /// [`WireError::Malformed`] past the payload end or on invalid
-    /// UTF-8.
-    pub fn get_str(&mut self) -> Result<String, WireError> {
-        let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string field is not UTF-8".into()))
-    }
-
-    /// Reads a length-prefixed `f64` series.
-    ///
-    /// # Errors
-    /// [`WireError::Malformed`] past the payload end.
-    pub fn get_series(&mut self) -> Result<Vec<f64>, WireError> {
-        let len = self.get_u32()? as usize;
-        // Bound the allocation by what the payload can actually hold.
-        if len > self.buf.len().saturating_sub(self.pos) / 8 {
-            return Err(WireError::Malformed("series length exceeds payload".into()));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,37 +370,5 @@ mod tests {
         let mut h = [0u8; HEADER_LEN];
         h.copy_from_slice(&header);
         assert!(matches!(decode_header(&h), Err(WireError::Oversized(_))));
-    }
-
-    #[test]
-    fn payload_codec_round_trips() {
-        let mut w = PayloadWriter::new();
-        w.put_u8(7);
-        w.put_u32(123_456);
-        w.put_u64(u64::MAX);
-        w.put_f64(-0.0);
-        w.put_str("héllo");
-        w.put_series(&[1.5, f64::MIN_POSITIVE, -3.25]);
-        let bytes = w.into_bytes();
-        let mut r = PayloadReader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u32().unwrap(), 123_456);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX);
-        assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.get_str().unwrap(), "héllo");
-        assert_eq!(r.get_series().unwrap(), vec![1.5, f64::MIN_POSITIVE, -3.25]);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn reader_rejects_overruns() {
-        let mut r = PayloadReader::new(&[1, 2, 3]);
-        assert!(r.get_u64().is_err());
-        // A huge series length cannot force a huge allocation.
-        let mut w = PayloadWriter::new();
-        w.put_u32(u32::MAX);
-        let bytes = w.into_bytes();
-        let mut r = PayloadReader::new(&bytes);
-        assert!(r.get_series().is_err());
     }
 }

@@ -17,8 +17,8 @@
 //!   feature extraction and index bulk-loading.
 //! * [`shard`] — [`ShardedRelation`]: the row space hash-partitioned by
 //!   row id into independent shards (each an ordinary [`SeriesRelation`]),
-//!   plus sharded scan entry points whose merged results are bitwise
-//!   identical to the unsharded scans.
+//!   whose scans are [`scan`]'s `*_over` entry points over the shards'
+//!   stores, bitwise identical to the unsharded scans.
 //! * [`sig`] — the quantized filter tier: [`SignatureArray`] (contiguous
 //!   reduced-precision leading spectrum coefficients per relation/shard)
 //!   and [`FilterProbe`] (a no-false-dismissal lower bound on the

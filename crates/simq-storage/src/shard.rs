@@ -9,9 +9,11 @@
 //!
 //! * **Insert locality** — an insert touches exactly one shard's store
 //!   and one shard's (small) R*-tree instead of one monolithic tree.
-//! * **Natural parallel work units** — range/kNN/join queries fan out
-//!   one task per shard and recombine through the same deterministic
-//!   merge rules the parallel traversals use, so sharded results are
+//! * **Parallel insert writers** — `insert_batch` writes the shards a
+//!   batch touches on separate threads. Queries do not fan out per
+//!   shard: an index descent reads a sharded relation's trees one after
+//!   another on the calling thread, and scans and joins split *rows*
+//!   (not shards) across threads. Either way sharded results are
 //!   bitwise identical to unsharded execution (pinned by
 //!   `tests/shard_equivalence.rs`). One caveat: sharding preserves rows'
 //!   per-shard relative order but not a global *insertion* order, so the
@@ -22,8 +24,9 @@
 //!   pair.
 //!
 //! Queries see a sharded relation as its slice of stores
-//! ([`ShardedRelation::shards`]): the scan fan-out lives in
-//! [`crate::scan`], the index-side fan-out in `simq_index`.
+//! ([`ShardedRelation::shards`]): the scans over that slice are
+//! [`crate::scan`]'s `*_over` entry points, and the index side is one
+//! `simq_index::Descent` over the shards' trees.
 
 use crate::relation::{SeriesRelation, SeriesRow};
 use simq_index::{RTree, RTreeConfig};

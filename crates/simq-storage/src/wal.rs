@@ -93,7 +93,8 @@ fn encoded_len(rec: &WalRecord) -> usize {
 
 /// Appends `rec`'s encoding to `out`: the payload is written in place
 /// behind a reserved header, which is filled in once the payload's length
-/// and checksum are known.
+/// and checksum are known. The fields are laid out as `ByteWriter` would
+/// write them (the series as `put_series`), which `decode_record` reads.
 fn encode_into(rec: &WalRecord, out: &mut Vec<u8>) {
     let header = out.len();
     out.extend_from_slice(&[0; RECORD_HEADER]);
@@ -135,9 +136,7 @@ fn decode_record(bytes: &[u8]) -> Option<(WalRecord, usize)> {
     }
     let id = r.get_u64().ok()?;
     let name = r.get_str().ok()?;
-    let series_len = r.get_u32().ok()? as usize;
-    r.check_count(series_len, 8).ok()?;
-    let series = r.get_f64_vec(series_len).ok()?;
+    let series = r.get_series().ok()?;
     if r.remaining() != 0 {
         return None;
     }

@@ -532,6 +532,24 @@ fn warp_factor_above_the_series_length_is_refused_and_the_shell_keeps_answering(
 }
 
 #[test]
+fn moving_average_window_above_the_series_length_is_refused_and_the_next_statement_answers() {
+    // The window is checked before its kernel is allocated: a window of
+    // 10¹⁵ asked for 8 PB and aborted the process.
+    let (stdout, stderr, code) = run_cli(
+        &[
+            "--exec",
+            "FIND 2 NEAREST TO ROW 0 IN walks USING mavg(1000000000000000); \
+             FIND 3 NEAREST TO ROW 0 IN walks",
+        ],
+        "",
+    );
+    assert_eq!(code, 1, "{stdout}{stderr}");
+    let refused = "error: window 1000000000000000 invalid for series of length 128";
+    assert!(stdout.contains(refused), "{stdout}");
+    assert!(stdout.contains("3 hits:"), "{stdout}");
+}
+
+#[test]
 fn semicolon_insert_runs_as_one_grouped_batch() {
     let row = |k: usize| {
         (0..128)

@@ -245,7 +245,6 @@ fn theorem_2_counterexample() {
 /// coordinates, and the lowered map agrees with the spectral action.
 #[test]
 fn theorem_3_polar_safety() {
-    use similarity_queries::index::SpatialTransform;
     let scheme = FeatureScheme::new(3, Representation::Polar, false);
     let t = SeriesTransform::MovingAverage { window: 3 };
     let affine = t.lower(&scheme, 16).unwrap();
