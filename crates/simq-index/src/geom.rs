@@ -217,9 +217,14 @@ impl Rect {
         }
     }
 
-    /// Area increase needed to cover `other`.
+    /// Area increase needed to cover `other`: the area of the union minus
+    /// `self.area()`, bit for bit, without building the union.
     pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
+        debug_assert_eq!(self.dims(), other.dims());
+        let union_area: f64 = (0..self.dims())
+            .map(|d| self.hi[d].max(other.hi[d]) - self.lo[d].min(other.lo[d]))
+            .product();
+        union_area - self.area()
     }
 
     /// Area of the intersection with `other` under purely linear semantics

@@ -72,6 +72,18 @@ impl ByteWriter {
         self.buf
     }
 
+    /// Writes the bytes so far to `out` and empties the writer, which
+    /// keeps its buffer for what follows: a stream can be encoded piece
+    /// by piece without ever being held whole.
+    ///
+    /// # Errors
+    /// I/O errors from `out`.
+    pub fn drain_to(&mut self, out: &mut dyn std::io::Write) -> std::io::Result<()> {
+        out.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+
     /// Current length of the stream.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -133,7 +133,8 @@ pub struct Manifest {
     pub entries: Vec<ManifestEntry>,
 }
 
-fn manifest_to_bytes(m: &Manifest) -> Vec<u8> {
+/// Writes the manifest's logical stream to `out` (a page writer).
+fn encode_manifest(out: &mut dyn Write, m: &Manifest) -> io::Result<()> {
     let mut w = ByteWriter::new();
     w.put_bytes(MANIFEST_MAGIC);
     w.put_u32(MANIFEST_VERSION);
@@ -149,7 +150,7 @@ fn manifest_to_bytes(m: &Manifest) -> Vec<u8> {
             w.put_u64(*epoch);
         }
     }
-    pages::to_file_bytes(&w.into_bytes())
+    w.drain_to(out)
 }
 
 fn manifest_from_bytes(file: &[u8]) -> Result<Manifest, DurableError> {
@@ -573,9 +574,10 @@ impl DurableDir {
             let mut shard_epochs = Vec::with_capacity(src.shards.len());
             for (shard, (relation, index, dirty)) in src.shards.iter().enumerate() {
                 if *dirty || shape_changed {
-                    let bytes = snapshot::to_bytes(relation, *index);
-                    pages::write_atomic(&self.snap_path(file_id, shard, epoch), &bytes)?;
-                    bytes_written += bytes.len() as u64;
+                    bytes_written +=
+                        pages::write_atomic(&self.snap_path(file_id, shard, epoch), |out| {
+                            snapshot::encode(out, relation, *index)
+                        })?;
                     shard_epochs.push(epoch);
                     report.shards_written += 1;
                 } else {
@@ -604,7 +606,7 @@ impl DurableDir {
             // `write_atomic` fsyncs the manifest's parent directory after
             // the rename: only then is the new epoch a *durable* commit
             // point, and only then may step 3 delete the old files.
-            pages::write_atomic(&self.manifest_path(), &manifest_to_bytes(&manifest))?;
+            pages::write_atomic(&self.manifest_path(), |out| encode_manifest(out, &manifest))?;
             self.manifest = manifest;
         }
         {

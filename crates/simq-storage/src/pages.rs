@@ -23,9 +23,18 @@
 //! file length by `page_count` (trailing garbage is rejected). A single
 //! flipped byte anywhere therefore fails verification — the corruption
 //! property tests flip every position and expect an error.
+//!
+//! Files are written as the stream is produced, never built whole:
+//! `PageWriter` is an `io::Write` that checksums and writes each data page
+//! as its payload fills. The superblock goes last: its page is written as
+//! zeros first, and once the stream ends the writer seeks back to offset 0
+//! and writes the header there. A checkpoint or MANIFEST written through
+//! `write_atomic` therefore holds one page and one write buffer, not the
+//! image, and the in-memory images ([`to_file_bytes`],
+//! [`crate::snapshot::to_bytes`]) come from the same writer over a `Vec`.
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Cursor, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Fixed page size of the format.
@@ -95,30 +104,109 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Streams a logical byte stream into paged form: each data page is
+/// checksummed and written the moment its payload fills, so the writer
+/// holds one page, never the image. The superblock's page is written as
+/// zeros first and filled in by `finish`, which seeks back to offset 0
+/// once the stream length is known.
+pub(crate) struct PageWriter<W: Write + Seek> {
+    out: W,
+    /// The page being filled: its checksum slot, then the payload.
+    page: Vec<u8>,
+    /// Payload bytes in `page`.
+    fill: usize,
+    /// Stream bytes written so far.
+    stream_len: u64,
+}
+
+impl<W: Write + Seek> PageWriter<W> {
+    /// Starts a paged image at offset 0 of `out`.
+    fn new(mut out: W) -> io::Result<Self> {
+        out.write_all(&[0u8; PAGE_SIZE])?;
+        Ok(PageWriter {
+            out,
+            page: vec![0u8; PAGE_SIZE],
+            fill: 0,
+            stream_len: 0,
+        })
+    }
+
+    /// Checksums and writes the current page, its payload zero-padded.
+    fn emit(&mut self) -> io::Result<()> {
+        self.page[8 + self.fill..].fill(0);
+        let sum = checksum(&self.page[8..]);
+        self.page[..8].copy_from_slice(&sum.to_le_bytes());
+        self.out.write_all(&self.page)?;
+        self.fill = 0;
+        Ok(())
+    }
+
+    /// Writes the last, partly filled page and then the superblock, and
+    /// returns the output and the image's length in bytes.
+    fn finish(mut self) -> io::Result<(W, u64)> {
+        if self.fill > 0 {
+            self.emit()?;
+        }
+        let page_count = self.stream_len.div_ceil(PAGE_PAYLOAD as u64) + 1;
+        let mut header = [0u8; HEADER_LEN + 8];
+        header[..8].copy_from_slice(MAGIC);
+        header[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        header[12..16].copy_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
+        header[16..24].copy_from_slice(&page_count.to_le_bytes());
+        header[24..32].copy_from_slice(&self.stream_len.to_le_bytes());
+        let header_sum = checksum(&header[..HEADER_LEN]);
+        header[HEADER_LEN..].copy_from_slice(&header_sum.to_le_bytes());
+        self.out.seek(SeekFrom::Start(0))?;
+        self.out.write_all(&header)?;
+        Ok((self.out, page_count * PAGE_SIZE as u64))
+    }
+}
+
+impl<W: Write + Seek> Write for PageWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_all(buf)?;
+        Ok(buf.len())
+    }
+
+    fn write_all(&mut self, mut buf: &[u8]) -> io::Result<()> {
+        while !buf.is_empty() {
+            let take = (PAGE_PAYLOAD - self.fill).min(buf.len());
+            self.page[8 + self.fill..8 + self.fill + take].copy_from_slice(&buf[..take]);
+            self.fill += take;
+            self.stream_len += take as u64;
+            buf = &buf[take..];
+            if self.fill == PAGE_PAYLOAD {
+                self.emit()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
+/// Writes to `out` the paged image of the stream `write` produces.
+/// Returns the output and the image's length in bytes.
+fn paged<W: Write + Seek>(
+    out: W,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<(W, u64)> {
+    let mut pages = PageWriter::new(out)?;
+    write(&mut pages)?;
+    pages.finish()
+}
+
+/// The paged image of the stream `write` produces, in memory.
+pub(crate) fn image(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> Vec<u8> {
+    let (out, _) = paged(Cursor::new(Vec::new()), write).expect("writing to memory cannot fail");
+    out.into_inner()
+}
+
 /// Wraps a logical byte stream into a paged file image.
 pub fn to_file_bytes(stream: &[u8]) -> Vec<u8> {
-    let data_pages = stream.len().div_ceil(PAGE_PAYLOAD);
-    let page_count = (data_pages + 1) as u64;
-    let mut out = Vec::with_capacity(page_count as usize * PAGE_SIZE);
-
-    // Superblock.
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
-    out.extend_from_slice(&page_count.to_le_bytes());
-    out.extend_from_slice(&(stream.len() as u64).to_le_bytes());
-    let header_sum = checksum(&out[..HEADER_LEN]);
-    out.extend_from_slice(&header_sum.to_le_bytes());
-    out.resize(PAGE_SIZE, 0);
-
-    // Data pages.
-    for chunk in stream.chunks(PAGE_PAYLOAD) {
-        let mut payload = [0u8; PAGE_PAYLOAD];
-        payload[..chunk.len()].copy_from_slice(chunk);
-        out.extend_from_slice(&checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-    }
-    out
+    image(|pages| pages.write_all(stream))
 }
 
 /// Verifies a paged file image and returns the logical byte stream.
@@ -220,42 +308,41 @@ pub(crate) fn fsync_parent_dir(path: &Path) -> io::Result<()> {
     }
 }
 
-/// Writes `bytes` to `path` atomically and durably: the data goes to a
-/// temporary file in the same directory which is fsynced, renamed over the
-/// target, and sealed with a parent-directory fsync — so a crash or full
-/// disk mid-write never destroys an existing good file, and once this
-/// returns the rename itself survives power loss (the parent fsync is what
-/// makes the rename a commit point, not just an in-cache state).
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Writes the paged image of the stream `write` produces to `path`,
+/// atomically and durably, and returns the image's length in bytes.
+///
+/// Pages go through a buffer to a temporary file in the same directory
+/// as they fill; the file is fsynced, renamed over the target, and sealed
+/// with a parent-directory fsync. So a crash or full disk mid-write never
+/// destroys an existing good file (a failed write removes the temporary
+/// file), and once this returns the rename itself survives power loss
+/// (the parent fsync is what makes the rename a commit point, not just an
+/// in-cache state).
+pub(crate) fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<u64> {
     let mut tmp_name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
         .to_os_string();
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);
-    let write_synced = || -> io::Result<()> {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
+    let write_synced = || -> io::Result<u64> {
+        let (file, len) = paged(BufWriter::new(File::create(&tmp)?), write)?;
         // Flush the temp file's *contents* before the rename: rename must
         // never expose a file whose data could still be lost.
-        file.sync_all()
+        file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        Ok(len)
     };
-    write_synced().inspect_err(|_| {
+    let len = write_synced().inspect_err(|_| {
         fs::remove_file(&tmp).ok();
     })?;
     fs::rename(&tmp, path).inspect_err(|_| {
         fs::remove_file(&tmp).ok();
     })?;
-    fsync_parent_dir(path)
-}
-
-/// Writes a logical stream to a paged file (atomically, via a temp-file
-/// rename: an existing file at `path` survives a failed write intact).
-///
-/// # Errors
-/// I/O errors from the filesystem.
-pub fn write_file(path: impl AsRef<Path>, stream: &[u8]) -> io::Result<()> {
-    write_atomic(path.as_ref(), &to_file_bytes(stream))
+    fsync_parent_dir(path)?;
+    Ok(len)
 }
 
 /// Reads and verifies a paged file, returning the logical stream.
@@ -321,12 +408,41 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("simq-pages-test");
+        let dir = std::env::temp_dir().join(format!("simq-pages-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pages.bin");
         let stream = sample_stream(10_000);
-        write_file(&path, &stream).unwrap();
+        let len = write_atomic(&path, |pages| {
+            // Uneven pieces, so writes straddle page boundaries.
+            stream
+                .chunks(1_000)
+                .try_for_each(|piece| pages.write_all(piece))
+        })
+        .unwrap();
+        let file = std::fs::read(&path).unwrap();
+        assert_eq!(file, to_file_bytes(&stream));
+        assert_eq!(len, file.len() as u64);
         assert_eq!(read_file(&path).unwrap(), stream);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A write that fails part-way leaves no temporary file, and the file
+    /// already at the path is untouched.
+    #[test]
+    fn failed_write_removes_the_temporary_file() {
+        let dir = std::env::temp_dir().join(format!("simq-pages-fail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pages.bin");
+        let old = to_file_bytes(&sample_stream(100));
+        std::fs::write(&path, &old).unwrap();
+        let err = write_atomic(&path, |pages| {
+            pages.write_all(&sample_stream(3 * PAGE_PAYLOAD))?;
+            Err(io::Error::other("injected failure"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "injected failure");
+        assert!(!dir.join("pages.bin.tmp").exists());
+        assert_eq!(std::fs::read(&path).unwrap(), old);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,11 +11,13 @@
 //! The image is one logical byte stream (little-endian, exact `f64` bit
 //! patterns) — magic, format version 2, an entry count that is always 1,
 //! then the relation — wrapped into the checksummed fixed-size pages of
-//! [`crate::pages`]. Decoding is defensive end-to-end: any flipped byte is
-//! caught by a page checksum, and a structurally inconsistent image
-//! (wrong spectrum lengths, duplicate row ids, an index whose space or
-//! items disagree with its relation, an entry count other than 1)
-//! produces a [`SnapshotError`], never a panic.
+//! [`crate::pages`]. A checkpoint streams it: rows are encoded one by one
+//! into the page writer, so writing a shard holds a page, a row and the
+//! tree's blob, not the image. Decoding is defensive end-to-end: any
+//! flipped byte is caught by a page checksum, and a structurally
+//! inconsistent image (wrong spectrum lengths, duplicate row ids, an
+//! index whose space or items disagree with its relation, an entry count
+//! other than 1) produces a [`SnapshotError`], never a panic.
 //!
 //! The v2 text format of [`crate::persist`] remains the human-readable
 //! import/export path.
@@ -28,7 +30,7 @@ use simq_index::RTree;
 use simq_series::features::{FeatureScheme, Representation, SeriesFeatures};
 use std::collections::HashSet;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"SIMQSNAP";
@@ -91,21 +93,35 @@ pub struct SnapshotRelation {
 /// Encodes one relation and its optional index into a paged checkpoint
 /// image.
 pub fn to_bytes(relation: &SeriesRelation, index: Option<&RTree>) -> Vec<u8> {
+    pages::image(|out| encode(out, relation, index))
+}
+
+/// Writes the logical stream of one relation's checkpoint image to `out`
+/// (a page writer) row by row: besides what `out` buffers, it holds one
+/// row's bytes and the tree's blob, never the image.
+pub(crate) fn encode(
+    out: &mut dyn Write,
+    relation: &SeriesRelation,
+    index: Option<&RTree>,
+) -> io::Result<()> {
     let mut w = ByteWriter::new();
     w.put_bytes(MAGIC);
     w.put_u32(VERSION);
     w.put_u32(1);
-    encode_relation(relation, &mut w);
+    encode_relation(relation, &mut w, out)?;
     match index {
         Some(tree) => {
             w.put_u8(1);
             let blob = serial::to_bytes(tree);
             w.put_u32(blob.len() as u32);
-            w.put_bytes(&blob);
+            w.drain_to(out)?;
+            out.write_all(&blob)
         }
-        None => w.put_u8(0),
+        None => {
+            w.put_u8(0);
+            w.drain_to(out)
+        }
     }
-    pages::to_file_bytes(&w.into_bytes())
 }
 
 /// Decodes a paged checkpoint image.
@@ -159,7 +175,12 @@ pub fn load(path: impl AsRef<Path>) -> Result<SnapshotRelation, SnapshotError> {
     from_bytes(&fs::read(path)?)
 }
 
-fn encode_relation(relation: &SeriesRelation, w: &mut ByteWriter) {
+/// Encodes the relation through `w`, draining it to `out` after each row.
+fn encode_relation(
+    relation: &SeriesRelation,
+    w: &mut ByteWriter,
+    out: &mut dyn Write,
+) -> io::Result<()> {
     let scheme = relation.scheme();
     w.put_str(relation.name());
     w.put_u64(relation.series_len() as u64);
@@ -187,7 +208,9 @@ fn encode_relation(relation: &SeriesRelation, w: &mut ByteWriter) {
             w.put_f64(c.re);
             w.put_f64(c.im);
         }
+        w.drain_to(out)?;
     }
+    Ok(())
 }
 
 fn decode_relation(r: &mut ByteReader<'_>) -> Result<SeriesRelation, SnapshotError> {
