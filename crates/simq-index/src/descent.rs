@@ -1,14 +1,27 @@
-//! The one traversal of the index: a best-first descent over a forest of
-//! trees (one per relation shard; a single tree is a forest of one) that
-//! answers both of the paper's query forms.
+//! The one traversal of both access paths: a best-first descent over one
+//! of two sources, steered by one [`Stage`], that answers both of the
+//! paper's query forms.
 //!
-//! "As we go down the tree, we apply T to all entries of the node we
-//! visit" — for a range query (Algorithm 2) and a nearest-neighbour query
-//! alike. Hjaltason & Samet's distance browsing (TODS 1999) casts both as
-//! a best-first descent that differs in its *bound*. Here the two bounds
-//! share one type: its roots (a frontier that starts with every tree's),
-//! its entry keys ([`Stage`] applied to each transformed rectangle), its
-//! per-tree counters and its pull interface. Each bound has its own loop:
+//! * **The index**: a forest of trees (one per relation shard; a single
+//!   tree is a forest of one). "As we go down the tree, we apply T to all
+//!   entries of the node we visit": entries are moved by the
+//!   transformation and keyed by the stage's entry test or key.
+//! * **A flat source** (the sequential scan): the positions of each
+//!   store's rows in scan order, in leaves: a whole store under a fixed
+//!   bound, which heaps nothing, and runs of at most the trees' default
+//!   node capacity under the `k`-th best. It has no rectangles, so no
+//!   entry test and no transformation: every row is read, keyed by the
+//!   stage's row bound (0 where the stage has none), and counted only as a
+//!   row read ([`SearchStats::rows_scanned`]), never as a node, a leaf or
+//!   an entry. The stage gets each row as its place ([`RowRef::At`]),
+//!   reads it there without an id lookup, and names the id
+//!   ([`Stage::id_at`]) only of rows the descent yields.
+//!
+//! Hjaltason & Samet's distance browsing (TODS 1999) casts both query
+//! forms as a best-first descent that differs in its *bound*. Here the two
+//! bounds share one type: its roots (a frontier that starts with every
+//! tree's root, or with the flat source's leaves), its keys, its per-store
+//! counters and its pull interface. Each bound has its own loop:
 //!
 //! * **A fixed bound** (range, [`Descent::within`]): the stage's entry test
 //!   alone prunes, keeping a subtree or row whose transformed rectangle
@@ -19,7 +32,8 @@
 //!   the subtree is read first. The frontier holds only the roots, all at
 //!   one key, so it hands out the trees in shard order and shards are
 //!   entered one after another. Like the recursion, it reads an empty
-//!   tree's root.
+//!   tree's root. Over a flat source every row is refined, store after
+//!   store in scan order: a range scan.
 //! * **The live `k`-th best** (kNN, [`Descent::nearest`]). A node is read
 //!   whole: entries are keyed by a lower bound and pruned above the `k`-th
 //!   best distance refined so far. A leaf's kept rows wait in a run whose
@@ -31,24 +45,41 @@
 //!   distance is refined. A refined row is yielded once its distance is
 //!   strictly below the next frontier key, when nothing unread can precede
 //!   it, so rows come out in final `(distance, id)` order and the descent
-//!   stops after `k` of them. Empty trees are not entered.
+//!   stops after `k` of them. Empty trees are not entered. A flat source's
+//!   leaves would all key 0, so they are read when the descent is made and
+//!   only their runs are heaped: rows are refined in row-bound order, the
+//!   optimal multi-step search over a flat list, rows of one key in scan
+//!   order (`(key, position)` where a tree's leaf has `(key, id)`).
 //!
 //! Keys depend only on an entry's (transformed) rectangle or on its row,
-//! so the answer is the same however the rows are split into trees.
+//! so the answer is the same however the rows are split into trees or
+//! stores, and whichever source holds them.
 //!
 //! The descent is pull-based: materialized execution drains it, a cursor
 //! pauses it between pulls, and dropping it abandons what was not read.
-//! Work is counted per tree as it happens, so a paused descent reports
-//! only the nodes it opened, the entries it tested and the rows it refined.
+//! Work is counted per tree or store as it happens, so a paused descent
+//! reports only the nodes it opened, the entries it tested and the rows it
+//! read and refined.
 
 use crate::geom::{Rect, Space};
 use crate::knn::{cmp_distance_id, LocalKth, Neighbor, Ranked};
-use crate::rstar::{Entry, RTree};
+use crate::rstar::{Entry, RTree, RTreeConfig};
 use crate::search::{ForestStats, SearchStats};
 use crate::transform::DiagonalAffine;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
+
+/// A row as a descent hands it to its stage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowRef {
+    /// A tree's row: its id, all a leaf entry holds.
+    Id(u64),
+    /// A flat source's row: its place, `(store, position)`, where the
+    /// stage reads it without a lookup.
+    At(usize, usize),
+}
 
 /// What a descent does at the entries and rows it reaches.
 pub trait Stage {
@@ -59,23 +90,41 @@ pub trait Stage {
     /// entry whose key exceeds the bound is pruned too.
     fn key(&self, space: &Space, rect: &Rect) -> Option<f64>;
 
-    /// The row bound: a lower bound on row `id`'s distance, from data the
+    /// The row bound: a lower bound on `row`'s distance, from data the
     /// index does not hold, that keys the row in place of
     /// [`Stage::key`] of its rectangle. `None`, the default, keys rows like
     /// nodes.
-    fn row_bound(&self, _id: u64) -> Option<f64> {
+    fn row_bound(&self, _row: RowRef) -> Option<f64> {
         None
     }
 
-    /// Refines row `id`, kept at key `key` while the descent's bound is
+    /// Refines `row`, kept at key `key` while the descent's bound is
     /// `bound` (the live `k`-th best; infinite under a fixed bound): its
     /// distance, or `None` when it is no answer. Under a `k`-th-best bound
     /// it must never drop a row whose distance is `<= bound`. Reports its
     /// own work in `stats`
     /// ([`SearchStats::refine_work`], [`SearchStats::filtered_out`]). The
     /// default accepts every row at its key: the index alone decides.
-    fn refine(&self, _id: u64, key: f64, _bound: f64, _stats: &mut SearchStats) -> Option<f64> {
+    fn refine(&self, _row: RowRef, key: f64, _bound: f64, _stats: &mut SearchStats) -> Option<f64> {
         Some(key)
+    }
+
+    /// Keys the rows at positions `rows` of a flat source's store `store`
+    /// by [`Stage::row_bound`] (0 where it has none), appending `(key,
+    /// position)` to `out`: a flat leaf is keyed at once, so a stage can
+    /// find the store's data once per leaf instead of once per row.
+    fn row_bounds(&self, store: usize, rows: Range<usize>, out: &mut Vec<(f64, u64)>) {
+        out.extend(rows.map(|pos| {
+            let key = self.row_bound(RowRef::At(store, pos));
+            (key.unwrap_or(0.0), pos as u64)
+        }));
+    }
+
+    /// The id of the row at `pos` of a flat source's store `store`, asked
+    /// only of rows a flat descent yields. A stage that never runs over a
+    /// flat source keeps the default, which panics.
+    fn id_at(&self, store: usize, pos: usize) -> u64 {
+        panic!("a stage over a flat source must name its rows ({store}, {pos})")
     }
 }
 
@@ -99,28 +148,42 @@ impl Bound {
 /// A span `lo..hi` of the descent's row arena.
 type Run = (usize, usize);
 
+/// Where a descent's rows come from.
+enum Source<'t> {
+    /// One R*-tree per shard.
+    Trees(&'t [RTree]),
+    /// The positions of each store's rows, in scan order: under a fixed
+    /// bound a store is one leaf, read straight through; under the `k`-th
+    /// best it is cut into leaves of at most the trees' default node
+    /// capacity, so a leaf's run, which `push_head` scans, is as short as a
+    /// tree leaf's.
+    Flat(Vec<Range<usize>>),
+}
+
 /// Where a frontier element points. Rows order below nodes, so at equal
 /// keys results surface as early as possible. A row is the smallest
-/// `(key, id)` of its leaf's kept rows, the rest of which wait off the
+/// `(key, row)` of its leaf's kept rows, the rest of which wait off the
 /// heap in `run`: it pops exactly when a heap of every row would pop it.
-/// `(shard, id)` is unique; `run` never decides.
+/// `row` is a tree row's id, or a flat row's position in its store, so a
+/// flat source breaks key ties in scan order. `(shard, row)` is unique;
+/// `run` never decides. A node of a flat source is one of its stores.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum At {
-    Row { shard: usize, id: u64, run: Run },
+    Row { shard: usize, row: u64, run: Run },
     Node { shard: usize, idx: usize },
 }
 
-/// A best-first descent over a forest of trees (see the
+/// A best-first descent over a forest of trees or a flat source (see the
 /// [module docs](self)): an iterator of [`Neighbor`]s, each a row and the
 /// distance its stage refined it to.
 ///
-/// Entries are moved by the index's one transformation type,
-/// [`DiagonalAffine`], or by none. The descent owns its stage and either
-/// owns its transformation (the engine's cursors keep it) or borrows it
-/// for as long as it borrows the trees, so a paused one can be kept
-/// wherever the trees live.
+/// Tree entries are moved by the index's one transformation type,
+/// [`DiagonalAffine`], or by none. The descent owns its stage and its flat
+/// source, and either owns its transformation (the engine's cursors keep
+/// it) or borrows it for as long as it borrows the trees, so a paused one
+/// can be kept wherever the trees live.
 pub struct Descent<'t, S> {
-    trees: &'t [RTree],
+    source: Source<'t>,
     transform: Option<Cow<'t, DiagonalAffine>>,
     stage: S,
     bound: Bound,
@@ -128,10 +191,10 @@ pub struct Descent<'t, S> {
     /// and run head, still to read.
     frontier: BinaryHeap<Reverse<Ranked<At>>>,
     /// Under a fixed bound: the nodes being read, `(shard, node, next
-    /// entry)`, from a root down to the innermost.
+    /// entry)`, from a root down to the innermost (one store at most).
     open: Vec<(usize, usize, usize)>,
-    /// Under a `k`-th-best bound: the kept rows of opened leaves,
-    /// `(key, id)`.
+    /// Under a `k`-th-best bound: the kept rows of opened leaves, `(key,
+    /// row)` as in [`At::Row`].
     rows: Vec<(f64, u64)>,
     /// Under a `k`-th-best bound: refined rows the frontier may still
     /// undercut, `(distance, id)`.
@@ -140,6 +203,7 @@ pub struct Descent<'t, S> {
     left: usize,
     /// Transformed MBRs are written here: no allocation per entry.
     scratch: Rect,
+    /// One entry per tree or store.
     per_shard: Vec<SearchStats>,
 }
 
@@ -154,7 +218,8 @@ impl<'t, S: Stage> Descent<'t, S> {
         transform: Option<Cow<'t, DiagonalAffine>>,
         stage: S,
     ) -> Self {
-        Self::new(trees, transform, stage, Bound::Fixed, usize::MAX)
+        let source = Source::Trees(trees);
+        Self::new(source, transform, stage, Bound::Fixed, usize::MAX)
     }
 
     /// A `k`-nearest descent: the `k` rows with the smallest refined
@@ -168,45 +233,101 @@ impl<'t, S: Stage> Descent<'t, S> {
         stage: S,
         k: usize,
     ) -> Self {
-        Self::new(trees, transform, stage, Bound::Kth(LocalKth::new(k)), k)
+        let bound = Bound::Kth(LocalKth::new(k));
+        Self::new(Source::Trees(trees), transform, stage, bound, k)
+    }
+
+    /// A range descent over a flat source, `stores` holding the positions
+    /// of each store's rows to read, in scan order: every row refined,
+    /// store after store.
+    pub fn within_flat(stores: Vec<Range<usize>>, stage: S) -> Self {
+        Self::new(Source::Flat(stores), None, stage, Bound::Fixed, usize::MAX)
+    }
+
+    /// A `k`-nearest descent over a flat source, `stores` as in
+    /// [`Descent::within_flat`]: every row is keyed here, then rows are
+    /// refined in row-bound order and the `k` nearest yielded in
+    /// `(distance, id)` order.
+    pub fn nearest_flat(stores: Vec<Range<usize>>, stage: S, k: usize) -> Self {
+        let bound = Bound::Kth(LocalKth::new(k));
+        Self::new(Source::Flat(stores), None, stage, bound, k)
     }
 
     fn new(
-        trees: &'t [RTree],
+        source: Source<'t>,
         transform: Option<Cow<'t, DiagonalAffine>>,
         stage: S,
         bound: Bound,
         left: usize,
     ) -> Self {
-        if let Some(t) = &transform {
-            for tree in trees {
-                assert_eq!(t.dims(), tree.dims(), "transform dimensionality mismatch");
-            }
-        }
         let fixed = matches!(bound, Bound::Fixed);
-        let roots = trees
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| fixed || !t.is_empty());
-        let root = |(shard, tree): (usize, &RTree)| {
-            let what = At::Node {
-                shard,
-                idx: tree.root,
-            };
+        let root = |(shard, idx)| {
+            let what = At::Node { shard, idx };
             Reverse(Ranked { key: 0.0, what })
         };
-        Descent {
-            trees,
-            scratch: Rect::point(&vec![0.0; trees.first().map_or(0, RTree::dims)]),
+        let (frontier, dims, shards) = match &source {
+            Source::Trees(trees) => {
+                if let Some(t) = &transform {
+                    for tree in *trees {
+                        assert_eq!(t.dims(), tree.dims(), "transform dimensionality mismatch");
+                    }
+                }
+                let roots = trees.iter().enumerate();
+                let roots = roots.filter(|(_, t)| fixed || !t.is_empty());
+                let roots = roots.map(|(s, t)| root((s, t.root)));
+                let dims = trees.first().map_or(0, RTree::dims);
+                (roots.collect(), dims, trees.len())
+            }
+            // A range scan reads each store as its one leaf. Under the k-th
+            // best every leaf keys 0 and is read before any row: the leaves
+            // are read at once below, and only their runs' heads are heaped.
+            Source::Flat(stores) => {
+                let leaves = stores.iter().enumerate();
+                let leaves = leaves.filter(|(_, rows)| fixed && !rows.is_empty());
+                (leaves.map(|(s, _)| root((s, 0))).collect(), 0, stores.len())
+            }
+        };
+        let mut descent = Descent {
+            source,
+            scratch: Rect::point(&vec![0.0; dims]),
             transform,
             stage,
             bound,
-            frontier: roots.map(root).collect(),
+            frontier,
             open: Vec::new(),
             rows: Vec::new(),
             ready: BinaryHeap::new(),
             left,
-            per_shard: vec![SearchStats::default(); trees.len()],
+            per_shard: vec![SearchStats::default(); shards],
+        };
+        if !fixed {
+            descent.read_flat();
+        }
+        descent
+    }
+
+    /// Reads every leaf of a flat source under a `k`-th-best bound, as the
+    /// descent is made: each row goes into its leaf's run, keyed by its row
+    /// bound, and each run's head onto the frontier. Nothing is refined
+    /// yet, so the bound is infinite and no row is pruned.
+    fn read_flat(&mut self) {
+        let Source::Flat(stores) = &self.source else {
+            return;
+        };
+        let leaf = RTreeConfig::default().max_entries;
+        let (stage, arena) = (&self.stage, &mut self.rows);
+        arena.reserve(stores.iter().map(ExactSizeIterator::len).sum());
+        let mut runs = Vec::new();
+        for (shard, rows) in stores.iter().enumerate() {
+            self.per_shard[shard].rows_scanned += rows.len() as u64;
+            for lo in rows.clone().step_by(leaf) {
+                let start = arena.len();
+                stage.row_bounds(shard, lo..rows.end.min(lo + leaf), arena);
+                runs.push((shard, (start, arena.len())));
+            }
+        }
+        for (shard, run) in runs {
+            self.push_head(shard, run);
         }
     }
 
@@ -226,7 +347,11 @@ impl<'t, S: Stage> Descent<'t, S> {
     /// every entry its stage keeps goes onto the frontier (subtrees) or
     /// into a run of the arena (rows), which it returns.
     fn expand(&mut self, shard: usize, idx: usize) -> Run {
-        let (tree, bound) = (&self.trees[shard], self.bound.now());
+        let bound = self.bound.now();
+        let Source::Trees(trees) = &self.source else {
+            unreachable!("a flat source's leaves are read as the descent is made");
+        };
+        let tree = &trees[shard];
         let entries = &tree.nodes[idx].entries;
         self.per_shard[shard].entries_tested += entries.len() as u64;
         let start = self.rows.len();
@@ -250,12 +375,13 @@ impl<'t, S: Stage> Descent<'t, S> {
     /// Reads on along the open path, under a fixed bound: the next row
     /// its stage keeps and refine accepts, or `None` once the path has
     /// closed. A kept subtree opens at once and is read before the rest of
-    /// its node; a node read to its end closes. Kept out of line: inlined
+    /// its node; a node read to its end closes. A flat store has no entry
+    /// test: each of its rows is read and refined. Kept out of line: inlined
     /// into `next` it slowed the `k`-th-best loop there by 2–4 %.
     #[inline(never)]
     fn read(&mut self) -> Option<Neighbor> {
         let Descent {
-            trees,
+            source,
             transform,
             stage,
             bound,
@@ -265,6 +391,30 @@ impl<'t, S: Stage> Descent<'t, S> {
             ..
         } = self;
         let (bound, transform) = (bound.now(), transform.as_deref());
+        let trees = match source {
+            Source::Trees(trees) => *trees,
+            Source::Flat(stores) => {
+                let (shard, _, next) = open.pop()?;
+                let (rows, stats) = (&stores[shard], &mut per_shard[shard]);
+                let mut unread = rows.start + next..rows.end;
+                let found = unread.find_map(|pos| {
+                    let row = RowRef::At(shard, pos);
+                    let key = stage.row_bound(row).unwrap_or(0.0);
+                    let dist_sq = stage.refine(row, key, bound, stats)?;
+                    Some(Neighbor {
+                        id: stage.id_at(shard, pos),
+                        dist_sq,
+                    })
+                });
+                let read_to = rows.len() - unread.len();
+                stats.rows_scanned += (read_to - next) as u64;
+                stats.candidates += (read_to - next) as u64;
+                if found.is_some() && !unread.is_empty() {
+                    open.push((shard, 0, read_to));
+                }
+                return found;
+            }
+        };
         while let Some(&(shard, idx, next)) = open.last() {
             let (tree, stats) = (&trees[shard], &mut per_shard[shard]);
             let entries = &tree.nodes[idx].entries;
@@ -280,7 +430,7 @@ impl<'t, S: Stage> Descent<'t, S> {
                 match e {
                     Entry::Item { id, .. } => {
                         stats.candidates += 1;
-                        if let Some(dist_sq) = stage.refine(*id, key, bound, stats) {
+                        if let Some(dist_sq) = stage.refine(RowRef::Id(*id), key, bound, stats) {
                             break Some(Neighbor { id: *id, dist_sq });
                         }
                     }
@@ -309,7 +459,7 @@ impl<'t, S: Stage> Descent<'t, S> {
         None
     }
 
-    /// Heaps the smallest `(key, id)` of a run, swapped to its front, if
+    /// Heaps the smallest `(key, row)` of a run, swapped to its front, if
     /// its key is within the bound. A head dropped here could only have
     /// been pruned: the rest of its run is no nearer, and the bound never
     /// grows.
@@ -325,17 +475,19 @@ impl<'t, S: Stage> Descent<'t, S> {
             }
         }
         run.swap(0, first);
-        let ((key, id), run) = (min, (lo + 1, hi));
+        let ((key, row), run) = (min, (lo + 1, hi));
         if key <= self.bound.now() {
-            let what = At::Row { shard, id, run };
+            let what = At::Row { shard, row, run };
             self.frontier.push(Reverse(Ranked { key, what }));
         }
     }
 }
 
 /// The stage's key for entry `e` of a tree over `space`, or `None` when
-/// the stage prunes it or the key exceeds `bound`.
-#[inline]
+/// the stage prunes it or the key exceeds `bound`. Always inlined: left to
+/// itself the compiler kept it out of line once a stage's row bound grew,
+/// a call per entry that cost an indexed kNN 3–4 %.
+#[inline(always)]
 fn entry_key<S: Stage>(
     stage: &S,
     transform: Option<&DiagonalAffine>,
@@ -345,7 +497,7 @@ fn entry_key<S: Stage>(
     e: &Entry,
 ) -> Option<f64> {
     let row = match e {
-        Entry::Item { id, .. } => stage.row_bound(*id),
+        Entry::Item { id, .. } => stage.row_bound(RowRef::Id(*id)),
         Entry::Child { .. } => None,
     };
     // A plain match: `Option::or_else` with this closure was not inlined.
@@ -393,21 +545,33 @@ impl<S: Stage> Iterator for Descent<'_, S> {
             // at or below it and are yielded first.
             let Reverse(top) = self.frontier.pop()?;
             match top.what {
-                At::Row { shard, id, run } => {
+                At::Row { shard, row, run } => {
                     let stats = &mut self.per_shard[shard];
                     stats.candidates += 1;
                     let kth = self.bound.now();
-                    if let Some(d) = self.stage.refine(id, top.key, kth, stats) {
+                    let flat = matches!(self.source, Source::Flat(_));
+                    let at = if flat {
+                        RowRef::At(shard, row as usize)
+                    } else {
+                        RowRef::Id(row)
+                    };
+                    if let Some(d) = self.stage.refine(at, top.key, kth, stats) {
                         if let Bound::Kth(kth) = &mut self.bound {
                             kth.offer(d);
                         }
+                        let id = if flat {
+                            self.stage.id_at(shard, row as usize)
+                        } else {
+                            row
+                        };
                         self.ready.push(Reverse(Ranked { key: d, what: id }));
                     }
                     self.push_head(shard, run);
                 }
                 At::Node { shard, idx } => {
-                    let level = self.trees[shard].nodes[idx].level;
-                    self.per_shard[shard].count_node(level);
+                    if let Source::Trees(trees) = &self.source {
+                        self.per_shard[shard].count_node(trees[shard].nodes[idx].level);
+                    }
                     if let Bound::Fixed = self.bound {
                         self.open.push((shard, idx, 0));
                     } else {
@@ -424,10 +588,10 @@ impl<S: Stage> Iterator for Descent<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rstar::RTreeConfig;
     use crate::search::Window;
     use std::cell::RefCell;
     use std::collections::HashMap;
+    use std::ops::Range;
 
     /// Item `id` at `points[id]`, split id-mod-`shards` into trees of at
     /// most four entries a node, bulk-loaded or inserted one by one.
@@ -451,14 +615,128 @@ mod tests {
             .collect()
     }
 
+    /// Where a case's rows live: a [`forest`], or the same id-mod-`shards`
+    /// split as a flat source's stores, each the ids at its positions.
+    enum Rows {
+        Trees(Vec<RTree>),
+        Flat(Vec<Vec<u64>>),
+    }
+
+    /// Every position of each store.
+    fn whole(stores: &[Vec<u64>]) -> Vec<Range<usize>> {
+        stores.iter().map(|ids| 0..ids.len()).collect()
+    }
+
+    impl Rows {
+        /// `source` 0 and 1 build the forest incrementally and bulk-loaded,
+        /// 2 the flat stores.
+        fn new(points: &[[f64; 2]], shards: usize, source: u8) -> Self {
+            if source < 2 {
+                return Rows::Trees(forest(points, shards, source == 1));
+            }
+            let ids = |s| (s..points.len()).step_by(shards).map(|id| id as u64);
+            Rows::Flat((0..shards).map(|s| ids(s).collect()).collect())
+        }
+
+        /// A range descent over the trees or stores `part`; trees move
+        /// their entries by `affine`.
+        fn within<'t, S: Stage>(
+            &'t self,
+            part: Range<usize>,
+            affine: &'t DiagonalAffine,
+            stage: S,
+        ) -> Descent<'t, S> {
+            match self {
+                Rows::Trees(trees) => {
+                    Descent::within(&trees[part], Some(Cow::Borrowed(affine)), stage)
+                }
+                Rows::Flat(stores) => Descent::within_flat(whole(&stores[part]), stage),
+            }
+        }
+
+        /// A `k`-nearest descent over every tree or store.
+        fn nearest<'t, S: Stage>(
+            &'t self,
+            affine: &'t DiagonalAffine,
+            stage: S,
+            k: usize,
+        ) -> Descent<'t, S> {
+            match self {
+                Rows::Trees(trees) => {
+                    Descent::nearest(trees, Some(Cow::Borrowed(affine)), stage, k)
+                }
+                Rows::Flat(stores) => Descent::nearest_flat(whole(stores), stage, k),
+            }
+        }
+
+        /// Each row's leaf, `(shard, node)`; a flat leaf is numbered within
+        /// its store.
+        fn leaves(&self) -> HashMap<u64, (usize, usize)> {
+            let mut leaf = HashMap::new();
+            match self {
+                Rows::Trees(trees) => {
+                    for (shard, tree) in trees.iter().enumerate() {
+                        for (idx, node) in tree.nodes.iter().enumerate() {
+                            for e in &node.entries {
+                                if let Entry::Item { id, .. } = e {
+                                    leaf.insert(*id, (shard, idx));
+                                }
+                            }
+                        }
+                    }
+                }
+                Rows::Flat(stores) => {
+                    let capacity = RTreeConfig::default().max_entries;
+                    for (shard, ids) in stores.iter().enumerate() {
+                        for (at, id) in ids.iter().enumerate() {
+                            leaf.insert(*id, (shard, at / capacity));
+                        }
+                    }
+                }
+            }
+            leaf
+        }
+    }
+
+    /// The range stage of both sources: the window's entry test, and a
+    /// refine that tests a flat row's moved point, read at its place in
+    /// `flat` (each store's ids by position), since a flat source has no
+    /// rectangle to test. A tree's rows are accepted at their key, as
+    /// [`Window`] does, so the entry test alone must match brute force.
+    struct InWindow<'a> {
+        window: &'a Rect,
+        moved: &'a [Vec<f64>],
+        flat: Option<&'a [Vec<u64>]>,
+    }
+
+    impl Stage for InWindow<'_> {
+        fn key(&self, space: &Space, rect: &Rect) -> Option<f64> {
+            Window(self.window).key(space, rect)
+        }
+        fn refine(&self, row: RowRef, key: f64, _: f64, _: &mut SearchStats) -> Option<f64> {
+            let RowRef::At(store, pos) = row else {
+                return Some(key);
+            };
+            let id = self.id_at(store, pos);
+            self.window
+                .contains_linear(&self.moved[id as usize])
+                .then_some(key)
+        }
+        fn id_at(&self, store: usize, pos: usize) -> u64 {
+            self.flat.expect("a flat descent's stage names its rows")[store][pos]
+        }
+    }
+
     /// A kNN stage over transformed integer points: a rectangle is keyed
     /// by its MINDIST to `q` (a row's by its point's distance, read from
-    /// the row when `rows`), and a row is refined to that plus a hidden
-    /// `id % hide`, so bound order and answer order differ and ties abound.
-    /// Every refine call's `(key, id)` is logged.
+    /// the row when `rows`; a flat row is found at its place in `flat`),
+    /// and a row is refined to that plus a hidden `id % hide`, so bound
+    /// order and answer order differ and ties abound. Every refine call's
+    /// `(key, id)` is logged.
     struct Hidden<'a> {
         q: [f64; 2],
         points: &'a [Vec<f64>],
+        flat: Option<&'a [Vec<u64>]>,
         rows: bool,
         hide: u64,
         log: &'a RefCell<Vec<(f64, u64)>>,
@@ -471,19 +749,39 @@ mod tests {
         fn exact(&self, id: u64) -> f64 {
             self.key(id) + (id % self.hide) as f64
         }
+        /// The id of `row`: only a flat source hands rows by place.
+        fn id(&self, row: RowRef) -> u64 {
+            match (row, self.flat) {
+                (RowRef::Id(id), None) => id,
+                (RowRef::At(store, pos), Some(_)) => self.id_at(store, pos),
+                _ => panic!("{row:?} from the wrong source"),
+            }
+        }
     }
 
     impl Stage for Hidden<'_> {
         fn key(&self, _: &Space, rect: &Rect) -> Option<f64> {
             Some(rect.min_dist_sq(&self.q))
         }
-        fn row_bound(&self, id: u64) -> Option<f64> {
-            self.rows.then(|| self.key(id))
+        fn row_bound(&self, row: RowRef) -> Option<f64> {
+            self.rows.then(|| self.key(self.id(row)))
         }
-        fn refine(&self, id: u64, key: f64, bound: f64, stats: &mut SearchStats) -> Option<f64> {
+        fn refine(
+            &self,
+            row: RowRef,
+            key: f64,
+            bound: f64,
+            stats: &mut SearchStats,
+        ) -> Option<f64> {
+            // A row bound read at another row's place would key another row.
+            let id = self.id(row);
+            assert!(!self.rows || key == self.key(id), "row {id} keyed {key}");
             stats.refine_work += 1;
             self.log.borrow_mut().push((key, id));
             Some(self.exact(id)).filter(|d| *d <= bound)
+        }
+        fn id_at(&self, store: usize, pos: usize) -> u64 {
+            self.flat.expect("a flat descent's stage names its rows")[store][pos]
         }
     }
 
@@ -519,11 +817,12 @@ mod tests {
                 nodes_visited: a,
                 leaves_visited: b,
                 entries_tested: c,
-                candidates: d,
-                filtered_out: e,
-                refine_work: f,
+                rows_scanned: d,
+                candidates: e,
+                filtered_out: f,
+                refine_work: g,
             } = *s;
-            [a, b, c, d, e, f]
+            [a, b, c, d, e, f, g]
         };
         for stats in [&partial, &drained] {
             let mut sum = SearchStats::default();
@@ -538,40 +837,95 @@ mod tests {
         (all, drained.merged)
     }
 
-    /// One random case of the property: both bounds over one forest.
+    /// One random case of the property: both bounds over one forest or
+    /// flat source (`source` as in [`Rows::new`]).
     fn descents_agree(
         raw: &[(i32, i32)],
-        (shards, bulk): (usize, bool),
+        (shards, source): (usize, u8),
         (scale, shift): ((i32, i32), (i32, i32)),
         (q, k, rows): ((i32, i32), usize, bool),
         (corner, side): ((i32, i32), i32),
         pause: usize,
     ) {
         let points: Vec<[f64; 2]> = raw.iter().map(|&(x, y)| [x as f64, y as f64]).collect();
-        let trees = forest(&points, shards, bulk);
+        let trees = Rows::new(&points, shards, source);
         let nonzero = |s: i32| if s == 0 { 1.0 } else { s as f64 };
         let scale = vec![nonzero(scale.0), nonzero(scale.1)];
         let affine = DiagonalAffine::new(scale, vec![shift.0 as f64, shift.1 as f64]);
         let moved: Vec<Vec<f64>> = points.iter().map(|p| affine.apply_point(p)).collect();
+        let flat = match &trees {
+            Rows::Trees(_) => None,
+            Rows::Flat(stores) => Some(stores.as_slice()),
+        };
 
         // A fixed bound: the rows inside the window, once each; each tree
-        // is entered on its own, so its share is its own search.
+        // or store is entered on its own, so its share is its own search.
         let lo = [corner.0 as f64, corner.1 as f64];
         let window = Rect::new(lo.to_vec(), lo.iter().map(|v| v + side as f64).collect());
-        let range = |trees| Descent::within(trees, Some(Cow::Borrowed(&affine)), Window(&window));
-        let mut got: Vec<u64> = drain_and_pause(|| range(&trees), pause)
-            .0
-            .iter()
-            .map(|h| h.1)
-            .collect();
-        got.sort_unstable();
+        let kept = |window: &Rect| {
+            let moved = &moved;
+            let stage = || InWindow {
+                window,
+                moved,
+                flat,
+            };
+            let range = || trees.within(0..shards, &affine, stage());
+            let mut ids: Vec<u64> = drain_and_pause(range, pause)
+                .0
+                .iter()
+                .map(|h| h.1)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
         let inside =
             (0..points.len() as u64).filter(|&id| window.contains_linear(&moved[id as usize]));
-        assert_eq!(got, inside.collect::<Vec<_>>());
-        let mut whole = range(&trees);
+        let inside = inside.collect::<Vec<_>>();
+        assert_eq!(kept(&window), inside);
+        // A flat source's stores cut in two spans each, the second starting
+        // mid-store, as a range scan's threads cut them: the same rows.
+        if let Rows::Flat(stores) = &trees {
+            let mut ids = Vec::new();
+            for half in [0, 1] {
+                let span = stores.iter().map(|ids| {
+                    let mid = ids.len() / 2;
+                    if half == 0 {
+                        0..mid
+                    } else {
+                        mid..ids.len()
+                    }
+                });
+                let stage = InWindow {
+                    window: &window,
+                    moved: &moved,
+                    flat,
+                };
+                ids.extend(Descent::within_flat(span.collect(), stage).map(|n| n.id));
+            }
+            ids.sort_unstable();
+            assert_eq!(ids, inside);
+        }
+        // A window around every row keeps each, however the pulls pause.
+        let every = moved
+            .iter()
+            .map(|p| Rect::point(p))
+            .reduce(|a, b| a.union(&b));
+        if let Some(every) = every {
+            assert_eq!(kept(&every), (0..points.len() as u64).collect::<Vec<_>>());
+        }
+        let range = |part: Range<usize>| {
+            let flat = flat.map(|stores| &stores[part.clone()]);
+            let stage = InWindow {
+                window: &window,
+                moved: &moved,
+                flat,
+            };
+            trees.within(part, &affine, stage)
+        };
+        let mut whole = range(0..shards);
         whole.by_ref().for_each(drop);
         for (shard, share) in whole.stats().per_shard.iter().enumerate() {
-            let mut alone = range(&trees[shard..=shard]);
+            let mut alone = range(shard..shard + 1);
             alone.by_ref().for_each(drop);
             assert_eq!(*share, alone.stats().merged, "shard {shard}");
         }
@@ -581,11 +935,12 @@ mod tests {
         let stage = || Hidden {
             q: [q.0 as f64, q.1 as f64],
             points: &moved,
+            flat,
             rows,
             hide: if rows { 3 } else { 1 },
             log: &log,
         };
-        let nearest = || Descent::nearest(&trees, Some(Cow::Borrowed(&affine)), stage(), k);
+        let nearest = || trees.nearest(&affine, stage(), k);
         let (got, stats) = drain_and_pause(nearest, pause);
         let exact = stage();
         let mut want: Vec<(f64, u64)> = (0..points.len() as u64)
@@ -605,16 +960,7 @@ mod tests {
         assert_eq!(drained, resumed);
         assert_eq!(stats.candidates, drained.len() as u64);
         assert!(drained.windows(2).all(|w| w[0].0 <= w[1].0), "{drained:?}");
-        let mut leaf = HashMap::new();
-        for (shard, tree) in trees.iter().enumerate() {
-            for (idx, node) in tree.nodes.iter().enumerate() {
-                for e in &node.entries {
-                    if let Entry::Item { id, .. } = e {
-                        leaf.insert(*id, (shard, idx));
-                    }
-                }
-            }
-        }
+        let leaf = trees.leaves();
         let mut by_leaf: HashMap<_, Vec<(f64, u64)>> = HashMap::new();
         for &row in drained {
             by_leaf.entry(leaf[&row.1]).or_default().push(row);
@@ -634,20 +980,20 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Random forests of 1–5 shards, bulk-loaded and incrementally
-        /// built, under both bounds, paused at random points: resumed pulls
-        /// ≡ a full drain ≡ brute force, and the counters partition and
-        /// only grow.
+        /// built, and flat sources of as many stores, under both bounds,
+        /// paused at random points: resumed pulls ≡ a full drain ≡ brute
+        /// force, and the counters partition and only grow.
         #[test]
         fn paused_descents_resume_to_the_drain_and_brute_force(
             raw in proptest::prelude::prop::collection::vec((0i32..20, 0i32..20), 0..120),
-            forest in (1usize..6, 0u8..2),
+            forest in (1usize..6, 0u8..3),
             affine in ((-2i32..3, -2i32..3), (-3i32..4, -3i32..4)),
             knn in ((-4i32..24, -4i32..24), 1usize..30, 0u8..2),
             window in ((-30i32..30, -30i32..30), 0i32..30),
             pause in 0usize..40,
         ) {
             let knn = (knn.0, knn.1, knn.2 == 1);
-            descents_agree(&raw, (forest.0, forest.1 == 1), affine, knn, window, pause);
+            descents_agree(&raw, forest, affine, knn, window, pause);
         }
     }
 
@@ -660,14 +1006,14 @@ mod tests {
         #[ignore = "long: run with --release -- --ignored"]
         fn paused_descents_resume_to_the_drain_and_brute_force_long(
             raw in proptest::prelude::prop::collection::vec((0i32..40, 0i32..40), 0..600),
-            forest in (1usize..6, 0u8..2),
+            forest in (1usize..6, 0u8..3),
             affine in ((-2i32..3, -2i32..3), (-3i32..4, -3i32..4)),
             knn in ((-4i32..44, -4i32..44), 1usize..80, 0u8..2),
             window in ((-60i32..60, -60i32..60), 0i32..60),
             pause in 0usize..120,
         ) {
             let knn = (knn.0, knn.1, knn.2 == 1);
-            descents_agree(&raw, (forest.0, forest.1 == 1), affine, knn, window, pause);
+            descents_agree(&raw, forest, affine, knn, window, pause);
         }
     }
 }

@@ -56,11 +56,6 @@ impl Space {
         self.dims.len()
     }
 
-    /// Semantics of dimension `d`.
-    pub fn semantics(&self, d: usize) -> DimSemantics {
-        self.dims[d]
-    }
-
     /// Iterates over per-dimension semantics.
     pub fn iter(&self) -> impl Iterator<Item = DimSemantics> + '_ {
         self.dims.iter().copied()
@@ -282,34 +277,6 @@ impl Rect {
         }
         acc
     }
-
-    #[allow(clippy::needless_range_loop)] // indexes lo, hi and q in lockstep
-    /// `MINMAXDIST(q, R)`: the minimum over dimensions of the maximal
-    /// distance to the nearer face — an upper bound on the distance to the
-    /// closest data object inside `R` (every MBR face touches an object).
-    pub fn min_max_dist_sq(&self, q: &[f64]) -> f64 {
-        debug_assert_eq!(q.len(), self.dims());
-        let n = self.dims();
-        // rm_k: distance to nearer hyperplane in dim k; rM_k: to farther.
-        let mut total_max = 0.0;
-        for d in 0..n {
-            let v = q[d];
-            let far = (v - self.lo[d]).abs().max((v - self.hi[d]).abs());
-            total_max += far * far;
-        }
-        let mut best = f64::INFINITY;
-        for d in 0..n {
-            let v = q[d];
-            let mid = (self.lo[d] + self.hi[d]) / 2.0;
-            let near_face = if v <= mid { self.lo[d] } else { self.hi[d] };
-            let far = (v - self.lo[d]).abs().max((v - self.hi[d]).abs());
-            let candidate = total_max - far * far + (v - near_face) * (v - near_face);
-            if candidate < best {
-                best = candidate;
-            }
-        }
-        best
-    }
 }
 
 impl fmt::Display for Rect {
@@ -372,14 +339,6 @@ mod tests {
         assert_eq!(r.min_dist_sq(&[1.0, 1.0]), 0.0); // inside
         assert_eq!(r.min_dist_sq(&[3.0, 1.0]), 1.0);
         assert_eq!(r.min_dist_sq(&[3.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn min_max_dist_bounds_min_dist() {
-        let r = Rect::new(vec![0.0, 0.0], vec![2.0, 4.0]);
-        for q in [[5.0, 5.0], [-1.0, 2.0], [1.0, 1.0]] {
-            assert!(r.min_dist_sq(&q) <= r.min_max_dist_sq(&q) + 1e-12);
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Nearest-neighbour search with MINDIST/MINMAXDIST pruning
+//! Nearest-neighbour search with MINDIST pruning
 //! (Roussopoulos, Kelley, Vincent — SIGMOD 1995), with optional on-the-fly
 //! transformation.
 //!
@@ -100,12 +100,6 @@ impl LocalKth {
     #[inline]
     pub fn kth(&self) -> f64 {
         self.kth
-    }
-
-    /// True when `d` is not provably outside the top-`k` (ties at the
-    /// `k`-th distance included).
-    pub fn admits(&self, d: f64) -> bool {
-        self.heap.len() < self.k || self.heap.peek().is_some_and(|worst| d <= worst.key)
     }
 
     /// Records a distance.

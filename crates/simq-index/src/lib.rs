@@ -8,19 +8,21 @@
 //! with no extra disk overhead.
 //!
 //! * [`geom`] — rectangles, dimension semantics (including circular phase
-//!   angles), MINDIST/MINMAXDIST.
+//!   angles), MINDIST.
 //! * [`transform`] — the one spatial transformation type,
 //!   [`DiagonalAffine`]: Theorems 1–3 reduce every safe transformation to
 //!   a per-dimension affine map, so the traversal needs no other.
 //! * [`rstar`] — the tree structure: ChooseSubtree, forced reinsertion, R*
 //!   split, deletion with condense.
-//! * [`descent`] — the one traversal type: a pull-based [`Descent`] over
-//!   a forest of trees (one per relation shard) that a [`Stage`] steers —
-//!   an entry test or key, a row bound, a refine step. It has one loop per
-//!   bound over shared roots, keys and counters: a fixed bound (range,
-//!   depth first) and the live `k`-th best (kNN, best first). Drained it
-//!   answers a query; paused between pulls it is a cursor, and dropping it
-//!   abandons the remaining descent.
+//! * [`descent`] — the one traversal type of both access paths: a
+//!   pull-based [`Descent`] over a forest of trees (one per relation shard)
+//!   or over a flat source (each store's rows in scan order, the
+//!   sequential scan) that a [`Stage`] steers — an entry test or key, a row
+//!   bound, a refine step. It has one loop per bound over shared roots,
+//!   keys and counters: a fixed bound (range, depth first) and the live
+//!   `k`-th best (kNN, best first). Drained it answers a query; paused
+//!   between pulls it is a cursor, and dropping it abandons the remaining
+//!   descent.
 //! * [`search`] — range queries, plain and transformed, with node-access
 //!   statistics: the search-rectangle [`Window`] stage and its single-tree
 //!   callers.
@@ -47,7 +49,7 @@ pub mod search;
 pub mod serial;
 pub mod transform;
 
-pub use descent::{Descent, Stage};
+pub use descent::{Descent, RowRef, Stage};
 pub use geom::{circular_overlap, DimSemantics, Rect, Space};
 pub use knn::{cmp_distance_id, Neighbor};
 pub use rstar::{RTree, RTreeConfig};

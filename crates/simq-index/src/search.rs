@@ -26,6 +26,8 @@ pub struct SearchStats {
     pub leaves_visited: u64,
     /// Entries tested against the stage's entry test or key.
     pub entries_tested: u64,
+    /// Rows a flat source's leaves held: the rows a sequential scan read.
+    pub rows_scanned: u64,
     /// Rows the descent handed to its stage's
     /// [`refine`](crate::descent::Stage::refine).
     pub candidates: u64,
@@ -43,6 +45,7 @@ impl SearchStats {
         self.nodes_visited += other.nodes_visited;
         self.leaves_visited += other.leaves_visited;
         self.entries_tested += other.entries_tested;
+        self.rows_scanned += other.rows_scanned;
         self.candidates += other.candidates;
         self.filtered_out += other.filtered_out;
         self.refine_work += other.refine_work;
@@ -58,13 +61,13 @@ impl SearchStats {
     }
 }
 
-/// Work counters of one traversal of a forest of trees: one entry per
-/// tree and their sum.
+/// Work counters of one traversal of a forest of trees or of a flat
+/// source's stores: one entry per tree or store and their sum.
 #[derive(Debug, Clone, Default)]
 pub struct ForestStats {
     /// Totals — comparable with a single-tree search.
     pub merged: SearchStats,
-    /// One entry per tree, in forest order.
+    /// One entry per tree or store, in forest order.
     pub per_shard: Vec<SearchStats>,
 }
 

@@ -145,11 +145,6 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
-    /// Current read offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos

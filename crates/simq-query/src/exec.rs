@@ -15,15 +15,22 @@
 //! moment it is kept. kNN runs the same descent under its live `k`-th best.
 //! The property tests in `tests/lemma1.rs` pin the end-to-end guarantee
 //! against brute force.
+//!
+//! A sequential scan is the same descent over a flat source of the
+//! relation's rows in scan order, with no entry test: the access path
+//! picks the source and nothing else, so range and kNN each run one drain
+//! whichever source the plan picked. A range scan with a thread budget
+//! runs one flat descent per contiguous row span, merged in span order.
 
 use crate::ast::{Query, QuerySource, StatsWindow};
 use crate::catalog::{Database, StoredRelation};
 use crate::error::QueryError;
 use crate::plan::{explain, plan, AccessPath, Plan};
 use crate::verify::{
-    compile_probe, hit, knn_descent, pad, sort_hits, IndexDescent, Ledger, RangeVerifier,
+    compile_probe, hit, knn_descent, pad, sort_hits, Ledger, PlanDescent, RangeVerifier,
 };
 use simq_dsp::complex::Complex;
+use simq_index::ForestStats;
 use simq_obs::span;
 use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::SeriesTransform;
@@ -39,7 +46,8 @@ pub struct ExecStats {
     pub leaves_visited: u64,
     /// Index entries tested.
     pub entries_tested: u64,
-    /// Rows read by sequential scans.
+    /// Rows read by sequential scans (a flat descent's rows, and the pair
+    /// scans' outer rows).
     pub rows_scanned: u64,
     /// Complex coefficients compared by scans / postprocessing.
     pub coefficients_compared: u64,
@@ -48,7 +56,8 @@ pub struct ExecStats {
     /// Candidates dismissed by the quantized signature tier before their
     /// full spectrum was touched — rows the exact distance would have
     /// rejected too, by the no-false-dismissal bound. Always 0 on the
-    /// tier-free paths (range scans, scan joins).
+    /// tier-free paths (range scans, scan joins) and for kNN, which ranks
+    /// by the tier instead.
     pub filtered_out: u64,
     /// Candidates that survived exact verification.
     pub verified: u64,
@@ -83,15 +92,11 @@ impl ExecStats {
         self.nodes_visited += s.nodes_visited;
         self.leaves_visited += s.leaves_visited;
         self.entries_tested += s.entries_tested;
+        self.rows_scanned += s.rows_scanned;
         // Both descent forms refine their rows inside the descent.
         self.candidates += s.candidates;
         self.filtered_out += s.filtered_out;
         self.coefficients_compared += s.refine_work;
-    }
-
-    pub(crate) fn add_scan(&mut self, s: &scan::ScanStats) {
-        self.rows_scanned += s.rows_scanned;
-        self.coefficients_compared += s.coefficients_compared;
     }
 
     /// Accumulates another block's work counters (`verified` and
@@ -167,10 +172,10 @@ pub struct QueryResult {
     /// reading it.
     pub per_thread: Vec<ExecStats>,
     /// Per-shard counters for sharded relations (empty for unsharded
-    /// execution): entry `i` is shard `i`'s share of the index descent —
-    /// node reads, and the candidates, dismissals and coefficients of the
-    /// rows refined in its tree, range verification included — and of the
-    /// scan work. Pair work crosses shards and is reported in
+    /// execution): entry `i` is shard `i`'s share of the descent — node
+    /// reads or scanned rows, and the candidates, dismissals and
+    /// coefficients of the rows refined in its tree or store, range
+    /// verification included. Pair work crosses shards and is reported in
     /// [`QueryResult::stats`] only, as is `verified`.
     pub per_shard: Vec<ExecStats>,
 }
@@ -371,6 +376,7 @@ fn render_analyze(
 
 /// The resolved query: comparison spectrum plus the query series'
 /// statistics (needed by GK95 MEAN/STD windows).
+#[derive(Clone)]
 pub(crate) struct QueryContext {
     pub(crate) spectrum: Vec<Complex>,
     pub(crate) mean: f64,
@@ -446,43 +452,25 @@ fn range(
 ) -> Result<QueryResult, QueryError> {
     let mut ledger = Ledger::new(stored);
     let verifier = RangeVerifier::new(stored, transform, ctx, eps, window)?;
-
-    let mut hits: Vec<Hit> = match the_plan.access {
+    let (op, drained) = match the_plan.access {
         // One descent over the relation's forest of trees: every shard's
         // tree serves the same lowered query, and each row a leaf keeps is
         // verified the moment it is kept.
         AccessPath::IndexScan => {
-            let descent = verifier.descend(transform)?;
-            drain(stored, descent, &mut ledger, "range.descend")
+            let op = span::span("range.descend");
+            let descent = verifier.descend(transform, &the_plan.access)?;
+            (op, vec![drain(stored, descent)])
         }
-        AccessPath::SeqScan => {
-            let scan_span = span::span("scan");
-            let (scan_hits, s) = scan::scan_range_over(
-                stored.stores(),
-                transform,
-                &verifier.ctx.spectrum,
-                eps,
-                the_plan.threads,
-            )?;
-            ledger.scan(&s);
-            ledger.stats.candidates = ledger.stats.rows_scanned;
-            scan_span.note("rows", ledger.stats.rows_scanned);
-            scan_span.note("coefficients", ledger.stats.coefficients_compared);
-            drop(scan_span);
-            scan_hits
-                .into_iter()
-                .filter_map(|h| {
-                    let row = stored.row(h.id).expect("scan ids are valid");
-                    verifier.window_ok(row).then(|| Hit {
-                        id: h.id,
-                        name: row.name.clone(),
-                        distance: h.distance,
-                    })
-                })
-                .collect()
+        // One flat descent per contiguous span of the stores' rows, taken
+        // store after store, one span per worker.
+        _ => {
+            let op = span::span("scan");
+            let spans = scan::chunk_bounds(stored.row_count(), the_plan.threads);
+            let scan = |&span: &(usize, usize)| drain(stored, verifier.clone().scan(span));
+            (op, scan::fan(&spans, scan))
         }
-        _ => unreachable!("range queries plan to IndexScan or SeqScan"),
     };
+    let mut hits = charge(&mut ledger, op, drained);
 
     let merge = span::span("range.merge");
     sort_hits(&mut hits);
@@ -491,24 +479,40 @@ fn range(
     Ok(ledger.finish(QueryOutput::Hits(hits), the_plan))
 }
 
-/// Drains an index plan's descent over `stored` under the operator span
-/// `name`, charging its work to the ledger.
-fn drain(
-    stored: &StoredRelation,
-    mut descent: IndexDescent,
+/// Drains a plan's descent: its hits, in the order it yields them, and its
+/// work.
+fn drain(stored: &StoredRelation, mut descent: PlanDescent) -> (Vec<Hit>, ForestStats) {
+    let hits = descent.by_ref().map(|nb| hit(stored, nb)).collect();
+    (hits, descent.into_stats())
+}
+
+/// Charges the descents one phase drained, one per worker, to the ledger
+/// and notes their work on the phase's operator span `op`: their hits,
+/// concatenated in descent order.
+fn charge(
     ledger: &mut Ledger,
-    name: &'static str,
+    op: span::SpanGuard,
+    drained: Vec<(Vec<Hit>, ForestStats)>,
 ) -> Vec<Hit> {
-    let span = span::span(name);
-    let hits: Vec<Hit> = descent.by_ref().map(|nb| hit(stored, nb)).collect();
-    ledger.search(&descent.into_stats());
+    let (mut hits, mut work) = (Vec::new(), Vec::with_capacity(drained.len()));
+    for (found, stats) in drained {
+        if hits.is_empty() {
+            hits = found;
+        } else {
+            hits.extend(found);
+        }
+        work.push(stats);
+    }
+    ledger.search(&work);
     let s = &ledger.stats;
-    span.note("nodes", s.nodes_visited);
-    span.note("leaves", s.leaves_visited);
-    span.note("entries", s.entries_tested);
-    span.note("candidates", s.candidates);
-    span.note("filtered", s.filtered_out);
-    span.note("verified", hits.len() as u64);
+    op.note("nodes", s.nodes_visited);
+    op.note("leaves", s.leaves_visited);
+    op.note("entries", s.entries_tested);
+    op.note("rows", s.rows_scanned);
+    op.note("candidates", s.candidates);
+    op.note("filtered", s.filtered_out);
+    op.note("coefficients", s.coefficients_compared);
+    op.note("verified", hits.len() as u64);
     hits
 }
 
@@ -520,38 +524,18 @@ fn knn(
     the_plan: &Plan,
 ) -> Result<QueryResult, QueryError> {
     let mut ledger = Ledger::new(stored);
-
-    let hits: Vec<Hit> = match the_plan.access {
-        AccessPath::IndexScan => {
-            // Optimal multi-step kNN (Seidl & Kriegel): one best-first
-            // descent over the relation's whole forest of trees ranks
-            // rows by lower bound and refines each as it surfaces,
-            // yielding the k nearest in (d², id) order.
-            let descent = knn_descent(stored, transform, q_spec, k)?;
-            let mut hits = drain(stored, descent, &mut ledger, "knn.rank");
-            // √ can turn two distinct squared distances into one tie.
-            sort_hits(&mut hits);
-            hits
-        }
-        AccessPath::SeqScan => {
-            let scan_span = span::span("scan");
-            let (scan_hits, s) = scan::scan_knn_over(stored.stores(), transform, &q_spec, k)?;
-            ledger.scan(&s);
-            ledger.stats.candidates = ledger.stats.rows_scanned;
-            scan_span.note("rows", ledger.stats.rows_scanned);
-            scan_span.note("coefficients", ledger.stats.coefficients_compared);
-            drop(scan_span);
-            scan_hits
-                .into_iter()
-                .map(|h| Hit {
-                    id: h.id,
-                    name: stored.row(h.id).expect("scan ids are valid").name.clone(),
-                    distance: h.distance,
-                })
-                .collect()
-        }
-        _ => unreachable!("kNN queries plan to IndexScan or SeqScan"),
-    };
+    // Optimal multi-step kNN (Seidl & Kriegel): one best-first descent
+    // over the relation's whole forest of trees, or over its rows when it
+    // scans, ranks rows by lower bound and refines each as it surfaces,
+    // yielding the k nearest in (d², id) order.
+    let op = span::span(match the_plan.access {
+        AccessPath::IndexScan => "knn.rank",
+        _ => "scan",
+    });
+    let descent = knn_descent(stored, transform, q_spec, k, &the_plan.access)?;
+    let mut hits = charge(&mut ledger, op, vec![drain(stored, descent)]);
+    // √ can turn two distinct squared distances into one tie.
+    sort_hits(&mut hits);
     Ok(ledger.finish(QueryOutput::Hits(hits), the_plan))
 }
 
@@ -573,7 +557,7 @@ fn all_pairs(
             // through one pair scan, so parallelism is row-claimed and
             // there are no per-shard shares.
             let join_span = span::span("join.scan");
-            let (found, s) = scan::scan_all_pairs_over(
+            let (found, s, workers) = scan::scan_all_pairs_over(
                 stored.stores(),
                 left,
                 right,
@@ -581,7 +565,12 @@ fn all_pairs(
                 early_abandon,
                 threads,
             )?;
-            ledger.scan(&s);
+            let work = ExecStats {
+                rows_scanned: s.rows_scanned,
+                coefficients_compared: s.coefficients_compared,
+                ..ExecStats::default()
+            };
+            ledger.unsharded(&work, workers);
             join_span.note("rows", ledger.stats.rows_scanned);
             join_span.note("pairs", found.len() as u64);
             drop(join_span);
@@ -671,16 +660,16 @@ fn all_pairs(
                 }
                 Ok((found, stats))
             });
-            let mut found = Found::new();
-            let mut phase = Vec::with_capacity(workers.len());
+            let (mut found, mut work) = (Found::new(), ExecStats::default());
+            let threads = workers.len();
             for w in workers {
                 let (local, local_stats) = w?;
                 for (key, d) in local {
                     keep_min(&mut found, key, d);
                 }
-                phase.push(local_stats);
+                work.add_work(&local_stats);
             }
-            ledger.workers(&phase);
+            ledger.unsharded(&work, threads);
             join_span.note("probes", rows.len() as u64);
             join_span.note("candidates", ledger.stats.candidates);
             join_span.note("filtered", ledger.stats.filtered_out);

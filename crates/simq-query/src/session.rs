@@ -19,10 +19,10 @@
 //!   catalog, then execute on a pinned read view. Planning costs well
 //!   under a microsecond, so no plan is ever reused and none can go stale.
 //! * [`Session::cursor`] returns a lazy [`Cursor`] that streams hits
-//!   incrementally: an index plan's cursor is the one index descent
-//!   paused between pulls (a range scan reads a row at a time), so a
-//!   consumer that stops after a few hits — `LIMIT`-style — abandons the
-//!   remaining descent instead of materializing everything.
+//!   incrementally: a cursor is the plan's one descent — over the index or
+//!   over a scan's flat source — paused between pulls, so a consumer that
+//!   stops after a few hits — `LIMIT`-style — abandons the remaining
+//!   descent instead of materializing everything.
 //!
 //! ```
 //! use simq_query::session::{Session, Value};
@@ -62,13 +62,12 @@ use crate::batch::{BatchExecutor, BatchResult};
 use crate::catalog::{Database, InsertBatchReport, InsertReport, StoredRelation};
 use crate::error::QueryError;
 use crate::exec::{self, ExecStats, Hit, QueryResult};
-use crate::plan::{plan as plan_query, AccessPath, Plan};
-use crate::verify::{self, IndexDescent, RangeVerifier};
+use crate::plan::{plan as plan_query, Plan};
+use crate::verify::{self, PlanDescent, RangeVerifier};
 use simq_obs::slowlog::{SlowEntry, SlowLog};
 use simq_obs::span;
 #[cfg(test)]
 use simq_storage::SeriesRelation;
-use simq_storage::SeriesRow;
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
@@ -705,22 +704,19 @@ impl Session<Database> {
 
 /// A lazy query result: an iterator of [`Hit`]s produced incrementally.
 ///
-/// * **Index plans pause the descent.** A cursor over an index plan holds
-///   the query's one best-first descent over the relation's forest
-///   ([`simq_index::Descent`]) and resumes it on every pull. Stopping
-///   early — dropping the cursor, or just not calling `next` — abandons
-///   the remaining descent, so `LIMIT`-style consumption does strictly
-///   less work than a full execution ([`Cursor::stats`] shows the
-///   difference). A range scan reads one row at a time.
+/// * **A cursor is the plan's descent, paused.** It holds the query's one
+///   best-first descent ([`simq_index::Descent`]) — over the relation's
+///   forest of trees, or over a scan's flat source of its rows — and
+///   resumes it on every pull. Stopping early — dropping the cursor, or
+///   just not calling `next` — abandons the remaining descent, so
+///   `LIMIT`-style consumption does strictly less work than a full
+///   execution ([`Cursor::stats`] shows the difference).
 /// * **Order.** A kNN cursor yields hits in `(distance², id)` order, which
 ///   is the materialized order up to ties the square root creates. A range
 ///   cursor yields hits in traversal order, not `(distance, id)` order.
 ///   [`Cursor::drain_sorted`] drains the remaining hits and sorts them;
 ///   on a fresh cursor it returns exactly the hits of the materialized
 ///   [`QueryOutput`](crate::QueryOutput).
-/// * **kNN `FORCE SCAN` buffers.** The scan ranks every row before its
-///   first answer, so the cursor materializes it at open and then iterates
-///   (its stats are final from the start).
 ///
 /// Streaming cursors run on the calling thread, so their `threads_used`
 /// is 1 — streaming and multi-threaded fan-out are at odds; use
@@ -729,32 +725,13 @@ impl Session<Database> {
 pub struct Cursor<'db> {
     plan: Plan,
     stats: ExecStats,
-    state: CursorState<'db>,
-}
-
-// A statement holds one cursor, so the variants' sizes never multiply.
-#[allow(clippy::large_enum_variant)]
-enum CursorState<'db> {
-    /// The index descent over the relation's forest of trees, paused
-    /// between pulls (shards entered lazily, so early termination skips
-    /// whole shards).
-    Index {
-        descent: IndexDescent<'db>,
-        stored: &'db StoredRelation,
-    },
-    /// Row-at-a-time sequential scan.
-    ScanRange {
-        rows: std::vec::IntoIter<&'db SeriesRow>,
-        verify: RangeVerifier<'db>,
-    },
-    /// Materialized-at-open results (kNN `FORCE SCAN`).
-    Buffered(std::vec::IntoIter<Hit>),
+    descent: PlanDescent<'db>,
+    stored: &'db StoredRelation,
 }
 
 impl<'db> Cursor<'db> {
     fn open(db: &'db Database, query: &Query, the_plan: Plan) -> Result<Self, QueryError> {
-        let index = the_plan.access == AccessPath::IndexScan;
-        let (stored, state) = match query {
+        let (stored, descent) = match query {
             Query::Explain(_) | Query::ExplainAnalyze(_) => {
                 return Err(QueryError::Unsupported(
                     "cursors stream result rows; EXPLAIN has none — use execute".into(),
@@ -766,17 +743,6 @@ impl<'db> Cursor<'db> {
                         .into(),
                 ))
             }
-            Query::Knn { .. } if !index => {
-                let result = exec::run_with_plan(db, query, the_plan)?;
-                let crate::exec::QueryOutput::Hits(hits) = result.output else {
-                    unreachable!("kNN yields hits")
-                };
-                return Ok(Cursor {
-                    plan: result.plan,
-                    stats: result.stats,
-                    state: CursorState::Buffered(hits.into_iter()),
-                });
-            }
             Query::Knn {
                 k,
                 source,
@@ -786,8 +752,9 @@ impl<'db> Cursor<'db> {
                 ..
             } => {
                 let (stored, ctx) = exec::resolve_query(db, relation, source, transform, *on_both)?;
-                let descent = verify::knn_descent(stored, transform, ctx.spectrum, *k)?;
-                (stored, CursorState::Index { descent, stored })
+                let access = &the_plan.access;
+                let descent = verify::knn_descent(stored, transform, ctx.spectrum, *k, access)?;
+                (stored, descent)
             }
             Query::Range {
                 source,
@@ -800,21 +767,7 @@ impl<'db> Cursor<'db> {
             } => {
                 let (stored, ctx) = exec::resolve_query(db, relation, source, transform, *on_both)?;
                 let verify = RangeVerifier::new(stored, transform, ctx, *eps, *stats_window)?;
-                let state = match the_plan.access {
-                    // The scan cursor reads every row's spectrum anyway, so
-                    // it goes straight to the exact distance, as the
-                    // materialized range scan does.
-                    AccessPath::SeqScan => CursorState::ScanRange {
-                        rows: stored.rows_in_scan_order().into_iter(),
-                        verify,
-                    },
-                    AccessPath::IndexScan => CursorState::Index {
-                        descent: verify.descend(transform)?,
-                        stored,
-                    },
-                    _ => unreachable!("range queries plan to IndexScan or SeqScan"),
-                };
-                (stored, state)
+                (stored, verify.descend(transform, &the_plan.access)?)
             }
         };
         Ok(Cursor {
@@ -824,7 +777,8 @@ impl<'db> Cursor<'db> {
                 shards_touched: verify::shards_touched(stored),
                 ..ExecStats::default()
             },
-            state,
+            descent,
+            stored,
         })
     }
 
@@ -833,16 +787,12 @@ impl<'db> Cursor<'db> {
         &self.plan
     }
 
-    /// Work performed **so far**. For streaming cursors this is
-    /// incremental — a partially consumed cursor reports only the index
-    /// nodes actually descended and rows actually refined; dropping the
-    /// cursor freezes the count. For buffered (kNN `FORCE SCAN`) cursors
-    /// it is the full execution cost, known at open.
+    /// Work performed **so far**: a partially consumed cursor reports only
+    /// the index nodes actually descended and the rows actually read and
+    /// refined; dropping the cursor freezes the count.
     pub fn stats(&self) -> ExecStats {
         let mut stats = self.stats;
-        if let CursorState::Index { descent, .. } = &self.state {
-            stats.add_search(&descent.stats().merged);
-        }
+        stats.add_search(&self.descent.stats().merged);
         stats
     }
 
@@ -861,22 +811,10 @@ impl Iterator for Cursor<'_> {
 
     fn next(&mut self) -> Option<Hit> {
         let pull = span::span("cursor.pull");
-        let out = match &mut self.state {
-            CursorState::Buffered(hits) => hits.next(),
-            CursorState::Index { descent, stored } => descent.next().map(|nb| {
-                self.stats.verified += 1;
-                verify::hit(stored, nb)
-            }),
-            CursorState::ScanRange { rows, verify } => loop {
-                let Some(row) = rows.next() else { break None };
-                self.stats.rows_scanned += 1;
-                self.stats.candidates += 1;
-                if let Some(hit) = verify.verify(row.id, &mut self.stats) {
-                    self.stats.verified += 1;
-                    break Some(hit);
-                }
-            },
-        };
+        let out = self.descent.next().map(|nb| {
+            self.stats.verified += 1;
+            verify::hit(self.stored, nb)
+        });
         pull.note("yielded", u64::from(out.is_some()));
         out
     }
@@ -1090,6 +1028,29 @@ mod tests {
         assert_eq!((after.plan.threads, after.plan.shards), (2, 3));
         assert_eq!(hits(&after)[0].name, "NEW");
         assert_eq!(hits(&after)[0].distance, 0.0);
+    }
+
+    /// A kNN `FORCE SCAN` cursor is the flat descent paused: nothing is
+    /// refined at open, one pull refines no more than the whole run, and a
+    /// fresh cursor drains to the materialized answer bitwise.
+    #[test]
+    fn knn_scan_cursor_streams_the_flat_descent() {
+        let db = make_db(80);
+        let session = Session::new(&db);
+        let q = "FIND 5 NEAREST TO ROW 3 IN stocks FORCE SCAN";
+        let mut cursor = session.cursor_text(q).unwrap();
+        let open = cursor.stats();
+        assert_eq!((open.candidates, open.coefficients_compared), (0, 0));
+        assert!(cursor.next().is_some());
+        let first = cursor.stats();
+        let mut drained = session.cursor_text(q).unwrap();
+        let got = drained.drain_sorted();
+        assert!(first.candidates <= drained.stats().candidates);
+        let want = execute(&db, q).unwrap();
+        let bits =
+            |h: &[Hit]| -> Vec<_> { h.iter().map(|h| (h.id, h.distance.to_bits())).collect() };
+        assert_eq!(bits(&got), bits(hits(&want)));
+        assert_eq!(drained.stats(), want.stats);
     }
 
     #[test]

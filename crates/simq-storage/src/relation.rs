@@ -293,8 +293,9 @@ impl SeriesRelation {
         self.rows.iter()
     }
 
-    /// The rows as a slice, in insertion order (what the scans chunk).
-    pub(crate) fn row_slice(&self) -> &[SeriesRow] {
+    /// The rows as a slice, in insertion order: position `p` holds the row
+    /// whose signature is `signatures().row(p)`.
+    pub fn row_slice(&self) -> &[SeriesRow] {
         &self.rows
     }
 

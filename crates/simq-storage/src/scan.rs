@@ -15,24 +15,19 @@
 //! Both operate on stored normal-form spectra; distances equal time-domain
 //! normal-form distances by Parseval.
 //!
-//! [`scan_range`] and [`scan_knn`] are the single-store kernels — and the
+//! [`scan_range`] and [`scan_knn`] are the single-store kernels and the
 //! oracle every other path is tested against ([`scan_knn`] computes every
-//! full distance; the engine's kNN scan, [`scan_knn_over`], abandons
-//! against the `k`-th best). The `*_over` entry points run the same
-//! per-row code over a slice of stores (one per relation shard; an
-//! unsharded relation is a slice of one). The two forms that read every
-//! row or pair take a thread budget: the range scan splits the stores'
-//! rows, taken store after store, into contiguous spans, one per worker,
-//! so hit order is the serial row order and every distance is computed by
-//! exactly the serial code on the same operands; the pair scan's workers
-//! claim outer rows. The kNN scan is one loop on the calling thread: its
-//! pruning bound is the `k`-th best *so far*, which a split would weaken.
-//! Work counters come back merged and per store.
+//! full distance). The engine's own range and kNN scans are not here: they
+//! are `simq_index::Descent`s over a flat source of the stores' rows,
+//! steered by the same stage as the index path. What stays is the pair
+//! scan over a slice of stores (one per relation shard; an unsharded
+//! relation is a slice of one), whose workers claim outer rows, and the
+//! fan-out helpers the query layer splits its work with ([`chunk_bounds`],
+//! [`fan`]).
 
 use crate::relation::{SeriesRelation, SeriesRow};
-use crate::sig::{FilterProbe, SIG_COEFFS};
 use simq_dsp::complex::Complex;
-use simq_index::knn::{cmp_distance_id, LocalKth};
+use simq_index::knn::cmp_distance_id;
 use simq_series::error::SeriesError;
 use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::SeriesTransform;
@@ -55,38 +50,6 @@ impl ScanStats {
         self.rows_scanned += other.rows_scanned;
         self.coefficients_compared += other.coefficients_compared;
         self.early_abandoned += other.early_abandoned;
-    }
-}
-
-/// Work counters of one scan over a slice of stores: totals, one entry
-/// per store, and how many threads carried the work.
-#[derive(Debug, Clone, Default)]
-pub struct ScanFanStats {
-    /// Totals — comparable with the single-store counters.
-    pub merged: ScanStats,
-    /// One entry per store, in slice order, summing to `merged` (empty for
-    /// the pair scans, whose row pairs cross stores).
-    pub per_shard: Vec<ScanStats>,
-    /// Worker threads the scan ran on (1 = the calling thread alone).
-    pub threads: usize,
-}
-
-impl ScanFanStats {
-    /// Sums each worker's per-store counters.
-    fn from_workers(shards: usize, workers: Vec<Vec<ScanStats>>) -> Self {
-        let mut per_shard = vec![ScanStats::default(); shards];
-        for worker in &workers {
-            for (acc, s) in per_shard.iter_mut().zip(worker) {
-                acc.add(s);
-            }
-        }
-        let mut merged = ScanStats::default();
-        per_shard.iter().for_each(|s| merged.add(s));
-        ScanFanStats {
-            merged,
-            per_shard,
-            threads: workers.len().max(1),
-        }
     }
 }
 
@@ -128,33 +91,6 @@ pub fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// One worker's share of a scan over several stores: `(store index, first
-/// row position, rows)` runs, contiguous in the store-after-store row
-/// order.
-type Span<'a> = Vec<(usize, usize, &'a [SeriesRow])>;
-
-/// Splits the rows of `stores`, taken store after store, into at most
-/// `threads` contiguous spans.
-fn spans(stores: &[SeriesRelation], threads: usize) -> Vec<Span<'_>> {
-    let total = stores.iter().map(SeriesRelation::len).sum();
-    chunk_bounds(total, threads)
-        .into_iter()
-        .map(|(lo, hi)| {
-            let mut span = Vec::new();
-            let mut base = 0;
-            for (shard, store) in stores.iter().enumerate() {
-                let rows = store.row_slice();
-                let (a, b) = (lo.max(base), hi.min(base + rows.len()));
-                if a < b {
-                    span.push((shard, a - base, &rows[a - base..b - base]));
-                }
-                base += rows.len();
-            }
-            span
-        })
-        .collect()
-}
-
 /// Runs `work` once per unit — on the calling thread when there is at most
 /// one, on one scoped thread each otherwise — returning results in unit
 /// order (shared by the scans here and by the probe join and batch slots
@@ -178,65 +114,12 @@ pub fn fan<U: Sync, T: Send>(units: &[U], work: impl Fn(&U) -> T + Sync) -> Vec<
     })
 }
 
-/// Concatenates the workers' hit lists (in worker order) and collects their
-/// per-store counters.
-fn gather(workers: Vec<(Vec<ScanHit>, Vec<ScanStats>)>) -> (Vec<ScanHit>, Vec<Vec<ScanStats>>) {
-    let mut hits = Vec::new();
-    let mut stats = Vec::with_capacity(workers.len());
-    for (worker_hits, worker_stats) in workers {
-        if hits.is_empty() {
-            hits = worker_hits;
-        } else {
-            hits.extend(worker_hits);
-        }
-        stats.push(worker_stats);
-    }
-    (hits, stats)
-}
-
 /// How far the stores' spectra are from conjugate symmetry: the largest
 /// [`crate::SignatureArray::mirror_slack`] of any of them — what a probe
 /// over all of them must allow before it mirrors a term.
 pub fn mirror_slack(stores: &[SeriesRelation]) -> f64 {
     let slacks = stores.iter().map(|s| s.signatures().mirror_slack());
     slacks.fold(0.0, f64::max)
-}
-
-/// The series length shared by every store of a relation.
-fn series_len_of(stores: &[SeriesRelation]) -> usize {
-    stores.first().map_or(0, SeriesRelation::series_len)
-}
-
-/// The range-scan kernel: every row of `rows` within `eps` of the query.
-fn range_rows(
-    rows: &[SeriesRow],
-    multipliers: &[Complex],
-    query_spectrum: &[Complex],
-    eps: f64,
-    limit: Option<f64>,
-    hits: &mut Vec<ScanHit>,
-    stats: &mut ScanStats,
-) {
-    for row in rows {
-        stats.rows_scanned += 1;
-        let (d_sq, abandoned) = transformed_distance_sq(
-            &row.features.spectrum,
-            multipliers,
-            query_spectrum,
-            limit,
-            &mut stats.coefficients_compared,
-        );
-        if abandoned {
-            stats.early_abandoned += 1;
-            continue;
-        }
-        if d_sq.sqrt() <= eps {
-            hits.push(ScanHit {
-                id: row.id,
-                distance: d_sq.sqrt(),
-            });
-        }
-    }
 }
 
 /// Range query by sequential scan over the frequency-domain relation.
@@ -260,52 +143,27 @@ pub fn scan_range(
     let action = transform.action(n, n.saturating_sub(1))?;
     let mut hits = Vec::new();
     let mut stats = ScanStats::default();
-    range_rows(
-        relation.row_slice(),
-        &action.multipliers,
-        query_spectrum,
-        eps,
-        early_abandon.then_some(eps * eps),
-        &mut hits,
-        &mut stats,
-    );
-    Ok((hits, stats))
-}
-
-/// Early-abandoning [`scan_range`] over a slice of stores on up to
-/// `threads` threads: hits come back in store-after-store row order,
-/// identical to scanning each store serially in turn.
-///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_range_over(
-    stores: &[SeriesRelation],
-    transform: &SeriesTransform,
-    query_spectrum: &[Complex],
-    eps: f64,
-    threads: usize,
-) -> Result<(Vec<ScanHit>, ScanFanStats), SeriesError> {
-    let n = series_len_of(stores);
-    let action = transform.action(n, n.saturating_sub(1))?;
-    let limit = Some(eps * eps);
-    let workers = fan(&spans(stores, threads), |span| {
-        let mut hits = Vec::new();
-        let mut stats = vec![ScanStats::default(); stores.len()];
-        for &(shard, _, rows) in span {
-            range_rows(
-                rows,
-                &action.multipliers,
-                query_spectrum,
-                eps,
-                limit,
-                &mut hits,
-                &mut stats[shard],
-            );
+    for row in relation.rows() {
+        stats.rows_scanned += 1;
+        let (d_sq, abandoned) = transformed_distance_sq(
+            &row.features.spectrum,
+            &action.multipliers,
+            query_spectrum,
+            early_abandon.then_some(eps * eps),
+            &mut stats.coefficients_compared,
+        );
+        if abandoned {
+            stats.early_abandoned += 1;
+            continue;
         }
-        (hits, stats)
-    });
-    let (hits, stats) = gather(workers);
-    Ok((hits, ScanFanStats::from_workers(stores.len(), stats)))
+        if d_sq.sqrt() <= eps {
+            hits.push(ScanHit {
+                id: row.id,
+                distance: d_sq.sqrt(),
+            });
+        }
+    }
+    Ok((hits, stats))
 }
 
 /// The rows of a relation's stores in the unsharded scan order: a single
@@ -337,8 +195,9 @@ pub fn rows_in_scan_order(stores: &[SeriesRelation]) -> Vec<&SeriesRow> {
 /// unsharded. Pair work crosses stores, so threads claim outer rows from
 /// a shared cursor (the triangular inner loop makes static chunks
 /// unbalanced) and the per-row pair lists are reassembled in row order,
-/// reproducing the serial output exactly; the stats carry no per-store
-/// shares.
+/// reproducing the serial output exactly. Returns the pairs, the merged
+/// counters (pair work has no per-store shares) and the threads that
+/// carried the work.
 ///
 /// # Errors
 /// Transformation-domain errors.
@@ -349,16 +208,10 @@ pub fn scan_all_pairs_over(
     eps: f64,
     early_abandon: bool,
     threads: usize,
-) -> Result<(PairList, ScanFanStats), SeriesError> {
+) -> Result<(PairList, ScanStats, usize), SeriesError> {
     let rows = rows_in_scan_order(stores);
-    let ctx = PairScan::prepare(
-        &rows,
-        series_len_of(stores),
-        left,
-        right,
-        eps,
-        early_abandon,
-    )?;
+    let n = stores.first().map_or(0, SeriesRelation::series_len);
+    let ctx = PairScan::prepare(&rows, n, left, right, eps, early_abandon)?;
     let cursor = AtomicUsize::new(0);
     let workers: Vec<usize> = (0..threads.max(1).min(rows.len().max(1))).collect();
     let claimed: Vec<(Vec<RowPairs>, ScanStats)> = fan(&workers, |_| {
@@ -384,17 +237,14 @@ pub fn scan_all_pairs_over(
     });
 
     let mut grouped: Vec<RowPairs> = Vec::new();
-    let mut stats = ScanFanStats {
-        threads: workers.len(),
-        ..ScanFanStats::default()
-    };
+    let mut stats = ScanStats::default();
     for (produced, s) in claimed {
         grouped.extend(produced);
-        stats.merged.add(&s);
+        stats.add(&s);
     }
     grouped.sort_by_key(|(i, _)| *i);
     let out: PairList = grouped.into_iter().flat_map(|(_, v)| v).collect();
-    Ok((out, stats))
+    Ok((out, stats, workers.len()))
 }
 
 /// The per-side pre-transformed spectra and the per-pair predicate of the
@@ -522,68 +372,6 @@ pub fn scan_knn(
     Ok((nearest_k(all, k), stats))
 }
 
-/// [`scan_knn`] over a slice of stores, store after store.
-///
-/// The scan keeps the rows not provably outside the top-`k` so far (ties
-/// included) and abandons a row as soon as its partial sum provably
-/// exceeds the `k`-th best so far — before its spectrum is read at all,
-/// when the signature bound ([`FilterProbe`], the one the index paths rank
-/// and dismiss by) already does. Abandoned rows are strictly worse than
-/// `k` already-found rows, so the `(distance, id)`-sorted, truncated
-/// result equals the full-distance [`scan_knn`] exactly — while comparing
-/// far fewer coefficients.
-///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_knn_over(
-    stores: &[SeriesRelation],
-    transform: &SeriesTransform,
-    query_spectrum: &[Complex],
-    k: usize,
-) -> Result<(Vec<ScanHit>, ScanFanStats), SeriesError> {
-    let n = series_len_of(stores);
-    let action = transform.action(n, n.saturating_sub(1))?;
-    let (coeffs, slack) = (n.min(SIG_COEFFS), mirror_slack(stores));
-    let probe = FilterProbe::mirrored(query_spectrum, &action.multipliers, coeffs, slack);
-    let mut per_shard = vec![ScanStats::default(); stores.len()];
-    let mut kept: Vec<ScanHit> = Vec::new();
-    let mut kth = LocalKth::new(k);
-    for (store, stats) in stores.iter().zip(&mut per_shard) {
-        let sigs = store.signatures();
-        for (pos, row) in store.row_slice().iter().enumerate() {
-            stats.rows_scanned += 1;
-            let bound = kth.kth();
-            if sigs.row(pos).is_some_and(|s| probe.dismisses(s, bound)) {
-                stats.early_abandoned += 1;
-                continue;
-            }
-            let (d_sq, abandoned) = transformed_distance_sq(
-                &row.features.spectrum,
-                &action.multipliers,
-                query_spectrum,
-                bound.is_finite().then_some(bound),
-                &mut stats.coefficients_compared,
-            );
-            if abandoned {
-                stats.early_abandoned += 1;
-                continue;
-            }
-            // `kept` stays O(k + improvements) instead of O(rows).
-            if kth.admits(d_sq) {
-                kept.push(ScanHit {
-                    id: row.id,
-                    distance: d_sq.sqrt(),
-                });
-            }
-            kth.offer(d_sq);
-        }
-    }
-    Ok((
-        nearest_k(kept, k),
-        ScanFanStats::from_workers(stores.len(), vec![per_shard]),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,7 +460,7 @@ mod tests {
     fn all_pairs_is_symmetric_free_and_complete() {
         let rel = relation_with(25);
         let id = SeriesTransform::Identity;
-        let (pairs, _) =
+        let (pairs, ..) =
             scan_all_pairs_over(std::slice::from_ref(&rel), &id, &id, 3.0, true, 1).unwrap();
         // Each unordered pair at most once, i < j.
         for (i, j, _) in &pairs {
@@ -700,37 +488,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_range_scan_equals_serial() {
-        let rel = relation_with(97);
-        let q = rel.row(13).unwrap().features.spectrum.clone();
-        let t = SeriesTransform::MovingAverage { window: 5 };
-        let q_spec = t.apply_spectrum(&q, 64).unwrap();
-        for eps in [0.2, 1.5, 20.0] {
-            let (serial, s_stats) = scan_range(&rel, &t, &q_spec, eps, true).unwrap();
-            for threads in [1, 2, 4, 8] {
-                let stores = std::slice::from_ref(&rel);
-                let (par, p_stats) = scan_range_over(stores, &t, &q_spec, eps, threads).unwrap();
-                assert_eq!(par.len(), serial.len());
-                for (a, b) in par.iter().zip(&serial) {
-                    assert_eq!(a.id, b.id);
-                    assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-                }
-                assert_eq!(p_stats.merged, s_stats, "threads {threads} eps {eps}");
-            }
-        }
-    }
-
-    #[test]
     fn parallel_all_pairs_equals_serial() {
         let rel = relation_with(40);
         let left = SeriesTransform::MovingAverage { window: 5 };
         let right = SeriesTransform::Identity;
         for (l, r) in [(&left, &left), (&left, &right)] {
-            let (serial, _) =
+            let (serial, ..) =
                 scan_all_pairs_over(std::slice::from_ref(&rel), l, r, 6.0, true, 1).unwrap();
             for threads in [1, 2, 4, 9] {
                 let stores = std::slice::from_ref(&rel);
-                let (par, _) = scan_all_pairs_over(stores, l, r, 6.0, true, threads).unwrap();
+                let (par, ..) = scan_all_pairs_over(stores, l, r, 6.0, true, threads).unwrap();
                 assert_eq!(par.len(), serial.len(), "threads {threads}");
                 for (a, b) in par.iter().zip(&serial) {
                     assert_eq!((a.0, a.1), (b.0, b.1));

@@ -354,10 +354,7 @@ impl ShardedRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::{
-        scan_all_pairs_over, scan_knn as scan_knn_single, scan_knn_over,
-        scan_range as scan_range_single, scan_range_over,
-    };
+    use crate::scan::scan_all_pairs_over;
     use simq_series::transform::SeriesTransform;
 
     fn single_relation(rows: usize) -> SeriesRelation {
@@ -428,59 +425,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_range_scan_matches_single() {
-        let rel = single_relation(80);
-        let q = rel.row(7).unwrap().features.spectrum.clone();
-        let t = SeriesTransform::MovingAverage { window: 5 };
-        let q_spec = t.apply_spectrum(&q, 64).unwrap();
-        let sharded = ShardedRelation::from_single(rel.clone(), 4);
-        for eps in [0.3, 2.0, 20.0] {
-            let (mut want, want_stats) = scan_range_single(&rel, &t, &q_spec, eps, true).unwrap();
-            for threads in [1, 4] {
-                let (mut got, stats) =
-                    scan_range_over(sharded.shards(), &t, &q_spec, eps, threads).unwrap();
-                want.sort_by_key(|h| h.id);
-                got.sort_by_key(|h| h.id);
-                assert_eq!(got.len(), want.len(), "eps {eps} threads {threads}");
-                for (a, b) in got.iter().zip(&want) {
-                    assert_eq!(a.id, b.id);
-                    assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-                }
-                assert_eq!(stats.merged, want_stats);
-                assert_eq!(stats.per_shard.len(), 4);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_knn_scan_matches_single() {
-        let rel = single_relation(90);
-        let q = rel.row(11).unwrap().features.spectrum.clone();
-        let sharded = ShardedRelation::from_single(rel.clone(), 3);
-        let t = SeriesTransform::Identity;
-        for k in [1, 7, 90, 200] {
-            let (want, _) = scan_knn_single(&rel, &t, &q, k).unwrap();
-            let (got, stats) = scan_knn_over(sharded.shards(), &t, &q, k).unwrap();
-            assert_eq!(got.len(), want.len(), "k {k}");
-            for (a, b) in got.iter().zip(&want) {
-                assert_eq!(a.id, b.id, "k {k}");
-                assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-            }
-            assert_eq!(stats.per_shard.len(), 3);
-        }
-    }
-
-    #[test]
     fn sharded_pair_scan_matches_single() {
         let rel = single_relation(40);
         let left = SeriesTransform::MovingAverage { window: 5 };
         let right = SeriesTransform::Identity;
         let sharded = ShardedRelation::from_single(rel.clone(), 4);
         for (l, r) in [(&left, &left), (&left, &right)] {
-            let (want, _) =
+            let (want, ..) =
                 scan_all_pairs_over(std::slice::from_ref(&rel), l, r, 6.0, true, 1).unwrap();
             for threads in [1, 3] {
-                let (got, _) =
+                let (got, ..) =
                     scan_all_pairs_over(sharded.shards(), l, r, 6.0, true, threads).unwrap();
                 assert_eq!(got.len(), want.len(), "threads {threads}");
                 for (a, b) in got.iter().zip(&want) {

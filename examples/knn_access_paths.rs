@@ -1,7 +1,9 @@
 //! ROADMAP item 9's comparison, re-runnable: what a 10-NN query costs by
 //! the plan the planner picks (the ranked descent over the index) and by
-//! `FORCE SCAN` (the probing, abandoning sequential scan), on corpora the
-//! index separates badly (random walks) and well (clustered stocks).
+//! `FORCE SCAN` (the same ranked descent over a flat source of the rows:
+//! every row ranked by its signature bound, refined in bound order), on
+//! corpora the index separates badly (random walks) and well (clustered
+//! stocks).
 //!
 //! Protocol: `FIND 10 NEAREST TO ROW q IN r` as text through `execute`,
 //! serial, 100 query rows spread evenly over the relation; per query the

@@ -704,8 +704,7 @@ impl World {
             "{what}: {used} threads"
         );
         // Identical trees do identical work at any thread count, whichever
-        // front end asks — but for a scan cursor testing the window before
-        // the distance, not after.
+        // front end asks.
         let same_trees = match point.storage {
             Storage::Built => true,
             Storage::Reopened => !point.wal,
@@ -713,9 +712,7 @@ impl World {
         };
         let reference = self.reference.get(&point.shards).filter(|_| same_trees);
         if let Some(Ok(want)) = reference.map(|r| &r[i]) {
-            let streamed = point.front_end == FrontEnd::CursorDrain;
             let comparable = |s: ExecStats| ExecStats {
-                coefficients_compared: if streamed { 0 } else { s.coefficients_compared },
                 threads_used: 0,
                 ..s
             };

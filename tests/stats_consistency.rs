@@ -2,7 +2,8 @@
 //! of the merged `stats`, not an estimate, for every counter a phase over
 //! the relation's shards produces — index reads, scanned rows, scan
 //! coefficients, and the candidates, dismissals and refine work either
-//! descent form (range verification included) does inside its trees.
+//! descent form (range verification included) does inside its trees or
+//! a scan's stores.
 //! Pair work, which crosses shards, is in the totals only.
 //! This hardens the one charging rule (`simq-query::verify`'s `Ledger`)
 //! against silently dropping a phase. And the merged counters are the
@@ -62,17 +63,15 @@ proptest! {
             assert_eq!(result.per_shard.len(), shards, "{label}");
             assert_shards_sum(&result, &FOREST_COUNTERS, &label);
             // Every row form does all its distance work inside the
-            // per-shard phase; an index descent also charges its
-            // candidates and signature dismissals to the shard whose tree
-            // yielded the row.
+            // per-shard phase; a descent over trees or a scan's stores
+            // also charges its candidates and signature dismissals to the
+            // shard whose tree or store yielded the row.
             assert_shards_sum(&result, &[("coefficients", |s| s.coefficients_compared)], &label);
-            if !q.contains("FORCE SCAN") {
-                let refine: [(&str, Field); 2] = [
-                    ("candidates", |s| s.candidates),
-                    ("filtered_out", |s| s.filtered_out),
-                ];
-                assert_shards_sum(&result, &refine, &label);
-            }
+            let refine: [(&str, Field); 2] = [
+                ("candidates", |s| s.candidates),
+                ("filtered_out", |s| s.filtered_out),
+            ];
+            assert_shards_sum(&result, &refine, &label);
         }
     }
 }
@@ -85,6 +84,37 @@ fn serial_unsharded_execution_reports_no_breakdowns() {
         let result = execute(&db, q).unwrap();
         assert!(result.per_thread.is_empty(), "{q}");
         assert!(result.per_shard.is_empty(), "{q}");
+    }
+}
+
+#[test]
+fn an_empty_sharded_relation_reports_every_store() {
+    // A range scan of no rows runs no span, yet its breakdown still holds
+    // one zeroed entry per store, as every sharded execution's does (the
+    // index form reads each empty tree's root).
+    let series = corpus(3, 8, 64);
+    let query = series[0].iter().map(f64::to_string).collect::<Vec<_>>();
+    let mut db = Database::new();
+    db.add_relation_sharded(
+        SeriesRelation::new("r", 64, FeatureScheme::paper_default()),
+        4,
+    );
+    for threads in [1, 4] {
+        db.set_parallelism(Parallelism::Fixed(threads));
+        for tail in ["", " FORCE SCAN"] {
+            let q = format!(
+                "FIND SIMILAR TO [{}] IN r EPSILON 3.0{tail}",
+                query.join(", ")
+            );
+            let result = execute(&db, &q).unwrap();
+            let label = format!("threads {threads}{tail}");
+            assert_eq!(result.per_shard.len(), 4, "{label}");
+            assert_eq!(result.stats.shards_touched, 4, "{label}");
+            assert_shards_sum(&result, &FOREST_COUNTERS, &label);
+            if !tail.is_empty() {
+                assert_eq!(result.per_shard, vec![ExecStats::default(); 4], "{label}");
+            }
+        }
     }
 }
 
@@ -121,7 +151,9 @@ fn knn_refine_work_partitions_across_shards() {
 /// `NEAREST` rows re-recorded when kNN became one ranked multi-step
 /// descent and its scan began abandoning; the four sharded index-range
 /// `per_shard` rows when range verification moved inside the descent and
-/// its counters into the shards' shares). Counters are
+/// its counters into the shards' shares; the two kNN `FORCE SCAN` rows,
+/// downward, and the sharded range `FORCE SCAN` `per_shard` candidates
+/// when a scan became the same descent over a flat source). Counters are
 /// schedule-independent, so any drift here is a change in the work a plan
 /// does, not noise — and at 4 threads each statement does exactly the
 /// golden's work (the fan-out it reports aside).
