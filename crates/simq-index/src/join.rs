@@ -6,9 +6,12 @@
 //! compute the predicate" — e.g. `T(a_i) ∩ T(b_j) ≠ ∅`.
 //!
 //! [`RTree::join_via_probes`] is the strategy of the paper's join
-//! experiment (methods *c*/*d* of Table 1): scan one side sequentially and
-//! pose each item, expanded to a search rectangle, as a range query against
-//! the (transformed) index.
+//! experiment (methods *c*/*d* of Table 1) over one tree: scan one side
+//! sequentially and pose each item, expanded to a search rectangle, as a
+//! range query against the (transformed) index. The query engine does not
+//! call it: its joins run one range [`Descent`](crate::Descent) per outer
+//! row, verification included, over the forest or a flat source. It
+//! remains the benchmark's per-layer probe of the index side of a join.
 
 use crate::geom::Rect;
 use crate::rstar::RTree;
@@ -17,7 +20,7 @@ use crate::transform::DiagonalAffine;
 
 /// Expands a rectangle by `eps` in every dimension (the search-rectangle
 /// construction for joins on linear dimensions).
-pub fn expand(rect: &Rect, eps: f64) -> Rect {
+fn expand(rect: &Rect, eps: f64) -> Rect {
     Rect::new(
         rect.lo.iter().map(|v| v - eps).collect(),
         rect.hi.iter().map(|v| v + eps).collect(),

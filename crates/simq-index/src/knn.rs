@@ -13,8 +13,8 @@
 //! shards at once, and it visits the minimum possible number of nodes for
 //! the given trees and lower bound. This module holds what that form
 //! orders by — the engine's `(distance, id)` order and the live `k`-th
-//! best ([`LocalKth`], which the scans share) — and the single-tree
-//! callers [`RTree::nearest`] and [`RTree::nearest_by`].
+//! best (`LocalKth`) — and the single-tree callers [`RTree::nearest`] and
+//! [`RTree::nearest_by`].
 
 use crate::descent::{Descent, Stage};
 use crate::geom::{Rect, Space};
@@ -79,7 +79,7 @@ impl<T: Ord> Ord for Ranked<T> {
 
 /// Tracks the `k` smallest distances seen so far: the live `k`-th best
 /// that a search or scan prunes against.
-pub struct LocalKth {
+pub(crate) struct LocalKth {
     heap: BinaryHeap<Ranked<()>>, // max-heap of the k best distances
     k: usize,
     /// The heap's maximum once it holds `k` distances, infinite before.
@@ -88,7 +88,7 @@ pub struct LocalKth {
 
 impl LocalKth {
     /// A tracker for the `k` best distances.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         LocalKth {
             heap: BinaryHeap::new(),
             k,
@@ -98,12 +98,12 @@ impl LocalKth {
 
     /// The `k`-th best distance so far (infinite until `k` were offered).
     #[inline]
-    pub fn kth(&self) -> f64 {
+    pub(crate) fn kth(&self) -> f64 {
         self.kth
     }
 
     /// Records a distance.
-    pub fn offer(&mut self, d: f64) {
+    pub(crate) fn offer(&mut self, d: f64) {
         if self.heap.len() < self.k {
             self.heap.push(Ranked { key: d, what: () });
         } else if self.heap.peek().is_some_and(|worst| d < worst.key) {

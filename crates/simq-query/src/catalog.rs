@@ -158,19 +158,9 @@ impl StoredRelation {
     }
 
     /// Iterates rows: insertion order for the single form, shard-major
-    /// for the sharded one. Use [`StoredRelation::rows_in_scan_order`]
-    /// when the unsharded iteration order matters.
+    /// for the sharded one.
     pub fn rows(&self) -> Box<dyn Iterator<Item = &SeriesRow> + '_> {
         Box::new(self.stores().iter().flat_map(SeriesRelation::rows))
-    }
-
-    /// All rows in the unsharded scan order: insertion order for the
-    /// single form, id order for the sharded one (see
-    /// [`simq_storage::scan::rows_in_scan_order`] for when the two
-    /// differ — asymmetric pair scans may then report a different,
-    /// equally valid, orientation for tied pairs).
-    pub fn rows_in_scan_order(&self) -> Vec<&SeriesRow> {
-        simq_storage::scan::rows_in_scan_order(self.stores())
     }
 
     /// True when index-based plans are available (sharded relations

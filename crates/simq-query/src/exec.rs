@@ -11,7 +11,7 @@
 //!
 //! Lemma 1 guarantees step 2 returns a superset of the answer (no false
 //! dismissals); step 3 removes the false hits. Steps 2 and 3 are one
-//! [`Descent`](simq_index::Descent): each row a leaf keeps is verified the
+//! [`Descent`]: each row a leaf keeps is verified the
 //! moment it is kept. kNN runs the same descent under its live `k`-th best.
 //! The property tests in `tests/lemma1.rs` pin the end-to-end guarantee
 //! against brute force.
@@ -21,21 +21,26 @@
 //! picks the source and nothing else, so range and kNN each run one drain
 //! whichever source the plan picked. A range scan with a thread budget
 //! runs one flat descent per contiguous row span, merged in span order.
+//!
+//! An all-pairs join is a loop of range descents, one per outer row, each
+//! posing the row (transformed by the left side) as the range query's
+//! comparison spectrum: over the trees for methods c/d, over the flat
+//! source for a/b, workers claiming rows from one shared cursor.
 
 use crate::ast::{Query, QuerySource, StatsWindow};
 use crate::catalog::{Database, StoredRelation};
 use crate::error::QueryError;
 use crate::plan::{explain, plan, AccessPath, Plan};
 use crate::verify::{
-    compile_probe, hit, knn_descent, pad, sort_hits, Ledger, PlanDescent, RangeVerifier,
+    flat_rows, hit, knn_descent, sort_hits, Ledger, PairStage, PlanDescent, RangeVerifier,
 };
 use simq_dsp::complex::Complex;
-use simq_index::ForestStats;
+use simq_index::{Descent, ForestStats, RowRef, SearchStats};
 use simq_obs::span;
-use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::SeriesTransform;
 use simq_storage::scan;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Work counters accumulated across the whole execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,12 +51,15 @@ pub struct ExecStats {
     pub leaves_visited: u64,
     /// Index entries tested.
     pub entries_tested: u64,
-    /// Rows read by sequential scans (a flat descent's rows, and the pair
-    /// scans' outer rows).
+    /// Rows read by flat descents: a scan's rows, and the rows each outer
+    /// row of a scan join reads.
     pub rows_scanned: u64,
     /// Complex coefficients compared by scans / postprocessing.
     pub coefficients_compared: u64,
-    /// Candidates produced by the filter step.
+    /// Rows a descent handed to verification or refinement: the rows an
+    /// index search's rectangle kept, every row a flat descent read, and
+    /// for a join the sum over its outer rows' descents (the probe's own
+    /// row and, in a symmetric index join, the ids below it included).
     pub candidates: u64,
     /// Candidates dismissed by the quantized signature tier before their
     /// full spectrum was touched — rows the exact distance would have
@@ -62,7 +70,8 @@ pub struct ExecStats {
     /// Candidates that survived exact verification.
     pub verified: u64,
     /// Worker threads that actually carried out query work — the widest
-    /// fan-out any execution phase reached. 1 means the query ran on the
+    /// fan-out any execution phase reached: a range scan's row spans, or a
+    /// join's workers claiming outer rows. 1 means the query ran on the
     /// calling thread: every index descent and kNN does, and a scan or
     /// join does when its plan has one thread or too few rows to split.
     pub threads_used: u64,
@@ -172,11 +181,11 @@ pub struct QueryResult {
     /// reading it.
     pub per_thread: Vec<ExecStats>,
     /// Per-shard counters for sharded relations (empty for unsharded
-    /// execution): entry `i` is shard `i`'s share of the descent — node
+    /// execution): entry `i` is shard `i`'s share of the descents — node
     /// reads or scanned rows, and the candidates, dismissals and
     /// coefficients of the rows refined in its tree or store, range
-    /// verification included. Pair work crosses shards and is reported in
-    /// [`QueryResult::stats`] only, as is `verified`.
+    /// verification and every join descent included. `verified` is in
+    /// [`QueryResult::stats`] only.
     pub per_shard: Vec<ExecStats>,
 }
 
@@ -489,11 +498,11 @@ fn drain(stored: &StoredRelation, mut descent: PlanDescent) -> (Vec<Hit>, Forest
 /// Charges the descents one phase drained, one per worker, to the ledger
 /// and notes their work on the phase's operator span `op`: their hits,
 /// concatenated in descent order.
-fn charge(
+fn charge<T>(
     ledger: &mut Ledger,
     op: span::SpanGuard,
-    drained: Vec<(Vec<Hit>, ForestStats)>,
-) -> Vec<Hit> {
+    drained: Vec<(Vec<T>, ForestStats)>,
+) -> Vec<T> {
     let (mut hits, mut work) = (Vec::new(), Vec::with_capacity(drained.len()));
     for (found, stats) in drained {
         if hits.is_empty() {
@@ -539,6 +548,16 @@ fn knn(
     Ok(ledger.finish(QueryOutput::Hits(hits), the_plan))
 }
 
+/// Answers an all-pairs query as the paper does (Table 1): each row `x`,
+/// moved by `left`, is posed as a range query of `right`. One body runs
+/// every method: workers claim outer rows from one shared cursor, and each
+/// row drains one fixed-bound descent, over the trees (methods c/d) or the
+/// flat source (a/b), steered by the range verifier resolved once here and
+/// re-aimed at the row's probe `L(x)`. A symmetric flat probe reads only
+/// the rows after its own; every probe skips its own row, and a symmetric
+/// tree probe every id below its own, so each unordered pair of a
+/// symmetric join is verified once and each orientation of an asymmetric
+/// one once.
 fn all_pairs(
     stored: &StoredRelation,
     left: &SeriesTransform,
@@ -547,143 +566,96 @@ fn all_pairs(
     the_plan: &Plan,
 ) -> Result<QueryResult, QueryError> {
     let n = stored.series_len();
-    let threads = the_plan.threads;
     let mut ledger = Ledger::new(stored);
     let symmetric = left == right;
-
-    let mut pairs: Vec<PairHit> = match the_plan.access {
-        AccessPath::ScanJoin { early_abandon } => {
-            // Pair work crosses shards: the rows of every store run
-            // through one pair scan, so parallelism is row-claimed and
-            // there are no per-shard shares.
-            let join_span = span::span("join.scan");
-            let (found, s, workers) = scan::scan_all_pairs_over(
-                stored.stores(),
-                left,
-                right,
-                eps,
-                early_abandon,
-                threads,
-            )?;
-            let work = ExecStats {
-                rows_scanned: s.rows_scanned,
-                coefficients_compared: s.coefficients_compared,
-                ..ExecStats::default()
-            };
-            ledger.unsharded(&work, workers);
-            join_span.note("rows", ledger.stats.rows_scanned);
-            join_span.note("pairs", found.len() as u64);
-            drop(join_span);
-            found
-                .into_iter()
-                .map(|(a, b, distance)| PairHit { a, b, distance })
-                .collect()
-        }
-        AccessPath::IndexProbeJoin { transformed } => {
-            let join_span = span::span("join.probe");
-            let scheme = stored.scheme();
-            let (eff_left, eff_right) = if transformed {
-                (left.clone(), right.clone())
-            } else {
-                (SeriesTransform::Identity, SeriesTransform::Identity)
-            };
-            // The index side carries `right` (Algorithm 2); probe spectra
-            // carry `left`, applied outside the index. Both actions are
-            // computed once — per-probe recomputation of the coefficient
-            // vectors would dominate the join.
-            let lowered = eff_right.lower(scheme, n)?;
-            let action = eff_right.action(n, n.saturating_sub(1))?;
-            let left_action = eff_left.action(n, n.saturating_sub(1))?;
-            // One probe per row, ranging over every tree of the forest;
-            // for asymmetric joins both orientations of each unordered
-            // pair are discovered (once from each probe); keep the
-            // smaller distance per canonical (min, max) key. The
-            // candidate union over shards equals the single-tree
-            // candidate set and `min` is commutative, so the map is the
-            // same however rows are sharded or chunked across workers.
-            let rows: Vec<&simq_storage::SeriesRow> = stored.rows_in_scan_order();
-            let chunks = scan::chunk_bounds(rows.len(), threads);
-            type Found = BTreeMap<(u64, u64), f64>;
-            let keep_min = |found: &mut Found, key: (u64, u64), d: f64| {
-                let entry = found.entry(key).or_insert(d);
-                if d < *entry {
-                    *entry = d;
-                }
-            };
-            let workers = scan::fan(&chunks, |&(lo, hi)| -> Result<_, QueryError> {
-                let mut found = Found::new();
-                let mut stats = ExecStats::default();
-                // The probe spectrum is the "query" of each row's
-                // verification step, so each probe row gets its own
-                // quantized-tier bound against ε — recompiled in place.
-                let mut probe_spec = vec![Complex::ZERO; n];
-                let mut row_probe = compile_probe(stored, &probe_spec, &action.multipliers);
-                for row in &rows[lo..hi] {
-                    probe_spec.clear();
-                    probe_spec.push(row.features.spectrum[0]);
-                    probe_spec.extend(
-                        row.features.spectrum[1..]
-                            .iter()
-                            .zip(&left_action.multipliers)
-                            .map(|(x, a)| *x * *a),
-                    );
-                    let probe_point = scheme.point_from_spectrum(0.0, 0.0, &probe_spec)?;
-                    let rect = scheme.search_rect(&probe_point, pad(eps));
-                    row_probe.recompile(&probe_spec);
-                    for tree in stored.trees() {
-                        let (candidates, s) = tree.range_transformed(&lowered, &rect);
-                        stats.add_search(&s);
-                        for id in candidates {
-                            // Symmetric joins need each unordered pair once.
-                            if id == row.id || (symmetric && id < row.id) {
-                                continue;
-                            }
-                            let sig = stored.signature(id);
-                            if sig.is_some_and(|sig| row_probe.dismisses(sig, eps * eps)) {
-                                stats.filtered_out += 1;
-                                continue;
-                            }
-                            let other = stored.row(id).expect("index ids are valid");
-                            let (d_sq, abandoned) = transformed_distance_sq(
-                                &other.features.spectrum,
-                                &action.multipliers,
-                                &probe_spec,
-                                Some(eps * eps),
-                                &mut stats.coefficients_compared,
-                            );
-                            let d = d_sq.sqrt();
-                            if !abandoned && d <= eps {
-                                keep_min(&mut found, (row.id.min(id), row.id.max(id)), d);
-                            }
-                        }
-                    }
-                }
-                Ok((found, stats))
-            });
-            let (mut found, mut work) = (Found::new(), ExecStats::default());
-            let threads = workers.len();
-            for w in workers {
-                let (local, local_stats) = w?;
-                for (key, d) in local {
-                    keep_min(&mut found, key, d);
-                }
-                work.add_work(&local_stats);
-            }
-            ledger.unsharded(&work, threads);
-            join_span.note("probes", rows.len() as u64);
-            join_span.note("candidates", ledger.stats.candidates);
-            join_span.note("filtered", ledger.stats.filtered_out);
-            join_span.note("pairs", found.len() as u64);
-            drop(join_span);
-            found
-                .into_iter()
-                .map(|((a, b), distance)| PairHit { a, b, distance })
-                .collect()
+    // The access path picks the source and whether distances abandon at
+    // ε; METHOD c ignores the transformation.
+    let identity = SeriesTransform::Identity;
+    let (op, index, abandon, left, right) = match the_plan.access {
+        AccessPath::ScanJoin { early_abandon } => ("join.scan", false, early_abandon, left, right),
+        AccessPath::IndexProbeJoin { transformed: true } => ("join.probe", true, true, left, right),
+        AccessPath::IndexProbeJoin { transformed: false } => {
+            ("join.probe", true, true, &identity, &identity)
         }
         _ => unreachable!("all-pairs queries plan to joins"),
     };
+    let op = span::span(op);
+    let probe_action = left.action(n, n.saturating_sub(1))?.multipliers;
+    let ctx = QueryContext {
+        spectrum: vec![Complex::ZERO; n],
+        mean: 0.0,
+        std_dev: 0.0,
+    };
+    let verify = RangeVerifier::new(stored, right, ctx, eps, StatsWindow::default())?;
+    let stage = verify.abandoning(abandon).stage(index)?;
+    let lowered = if index {
+        Some(right.lower(stored.scheme(), n)?)
+    } else {
+        None
+    };
 
-    pairs.sort_by_key(|x| (x.a, x.b));
+    let (stores, rows) = (stored.stores(), stored.row_count());
+    let cursor = AtomicUsize::new(0);
+    let workers: Vec<usize> = (0..the_plan.threads.clamp(1, rows.max(1))).collect();
+    let probe = |_: &usize| -> Result<(Vec<PairHit>, ForestStats), QueryError> {
+        let (mut stage, mut found, mut work) = (stage.clone(), Vec::new(), ForestStats::default());
+        loop {
+            let p = cursor.fetch_add(1, Ordering::Relaxed);
+            if p >= rows {
+                return Ok((found, work));
+            }
+            let (mut store, mut pos) = (0, p);
+            while pos >= stores[store].len() {
+                pos -= stores[store].len();
+                store += 1;
+            }
+            let row = &stores[store].row_slice()[pos];
+            stage.aim(&row.features.spectrum, &probe_action)?;
+            let pairs = PairStage {
+                stage: &stage,
+                own: if index {
+                    RowRef::Id(row.id)
+                } else {
+                    RowRef::At(store, pos)
+                },
+                below: if symmetric { row.id } else { 0 },
+            };
+            let mut descent = match &lowered {
+                Some(lowered) => {
+                    Descent::within(stored.trees(), Some(Cow::Borrowed(lowered)), pairs)
+                }
+                None => {
+                    let from = if symmetric { p + 1 } else { 0 };
+                    Descent::within_flat(flat_rows(stores, (from, usize::MAX)), pairs)
+                }
+            };
+            found.extend(descent.by_ref().map(|nb| PairHit {
+                a: row.id.min(nb.id),
+                b: row.id.max(nb.id),
+                distance: nb.dist_sq.sqrt(),
+            }));
+            let done = descent.into_stats();
+            work.merged.add(&done.merged);
+            work.per_shard
+                .resize(done.per_shard.len(), SearchStats::default());
+            for (acc, s) in work.per_shard.iter_mut().zip(&done.per_shard) {
+                acc.add(s);
+            }
+        }
+    };
+    let drained = scan::fan(&workers, probe);
+    let mut pairs = charge(
+        &mut ledger,
+        op,
+        drained.into_iter().collect::<Result<_, _>>()?,
+    );
+    // An asymmetric join finds a pair from each side: keep the nearer.
+    pairs.sort_by(|x, y| {
+        (x.a, x.b)
+            .cmp(&(y.a, y.b))
+            .then(x.distance.total_cmp(&y.distance))
+    });
+    pairs.dedup_by_key(|x| (x.a, x.b));
     Ok(ledger.finish(QueryOutput::Pairs(pairs), the_plan))
 }
 

@@ -8,7 +8,9 @@
 //! stage is a range query's search rectangle and verifier (window test →
 //! signature probe → exact distance against ε, for each row the moment its
 //! leaf keeps it; a scan has no rectangle and no probe), or a kNN query's
-//! ranking bounds and refine step. Materialized execution ([`crate::exec`]
+//! ranking bounds and refine step. An all-pairs join re-aims one range
+//! stage at each outer row and runs it behind a [`PairStage`], the pair
+//! rule. Materialized execution ([`crate::exec`]
 //! — batches run it per slot) drains the descent; a streaming cursor
 //! ([`crate::session`]) pauses it between pulls. This module also owns the
 //! one rule deciding which counter breakdown a phase is charged to
@@ -70,7 +72,7 @@ pub(crate) fn compile_probe(
 /// The positions of each store's rows that fall at `lo..hi` of the
 /// stores' store-after-store order: the flat source of a scan plan's
 /// descent (`(0, usize::MAX)` for every row).
-fn flat_rows(stores: &[SeriesRelation], (lo, hi): (usize, usize)) -> Vec<Range<usize>> {
+pub(crate) fn flat_rows(stores: &[SeriesRelation], (lo, hi): (usize, usize)) -> Vec<Range<usize>> {
     let mut start = 0;
     let rows = stores.iter().map(|store| {
         let end = start + store.len();
@@ -114,6 +116,9 @@ pub(crate) struct RangeVerifier<'db> {
     ctx: QueryContext,
     /// The distance threshold.
     eps: f64,
+    /// Whether the exact distance stops once it passes ε² (every form but
+    /// `METHOD a`, which keeps full distances).
+    abandon: bool,
     probe: Option<FilterProbe>,
 }
 
@@ -133,8 +138,14 @@ impl<'db> RangeVerifier<'db> {
             window,
             ctx,
             eps,
+            abandon: true,
             probe: None,
         })
+    }
+
+    /// Sets whether the exact distance abandons once it passes ε².
+    pub(crate) fn abandoning(self, abandon: bool) -> Self {
+        RangeVerifier { abandon, ..self }
     }
 
     /// Puts the quantized signature tier ahead of the exact distance (the
@@ -217,7 +228,7 @@ impl<'db> RangeVerifier<'db> {
             &row.features.spectrum,
             &self.action.multipliers,
             &self.ctx.spectrum,
-            Some(eps_sq),
+            self.abandon.then_some(eps_sq),
             coefficients,
         );
         (!abandoned && d_sq.sqrt() <= self.eps).then_some(d_sq)
@@ -233,15 +244,23 @@ impl<'db> RangeVerifier<'db> {
         if *access != AccessPath::IndexScan {
             return Ok(self.scan((0, usize::MAX)));
         }
-        // The search rectangle prunes nodes and rows, and each row a leaf
-        // keeps is verified with the quantized tier ahead of the exact
-        // distance.
         let stored = self.stored;
+        let stage = self.stage(true)?;
+        let lowered = Cow::Owned(transform.lower(stored.scheme(), stored.series_len())?);
+        Ok(Descent::within(stored.trees(), Some(lowered), stage))
+    }
+
+    /// The range query's stage over the index, or over a flat source. Over
+    /// the index the search rectangle prunes nodes and rows, and each row a
+    /// leaf keeps is verified with the quantized tier ahead of the exact
+    /// distance; a flat source's rows are all verified, tier-free.
+    pub(crate) fn stage(self, index: bool) -> Result<PlanStage<'db>, QueryError> {
+        if !index {
+            return Ok(PlanStage::Scan(self));
+        }
         let verify = self.with_probe();
         let rect = verify.search_rect()?;
-        let lowered = Cow::Owned(transform.lower(stored.scheme(), stored.series_len())?);
-        let stage = PlanStage::Range { rect, verify };
-        Ok(Descent::within(stored.trees(), Some(lowered), stage))
+        Ok(PlanStage::Range { rect, verify })
     }
 
     /// Opens a scan of the rows at positions `span` of the stores'
@@ -265,6 +284,7 @@ pub(crate) fn hit(stored: &StoredRelation, nb: Neighbor) -> Hit {
 /// Kriegel): the bounds that rank subtrees and rows, and the refine step
 /// that decides a ranked row against the shrinking exact `k`-th best.
 /// Everything is in squared distances.
+#[derive(Clone)]
 pub(crate) struct KnnRank<'a> {
     stored: &'a StoredRelation,
     q_spec: Vec<Complex>,
@@ -358,6 +378,7 @@ impl<'a> KnnRank<'a> {
 
 /// What a plan's descent does at the entries and rows it reaches: the one
 /// [`Stage`] of both query forms and both sources.
+#[derive(Clone)]
 pub(crate) enum PlanStage<'db> {
     /// Range: the search rectangle prunes, the verifier decides each row
     /// against ε.
@@ -419,6 +440,59 @@ impl Stage for PlanStage<'_> {
     }
 }
 
+impl PlanStage<'_> {
+    /// Re-aims a range stage at the comparison spectrum `x` moved by
+    /// `multipliers` — an all-pairs join's probe `L(x)`: its verifier, its
+    /// signature probe and, over the index, its search rectangle.
+    pub(crate) fn aim(&mut self, x: &[Complex], multipliers: &[Complex]) -> Result<(), QueryError> {
+        let (PlanStage::Range { verify, .. } | PlanStage::Scan(verify)) = self else {
+            unreachable!("a join probes with a range stage")
+        };
+        let q = &mut verify.ctx.spectrum;
+        q.clear();
+        q.extend(x.first());
+        q.extend(x.iter().skip(1).zip(multipliers).map(|(x, m)| *x * *m));
+        if let Some(probe) = &mut verify.probe {
+            probe.recompile(q);
+        }
+        if let PlanStage::Range { rect, verify } = self {
+            *rect = verify.search_rect()?;
+        }
+        Ok(())
+    }
+}
+
+/// The pair rule of an all-pairs join ahead of the range stage that
+/// verifies one probe's rows: the probe's own row, and ids below `below`
+/// (a symmetric tree join's probe id: each unordered pair once), are
+/// skipped before any refine work. The descent still counts them as
+/// candidates.
+pub(crate) struct PairStage<'s, 'db> {
+    pub(crate) stage: &'s PlanStage<'db>,
+    /// The probe's row as the descent hands it.
+    pub(crate) own: RowRef,
+    /// Tree rows with a smaller id are skipped (0: none).
+    pub(crate) below: u64,
+}
+
+impl Stage for PairStage<'_, '_> {
+    fn key(&self, space: &Space, rect: &Rect) -> Option<f64> {
+        self.stage.key(space, rect)
+    }
+
+    #[inline(always)]
+    fn refine(&self, row: RowRef, key: f64, bound: f64, stats: &mut SearchStats) -> Option<f64> {
+        if row == self.own || matches!(row, RowRef::Id(id) if id < self.below) {
+            return None;
+        }
+        self.stage.refine(row, key, bound, stats)
+    }
+
+    fn id_at(&self, store: usize, pos: usize) -> u64 {
+        self.stage.id_at(store, pos)
+    }
+}
+
 /// The descent of a plan over a relation's forest of trees or its flat
 /// source.
 pub(crate) type PlanDescent<'db> = Descent<'db, PlanStage<'db>>;
@@ -447,11 +521,10 @@ pub(crate) fn knn_descent<'db>(
 /// The counters of one execution — merged totals, the per-shard breakdown
 /// and the widest fan-out — and the one rule for what the breakdown holds:
 /// a descent over the relation's trees or stores (index reads, scanned
-/// rows, and the candidates, dismissals and refine work of either query
-/// form — range verification included) is charged **per shard**
-/// when the relation has more than one store. Pair work, which crosses
-/// shards, is in the totals only. Single-store relations keep
-/// `shards_touched = 0` and an empty `per_shard`.
+/// rows, and the candidates, dismissals and refine work of every query
+/// form — range verification and a join's descents included) is charged
+/// **per shard** when the relation has more than one store. Single-store
+/// relations keep `shards_touched = 0` and an empty `per_shard`.
 pub(crate) struct Ledger {
     /// The merged totals.
     pub(crate) stats: ExecStats,
@@ -489,12 +562,6 @@ impl Ledger {
                 acc.add_search(s);
             }
         }
-    }
-
-    /// Charges work without shard affinity, carried by `threads` workers.
-    pub(crate) fn unsharded(&mut self, work: &ExecStats, threads: usize) {
-        self.widest = self.widest.max(threads);
-        self.stats.add_work(work);
     }
 
     /// Closes the ledger into a result.

@@ -8,10 +8,11 @@
 //! * [`relation`] — [`SeriesRelation`]: rows, feature extraction on
 //!   insert, index construction (bulk-loaded or incremental).
 //! * [`scan`] — the single-store scan kernels with and without early
-//!   abandoning (methods *a*/*b* of the paper's Table 1, and the reference
-//!   answers every path is tested against), and the all-pairs scan over a
-//!   relation's stores. The engine's range and kNN scans are the index's
-//!   one descent over a flat source of the stores' rows.
+//!   abandoning (the reference answers every path is tested against) and
+//!   the query layer's fan-out helpers. The engine's scans — range, kNN,
+//!   and each outer row of the paper's scan joins (methods *a*/*b* of
+//!   Table 1) — are the index's one descent over a flat source of the
+//!   stores' rows.
 //! * [`persist`] — a tiny dependency-free text format with exact `f64`
 //!   round-tripping (the import/export path).
 //! * [`pages`] — the checksummed fixed-size page layer under snapshots.
@@ -20,8 +21,7 @@
 //!   feature extraction and index bulk-loading.
 //! * [`shard`] — [`ShardedRelation`]: the row space hash-partitioned by
 //!   row id into independent shards (each an ordinary [`SeriesRelation`]),
-//!   whose pair scan is [`scan::scan_all_pairs_over`] over the shards'
-//!   stores, bitwise identical to the unsharded scan.
+//!   whose stores the query layer's descents read as one flat source.
 //! * [`sig`] — the quantized filter tier: [`SignatureArray`] (contiguous
 //!   reduced-precision leading spectrum coefficients per relation/shard)
 //!   and [`FilterProbe`] (a no-false-dismissal lower bound on the
@@ -52,7 +52,7 @@ pub use durable::{
     ManifestEntry, ReplayReport, SnapshotEntry,
 };
 pub use relation::{SeriesRelation, SeriesRow};
-pub use scan::{scan_all_pairs_over, scan_knn, scan_range, ScanHit, ScanStats};
+pub use scan::{scan_knn, scan_range, ScanHit, ScanStats};
 pub use shard::{ShardLayout, ShardedRelation};
 pub use sig::{deflate_sq, FilterProbe, SignatureArray, SIG_COEFFS};
 pub use snapshot::{SnapshotError, SnapshotRelation};

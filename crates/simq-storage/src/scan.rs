@@ -17,21 +17,19 @@
 //!
 //! [`scan_range`] and [`scan_knn`] are the single-store kernels and the
 //! oracle every other path is tested against ([`scan_knn`] computes every
-//! full distance). The engine's own range and kNN scans are not here: they
-//! are `simq_index::Descent`s over a flat source of the stores' rows,
-//! steered by the same stage as the index path. What stays is the pair
-//! scan over a slice of stores (one per relation shard; an unsharded
-//! relation is a slice of one), whose workers claim outer rows, and the
-//! fan-out helpers the query layer splits its work with ([`chunk_bounds`],
-//! [`fan`]).
+//! full distance). The engine's own scans are not here: a range or kNN
+//! scan, and each outer row of a scan join, is a `simq_index::Descent`
+//! over a flat source of the stores' rows, steered by the same stage as
+//! the index path. What stays are the fan-out helpers the query layer
+//! splits its work with ([`chunk_bounds`], [`fan`]) and the stores'
+//! [`mirror_slack`].
 
-use crate::relation::{SeriesRelation, SeriesRow};
+use crate::relation::SeriesRelation;
 use simq_dsp::complex::Complex;
 use simq_index::knn::cmp_distance_id;
 use simq_series::error::SeriesError;
 use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::SeriesTransform;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Work counters for scans, comparable with index search statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,23 +41,6 @@ pub struct ScanStats {
     /// Rows abandoned before the full distance was computed.
     pub early_abandoned: u64,
 }
-
-impl ScanStats {
-    /// Component-wise accumulation.
-    pub fn add(&mut self, other: &ScanStats) {
-        self.rows_scanned += other.rows_scanned;
-        self.coefficients_compared += other.coefficients_compared;
-        self.early_abandoned += other.early_abandoned;
-    }
-}
-
-/// Pairs produced by all-pairs scans: `(id_a, id_b, distance)` with
-/// `id_a < id_b`.
-pub type PairList = Vec<(u64, u64, f64)>;
-
-/// Pairs produced from one outer row, tagged with the row's position so
-/// parallel workers' output can be reassembled in serial order.
-type RowPairs = (usize, PairList);
 
 /// A scan hit: row id and exact distance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,8 +61,8 @@ fn nearest_k(mut hits: Vec<ScanHit>, k: usize) -> Vec<ScanHit> {
 }
 
 /// Splits `n` work items into at most `threads` contiguous, non-empty
-/// `[lo, hi)` chunks (shared by the scans here and by the probe join and
-/// batch slots in `simq-query`).
+/// `[lo, hi)` chunks (a range scan's row spans and a batch's slots in
+/// `simq-query`).
 pub fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
     let threads = threads.max(1).min(n.max(1));
     let chunk = n.div_ceil(threads);
@@ -93,8 +74,8 @@ pub fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
 
 /// Runs `work` once per unit — on the calling thread when there is at most
 /// one, on one scoped thread each otherwise — returning results in unit
-/// order (shared by the scans here and by the probe join and batch slots
-/// in `simq-query`).
+/// order (a range scan's spans, a join's workers and a batch's slots in
+/// `simq-query`).
 pub fn fan<U: Sync, T: Send>(units: &[U], work: impl Fn(&U) -> T + Sync) -> Vec<T> {
     if units.len() <= 1 {
         return units.iter().map(work).collect();
@@ -164,180 +145,6 @@ pub fn scan_range(
         }
     }
     Ok((hits, stats))
-}
-
-/// The rows of a relation's stores in the unsharded scan order: a single
-/// store's insertion order, several stores' rows flattened in id order.
-/// The two coincide for sequentially built relations; a relation
-/// assembled with out-of-order explicit-id inserts loses its global
-/// insertion order on sharding (rows keep only their per-shard relative
-/// order), so for such relations the sharded↔unsharded equivalence holds
-/// against the id-ordered scan.
-pub fn rows_in_scan_order(stores: &[SeriesRelation]) -> Vec<&SeriesRow> {
-    let mut rows: Vec<&SeriesRow> = stores.iter().flat_map(SeriesRelation::rows).collect();
-    if stores.len() > 1 {
-        rows.sort_by_key(|r| r.id);
-    }
-    rows
-}
-
-/// All-pairs scan between `L(r)` and `R(r)` with independent
-/// transformations per side — the general join of the query language
-/// (`MATCHING L AGAINST R`) — over a slice of stores on up to `threads`
-/// threads. A pair `(i, j)`, `i < j`, qualifies when *either* orientation
-/// `D(L(x̂_i), R(x̂_j))` or `D(L(x̂_j), R(x̂_i))` is within `eps`; the
-/// smaller distance is reported. When `left == right` the orientations
-/// coincide and only one is computed.
-///
-/// A single store scans in its insertion order; several stores scan with
-/// their rows flattened in id order — the scan order of every
-/// sequentially built relation, so sharded output is bitwise identical to
-/// unsharded. Pair work crosses stores, so threads claim outer rows from
-/// a shared cursor (the triangular inner loop makes static chunks
-/// unbalanced) and the per-row pair lists are reassembled in row order,
-/// reproducing the serial output exactly. Returns the pairs, the merged
-/// counters (pair work has no per-store shares) and the threads that
-/// carried the work.
-///
-/// # Errors
-/// Transformation-domain errors.
-pub fn scan_all_pairs_over(
-    stores: &[SeriesRelation],
-    left: &SeriesTransform,
-    right: &SeriesTransform,
-    eps: f64,
-    early_abandon: bool,
-    threads: usize,
-) -> Result<(PairList, ScanStats, usize), SeriesError> {
-    let rows = rows_in_scan_order(stores);
-    let n = stores.first().map_or(0, SeriesRelation::series_len);
-    let ctx = PairScan::prepare(&rows, n, left, right, eps, early_abandon)?;
-    let cursor = AtomicUsize::new(0);
-    let workers: Vec<usize> = (0..threads.max(1).min(rows.len().max(1))).collect();
-    let claimed: Vec<(Vec<RowPairs>, ScanStats)> = fan(&workers, |_| {
-        let mut stats = ScanStats::default();
-        let mut produced: Vec<RowPairs> = Vec::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= rows.len() {
-                break;
-            }
-            stats.rows_scanned += 1;
-            let mut local = Vec::new();
-            for j in (i + 1)..rows.len() {
-                if let Some(d) = ctx.pair_distance(i, j, &mut stats) {
-                    local.push((rows[i].id, rows[j].id, d));
-                }
-            }
-            if !local.is_empty() {
-                produced.push((i, local));
-            }
-        }
-        (produced, stats)
-    });
-
-    let mut grouped: Vec<RowPairs> = Vec::new();
-    let mut stats = ScanStats::default();
-    for (produced, s) in claimed {
-        grouped.extend(produced);
-        stats.add(&s);
-    }
-    grouped.sort_by_key(|(i, _)| *i);
-    let out: PairList = grouped.into_iter().flat_map(|(_, v)| v).collect();
-    Ok((out, stats, workers.len()))
-}
-
-/// The per-side pre-transformed spectra and the per-pair predicate of the
-/// all-pairs scan.
-struct PairScan {
-    lefts: Vec<Vec<Complex>>,
-    /// Empty when the join is symmetric (`lefts` serves both sides).
-    rights: Vec<Vec<Complex>>,
-    symmetric: bool,
-    identity: Vec<Complex>,
-    limit: Option<f64>,
-    eps: f64,
-}
-
-impl PairScan {
-    /// Computes both transformation actions and pre-transforms every
-    /// stored spectrum once per side (the scan reads each row many
-    /// times).
-    fn prepare(
-        rows: &[&SeriesRow],
-        series_len: usize,
-        left: &SeriesTransform,
-        right: &SeriesTransform,
-        eps: f64,
-        early_abandon: bool,
-    ) -> Result<Self, SeriesError> {
-        let n = series_len;
-        let count = n.saturating_sub(1);
-        let left_action = left.action(n, count)?;
-        let right_action = right.action(n, count)?;
-        let symmetric = left == right;
-        let apply = |mults: &[Complex]| -> Vec<Vec<Complex>> {
-            rows.iter()
-                .map(|r| {
-                    let mut s = Vec::with_capacity(r.features.spectrum.len());
-                    s.push(r.features.spectrum[0]);
-                    for (x, a) in r.features.spectrum[1..].iter().zip(mults) {
-                        s.push(*x * *a);
-                    }
-                    s
-                })
-                .collect()
-        };
-        Ok(PairScan {
-            lefts: apply(&left_action.multipliers),
-            rights: if symmetric {
-                Vec::new()
-            } else {
-                apply(&right_action.multipliers)
-            },
-            symmetric,
-            identity: vec![Complex::ONE; count],
-            limit: early_abandon.then_some(eps * eps),
-            eps,
-        })
-    }
-
-    fn rights(&self) -> &[Vec<Complex>] {
-        if self.symmetric {
-            &self.lefts
-        } else {
-            &self.rights
-        }
-    }
-
-    /// The all-pairs predicate for rows `(i, j)`: the smaller qualifying
-    /// orientation distance, or `None` when neither orientation is within
-    /// `eps`.
-    fn pair_distance(&self, i: usize, j: usize, stats: &mut ScanStats) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        let mut check = |a: &[Complex], b: &[Complex], stats: &mut ScanStats| {
-            let (d_sq, abandoned) = transformed_distance_sq(
-                a,
-                &self.identity,
-                b,
-                self.limit,
-                &mut stats.coefficients_compared,
-            );
-            if abandoned {
-                stats.early_abandoned += 1;
-                return;
-            }
-            let d = d_sq.sqrt();
-            if d <= self.eps && best.is_none_or(|cur| d < cur) {
-                best = Some(d);
-            }
-        };
-        check(&self.lefts[i], &self.rights()[j], stats);
-        if !self.symmetric {
-            check(&self.lefts[j], &self.rights()[i], stats);
-        }
-        best
-    }
 }
 
 /// k-nearest-neighbour query by full scan (the exact reference answer for
@@ -457,25 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn all_pairs_is_symmetric_free_and_complete() {
-        let rel = relation_with(25);
-        let id = SeriesTransform::Identity;
-        let (pairs, ..) =
-            scan_all_pairs_over(std::slice::from_ref(&rel), &id, &id, 3.0, true, 1).unwrap();
-        // Each unordered pair at most once, i < j.
-        for (i, j, _) in &pairs {
-            assert!(i < j);
-        }
-        // Cross-check against range queries.
-        for (i, j, d) in &pairs {
-            let q = rel.row(*i).unwrap().features.spectrum.clone();
-            let (hits, _) = scan_range(&rel, &SeriesTransform::Identity, &q, 3.0, false).unwrap();
-            let hit = hits.iter().find(|h| h.id == *j).expect("pair member found");
-            assert!((hit.distance - d).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn knn_scan_orders_by_distance() {
         let rel = relation_with(30);
         let q = rel.row(0).unwrap().features.spectrum.clone();
@@ -484,26 +272,6 @@ mod tests {
         assert_eq!(hits[0].id, 0);
         for w in hits.windows(2) {
             assert!(w[0].distance <= w[1].distance);
-        }
-    }
-
-    #[test]
-    fn parallel_all_pairs_equals_serial() {
-        let rel = relation_with(40);
-        let left = SeriesTransform::MovingAverage { window: 5 };
-        let right = SeriesTransform::Identity;
-        for (l, r) in [(&left, &left), (&left, &right)] {
-            let (serial, ..) =
-                scan_all_pairs_over(std::slice::from_ref(&rel), l, r, 6.0, true, 1).unwrap();
-            for threads in [1, 2, 4, 9] {
-                let stores = std::slice::from_ref(&rel);
-                let (par, ..) = scan_all_pairs_over(stores, l, r, 6.0, true, threads).unwrap();
-                assert_eq!(par.len(), serial.len(), "threads {threads}");
-                for (a, b) in par.iter().zip(&serial) {
-                    assert_eq!((a.0, a.1), (b.0, b.1));
-                    assert_eq!(a.2.to_bits(), b.2.to_bits());
-                }
-            }
         }
     }
 }

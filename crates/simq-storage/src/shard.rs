@@ -15,18 +15,12 @@
 //!   another on the calling thread, and scans and joins split *rows*
 //!   (not shards) across threads. Either way sharded results are
 //!   bitwise identical to unsharded execution (pinned by
-//!   `tests/shard_equivalence.rs`). One caveat: sharding preserves rows'
-//!   per-shard relative order but not a global *insertion* order, so the
-//!   equivalence is stated against the relation's rows in id order —
-//!   identical for every sequentially built relation; a relation
-//!   assembled with out-of-order explicit-id inserts may see asymmetric
-//!   pair scans report the other (equally valid) orientation of a tied
-//!   pair.
+//!   `tests/shard_equivalence.rs`).
 //!
 //! Queries see a sharded relation as its slice of stores
-//! ([`ShardedRelation::shards`]): the scans over that slice are
-//! [`crate::scan`]'s `*_over` entry points, and the index side is one
-//! `simq_index::Descent` over the shards' trees.
+//! ([`ShardedRelation::shards`]): a scan, and each outer row of a join,
+//! is one `simq_index::Descent` over a flat source of that slice's rows,
+//! store after store, and the index side one over the shards' trees.
 
 use crate::relation::{SeriesRelation, SeriesRow};
 use simq_index::{RTree, RTreeConfig};
@@ -336,8 +330,7 @@ impl ShardedRelation {
     }
 
     /// Iterates rows shard-major (shard 0's rows in insertion order, then
-    /// shard 1's, …). Use [`crate::scan::rows_in_scan_order`] when id
-    /// order matters.
+    /// shard 1's, …).
     pub fn rows(&self) -> impl Iterator<Item = &SeriesRow> {
         self.shards.iter().flat_map(|s| s.rows())
     }
@@ -354,8 +347,6 @@ impl ShardedRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan_all_pairs_over;
-    use simq_series::transform::SeriesTransform;
 
     fn single_relation(rows: usize) -> SeriesRelation {
         let mut rel = SeriesRelation::new("r", 64, FeatureScheme::paper_default());
@@ -422,27 +413,6 @@ mod tests {
             sharded.insert_with_id(3, "dup", series),
             Err(SeriesError::DuplicateRowId(3))
         ));
-    }
-
-    #[test]
-    fn sharded_pair_scan_matches_single() {
-        let rel = single_relation(40);
-        let left = SeriesTransform::MovingAverage { window: 5 };
-        let right = SeriesTransform::Identity;
-        let sharded = ShardedRelation::from_single(rel.clone(), 4);
-        for (l, r) in [(&left, &left), (&left, &right)] {
-            let (want, ..) =
-                scan_all_pairs_over(std::slice::from_ref(&rel), l, r, 6.0, true, 1).unwrap();
-            for threads in [1, 3] {
-                let (got, ..) =
-                    scan_all_pairs_over(sharded.shards(), l, r, 6.0, true, threads).unwrap();
-                assert_eq!(got.len(), want.len(), "threads {threads}");
-                for (a, b) in got.iter().zip(&want) {
-                    assert_eq!((a.0, a.1), (b.0, b.1));
-                    assert_eq!(a.2.to_bits(), b.2.to_bits());
-                }
-            }
-        }
     }
 
     #[test]

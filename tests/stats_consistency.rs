@@ -3,8 +3,7 @@
 //! the relation's shards produces — index reads, scanned rows, scan
 //! coefficients, and the candidates, dismissals and refine work either
 //! descent form (range verification included) does inside its trees or
-//! a scan's stores.
-//! Pair work, which crosses shards, is in the totals only.
+//! a scan's stores — a join's descents, one per outer row, included.
 //! This hardens the one charging rule (`simq-query::verify`'s `Ledger`)
 //! against silently dropping a phase. And the merged counters are the
 //! same at every thread budget: no form's work depends on a schedule.
@@ -14,7 +13,7 @@ mod common;
 use common::{corpus, db_over, QUERY_FORMS};
 use proptest::prelude::*;
 use similarity_queries::prelude::*;
-use similarity_queries::query::{ExecStats, QueryResult};
+use similarity_queries::query::{ExecStats, QueryOutput, QueryResult};
 
 type Field = fn(&ExecStats) -> u64;
 
@@ -55,8 +54,7 @@ proptest! {
             let result = execute(&db, q).expect("matrix query runs");
             let label = format!("{q} (seed {seed}, rows {rows}, shards {shards}, threads {threads})");
             assert!(result.per_thread.is_empty(), "{label}");
-            let pairs = q.contains("PAIRS");
-            if shards == 1 || pairs {
+            if shards == 1 {
                 assert!(result.per_shard.is_empty(), "{label}");
                 continue;
             }
@@ -153,7 +151,10 @@ fn knn_refine_work_partitions_across_shards() {
 /// `per_shard` rows when range verification moved inside the descent and
 /// its counters into the shards' shares; the two kNN `FORCE SCAN` rows,
 /// downward, and the sharded range `FORCE SCAN` `per_shard` candidates
-/// when a scan became the same descent over a flat source). Counters are
+/// when a scan became the same descent over a flat source; the two
+/// `METHOD b` rows' `rows_scanned` and `candidates`, and the sharded
+/// `METHOD b` and `METHOD d` `per_shard` rows, when a join became one range
+/// descent per outer row). Counters are
 /// schedule-independent, so any drift here is a change in the work a plan
 /// does, not noise — and at 4 threads each statement does exactly the
 /// golden's work (the fan-out it reports aside).
@@ -186,6 +187,49 @@ fn serial_counters_match_the_recorded_golden() {
         assert_eq!(got, want);
     }
     assert_eq!(actual.lines().count(), golden.lines().count());
+}
+
+/// The pair rule of the join's one body: `METHOD a` compares full
+/// distances, so its coefficient count is exact. A symmetric join verifies
+/// each unordered pair once and never a row with itself, its flat probes
+/// reading only the rows after their own; an asymmetric one verifies each
+/// orientation once, its probes reading every row and skipping their own.
+/// The index join's rule (its own row, and in a symmetric join the ids
+/// below it) finds the same pairs.
+#[test]
+fn scan_joins_verify_each_pair_once_per_orientation() {
+    let (rows, len) = (60u64, 64u64);
+    let series = corpus(17, rows as usize, len as usize);
+    let half = rows * (rows - 1) / 2;
+    let pairs = |r: QueryResult| -> Vec<(u64, u64, u64)> {
+        let QueryOutput::Pairs(pairs) = r.output else {
+            panic!("expected pairs")
+        };
+        pairs
+            .iter()
+            .map(|p| (p.a, p.b, p.distance.to_bits()))
+            .collect()
+    };
+    for shards in [1usize, 4] {
+        for threads in [1usize, 4] {
+            let db = db_over(&series, shards, threads);
+            for (clause, compared, read) in [
+                (" USING mavg(5)", half, half),
+                (" MATCHING mavg(3) AGAINST reverse", 2 * half, rows * rows),
+            ] {
+                let q = format!("FIND PAIRS IN r{clause} EPSILON 4.0 METHOD");
+                let label = format!("{q} (shards {shards}, threads {threads})");
+                let scan = execute(&db, &format!("{q} a")).unwrap();
+                let s = scan.stats;
+                assert_eq!(s.coefficients_compared, compared * len, "{label}");
+                assert_eq!((s.rows_scanned, s.candidates), (read, read), "{label}");
+                let found = pairs(scan);
+                assert!(found.len() >= 10, "{label}: {} pairs", found.len());
+                let probe = execute(&db, &format!("{q} d")).unwrap();
+                assert_eq!(pairs(probe), found, "{label}");
+            }
+        }
+    }
 }
 
 /// The WAL counters mean the same on both write targets: against real
