@@ -37,7 +37,7 @@ use crate::verify::{
 use simq_dsp::complex::Complex;
 use simq_index::{Descent, ForestStats, RowRef, SearchStats};
 use simq_obs::span;
-use simq_series::transform::SeriesTransform;
+use simq_series::transform::{NormalFormAction, SeriesTransform};
 use simq_storage::scan;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -282,8 +282,8 @@ pub fn run_with_plan(
             stats_window,
             ..
         } => {
-            let (stored, ctx) = resolve_query(db, relation, source, transform, *on_both)?;
-            let result = range(stored, transform, ctx, *eps, *stats_window, &the_plan)?;
+            let (stored, ctx, action) = resolve_query(db, relation, source, transform, *on_both)?;
+            let result = range(stored, action, ctx, *eps, *stats_window, &the_plan)?;
             note_query_metrics(&result);
             Ok(result)
         }
@@ -295,8 +295,8 @@ pub fn run_with_plan(
             on_both,
             ..
         } => {
-            let (stored, ctx) = resolve_query(db, relation, source, transform, *on_both)?;
-            let result = knn(stored, transform, ctx.spectrum, *k, &the_plan)?;
+            let (stored, ctx, action) = resolve_query(db, relation, source, transform, *on_both)?;
+            let result = knn(stored, action, ctx.spectrum, *k, &the_plan)?;
             note_query_metrics(&result);
             Ok(result)
         }
@@ -392,16 +392,21 @@ pub(crate) struct QueryContext {
     pub(crate) std_dev: f64,
 }
 
-/// Resolves a row query: the relation it names, and the normal-form
-/// spectrum of the query series (transformed when `ON BOTH` was given) with
-/// its statistics.
+/// Resolves a row query: the relation it names, the normal-form spectrum of
+/// the query series (transformed when `ON BOTH` was given) with its
+/// statistics, and the transformation's action on every frequency — the
+/// statement's one resolution of it, from which the `ON BOTH` spectrum,
+/// the verifier, the signature probe, the kNN rank and the index lowering
+/// all derive. A statement whose distances can overflow is refused here
+/// ([`NormalFormAction::check_distances`]).
 pub(crate) fn resolve_query<'db>(
     db: &'db Database,
     relation: &str,
     source: &QuerySource,
     transform: &SeriesTransform,
     on_both: bool,
-) -> Result<(&'db StoredRelation, QueryContext), QueryError> {
+) -> Result<(&'db StoredRelation, QueryContext, NormalFormAction), QueryError> {
+    let resolve = span::span("query.resolve");
     let stored = db
         .relation(relation)
         .ok_or_else(|| QueryError::UnknownRelation(relation.to_string()))?;
@@ -438,36 +443,39 @@ pub(crate) fn resolve_query<'db>(
             )
         }
     };
+    let action = transform.action(n, n.saturating_sub(1))?;
+    resolve.note("multipliers", action.multipliers.len() as u64);
     let spectrum = if on_both {
-        transform.apply_spectrum(&spectrum, n)?
+        action.apply_spectrum(&spectrum)
     } else {
         spectrum
     };
+    action.check_distances(n, &spectrum)?;
     let ctx = QueryContext {
         spectrum,
         mean,
         std_dev,
     };
-    Ok((stored, ctx))
+    Ok((stored, ctx, action))
 }
 
 fn range(
     stored: &StoredRelation,
-    transform: &SeriesTransform,
+    action: NormalFormAction,
     ctx: QueryContext,
     eps: f64,
     window: StatsWindow,
     the_plan: &Plan,
 ) -> Result<QueryResult, QueryError> {
     let mut ledger = Ledger::new(stored);
-    let verifier = RangeVerifier::new(stored, transform, ctx, eps, window)?;
+    let verifier = RangeVerifier::new(stored, action, ctx, eps, window);
     let (op, drained) = match the_plan.access {
         // One descent over the relation's forest of trees: every shard's
         // tree serves the same lowered query, and each row a leaf keeps is
         // verified the moment it is kept.
         AccessPath::IndexScan => {
             let op = span::span("range.descend");
-            let descent = verifier.descend(transform, &the_plan.access)?;
+            let descent = verifier.descend(&the_plan.access)?;
             (op, vec![drain(stored, descent)])
         }
         // One flat descent per contiguous span of the stores' rows, taken
@@ -527,7 +535,7 @@ fn charge<T>(
 
 fn knn(
     stored: &StoredRelation,
-    transform: &SeriesTransform,
+    action: NormalFormAction,
     q_spec: Vec<Complex>,
     k: usize,
     the_plan: &Plan,
@@ -541,7 +549,7 @@ fn knn(
         AccessPath::IndexScan => "knn.rank",
         _ => "scan",
     });
-    let descent = knn_descent(stored, transform, q_spec, k, &the_plan.access)?;
+    let descent = knn_descent(stored, action, q_spec, k, &the_plan.access)?;
     let mut hits = charge(&mut ledger, op, vec![drain(stored, descent)]);
     // √ can turn two distinct squared distances into one tie.
     sort_hits(&mut hits);
@@ -586,13 +594,10 @@ fn all_pairs(
         mean: 0.0,
         std_dev: 0.0,
     };
-    let verify = RangeVerifier::new(stored, right, ctx, eps, StatsWindow::default())?;
+    let action = right.action(n, n.saturating_sub(1))?;
+    let lowered = index.then(|| action.lower(stored.scheme())).transpose()?;
+    let verify = RangeVerifier::new(stored, action, ctx, eps, StatsWindow::default());
     let stage = verify.abandoning(abandon).stage(index)?;
-    let lowered = if index {
-        Some(right.lower(stored.scheme(), n)?)
-    } else {
-        None
-    };
 
     let (stores, rows) = (stored.stores(), stored.row_count());
     let cursor = AtomicUsize::new(0);

@@ -751,9 +751,10 @@ impl<'db> Cursor<'db> {
                 on_both,
                 ..
             } => {
-                let (stored, ctx) = exec::resolve_query(db, relation, source, transform, *on_both)?;
+                let (stored, ctx, action) =
+                    exec::resolve_query(db, relation, source, transform, *on_both)?;
                 let access = &the_plan.access;
-                let descent = verify::knn_descent(stored, transform, ctx.spectrum, *k, access)?;
+                let descent = verify::knn_descent(stored, action, ctx.spectrum, *k, access)?;
                 (stored, descent)
             }
             Query::Range {
@@ -765,9 +766,10 @@ impl<'db> Cursor<'db> {
                 stats_window,
                 ..
             } => {
-                let (stored, ctx) = exec::resolve_query(db, relation, source, transform, *on_both)?;
-                let verify = RangeVerifier::new(stored, transform, ctx, *eps, *stats_window)?;
-                (stored, verify.descend(transform, &the_plan.access)?)
+                let (stored, ctx, action) =
+                    exec::resolve_query(db, relation, source, transform, *on_both)?;
+                let verify = RangeVerifier::new(stored, action, ctx, *eps, *stats_window);
+                (stored, verify.descend(&the_plan.access)?)
             }
         };
         Ok(Cursor {

@@ -27,7 +27,7 @@ use simq_index::{
     Window,
 };
 use simq_series::kernel::transformed_distance_sq;
-use simq_series::transform::{NormalFormAction, SeriesTransform};
+use simq_series::transform::NormalFormAction;
 use simq_series::SpectralMindist;
 use simq_storage::{deflate_sq, scan, FilterProbe, SeriesRelation, SeriesRow};
 use std::borrow::Cow;
@@ -123,24 +123,27 @@ pub(crate) struct RangeVerifier<'db> {
 }
 
 impl<'db> RangeVerifier<'db> {
-    /// Resolves the transformation's action for `stored`'s series length.
+    /// The verifier of a range query over `stored`, from the statement's
+    /// one resolved `action` (every frequency of `stored`'s series length,
+    /// as [`crate::exec::resolve_query`] computes it): its multipliers
+    /// verify and feed the signature probe, and its first `k` lower the
+    /// query into the index.
     pub(crate) fn new(
         stored: &'db StoredRelation,
-        transform: &SeriesTransform,
+        action: NormalFormAction,
         ctx: QueryContext,
         eps: f64,
         window: StatsWindow,
-    ) -> Result<Self, QueryError> {
-        let n = stored.series_len();
-        Ok(RangeVerifier {
+    ) -> Self {
+        RangeVerifier {
             stored,
-            action: transform.action(n, n.saturating_sub(1))?,
+            action,
             window,
             ctx,
             eps,
             abandon: true,
             probe: None,
-        })
+        }
     }
 
     /// Sets whether the exact distance abandons once it passes ε².
@@ -236,17 +239,13 @@ impl<'db> RangeVerifier<'db> {
 
     /// Opens the range query's descent over the source `access` picks:
     /// the index, or a scan of every row.
-    pub(crate) fn descend(
-        self,
-        transform: &SeriesTransform,
-        access: &AccessPath,
-    ) -> Result<PlanDescent<'db>, QueryError> {
+    pub(crate) fn descend(self, access: &AccessPath) -> Result<PlanDescent<'db>, QueryError> {
         if *access != AccessPath::IndexScan {
             return Ok(self.scan((0, usize::MAX)));
         }
         let stored = self.stored;
+        let lowered = Cow::Owned(self.action.lower(stored.scheme())?);
         let stage = self.stage(true)?;
-        let lowered = Cow::Owned(transform.lower(stored.scheme(), stored.series_len())?);
         Ok(Descent::within(stored.trees(), Some(lowered), stage))
     }
 
@@ -300,20 +299,20 @@ pub(crate) struct KnnRank<'a> {
 }
 
 impl<'a> KnnRank<'a> {
-    /// Resolves the transformation and the query's comparison spectrum
-    /// for `stored`.
+    /// The ranking bounds and refine step of a kNN query over `stored`,
+    /// from the query's comparison spectrum and the `multipliers` of the
+    /// statement's one resolved action (every frequency of `stored`'s
+    /// series length, as [`crate::exec::resolve_query`] computes it).
     pub(crate) fn new(
         stored: &'a StoredRelation,
-        transform: &SeriesTransform,
+        multipliers: Vec<Complex>,
         q_spec: Vec<Complex>,
-    ) -> Result<Self, QueryError> {
+    ) -> Self {
         let scheme = stored.scheme();
-        let n = stored.series_len();
         let mindist = SpectralMindist::new(scheme, &q_spec[1..]);
-        let multipliers = transform.action(n, n.saturating_sub(1))?.multipliers;
         let slack = scan::mirror_slack(stored.stores());
         let over = |coeffs| FilterProbe::mirrored(&q_spec, &multipliers, coeffs, slack);
-        Ok(KnnRank {
+        KnnRank {
             stored,
             mindist,
             floor: (scheme.k < stored.sig_coeffs())
@@ -322,7 +321,7 @@ impl<'a> KnnRank<'a> {
             signature: over(stored.sig_coeffs()),
             multipliers,
             q_spec,
-        })
+        }
     }
 
     /// The ranking key of a subtree: the squared spectral MINDIST `D` of
@@ -504,17 +503,18 @@ pub(crate) type PlanDescent<'db> = Descent<'db, PlanStage<'db>>;
 /// lowers nothing.
 pub(crate) fn knn_descent<'db>(
     stored: &'db StoredRelation,
-    transform: &SeriesTransform,
+    action: NormalFormAction,
     q_spec: Vec<Complex>,
     k: usize,
     access: &AccessPath,
 ) -> Result<PlanDescent<'db>, QueryError> {
-    let stage = PlanStage::Knn(KnnRank::new(stored, transform, q_spec)?);
     if *access != AccessPath::IndexScan {
+        let stage = PlanStage::Knn(KnnRank::new(stored, action.multipliers, q_spec));
         let rows = flat_rows(stored.stores(), (0, usize::MAX));
         return Ok(Descent::nearest_flat(rows, stage, k));
     }
-    let lowered = Cow::Owned(transform.lower(stored.scheme(), stored.series_len())?);
+    let lowered = Cow::Owned(action.lower(stored.scheme())?);
+    let stage = PlanStage::Knn(KnnRank::new(stored, action.multipliers, q_spec));
     Ok(Descent::nearest(stored.trees(), Some(lowered), stage, k))
 }
 
@@ -585,6 +585,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simq_series::transform::SeriesTransform;
 
     /// A subtree's ranking key never exceeds the exact distance of a row
     /// under it: for `cases` groups of rows per transformation, the key of
@@ -605,12 +606,13 @@ mod tests {
         ];
         for (t, transform) in transforms.iter().enumerate() {
             for case in 0..cases {
+                let action = transform.action(n, n - 1).unwrap();
                 let mut q_spec = spectrum(case * 7 % rows).clone();
                 if case % 2 == 1 {
-                    q_spec = transform.apply_spectrum(&q_spec, n).unwrap();
+                    q_spec = action.apply_spectrum(&q_spec);
                 }
-                let rank = KnnRank::new(stored, transform, q_spec).unwrap();
-                let lowered = transform.lower(stored.scheme(), n).unwrap();
+                let lowered = action.lower(stored.scheme()).unwrap();
+                let rank = KnnRank::new(stored, action.multipliers, q_spec);
                 assert!(rank.floor.is_some(), "transformation {t} does not mirror");
                 let ids = (0..1 + case % 12).map(|i| (case * 13 + i * (1 + case % 5)) % rows);
                 let point = |id| Rect::point(&stored.row(id).unwrap().features.point);

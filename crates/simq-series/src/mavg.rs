@@ -103,6 +103,16 @@ fn check_window(window: usize, len: usize) -> Result<(), SeriesError> {
 /// Multiplying a (normalized) spectrum elementwise by these coefficients
 /// yields the (normalized) spectrum of the moving-averaged series exactly.
 ///
+/// Each frequency takes one trig evaluation, `ω_f = e^{-j2πf/n}`, then
+/// accumulates `w_t · ω_f^t` by incremental rotation. The loops run
+/// weights outer and frequencies inner, over arrays of `ω_f` and of the
+/// running rotations `rot_f`: the frequencies' rotation chains are
+/// independent, so one weight's step over every frequency is throughput-
+/// rather than latency-bound. Each frequency still performs the same
+/// operations in the same order as a per-frequency loop (`acc += rot · w`,
+/// then `rot *= ω`, weight after weight), so the result is bit for bit
+/// that loop's (pinned by this module's tests).
+///
 /// # Errors
 /// [`SeriesError::EmptyKernel`] for an empty weight vector;
 /// [`SeriesError::InvalidWindow`] when the kernel is longer than the series.
@@ -120,19 +130,16 @@ pub fn weighted_mavg_coefficients(
             len: n,
         });
     }
-    let mut out = Vec::with_capacity(count);
-    for f in 0..count {
-        // a_f = Σ_t w_t · ω^t with ω = e^{-j2πf/n}; one trig evaluation per
-        // frequency, then incremental rotation (the loop is on the hot
-        // path of every transformed query).
-        let omega = Complex::cis(-2.0 * PI * (f as f64) / n as f64);
-        let mut rot = Complex::ONE;
-        let mut acc = Complex::ZERO;
-        for &w in weights {
-            acc += rot * w;
-            rot *= omega;
+    let omega: Vec<Complex> = (0..count)
+        .map(|f| Complex::cis(-2.0 * PI * (f as f64) / n as f64))
+        .collect();
+    let mut rot = vec![Complex::ONE; count];
+    let mut out = vec![Complex::ZERO; count];
+    for &w in weights {
+        for ((acc, rot), omega) in out.iter_mut().zip(&mut rot).zip(&omega) {
+            *acc += *rot * w;
+            *rot *= *omega;
         }
-        out.push(acc);
     }
     Ok(out)
 }
@@ -245,6 +252,68 @@ mod tests {
         let expected = fft::forward_real(&weighted_moving_average(&s, &weights).unwrap());
         for (t, e) in transformed.iter().zip(&expected) {
             assert!(t.approx_eq(*e, 1e-9));
+        }
+    }
+
+    /// The per-frequency rotation loop the frequency-parallel
+    /// [`weighted_mavg_coefficients`] reorders: the reference it must
+    /// equal bit for bit.
+    fn rotation_loop(n: usize, weights: &[f64], count: usize) -> Vec<Complex> {
+        (0..count)
+            .map(|f| {
+                let omega = Complex::cis(-2.0 * PI * (f as f64) / n as f64);
+                let (mut rot, mut acc) = (Complex::ONE, Complex::ZERO);
+                for &w in weights {
+                    acc += rot * w;
+                    rot *= omega;
+                }
+                acc
+            })
+            .collect()
+    }
+
+    fn assert_bitwise(n: usize, weights: &[f64], count: usize) {
+        let got = weighted_mavg_coefficients(n, weights, count).unwrap();
+        let want = rotation_loop(n, weights, count);
+        assert_eq!(got.len(), want.len());
+        for (f, (g, w)) in got.iter().zip(&want).enumerate() {
+            let bits = |c: &Complex| (c.re.to_bits(), c.im.to_bits());
+            assert_eq!(bits(g), bits(w), "n={n} m={} f={f}", weights.len());
+        }
+    }
+
+    #[test]
+    fn frequency_parallel_coefficients_equal_the_rotation_loop_bitwise() {
+        for n in [8, 64, 128, 1000] {
+            for window in 1..=64.min(n) {
+                let equal = vec![1.0 / window as f64; window];
+                let ramp: Vec<f64> = (1..=window).map(|t| t as f64 / 7.0 - 0.3).collect();
+                for count in [0, 1, 3, n / 2, n] {
+                    assert_bitwise(n, &equal, count);
+                    assert_bitwise(n, &ramp, count);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn frequency_parallel_coefficients_equal_the_rotation_loop_bitwise_long() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..20_000 {
+            let n = 1 + next(2048) as usize;
+            let m = 1 + next(n.min(96) as u64) as usize;
+            let weights: Vec<f64> = (0..m)
+                .map(|_| (next(1 << 20) as f64 - 524_288.0) / 65_536.0)
+                .collect();
+            let count = next(n as u64 + 1) as usize;
+            assert_bitwise(n, &weights, count);
         }
     }
 

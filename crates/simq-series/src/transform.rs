@@ -80,6 +80,91 @@ pub struct NormalFormAction {
     pub multipliers: Vec<Complex>,
 }
 
+impl NormalFormAction {
+    /// Applies the spectral part of the action to a stored normal-form
+    /// spectrum: `a ∗ X` with `a` the multipliers, frequency 0 passed
+    /// through. The action must carry a multiplier for every frequency
+    /// of `spectrum` past 0 (the output stops where the multipliers do).
+    pub fn apply_spectrum(&self, spectrum: &[Complex]) -> Vec<Complex> {
+        let mut out = Vec::with_capacity(spectrum.len());
+        out.extend(spectrum.first());
+        let moved = spectrum.iter().skip(1).zip(&self.multipliers);
+        out.extend(moved.map(|(x, a)| *x * *a));
+        out
+    }
+
+    /// Lowers the action to a per-dimension affine map over the scheme's
+    /// feature space (Algorithm 1's `T` on MBRs), from its first
+    /// `scheme.k` multipliers: an action resolved for every frequency
+    /// lowers exactly as one resolved for the index's `k` alone, since
+    /// each frequency's multiplier is computed on its own.
+    ///
+    /// # Errors
+    /// [`SeriesError::UnsafeTransformation`] when the multipliers are not
+    /// real and the scheme uses the rectangular representation (the
+    /// Theorem 2 counterexample: a complex stretch maps rectangles to
+    /// rotated shapes whose MBR test would produce false dismissals).
+    pub fn lower(&self, scheme: &FeatureScheme) -> Result<DiagonalAffine, SeriesError> {
+        let mut scale = Vec::with_capacity(scheme.dims());
+        let mut shift = Vec::with_capacity(scheme.dims());
+        if scheme.include_stats {
+            scale.push(self.mean_scale);
+            shift.push(self.mean_shift);
+            scale.push(self.std_scale);
+            shift.push(0.0);
+        }
+        for a in self.multipliers.iter().take(scheme.k) {
+            match scheme.rep {
+                Representation::Rectangular => {
+                    if a.im.abs() > 1e-12 {
+                        return Err(SeriesError::UnsafeTransformation(
+                            "complex multiplier in the rectangular representation \
+                             (Theorem 2 requires a real stretch); use the polar \
+                             representation or a sequential scan",
+                        ));
+                    }
+                    scale.push(a.re);
+                    shift.push(0.0);
+                    scale.push(a.re);
+                    shift.push(0.0);
+                }
+                Representation::Polar => {
+                    // Theorem 3: magnitude scales by |a|, angle shifts by
+                    // Angle(a) — both real affine maps.
+                    scale.push(a.abs());
+                    shift.push(0.0);
+                    scale.push(1.0);
+                    shift.push(a.angle());
+                }
+            }
+        }
+        Ok(DiagonalAffine::new(scale, shift))
+    }
+
+    /// Refuses an action whose distances can overflow: a normal form of
+    /// length `n` has `Σ|X_f|² = n`, so `|X_f| ≤ √n`, and every distance
+    /// between `a ∗ X` and the comparison spectrum `q` stays below
+    /// `n · (2·M·√n + Q)²`, with `M` the largest multiplier magnitude (at
+    /// least 1, for the DC term) and `Q` the largest of `q`'s. The
+    /// statistics are not bounded here: they never enter a distance.
+    ///
+    /// # Errors
+    /// [`SeriesError::NonFiniteTransformation`] when that bound is not
+    /// finite.
+    pub fn check_distances(&self, n: usize, q: &[Complex]) -> Result<(), SeriesError> {
+        // Squared magnitudes: one of them overflows only where the bound
+        // would anyway.
+        let max_sq = |v: &[Complex], floor| v.iter().fold(floor, |m: f64, a| m.max(a.norm_sqr()));
+        let (m_sq, q_sq) = (max_sq(&self.multipliers, 1.0), max_sq(q, 0.0));
+        let n = n as f64;
+        let reach = 2.0 * (m_sq * n).sqrt() + q_sq.sqrt();
+        (n * reach * reach)
+            .is_finite()
+            .then_some(())
+            .ok_or(SeriesError::NonFiniteTransformation)
+    }
+}
+
 impl SeriesTransform {
     /// A short name for plans and diagnostics.
     pub fn name(&self) -> String {
@@ -218,7 +303,8 @@ impl SeriesTransform {
 
     /// Applies the spectral part of the action to a stored normal-form
     /// spectrum (`a ∗ X` with `a` the multipliers; frequency 0 is passed
-    /// through).
+    /// through): [`NormalFormAction::apply_spectrum`] of the action for
+    /// the spectrum's frequencies.
     ///
     /// # Errors
     /// Domain errors of the coefficient constructions.
@@ -228,62 +314,19 @@ impl SeriesTransform {
         n: usize,
     ) -> Result<Vec<Complex>, SeriesError> {
         let count = spectrum.len().saturating_sub(1);
-        let action = self.action(n, count)?;
-        let mut out = Vec::with_capacity(spectrum.len());
-        if let Some(dc) = spectrum.first() {
-            out.push(*dc);
-        }
-        for (x, a) in spectrum[1..].iter().zip(&action.multipliers) {
-            out.push(*x * *a);
-        }
-        Ok(out)
+        Ok(self.action(n, count)?.apply_spectrum(spectrum))
     }
 
     /// Lowers the transformation to a per-dimension affine map over the
-    /// scheme's feature space (Algorithm 1's `T` on MBRs), for series of
-    /// length `n`.
+    /// scheme's feature space, for series of length `n`:
+    /// [`NormalFormAction::lower`] of the action for the scheme's `k`
+    /// frequencies.
     ///
     /// # Errors
-    /// [`SeriesError::UnsafeTransformation`] when the multipliers are not
-    /// real and the scheme uses the rectangular representation (the
-    /// Theorem 2 counterexample: a complex stretch maps rectangles to
-    /// rotated shapes whose MBR test would produce false dismissals).
+    /// Domain errors of the coefficient constructions;
+    /// [`SeriesError::UnsafeTransformation`] as [`NormalFormAction::lower`].
     pub fn lower(&self, scheme: &FeatureScheme, n: usize) -> Result<DiagonalAffine, SeriesError> {
-        let action = self.action(n, scheme.k)?;
-        let mut scale = Vec::with_capacity(scheme.dims());
-        let mut shift = Vec::with_capacity(scheme.dims());
-        if scheme.include_stats {
-            scale.push(action.mean_scale);
-            shift.push(action.mean_shift);
-            scale.push(action.std_scale);
-            shift.push(0.0);
-        }
-        for a in &action.multipliers {
-            match scheme.rep {
-                Representation::Rectangular => {
-                    if a.im.abs() > 1e-12 {
-                        return Err(SeriesError::UnsafeTransformation(
-                            "complex multiplier in the rectangular representation \
-                             (Theorem 2 requires a real stretch); use the polar \
-                             representation or a sequential scan",
-                        ));
-                    }
-                    scale.push(a.re);
-                    shift.push(0.0);
-                    scale.push(a.re);
-                    shift.push(0.0);
-                }
-                Representation::Polar => {
-                    // Theorem 3: magnitude scales by |a|, angle shifts by
-                    // Angle(a) — both real affine maps.
-                    scale.push(a.abs());
-                    shift.push(0.0);
-                    scale.push(1.0);
-                    shift.push(a.angle());
-                }
-            }
-        }
-        Ok(DiagonalAffine::new(scale, shift))
+        self.action(n, scheme.k)?.lower(scheme)
     }
 
     /// Wraps this transformation as a framework-level rule on
@@ -473,6 +516,59 @@ mod tests {
         let b = scheme.coefficients_of_point(&direct_point);
         for (x, y) in a.iter().zip(&b) {
             assert!(x.approx_eq(*y, 1e-9), "{x} vs {y}");
+        }
+    }
+
+    /// A statement resolves one action for every frequency and derives
+    /// its lowering and its `ON BOTH` spectrum from it: both equal, bit
+    /// for bit, what the transformation computes for the index's `k`
+    /// frequencies and for the spectrum's own.
+    #[test]
+    fn one_full_action_lowers_and_moves_spectra_bitwise() {
+        use SeriesTransform::*;
+        let n = 64;
+        let f = FeatureScheme::paper_default()
+            .extract(&series(3, n))
+            .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cbits = |v: &[Complex]| {
+            let parts = v.iter().flat_map(|c| [c.re, c.im]).collect::<Vec<_>>();
+            bits(&parts)
+        };
+        for t in [
+            Identity,
+            MovingAverage { window: 20 },
+            WeightedMovingAverage {
+                weights: vec![0.5, 0.3, 0.2],
+            },
+            Reverse,
+            Shift(2.5),
+            Scale(-3.0),
+            Warp { m: 2 },
+            Chain(vec![Reverse, MovingAverage { window: 5 }, Scale(0.5)]),
+        ] {
+            let action = t.action(n, n - 1).unwrap();
+            for k in [1, 2, 5] {
+                for rep in [Representation::Polar, Representation::Rectangular] {
+                    for stats in [false, true] {
+                        let scheme = FeatureScheme::new(k, rep, stats);
+                        match (action.lower(&scheme), t.lower(&scheme, n)) {
+                            (Ok(a), Ok(b)) => {
+                                assert_eq!(bits(a.scales()), bits(b.scales()), "{}", t.name());
+                                assert_eq!(bits(a.shifts()), bits(b.shifts()), "{}", t.name());
+                            }
+                            (a, b) => assert_eq!(a.err(), b.err(), "{}", t.name()),
+                        }
+                    }
+                }
+            }
+            let moved = t.apply_spectrum(&f.spectrum, n).unwrap();
+            assert_eq!(
+                cbits(&action.apply_spectrum(&f.spectrum)),
+                cbits(&moved),
+                "{}",
+                t.name()
+            );
         }
     }
 

@@ -198,3 +198,52 @@ fn index_stays_exact_under_updates() {
     b.sort_unstable();
     assert_eq!(a, b);
 }
+
+/// A kernel whose spectrum is finite but whose distances overflow is
+/// refused before anything runs: `wmavg(1e300, 1e300)` used to answer a
+/// kNN with every row at distance `inf` (the query's own row included) and
+/// an `ON BOTH` range with nothing, while the `ON BOTH` kNN put the query's
+/// row at 0. Range and kNN, index and scan, materialized and streamed,
+/// all refuse it alike; ordinary kernels and a huge scale (whose magnitude
+/// goes to the statistics, never to a distance) still answer.
+#[test]
+fn transformations_whose_distances_overflow_are_refused() {
+    use similarity_queries::query::{QueryError, Session};
+    use similarity_queries::series::SeriesError;
+    let db = indexed_db(walk_relation("r", 9, 200, 64));
+    let session = Session::new(&db);
+    let shapes = [
+        "FIND 5 NEAREST TO ROW 0 IN r USING {t}",
+        "FIND 5 NEAREST TO ROW 0 IN r USING {t} ON BOTH",
+        "FIND SIMILAR TO ROW 0 IN r USING {t} EPSILON 1.0",
+        "FIND SIMILAR TO ROW 0 IN r USING {t} ON BOTH EPSILON 1.0",
+    ];
+    let statements = |t: &str| -> Vec<String> {
+        let with = |shape: &&str| {
+            let q = shape.replace("{t}", t);
+            [format!("{q} FORCE SCAN"), q]
+        };
+        shapes.iter().flat_map(with).collect()
+    };
+    let refused = QueryError::Series(SeriesError::NonFiniteTransformation);
+    for q in statements("wmavg(1e300, 1e300)") {
+        assert_eq!(execute(&db, &q).unwrap_err(), refused, "{q}");
+        assert_eq!(session.cursor_text(&q).err(), Some(refused.clone()), "{q}");
+    }
+    for t in [
+        "mavg(1)",
+        "mavg(64)",
+        "wmavg(0.5, 0.3, 0.2)",
+        "wmavg(3, -2, 7.5, 1000)",
+        "scale(1e200)",
+    ] {
+        for q in statements(t) {
+            let result = execute(&db, &q).unwrap_or_else(|e| panic!("{q}: {e}"));
+            let QueryOutput::Hits(hits) = result.output else {
+                panic!("{q}: expected hits");
+            };
+            assert!(hits.iter().all(|h| h.distance.is_finite()), "{q}");
+            assert!(session.cursor_text(&q).is_ok(), "{q}");
+        }
+    }
+}

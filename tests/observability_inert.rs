@@ -184,6 +184,14 @@ fn batched_statements_count_and_trace_like_individual_ones() {
             assert_eq!(count("range.descend"), 2, "{label}");
             assert_eq!(count("knn.rank"), 2, "{label}");
             assert_eq!(count("scan"), 1, "{label}");
+            assert_eq!(count("query.resolve"), 5, "{label}");
+            // Each statement resolves its action once, for all 63
+            // frequencies past 0 of its length-64 series.
+            let mut resolved = records.iter().filter(|r| r.name == "query.resolve");
+            assert!(
+                resolved.all(|r| r.notes == [("multipliers", 63)]),
+                "{label}"
+            );
         }
     }
 }
