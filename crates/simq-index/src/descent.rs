@@ -209,7 +209,9 @@ pub struct Descent<'t, S> {
 
 impl<'t, S: Stage> Descent<'t, S> {
     /// A range descent: every row the stage's entry test keeps and its
-    /// refine accepts, tree after tree, each depth first.
+    /// refine accepts, tree after tree, each depth first. The identity is
+    /// `None`: the entry test then reads each entry's own rectangle, which
+    /// is what the identity maps it to, with no map per entry.
     ///
     /// # Panics
     /// If the transformation's dimensionality differs from a tree's.
@@ -588,19 +590,20 @@ impl<S: Stage> Iterator for Descent<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geom::DimSemantics;
     use crate::search::Window;
     use std::cell::RefCell;
     use std::collections::HashMap;
     use std::ops::Range;
 
-    /// Item `id` at `points[id]`, split id-mod-`shards` into trees of at
-    /// most four entries a node, bulk-loaded or inserted one by one.
-    fn forest(points: &[[f64; 2]], shards: usize, bulk: bool) -> Vec<RTree> {
+    /// Item `id` at `points[id]`, split id-mod-`shards` into trees over
+    /// `space` of at most four entries a node, bulk-loaded or inserted one
+    /// by one.
+    fn forest(points: &[[f64; 2]], shards: usize, bulk: bool, space: &Space) -> Vec<RTree> {
         let config = RTreeConfig {
             max_entries: 4,
             ..RTreeConfig::default()
         };
-        let space = Space::linear(2);
         (0..shards)
             .map(|s| {
                 let items = points.iter().enumerate().skip(s).step_by(shards);
@@ -632,7 +635,8 @@ mod tests {
         /// 2 the flat stores.
         fn new(points: &[[f64; 2]], shards: usize, source: u8) -> Self {
             if source < 2 {
-                return Rows::Trees(forest(points, shards, source == 1));
+                let space = Space::linear(2);
+                return Rows::Trees(forest(points, shards, source == 1, &space));
             }
             let ids = |s| (s..points.len()).step_by(shards).map(|id| id as u64);
             Rows::Flat((0..shards).map(|s| ids(s).collect()).collect())
@@ -994,6 +998,77 @@ mod tests {
         ) {
             let knn = (knn.0, knn.1, knn.2 == 1);
             descents_agree(&raw, forest, affine, knn, window, pause);
+        }
+    }
+
+    /// A kNN stage keyed by a rectangle's MINDIST to `q`, each row
+    /// accepted at its key: the index alone decides, so the order in which
+    /// entries are keyed shows in the answer.
+    struct MinDist([f64; 2]);
+
+    impl Stage for MinDist {
+        fn key(&self, _: &Space, rect: &Rect) -> Option<f64> {
+            Some(rect.min_dist_sq(&self.0))
+        }
+    }
+
+    /// Both bounds over one forest of a linear and a circular dimension
+    /// (period 2π, angles stored in `[−π, π)`, `−0.0` included), once under
+    /// no transformation and once under the identity map: the same hits,
+    /// bit for bit, and the same counters.
+    fn identity_is_no_transformation(
+        raw: &[(i32, i32)],
+        (shards, bulk): (usize, bool),
+        (corner, side): ((i32, i32), (i32, i32)),
+        (q, k): ((i32, i32), usize),
+    ) {
+        use std::f64::consts::PI;
+        let angle = |a: i32| {
+            if a == 0 {
+                -0.0
+            } else {
+                a as f64 * PI / 16.0 - PI
+            }
+        };
+        let points: Vec<[f64; 2]> = raw.iter().map(|&(x, a)| [x as f64, angle(a)]).collect();
+        let space = Space::new(vec![
+            DimSemantics::Linear,
+            DimSemantics::Circular { period: 2.0 * PI },
+        ]);
+        let trees = forest(&points, shards, bulk, &space);
+        let identity = DiagonalAffine::new(vec![1.0; 2], vec![0.0; 2]);
+        // An arc may pass ±π or cover the whole circle.
+        let lo = [corner.0 as f64, corner.1 as f64 * PI / 8.0];
+        let hi = [lo[0] + side.0 as f64, lo[1] + side.1 as f64 * PI / 8.0];
+        let window = Rect::new(lo.to_vec(), hi.to_vec());
+        let q = [q.0 as f64, angle(q.1)];
+        type Drained = (Vec<(u64, u64)>, SearchStats, Vec<SearchStats>);
+        fn drained<S: Stage>(mut descent: Descent<'_, S>) -> Drained {
+            let hits = descent.by_ref().map(|n| (n.dist_sq.to_bits(), n.id));
+            let hits = hits.collect();
+            let stats = descent.into_stats();
+            (hits, stats.merged, stats.per_shard)
+        }
+        let mapped = || Some(Cow::Borrowed(&identity));
+        let range = |t| drained(Descent::within(&trees, t, Window(&window)));
+        assert_eq!(range(None), range(mapped()));
+        let nearest = |t| drained(Descent::nearest(&trees, t, MinDist(q), k));
+        assert_eq!(nearest(None), nearest(mapped()));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// [`identity_is_no_transformation`] on random forests of 1–4
+        /// shards, bulk-loaded and incrementally built.
+        #[test]
+        fn an_identity_descent_is_a_descent_without_transformation(
+            raw in proptest::prelude::prop::collection::vec((0i32..20, 0i32..32), 0..150),
+            forest in (1usize..5, 0u8..2),
+            window in ((-5i32..25, -12i32..12), (0i32..15, 0i32..20)),
+            knn in ((-4i32..24, 0i32..32), 1usize..30),
+        ) {
+            identity_is_no_transformation(&raw, (forest.0, forest.1 == 1), window, knn);
         }
     }
 

@@ -12,6 +12,13 @@
 //!   [`Space`] records which dimensions are circular and the overlap test
 //!   compares intervals modulo the period, preserving the no-false-dismissal
 //!   guarantee (Lemma 1) that a naive linear comparison would break.
+//!
+//!   The test runs for every entry a search tests, so its reduction
+//!   `wrap` skips `rem_euclid`'s `fmod` where one exact operation gives
+//!   its result: `x` on `[0, p)`, `x − p` on `[p, 2p)` (exact by Sterbenz's
+//!   lemma, as `fmod` is), and on `(−p, 0)` the very `x + p` `rem_euclid`
+//!   adds to `fmod`'s unchanged `x`. Elsewhere (±∞ and NaN too) it calls
+//!   `rem_euclid`, so every decision is bit for bit the `rem_euclid` one.
 //! * **Degenerate transforms.** A stretch of 0 collapses a rectangle to a
 //!   point; the containment direction needed for correctness
 //!   (`x ∈ R ⇒ T(x) ∈ T(R)`) still holds, so such transforms are accepted
@@ -69,18 +76,17 @@ impl Space {
     pub fn intersects(&self, a: &Rect, b: &Rect) -> bool {
         debug_assert_eq!(a.dims(), self.dims());
         debug_assert_eq!(b.dims(), self.dims());
-        for d in 0..self.dims() {
-            let hit = match self.dims[d] {
-                DimSemantics::Linear => a.lo[d] <= b.hi[d] && b.lo[d] <= a.hi[d],
+        // Zipped slices: no bounds check per dimension.
+        let corners = a.lo.iter().zip(&a.hi).zip(b.lo.iter().zip(&b.hi));
+        self.dims
+            .iter()
+            .zip(corners)
+            .all(|(dim, ((&a_lo, &a_hi), (&b_lo, &b_hi)))| match *dim {
+                DimSemantics::Linear => a_lo <= b_hi && b_lo <= a_hi,
                 DimSemantics::Circular { period } => {
-                    circular_overlap(a.lo[d], a.hi[d], b.lo[d], b.hi[d], period)
+                    circular_overlap(a_lo, a_hi, b_lo, b_hi, period)
                 }
-            };
-            if !hit {
-                return false;
-            }
-        }
-        true
+            })
     }
 
     /// Does rectangle `r` contain point `p` under this space's semantics?
@@ -115,12 +121,24 @@ pub fn circular_overlap(a_lo: f64, a_hi: f64, b_lo: f64, b_hi: f64, period: f64)
         return true;
     }
     // Normalize both starts into [0, period).
-    let a0 = a_lo.rem_euclid(period);
-    let b0 = b_lo.rem_euclid(period);
+    let a0 = wrap(a_lo, period);
+    let b0 = wrap(b_lo, period);
     // Arc A is [a0, a0 + a_len]; test whether b's start lies within A
     // extended backwards by b_len (standard circular interval test).
-    let diff = (b0 - a0).rem_euclid(period);
+    let diff = wrap(b0 - a0, period);
     diff <= a_len || diff >= period - b_len
+}
+
+/// `x.rem_euclid(p)` bit for bit, with no `fmod` on `(−p, 2p)` (see the
+/// [module docs](self)).
+#[inline(always)]
+fn wrap(x: f64, p: f64) -> f64 {
+    match x {
+        _ if (0.0..p).contains(&x) => x,
+        _ if (p..2.0 * p).contains(&x) => x - p,
+        _ if -p < x && x < 0.0 => x + p,
+        _ => x.rem_euclid(p),
+    }
 }
 
 /// An axis-aligned (hyper-)rectangle: the `MBR` of the paper.
@@ -293,7 +311,7 @@ impl fmt::Display for Rect {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::f64::consts::PI;
 
@@ -385,6 +403,137 @@ mod tests {
         // -π + 0.1 ≡ π + 0.1 is inside the wrapped range.
         assert!(space.contains(&r, &[-PI + 0.1]));
         assert!(!space.contains(&r, &[0.0]));
+    }
+
+    /// SplitMix64: the random source of the bitwise properties below and
+    /// of `transform`'s.
+    pub(crate) fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `[0, 1)`.
+    pub(crate) fn unit(state: &mut u64) -> f64 {
+        (next(state) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A value to reduce modulo `p`: mostly near the circle (where the
+    /// fast branches decide), sometimes far, sometimes any bit pattern.
+    fn value(state: &mut u64, p: f64) -> f64 {
+        match next(state) % 8 {
+            0 => f64::from_bits(next(state)),
+            1 => (unit(state) - 0.5) * 1e6 * p,
+            2 => [-2.0, -1.0, 0.0, 1.0, 2.0][(next(state) % 5) as usize] * p,
+            _ => (unit(state) - 0.5) * 6.0 * p,
+        }
+    }
+
+    const PERIODS: [f64; 7] = [2.0 * PI, 1.0, 0.1, 7.5, f64::MIN_POSITIVE, 1e300, f64::MAX];
+
+    /// Every edge of the branches of [`wrap`] for period `p`.
+    fn edges(p: f64) -> Vec<f64> {
+        let tiny = f64::from_bits(1); // the smallest subnormal
+        let mut xs = vec![0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e300, -1e300];
+        xs.extend([f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN]);
+        for x in [
+            p,
+            -p,
+            2.0 * p,
+            -2.0 * p,
+            0.5 * p,
+            -0.5 * p,
+            f64::MAX,
+            f64::MIN,
+        ] {
+            xs.extend([x, x.next_up(), x.next_down()]);
+        }
+        xs
+    }
+
+    fn assert_wrap_is_rem_euclid(x: f64, p: f64) {
+        let (got, want) = (wrap(x, p), x.rem_euclid(p));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "wrap({x:e}, {p:e}) = {got:e}, not {want:e}"
+        );
+    }
+
+    /// `wrap` over every edge value, then `cases` random values per period.
+    fn wrap_matches_rem_euclid(cases: usize) {
+        let mut state = 47;
+        for p in PERIODS {
+            edges(p)
+                .into_iter()
+                .for_each(|x| assert_wrap_is_rem_euclid(x, p));
+            for _ in 0..cases {
+                assert_wrap_is_rem_euclid(value(&mut state, p), p);
+            }
+        }
+    }
+
+    /// The overlap test as it was written with three `rem_euclid`s: the
+    /// reference [`circular_overlap`] must decide exactly as.
+    fn circular_overlap_reference(a_lo: f64, a_hi: f64, b_lo: f64, b_hi: f64, period: f64) -> bool {
+        let a_len = a_hi - a_lo;
+        let b_len = b_hi - b_lo;
+        if a_len >= period || b_len >= period {
+            return true;
+        }
+        let a0 = a_lo.rem_euclid(period);
+        let b0 = b_lo.rem_euclid(period);
+        let diff = (b0 - a0).rem_euclid(period);
+        diff <= a_len || diff >= period - b_len
+    }
+
+    /// `cases` random pairs of arcs per period: points, short arcs, arcs
+    /// past the period's edges, and full circles.
+    fn circular_overlap_matches_reference(cases: usize) {
+        let mut state = 11;
+        for p in PERIODS {
+            for _ in 0..cases {
+                let mut arc = || {
+                    let lo = value(&mut state, p);
+                    let len = match next(&mut state) % 4 {
+                        0 => 0.0,
+                        1 => unit(&mut state) * 1.5 * p,
+                        _ => unit(&mut state) * 0.3 * p,
+                    };
+                    (lo, lo + len)
+                };
+                let ((a_lo, a_hi), (b_lo, b_hi)) = (arc(), arc());
+                assert_eq!(
+                    circular_overlap(a_lo, a_hi, b_lo, b_hi, p),
+                    circular_overlap_reference(a_lo, a_hi, b_lo, b_hi, p),
+                    "[{a_lo:e}, {a_hi:e}] vs [{b_lo:e}, {b_hi:e}] modulo {p:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wrap_is_rem_euclid_bitwise() {
+        wrap_matches_rem_euclid(20_000);
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn wrap_is_rem_euclid_bitwise_long() {
+        wrap_matches_rem_euclid(150_000);
+    }
+
+    #[test]
+    fn circular_overlap_matches_the_rem_euclid_formula() {
+        circular_overlap_matches_reference(20_000);
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn circular_overlap_matches_the_rem_euclid_formula_long() {
+        circular_overlap_matches_reference(150_000);
     }
 
     #[test]

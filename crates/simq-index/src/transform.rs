@@ -75,19 +75,28 @@ impl DiagonalAffine {
         out
     }
 
+    /// Is every scale 1 and every shift 0? Such a map moves nothing.
+    pub fn is_identity(&self) -> bool {
+        self.scale.iter().all(|&s| s == 1.0) && self.shift.iter().all(|&t| t == 0.0)
+    }
+
     /// [`DiagonalAffine::apply_rect`] written into `out`, which must have
     /// the map's dimensionality: the traversals call it once per index
-    /// entry, with no allocation.
+    /// entry, with no allocation and no bounds check (an identity is
+    /// `None` there, and not called at all).
     #[inline]
     pub fn apply_rect_into(&self, r: &Rect, out: &mut Rect) {
         debug_assert_eq!(r.dims(), self.dims());
         debug_assert_eq!(out.dims(), self.dims());
-        for d in 0..r.dims() {
-            let a = self.scale[d] * r.lo[d] + self.shift[d];
-            let b = self.scale[d] * r.hi[d] + self.shift[d];
+        let map = self.scale.iter().zip(&self.shift);
+        let corners = r.lo.iter().zip(&r.hi);
+        let moved = out.lo.iter_mut().zip(out.hi.iter_mut());
+        for (((&s, &t), (&lo, &hi)), (out_lo, out_hi)) in map.zip(corners).zip(moved) {
+            let a = s * lo + t;
+            let b = s * hi + t;
             // A negative scale swaps the corner ordering.
-            out.lo[d] = a.min(b);
-            out.hi[d] = a.max(b);
+            *out_lo = a.min(b);
+            *out_hi = a.max(b);
         }
     }
 }
@@ -95,6 +104,7 @@ impl DiagonalAffine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geom::tests::{next, unit};
 
     #[test]
     fn affine_maps_point_and_rect_consistently() {
@@ -126,6 +136,68 @@ mod tests {
         let tr = t.apply_rect(&r);
         assert_eq!(tr, Rect::point(&[7.0]));
         assert!(tr.contains_linear(&t.apply_point(&[3.0])));
+    }
+
+    /// The per-dimension loop `apply_rect_into` replaced, indexing every
+    /// slice: the zipped loop must write the same bits.
+    fn apply_rect_indexed(t: &DiagonalAffine, r: &Rect, out: &mut Rect) {
+        for d in 0..r.dims() {
+            let a = t.scale[d] * r.lo[d] + t.shift[d];
+            let b = t.scale[d] * r.hi[d] + t.shift[d];
+            out.lo[d] = a.min(b);
+            out.hi[d] = a.max(b);
+        }
+    }
+
+    /// `cases` random maps and rectangles of 1–12 dimensions: scales
+    /// negative, zero, one and anything, shifts zero or anything.
+    fn apply_rect_matches_the_indexed_loop(cases: usize) {
+        let mut state = 0x5EED_u64;
+        let mut draw = |specials: &[f64]| match next(&mut state) % 4 {
+            0 => specials[next(&mut state) as usize % specials.len()],
+            1 => (unit(&mut state) - 0.5) * 1e6,
+            _ => (unit(&mut state) - 0.5) * 8.0,
+        };
+        let bits = |r: &Rect| {
+            r.lo.iter()
+                .chain(&r.hi)
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for case in 0..cases {
+            let dims = 1 + case % 12;
+            let scale = (0..dims)
+                .map(|_| draw(&[0.0, -0.0, 1.0, -1.0, -2.5, 1e-300]))
+                .collect();
+            let shift = (0..dims).map(|_| draw(&[0.0, -0.0, 3.0, -1e300])).collect();
+            let t = DiagonalAffine::new(scale, shift);
+            let lo: Vec<f64> = (0..dims).map(|_| draw(&[0.0, -0.0, 1e300])).collect();
+            let hi = lo.iter().map(|v| v + draw(&[0.0]).abs()).collect();
+            let r = Rect::new(lo, hi);
+            let (mut zipped, mut indexed) = (Rect::point(&[7.0; 12][..dims]), r.clone());
+            t.apply_rect_into(&r, &mut zipped);
+            apply_rect_indexed(&t, &r, &mut indexed);
+            assert_eq!(bits(&zipped), bits(&indexed), "{t:?} on {r}");
+        }
+    }
+
+    #[test]
+    fn apply_rect_into_is_the_indexed_loop_bitwise() {
+        apply_rect_matches_the_indexed_loop(20_000);
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn apply_rect_into_is_the_indexed_loop_bitwise_long() {
+        apply_rect_matches_the_indexed_loop(1_000_000);
+    }
+
+    #[test]
+    fn identity_is_every_scale_one_and_every_shift_zero() {
+        assert!(DiagonalAffine::new(vec![1.0; 3], vec![0.0, -0.0, 0.0]).is_identity());
+        assert!(DiagonalAffine::new(vec![], vec![]).is_identity());
+        assert!(!DiagonalAffine::new(vec![1.0, -1.0], vec![0.0; 2]).is_identity());
+        assert!(!DiagonalAffine::new(vec![1.0; 2], vec![0.0, 1e-300]).is_identity());
     }
 
     #[test]

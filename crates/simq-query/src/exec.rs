@@ -32,7 +32,7 @@ use crate::catalog::{Database, StoredRelation};
 use crate::error::QueryError;
 use crate::plan::{explain, plan, AccessPath, Plan};
 use crate::verify::{
-    flat_rows, hit, knn_descent, sort_hits, Ledger, PairStage, PlanDescent, RangeVerifier,
+    flat_rows, hit, knn_descent, lowered, sort_hits, Ledger, PairStage, PlanDescent, RangeVerifier,
 };
 use simq_dsp::complex::Complex;
 use simq_index::{Descent, ForestStats, RowRef, SearchStats};
@@ -565,7 +565,8 @@ fn knn(
 /// the rows after its own; every probe skips its own row, and a symmetric
 /// tree probe every id below its own, so each unordered pair of a
 /// symmetric join is verified once and each orientation of an asymmetric
-/// one once.
+/// one once. A join whose distances could overflow is refused as a range
+/// or kNN is; METHOD c, which ignores the transformations, never is.
 fn all_pairs(
     stored: &StoredRelation,
     left: &SeriesTransform,
@@ -595,7 +596,11 @@ fn all_pairs(
         std_dev: 0.0,
     };
     let action = right.action(n, n.saturating_sub(1))?;
-    let lowered = index.then(|| action.lower(stored.scheme())).transpose()?;
+    // Refused before any worker starts if a distance to a probe could
+    // overflow: `|L(x)_f| ≤ M_left·√n`, as `|x_f| ≤ √n` for a normal form.
+    let m_left = probe_action.iter().fold(0.0, |m: f64, a| m.max(a.abs()));
+    action.check_distances(n, &[Complex::real(m_left * (n as f64).sqrt())])?;
+    let lowered = index.then(|| lowered(&action, stored)).transpose()?;
     let verify = RangeVerifier::new(stored, action, ctx, eps, StatsWindow::default());
     let stage = verify.abandoning(abandon).stage(index)?;
 
@@ -627,7 +632,7 @@ fn all_pairs(
             };
             let mut descent = match &lowered {
                 Some(lowered) => {
-                    Descent::within(stored.trees(), Some(Cow::Borrowed(lowered)), pairs)
+                    Descent::within(stored.trees(), lowered.as_ref().map(Cow::Borrowed), pairs)
                 }
                 None => {
                     let from = if symmetric { p + 1 } else { 0 };

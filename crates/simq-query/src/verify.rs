@@ -23,8 +23,8 @@ use crate::exec::{ExecStats, Hit, QueryContext, QueryOutput, QueryResult};
 use crate::plan::{AccessPath, Plan};
 use simq_dsp::complex::Complex;
 use simq_index::{
-    cmp_distance_id, Descent, ForestStats, Neighbor, Rect, RowRef, SearchStats, Space, Stage,
-    Window,
+    cmp_distance_id, Descent, DiagonalAffine, ForestStats, Neighbor, Rect, RowRef, SearchStats,
+    Space, Stage, Window,
 };
 use simq_series::kernel::transformed_distance_sq;
 use simq_series::transform::NormalFormAction;
@@ -244,9 +244,9 @@ impl<'db> RangeVerifier<'db> {
             return Ok(self.scan((0, usize::MAX)));
         }
         let stored = self.stored;
-        let lowered = Cow::Owned(self.action.lower(stored.scheme())?);
+        let lowered = lowered(&self.action, stored)?.map(Cow::Owned);
         let stage = self.stage(true)?;
-        Ok(Descent::within(stored.trees(), Some(lowered), stage))
+        Ok(Descent::within(stored.trees(), lowered, stage))
     }
 
     /// The range query's stage over the index, or over a flat source. Over
@@ -513,9 +513,19 @@ pub(crate) fn knn_descent<'db>(
         let rows = flat_rows(stored.stores(), (0, usize::MAX));
         return Ok(Descent::nearest_flat(rows, stage, k));
     }
-    let lowered = Cow::Owned(action.lower(stored.scheme())?);
+    let lowered = lowered(&action, stored)?.map(Cow::Owned);
     let stage = PlanStage::Knn(KnnRank::new(stored, action.multipliers, q_spec));
-    Ok(Descent::nearest(stored.trees(), Some(lowered), stage, k))
+    Ok(Descent::nearest(stored.trees(), lowered, stage, k))
+}
+
+/// The map `action` lowers to over `stored`'s feature space, or `None`
+/// for the identity: a descent then tests each entry's own rectangle.
+pub(crate) fn lowered(
+    action: &NormalFormAction,
+    stored: &StoredRelation,
+) -> Result<Option<DiagonalAffine>, QueryError> {
+    let lowered = action.lower(stored.scheme())?;
+    Ok((!lowered.is_identity()).then_some(lowered))
 }
 
 /// The counters of one execution — merged totals, the per-shard breakdown

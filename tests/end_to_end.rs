@@ -204,8 +204,9 @@ fn index_stays_exact_under_updates() {
 /// kNN with every row at distance `inf` (the query's own row included) and
 /// an `ON BOTH` range with nothing, while the `ON BOTH` kNN put the query's
 /// row at 0. Range and kNN, index and scan, materialized and streamed,
-/// all refuse it alike; ordinary kernels and a huge scale (whose magnitude
-/// goes to the statistics, never to a distance) still answer.
+/// all refuse it alike, and so do joins (METHOD a, b and d, which used to
+/// verify every pair at `inf`); ordinary kernels and a huge scale (whose
+/// magnitude goes to the statistics, never to a distance) still answer.
 #[test]
 fn transformations_whose_distances_overflow_are_refused() {
     use similarity_queries::query::{QueryError, Session};
@@ -244,6 +245,40 @@ fn transformations_whose_distances_overflow_are_refused() {
             };
             assert!(hits.iter().all(|h| h.distance.is_finite()), "{q}");
             assert!(session.cursor_text(&q).is_ok(), "{q}");
+        }
+    }
+    // A join measures a pair under both sides' transformations: METHOD a,
+    // b and d refuse when either side could overflow a distance; METHOD c
+    // ignores the transformations and answers.
+    let join = |sides: &str, method: &str| -> Result<Vec<f64>, _> {
+        let q = format!("FIND PAIRS IN r {sides} EPSILON 1.0 METHOD {method}");
+        let result = execute(&db, &q)?;
+        let QueryOutput::Pairs(pairs) = result.output else {
+            panic!("{q}: expected pairs");
+        };
+        Ok(pairs.iter().map(|p| p.distance).collect())
+    };
+    let huge = "wmavg(1e300, 1e300)";
+    for sides in [
+        format!("USING {huge}"),
+        format!("MATCHING {huge} AGAINST mavg(1)"),
+        format!("MATCHING mavg(1) AGAINST {huge}"),
+    ] {
+        for method in ["a", "b", "d"] {
+            assert_eq!(
+                join(&sides, method),
+                Err(refused.clone()),
+                "{sides} {method}"
+            );
+        }
+        let answered = join(&sides, "c").unwrap_or_else(|e| panic!("{sides} c: {e}"));
+        assert!(answered.iter().all(|d| d.is_finite()), "{sides} c");
+    }
+    for t in ["mavg(1)", "wmavg(3, -2, 7.5, 1000)", "scale(1e200)"] {
+        for method in ["a", "b", "c", "d"] {
+            let pairs = join(&format!("USING {t}"), method);
+            let pairs = pairs.unwrap_or_else(|e| panic!("{t} {method}: {e}"));
+            assert!(pairs.iter().all(|d| d.is_finite()), "{t} {method}");
         }
     }
 }
