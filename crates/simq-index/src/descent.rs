@@ -13,9 +13,13 @@
 //!   entry test and no transformation: every row is read, keyed by the
 //!   stage's row bound (0 where the stage has none), and counted only as a
 //!   row read ([`SearchStats::rows_scanned`]), never as a node, a leaf or
-//!   an entry. The stage gets each row as its place ([`RowRef::At`]),
-//!   reads it there without an id lookup, and names the id
-//!   ([`Stage::id_at`]) only of rows the descent yields.
+//!   an entry.
+//!
+//! Either source hands its stage each row as its place, a [`RowRef`]: a
+//! tree's leaf holds the position of its row in the tree's store, and a
+//! flat source reads its stores' positions in scan order. The stage reads
+//! a row there without an id lookup, and names it ([`Stage::id`]) only
+//! when the descent yields it.
 //!
 //! Hjaltason & Samet's distance browsing (TODS 1999) casts both query
 //! forms as a best-first descent that differs in its *bound*. Here the two
@@ -37,7 +41,7 @@
 //! * **The live `k`-th best** (kNN, [`Descent::nearest`]). A node is read
 //!   whole: entries are keyed by a lower bound and pruned above the `k`-th
 //!   best distance refined so far. A leaf's kept rows wait in a run whose
-//!   smallest `(key, id)` alone is heaped, then the next smallest: the
+//!   smallest `(key, position)` alone is heaped, then the next smallest: the
 //!   visit order of a heap of every row, at one heap entry per leaf. With a
 //!   stage that refines, this is Seidl & Kriegel's optimal multi-step
 //!   search (SIGMOD 1998): bounds only rank, each row reached is refined to
@@ -49,7 +53,7 @@
 //!   leaves would all key 0, so they are read when the descent is made and
 //!   only their runs are heaped: rows are refined in row-bound order, the
 //!   optimal multi-step search over a flat list, rows of one key in scan
-//!   order (`(key, position)` where a tree's leaf has `(key, id)`).
+//!   order.
 //!
 //! Keys depend only on an entry's (transformed) rectangle or on its row,
 //! so the answer is the same however the rows are split into trees or
@@ -71,14 +75,15 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
-/// A row as a descent hands it to its stage.
+/// A row as a descent hands it to its stage: its place, where the stage
+/// reads it without a lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RowRef {
-    /// A tree's row: its id, all a leaf entry holds.
-    Id(u64),
-    /// A flat source's row: its place, `(store, position)`, where the
-    /// stage reads it without a lookup.
-    At(usize, usize),
+pub struct RowRef {
+    /// The tree or store the row is in: the descent's shard.
+    pub store: usize,
+    /// The row's position in that store: a tree leaf's slot, or a flat
+    /// source's position.
+    pub pos: usize,
 }
 
 /// What a descent does at the entries and rows it reaches.
@@ -115,17 +120,15 @@ pub trait Stage {
     /// find the store's data once per leaf instead of once per row.
     fn row_bounds(&self, store: usize, rows: Range<usize>, out: &mut Vec<(f64, u64)>) {
         out.extend(rows.map(|pos| {
-            let key = self.row_bound(RowRef::At(store, pos));
+            let key = self.row_bound(RowRef { store, pos });
             (key.unwrap_or(0.0), pos as u64)
         }));
     }
 
-    /// The id of the row at `pos` of a flat source's store `store`, asked
-    /// only of rows a flat descent yields. A stage that never runs over a
-    /// flat source keeps the default, which panics.
-    fn id_at(&self, store: usize, pos: usize) -> u64 {
-        panic!("a stage over a flat source must name its rows ({store}, {pos})")
-    }
+    /// The id of `row`, asked only of the rows the descent yields: the
+    /// [`Neighbor::id`] it yields. A stage over trees whose slots are the
+    /// caller's ids names a row by its slot, `row.pos`.
+    fn id(&self, row: RowRef) -> u64;
 }
 
 /// The bound a descent prunes against.
@@ -164,9 +167,9 @@ enum Source<'t> {
 /// keys results surface as early as possible. A row is the smallest
 /// `(key, row)` of its leaf's kept rows, the rest of which wait off the
 /// heap in `run`: it pops exactly when a heap of every row would pop it.
-/// `row` is a tree row's id, or a flat row's position in its store, so a
-/// flat source breaks key ties in scan order. `(shard, row)` is unique;
-/// `run` never decides. A node of a flat source is one of its stores.
+/// `row` is the row's position in its store, so rows of one key break ties
+/// in store order. `(shard, row)` is unique; `run` never decides. A node
+/// of a flat source is one of its stores.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum At {
     Row { shard: usize, row: u64, run: Run },
@@ -360,7 +363,8 @@ impl<'t, S: Stage> Descent<'t, S> {
         let transform = self.transform.as_deref();
         for e in entries {
             let (stage, scratch) = (&self.stage, &mut self.scratch);
-            let Some(key) = entry_key(stage, transform, scratch, &tree.space, bound, e) else {
+            let Some(key) = entry_key(stage, transform, scratch, (&tree.space, shard), bound, e)
+            else {
                 continue;
             };
             match e {
@@ -368,7 +372,7 @@ impl<'t, S: Stage> Descent<'t, S> {
                     let what = At::Node { shard, idx: *node };
                     self.frontier.push(Reverse(Ranked { key, what }));
                 }
-                Entry::Item { id, .. } => self.rows.push((key, *id)),
+                Entry::Item { slot, .. } => self.rows.push((key, *slot)),
             }
         }
         (start, self.rows.len())
@@ -400,13 +404,11 @@ impl<'t, S: Stage> Descent<'t, S> {
                 let (rows, stats) = (&stores[shard], &mut per_shard[shard]);
                 let mut unread = rows.start + next..rows.end;
                 let found = unread.find_map(|pos| {
-                    let row = RowRef::At(shard, pos);
+                    let row = RowRef { store: shard, pos };
                     let key = stage.row_bound(row).unwrap_or(0.0);
                     let dist_sq = stage.refine(row, key, bound, stats)?;
-                    Some(Neighbor {
-                        id: stage.id_at(shard, pos),
-                        dist_sq,
-                    })
+                    let id = stage.id(row);
+                    Some(Neighbor { id, dist_sq })
                 });
                 let read_to = rows.len() - unread.len();
                 stats.rows_scanned += (read_to - next) as u64;
@@ -426,14 +428,23 @@ impl<'t, S: Stage> Descent<'t, S> {
                 let Some(e) = unread.next() else {
                     break None;
                 };
-                let Some(key) = entry_key(stage, transform, scratch, &tree.space, bound, e) else {
+                let Some(key) =
+                    entry_key(stage, transform, scratch, (&tree.space, shard), bound, e)
+                else {
                     continue;
                 };
                 match e {
-                    Entry::Item { id, .. } => {
+                    Entry::Item { slot, .. } => {
                         stats.candidates += 1;
-                        if let Some(dist_sq) = stage.refine(RowRef::Id(*id), key, bound, stats) {
-                            break Some(Neighbor { id: *id, dist_sq });
+                        let row = RowRef {
+                            store: shard,
+                            pos: *slot as usize,
+                        };
+                        if let Some(dist_sq) = stage.refine(row, key, bound, stats) {
+                            break Some(Neighbor {
+                                id: stage.id(row),
+                                dist_sq,
+                            });
                         }
                     }
                     Entry::Child { node, .. } => {
@@ -485,21 +496,24 @@ impl<'t, S: Stage> Descent<'t, S> {
     }
 }
 
-/// The stage's key for entry `e` of a tree over `space`, or `None` when
-/// the stage prunes it or the key exceeds `bound`. Always inlined: left to
-/// itself the compiler kept it out of line once a stage's row bound grew,
-/// a call per entry that cost an indexed kNN 3–4 %.
+/// The stage's key for entry `e` of tree `store` over `space`, or `None`
+/// when the stage prunes it or the key exceeds `bound`. Always inlined:
+/// left to itself the compiler kept it out of line once a stage's row
+/// bound grew, a call per entry that cost an indexed kNN 3–4 %.
 #[inline(always)]
 fn entry_key<S: Stage>(
     stage: &S,
     transform: Option<&DiagonalAffine>,
     scratch: &mut Rect,
-    space: &Space,
+    (space, store): (&Space, usize),
     bound: f64,
     e: &Entry,
 ) -> Option<f64> {
     let row = match e {
-        Entry::Item { id, .. } => stage.row_bound(RowRef::Id(*id)),
+        Entry::Item { slot, .. } => stage.row_bound(RowRef {
+            store,
+            pos: *slot as usize,
+        }),
         Entry::Child { .. } => None,
     };
     // A plain match: `Option::or_else` with this closure was not inlined.
@@ -551,22 +565,16 @@ impl<S: Stage> Iterator for Descent<'_, S> {
                     let stats = &mut self.per_shard[shard];
                     stats.candidates += 1;
                     let kth = self.bound.now();
-                    let flat = matches!(self.source, Source::Flat(_));
-                    let at = if flat {
-                        RowRef::At(shard, row as usize)
-                    } else {
-                        RowRef::Id(row)
+                    let row = RowRef {
+                        store: shard,
+                        pos: row as usize,
                     };
-                    if let Some(d) = self.stage.refine(at, top.key, kth, stats) {
+                    if let Some(d) = self.stage.refine(row, top.key, kth, stats) {
                         if let Bound::Kth(kth) = &mut self.bound {
                             kth.offer(d);
                         }
-                        let id = if flat {
-                            self.stage.id_at(shard, row as usize)
-                        } else {
-                            row
-                        };
-                        self.ready.push(Reverse(Ranked { key: d, what: id }));
+                        let what = self.stage.id(row);
+                        self.ready.push(Reverse(Ranked { key: d, what }));
                     }
                     self.push_head(shard, run);
                 }
@@ -596,9 +604,17 @@ mod tests {
     use std::collections::HashMap;
     use std::ops::Range;
 
-    /// Item `id` at `points[id]`, split id-mod-`shards` into trees over
-    /// `space` of at most four entries a node, bulk-loaded or inserted one
-    /// by one.
+    /// Item `id` at `points[id]`, split id-mod-`shards` into stores, and
+    /// the ids of each store by position: store `s` holds `s, s + shards,
+    /// …`, so positions and ids differ wherever there is more than one.
+    fn stores(points: usize, shards: usize) -> Vec<Vec<u64>> {
+        let ids = |s| (s..points).step_by(shards).map(|id| id as u64);
+        (0..shards).map(|s| ids(s).collect()).collect()
+    }
+
+    /// One tree over `space` per store of [`stores`], of at most four
+    /// entries a node, bulk-loaded or inserted one by one: each leaf's slot
+    /// is its row's position in its store.
     fn forest(points: &[[f64; 2]], shards: usize, bulk: bool, space: &Space) -> Vec<RTree> {
         let config = RTreeConfig {
             max_entries: 4,
@@ -606,23 +622,23 @@ mod tests {
         };
         (0..shards)
             .map(|s| {
-                let items = points.iter().enumerate().skip(s).step_by(shards);
-                let items = items.map(|(id, p)| (Rect::point(p), id as u64));
+                let items = points.iter().skip(s).step_by(shards).enumerate();
+                let items = items.map(|(pos, p)| (Rect::point(p), pos as u64));
                 if bulk {
                     return RTree::bulk_load(space.clone(), config.clone(), items.collect());
                 }
                 let mut tree = RTree::new(space.clone(), config.clone());
-                items.for_each(|(rect, id)| tree.insert(rect, id));
+                items.for_each(|(rect, pos)| tree.insert(rect, pos));
                 tree
             })
             .collect()
     }
 
-    /// Where a case's rows live: a [`forest`], or the same id-mod-`shards`
-    /// split as a flat source's stores, each the ids at its positions.
-    enum Rows {
-        Trees(Vec<RTree>),
-        Flat(Vec<Vec<u64>>),
+    /// Where a case's rows live: the ids of each store by position, and
+    /// the [`forest`] over them, or `None` for a flat source of them.
+    struct Rows {
+        stores: Vec<Vec<u64>>,
+        trees: Option<Vec<RTree>>,
     }
 
     /// Every position of each store.
@@ -632,14 +648,13 @@ mod tests {
 
     impl Rows {
         /// `source` 0 and 1 build the forest incrementally and bulk-loaded,
-        /// 2 the flat stores.
+        /// 2 keeps the stores flat.
         fn new(points: &[[f64; 2]], shards: usize, source: u8) -> Self {
-            if source < 2 {
-                let space = Space::linear(2);
-                return Rows::Trees(forest(points, shards, source == 1, &space));
+            let space = Space::linear(2);
+            Rows {
+                stores: stores(points.len(), shards),
+                trees: (source < 2).then(|| forest(points, shards, source == 1, &space)),
             }
-            let ids = |s| (s..points.len()).step_by(shards).map(|id| id as u64);
-            Rows::Flat((0..shards).map(|s| ids(s).collect()).collect())
         }
 
         /// A range descent over the trees or stores `part`; trees move
@@ -650,11 +665,9 @@ mod tests {
             affine: &'t DiagonalAffine,
             stage: S,
         ) -> Descent<'t, S> {
-            match self {
-                Rows::Trees(trees) => {
-                    Descent::within(&trees[part], Some(Cow::Borrowed(affine)), stage)
-                }
-                Rows::Flat(stores) => Descent::within_flat(whole(&stores[part]), stage),
+            match &self.trees {
+                Some(trees) => Descent::within(&trees[part], Some(Cow::Borrowed(affine)), stage),
+                None => Descent::within_flat(whole(&self.stores[part]), stage),
             }
         }
 
@@ -665,33 +678,32 @@ mod tests {
             stage: S,
             k: usize,
         ) -> Descent<'t, S> {
-            match self {
-                Rows::Trees(trees) => {
-                    Descent::nearest(trees, Some(Cow::Borrowed(affine)), stage, k)
-                }
-                Rows::Flat(stores) => Descent::nearest_flat(whole(stores), stage, k),
+            match &self.trees {
+                Some(trees) => Descent::nearest(trees, Some(Cow::Borrowed(affine)), stage, k),
+                None => Descent::nearest_flat(whole(&self.stores), stage, k),
             }
         }
 
-        /// Each row's leaf, `(shard, node)`; a flat leaf is numbered within
-        /// its store.
+        /// Each row id's leaf, `(shard, node)`; a flat leaf is numbered
+        /// within its store.
         fn leaves(&self) -> HashMap<u64, (usize, usize)> {
             let mut leaf = HashMap::new();
-            match self {
-                Rows::Trees(trees) => {
+            match &self.trees {
+                Some(trees) => {
                     for (shard, tree) in trees.iter().enumerate() {
                         for (idx, node) in tree.nodes.iter().enumerate() {
                             for e in &node.entries {
-                                if let Entry::Item { id, .. } = e {
-                                    leaf.insert(*id, (shard, idx));
+                                if let Entry::Item { slot, .. } = e {
+                                    let id = self.stores[shard][*slot as usize];
+                                    leaf.insert(id, (shard, idx));
                                 }
                             }
                         }
                     }
                 }
-                Rows::Flat(stores) => {
+                None => {
                     let capacity = RTreeConfig::default().max_entries;
-                    for (shard, ids) in stores.iter().enumerate() {
+                    for (shard, ids) in self.stores.iter().enumerate() {
                         for (at, id) in ids.iter().enumerate() {
                             leaf.insert(*id, (shard, at / capacity));
                         }
@@ -702,15 +714,16 @@ mod tests {
         }
     }
 
-    /// The range stage of both sources: the window's entry test, and a
-    /// refine that tests a flat row's moved point, read at its place in
-    /// `flat` (each store's ids by position), since a flat source has no
-    /// rectangle to test. A tree's rows are accepted at their key, as
-    /// [`Window`] does, so the entry test alone must match brute force.
+    /// The range stage of both sources: the window's entry test, and, when
+    /// `test`, a refine that tests a row's moved point, since a flat source
+    /// has no rectangle to test. Over trees rows are accepted at their key,
+    /// as [`Window`] does, so the entry test alone must match brute force.
+    /// Rows are named at their place in `stores`.
     struct InWindow<'a> {
         window: &'a Rect,
         moved: &'a [Vec<f64>],
-        flat: Option<&'a [Vec<u64>]>,
+        stores: &'a [Vec<u64>],
+        test: bool,
     }
 
     impl Stage for InWindow<'_> {
@@ -718,29 +731,25 @@ mod tests {
             Window(self.window).key(space, rect)
         }
         fn refine(&self, row: RowRef, key: f64, _: f64, _: &mut SearchStats) -> Option<f64> {
-            let RowRef::At(store, pos) = row else {
-                return Some(key);
-            };
-            let id = self.id_at(store, pos);
-            self.window
-                .contains_linear(&self.moved[id as usize])
-                .then_some(key)
+            let id = self.id(row);
+            let inside = self.window.contains_linear(&self.moved[id as usize]);
+            (inside || !self.test).then_some(key)
         }
-        fn id_at(&self, store: usize, pos: usize) -> u64 {
-            self.flat.expect("a flat descent's stage names its rows")[store][pos]
+        fn id(&self, row: RowRef) -> u64 {
+            self.stores[row.store][row.pos]
         }
     }
 
     /// A kNN stage over transformed integer points: a rectangle is keyed
     /// by its MINDIST to `q` (a row's by its point's distance, read from
-    /// the row when `rows`; a flat row is found at its place in `flat`),
-    /// and a row is refined to that plus a hidden `id % hide`, so bound
-    /// order and answer order differ and ties abound. Every refine call's
-    /// `(key, id)` is logged.
+    /// the row when `rows`), and a row is refined to that plus a hidden
+    /// `id % hide`, so bound order and answer order differ and ties
+    /// abound. Rows are found at their place in `stores`, and every refine
+    /// call's `(key, id)` is logged.
     struct Hidden<'a> {
         q: [f64; 2],
         points: &'a [Vec<f64>],
-        flat: Option<&'a [Vec<u64>]>,
+        stores: &'a [Vec<u64>],
         rows: bool,
         hide: u64,
         log: &'a RefCell<Vec<(f64, u64)>>,
@@ -752,14 +761,6 @@ mod tests {
         }
         fn exact(&self, id: u64) -> f64 {
             self.key(id) + (id % self.hide) as f64
-        }
-        /// The id of `row`: only a flat source hands rows by place.
-        fn id(&self, row: RowRef) -> u64 {
-            match (row, self.flat) {
-                (RowRef::Id(id), None) => id,
-                (RowRef::At(store, pos), Some(_)) => self.id_at(store, pos),
-                _ => panic!("{row:?} from the wrong source"),
-            }
         }
     }
 
@@ -784,8 +785,8 @@ mod tests {
             self.log.borrow_mut().push((key, id));
             Some(self.exact(id)).filter(|d| *d <= bound)
         }
-        fn id_at(&self, store: usize, pos: usize) -> u64 {
-            self.flat.expect("a flat descent's stage names its rows")[store][pos]
+        fn id(&self, row: RowRef) -> u64 {
+            self.stores[row.store][row.pos]
         }
     }
 
@@ -857,10 +858,7 @@ mod tests {
         let scale = vec![nonzero(scale.0), nonzero(scale.1)];
         let affine = DiagonalAffine::new(scale, vec![shift.0 as f64, shift.1 as f64]);
         let moved: Vec<Vec<f64>> = points.iter().map(|p| affine.apply_point(p)).collect();
-        let flat = match &trees {
-            Rows::Trees(_) => None,
-            Rows::Flat(stores) => Some(stores.as_slice()),
-        };
+        let (stores, test) = (trees.stores.as_slice(), trees.trees.is_none());
 
         // A fixed bound: the rows inside the window, once each; each tree
         // or store is entered on its own, so its share is its own search.
@@ -871,7 +869,8 @@ mod tests {
             let stage = || InWindow {
                 window,
                 moved,
-                flat,
+                stores,
+                test,
             };
             let range = || trees.within(0..shards, &affine, stage());
             let mut ids: Vec<u64> = drain_and_pause(range, pause)
@@ -888,7 +887,7 @@ mod tests {
         assert_eq!(kept(&window), inside);
         // A flat source's stores cut in two spans each, the second starting
         // mid-store, as a range scan's threads cut them: the same rows.
-        if let Rows::Flat(stores) = &trees {
+        if test {
             let mut ids = Vec::new();
             for half in [0, 1] {
                 let span = stores.iter().map(|ids| {
@@ -902,7 +901,8 @@ mod tests {
                 let stage = InWindow {
                     window: &window,
                     moved: &moved,
-                    flat,
+                    stores,
+                    test,
                 };
                 ids.extend(Descent::within_flat(span.collect(), stage).map(|n| n.id));
             }
@@ -918,11 +918,11 @@ mod tests {
             assert_eq!(kept(&every), (0..points.len() as u64).collect::<Vec<_>>());
         }
         let range = |part: Range<usize>| {
-            let flat = flat.map(|stores| &stores[part.clone()]);
             let stage = InWindow {
                 window: &window,
                 moved: &moved,
-                flat,
+                stores: &stores[part.clone()],
+                test,
             };
             trees.within(part, &affine, stage)
         };
@@ -939,7 +939,7 @@ mod tests {
         let stage = || Hidden {
             q: [q.0 as f64, q.1 as f64],
             points: &moved,
-            flat,
+            stores,
             rows,
             hide: if rows { 3 } else { 1 },
             log: &log,
@@ -955,10 +955,11 @@ mod tests {
         assert_eq!(got, want);
 
         // The paused run refined what the drain did. The drain refined in
-        // ascending key, each leaf's rows in strictly ascending (key, id),
-        // so no row twice, and none keyed above the final k-th distance.
-        // Across leaves ids may fall at one key: a subtree whose key ties
-        // a refined row's opens after it.
+        // ascending key, each leaf's rows in strictly ascending (key,
+        // position), which is (key, id) here, so no row twice, and none
+        // keyed above the final k-th distance. Across leaves ids may fall
+        // at one key: a subtree whose key ties a refined row's opens after
+        // it.
         let log = log.take();
         let (drained, resumed) = log.split_at(log.len() / 2);
         assert_eq!(drained, resumed);
@@ -1009,6 +1010,9 @@ mod tests {
     impl Stage for MinDist {
         fn key(&self, _: &Space, rect: &Rect) -> Option<f64> {
             Some(rect.min_dist_sq(&self.0))
+        }
+        fn id(&self, row: RowRef) -> u64 {
+            row.pos as u64
         }
     }
 

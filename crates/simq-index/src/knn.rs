@@ -16,7 +16,7 @@
 //! best (`LocalKth`) — and the single-tree callers [`RTree::nearest`] and
 //! [`RTree::nearest_by`].
 
-use crate::descent::{Descent, Stage};
+use crate::descent::{Descent, RowRef, Stage};
 use crate::geom::{Rect, Space};
 use crate::rstar::RTree;
 use crate::search::SearchStats;
@@ -120,13 +120,17 @@ impl LocalKth {
     }
 }
 
-/// The kNN stage over the index alone: `bound` keys every entry, and a
-/// row's key is its distance.
+/// The kNN stage over the index alone: `bound` keys every entry, a row's
+/// key is its distance, and a row is named by its slot.
 struct ByBound<'a>(&'a dyn Fn(&Rect) -> f64);
 
 impl Stage for ByBound<'_> {
     fn key(&self, _: &Space, rect: &Rect) -> Option<f64> {
         Some((self.0)(rect))
+    }
+
+    fn id(&self, row: RowRef) -> u64 {
+        row.pos as u64
     }
 }
 

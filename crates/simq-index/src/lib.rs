@@ -13,12 +13,14 @@
 //!   [`DiagonalAffine`]: Theorems 1–3 reduce every safe transformation to
 //!   a per-dimension affine map, so the traversal needs no other.
 //! * [`rstar`] — the tree structure: ChooseSubtree, forced reinsertion, R*
-//!   split, deletion with condense.
+//!   split. It is append-only: the engine never deletes a row.
 //! * [`descent`] — the one traversal type of both access paths: a
 //!   pull-based [`Descent`] over a forest of trees (one per relation shard)
 //!   or over a flat source (each store's rows in scan order, the
 //!   sequential scan) that a [`Stage`] steers — an entry test or key, a row
-//!   bound, a refine step. It has one loop per bound over shared roots,
+//!   bound, a refine step, the name of a row it yields. Either source
+//!   hands rows by place ([`RowRef`]: a tree's leaf holds its row's
+//!   position in its store). It has one loop per bound over shared roots,
 //!   keys and counters: a fixed bound (range, depth first) and the live
 //!   `k`-th best (kNN, best first). Drained it answers a query; paused
 //!   between pulls it is a cursor, and dropping it abandons the remaining
@@ -34,7 +36,7 @@
 //!   methods).
 //! * [`bulk`] — STR bulk loading.
 //! * [`serial`] — binary serialization of the full tree structure (node
-//!   arena, geometry, free list), so persisted databases reopen without
+//!   arena, geometry), so persisted databases reopen without
 //!   re-bulk-loading and reproduce the identical tree.
 
 #![warn(missing_docs)]

@@ -31,7 +31,9 @@
 //!
 //! Search, nearest-neighbour, join and bulk-loading live in sibling modules
 //! ([`crate::search`], [`crate::knn`], [`crate::join`], [`crate::bulk`]);
-//! this module owns the structure and its update algorithms.
+//! this module owns the structure and its insert algorithm. The tree is
+//! append-only: it never deletes, so every arena node is reachable from
+//! the root.
 
 use crate::geom::{Rect, Space};
 
@@ -83,12 +85,13 @@ pub(crate) enum Entry {
         node: usize,
     },
     /// Leaf entry: bounding rectangle (a point for point data) and the
-    /// caller's item identifier.
+    /// caller's slot.
     Item {
         /// MBR (or point) of the item.
         mbr: Rect,
-        /// Caller-supplied identifier.
-        id: u64,
+        /// Caller-supplied payload: the engine's trees hold the row's
+        /// position in its store.
+        slot: u64,
     },
 }
 
@@ -121,7 +124,9 @@ impl Node {
 
 /// An R*-tree over points/rectangles in a [`Space`].
 ///
-/// Item identifiers are caller-managed `u64`s (row ids of a relation).
+/// Each item carries a caller-managed `u64` slot; the engine's trees hold
+/// the position of the item's row in its store. The tree is append-only:
+/// the paper's trees are built over a stored corpus and then only grow.
 #[derive(Debug, Clone)]
 pub struct RTree {
     pub(crate) config: RTreeConfig,
@@ -129,14 +134,6 @@ pub struct RTree {
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: usize,
     pub(crate) len: usize,
-    pub(crate) free: Vec<usize>,
-    /// Nodes this tree instance has materialized (arena slots filled by
-    /// construction, splits, root growth, bulk packing or decoding).
-    /// Incremental maintenance is cheap exactly when an insert leaves this
-    /// nearly unchanged while a rebuild would re-create the whole arena —
-    /// the write-path benches and `ExecStats::nodes_built` report deltas
-    /// of this counter.
-    pub(crate) nodes_built: u64,
 }
 
 impl RTree {
@@ -152,8 +149,6 @@ impl RTree {
             nodes: vec![root],
             root: 0,
             len: 0,
-            free: Vec::new(),
-            nodes_built: 1,
         }
     }
 
@@ -192,45 +187,40 @@ impl RTree {
         self.nodes[self.root].mbr()
     }
 
-    /// Cumulative count of nodes this tree has materialized over its
-    /// lifetime: the initial root, every split sibling and grown root,
-    /// every bulk-packed node, every decoded node. Unlike the arena size
-    /// it never decreases, so the *delta* across an operation measures the
-    /// structural work that operation did — an incremental insert moves it
-    /// by 0–2 per level touched, a rebuild by the whole arena.
+    /// The nodes this tree has materialized: its arena, which an
+    /// append-only tree never shrinks (the initial root, every split
+    /// sibling and grown root, every bulk-packed or decoded node). The
+    /// *delta* across an operation measures the structural work it did —
+    /// an incremental insert moves it by 0–2 per level touched, a rebuild
+    /// by the whole arena; the write-path benches and
+    /// `ExecStats::nodes_built` report such deltas.
     pub fn nodes_built(&self) -> u64 {
-        self.nodes_built
+        self.nodes.len() as u64
     }
 
     fn alloc(&mut self, node: Node) -> usize {
-        self.nodes_built += 1;
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        }
+        self.nodes.push(node);
+        self.nodes.len() - 1
     }
 
     /// Inserts a point item.
     ///
     /// # Panics
     /// Panics if the point dimensionality disagrees with the space.
-    pub fn insert_point(&mut self, p: &[f64], id: u64) {
+    pub fn insert_point(&mut self, p: &[f64], slot: u64) {
         assert_eq!(p.len(), self.dims(), "point dimensionality mismatch");
-        self.insert(Rect::point(p), id);
+        self.insert(Rect::point(p), slot);
     }
 
     /// Inserts a rectangle item.
     ///
     /// # Panics
     /// Panics if the rectangle dimensionality disagrees with the space.
-    pub fn insert(&mut self, rect: Rect, id: u64) {
+    pub fn insert(&mut self, rect: Rect, slot: u64) {
         assert_eq!(rect.dims(), self.dims(), "rect dimensionality mismatch");
         let height = self.nodes[self.root].level;
         let mut reinserted = vec![false; height as usize + 1];
-        self.insert_at_level(Entry::Item { mbr: rect, id }, 0, &mut reinserted);
+        self.insert_at_level(Entry::Item { mbr: rect, slot }, 0, &mut reinserted);
         self.len += 1;
     }
 
@@ -480,135 +470,7 @@ impl RTree {
         (mbr, idx)
     }
 
-    /// Removes the item with the given rectangle and id. Returns true if it
-    /// was present. Underfull nodes are dissolved and their entries
-    /// reinserted (the classical condense-tree step).
-    pub fn remove(&mut self, rect: &Rect, id: u64) -> bool {
-        let Some(leaf_path) = self.find_leaf(self.root, rect, id, &mut Vec::new()) else {
-            return false;
-        };
-        let leaf = *leaf_path.last().expect("path ends at leaf");
-        let pos = self.nodes[leaf]
-            .entries
-            .iter()
-            .position(|e| matches!(e, Entry::Item { mbr, id: eid } if eid == &id && mbr == rect))
-            .expect("find_leaf located the item");
-        self.nodes[leaf].entries.swap_remove(pos);
-        self.len -= 1;
-        self.condense(&leaf_path);
-        true
-    }
-
-    /// Depth-first search for the leaf containing `(rect, id)`; returns the
-    /// node-index path from root to leaf.
-    fn find_leaf(
-        &self,
-        node_idx: usize,
-        rect: &Rect,
-        id: u64,
-        path: &mut Vec<usize>,
-    ) -> Option<Vec<usize>> {
-        path.push(node_idx);
-        let node = &self.nodes[node_idx];
-        if node.level == 0 {
-            if node
-                .entries
-                .iter()
-                .any(|e| matches!(e, Entry::Item { mbr, id: eid } if eid == &id && mbr == rect))
-            {
-                return Some(path.clone());
-            }
-        } else {
-            for e in &node.entries {
-                if let Entry::Child { mbr, node: child } = e {
-                    if mbr.intersects_linear(rect) {
-                        if let Some(found) = self.find_leaf(*child, rect, id, path) {
-                            return Some(found);
-                        }
-                    }
-                }
-            }
-        }
-        path.pop();
-        None
-    }
-
-    /// Condense after a removal along `path` (root first): dissolve
-    /// underfull non-root nodes, reinsert their entries, fix MBRs, and
-    /// shrink the root when it has a single child.
-    fn condense(&mut self, path: &[usize]) {
-        let min = self.config.min_entries();
-        let mut orphans: Vec<(u32, Entry)> = Vec::new();
-
-        // Walk from the leaf upward.
-        for i in (1..path.len()).rev() {
-            let node_idx = path[i];
-            let parent_idx = path[i - 1];
-            let underfull = self.nodes[node_idx].entries.len() < min;
-            let pos = self.nodes[parent_idx]
-                .entries
-                .iter()
-                .position(|e| matches!(e, Entry::Child { node, .. } if *node == node_idx))
-                .expect("path parent holds child");
-            if underfull {
-                let level = self.nodes[node_idx].level;
-                let removed = std::mem::take(&mut self.nodes[node_idx].entries);
-                orphans.extend(removed.into_iter().map(|e| (level, e)));
-                self.nodes[parent_idx].entries.swap_remove(pos);
-                self.free.push(node_idx);
-            } else {
-                let child_mbr = self.nodes[node_idx].mbr().expect("non-underfull node");
-                match &mut self.nodes[parent_idx].entries[pos] {
-                    Entry::Child { mbr, .. } => *mbr = child_mbr,
-                    Entry::Item { .. } => unreachable!(),
-                }
-            }
-        }
-
-        // Shrink the root while it is an internal node with one child.
-        while self.nodes[self.root].level > 0 && self.nodes[self.root].entries.len() == 1 {
-            let child = match &self.nodes[self.root].entries[0] {
-                Entry::Child { node, .. } => *node,
-                Entry::Item { .. } => unreachable!(),
-            };
-            self.free.push(self.root);
-            self.root = child;
-        }
-        // An empty internal root degenerates to an empty leaf.
-        if self.nodes[self.root].entries.is_empty() {
-            self.nodes[self.root].level = 0;
-        }
-
-        // Reinsert orphaned entries at their original levels.
-        for (level, entry) in orphans {
-            let height = self.nodes[self.root].level;
-            let mut reinserted = vec![false; height as usize + 1];
-            if level > height {
-                // The tree shrank below the orphan's level; re-add items
-                // individually (only possible for Child orphans, whose
-                // subtrees we flatten).
-                self.flatten_into_items(entry, &mut reinserted);
-            } else {
-                self.insert_at_level(entry, level, &mut reinserted);
-            }
-        }
-    }
-
-    /// Recursively reinserts every item of an orphaned subtree.
-    fn flatten_into_items(&mut self, entry: Entry, reinserted: &mut Vec<bool>) {
-        match entry {
-            Entry::Item { mbr, id } => self.insert_at_level(Entry::Item { mbr, id }, 0, reinserted),
-            Entry::Child { node, .. } => {
-                let children = std::mem::take(&mut self.nodes[node].entries);
-                self.free.push(node);
-                for c in children {
-                    self.flatten_into_items(c, reinserted);
-                }
-            }
-        }
-    }
-
-    /// Iterates over all `(rect, id)` items (in arbitrary order).
+    /// Every `(rect, slot)` item (in arbitrary order).
     pub fn items(&self) -> Vec<(Rect, u64)> {
         let mut out = Vec::with_capacity(self.len);
         let mut stack = vec![self.root];
@@ -616,7 +478,7 @@ impl RTree {
             for e in &self.nodes[idx].entries {
                 match e {
                     Entry::Child { node, .. } => stack.push(*node),
-                    Entry::Item { mbr, id } => out.push((mbr.clone(), *id)),
+                    Entry::Item { mbr, slot } => out.push((mbr.clone(), *slot)),
                 }
             }
         }
@@ -624,17 +486,19 @@ impl RTree {
     }
 
     /// Validates structural invariants (for tests): MBR containment, entry
-    /// counts, uniform leaf depth. Returns a description of the first
-    /// violation found.
+    /// counts, uniform leaf depth, and every arena node reachable from the
+    /// root (an append-only tree leaves none behind). Returns a description
+    /// of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         let root = &self.nodes[self.root];
         if root.entries.len() > self.config.max_entries {
             return Err("root overfull".into());
         }
         self.check_node(self.root, None, true)?;
-        let mut count = 0usize;
+        let (mut count, mut reached) = (0usize, 0usize);
         let mut stack = vec![self.root];
         while let Some(idx) = stack.pop() {
+            reached += 1;
             for e in &self.nodes[idx].entries {
                 match e {
                     Entry::Child { node, .. } => stack.push(*node),
@@ -644,6 +508,10 @@ impl RTree {
         }
         if count != self.len {
             return Err(format!("len {} but {} items reachable", self.len, count));
+        }
+        if reached != self.nodes.len() {
+            let arena = self.nodes.len();
+            return Err(format!("{reached} of {arena} arena nodes reachable"));
         }
         Ok(())
     }
@@ -864,49 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_items() {
-        let mut t = grid_tree(10);
-        assert_eq!(t.len(), 100);
-        // Remove the even ids.
-        for i in 0..10 {
-            for j in 0..10 {
-                let id = (i * 10 + j) as u64;
-                if id.is_multiple_of(2) {
-                    assert!(t.remove(&Rect::point(&[i as f64, j as f64]), id));
-                }
-            }
-        }
-        assert_eq!(t.len(), 50);
-        t.check_invariants().unwrap();
-        let mut ids: Vec<u64> = t.items().into_iter().map(|(_, id)| id).collect();
-        ids.sort_unstable();
-        assert!(ids.iter().all(|id| id % 2 == 1));
-        assert_eq!(ids.len(), 50);
-    }
-
-    #[test]
-    fn remove_missing_is_noop() {
-        let mut t = grid_tree(3);
-        assert!(!t.remove(&Rect::point(&[99.0, 99.0]), 0));
-        assert!(!t.remove(&Rect::point(&[0.0, 0.0]), 999));
-        assert_eq!(t.len(), 9);
-    }
-
-    #[test]
-    fn remove_everything_leaves_empty_tree() {
-        let mut t = grid_tree(8);
-        for (rect, id) in t.items() {
-            assert!(t.remove(&rect, id));
-        }
-        assert!(t.is_empty());
-        t.check_invariants().unwrap();
-        // The tree remains usable.
-        t.insert_point(&[1.0, 1.0], 7);
-        assert_eq!(t.len(), 1);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
     fn duplicate_points_supported() {
         let mut t = RTree::with_dims(1);
         for id in 0..100 {
@@ -986,9 +811,9 @@ mod tests {
         assert_eq!(
             hashes,
             [
-                0x3259_61e3_ee4e_0fd1,
-                0x79ee_fe82_c24b_2cfd,
-                0x740a_97be_8bcb_cd50
+                0x6007_3dbb_3503_ec72,
+                0xfe4b_b49f_2720_0c9e,
+                0xbc5c_5dc6_2699_b0cd
             ],
             "{hashes:#018x?}"
         );
@@ -1281,7 +1106,10 @@ mod tests {
             .enumerate()
             .map(|(i, mbr)| {
                 if leaf {
-                    Entry::Item { mbr, id: i as u64 }
+                    Entry::Item {
+                        mbr,
+                        slot: i as u64,
+                    }
                 } else {
                     Entry::Child { mbr, node: i + 1 }
                 }
@@ -1292,7 +1120,7 @@ mod tests {
     /// The handle of an entry: its item id or child node.
     fn handle(e: &Entry) -> u64 {
         match e {
-            Entry::Item { id, .. } => *id,
+            Entry::Item { slot, .. } => *slot,
             Entry::Child { node, .. } => *node as u64,
         }
     }

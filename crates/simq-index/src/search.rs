@@ -11,7 +11,7 @@
 //! [`RTree::range`] / [`RTree::range_transformed`] drain the one
 //! [`Descent`] over a forest of one, under the [`Window`] stage.
 
-use crate::descent::{Descent, Stage};
+use crate::descent::{Descent, RowRef, Stage};
 use crate::geom::{Rect, Space};
 use crate::rstar::RTree;
 use crate::transform::DiagonalAffine;
@@ -82,7 +82,8 @@ impl ForestStats {
 
 /// The search-rectangle test of Algorithm 2 as a descent [`Stage`]: an
 /// entry is kept when its (transformed) rectangle overlaps the window
-/// under the tree's dimension semantics, and every row kept is an answer.
+/// under the tree's dimension semantics, and every row kept is an answer,
+/// named by its slot.
 pub struct Window<'a>(pub &'a Rect);
 
 impl Stage for Window<'_> {
@@ -90,17 +91,21 @@ impl Stage for Window<'_> {
     fn key(&self, space: &Space, rect: &Rect) -> Option<f64> {
         space.intersects(rect, self.0).then_some(0.0)
     }
+
+    fn id(&self, row: RowRef) -> u64 {
+        row.pos as u64
+    }
 }
 
 impl RTree {
-    /// All item ids whose rectangle overlaps `query` (under the tree's
+    /// The slots of all items whose rectangle overlaps `query` (under the tree's
     /// dimension semantics — circular dimensions overlap modulo the
     /// period).
     pub fn range(&self, query: &Rect) -> (Vec<u64>, SearchStats) {
         self.range_by(None, query)
     }
 
-    /// Algorithm 2: all item ids whose *transformed* rectangle overlaps
+    /// Algorithm 2: the slots of all items whose *transformed* rectangle overlaps
     /// `query`. The transformation is applied to every node MBR and leaf
     /// entry during the traversal; the tree itself is untouched.
     pub fn range_transformed(

@@ -4,17 +4,20 @@
 //! (`simq-storage`); reopening one must *not* re-bulk-load the index — the
 //! paper's trees are built once over a fixed corpus and then only read. This
 //! module encodes the complete tree *structure* — configuration, space
-//! semantics, the node arena with every bounding rectangle and entry, the
-//! root handle and the free list — so that [`from_bytes`] reproduces an
-//! arena-identical tree: same node indices, same entry order, same `f64` bit
-//! patterns. Queries against the decoded tree visit exactly the nodes the
-//! original would.
+//! semantics, the node arena with every bounding rectangle and entry, and
+//! the root handle — so that [`from_bytes`] reproduces an arena-identical
+//! tree: same node indices, same entry order, same `f64` bit patterns.
+//! Queries against the decoded tree visit exactly the nodes the original
+//! would. A leaf entry's `u64` is the caller's slot: in the engine's
+//! checkpoints, the position of the item's row in its store (version 2;
+//! version 1 held row ids and a free list, and is refused).
 //!
 //! The encoding is little-endian, versioned and self-contained (no external
 //! dependencies). Decoding is defensive: every length is bounds-checked
 //! against the remaining input, rectangles must satisfy `lo ≤ hi`, child
 //! handles must resolve inside the arena, and the node graph is walked to
-//! reject cycles, level mismatches and item-count lies — corrupted input
+//! reject cycles, level mismatches, item-count lies and nodes the root
+//! does not reach (the tree is append-only, so it has none) — corrupted input
 //! yields a [`SerialError`], never a panic or a tree that would send a
 //! traversal into an infinite descent.
 //!
@@ -29,7 +32,7 @@ use crate::rstar::{Entry, Node, RTree, RTreeConfig};
 /// Magic prefix of an encoded tree.
 const MAGIC: &[u8; 4] = b"RTSE";
 /// Encoding version written by [`to_bytes`].
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Errors from decoding an encoded tree.
 #[derive(Debug)]
@@ -292,7 +295,7 @@ pub fn encode(tree: &RTree, w: &mut ByteWriter) {
         for entry in &node.entries {
             let (tag, mbr, handle) = match entry {
                 Entry::Child { mbr, node } => (0u8, mbr, *node as u64),
-                Entry::Item { mbr, id } => (1u8, mbr, *id),
+                Entry::Item { mbr, slot } => (1u8, mbr, *slot),
             };
             w.put_u8(tag);
             for d in 0..dims {
@@ -303,10 +306,6 @@ pub fn encode(tree: &RTree, w: &mut ByteWriter) {
             }
             w.put_u64(handle);
         }
-    }
-    w.put_u64(tree.free.len() as u64);
-    for &idx in &tree.free {
-        w.put_u64(idx as u64);
     }
 }
 
@@ -457,7 +456,7 @@ pub fn decode(r: &mut ByteReader<'_>) -> Result<RTree, SerialError> {
                             "node {n}: item entry in an internal node"
                         )));
                     }
-                    Entry::Item { mbr, id: handle }
+                    Entry::Item { mbr, slot: handle }
                 }
                 tag => {
                     return Err(SerialError::Format(format!(
@@ -469,42 +468,21 @@ pub fn decode(r: &mut ByteReader<'_>) -> Result<RTree, SerialError> {
         nodes.push(Node { level, entries });
     }
 
-    let free_count = usize_from(r.get_u64()?)?;
-    r.check_count(free_count, 8)?;
-    let mut free = Vec::with_capacity(free_count);
-    for _ in 0..free_count {
-        let idx = usize_from(r.get_u64()?)?;
-        if idx >= node_count {
-            return Err(SerialError::Format(format!(
-                "free-list handle {idx} outside arena"
-            )));
-        }
-        free.push(idx);
-    }
-
-    validate_graph(&nodes, root, len, &free)?;
-    let nodes_built = nodes.len() as u64;
+    validate_graph(&nodes, root, len)?;
     Ok(RTree {
         config,
         space,
         nodes,
         root,
         len,
-        free,
-        nodes_built,
     })
 }
 
 /// Walks the node graph from the root, rejecting cycles, shared subtrees,
-/// level mismatches, wrong item counts and free nodes reachable from the
-/// root. Search and kNN recurse through child handles, so this is what
+/// level mismatches, wrong item counts and arena nodes the root does not
+/// reach. Search and kNN recurse through child handles, so this is what
 /// keeps a corrupted snapshot from looping a traversal forever.
-fn validate_graph(
-    nodes: &[Node],
-    root: usize,
-    len: usize,
-    free: &[usize],
-) -> Result<(), SerialError> {
+fn validate_graph(nodes: &[Node], root: usize, len: usize) -> Result<(), SerialError> {
     let mut visited = vec![false; nodes.len()];
     let mut items = 0usize;
     let mut stack = vec![root];
@@ -536,12 +514,10 @@ fn validate_graph(
             "tree claims {len} items but {items} are reachable"
         )));
     }
-    for &idx in free {
-        if visited[idx] {
-            return Err(SerialError::Format(format!(
-                "free-list node {idx} is reachable from the root"
-            )));
-        }
+    if let Some(idx) = visited.iter().position(|v| !v) {
+        return Err(SerialError::Format(format!(
+            "node {idx} is unreachable from the root"
+        )));
     }
     Ok(())
 }
@@ -592,22 +568,6 @@ mod tests {
             // and every f64 bit pattern survived.
             assert_eq!(to_bytes(&back), bytes);
         }
-    }
-
-    #[test]
-    fn roundtrip_preserves_free_list() {
-        let mut t = sample_tree(300);
-        for i in (0..300u64).step_by(3) {
-            let x = (i % 17) as f64;
-            let y = (i % 11) as f64 * 0.5;
-            let z = (i % 7) as f64 - 3.0;
-            assert!(t.remove(&Rect::point(&[x, y, z]), i));
-        }
-        let bytes = to_bytes(&t);
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back.free, t.free);
-        assert_eq!(to_bytes(&back), bytes);
-        back.check_invariants().unwrap();
     }
 
     #[test]
@@ -697,29 +657,43 @@ mod tests {
         assert!(r.get_series().is_err());
     }
 
+    /// Hand-built encodings of one-dimensional trees the decoder refuses:
+    /// a root that is its own child, and an arena with a node the root
+    /// does not reach.
     #[test]
     fn rejects_cycles() {
-        // Hand-build an encoding whose root points at itself.
-        let mut w = ByteWriter::new();
-        w.put_bytes(MAGIC);
-        w.put_u32(VERSION);
-        w.put_u64(32);
-        w.put_f64(0.4);
-        w.put_f64(0.3);
-        w.put_u8(1);
-        w.put_u32(1); // dims
-        w.put_u8(0); // linear
-        w.put_u64(0); // root
-        w.put_u64(0); // len
-        w.put_u64(1); // node_count
-        w.put_u32(1); // level
-        w.put_u32(1); // one entry
-        w.put_u8(0); // child entry
-        w.put_f64(0.0);
-        w.put_f64(1.0);
-        w.put_u64(0); // child = self
-        w.put_u64(0); // empty free list
-        let err = from_bytes(&w.into_bytes()).unwrap_err();
-        assert!(matches!(err, SerialError::Format(_)), "{err}");
+        // `nodes` as `(level, child handles)`; every entry spans [0, 1].
+        let encoding = |nodes: &[(u32, &[u64])]| {
+            let mut w = ByteWriter::new();
+            w.put_bytes(MAGIC);
+            w.put_u32(VERSION);
+            w.put_u64(32);
+            w.put_f64(0.4);
+            w.put_f64(0.3);
+            w.put_u8(1);
+            w.put_u32(1); // dims
+            w.put_u8(0); // linear
+            w.put_u64(0); // root
+            w.put_u64(0); // len
+            w.put_u64(nodes.len() as u64);
+            for (level, children) in nodes {
+                w.put_u32(*level);
+                w.put_u32(children.len() as u32);
+                for child in *children {
+                    w.put_u8(0); // child entry
+                    w.put_f64(0.0);
+                    w.put_f64(1.0);
+                    w.put_u64(*child);
+                }
+            }
+            w.into_bytes()
+        };
+        let cycle: &[(u32, &[u64])] = &[(1, &[0])];
+        let unreachable: &[(u32, &[u64])] = &[(0, &[]), (0, &[])];
+        for (nodes, why) in [(cycle, "child 0 at level 1"), (unreachable, "unreachable")] {
+            let err = from_bytes(&encoding(nodes)).unwrap_err();
+            assert!(matches!(err, SerialError::Format(_)), "{err}");
+            assert!(err.to_string().contains(why), "{err}");
+        }
     }
 }

@@ -119,15 +119,6 @@ impl StoredRelation {
         }
     }
 
-    /// The quantized filter-tier signature of a row (routed through the
-    /// shard layout when sharded).
-    pub fn signature(&self, id: u64) -> Option<&[f32]> {
-        match self {
-            StoredRelation::Single { relation, .. } => relation.signature(id),
-            StoredRelation::Sharded { relation, .. } => relation.signature(id),
-        }
-    }
-
     /// Coefficients each filter-tier signature keeps — fixed by the
     /// series length, so single and sharded forms always agree.
     pub fn sig_coeffs(&self) -> usize {

@@ -35,7 +35,7 @@ use crate::verify::{
     flat_rows, hit, knn_descent, lowered, sort_hits, Ledger, PairStage, PlanDescent, RangeVerifier,
 };
 use simq_dsp::complex::Complex;
-use simq_index::{Descent, ForestStats, RowRef, SearchStats};
+use simq_index::{Descent, ForestStats, SearchStats};
 use simq_obs::span;
 use simq_series::transform::{NormalFormAction, SeriesTransform};
 use simq_storage::scan;
@@ -565,8 +565,11 @@ fn knn(
 /// the rows after its own; every probe skips its own row, and a symmetric
 /// tree probe every id below its own, so each unordered pair of a
 /// symmetric join is verified once and each orientation of an asymmetric
-/// one once. A join whose distances could overflow is refused as a range
-/// or kNN is; METHOD c, which ignores the transformations, never is.
+/// one once. Both sides' transformations are resolved under every method,
+/// so one no series of the relation admits is refused alike; a join whose
+/// distances could overflow is refused as a range or kNN is, except under
+/// METHOD c, which then ignores the transformations and never multiplies
+/// by them.
 fn all_pairs(
     stored: &StoredRelation,
     left: &SeriesTransform,
@@ -577,29 +580,30 @@ fn all_pairs(
     let n = stored.series_len();
     let mut ledger = Ledger::new(stored);
     let symmetric = left == right;
-    // The access path picks the source and whether distances abandon at
-    // ε; METHOD c ignores the transformation.
-    let identity = SeriesTransform::Identity;
-    let (op, index, abandon, left, right) = match the_plan.access {
-        AccessPath::ScanJoin { early_abandon } => ("join.scan", false, early_abandon, left, right),
-        AccessPath::IndexProbeJoin { transformed: true } => ("join.probe", true, true, left, right),
-        AccessPath::IndexProbeJoin { transformed: false } => {
-            ("join.probe", true, true, &identity, &identity)
-        }
+    // The access path picks the source, whether distances abandon at ε and
+    // whether the transformations apply (METHOD c ignores them).
+    let (op, index, abandon, transformed) = match the_plan.access {
+        AccessPath::ScanJoin { early_abandon } => ("join.scan", false, early_abandon, true),
+        AccessPath::IndexProbeJoin { transformed } => ("join.probe", true, true, transformed),
         _ => unreachable!("all-pairs queries plan to joins"),
     };
     let op = span::span(op);
-    let probe_action = left.action(n, n.saturating_sub(1))?.multipliers;
+    let resolve = |t: &SeriesTransform| t.action(n, n.saturating_sub(1));
+    let (mut probe_action, mut action) = (resolve(left)?.multipliers, resolve(right)?);
+    if transformed {
+        // Refused before any worker starts if a distance to a probe could
+        // overflow: `|L(x)_f| ≤ M_left·√n`, as `|x_f| ≤ √n` for a normal form.
+        let m_left = probe_action.iter().fold(0.0, |m: f64, a| m.max(a.abs()));
+        action.check_distances(n, &[Complex::real(m_left * (n as f64).sqrt())])?;
+    } else {
+        action = resolve(&SeriesTransform::Identity)?;
+        probe_action.clone_from(&action.multipliers);
+    }
     let ctx = QueryContext {
         spectrum: vec![Complex::ZERO; n],
         mean: 0.0,
         std_dev: 0.0,
     };
-    let action = right.action(n, n.saturating_sub(1))?;
-    // Refused before any worker starts if a distance to a probe could
-    // overflow: `|L(x)_f| ≤ M_left·√n`, as `|x_f| ≤ √n` for a normal form.
-    let m_left = probe_action.iter().fold(0.0, |m: f64, a| m.max(a.abs()));
-    action.check_distances(n, &[Complex::real(m_left * (n as f64).sqrt())])?;
     let lowered = index.then(|| lowered(&action, stored)).transpose()?;
     let verify = RangeVerifier::new(stored, action, ctx, eps, StatsWindow::default());
     let stage = verify.abandoning(abandon).stage(index)?;
@@ -621,14 +625,11 @@ fn all_pairs(
             }
             let row = &stores[store].row_slice()[pos];
             stage.aim(&row.features.spectrum, &probe_action)?;
+            // A symmetric flat probe reads only the rows after its own.
             let pairs = PairStage {
                 stage: &stage,
-                own: if index {
-                    RowRef::Id(row.id)
-                } else {
-                    RowRef::At(store, pos)
-                },
-                below: if symmetric { row.id } else { 0 },
+                own: row.id,
+                below: if symmetric && index { row.id } else { 0 },
             };
             let mut descent = match &lowered {
                 Some(lowered) => {

@@ -12,7 +12,6 @@
 
 use crate::sig::SignatureArray;
 use crate::wal::WalRecord;
-use simq_dsp::complex::Complex;
 use simq_index::geom::Rect;
 use simq_index::{RTree, RTreeConfig};
 use simq_series::error::SeriesError;
@@ -176,10 +175,10 @@ impl SeriesRelation {
     }
 
     /// Applies one insert with its extracted features: the row under the
-    /// record's id, then — when the store is indexed — its feature point
-    /// into `tree` (incremental maintenance, no rebuild). Returns the tree
-    /// nodes the insert materialized (splits and root growth; 0 without a
-    /// tree).
+    /// record's id at the next position, then — when the store is indexed —
+    /// its feature point into `tree` with that position as its slot
+    /// (incremental maintenance, no rebuild). Returns the tree nodes the
+    /// insert materialized (splits and root growth; 0 without a tree).
     ///
     /// This is the write side's one apply and one row push. The live
     /// commit passes the features its admission extracted; explicit-id
@@ -232,7 +231,7 @@ impl SeriesRelation {
             return Ok(0);
         };
         let before = tree.nodes_built();
-        tree.insert_point(&self.rows[pos].features.point, id);
+        tree.insert_point(&self.rows[pos].features.point, pos as u64);
         Ok(tree.nodes_built() - before)
     }
 
@@ -277,13 +276,20 @@ impl SeriesRelation {
         self.next_id = self.next_id.max(id + 1);
     }
 
-    /// Row access by id — O(1) whether ids are dense (sequential inserts:
-    /// position doubles as id) or explicit with gaps (id map).
-    pub fn row(&self, id: u64) -> Option<&SeriesRow> {
+    /// The position of the row with id `id` — O(1) whether ids are dense
+    /// (sequential inserts: position doubles as id) or explicit with gaps
+    /// (id map).
+    fn position(&self, id: u64) -> Option<usize> {
         match &self.by_id {
-            Some(map) => map.get(&id).map(|&pos| &self.rows[pos]),
-            None => self.rows.get(id as usize),
+            Some(map) => map.get(&id).copied(),
+            None => Some(id as usize).filter(|&pos| pos < self.rows.len()),
         }
+    }
+
+    /// Row access by id (a query's `ROW <id>`, an answer's name): the
+    /// engine reads rows a descent reaches by position.
+    pub fn row(&self, id: u64) -> Option<&SeriesRow> {
+        self.rows.get(self.position(id)?)
     }
 
     /// Iterates over rows in insertion order (equal to id order for
@@ -294,30 +300,16 @@ impl SeriesRelation {
     }
 
     /// The rows as a slice, in insertion order: position `p` holds the row
-    /// whose signature is `signatures().row(p)`.
+    /// whose signature is `signatures().row(p)` and whose index slot is
+    /// `p`.
     pub fn row_slice(&self) -> &[SeriesRow] {
         &self.rows
     }
 
-    /// The stored normal-form spectrum of a row.
-    pub fn spectrum(&self, id: u64) -> Option<&[Complex]> {
-        self.row(id).map(|r| r.features.spectrum.as_slice())
-    }
-
-    /// The quantized filter-tier signature of a row — O(1), mirroring
-    /// [`SeriesRelation::row`]'s dense-or-map lookup.
+    /// The quantized filter-tier signature of the row with id `id`, found
+    /// like [`SeriesRelation::row`].
     pub fn signature(&self, id: u64) -> Option<&[f32]> {
-        let pos = match &self.by_id {
-            Some(map) => *map.get(&id)?,
-            None => {
-                let pos = id as usize;
-                if pos >= self.rows.len() {
-                    return None;
-                }
-                pos
-            }
-        };
-        self.sigs.row(pos)
+        self.sigs.row(self.position(id)?)
     }
 
     /// The relation's signature array (contiguous, position-parallel to
@@ -326,22 +318,21 @@ impl SeriesRelation {
         &self.sigs
     }
 
-    /// Builds an R*-tree over the feature points (bulk-loaded).
+    /// Builds an R*-tree over the feature points (bulk-loaded), each
+    /// row's slot its position.
     pub fn build_index(&self, config: RTreeConfig) -> RTree {
-        let items: Vec<(Rect, u64)> = self
-            .rows
-            .iter()
-            .map(|r| (Rect::point(&r.features.point), r.id))
-            .collect();
-        RTree::bulk_load(self.scheme.space(), config, items)
+        let items = self.rows.iter().enumerate();
+        let items = items.map(|(pos, r)| (Rect::point(&r.features.point), pos as u64));
+        RTree::bulk_load(self.scheme.space(), config, items.collect())
     }
 
-    /// Builds the index by repeated insertion (for the ablation comparing
+    /// Builds the index by repeated insertion, each row's slot its
+    /// position (the resharding path, and the ablation comparing
     /// insertion-built and bulk-loaded trees).
     pub fn build_index_incremental(&self, config: RTreeConfig) -> RTree {
         let mut tree = RTree::new(self.scheme.space(), config);
-        for r in &self.rows {
-            tree.insert_point(&r.features.point, r.id);
+        for (pos, r) in self.rows.iter().enumerate() {
+            tree.insert_point(&r.features.point, pos as u64);
         }
         tree
     }
@@ -413,9 +404,9 @@ mod tests {
         let rel = test_relation(50);
         let tree = rel.build_index(RTreeConfig::default());
         assert_eq!(tree.len(), 50);
-        let mut ids: Vec<u64> = tree.items().into_iter().map(|(_, id)| id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..50).collect::<Vec<u64>>());
+        let mut slots: Vec<u64> = tree.items().into_iter().map(|(_, slot)| slot).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..50).collect::<Vec<u64>>());
     }
 
     #[test]

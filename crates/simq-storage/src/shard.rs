@@ -323,19 +323,14 @@ impl ShardedRelation {
         self.shards[self.layout.shard_of(id)].row(id)
     }
 
-    /// The quantized filter-tier signature of a row (routed through the
-    /// shard layout, same O(1) lookup as [`ShardedRelation::row`]).
-    pub fn signature(&self, id: u64) -> Option<&[f32]> {
-        self.shards[self.layout.shard_of(id)].signature(id)
-    }
-
     /// Iterates rows shard-major (shard 0's rows in insertion order, then
     /// shard 1's, …).
     pub fn rows(&self) -> impl Iterator<Item = &SeriesRow> {
         self.shards.iter().flat_map(|s| s.rows())
     }
 
-    /// Bulk-loads one R*-tree per shard over the shard's feature points.
+    /// Bulk-loads one R*-tree per shard over the shard's feature points,
+    /// each row's slot its position in its shard.
     pub fn build_indexes(&self, config: RTreeConfig) -> Vec<RTree> {
         self.shards
             .iter()
@@ -421,9 +416,14 @@ mod tests {
         let sharded = ShardedRelation::from_single(rel, 4);
         let trees = sharded.build_indexes(RTreeConfig::default());
         assert_eq!(trees.len(), 4);
-        let mut ids: Vec<u64> = trees
-            .iter()
-            .flat_map(|t| t.items().into_iter().map(|(_, id)| id))
+        let mut ids: Vec<u64> = (0..4)
+            .flat_map(|s| {
+                let rows = sharded.shard(s).row_slice();
+                trees[s]
+                    .items()
+                    .into_iter()
+                    .map(|(_, pos)| rows[pos as usize].id)
+            })
             .collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..60).collect::<Vec<u64>>());

@@ -4,20 +4,23 @@
 //! one image of this codec: the feature scheme, every row with its id,
 //! name, raw series, statistics, index point and precomputed normal-form
 //! spectrum, plus (when present) the complete R*-tree structure via
-//! [`simq_index::serial`]. A sharded relation is one image per shard, so
+//! [`simq_index::serial`], whose leaves hold each row's position in the
+//! image's row order. A sharded relation is one image per shard, so
 //! reopening skips feature extraction and index bulk-loading for every
 //! relation shape.
 //!
 //! The image is one logical byte stream (little-endian, exact `f64` bit
-//! patterns) — magic, format version 2, an entry count that is always 1,
+//! patterns) — magic, format version 3, an entry count that is always 1,
 //! then the relation — wrapped into the checksummed fixed-size pages of
 //! [`crate::pages`]. A checkpoint streams it: rows are encoded one by one
 //! into the page writer, so writing a shard holds a page, a row and the
 //! tree's blob, not the image. Decoding is defensive end-to-end: any
 //! flipped byte is caught by a page checksum, and a structurally
 //! inconsistent image (wrong spectrum lengths, duplicate row ids, an
-//! index whose space or items disagree with its relation, an entry count
-//! other than 1) produces a [`SnapshotError`], never a panic.
+//! index whose space disagrees with its relation or whose items are not
+//! the row positions, each once, an entry count other than 1) produces a
+//! [`SnapshotError`], never a panic. Version 2 images (leaves holding row
+//! ids, trees with a free list) are refused.
 //!
 //! The v2 text format of [`crate::persist`] remains the human-readable
 //! import/export path.
@@ -35,7 +38,7 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"SIMQSNAP";
 /// The image format version, the only one the decoder accepts.
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Errors from reading a snapshot.
 #[derive(Debug)]
@@ -297,9 +300,10 @@ fn decode_relation(r: &mut ByteReader<'_>) -> Result<SeriesRelation, SnapshotErr
 }
 
 /// Rejects an index that disagrees with its relation: wrong space, wrong
-/// cardinality, or items that are not in bijection with the rows (query
-/// execution trusts index ids unconditionally, and a duplicated id would
-/// silently shadow a missing one).
+/// cardinality, or items that are not a bijection onto the row positions
+/// `0..len` (query execution reads the row at an item's position
+/// unconditionally, and a repeated position would silently shadow a
+/// missing one).
 fn validate_index(relation: &SeriesRelation, tree: &RTree) -> Result<(), SnapshotError> {
     let space = relation.scheme().space();
     if tree.space() != &space {
@@ -316,17 +320,18 @@ fn validate_index(relation: &SeriesRelation, tree: &RTree) -> Result<(), Snapsho
             relation.len()
         )));
     }
-    let mut seen = HashSet::with_capacity(tree.len());
-    for (_, id) in tree.items() {
-        if relation.row(id).is_none() {
+    let mut seen = vec![false; relation.len()];
+    for (_, pos) in tree.items() {
+        let Some(seen) = seen.get_mut(pos as usize) else {
             return Err(SnapshotError::Format(format!(
-                "index item id {id} has no row in relation {:?}",
+                "index item {pos} is past the {} rows of relation {:?}",
+                relation.len(),
                 relation.name()
             )));
-        }
-        if !seen.insert(id) {
+        };
+        if std::mem::replace(seen, true) {
             return Err(SnapshotError::Format(format!(
-                "index item id {id} appears twice in relation {:?}",
+                "index item {pos} appears twice in relation {:?}",
                 relation.name()
             )));
         }
@@ -412,28 +417,32 @@ mod tests {
         assert!(matches!(from_bytes(&file), Err(SnapshotError::Format(_))));
     }
 
+    /// An index whose items are not the row positions, each once, is
+    /// refused: position 0 twice and 1 never, or a position past the rows.
     #[test]
     fn index_with_duplicate_item_ids_rejected() {
         let rel = sample_relation(2);
-        let mut tree = RTree::new(rel.scheme().space(), RTreeConfig::default());
         let p = rel.row(0).unwrap().features.point.clone();
-        tree.insert_point(&p, 0);
-        tree.insert_point(&p, 0); // id 0 twice, id 1 never
-        let err = from_bytes(&to_bytes(&rel, Some(&tree))).unwrap_err();
-        let SnapshotError::Format(msg) = err else {
-            panic!("expected format error, got {err:?}");
-        };
-        assert!(msg.contains("appears twice"), "{msg}");
+        for (slots, why) in [([0, 0], "appears twice"), ([0, 2], "past the 2 rows")] {
+            let mut tree = RTree::new(rel.scheme().space(), RTreeConfig::default());
+            slots.iter().for_each(|&slot| tree.insert_point(&p, slot));
+            let err = from_bytes(&to_bytes(&rel, Some(&tree))).unwrap_err();
+            let SnapshotError::Format(msg) = err else {
+                panic!("expected format error, got {err:?}");
+            };
+            assert!(msg.contains(why), "{msg}");
+        }
     }
 
-    /// Only a version-2 image of exactly one relation decodes: the
-    /// multi-relation catalogs and version-1 files of older releases are
-    /// refused, not half-read.
+    /// Only a version-3 image of exactly one relation decodes: the
+    /// multi-relation catalogs and version-1 files of older releases, and
+    /// the version-2 images whose trees held row ids, are refused, not
+    /// half-read.
     #[test]
     fn other_versions_and_entry_counts_rejected() {
         let rel = sample_relation(4);
         let stream = pages::from_file_bytes(&to_bytes(&rel, None)).unwrap();
-        for (offset, value) in [(8, 1u32), (8, 3), (12, 0), (12, 2)] {
+        for (offset, value) in [(8, 1u32), (8, 2), (8, 4), (12, 0), (12, 2)] {
             let mut patched = stream.clone();
             patched[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
             let err = from_bytes(&pages::to_file_bytes(&patched)).unwrap_err();

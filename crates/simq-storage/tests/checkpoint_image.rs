@@ -69,8 +69,8 @@ fn hashes(tag: &str, rel: &SeriesRelation, how: Tree) -> [u64; 3] {
         Tree::BulkLoaded => Some(rel.build_index(RTreeConfig::default())),
         Tree::Incremental => {
             let mut tree = RTree::new(rel.scheme().space(), RTreeConfig::default());
-            for row in rel.rows() {
-                tree.insert_point(&row.features.point, row.id);
+            for (pos, row) in rel.rows().enumerate() {
+                tree.insert_point(&row.features.point, pos as u64);
             }
             Some(tree)
         }
@@ -118,43 +118,43 @@ fn checkpoint_images_are_pinned() {
         hashes("empty-tree", &empty, Tree::BulkLoaded),
         hashes("exact", &exact, Tree::None),
     ];
-    // Recorded before the checkpoint streamed its pages (the image was
-    // built whole, then written): file, to_bytes, MANIFEST.
+    // File, to_bytes, MANIFEST, recorded at image version 3, whose trees'
+    // leaves hold row positions.
     let want: [[u64; 3]; 6] = [
         // bulk-loaded tree
         [
-            0x60dc_6909_457c_b3d2,
-            0x60dc_6909_457c_b3d2,
+            0x96ec_a0bb_ded6_70b7,
+            0x96ec_a0bb_ded6_70b7,
             0x4662_2cde_5266_669b,
         ],
         // incremental tree
         [
-            0x1916_b862_63d8_39ef,
-            0x1916_b862_63d8_39ef,
+            0x9679_9529_3432_56d3,
+            0x9679_9529_3432_56d3,
             0x4662_2cde_5266_669b,
         ],
         // no tree
         [
-            0xb1d6_13dc_22c6_41f5,
-            0xb1d6_13dc_22c6_41f5,
+            0x3eed_dc89_d786_02c2,
+            0x3eed_dc89_d786_02c2,
             0x4662_2cde_5266_669b,
         ],
         // empty relation
         [
-            0x1f6f_8e14_6b6a_c529,
-            0x1f6f_8e14_6b6a_c529,
+            0x5d93_9134_d2a3_5cda,
+            0x5d93_9134_d2a3_5cda,
             0x4662_2cde_5266_669b,
         ],
         // empty relation, empty tree
         [
-            0x9103_0ff3_8708_b7ff,
-            0x9103_0ff3_8708_b7ff,
+            0xdaf7_a179_fc38_27f2,
+            0xdaf7_a179_fc38_27f2,
             0x4662_2cde_5266_669b,
         ],
         // stream of exactly two pages
         [
-            0xfa66_3ad6_4d01_2cef,
-            0xfa66_3ad6_4d01_2cef,
+            0x28ca_c216_287f_8b39,
+            0x28ca_c216_287f_8b39,
             0x4662_2cde_5266_669b,
         ],
     ];

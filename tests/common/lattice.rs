@@ -13,8 +13,9 @@
 //!   and reopened directory, of the same shard count;
 //! * at the base point, statements of one *group* — the same question put
 //!   to different access paths: planned index / `FORCE SCAN` /
-//!   `FORCE INDEX`, join methods a / b / d — answer bitwise alike, and a
-//!   kNN answers exactly what the full-distance `scan::scan_knn` does.
+//!   `FORCE INDEX`, join methods a / b / d — answer bitwise alike (or,
+//!   failing, with one error), and a kNN answers exactly what the
+//!   full-distance `scan::scan_knn` does.
 //!   Range scans, scan joins and `scan_knn` never consult the signature
 //!   tier, so this is the no-false-dismissal check (Lemma 1);
 //! * the base point ≡ the time-domain oracle (`oracle.rs`) within its
@@ -57,6 +58,11 @@ pub enum Storage {
     /// the rest is inserted through the log and replayed after a drop.
     Reopened,
     Resharded,
+    /// Every row inserted under its own id through `insert_with_id`, in a
+    /// fixed shuffled order, then indexed: rows sit at positions of their
+    /// stores other than their ids, so a path that took one for the other
+    /// would answer with the wrong rows.
+    Permuted,
 }
 
 /// One point of the lattice.
@@ -82,7 +88,14 @@ impl Config {
     pub fn all() -> Vec<Config> {
         use {FrontEnd::*, Storage::*};
         let mut points = Vec::new();
-        for storage in [Built, Incremental, BatchInserted, Reopened, Resharded] {
+        for storage in [
+            Built,
+            Incremental,
+            BatchInserted,
+            Reopened,
+            Resharded,
+            Permuted,
+        ] {
             for (shards, wal) in [(1, false), (1, true), (4, false), (4, true)] {
                 for threads in [1, 4] {
                     for front_end in [Text, Prepared, BatchSlot, CursorDrain, Remote] {
@@ -130,12 +143,15 @@ pub type Outcome = Result<QueryResult, QueryError>;
 /// alike through every front end, the `Remote` one included (whose error
 /// frame carries the local error's message): constants that overflow on their own or composed, a zero
 /// scale factor (no normal form), a warp factor above the series length
-/// `len`, and the three ways a slot can fail before it runs.
+/// `len`, METHOD c joins under a window above `len` and a zero scale (it
+/// ignores the transformations, but refuses what METHOD b refuses), and the
+/// three ways a slot can fail before it runs.
 pub fn error_statements(relation: &str, len: usize) -> Vec<String> {
     let too_wide_warp = format!(
         "FIND SIMILAR TO ROW 0 IN r USING warp({}) EPSILON 1",
         len + 1
     );
+    let too_wide_join = format!("FIND PAIRS IN r USING mavg({}) EPSILON 1 METHOD c", len + 1);
     [
         "FIND 2 NEAREST TO ROW 0 IN r USING shift(1e400)",
         "FIND 2 NEAREST TO ROW 0 IN r USING scale(1e308) THEN scale(1e308)",
@@ -145,6 +161,8 @@ pub fn error_statements(relation: &str, len: usize) -> Vec<String> {
         "FIND 3 NEAREST TO ROW 0 IN r USING scale(0)",
         "FIND SIMILAR TO ROW 0 IN r USING mavg(3) THEN scale(-0.0) ON BOTH EPSILON 1",
         &too_wide_warp,
+        &too_wide_join,
+        "FIND PAIRS IN r USING scale(0) EPSILON 1 METHOD c",
         "FIND SIMILAR TO ROW 0 IN r EPSILON 1e400",
         "FIND SIMILAR TO ROW 99999 IN r EPSILON 1",
         "FIND SIMILAR TO ROW 0 IN nope EPSILON 1",
@@ -340,6 +358,10 @@ impl Corpus<'_> {
         }
         for text in error_statements("r", self.rows[0].len()) {
             self.groups += 1;
+            // A METHOD c join is refused with METHOD b's error.
+            if let Some(join) = text.strip_suffix(" METHOD c") {
+                self.push(Kind::Error, format!("{join} METHOD b"), &[]);
+            }
             self.push(Kind::Error, text, &[]);
         }
         self.stmts
@@ -444,10 +466,15 @@ impl World {
         // (`tests/planner_fallback.rs`); the default scheme serves them all.
         let may_refuse = self.scheme != FeatureScheme::paper_default();
         let mut leaders: Vec<Option<&QueryResult>> = vec![None; self.stmts.len() + 1];
+        let mut refusals: Vec<Option<&QueryError>> = vec![None; self.stmts.len() + 1];
         for (stmt, outcome) in self.stmts.iter().zip(&self.reference[&1]) {
             let what = &stmt.text;
             let answer = match outcome {
-                Err(_) if stmt.kind == Kind::Error => continue,
+                Err(e) if stmt.kind == Kind::Error => {
+                    let leader = refusals[stmt.group].get_or_insert(e);
+                    assert_eq!(e, *leader, "{what} vs its group");
+                    continue;
+                }
                 Err(QueryError::IndexUnavailable(_)) if may_refuse => continue,
                 Err(e) => panic!("{what}: {e}"),
                 Ok(_) if stmt.kind == Kind::Error => panic!("{what}: must fail"),
@@ -511,6 +538,7 @@ impl World {
             Reopened if !wal => register(&self.rows, shards),
             Resharded => register(&self.rows, 3),
             Incremental | BatchInserted | Reopened => register(bulk, shards),
+            Permuted => super::sharded_db(self.permuted(), shards),
         };
         if storage == Reopened {
             db.save_snapshot(&dir).expect("database saves");
@@ -519,7 +547,7 @@ impl World {
             db.attach_wal(&dir).expect("log attaches");
         }
         match storage {
-            Built => {}
+            Built | Permuted => {}
             Reopened if !wal => {}
             Resharded => db.shard_relation("r", shards).expect("reshards"),
             BatchInserted => drop(
@@ -542,6 +570,21 @@ impl World {
             db = Database::open_durable(&dir).expect("log replays").0;
         }
         (db, scratch)
+    }
+
+    /// The relation `r` with every row under its base id and name, inserted
+    /// in the order of a multiplicative hash of the id: a fixed shuffle.
+    fn permuted(&self) -> SeriesRelation {
+        let mut ids: Vec<u64> = (0..self.rows.len() as u64).collect();
+        ids.sort_by_key(|id| (id + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let len = self.rows[0].len();
+        let mut rel = SeriesRelation::new("r", len, self.scheme.clone());
+        for id in ids {
+            let series = self.rows[id as usize].clone();
+            rel.insert_with_id(id, format!("S{id}"), series)
+                .expect("row inserts");
+        }
+        rel
     }
 
     /// Statements `picked` through one in-process front end (`None` where
@@ -568,9 +611,10 @@ impl World {
                 let batch = execute_batch(db, &texts);
                 batch.results.into_iter().map(Some).collect()
             }
+            // A join, answered or refused, has no cursor form.
             FrontEnd::CursorDrain => stmts
                 .map(|s| {
-                    (s.kind != Kind::Pairs).then(|| {
+                    (!s.text.starts_with("FIND PAIRS")).then(|| {
                         let mut cursor = session.cursor_text(&s.text)?;
                         let output = QueryOutput::Hits(cursor.drain_sorted());
                         let (plan, stats) = (cursor.plan().clone(), cursor.stats());

@@ -164,41 +164,6 @@ fn stats_windows_constrain_search() {
     }
 }
 
-/// Index maintenance under churn: insertions and deletions keep queries
-/// exact (no stale index answers).
-#[test]
-fn index_stays_exact_under_updates() {
-    use similarity_queries::index::Rect;
-    let rel = walk_relation("r", 77, 120, 64);
-    let mut index = rel.build_index(Default::default());
-    let scheme = rel.scheme().clone();
-
-    // Remove a third of the rows from the index.
-    for id in (0..120u64).filter(|i| i % 3 == 0) {
-        let p = &rel.row(id).unwrap().features.point;
-        assert!(index.remove(&Rect::point(p), id));
-    }
-    index.check_invariants().unwrap();
-
-    let q = rel.row(1).unwrap();
-    let rect = scheme.search_rect(&q.features.point, 5.0);
-    let (hits, _) = index.range(&rect);
-    assert!(hits.iter().all(|id| id % 3 != 0));
-
-    // Reinsert them; answers must match a fresh index.
-    for id in (0..120u64).filter(|i| i % 3 == 0) {
-        let p = &rel.row(id).unwrap().features.point;
-        index.insert_point(p, id);
-    }
-    index.check_invariants().unwrap();
-    let fresh = rel.build_index(Default::default());
-    let (mut a, _) = index.range(&rect);
-    let (mut b, _) = fresh.range(&rect);
-    a.sort_unstable();
-    b.sort_unstable();
-    assert_eq!(a, b);
-}
-
 /// A kernel whose spectrum is finite but whose distances overflow is
 /// refused before anything runs: `wmavg(1e300, 1e300)` used to answer a
 /// kNN with every row at distance `inf` (the query's own row included) and

@@ -431,18 +431,21 @@ fn filter_engages_and_saves_work() {
     );
 }
 
-/// Collects every row's signature bits from a stored relation.
+/// Collects every row's signature bits from a stored relation, read at
+/// each row's position in its store, in id order (ids `0..rows`).
 fn signature_bits(db: &Database, rows: usize) -> Vec<Vec<u32>> {
     let rel = db.relation("r").expect("relation r exists");
-    (0..rows as u64)
-        .map(|id| {
-            rel.signature(id)
-                .unwrap_or_else(|| panic!("row {id} has a signature"))
-                .iter()
-                .map(|f| f.to_bits())
-                .collect()
-        })
-        .collect()
+    let mut by_id: Vec<(u64, Vec<u32>)> = Vec::new();
+    for store in rel.stores() {
+        for (pos, row) in store.row_slice().iter().enumerate() {
+            let sig = store.signatures().row(pos);
+            let sig = sig.unwrap_or_else(|| panic!("row {} has a signature", row.id));
+            by_id.push((row.id, sig.iter().map(|f| f.to_bits()).collect()));
+        }
+    }
+    by_id.sort_by_key(|(id, _)| *id);
+    assert!(by_id.iter().map(|(id, _)| *id).eq(0..rows as u64));
+    by_id.into_iter().map(|(_, bits)| bits).collect()
 }
 
 /// Signatures are derived data recomputed on every build path; whichever

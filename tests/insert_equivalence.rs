@@ -190,20 +190,24 @@ fn live_batched_and_replayed_inserts_build_identical_rows_and_trees() {
             assert_eq!(got.next_id(), want.next_id(), "shards {shards}: {what}");
             assert_eq!(got.shard_count(), shards, "shards {shards}: {what}");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let sig_bits = |r: &StoredRelation, id| {
-                let sig = r.signature(id).expect("every row has a signature");
+            let sig_bits = |store: &SeriesRelation, pos| {
+                let sig = store.signatures().row(pos);
+                let sig = sig.expect("every row has a signature");
                 sig.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             };
-            for (g, w) in got.rows().zip(want.rows()) {
-                let what = format!("shards {shards}: {what} row {}", w.id);
-                assert_eq!((g.id, &g.name), (w.id, &w.name), "{what}");
-                assert_eq!(bits(&g.raw), bits(&w.raw), "{what}");
-                assert_eq!(
-                    feature_bits(&g.features),
-                    feature_bits(&w.features),
-                    "{what}"
-                );
-                assert_eq!(sig_bits(got, w.id), sig_bits(want, w.id), "{what}");
+            for (gs, ws) in got.stores().iter().zip(want.stores()) {
+                let rows = gs.row_slice().iter().zip(ws.row_slice());
+                for (pos, (g, w)) in rows.enumerate() {
+                    let what = format!("shards {shards}: {what} row {}", w.id);
+                    assert_eq!((g.id, &g.name), (w.id, &w.name), "{what}");
+                    assert_eq!(bits(&g.raw), bits(&w.raw), "{what}");
+                    assert_eq!(
+                        feature_bits(&g.features),
+                        feature_bits(&w.features),
+                        "{what}"
+                    );
+                    assert_eq!(sig_bits(gs, pos), sig_bits(ws, pos), "{what}");
+                }
             }
             assert_eq!(got.row_count(), want.row_count(), "shards {shards}: {what}");
             for (shard, (g, w)) in got.trees().iter().zip(want.trees()).enumerate() {

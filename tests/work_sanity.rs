@@ -156,14 +156,17 @@ fn the_mirrored_probe_dismisses_more_range_candidates_than_the_single_one() {
         let q = &stored.row(row).unwrap().features;
         // The executor's rectangle: ε padded by one part in 10⁹.
         let rect = scheme.search_rect(&q.point, eps * (1.0 + 1e-9) + 1e-9);
+        // The tree's candidates, as positions in its one store.
         let (candidates, _) = stored.trees()[0].range_transformed(&lowered, &rect);
         assert_eq!(candidates.len() as u64, r.stats.candidates, "ROW {row}");
         let probe = FilterProbe::new(&q.spectrum, &ones, stored.sig_coeffs());
-        let dismissed = |id: &&u64| probe.dismisses(stored.signature(**id).unwrap(), eps * eps);
+        let store = &stored.stores()[0];
+        let sig = |pos: u64| store.signatures().row(pos as usize).unwrap();
+        let dismissed = |pos: &&u64| probe.dismisses(sig(**pos), eps * eps);
         single += candidates.iter().filter(dismissed).count() as u64;
         mirrored += r.stats.filtered_out;
-        let within = |id: &&u64| {
-            let x = &stored.row(**id).unwrap().features.spectrum;
+        let within = |pos: &&u64| {
+            let x = &store.row_slice()[**pos as usize].features.spectrum;
             distance_outcome(x, &ones, &q.spectrum, None).dist_sq.sqrt() <= eps
         };
         assert_eq!(
