@@ -575,22 +575,35 @@ fn ablation_rep(quick: bool) {
     println!("(expected shape: reverse is index-served in both; mavg(20) only in polar — Theorems 2 and 3)");
 }
 
-/// Ablation: R* forced reinsertion and bulk loading vs incremental build.
+/// Ablation: R* forced reinsertion and bulk loading vs incremental build,
+/// and which dimensions STR cuts. Each tree answers the same rectangle
+/// unwindowed (the statistics dimensions unbounded, as a range without
+/// `MEAN/STD WITHIN`) and under a tight GK95 mean/std window.
 fn ablation_tree(quick: bool) {
     println!("\n=== abl-tree: index construction strategies ===");
-    use simq_index::RTreeConfig;
+    use simq_index::{RTree, RTreeConfig, Rect};
     let rows = if quick { 1000 } else { 4000 };
     let rel = walk_relation("r", rows, 128);
     let scheme = rel.scheme().clone();
     let q = rel.row(0).unwrap().features.point.clone();
     let rect = scheme.search_rect(&q, 2.0);
+    let windowed = scheme.search_rect_with_stats(&q, 2.0, Some((2.0, 1.0)));
 
-    header(&["build", "build ms", "height", "nodes/query"]);
-    type Builder<'a> = Box<dyn Fn() -> simq_index::RTree + 'a>;
-    let configs: [(&str, Builder); 3] = [
+    header(&["build", "build ms", "height", "nodes/query", "windowed"]);
+    type Builder<'a> = Box<dyn Fn() -> RTree + 'a>;
+    let configs: [(&str, Builder); 4] = [
         (
-            "bulk (STR)",
+            "STR, coeffs",
             Box::new(|| rel.build_index(RTreeConfig::default())),
+        ),
+        (
+            "STR, all dims",
+            Box::new(|| {
+                let items = rel.rows().enumerate();
+                let items = items.map(|(pos, r)| (Rect::point(&r.features.point), pos as u64));
+                let (config, all) = (RTreeConfig::default(), 0..scheme.dims());
+                RTree::bulk_load(scheme.space(), config, items.collect(), all)
+            }),
         ),
         (
             "insert +reinsert",
@@ -608,15 +621,17 @@ fn ablation_tree(quick: bool) {
     ];
     for (name, build) in configs {
         let (build_time, tree) = time_mean(1, &*build);
-        let (_, stats) = tree.range(&rect);
+        let nodes = |rect: &Rect| tree.range(rect).1.nodes_visited.to_string();
         row(&[
             name.to_string(),
             ms(build_time),
             tree.height().to_string(),
-            stats.nodes_visited.to_string(),
+            nodes(&rect),
+            nodes(&windowed),
         ]);
     }
-    println!("(expected shape: STR builds fastest and packs best; disabling forced reinsertion degrades query node counts)");
+    println!("(windowed: the same rectangle with MEAN WITHIN 2 STD WITHIN 1)");
+    println!("(expected shape: STR builds fastest and packs best; STR over the coefficients reads the fewest nodes unwindowed, and trees that also split on the mean and standard deviation read fewer under a tight window; disabling forced reinsertion degrades query node counts)");
 }
 
 /// Framework benchmark: DP edit distance vs the generic rewrite search.

@@ -1,23 +1,58 @@
 //! Sort-Tile-Recursive (STR) bulk loading.
 //!
 //! Building an index over an existing relation item-by-item pays the full
-//! insertion cost; STR packs a near-optimal tree in `O(n log n)` by
-//! recursively tiling the data along each dimension. The paper builds its
-//! experimental indexes over fixed corpora, which is exactly this use case;
-//! the ablation bench `abl-tree` compares STR-built and incrementally-built
-//! trees on node accesses per query.
+//! insertion cost; STR (Leutenegger et al., ICDE 1997) packs a
+//! near-optimal tree in `O(n log n)` by recursively tiling the data, one
+//! sort per level. The paper builds its experimental indexes over fixed
+//! corpora, which is exactly this use case; the ablation bench `abl-tree`
+//! compares STR-built and incrementally-built trees on node accesses per
+//! query.
+//!
+//! **Which dimensions are cut.** The caller names a range of dimensions,
+//! `cut`, and level `l` of the recursion (and the final chop into nodes)
+//! sorts by dimension `cut.start + l % cut.len()`. The engine cuts only
+//! the spectral coefficient dimensions: a range search leaves the mean and
+//! standard deviation unbounded unless a GK95 window is given, and the kNN
+//! bound ignores them, so slabs along those two dimensions separate rows
+//! by nothing a distance reads. `0..dims` is textbook STR.
+//!
+//! **Why the slab count still counts every dimension.** Each level slices
+//! into `⌈budget^(1/remaining)⌉` slabs with `remaining` counted over all
+//! of the space's dimensions, as if every one were cut. So the number of
+//! levels, and with it every node's fill, do not depend on `cut`: a tree
+//! cut over the coefficients has exactly the node count and per-node
+//! entry counts of the `0..dims` tree over the same items. Textbook STR
+//! over the cut alone would not: over the paper's four coefficient
+//! dimensions it slices 2000 rows into three slabs a level, not two, and
+//! leaves 9–11-row tails (86 nodes instead of 67). How full a load should
+//! pack is ROADMAP item 17's question.
 
 use crate::geom::{Rect, Space};
 use crate::rstar::{Entry, Node, RTree, RTreeConfig};
+use std::ops::Range;
 
 impl RTree {
-    /// Builds a tree over `(rect, slot)` items by STR packing.
+    /// Builds a tree over `(rect, slot)` items by STR packing, each level
+    /// sorting by the next dimension of `cut` in turn (see the module
+    /// doc); `0..space.dims()` cuts every dimension.
     ///
     /// The resulting tree is balanced, every arena node is reachable from
     /// its root, and it takes inserts; the last node of a slab may hold
     /// fewer entries than the minimum fill.
-    pub fn bulk_load(space: Space, config: RTreeConfig, items: Vec<(Rect, u64)>) -> RTree {
+    ///
+    /// # Panics
+    /// If `cut` is empty or reaches past the space's dimensions.
+    pub fn bulk_load(
+        space: Space,
+        config: RTreeConfig,
+        items: Vec<(Rect, u64)>,
+        cut: Range<usize>,
+    ) -> RTree {
         let dims = space.dims();
+        assert!(
+            !cut.is_empty() && cut.end <= dims,
+            "cut {cut:?} outside the space's {dims} dimensions"
+        );
         for (rect, _) in &items {
             assert_eq!(rect.dims(), dims, "item dimensionality mismatch");
         }
@@ -34,39 +69,34 @@ impl RTree {
             .collect();
         tree.len = entries.len();
         let mut level = 0u32;
-        let mut current: Vec<usize> = str_pack(&mut tree, entries, cap, dims, level);
+        let mut current: Vec<usize> = str_pack(&mut tree, entries, cap, dims, &cut, level);
         // Pack upper levels until a single root remains.
         while current.len() > 1 {
             level += 1;
             let parent_entries: Vec<Entry> = current
                 .iter()
                 .map(|&idx| Entry::Child {
-                    mbr: node_mbr(&tree, idx),
+                    mbr: tree.nodes[idx].mbr().expect("packed nodes are non-empty"),
                     node: idx,
                 })
                 .collect();
-            current = str_pack(&mut tree, parent_entries, cap, dims, level);
+            current = str_pack(&mut tree, parent_entries, cap, dims, &cut, level);
         }
         tree.root = current[0];
         tree
     }
 }
 
-fn node_mbr(tree: &RTree, idx: usize) -> Rect {
-    let node = &tree.nodes[idx];
-    let mut it = node.entries.iter();
-    let first = it.next().expect("packed nodes are non-empty").mbr().clone();
-    it.fold(first, |acc, e| acc.union(e.mbr()))
-}
-
 /// Packs `entries` into nodes of at most `cap` entries by recursive
-/// sort-tile slicing over `dims` dimensions; returns the arena indices of
-/// the created nodes.
+/// sort-tile slicing, one level per dimension of a `dims`-dimensional
+/// space, sorting by the dimensions of `cut` in turn; returns the arena
+/// indices of the created nodes.
 fn str_pack(
     tree: &mut RTree,
     mut entries: Vec<Entry>,
     cap: usize,
     dims: usize,
+    cut: &Range<usize>,
     level: u32,
 ) -> Vec<usize> {
     let n = entries.len();
@@ -77,7 +107,7 @@ fn str_pack(
         return vec![idx];
     }
     let mut out = Vec::with_capacity(node_count);
-    tile(&mut entries, cap, dims, 0, node_count, &mut |slab| {
+    tile(&mut entries, cap, dims, cut, 0, node_count, &mut |slab| {
         let idx = tree.nodes.len();
         tree.nodes.push(Node {
             level,
@@ -88,27 +118,29 @@ fn str_pack(
     out
 }
 
-/// Recursively tiles `entries`: sort along `dim`, slice into
-/// `⌈slabs^(1/remaining)⌉` vertical slabs, recurse with the next dimension.
+/// Recursively tiles `entries` at recursion level `depth`: sort along
+/// `cut`'s dimension for the level, slice into `⌈slabs^(1/remaining)⌉`
+/// slabs (`remaining` counting all `dims` dimensions), recurse one level
+/// down.
 fn tile(
     entries: &mut [Entry],
     cap: usize,
     dims: usize,
-    dim: usize,
+    cut: &Range<usize>,
+    depth: usize,
     node_budget: usize,
     emit: &mut impl FnMut(&[Entry]),
 ) {
     let n = entries.len();
-    if n <= cap || dim + 1 >= dims {
-        // Final dimension: sort and chop into capacity-sized runs.
-        sort_by_center(entries, dim.min(dims - 1));
+    sort_by_center(entries, cut.start + depth % cut.len());
+    if n <= cap || depth + 1 >= dims {
+        // Final level: chop into capacity-sized runs.
         for chunk in entries.chunks(cap) {
             emit(chunk);
         }
         return;
     }
-    sort_by_center(entries, dim);
-    let remaining = (dims - dim) as f64;
+    let remaining = (dims - depth) as f64;
     let slab_count = (node_budget as f64).powf(1.0 / remaining).ceil() as usize;
     let slab_size = n.div_ceil(slab_count);
     let mut start = 0;
@@ -119,7 +151,8 @@ fn tile(
             &mut entries[start..end],
             cap,
             dims,
-            dim + 1,
+            cut,
+            depth + 1,
             slab_nodes,
             emit,
         );
@@ -149,9 +182,19 @@ mod tests {
         items
     }
 
+    /// The `n × n` grid, bulk-loaded over both dimensions.
+    fn grid_tree(n: usize) -> RTree {
+        RTree::bulk_load(
+            Space::linear(2),
+            RTreeConfig::default(),
+            grid_items(n),
+            0..2,
+        )
+    }
+
     #[test]
     fn bulk_load_preserves_items() {
-        let t = RTree::bulk_load(Space::linear(2), RTreeConfig::default(), grid_items(30));
+        let t = grid_tree(30);
         assert_eq!(t.len(), 900);
         let mut ids: Vec<u64> = t.items().into_iter().map(|(_, id)| id).collect();
         ids.sort_unstable();
@@ -161,7 +204,7 @@ mod tests {
     #[test]
     fn bulk_loaded_tree_answers_queries() {
         let n = 25;
-        let t = RTree::bulk_load(Space::linear(2), RTreeConfig::default(), grid_items(n));
+        let t = grid_tree(n);
         let query = Rect::new(vec![3.5, 2.5], vec![8.0, 6.0]);
         let (mut got, _) = t.range(&query);
         got.sort_unstable();
@@ -178,7 +221,7 @@ mod tests {
 
     #[test]
     fn bulk_loaded_tree_supports_updates() {
-        let mut t = RTree::bulk_load(Space::linear(2), RTreeConfig::default(), grid_items(12));
+        let mut t = grid_tree(12);
         t.insert_point(&[100.0, 100.0], 999);
         assert_eq!(t.len(), 145);
         t.check_invariants().unwrap();
@@ -188,7 +231,7 @@ mod tests {
 
     #[test]
     fn empty_bulk_load() {
-        let t = RTree::bulk_load(Space::linear(2), RTreeConfig::default(), Vec::new());
+        let t = RTree::bulk_load(Space::linear(2), RTreeConfig::default(), Vec::new(), 0..2);
         assert!(t.is_empty());
         assert!(t
             .range(&Rect::new(vec![-1.0, -1.0], vec![1.0, 1.0]))
@@ -202,6 +245,7 @@ mod tests {
             Space::linear(1),
             RTreeConfig::default(),
             vec![(Rect::point(&[3.0]), 7)],
+            0..1,
         );
         assert_eq!(t.len(), 1);
         assert_eq!(t.height(), 1);
@@ -210,10 +254,9 @@ mod tests {
 
     #[test]
     fn str_tree_is_shallower_or_equal_and_better_packed() {
-        let items = grid_items(40); // 1600 points
-        let bulk = RTree::bulk_load(Space::linear(2), RTreeConfig::default(), items.clone());
+        let bulk = grid_tree(40); // 1600 points
         let mut incr = RTree::with_dims(2);
-        for (r, id) in items {
+        for (r, id) in grid_items(40) {
             incr.insert(r, id);
         }
         assert!(bulk.height() <= incr.height());
@@ -226,5 +269,46 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
         assert!(sa.nodes_visited <= sb.nodes_visited * 2);
+    }
+
+    /// The cut moves items between nodes, never the shape: over random
+    /// points of the paper's polar 6-d space, every cut builds the `0..6`
+    /// tree's arena node for node (level and entry count), with the same
+    /// root, the same `check_invariants` verdict and every node reachable
+    /// (the decoder refuses one the root does not reach).
+    #[test]
+    fn the_cut_moves_items_not_the_shape() {
+        use crate::geom::tests::unit;
+        use crate::geom::DimSemantics::{Circular, Linear};
+        let turn = Circular {
+            period: std::f64::consts::TAU,
+        };
+        let space = Space::new(vec![Linear, Linear, Linear, turn, Linear, turn]);
+        let mut state = 51u64;
+        let shape = |t: &RTree| -> Vec<(u32, usize)> {
+            let nodes = t.nodes.iter();
+            nodes.map(|n| (n.level, n.entries.len())).collect()
+        };
+        for n in [1usize, 31, 32, 33, 500, 2000, 4100] {
+            let items: Vec<(Rect, u64)> = (0..n as u64)
+                .map(|slot| {
+                    let p: Vec<f64> = (0..6).map(|_| 6.0 * unit(&mut state)).collect();
+                    (Rect::point(&p), slot)
+                })
+                .collect();
+            let config = RTreeConfig::default();
+            let all = RTree::bulk_load(space.clone(), config.clone(), items.clone(), 0..6);
+            for cut in [2..6, 0..1, 5..6, 3..5] {
+                let what = format!("{n} items, cut {cut:?}");
+                let t = RTree::bulk_load(space.clone(), config.clone(), items.clone(), cut);
+                assert_eq!(shape(&t), shape(&all), "{what}");
+                assert_eq!(t.root, all.root, "{what}");
+                assert_eq!(t.check_invariants(), all.check_invariants(), "{what}");
+                crate::serial::from_bytes(&crate::serial::to_bytes(&t)).expect(&what);
+                let mut slots: Vec<u64> = t.items().into_iter().map(|(_, s)| s).collect();
+                slots.sort_unstable();
+                assert_eq!(slots, (0..n as u64).collect::<Vec<_>>(), "{what}");
+            }
+        }
     }
 }

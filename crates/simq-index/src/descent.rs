@@ -625,7 +625,8 @@ mod tests {
                 let items = points.iter().skip(s).step_by(shards).enumerate();
                 let items = items.map(|(pos, p)| (Rect::point(p), pos as u64));
                 if bulk {
-                    return RTree::bulk_load(space.clone(), config.clone(), items.collect());
+                    let all = 0..space.dims();
+                    return RTree::bulk_load(space.clone(), config.clone(), items.collect(), all);
                 }
                 let mut tree = RTree::new(space.clone(), config.clone());
                 items.for_each(|(rect, pos)| tree.insert(rect, pos));

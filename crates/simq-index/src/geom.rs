@@ -243,17 +243,20 @@ impl Rect {
     /// Area of the intersection with `other` under purely linear semantics
     /// (used by the R* split heuristics, where all stored values are
     /// canonical).
+    ///
+    /// Disjointness is tested from the last dimension down before any
+    /// product is taken: the engine's leading dimensions are the mean and
+    /// standard deviation, which its bulk-loaded leaves, cut over the
+    /// coefficients, all span, so the trailing ones decide most tests. The
+    /// product runs in dimension order, so the result is bit for bit the
+    /// one-pass loop's (`overlap_area_is_the_one_pass_loop_bitwise`).
     pub fn overlap_area(&self, other: &Rect) -> f64 {
-        let mut acc = 1.0;
-        for d in 0..self.dims() {
-            let lo = self.lo[d].max(other.lo[d]);
-            let hi = self.hi[d].min(other.hi[d]);
-            if hi <= lo {
-                return 0.0;
-            }
-            acc *= hi - lo;
+        let extent = |d: usize| self.hi[d].min(other.hi[d]) - self.lo[d].max(other.lo[d]);
+        let disjoint = |d: usize| self.hi[d].min(other.hi[d]) <= self.lo[d].max(other.lo[d]);
+        if (0..self.dims()).rev().any(disjoint) {
+            return 0.0;
         }
-        acc
+        (0..self.dims()).map(extent).fold(1.0, |acc, e| acc * e)
     }
 
     /// Linear-semantics intersection test (tree-internal comparisons on
@@ -340,6 +343,52 @@ pub(crate) mod tests {
         assert_eq!(a.overlap_area(&b), 1.0);
         let c = Rect::new(vec![5.0, 5.0], vec![6.0, 6.0]);
         assert_eq!(a.overlap_area(&c), 0.0);
+    }
+
+    /// The two-pass `overlap_area` returns the one-pass loop's bits: random
+    /// rectangle pairs of 1–6 dimensions, disjoint, touching, nested and
+    /// degenerate on each axis, infinite and NaN bounds among them.
+    #[test]
+    fn overlap_area_is_the_one_pass_loop_bitwise() {
+        let one_pass = |a: &Rect, b: &Rect| {
+            let mut acc = 1.0;
+            for d in 0..a.dims() {
+                let lo = a.lo[d].max(b.lo[d]);
+                let hi = a.hi[d].min(b.hi[d]);
+                if hi <= lo {
+                    return 0.0;
+                }
+                acc *= hi - lo;
+            }
+            acc
+        };
+        let mut state = 7u64;
+        let bound = |state: &mut u64| match next(state) % 8 {
+            0 => {
+                [f64::NEG_INFINITY, f64::INFINITY, f64::NAN, 0.0, -0.0][(next(state) % 5) as usize]
+            }
+            1 => (next(state) % 5) as f64,
+            _ => 4.0 * unit(state),
+        };
+        for case in 0..50_000 {
+            let dims = 1 + case % 6;
+            let rect = |state: &mut u64| {
+                let (lo, hi): (Vec<f64>, Vec<f64>) = (0..dims)
+                    .map(|_| {
+                        let (x, y) = (bound(state), bound(state));
+                        if y < x {
+                            (y, x)
+                        } else {
+                            (x, y)
+                        }
+                    })
+                    .unzip();
+                Rect { lo, hi }
+            };
+            let (a, b) = (rect(&mut state), rect(&mut state));
+            let (got, want) = (a.overlap_area(&b), one_pass(&a, &b));
+            assert_eq!(got.to_bits(), want.to_bits(), "{a:?} ∩ {b:?}");
+        }
     }
 
     #[test]

@@ -223,7 +223,7 @@ mod tests {
             })
             .collect();
         let space = Space::linear(2);
-        let single = RTree::bulk_load(space.clone(), RTreeConfig::default(), items.clone());
+        let single = RTree::bulk_load(space.clone(), RTreeConfig::default(), items.clone(), 0..2);
         let shard_trees: Vec<RTree> = (0..shards as u64)
             .map(|s| {
                 let part: Vec<(Rect, u64)> = items
@@ -231,7 +231,7 @@ mod tests {
                     .filter(|(_, id)| id % shards as u64 == s)
                     .cloned()
                     .collect();
-                RTree::bulk_load(space.clone(), RTreeConfig::default(), part)
+                RTree::bulk_load(space.clone(), RTreeConfig::default(), part, 0..2)
             })
             .collect();
         (single, shard_trees)

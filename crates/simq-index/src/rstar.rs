@@ -112,7 +112,7 @@ pub(crate) struct Node {
 }
 
 impl Node {
-    fn mbr(&self) -> Option<Rect> {
+    pub(crate) fn mbr(&self) -> Option<Rect> {
         let (first, rest) = self.entries.split_first()?;
         let mut mbr = first.mbr().clone();
         for e in rest {
@@ -324,9 +324,11 @@ impl RTree {
     /// child's, so each sibling overlap term can only grow, and rounded
     /// sums are monotone. Hence, walking positions in `(area_enl, area,
     /// pos)` order, the first child whose overlap enlargement is exactly
-    /// zero is the full loop's answer. Only when no child scores zero, or
-    /// when an `area_enl` or `area` is not finite (`inf − inf` at huge
-    /// coordinates makes the order partial), does the full loop run.
+    /// zero is the full loop's answer. When no child scores zero, the walk
+    /// has scored every child once, and the full loop's minimum is taken
+    /// over those scores; only when an `area_enl` or `area` is not finite
+    /// (`inf − inf` at huge coordinates makes the order partial) are the
+    /// children scored in position order without the walk.
     fn choose_subtree(&self, node_idx: usize, rect: &Rect) -> usize {
         let node = &self.nodes[node_idx];
         debug_assert!(node.level > 0);
@@ -362,22 +364,26 @@ impl RTree {
         let finite = areas
             .iter()
             .all(|(enl, area)| enl.is_finite() && area.is_finite());
-        if finite {
+        let overlaps: Vec<f64> = if finite {
             let mut order: Vec<usize> = (0..areas.len()).collect();
             // Stable, so equal keys keep ascending position.
             order.sort_by(|&a, &b| areas[a].partial_cmp(&areas[b]).expect("finite keys"));
-            let zero = order
-                .into_iter()
-                .find(|&pos| overlap_enlargement(pos) == 0.0);
-            if let Some(pos) = zero {
-                return pos;
+            let mut overlaps = vec![0.0; areas.len()];
+            for pos in order {
+                overlaps[pos] = overlap_enlargement(pos);
+                if overlaps[pos] == 0.0 {
+                    return pos;
+                }
             }
-        }
+            overlaps
+        } else {
+            (0..areas.len()).map(overlap_enlargement).collect()
+        };
         first_min(
-            areas
+            overlaps
                 .iter()
-                .enumerate()
-                .map(|(pos, &(enl, area))| (overlap_enlargement(pos), enl, area)),
+                .zip(&areas)
+                .map(|(&overlap, &(enl, area))| (overlap, enl, area)),
         )
     }
 

@@ -546,7 +546,7 @@ mod tests {
         let items: Vec<(Rect, u64)> = (0..n as u64)
             .map(|i| (Rect::point(&[(i % 13) as f64, (i / 13) as f64]), i))
             .collect();
-        RTree::bulk_load(Space::linear(2), RTreeConfig::default(), items)
+        RTree::bulk_load(Space::linear(2), RTreeConfig::default(), items, 0..2)
     }
 
     #[test]

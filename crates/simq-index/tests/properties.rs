@@ -79,7 +79,7 @@ proptest! {
             .enumerate()
             .map(|(i, p)| (Rect::point(p), i as u64))
             .collect();
-        let bulk = RTree::bulk_load(Space::linear(3), RTreeConfig::default(), items);
+        let bulk = RTree::bulk_load(Space::linear(3), RTreeConfig::default(), items, 0..3);
         incremental.check_invariants().unwrap();
         serial::from_bytes(&serial::to_bytes(&bulk)).unwrap();
         let q = Rect::new(vec![lo; 3], vec![hi; 3]);

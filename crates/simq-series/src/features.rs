@@ -30,6 +30,7 @@ use simq_dsp::complex::Complex;
 use simq_dsp::fft;
 use simq_index::geom::{DimSemantics, Rect, Space};
 use std::f64::consts::PI;
+use std::ops::Range;
 
 /// A point in the feature space (length = [`FeatureScheme::dims`]).
 pub type FeaturePoint = Vec<f64>;
@@ -107,6 +108,13 @@ impl FeatureScheme {
         } else {
             0
         }
+    }
+
+    /// The spectral coefficient dimensions, the ones after the statistics:
+    /// the only dimensions a search rectangle bounds without a GK95 window
+    /// and the kNN bound reads, so the ones STR bulk loading cuts.
+    pub fn coefficient_dims(&self) -> Range<usize> {
+        self.stats_dims()..self.dims()
     }
 
     /// The [`Space`] the index must be built over: linear everywhere except

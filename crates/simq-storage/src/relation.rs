@@ -319,11 +319,13 @@ impl SeriesRelation {
     }
 
     /// Builds an R*-tree over the feature points (bulk-loaded), each
-    /// row's slot its position.
+    /// row's slot its position. STR cuts only the coefficient dimensions,
+    /// the ones a distance reads.
     pub fn build_index(&self, config: RTreeConfig) -> RTree {
         let items = self.rows.iter().enumerate();
         let items = items.map(|(pos, r)| (Rect::point(&r.features.point), pos as u64));
-        RTree::bulk_load(self.scheme.space(), config, items.collect())
+        let cut = self.scheme.coefficient_dims();
+        RTree::bulk_load(self.scheme.space(), config, items.collect(), cut)
     }
 
     /// Builds the index by repeated insertion, each row's slot its

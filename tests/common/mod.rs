@@ -10,6 +10,7 @@
 pub mod lattice;
 pub mod oracle;
 
+use similarity_queries::data::MarketConfig;
 use similarity_queries::index::serial;
 use similarity_queries::prelude::*;
 use similarity_queries::query::{QueryResult, StoredRelation};
@@ -19,6 +20,19 @@ use similarity_queries::series::features::SeriesFeatures;
 pub fn corpus(seed: u64, rows: usize, len: usize) -> Vec<Vec<f64>> {
     let mut gen = WalkGenerator::new(seed);
     (0..rows).map(|_| gen.series(len)).collect()
+}
+
+/// Builds a deterministic clustered corpus: `rows` simulated stock prices
+/// over `len` days, in `sectors` sectors.
+pub fn stocks(seed: u64, rows: usize, len: usize, sectors: usize) -> Vec<Vec<f64>> {
+    let config = MarketConfig {
+        stocks: rows,
+        days: len,
+        sectors,
+        ..MarketConfig::default()
+    };
+    let market = StockMarket::generate(&config, seed);
+    market.stocks.into_iter().map(|s| s.prices).collect()
 }
 
 /// Builds a relation named `name` over a seeded random-walk corpus, under

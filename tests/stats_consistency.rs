@@ -154,7 +154,9 @@ fn knn_refine_work_partitions_across_shards() {
 /// when a scan became the same descent over a flat source; the two
 /// `METHOD b` rows' `rows_scanned` and `candidates`, and the sharded
 /// `METHOD b` and `METHOD d` `per_shard` rows, when a join became one range
-/// descent per outer row). Counters are
+/// descent per outer row; the nodes, leaves and entries of seven rows and
+/// three `per_shard` rows when STR bulk loading came to cut only the
+/// coefficient dimensions). Counters are
 /// schedule-independent, so any drift here is a change in the work a plan
 /// does, not noise — and at 4 threads each statement does exactly the
 /// golden's work (the fan-out it reports aside).

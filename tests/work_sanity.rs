@@ -9,9 +9,9 @@
 
 mod common;
 
-use common::{corpus, db_over};
+use common::{assert_outputs_bitwise_equal, corpus, db_over, indexed_db, relation_with, stocks};
 use similarity_queries::prelude::*;
-use similarity_queries::query::{execute_batch, QueryResult};
+use similarity_queries::query::{execute_batch, QueryOutput, QueryResult, StoredRelation};
 
 /// Every index-served form of the `shard_equivalence` matrix, paired with
 /// the scan plan it replaces.
@@ -125,6 +125,67 @@ fn indexed_knn_examines_a_minority_of_a_random_walk_corpus() {
                     "{what}: the index plans cost {index} {unit}, FORCE SCAN {scan}"
                 );
             }
+        }
+    }
+}
+
+/// STR bulk loading cuts only the coefficient dimensions, the ones a
+/// distance reads (ROADMAP item 10). On the benchmark's two corpora (2000
+/// clustered stocks and 2000 walks × 128, from its generators' seed) the
+/// relation's tree and one bulk-loaded over every dimension answer
+/// unwindowed ranges and 10-NN bitwise alike. Summed over the query rows,
+/// the relation's tree reads at least a fifth fewer leaves for the forms
+/// the benchmark runs on each corpus (stocks: both; walks: 10-NN) and no
+/// more for ranges on walks, whose rectangles at these radii span most
+/// leaves under either tiling (measured: −6 %).
+#[test]
+fn str_over_the_coefficients_reads_fewer_leaves_for_the_same_answers() {
+    const CORPUS_SEED: u64 = 19_950_522;
+    // Per corpus, the least share of leaves (in %) the cut saves for
+    // [range, 10-NN].
+    let corpora = [
+        ("stocks", stocks(CORPUS_SEED, 2000, 128, 40), [20, 20]),
+        ("walks", corpus(CORPUS_SEED, 2000, 128), [0, 20]),
+    ];
+    for (corpus_name, series, saves) in corpora {
+        let rel = relation_with(&series, FeatureScheme::paper_default());
+        let cut = indexed_db(rel.clone());
+        let mut all = indexed_db(rel);
+        let Some(StoredRelation::Single { relation, index }) = all.relation_mut("r") else {
+            panic!("one store");
+        };
+        let items = relation.rows().enumerate();
+        let items = items.map(|(pos, r)| (Rect::point(&r.features.point), pos as u64));
+        let (space, dims) = (relation.scheme().space(), relation.scheme().dims());
+        let config = RTreeConfig::default();
+        *index = Some(RTree::bulk_load(space, config, items.collect(), 0..dims));
+        let mut leaves = [[0u64; 2]; 2]; // [range, kNN] × [cut, all]
+        for row in (0..2000).step_by(20) {
+            let knn = format!("FIND 10 NEAREST TO ROW {row} IN r");
+            let answers = [execute(&cut, &knn).unwrap(), execute(&all, &knn).unwrap()];
+            let QueryOutput::Hits(hits) = &answers[0].output else {
+                panic!("{knn}: hits")
+            };
+            // A range as wide as the 10th neighbour's distance.
+            let eps = hits.last().expect("ten neighbours").distance;
+            let range = format!("FIND SIMILAR TO ROW {row} IN r EPSILON {eps}");
+            let ranges = [
+                execute(&cut, &range).unwrap(),
+                execute(&all, &range).unwrap(),
+            ];
+            for (form, [c, a]) in [ranges, answers].iter().enumerate() {
+                let what = format!("{corpus_name}: {}", [&range, &knn][form]);
+                assert_eq!(c.plan.access, AccessPath::IndexScan, "{what}");
+                assert_outputs_bitwise_equal(c, a, &what);
+                leaves[form][0] += c.stats.leaves_visited;
+                leaves[form][1] += a.stats.leaves_visited;
+            }
+        }
+        for ((form, [c, a]), saves) in ["range", "10-NN"].iter().zip(leaves).zip(saves) {
+            assert!(
+                100 * c <= (100 - saves) * a,
+                "{corpus_name} {form}: {c} leaves over the coefficients, {a} over every dimension"
+            );
         }
     }
 }
