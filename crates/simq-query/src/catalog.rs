@@ -24,6 +24,7 @@ use crate::error::QueryError;
 use simq_index::{RTree, RTreeConfig};
 use simq_series::error::SeriesError;
 use simq_series::features::{FeatureScheme, SeriesFeatures};
+use simq_series::UnitRoots;
 use simq_storage::durable::{
     CheckpointReport, CheckpointSource, DurableDir, DurableError, FailingStorage, ReplayReport,
     SnapshotEntry,
@@ -117,6 +118,13 @@ impl StoredRelation {
             StoredRelation::Single { relation, .. } => relation.row(id),
             StoredRelation::Sharded { relation, .. } => relation.row(id),
         }
+    }
+
+    /// The roots of unity of the relation's series length: its first
+    /// store's table (a sharded relation has at least one shard, and every
+    /// store of one series length holds the same table).
+    pub fn roots(&self) -> &UnitRoots {
+        self.stores()[0].roots()
     }
 
     /// Coefficients each filter-tier signature keeps — fixed by the

@@ -443,7 +443,7 @@ pub(crate) fn resolve_query<'db>(
             )
         }
     };
-    let action = transform.action(n, n.saturating_sub(1))?;
+    let action = transform.action_over(stored.roots(), n.saturating_sub(1))?;
     resolve.note("multipliers", action.multipliers.len() as u64);
     let spectrum = if on_both {
         action.apply_spectrum(&spectrum)
@@ -588,7 +588,7 @@ fn all_pairs(
         _ => unreachable!("all-pairs queries plan to joins"),
     };
     let op = span::span(op);
-    let resolve = |t: &SeriesTransform| t.action(n, n.saturating_sub(1));
+    let resolve = |t: &SeriesTransform| t.action_over(stored.roots(), n.saturating_sub(1));
     let (mut probe_action, mut action) = (resolve(left)?.multipliers, resolve(right)?);
     if transformed {
         // Refused before any worker starts if a distance to a probe could

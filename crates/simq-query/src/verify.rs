@@ -26,7 +26,7 @@ use simq_index::{
     cmp_distance_id, Descent, DiagonalAffine, ForestStats, Neighbor, Rect, RowRef, SearchStats,
     Space, Stage, Window,
 };
-use simq_series::kernel::transformed_distance_sq;
+use simq_series::kernel::{distance_outcome_under, Unit};
 use simq_series::transform::NormalFormAction;
 use simq_series::SpectralMindist;
 use simq_storage::{deflate_sq, scan, FilterProbe, SeriesRelation, SeriesRow};
@@ -97,6 +97,28 @@ fn signature_at(stored: &StoredRelation, row: RowRef) -> Option<&[f32]> {
     stored.stores()[row.store].signatures().row(row.pos)
 }
 
+/// The exact squared distance of the stored spectrum `x` to `q` under a
+/// statement's `multipliers`, abandoned once it passes `abandon_over`, with
+/// the coefficients compared added to `compared`: by the multiply-free
+/// kernel when `unit` (every multiplier is one; the same bits).
+#[inline(always)]
+fn exact_sq(
+    x: &[Complex],
+    multipliers: &[Complex],
+    unit: bool,
+    q: &[Complex],
+    abandon_over: Option<f64>,
+    compared: &mut u64,
+) -> (f64, bool) {
+    let o = if unit {
+        distance_outcome_under(x, Unit, q, abandon_over)
+    } else {
+        distance_outcome_under(x, multipliers, q, abandon_over)
+    };
+    *compared += o.compared;
+    (o.dist_sq, o.abandoned)
+}
+
 /// The range verifier: everything one range query needs to decide a
 /// candidate row, resolved once.
 #[derive(Clone)]
@@ -104,6 +126,9 @@ pub(crate) struct RangeVerifier<'db> {
     stored: &'db StoredRelation,
     /// The transformation's action on normal-form spectra and statistics.
     action: NormalFormAction,
+    /// Whether every multiplier of `action` is one: rows verify by the
+    /// multiply-free kernel.
+    unit: bool,
     /// The GK95 MEAN/STD window.
     window: StatsWindow,
     /// The comparison spectrum and the query series' statistics.
@@ -131,6 +156,7 @@ impl<'db> RangeVerifier<'db> {
     ) -> Self {
         RangeVerifier {
             stored,
+            unit: Unit::covers(&action.multipliers),
             action,
             window,
             ctx,
@@ -221,9 +247,10 @@ impl<'db> RangeVerifier<'db> {
         // Squared distances until the last step: early abandoning (the
         // paper's sequential-scan idea, applied per candidate) compares
         // partial sums with ε² and avoids a `sqrt` roundtrip on the bound.
-        let (d_sq, abandoned) = transformed_distance_sq(
+        let (d_sq, abandoned) = exact_sq(
             &row.features.spectrum,
             &self.action.multipliers,
+            self.unit,
             &self.ctx.spectrum,
             self.abandon.then_some(eps_sq),
             coefficients,
@@ -282,6 +309,9 @@ pub(crate) struct KnnRank<'a> {
     stored: &'a StoredRelation,
     q_spec: Vec<Complex>,
     multipliers: Vec<Complex>,
+    /// Whether every one of `multipliers` is one: rows refine by the
+    /// multiply-free kernel.
+    unit: bool,
     mindist: SpectralMindist,
     /// What the mirrored index frequencies add to a subtree's MINDIST:
     /// the [`FilterProbe::mirror_floor`] of the signature bound cut to the
@@ -313,6 +343,7 @@ impl<'a> KnnRank<'a> {
                 .then(|| over(scheme.k + 1).mirror_floor())
                 .flatten(),
             signature: over(stored.sig_coeffs()),
+            unit: Unit::covers(&multipliers),
             multipliers,
             q_spec,
         }
@@ -358,9 +389,10 @@ impl<'a> KnnRank<'a> {
     /// abandoned accumulation proves it farther.
     fn refine(&self, row: RowRef, kth_now: f64, stats: &mut SearchStats) -> Option<f64> {
         let row = row_at(self.stored, row);
-        let (d_sq, abandoned) = transformed_distance_sq(
+        let (d_sq, abandoned) = exact_sq(
             &row.features.spectrum,
             &self.multipliers,
+            self.unit,
             &self.q_spec,
             kth_now.is_finite().then_some(kth_now),
             &mut stats.refine_work,
@@ -591,6 +623,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simq_series::kernel::transformed_distance_sq;
     use simq_series::transform::SeriesTransform;
 
     /// A subtree's ranking key never exceeds the exact distance of a row

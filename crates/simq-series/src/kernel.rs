@@ -22,7 +22,22 @@
 //!   monotone non-decreasing (every term is a squared magnitude), so
 //!   hoisting the test can only *delay* abandonment within one chunk,
 //!   never change whether a row is abandoned or the value of a completed
-//!   sum.
+//!   sum. Without a bound the limit is `+∞`, which no sum exceeds.
+//!
+//! **Two instantiations of one body.** The multipliers are a
+//! [`Multipliers`] type: a slice of them, or the [`Unit`] marker, which
+//! stands for a multiplier of exactly one at every frequency and compares
+//! `|X_f − q_f|²` with no complex multiply. The executors pick [`Unit`]
+//! once per statement when every resolved multiplier `== Complex::ONE`
+//! (the identity, `shift`, a positive `scale`, `mavg(1)`). On finite
+//! spectra the two agree bit for bit: multiplying by `(1, ±0)` gives
+//! `(x.re·1 − x.im·(±0), x.re·(±0) + x.im·1)`, and `x·1` is exact while
+//! adding a zero changes a finite value only where it is itself a zero,
+//! and then only in its sign. Subtracting `q_f` keeps that: the difference
+//! is the same value, or a zero of either sign, and the zero is squared.
+//! So every term, the running sum, the abandon decisions and the
+//! `compared` count are the slice kernel's (pinned by this module's tests
+//! on signed zeros, subnormals and magnitudes near `1e154`).
 //!
 //! Bitwise identity with the pre-existing scalar loops is load-bearing —
 //! every equivalence suite in `tests/` compares distances with
@@ -54,6 +69,73 @@ pub struct DistOutcome {
     pub abandoned: bool,
 }
 
+/// The multipliers of the spectrum's frequencies `1..n` as the kernel
+/// reads them: a slice, or [`Unit`].
+pub trait Multipliers: Copy {
+    /// The multipliers of one [`CHUNK`] of coefficients.
+    type Block: Copy;
+    /// The block of tail coefficients `at..at + CHUNK`.
+    fn block(self, at: usize) -> Self::Block;
+    /// Coefficient `x` moved by multiplier `i` of `block`.
+    fn apply(block: Self::Block, i: usize, x: Complex) -> Complex;
+    /// Coefficient `x` moved by the multiplier of tail coefficient `at`.
+    fn apply_at(self, at: usize, x: Complex) -> Complex;
+}
+
+impl<'a> Multipliers for &'a [Complex] {
+    type Block = &'a [Complex; CHUNK];
+
+    #[inline(always)]
+    fn block(self, at: usize) -> Self::Block {
+        self[at..]
+            .first_chunk()
+            .expect("a multiplier for every coefficient")
+    }
+
+    #[inline(always)]
+    fn apply(block: Self::Block, i: usize, x: Complex) -> Complex {
+        x * block[i]
+    }
+
+    #[inline(always)]
+    fn apply_at(self, at: usize, x: Complex) -> Complex {
+        x * self[at]
+    }
+}
+
+/// Every multiplier exactly one: the kernel compares the stored
+/// coefficients unmoved, with no complex multiply (module docs: bit for
+/// bit the slice kernel over multipliers `== Complex::ONE`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unit;
+
+impl Unit {
+    /// Whether every one of `multipliers` `== Complex::ONE` (either sign
+    /// of a zero imaginary part): whether [`Unit`] stands for them.
+    pub fn covers(multipliers: &[Complex]) -> bool {
+        multipliers.iter().all(|m| *m == Complex::ONE)
+    }
+}
+
+impl Multipliers for Unit {
+    type Block = Unit;
+
+    #[inline(always)]
+    fn block(self, _: usize) -> Unit {
+        Unit
+    }
+
+    #[inline(always)]
+    fn apply(_: Unit, _: usize, x: Complex) -> Complex {
+        x
+    }
+
+    #[inline(always)]
+    fn apply_at(self, _: usize, x: Complex) -> Complex {
+        x
+    }
+}
+
 /// Computes the transformed squared spectral distance
 /// `|X₀ − q₀|² + Σ_{f≥1} |X_f·m_{f−1} − q_f|²` with optional
 /// early abandoning over a squared bound.
@@ -69,7 +151,7 @@ pub fn transformed_distance_sq(
     abandon_over: Option<f64>,
     out_compared: &mut u64,
 ) -> (f64, bool) {
-    let o = distance_outcome(spectrum, multipliers, query, abandon_over);
+    let o = distance_outcome_under(spectrum, multipliers, query, abandon_over);
     *out_compared += o.compared;
     (o.dist_sq, o.abandoned)
 }
@@ -81,8 +163,19 @@ pub fn distance_outcome(
     query: &[Complex],
     abandon_over: Option<f64>,
 ) -> DistOutcome {
+    distance_outcome_under(spectrum, multipliers, query, abandon_over)
+}
+
+/// The one chunked kernel body, over a multiplier slice or [`Unit`]:
+/// [`distance_outcome`] for any [`Multipliers`].
+#[inline(always)]
+pub fn distance_outcome_under<M: Multipliers>(
+    spectrum: &[Complex],
+    multipliers: M,
+    query: &[Complex],
+    abandon_over: Option<f64>,
+) -> DistOutcome {
     debug_assert_eq!(spectrum.len(), query.len());
-    debug_assert!(multipliers.len() + 1 >= spectrum.len());
     let Some((&x0, tail)) = spectrum.split_first() else {
         return DistOutcome {
             dist_sq: 0.0,
@@ -90,58 +183,38 @@ pub fn distance_outcome(
             abandoned: false,
         };
     };
+    let limit = abandon_over.unwrap_or(f64::INFINITY);
     let mut acc = (x0 - query[0]).norm_sqr();
     let mut compared = 1u64;
-    let q_tail = &query[1..];
-    let m_tail = &multipliers[..tail.len()];
-    if let Some(limit) = abandon_over {
+    let abandoned = |dist_sq, compared| DistOutcome {
+        dist_sq,
+        compared,
+        abandoned: true,
+    };
+    if acc > limit {
+        return abandoned(acc, compared);
+    }
+    let mut xc = tail.chunks_exact(CHUNK);
+    let mut qc = query[1..].chunks_exact(CHUNK);
+    for (c, (xs, qs)) in (&mut xc).zip(&mut qc).enumerate() {
+        // Branch-free block: fixed trip count, contiguous slices,
+        // single in-order accumulator.
+        let ms = multipliers.block(c * CHUNK);
+        for i in 0..CHUNK {
+            acc += (M::apply(ms, i, xs[i]) - qs[i]).norm_sqr();
+        }
+        compared += CHUNK as u64;
         if acc > limit {
-            return DistOutcome {
-                dist_sq: acc,
-                compared,
-                abandoned: true,
-            };
+            return abandoned(acc, compared);
         }
-        let mut xc = tail.chunks_exact(CHUNK);
-        let mut mc = m_tail.chunks_exact(CHUNK);
-        let mut qc = q_tail.chunks_exact(CHUNK);
-        for ((xs, ms), qs) in (&mut xc).zip(&mut mc).zip(&mut qc) {
-            // Branch-free block: fixed trip count, contiguous slices,
-            // single in-order accumulator.
-            for i in 0..CHUNK {
-                acc += (xs[i] * ms[i] - qs[i]).norm_sqr();
-            }
-            compared += CHUNK as u64;
-            if acc > limit {
-                return DistOutcome {
-                    dist_sq: acc,
-                    compared,
-                    abandoned: true,
-                };
-            }
-        }
-        for ((x, m), q) in xc
-            .remainder()
-            .iter()
-            .zip(mc.remainder())
-            .zip(qc.remainder())
-        {
-            acc += (*x * *m - *q).norm_sqr();
-        }
-        compared += xc.remainder().len() as u64;
-        if !xc.remainder().is_empty() && acc > limit {
-            return DistOutcome {
-                dist_sq: acc,
-                compared,
-                abandoned: true,
-            };
-        }
-    } else {
-        // No abandon bound: one branch-free pass over the whole tail.
-        for ((x, m), q) in tail.iter().zip(m_tail).zip(q_tail) {
-            acc += (*x * *m - *q).norm_sqr();
-        }
-        compared += tail.len() as u64;
+    }
+    let (rest, at) = (xc.remainder(), tail.len() - xc.remainder().len());
+    for (i, (x, q)) in rest.iter().zip(qc.remainder()).enumerate() {
+        acc += (multipliers.apply_at(at + i, *x) - *q).norm_sqr();
+    }
+    compared += rest.len() as u64;
+    if !rest.is_empty() && acc > limit {
+        return abandoned(acc, compared);
     }
     DistOutcome {
         dist_sq: acc,
@@ -311,6 +384,124 @@ mod tests {
         let a = [0.0, -0.0, f64::MIN_POSITIVE / 4.0, -1e-310, 5.0];
         let b = [-0.0, 0.0, 0.0, 1e-310, 5.0];
         assert_eq!(euclidean_sq_flat(&a, &b).to_bits(), naive(&a, &b).to_bits());
+    }
+
+    /// Values where multiplying by `(1, ±0)` could differ from not
+    /// multiplying at all, if anything could: signed zeros, subnormals,
+    /// and magnitudes whose squares sit at the edge of overflow.
+    const EDGES: [f64; 14] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        1e-310,
+        -2.2e-308,
+        1e-160,
+        1e154,
+        -1e154,
+        1.3e154,
+        1.5,
+        -3.25,
+        f64::MIN_POSITIVE,
+        7.0e-3,
+    ];
+
+    /// The unit kernel against the slice kernel over multipliers `ONE`
+    /// and `(1, −0)`: the same bits, abandon decision and `compared` count
+    /// with no bound, at every partial sum of the reference (and one ulp
+    /// either side of it) and at the extremes.
+    fn assert_unit_is_the_slice(x: &[Complex], q: &[Complex]) {
+        let tail = x.len().saturating_sub(1);
+        let (full, _) = scalar_reference(x, &vec![Complex::ONE; tail], q, None);
+        let mut limits = vec![None, Some(0.0), Some(-1.0), Some(f64::MAX), Some(full)];
+        let mut acc = 0.0;
+        for (f, (a, b)) in x.iter().zip(q).enumerate() {
+            acc += (*a - *b).norm_sqr();
+            for limit in [acc, acc.next_down(), acc.next_up()] {
+                limits.push(Some(limit));
+            }
+            if f > 3 * CHUNK {
+                break;
+            }
+        }
+        for one in [Complex::ONE, Complex::new(1.0, -0.0)] {
+            let m = vec![one; tail];
+            for &limit in &limits {
+                let slice = distance_outcome(x, &m, q, limit);
+                let unit = distance_outcome_under(x, Unit, q, limit);
+                let what = format!("n={} one={one:?} limit={limit:?}", x.len());
+                assert_eq!(unit.dist_sq.to_bits(), slice.dist_sq.to_bits(), "{what}");
+                assert_eq!(unit.compared, slice.compared, "{what}");
+                assert_eq!(unit.abandoned, slice.abandoned, "{what}");
+            }
+        }
+    }
+
+    /// A spectrum of `n` coefficients drawn from [`EDGES`] and from
+    /// ordinary values, by `next`.
+    fn edge_spectrum(n: usize, next: &mut impl FnMut(u64) -> u64) -> Vec<Complex> {
+        let mut value = || match next(3) {
+            0 => (next(1 << 20) as f64 - 524_288.0) / 4096.0,
+            _ => EDGES[next(EDGES.len() as u64) as usize],
+        };
+        (0..n).map(|_| Complex::new(value(), value())).collect()
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |bound| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        }
+    }
+
+    #[test]
+    fn the_unit_kernel_is_the_slice_kernel_over_ones_bitwise() {
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
+        for n in 0..=3 * CHUNK + 2 {
+            for _ in 0..40 {
+                let x = edge_spectrum(n, &mut next);
+                let q = edge_spectrum(n, &mut next);
+                assert_unit_is_the_slice(&x, &q);
+            }
+        }
+        // Every edge value against every other, in every slot of a chunk
+        // and of the remainder.
+        for n in [CHUNK + 1, CHUNK + 4] {
+            for (i, &a) in EDGES.iter().enumerate() {
+                for &b in &EDGES {
+                    let mut x = vec![Complex::new(1.0, -1.0); n];
+                    let mut q = vec![Complex::new(0.5, -0.0); n];
+                    let f = 1 + i % (n - 1);
+                    (x[f], q[f]) = (Complex::new(a, b), Complex::new(b, a));
+                    x[n - 1] = Complex::new(b, -a);
+                    assert_unit_is_the_slice(&x, &q);
+                }
+            }
+        }
+        assert!(Unit::covers(&[Complex::ONE, Complex::new(1.0, -0.0)]));
+        assert!(Unit::covers(&[]));
+        for other in [
+            Complex::new(1.0, 1e-300),
+            Complex::real(-1.0),
+            Complex::ZERO,
+        ] {
+            assert!(!Unit::covers(&[Complex::ONE, other]));
+        }
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored"]
+    fn the_unit_kernel_is_the_slice_kernel_over_ones_bitwise_long() {
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+        for _ in 0..20_000 {
+            let n = next(300) as usize;
+            let x = edge_spectrum(n, &mut next);
+            let q = edge_spectrum(n, &mut next);
+            assert_unit_is_the_slice(&x, &q);
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! * [`normal`] — normal form (Equation 9), shift, scale.
 //! * [`mavg`] — circular (weighted) moving averages and their closed-form
 //!   frequency coefficients (Equation 11).
+//! * [`roots`] — the roots-of-unity table of one series length, which a
+//!   relation holds and every coefficient construction reads.
 //! * [`reverse`](mod@reverse) — series reversal `T_rev = (−1, 0)` (Example 2.2).
 //! * [`warp`](mod@warp) — time warping and its coefficient vector (Appendix A,
 //!   Equation 19).
@@ -15,7 +17,8 @@
 //!   rectangles (annular-sector MINDIST for the polar representation).
 //! * [`kernel`] — the chunked flat-slice distance kernel shared by the
 //!   executors and scan baselines (bitwise identical to the scalar
-//!   reference loops, early abandoning hoisted to chunk granularity).
+//!   reference loops, early abandoning hoisted to chunk granularity), over
+//!   a multiplier slice or the multiply-free unit marker.
 //! * [`transform`] — series transformations, their lowering to safe
 //!   feature-space transformations (Theorems 2 and 3), and the safety
 //!   checks that reject the unsafe cases.
@@ -30,6 +33,7 @@ pub mod mavg;
 pub mod mindist;
 pub mod normal;
 pub mod reverse;
+pub mod roots;
 pub mod transform;
 pub mod warp;
 
@@ -40,5 +44,6 @@ pub use mavg::{moving_average, plain_moving_average, weighted_moving_average};
 pub use mindist::{sector_distance, spectral_mindist, SpectralMindist};
 pub use normal::{mean, normal_form, normalize, std_dev, NormalForm};
 pub use reverse::reverse;
+pub use roots::UnitRoots;
 pub use transform::SeriesTransform;
 pub use warp::{warp, warp_coefficients};

@@ -18,10 +18,28 @@
 //! ```
 //!
 //! so that `a ∗ X = DFT(mavg(x))` holds exactly — verified by tests here.
+//!
+//! **Closed form.** The sum is geometric in `ω_f = e^{−j2πf/n}`, so the
+//! equal-weight multipliers need no loop over the window:
+//!
+//! ```text
+//! a_f = (1/m) · (1 − ω[f·m mod n]) / (1 − ω[f mod n])
+//! ```
+//!
+//! with both roots read from the series length's [`UnitRoots`] (a
+//! relation's table, or computed on demand). Where `ω_f = 1` (`f ≡ 0 mod
+//! n`) the sum is `m` terms of one and `a_f` is exactly `1`; where `f·m ≡
+//! 0 (mod n)` the window spans whole periods of frequency `f` and `a_f` is
+//! exactly `0` — a true zero, not the `≈ 1e-17` a summation leaves, so the
+//! signature probe takes its row-independent branch for it and the polar
+//! lowering scales by 0 at angle `atan2(0, 0) = 0`. A window of one is the
+//! identity: every multiplier is exactly `1`, and the verifier runs its
+//! multiply-free kernel. Weighted averages have no closed form; they keep
+//! the rotation loop, reading their `ω_f` from the same roots.
 
 use crate::error::SeriesError;
+use crate::roots::UnitRoots;
 use simq_dsp::complex::Complex;
-use std::f64::consts::PI;
 
 /// Circular `m`-day moving average with equal weights (the paper's
 /// `Tmavg`): output sample `i` averages `x_i, x_{i−1}, …, x_{i−m+1}` with
@@ -96,22 +114,10 @@ fn check_window(window: usize, len: usize) -> Result<(), SeriesError> {
     Ok(())
 }
 
-/// Closed-form frequency-domain coefficients of the circular weighted
-/// moving average for a series of length `n`:
-/// `a_f = Σ_{t=0}^{m-1} w_t · e^{-j2πtf/n}`, for `f = 0, …, count-1`.
-///
-/// Multiplying a (normalized) spectrum elementwise by these coefficients
-/// yields the (normalized) spectrum of the moving-averaged series exactly.
-///
-/// Each frequency takes one trig evaluation, `ω_f = e^{-j2πf/n}`, then
-/// accumulates `w_t · ω_f^t` by incremental rotation. The loops run
-/// weights outer and frequencies inner, over arrays of `ω_f` and of the
-/// running rotations `rot_f`: the frequencies' rotation chains are
-/// independent, so one weight's step over every frequency is throughput-
-/// rather than latency-bound. Each frequency still performs the same
-/// operations in the same order as a per-frequency loop (`acc += rot · w`,
-/// then `rot *= ω`, weight after weight), so the result is bit for bit
-/// that loop's (pinned by this module's tests).
+/// Frequency-domain coefficients of the circular weighted moving average
+/// for a series of length `n`: `a_f = Σ_{t=0}^{m-1} w_t · e^{-j2πtf/n}`,
+/// for `f = 0, …, count-1` ([`weighted_mavg_coefficients_over`] with the
+/// roots computed on demand).
 ///
 /// # Errors
 /// [`SeriesError::EmptyKernel`] for an empty weight vector;
@@ -121,6 +127,32 @@ pub fn weighted_mavg_coefficients(
     weights: &[f64],
     count: usize,
 ) -> Result<Vec<Complex>, SeriesError> {
+    weighted_mavg_coefficients_over(&UnitRoots::on_demand(n), weights, count)
+}
+
+/// [`weighted_mavg_coefficients`] for the series length of `roots`,
+/// reading each `ω_f = e^{-j2πf/n}` from them.
+///
+/// Multiplying a (normalized) spectrum elementwise by these coefficients
+/// yields the (normalized) spectrum of the moving-averaged series exactly.
+///
+/// Each frequency accumulates `w_t · ω_f^t` by incremental rotation. The
+/// loops run weights outer and frequencies inner, over arrays of `ω_f` and
+/// of the running rotations `rot_f`: the frequencies' rotation chains are
+/// independent, so one weight's step over every frequency is throughput-
+/// rather than latency-bound. Each frequency still performs the same
+/// operations in the same order as a per-frequency loop (`acc += rot · w`,
+/// then `rot *= ω`, weight after weight), so the result is bit for bit
+/// that loop's (pinned by this module's tests).
+///
+/// # Errors
+/// As [`weighted_mavg_coefficients`].
+pub fn weighted_mavg_coefficients_over(
+    roots: &UnitRoots,
+    weights: &[f64],
+    count: usize,
+) -> Result<Vec<Complex>, SeriesError> {
+    let n = roots.series_len();
     if weights.is_empty() {
         return Err(SeriesError::EmptyKernel);
     }
@@ -130,9 +162,7 @@ pub fn weighted_mavg_coefficients(
             len: n,
         });
     }
-    let omega: Vec<Complex> = (0..count)
-        .map(|f| Complex::cis(-2.0 * PI * (f as f64) / n as f64))
-        .collect();
+    let omega: Vec<Complex> = (0..count).map(|f| roots.omega(f)).collect();
     let mut rot = vec![Complex::ONE; count];
     let mut out = vec![Complex::ZERO; count];
     for &w in weights {
@@ -144,8 +174,9 @@ pub fn weighted_mavg_coefficients(
     Ok(out)
 }
 
-/// Equal-weight special case of [`weighted_mavg_coefficients`] (paper
-/// Equation 11's kernel).
+/// Equal-weight moving-average coefficients (paper Equation 11's kernel)
+/// for a series of length `n`, `f = 0, …, count-1`:
+/// [`mavg_coefficients_over`] with the roots computed on demand.
 ///
 /// # Errors
 /// [`SeriesError::InvalidWindow`] when `window` is zero or exceeds `n`.
@@ -154,14 +185,53 @@ pub fn mavg_coefficients(
     window: usize,
     count: usize,
 ) -> Result<Vec<Complex>, SeriesError> {
+    mavg_coefficients_over(&UnitRoots::on_demand(n), window, count)
+}
+
+/// [`mavg_coefficients`] for the series length of `roots`, in the closed
+/// form `a_f = (1/m)·(1 − ω[f·m mod n]) / (1 − ω[f mod n])` (module docs):
+/// exactly `1` where `f ≡ 0 (mod n)` and for a window of one, exactly `0`
+/// where `f·m ≡ 0 (mod n)`. Two roots and one complex division per
+/// frequency, whatever the window.
+///
+/// # Errors
+/// As [`mavg_coefficients`].
+pub fn mavg_coefficients_over(
+    roots: &UnitRoots,
+    window: usize,
+    count: usize,
+) -> Result<Vec<Complex>, SeriesError> {
+    let n = roots.series_len();
     check_window(window, n)?;
-    weighted_mavg_coefficients(n, &vec![1.0 / window as f64; window], count)
+    let m = window as f64;
+    let mut out = Vec::with_capacity(count);
+    // `f mod n` and `f·m mod n`, stepped: `m ≤ n` keeps both below `2n`.
+    let (mut f, mut fm) = (0, 0);
+    for _ in 0..count {
+        out.push(if window == 1 || f == 0 {
+            Complex::ONE
+        } else if fm == 0 {
+            Complex::ZERO
+        } else {
+            (Complex::ONE - roots.omega(fm)) / (Complex::ONE - roots.omega(f)) / m
+        });
+        f += 1;
+        if f == n {
+            f = 0;
+        }
+        fm += window;
+        if fm >= n {
+            fm -= n;
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use simq_dsp::fft;
+    use std::f64::consts::PI;
 
     #[test]
     fn circular_average_wraps() {
@@ -240,6 +310,62 @@ mod tests {
         for (t, e) in transformed.iter().zip(&expected) {
             assert!(t.approx_eq(*e, 1e-9), "{t} vs {e}");
         }
+    }
+
+    fn bits(c: &Complex) -> (u64, u64) {
+        (c.re.to_bits(), c.im.to_bits())
+    }
+
+    #[test]
+    fn a_window_of_one_is_exactly_one_everywhere() {
+        for n in [1, 2, 8, 127, 128, 1000] {
+            for count in [0, 1, n / 2, n, 2 * n + 1] {
+                let coef = mavg_coefficients(n, 1, count).unwrap();
+                assert_eq!(coef.len(), count);
+                assert!(coef.iter().all(|a| bits(a) == bits(&Complex::ONE)), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_closed_form_agrees_with_the_time_domain_average_at_every_window() {
+        for n in [8, 64, 127, 128, 1000] {
+            let s: Vec<f64> = (0..n)
+                .map(|i| ((i * 37 + 11) % 101) as f64 * 0.317 - (i as f64 * 0.05).sin() * 9.0)
+                .collect();
+            let roots = UnitRoots::new(n);
+            let spec = fft::forward_real(&s);
+            for window in 1..=n {
+                let coef = mavg_coefficients_over(&roots, window, n).unwrap();
+                let expected = fft::forward_real(&moving_average(&s, window).unwrap());
+                for (f, ((x, a), e)) in spec.iter().zip(&coef).zip(&expected).enumerate() {
+                    let t = *x * *a;
+                    assert!(t.approx_eq(*e, 1e-9), "n={n} m={window} f={f}: {t} vs {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windows_spanning_whole_periods_give_exact_zeros() {
+        let n = 128;
+        let roots = UnitRoots::new(n);
+        for window in [2, 3, 20, 32, 48, 64, 100, 127, 128] {
+            let coef = mavg_coefficients_over(&roots, window, 2 * n).unwrap();
+            assert_eq!(coef, mavg_coefficients(n, window, 2 * n).unwrap());
+            for (f, a) in coef.iter().enumerate() {
+                if f % n == 0 {
+                    assert_eq!(bits(a), bits(&Complex::ONE), "m={window} f={f}");
+                } else if f * window % n == 0 {
+                    assert_eq!(bits(a), bits(&Complex::ZERO), "m={window} f={f}");
+                } else {
+                    assert!(a.norm_sqr() > 0.0, "m={window} f={f}");
+                }
+            }
+        }
+        // mavg(n) keeps the mean alone.
+        let all = mavg_coefficients_over(&roots, n, n).unwrap();
+        assert_eq!(all.iter().filter(|a| a.norm_sqr() == 0.0).count(), n - 1);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use crate::error::SeriesError;
 use crate::features::{FeatureScheme, Representation};
+use crate::roots::UnitRoots;
 use crate::{mavg, normal, reverse as rev, warp as warp_mod};
 use simq_core::{FnTransformation, RealSequence};
 use simq_dsp::complex::Complex;
@@ -213,7 +214,40 @@ impl SeriesTransform {
     }
 
     /// The action on `(mean, std, normal-form spectrum)` for series of
-    /// length `n`, producing multipliers for frequencies `1..=count`.
+    /// length `n`, producing multipliers for frequencies `1..=count`:
+    /// [`action_over`](Self::action_over) over a roots table of its own
+    /// when a moving average reads more roots than the table holds (about
+    /// two per frequency), else with each root computed as it is read.
+    /// Either way the roots, and so the action, are bit for bit what a
+    /// relation's table gives.
+    ///
+    /// # Errors
+    /// As [`action_over`](Self::action_over).
+    pub fn action(&self, n: usize, count: usize) -> Result<NormalFormAction, SeriesError> {
+        let roots = if self.reads_roots() && 2 * (count + 1) > n {
+            UnitRoots::new(n)
+        } else {
+            UnitRoots::on_demand(n)
+        };
+        self.action_over(&roots, count)
+    }
+
+    /// Whether the action reads roots of unity: a moving average, alone
+    /// or in a chain.
+    fn reads_roots(&self) -> bool {
+        match self {
+            SeriesTransform::MovingAverage { .. }
+            | SeriesTransform::WeightedMovingAverage { .. } => true,
+            SeriesTransform::Chain(ts) => ts.iter().any(Self::reads_roots),
+            _ => false,
+        }
+    }
+
+    /// The action on `(mean, std, normal-form spectrum)` for series of
+    /// the length of `roots` (a relation's table), producing multipliers
+    /// for frequencies `1..=count`. Moving averages read their roots of
+    /// unity from `roots`: the equal-weight one in closed form, two roots
+    /// and a division per frequency.
     ///
     /// # Errors
     /// Domain errors of the underlying coefficient constructions;
@@ -222,8 +256,12 @@ impl SeriesTransform {
     /// [`SeriesError::NonFiniteTransformation`] when the composed action
     /// overflows — every kernel and index bound downstream assumes finite
     /// coefficients.
-    pub fn action(&self, n: usize, count: usize) -> Result<NormalFormAction, SeriesError> {
-        let action = self.compose(n, count)?;
+    pub fn action_over(
+        &self,
+        roots: &UnitRoots,
+        count: usize,
+    ) -> Result<NormalFormAction, SeriesError> {
+        let action = self.compose(roots, count)?;
         let finite = [action.mean_scale, action.mean_shift, action.std_scale]
             .iter()
             .all(|v| v.is_finite())
@@ -233,9 +271,10 @@ impl SeriesTransform {
             .ok_or(SeriesError::NonFiniteTransformation)
     }
 
-    /// [`action`](Self::action) before the finiteness check (chains
-    /// compose their steps here, so the check runs once, on the result).
-    fn compose(&self, n: usize, count: usize) -> Result<NormalFormAction, SeriesError> {
+    /// [`action_over`](Self::action_over) before the finiteness check
+    /// (chains compose their steps here, so the check runs once, on the
+    /// result).
+    fn compose(&self, roots: &UnitRoots, count: usize) -> Result<NormalFormAction, SeriesError> {
         let identity = || NormalFormAction {
             mean_scale: 1.0,
             mean_shift: 0.0,
@@ -245,14 +284,14 @@ impl SeriesTransform {
         match self {
             SeriesTransform::Identity => Ok(identity()),
             SeriesTransform::MovingAverage { window } => {
-                let all = mavg::mavg_coefficients(n, *window, count + 1)?;
+                let all = mavg::mavg_coefficients_over(roots, *window, count + 1)?;
                 Ok(NormalFormAction {
                     multipliers: all[1..].to_vec(),
                     ..identity()
                 })
             }
             SeriesTransform::WeightedMovingAverage { weights } => {
-                let all = mavg::weighted_mavg_coefficients(n, weights, count + 1)?;
+                let all = mavg::weighted_mavg_coefficients_over(roots, weights, count + 1)?;
                 // A kernel whose weights do not sum to 1 rescales the DC
                 // term, i.e. shifts the mean multiplicatively.
                 let dc: f64 = weights.iter().sum();
@@ -279,7 +318,7 @@ impl SeriesTransform {
                 ..identity()
             }),
             SeriesTransform::Warp { m } => {
-                let all = warp_mod::warp_coefficients(n, *m, count + 1)?;
+                let all = warp_mod::warp_coefficients(roots.series_len(), *m, count + 1)?;
                 Ok(NormalFormAction {
                     multipliers: all[1..].to_vec(),
                     ..identity()
@@ -288,7 +327,7 @@ impl SeriesTransform {
             SeriesTransform::Chain(ts) => {
                 let mut acc = identity();
                 for t in ts {
-                    let next = t.compose(n, count)?;
+                    let next = t.compose(roots, count)?;
                     acc.mean_shift = next.mean_scale * acc.mean_shift + next.mean_shift;
                     acc.mean_scale *= next.mean_scale;
                     acc.std_scale *= next.std_scale;
@@ -569,6 +608,70 @@ mod tests {
                 "{}",
                 t.name()
             );
+        }
+    }
+
+    /// A statement resolves its action over its relation's roots table;
+    /// `action(n, count)` tabulates or computes its own. Every root is one
+    /// expression, so the two actions are equal bit for bit — the
+    /// benchmark's trace rebuild of a statement's work depends on it. The
+    /// multiply-free kernel stands for exactly the actions whose
+    /// multipliers are all one.
+    #[test]
+    fn actions_over_a_roots_table_equal_actions_from_the_length_bitwise() {
+        use crate::kernel::Unit;
+        use SeriesTransform::*;
+        let cbits = |v: &[Complex]| {
+            v.iter()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for n in [8, 64, 127, 128] {
+            let roots = UnitRoots::new(n);
+            for (t, unit) in [
+                (Identity, true),
+                (Shift(-2.5), true),
+                (Scale(3.0), true),
+                (MovingAverage { window: 1 }, true),
+                (Scale(-3.0), false),
+                (Reverse, false),
+                (MovingAverage { window: 5 }, false),
+                (MovingAverage { window: n }, false),
+                (
+                    WeightedMovingAverage {
+                        weights: vec![0.5, 0.3, 0.2],
+                    },
+                    false,
+                ),
+                (Warp { m: 2 }, false),
+                (
+                    Chain(vec![Reverse, MovingAverage { window: 4 }, Shift(1.0)]),
+                    false,
+                ),
+            ] {
+                for count in [0, 3, n - 1, n + 5] {
+                    let (over, from_len) = (
+                        t.action_over(&roots, count).unwrap(),
+                        t.action(n, count).unwrap(),
+                    );
+                    assert_eq!(
+                        cbits(&over.multipliers),
+                        cbits(&from_len.multipliers),
+                        "{} n={n}",
+                        t.name()
+                    );
+                    let stats = |a: &NormalFormAction| {
+                        [a.mean_scale, a.mean_shift, a.std_scale].map(f64::to_bits)
+                    };
+                    assert_eq!(stats(&over), stats(&from_len), "{} n={n}", t.name());
+                    assert_eq!(
+                        Unit::covers(&over.multipliers),
+                        unit || count == 0,
+                        "{} n={n}",
+                        t.name()
+                    );
+                }
+            }
         }
     }
 

@@ -16,6 +16,7 @@ use simq_index::geom::Rect;
 use simq_index::{RTree, RTreeConfig};
 use simq_series::error::SeriesError;
 use simq_series::features::{FeatureScheme, SeriesFeatures};
+use simq_series::UnitRoots;
 use std::collections::HashMap;
 
 /// One stored series with its derived data.
@@ -51,6 +52,10 @@ pub struct SeriesRelation {
     /// Derived data — maintained on every insert, rebuilt on restore,
     /// never persisted.
     sigs: SignatureArray,
+    /// The roots of unity of `series_len`, which a statement's
+    /// transformation reads its multipliers from. Derived data — built by
+    /// both constructors, never persisted.
+    roots: UnitRoots,
 }
 
 impl SeriesRelation {
@@ -73,6 +78,7 @@ impl SeriesRelation {
             next_id: 0,
             by_id: None,
             sigs: SignatureArray::for_series_len(series_len),
+            roots: UnitRoots::new(series_len),
         }
     }
 
@@ -96,10 +102,10 @@ impl SeriesRelation {
                 .map(|(i, r)| (r.id, i))
                 .collect::<HashMap<u64, usize>>()
         });
-        // Signatures (and their mirror slack) are derived, not persisted:
-        // recompute them here so every restore path (snapshot decode,
-        // durable open, reshard) carries a filter tier bit-identical to a
-        // freshly built one.
+        // Signatures (and their mirror slack) and the roots of unity are
+        // derived, not persisted: recompute them here so every restore path
+        // (snapshot decode, durable open, reshard) carries a filter tier and
+        // a roots table bit-identical to a freshly built one.
         let mut sigs = SignatureArray::for_series_len(series_len);
         rows.iter().for_each(|r| sigs.push(&r.features.spectrum));
         SeriesRelation {
@@ -110,6 +116,7 @@ impl SeriesRelation {
             next_id,
             by_id,
             sigs,
+            roots: UnitRoots::new(series_len),
         }
     }
 
@@ -126,6 +133,11 @@ impl SeriesRelation {
     /// The feature scheme rows are extracted under.
     pub fn scheme(&self) -> &FeatureScheme {
         &self.scheme
+    }
+
+    /// The roots of unity of the relation's series length, tabulated.
+    pub fn roots(&self) -> &UnitRoots {
+        &self.roots
     }
 
     /// Number of rows.

@@ -24,19 +24,20 @@
 //!    `n < 2·coeffs` and odd-`n` edges, scaled to 1e154 and into
 //!    denormals.
 //! 4. **Build-path independence**: signatures — and the measured
-//!    `mirror_slack` — are bit-identical whether a relation was bulk
-//!    loaded, incrementally inserted, batch inserted, saved and
-//!    reopened (with or without a replayed log tail) or resharded, and a
-//!    reopened database filters with the exact same dismissal counts as
-//!    the database that saved it.
+//!    `mirror_slack` and the roots-of-unity table — are bit-identical
+//!    whether a relation was bulk loaded, incrementally inserted, batch
+//!    inserted, saved and reopened (with or without a replayed log tail)
+//!    or resharded, and a reopened database filters with the exact same
+//!    dismissal counts as the database that saved it.
 
 mod common;
 
 use common::lattice::{world, Config, Storage};
-use common::{corpus, db_with};
+use common::oracle::{decidable_k, threshold_near, Oracle};
+use common::{assert_outputs_bitwise_equal, corpus, db_with};
 use proptest::prelude::*;
 use similarity_queries::prelude::*;
-use similarity_queries::series::distance_outcome;
+use similarity_queries::series::{distance_outcome, UnitRoots};
 use similarity_queries::storage::{scan, FilterProbe, SignatureArray, SIG_COEFFS};
 
 /// A database saved and reopened does the in-memory original's exact
@@ -51,6 +52,58 @@ fn snapshot_reload_preserves_filter_behaviour() {
         ..Config::BASE
     };
     world(61, 45, 32).check(&[reloaded(1), reloaded(4)], |_| true);
+}
+
+/// Exactly zero multipliers — `mavg(m)` at `f·m ≡ 0 (mod n)`, which the
+/// closed form returns as a true 0 — take the signature probe's
+/// row-independent term and lower to a zero magnitude scale at angle 0. At
+/// n = 128, `mavg(32)`, `mavg(64)` and `mavg(128)` vanish at signature and
+/// index frequencies: every range and 10-NN statement under them, alone and
+/// `ON BOTH`, answers bitwise like its `FORCE SCAN` twin and like the
+/// time-domain definition. `mavg(1)`, every multiplier exactly one, answers
+/// bitwise like no transformation, with the same work.
+#[test]
+fn exact_zero_multipliers_answer_like_the_scan_and_the_definition() {
+    let n = 128;
+    let rows = corpus(57, 60, n);
+    let (db, oracle) = (
+        db_with(&rows, FeatureScheme::paper_default()),
+        Oracle::new(&rows),
+    );
+    let run = |q: &str| execute(&db, q).unwrap_or_else(|e| panic!("{q}: {e}"));
+    for (i, window) in [32, 64, 128].into_iter().enumerate() {
+        let t = SeriesTransform::MovingAverage { window };
+        for on_both in [false, true] {
+            let row = 5 + 11 * i + on_both as usize;
+            let both = if on_both { " ON BOTH" } else { "" };
+            let using = format!("IN r USING mavg({window}){both}");
+            let d = oracle.distances(&rows[row], &t, on_both);
+            let eps = threshold_near(&d, 5);
+            let range = format!("FIND SIMILAR TO ROW {row} {using} EPSILON {eps}");
+            let knn = format!("FIND {} NEAREST TO ROW {row} {using}", decidable_k(&d, 10));
+            for q in [range, knn] {
+                let indexed = run(&q);
+                assert_eq!(indexed.plan.access, AccessPath::IndexScan, "{q}");
+                assert_outputs_bitwise_equal(&indexed, &run(&format!("{q} FORCE SCAN")), &q);
+                if let Err(why) = oracle.check(&parse(&q).unwrap(), &indexed.output) {
+                    panic!("{q}: {why}");
+                }
+            }
+        }
+    }
+    let d = oracle.distances(&rows[3], &SeriesTransform::Identity, false);
+    let range = format!(
+        "FIND SIMILAR TO ROW 3 IN r EPSILON {}",
+        threshold_near(&d, 8)
+    );
+    for q in [range.as_str(), "FIND 10 NEAREST TO ROW 3 IN r"] {
+        for using in ["IN r USING mavg(1)", "IN r USING mavg(1) ON BOTH"] {
+            let moved = q.replacen("IN r", using, 1);
+            let (plain, one) = (run(q), run(&moved));
+            assert_outputs_bitwise_equal(&plain, &one, &moved);
+            assert_eq!(plain.stats, one.stats, "{moved}");
+        }
+    }
 }
 
 /// A value strategy biased toward the places floating-point goes wrong:
@@ -448,12 +501,31 @@ fn signature_bits(db: &Database, rows: usize) -> Vec<Vec<u32>> {
     by_id.into_iter().map(|(_, bits)| bits).collect()
 }
 
-/// Signatures are derived data recomputed on every build path; whichever
-/// way the same rows reach a relation — bulk load, incremental insert,
-/// batch insert, a saved and reopened directory with a replayed log tail
-/// or resharding — the stored signatures and the measured mirror slack are
-/// bit-for-bit identical. (That every build then *answers* identically is
-/// the lattice's storage axis.)
+/// Whether every store of `db`'s relation, and the one a sharded relation
+/// merges into, holds the roots table `UnitRoots::new(n)` bit for bit.
+fn holds_the_roots_table(db: &Database, n: usize) -> bool {
+    let bits = |roots: &UnitRoots| {
+        let parts = roots.as_slice().iter().flat_map(|c| [c.re, c.im]);
+        parts.map(f64::to_bits).collect::<Vec<_>>()
+    };
+    let want = bits(&UnitRoots::new(n));
+    let rel = db.relation("r").expect("relation r exists");
+    let merged = match rel {
+        StoredRelation::Sharded { relation, .. } => Some(relation.to_single()),
+        StoredRelation::Single { .. } => None,
+    };
+    let mut stores = rel.stores().iter().chain(&merged);
+    bits(rel.roots()) == want
+        && stores.all(|s| s.roots().series_len() == n && bits(s.roots()) == want)
+}
+
+/// Signatures and the roots table are derived data recomputed on every
+/// build path; whichever way the same rows reach a relation — bulk load,
+/// incremental insert, batch insert, a saved and reopened directory with a
+/// replayed log tail or resharding, and a sharded relation merged back by
+/// `to_single` — the stored signatures, the measured mirror slack and the
+/// roots are bit-for-bit identical. (That every build then *answers*
+/// identically is the lattice's storage axis.)
 #[test]
 fn every_build_path_produces_identical_signatures() {
     use Storage::*;
@@ -466,6 +538,7 @@ fn every_build_path_produces_identical_signatures() {
         "{}",
         slack(&bulk)
     );
+    assert!(holds_the_roots_table(&bulk, 64));
     for storage in [Incremental, BatchInserted, Reopened, Resharded] {
         for shards in [1, 4] {
             let (db, _scratch) = world.database(storage, shards, true);
@@ -480,6 +553,7 @@ fn every_build_path_produces_identical_signatures() {
                 slack(&bulk).to_bits(),
                 "{what}: mirror slack diverges from bulk load"
             );
+            assert!(holds_the_roots_table(&db, 64), "{what}: roots table");
         }
     }
 }
